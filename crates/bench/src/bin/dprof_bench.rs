@@ -21,7 +21,7 @@
 //! workload each time.
 
 use dprof_bench::throughput::{
-    capture_trace_file, measure_point, measure_point_from_trace, render_json, render_scaling,
+    capture_trace, measure_point, measure_point_from_trace, render_json, render_scaling,
     render_table, trace_file_name, trace_io, TraceWorkload,
 };
 
@@ -65,9 +65,9 @@ fn main() {
     }
 
     // Quick mode keeps the CI smoke job fast; paper mode measures the trajectory
-    // through the 16-core paper configuration and on up to the 64/128-core sharded
-    // targets.  High core counts generate proportionally more traffic per round, so
-    // they capture fewer rounds to keep trace sizes comparable.
+    // through the 16-core paper configuration and on up to 64/128 cores.  High core
+    // counts generate proportionally more traffic per round, so they capture fewer
+    // rounds to keep trace sizes comparable.
     let (scale_name, core_counts, base_rounds) = if quick {
         ("quick", vec![2, 4, 64], 40)
     } else {
@@ -102,10 +102,11 @@ fn main() {
                 );
                 measure_point_from_trace(which.name(), cores, &trace)
             } else if let Some(dir) = &save_dir {
-                let file = capture_trace_file(which, cores, rounds_for(cores));
+                let trace = capture_trace(which, cores, rounds_for(cores));
                 let path = format!("{dir}/{}", trace_file_name(which, cores));
-                file.write(&path).unwrap_or_else(|e| panic!("{e}"));
-                let trace = trace_io::to_line_events(&file);
+                trace_io::from_line_events(which, cores, rounds_for(cores), &trace)
+                    .write(&path)
+                    .unwrap_or_else(|e| panic!("{e}"));
                 measure_point_from_trace(which.name(), cores, &trace)
             } else {
                 measure_point(which, cores, rounds_for(cores))

@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 use sim_cache::reference::RefCacheHierarchy;
-use sim_cache::{CacheHierarchy, HierarchyConfig, ShardedHierarchy, TraceEvent};
+use sim_cache::{CacheHierarchy, HierarchyConfig, TraceEvent};
 use std::time::Instant;
 use workloads::{Apache, ApacheConfig, Memcached, MemcachedConfig, Workload};
 
@@ -55,9 +55,6 @@ pub struct ThroughputPoint {
     pub reference_aps: f64,
     /// Accesses/second through the optimized hierarchy.
     pub optimized_aps: f64,
-    /// Accesses/second through the epoch-batched sharded engine (outcome-identical
-    /// to the optimized hierarchy; cross-checked by latency checksum).
-    pub sharded_aps: f64,
     /// `optimized_aps / reference_aps`.
     pub speedup: f64,
 }
@@ -124,40 +121,23 @@ pub fn replay_reference(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64,
     })
 }
 
-/// Replays a trace through the epoch-batched sharded engine once.
-pub fn replay_sharded(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64, u64) {
-    let mut h = ShardedHierarchy::new(*config);
-    let start = Instant::now();
-    let checksum = h.replay_checksum(trace);
-    (start.elapsed().as_secs_f64(), checksum)
-}
-
 /// The canonical `.dtrace` file name of a bench capture inside a trace directory.
 pub fn trace_file_name(which: TraceWorkload, cores: usize) -> String {
     format!("{}_{}c.dtrace", which.name(), cores)
-}
-
-/// Captures a workload's access trace and wraps it as an access-only `.dtrace` file,
-/// so later bench runs can replay the identical stream instead of re-capturing (and
-/// so regressions are measured against a *fixed* workload, not a re-simulated one).
-pub fn capture_trace_file(which: TraceWorkload, cores: usize, rounds: usize) -> trace_io::File {
-    let trace = capture_trace(which, cores, rounds);
-    trace_io::from_line_events(which, cores, rounds, &trace)
 }
 
 /// Helpers converting between the hierarchy-level line streams the replay loops
 /// consume and the access-only `.dtrace` container.
 pub mod trace_io {
     use super::TraceWorkload;
-    use dprof_trace::line::{push_line_events, session_to_line_events};
+    use dprof_trace::line::push_line_events;
     use dprof_trace::{SessionParams, ThreadStream, TraceFile, TraceKind, TraceReader};
     use sim_cache::TraceEvent;
     use sim_machine::{FunctionId, SessionEvent};
 
-    /// Re-export so callers need not depend on `dprof-trace` directly.
-    pub use dprof_trace::TraceFile as File;
-
-    /// Wraps a per-line access stream as an access-only trace file.
+    /// Wraps a per-line access stream as an access-only trace file, so later bench
+    /// runs can replay the identical stream instead of re-capturing (and so
+    /// regressions are measured against a *fixed* workload, not a re-simulated one).
     pub fn from_line_events(
         which: TraceWorkload,
         cores: usize,
@@ -199,17 +179,8 @@ pub mod trace_io {
         }
     }
 
-    /// Extracts the per-line access stream from a trace file (either kind: a
-    /// full-session trace lowers its spanning accesses at line boundaries).
-    pub fn to_line_events(file: &TraceFile) -> Vec<TraceEvent> {
-        let line_size = file.machine.hierarchy.l1.line_size as u64;
-        file.streams
-            .iter()
-            .flat_map(|s| session_to_line_events(&s.events, line_size))
-            .collect()
-    }
-
-    /// Streams a `.dtrace` file's per-line access stream straight from disk:
+    /// Streams a `.dtrace` file's per-line access stream straight from disk (either
+    /// kind: a full-session trace lowers its spanning accesses at line boundaries):
     /// events are lowered to [`TraceEvent`]s as they decode, so only the line
     /// stream — never the session-event stream — is materialized.  Returns the
     /// core count alongside the events.
@@ -236,10 +207,8 @@ pub fn measure_point_from_trace(
 
     let mut best_ref = f64::INFINITY;
     let mut best_opt = f64::INFINITY;
-    let mut best_sharded = f64::INFINITY;
     let mut ref_sum = 0;
     let mut opt_sum = 0;
-    let mut sharded_sum = 0;
     for _ in 0..REPS {
         let (t, s) = replay_reference(&config, trace);
         best_ref = best_ref.min(t);
@@ -247,30 +216,21 @@ pub fn measure_point_from_trace(
         let (t, s) = replay_optimized(&config, trace);
         best_opt = best_opt.min(t);
         opt_sum = s;
-        let (t, s) = replay_sharded(&config, trace);
-        best_sharded = best_sharded.min(t);
-        sharded_sum = s;
     }
     assert_eq!(
         ref_sum, opt_sum,
         "reference and optimized hierarchies diverged on the {workload_name} trace"
     );
-    assert_eq!(
-        opt_sum, sharded_sum,
-        "sharded engine diverged from the serial hierarchy on the {workload_name} trace"
-    );
 
     let n = trace.len() as f64;
     let reference_aps = n / best_ref.max(1e-12);
     let optimized_aps = n / best_opt.max(1e-12);
-    let sharded_aps = n / best_sharded.max(1e-12);
     ThroughputPoint {
         workload: workload_name.to_string(),
         cores,
         trace_len: trace.len(),
         reference_aps,
         optimized_aps,
-        sharded_aps,
         speedup: optimized_aps / reference_aps.max(1e-12),
     }
 }
@@ -294,14 +254,12 @@ pub fn render_json(scale_name: &str, points: &[ThroughputPoint]) -> String {
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"cores\": {}, \"trace_len\": {}, \
-             \"reference_aps\": {:.0}, \"optimized_aps\": {:.0}, \"sharded_aps\": {:.0}, \
-             \"speedup\": {:.2}}}{}\n",
+             \"reference_aps\": {:.0}, \"optimized_aps\": {:.0}, \"speedup\": {:.2}}}{}\n",
             p.workload,
             p.cores,
             p.trace_len,
             p.reference_aps,
             p.optimized_aps,
-            p.sharded_aps,
             p.speedup,
             if i + 1 == points.len() { "" } else { "," }
         ));
@@ -314,35 +272,28 @@ pub fn render_json(scale_name: &str, points: &[ThroughputPoint]) -> String {
 pub fn render_table(points: &[ThroughputPoint]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} {:>5} {:>12} {:>16} {:>16} {:>16} {:>8}\n",
-        "workload", "cores", "trace", "reference a/s", "optimized a/s", "sharded a/s", "speedup"
+        "{:<10} {:>5} {:>12} {:>16} {:>16} {:>8}\n",
+        "workload", "cores", "trace", "reference a/s", "optimized a/s", "speedup"
     ));
     for p in points {
         out.push_str(&format!(
-            "{:<10} {:>5} {:>12} {:>16.0} {:>16.0} {:>16.0} {:>7.2}x\n",
-            p.workload,
-            p.cores,
-            p.trace_len,
-            p.reference_aps,
-            p.optimized_aps,
-            p.sharded_aps,
-            p.speedup
+            "{:<10} {:>5} {:>12} {:>16.0} {:>16.0} {:>7.2}x\n",
+            p.workload, p.cores, p.trace_len, p.reference_aps, p.optimized_aps, p.speedup
         ));
     }
     out
 }
 
 /// Renders the per-core-count scaling-efficiency view: for each workload, every
-/// point's optimized and sharded accesses/s as a fraction of that workload's
-/// 2-core point (`aps@N / aps@2`).  Simulation cost grows with the line traffic a
-/// core count generates, so the column makes collapse at high core counts visible
-/// at a glance.
+/// point's optimized accesses/s as a fraction of that workload's 2-core point
+/// (`aps@N / aps@2`).  Simulation cost grows with the line traffic a core count
+/// generates, so the column makes collapse at high core counts visible at a glance.
 pub fn render_scaling(points: &[ThroughputPoint]) -> String {
     let mut out = String::new();
     out.push_str("scaling efficiency (accesses/s at N cores relative to 2 cores)\n");
     out.push_str(&format!(
-        "{:<10} {:>5} {:>16} {:>12} {:>16} {:>12}\n",
-        "workload", "cores", "optimized a/s", "opt eff", "sharded a/s", "shard eff"
+        "{:<10} {:>5} {:>16} {:>12}\n",
+        "workload", "cores", "optimized a/s", "opt eff"
     ));
     let mut workloads: Vec<&str> = Vec::new();
     for p in points {
@@ -354,19 +305,16 @@ pub fn render_scaling(points: &[ThroughputPoint]) -> String {
         let base = points
             .iter()
             .find(|p| p.workload == workload && p.cores == 2);
-        let (opt_base, sharded_base) = match base {
-            Some(b) => (b.optimized_aps, b.sharded_aps),
-            None => continue,
+        let Some(opt_base) = base.map(|b| b.optimized_aps) else {
+            continue;
         };
         for p in points.iter().filter(|p| p.workload == workload) {
             out.push_str(&format!(
-                "{:<10} {:>5} {:>16.0} {:>11.2}x {:>16.0} {:>11.2}x\n",
+                "{:<10} {:>5} {:>16.0} {:>11.2}x\n",
                 p.workload,
                 p.cores,
                 p.optimized_aps,
                 p.optimized_aps / opt_base.max(1e-12),
-                p.sharded_aps,
-                p.sharded_aps / sharded_base.max(1e-12),
             ));
         }
     }
@@ -388,8 +336,13 @@ mod tests {
     fn trace_file_round_trip_preserves_the_line_stream() {
         let trace = capture_trace(TraceWorkload::Memcached, 2, 3);
         let file = trace_io::from_line_events(TraceWorkload::Memcached, 2, 3, &trace);
-        let decoded = trace_io::File::decode(&file.encode()).expect("bench trace decodes");
-        let back = trace_io::to_line_events(&decoded);
+        let dir = std::env::temp_dir().join("dprof_bench_stream_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("memcached_2c.dtrace");
+        let path = path.to_str().unwrap();
+        file.write(path).expect("trace writes");
+        let (cores, back) = trace_io::read_line_events(path).expect("trace streams");
+        assert_eq!(cores, 2);
         assert_eq!(
             back, trace,
             "dtrace round trip must preserve the line stream"
@@ -418,7 +371,6 @@ mod tests {
                 trace_len: 1000,
                 reference_aps: 1.0e7,
                 optimized_aps: 4.0e7,
-                sharded_aps: 3.5e7,
                 speedup: 4.0,
             },
             ThroughputPoint {
@@ -427,7 +379,6 @@ mod tests {
                 trace_len: 500,
                 reference_aps: 2.0e7,
                 optimized_aps: 5.0e7,
-                sharded_aps: 4.5e7,
                 speedup: 2.5,
             },
         ];
@@ -443,46 +394,23 @@ mod tests {
             .expect("points array");
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0].get("cores").and_then(|c| c.as_f64()), Some(16.0));
-        assert_eq!(
-            arr[0].get("sharded_aps").and_then(|s| s.as_f64()),
-            Some(3.5e7)
-        );
         assert_eq!(arr[1].get("speedup").and_then(|s| s.as_f64()), Some(2.5));
     }
 
     #[test]
     fn scaling_view_is_relative_to_the_two_core_point() {
-        let mk = |cores, opt, sharded| ThroughputPoint {
+        let mk = |cores, opt| ThroughputPoint {
             workload: "memcached".into(),
             cores,
             trace_len: 100,
             reference_aps: 1.0e6,
             optimized_aps: opt,
-            sharded_aps: sharded,
             speedup: 1.0,
         };
-        let points = vec![mk(2, 4.0e7, 2.0e7), mk(64, 1.0e7, 3.0e7)];
+        let points = vec![mk(2, 4.0e7), mk(64, 1.0e7)];
         let view = render_scaling(&points);
-        // 64-core efficiency: optimized 1e7/4e7 = 0.25x, sharded 3e7/2e7 = 1.50x.
+        // 64-core efficiency: 1e7/4e7 = 0.25x.
         assert!(view.contains("0.25x"), "{view}");
-        assert!(view.contains("1.50x"), "{view}");
         assert!(view.lines().any(|l| l.contains("64")), "{view}");
-    }
-
-    #[test]
-    fn streamed_line_events_match_the_slurping_path() {
-        let trace = capture_trace(TraceWorkload::Memcached, 2, 3);
-        let file = trace_io::from_line_events(TraceWorkload::Memcached, 2, 3, &trace);
-        let dir = std::env::temp_dir().join("dprof_bench_stream_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("memcached_2c.dtrace");
-        let path = path.to_str().unwrap();
-        file.write(path).expect("trace writes");
-        let decoded = trace_io::File::read(path).expect("trace reads");
-        let slurped = trace_io::to_line_events(&decoded);
-        let (cores, streamed) = trace_io::read_line_events(path).expect("trace streams");
-        assert_eq!(cores, 2);
-        assert_eq!(streamed, slurped);
-        assert_eq!(streamed, trace);
     }
 }

@@ -90,13 +90,6 @@ pub struct ReplayOptions {
     pub top: usize,
     /// Write the report here instead of stdout.
     pub output: Option<String>,
-    /// Re-simulate the cache hierarchy on the epoch-batched sharded engine
-    /// (`--sharded`); the report stays byte-identical to the serial replay.
-    pub sharded: bool,
-    /// Sharded-engine epoch length override (`--epoch`).
-    pub epoch_len: Option<usize>,
-    /// Sharded-engine worker-thread override (`--workers`).
-    pub workers: Option<usize>,
 }
 
 /// Options of a `dprof diff` invocation.
@@ -325,12 +318,7 @@ USAGE:
 const USAGE_SECTIONS: &str = "\
 RECORD/REPLAY:
         --trace <PATH>        (record) session trace output   [default: dprof.dtrace]
-        --sharded             (replay) simulate the caches on the parallel
-                              epoch-batched sharded engine; the report stays
-                              byte-identical to the serial replay
-        --epoch <N>           (replay --sharded) events per coherence epoch
-        --workers <N>         (replay --sharded) simulation worker threads
-    replay otherwise accepts only the REPORT options below; the workload, machine and
+    replay accepts only the REPORT options below; the workload, machine and
     sampling parameters are read from the trace header.  Events stream from disk in
     fixed-size chunks, so replay memory stays bounded regardless of trace size.
 
@@ -994,9 +982,6 @@ pub(crate) fn parse_replay(args: &[String]) -> Result<Parsed, String> {
     let mut format = Format::Text;
     let mut top = 8usize;
     let mut output: Option<String> = None;
-    let mut sharded = false;
-    let mut epoch_len: Option<usize> = None;
-    let mut workers: Option<usize> = None;
 
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -1007,9 +992,6 @@ pub(crate) fn parse_replay(args: &[String]) -> Result<Parsed, String> {
             "-f" | "--format" => format = parse_format(&take_value(&mut iter, arg)?)?,
             "--top" => top = parse_num(arg, &take_value(&mut iter, arg)?)?,
             "-o" | "--output" => output = Some(take_value(&mut iter, arg)?),
-            "--sharded" => sharded = true,
-            "--epoch" => epoch_len = Some(parse_num(arg, &take_value(&mut iter, arg)?)?),
-            "--workers" => workers = Some(parse_num(arg, &take_value(&mut iter, arg)?)?),
             other if !other.starts_with('-') && input.is_none() => input = Some(other.to_string()),
             other => return Err(format!("unknown replay argument '{other}' (try --help)")),
         }
@@ -1020,15 +1002,6 @@ pub(crate) fn parse_replay(args: &[String]) -> Result<Parsed, String> {
     if top == 0 {
         return Err("--top must be at least 1".into());
     }
-    if !sharded && (epoch_len.is_some() || workers.is_some()) {
-        return Err("--epoch/--workers tune the sharded engine; add --sharded".into());
-    }
-    if epoch_len == Some(0) {
-        return Err("--epoch must be at least 1".into());
-    }
-    if workers == Some(0) {
-        return Err("--workers must be at least 1".into());
-    }
     let input = input.ok_or("replay requires a .dtrace file argument")?;
     Ok(Parsed::Replay(ReplayOptions {
         input,
@@ -1036,9 +1009,6 @@ pub(crate) fn parse_replay(args: &[String]) -> Result<Parsed, String> {
         format,
         top,
         output,
-        sharded,
-        epoch_len,
-        workers,
     }))
 }
 
@@ -1268,34 +1238,12 @@ mod tests {
         assert_eq!(r.views, vec![View::WorkingSet]);
         assert_eq!(r.top, 5);
         assert_eq!(r.output.as_deref(), Some("out.json"));
-        // Defaults: all views, text format, serial engine.
+        // Defaults: all views, text format.
         let Parsed::Replay(r) = parse(&args("replay x.dtrace")).unwrap() else {
             panic!("expected replay")
         };
         assert_eq!(r.views, View::ALL.to_vec());
         assert_eq!(r.format, Format::Text);
-        assert!(!r.sharded);
-        assert_eq!(r.epoch_len, None);
-        assert_eq!(r.workers, None);
-    }
-
-    #[test]
-    fn replay_sharded_flags_parse_and_validate() {
-        let Parsed::Replay(r) =
-            parse(&args("replay x.dtrace --sharded --epoch 512 --workers 4")).unwrap()
-        else {
-            panic!("expected replay")
-        };
-        assert!(r.sharded);
-        assert_eq!(r.epoch_len, Some(512));
-        assert_eq!(r.workers, Some(4));
-        // Tuning knobs without --sharded are a contradiction, not silently ignored.
-        assert!(parse(&args("replay x.dtrace --epoch 512"))
-            .unwrap_err()
-            .contains("--sharded"));
-        assert!(parse(&args("replay x.dtrace --workers 2")).is_err());
-        assert!(parse(&args("replay x.dtrace --sharded --epoch 0")).is_err());
-        assert!(parse(&args("replay x.dtrace --sharded --workers 0")).is_err());
     }
 
     #[test]

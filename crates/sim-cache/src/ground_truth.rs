@@ -217,7 +217,7 @@ impl UtilizationTally {
     }
 
     /// The per-line counters in line-address order (a canonical snapshot, used by the
-    /// determinism proptests to compare serial and sharded runs byte for byte).
+    /// determinism tests to compare two runs byte for byte).
     pub fn snapshot(&self) -> Vec<(LineAddr, LineUtilCounts)> {
         let mut v: Vec<(LineAddr, LineUtilCounts)> =
             self.lines.iter().map(|(&l, &c)| (l, c)).collect();

@@ -152,26 +152,17 @@ impl HierarchyConfig {
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     config: HierarchyConfig,
-    pub(crate) l1: Vec<SetAssocCache>,
-    pub(crate) l2: Vec<SetAssocCache>,
+    l1: Vec<SetAssocCache>,
+    l2: Vec<SetAssocCache>,
     l3: SetAssocCache,
     /// Per-line directory, departure and touched bookkeeping, open-addressed.
-    pub(crate) table: LineTable,
+    table: LineTable,
     /// Aggregated statistics.
     pub stats: HierarchyStats,
     /// Per-core statistics.
     pub per_core: Vec<HierarchyStats>,
     /// Optional access-trace capture buffer.
     trace: Option<Vec<TraceEvent>>,
-    /// Precomputed outcomes to serve instead of simulating (see [`Self::feed_outcomes`]).
-    fed: Option<Box<FedOutcomes>>,
-}
-
-/// Precomputed outcome stream for [`CacheHierarchy::feed_outcomes`].
-#[derive(Debug, Clone)]
-struct FedOutcomes {
-    outcomes: Vec<AccessOutcome>,
-    cursor: usize,
 }
 
 impl CacheHierarchy {
@@ -193,7 +184,6 @@ impl CacheHierarchy {
             stats: HierarchyStats::default(),
             per_core: vec![HierarchyStats::default(); config.cores],
             trace: None,
-            fed: None,
             config,
         }
     }
@@ -264,18 +254,6 @@ impl CacheHierarchy {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Switches the hierarchy into outcome-feed mode: subsequent [`Self::access`]
-    /// calls return the given outcomes in order (asserting the accessed line matches)
-    /// and keep the statistics bookkeeping, instead of simulating.  Used by sharded
-    /// replay, which precomputes the outcome stream on parallel workers and then
-    /// drives the machine (clocks, profiler, watchpoints) through a fed hierarchy.
-    pub fn feed_outcomes(&mut self, outcomes: Vec<AccessOutcome>) {
-        self.fed = Some(Box::new(FedOutcomes {
-            outcomes,
-            cursor: 0,
-        }));
-    }
-
     /// Performs a single memory access of at most one cache line.
     ///
     /// Accesses spanning a line boundary should be split by the caller (the
@@ -290,23 +268,6 @@ impl CacheHierarchy {
             });
         }
         let line = self.line_addr(addr);
-        if let Some(fed) = self.fed.as_mut() {
-            // Outcome-feed mode: the stream was already simulated (e.g. by the
-            // sharded engine); serve the precomputed outcome and keep only the
-            // statistics bookkeeping.  Cache and directory state are left untouched —
-            // they were consumed producing the outcomes and nothing downstream of a
-            // fed hierarchy reads them.
-            let outcome = *fed.outcomes.get(fed.cursor).unwrap_or_else(|| {
-                panic!("fed outcome stream exhausted after {} accesses", fed.cursor)
-            });
-            fed.cursor += 1;
-            assert_eq!(
-                outcome.line, line,
-                "fed outcome out of sync with the access stream"
-            );
-            self.record_stats(core, outcome.level, outcome.latency, outcome.miss_kind);
-            return outcome;
-        }
         let l2_set = self.config.l2.set_index_of_line(line);
         let latency_model = self.config.latency;
 
@@ -476,12 +437,7 @@ impl CacheHierarchy {
 
     /// True if core `c` holds `line` in either private level.
     #[inline]
-    pub(crate) fn holds(
-        l1: &[SetAssocCache],
-        l2: &[SetAssocCache],
-        c: CoreId,
-        line: LineAddr,
-    ) -> bool {
+    fn holds(l1: &[SetAssocCache], l2: &[SetAssocCache], c: CoreId, line: LineAddr) -> bool {
         l1[c].contains(line) || l2[c].contains(line)
     }
 
@@ -620,7 +576,7 @@ impl CacheHierarchy {
         }
     }
 
-    pub(crate) fn record_stats(
+    fn record_stats(
         &mut self,
         core: CoreId,
         level: HitLevel,

@@ -45,7 +45,6 @@ pub mod line;
 pub mod line_table;
 #[doc(hidden)]
 pub mod reference;
-pub mod sharded;
 pub mod stats;
 
 pub use cache::SetAssocCache;
@@ -59,7 +58,6 @@ pub use hierarchy::{
 };
 pub use latency::LatencyModel;
 pub use line::{CacheLine, MesiState};
-pub use sharded::ShardedHierarchy;
 pub use stats::{CacheStats, HierarchyStats, MissKind, MissKindCounts};
 
 /// Identifier of a simulated CPU core.

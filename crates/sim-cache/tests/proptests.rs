@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use sim_cache::reference::RefCacheHierarchy;
 use sim_cache::{
     AccessKind, CacheGeometry, CacheHierarchy, HierarchyConfig, HitLevel, MesiState, SetAssocCache,
-    ShardedHierarchy, TraceEvent,
 };
 
 /// Strategy producing a random access: (core, address, is_write).
@@ -132,48 +131,6 @@ proptest! {
             prop_assert_eq!(new_h.access(core, addr, kind), ref_h.access(core, addr, kind));
         }
         prop_assert_eq!(&new_h.stats, &ref_h.stats);
-    }
-
-    /// The epoch-batched sharded engine is byte-identical to the serial hierarchy
-    /// for any workload, core count, epoch length and worker count: same outcome
-    /// sequence, same aggregate and per-core statistics, coherent final state.
-    #[test]
-    fn sharded_engine_matches_serial(
-        params in (
-            2usize..9,
-            proptest::collection::vec(access_strategy(8), 1..600),
-            1usize..3000,
-            1usize..5,
-        ),
-    ) {
-        let (cores, accesses, epoch_len, workers) = params;
-        let mut cfg = HierarchyConfig::small_test();
-        cfg.cores = cores;
-        let events: Vec<TraceEvent> = accesses
-            .iter()
-            .map(|&(core, addr, write)| TraceEvent {
-                // The accesses were drawn over 8 cores; fold onto this case's count.
-                core: (core % cores) as u32,
-                // Cluster addresses so cores contend, exercising the rollback path.
-                addr: addr % 0x4000,
-                kind: if write { AccessKind::Write } else { AccessKind::Read },
-            })
-            .collect();
-
-        let mut serial = CacheHierarchy::new(cfg);
-        let serial_outcomes: Vec<_> = events
-            .iter()
-            .map(|ev| serial.access(ev.core as usize, ev.addr, ev.kind))
-            .collect();
-
-        let mut sharded = ShardedHierarchy::with_tuning(cfg, epoch_len, workers);
-        let mut sharded_outcomes = Vec::with_capacity(events.len());
-        sharded.replay(&events, |o| sharded_outcomes.push(o));
-
-        prop_assert_eq!(&sharded_outcomes, &serial_outcomes, "outcome sequence diverged");
-        prop_assert_eq!(&sharded.inner().stats, &serial.stats, "aggregate stats diverged");
-        prop_assert_eq!(&sharded.inner().per_core, &serial.per_core, "per-core stats diverged");
-        prop_assert!(sharded.inner().check_coherence_invariants().is_ok());
     }
 }
 

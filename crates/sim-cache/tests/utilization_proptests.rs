@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use sim_cache::{
-    granule_mask, AccessKind, CacheHierarchy, HierarchyConfig, ShardedHierarchy, TraceEvent,
-    UtilizationTally, MAX_GRANULES_PER_LINE,
+    granule_mask, AccessKind, CacheHierarchy, HierarchyConfig, UtilizationTally,
+    MAX_GRANULES_PER_LINE,
 };
 
 /// Strategy producing a random 8-byte-aligned access: (core, address, is_write).
@@ -109,68 +109,5 @@ proptest! {
             // One 8-byte read per line: exactly one granule touched once.
             prop_assert_eq!(counts.touched_slots(), 1);
         }
-    }
-
-    /// The utilization tally is deterministic across engines: driving it from the
-    /// epoch-batched sharded hierarchy's outcome stream produces byte-identical
-    /// per-line counters, fetch and re-fetch totals to the serial hierarchy.
-    #[test]
-    fn sharded_tally_matches_serial(
-        params in (
-            2usize..9,
-            proptest::collection::vec(access_strategy(8), 1..500),
-            1usize..2000,
-            1usize..5,
-        ),
-    ) {
-        let (cores, accesses, epoch_len, workers) = params;
-        let mut cfg = HierarchyConfig::small_test();
-        cfg.cores = cores;
-        let line_size = cfg.l1.line_size as u64;
-        let events: Vec<TraceEvent> = accesses
-            .iter()
-            .map(|&(core, addr, write)| TraceEvent {
-                core: (core % cores) as u32,
-                // Cluster addresses so cores contend and lines are re-fetched.
-                addr: addr % 0x4000,
-                kind: if write { AccessKind::Write } else { AccessKind::Read },
-            })
-            .collect();
-
-        let mut serial = CacheHierarchy::new(cfg);
-        let mut serial_tally = UtilizationTally::new();
-        for ev in &events {
-            let out = serial.access(ev.core as usize, ev.addr, ev.kind);
-            let mask = granule_mask(ev.addr, 8, line_size);
-            serial_tally.record_chunk(ev.core as usize, out.line, mask, out.level.is_miss(), true);
-        }
-        serial_tally.finalize();
-
-        let mut sharded = ShardedHierarchy::with_tuning(cfg, epoch_len, workers);
-        let mut sharded_tally = UtilizationTally::new();
-        let mut i = 0usize;
-        sharded.replay(&events, |out| {
-            let ev = &events[i];
-            let mask = granule_mask(ev.addr, 8, line_size);
-            sharded_tally.record_chunk(ev.core as usize, out.line, mask, out.level.is_miss(), true);
-            i += 1;
-        });
-        sharded_tally.finalize();
-
-        prop_assert_eq!(
-            sharded_tally.total_fetches,
-            serial_tally.total_fetches,
-            "fetch totals diverged"
-        );
-        prop_assert_eq!(
-            sharded_tally.total_refetches,
-            serial_tally.total_refetches,
-            "re-fetch totals diverged"
-        );
-        prop_assert_eq!(
-            sharded_tally.snapshot(),
-            serial_tally.snapshot(),
-            "per-line utilization counters diverged"
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! Varint/zigzag primitives and the session-event wire encoding.
+//! Varint/zigzag primitives and the session-event wire *encoder*.
 //!
 //! The event stream is dominated by memory accesses, so the encoding optimizes for
 //! them: consecutive accesses with the same `(core, ip)` are coalesced into one
@@ -20,17 +20,17 @@
 //! ```
 //!
 //! `prev_addr[core]` starts at 0 and is updated to each access's address; the decoder
-//! mirrors the encoder's state, so the mapping is bijective.
+//! ([`crate::stream::EventReader`], the only one) mirrors the encoder's state, so the
+//! mapping is bijective.
 
 use crate::TraceError;
-use sim_cache::AccessKind;
-use sim_machine::{FunctionId, SessionEvent};
+use sim_machine::SessionEvent;
 
-const OP_ACCESS_RUN: u8 = 0x00;
-const OP_COMPUTE: u8 = 0x01;
-const OP_ALLOC: u8 = 0x02;
-const OP_FREE: u8 = 0x03;
-const OP_ROUND_END: u8 = 0x04;
+pub(crate) const OP_ACCESS_RUN: u8 = 0x00;
+pub(crate) const OP_COMPUTE: u8 = 0x01;
+pub(crate) const OP_ALLOC: u8 = 0x02;
+pub(crate) const OP_FREE: u8 = 0x03;
+pub(crate) const OP_ROUND_END: u8 = 0x04;
 
 /// Appends a LEB128 varint.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -97,22 +97,8 @@ pub fn get_string(bytes: &[u8], pos: &mut usize) -> Result<String, TraceError> {
     Ok(s)
 }
 
-/// The hierarchy supports at most 128 cores (see `sim_cache::MAX_CORES`); bounding
-/// core ids during decode keeps a crafted varint from sizing the per-core delta table
-/// (or any later per-core state) to an attacker-controlled length.
-const MAX_CORES: u64 = sim_cache::MAX_CORES as u64;
-
-fn get_core(bytes: &[u8], pos: &mut usize) -> Result<u32, TraceError> {
-    let core = get_varint(bytes, pos)?;
-    if core >= MAX_CORES {
-        return Err(TraceError::Corrupt(format!(
-            "core id {core} exceeds the {MAX_CORES}-core maximum"
-        )));
-    }
-    Ok(core as u32)
-}
-
-fn prev_addr(table: &mut Vec<u64>, core: u32) -> &mut u64 {
+/// The delta-encoding base of `core`: the address of its previous access, 0 at first.
+pub(crate) fn prev_addr(table: &mut Vec<u64>, core: u32) -> &mut u64 {
     let idx = core as usize;
     if idx >= table.len() {
         table.resize(idx + 1, 0);
@@ -197,102 +183,6 @@ pub fn encode_events(events: &[SessionEvent]) -> Vec<u8> {
     out
 }
 
-/// Decodes an event stream previously produced by [`encode_events`].  `expected` is
-/// the event count recorded in the stream header; a mismatch (or any structural
-/// problem) is an error.
-pub fn decode_events(bytes: &[u8], expected: usize) -> Result<Vec<SessionEvent>, TraceError> {
-    let mut events = Vec::with_capacity(expected.min(bytes.len()));
-    let mut prev: Vec<u64> = Vec::new();
-    let mut pos = 0;
-    while pos < bytes.len() {
-        let op = bytes[pos];
-        pos += 1;
-        match op {
-            OP_ACCESS_RUN => {
-                let core = get_core(bytes, &mut pos)?;
-                let ip = FunctionId(
-                    u32::try_from(get_varint(bytes, &mut pos)?)
-                        .map_err(|_| TraceError::Corrupt("function id overflows u32".into()))?,
-                );
-                let count = get_varint(bytes, &mut pos)? as usize;
-                // Each item is at least two bytes; reject counts a truncated or
-                // corrupt stream cannot possibly satisfy before reserving memory.
-                if count > bytes.len().saturating_sub(pos).div_ceil(2).max(1) {
-                    return Err(TraceError::Corrupt(format!(
-                        "access run of {count} items exceeds the remaining stream"
-                    )));
-                }
-                for _ in 0..count {
-                    let delta = unzigzag(get_varint(bytes, &mut pos)?);
-                    let packed = get_varint(bytes, &mut pos)?;
-                    let p = prev_addr(&mut prev, core);
-                    let addr = p.wrapping_add(delta as u64);
-                    *p = addr;
-                    let kind = if packed & 1 == 1 {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    events.push(SessionEvent::Access {
-                        core,
-                        ip,
-                        addr,
-                        len: packed >> 1,
-                        kind,
-                    });
-                }
-            }
-            OP_COMPUTE => {
-                let core = get_core(bytes, &mut pos)?;
-                let ip = FunctionId(
-                    u32::try_from(get_varint(bytes, &mut pos)?)
-                        .map_err(|_| TraceError::Corrupt("function id overflows u32".into()))?,
-                );
-                let cycles = get_varint(bytes, &mut pos)?;
-                events.push(SessionEvent::Compute { core, ip, cycles });
-            }
-            OP_ALLOC => {
-                let flags = *bytes.get(pos).ok_or(TraceError::UnexpectedEof)?;
-                pos += 1;
-                let core = get_core(bytes, &mut pos)?;
-                let type_id = u32::try_from(get_varint(bytes, &mut pos)?)
-                    .map_err(|_| TraceError::Corrupt("type id overflows u32".into()))?;
-                let size = get_varint(bytes, &mut pos)?;
-                let addr = get_varint(bytes, &mut pos)?;
-                let cycle = get_varint(bytes, &mut pos)?;
-                events.push(SessionEvent::Alloc {
-                    core,
-                    type_id,
-                    size,
-                    addr,
-                    cycle,
-                    hookable: flags & 1 == 1,
-                });
-            }
-            OP_FREE => {
-                let core = get_core(bytes, &mut pos)?;
-                let addr = get_varint(bytes, &mut pos)?;
-                let cycle = get_varint(bytes, &mut pos)?;
-                events.push(SessionEvent::Free { core, addr, cycle });
-            }
-            OP_ROUND_END => events.push(SessionEvent::RoundEnd),
-            other => {
-                return Err(TraceError::Corrupt(format!(
-                    "unknown event opcode {other:#04x} at byte {}",
-                    pos - 1
-                )))
-            }
-        }
-    }
-    if events.len() != expected {
-        return Err(TraceError::Corrupt(format!(
-            "stream decoded to {} events but the header declared {expected}",
-            events.len()
-        )));
-    }
-    Ok(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,84 +208,21 @@ mod tests {
     }
 
     #[test]
-    fn access_runs_coalesce_and_round_trip() {
-        let ip = FunctionId(7);
-        let events = vec![
-            SessionEvent::Access {
-                core: 0,
-                ip,
-                addr: 0x1000,
-                len: 8,
-                kind: AccessKind::Read,
-            },
-            SessionEvent::Access {
-                core: 0,
-                ip,
-                addr: 0x1008,
-                len: 8,
-                kind: AccessKind::Write,
-            },
-            SessionEvent::Access {
-                core: 1,
-                ip,
-                addr: 0x1000,
-                len: 64,
-                kind: AccessKind::Read,
-            },
-            SessionEvent::RoundEnd,
-            SessionEvent::Compute {
-                core: 1,
-                ip,
-                cycles: 1_500,
-            },
-        ];
-        let bytes = encode_events(&events);
-        assert_eq!(decode_events(&bytes, events.len()).unwrap(), events);
-        // Coalescing: the same accesses with distinct (core, ip) pairs cannot share a
-        // run header, so they must encode strictly larger.
-        let mut uncoalesced = events.clone();
-        if let SessionEvent::Access { ip, .. } = &mut uncoalesced[1] {
-            *ip = FunctionId(8);
-        }
-        assert!(
-            bytes.len() < encode_events(&uncoalesced).len(),
-            "same-(core, ip) accesses must coalesce into one run"
-        );
-    }
-
-    #[test]
-    fn truncated_stream_is_an_error() {
-        let events = vec![SessionEvent::Alloc {
-            core: 3,
-            type_id: 9,
-            size: 256,
-            addr: 0x0001_0000_4000,
-            cycle: 12_345,
-            hookable: true,
-        }];
-        let bytes = encode_events(&events);
-        for cut in 1..bytes.len() {
-            assert!(
-                decode_events(&bytes[..cut], 1).is_err(),
-                "truncation at {cut} must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn wrong_declared_count_is_an_error() {
-        let bytes = encode_events(&[SessionEvent::RoundEnd]);
-        assert!(matches!(
-            decode_events(&bytes, 2),
-            Err(TraceError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn unknown_opcode_is_an_error() {
-        assert!(matches!(
-            decode_events(&[0xff], 0),
-            Err(TraceError::Corrupt(_))
-        ));
+    fn same_core_and_ip_accesses_coalesce_into_one_run() {
+        use sim_cache::AccessKind;
+        use sim_machine::FunctionId;
+        let access = |ip, addr| SessionEvent::Access {
+            core: 0,
+            ip: FunctionId(ip),
+            addr,
+            len: 8,
+            kind: AccessKind::Read,
+        };
+        // The same accesses with distinct (core, ip) pairs cannot share a run header,
+        // so they must encode strictly larger.  (The decode half of the round trip is
+        // tested where the decoder lives: `crate::stream`.)
+        let coalesced = encode_events(&[access(7, 0x1000), access(7, 0x1008)]);
+        let uncoalesced = encode_events(&[access(7, 0x1000), access(8, 0x1008)]);
+        assert!(coalesced.len() < uncoalesced.len());
     }
 }

@@ -22,8 +22,13 @@
 //! All integers are LEB128 varints except the version.  Strings are length-prefixed
 //! UTF-8.  Event bytes use the [`crate::codec`] wire encoding.  See
 //! `docs/trace-format.md` for the full specification and versioning rules.
+//!
+//! This module writes the container ([`TraceFile::encode`]) and parses its fixed-size
+//! header sections; reading a file back — prologue, streams and events — is
+//! [`crate::stream`]'s job, and [`TraceFile::read`] is a collect over it.
 
-use crate::codec::{decode_events, encode_events, get_string, get_varint, put_string, put_varint};
+use crate::codec::{encode_events, get_string, get_varint, put_string, put_varint};
+use crate::stream::TraceReader;
 use crate::TraceError;
 use sim_cache::{CacheGeometry, HierarchyConfig, LatencyModel};
 use sim_machine::{MachineConfig, SamplingPolicy, SessionEvent};
@@ -309,101 +314,10 @@ fn put_stream(out: &mut Vec<u8>, s: &ThreadStream) {
     out.extend_from_slice(&encoded);
 }
 
-fn get_stream(bytes: &[u8], pos: &mut usize) -> Result<ThreadStream, TraceError> {
-    let seed = get_varint(bytes, pos)?;
-    let requests = get_varint(bytes, pos)?;
-    let symbol_count = get_varint(bytes, pos)? as usize;
-    if symbol_count > bytes.len() - *pos {
-        return Err(TraceError::Corrupt("symbol count exceeds stream".into()));
-    }
-    let mut symbols = Vec::with_capacity(symbol_count);
-    for _ in 0..symbol_count {
-        symbols.push(get_string(bytes, pos)?);
-    }
-    let type_count = get_varint(bytes, pos)? as usize;
-    if type_count > bytes.len() - *pos {
-        return Err(TraceError::Corrupt("type count exceeds stream".into()));
-    }
-    let mut types = Vec::with_capacity(type_count);
-    for _ in 0..type_count {
-        let name = get_string(bytes, pos)?;
-        let description = get_string(bytes, pos)?;
-        let size = get_varint(bytes, pos)?;
-        let field_count = get_varint(bytes, pos)? as usize;
-        if field_count > bytes.len() - *pos {
-            return Err(TraceError::Corrupt("field count exceeds stream".into()));
-        }
-        let mut fields = Vec::with_capacity(field_count);
-        for _ in 0..field_count {
-            fields.push(FieldDump {
-                name: get_string(bytes, pos)?,
-                offset: get_varint(bytes, pos)?,
-                size: get_varint(bytes, pos)?,
-            });
-        }
-        types.push(TypeDump {
-            name,
-            description,
-            size,
-            fields,
-        });
-    }
-    let event_count = get_varint(bytes, pos)? as usize;
-    let byte_len = get_varint(bytes, pos)? as usize;
-    if bytes.len() - *pos < byte_len {
-        return Err(TraceError::UnexpectedEof);
-    }
-    let events = decode_events(&bytes[*pos..*pos + byte_len], event_count)?;
-    *pos += byte_len;
-    Ok(ThreadStream {
-        seed,
-        requests,
-        symbols,
-        types,
-        events,
-    })
-}
-
 /// Largest access length a stream may carry.  Live accesses are at most a few KiB
 /// (payload copies chunk at 64 bytes); the generous 1 MiB bound exists purely so a
 /// crafted trace cannot make replay's line-split loop iterate ~2^54 times.
 pub(crate) const MAX_ACCESS_LEN: u64 = 1 << 20;
-
-/// Semantic validation applied after structural decoding: every event must be
-/// applicable to the declared machine (core in range, sane access extents), so a
-/// decodable-but-invalid trace is rejected here instead of panicking or hanging
-/// mid-replay.
-fn validate_stream_events(stream: &ThreadStream, cores: usize) -> Result<(), TraceError> {
-    for (i, ev) in stream.events.iter().enumerate() {
-        let (core, extent) = match *ev {
-            SessionEvent::Access {
-                core, addr, len, ..
-            } => (core, Some((addr, len))),
-            SessionEvent::Compute { core, .. }
-            | SessionEvent::Alloc { core, .. }
-            | SessionEvent::Free { core, .. } => (core, None),
-            SessionEvent::RoundEnd => continue,
-        };
-        if core as usize >= cores {
-            return Err(TraceError::Corrupt(format!(
-                "event {i} targets core {core} but the machine has {cores} cores"
-            )));
-        }
-        if let Some((addr, len)) = extent {
-            if len == 0 || len > MAX_ACCESS_LEN {
-                return Err(TraceError::Corrupt(format!(
-                    "event {i} has access length {len} (must be 1..={MAX_ACCESS_LEN})"
-                )));
-            }
-            if addr.checked_add(len).is_none() {
-                return Err(TraceError::Corrupt(format!(
-                    "event {i} wraps the address space ({addr:#x} + {len})"
-                )));
-            }
-        }
-    }
-    Ok(())
-}
 
 impl TraceFile {
     /// Serializes the trace to its on-disk byte form.
@@ -421,50 +335,11 @@ impl TraceFile {
         out
     }
 
-    /// Parses a `.dtrace` byte stream, validating magic, version and structure.
-    pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < MAGIC.len() + 2 || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let mut pos = MAGIC.len();
-        let version = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
-        pos += 2;
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let kind_byte = *bytes.get(pos).ok_or(TraceError::UnexpectedEof)?;
-        pos += 1;
-        let kind = TraceKind::from_byte(kind_byte)?;
-        let machine = get_machine(bytes, &mut pos)?;
-        let params = get_params(bytes, &mut pos)?;
-        let stream_count = get_varint(bytes, &mut pos)? as usize;
-        if stream_count > bytes.len() - pos {
-            return Err(TraceError::Corrupt("stream count exceeds file".into()));
-        }
-        let mut streams = Vec::with_capacity(stream_count);
-        for _ in 0..stream_count {
-            let stream = get_stream(bytes, &mut pos)?;
-            validate_stream_events(&stream, machine.hierarchy.cores)?;
-            streams.push(stream);
-        }
-        if pos != bytes.len() {
-            return Err(TraceError::Corrupt(format!(
-                "{} trailing bytes after the last stream",
-                bytes.len() - pos
-            )));
-        }
-        Ok(TraceFile {
-            kind,
-            machine,
-            params,
-            streams,
-        })
-    }
-
-    /// Reads and decodes a `.dtrace` file from disk.
+    /// Reads a `.dtrace` file from disk and collects every stream into memory.  For
+    /// callers that walk the streams many times; a single pass is better served by
+    /// [`TraceReader`] directly.
     pub fn read(path: &str) -> Result<Self, String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Self::decode(&bytes).map_err(|e| format!("{path}: {e}"))
+        Ok(TraceReader::open(path)?.collect()?)
     }
 
     /// Encodes and writes the trace to disk.
@@ -542,18 +417,47 @@ pub(crate) mod tests_support {
             streams: vec![sample_stream()],
         }
     }
+
+    /// Decodes `bytes` the only way there is: spooled to a fresh temp file, opened
+    /// with [`TraceReader`], every stream collected.
+    pub(crate) fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "dprof-trace-unit-{}-{}.dtrace",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let result = TraceReader::open(path.to_str().unwrap()).and_then(|r| r.collect());
+        let _ = std::fs::remove_file(&path);
+        result
+    }
+
+    /// The sample file's bytes with its stream's event region replaced: the header
+    /// declares `event_count` events in `byte_len` bytes, and `tail` (normally the
+    /// event bytes) follows — so a test can make either declaration lie.
+    pub(crate) fn with_event_region(event_count: u64, byte_len: u64, tail: &[u8]) -> Vec<u8> {
+        let mut file = sample_file();
+        file.streams[0].events.clear();
+        let mut bytes = file.encode();
+        bytes.truncate(bytes.len() - 2); // the empty region's `event_count=0 byte_len=0`
+        put_varint(&mut bytes, event_count);
+        put_varint(&mut bytes, byte_len);
+        bytes.extend_from_slice(tail);
+        bytes
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::sample_file;
+    use super::tests_support::{read_bytes, sample_file};
     use super::*;
 
     #[test]
     fn file_round_trips() {
         let file = sample_file();
-        let bytes = file.encode();
-        let back = TraceFile::decode(&bytes).expect("decodes");
+        let back = read_bytes(&file.encode()).expect("decodes");
         assert_eq!(back.kind, file.kind);
         assert_eq!(back.params, file.params);
         assert_eq!(back.streams, file.streams);
@@ -570,7 +474,7 @@ mod tests {
         ] {
             let mut file = sample_file();
             file.params.sampling = policy;
-            let back = TraceFile::decode(&file.encode()).expect("decodes");
+            let back = read_bytes(&file.encode()).expect("decodes");
             assert_eq!(back.params.sampling, policy);
         }
     }
@@ -578,9 +482,7 @@ mod tests {
     #[test]
     fn corrupt_sampling_policy_rejected() {
         let file = sample_file();
-        let bytes = file.encode();
-        // Locate the params section: it starts right after magic+version+kind+machine.
-        // Easier: flip the policy to an invalid tag by re-encoding by hand.
+        // Re-encode the header by hand up to the sampling policy, with an invalid tag.
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -593,7 +495,7 @@ mod tests {
         put_varint(&mut out, 9); // invalid sampling tag
         put_varint(&mut out, 1);
         assert!(
-            matches!(TraceFile::decode(&out), Err(TraceError::Corrupt(m)) if m.contains("sampling")),
+            matches!(read_bytes(&out), Err(TraceError::Corrupt(m)) if m.contains("sampling")),
             "invalid sampling tag must be rejected"
         );
         // A fixed policy with a zero value is equally invalid.
@@ -601,25 +503,36 @@ mod tests {
         zeroed.extend_from_slice(&out[..out.len() - 2]);
         put_varint(&mut zeroed, 1); // fixed
         put_varint(&mut zeroed, 0); // zero interval
-        assert!(matches!(
-            TraceFile::decode(&zeroed),
-            Err(TraceError::Corrupt(_))
-        ));
-        let _ = bytes;
+        assert!(matches!(read_bytes(&zeroed), Err(TraceError::Corrupt(_))));
     }
 
     #[test]
     fn bad_magic_and_version_rejected() {
         let mut bytes = sample_file().encode();
+        assert_eq!(read_bytes(b"NOTATRACE").unwrap_err(), TraceError::BadMagic);
         assert_eq!(
-            TraceFile::decode(b"NOTATRACE").unwrap_err(),
+            read_bytes(b"definitely not a trace").unwrap_err(),
             TraceError::BadMagic
         );
         bytes[8] = 0xfe; // clobber the version
         assert!(matches!(
-            TraceFile::decode(&bytes),
+            read_bytes(&bytes),
             Err(TraceError::UnsupportedVersion(_))
         ));
+    }
+
+    #[test]
+    fn impossible_cache_geometry_rejected() {
+        let corrupt = |edit: fn(&mut CacheGeometry)| {
+            let mut file = sample_file();
+            edit(&mut file.machine.hierarchy.l2);
+            matches!(read_bytes(&file.encode()), Err(TraceError::Corrupt(m)) if m.contains("geometry"))
+        };
+        assert!(corrupt(|g| g.line_size = 0));
+        assert!(corrupt(|g| g.line_size = 48));
+        assert!(corrupt(|g| g.sets = 0));
+        assert!(corrupt(|g| g.sets = 12));
+        assert!(corrupt(|g| g.ways = 0));
     }
 
     #[test]
@@ -627,7 +540,7 @@ mod tests {
         let bytes = sample_file().encode();
         for cut in 0..bytes.len() {
             assert!(
-                TraceFile::decode(&bytes[..cut]).is_err(),
+                read_bytes(&bytes[..cut]).is_err(),
                 "truncation at {cut} must not decode"
             );
         }
@@ -637,9 +550,6 @@ mod tests {
     fn trailing_garbage_is_rejected() {
         let mut bytes = sample_file().encode();
         bytes.push(0);
-        assert!(matches!(
-            TraceFile::decode(&bytes),
-            Err(TraceError::Corrupt(_))
-        ));
+        assert!(matches!(read_bytes(&bytes), Err(TraceError::Corrupt(_))));
     }
 }

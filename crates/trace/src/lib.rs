@@ -16,13 +16,19 @@
 //!
 //! Layout:
 //!
-//! * [`codec`] — hand-rolled varint/zigzag event encoding with per-core address deltas
-//!   and `AccessReq`-run coalescing (no external dependencies).
+//! * [`codec`] — hand-rolled varint/zigzag primitives and the event *encoder*:
+//!   per-core address deltas and `AccessReq`-run coalescing (no external dependencies).
 //! * [`mod@format`] — the `.dtrace` container: magic, version, machine configuration,
-//!   session parameters and per-thread streams (symbol + type dumps, encoded events).
-//! * [`replay`] — sharded replay: one worker thread per recorded stream, each driving
-//!   a fresh machine + replay kernel through the profiler; results merge through the
-//!   CLI's existing merge path.
+//!   session parameters and per-thread streams (symbol + type dumps, encoded events),
+//!   and how to write one.
+//! * [`stream`] — the one bytes→events decoder: [`TraceReader`] parses a file's
+//!   prologue and [`EventReader`] decodes and validates a stream's events
+//!   incrementally in bounded 64 KiB chunks.  [`TraceFile::read`] is a collect over it.
+//! * [`source`] — [`TraceSource`], the event-source abstraction both a [`TraceReader`]
+//!   (from disk) and a [`TraceFile`] (in memory) provide.
+//! * [`replay`] — the one replay driver, generic over [`TraceSource`]: one worker
+//!   thread per recorded stream, each driving a fresh machine + replay kernel through
+//!   the profiler; results merge through the CLI's existing merge path.
 //! * [`mod@line`] — lowering of session events to per-cache-line
 //!   [`sim_cache::TraceEvent`] streams, used by `dprof-bench` to replay captured
 //!   workloads against alternative hierarchy implementations.
@@ -37,20 +43,19 @@ pub mod codec;
 pub mod format;
 pub mod line;
 pub mod replay;
+pub mod source;
 pub mod stream;
 pub mod whatif;
 
 pub use format::{
     FieldDump, RecordedStream, SessionParams, ThreadStream, TraceFile, TraceKind, TypeDump,
 };
-pub use replay::{
-    replay_all, replay_all_sharded, replay_all_streaming, replay_stream, replay_stream_streaming,
-    replay_stream_with, ReplayRun,
-};
+pub use replay::{replay_all_streaming, replay_stream_streaming, ReplayRun};
+pub use source::{StreamInfo, TraceSource};
 pub use stream::{EventReader, StreamHeader, TraceReader};
 pub use whatif::{
-    analyze_sharing, measure_all, measure_all_streaming, measure_stream, measure_stream_streaming,
-    trace_type_names, validate_spec, FixSpec, SharingProfile, Transform, WhatifMeasure,
+    analyze_sharing, measure_all_streaming, measure_stream_streaming, trace_type_names,
+    validate_spec, FixSpec, SharingProfile, Transform, WhatifMeasure,
 };
 
 /// Errors produced while decoding a `.dtrace` file.
@@ -81,3 +86,11 @@ impl std::fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
+
+/// The replay entry points report errors as strings (they also surface worker panics),
+/// so `?` may turn a decode error into its message.
+impl From<TraceError> for String {
+    fn from(e: TraceError) -> String {
+        e.to_string()
+    }
+}

@@ -13,26 +13,20 @@
 //! [`DprofProfile`] — and therefore the rendered report — is byte-identical to the
 //! live run's.
 //!
-//! Three execution strategies share this machinery:
-//!
-//! * [`replay_all`] — in-memory: one worker thread per decoded [`TraceFile`] stream.
-//! * [`replay_all_streaming`] — the same, but each worker decodes its stream
-//!   incrementally from its own file handle ([`crate::stream`]), so peak memory is
-//!   bounded by the simulation state, not the trace size.
-//! * [`replay_all_sharded`] — additionally parallelizes *within* each stream's
-//!   machine: a first pass precomputes every access outcome on the epoch-batched
-//!   [`ShardedHierarchy`] (its merge discipline makes the outcome stream bit-identical
-//!   to serial simulation), then the profiler pass replays against a hierarchy fed
-//!   those outcomes.  Reports stay byte-identical to the serial path; only wall-clock
-//!   changes.
+//! There is one driver, generic over where the events come from ([`TraceSource`]): a
+//! [`crate::TraceReader`] decodes each stream incrementally from its own file handle,
+//! so peak memory is bounded by the simulation state, not the trace size; a
+//! [`crate::TraceFile`] walks streams already in memory.  This module also owns the two
+//! pieces every other walk over a trace shares: `apply_event`, the one place a
+//! recorded event meets the machine and kernel, and `for_each_stream`, the one
+//! worker-thread-per-stream fan-out.
 
-use crate::format::{SessionParams, ThreadStream, TraceFile, TraceKind, TypeDump};
-use crate::stream::TraceReader;
-use crate::whatif::{FixSpec, Transform};
+use crate::format::TraceKind;
+use crate::source::TraceSource;
+use crate::TraceError;
 use dprof_core::{Dprof, DprofConfig, DprofProfile};
-use sim_cache::{AccessOutcome, ShardedHierarchy, TraceEvent};
 use sim_kernel::{KernelState, TypeId, TypeRegistry};
-use sim_machine::{Machine, MachineConfig, SessionEvent};
+use sim_machine::{Machine, SessionEvent};
 use std::collections::HashMap;
 
 /// The outcome of replaying one recorded stream: everything the CLI needs to build a
@@ -61,7 +55,7 @@ pub struct ReplayRun {
     pub trailing_events: usize,
 }
 
-/// Rebuilds the recorded universe from its parts: a machine with the recorded
+/// Rebuilds the universe stream `thread` was recorded in: a machine with the recorded
 /// configuration and pre-interned symbols, and a replay kernel whose type registry
 /// matches the recorded type ids.
 ///
@@ -70,95 +64,96 @@ pub struct ReplayRun {
 /// recorded id order (so every `TypeId` matches).  The kernel shell must be built
 /// *after* pre-interning: its own interning then maps onto existing ids instead of
 /// minting new ones.
-pub(crate) fn rebuild_universe_parts(
-    machine_config: MachineConfig,
-    kernel_cores: usize,
-    symbols: &[String],
-    types: &[TypeDump],
-) -> (Machine, KernelState) {
-    let mut machine = Machine::new(machine_config);
-    for name in symbols {
+pub(crate) fn rebuild_universe(source: &impl TraceSource, thread: usize) -> (Machine, KernelState) {
+    let stream = source.stream(thread);
+    let mut machine = Machine::new(source.machine());
+    for name in stream.symbols {
         machine.fn_id(name);
     }
     let mut registry = TypeRegistry::new();
-    for t in types {
+    for t in stream.types {
         let id = registry.register(&t.name, &t.description, t.size);
         for f in &t.fields {
             registry.add_field(id, &f.name, f.offset, f.size);
         }
     }
-    let kernel = KernelState::for_replay(&mut machine, kernel_cores, registry);
+    let kernel = KernelState::for_replay(&mut machine, source.params().cores, registry);
     (machine, kernel)
 }
 
-/// [`rebuild_universe_parts`] for one stream of an in-memory trace.
-pub(crate) fn rebuild_universe(file: &TraceFile, thread: usize) -> (Machine, KernelState) {
-    let stream: &ThreadStream = &file.streams[thread];
-    rebuild_universe_parts(
-        file.machine,
-        file.params.cores,
-        &stream.symbols,
-        &stream.types,
-    )
+/// Applies one recorded event to the rebuilt universe.  Round markers carry no machine
+/// effect; what a round boundary means is up to the caller.
+///
+/// `#[inline]` because the replay loops are generic over the event source and so are
+/// instantiated in the calling crate: without it this is an out-of-line call per event
+/// (measured at ~20 ns an event, 15 % of a what-if measurement pass).
+#[inline]
+pub(crate) fn apply_event(ev: SessionEvent, machine: &mut Machine, kernel: &mut KernelState) {
+    match ev {
+        SessionEvent::RoundEnd => {}
+        SessionEvent::Access {
+            core,
+            ip,
+            addr,
+            len,
+            kind,
+        } => {
+            machine.access(core as usize, ip, addr, len, kind);
+        }
+        SessionEvent::Compute { core, ip, cycles } => {
+            machine.compute(core as usize, ip, cycles);
+        }
+        SessionEvent::Alloc {
+            core,
+            type_id,
+            size,
+            addr,
+            cycle,
+            hookable,
+        } => kernel.allocator.replay_alloc(
+            machine,
+            core as usize,
+            TypeId(type_id),
+            size,
+            addr,
+            cycle,
+            hookable,
+        ),
+        SessionEvent::Free { core, addr, cycle } => {
+            kernel
+                .allocator
+                .replay_free(machine, core as usize, addr, cycle)
+        }
+    }
 }
 
-/// A cursor feeding recorded events into the machine/kernel, one round per call,
-/// optionally rewriting accesses through a what-if [`Transform`].  Generic over the
-/// event source, so in-memory slices and streaming decoders replay identically.
-struct EventCursor<I: Iterator<Item = SessionEvent>> {
+/// A cursor feeding recorded events into the machine/kernel, one round per call.
+struct EventCursor<I> {
     events: I,
     /// Events consumed so far.
     consumed: usize,
     /// Set if the cursor ran dry mid-round — replay divergence, reported to the user.
     exhausted: bool,
-    transform: Transform,
+    /// A decode error ends the stream and is parked here: the profiler's `step`
+    /// closure cannot fail, so the caller inspects it once the profiler pass finishes.
+    error: Option<TraceError>,
 }
 
-impl<I: Iterator<Item = SessionEvent>> EventCursor<I> {
+impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
     /// Applies events up to and including the next round marker.
     fn run_round(&mut self, machine: &mut Machine, kernel: &mut KernelState) {
         for ev in self.events.by_ref() {
-            self.consumed += 1;
             match ev {
-                SessionEvent::RoundEnd => return,
-                SessionEvent::Access {
-                    core,
-                    ip,
-                    addr,
-                    len,
-                    kind,
-                } => {
-                    let (core, addr, len) = if self.transform.is_identity() {
-                        (core, addr, len)
-                    } else {
-                        let hit = kernel.allocator.resolve_remap(addr);
-                        self.transform.rewrite(core, addr, len, hit)
-                    };
-                    machine.access(core as usize, ip, addr, len, kind);
+                Ok(ev) => {
+                    self.consumed += 1;
+                    if matches!(ev, SessionEvent::RoundEnd) {
+                        return;
+                    }
+                    apply_event(ev, machine, kernel);
                 }
-                SessionEvent::Compute { core, ip, cycles } => {
-                    machine.compute(core as usize, ip, cycles);
-                }
-                SessionEvent::Alloc {
-                    core,
-                    type_id,
-                    size,
-                    addr,
-                    cycle,
-                    hookable,
-                } => kernel.allocator.replay_alloc(
-                    machine,
-                    core as usize,
-                    TypeId(type_id),
-                    size,
-                    addr,
-                    cycle,
-                    hookable,
-                ),
-                SessionEvent::Free { core, addr, cycle } => {
-                    kernel
-                        .allocator
-                        .replay_free(machine, core as usize, addr, cycle)
+                Err(e) => {
+                    self.error = Some(e);
+                    break;
                 }
             }
         }
@@ -166,48 +161,23 @@ impl<I: Iterator<Item = SessionEvent>> EventCursor<I> {
     }
 }
 
-/// An adapter fusing a streaming [`crate::stream::EventReader`] into an infallible
-/// iterator: a decode error ends the stream and is parked in `error` for the caller
-/// to inspect once the profiler pass finishes.
-struct FusedEvents {
-    reader: crate::stream::EventReader,
-    error: Option<crate::TraceError>,
-}
-
-impl Iterator for FusedEvents {
-    type Item = SessionEvent;
-
-    fn next(&mut self) -> Option<SessionEvent> {
-        match self.reader.next() {
-            Some(Ok(ev)) => Some(ev),
-            Some(Err(e)) => {
-                self.error = Some(e);
-                None
-            }
-            None => None,
-        }
-    }
-}
-
-/// Runs the profiler pipeline over a prepared universe and event source.  Returns the
-/// finished run and hands the (possibly error-carrying) event source back.
-#[allow(clippy::too_many_arguments)]
-fn replay_prepared<I: Iterator<Item = SessionEvent>>(
-    mut machine: Machine,
-    mut kernel: KernelState,
-    params: &SessionParams,
+/// Replays one stream of a full-session trace through the profiler pipeline.  Decode
+/// errors surface as `Err`.
+///
+/// # Panics
+/// Panics if `thread` is out of range.
+pub fn replay_stream_streaming(
+    source: &impl TraceSource,
     thread: usize,
-    seed: u64,
-    requests: u64,
-    total_events: usize,
-    transform: Transform,
-    events: I,
-) -> (ReplayRun, I) {
+) -> Result<ReplayRun, String> {
+    let stream = source.stream(thread);
+    let params = source.params();
+    let (mut machine, mut kernel) = rebuild_universe(source, thread);
     let mut cursor = EventCursor {
-        events,
+        events: source.events(thread)?,
         consumed: 0,
         exhausted: false,
-        transform,
+        error: None,
     };
 
     // Segment 0: kernel/workload setup traffic (everything before the first marker).
@@ -228,13 +198,16 @@ fn replay_prepared<I: Iterator<Item = SessionEvent>>(
         history_types: params.history_types,
         history: dprof_core::HistoryConfig {
             history_sets: params.history_sets,
-            seed,
+            seed: stream.seed,
             ..Default::default()
         },
         ..Default::default()
     };
 
     let profile = Dprof::new(config).run(&mut machine, &mut kernel, |m, k| cursor.run_round(m, k));
+    if let Some(e) = cursor.error {
+        return Err(e.into());
+    }
 
     let mut type_names: HashMap<TypeId, String> = profile
         .data_profile
@@ -250,14 +223,12 @@ fn replay_prepared<I: Iterator<Item = SessionEvent>>(
     let total_cycles: u64 =
         (0..machine.cores()).map(|c| machine.clock(c)).sum::<u64>() - cycles_before;
     let profiling = machine.total_profiling_cycles() - profiling_before;
-    let trailing_events = total_events - cursor.consumed + usize::from(cursor.exhausted);
-
-    let run = ReplayRun {
+    Ok(ReplayRun {
         thread,
-        seed,
+        seed: stream.seed,
         profile,
         type_names,
-        requests,
+        requests: stream.requests,
         elapsed_seconds: machine.elapsed_seconds() - elapsed_before,
         total_cycles,
         profiling_fraction: if total_cycles == 0 {
@@ -265,247 +236,53 @@ fn replay_prepared<I: Iterator<Item = SessionEvent>>(
         } else {
             profiling as f64 / total_cycles as f64
         },
-        trailing_events,
-    };
-    (run, cursor.events)
+        trailing_events: stream.event_count - cursor.consumed + usize::from(cursor.exhausted),
+    })
 }
 
-/// Replays a single stream of a full-session trace through the profiler pipeline.
-///
-/// # Panics
-/// Panics if `thread` is out of range or the trace is not [`TraceKind::FullSession`]
-/// (callers validate the kind up front; see [`replay_all`]).
-pub fn replay_stream(file: &TraceFile, thread: usize) -> ReplayRun {
-    replay_stream_with(file, thread, &FixSpec::Identity)
+/// Replays every stream of a full-session trace, one worker thread per stream,
+/// returning the runs ordered by stream index.
+pub fn replay_all_streaming(source: &impl TraceSource) -> Result<Vec<ReplayRun>, String> {
+    for_each_stream(source, |thread| replay_stream_streaming(source, thread))
 }
 
-/// Replays a single stream through the full profiler pipeline with a what-if fix
-/// applied at dispatch time.  With [`FixSpec::Identity`] this is exactly
-/// [`replay_stream`] — same machine evolution, same profile, byte for byte (the
-/// whatif proptests pin this).
-///
-/// # Panics
-/// Panics if `thread` is out of range or the trace is not [`TraceKind::FullSession`].
-pub fn replay_stream_with(file: &TraceFile, thread: usize, spec: &FixSpec) -> ReplayRun {
-    assert_eq!(
-        file.kind,
-        TraceKind::FullSession,
-        "only full-session traces replay through the profiler"
-    );
-    let stream: &ThreadStream = &file.streams[thread];
-    let (machine, kernel) = rebuild_universe(file, thread);
-    let target = spec
-        .target()
-        .and_then(|name| crate::whatif::stream_type_id(stream, name));
-    let transform = Transform::new(spec, target, file.machine.hierarchy.l1.line_size as u64);
-    let (run, _) = replay_prepared(
-        machine,
-        kernel,
-        &file.params,
-        thread,
-        stream.seed,
-        stream.requests,
-        stream.events.len(),
-        transform,
-        stream.events.iter().copied(),
-    );
-    run
-}
-
-/// Replays a single stream through the profiler pipeline, decoding events
-/// incrementally from disk.  Identical results to [`replay_stream`]; bounded memory.
-pub fn replay_stream_streaming(reader: &TraceReader, thread: usize) -> Result<ReplayRun, String> {
-    replay_stream_streaming_fed(reader, thread, None)
-}
-
-/// Streaming single-stream replay, optionally against a hierarchy pre-fed with
-/// sharded-precomputed access outcomes (see [`replay_all_sharded`]).
-fn replay_stream_streaming_fed(
-    reader: &TraceReader,
-    thread: usize,
-    outcomes: Option<Vec<AccessOutcome>>,
-) -> Result<ReplayRun, String> {
-    let header = &reader.headers()[thread];
-    let (mut machine, kernel) = rebuild_universe_parts(
-        reader.machine,
-        reader.params.cores,
-        &header.symbols,
-        &header.types,
-    );
-    if let Some(outcomes) = outcomes {
-        machine.hierarchy.feed_outcomes(outcomes);
-    }
-    let transform = Transform::new(
-        &FixSpec::Identity,
-        None,
-        reader.machine.hierarchy.l1.line_size as u64,
-    );
-    let events = FusedEvents {
-        reader: reader
-            .events(thread)
-            .map_err(|e| format!("stream {thread}: {e}"))?,
-        error: None,
-    };
-    let (run, events) = replay_prepared(
-        machine,
-        kernel,
-        &reader.params,
-        thread,
-        header.seed,
-        header.requests,
-        header.event_count,
-        transform,
-        events,
-    );
-    if let Some(e) = events.error {
-        return Err(format!("stream {thread}: {e}"));
-    }
-    Ok(run)
-}
-
-fn check_replayable(kind: TraceKind, stream_count: usize) -> Result<(), String> {
-    if kind != TraceKind::FullSession {
+/// Runs `f(thread)` for every stream of a full-session trace on scoped worker threads
+/// and returns the results ordered by stream index.  Errors and worker panics are
+/// surfaced as an `Err` naming the stream.
+pub(crate) fn for_each_stream<T: Send>(
+    source: &impl TraceSource,
+    f: impl Fn(usize) -> Result<T, String> + Sync,
+) -> Result<Vec<T>, String> {
+    if source.kind() != TraceKind::FullSession {
         return Err(
-            "trace is access-only (e.g. a bench capture); it has no profiler session to replay"
+            "trace is access-only (e.g. a bench capture); replay and what-if analysis need a \
+             full-session trace"
                 .into(),
         );
     }
-    if stream_count == 0 {
+    if source.stream_count() == 0 {
         return Err("trace contains no streams".into());
     }
-    Ok(())
-}
-
-/// Replays every stream of a full-session trace, sharded across one worker thread per
-/// stream, returning the runs ordered by stream index.  Panics in workers are surfaced
-/// as an `Err` naming the stream.
-pub fn replay_all(file: &TraceFile) -> Result<Vec<ReplayRun>, String> {
-    check_replayable(file.kind, file.streams.len())?;
-    // Even a single stream replays on a scoped worker thread: a panic while applying
-    // a semantically inconsistent event stream (e.g. a crafted free of a never
-    // allocated address) then surfaces as a clean error instead of aborting the CLI.
-    let mut runs: Vec<ReplayRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..file.streams.len())
-            .map(|thread| scope.spawn(move || replay_stream(file, thread)))
-            .collect();
-        let joined: Vec<(usize, std::thread::Result<ReplayRun>)> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(thread, handle)| (thread, handle.join()))
-            .collect();
-        joined
-            .into_iter()
-            .map(|(thread, result)| result.map_err(|_| format!("replay thread {thread} panicked")))
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-    runs.sort_by_key(|r| r.thread);
-    Ok(runs)
-}
-
-/// Replays every stream with incremental decoding: one worker thread per stream, each
-/// reading events from its own file handle in bounded-size chunks.  Results are
-/// identical to [`replay_all`] over the decoded file.
-pub fn replay_all_streaming(reader: &TraceReader) -> Result<Vec<ReplayRun>, String> {
-    check_replayable(reader.kind, reader.stream_count())?;
-    run_streams(reader.stream_count(), |thread| {
-        replay_stream_streaming(reader, thread)
-    })
-}
-
-/// Replays every stream with the epoch-batched sharded engine: pass one precomputes
-/// each stream's access-outcome sequence on a [`ShardedHierarchy`] (private-cache
-/// simulation spread across parallel workers, coherence merged deterministically),
-/// pass two drives the full profiler against a hierarchy fed those outcomes.  Both
-/// passes stream events from disk.  Reports are byte-identical to [`replay_all`];
-/// `epoch_len`/`workers` of `None` use the engine defaults.
-pub fn replay_all_sharded(
-    reader: &TraceReader,
-    epoch_len: Option<usize>,
-    workers: Option<usize>,
-) -> Result<Vec<ReplayRun>, String> {
-    check_replayable(reader.kind, reader.stream_count())?;
-    run_streams(reader.stream_count(), |thread| {
-        let outcomes = precompute_outcomes(reader, thread, epoch_len, workers)?;
-        replay_stream_streaming_fed(reader, thread, Some(outcomes))
-    })
-}
-
-/// Pass one of sharded replay: lowers the stream's recorded accesses to per-line
-/// events (the exact split `Machine::access` performs) and simulates them on the
-/// sharded engine, collecting the canonical outcome sequence.
-fn precompute_outcomes(
-    reader: &TraceReader,
-    thread: usize,
-    epoch_len: Option<usize>,
-    workers: Option<usize>,
-) -> Result<Vec<AccessOutcome>, String> {
-    let line_size = reader.machine.hierarchy.l1.line_size as u64;
-    let mut line_events: Vec<TraceEvent> = Vec::new();
-    for ev in reader
-        .events(thread)
-        .map_err(|e| format!("stream {thread}: {e}"))?
-    {
-        let ev = ev.map_err(|e| format!("stream {thread}: {e}"))?;
-        let SessionEvent::Access {
-            core,
-            addr,
-            len,
-            kind,
-            ..
-        } = ev
-        else {
-            continue;
-        };
-        let mut offset = 0u64;
-        while offset < len {
-            let a = addr + offset;
-            let line_end = (a / line_size + 1) * line_size;
-            let chunk = (line_end - a).min(len - offset);
-            line_events.push(TraceEvent {
-                core,
-                addr: a,
-                kind,
-            });
-            offset += chunk;
-        }
-    }
-    let mut engine = match (epoch_len, workers) {
-        (None, None) => ShardedHierarchy::new(reader.machine.hierarchy),
-        (e, w) => ShardedHierarchy::with_tuning(
-            reader.machine.hierarchy,
-            e.unwrap_or(sim_cache::sharded::DEFAULT_EPOCH_LEN),
-            w.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-        ),
-    };
-    let mut outcomes = Vec::with_capacity(line_events.len());
-    engine.replay(&line_events, |o| outcomes.push(o));
-    Ok(outcomes)
-}
-
-/// Runs `f(thread)` for every stream on scoped worker threads, surfacing panics and
-/// errors, and returns the runs ordered by stream index.
-fn run_streams<F>(streams: usize, f: F) -> Result<Vec<ReplayRun>, String>
-where
-    F: Fn(usize) -> Result<ReplayRun, String> + Sync,
-{
     let f = &f;
-    let mut runs: Vec<ReplayRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..streams)
+    // Even a single stream runs on a scoped worker thread: a panic while applying a
+    // semantically inconsistent event stream (e.g. a crafted free of a never allocated
+    // address) then surfaces as a clean error instead of aborting the caller.
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..source.stream_count())
             .map(|thread| scope.spawn(move || f(thread)))
             .collect();
-        handles
+        // Join every handle before returning: short-circuiting on the first failure
+        // would leave panicked threads for the scope to implicitly join, and the
+        // scope would then re-panic instead of letting us report a clean error.
+        let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
+        joined
             .into_iter()
             .enumerate()
-            .map(|(thread, handle)| match handle.join() {
-                Ok(result) => result,
-                Err(_) => Err(format!("replay thread {thread} panicked")),
+            .map(|(thread, result)| {
+                result
+                    .unwrap_or_else(|_| Err("replay thread panicked".into()))
+                    .map_err(|e| format!("stream {thread}: {e}"))
             })
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-    runs.sort_by_key(|r| r.thread);
-    Ok(runs)
+            .collect()
+    })
 }

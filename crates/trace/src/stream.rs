@@ -1,9 +1,9 @@
-//! Streaming `.dtrace` decoding with bounded memory.
+//! The `.dtrace` decoder: streaming, with bounded memory.
 //!
-//! [`TraceFile::read`](crate::TraceFile::read) slurps the whole file and materializes
-//! every stream's event vector before anything can run — for multi-gigabyte captures
-//! that is both the peak-RSS and the time-to-first-event bottleneck.  This module
-//! decodes the same format incrementally:
+//! This is the only code that turns `.dtrace` bytes back into events.  Slurping a file
+//! and materializing every stream's event vector before anything can run is, for
+//! multi-gigabyte captures, both the peak-RSS and the time-to-first-event bottleneck,
+//! so decoding is incremental:
 //!
 //! * [`TraceReader::open`] parses only the *prologue* — header, machine, session
 //!   parameters, and each stream's identity + symbol/type tables (all small) — and
@@ -15,16 +15,24 @@
 //!   access run) across chunk boundaries.  Peak buffering is a couple of chunks
 //!   regardless of trace size — [`EventReader::peak_buffered_bytes`] reports the high
 //!   water mark and a regression test pins it.
+//! * [`TraceReader::collect`] walks every stream once into an in-memory
+//!   [`TraceFile`], for callers that will walk the streams many times.
 //!
-//! Every event passes the same semantic validation as the slurping path
-//! ([`crate::format`]'s core-range and access-extent checks), and the total event
-//! count and byte length are verified against the stream header at end of iteration,
-//! so a corrupt or truncated trace fails with the same kinds of errors — just
-//! lazily, when the damage is reached.  Each [`EventReader`] owns an independent
-//! file handle, so per-stream readers can run on parallel replay threads.
+//! Every event is validated against the declared machine as it is decoded (core in
+//! range, sane access extents), and the total event count and byte length are verified
+//! against the stream header at end of iteration, so a corrupt or truncated trace is
+//! rejected with an error instead of panicking or hanging mid-replay — lazily, when
+//! the damage is reached.  Each [`EventReader`] owns an independent file handle, so
+//! per-stream readers can run on parallel replay threads.
 
-use crate::codec::{get_string, get_varint, unzigzag};
-use crate::format::{get_machine, get_params, TraceKind, TypeDump, MAGIC, MAX_ACCESS_LEN, VERSION};
+use crate::codec::{
+    get_string, get_varint, prev_addr, unzigzag, OP_ACCESS_RUN, OP_ALLOC, OP_COMPUTE, OP_FREE,
+    OP_ROUND_END,
+};
+use crate::format::{
+    get_machine, get_params, ThreadStream, TraceFile, TraceKind, TypeDump, MAGIC, MAX_ACCESS_LEN,
+    VERSION,
+};
 use crate::TraceError;
 use sim_cache::AccessKind;
 use sim_machine::{FunctionId, MachineConfig, SessionEvent};
@@ -104,28 +112,17 @@ impl ChunkedReader {
         }
     }
 
-    /// True at end of file with nothing buffered.
-    fn at_eof(&mut self) -> Result<bool, TraceError> {
-        if self.available() > 0 {
-            return Ok(false);
-        }
-        match self.ensure(1) {
-            Ok(()) => Ok(false),
-            Err(TraceError::UnexpectedEof) => Ok(true),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Skips `n` bytes, seeking past whatever is not already buffered.
-    fn skip(&mut self, n: u64) -> Result<(), TraceError> {
-        let buffered = (self.available() as u64).min(n);
+    /// Skips ahead to absolute file offset `target` (at or past the current one),
+    /// seeking past whatever is not already buffered.
+    fn skip_to(&mut self, target: u64) -> Result<(), TraceError> {
+        let buffered = (self.available() as u64).min(target - self.offset);
         self.consume(buffered as usize);
-        let rest = n - buffered;
-        if rest > 0 {
+        if self.offset < target {
+            // Everything buffered was consumed, so the file cursor is at `offset`.
             self.file
-                .seek(SeekFrom::Current(rest as i64))
+                .seek(SeekFrom::Start(target))
                 .map_err(|e| TraceError::Io(format!("seek failed: {e}")))?;
-            self.offset += rest;
+            self.offset = target;
         }
         Ok(())
     }
@@ -209,9 +206,16 @@ impl TraceReader {
     /// type tables.
     pub fn open(path: &str) -> Result<Self, TraceError> {
         let mut r = ChunkedReader::open(path)?;
-        r.ensure(MAGIC.len() + 2)?;
-        if &r.bytes()[..MAGIC.len()] != MAGIC {
-            return Err(TraceError::BadMagic);
+        let file_len = r
+            .file
+            .metadata()
+            .map_err(|e| TraceError::Io(format!("cannot stat {path}: {e}")))?
+            .len();
+        match r.ensure(MAGIC.len() + 2) {
+            Ok(()) if r.bytes()[..MAGIC.len()] == MAGIC[..] => {}
+            // Too short to hold magic + version: not a trace at all.
+            Ok(()) | Err(TraceError::UnexpectedEof) => return Err(TraceError::BadMagic),
+            Err(e) => return Err(e),
         }
         r.consume(MAGIC.len());
         let version = u16::from_le_bytes([r.bytes()[0], r.bytes()[1]]);
@@ -250,7 +254,15 @@ impl TraceReader {
             let event_count = r.read_varint()? as usize;
             let byte_len = r.read_varint()?;
             let events_offset = r.offset;
-            r.skip(byte_len)?;
+            // The declared length comes from the file: check it against the file's
+            // real size before trusting it as a seek target.  (A seek past
+            // end-of-file succeeds silently, and a length near 2^64 would overflow
+            // the offset arithmetic.)
+            let events_end = events_offset
+                .checked_add(byte_len)
+                .filter(|&end| end <= file_len)
+                .ok_or(TraceError::UnexpectedEof)?;
+            r.skip_to(events_end)?;
             headers.push(StreamHeader {
                 seed,
                 requests,
@@ -261,21 +273,10 @@ impl TraceReader {
                 events_offset,
             });
         }
-        if !r.at_eof()? {
+        if r.offset != file_len {
             return Err(TraceError::Corrupt(
                 "trailing bytes after the last stream".into(),
             ));
-        }
-        // A seek past end-of-file succeeds silently; a truncated event region only
-        // surfaces once an EventReader walks into the hole.  Catch it here instead,
-        // so open() rejects what decode() would have rejected.
-        let file_len = std::fs::metadata(path)
-            .map_err(|e| TraceError::Io(format!("cannot stat {path}: {e}")))?
-            .len();
-        if let Some(h) = headers.last() {
-            if h.events_offset + h.byte_len > file_len {
-                return Err(TraceError::UnexpectedEof);
-            }
         }
         Ok(TraceReader {
             path: path.to_string(),
@@ -317,14 +318,38 @@ impl TraceReader {
             done: false,
         })
     }
+
+    /// Walks every stream once and collects the whole trace into memory.
+    pub fn collect(&self) -> Result<TraceFile, TraceError> {
+        let streams = self
+            .headers
+            .iter()
+            .enumerate()
+            .map(|(thread, h)| {
+                Ok(ThreadStream {
+                    seed: h.seed,
+                    requests: h.requests,
+                    symbols: h.symbols.clone(),
+                    types: h.types.clone(),
+                    events: self.events(thread)?.collect::<Result<_, _>>()?,
+                })
+            })
+            .collect::<Result<_, TraceError>>()?;
+        Ok(TraceFile {
+            kind: self.kind,
+            machine: self.machine,
+            params: self.params.clone(),
+            streams,
+        })
+    }
 }
 
 fn read_stream_prologue(
     r: &mut ChunkedReader,
 ) -> Result<(u64, u64, Vec<String>, Vec<TypeDump>), TraceError> {
-    // Mirrors `format::get_stream` up to (not including) the event region, but reads
-    // incrementally.  The count-vs-remaining sanity checks of the slurping path are
-    // replaced by incremental reads: a lying count simply runs into end-of-file.
+    // The stream grammar of `crate::format` up to (not including) the event region.
+    // Counts are not trusted for allocation: tables grow as entries are read, so a
+    // lying count simply runs into end-of-file.
     let seed = r.read_varint()?;
     let requests = r.read_varint()?;
     let symbol_count = r.read_varint()? as usize;
@@ -356,12 +381,6 @@ fn read_stream_prologue(
     }
     Ok((seed, requests, symbols, types))
 }
-
-const OP_ACCESS_RUN: u8 = 0x00;
-const OP_COMPUTE: u8 = 0x01;
-const OP_ALLOC: u8 = 0x02;
-const OP_FREE: u8 = 0x03;
-const OP_ROUND_END: u8 = 0x04;
 
 /// Incremental decoder over one stream's event region: an iterator of validated
 /// [`SessionEvent`]s with bounded buffering.  Fused — after the first error, the
@@ -429,12 +448,9 @@ impl EventReader {
                     let packed = self.reader.read_varint()?;
                     self.check_region()?;
                     self.run = Some((core, ip, remaining - 1));
-                    let idx = core as usize;
-                    if idx >= self.prev_addr.len() {
-                        self.prev_addr.resize(idx + 1, 0);
-                    }
-                    let addr = self.prev_addr[idx].wrapping_add(delta as u64);
-                    self.prev_addr[idx] = addr;
+                    let prev = prev_addr(&mut self.prev_addr, core);
+                    let addr = prev.wrapping_add(delta as u64);
+                    *prev = addr;
                     let kind = if packed & 1 == 1 {
                         AccessKind::Write
                     } else {
@@ -524,6 +540,8 @@ impl EventReader {
         }
     }
 
+    /// Bounding core ids as they are read keeps a crafted varint from sizing the
+    /// per-core delta table to an attacker-controlled length.
     fn read_core(&mut self) -> Result<u32, TraceError> {
         let core = self.reader.read_varint()?;
         if core >= sim_cache::MAX_CORES as u64 {
@@ -542,8 +560,9 @@ impl EventReader {
         ))
     }
 
-    /// Applies the same semantic validation as `format::validate_stream_events`,
-    /// counts the event, and returns it.
+    /// Counts the event and validates it against the declared machine — core in
+    /// range, sane access extents — so a decodable-but-invalid trace is rejected here
+    /// instead of panicking or hanging mid-replay.
     fn emit(&mut self, ev: SessionEvent) -> Result<Option<SessionEvent>, TraceError> {
         let i = self.produced;
         self.produced += 1;
@@ -608,7 +627,7 @@ impl Iterator for EventReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::TraceFile;
+    use crate::format::tests_support::{read_bytes, sample_file, sample_stream, with_event_region};
 
     fn temp_path(name: &str) -> String {
         let dir = std::env::temp_dir().join("dprof-stream-tests");
@@ -619,7 +638,7 @@ mod tests {
     /// A synthetic full-session trace with enough events to span many chunks.
     fn big_file(events_per_stream: usize, streams: usize) -> TraceFile {
         use sim_machine::SessionEvent as E;
-        let mut file = crate::format::tests_support::sample_file();
+        let mut file = sample_file();
         file.streams.clear();
         for t in 0..streams {
             let mut events = Vec::with_capacity(events_per_stream);
@@ -656,7 +675,7 @@ mod tests {
                     },
                 });
             }
-            let mut s = crate::format::tests_support::sample_stream();
+            let mut s = sample_stream();
             s.seed += t as u64;
             s.events = events;
             file.streams.push(s);
@@ -665,17 +684,20 @@ mod tests {
     }
 
     #[test]
-    fn streaming_decode_equals_slurping_decode() {
+    fn multi_chunk_streams_round_trip() {
         let file = big_file(20_000, 2);
         let path = temp_path("equiv.dtrace");
         file.write(&path).unwrap();
+        assert!(
+            std::fs::metadata(&path).unwrap().len() as usize > 2 * CHUNK_SIZE,
+            "trace too small to cross a chunk boundary"
+        );
 
-        let slurped = TraceFile::read(&path).unwrap();
         let reader = TraceReader::open(&path).unwrap();
-        assert_eq!(reader.kind, slurped.kind);
-        assert_eq!(reader.params, slurped.params);
-        assert_eq!(reader.stream_count(), slurped.streams.len());
-        for (i, s) in slurped.streams.iter().enumerate() {
+        assert_eq!(reader.kind, file.kind);
+        assert_eq!(reader.params, file.params);
+        assert_eq!(reader.stream_count(), file.streams.len());
+        for (i, s) in file.streams.iter().enumerate() {
             let h = &reader.headers()[i];
             assert_eq!(h.seed, s.seed);
             assert_eq!(h.requests, s.requests);
@@ -750,16 +772,152 @@ mod tests {
         assert!(result.is_err(), "corrupt event bytes must surface an error");
     }
 
+    /// One stream of the sample file holding exactly `events`, through the decoder.
+    fn decode(events: Vec<SessionEvent>) -> Result<Vec<SessionEvent>, TraceError> {
+        let mut file = sample_file();
+        file.streams[0].events = events;
+        Ok(read_bytes(&file.encode())?.streams.remove(0).events)
+    }
+
+    fn access(core: u32, addr: u64, len: u64, kind: AccessKind) -> SessionEvent {
+        SessionEvent::Access {
+            core,
+            ip: FunctionId(7),
+            addr,
+            len,
+            kind,
+        }
+    }
+
     #[test]
-    fn trailing_bytes_are_rejected() {
-        let file = big_file(100, 1);
-        let path = temp_path("trailing.dtrace");
-        let mut bytes = file.encode();
-        bytes.push(0);
-        std::fs::write(&path, &bytes).unwrap();
+    fn access_runs_round_trip() {
+        let events = vec![
+            access(0, 0x1000, 8, AccessKind::Read),
+            access(0, 0x1008, 8, AccessKind::Write),
+            access(1, 0x1000, 64, AccessKind::Read),
+            SessionEvent::RoundEnd,
+            SessionEvent::Compute {
+                core: 1,
+                ip: FunctionId(7),
+                cycles: 1_500,
+            },
+        ];
+        assert_eq!(decode(events.clone()).unwrap(), events);
+    }
+
+    #[test]
+    fn truncated_event_bytes_are_an_error() {
+        let bytes = crate::codec::encode_events(&[SessionEvent::Alloc {
+            core: 1,
+            type_id: 9,
+            size: 256,
+            addr: 0x0001_0000_4000,
+            cycle: 12_345,
+            hookable: true,
+        }]);
+        assert_eq!(
+            read_bytes(&with_event_region(1, bytes.len() as u64, &bytes))
+                .unwrap()
+                .streams[0]
+                .events
+                .len(),
+            1
+        );
+        for cut in 1..bytes.len() {
+            // An honest byte length over a cut event: the event runs past the region.
+            assert!(
+                read_bytes(&with_event_region(1, cut as u64, &bytes[..cut])).is_err(),
+                "truncation at {cut} must not decode"
+            );
+        }
+    }
+
+    #[test]
+    fn wrong_declared_count_is_an_error() {
+        let bytes = crate::codec::encode_events(&[SessionEvent::RoundEnd, SessionEvent::RoundEnd]);
+        for lie in [1, 3] {
+            assert!(matches!(
+                read_bytes(&with_event_region(lie, bytes.len() as u64, &bytes)),
+                Err(TraceError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn unknown_opcode_is_an_error() {
         assert!(matches!(
-            TraceReader::open(&path),
-            Err(TraceError::Corrupt(_))
+            read_bytes(&with_event_region(0, 1, &[0xff])),
+            Err(TraceError::Corrupt(m)) if m.contains("opcode")
         ));
+    }
+
+    #[test]
+    fn out_of_range_cores_are_rejected() {
+        // The sample machine has two cores.
+        let compute = |core| SessionEvent::Compute {
+            core,
+            ip: FunctionId(0),
+            cycles: 1,
+        };
+        assert!(decode(vec![compute(1)]).is_ok());
+        assert!(matches!(
+            decode(vec![compute(2)]),
+            Err(TraceError::Corrupt(m)) if m.contains("targets core 2")
+        ));
+        // A core id no machine can have is refused before it sizes any table
+        // (hand-encoded: `access-run core=2^32-1 ip=0 count=1 delta=0 len=8`).
+        let mut run = vec![OP_ACCESS_RUN];
+        crate::codec::put_varint(&mut run, u64::from(u32::MAX));
+        run.extend_from_slice(&[0, 1, 0, 16]);
+        assert!(matches!(
+            read_bytes(&with_event_region(1, run.len() as u64, &run)),
+            Err(TraceError::Corrupt(m)) if m.contains("exceeds")
+        ));
+    }
+
+    #[test]
+    fn zero_oversized_and_wrapping_access_extents_are_rejected() {
+        assert!(decode(vec![access(0, 0x1000, MAX_ACCESS_LEN, AccessKind::Read)]).is_ok());
+        for (addr, len, why) in [
+            (0x1000, 0, "access length 0"),
+            (0x1000, MAX_ACCESS_LEN + 1, "access length"),
+            (u64::MAX - 3, 8, "wraps the address space"),
+        ] {
+            assert!(
+                matches!(
+                    decode(vec![access(0, addr, len, AccessKind::Write)]),
+                    Err(TraceError::Corrupt(m)) if m.contains(why)
+                ),
+                "access of {len} bytes at {addr:#x} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_byte_len_is_an_error_not_a_panic() {
+        // A declared event-region length is a seek target; none of these fit in the
+        // file, and the largest overflow `offset + byte_len`.
+        for byte_len in [u64::MAX, u64::MAX - 40, (1 << 63) + 5, 1 << 62] {
+            assert_eq!(
+                read_bytes(&with_event_region(0, byte_len, &[])).unwrap_err(),
+                TraceError::UnexpectedEof,
+                "byte_len {byte_len:#x}"
+            );
+        }
+        // Not only the last stream's length is checked: a lying first stream must not
+        // be trusted as a seek target either.
+        let mut file = sample_file();
+        file.streams.insert(0, sample_stream());
+        file.streams[0].events.clear();
+        let bytes = file.encode();
+        let counts = with_event_region(0, 0, &[]).len() - 2; // stream 0's `0 0`
+        let mut lying = bytes[..counts + 1].to_vec();
+        crate::codec::put_varint(&mut lying, 1 << 62);
+        lying.extend_from_slice(&bytes[counts + 2..]);
+        assert_eq!(
+            read_bytes(&lying).unwrap_err(),
+            TraceError::UnexpectedEof,
+            "a lying length in a non-final stream"
+        );
     }
 }

@@ -12,9 +12,10 @@
 //!   decode and machine dispatch.  Rewritten objects live in a *shadow* address range
 //!   bump-allocated in whole cache lines, so two distinct allocations can never alias
 //!   onto one line and the mapping is deterministic (first-touch in event order).
-//! * [`measure_stream`] / [`measure_all`] — a profiler-free measurement replay that
-//!   feeds the (transformed) event stream through a rebuilt machine + kernel and
-//!   snapshots the makespan (max core clock) at every post-warmup round boundary.
+//! * [`measure_stream_streaming`] / [`measure_all_streaming`] — a profiler-free
+//!   measurement replay that feeds the (transformed) event stream of any
+//!   [`TraceSource`] through a rebuilt machine + kernel and snapshots the makespan
+//!   (max core clock) at every post-warmup round boundary.
 //!   Keeping the profiler out of the measurement loop matters: watchpoints armed at
 //!   recorded addresses would never fire on shadow addresses, biasing candidates.
 //! * [`analyze_sharing`] — per-type granule/concurrency statistics used by
@@ -26,10 +27,11 @@
 //! of elapsed time ([`sim_machine::Machine::max_clock`]) and matches what `dprof`
 //! reports as throughput.
 
-use crate::format::{ThreadStream, TraceFile, TraceKind};
-use crate::replay::rebuild_universe;
-use sim_kernel::{KernelState, RemapTarget, TypeId};
-use sim_machine::{Machine, SessionEvent};
+use crate::format::TypeDump;
+use crate::replay::{apply_event, for_each_stream, rebuild_universe};
+use crate::source::TraceSource;
+use sim_kernel::{RemapTarget, TypeId};
+use sim_machine::SessionEvent;
 use std::collections::{BTreeMap, HashMap};
 
 /// Base of the shadow address range counterfactual layouts are carved from.  Far above
@@ -150,25 +152,20 @@ impl std::fmt::Display for FixSpec {
     }
 }
 
-/// The recorded `TypeId` of `name` in a type-dump table.  Replay re-registers the
-/// type dumps in order, so an id is simply the dump position.
-pub fn types_type_id(types: &[crate::format::TypeDump], name: &str) -> Option<TypeId> {
+/// The recorded `TypeId` of `name` in a stream's type-dump table.  Replay re-registers
+/// the type dumps in order, so an id is simply the dump position.
+pub fn stream_type_id(types: &[TypeDump], name: &str) -> Option<TypeId> {
     types
         .iter()
         .position(|t| t.name == name)
         .map(|i| TypeId(i as u32))
 }
 
-/// [`types_type_id`] over a decoded stream.
-pub fn stream_type_id(stream: &ThreadStream, name: &str) -> Option<TypeId> {
-    types_type_id(&stream.types, name)
-}
-
 /// Names of every type recorded in the trace (union over streams, first-seen order).
-pub fn trace_type_names(file: &TraceFile) -> Vec<String> {
+pub fn trace_type_names(source: &impl TraceSource) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
-    for stream in &file.streams {
-        for t in &stream.types {
+    for thread in 0..source.stream_count() {
+        for t in source.stream(thread).types {
             if !names.iter().any(|n| n == &t.name) {
                 names.push(t.name.clone());
             }
@@ -178,21 +175,19 @@ pub fn trace_type_names(file: &TraceFile) -> Vec<String> {
 }
 
 /// Checks that the spec's target type appears in the trace.
-pub fn validate_spec(file: &TraceFile, spec: &FixSpec) -> Result<(), String> {
+pub fn validate_spec(source: &impl TraceSource, spec: &FixSpec) -> Result<(), String> {
     let Some(target) = spec.target() else {
         return Ok(());
     };
-    if file
-        .streams
-        .iter()
-        .any(|s| stream_type_id(s, target).is_some())
+    if (0..source.stream_count())
+        .any(|thread| stream_type_id(source.stream(thread).types, target).is_some())
     {
         Ok(())
     } else {
         Err(format!(
             "fix '{spec}' targets type '{target}', which does not appear in the trace \
              (recorded types: {})",
-            trace_type_names(file).join(", ")
+            trace_type_names(source).join(", ")
         ))
     }
 }
@@ -363,115 +358,32 @@ impl WhatifMeasure {
 }
 
 /// Replays one stream under `spec` with **no profiler in the loop**, recording the
-/// makespan at every post-warmup round boundary.
+/// makespan at every post-warmup round boundary.  Decode errors surface as `Err`.
 ///
 /// # Panics
-/// Panics if `thread` is out of range or the trace is not [`TraceKind::FullSession`]
-/// (callers validate up front; see [`measure_all`]).
-pub fn measure_stream(file: &TraceFile, thread: usize, spec: &FixSpec) -> WhatifMeasure {
-    assert_eq!(
-        file.kind,
-        TraceKind::FullSession,
-        "only full-session traces carry the round structure what-if measurement needs"
-    );
-    let stream = &file.streams[thread];
-    let (machine, kernel) = rebuild_universe(file, thread);
-    let target = spec.target().and_then(|name| stream_type_id(stream, name));
-    let transform = Transform::new(spec, target, file.machine.hierarchy.l1.line_size as u64);
-    measure_events(
-        machine,
-        kernel,
-        thread,
-        file.params.warmup_rounds,
-        transform,
-        stream.requests,
-        file.machine.cycles_per_second,
-        stream.events.iter().copied(),
-    )
-}
-
-/// [`measure_stream`] with incremental event decoding from disk: identical results,
-/// bounded memory.  Decode errors surface as `Err`.
+/// Panics if `thread` is out of range.
 pub fn measure_stream_streaming(
-    reader: &crate::stream::TraceReader,
+    source: &impl TraceSource,
     thread: usize,
     spec: &FixSpec,
 ) -> Result<WhatifMeasure, String> {
-    assert_eq!(
-        reader.kind,
-        TraceKind::FullSession,
-        "only full-session traces carry the round structure what-if measurement needs"
-    );
-    let header = &reader.headers()[thread];
-    let (machine, kernel) = crate::replay::rebuild_universe_parts(
-        reader.machine,
-        reader.params.cores,
-        &header.symbols,
-        &header.types,
-    );
+    let stream = source.stream(thread);
+    let machine_config = source.machine();
+    let (mut machine, mut kernel) = rebuild_universe(source, thread);
     let target = spec
         .target()
-        .and_then(|name| types_type_id(&header.types, name));
-    let transform = Transform::new(spec, target, reader.machine.hierarchy.l1.line_size as u64);
-    let mut error = None;
-    let events = reader
-        .events(thread)
-        .map_err(|e| format!("stream {thread}: {e}"))?
-        .map_while(|r| match r {
-            Ok(ev) => Some(ev),
-            Err(e) => {
-                error = Some(e);
-                None
-            }
-        });
-    let measure = measure_events(
-        machine,
-        kernel,
-        thread,
-        reader.params.warmup_rounds,
-        transform,
-        header.requests,
-        reader.machine.cycles_per_second,
-        events,
-    );
-    if let Some(e) = error {
-        return Err(format!("stream {thread}: {e}"));
-    }
-    Ok(measure)
-}
+        .and_then(|name| stream_type_id(stream.types, name));
+    let mut transform = Transform::new(spec, target, machine_config.hierarchy.l1.line_size as u64);
 
-/// The shared measurement loop: replays events (no profiler in the loop) recording
-/// the makespan at every post-warmup round boundary.
-#[allow(clippy::too_many_arguments)]
-fn measure_events<I: Iterator<Item = SessionEvent>>(
-    mut machine: Machine,
-    mut kernel: KernelState,
-    thread: usize,
-    warmup_rounds: usize,
-    mut transform: Transform,
-    requests: u64,
-    cycles_per_second: u64,
-    events: I,
-) -> WhatifMeasure {
     // Rounds 1..=warmup_boundary are setup + (phase-shifted) warmup; everything after
     // is the measured window, mirroring the live driver's counters.
-    let warmup_boundary = 1 + warmup_rounds + thread;
+    let warmup_boundary = 1 + source.params().warmup_rounds + thread;
     let mut round = 0usize;
     let mut warmup_clock = 0u64;
     let mut round_clocks = Vec::new();
 
-    for ev in events {
-        let ev = match ev {
-            SessionEvent::Access {
-                core, addr, len, ..
-            } if !transform.is_identity() => {
-                let hit = kernel.allocator.resolve_remap(addr);
-                let (core, addr, len) = transform.rewrite(core, addr, len, hit);
-                ev.with_access_target(core, addr, len)
-            }
-            other => other,
-        };
-        match ev {
+    for ev in source.events(thread)? {
+        match ev? {
             SessionEvent::RoundEnd => {
                 round += 1;
                 if round == warmup_boundary {
@@ -480,114 +392,39 @@ fn measure_events<I: Iterator<Item = SessionEvent>>(
                     round_clocks.push(machine.max_clock());
                 }
             }
-            SessionEvent::Access {
-                core,
-                ip,
-                addr,
-                len,
-                kind,
-            } => {
-                machine.access(core as usize, ip, addr, len, kind);
+            ev @ SessionEvent::Access {
+                core, addr, len, ..
+            } if !transform.is_identity() => {
+                let hit = kernel.allocator.resolve_remap(addr);
+                let (core, addr, len) = transform.rewrite(core, addr, len, hit);
+                apply_event(
+                    ev.with_access_target(core, addr, len),
+                    &mut machine,
+                    &mut kernel,
+                );
             }
-            SessionEvent::Compute { core, ip, cycles } => {
-                machine.compute(core as usize, ip, cycles);
-            }
-            SessionEvent::Alloc {
-                core,
-                type_id,
-                size,
-                addr,
-                cycle,
-                hookable,
-            } => kernel.allocator.replay_alloc(
-                &mut machine,
-                core as usize,
-                TypeId(type_id),
-                size,
-                addr,
-                cycle,
-                hookable,
-            ),
-            SessionEvent::Free { core, addr, cycle } => {
-                kernel
-                    .allocator
-                    .replay_free(&mut machine, core as usize, addr, cycle)
-            }
+            ev => apply_event(ev, &mut machine, &mut kernel),
         }
     }
 
-    WhatifMeasure {
+    Ok(WhatifMeasure {
         thread,
         warmup_clock,
         round_clocks,
-        requests,
-        cycles_per_second,
-    }
+        requests: stream.requests,
+        cycles_per_second: machine_config.cycles_per_second,
+    })
 }
 
-/// Measures every stream of a full-session trace under `spec`, sharded across one
-/// worker thread per stream, returning results ordered by stream index.
-pub fn measure_all(file: &TraceFile, spec: &FixSpec) -> Result<Vec<WhatifMeasure>, String> {
-    if file.kind != TraceKind::FullSession {
-        return Err(
-            "trace is access-only (e.g. a bench capture); what-if analysis needs a \
-             full-session trace"
-                .into(),
-        );
-    }
-    if file.streams.is_empty() {
-        return Err("trace contains no streams".into());
-    }
-    let mut runs: Vec<WhatifMeasure> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..file.streams.len())
-            .map(|thread| scope.spawn(move || measure_stream(file, thread, spec)))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(thread, handle)| {
-                handle
-                    .join()
-                    .map_err(|_| format!("what-if measurement thread {thread} panicked"))
-            })
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-    runs.sort_by_key(|r| r.thread);
-    Ok(runs)
-}
-
-/// [`measure_all`] with incremental event decoding: one worker thread per stream,
-/// each streaming events from its own file handle.  Identical results to
-/// [`measure_all`] over the decoded file.
+/// Measures every stream of a full-session trace under `spec`, one worker thread per
+/// stream, returning results ordered by stream index.
 pub fn measure_all_streaming(
-    reader: &crate::stream::TraceReader,
+    source: &impl TraceSource,
     spec: &FixSpec,
 ) -> Result<Vec<WhatifMeasure>, String> {
-    if reader.kind != TraceKind::FullSession {
-        return Err(
-            "trace is access-only (e.g. a bench capture); what-if analysis needs a \
-             full-session trace"
-                .into(),
-        );
-    }
-    if reader.stream_count() == 0 {
-        return Err("trace contains no streams".into());
-    }
-    let mut runs: Vec<WhatifMeasure> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..reader.stream_count())
-            .map(|thread| scope.spawn(move || measure_stream_streaming(reader, thread, spec)))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(thread, handle)| match handle.join() {
-                Ok(result) => result,
-                Err(_) => Err(format!("what-if measurement thread {thread} panicked")),
-            })
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-    runs.sort_by_key(|r| r.thread);
-    Ok(runs)
+    for_each_stream(source, |thread| {
+        measure_stream_streaming(source, thread, spec)
+    })
 }
 
 /// Granule-level sharing statistics for one type, aggregated over all streams: the raw
@@ -608,22 +445,26 @@ pub struct SharingProfile {
 }
 
 /// Computes [`SharingProfile`] for `type_name` by a single pass over every stream's
-/// events, tracking the type's live intervals from its `Alloc`/`Free` events.
-pub fn analyze_sharing(file: &TraceFile, type_name: &str) -> SharingProfile {
+/// events, tracking the type's live intervals from its `Alloc`/`Free` events.  Decode
+/// errors surface as `Err`.
+pub fn analyze_sharing(
+    source: &impl TraceSource,
+    type_name: &str,
+) -> Result<SharingProfile, String> {
     let mut granules: HashMap<(u64, u64), HashMap<u32, u64>> = HashMap::new();
     let mut round_cores: HashMap<u64, u128> = HashMap::new();
     let mut accesses = 0u64;
     let mut object_rounds = 0u64;
     let mut core_sum = 0u64;
 
-    for stream in &file.streams {
-        let Some(target) = stream_type_id(stream, type_name) else {
+    for thread in 0..source.stream_count() {
+        let Some(target) = stream_type_id(source.stream(thread).types, type_name) else {
             continue;
         };
         let mut live: BTreeMap<u64, u64> = BTreeMap::new();
         round_cores.clear();
-        for ev in &stream.events {
-            match *ev {
+        for ev in source.events(thread)? {
+            match ev? {
                 SessionEvent::Alloc {
                     type_id,
                     size,
@@ -669,7 +510,7 @@ pub fn analyze_sharing(file: &TraceFile, type_name: &str) -> SharingProfile {
         .values()
         .map(|by_core| by_core.values().copied().max().unwrap_or(0))
         .sum();
-    SharingProfile {
+    Ok(SharingProfile {
         accesses,
         foreign_fraction: if accesses == 0 {
             0.0
@@ -681,7 +522,7 @@ pub fn analyze_sharing(file: &TraceFile, type_name: &str) -> SharingProfile {
         } else {
             core_sum as f64 / object_rounds as f64
         },
-    }
+    })
 }
 
 #[cfg(test)]

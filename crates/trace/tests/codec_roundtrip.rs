@@ -1,23 +1,28 @@
-//! Property tests for the `.dtrace` codec: encode → decode must be the identity over
-//! arbitrary event streams, and damaged inputs (truncation, corrupt headers) must be
-//! rejected rather than misdecoded.
+//! Property tests for the `.dtrace` codec: encode → [`TraceReader`] must be the
+//! identity over arbitrary event streams, and damaged inputs (truncation, corrupt
+//! headers) must be rejected rather than misdecoded.
 
-use dprof_trace::codec::{decode_events, encode_events};
-use dprof_trace::{SessionParams, ThreadStream, TraceFile, TraceKind, TraceReader};
+use dprof_trace::{SessionParams, ThreadStream, TraceError, TraceFile, TraceKind, TraceReader};
 use proptest::prelude::*;
 use sim_cache::AccessKind;
 use sim_machine::{FunctionId, MachineConfig, SessionEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fresh temp-file path per proptest case (the test binary runs tests on
-/// parallel threads, so a fixed name would race).
-fn temp_trace_path() -> std::path::PathBuf {
+/// Decodes `bytes` through the streaming decoder: spooled to a fresh temp file per
+/// call (the test binary runs tests on parallel threads, so a fixed name would race),
+/// opened, and every stream collected.
+fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
+    let path = std::env::temp_dir().join(format!(
         "dprof_codec_stream_{}_{n}.dtrace",
         std::process::id()
-    ))
+    ));
+    std::fs::write(&path, bytes).expect("temp trace writes");
+    let result =
+        TraceReader::open(path.to_str().expect("temp path is utf-8")).and_then(|r| r.collect());
+    std::fs::remove_file(&path).ok();
+    result
 }
 
 /// Strategy producing one arbitrary session event.
@@ -90,21 +95,15 @@ fn full_file(events: Vec<SessionEvent>) -> TraceFile {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// encode → decode is the identity for arbitrary event streams.
+    /// encode → decode is the identity for arbitrary event streams, and the stream
+    /// header carries what the container declared.
     #[test]
-    fn events_round_trip(events in proptest::collection::vec(event_strategy(), 0..400)) {
-        let bytes = encode_events(&events);
-        let decoded = decode_events(&bytes, events.len()).expect("decodes");
-        prop_assert_eq!(decoded, events);
-    }
-
-    /// The whole-file container also round-trips through its byte form.
-    #[test]
-    fn files_round_trip(events in proptest::collection::vec(event_strategy(), 0..120)) {
+    fn files_round_trip(events in proptest::collection::vec(event_strategy(), 0..400)) {
         let file = full_file(events);
-        let back = TraceFile::decode(&file.encode()).expect("decodes");
-        prop_assert_eq!(back.streams[0].events.clone(), file.streams[0].events.clone());
+        let back = read_bytes(&file.encode()).expect("decodes");
+        prop_assert_eq!(&back.streams, &file.streams);
         prop_assert_eq!(back.params, file.params);
+        prop_assert_eq!(back.kind, file.kind);
     }
 
     /// No truncation of a valid file decodes successfully (every prefix is rejected,
@@ -115,7 +114,7 @@ proptest! {
         let bytes = full_file(events).encode();
         let cut = (bytes.len() as u64 * cut_fraction / 1000) as usize;
         prop_assert!(cut < bytes.len());
-        prop_assert!(TraceFile::decode(&bytes[..cut]).is_err());
+        prop_assert!(read_bytes(&bytes[..cut]).is_err());
     }
 
     /// A corrupted header byte (magic or version region) is always rejected.
@@ -125,30 +124,7 @@ proptest! {
         let mut bytes = full_file(events).encode();
         bytes[byte] ^= 1 << bit;
         // Flipping any bit of the magic or the version must fail to decode as v1.
-        prop_assert!(TraceFile::decode(&bytes).is_err());
-    }
-
-    /// The streaming chunked decoder produces exactly the event sequence the
-    /// slurping decoder materializes, for arbitrary event streams, and its header
-    /// metadata matches the decoded file's.
-    #[test]
-    fn streaming_decode_equals_materialized(events in proptest::collection::vec(event_strategy(), 0..250)) {
-        let file = full_file(events);
-        let path = temp_trace_path();
-        let path_str = path.to_str().expect("temp path is utf-8");
-        file.write(path_str).expect("trace writes");
-
-        let slurped = TraceFile::read(path_str).expect("slurping decode succeeds");
-        let reader = TraceReader::open(path_str).expect("streaming open succeeds");
-        let streamed: Result<Vec<SessionEvent>, _> =
-            reader.events(0).expect("event reader opens").collect();
-        let streamed = streamed.expect("streaming decode succeeds");
-        std::fs::remove_file(&path).ok();
-
-        prop_assert_eq!(reader.headers()[0].event_count, streamed.len());
-        prop_assert_eq!(reader.headers()[0].seed, slurped.streams[0].seed);
-        prop_assert_eq!(&reader.params, &slurped.params);
-        prop_assert_eq!(streamed, slurped.streams[0].events.clone());
+        prop_assert!(read_bytes(&bytes).is_err());
     }
 
     /// Decodable events targeting a core the declared machine does not have are
@@ -163,7 +139,7 @@ proptest! {
         let mut file = full_file(events);
         file.machine = MachineConfig::small_test(); // 2 cores
         file.params.cores = 2;
-        let decoded = TraceFile::decode(&file.encode());
+        let decoded = read_bytes(&file.encode());
         prop_assert_eq!(decoded.is_err(), has_high_core);
     }
 }

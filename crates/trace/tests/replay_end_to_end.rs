@@ -1,11 +1,14 @@
 //! End-to-end record → replay determinism at the profiler level: a live memcached
-//! session recorded to a trace and replayed through [`dprof_trace::replay_stream`]
-//! must reproduce the live profile exactly — same IBS samples, same object access
-//! histories, same view contents — after a full encode/decode round trip of the
-//! trace bytes.
+//! session recorded to a trace and replayed through
+//! [`dprof_trace::replay_stream_streaming`] must reproduce the live profile exactly —
+//! same IBS samples, same object access histories, same view contents — after a full
+//! encode/decode round trip of the trace bytes through a file on disk.
 
 use dprof_core::{Dprof, DprofConfig, DprofProfile};
-use dprof_trace::{FieldDump, SessionParams, ThreadStream, TraceFile, TraceKind, TypeDump};
+use dprof_trace::{
+    replay_all_streaming, replay_stream_streaming, FieldDump, SessionParams, ThreadStream,
+    TraceFile, TraceKind, TraceReader, TypeDump,
+};
 use sim_machine::SamplingPolicy;
 use workloads::{Memcached, MemcachedConfig, Workload};
 
@@ -99,14 +102,30 @@ fn record_live_with(sampling: SamplingPolicy) -> (DprofProfile, u64, TraceFile) 
     (profile, requests, file)
 }
 
+/// Writes `file` to a temp path unique to `name` and opens it for streaming.  The
+/// reader re-opens the path for every event walk, so the caller removes it when done.
+fn on_disk(file: &TraceFile, name: &str) -> (TraceReader, std::path::PathBuf) {
+    let path =
+        std::env::temp_dir().join(format!("dprof_replay_{}_{name}.dtrace", std::process::id()));
+    file.write(path.to_str().expect("temp path is utf-8"))
+        .expect("trace writes");
+    let reader = TraceReader::open(path.to_str().unwrap()).expect("trace opens");
+    (reader, path)
+}
+
 #[test]
 fn replayed_profile_is_identical_to_the_live_run() {
     let (live, live_requests, file) = record_live();
 
     // Round-trip through the on-disk byte form first: the replay below therefore
     // also proves the codec preserves everything the profiler depends on.
-    let decoded = TraceFile::decode(&file.encode()).expect("trace decodes");
-    let replayed = dprof_trace::replay_stream(&decoded, 0);
+    let (reader, path) = on_disk(&file, "fixed");
+    let replayed = replay_stream_streaming(&reader, 0).expect("stream replays");
+    std::fs::remove_file(path).ok();
+    // Replaying the in-memory stream is the same driver over a different source.
+    let in_memory = replay_stream_streaming(&file, 0).expect("stream replays");
+    assert_eq!(in_memory.profile.samples, replayed.profile.samples);
+    assert_eq!(in_memory.profile.histories, replayed.profile.histories);
 
     assert_eq!(
         replayed.trailing_events, 0,
@@ -166,12 +185,13 @@ fn adaptive_sampled_session_replays_identically() {
     );
     assert!(live.samples_spent > 0, "adaptive run took no samples");
 
-    let decoded = TraceFile::decode(&file.encode()).expect("trace decodes");
+    let (reader, path) = on_disk(&file, "adaptive");
     assert_eq!(
-        decoded.params.sampling,
+        reader.params.sampling,
         SamplingPolicy::Adaptive { budget: 400 }
     );
-    let replayed = dprof_trace::replay_stream(&decoded, 0);
+    let replayed = replay_stream_streaming(&reader, 0).expect("stream replays");
+    std::fs::remove_file(path).ok();
     assert_eq!(replayed.trailing_events, 0);
     assert_eq!(replayed.requests, live_requests);
     assert_eq!(replayed.profile.samples, live.samples);
@@ -195,5 +215,5 @@ fn adaptive_sampled_session_replays_identically() {
 fn replay_all_rejects_access_only_traces() {
     let (_, _, mut file) = record_live();
     file.kind = TraceKind::AccessOnly;
-    assert!(dprof_trace::replay_all(&file).is_err());
+    assert!(replay_all_streaming(&file).is_err());
 }

@@ -1,8 +1,8 @@
 //! Property tests for the what-if transform layer: the counterfactual replay must be
 //! a *pure, alias-free function* of the recorded stream.
 //!
-//! * A fix whose target never appears in the stream replays byte-identically to the
-//!   plain profiler replay (the identity fast path is genuinely a no-op).
+//! * A fix whose target never appears in the stream measures identically to the
+//!   identity baseline (the identity fast path is genuinely a no-op).
 //! * `pad`, `shrink` and `localize` may never map two distinct allocations onto one
 //!   shadow cache line — aliasing would fabricate coherence traffic that the real fix
 //!   could not produce.
@@ -12,8 +12,8 @@
 use dprof_core::{Dprof, DprofConfig, HistoryConfig};
 use dprof_trace::whatif::{stream_type_id, SHADOW_BASE};
 use dprof_trace::{
-    measure_stream, replay_stream, replay_stream_with, FieldDump, FixSpec, SessionParams,
-    ThreadStream, TraceFile, TraceKind, Transform, TypeDump,
+    measure_stream_streaming, FieldDump, FixSpec, SessionParams, ThreadStream, TraceFile,
+    TraceKind, Transform, TypeDump,
 };
 use proptest::prelude::*;
 use sim_kernel::{RemapTarget, ResolvedAddr, TypeId};
@@ -218,42 +218,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A fix targeting a type that never appears in the stream is the identity: the
-    /// profiler replay under it is byte-identical to the plain replay, and the
-    /// profiler-free measurement replay is deterministic — under identity *and*
-    /// under a real transform of the stream's hottest type.
+    /// measurement replay under it is identical to the baseline's, and the
+    /// measurement replay is deterministic — under identity *and* under a real
+    /// transform of the stream's hottest type.
     #[test]
-    fn absent_target_replays_byte_identically_and_measurement_is_deterministic(
+    fn absent_target_measures_as_identity_and_measurement_is_deterministic(
         seed in 1u64..5000,
         sample_rounds in 6usize..12,
     ) {
         let file = record_session(seed, sample_rounds);
-        prop_assert!(stream_type_id(&file.streams[0], "__no_such_type").is_none());
-
-        let plain = replay_stream(&file, 0);
-        let absent = replay_stream_with(
-            &file,
-            0,
-            &FixSpec::parse("pad:__no_such_type").unwrap(),
-        );
-        prop_assert_eq!(&plain.profile.samples, &absent.profile.samples);
-        prop_assert_eq!(&plain.profile.histories, &absent.profile.histories);
-        prop_assert_eq!(plain.requests, absent.requests);
-        prop_assert_eq!(plain.total_cycles, absent.total_cycles);
-        prop_assert_eq!(plain.trailing_events, 0);
+        prop_assert!(stream_type_id(&file.streams[0].types, "__no_such_type").is_none());
+        let measure = |spec: &FixSpec| measure_stream_streaming(&file, 0, spec).expect("measures");
 
         let identity = FixSpec::Identity;
-        let m1 = measure_stream(&file, 0, &identity);
-        let m2 = measure_stream(&file, 0, &identity);
+        let m1 = measure(&identity);
+        let m2 = measure(&identity);
         prop_assert_eq!(m1.warmup_clock, m2.warmup_clock);
         prop_assert_eq!(&m1.round_clocks, &m2.round_clocks);
+
+        let absent = measure(&FixSpec::parse("pad:__no_such_type").unwrap());
+        prop_assert_eq!(m1.warmup_clock, absent.warmup_clock);
+        prop_assert_eq!(&m1.round_clocks, &absent.round_clocks);
+        prop_assert_eq!(m1.requests, absent.requests);
 
         // A real transform of a type that *is* in the stream must be deterministic
         // too (the shadow map is first-touch in event order, no ambient state).
         let real = FixSpec::Pad {
             type_name: file.streams[0].types[0].name.clone(),
         };
-        let f1 = measure_stream(&file, 0, &real);
-        let f2 = measure_stream(&file, 0, &real);
+        let f1 = measure(&real);
+        let f2 = measure(&real);
         prop_assert_eq!(f1.warmup_clock, f2.warmup_clock);
         prop_assert_eq!(&f1.round_clocks, &f2.round_clocks);
     }
