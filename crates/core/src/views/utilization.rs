@@ -181,6 +181,37 @@ pub fn rank_utilization_rows(rows: &mut [UtilizationRow]) {
     }
 }
 
+/// Which `(type, origin core)` covers each 8-byte granule of the given lines: entry
+/// `i * (line_size / 8) + g` is granule `g` of `lines[i]`.  `lines` must be sorted.
+///
+/// One pass over the allocation log in record order, so later records overwrite
+/// earlier ones; each record binary-searches the first line it can reach and writes
+/// only the granules it covers.
+fn resolve_granules(
+    lines: &[u64],
+    records: &[AllocRecord],
+    line_size: u64,
+) -> Vec<Option<(TypeId, usize)>> {
+    let granules_per_line = (line_size / 8) as usize;
+    let mut owners = vec![None; lines.len() * granules_per_line];
+    for r in records {
+        let start = r.addr & !7;
+        let end = r.addr + r.size;
+        let first_line = start / line_size;
+        let first = lines.partition_point(|&l| l < first_line);
+        for (i, &line) in lines.iter().enumerate().skip(first) {
+            let base = line * line_size;
+            if base >= end {
+                break;
+            }
+            let from = ((start.max(base) - base) / 8) as usize;
+            let to = (end.min(base + line_size) - base).div_ceil(8) as usize;
+            owners[i * granules_per_line..][from..to].fill(Some((r.type_id, r.alloc_core)));
+        }
+    }
+    owners
+}
+
 /// Builds the utilization view from a line tally, attributing each 8-byte granule of
 /// every fetched line to the type (and allocation origin) whose allocation most
 /// recently covered it — the identical live-then-historical rule the other views use.
@@ -193,25 +224,9 @@ pub fn build_utilization(
     cycles_per_second: u64,
 ) -> UtilizationProfile {
     let granules_per_line = (line_size / 8) as usize;
-    // Which (type, origin core) covers each fetched granule?  One pass over the
-    // allocation log in record order; later records overwrite earlier ones.
-    let mut tallied: HashMap<u64, Option<(TypeId, usize)>> = HashMap::new();
-    for (line, _) in tally.iter() {
-        let base = line * line_size;
-        for g in 0..granules_per_line {
-            tallied.insert(base + 8 * g as u64, None);
-        }
-    }
-    for r in allocator.address_set() {
-        let mut g = r.addr & !7;
-        let end = r.addr + r.size;
-        while g < end {
-            if let Some(slot) = tallied.get_mut(&g) {
-                *slot = Some((r.type_id, r.alloc_core));
-            }
-            g += 8;
-        }
-    }
+    let tallied = tally.snapshot(); // sorted by line
+    let lines: Vec<u64> = tallied.iter().map(|&(line, _)| line).collect();
+    let owners = resolve_granules(&lines, allocator.address_set(), line_size);
 
     #[derive(Default)]
     struct Acc {
@@ -223,10 +238,9 @@ pub fn build_utilization(
     let mut acc: HashMap<TypeId, Acc> = HashMap::new();
     let mut resolved_slots_fetched = 0u64;
     let mut resolved_slots_touched = 0u64;
-    for (line, counts) in tally.iter() {
-        let base = line * line_size;
-        for g in 0..granules_per_line {
-            let Some(&Some((ty, core))) = tallied.get(&(base + 8 * g as u64)) else {
+    for ((_, counts), owners) in tallied.iter().zip(owners.chunks(granules_per_line)) {
+        for (g, owner) in owners.iter().enumerate() {
+            let Some((ty, core)) = *owner else {
                 continue;
             };
             let touched = counts.touched[g];
@@ -368,6 +382,78 @@ mod tests {
         assert!(p.rows.is_empty());
         assert_eq!(p.total_fetches, 1);
         assert_eq!(p.resolved_slots_fetched, 0);
+    }
+
+    /// The per-granule resolution `build_utilization` used before it was inverted:
+    /// every granule of every record is looked up in a map of the tallied granules.
+    fn resolve_granules_oracle(
+        lines: &[u64],
+        records: &[AllocRecord],
+        line_size: u64,
+    ) -> Vec<Option<(TypeId, usize)>> {
+        let granules = |&l: &u64| (0..line_size / 8).map(move |g| l * line_size + 8 * g);
+        let mut tallied: HashMap<u64, Option<(TypeId, usize)>> =
+            lines.iter().flat_map(granules).map(|g| (g, None)).collect();
+        for r in records {
+            let mut g = r.addr & !7;
+            while g < r.addr + r.size {
+                if let Some(slot) = tallied.get_mut(&g) {
+                    *slot = Some((r.type_id, r.alloc_core));
+                }
+                g += 8;
+            }
+        }
+        lines
+            .iter()
+            .flat_map(granules)
+            .map(|g| tallied[&g])
+            .collect()
+    }
+
+    #[test]
+    fn granule_resolution_matches_per_granule_oracle() {
+        // Allocation logs over a 64-line arena: a few slot addresses reused again and
+        // again by different types, objects at odd offsets that overlap their
+        // neighbours partially, sizes from one byte to five lines; and tallies that
+        // cover some of those lines, none of them, or lines outside the arena.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        const ARENA: u64 = 0x1_0000;
+        for case in 0..200 {
+            let slots: Vec<u64> = (0..6).map(|_| ARENA + next(64 * 64)).collect();
+            let records: Vec<AllocRecord> = (0..next(40))
+                .map(|i| AllocRecord {
+                    addr: if next(3) == 0 {
+                        slots[next(6) as usize]
+                    } else {
+                        ARENA + next(64 * 64)
+                    },
+                    type_id: TypeId(next(5) as u32),
+                    size: match next(4) {
+                        0 => 0,
+                        1 => 1 + next(16),
+                        _ => 1 + next(320),
+                    },
+                    alloc_core: next(4) as usize,
+                    alloc_cycle: i,
+                    free_core: None,
+                    free_cycle: None,
+                })
+                .collect();
+            let mut lines: Vec<u64> = (0..next(24)).map(|_| ARENA / 64 - 4 + next(80)).collect();
+            lines.sort_unstable();
+            lines.dedup();
+            assert_eq!(
+                resolve_granules(&lines, &records, 64),
+                resolve_granules_oracle(&lines, &records, 64),
+                "case {case}: lines {lines:x?}, records {records:x?}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The cache is the innermost data structure of the simulator: every memory access
 //! probes two or three of them.  Lines are therefore kept as packed parallel vectors
-//! (`tags` / `states` / `last_used` / `filled_at`) rather than `Vec<Option<CacheLine>>`:
+//! (`tags` / `states` / `last_used`) rather than `Vec<Option<CacheLine>>`:
 //! a way-scan touches a dense run of eight-byte tags instead of striding over 32-byte
 //! option-wrapped structs, and the invalid-slot check is a tag compare against a
 //! sentinel instead of an `Option` discriminant load.
@@ -90,23 +90,12 @@ pub struct SetAssocCache {
     states: Vec<MesiState>,
     /// LRU timestamp per slot.
     last_used: Vec<u64>,
-    /// Fill timestamp per slot.
-    filled_at: Vec<u64>,
     /// Monotonic access counter used as the LRU clock.
     tick: u64,
     /// Hit/miss/eviction statistics.
     pub stats: CacheStats,
     /// Opt-in distinct-lines-per-set tracking for the conflict analysis.
     conflict: Option<ConflictTracker>,
-}
-
-/// The result of looking up or filling a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LookupResult {
-    /// The line was present; its state is returned.
-    Hit(MesiState),
-    /// The line was absent.
-    Miss,
 }
 
 impl SetAssocCache {
@@ -123,7 +112,6 @@ impl SetAssocCache {
             tags: vec![INVALID; slot_count],
             states: vec![MesiState::Invalid; slot_count],
             last_used: vec![0; slot_count],
-            filled_at: vec![0; slot_count],
             tick: 0,
             stats: CacheStats::default(),
             conflict: None,
@@ -182,18 +170,22 @@ impl SetAssocCache {
     }
 
     /// Looks up a line, updating LRU and hit/miss statistics.  Does not fill on miss.
+    ///
+    /// A hit returns the slot it found beside the line's state, so the caller can
+    /// change that state with [`Self::set_state_at`] instead of scanning the set
+    /// again.  The slot is valid until the next `fill` or `invalidate` on this cache.
     #[inline]
-    pub fn lookup(&mut self, line: LineAddr) -> LookupResult {
+    pub fn lookup(&mut self, line: LineAddr) -> Option<(usize, MesiState)> {
         let now = self.bump();
         match self.slot_of(line) {
             Some(i) => {
                 self.last_used[i] = now;
                 self.stats.hits += 1;
-                LookupResult::Hit(self.states[i])
+                Some((i, self.states[i]))
             }
             None => {
                 self.stats.misses += 1;
-                LookupResult::Miss
+                None
             }
         }
     }
@@ -211,10 +203,10 @@ impl SetAssocCache {
         Some(self.states[i])
     }
 
-    /// Looks up a line without perturbing LRU order or statistics.
+    /// The state of a resident line, without perturbing LRU order or statistics.
     #[inline]
-    pub fn peek(&self, line: LineAddr) -> Option<CacheLine> {
-        self.slot_of(line).map(|i| self.line_at(i))
+    pub fn peek(&self, line: LineAddr) -> Option<MesiState> {
+        self.slot_of(line).map(|i| self.states[i])
     }
 
     /// True if the line is resident (no LRU or statistics update).
@@ -233,6 +225,13 @@ impl SetAssocCache {
             }
             None => false,
         }
+    }
+
+    /// Changes the coherence state of the line [`Self::lookup`] found at `slot`.
+    #[inline]
+    pub fn set_state_at(&mut self, slot: usize, state: MesiState) {
+        debug_assert_ne!(self.tags[slot], INVALID, "slot holds no line");
+        self.states[slot] = state;
     }
 
     /// Installs a line, evicting the LRU victim of its set if the set is full.
@@ -281,14 +280,17 @@ impl SetAssocCache {
         Some(evicted)
     }
 
-    /// Removes a line (e.g. due to a coherence invalidation).  Returns the removed line.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<CacheLine> {
-        let i = self.slot_of(line)?;
-        let removed = self.line_at(i);
+    /// Removes a line (e.g. due to a coherence invalidation).  Returns whether it was
+    /// resident.
+    #[inline]
+    pub fn invalidate(&mut self, line: LineAddr) -> bool {
+        let Some(i) = self.slot_of(line) else {
+            return false;
+        };
         self.tags[i] = INVALID;
         self.states[i] = MesiState::Invalid;
         self.stats.invalidations += 1;
-        Some(removed)
+        true
     }
 
     #[inline]
@@ -296,7 +298,6 @@ impl SetAssocCache {
         self.tags[i] = line;
         self.states[i] = state;
         self.last_used[i] = now;
-        self.filled_at[i] = now;
     }
 
     #[inline]
@@ -304,8 +305,6 @@ impl SetAssocCache {
         CacheLine {
             line: self.tags[i],
             state: self.states[i],
-            last_used: self.last_used[i],
-            filled_at: self.filled_at[i],
         }
     }
 
@@ -364,11 +363,23 @@ mod tests {
     #[test]
     fn miss_then_hit_after_fill() {
         let mut c = tiny();
-        assert_eq!(c.lookup(10), LookupResult::Miss);
+        assert_eq!(c.lookup(10), None);
         c.fill(10, MesiState::Exclusive);
-        assert_eq!(c.lookup(10), LookupResult::Hit(MesiState::Exclusive));
+        assert_eq!(c.lookup(10).map(|(_, s)| s), Some(MesiState::Exclusive));
         assert_eq!(c.stats.hits, 1);
         assert_eq!(c.stats.misses, 1);
+    }
+
+    #[test]
+    fn lookup_slot_takes_a_state_store() {
+        let mut c = tiny();
+        c.fill(0, MesiState::Exclusive);
+        c.fill(4, MesiState::Shared);
+        let (slot, state) = c.lookup(4).expect("resident");
+        assert_eq!(state, MesiState::Shared);
+        c.set_state_at(slot, MesiState::Modified);
+        assert_eq!(c.peek(4), Some(MesiState::Modified));
+        assert_eq!(c.peek(0), Some(MesiState::Exclusive));
     }
 
     #[test]
@@ -378,7 +389,7 @@ mod tests {
         c.fill(0, MesiState::Exclusive);
         c.fill(4, MesiState::Exclusive);
         // Touch line 0 so it is MRU.
-        assert_eq!(c.lookup(0), LookupResult::Hit(MesiState::Exclusive));
+        assert_eq!(c.lookup(0).map(|(_, s)| s), Some(MesiState::Exclusive));
         let evicted = c.fill(8, MesiState::Exclusive).expect("eviction");
         assert_eq!(evicted.line, 4, "LRU victim should be line 4");
         assert!(c.peek(0).is_some());
@@ -392,7 +403,7 @@ mod tests {
         c.fill(0, MesiState::Exclusive);
         c.fill(4, MesiState::Exclusive);
         assert!(c.fill(0, MesiState::Modified).is_none());
-        assert_eq!(c.peek(0).unwrap().state, MesiState::Modified);
+        assert_eq!(c.peek(0), Some(MesiState::Modified));
         assert_eq!(c.occupancy(), 2);
     }
 
@@ -400,9 +411,9 @@ mod tests {
     fn invalidate_removes_line() {
         let mut c = tiny();
         c.fill(7, MesiState::Shared);
-        assert!(c.invalidate(7).is_some());
+        assert!(c.invalidate(7));
         assert!(c.peek(7).is_none());
-        assert!(c.invalidate(7).is_none());
+        assert!(!c.invalidate(7));
         assert_eq!(c.stats.invalidations, 1);
     }
 

@@ -14,9 +14,14 @@
 //! (`dprof accuracy`) compares against the sampled profile.
 
 use crate::hierarchy::{AccessKind, HitLevel};
+use crate::line_table::BuildMixHasher;
 use crate::{CoreId, LineAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+
+/// The tallies are probed on every access while profiling is on, so their tables hash
+/// with [`crate::line_table::MixHasher`], not SipHash.
+type MixMap<K, V> = std::collections::HashMap<K, V, BuildMixHasher>;
+type MixSet<K> = std::collections::HashSet<K, BuildMixHasher>;
 
 /// Exact counters for one 8-byte granule of the address space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,7 +41,7 @@ pub struct GranuleCounts {
 /// An exact per-granule tally of every memory operation issued while attached.
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruthTally {
-    granules: HashMap<u64, GranuleCounts>,
+    granules: MixMap<u64, GranuleCounts>,
     /// Total operations tallied (hits included).
     pub total_accesses: u64,
     /// Total operations that missed the local L1.
@@ -120,11 +125,11 @@ pub fn granule_mask(addr: u64, len: u64, line_size: u64) -> u8 {
 /// sampling, not touch sampling).
 #[derive(Debug, Clone, Default)]
 pub struct UtilizationTally {
-    lines: HashMap<LineAddr, LineUtilCounts>,
+    lines: MixMap<LineAddr, LineUtilCounts>,
     /// Open residencies: the touch bitmask accumulated since the counted fill.
-    open: HashMap<(CoreId, LineAddr), u8>,
+    open: MixMap<(CoreId, LineAddr), u8>,
     /// Every `(core, line)` ever filled (counted or not), for re-fetch detection.
-    seen: HashSet<(CoreId, LineAddr)>,
+    seen: MixSet<(CoreId, LineAddr)>,
     /// Total counted fills.
     pub total_fetches: u64,
     /// Of the counted fills, re-fetches of previously fetched lines.

@@ -6,8 +6,17 @@
 //! open-addressed [`LineTable`] instead of the seed's `HashMap`/`HashSet` trio.  In the
 //! steady state an access performs no heap allocation (verified by the
 //! `alloc_steady_state` integration test) and no SipHash computations.
+//!
+//! Two invariants keep the path short, and [`CacheHierarchy::check_coherence_invariants`]
+//! checks both.  *Inclusion*: a line resident in a core's L1 is resident in that core's
+//! L2, in the same state (every L1 fill is paired with an L2 fill or follows an L2 hit,
+//! every L2 departure drops the L1 copy, and state changes are applied to both), so
+//! "does core `c` hold the line" is one L2 probe and remote invalidation or downgrade
+//! touches an L1 only when the L2 had the line.  *Ownership*: a line Modified on a core
+//! has that core as its directory owner and sharer, so a write hit on a Modified line
+//! changes nothing and returns straight after the lookup.
 
-use crate::cache::{LookupResult, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::geometry::CacheGeometry;
 use crate::latency::LatencyModel;
 use crate::line::MesiState;
@@ -148,7 +157,8 @@ impl HierarchyConfig {
 ///
 /// All coherence is modelled with a central directory: for every line we track the set
 /// of cores holding it and the single owner (if dirty).  Private caches are looked up
-/// L1-then-L2; the shared L3 is non-inclusive and mostly acts as a victim/shared cache.
+/// L1-then-L2 and each L2 includes its L1; the shared L3 is non-inclusive and mostly
+/// acts as a victim/shared cache.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     config: HierarchyConfig,
@@ -302,31 +312,25 @@ impl CacheHierarchy {
     ) -> (HitLevel, u64, Option<MissKind>) {
         let is_write = kind.is_write();
 
-        // L1 lookup.
-        if let LookupResult::Hit(state) = self.l1[core].lookup(line) {
-            let extra = if is_write && !state.can_write_silently() {
-                self.upgrade_to_modified(core, line);
-                self.config.latency.upgrade
-            } else if is_write {
-                self.mark_modified_local(core, line);
-                0
-            } else {
-                0
-            };
+        // L1 lookup.  A hit hands back its slot, so a state change is a store; a write
+        // that finds the line Modified has nothing to change (see the module docs).
+        if let Some((slot, state)) = self.l1[core].lookup(line) {
+            let mut extra = 0;
+            if is_write && state != MesiState::Modified {
+                extra = self.take_ownership(core, line, state);
+                self.l1[core].set_state_at(slot, MesiState::Modified);
+                self.l2[core].set_state(line, MesiState::Modified);
+            }
             return (HitLevel::L1, extra, None);
         }
 
         // L2 lookup.
-        if let LookupResult::Hit(state) = self.l2[core].lookup(line) {
-            let extra = if is_write && !state.can_write_silently() {
-                self.upgrade_to_modified(core, line);
-                self.config.latency.upgrade
-            } else if is_write {
-                self.mark_modified_local(core, line);
-                0
-            } else {
-                0
-            };
+        if let Some((slot, state)) = self.l2[core].lookup(line) {
+            let mut extra = 0;
+            if is_write && state != MesiState::Modified {
+                extra = self.take_ownership(core, line, state);
+                self.l2[core].set_state_at(slot, MesiState::Modified);
+            }
             // Promote into L1.
             let new_state = if is_write { MesiState::Modified } else { state };
             self.fill_private(core, line, new_state, /*l1_only=*/ true);
@@ -342,7 +346,11 @@ impl CacheHierarchy {
         let other_sharers = entry.sharers & !((1 as CoreMask) << core);
         let remote_owner = entry
             .owner_core()
-            .filter(|&o| o != core && Self::holds(&self.l1, &self.l2, o, line));
+            .filter(|&o| o != core && self.holds(o, line));
+        // Asked once: it picks the level below and the fill state after it, and
+        // nothing in between changes residency (downgrades keep the line resident; a
+        // write invalidates, but fills Modified whatever the answer was).
+        let held_elsewhere = remote_owner.is_some() || self.any_core_holds(other_sharers, line);
 
         let level = if let Some(owner) = remote_owner {
             // Dirty line lives in another core's cache: cache-to-cache transfer.
@@ -350,13 +358,12 @@ impl CacheHierarchy {
                 self.invalidate_remote_copies(core, line, entry.sharers, slot);
             } else {
                 // Owner downgrades to Shared; line is also pushed to L3.
-                self.l1[owner].set_state(line, MesiState::Shared);
-                self.l2[owner].set_state(line, MesiState::Shared);
+                self.downgrade_to_shared(owner, line);
                 self.l3.fill(line, MesiState::Shared);
                 self.table.entry_at_mut(slot).set_owner(None);
             }
             HitLevel::RemoteCache
-        } else if other_sharers != 0 && self.any_core_holds(other_sharers, line) {
+        } else if held_elsewhere {
             // Clean copy in some other private cache (and possibly L3).
             if is_write {
                 self.invalidate_remote_copies(core, line, entry.sharers, slot);
@@ -367,8 +374,7 @@ impl CacheHierarchy {
                 while mask != 0 {
                     let c = mask.trailing_zeros() as CoreId;
                     mask &= mask - 1;
-                    self.l1[c].set_state(line, MesiState::Shared);
-                    self.l2[c].set_state(line, MesiState::Shared);
+                    self.downgrade_to_shared(c, line);
                 }
                 // At most one of the downgraded cores can be the recorded owner;
                 // clear it through the already-resolved slot.
@@ -402,7 +408,7 @@ impl CacheHierarchy {
         // Fill into this core's private caches with the right state.
         let state = if is_write {
             MesiState::Modified
-        } else if other_sharers != 0 && self.any_core_holds(other_sharers, line) {
+        } else if held_elsewhere {
             MesiState::Shared
         } else {
             MesiState::Exclusive
@@ -435,10 +441,10 @@ impl CacheHierarchy {
         (level, 0, Some(miss_kind))
     }
 
-    /// True if core `c` holds `line` in either private level.
+    /// True if core `c` holds `line` in its private caches: one L2 probe, by inclusion.
     #[inline]
-    fn holds(l1: &[SetAssocCache], l2: &[SetAssocCache], c: CoreId, line: LineAddr) -> bool {
-        l1[c].contains(line) || l2[c].contains(line)
+    fn holds(&self, c: CoreId, line: LineAddr) -> bool {
+        self.l2[c].contains(line)
     }
 
     #[inline]
@@ -447,35 +453,44 @@ impl CacheHierarchy {
         while m != 0 {
             let c = m.trailing_zeros() as CoreId;
             m &= m - 1;
-            if Self::holds(&self.l1, &self.l2, c, line) {
+            if self.holds(c, line) {
                 return true;
             }
         }
         false
     }
 
-    /// Write hit on a line already held in M or E: just mark it Modified locally.
-    fn mark_modified_local(&mut self, core: CoreId, line: LineAddr) {
-        self.l1[core].set_state(line, MesiState::Modified);
-        self.l2[core].set_state(line, MesiState::Modified);
-        let e = self.table.entry_mut(line);
-        e.set_owner(Some(core));
-        e.sharers |= 1 << core;
+    /// Downgrades core `c`'s copy of `line`, if it has one, to Shared.
+    #[inline]
+    fn downgrade_to_shared(&mut self, c: CoreId, line: LineAddr) {
+        if self.l2[c].set_state(line, MesiState::Shared) {
+            self.l1[c].set_state(line, MesiState::Shared);
+        }
     }
 
-    /// Write hit on a Shared line: invalidate all other copies and take ownership.
-    fn upgrade_to_modified(&mut self, core: CoreId, line: LineAddr) {
+    /// Directory side of a write hit on a line held Exclusive or Shared: records
+    /// `core` as the owner, invalidating every other copy first if the line was
+    /// Shared.  Returns the extra latency.  The caller stores Modified into the
+    /// private copies.
+    fn take_ownership(&mut self, core: CoreId, line: LineAddr, state: MesiState) -> u64 {
         // One probe resolves the slot for the sharer read, the invalidation updates
         // and the ownership grab.  A write-hit line is always in the table already
         // (its fill inserted it), so ensure_slot cannot grow here.
         let slot = self.table.ensure_slot(line);
-        let sharers = self.table.entry_at(slot).sharers;
-        self.invalidate_remote_copies(core, line, sharers, slot);
-        self.l1[core].set_state(line, MesiState::Modified);
-        self.l2[core].set_state(line, MesiState::Modified);
-        let e = self.table.entry_at_mut(slot);
-        e.set_owner(Some(core));
-        e.sharers = 1 << core;
+        let bit = (1 as CoreMask) << core;
+        if state.can_write_silently() {
+            let e = self.table.entry_at_mut(slot);
+            e.set_owner(Some(core));
+            e.sharers |= bit;
+            0
+        } else {
+            let sharers = self.table.entry_at(slot).sharers;
+            self.invalidate_remote_copies(core, line, sharers, slot);
+            let e = self.table.entry_at_mut(slot);
+            e.set_owner(Some(core));
+            e.sharers = bit;
+            self.config.latency.upgrade
+        }
     }
 
     /// Removes the line from every core except `writer`, recording the invalidation so
@@ -497,14 +512,9 @@ impl CacheHierarchy {
         while mask != 0 {
             let c = mask.trailing_zeros() as CoreId;
             mask &= mask - 1;
-            let mut had = false;
-            if self.l1[c].invalidate(line).is_some() {
-                had = true;
-            }
-            if self.l2[c].invalidate(line).is_some() {
-                had = true;
-            }
-            if had {
+            // L2 first: when it lacks the line, so does the L1 (inclusion).
+            if self.l2[c].invalidate(line) {
+                self.l1[c].invalidate(line);
                 departed |= (1 as CoreMask) << c;
             }
         }
@@ -523,19 +533,13 @@ impl CacheHierarchy {
 
     /// Fills the line into this core's private caches, handling evictions.
     fn fill_private(&mut self, core: CoreId, line: LineAddr, state: MesiState, l1_only: bool) {
-        if let Some(victim) = self.l1[core].fill(line, state) {
-            // An L1 victim usually still lives in the L2, so it has not left the core.
-            if !self.l2[core].contains(victim.line) {
-                if victim.is_dirty() {
-                    self.l3.fill(victim.line, MesiState::Modified);
-                }
-                self.note_eviction(core, victim.line);
-            }
-        }
+        // An L1 victim still lives in the L2 (inclusion), in the same state, so it
+        // has not left the core and there is nothing to write back or record.
+        let l1_victim = self.l1[core].fill(line, state);
+        debug_assert!(l1_victim.is_none_or(|v| self.l2[core].peek(v.line) == Some(v.state)));
         if !l1_only {
             if let Some(victim) = self.l2[core].fill(line, state) {
-                // Leaving the L2 means leaving the core (unless the tiny L1 still has it,
-                // which we resolve by dropping the L1 copy too, mimicking inclusion).
+                // Leaving the L2 means leaving the core: drop the L1 copy too.
                 self.l1[core].invalidate(victim.line);
                 if victim.is_dirty() {
                     self.l3.fill(victim.line, MesiState::Modified);
@@ -545,16 +549,14 @@ impl CacheHierarchy {
         }
     }
 
+    /// Records that `line` left `core`'s private caches by replacement.
     fn note_eviction(&mut self, core: CoreId, line: LineAddr) {
-        let still_held = Self::holds(&self.l1, &self.l2, core, line);
         let e = self.table.entry_mut(line);
-        // Invalidation takes precedence if both happened (shouldn't, but be safe).
+        // An earlier invalidation note takes precedence (see `note_evicted`).
         e.note_evicted(core);
-        if !still_held {
-            e.sharers &= !((1 as CoreMask) << core);
-            if e.owner_core() == Some(core) {
-                e.set_owner(None);
-            }
+        e.sharers &= !((1 as CoreMask) << core);
+        if e.owner_core() == Some(core) {
+            e.set_owner(None);
         }
     }
 
@@ -620,7 +622,9 @@ impl CacheHierarchy {
     /// * directory ownership: a Modified line's directory entry names that core as the
     ///   owner (the converse need not hold — stale owners of departed lines are benign
     ///   and filtered by residency checks on the access path);
-    /// * sharer superset: every core actually holding a line has its sharer bit set.
+    /// * sharer superset: every core actually holding a line has its sharer bit set;
+    /// * inclusion: a line resident in a core's L1 is resident in that core's L2, in
+    ///   the same state.
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
         use std::collections::{HashMap, HashSet};
         let mut modified_lines: HashMap<LineAddr, CoreId> = HashMap::new();
@@ -675,6 +679,26 @@ impl CacheHierarchy {
                         "line {line:#x} held by core {c} but its sharer bit is clear \
                          (mask {sharers:#b})"
                     ));
+                }
+            }
+        }
+        for c in 0..self.config.cores {
+            for l in self.l1[c].resident_lines() {
+                match self.l2[c].peek(l.line) {
+                    Some(state) if state == l.state => {}
+                    Some(state) => {
+                        return Err(format!(
+                            "line {:#x} is {:?} in core {c}'s L1 but {state:?} in its L2",
+                            l.line, l.state
+                        ));
+                    }
+                    None => {
+                        return Err(format!(
+                            "line {:#x} resident in core {c}'s L1 but not in its L2 \
+                             (inclusion)",
+                            l.line
+                        ));
+                    }
                 }
             }
         }
@@ -892,6 +916,171 @@ mod tests {
     }
 
     #[test]
+    fn broken_inclusion_is_flagged() {
+        // An L1 line whose L2 copy is gone.
+        let mut h = hierarchy();
+        h.access(0, 0x6000, AccessKind::Read);
+        let line = h.line_addr(0x6000);
+        assert!(h.l2[0].invalidate(line));
+        let err = h.check_coherence_invariants().unwrap_err();
+        assert!(err.contains("inclusion"), "unexpected error: {err}");
+        // An L1 line whose L2 copy is in another state.
+        let mut h = hierarchy();
+        h.access(0, 0x6000, AccessKind::Read);
+        assert!(h.l2[0].set_state(line, MesiState::Shared));
+        let err = h.check_coherence_invariants().unwrap_err();
+        assert!(
+            err.contains("Exclusive in core 0's L1 but Shared in its L2"),
+            "unexpected error: {err}"
+        );
+    }
+
+    /// Drives the optimized hierarchy and the reference with one access and requires
+    /// the same outcome from both.
+    fn both(
+        h: &mut CacheHierarchy,
+        r: &mut crate::reference::RefCacheHierarchy,
+        core: CoreId,
+        line: LineAddr,
+        kind: AccessKind,
+    ) -> AccessOutcome {
+        let out = h.access(core, line * 64, kind);
+        assert_eq!(
+            out,
+            r.access(core, line * 64, kind),
+            "core {core} line {line:#x}"
+        );
+        out
+    }
+
+    #[test]
+    fn write_hits_change_what_the_reference_changes_and_nothing_else() {
+        use AccessKind::{Read, Write};
+        let cfg = HierarchyConfig::small_test();
+        let lat = cfg.latency;
+        let mut h = CacheHierarchy::new(cfg);
+        let mut r = crate::reference::RefCacheHierarchy::new(cfg);
+        // Everything a write hit could touch on core 0, for before/after comparisons.
+        let snapshot = |h: &CacheHierarchy, line: LineAddr| {
+            (
+                (h.l1[0].peek(line), h.l1[0].stats),
+                (h.l2[0].peek(line), h.l2[0].stats),
+                h.table.get(line).copied(),
+            )
+        };
+        // L1 has 16 sets of 2 ways, L2 32 sets of 4: these lines share L1 set 0; `t`,
+        // `u`, `v`, `w`, `x` share L2 set 0 as well, `p` and `q` sit in L2 set 16.
+        let (t, u, v, w, x, p, q) = (0x40, 0x60, 0x80, 0xa0, 0xc0, 0x50, 0x70);
+
+        // --- Write hits in the L1.
+        // E -> M: a store into the L1 slot, the L2 copy follows, the directory gains
+        // an owner; no upgrade latency.
+        both(&mut h, &mut r, 0, t, Read);
+        let out = both(&mut h, &mut r, 0, t, Write);
+        assert_eq!((out.level, out.latency), (HitLevel::L1, lat.l1));
+        let (l1, l2, dir) = snapshot(&h, t);
+        assert_eq!(l1.0, Some(MesiState::Modified));
+        assert_eq!(l2.0, Some(MesiState::Modified));
+        assert_eq!((l1.1.hits, l1.1.misses, l2.1.hits), (1, 1, 0));
+        let dir = dir.unwrap();
+        assert_eq!((dir.owner_core(), dir.sharers), (Some(0), 1));
+        // M -> M: one more L1 hit and nothing else moves.
+        let out = both(&mut h, &mut r, 0, t, Write);
+        assert_eq!((out.level, out.latency), (HitLevel::L1, lat.l1));
+        let (l1_after, l2_after, dir_after) = snapshot(&h, t);
+        assert_eq!(l1_after.1.hits, l1.1.hits + 1);
+        assert_eq!((l1_after.0, l1_after.1.misses), (l1.0, l1.1.misses));
+        assert_eq!(l2_after, l2);
+        assert_eq!(dir_after, Some(dir));
+        // S -> M: an upgrade; core 1's copies are invalidated and it is told so.
+        both(&mut h, &mut r, 0, p, Read);
+        both(&mut h, &mut r, 1, p, Read);
+        let out = both(&mut h, &mut r, 0, p, Write);
+        assert_eq!(
+            (out.level, out.latency),
+            (HitLevel::L1, lat.l1 + lat.upgrade)
+        );
+        assert_eq!(h.l1[1].stats.invalidations, 1);
+        assert_eq!(h.l2[1].stats.invalidations, 1);
+        let dir = *h.table.get(p).unwrap();
+        assert_eq!(
+            (dir.owner_core(), dir.sharers, dir.invalidated),
+            (Some(0), 1, 2)
+        );
+        assert_eq!(h.l2[0].peek(p), Some(MesiState::Modified));
+        // The written lines are the L1 set's most recent: `t` (older) is the victim
+        // of the next fill, `p` stays.
+        both(&mut h, &mut r, 0, q, Read);
+        assert_eq!(both(&mut h, &mut r, 0, p, Read).level, HitLevel::L1);
+        assert_eq!(both(&mut h, &mut r, 0, t, Read).level, HitLevel::L2);
+        let out = both(&mut h, &mut r, 1, p, Read);
+        assert_eq!(out.level, HitLevel::RemoteCache);
+        assert_eq!(out.miss_kind, Some(MissKind::Invalidation));
+
+        // --- Write hits in the L2 (the line is pushed out of the L1 first).
+        let mut h = CacheHierarchy::new(cfg);
+        let mut r = crate::reference::RefCacheHierarchy::new(cfg);
+        for line in [t, u, v, w] {
+            both(&mut h, &mut r, 0, line, Read);
+        }
+        // E -> M: `t` is the L2 set's oldest line until the write's lookup refreshes
+        // it; it is promoted into the L1 as Modified.
+        assert_eq!(h.l1[0].peek(t), None);
+        let out = both(&mut h, &mut r, 0, t, Write);
+        assert_eq!((out.level, out.latency), (HitLevel::L2, lat.l2));
+        let (l1, l2, dir) = snapshot(&h, t);
+        assert_eq!(l1.0, Some(MesiState::Modified));
+        assert_eq!(l2.0, Some(MesiState::Modified));
+        assert_eq!((l2.1.hits, l2.1.misses), (1, 4));
+        let dir = dir.unwrap();
+        assert_eq!((dir.owner_core(), dir.sharers), (Some(0), 1));
+        // M -> M: push `t` out of the L1 again, write it: an L2 hit, an L1 refill.
+        both(&mut h, &mut r, 0, v, Read);
+        both(&mut h, &mut r, 0, w, Read);
+        assert_eq!(h.l1[0].peek(t), None);
+        let before = snapshot(&h, t);
+        let out = both(&mut h, &mut r, 0, t, Write);
+        assert_eq!((out.level, out.latency), (HitLevel::L2, lat.l2));
+        let after = snapshot(&h, t);
+        assert_eq!(after.1 .0, Some(MesiState::Modified));
+        assert_eq!(after.1 .1.hits, before.1 .1.hits + 1);
+        assert_eq!(after.1 .1.misses, before.1 .1.misses);
+        assert_eq!(after.2, before.2);
+        // The L2 set's victim is now `u`, the one line no hit refreshed: not `t`.
+        both(&mut h, &mut r, 0, x, Read);
+        assert_eq!(h.l2[0].peek(u), None);
+        assert_eq!(both(&mut h, &mut r, 0, t, Read).level, HitLevel::L1);
+        let out = both(&mut h, &mut r, 0, u, Read);
+        assert_eq!(out.miss_kind, Some(MissKind::Eviction));
+        // S -> M: shared with core 1, pushed out of core 0's L1, then written.
+        both(&mut h, &mut r, 0, p, Read);
+        both(&mut h, &mut r, 1, p, Read);
+        both(&mut h, &mut r, 0, t, Read);
+        both(&mut h, &mut r, 0, u, Read);
+        assert_eq!(h.l1[0].peek(p), None);
+        let out = both(&mut h, &mut r, 0, p, Write);
+        assert_eq!(
+            (out.level, out.latency),
+            (HitLevel::L2, lat.l2 + lat.upgrade)
+        );
+        assert_eq!(h.l1[0].peek(p), Some(MesiState::Modified));
+        assert_eq!(h.l2[0].peek(p), Some(MesiState::Modified));
+        let dir = *h.table.get(p).unwrap();
+        assert_eq!(
+            (dir.owner_core(), dir.sharers, dir.invalidated),
+            (Some(0), 1, 2)
+        );
+        let out = both(&mut h, &mut r, 1, p, Write);
+        assert_eq!(out.level, HitLevel::RemoteCache);
+        assert_eq!(out.miss_kind, Some(MissKind::Invalidation));
+
+        assert_eq!(h.stats, r.stats);
+        assert_eq!(h.per_core, r.per_core);
+        h.check_coherence_invariants().unwrap();
+        r.check_coherence_invariants().unwrap();
+    }
+
+    #[test]
     fn directory_owner_mismatch_is_flagged() {
         let mut h = hierarchy();
         h.access(0, 0x7000, AccessKind::Write);
@@ -914,7 +1103,7 @@ mod tests {
         for i in 1..=(h.config().l2.ways as u64 + h.config().l1.ways as u64 + 2) {
             h.access(0, 0x40_0000 + i * stride, AccessKind::Write);
         }
-        assert!(!CacheHierarchy::holds(&h.l1, &h.l2, 0, line));
+        assert!(!h.holds(0, line));
         // Force the stale-owner shape directly (note_eviction normally clears it).
         h.table.entry_mut(line).set_owner(Some(0));
         h.check_coherence_invariants()

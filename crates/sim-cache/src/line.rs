@@ -36,30 +36,17 @@ impl MesiState {
     }
 }
 
-/// A single line resident in a [`crate::SetAssocCache`].
+/// A single line resident in a [`crate::SetAssocCache`]: what `fill` reports as its
+/// victim and what `resident_lines` yields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheLine {
     /// Line address (byte address divided by the line size).
     pub line: u64,
     /// Coherence state.
     pub state: MesiState,
-    /// Monotonic timestamp of the last access, used for LRU replacement.
-    pub last_used: u64,
-    /// Timestamp at which the line was filled into this cache.
-    pub filled_at: u64,
 }
 
 impl CacheLine {
-    /// Creates a freshly-filled line.
-    pub fn new(line: u64, state: MesiState, now: u64) -> Self {
-        CacheLine {
-            line,
-            state,
-            last_used: now,
-            filled_at: now,
-        }
-    }
-
     /// True if the line must be written back when evicted.
     pub fn is_dirty(&self) -> bool {
         self.state == MesiState::Modified
@@ -91,12 +78,10 @@ mod tests {
 
     #[test]
     fn dirty_only_when_modified() {
-        let m = CacheLine::new(1, MesiState::Modified, 0);
-        let e = CacheLine::new(1, MesiState::Exclusive, 0);
-        let s = CacheLine::new(1, MesiState::Shared, 0);
-        assert!(m.is_dirty());
-        assert!(!e.is_dirty());
-        assert!(!s.is_dirty());
+        let with = |state| CacheLine { line: 1, state };
+        assert!(with(MesiState::Modified).is_dirty());
+        assert!(!with(MesiState::Exclusive).is_dirty());
+        assert!(!with(MesiState::Shared).is_dirty());
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! conflict tracker in [`crate::SetAssocCache`].
 
 use crate::{CoreId, CoreMask, LineAddr};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sentinel meaning "this slot is empty".  Real line addresses never reach this value:
 /// it would require a byte address above 2^70.
@@ -40,6 +41,41 @@ fn mix(key: LineAddr) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// This module's mixer as a `std` hasher, for the `HashMap`s of the profiling
+/// tallies, which are keyed by addresses and `(core, line)` pairs and probed on every
+/// access: one multiply-xorshift round per integer written instead of SipHash.
+/// Iteration order depends on nothing but the keys inserted; every consumer sorts or
+/// sums anyway.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MixHasher(u64);
+
+/// `BuildHasher` of [`MixHasher`].
+pub type BuildMixHasher = BuildHasherDefault<MixHasher>;
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Not on any path here: the tallies' keys are integers and pairs of integers.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix(self.0 ^ v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
 }
 
 /// Linear probe over a power-of-two key array (`mask = len - 1`): `Ok(slot)` if `line`

@@ -18,13 +18,43 @@
 // defeat its purpose as the unchanged oracle.
 #![allow(clippy::manual_flatten)]
 
-use crate::cache::LookupResult;
 use crate::geometry::CacheGeometry;
 use crate::hierarchy::{AccessKind, AccessOutcome, HierarchyConfig, HitLevel};
-use crate::line::{CacheLine, MesiState};
+use crate::line::MesiState;
 use crate::stats::{CacheStats, HierarchyStats, MissKind};
 use crate::{Addr, CoreId, CoreMask, LineAddr, MAX_CORES};
 use std::collections::{HashMap, HashSet};
+
+/// The seed's per-slot record.  (The optimized cache keeps no fill timestamp.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheLine {
+    pub line: u64,
+    pub state: MesiState,
+    pub last_used: u64,
+    pub filled_at: u64,
+}
+
+impl CacheLine {
+    pub fn new(line: u64, state: MesiState, now: u64) -> Self {
+        CacheLine {
+            line,
+            state,
+            last_used: now,
+            filled_at: now,
+        }
+    }
+
+    pub fn is_dirty(&self) -> bool {
+        self.state == MesiState::Modified
+    }
+}
+
+/// The seed's lookup result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LookupResult {
+    Hit(MesiState),
+    Miss,
+}
 
 /// The seed set-associative cache: option-wrapped lines, always-on distinct tracking.
 #[derive(Debug, Clone)]

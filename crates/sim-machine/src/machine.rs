@@ -421,7 +421,10 @@ impl Machine {
                 kind,
             });
         }
-        let line_size = self.hierarchy.line_size() as u64;
+        // Line sizes are powers of two (`CacheGeometry::new` asserts it): lines are
+        // split with the geometry's mask, not a divide per chunk.
+        let l1 = self.hierarchy.config().l1;
+        let line_size = l1.line_size as u64;
         let mut offset = 0u64;
         let mut worst: Option<AccessOutcome> = None;
         let mut total_latency = 0u64;
@@ -429,7 +432,7 @@ impl Machine {
 
         while offset < len {
             let a = addr + offset;
-            let line_end = (a / line_size + 1) * line_size;
+            let line_end = l1.line_base(a) + line_size;
             let chunk = (line_end - a).min(len - offset);
             let outcome = self.hierarchy.access(core, a, kind);
             total_latency += outcome.latency;
@@ -588,6 +591,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_cache::LineUtilCounts;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::small_test())
@@ -775,6 +779,25 @@ mod tests {
         let ut_bat = bat.take_utilization().unwrap();
         assert_eq!(ut_seq.snapshot(), ut_bat.snapshot());
         assert_eq!(ut_seq.total_fetches, ut_bat.total_fetches);
+
+        // What the tallies hold, pinned to what the SipHash-backed tables held for
+        // this stream: three lines filled once each, every offset both read (8 bytes)
+        // and written (16 bytes); IBS sampled only the fill of the third.
+        let once = |touched| LineUtilCounts {
+            fetches: 1,
+            refetches: 0,
+            touched,
+        };
+        let exact = vec![
+            (0x80, once([1, 1, 0, 1, 1, 0, 1, 1])),
+            (0x81, once([0, 1, 1, 0, 1, 1, 0, 1])),
+            (0x82, once([1, 0, 1, 1, 0, 0, 0, 0])),
+        ];
+        assert_eq!(gt_seq.utilization.snapshot(), exact);
+        assert_eq!(gt_seq.utilization.total_fetches, 3);
+        assert_eq!(gt_seq.utilization.total_refetches, 0);
+        assert_eq!(ut_seq.snapshot(), exact[2..]);
+        assert_eq!(ut_seq.total_fetches, 1);
     }
 
     #[test]
