@@ -2,23 +2,33 @@
 """Throughput-regression gate for the CI `perf-regression` job.
 
 Compares a fresh `dprof-bench --quick --emit-json` run against the checked-in
-baseline (`BENCH_throughput.json`, schema `dprof-bench-throughput/v1`): for
-every (workload, cores) point present in BOTH documents, the fresh optimized
-accesses/s must be at least `--tolerance` (default 0.7) times the baseline's.
-The generous tolerance absorbs runner-speed variance between the machine that
-recorded the baseline and the CI machine of the day; a real hot-path
-regression (the kind PR 2 existed to prevent) loses far more than 30%.
+quick-scale baseline (`BENCH_throughput_quick.json`, schema
+`dprof-bench-throughput/v1`): for every (workload, cores) point present in
+BOTH documents, the fresh optimized accesses/s must be at least `--tolerance`
+(default 0.7) times the baseline's.  The generous tolerance absorbs
+runner-speed variance between the machine that recorded the baseline and the
+CI machine of the day; a real hot-path regression (the kind PR 2 existed to
+prevent) loses far more than 30%.
 
-Refreshing the baseline (e.g. after an intentional trade-off, or when the CI
+Like is compared with like: the two documents must have the same `scale`.  A
+quick-scale trace is five times shorter than a paper-scale one at the same
+core count, so more of it is cold misses: one and the same build read
+0.82-0.99x of its paper-scale figures at quick scale on a quiet host and
+0.53-0.86x on a busy one, which alone can trip the tolerance.  Comparing
+across scales is refused.
+
+Refreshing the baselines (e.g. after an intentional trade-off, or when the CI
 runner fleet changes speed class): run
 
     cargo run --release -p dprof-bench --bin dprof-bench -- --emit-json
+    cargo run --release -p dprof-bench --bin dprof-bench -- \
+        --quick --emit-json BENCH_throughput_quick.json
 
-on the reference machine and commit the regenerated BENCH_throughput.json in
-the same PR, noting the reason in the PR description.  The baseline is `paper`
-scale; only the core counts the quick run also measures are compared.
+on the reference machine and commit both regenerated files in the same PR,
+noting the reason in the PR description.
 
-Exit status: 0 when every compared point clears the tolerance, 1 otherwise.
+Exit status: 0 when every compared point clears the tolerance, 1 when one does
+not, 2 when the two documents were measured at different scales.
 """
 
 import argparse
@@ -26,17 +36,18 @@ import json
 import sys
 
 
-def load_points(path):
+def load(path):
+    """The document's scale and its points keyed by (workload, cores)."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") != "dprof-bench-throughput/v1":
         sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
-    return {(p["workload"], p["cores"]): p for p in doc["points"]}
+    return doc.get("scale"), {(p["workload"], p["cores"]): p for p in doc["points"]}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline", help="checked-in BENCH_throughput.json")
+    ap.add_argument("baseline", help="checked-in baseline of the fresh run's scale")
     ap.add_argument("fresh", help="freshly measured bench JSON")
     ap.add_argument(
         "--tolerance",
@@ -46,8 +57,15 @@ def main():
     )
     args = ap.parse_args()
 
-    baseline = load_points(args.baseline)
-    fresh = load_points(args.fresh)
+    baseline_scale, baseline = load(args.baseline)
+    fresh_scale, fresh = load(args.fresh)
+    if baseline_scale != fresh_scale:
+        print(
+            f"::error::{args.baseline} is {baseline_scale!r} scale but {args.fresh} is "
+            f"{fresh_scale!r} scale: throughput is only comparable at one scale",
+            file=sys.stderr,
+        )
+        return 2
     shared = sorted(set(baseline) & set(fresh))
     if not shared:
         sys.exit("no (workload, cores) points shared between baseline and fresh run")

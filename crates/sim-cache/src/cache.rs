@@ -22,8 +22,9 @@ const INVALID: LineAddr = LineAddr::MAX;
 /// equality bitmask (`(t ^ line) == 0` compiles to a flag set, not a jump), and
 /// branches once per chunk instead of once per way.  Way counts in this simulator
 /// are 8 or 16, so the scalar tail below only runs for odd test geometries.
-/// Sentinel-safe: probes are real line addresses, which never equal [`INVALID`],
-/// so an empty slot can never produce a false match.
+/// Sentinel-safe: a probe for a line is a real line address, which never equals
+/// [`INVALID`], so an empty slot can never produce a false match; `place` probes for
+/// [`INVALID`] itself, and gets the first empty way.
 #[inline]
 fn find_way(tags: &[LineAddr], line: LineAddr) -> Option<usize> {
     let mut i = 0;
@@ -68,7 +69,8 @@ impl ConflictTracker {
         }
     }
 
-    #[inline]
+    /// Out of line: the tracker is opt-in, and every fill checks for it.
+    #[inline(never)]
     fn note(&mut self, set: usize, line: LineAddr) {
         if self.seen.insert(line) {
             self.per_set[set] += 1;
@@ -234,48 +236,57 @@ impl SetAssocCache {
         self.states[slot] = state;
     }
 
+    /// Counts a miss the caller already knows about (the hierarchy's directory says
+    /// this cache lacks the line): exactly what [`Self::lookup`] does when its way
+    /// scan finds nothing, without the scan.
+    #[inline]
+    pub(crate) fn note_miss(&mut self) {
+        self.bump();
+        self.stats.misses += 1;
+    }
+
     /// Installs a line, evicting the LRU victim of its set if the set is full.
     ///
-    /// Returns the evicted line, if any.  If the line is already present its state is
-    /// simply updated (no eviction occurs).
+    /// Returns the evicted line, if any.  If the line is already present its state and
+    /// LRU position are refreshed instead (no eviction, no fill counted).
     pub fn fill(&mut self, line: LineAddr, state: MesiState) -> Option<CacheLine> {
+        let Some(i) = self.slot_of(line) else {
+            return self.place(line, state);
+        };
         let now = self.bump();
-        if let Some(t) = self.conflict.as_mut() {
-            t.note(self.geometry.set_index_of_line(line), line);
-        }
+        self.note_conflict(line);
+        self.states[i] = state;
+        self.last_used[i] = now;
+        None
+    }
 
+    /// [`Self::fill`] for a line the caller knows is absent, and the one
+    /// victim-selection routine: the first invalid way if the set has one, else the
+    /// least recently used way (the first of them on a tie).  Neither step branches
+    /// per way: the invalid way comes from the chunked tag compare, the victim from an
+    /// arg-min written as selects.
+    pub(crate) fn place(&mut self, line: LineAddr, state: MesiState) -> Option<CacheLine> {
+        debug_assert!(!self.contains(line), "place of a resident line");
+        let now = self.bump();
+        self.note_conflict(line);
         let base = self.set_base(line);
-        let end = base + self.geometry.ways;
-        let mut free = usize::MAX;
-        let mut victim = base;
-        let mut victim_used = u64::MAX;
-        for i in base..end {
-            let tag = self.tags[i];
-            if tag == line {
-                // Already present: refresh.
-                self.states[i] = state;
-                self.last_used[i] = now;
-                return None;
-            }
-            if tag == INVALID {
-                if free == usize::MAX {
-                    free = i;
-                }
-            } else if self.last_used[i] < victim_used {
-                victim_used = self.last_used[i];
-                victim = i;
-            }
-        }
+        let ways = self.geometry.ways;
+        self.stats.fills += 1;
 
-        if free != usize::MAX {
-            self.install(free, line, state, now);
-            self.stats.fills += 1;
+        if let Some(free) = find_way(&self.tags[base..base + ways], INVALID) {
+            self.install(base + free, line, state, now);
             return None;
         }
 
-        let evicted = self.line_at(victim);
-        self.install(victim, line, state, now);
-        self.stats.fills += 1;
+        let used = &self.last_used[base..base + ways];
+        let (mut victim, mut oldest) = (0, used[0]);
+        for (w, &u) in used.iter().enumerate().skip(1) {
+            let older = u < oldest;
+            victim = if older { w } else { victim };
+            oldest = if older { u } else { oldest };
+        }
+        let evicted = self.line_at(base + victim);
+        self.install(base + victim, line, state, now);
         self.stats.evictions += 1;
         Some(evicted)
     }
@@ -291,6 +302,13 @@ impl SetAssocCache {
         self.states[i] = MesiState::Invalid;
         self.stats.invalidations += 1;
         true
+    }
+
+    #[inline]
+    fn note_conflict(&mut self, line: LineAddr) {
+        if let Some(t) = self.conflict.as_mut() {
+            t.note(self.geometry.set_index_of_line(line), line);
+        }
     }
 
     #[inline]
@@ -488,5 +506,163 @@ mod tests {
         c.last_used[1] = 7;
         let evicted = c.fill(8, MesiState::Exclusive).unwrap();
         assert_eq!(evicted.line, 0, "first way must win an exact LRU tie");
+    }
+
+    /// The optimized cache and the reference, driven in lockstep: every operation must
+    /// return the same thing and leave the same lines, states, LRU stamps and counts.
+    struct Lockstep {
+        c: SetAssocCache,
+        r: crate::reference::RefSetAssocCache,
+    }
+
+    impl Lockstep {
+        fn new(ways: usize, sets: usize) -> Self {
+            let g = CacheGeometry::new(64, ways, sets);
+            Lockstep {
+                c: SetAssocCache::new(g),
+                r: crate::reference::RefSetAssocCache::new(g),
+            }
+        }
+
+        /// `fill`, through `place` when the line is absent (what the hierarchy's miss
+        /// path does).  Returns the victim's line.
+        fn fill(&mut self, line: LineAddr, state: MesiState) -> Option<LineAddr> {
+            let got = if self.c.contains(line) {
+                self.c.fill(line, state)
+            } else {
+                self.c.place(line, state)
+            };
+            let want = self.r.fill(line, state);
+            assert_eq!(
+                got.map(|v| (v.line, v.state)),
+                want.map(|v| (v.line, v.state)),
+                "victim of filling {line:#x}"
+            );
+            self.check();
+            got.map(|v| v.line)
+        }
+
+        fn lookup(&mut self, line: LineAddr) {
+            use crate::reference::LookupResult;
+            let want = match self.r.lookup(line) {
+                LookupResult::Hit(s) => Some(s),
+                LookupResult::Miss => None,
+            };
+            assert_eq!(self.c.lookup(line).map(|(_, s)| s), want);
+            self.check();
+        }
+
+        fn invalidate(&mut self, line: LineAddr) {
+            assert_eq!(self.c.invalidate(line), self.r.invalidate(line).is_some());
+            self.check();
+        }
+
+        fn check(&self) {
+            assert_eq!(self.c.stats, self.r.stats);
+            let mut got: Vec<_> = (0..self.c.tags.len())
+                .filter(|&i| self.c.tags[i] != INVALID)
+                .map(|i| (self.c.tags[i], self.c.states[i], self.c.last_used[i]))
+                .collect();
+            let mut want: Vec<_> = self
+                .r
+                .resident_lines()
+                .map(|l| (l.line, l.state, l.last_used))
+                .collect();
+            // Which empty way a line lands in is not the reference's business.
+            got.sort_unstable_by_key(|l| l.0);
+            want.sort_unstable_by_key(|l| l.0);
+            assert_eq!(got, want);
+        }
+
+        /// A pseudo-random fill/lookup/invalidate sequence over few enough lines that
+        /// sets fill up, empty out and refill.
+        fn random_ops(&mut self, seed: u64, ops: usize) {
+            const STATES: [MesiState; 3] =
+                [MesiState::Shared, MesiState::Exclusive, MesiState::Modified];
+            let lines = (self.c.tags.len() * 3) as u64;
+            let mut x = seed | 1;
+            for _ in 0..ops {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let line = (x >> 8) % lines;
+                match x % 8 {
+                    0..=3 => {
+                        self.fill(line, STATES[(x >> 40) as usize % 3]);
+                    }
+                    4..=5 => self.lookup(line),
+                    _ => self.invalidate(line),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn place_takes_the_first_invalid_way_over_any_older_valid_way() {
+        let mut m = Lockstep::new(4, 2);
+        // Lines 0, 2, 4, 6 fill set 0 in way order; then ways 1 and 2 empty out, and
+        // way 0 holds the oldest line of the set.
+        for line in [0, 2, 4, 6] {
+            m.fill(line, MesiState::Exclusive);
+        }
+        m.invalidate(2);
+        m.invalidate(4);
+        assert_eq!(m.fill(8, MesiState::Shared), None);
+        assert_eq!(m.c.tags[..4], [0, 8, INVALID, 6]);
+        assert_eq!(m.fill(10, MesiState::Shared), None);
+        assert_eq!(m.c.tags[..4], [0, 8, 10, 6]);
+        assert_eq!(m.c.stats.evictions, 0);
+        m.random_ops(0x9e37_79b9_7f4a_7c15, 4_000);
+    }
+
+    #[test]
+    fn place_evicts_the_least_recently_used_way_of_a_full_set() {
+        let mut m = Lockstep::new(4, 2);
+        for line in [0, 2, 4, 6] {
+            m.fill(line, MesiState::Exclusive);
+        }
+        // Refresh everything but line 4 (way 2), out of way order.
+        for line in [6, 0, 2] {
+            m.lookup(line);
+        }
+        assert_eq!(m.fill(8, MesiState::Modified), Some(4));
+        // Now line 6 is the oldest, then 0, then 2.
+        assert_eq!(m.fill(10, MesiState::Shared), Some(6));
+        assert_eq!(m.fill(12, MesiState::Shared), Some(0));
+        assert_eq!(m.c.tags[..4], [12, 2, 8, 10]);
+        // 8- and 16-way sets go through the chunked tag compare.
+        for ways in [8, 16, 3] {
+            let mut m = Lockstep::new(ways, 4);
+            m.random_ops(0xd1b5_4a32_d192_ed03 + ways as u64, 6_000);
+            assert!(m.c.stats.evictions > 100, "{ways} ways: sets never filled");
+        }
+    }
+
+    #[test]
+    fn fill_of_a_resident_line_refreshes_state_and_lru_without_counting_a_fill() {
+        let mut m = Lockstep::new(2, 4);
+        m.fill(0, MesiState::Exclusive);
+        m.fill(4, MesiState::Exclusive);
+        let before = m.c.stats;
+        assert_eq!(m.fill(0, MesiState::Modified), None);
+        assert_eq!(m.c.stats, before);
+        assert_eq!(m.c.peek(0), Some(MesiState::Modified));
+        // The refill made line 0 the most recent: line 4 is the next victim.
+        assert_eq!(m.fill(8, MesiState::Shared), Some(4));
+        m.random_ops(0x2545_f491_4f6c_dd1d, 4_000);
+    }
+
+    #[test]
+    fn note_miss_is_a_lookup_miss_without_the_scan() {
+        let mut scanned = tiny();
+        scanned.fill(0, MesiState::Exclusive);
+        scanned.fill(4, MesiState::Shared);
+        let mut told = scanned.clone();
+        assert_eq!(scanned.lookup(8), None);
+        told.note_miss();
+        // Tick, LRU stamps, contents and counts: the whole cache.
+        assert_eq!(format!("{told:?}"), format!("{scanned:?}"));
+        assert_eq!(told.stats.misses, 1);
+        assert_eq!(told.tick, 3);
     }
 }

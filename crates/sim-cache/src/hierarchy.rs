@@ -7,14 +7,19 @@
 //! steady state an access performs no heap allocation (verified by the
 //! `alloc_steady_state` integration test) and no SipHash computations.
 //!
-//! Two invariants keep the path short, and [`CacheHierarchy::check_coherence_invariants`]
-//! checks both.  *Inclusion*: a line resident in a core's L1 is resident in that core's
-//! L2, in the same state (every L1 fill is paired with an L2 fill or follows an L2 hit,
-//! every L2 departure drops the L1 copy, and state changes are applied to both), so
-//! "does core `c` hold the line" is one L2 probe and remote invalidation or downgrade
-//! touches an L1 only when the L2 had the line.  *Ownership*: a line Modified on a core
-//! has that core as its directory owner and sharer, so a write hit on a Modified line
-//! changes nothing and returns straight after the lookup.
+//! Three invariants keep the path short, and [`CacheHierarchy::check_coherence_invariants`]
+//! checks all of them.  *Inclusion*: a line resident in a core's L1 is resident in that
+//! core's L2, in the same state (every L1 fill is paired with an L2 fill or follows an L2
+//! hit, every L2 departure drops the L1 copy, and state changes are applied to both), so
+//! remote invalidation or downgrade touches an L1 only when the L2 had the line.
+//! *Ownership*: a line Modified on a core has that core as its directory owner and
+//! sharer, so a write hit on a Modified line changes nothing and returns straight after
+//! the lookup.  *Exactness*: core `c`'s sharer bit is set exactly when `c`'s L2 holds
+//! the line, and a directory owner holds the line (every fill sets the bit, every
+//! eviction and invalidation clears it and the owner with it), so the directory answers
+//! "who holds this line" without probing a cache: after an L1 miss a clear sharer bit
+//! *is* the L2 miss, a line is held elsewhere when another bit is set, and a fill after
+//! a miss places the line without looking for it.
 
 use crate::cache::SetAssocCache;
 use crate::geometry::CacheGeometry;
@@ -317,19 +322,33 @@ impl CacheHierarchy {
         if let Some((slot, state)) = self.l1[core].lookup(line) {
             let mut extra = 0;
             if is_write && state != MesiState::Modified {
-                extra = self.take_ownership(core, line, state);
+                let dir_slot = self.table.ensure_slot(line);
+                extra = self.take_ownership(core, line, state, dir_slot);
                 self.l1[core].set_state_at(slot, MesiState::Modified);
                 self.l2[core].set_state(line, MesiState::Modified);
             }
             return (HitLevel::L1, extra, None);
         }
 
-        // L2 lookup.
-        if let Some((slot, state)) = self.l2[core].lookup(line) {
+        // L1 miss: resolve the directory slot once, before the L2.  Every miss ends
+        // with a directory update for this line and every line an L2 holds has an
+        // entry, so inserting the (default) entry up front changes nothing observable
+        // and lets the rest of the path reuse the slot.
+        let mut slot = self.table.ensure_slot(line);
+        let generation = self.table.generation();
+        let entry = *self.table.entry_at(slot);
+        let bit = (1 as CoreMask) << core;
+
+        // L2 lookup, scanned only when the directory says the line is there
+        // (exactness); otherwise the miss is counted without a way scan.
+        if entry.sharers & bit == 0 {
+            debug_assert!(!self.l2[core].contains(line), "clear sharer bit, line held");
+            self.l2[core].note_miss();
+        } else if let Some((l2_slot, state)) = self.l2[core].lookup(line) {
             let mut extra = 0;
             if is_write && state != MesiState::Modified {
-                extra = self.take_ownership(core, line, state);
-                self.l2[core].set_state_at(slot, MesiState::Modified);
+                extra = self.take_ownership(core, line, state, slot);
+                self.l2[core].set_state_at(l2_slot, MesiState::Modified);
             }
             // Promote into L1.
             let new_state = if is_write { MesiState::Modified } else { state };
@@ -337,20 +356,14 @@ impl CacheHierarchy {
             return (HitLevel::L2, extra, None);
         }
 
-        // Private miss: resolve the directory slot once.  Every miss ends with a
-        // directory update for this line, so inserting the (default) entry up front
-        // changes nothing observable and lets the rest of the path reuse the slot.
-        let generation = self.table.generation();
-        let mut slot = self.table.ensure_slot(line);
-        let entry = *self.table.entry_at(slot);
-        let other_sharers = entry.sharers & !((1 as CoreMask) << core);
-        let remote_owner = entry
-            .owner_core()
-            .filter(|&o| o != core && self.holds(o, line));
+        // Private miss.  The directory is exact, so it says who else holds the line.
+        let other_sharers = entry.sharers & !bit;
+        let remote_owner = entry.owner_core().filter(|&o| o != core);
+        debug_assert!(remote_owner.is_none_or(|o| other_sharers >> o & 1 == 1));
         // Asked once: it picks the level below and the fill state after it, and
         // nothing in between changes residency (downgrades keep the line resident; a
         // write invalidates, but fills Modified whatever the answer was).
-        let held_elsewhere = remote_owner.is_some() || self.any_core_holds(other_sharers, line);
+        let held_elsewhere = other_sharers != 0;
 
         let level = if let Some(owner) = remote_owner {
             // Dirty line lives in another core's cache: cache-to-cache transfer.
@@ -376,21 +389,15 @@ impl CacheHierarchy {
                     mask &= mask - 1;
                     self.downgrade_to_shared(c, line);
                 }
-                // At most one of the downgraded cores can be the recorded owner;
-                // clear it through the already-resolved slot.
-                let e = self.table.entry_at_mut(slot);
-                if let Some(o) = e.owner_core() {
-                    if other_sharers & ((1 as CoreMask) << o) != 0 {
-                        e.set_owner(None);
-                    }
-                }
+                // (None of them is the directory owner: an owner would have been the
+                // remote owner above.)
             }
             // Clean sharing is typically serviced by the L3 / snoop at L3 latency.
             // `touch_existing` is a single way scan: on a hit it is exactly the old
             // `contains` + `lookup` pair; on a miss it leaves the L3 untouched, the
             // same state the old `contains` pre-check left.
             if self.l3.touch_existing(line).is_none() {
-                self.l3.fill(line, MesiState::Shared);
+                self.l3.place(line, MesiState::Shared);
             }
             HitLevel::L3
         } else if self.l3.touch_existing(line).is_some() {
@@ -429,35 +436,14 @@ impl CacheHierarchy {
         e.sharers |= 1 << core;
         if is_write {
             e.set_owner(Some(core));
-        } else if e.owner_core() == Some(core) {
-            // keep
-        } else if state == MesiState::Exclusive {
-            e.set_owner(None);
         }
+        // A read leaves no owner: a remote one was downgraded and cleared above.
+        debug_assert!(is_write || e.owner_core().is_none());
         let miss_kind = Self::classify_entry(e, core);
         e.touched |= (1 as CoreMask) << core;
         e.clear_departure(core);
 
         (level, 0, Some(miss_kind))
-    }
-
-    /// True if core `c` holds `line` in its private caches: one L2 probe, by inclusion.
-    #[inline]
-    fn holds(&self, c: CoreId, line: LineAddr) -> bool {
-        self.l2[c].contains(line)
-    }
-
-    #[inline]
-    fn any_core_holds(&self, mask: CoreMask, line: LineAddr) -> bool {
-        let mut m = mask;
-        while m != 0 {
-            let c = m.trailing_zeros() as CoreId;
-            m &= m - 1;
-            if self.holds(c, line) {
-                return true;
-            }
-        }
-        false
     }
 
     /// Downgrades core `c`'s copy of `line`, if it has one, to Shared.
@@ -471,12 +457,15 @@ impl CacheHierarchy {
     /// Directory side of a write hit on a line held Exclusive or Shared: records
     /// `core` as the owner, invalidating every other copy first if the line was
     /// Shared.  Returns the extra latency.  The caller stores Modified into the
-    /// private copies.
-    fn take_ownership(&mut self, core: CoreId, line: LineAddr, state: MesiState) -> u64 {
-        // One probe resolves the slot for the sharer read, the invalidation updates
-        // and the ownership grab.  A write-hit line is always in the table already
-        // (its fill inserted it), so ensure_slot cannot grow here.
-        let slot = self.table.ensure_slot(line);
+    /// private copies.  `slot` is the line's directory slot (a write-hit line is always
+    /// in the table already: its fill inserted it).
+    fn take_ownership(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        state: MesiState,
+        slot: usize,
+    ) -> u64 {
         let bit = (1 as CoreMask) << core;
         if state.can_write_silently() {
             let e = self.table.entry_at_mut(slot);
@@ -496,9 +485,9 @@ impl CacheHierarchy {
     /// Removes the line from every core except `writer`, recording the invalidation so
     /// the victims' next miss on this line is classified as an invalidation miss.
     ///
-    /// `sharers` is the directory's (conservative superset) sharer mask, so only the
-    /// cores that can possibly hold the line are visited — the seed implementation
-    /// scanned all cores' sets unconditionally.  `slot` is the line's already-resolved
+    /// `sharers` is the directory's sharer mask, so only the cores that hold the line
+    /// are visited — the seed implementation scanned all cores' sets
+    /// unconditionally.  `slot` is the line's already-resolved
     /// directory slot; nothing in here inserts new lines, so it stays valid throughout.
     fn invalidate_remote_copies(
         &mut self,
@@ -531,14 +520,15 @@ impl CacheHierarchy {
         e.set_owner(Some(writer));
     }
 
-    /// Fills the line into this core's private caches, handling evictions.
+    /// Places the line, which just missed there, into this core's private caches,
+    /// handling evictions.
     fn fill_private(&mut self, core: CoreId, line: LineAddr, state: MesiState, l1_only: bool) {
         // An L1 victim still lives in the L2 (inclusion), in the same state, so it
         // has not left the core and there is nothing to write back or record.
-        let l1_victim = self.l1[core].fill(line, state);
+        let l1_victim = self.l1[core].place(line, state);
         debug_assert!(l1_victim.is_none_or(|v| self.l2[core].peek(v.line) == Some(v.state)));
         if !l1_only {
-            if let Some(victim) = self.l2[core].fill(line, state) {
+            if let Some(victim) = self.l2[core].place(line, state) {
                 // Leaving the L2 means leaving the core: drop the L1 copy too.
                 self.l1[core].invalidate(victim.line);
                 if victim.is_dirty() {
@@ -620,9 +610,9 @@ impl CacheHierarchy {
     ///
     /// * single owner: a line Modified on one core is not valid on any other core;
     /// * directory ownership: a Modified line's directory entry names that core as the
-    ///   owner (the converse need not hold — stale owners of departed lines are benign
-    ///   and filtered by residency checks on the access path);
-    /// * sharer superset: every core actually holding a line has its sharer bit set;
+    ///   owner, and a directory owner holds the line;
+    /// * exact sharers: core `c`'s sharer bit is set exactly when `c`'s L2 holds the
+    ///   line;
     /// * inclusion: a line resident in a core's L1 is resident in that core's L2, in
     ///   the same state.
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
@@ -670,7 +660,7 @@ impl CacheHierarchy {
                 }
             }
         }
-        // Sharer masks must be a superset of the actual holders.
+        // Every holder has its sharer bit set...
         for (line, hs) in &holders {
             let sharers = self.table.get(*line).map(|e| e.sharers).unwrap_or(0);
             for c in hs {
@@ -699,6 +689,28 @@ impl CacheHierarchy {
                             l.line
                         ));
                     }
+                }
+            }
+        }
+        // ...and (exactness, the other direction) every set bit, and the owner, names
+        // a core whose L2 has the line.  After inclusion, so a lost L2 copy under a
+        // live L1 copy reads as the inclusion failure it is.
+        for (line, e) in self.table.iter() {
+            let owner = e.owner_core().map_or(0, |o| (1 as CoreMask) << o);
+            let mut mask = e.sharers | owner;
+            while mask != 0 {
+                let c = mask.trailing_zeros() as CoreId;
+                mask &= mask - 1;
+                if c >= self.config.cores || !self.l2[c].contains(line) {
+                    let what = if e.sharers >> c & 1 == 1 {
+                        "sharer"
+                    } else {
+                        "owner"
+                    };
+                    return Err(format!(
+                        "line {line:#x} has core {c} as a {what}, but core {c}'s L2 lacks it \
+                         (stale {what})"
+                    ));
                 }
             }
         }
@@ -1081,6 +1093,56 @@ mod tests {
     }
 
     #[test]
+    fn directory_answered_l2_misses_count_and_age_like_scanned_ones() {
+        use AccessKind::{Read, Write};
+        let cfg = HierarchyConfig::small_test();
+        let mut h = CacheHierarchy::new(cfg);
+        let mut r = crate::reference::RefCacheHierarchy::new(cfg);
+        // Five lines of L2 set 0 (4 ways) and L1 set 0 (2 ways).
+        let (t, u, v, w, x) = (0x40, 0x60, 0x80, 0xa0, 0xc0);
+        let l2 = |h: &CacheHierarchy| {
+            let s = h.l2[0].stats;
+            (s.hits, s.misses, s.fills, s.evictions)
+        };
+
+        // Never-seen lines: the sharer bit is clear, so each L2 miss is counted
+        // without a scan, and each fill places into the next empty way.
+        for line in [t, u, v, w] {
+            assert_eq!(both(&mut h, &mut r, 0, line, Read).level, HitLevel::Dram);
+        }
+        assert_eq!(l2(&h), (0, 4, 4, 0));
+        // Bit set: a scanned L2 hit, which makes `t` the set's most recent line.
+        assert_eq!(both(&mut h, &mut r, 0, t, Read).level, HitLevel::L2);
+        assert_eq!(l2(&h), (1, 4, 4, 0));
+        // A counted miss ages the set like a scanned one: the victim is `u`, the
+        // oldest line, exactly as in the reference (which scans every time).
+        assert_eq!(both(&mut h, &mut r, 0, x, Read).level, HitLevel::Dram);
+        assert_eq!(l2(&h), (1, 5, 5, 1));
+        assert_eq!(h.l2[0].peek(u), None);
+        let out = both(&mut h, &mut r, 0, u, Read);
+        assert_eq!(out.miss_kind, Some(MissKind::Eviction));
+        assert_eq!(h.l2[0].peek(v), None, "`v` was the oldest after `u` left");
+        assert_eq!(l2(&h), (1, 6, 6, 2));
+        // An invalidation clears the bit: the next access is a counted miss again,
+        // and its fill takes the emptied way instead of evicting.
+        both(&mut h, &mut r, 1, w, Write);
+        assert_eq!(h.table.get(w).unwrap().sharers, 2);
+        let out = both(&mut h, &mut r, 0, w, Read);
+        assert_eq!(
+            (out.level, out.miss_kind),
+            (HitLevel::RemoteCache, Some(MissKind::Invalidation))
+        );
+        assert_eq!(l2(&h), (1, 7, 7, 2));
+        for line in [t, x, u, w] {
+            assert!(h.l2[0].contains(line), "line {line:#x}");
+        }
+
+        assert_eq!(h.stats, r.stats);
+        assert_eq!(h.per_core, r.per_core);
+        h.check_coherence_invariants().unwrap();
+    }
+
+    #[test]
     fn directory_owner_mismatch_is_flagged() {
         let mut h = hierarchy();
         h.access(0, 0x7000, AccessKind::Write);
@@ -1091,26 +1153,39 @@ mod tests {
         assert!(err.contains("directory owner"), "unexpected error: {err}");
     }
 
-    #[test]
-    fn stale_owner_of_departed_line_is_benign() {
-        // A stale owner (owner core no longer holds the line) arises naturally after
-        // conflict evictions and is tolerated: the access path re-validates residency.
+    /// Writes a line on core 0, then pushes it out of core 0's private caches with
+    /// conflicting writes.  Returns the hierarchy and the departed line.
+    fn with_departed_line() -> (CacheHierarchy, LineAddr) {
         let mut h = hierarchy();
         h.access(0, 0x40_0000, AccessKind::Write);
         let line = h.line_addr(0x40_0000);
-        // Evict it from core 0's private caches with conflicting writes.
         let stride = (h.config().l2.sets * h.config().l2.line_size) as u64;
         for i in 1..=(h.config().l2.ways as u64 + h.config().l1.ways as u64 + 2) {
             h.access(0, 0x40_0000 + i * stride, AccessKind::Write);
         }
-        assert!(!h.holds(0, line));
-        // Force the stale-owner shape directly (note_eviction normally clears it).
+        assert!(!h.l2[0].contains(line));
+        h.check_coherence_invariants().unwrap();
+        (h, line)
+    }
+
+    #[test]
+    fn stale_owner_is_flagged() {
+        // Eviction clears the owner; forge the state the access path no longer
+        // re-validates (it trusts the directory instead of probing the owner's L2).
+        let (mut h, line) = with_departed_line();
+        assert_eq!(h.table.get(line).unwrap().owner_core(), None);
         h.table.entry_mut(line).set_owner(Some(0));
-        h.check_coherence_invariants()
-            .expect("stale owner of a departed line must not be flagged");
-        // And a later read by another core must not treat core 0 as a live owner.
-        let r = h.access(1, 0x40_0000, AccessKind::Read);
-        assert_ne!(r.level, HitLevel::RemoteCache);
+        let err = h.check_coherence_invariants().unwrap_err();
+        assert!(err.contains("stale owner"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn stale_sharer_bit_is_flagged() {
+        let (mut h, line) = with_departed_line();
+        assert_eq!(h.table.get(line).unwrap().sharers, 0);
+        h.table.entry_mut(line).sharers = 1;
+        let err = h.check_coherence_invariants().unwrap_err();
+        assert!(err.contains("stale sharer"), "unexpected error: {err}");
     }
 
     #[test]

@@ -103,7 +103,8 @@ fn probe(keys: &[LineAddr], mask: usize, line: LineAddr) -> Result<usize, usize>
 /// [`crate::MAX_CORES`] cores — one bit per core in a [`CoreMask`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirEntry {
-    /// Bitmask of cores holding the line in some private cache (conservative superset).
+    /// Bitmask of cores holding the line in their private caches (exact: bit `c` is set
+    /// exactly when core `c`'s L2 holds the line).
     pub sharers: CoreMask,
     /// Bitmask of cores that have ever touched the line (cold-miss detection).
     pub touched: CoreMask,

@@ -45,15 +45,51 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads a LEB128 varint.
-pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// Longest encoding of one event, a property of the format: an `alloc` is an opcode, a
+/// flags byte and five varints.  (An access-run header is an opcode and three varints,
+/// a run item two varints.)  The decoder buffers this much and decodes an event from
+/// one window of bytes.
+pub const MAX_EVENT_BYTES: usize = 2 + 5 * MAX_VARINT_BYTES;
+
+/// Why a varint did not decode.  `Copy` and one byte, so the one varint loop below
+/// returns through registers; the messages are attached where the error leaves the
+/// decoder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum VarintError {
+    /// The bytes ended inside the varint.
+    Eof,
+    /// The tenth byte carries bits beyond the 64th.
+    Overflow,
+    /// An eleventh byte follows.
+    TooLong,
+}
+
+impl From<VarintError> for TraceError {
+    #[cold]
+    fn from(e: VarintError) -> TraceError {
+        match e {
+            VarintError::Eof => TraceError::UnexpectedEof,
+            VarintError::Overflow => TraceError::Corrupt("varint overflows u64".into()),
+            VarintError::TooLong => TraceError::Corrupt("varint too long".into()),
+        }
+    }
+}
+
+/// The varint decoder: reads one LEB128 varint at `*pos`, advancing it.  Forced inline:
+/// the compiler unrolls the loop ten times, then finds it too large to inline by
+/// itself, and an event decoder that calls it keeps `pos` in memory.
+#[inline(always)]
+pub(crate) fn varint(bytes: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        let byte = *bytes.get(*pos).ok_or(TraceError::UnexpectedEof)?;
+        let byte = *bytes.get(*pos).ok_or(VarintError::Eof)?;
         *pos += 1;
         if shift == 63 && byte > 1 {
-            return Err(TraceError::Corrupt("varint overflows u64".into()));
+            return Err(VarintError::Overflow);
         }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
@@ -61,9 +97,14 @@ pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
         }
         shift += 7;
         if shift > 63 {
-            return Err(TraceError::Corrupt("varint too long".into()));
+            return Err(VarintError::TooLong);
         }
     }
+}
+
+/// Reads a LEB128 varint.
+pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+    Ok(varint(bytes, pos)?)
 }
 
 /// Zigzag-encodes a signed value into an unsigned varint payload.
@@ -97,19 +138,11 @@ pub fn get_string(bytes: &[u8], pos: &mut usize) -> Result<String, TraceError> {
     Ok(s)
 }
 
-/// The delta-encoding base of `core`: the address of its previous access, 0 at first.
-pub(crate) fn prev_addr(table: &mut Vec<u64>, core: u32) -> &mut u64 {
-    let idx = core as usize;
-    if idx >= table.len() {
-        table.resize(idx + 1, 0);
-    }
-    &mut table[idx]
-}
-
 /// Encodes a session-event stream, coalescing consecutive same-`(core, ip)` accesses
 /// into access runs.
 pub fn encode_events(events: &[SessionEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(events.len() * 3);
+    // The delta-encoding base per core: the address of its previous access, 0 at first.
     let mut prev: Vec<u64> = Vec::new();
     let mut i = 0;
     while i < events.len() {
@@ -125,6 +158,10 @@ pub fn encode_events(events: &[SessionEvent]) -> Vec<u8> {
                         _ => break,
                     }
                 }
+                if core as usize >= prev.len() {
+                    prev.resize(core as usize + 1, 0);
+                }
+                let p = &mut prev[core as usize];
                 out.push(OP_ACCESS_RUN);
                 put_varint(&mut out, u64::from(core));
                 put_varint(&mut out, u64::from(ip.0));
@@ -136,7 +173,6 @@ pub fn encode_events(events: &[SessionEvent]) -> Vec<u8> {
                     else {
                         unreachable!("run contains only accesses");
                     };
-                    let p = prev_addr(&mut prev, core);
                     put_varint(&mut out, zigzag(addr.wrapping_sub(*p) as i64));
                     *p = addr;
                     put_varint(&mut out, (len << 1) | u64::from(kind.is_write()));
@@ -224,5 +260,50 @@ mod tests {
         let coalesced = encode_events(&[access(7, 0x1000), access(7, 0x1008)]);
         let uncoalesced = encode_events(&[access(7, 0x1000), access(8, 0x1008)]);
         assert!(coalesced.len() < uncoalesced.len());
+    }
+
+    #[test]
+    fn the_widest_event_of_each_opcode_fits_max_event_bytes() {
+        use sim_cache::AccessKind;
+        use sim_machine::FunctionId;
+        let widest = [
+            // A one-item run: header, a 2^63 delta and a 63-bit length.  (The encoder
+            // keeps a delta base per core, so an access takes a core a machine can have.)
+            SessionEvent::Access {
+                core: sim_cache::MAX_CORES as u32 - 1,
+                ip: FunctionId(u32::MAX),
+                addr: 1 << 63,
+                len: u64::MAX >> 1,
+                kind: AccessKind::Write,
+            },
+            SessionEvent::Compute {
+                core: u32::MAX,
+                ip: FunctionId(u32::MAX),
+                cycles: u64::MAX,
+            },
+            SessionEvent::Alloc {
+                core: u32::MAX,
+                type_id: u32::MAX,
+                size: u64::MAX,
+                addr: u64::MAX,
+                cycle: u64::MAX,
+                hookable: true,
+            },
+            SessionEvent::Free {
+                core: u32::MAX,
+                addr: u64::MAX,
+                cycle: u64::MAX,
+            },
+            SessionEvent::RoundEnd,
+        ];
+        let lens = widest.map(|ev| encode_events(&[ev]).len());
+        assert_eq!(lens, [28, 21, 42, 26, 1]);
+        // The bound also covers a decoder-legal event whose `u32` fields are padded
+        // to ten bytes: opcode, flags, five varints.
+        assert!(lens.iter().all(|&n| n <= MAX_EVENT_BYTES));
+        assert_eq!(MAX_EVENT_BYTES, 52);
+        let mut ten = Vec::new();
+        put_varint(&mut ten, u64::MAX);
+        assert_eq!(ten.len(), MAX_VARINT_BYTES);
     }
 }

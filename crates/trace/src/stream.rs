@@ -12,9 +12,13 @@
 //! * [`TraceReader::events`] returns an [`EventReader`]: an iterator that decodes one
 //!   [`SessionEvent`] at a time from its own file handle, reading fixed-size chunks
 //!   and carrying the codec's cross-event state (per-core address deltas, the current
-//!   access run) across chunk boundaries.  Peak buffering is a couple of chunks
-//!   regardless of trace size — [`EventReader::peak_buffered_bytes`] reports the high
-//!   water mark and a regression test pins it.
+//!   access run) across chunk boundaries.  An event is at most
+//!   [`MAX_EVENT_BYTES`] long, so the reader keeps that much buffered and decodes each
+//!   event from one window of bytes, clipped to the stream's declared region, with a
+//!   local cursor: no refill, and no look at the next stream's bytes, mid-event.  Peak
+//!   buffering is a couple of chunks regardless of trace size —
+//!   [`EventReader::peak_buffered_bytes`] reports the high water mark and a regression
+//!   test pins it.
 //! * [`TraceReader::collect`] walks every stream once into an in-memory
 //!   [`TraceFile`], for callers that will walk the streams many times.
 //!
@@ -26,8 +30,8 @@
 //! per-stream readers can run on parallel replay threads.
 
 use crate::codec::{
-    get_string, get_varint, prev_addr, unzigzag, OP_ACCESS_RUN, OP_ALLOC, OP_COMPUTE, OP_FREE,
-    OP_ROUND_END,
+    get_string, get_varint, unzigzag, varint, VarintError, MAX_EVENT_BYTES, OP_ACCESS_RUN,
+    OP_ALLOC, OP_COMPUTE, OP_FREE, OP_ROUND_END,
 };
 use crate::format::{
     get_machine, get_params, ThreadStream, TraceFile, TraceKind, TypeDump, MAGIC, MAX_ACCESS_LEN,
@@ -127,35 +131,31 @@ impl ChunkedReader {
         Ok(())
     }
 
-    /// Reads one varint, refilling across chunk boundaries as needed.
-    fn read_varint(&mut self) -> Result<u64, TraceError> {
+    /// Parses one prologue item with `get`, buffering one more byte and retrying
+    /// while it runs off the buffered bytes (a varint does at most ten times).
+    fn read<T>(
+        &mut self,
+        get: impl Fn(&[u8], &mut usize) -> Result<T, TraceError>,
+    ) -> Result<T, TraceError> {
         loop {
             let mut pos = 0;
-            match get_varint(self.bytes(), &mut pos) {
+            match get(self.bytes(), &mut pos) {
                 Ok(v) => {
                     self.consume(pos);
                     return Ok(v);
                 }
-                // The varint ran off the buffered bytes: buffer one more and retry
-                // (at most ten times — a varint is never longer than that).
                 Err(TraceError::UnexpectedEof) => self.ensure(self.available() + 1)?,
                 Err(e) => return Err(e),
             }
         }
     }
 
+    fn read_varint(&mut self) -> Result<u64, TraceError> {
+        self.read(get_varint)
+    }
+
     fn read_string(&mut self) -> Result<String, TraceError> {
-        loop {
-            let mut pos = 0;
-            match get_string(self.bytes(), &mut pos) {
-                Ok(s) => {
-                    self.consume(pos);
-                    return Ok(s);
-                }
-                Err(TraceError::UnexpectedEof) => self.ensure(self.available() + 1)?,
-                Err(e) => return Err(e),
-            }
-        }
+        self.read(get_string)
     }
 
     fn read_byte(&mut self) -> Result<u8, TraceError> {
@@ -225,25 +225,10 @@ impl TraceReader {
         }
         let kind = TraceKind::from_byte(r.read_byte()?)?;
 
-        // The machine and params sections are a few dozen bytes; parse them from a
-        // single over-buffered view rather than duplicating their field walks here.
-        let machine;
-        let params;
-        loop {
-            let mut pos = 0;
-            match get_machine(r.bytes(), &mut pos)
-                .and_then(|m| Ok((m, get_params(r.bytes(), &mut pos)?)))
-            {
-                Ok((m, p)) => {
-                    r.consume(pos);
-                    machine = m;
-                    params = p;
-                    break;
-                }
-                Err(TraceError::UnexpectedEof) => r.ensure(r.available() + 1)?,
-                Err(e) => return Err(e),
-            }
-        }
+        // The machine and params sections are a few dozen bytes; parse them from one
+        // buffered view rather than duplicating their field walks here.
+        let (machine, params) =
+            r.read(|bytes, pos| Ok((get_machine(bytes, pos)?, get_params(bytes, pos)?)))?;
 
         let stream_count = r.read_varint()? as usize;
         let mut headers = Vec::new();
@@ -313,8 +298,8 @@ impl TraceReader {
             expected: header.event_count,
             produced: 0,
             cores: self.machine.hierarchy.cores,
-            prev_addr: Vec::new(),
-            run: None,
+            prev_addr: [0; sim_cache::MAX_CORES],
+            run: (0, FunctionId(0), 0),
             done: false,
         })
     }
@@ -395,10 +380,11 @@ pub struct EventReader {
     produced: usize,
     /// Core count of the declared machine, for semantic validation.
     cores: usize,
-    /// The codec's per-core previous-address delta table.
-    prev_addr: Vec<u64>,
-    /// In-progress access run: `(core, ip, items_remaining)`.
-    run: Option<(u32, FunctionId, u64)>,
+    /// The codec's per-core previous-address delta table (core ids are bounded as
+    /// they are read, so it never grows).
+    prev_addr: [u64; sim_cache::MAX_CORES],
+    /// Current access run: `(core, ip, items remaining)`; none in progress at 0.
+    run: (u32, FunctionId, u64),
     done: bool,
 }
 
@@ -428,46 +414,45 @@ impl EventReader {
         self.region_end.saturating_sub(self.reader.offset)
     }
 
-    /// Errors if the last read ran past the declared event region (a varint or string
-    /// straddling the region boundary means the byte length lied).
-    fn check_region(&self) -> Result<(), TraceError> {
-        if self.reader.offset > self.region_end {
-            return Err(TraceError::Corrupt(
-                "event data runs past the stream's declared byte length".into(),
-            ));
-        }
-        Ok(())
-    }
-
     fn next_inner(&mut self) -> Result<Option<SessionEvent>, TraceError> {
         loop {
-            // Continue an in-progress access run first.
-            if let Some((core, ip, remaining)) = self.run {
-                if remaining > 0 {
-                    let delta = unzigzag(self.reader.read_varint()?);
-                    let packed = self.reader.read_varint()?;
-                    self.check_region()?;
-                    self.run = Some((core, ip, remaining - 1));
-                    let prev = prev_addr(&mut self.prev_addr, core);
-                    let addr = prev.wrapping_add(delta as u64);
-                    *prev = addr;
-                    let kind = if packed & 1 == 1 {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    let len = packed >> 1;
-                    return self.emit(SessionEvent::Access {
-                        core,
-                        ip,
-                        addr,
-                        len,
-                        kind,
-                    });
-                }
-                self.run = None;
+            // One window per step (an event, a run header or a run item, none longer
+            // than `MAX_EVENT_BYTES`): that many bytes, or the rest of the region if
+            // it is shorter.  `open` checked that the file holds the whole region.
+            // (`ensure` tests this too; testing here keeps the call off the common path.)
+            let want = self.remaining_region().min(MAX_EVENT_BYTES as u64) as usize;
+            if self.reader.available() < want {
+                self.reader.ensure(want)?;
             }
-            if self.remaining_region() == 0 {
+            let mut w = Window {
+                bytes: &self.reader.bytes()[..want],
+                pos: 0,
+            };
+
+            let (core, ip, left) = self.run;
+            if left > 0 {
+                let delta = unzigzag(w.varint()?);
+                let packed = w.varint()?;
+                self.reader.consume(w.pos);
+                self.run.2 = left - 1;
+                let prev = &mut self.prev_addr[core as usize];
+                let addr = prev.wrapping_add(delta as u64);
+                *prev = addr;
+                let kind = if packed & 1 == 1 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let len = packed >> 1;
+                return self.emit(SessionEvent::Access {
+                    core,
+                    ip,
+                    addr,
+                    len,
+                    kind,
+                });
+            }
+            if want == 0 {
                 if self.produced != self.expected {
                     return Err(TraceError::Corrupt(format!(
                         "stream decoded to {} events but the header declared {}",
@@ -476,13 +461,12 @@ impl EventReader {
                 }
                 return Ok(None);
             }
-            let op = self.reader.read_byte()?;
-            match op {
+            let ev = match w.byte()? {
                 OP_ACCESS_RUN => {
-                    let core = self.read_core()?;
-                    let ip = self.read_fn_id()?;
-                    let count = self.reader.read_varint()?;
-                    self.check_region()?;
+                    let core = core_id(w.varint()?)?;
+                    let ip = fn_id(w.varint()?)?;
+                    let count = w.varint()?;
+                    self.reader.consume(w.pos);
                     // Each item is at least two bytes; reject counts the remaining
                     // region cannot possibly satisfy.
                     if count > self.remaining_region().div_ceil(2).max(1) {
@@ -490,79 +474,50 @@ impl EventReader {
                             "access run of {count} items exceeds the remaining stream"
                         )));
                     }
-                    self.run = Some((core, ip, count));
-                    // Loop: the next iteration decodes the run's first item (or, for
-                    // a degenerate empty run, moves on to the next opcode).
+                    self.run = (core, ip, count);
+                    // Loop: the next step decodes the run's first item (or, for a
+                    // degenerate empty run, moves on to the next opcode).
+                    continue;
                 }
-                OP_COMPUTE => {
-                    let core = self.read_core()?;
-                    let ip = self.read_fn_id()?;
-                    let cycles = self.reader.read_varint()?;
-                    self.check_region()?;
-                    return self.emit(SessionEvent::Compute { core, ip, cycles });
-                }
+                OP_COMPUTE => SessionEvent::Compute {
+                    core: core_id(w.varint()?)?,
+                    ip: fn_id(w.varint()?)?,
+                    cycles: w.varint()?,
+                },
                 OP_ALLOC => {
-                    let flags = self.reader.read_byte()?;
-                    let core = self.read_core()?;
-                    let type_id = u32::try_from(self.reader.read_varint()?)
-                        .map_err(|_| TraceError::Corrupt("type id overflows u32".into()))?;
-                    let size = self.reader.read_varint()?;
-                    let addr = self.reader.read_varint()?;
-                    let cycle = self.reader.read_varint()?;
-                    self.check_region()?;
-                    return self.emit(SessionEvent::Alloc {
-                        core,
-                        type_id,
-                        size,
-                        addr,
-                        cycle,
+                    let flags = w.byte()?;
+                    SessionEvent::Alloc {
+                        core: core_id(w.varint()?)?,
+                        type_id: u32::try_from(w.varint()?)
+                            .map_err(|_| TraceError::Corrupt("type id overflows u32".into()))?,
+                        size: w.varint()?,
+                        addr: w.varint()?,
+                        cycle: w.varint()?,
                         hookable: flags & 1 == 1,
-                    });
+                    }
                 }
-                OP_FREE => {
-                    let core = self.read_core()?;
-                    let addr = self.reader.read_varint()?;
-                    let cycle = self.reader.read_varint()?;
-                    self.check_region()?;
-                    return self.emit(SessionEvent::Free { core, addr, cycle });
-                }
-                OP_ROUND_END => {
-                    self.check_region()?;
-                    return self.emit(SessionEvent::RoundEnd);
-                }
+                OP_FREE => SessionEvent::Free {
+                    core: core_id(w.varint()?)?,
+                    addr: w.varint()?,
+                    cycle: w.varint()?,
+                },
+                OP_ROUND_END => SessionEvent::RoundEnd,
                 other => {
                     return Err(TraceError::Corrupt(format!(
                         "unknown event opcode {other:#04x} at byte {}",
-                        self.reader.offset - 1
+                        self.reader.offset
                     )))
                 }
-            }
+            };
+            self.reader.consume(w.pos);
+            return self.emit(ev);
         }
-    }
-
-    /// Bounding core ids as they are read keeps a crafted varint from sizing the
-    /// per-core delta table to an attacker-controlled length.
-    fn read_core(&mut self) -> Result<u32, TraceError> {
-        let core = self.reader.read_varint()?;
-        if core >= sim_cache::MAX_CORES as u64 {
-            return Err(TraceError::Corrupt(format!(
-                "core id {core} exceeds the {}-core maximum",
-                sim_cache::MAX_CORES
-            )));
-        }
-        Ok(core as u32)
-    }
-
-    fn read_fn_id(&mut self) -> Result<FunctionId, TraceError> {
-        Ok(FunctionId(
-            u32::try_from(self.reader.read_varint()?)
-                .map_err(|_| TraceError::Corrupt("function id overflows u32".into()))?,
-        ))
     }
 
     /// Counts the event and validates it against the declared machine — core in
     /// range, sane access extents — so a decodable-but-invalid trace is rejected here
     /// instead of panicking or hanging mid-replay.
+    #[inline(always)]
     fn emit(&mut self, ev: SessionEvent) -> Result<Option<SessionEvent>, TraceError> {
         let i = self.produced;
         self.produced += 1;
@@ -603,6 +558,57 @@ impl EventReader {
     }
 }
 
+/// The bytes one decode step reads from, with a local cursor: the step's bytes are
+/// consumed from the [`ChunkedReader`] once, when it has decoded.
+struct Window<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Window<'_> {
+    #[inline]
+    fn byte(&mut self) -> Result<u8, TraceError> {
+        let b = *self.bytes.get(self.pos).ok_or_else(past_region)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, TraceError> {
+        varint(self.bytes, &mut self.pos).map_err(|e| match e {
+            VarintError::Eof => past_region(),
+            e => e.into(),
+        })
+    }
+}
+
+/// A window holds a whole step unless the region ends first, so running out of window
+/// is running out of region: the declared byte length cuts an event short.
+#[cold]
+fn past_region() -> TraceError {
+    TraceError::Corrupt("event data runs past the stream's declared byte length".into())
+}
+
+/// Bounding core ids as they are read keeps a crafted varint from indexing past the
+/// per-core delta table.
+#[inline]
+fn core_id(core: u64) -> Result<u32, TraceError> {
+    if core >= sim_cache::MAX_CORES as u64 {
+        return Err(TraceError::Corrupt(format!(
+            "core id {core} exceeds the {}-core maximum",
+            sim_cache::MAX_CORES
+        )));
+    }
+    Ok(core as u32)
+}
+
+#[inline]
+fn fn_id(id: u64) -> Result<FunctionId, TraceError> {
+    u32::try_from(id)
+        .map(FunctionId)
+        .map_err(|_| TraceError::Corrupt("function id overflows u32".into()))
+}
+
 impl Iterator for EventReader {
     type Item = Result<SessionEvent, TraceError>;
 
@@ -610,17 +616,9 @@ impl Iterator for EventReader {
         if self.done {
             return None;
         }
-        match self.next_inner() {
-            Ok(Some(ev)) => Some(Ok(ev)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
+        let item = self.next_inner().transpose();
+        self.done = !matches!(item, Some(Ok(_)));
+        item
     }
 }
 
@@ -919,5 +917,151 @@ mod tests {
             TraceError::UnexpectedEof,
             "a lying length in a non-final stream"
         );
+    }
+
+    #[test]
+    fn short_first_region_is_corrupt_and_never_reads_the_next_stream() {
+        // Two streams.  The first ends with an event whose last byte the declared
+        // region cuts off; the byte that follows in the file is the second stream's
+        // seed, chosen so that it would complete the event if the decoder took it.
+        let mut file = sample_file();
+        file.streams.push(sample_stream());
+        file.streams[0].events = vec![
+            SessionEvent::RoundEnd,
+            access(0, 0x1000, 8, AccessKind::Read),
+            SessionEvent::Compute {
+                core: 1,
+                ip: FunctionId(7),
+                cycles: 1_500,
+            },
+        ];
+        file.streams[1].seed = 5;
+        let honest = file.encode();
+        let path = temp_path("short-region.dtrace");
+        std::fs::write(&path, &honest).unwrap();
+        let h = TraceReader::open(&path).unwrap().headers()[0].clone();
+        let (start, len) = (h.events_offset as usize, h.byte_len as usize);
+        assert!(len < 0x80, "the length must stay a one-byte varint");
+        assert_eq!(honest[start - 1], len as u8);
+        assert_eq!(
+            honest[start + len],
+            5,
+            "the second stream starts with its seed"
+        );
+
+        let mut cut = honest[..start - 1].to_vec();
+        cut.push(len as u8 - 1);
+        cut.extend_from_slice(&honest[start..start + len - 1]);
+        cut.extend_from_slice(&honest[start + len..]);
+        std::fs::write(&path, &cut).unwrap();
+        let reader = TraceReader::open(&path).unwrap();
+        let mut events = reader.events(0).unwrap();
+        assert_eq!(events.next(), Some(Ok(file.streams[0].events[0])));
+        assert_eq!(events.next(), Some(Ok(file.streams[0].events[1])));
+        assert!(matches!(
+            events.next(),
+            Some(Err(TraceError::Corrupt(m))) if m.contains("declared byte length")
+        ));
+        assert_eq!(events.next(), None, "fused after the error");
+        // The second stream is intact.
+        let second: Result<Vec<_>, _> = reader.events(1).unwrap().collect();
+        assert_eq!(second.unwrap(), file.streams[1].events);
+    }
+
+    #[test]
+    fn events_starting_around_a_chunk_boundary_round_trip() {
+        // One-byte events pad the region so that the widest event starts at every
+        // offset from 64 bytes before the decoder's first refill to the refill itself.
+        let path = temp_path("boundary.dtrace");
+        for start in CHUNK_SIZE - 64..=CHUNK_SIZE {
+            let mut events = vec![SessionEvent::RoundEnd; start];
+            events.extend([
+                SessionEvent::Alloc {
+                    core: 1,
+                    type_id: u32::MAX,
+                    size: u64::MAX,
+                    addr: u64::MAX,
+                    cycle: u64::MAX,
+                    hookable: true,
+                },
+                access(
+                    1,
+                    u64::MAX - MAX_ACCESS_LEN,
+                    MAX_ACCESS_LEN,
+                    AccessKind::Write,
+                ),
+                access(1, 0x1000, 1, AccessKind::Read),
+                SessionEvent::Free {
+                    core: 0,
+                    addr: u64::MAX,
+                    cycle: u64::MAX,
+                },
+            ]);
+            let mut file = sample_file();
+            file.streams[0].events = events;
+            file.write(&path).unwrap();
+            let reader = TraceReader::open(&path).unwrap();
+            let mut decoded = reader.events(0).unwrap();
+            let back: Result<Vec<_>, _> = decoded.by_ref().collect();
+            assert_eq!(
+                back.unwrap()[start..],
+                file.streams[0].events[start..],
+                "start {start}"
+            );
+            assert!(decoded.peak_buffered_bytes() <= 2 * CHUNK_SIZE);
+        }
+    }
+
+    #[test]
+    fn truncation_anywhere_in_the_tail_is_an_error() {
+        let file = big_file(2_000, 2);
+        let bytes = file.encode();
+        for cut in 1..=256 {
+            assert!(
+                read_bytes(&bytes[..bytes.len() - cut]).is_err(),
+                "a file {cut} bytes short must not decode"
+            );
+        }
+        // Cut after `open` has checked the lengths: the decoder runs into the end of
+        // the file inside the declared region.
+        let path = temp_path("cut-after-open.dtrace");
+        for cut in [1, 7, 52, 53, 256] {
+            std::fs::write(&path, &bytes).unwrap();
+            let reader = TraceReader::open(&path).unwrap();
+            let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            f.set_len((bytes.len() - cut) as u64).unwrap();
+            let result: Result<Vec<_>, _> = reader.events(1).unwrap().collect();
+            assert_eq!(result.unwrap_err(), TraceError::UnexpectedEof, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn the_longest_decodable_event_fits_one_window() {
+        // Every varint of an `alloc` padded to ten bytes (`0x80 x 9, 0x00` is a
+        // non-canonical zero): exactly `MAX_EVENT_BYTES`, and it decodes.
+        let mut bytes = vec![OP_ALLOC, 1];
+        for _ in 0..5 {
+            bytes.extend_from_slice(&[0x80; 9]);
+            bytes.push(0);
+        }
+        assert_eq!(bytes.len(), MAX_EVENT_BYTES);
+        let decoded = read_bytes(&with_event_region(1, bytes.len() as u64, &bytes)).unwrap();
+        assert_eq!(
+            decoded.streams[0].events,
+            [SessionEvent::Alloc {
+                core: 0,
+                type_id: 0,
+                size: 0,
+                addr: 0,
+                cycle: 0,
+                hookable: true,
+            }]
+        );
+        // An eleventh byte is refused, not read.
+        bytes[11] = 0x80;
+        assert!(matches!(
+            read_bytes(&with_event_region(1, bytes.len() as u64, &bytes)),
+            Err(TraceError::Corrupt(m)) if m.contains("varint")
+        ));
     }
 }
