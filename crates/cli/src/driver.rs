@@ -170,6 +170,23 @@ pub struct ThreadRun {
     pub recorded: Option<RecordedStream>,
 }
 
+/// A replayed stream stands in for the live thread it was recorded from.
+impl From<dprof::trace::ReplayRun> for ThreadRun {
+    fn from(r: dprof::trace::ReplayRun) -> Self {
+        ThreadRun {
+            thread: r.thread,
+            seed: r.seed,
+            profile: r.profile,
+            type_names: r.type_names,
+            requests: r.requests,
+            elapsed_seconds: r.elapsed_seconds,
+            total_cycles: r.total_cycles,
+            profiling_fraction: r.profiling_fraction,
+            recorded: None,
+        }
+    }
+}
+
 impl ThreadRun {
     /// Simulated requests per second while profiled.
     pub fn rps(&self) -> f64 {

@@ -205,20 +205,17 @@ pub(crate) fn run_replay(options: &args::ReplayOptions) -> i32 {
         }
     }
 
-    let runs: Vec<driver::ThreadRun> = replays
-        .into_iter()
-        .map(|r| driver::ThreadRun {
-            thread: r.thread,
-            seed: r.seed,
-            profile: r.profile,
-            type_names: r.type_names,
-            requests: r.requests,
-            elapsed_seconds: r.elapsed_seconds,
-            total_cycles: r.total_cycles,
-            profiling_fraction: r.profiling_fraction,
-            recorded: None,
-        })
-        .collect();
+    emit(&render_replay(&reader, replays, options), &options.output)
+}
+
+/// Merges replayed streams (in stream order) and renders the report as the recorded
+/// run rendered its own.
+pub fn render_replay(
+    reader: &dprof::trace::TraceReader,
+    replays: Vec<dprof::trace::ReplayRun>,
+    options: &args::ReplayOptions,
+) -> String {
+    let runs: Vec<driver::ThreadRun> = replays.into_iter().map(Into::into).collect();
     let report = merge::merge(&runs);
 
     // Rebuild the options the recorded run rendered with, so the `run` section of the
@@ -253,6 +250,5 @@ pub(crate) fn run_replay(options: &args::ReplayOptions) -> i32 {
         output: options.output.clone(),
         trace_out: None,
     };
-    let rendered = render::render(&report, &render_options);
-    emit(&rendered, &options.output)
+    render::render(&report, &render_options)
 }

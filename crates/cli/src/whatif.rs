@@ -20,8 +20,9 @@ use crate::json::Json;
 use crate::{driver, merge};
 use dprof::core::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};
 use dprof::trace::{
-    analyze_sharing, measure_all_streaming, replay_all_streaming, validate_spec, FixSpec,
-    TraceFile, WhatifMeasure,
+    analyze_sharing, available_workers, for_each_stream, measure_stream_streaming,
+    replay_stream_streaming, validate_spec, FixSpec, SharingProfile, TraceReader, TraceSource,
+    WhatifMeasure,
 };
 use std::fmt::Write as _;
 
@@ -76,33 +77,73 @@ pub struct WhatifAnalysis {
     pub candidates: Vec<Candidate>,
 }
 
-/// Runs the what-if engine over a decoded trace: validates and/or enumerates the
-/// candidate fixes, measures the identity baseline and every candidate, and ranks
-/// the results.  This is the same entry point the oracle harness drives in-process.
+/// Runs the what-if engine over a trace: validates and/or enumerates the candidate
+/// fixes, measures the identity baseline and every candidate, and ranks the results.
+/// This is the same entry point the oracle harness drives in-process.
 pub fn analyze_trace(
-    file: &TraceFile,
+    source: &impl TraceSource,
+    explicit: &[FixSpec],
+    auto: bool,
+) -> Result<WhatifAnalysis, String> {
+    analyze_trace_on(available_workers(), source, explicit, auto)
+}
+
+/// One wave-1 job's result.
+enum Wave1 {
+    /// `--auto`'s re-profile of one stream.
+    Profiled(Box<driver::ThreadRun>),
+    /// The identity baseline of one stream.
+    Baseline(WhatifMeasure),
+}
+
+/// [`analyze_trace`] with at most `workers` replays in flight.  Every replay is an
+/// independent job with its own universe, run in two waves on the bounded fan-out
+/// and slotted by index, and everything computed from them runs on the calling thread
+/// in candidate order — so the analysis is the same for every `workers`.
+pub fn analyze_trace_on(
+    workers: usize,
+    source: &impl TraceSource,
     explicit: &[FixSpec],
     auto: bool,
 ) -> Result<WhatifAnalysis, String> {
     for spec in explicit {
-        validate_spec(file, spec)?;
+        validate_spec(source, spec)?;
     }
+    if explicit.is_empty() && !auto {
+        return Err("no candidate fixes (pass --fix <spec> and/or --auto)".into());
+    }
+
+    // Wave 1: the identity baseline and, under `--auto`, the profiled replay the
+    // candidates are enumerated from.  Neither needs the other.
+    let profiled_passes = usize::from(auto);
+    let wave1 = for_each_stream(workers, source, profiled_passes + 1, |pass, thread| {
+        if pass < profiled_passes {
+            replay_stream_streaming(source, thread).map(|run| Wave1::Profiled(Box::new(run.into())))
+        } else {
+            measure_stream_streaming(source, thread, &FixSpec::Identity).map(Wave1::Baseline)
+        }
+    })?;
+    let mut runs: Vec<driver::ThreadRun> = Vec::new();
+    let mut baseline: Vec<WhatifMeasure> = Vec::new();
+    for result in wave1 {
+        match result {
+            Wave1::Profiled(run) => runs.push(*run),
+            Wave1::Baseline(measure) => baseline.push(measure),
+        }
+    }
+
     let mut specs: Vec<(FixSpec, String)> = explicit
         .iter()
         .map(|s| (s.clone(), "--fix".to_string()))
         .collect();
     if auto {
-        for (spec, why) in auto_candidates(file)? {
+        for (spec, why) in auto_candidates(source, &runs)? {
             if !specs.iter().any(|(s, _)| s == &spec) {
                 specs.push((spec, why));
             }
         }
     }
-    if specs.is_empty() {
-        return Err("no candidate fixes (pass --fix <spec> and/or --auto)".into());
-    }
 
-    let baseline = measure_all_streaming(file, &FixSpec::Identity)?;
     let baseline_cycles: u64 = baseline.iter().map(WhatifMeasure::window_cycles).sum();
     let baseline_seconds = baseline
         .iter()
@@ -114,20 +155,26 @@ pub fn analyze_trace(
         .max()
         .unwrap_or(0);
 
-    let mut measured: Vec<(FixSpec, String, GainEstimate)> = Vec::new();
-    for (spec, source) in specs {
-        let fixed = measure_all_streaming(file, &spec)?;
-        let mut blocks: Vec<BlockDelta> = Vec::new();
-        for (b, f) in baseline.iter().zip(&fixed) {
-            blocks.extend(blocks_from_rounds(
-                &b.round_clocks,
-                &f.round_clocks,
-                b.warmup_clock,
-                f.warmup_clock,
-            ));
-        }
-        measured.push((spec, source, estimate_gain(&blocks)));
-    }
+    // Wave 2: every candidate's measurement of every stream.
+    let fixed = for_each_stream(workers, source, specs.len(), |candidate, thread| {
+        measure_stream_streaming(source, thread, &specs[candidate].0)
+    })?;
+    let measured: Vec<(FixSpec, String, GainEstimate)> = specs
+        .into_iter()
+        .zip(fixed.chunks(baseline.len()))
+        .map(|((spec, source), fixed)| {
+            let mut blocks: Vec<BlockDelta> = Vec::new();
+            for (b, f) in baseline.iter().zip(fixed) {
+                blocks.extend(blocks_from_rounds(
+                    &b.round_clocks,
+                    &f.round_clocks,
+                    b.warmup_clock,
+                    f.warmup_clock,
+                ));
+            }
+            (spec, source, estimate_gain(&blocks))
+        })
+        .collect();
 
     let labelled: Vec<(String, GainEstimate)> = measured
         .iter()
@@ -155,41 +202,51 @@ pub fn analyze_trace(
     })
 }
 
-/// Enumerates `--auto` candidates: re-profile the trace through the ordinary replay
-/// pipeline, take the top data-profile rows, and diagnose a fix family per type.
-fn auto_candidates(file: &TraceFile) -> Result<Vec<(FixSpec, String)>, String> {
-    let runs: Vec<driver::ThreadRun> = replay_all_streaming(file)?
-        .into_iter()
-        .map(|r| driver::ThreadRun {
-            thread: r.thread,
-            seed: r.seed,
-            profile: r.profile,
-            type_names: r.type_names,
-            requests: r.requests,
-            elapsed_seconds: r.elapsed_seconds,
-            total_cycles: r.total_cycles,
-            profiling_fraction: r.profiling_fraction,
-            recorded: None,
-        })
-        .collect();
-    let report = merge::merge(&runs);
-    let line = file.machine.hierarchy.l1.line_size as u64;
+/// Enumerates `--auto` candidates from the trace's re-profile (`runs`, the ordinary
+/// replay pipeline's output): take the top data-profile rows and diagnose a fix
+/// family per type.
+fn auto_candidates(
+    source: &impl TraceSource,
+    runs: &[driver::ThreadRun],
+) -> Result<Vec<(FixSpec, String)>, String> {
+    let report = merge::merge(runs);
+    let line = source.machine().hierarchy.l1.line_size as u64;
 
-    let mut out: Vec<(FixSpec, String)> = Vec::new();
-    for row in report
+    let hot: Vec<(&str, &str)> = report
         .data_profile
         .iter()
         .filter(|r| r.l1_miss_samples >= AUTO_MISS_FLOOR)
         .take(AUTO_TOP_TYPES)
-    {
-        let dominant = report
-            .miss_classification
-            .iter()
-            .find(|m| m.name == row.name)
-            .map(merge::MergedMissRow::dominant)
-            .unwrap_or("invalidation");
-        out.push(diagnose(file, &row.name, dominant, line)?);
-    }
+        .map(|row| {
+            let dominant = report
+                .miss_classification
+                .iter()
+                .find(|m| m.name == row.name)
+                .map(merge::MergedMissRow::dominant)
+                .unwrap_or("invalidation");
+            (row.name.as_str(), dominant)
+        })
+        .collect();
+    // One walk gathers the sharing statistics of every invalidation-dominated type.
+    let invalidated: Vec<&str> = hot
+        .iter()
+        .filter(|(_, dominant)| *dominant == "invalidation")
+        .map(|(name, _)| *name)
+        .collect();
+    let mut sharing = analyze_sharing(source, &invalidated)?.into_iter();
+    let mut out: Vec<(FixSpec, String)> = hot
+        .iter()
+        .map(|&(name, dominant)| match dominant {
+            "invalidation" => diagnose_sharing(name, sharing.next().expect("one per type")),
+            _ => (
+                FixSpec::Shrink {
+                    type_name: name.to_string(),
+                    bytes: line,
+                },
+                format!("{dominant}-dominated misses: compact each object to one {line}-byte line"),
+            ),
+        })
+        .collect();
     // The utilization view surfaces layout waste the miss-share rows can hide: a
     // type whose misses land in L2/L3 never reaches the data-profile top, yet every
     // fetch of its lines can still be mostly dead bytes.  Low-utilization rows with
@@ -230,25 +287,10 @@ fn auto_candidates(file: &TraceFile) -> Result<Vec<(FixSpec, String)>, String> {
     Ok(out)
 }
 
-/// Picks the fix family for one hot type from its dominant miss class and its
+/// Picks the fix family for one invalidation-dominated hot type from its
 /// granule-sharing statistics.
-fn diagnose(
-    file: &TraceFile,
-    name: &str,
-    dominant: &str,
-    line: u64,
-) -> Result<(FixSpec, String), String> {
-    if dominant != "invalidation" {
-        return Ok((
-            FixSpec::Shrink {
-                type_name: name.to_string(),
-                bytes: line,
-            },
-            format!("{dominant}-dominated misses: compact each object to one {line}-byte line"),
-        ));
-    }
-    let sharing = analyze_sharing(file, name)?;
-    Ok(if sharing.foreign_fraction < PAD_FOREIGN_MAX {
+fn diagnose_sharing(name: &str, sharing: SharingProfile) -> (FixSpec, String) {
+    if sharing.foreign_fraction < PAD_FOREIGN_MAX {
         (
             FixSpec::Pad {
                 type_name: name.to_string(),
@@ -278,13 +320,13 @@ fn diagnose(
                 sharing.concurrency
             ),
         )
-    })
+    }
 }
 
 /// Runs the full `dprof whatif` subcommand and returns the process exit code.
 pub fn run_whatif(options: &WhatifOptions) -> i32 {
-    let file = match TraceFile::read(&options.input) {
-        Ok(file) => file,
+    let reader = match TraceReader::open(&options.input) {
+        Ok(reader) => reader,
         Err(message) => {
             eprintln!("error: {message}");
             return 1;
@@ -293,10 +335,10 @@ pub fn run_whatif(options: &WhatifOptions) -> i32 {
     eprintln!(
         "what-if analysis of {} ({} workload, {} stream(s))...",
         options.input,
-        file.params.workload,
-        file.streams.len()
+        reader.params.workload,
+        reader.stream_count()
     );
-    let analysis = match analyze_trace(&file, &options.fixes, options.auto) {
+    let analysis = match analyze_trace(&reader, &options.fixes, options.auto) {
         Ok(analysis) => analysis,
         Err(message) => {
             eprintln!("error: {message}");

@@ -1,0 +1,224 @@
+//! The bounded fan-out, end to end: however many streams a trace records and however
+//! many replays an analysis makes, at most `workers` universes exist at once; a job
+//! that panics is that job's error and nobody else's; and nothing a report or a
+//! what-if document says depends on the worker count or on where the events came from.
+
+use dprof::machine::SessionEvent;
+use dprof::trace::{
+    for_each_stream, measure_all_streaming, replay_all_streaming, replay_stream_streaming, FixSpec,
+    ThreadStream, TraceFile, TraceReader,
+};
+use dprof_cli::args::{self, Parsed};
+use dprof_cli::whatif::{analyze_trace, analyze_trace_on, render_whatif_json};
+use std::path::PathBuf;
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+fn dprof() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_dprof"))
+}
+
+fn tmp(name: &str) -> String {
+    let mut p = std::env::temp_dir();
+    p.push(format!("dprof-fan-out-test-{}-{name}", std::process::id()));
+    p.to_string_lossy().into_owned()
+}
+
+fn golden_ring_trace() -> String {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/ring_false_sharing_quick.dtrace")
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// Records a quick 2-core memcached session of `threads` streams through the real
+/// binary; returns the live run's JSON report.
+fn record_memcached(threads: usize, rounds: usize, trace: &str) -> Vec<u8> {
+    let report = format!("{trace}.live.json");
+    let output = dprof()
+        .args(["record", "-w", "memcached", "--cores", "2", "--warmup", "3"])
+        .args(["--threads", &threads.to_string()])
+        .args(["--rounds", &rounds.to_string()])
+        .args([
+            "--ibs-interval",
+            "32",
+            "--history-types",
+            "1",
+            "--history-sets",
+            "1",
+        ])
+        .args(["--trace", trace, "-f", "json", "-o", &report])
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "record failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let live = std::fs::read(&report).expect("live report exists");
+    let _ = std::fs::remove_file(report);
+    live
+}
+
+/// The in-memory equivalent of an opened trace: every stream walked once.
+fn in_memory(reader: &TraceReader) -> TraceFile {
+    TraceFile {
+        kind: reader.kind,
+        machine: reader.machine,
+        params: reader.params.clone(),
+        streams: (reader.headers().iter().enumerate())
+            .map(|(thread, h)| ThreadStream {
+                seed: h.seed,
+                requests: h.requests,
+                symbols: h.symbols.clone(),
+                types: h.types.clone(),
+                events: (reader.events(thread).expect("stream opens"))
+                    .collect::<Result<_, _>>()
+                    .expect("stream decodes"),
+            })
+            .collect(),
+    }
+}
+
+/// Asserts an error invocation: exit code 1 and a single `error:` line on stderr
+/// containing every needle.
+fn assert_one_error_line(output: &Output, needles: &[&str]) {
+    assert_eq!(output.status.code(), Some(1), "expected exit code 1");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let error_lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(error_lines.len(), 1, "stderr: {stderr}");
+    for needle in needles {
+        assert!(
+            error_lines[0].contains(needle),
+            "error line '{}' should mention '{needle}'",
+            error_lines[0]
+        );
+    }
+}
+
+#[test]
+fn a_twelve_stream_replay_builds_at_most_workers_universes_and_the_same_report() {
+    let trace = tmp("twelve.dtrace");
+    let live = record_memcached(12, 8, &trace);
+    let reader = TraceReader::open(&trace).expect("trace opens");
+    assert_eq!(reader.stream_count(), 12);
+    let Ok(Parsed::Replay(options)) =
+        args::parse(&["replay", &trace, "-f", "json"].map(String::from))
+    else {
+        panic!("replay arguments parse");
+    };
+
+    for workers in [1, 2, 12] {
+        let in_flight = AtomicUsize::new(0);
+        let high_water = AtomicUsize::new(0);
+        let replays = for_each_stream(workers, &reader, 1, |_, thread| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            high_water.fetch_max(now, Ordering::SeqCst);
+            let run = replay_stream_streaming(&reader, thread);
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            run
+        })
+        .expect("every stream replays");
+        assert!(
+            high_water.load(Ordering::SeqCst) <= workers,
+            "{} replays in flight on {workers} worker(s)",
+            high_water.load(Ordering::SeqCst)
+        );
+        let replayed = dprof_cli::render_replay(&reader, replays, &options);
+        assert!(
+            replayed.as_bytes() == live.as_slice(),
+            "{workers} worker(s): replayed report differs from the live one"
+        );
+    }
+    let _ = std::fs::remove_file(trace);
+}
+
+#[test]
+fn a_panicking_stream_is_a_clean_error_naming_it_while_the_others_complete() {
+    // Stream 1 opens by freeing an address nothing allocated: applying it panics in
+    // the replay allocator (`replayed free of non-live address`).
+    let trace = tmp("bad-free.dtrace");
+    record_memcached(2, 8, &trace);
+    let mut file = in_memory(&TraceReader::open(&trace).expect("trace opens"));
+    file.streams[1].events.insert(
+        0,
+        SessionEvent::Free {
+            core: 0,
+            addr: 0xdead_0000,
+            cycle: 1,
+        },
+    );
+    file.write(&trace).expect("bad trace writes");
+    let reader = TraceReader::open(&trace).expect("the damage is semantic, not structural");
+
+    let names_stream_1 = |e: String| {
+        assert!(
+            e.starts_with("stream 1: ") && e.contains("replay thread panicked"),
+            "{e}"
+        );
+    };
+    names_stream_1(replay_all_streaming(&reader).unwrap_err());
+    names_stream_1(measure_all_streaming(&reader, &FixSpec::Identity).unwrap_err());
+    names_stream_1(analyze_trace(&reader, &[], true).unwrap_err());
+    names_stream_1(
+        analyze_trace(&file, &[FixSpec::parse("pad:skbuff").unwrap()], false).unwrap_err(),
+    );
+
+    // One worker, two passes: stream 0's second job runs on the very worker whose
+    // previous job panicked.
+    let completed = AtomicUsize::new(0);
+    let result = for_each_stream(1, &reader, 2, |_, thread| {
+        let run = replay_stream_streaming(&reader, thread)?;
+        completed.fetch_add(1, Ordering::SeqCst);
+        Ok(run.thread)
+    });
+    names_stream_1(result.unwrap_err());
+    assert_eq!(completed.load(Ordering::SeqCst), 2);
+
+    assert_one_error_line(
+        &dprof().args(["replay", &trace]).output().unwrap(),
+        &["stream 1", "panicked"],
+    );
+    assert_one_error_line(
+        &dprof().args(["whatif", &trace, "--auto"]).output().unwrap(),
+        &["stream 1", "panicked"],
+    );
+    let _ = std::fs::remove_file(trace);
+}
+
+#[test]
+fn scheduling_and_event_source_cannot_reach_the_whatif_document() {
+    let fresh = tmp("two-streams.dtrace");
+    record_memcached(2, 30, &fresh);
+    let golden = golden_ring_trace();
+    for (path, fixes) in [(&golden, vec![]), (&fresh, vec!["pad:skbuff"])] {
+        let mut argv = vec!["whatif", path.as_str(), "--auto", "-f", "json"];
+        for fix in &fixes {
+            argv.extend(["--fix", fix]);
+        }
+        let argv: Vec<String> = argv.into_iter().map(String::from).collect();
+        let Ok(Parsed::Whatif(options)) = args::parse(&argv) else {
+            panic!("whatif arguments parse");
+        };
+        let reader = TraceReader::open(path).expect("trace opens");
+        let file = in_memory(&reader);
+        let render = |analysis| render_whatif_json(&analysis, &options).to_pretty_string();
+
+        let reference = render(analyze_trace_on(1, &reader, &options.fixes, true).unwrap());
+        for workers in [2, 7] {
+            let streamed = analyze_trace_on(workers, &reader, &options.fixes, true).unwrap();
+            assert!(
+                render(streamed) == reference,
+                "{path}: {workers} workers, from the reader"
+            );
+        }
+        for workers in [1, 2, 7] {
+            let resident = analyze_trace_on(workers, &file, &options.fixes, true).unwrap();
+            assert!(
+                render(resident) == reference,
+                "{path}: {workers} workers, from memory"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(fresh);
+}

@@ -25,10 +25,9 @@
 //!
 //! This module writes the container ([`TraceFile::encode`]) and parses its fixed-size
 //! header sections; reading a file back — prologue, streams and events — is
-//! [`crate::stream`]'s job, and [`TraceFile::read`] is a collect over it.
+//! [`crate::stream`]'s job.
 
 use crate::codec::{encode_events, get_string, get_varint, put_string, put_varint};
-use crate::stream::TraceReader;
 use crate::TraceError;
 use sim_cache::{CacheGeometry, HierarchyConfig, LatencyModel};
 use sim_machine::{MachineConfig, SamplingPolicy, SessionEvent};
@@ -335,13 +334,6 @@ impl TraceFile {
         out
     }
 
-    /// Reads a `.dtrace` file from disk and collects every stream into memory.  For
-    /// callers that walk the streams many times; a single pass is better served by
-    /// [`TraceReader`] directly.
-    pub fn read(path: &str) -> Result<Self, String> {
-        Ok(TraceReader::open(path)?.collect()?)
-    }
-
     /// Encodes and writes the trace to disk.
     pub fn write(&self, path: &str) -> Result<(), String> {
         std::fs::write(path, self.encode()).map_err(|e| format!("cannot write {path}: {e}"))
@@ -419,8 +411,9 @@ pub(crate) mod tests_support {
     }
 
     /// Decodes `bytes` the only way there is: spooled to a fresh temp file, opened
-    /// with [`TraceReader`], every stream collected.
+    /// with [`TraceReader`], every stream walked once into memory.
     pub(crate) fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
+        use crate::stream::TraceReader;
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
@@ -429,7 +422,25 @@ pub(crate) mod tests_support {
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&path, bytes).unwrap();
-        let result = TraceReader::open(path.to_str().unwrap()).and_then(|r| r.collect());
+        let result = TraceReader::open(path.to_str().unwrap()).and_then(|r| {
+            let streams = (r.headers().iter().enumerate())
+                .map(|(thread, h)| {
+                    Ok(ThreadStream {
+                        seed: h.seed,
+                        requests: h.requests,
+                        symbols: h.symbols.clone(),
+                        types: h.types.clone(),
+                        events: r.events(thread)?.collect::<Result<_, _>>()?,
+                    })
+                })
+                .collect::<Result<_, TraceError>>()?;
+            Ok(TraceFile {
+                kind: r.kind,
+                machine: r.machine,
+                params: r.params.clone(),
+                streams,
+            })
+        });
         let _ = std::fs::remove_file(&path);
         result
     }

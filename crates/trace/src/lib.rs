@@ -23,12 +23,14 @@
 //!   and how to write one.
 //! * [`stream`] — the one bytes→events decoder: [`TraceReader`] parses a file's
 //!   prologue and [`EventReader`] decodes and validates a stream's events
-//!   incrementally in bounded 64 KiB chunks.  [`TraceFile::read`] is a collect over it.
+//!   incrementally in bounded 64 KiB chunks.  It is the one way to read a file.
 //! * [`source`] — [`TraceSource`], the event-source abstraction both a [`TraceReader`]
-//!   (from disk) and a [`TraceFile`] (in memory) provide.
-//! * [`replay`] — the one replay driver, generic over [`TraceSource`]: one worker
-//!   thread per recorded stream, each driving a fresh machine + replay kernel through
-//!   the profiler; results merge through the CLI's existing merge path.
+//!   (a file on disk) and a [`TraceFile`] (a session just recorded) provide.
+//! * [`replay`] — the one replay driver, generic over [`TraceSource`], and the one
+//!   bounded fan-out independent replays run on: each job drives a fresh machine +
+//!   replay kernel through the profiler on one of at most [`available_workers`]
+//!   threads; results come back in job order and merge through the CLI's existing
+//!   merge path.
 //! * [`mod@line`] — lowering of session events to per-cache-line
 //!   [`sim_cache::TraceEvent`] streams, used by `dprof-bench` to replay captured
 //!   workloads against alternative hierarchy implementations.
@@ -50,7 +52,9 @@ pub mod whatif;
 pub use format::{
     FieldDump, RecordedStream, SessionParams, ThreadStream, TraceFile, TraceKind, TypeDump,
 };
-pub use replay::{replay_all_streaming, replay_stream_streaming, ReplayRun};
+pub use replay::{
+    available_workers, for_each_stream, replay_all_streaming, replay_stream_streaming, ReplayRun,
+};
 pub use source::{StreamInfo, TraceSource};
 pub use stream::{EventReader, StreamHeader, TraceReader};
 pub use whatif::{

@@ -18,8 +18,8 @@
 //! so peak memory is bounded by the simulation state, not the trace size; a
 //! [`crate::TraceFile`] walks streams already in memory.  This module also owns the two
 //! pieces every other walk over a trace shares: `apply_event`, the one place a
-//! recorded event meets the machine and kernel, and `for_each_stream`, the one
-//! worker-thread-per-stream fan-out.
+//! recorded event meets the machine and kernel, and `fan_out`, the one bounded pool of
+//! worker threads every set of independent replays runs on.
 
 use crate::format::TraceKind;
 use crate::source::TraceSource;
@@ -28,6 +28,8 @@ use dprof_core::{Dprof, DprofConfig, DprofProfile};
 use sim_kernel::{KernelState, TypeId, TypeRegistry};
 use sim_machine::{Machine, SessionEvent};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The outcome of replaying one recorded stream: everything the CLI needs to build a
 /// `ThreadRun` and merge it alongside (or instead of) live runs.
@@ -240,18 +242,72 @@ pub fn replay_stream_streaming(
     })
 }
 
-/// Replays every stream of a full-session trace, one worker thread per stream,
-/// returning the runs ordered by stream index.
+/// Replays every stream of a full-session trace on the bounded fan-out, returning the
+/// runs ordered by stream index.
 pub fn replay_all_streaming(source: &impl TraceSource) -> Result<Vec<ReplayRun>, String> {
-    for_each_stream(source, |thread| replay_stream_streaming(source, thread))
+    for_each_stream(available_workers(), source, 1, |_, thread| {
+        replay_stream_streaming(source, thread)
+    })
 }
 
-/// Runs `f(thread)` for every stream of a full-session trace on scoped worker threads
-/// and returns the results ordered by stream index.  Errors and worker panics are
-/// surfaced as an `Err` naming the stream.
-pub(crate) fn for_each_stream<T: Send>(
+/// How many replays run at once when the caller does not say: one per CPU this process
+/// may use.  The only place the host's parallelism is read.
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The one fan-out: runs `job(i)` for every `i` in `0..jobs` on `min(workers, jobs)`
+/// scoped worker threads that live for the whole call and pull job indices from a
+/// shared counter, and returns the results in job order — so nothing a caller derives
+/// from them can depend on which worker ran what, or when.
+///
+/// Jobs always run on a worker, never on the calling thread: a panic while applying a
+/// semantically inconsistent event stream (e.g. a crafted free of a never allocated
+/// address) then costs only that job, which reports `replay thread panicked`; the
+/// worker goes on to the next index and every thread is joined before this returns.
+fn fan_out<T: Send>(
+    workers: usize,
+    jobs: usize,
+    job: impl Fn(usize) -> Result<T, String> + Sync,
+) -> Vec<Result<T, String>> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter hands out indices and publishes nothing else.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return done;
+            }
+            let result = catch_unwind(AssertUnwindSafe(|| job(i)))
+                .unwrap_or_else(|_| Err("replay thread panicked".into()));
+            done.push((i, result));
+        }
+    };
+    let mut done: Vec<(usize, Result<T, String>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1).min(jobs))
+            .map(|_| scope.spawn(work))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("workers catch their jobs' panics"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Runs `f(pass, thread)` for every stream of a full-session trace, `passes` times
+/// over, on at most `workers` threads at once, and returns the results in
+/// `(pass, thread)` order (index `pass * stream_count + thread`).  Every job builds
+/// its own universe (a 16-core one is ≈5 MB), so `workers` bounds peak memory as well
+/// as threads.  Errors and worker panics are surfaced as an `Err` naming the stream —
+/// the first in job order, after every job has run.
+pub fn for_each_stream<T: Send>(
+    workers: usize,
     source: &impl TraceSource,
-    f: impl Fn(usize) -> Result<T, String> + Sync,
+    passes: usize,
+    f: impl Fn(usize, usize) -> Result<T, String> + Sync,
 ) -> Result<Vec<T>, String> {
     if source.kind() != TraceKind::FullSession {
         return Err(
@@ -260,29 +316,78 @@ pub(crate) fn for_each_stream<T: Send>(
                 .into(),
         );
     }
-    if source.stream_count() == 0 {
+    let streams = source.stream_count();
+    if streams == 0 {
         return Err("trace contains no streams".into());
     }
-    let f = &f;
-    // Even a single stream runs on a scoped worker thread: a panic while applying a
-    // semantically inconsistent event stream (e.g. a crafted free of a never allocated
-    // address) then surfaces as a clean error instead of aborting the caller.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..source.stream_count())
-            .map(|thread| scope.spawn(move || f(thread)))
-            .collect();
-        // Join every handle before returning: short-circuiting on the first failure
-        // would leave panicked threads for the scope to implicitly join, and the
-        // scope would then re-panic instead of letting us report a clean error.
-        let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
-        joined
-            .into_iter()
-            .enumerate()
-            .map(|(thread, result)| {
-                result
-                    .unwrap_or_else(|_| Err("replay thread panicked".into()))
-                    .map_err(|e| format!("stream {thread}: {e}"))
-            })
-            .collect()
-    })
+    fan_out(workers, passes * streams, |i| f(i / streams, i % streams))
+        .into_iter()
+        .enumerate()
+        .map(|(i, result)| result.map_err(|e| format!("stream {}: {e}", i % streams)))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    #[test]
+    fn fan_out_returns_results_in_job_order_at_any_worker_count() {
+        for workers in [0, 1, 2, 7] {
+            for jobs in [0, 1, 2, 13] {
+                let results = fan_out(workers, jobs, |i| Ok(i * i));
+                let expected: Vec<Result<usize, String>> = (0..jobs).map(|i| Ok(i * i)).collect();
+                assert_eq!(results, expected, "workers {workers}, jobs {jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_exactly_min_workers_jobs_at_once() {
+        for (workers, jobs) in [(1, 5), (2, 5), (7, 12), (12, 3)] {
+            let pool = workers.min(jobs);
+            // The first `pool` jobs meet at a barrier: that many run side by side (or
+            // this test hangs), and the high-water mark shows no more ever do.
+            let barrier = Barrier::new(pool);
+            let in_flight = AtomicUsize::new(0);
+            let high_water = AtomicUsize::new(0);
+            let results = fan_out(workers, jobs, |i| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                if i < pool {
+                    barrier.wait();
+                }
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                Ok(i)
+            });
+            assert_eq!(results.len(), jobs);
+            assert_eq!(
+                high_water.load(Ordering::SeqCst),
+                pool,
+                "workers {workers}, jobs {jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_that_jobs_error_and_its_worker_carries_on() {
+        for workers in [1, 2, 7] {
+            let results = fan_out(workers, 4, |i| match i {
+                1 => panic!("job 1 meets an inconsistent event stream"),
+                2 => Err("job 2 fails cleanly".to_string()),
+                i => Ok(i),
+            });
+            assert_eq!(
+                results,
+                vec![
+                    Ok(0),
+                    Err("replay thread panicked".to_string()),
+                    Err("job 2 fails cleanly".to_string()),
+                    Ok(3),
+                ],
+                "workers {workers}"
+            );
+        }
+    }
 }

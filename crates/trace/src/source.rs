@@ -2,11 +2,11 @@
 //! be walked event by event.
 //!
 //! Two things provide it.  A [`TraceReader`] walks a `.dtrace` file on disk, decoding
-//! each stream incrementally from its own file handle (`dprof replay`, `dprof serve`).
-//! A [`TraceFile`] walks streams already in memory — a session just recorded, or a
-//! file collected once because it will be walked many times (`dprof whatif --auto`
-//! makes eleven passes over a stream).  Every replay, measurement and analysis
-//! function in this crate is generic over [`TraceSource`], so each exists once.
+//! each stream incrementally from its own file handle (`dprof replay`, `dprof whatif`,
+//! `dprof serve`): every pass is a fresh decode, so passes can run side by side and
+//! none of them holds the events.  A [`TraceFile`] walks the streams of a session just
+//! recorded, already in memory.  Every replay, measurement and analysis function in
+//! this crate is generic over [`TraceSource`], so each exists once.
 
 use crate::format::{SessionParams, TraceFile, TraceKind, TypeDump};
 use crate::stream::TraceReader;

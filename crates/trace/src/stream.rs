@@ -19,8 +19,6 @@
 //!   buffering is a couple of chunks regardless of trace size —
 //!   [`EventReader::peak_buffered_bytes`] reports the high water mark and a regression
 //!   test pins it.
-//! * [`TraceReader::collect`] walks every stream once into an in-memory
-//!   [`TraceFile`], for callers that will walk the streams many times.
 //!
 //! Every event is validated against the declared machine as it is decoded (core in
 //! range, sane access extents), and the total event count and byte length are verified
@@ -33,10 +31,7 @@ use crate::codec::{
     get_string, get_varint, unzigzag, varint, VarintError, MAX_EVENT_BYTES, OP_ACCESS_RUN,
     OP_ALLOC, OP_COMPUTE, OP_FREE, OP_ROUND_END,
 };
-use crate::format::{
-    get_machine, get_params, ThreadStream, TraceFile, TraceKind, TypeDump, MAGIC, MAX_ACCESS_LEN,
-    VERSION,
-};
+use crate::format::{get_machine, get_params, TraceKind, TypeDump, MAGIC, MAX_ACCESS_LEN, VERSION};
 use crate::TraceError;
 use sim_cache::AccessKind;
 use sim_machine::{FunctionId, MachineConfig, SessionEvent};
@@ -301,30 +296,6 @@ impl TraceReader {
             prev_addr: [0; sim_cache::MAX_CORES],
             run: (0, FunctionId(0), 0),
             done: false,
-        })
-    }
-
-    /// Walks every stream once and collects the whole trace into memory.
-    pub fn collect(&self) -> Result<TraceFile, TraceError> {
-        let streams = self
-            .headers
-            .iter()
-            .enumerate()
-            .map(|(thread, h)| {
-                Ok(ThreadStream {
-                    seed: h.seed,
-                    requests: h.requests,
-                    symbols: h.symbols.clone(),
-                    types: h.types.clone(),
-                    events: self.events(thread)?.collect::<Result<_, _>>()?,
-                })
-            })
-            .collect::<Result<_, TraceError>>()?;
-        Ok(TraceFile {
-            kind: self.kind,
-            machine: self.machine,
-            params: self.params.clone(),
-            streams,
         })
     }
 }
@@ -626,6 +597,7 @@ impl Iterator for EventReader {
 mod tests {
     use super::*;
     use crate::format::tests_support::{read_bytes, sample_file, sample_stream, with_event_region};
+    use crate::format::TraceFile;
 
     fn temp_path(name: &str) -> String {
         let dir = std::env::temp_dir().join("dprof-stream-tests");

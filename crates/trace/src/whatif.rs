@@ -18,8 +18,9 @@
 //!   (max core clock) at every post-warmup round boundary.
 //!   Keeping the profiler out of the measurement loop matters: watchpoints armed at
 //!   recorded addresses would never fire on shadow addresses, biasing candidates.
-//! * [`analyze_sharing`] — per-type granule/concurrency statistics used by
-//!   `dprof whatif --auto` to pick the fix family that matches the sharing pattern.
+//! * [`analyze_sharing`] — per-type granule/concurrency statistics, gathered for any
+//!   number of types in one walk, used by `dprof whatif --auto` to pick the fix family
+//!   that matches the sharing pattern.
 //!
 //! The throughput metric is deliberately the **makespan delta**, not summed per-core
 //! latency: `pin` serializes an object's accesses onto one core, which *reduces* summed
@@ -28,7 +29,7 @@
 //! reports as throughput.
 
 use crate::format::TypeDump;
-use crate::replay::{apply_event, for_each_stream, rebuild_universe};
+use crate::replay::{apply_event, available_workers, for_each_stream, rebuild_universe};
 use crate::source::TraceSource;
 use sim_kernel::{RemapTarget, TypeId};
 use sim_machine::SessionEvent;
@@ -416,13 +417,13 @@ pub fn measure_stream_streaming(
     })
 }
 
-/// Measures every stream of a full-session trace under `spec`, one worker thread per
-/// stream, returning results ordered by stream index.
+/// Measures every stream of a full-session trace under `spec` on the bounded fan-out,
+/// returning results ordered by stream index.
 pub fn measure_all_streaming(
     source: &impl TraceSource,
     spec: &FixSpec,
 ) -> Result<Vec<WhatifMeasure>, String> {
-    for_each_stream(source, |thread| {
+    for_each_stream(available_workers(), source, 1, |_, thread| {
         measure_stream_streaming(source, thread, spec)
     })
 }
@@ -444,25 +445,67 @@ pub struct SharingProfile {
     pub concurrency: f64,
 }
 
-/// Computes [`SharingProfile`] for `type_name` by a single pass over every stream's
-/// events, tracking the type's live intervals from its `Alloc`/`Free` events.  Decode
-/// errors surface as `Err`.
+/// One type's running state in the sharing walk.  Types share nothing — each has its
+/// own live map, granule table and round masks — so a type's profile does not depend
+/// on which other types are walked beside it.
+#[derive(Default)]
+struct SharingState {
+    /// The type's id in the stream being walked (`None`: the stream never registered
+    /// it, and none of its events can concern the type).
+    target: Option<TypeId>,
+    /// Live objects of the type, `base -> size`, from its `Alloc`/`Free` events.
+    live: BTreeMap<u64, u64>,
+    /// `(base, granule) -> core -> accesses`.
+    granules: HashMap<(u64, u64), HashMap<u32, u64>>,
+    /// `base -> mask of cores that touched the object this round`.
+    round_cores: HashMap<u64, u128>,
+    accesses: u64,
+    object_rounds: u64,
+    core_sum: u64,
+}
+
+impl SharingState {
+    fn profile(&self) -> SharingProfile {
+        let owner_sum: u64 = self
+            .granules
+            .values()
+            .map(|by_core| by_core.values().copied().max().unwrap_or(0))
+            .sum();
+        SharingProfile {
+            accesses: self.accesses,
+            foreign_fraction: if self.accesses == 0 {
+                0.0
+            } else {
+                (self.accesses - owner_sum) as f64 / self.accesses as f64
+            },
+            concurrency: if self.object_rounds == 0 {
+                0.0
+            } else {
+                self.core_sum as f64 / self.object_rounds as f64
+            },
+        }
+    }
+}
+
+/// Computes the [`SharingProfile`] of every type in `type_names` (in that order) by a
+/// single pass over every stream's events, tracking each type's live intervals from
+/// its `Alloc`/`Free` events.  A stream that registered none of the types is not
+/// decoded at all.  Decode errors surface as `Err`.
 pub fn analyze_sharing(
     source: &impl TraceSource,
-    type_name: &str,
-) -> Result<SharingProfile, String> {
-    let mut granules: HashMap<(u64, u64), HashMap<u32, u64>> = HashMap::new();
-    let mut round_cores: HashMap<u64, u128> = HashMap::new();
-    let mut accesses = 0u64;
-    let mut object_rounds = 0u64;
-    let mut core_sum = 0u64;
-
+    type_names: &[&str],
+) -> Result<Vec<SharingProfile>, String> {
+    let mut states: Vec<SharingState> = type_names.iter().map(|_| Default::default()).collect();
     for thread in 0..source.stream_count() {
-        let Some(target) = stream_type_id(source.stream(thread).types, type_name) else {
+        let types = source.stream(thread).types;
+        for (state, name) in states.iter_mut().zip(type_names) {
+            state.target = stream_type_id(types, name);
+            state.live.clear();
+            state.round_cores.clear();
+        }
+        if states.iter().all(|s| s.target.is_none()) {
             continue;
-        };
-        let mut live: BTreeMap<u64, u64> = BTreeMap::new();
-        round_cores.clear();
+        }
         for ev in source.events(thread)? {
             match ev? {
                 SessionEvent::Alloc {
@@ -470,59 +513,52 @@ pub fn analyze_sharing(
                     size,
                     addr,
                     ..
-                } if TypeId(type_id) == target => {
-                    live.insert(addr, size);
-                }
-                SessionEvent::Free { addr, .. } => {
-                    live.remove(&addr);
-                }
-                SessionEvent::Access { core, addr, .. } => {
-                    let Some((&base, &size)) = live.range(..=addr).next_back() else {
-                        continue;
-                    };
-                    if addr >= base + size {
-                        continue;
-                    }
-                    accesses += 1;
-                    let granule = (addr - base) / 8;
-                    *granules
-                        .entry((base, granule))
-                        .or_default()
-                        .entry(core)
-                        .or_insert(0) += 1;
-                    *round_cores.entry(base).or_insert(0u128) |= 1u128 << (core.min(127));
-                }
-                SessionEvent::RoundEnd => {
-                    for mask in round_cores.values_mut() {
-                        if *mask != 0 {
-                            object_rounds += 1;
-                            core_sum += mask.count_ones() as u64;
-                            *mask = 0;
+                } => {
+                    for s in states.iter_mut() {
+                        if s.target == Some(TypeId(type_id)) {
+                            s.live.insert(addr, size);
                         }
                     }
                 }
-                _ => {}
+                SessionEvent::Free { addr, .. } => {
+                    for s in states.iter_mut() {
+                        s.live.remove(&addr);
+                    }
+                }
+                SessionEvent::Access { core, addr, .. } => {
+                    for s in states.iter_mut() {
+                        let Some((&base, &size)) = s.live.range(..=addr).next_back() else {
+                            continue;
+                        };
+                        if addr >= base + size {
+                            continue;
+                        }
+                        s.accesses += 1;
+                        let granule = (addr - base) / 8;
+                        *s.granules
+                            .entry((base, granule))
+                            .or_default()
+                            .entry(core)
+                            .or_insert(0) += 1;
+                        *s.round_cores.entry(base).or_insert(0u128) |= 1u128 << (core.min(127));
+                    }
+                }
+                SessionEvent::RoundEnd => {
+                    for s in states.iter_mut() {
+                        for mask in s.round_cores.values_mut() {
+                            if *mask != 0 {
+                                s.object_rounds += 1;
+                                s.core_sum += mask.count_ones() as u64;
+                                *mask = 0;
+                            }
+                        }
+                    }
+                }
+                SessionEvent::Compute { .. } => {}
             }
         }
     }
-
-    let owner_sum: u64 = granules
-        .values()
-        .map(|by_core| by_core.values().copied().max().unwrap_or(0))
-        .sum();
-    Ok(SharingProfile {
-        accesses,
-        foreign_fraction: if accesses == 0 {
-            0.0
-        } else {
-            (accesses - owner_sum) as f64 / accesses as f64
-        },
-        concurrency: if object_rounds == 0 {
-            0.0
-        } else {
-            core_sum as f64 / object_rounds as f64
-        },
-    })
+    Ok(states.iter().map(SharingState::profile).collect())
 }
 
 #[cfg(test)]

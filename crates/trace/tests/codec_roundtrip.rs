@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Decodes `bytes` through the streaming decoder: spooled to a fresh temp file per
 /// call (the test binary runs tests on parallel threads, so a fixed name would race),
-/// opened, and every stream collected.
+/// opened, and every stream walked once into memory.
 fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -19,8 +19,25 @@ fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
         std::process::id()
     ));
     std::fs::write(&path, bytes).expect("temp trace writes");
-    let result =
-        TraceReader::open(path.to_str().expect("temp path is utf-8")).and_then(|r| r.collect());
+    let result = TraceReader::open(path.to_str().expect("temp path is utf-8")).and_then(|r| {
+        let streams = (r.headers().iter().enumerate())
+            .map(|(thread, h)| {
+                Ok(ThreadStream {
+                    seed: h.seed,
+                    requests: h.requests,
+                    symbols: h.symbols.clone(),
+                    types: h.types.clone(),
+                    events: r.events(thread)?.collect::<Result<_, _>>()?,
+                })
+            })
+            .collect::<Result<_, TraceError>>()?;
+        Ok(TraceFile {
+            kind: r.kind,
+            machine: r.machine,
+            params: r.params.clone(),
+            streams,
+        })
+    });
     std::fs::remove_file(&path).ok();
     result
 }

@@ -8,12 +8,14 @@
 //!   could not produce.
 //! * Every transform is deterministic: the same event sequence through two freshly
 //!   built transforms (or two measurement replays) yields identical results.
+//! * The sharing walk keeps its types apart: walking many types at once gives each the
+//!   profile it gets walked alone.
 
 use dprof_core::{Dprof, DprofConfig, HistoryConfig};
 use dprof_trace::whatif::{stream_type_id, SHADOW_BASE};
 use dprof_trace::{
-    measure_stream_streaming, FieldDump, FixSpec, SessionParams, ThreadStream, TraceFile,
-    TraceKind, Transform, TypeDump,
+    analyze_sharing, measure_stream_streaming, trace_type_names, FieldDump, FixSpec, SessionParams,
+    ThreadStream, TraceFile, TraceKind, TraceReader, TraceSource, Transform, TypeDump,
 };
 use proptest::prelude::*;
 use sim_kernel::{RemapTarget, ResolvedAddr, TypeId};
@@ -251,4 +253,56 @@ proptest! {
         prop_assert_eq!(f1.warmup_clock, f2.warmup_clock);
         prop_assert_eq!(&f1.round_clocks, &f2.round_clocks);
     }
+}
+
+/// Walks every recorded type of `source`, plus one no stream registered, in one fused
+/// pass and one type at a time: each profile must be the same, bit for bit.  Returns
+/// how many types had any access, so a caller can tell the comparison was not vacuous.
+fn assert_fused_walk_equals_per_type(source: &impl TraceSource, label: &str) -> usize {
+    let mut names = trace_type_names(source);
+    names.push("__no_such_type".to_string());
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let fused = analyze_sharing(source, &names).expect("fused walk");
+    assert_eq!(fused.len(), names.len());
+    for (name, fused) in names.iter().zip(&fused) {
+        let alone = analyze_sharing(source, &[name]).expect("single-type walk");
+        assert_eq!(alone, [*fused], "{label}: type '{name}'");
+    }
+    assert_eq!(fused.last().unwrap().accesses, 0);
+    fused.iter().filter(|p| p.accesses > 0).count()
+}
+
+#[test]
+fn one_sharing_walk_equals_a_walk_per_type() {
+    for name in [
+        "memcached_quick",
+        "false_sharing_quick",
+        "apache_quick",
+        "sparse_struct_waste_quick",
+        "ring_false_sharing_quick",
+    ] {
+        let path = format!(
+            "{}/../../tests/golden/{name}.dtrace",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let reader = TraceReader::open(&path).expect("golden trace opens");
+        assert!(assert_fused_walk_equals_per_type(&reader, name) > 0);
+    }
+
+    // Two streams, and a type each that the other never registered: per-type state
+    // must sit a stream out and pick up again.
+    let mut file = record_session(3471, 10);
+    file.streams
+        .push(record_session(3472, 10).streams.remove(0));
+    let hot = "size-1024";
+    for t in &mut file.streams[1].types {
+        if t.name == hot {
+            t.name = "size-1024-renamed".to_string();
+        }
+    }
+    assert!(stream_type_id(&file.streams[0].types, hot).is_some());
+    assert!(stream_type_id(&file.streams[1].types, hot).is_none());
+    assert!(assert_fused_walk_equals_per_type(&file, "two streams") > 2);
+    let split = analyze_sharing(&file, &[hot, "size-1024-renamed"]).unwrap();
+    assert!(split[0].accesses > 0 && split[1].accesses > 0);
 }
