@@ -1,8 +1,7 @@
 //! Re-export of the core schema module's JSON support.
 //!
-//! The document model used to live here; the serve PR moved it to
-//! `dprof-core::schema` so every emitter and parser in the workspace (CLI renderers,
-//! diff loading, the serve store and its clients) shares one implementation.  This
-//! shim keeps the historical `dprof_cli::json::Json` path working.
+//! Every emitter and parser in the workspace (CLI renderers, diff loading, the serve
+//! store and its clients) shares the one document model in `dprof-core::schema`; this
+//! shim keeps the `dprof_cli::json::Json` path working.
 
-pub use dprof::core::schema::{all_keys, Json};
+pub use dprof::core::schema::Json;

@@ -4,15 +4,12 @@
 //! [`MergeSink`] trait (it is shared with the `dprof serve` ingest path); this
 //! module is the CLI-side adapter that turns a [`ThreadRun`] into a
 //! [`ProfileShard`] and folds a batch of runs through a [`StreamingMerge`].
-//! Ordinals are the thread indices, so the canonical fold order equals the
-//! historical run order and the rendered report stays byte-identical to the
-//! pre-refactor one-shot merge.
+//! Ordinals are the thread indices, so the canonical fold order is the run order.
 
 use crate::driver::ThreadRun;
 pub use dprof::core::merge::{
-    merge_shards, shard_from_merged, summary_from_merged, MergeSink, MergedDataFlow,
-    MergedFlowEdge, MergedFlowNode, MergedMissRow, MergedProfileRow, MergedReport,
-    MergedWorkingSet, MergedWorkingSetRow, ProfileShard, ShardMeta, StreamingMerge, ThreadSummary,
+    merge_shards, summary_from_merged, MergeSink, MergedReport, ProfileShard, ShardMeta,
+    StreamingMerge,
 };
 
 /// Converts one per-thread run into a mergeable shard (ordinal = thread index).
@@ -82,7 +79,7 @@ mod tests {
         let rs = runs(2);
         let report = merge(&rs);
         assert_eq!(
-            report.total_requests,
+            report.totals.requests,
             rs.iter().map(|r| r.requests).sum::<u64>()
         );
         assert_eq!(report.threads.len(), 2);
@@ -118,7 +115,7 @@ mod tests {
                 .filter(|e| e.cpu_change)
                 .map(|e| e.count)
                 .sum();
-            assert_eq!(crossing_sum, flow.core_crossings);
+            assert_eq!(crossing_sum, flow.core_crossings());
         }
     }
 

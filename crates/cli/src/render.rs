@@ -32,9 +32,9 @@ pub fn render_text(report: &MergedReport, options: &Options) -> String {
     writeln!(
         out,
         "{} requests profiled, {:.0} req/s simulated, {:.2}% profiling overhead",
-        report.total_requests,
-        report.aggregate_rps,
-        100.0 * report.profiling_fraction
+        report.totals.requests,
+        report.totals.rps,
+        100.0 * report.totals.profiling_fraction
     )
     .unwrap();
 
@@ -137,7 +137,7 @@ fn text_working_set(out: &mut String, report: &MergedReport, top: usize) {
         format_bytes(ws.cache_capacity as f64),
         ws.threads_exceeding_capacity,
         report.threads.len(),
-        ws.max_conflict_sets
+        ws.conflict_sets
     )
     .unwrap();
 }
@@ -162,12 +162,12 @@ fn text_utilization(out: &mut String, report: &MergedReport, top: usize) {
             out,
             "{:<16} {:>7.1}% [{:>5.1}, {:>5.1}] {:>12} {:>10}/s {:>8.1}% {:>7}  {}",
             row.name,
-            row.utilization_pct,
+            row.utilization_pct(),
             row.ci95_low,
             row.ci95_high,
-            format_bytes(row.wasted_bytes as f64),
+            format_bytes(row.wasted_bytes() as f64),
             format_bytes(row.wasted_bytes_per_sec),
-            100.0 * row.refetch_ratio,
+            100.0 * row.refetch_ratio(),
             if row.rank_stable { "firm" } else { "~" },
             origin
         )
@@ -189,14 +189,15 @@ fn text_data_flow(out: &mut String, report: &MergedReport, top: usize) {
         return;
     }
     for flow in &report.data_flows {
-        if flow.core_crossings == 0 {
+        let core_crossings = flow.core_crossings();
+        if core_crossings == 0 {
             writeln!(out, "{}: no core transitions observed", flow.type_name).unwrap();
             continue;
         }
         writeln!(
             out,
             "{}: {} core-crossing traversal(s)",
-            flow.type_name, flow.core_crossings
+            flow.type_name, core_crossings
         )
         .unwrap();
         for edge in flow.edges.iter().filter(|e| e.cpu_change).take(top.min(3)) {
@@ -214,7 +215,7 @@ fn text_data_flow(out: &mut String, report: &MergedReport, top: usize) {
 pub fn render_json(report: &MergedReport, options: &Options) -> Json {
     let mut root = vec![
         ("schema".to_string(), Json::str(SCHEMA)),
-        ("run".to_string(), run_section(report, options)),
+        ("run".to_string(), run_section(options)),
         ("throughput".to_string(), throughput_section(report)),
     ];
     for view in &options.views {
@@ -230,7 +231,7 @@ pub fn render_json(report: &MergedReport, options: &Options) -> Json {
     Json::Obj(root)
 }
 
-fn run_section(_report: &MergedReport, options: &Options) -> Json {
+fn run_section(options: &Options) -> Json {
     let run = &options.run;
     Json::obj(vec![
         ("workload", Json::str(run.workload.name())),
@@ -251,9 +252,12 @@ fn run_section(_report: &MergedReport, options: &Options) -> Json {
 
 fn throughput_section(report: &MergedReport) -> Json {
     Json::obj(vec![
-        ("total_requests", Json::num(report.total_requests as f64)),
-        ("aggregate_rps", Json::num(report.aggregate_rps)),
-        ("profiling_fraction", Json::num(report.profiling_fraction)),
+        ("total_requests", Json::num(report.totals.requests as f64)),
+        ("aggregate_rps", Json::num(report.totals.rps)),
+        (
+            "profiling_fraction",
+            Json::num(report.totals.profiling_fraction),
+        ),
         (
             "per_thread",
             Json::Arr(
@@ -343,7 +347,7 @@ fn working_set_section(report: &MergedReport, top: usize) -> Json {
             "threads_exceeding_capacity",
             Json::num(ws.threads_exceeding_capacity as u32),
         ),
-        ("max_conflict_sets", Json::num(ws.max_conflict_sets as u32)),
+        ("max_conflict_sets", Json::num(ws.conflict_sets as u32)),
         (
             "rows",
             Json::Arr(
@@ -391,13 +395,13 @@ fn utilization_section(report: &MergedReport, top: usize) -> Json {
                             ("slots_fetched", Json::num(row.slots_fetched as f64)),
                             ("slots_touched", Json::num(row.slots_touched as f64)),
                             ("refetch_slots", Json::num(row.refetch_slots as f64)),
-                            ("utilization_pct", Json::num(row.utilization_pct)),
+                            ("utilization_pct", Json::num(row.utilization_pct())),
                             ("ci95_low", Json::num(row.ci95_low)),
                             ("ci95_high", Json::num(row.ci95_high)),
                             ("rank_stable", Json::Bool(row.rank_stable)),
-                            ("wasted_bytes", Json::num(row.wasted_bytes as f64)),
+                            ("wasted_bytes", Json::num(row.wasted_bytes() as f64)),
                             ("wasted_bytes_per_sec", Json::num(row.wasted_bytes_per_sec)),
-                            ("refetch_ratio", Json::num(row.refetch_ratio)),
+                            ("refetch_ratio", Json::num(row.refetch_ratio())),
                             (
                                 "origins",
                                 Json::Arr(
@@ -414,7 +418,10 @@ fn utilization_section(report: &MergedReport, top: usize) -> Json {
                                                     "slots_touched",
                                                     Json::num(o.slots_touched as f64),
                                                 ),
-                                                ("wasted_bytes", Json::num(o.wasted_bytes as f64)),
+                                                (
+                                                    "wasted_bytes",
+                                                    Json::num(o.wasted_bytes() as f64),
+                                                ),
                                             ])
                                         })
                                         .collect(),
@@ -438,7 +445,7 @@ fn data_flow_section(report: &MergedReport, top: usize) -> Json {
                 .map(|flow| {
                     Json::obj(vec![
                         ("type", Json::str(&flow.type_name)),
-                        ("core_crossings", Json::num(flow.core_crossings as f64)),
+                        ("core_crossings", Json::num(flow.core_crossings() as f64)),
                         (
                             "nodes",
                             Json::Arr(
@@ -537,6 +544,49 @@ mod tests {
         assert!(rows
             .iter()
             .any(|r| r.get("type").and_then(Json::as_str) == Some("skbuff")));
+    }
+
+    #[test]
+    fn a_rendered_report_reads_back_as_a_shard_with_the_same_counts() {
+        use crate::merge::{merge_shards, ProfileShard};
+        let mut options = small_options();
+        options.run.threads = 1;
+        options.top = 64;
+        let report = merge(&run_parallel(&options.run).unwrap());
+        let shard: ProfileShard =
+            dprof::core::schema::shard_from_report_json(&render_json(&report, &options), 0)
+                .unwrap();
+        let again = merge_shards(&[&shard]);
+
+        assert!(!report.data_profile.is_empty() && !report.utilization.rows.is_empty());
+        assert_eq!(again.pooled_weight, report.pooled_weight);
+        assert_eq!(again.totals.requests, report.totals.requests);
+        assert_eq!(again.data_profile.len(), report.data_profile.len());
+        for (a, b) in again.data_profile.iter().zip(&report.data_profile) {
+            assert_eq!(
+                (
+                    &a.name,
+                    a.samples,
+                    a.l1_miss_samples,
+                    a.bounce,
+                    a.threads_seen
+                ),
+                (
+                    &b.name,
+                    b.samples,
+                    b.l1_miss_samples,
+                    b.bounce,
+                    b.threads_seen
+                )
+            );
+        }
+        let misses = |r: &MergedReport| -> Vec<(String, u64)> {
+            let rows = r.miss_classification.iter();
+            rows.map(|m| (m.name.clone(), m.miss_samples)).collect()
+        };
+        assert_eq!(misses(&again), misses(&report));
+        // No float is recombined on this path: counts pool, rates add to themselves.
+        assert_eq!(again.utilization, report.utilization);
     }
 
     #[test]

@@ -222,7 +222,7 @@ fn auto_candidates(
                 .miss_classification
                 .iter()
                 .find(|m| m.name == row.name)
-                .map(merge::MergedMissRow::dominant)
+                .map(|m| m.dominant())
                 .unwrap_or("invalidation");
             (row.name.as_str(), dominant)
         })
@@ -256,7 +256,7 @@ fn auto_candidates(
         .rows
         .iter()
         .filter(|r| {
-            r.slots_fetched >= AUTO_UTIL_FETCH_FLOOR && r.utilization_pct < AUTO_UTIL_PCT_MAX
+            r.slots_fetched >= AUTO_UTIL_FETCH_FLOOR && r.utilization_pct() < AUTO_UTIL_PCT_MAX
         })
         .take(AUTO_TOP_TYPES)
     {
@@ -272,7 +272,8 @@ fn auto_candidates(
             format!(
                 "line utilization {:.0}% ({} wasted bytes/s): pack live fields into one \
                  {line}-byte line",
-                row.utilization_pct, row.wasted_bytes_per_sec as u64
+                row.utilization_pct(),
+                row.wasted_bytes_per_sec as u64
             ),
         ));
     }

@@ -71,8 +71,8 @@ pub use history::{
     ObjectAccessHistory,
 };
 pub use merge::{
-    merge_shards, shard_from_merged, summary_from_merged, MergeSink, MergedReport, ProfileShard,
-    ShardMeta, StreamingMerge,
+    merge_shards, summary_from_merged, MergeSink, MergedReport, ProfileShard, ShardMeta,
+    StreamingMerge,
 };
 pub use path_trace::{build_path_traces, count_unique_paths, PathTrace, PathTraceEntry};
 pub use profiler::{popular_offsets, Dprof, DprofConfig, DprofProfile, SamplePhase};

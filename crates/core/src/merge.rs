@@ -1,10 +1,10 @@
 //! Streaming, shard-based merging of profiles into one report.
 //!
-//! This used to live in `crates/cli/src/merge.rs` as a one-shot function over the
-//! CLI's per-thread runs.  `dprof serve` needs the same merge as a long-lived,
-//! incremental operation over shards pushed by many producers, so the algorithm now
-//! lives here behind the [`MergeSink`] trait and a producer-neutral input type,
-//! [`ProfileShard`]; the CLI's one-shot path is a thin adapter over the same code.
+//! The fold is closed over one type: [`fold`] takes [`ProfileShard`]s and returns a
+//! [`ProfileShard`], so a merged profile is itself just another mergeable profile —
+//! what compaction keeps and what the serve store snapshots.  A [`MergedReport`] is
+//! that folded shard *ranked*: the same rows, plus the confidence interval and
+//! rank-stability mark a row cannot compute from its own fields ([`Ranked`]).
 //!
 //! Shards profile *independent* simulated machines, so `TypeId`s are only meaningful
 //! within a producer; merging keys everything by type name and function name instead.
@@ -18,26 +18,27 @@
 //! [`StreamingMerge`] therefore keeps absorbed shards and, at [`MergeSink::finish`],
 //! sorts them into a canonical order (ordinal, then seed/thread tie-breaks) before
 //! folding — the merged report is bit-identical no matter the order shards arrived
-//! in, and identical to the pre-refactor one-shot merge (the CLI assigns ordinals in
-//! thread order).  All merged collections are additionally sorted on stable keys, so
-//! the rendered report is byte-identical for identical inputs regardless of `HashMap`
-//! iteration order.
+//! in (the CLI assigns ordinals in thread order).  All merged collections are
+//! additionally sorted on stable keys, so the rendered report is byte-identical for
+//! identical inputs regardless of `HashMap` iteration order.
 //!
 //! **Bounded memory.** A sink built with [`StreamingMerge::with_compact_threshold`]
 //! folds its retained shards into a single base shard whenever the threshold is
 //! reached, so memory stays proportional to the distinct-type count rather than the
 //! shard count.  Compaction is exact for all counts (samples, misses, requests,
-//! Wilson-interval numerators/denominators) and rounding-level for weighted-mean
-//! percentages; it collapses per-producer thread rows into one aggregate row.
+//! Wilson-interval numerators/denominators, the thread multiplicity behind every
+//! mean) and rounding-level for weighted means; it collapses per-producer thread rows
+//! into one aggregate row.
 
 use crate::profiler::DprofProfile;
-use crate::report::diff::{ReportSummary, TypeSummary};
+use crate::report::diff::ReportSummary;
 use crate::stats::{mark_rank_stability, wilson95};
 use crate::views::MissClass;
 use sim_kernel::TypeId;
 use std::collections::HashMap;
 
-/// Producer-level bookkeeping carried by a shard into the merged thread table.
+/// Producer-level bookkeeping carried by a shard into the merged thread table; on a
+/// folded shard, the totals over everything folded in.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardMeta {
     /// Producer thread index (CLI) or 0 for pushed/compacted shards.
@@ -96,6 +97,19 @@ pub struct ShardMissRow {
     pub capacity: f64,
 }
 
+impl ShardMissRow {
+    /// The dominant class name of the row's fractions.
+    pub fn dominant(&self) -> &'static str {
+        let mut best = ("invalidation", self.invalidation);
+        for (name, value) in [("conflict", self.conflict), ("capacity", self.capacity)] {
+            if value > best.1 {
+                best = (name, value);
+            }
+        }
+        best.0
+    }
+}
+
 /// Per-allocation-origin share of one shard utilization row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardUtilizationOrigin {
@@ -103,12 +117,20 @@ pub struct ShardUtilizationOrigin {
     pub origin: String,
     /// Granule-slots fetched for objects from this origin.
     pub slots_fetched: u64,
-    /// Of those, slots touched before eviction.
+    /// Of those, slots touched before eviction (never more than fetched: the
+    /// simulator counts it so and `schema` rejects documents that claim otherwise).
     pub slots_touched: u64,
 }
 
+impl ShardUtilizationOrigin {
+    /// Untouched bytes fetched for this origin (a granule-slot is 8 bytes).
+    pub fn wasted_bytes(&self) -> u64 {
+        8 * (self.slots_fetched - self.slots_touched)
+    }
+}
+
 /// One line-utilization row of a shard.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardUtilizationRow {
     /// Type name.
     pub name: String,
@@ -123,15 +145,42 @@ pub struct ShardUtilizationRow {
     /// Wasted-bandwidth rate of this shard's machine.  Shards profile machines
     /// running in parallel, so merged rates are *sums* (like `aggregate_rps`).
     pub wasted_bytes_per_sec: f64,
-    /// Per-allocation-origin breakdown.
+    /// Per-allocation-origin breakdown (most-wasteful origin first once folded).
     pub origins: Vec<ShardUtilizationOrigin>,
 }
 
-/// The line-utilization view of a shard.
+impl ShardUtilizationRow {
+    /// `100 * slots_touched / slots_fetched`.
+    pub fn utilization_pct(&self) -> f64 {
+        if self.slots_fetched == 0 {
+            0.0
+        } else {
+            100.0 * self.slots_touched as f64 / self.slots_fetched as f64
+        }
+    }
+
+    /// Untouched bytes: `8 * (slots_fetched - slots_touched)` (same invariant as
+    /// [`ShardUtilizationOrigin::wasted_bytes`]).
+    pub fn wasted_bytes(&self) -> u64 {
+        8 * (self.slots_fetched - self.slots_touched)
+    }
+
+    /// `refetch_slots / slots_fetched`.
+    pub fn refetch_ratio(&self) -> f64 {
+        if self.slots_fetched == 0 {
+            0.0
+        } else {
+            self.refetch_slots as f64 / self.slots_fetched as f64
+        }
+    }
+}
+
+/// The line-utilization view of a shard (`R` is the bare row) or of a merged report
+/// (`R` is the row [`Ranked`]).
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ShardUtilization {
-    /// Per-type rows.
-    pub rows: Vec<ShardUtilizationRow>,
+pub struct ShardUtilization<R = ShardUtilizationRow> {
+    /// Per-type rows (sorted by wasted bytes, descending, once folded).
+    pub rows: Vec<R>,
     /// Counted line fills in the shard's tally.
     pub total_fetches: u64,
     /// Of those, re-fetches of previously fetched lines.
@@ -175,7 +224,8 @@ pub struct ShardWorkingSet {
     pub thread_count: usize,
     /// How many of those threads' working sets exceeded the cache capacity.
     pub threads_exceeding_capacity: usize,
-    /// Number of over-subscribed associativity sets.
+    /// Number of over-subscribed associativity sets (the largest any thread saw,
+    /// once folded).
     pub conflict_sets: usize,
 }
 
@@ -210,17 +260,28 @@ pub struct ShardFlowEdge {
 pub struct ShardFlow {
     /// Type name.
     pub type_name: String,
-    /// Nodes (any order; merged node order is re-derived).
+    /// Nodes (any order; a fold sorts them by weight, descending, then name).
     pub nodes: Vec<ShardFlowNode>,
-    /// Edges (any order).
+    /// Edges (any order; a fold sorts them by count, descending, then endpoints).
     pub edges: Vec<ShardFlowEdge>,
+}
+
+impl ShardFlow {
+    /// Total traversals of core-crossing edges.
+    pub fn core_crossings(&self) -> u64 {
+        self.edges
+            .iter()
+            .filter(|e| e.cpu_change)
+            .map(|e| e.count)
+            .sum()
+    }
 }
 
 /// One producer's contribution to a merged report: a self-contained, name-keyed
 /// summary of a profile that can be merged with any other shard of the same
 /// workload.  Built from a live profile ([`ProfileShard::from_profile`]), parsed
 /// from a pushed report (`schema::shard_from_report_json`), or produced by folding
-/// other shards ([`shard_from_merged`]).
+/// other shards ([`fold`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileShard {
     /// Position in the canonical fold order.  The CLI assigns the thread index;
@@ -384,241 +445,125 @@ impl ProfileShard {
     }
 }
 
-/// A data-profile row aggregated across shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedProfileRow {
-    /// Type name.
-    pub name: String,
-    /// Human-readable description.
-    pub description: String,
-    /// Mean working-set footprint across the threads that saw the type, bytes.
-    pub working_set_bytes: f64,
-    /// Miss-weighted share of L1 miss samples, percent.
-    pub pct_of_l1_misses: f64,
-    /// Miss-weighted share of miss cycles, percent.
-    pub pct_of_miss_cycles: f64,
-    /// Whether any shard saw the type bounce between cores.
-    pub bounce: bool,
-    /// Total access samples attributed to the type, all shards.
-    pub samples: u64,
-    /// Total L1-miss samples attributed to the type, all shards (the merged
-    /// miss-share numerator; pooling the counts is what lets the merged confidence
-    /// interval be exact instead of a heuristic combination of per-shard ones).
-    pub l1_miss_samples: u64,
-    /// Lower bound of the 95% confidence interval on the merged miss share, percent.
-    pub ci95_low: f64,
-    /// Upper bound of the 95% confidence interval on the merged miss share, percent.
-    pub ci95_high: f64,
-    /// True when the merged rank is statistically firm (no CI overlap with either
-    /// ranked neighbour).
-    pub rank_stable: bool,
-    /// Number of producer threads whose profile contained the type.
-    pub threads_seen: usize,
-}
-
-/// A miss-classification row aggregated across shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedMissRow {
-    /// Type name.
-    pub name: String,
-    /// Total miss samples, all shards.
-    pub miss_samples: u64,
-    /// Miss-weighted fraction of invalidation misses.
-    pub invalidation: f64,
-    /// Miss-weighted fraction of conflict misses.
-    pub conflict: f64,
-    /// Miss-weighted fraction of capacity misses.
-    pub capacity: f64,
-}
-
-impl MergedMissRow {
-    /// The dominant class name of the merged fractions.
-    pub fn dominant(&self) -> &'static str {
-        let mut best = ("invalidation", self.invalidation);
-        for (name, value) in [("conflict", self.conflict), ("capacity", self.capacity)] {
-            if value > best.1 {
-                best = (name, value);
-            }
-        }
-        best.0
-    }
-}
-
-/// Per-allocation-origin share of a merged utilization row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedUtilizationOrigin {
-    /// Origin label (`"cpu<k>"`).
-    pub origin: String,
-    /// Total granule-slots fetched for this origin, all shards.
-    pub slots_fetched: u64,
-    /// Of those, slots touched before eviction.
-    pub slots_touched: u64,
-    /// Untouched bytes fetched for this origin.
-    pub wasted_bytes: u64,
-}
-
-/// A line-utilization row aggregated across shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedUtilizationRow {
-    /// Type name.
-    pub name: String,
-    /// Description.
-    pub description: String,
-    /// Total granule-slots fetched, all shards (the pooled Wilson denominator).
-    pub slots_fetched: u64,
-    /// Of those, slots touched before eviction (the pooled numerator).
-    pub slots_touched: u64,
-    /// Fetched slots riding re-fetches of previously fetched lines.
-    pub refetch_slots: u64,
-    /// `100 * slots_touched / slots_fetched` of the pooled counts.
-    pub utilization_pct: f64,
-    /// Pooled untouched bytes: `8 * (slots_fetched - slots_touched)`.
-    pub wasted_bytes: u64,
-    /// Sum of per-shard wasted-bandwidth rates (shards run in parallel).
-    pub wasted_bytes_per_sec: f64,
-    /// `refetch_slots / slots_fetched` of the pooled counts.
-    pub refetch_ratio: f64,
-    /// Lower bound of the 95% confidence interval on the pooled utilization, percent.
+/// A folded row plus the three values it cannot compute from its own fields: its
+/// confidence interval needs the pooled denominator, its rank stability the
+/// neighbouring rows.  Derefs to the row.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Ranked<R> {
+    /// The folded row.
+    pub row: R,
+    /// Lower bound of the 95% confidence interval on the row's share, percent.
     pub ci95_low: f64,
     /// Upper bound of the 95% confidence interval, percent.
     pub ci95_high: f64,
-    /// True when the merged wasted-bytes rank is statistically firm.
+    /// True when the rank is statistically firm (no overlap with either ranked
+    /// neighbour).
     pub rank_stable: bool,
-    /// Per-allocation-origin breakdown, most-wasteful origin first.
-    pub origins: Vec<MergedUtilizationOrigin>,
 }
 
-/// The merged line-utilization view.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MergedUtilization {
-    /// Per-type rows, sorted by pooled wasted bytes (descending).
-    pub rows: Vec<MergedUtilizationRow>,
-    /// Total counted line fills, all shards.
-    pub total_fetches: u64,
-    /// Of those, re-fetches of previously fetched lines.
-    pub total_refetches: u64,
-    /// Granule-slots fetched that resolved to a type, all shards.
-    pub resolved_slots_fetched: u64,
-    /// Of the resolved slots, those touched before eviction.
-    pub resolved_slots_touched: u64,
+impl<R> std::ops::Deref for Ranked<R> {
+    type Target = R;
+    fn deref(&self) -> &R {
+        &self.row
+    }
 }
 
-/// A working-set row aggregated across shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedWorkingSetRow {
-    /// Type name.
-    pub name: String,
-    /// Description.
-    pub description: String,
-    /// Mean of per-thread average live bytes.
-    pub avg_live_bytes: f64,
-    /// Mean of per-thread average live object counts.
-    pub avg_live_objects: f64,
-    /// Maximum peak live bytes seen by any thread.
-    pub peak_live_bytes: u64,
+/// Wraps rows already in rank order.  `ci` is a row's Wilson interval as fractions;
+/// `rank_interval` maps the row and that interval (in percent) to the range of the
+/// quantity the rows are ranked by.
+fn ranked<R>(
+    rows: Vec<R>,
+    ci: impl Fn(&R) -> (f64, f64),
+    rank_interval: impl Fn(&R, (f64, f64)) -> (f64, f64),
+) -> Vec<Ranked<R>> {
+    let cis: Vec<(f64, f64)> = rows
+        .iter()
+        .map(|row| {
+            let (lo, hi) = ci(row);
+            (100.0 * lo, 100.0 * hi)
+        })
+        .collect();
+    let intervals: Vec<(f64, f64)> = rows
+        .iter()
+        .zip(&cis)
+        .map(|(row, &ci)| rank_interval(row, ci))
+        .collect();
+    rows.into_iter()
+        .zip(cis)
+        .zip(mark_rank_stability(&intervals))
+        .map(|((row, (ci95_low, ci95_high)), rank_stable)| Ranked {
+            row,
+            ci95_low,
+            ci95_high,
+            rank_stable,
+        })
+        .collect()
 }
 
-/// The merged working-set view.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MergedWorkingSet {
-    /// Per-type rows, sorted by average live bytes (descending).
-    pub rows: Vec<MergedWorkingSetRow>,
-    /// L2 capacity of one simulated machine, bytes.
-    pub cache_capacity: u64,
-    /// L2 associativity of one simulated machine.
-    pub cache_ways: usize,
-    /// Mean of per-thread total average working-set bytes.
-    pub total_avg_bytes: f64,
-    /// Total producer threads folded in (denominator of `total_avg_bytes`).
-    pub thread_count: usize,
-    /// How many threads' working sets exceeded the cache capacity.
-    pub threads_exceeding_capacity: usize,
-    /// Largest number of over-subscribed associativity sets seen by any thread.
-    pub max_conflict_sets: usize,
-}
-
-/// A node of a merged data-flow graph, keyed by kernel function name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedFlowNode {
-    /// Kernel function name.
-    pub function: String,
-    /// Total access samples matched to the node.
-    pub samples: u64,
-    /// Total path-trace weight through the node.
-    pub weight: u64,
-    /// Sample-weighted average access latency, cycles.
-    pub avg_latency: f64,
-}
-
-/// An edge of a merged data-flow graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedFlowEdge {
-    /// Source function name.
-    pub from: String,
-    /// Destination function name.
-    pub to: String,
-    /// Total traversals, all shards.
-    pub count: u64,
-    /// Whether the object changed cores on this edge.
-    pub cpu_change: bool,
-}
-
-/// The merged data-flow graph for one type.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedDataFlow {
-    /// Type name.
-    pub type_name: String,
-    /// Nodes sorted by weight (descending), then name.
-    pub nodes: Vec<MergedFlowNode>,
-    /// Edges sorted by count (descending), then endpoint names.
-    pub edges: Vec<MergedFlowEdge>,
-    /// Total traversals of core-crossing edges.
-    pub core_crossings: u64,
-}
-
-/// Per-shard throughput summary carried into the report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreadSummary {
-    /// Thread index.
-    pub thread: usize,
-    /// Seed the thread ran with.
-    pub seed: u64,
-    /// Requests completed while profiled.
-    pub requests: u64,
-    /// Simulated requests per second.
-    pub rps: f64,
-    /// Fraction of cycles spent in profiling interrupts.
-    pub profiling_fraction: f64,
-    /// Access samples collected.
-    pub samples: u64,
-}
-
-/// Everything the report renderers consume.
+/// Everything the report renderers consume: a folded shard, ranked.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MergedReport {
     /// Per-shard summaries, in canonical fold order.
-    pub threads: Vec<ThreadSummary>,
-    /// Total requests completed across shards while profiled.
-    pub total_requests: u64,
-    /// Sum of per-shard simulated request rates.
-    pub aggregate_rps: f64,
-    /// Cycle-weighted mean profiling overhead fraction.
-    pub profiling_fraction: f64,
-    /// Sum of per-shard simulated cycles (the weight behind `profiling_fraction`).
-    pub total_cycles: u64,
+    pub threads: Vec<ShardMeta>,
+    /// The folded shard's bookkeeping: requests, samples and cycles summed, request
+    /// rates summed (machines run in parallel), cycle-weighted mean profiling overhead.
+    pub totals: ShardMeta,
     /// Pooled L1-miss sample count (sum of shard weights; the merged shares'
-    /// denominator, preserved so a report can be folded back into a shard).
+    /// denominator).
     pub pooled_weight: f64,
-    /// Data-profile rows, sorted by merged miss share (descending).
-    pub data_profile: Vec<MergedProfileRow>,
+    /// Data-profile rows, sorted by merged miss share (descending).  The interval is
+    /// on the miss share: pooling the counts is what lets it be exact instead of a
+    /// heuristic combination of per-shard ones.
+    pub data_profile: Vec<Ranked<ShardProfileRow>>,
     /// Miss-classification rows, sorted by merged miss samples (descending).
-    pub miss_classification: Vec<MergedMissRow>,
-    /// The merged line-utilization view, sorted by pooled wasted bytes (descending).
-    pub utilization: MergedUtilization,
-    /// The merged working-set view.
-    pub working_set: MergedWorkingSet,
+    pub miss_classification: Vec<ShardMissRow>,
+    /// The merged line-utilization view, sorted by pooled wasted bytes (descending);
+    /// the interval is on the pooled utilization.
+    pub utilization: ShardUtilization<Ranked<ShardUtilizationRow>>,
+    /// The merged working-set view, sorted by average live bytes (descending).
+    pub working_set: ShardWorkingSet,
     /// Merged data-flow graphs, sorted by type name.
-    pub data_flows: Vec<MergedDataFlow>,
+    pub data_flows: Vec<ShardFlow>,
+}
+
+impl MergedReport {
+    fn rank(threads: Vec<ShardMeta>, folded: ProfileShard) -> MergedReport {
+        // The miss-weighted mean of per-shard shares equals the pooled share
+        // (sum of counts over sum of totals), so the pooled counts also give the
+        // interval of exactly the estimate the merged column shows.
+        let pooled_total = folded.weight.round() as u64;
+        let utilization = folded.utilization;
+        MergedReport {
+            threads,
+            totals: folded.meta,
+            pooled_weight: folded.weight,
+            data_profile: ranked(
+                folded.data_profile,
+                |row| wilson95(row.l1_miss_samples, pooled_total),
+                |_, ci| ci,
+            ),
+            miss_classification: folded.miss_classification,
+            utilization: ShardUtilization {
+                // Rank stability over the wasted-byte ranges implied by the
+                // utilization CI (high utilization => low waste, so the interval
+                // ends swap).
+                rows: ranked(
+                    utilization.rows,
+                    |row| wilson95(row.slots_touched, row.slots_fetched),
+                    |row, (lo, hi)| {
+                        let bytes = 8.0 * row.slots_fetched as f64;
+                        (bytes * (1.0 - hi / 100.0), bytes * (1.0 - lo / 100.0))
+                    },
+                ),
+                total_fetches: utilization.total_fetches,
+                total_refetches: utilization.total_refetches,
+                resolved_slots_fetched: utilization.resolved_slots_fetched,
+                resolved_slots_touched: utilization.resolved_slots_touched,
+            },
+            working_set: folded.working_set,
+            data_flows: folded.data_flows,
+        }
+    }
 }
 
 /// A destination that profile shards can be merged into incrementally.
@@ -667,18 +612,23 @@ impl StreamingMerge {
         }
     }
 
-    /// Folds all retained shards into one base shard (no-op below 2 shards).
-    ///
-    /// Counts stay exact; weighted-mean percentages are reconstructed from the
-    /// folded report at rounding-level accuracy; per-producer thread rows collapse
-    /// into one aggregate row.
+    fn ordered(&self) -> Vec<&ProfileShard> {
+        let mut ordered: Vec<&ProfileShard> = self.shards.iter().collect();
+        ordered.sort_by_key(|s| s.sort_key());
+        ordered
+    }
+
+    /// The retained shards folded, in canonical order, into one base shard: what
+    /// [`compact`](StreamingMerge::compact) keeps and the serve store snapshots.
+    pub fn folded(&self) -> ProfileShard {
+        fold(&self.ordered())
+    }
+
+    /// Replaces the retained shards by their fold (no-op below 2 shards).
     pub fn compact(&mut self) {
-        if self.shards.len() < 2 {
-            return;
+        if self.shards.len() >= 2 {
+            self.shards = vec![self.folded()];
         }
-        let report = self.finish();
-        let ordinal = self.shards.iter().map(|s| s.ordinal).min().unwrap_or(0);
-        self.shards = vec![shard_from_merged(&report, ordinal)];
     }
 }
 
@@ -706,9 +656,7 @@ impl MergeSink for StreamingMerge {
     }
 
     fn finish(&self) -> MergedReport {
-        let mut ordered: Vec<&ProfileShard> = self.shards.iter().collect();
-        ordered.sort_by_key(|s| s.sort_key());
-        merge_shards(&ordered)
+        merge_shards(&self.ordered())
     }
 }
 
@@ -716,68 +664,63 @@ impl MergeSink for StreamingMerge {
 /// pass a canonically sorted slice (which [`StreamingMerge::finish`] does); the
 /// fold order determines the exact float rounding of weighted means.
 pub fn merge_shards(shards: &[&ProfileShard]) -> MergedReport {
-    if shards.is_empty() {
-        return MergedReport::default();
-    }
+    let threads = shards.iter().map(|s| s.meta.clone()).collect();
+    MergedReport::rank(threads, fold(shards))
+}
 
-    let total_weight: f64 = shards.iter().map(|s| s.weight).sum();
-
-    MergedReport {
-        threads: shards
-            .iter()
-            .map(|s| ThreadSummary {
-                thread: s.meta.thread,
-                seed: s.meta.seed,
-                requests: s.meta.requests,
-                rps: s.meta.rps,
-                profiling_fraction: s.meta.profiling_fraction,
-                samples: s.meta.samples,
-            })
-            .collect(),
-        total_requests: shards.iter().map(|s| s.meta.requests).sum(),
-        aggregate_rps: shards.iter().map(|s| s.meta.rps).sum(),
-        profiling_fraction: {
+/// Folds shards, in the given order, into one base shard at the smallest ordinal
+/// folded in.
+///
+/// Counts are pooled exactly; a mean becomes a single observation that carries its
+/// pooled weight (`weight`, `threads_seen`, `thread_count`, `samples`), so folding the
+/// base shard with new shards gives the same answer as folding the originals up to
+/// float rounding.  Per-producer bookkeeping collapses into one aggregate
+/// [`ShardMeta`]; every table is sorted on a total key.
+pub fn fold(shards: &[&ProfileShard]) -> ProfileShard {
+    let weight: f64 = shards.iter().map(|s| s.weight).sum();
+    let total_cycles: u64 = shards.iter().map(|s| s.meta.total_cycles).sum();
+    ProfileShard {
+        ordinal: shards.iter().map(|s| s.ordinal).min().unwrap_or(0),
+        weight,
+        meta: ShardMeta {
+            thread: 0,
+            seed: 0,
+            requests: shards.iter().map(|s| s.meta.requests).sum(),
+            rps: shards.iter().map(|s| s.meta.rps).sum(),
             // Cycle-weighted, so a shard that simulated 10x more work counts 10x.
-            let cycles: u64 = shards.iter().map(|s| s.meta.total_cycles).sum();
-            if cycles == 0 {
+            profiling_fraction: if total_cycles == 0 {
                 0.0
             } else {
                 shards
                     .iter()
                     .map(|s| s.meta.profiling_fraction * s.meta.total_cycles as f64)
                     .sum::<f64>()
-                    / cycles as f64
-            }
+                    / total_cycles as f64
+            },
+            samples: shards.iter().map(|s| s.meta.samples).sum(),
+            total_cycles,
         },
-        total_cycles: shards.iter().map(|s| s.meta.total_cycles).sum(),
-        pooled_weight: total_weight,
-        data_profile: merge_data_profile(shards, total_weight),
-        miss_classification: merge_miss_classification(shards),
-        utilization: merge_utilization(shards),
-        working_set: merge_working_set(shards),
-        data_flows: merge_data_flows(shards),
+        data_profile: fold_data_profile(shards, weight),
+        miss_classification: fold_miss_classification(shards),
+        utilization: fold_utilization(shards),
+        working_set: fold_working_set(shards),
+        data_flows: fold_data_flows(shards),
     }
 }
 
-fn merge_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<MergedProfileRow> {
-    struct Acc {
-        description: String,
-        ws_sum: f64,
-        pct_l1_weighted: f64,
-        pct_cycles_weighted: f64,
-        bounce: bool,
-        samples: u64,
-        l1_miss_samples: u64,
-        threads_seen: usize,
-    }
-    let mut acc: HashMap<String, Acc> = HashMap::new();
+// Each table below accumulates into its own row type: while shards are being
+// absorbed a mean field holds the weighted *sum*, and the final pass divides.
+
+fn fold_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<ShardProfileRow> {
+    let mut acc: HashMap<&str, ShardProfileRow> = HashMap::new();
     for shard in shards {
         for row in &shard.data_profile {
-            let entry = acc.entry(row.name.clone()).or_insert_with(|| Acc {
+            let entry = acc.entry(&row.name).or_insert_with(|| ShardProfileRow {
+                name: row.name.clone(),
                 description: row.description.clone(),
-                ws_sum: 0.0,
-                pct_l1_weighted: 0.0,
-                pct_cycles_weighted: 0.0,
+                working_set_bytes: 0.0,
+                pct_of_l1_misses: 0.0,
+                pct_of_miss_cycles: 0.0,
                 bounce: false,
                 samples: 0,
                 l1_miss_samples: 0,
@@ -786,45 +729,27 @@ fn merge_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<Merged
             // `working_set_bytes` is the row's mean over `threads_seen` threads;
             // re-expanding to a sum keeps the merged mean exact under compaction
             // (and is a multiplication by 1.0 — bit-exact — for fresh shards).
-            entry.ws_sum += row.working_set_bytes * row.threads_seen as f64;
-            entry.pct_l1_weighted += shard.weight * row.pct_of_l1_misses;
-            entry.pct_cycles_weighted += shard.weight * row.pct_of_miss_cycles;
+            entry.working_set_bytes += row.working_set_bytes * row.threads_seen as f64;
+            entry.pct_of_l1_misses += shard.weight * row.pct_of_l1_misses;
+            entry.pct_of_miss_cycles += shard.weight * row.pct_of_miss_cycles;
             entry.bounce |= row.bounce;
             entry.samples += row.samples;
             entry.l1_miss_samples += row.l1_miss_samples;
             entry.threads_seen += row.threads_seen;
         }
     }
-    // The miss-weighted mean of per-shard shares equals the pooled share
-    // (sum of counts over sum of totals), so the pooled counts also give the
-    // interval of exactly the estimate the merged column shows.
-    let pooled_total = total_weight.round() as u64;
-    let mut rows: Vec<MergedProfileRow> = acc
-        .into_iter()
-        .map(|(name, a)| {
-            let (ci_lo, ci_hi) = wilson95(a.l1_miss_samples, pooled_total);
-            MergedProfileRow {
-                name,
-                description: a.description,
-                working_set_bytes: a.ws_sum / a.threads_seen as f64,
-                pct_of_l1_misses: if total_weight > 0.0 {
-                    a.pct_l1_weighted / total_weight
-                } else {
-                    0.0
-                },
-                pct_of_miss_cycles: if total_weight > 0.0 {
-                    a.pct_cycles_weighted / total_weight
-                } else {
-                    0.0
-                },
-                bounce: a.bounce,
-                samples: a.samples,
-                l1_miss_samples: a.l1_miss_samples,
-                ci95_low: 100.0 * ci_lo,
-                ci95_high: 100.0 * ci_hi,
-                rank_stable: false, // marked after ranking, below
-                threads_seen: a.threads_seen,
+    let mut rows: Vec<ShardProfileRow> = acc
+        .into_values()
+        .map(|mut row| {
+            row.working_set_bytes /= row.threads_seen as f64;
+            if total_weight > 0.0 {
+                row.pct_of_l1_misses /= total_weight;
+                row.pct_of_miss_cycles /= total_weight;
+            } else {
+                row.pct_of_l1_misses = 0.0;
+                row.pct_of_miss_cycles = 0.0;
             }
+            row
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -833,25 +758,16 @@ fn merge_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<Merged
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.name.cmp(&b.name))
     });
-    let intervals: Vec<(f64, f64)> = rows.iter().map(|r| (r.ci95_low, r.ci95_high)).collect();
-    for (row, stable) in rows.iter_mut().zip(mark_rank_stability(&intervals)) {
-        row.rank_stable = stable;
-    }
     rows
 }
 
-fn merge_miss_classification(shards: &[&ProfileShard]) -> Vec<MergedMissRow> {
-    struct Acc {
-        miss_samples: u64,
-        invalidation: f64,
-        conflict: f64,
-        capacity: f64,
-    }
-    let mut acc: HashMap<String, Acc> = HashMap::new();
+fn fold_miss_classification(shards: &[&ProfileShard]) -> Vec<ShardMissRow> {
+    let mut acc: HashMap<&str, ShardMissRow> = HashMap::new();
     for shard in shards {
         for row in &shard.miss_classification {
             let w = row.miss_samples as f64;
-            let entry = acc.entry(row.name.clone()).or_insert_with(|| Acc {
+            let entry = acc.entry(&row.name).or_insert_with(|| ShardMissRow {
+                name: row.name.clone(),
                 miss_samples: 0,
                 invalidation: 0.0,
                 conflict: 0.0,
@@ -863,17 +779,14 @@ fn merge_miss_classification(shards: &[&ProfileShard]) -> Vec<MergedMissRow> {
             entry.capacity += w * row.capacity;
         }
     }
-    let mut rows: Vec<MergedMissRow> = acc
-        .into_iter()
-        .map(|(name, a)| {
-            let w = a.miss_samples.max(1) as f64;
-            MergedMissRow {
-                name,
-                miss_samples: a.miss_samples,
-                invalidation: a.invalidation / w,
-                conflict: a.conflict / w,
-                capacity: a.capacity / w,
-            }
+    let mut rows: Vec<ShardMissRow> = acc
+        .into_values()
+        .map(|mut row| {
+            let w = row.miss_samples.max(1) as f64;
+            row.invalidation /= w;
+            row.conflict /= w;
+            row.capacity /= w;
+            row
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -884,150 +797,92 @@ fn merge_miss_classification(shards: &[&ProfileShard]) -> Vec<MergedMissRow> {
     rows
 }
 
-fn merge_utilization(shards: &[&ProfileShard]) -> MergedUtilization {
-    struct Acc {
-        description: String,
-        slots_fetched: u64,
-        slots_touched: u64,
-        refetch_slots: u64,
-        rate: f64,
-        origins: HashMap<String, (u64, u64)>,
-    }
-    let mut acc: HashMap<String, Acc> = HashMap::new();
+fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
+    type Origins<'a> = HashMap<&'a str, (u64, u64)>;
+    let mut acc: HashMap<&str, (ShardUtilizationRow, Origins)> = HashMap::new();
     for shard in shards {
         for row in &shard.utilization.rows {
-            let entry = acc.entry(row.name.clone()).or_insert_with(|| Acc {
-                description: row.description.clone(),
-                slots_fetched: 0,
-                slots_touched: 0,
-                refetch_slots: 0,
-                rate: 0.0,
-                origins: HashMap::new(),
+            let (entry, origins) = acc.entry(&row.name).or_insert_with(|| {
+                let entry = ShardUtilizationRow {
+                    name: row.name.clone(),
+                    description: row.description.clone(),
+                    ..ShardUtilizationRow::default()
+                };
+                (entry, Origins::new())
             });
             entry.slots_fetched += row.slots_fetched;
             entry.slots_touched += row.slots_touched;
             entry.refetch_slots += row.refetch_slots;
             // Per-shard rates are bandwidths of machines running in parallel, so they
             // add; the pooled slot counts stay exact for the Wilson interval.
-            entry.rate += row.wasted_bytes_per_sec;
+            entry.wasted_bytes_per_sec += row.wasted_bytes_per_sec;
             for o in &row.origins {
-                let slot = entry.origins.entry(o.origin.clone()).or_default();
+                let slot = origins.entry(&o.origin).or_default();
                 slot.0 += o.slots_fetched;
                 slot.1 += o.slots_touched;
             }
         }
     }
-    let mut rows: Vec<MergedUtilizationRow> = acc
-        .into_iter()
-        .map(|(name, a)| {
-            let mut origins: Vec<MergedUtilizationOrigin> = a
-                .origins
+    let mut rows: Vec<ShardUtilizationRow> = acc
+        .into_values()
+        .map(|(mut row, origins)| {
+            row.origins = origins
                 .into_iter()
-                .map(|(origin, (fetched, touched))| MergedUtilizationOrigin {
-                    origin,
+                .map(|(origin, (fetched, touched))| ShardUtilizationOrigin {
+                    origin: origin.to_string(),
                     slots_fetched: fetched,
                     slots_touched: touched,
-                    wasted_bytes: 8 * (fetched - touched),
                 })
                 .collect();
-            origins.sort_by(|x, y| {
-                y.wasted_bytes
-                    .cmp(&x.wasted_bytes)
+            row.origins.sort_by(|x, y| {
+                y.wasted_bytes()
+                    .cmp(&x.wasted_bytes())
                     .then_with(|| x.origin.cmp(&y.origin))
             });
-            let (lo, hi) = wilson95(a.slots_touched, a.slots_fetched);
-            MergedUtilizationRow {
-                name,
-                description: a.description,
-                slots_fetched: a.slots_fetched,
-                slots_touched: a.slots_touched,
-                refetch_slots: a.refetch_slots,
-                utilization_pct: if a.slots_fetched == 0 {
-                    0.0
-                } else {
-                    100.0 * a.slots_touched as f64 / a.slots_fetched as f64
-                },
-                wasted_bytes: 8 * (a.slots_fetched - a.slots_touched),
-                wasted_bytes_per_sec: a.rate,
-                refetch_ratio: if a.slots_fetched == 0 {
-                    0.0
-                } else {
-                    a.refetch_slots as f64 / a.slots_fetched as f64
-                },
-                ci95_low: 100.0 * lo,
-                ci95_high: 100.0 * hi,
-                rank_stable: false, // marked after ranking, below
-                origins,
-            }
+            row
         })
         .collect();
     rows.sort_by(|a, b| {
-        b.wasted_bytes
-            .cmp(&a.wasted_bytes)
+        b.wasted_bytes()
+            .cmp(&a.wasted_bytes())
             .then_with(|| a.name.cmp(&b.name))
     });
-    // Rank stability over the wasted-byte ranges implied by the utilization CI
-    // (high utilization => low waste, so the interval ends swap).
-    let intervals: Vec<(f64, f64)> = rows
-        .iter()
-        .map(|r| {
-            let bytes = 8.0 * r.slots_fetched as f64;
-            (
-                bytes * (1.0 - r.ci95_high / 100.0),
-                bytes * (1.0 - r.ci95_low / 100.0),
-            )
-        })
-        .collect();
-    for (row, stable) in rows.iter_mut().zip(mark_rank_stability(&intervals)) {
-        row.rank_stable = stable;
-    }
-    MergedUtilization {
+    let total = |count: fn(&ShardUtilization) -> u64| -> u64 {
+        shards.iter().map(|s| count(&s.utilization)).sum()
+    };
+    ShardUtilization {
         rows,
-        total_fetches: shards.iter().map(|s| s.utilization.total_fetches).sum(),
-        total_refetches: shards.iter().map(|s| s.utilization.total_refetches).sum(),
-        resolved_slots_fetched: shards
-            .iter()
-            .map(|s| s.utilization.resolved_slots_fetched)
-            .sum(),
-        resolved_slots_touched: shards
-            .iter()
-            .map(|s| s.utilization.resolved_slots_touched)
-            .sum(),
+        total_fetches: total(|u| u.total_fetches),
+        total_refetches: total(|u| u.total_refetches),
+        resolved_slots_fetched: total(|u| u.resolved_slots_fetched),
+        resolved_slots_touched: total(|u| u.resolved_slots_touched),
     }
 }
 
-fn merge_working_set(shards: &[&ProfileShard]) -> MergedWorkingSet {
-    struct Acc {
-        description: String,
-        bytes_sum: f64,
-        objects_sum: f64,
-        peak: u64,
-        threads_seen: usize,
-    }
-    let mut acc: HashMap<String, Acc> = HashMap::new();
+fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
+    let mut acc: HashMap<&str, ShardWorkingSetRow> = HashMap::new();
     for shard in shards {
         for t in &shard.working_set.rows {
-            let entry = acc.entry(t.name.clone()).or_insert_with(|| Acc {
+            let entry = acc.entry(&t.name).or_insert_with(|| ShardWorkingSetRow {
+                name: t.name.clone(),
                 description: t.description.clone(),
-                bytes_sum: 0.0,
-                objects_sum: 0.0,
-                peak: 0,
+                avg_live_bytes: 0.0,
+                avg_live_objects: 0.0,
+                peak_live_bytes: 0,
                 threads_seen: 0,
             });
-            entry.bytes_sum += t.avg_live_bytes * t.threads_seen as f64;
-            entry.objects_sum += t.avg_live_objects * t.threads_seen as f64;
-            entry.peak = entry.peak.max(t.peak_live_bytes);
+            entry.avg_live_bytes += t.avg_live_bytes * t.threads_seen as f64;
+            entry.avg_live_objects += t.avg_live_objects * t.threads_seen as f64;
+            entry.peak_live_bytes = entry.peak_live_bytes.max(t.peak_live_bytes);
             entry.threads_seen += t.threads_seen;
         }
     }
-    let mut rows: Vec<MergedWorkingSetRow> = acc
-        .into_iter()
-        .map(|(name, a)| MergedWorkingSetRow {
-            name,
-            description: a.description,
-            avg_live_bytes: a.bytes_sum / a.threads_seen as f64,
-            avg_live_objects: a.objects_sum / a.threads_seen as f64,
-            peak_live_bytes: a.peak,
+    let mut rows: Vec<ShardWorkingSetRow> = acc
+        .into_values()
+        .map(|mut row| {
+            row.avg_live_bytes /= row.threads_seen as f64;
+            row.avg_live_objects /= row.threads_seen as f64;
+            row
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -1037,12 +892,12 @@ fn merge_working_set(shards: &[&ProfileShard]) -> MergedWorkingSet {
             .then_with(|| a.name.cmp(&b.name))
     });
 
-    let first = &shards[0].working_set;
+    let first = shards.first().map(|s| &s.working_set);
     let thread_count: usize = shards.iter().map(|s| s.working_set.thread_count).sum();
-    MergedWorkingSet {
+    ShardWorkingSet {
         rows,
-        cache_capacity: first.cache_capacity,
-        cache_ways: first.cache_ways,
+        cache_capacity: first.map_or(0, |ws| ws.cache_capacity),
+        cache_ways: first.map_or(0, |ws| ws.cache_ways),
         total_avg_bytes: shards
             .iter()
             .map(|s| s.working_set.total_avg_bytes * s.working_set.thread_count as f64)
@@ -1053,7 +908,7 @@ fn merge_working_set(shards: &[&ProfileShard]) -> MergedWorkingSet {
             .iter()
             .map(|s| s.working_set.threads_exceeding_capacity)
             .sum(),
-        max_conflict_sets: shards
+        conflict_sets: shards
             .iter()
             .map(|s| s.working_set.conflict_sets)
             .max()
@@ -1061,61 +916,51 @@ fn merge_working_set(shards: &[&ProfileShard]) -> MergedWorkingSet {
     }
 }
 
-fn merge_data_flows(shards: &[&ProfileShard]) -> Vec<MergedDataFlow> {
-    struct NodeAcc {
-        samples: u64,
-        weight: u64,
-        latency_weighted: f64,
+fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
+    #[derive(Default)]
+    struct FlowAcc<'a> {
+        nodes: HashMap<&'a str, ShardFlowNode>,
+        edges: HashMap<(&'a str, &'a str, bool), u64>,
     }
-    struct FlowAcc {
-        nodes: HashMap<String, NodeAcc>,
-        edges: HashMap<(String, String, bool), u64>,
-    }
-    let mut flows: HashMap<String, FlowAcc> = HashMap::new();
+    let mut flows: HashMap<&str, FlowAcc> = HashMap::new();
     for shard in shards {
         for graph in &shard.data_flows {
-            let flow = flows
-                .entry(graph.type_name.clone())
-                .or_insert_with(|| FlowAcc {
-                    nodes: HashMap::new(),
-                    edges: HashMap::new(),
-                });
+            let flow = flows.entry(&graph.type_name).or_default();
             for node in &graph.nodes {
                 let acc = flow
                     .nodes
-                    .entry(node.function.clone())
-                    .or_insert_with(|| NodeAcc {
+                    .entry(&node.function)
+                    .or_insert_with(|| ShardFlowNode {
+                        function: node.function.clone(),
                         samples: 0,
                         weight: 0,
-                        latency_weighted: 0.0,
+                        avg_latency: 0.0,
                     });
                 acc.samples += node.samples;
                 acc.weight += node.weight;
                 // Per-shard avg_latency is a per-sample mean, so weight by samples to
                 // keep the merged value a per-sample mean.
-                acc.latency_weighted += node.samples as f64 * node.avg_latency;
+                acc.avg_latency += node.samples as f64 * node.avg_latency;
             }
             for edge in &graph.edges {
-                let key = (edge.from.clone(), edge.to.clone(), edge.cpu_change);
+                let key = (edge.from.as_str(), edge.to.as_str(), edge.cpu_change);
                 *flow.edges.entry(key).or_insert(0) += edge.count;
             }
         }
     }
-    let mut merged: Vec<MergedDataFlow> = flows
+    let mut merged: Vec<ShardFlow> = flows
         .into_iter()
         .map(|(type_name, flow)| {
-            let mut nodes: Vec<MergedFlowNode> = flow
+            let mut nodes: Vec<ShardFlowNode> = flow
                 .nodes
-                .into_iter()
-                .map(|(function, a)| MergedFlowNode {
-                    function,
-                    samples: a.samples,
-                    weight: a.weight,
-                    avg_latency: if a.samples > 0 {
-                        a.latency_weighted / a.samples as f64
+                .into_values()
+                .map(|mut node| {
+                    if node.samples > 0 {
+                        node.avg_latency /= node.samples as f64;
                     } else {
-                        0.0
-                    },
+                        node.avg_latency = 0.0;
+                    }
+                    node
                 })
                 .collect();
             nodes.sort_by(|a, b| {
@@ -1123,12 +968,12 @@ fn merge_data_flows(shards: &[&ProfileShard]) -> Vec<MergedDataFlow> {
                     .cmp(&a.weight)
                     .then_with(|| a.function.cmp(&b.function))
             });
-            let mut edges: Vec<MergedFlowEdge> = flow
+            let mut edges: Vec<ShardFlowEdge> = flow
                 .edges
                 .into_iter()
-                .map(|((from, to, cpu_change), count)| MergedFlowEdge {
-                    from,
-                    to,
+                .map(|((from, to, cpu_change), count)| ShardFlowEdge {
+                    from: from.to_string(),
+                    to: to.to_string(),
                     count,
                     cpu_change,
                 })
@@ -1144,12 +989,10 @@ fn merge_data_flows(shards: &[&ProfileShard]) -> Vec<MergedDataFlow> {
                     .then_with(|| a.to.cmp(&b.to))
                     .then_with(|| a.cpu_change.cmp(&b.cpu_change))
             });
-            let core_crossings = edges.iter().filter(|e| e.cpu_change).map(|e| e.count).sum();
-            MergedDataFlow {
-                type_name,
+            ShardFlow {
+                type_name: type_name.to_string(),
                 nodes,
                 edges,
-                core_crossings,
             }
         })
         .collect();
@@ -1157,189 +1000,42 @@ fn merge_data_flows(shards: &[&ProfileShard]) -> Vec<MergedDataFlow> {
     merged
 }
 
-/// Folds a merged report back into a single base shard (the compaction step and
-/// the serve store's snapshot payload).
-///
-/// Counts are preserved exactly; weighted means become single observations whose
-/// weight is the pooled weight, so re-merging the base shard with new shards gives
-/// the same answer as merging the originals up to float rounding.  Per-producer
-/// thread rows collapse into one aggregate row.
-pub fn shard_from_merged(report: &MergedReport, ordinal: u64) -> ProfileShard {
-    ProfileShard {
-        ordinal,
-        weight: report.pooled_weight,
-        meta: ShardMeta {
-            thread: 0,
-            seed: 0,
-            requests: report.total_requests,
-            rps: report.aggregate_rps,
-            profiling_fraction: report.profiling_fraction,
-            samples: report.threads.iter().map(|t| t.samples).sum(),
-            total_cycles: report.total_cycles,
-        },
-        data_profile: report
-            .data_profile
-            .iter()
-            .map(|r| ShardProfileRow {
-                name: r.name.clone(),
-                description: r.description.clone(),
-                working_set_bytes: r.working_set_bytes,
-                pct_of_l1_misses: r.pct_of_l1_misses,
-                pct_of_miss_cycles: r.pct_of_miss_cycles,
-                bounce: r.bounce,
-                samples: r.samples,
-                l1_miss_samples: r.l1_miss_samples,
-                threads_seen: r.threads_seen,
-            })
-            .collect(),
-        miss_classification: report
-            .miss_classification
-            .iter()
-            .map(|r| ShardMissRow {
-                name: r.name.clone(),
-                miss_samples: r.miss_samples,
-                invalidation: r.invalidation,
-                conflict: r.conflict,
-                capacity: r.capacity,
-            })
-            .collect(),
-        utilization: ShardUtilization {
-            rows: report
-                .utilization
-                .rows
-                .iter()
-                .map(|r| ShardUtilizationRow {
-                    name: r.name.clone(),
-                    description: r.description.clone(),
-                    slots_fetched: r.slots_fetched,
-                    slots_touched: r.slots_touched,
-                    refetch_slots: r.refetch_slots,
-                    wasted_bytes_per_sec: r.wasted_bytes_per_sec,
-                    origins: r
-                        .origins
-                        .iter()
-                        .map(|o| ShardUtilizationOrigin {
-                            origin: o.origin.clone(),
-                            slots_fetched: o.slots_fetched,
-                            slots_touched: o.slots_touched,
-                        })
-                        .collect(),
-                })
-                .collect(),
-            total_fetches: report.utilization.total_fetches,
-            total_refetches: report.utilization.total_refetches,
-            resolved_slots_fetched: report.utilization.resolved_slots_fetched,
-            resolved_slots_touched: report.utilization.resolved_slots_touched,
-        },
-        working_set: ShardWorkingSet {
-            rows: report
-                .working_set
-                .rows
-                .iter()
-                .map(|r| {
-                    // Re-derive the per-row thread multiplicity from the profile
-                    // rows where it is tracked; default to the folded thread count.
-                    let threads_seen = report
-                        .data_profile
-                        .iter()
-                        .find(|p| p.name == r.name)
-                        .map(|p| p.threads_seen)
-                        .unwrap_or_else(|| report.working_set.thread_count.max(1));
-                    ShardWorkingSetRow {
-                        name: r.name.clone(),
-                        description: r.description.clone(),
-                        avg_live_bytes: r.avg_live_bytes,
-                        avg_live_objects: r.avg_live_objects,
-                        peak_live_bytes: r.peak_live_bytes,
-                        threads_seen,
-                    }
-                })
-                .collect(),
-            cache_capacity: report.working_set.cache_capacity,
-            cache_ways: report.working_set.cache_ways,
-            total_avg_bytes: report.working_set.total_avg_bytes,
-            thread_count: report.working_set.thread_count.max(1),
-            threads_exceeding_capacity: report.working_set.threads_exceeding_capacity,
-            conflict_sets: report.working_set.max_conflict_sets,
-        },
-        data_flows: report
-            .data_flows
-            .iter()
-            .map(|f| ShardFlow {
-                type_name: f.type_name.clone(),
-                nodes: f
-                    .nodes
-                    .iter()
-                    .map(|n| ShardFlowNode {
-                        function: n.function.clone(),
-                        samples: n.samples,
-                        weight: n.weight,
-                        avg_latency: n.avg_latency,
-                    })
-                    .collect(),
-                edges: f
-                    .edges
-                    .iter()
-                    .map(|e| ShardFlowEdge {
-                        from: e.from.clone(),
-                        to: e.to.clone(),
-                        count: e.count,
-                        cpu_change: e.cpu_change,
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
 /// Reduces a merged report to the diff engine's [`ReportSummary`] — the in-memory
 /// twin of `schema::report_summary_from_json`, used by the serve query path so
 /// regression verdicts match what `dprof diff` would say about the rendered files.
 pub fn summary_from_merged(report: &MergedReport) -> ReportSummary {
-    let mut types: Vec<TypeSummary> = Vec::new();
-    for row in &report.data_profile {
-        let mut summary = TypeSummary::absent(&row.name);
-        summary.pct_of_l1_misses = row.pct_of_l1_misses;
-        summary.bounce = row.bounce;
-        summary.working_set_bytes = row.working_set_bytes;
-        types.push(summary);
-    }
-    let find = |types: &mut Vec<TypeSummary>, name: &str| -> usize {
-        match types.iter().position(|t| t.name == name) {
-            Some(i) => i,
-            None => {
-                types.push(TypeSummary::absent(name));
-                types.len() - 1
-            }
-        }
+    let mut summary = ReportSummary {
+        types: Vec::new(),
+        rps: report.totals.rps,
     };
+    for row in &report.data_profile {
+        let t = summary.entry(&row.name);
+        t.pct_of_l1_misses = row.pct_of_l1_misses;
+        t.bounce = row.bounce;
+        t.working_set_bytes = row.working_set_bytes;
+    }
     for row in &report.miss_classification {
-        let i = find(&mut types, &row.name);
-        types[i].miss_samples = row.miss_samples;
-        types[i].invalidation = row.invalidation;
-        types[i].conflict = row.conflict;
-        types[i].capacity = row.capacity;
-        types[i].dominant_miss = Some(row.dominant().to_string());
+        let t = summary.entry(&row.name);
+        t.miss_samples = row.miss_samples;
+        t.invalidation = row.invalidation;
+        t.conflict = row.conflict;
+        t.capacity = row.capacity;
+        t.dominant_miss = Some(row.dominant().to_string());
     }
     for row in &report.utilization.rows {
-        let i = find(&mut types, &row.name);
-        types[i].utilization_pct = row.utilization_pct;
-        types[i].wasted_bytes = row.wasted_bytes;
-        types[i].wasted_bytes_per_sec = row.wasted_bytes_per_sec;
-        types[i].refetch_ratio = row.refetch_ratio;
+        let t = summary.entry(&row.name);
+        t.utilization_pct = row.utilization_pct();
+        t.wasted_bytes = row.wasted_bytes();
+        t.wasted_bytes_per_sec = row.wasted_bytes_per_sec;
+        t.refetch_ratio = row.refetch_ratio();
     }
     for row in &report.working_set.rows {
-        let i = find(&mut types, &row.name);
-        types[i].working_set_bytes = row.avg_live_bytes;
+        summary.entry(&row.name).working_set_bytes = row.avg_live_bytes;
     }
     for flow in &report.data_flows {
-        let i = find(&mut types, &flow.type_name);
-        types[i].core_crossings = flow.core_crossings;
+        summary.entry(&flow.type_name).core_crossings = flow.core_crossings();
     }
-    ReportSummary {
-        types,
-        rps: report.aggregate_rps,
-    }
+    summary
 }
 
 #[cfg(test)]
@@ -1452,7 +1148,7 @@ mod tests {
         assert_eq!(bounded.absorbed(), 10);
         let a = unbounded.finish();
         let b = bounded.finish();
-        assert_eq!(a.total_requests, b.total_requests);
+        assert_eq!(a.totals.requests, b.totals.requests);
         assert_eq!(a.pooled_weight, b.pooled_weight);
         assert_eq!(
             a.data_profile[0].l1_miss_samples,
@@ -1480,7 +1176,7 @@ mod tests {
         assert_eq!(a.dominant_miss.as_deref(), Some("invalidation"));
         assert_eq!(a.wasted_bytes, 8 * (8 * 100 - 2 * 100));
         assert!((a.utilization_pct - 25.0).abs() < 1e-9);
-        assert_eq!(summary.rps, report.aggregate_rps);
+        assert_eq!(summary.rps, report.totals.rps);
     }
 
     #[test]
@@ -1495,21 +1191,19 @@ mod tests {
         assert_eq!(row.slots_fetched, 8 * 150);
         assert_eq!(row.slots_touched, 2 * 150);
         assert_eq!(row.refetch_slots, 150);
-        assert_eq!(row.wasted_bytes, 8 * 6 * 150);
+        assert_eq!(row.wasted_bytes(), 8 * 6 * 150);
         // Parallel machines: wasted-bandwidth rates add.
         assert!((row.wasted_bytes_per_sec - 100.0 * 150.0).abs() < 1e-9);
-        assert!((row.utilization_pct - 25.0).abs() < 1e-9);
-        assert!((row.refetch_ratio - 0.125).abs() < 1e-9);
+        assert!((row.utilization_pct() - 25.0).abs() < 1e-9);
+        assert!((row.refetch_ratio() - 0.125).abs() < 1e-9);
         // Origins keyed by label merge across shards (distinct cores here).
         assert_eq!(row.origins.len(), 2);
         assert_eq!(report.utilization.total_fetches, 150);
         assert_eq!(report.utilization.resolved_slots_fetched, 8 * 150);
 
         // Compaction keeps the pooled counts and summed rates exact.
-        let base = shard_from_merged(&report, 0);
-        let mut again = StreamingMerge::new();
-        again.absorb(base);
-        let r2 = again.finish();
-        assert_eq!(r2.utilization, report.utilization);
+        sink.compact();
+        assert_eq!(sink.shard_count(), 1);
+        assert_eq!(sink.finish().utilization, report.utilization);
     }
 }

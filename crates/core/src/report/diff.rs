@@ -194,6 +194,19 @@ impl ReportSummary {
         self.types.iter().find(|t| t.name == name)
     }
 
+    /// The summary row for a type name, appended as [`TypeSummary::absent`] first if
+    /// the report has none yet (how the readers join a report's sections by name).
+    pub fn entry(&mut self, name: &str) -> &mut TypeSummary {
+        let i = match self.types.iter().position(|t| t.name == name) {
+            Some(i) => i,
+            None => {
+                self.types.push(TypeSummary::absent(name));
+                self.types.len() - 1
+            }
+        };
+        &mut self.types[i]
+    }
+
     /// The type with the largest miss share (ties break on name, so the answer does not
     /// depend on row order).
     pub fn top_type(&self) -> Option<&TypeSummary> {

@@ -1,8 +1,6 @@
 //! The versioned JSON schema layer shared by every dprof emitter and parser.
 //!
-//! Historically the CLI carried its own JSON document model (`crates/cli/src/json.rs`)
-//! while the diff engine re-parsed reports with ad-hoc code; the serve PR moved both
-//! here so there is exactly one implementation of:
+//! The one implementation in the workspace of:
 //!
 //! * the dependency-free [`Json`] value model, emitter and parser (the workspace
 //!   builds fully offline, so no `serde_json`),
@@ -21,8 +19,7 @@ use crate::merge::{
     ShardProfileRow, ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow,
     ShardWorkingSet, ShardWorkingSetRow,
 };
-use crate::report::diff::{ReportSummary, TypeSummary};
-use std::collections::VecDeque;
+use crate::report::diff::ReportSummary;
 use std::fmt::Write as _;
 
 /// Schema id of merged profile reports (`dprof -f json`, `dprof replay -f json`).
@@ -403,168 +400,21 @@ impl Parser<'_> {
     }
 }
 
-/// Breadth-first search for every object key in a document (test helper).
-pub fn all_keys(root: &Json) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut queue: VecDeque<&Json> = VecDeque::new();
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        match v {
-            Json::Obj(fields) => {
-                for (k, child) in fields {
-                    keys.push(k.clone());
-                    queue.push_back(child);
-                }
-            }
-            Json::Arr(items) => queue.extend(items.iter()),
-            _ => {}
-        }
-    }
-    keys
+/// Stands in for a section a document does not have: every lookup in it misses, so
+/// its counts read 0 and its tables are empty.
+static ABSENT: Json = Json::Null;
+
+fn section<'a>(doc: &'a Json, key: &str) -> &'a Json {
+    doc.get(key).unwrap_or(&ABSENT)
 }
 
-/// Reduces a parsed [`REPORT_V1`] document to the diff engine's [`ReportSummary`].
-pub fn report_summary_from_json(doc: &Json) -> Result<ReportSummary, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(REPORT_V1) => {}
-        Some(other) => {
-            return Err(format!(
-                "schema is '{other}', expected '{REPORT_V1}' (is this a dprof report?)"
-            ))
-        }
-        None => {
-            return Err(format!(
-                "missing 'schema' field, expected '{REPORT_V1}' (is this a dprof report?)"
-            ))
-        }
-    }
-    let profile_rows = doc
-        .get("data_profile")
-        .and_then(|s| s.get("rows"))
+/// The elements of the array at `section.key` (none when there is no such array).
+fn rows<'a>(section: &'a Json, key: &str) -> std::slice::Iter<'a, Json> {
+    section
+        .get(key)
         .and_then(Json::as_array)
-        .ok_or_else(|| {
-            "report has no data_profile section; re-run dprof with -v data-profile (or all views)"
-                .to_string()
-        })?;
-
-    let mut types: Vec<TypeSummary> = Vec::new();
-    for row in profile_rows {
-        let name = row
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("data_profile row without a 'type' field")?;
-        let mut summary = TypeSummary::absent(name);
-        summary.pct_of_l1_misses = row
-            .get("pct_of_l1_misses")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        summary.bounce = row.get("bounce").and_then(Json::as_bool).unwrap_or(false);
-        summary.working_set_bytes = row
-            .get("working_set_bytes")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        types.push(summary);
-    }
-
-    let find = |types: &mut Vec<TypeSummary>, name: &str| -> usize {
-        match types.iter().position(|t| t.name == name) {
-            Some(i) => i,
-            None => {
-                types.push(TypeSummary::absent(name));
-                types.len() - 1
-            }
-        }
-    };
-
-    if let Some(rows) = doc
-        .get("miss_classification")
-        .and_then(|s| s.get("rows"))
-        .and_then(Json::as_array)
-    {
-        for row in rows {
-            let Some(name) = row.get("type").and_then(Json::as_str) else {
-                continue;
-            };
-            let i = find(&mut types, name);
-            types[i].miss_samples = row
-                .get("miss_samples")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64;
-            if let Some(fr) = row.get("fractions") {
-                types[i].invalidation =
-                    fr.get("invalidation").and_then(Json::as_f64).unwrap_or(0.0);
-                types[i].conflict = fr.get("conflict").and_then(Json::as_f64).unwrap_or(0.0);
-                types[i].capacity = fr.get("capacity").and_then(Json::as_f64).unwrap_or(0.0);
-            }
-            types[i].dominant_miss = row
-                .get("dominant")
-                .and_then(Json::as_str)
-                .map(|s| s.to_string());
-        }
-    }
-
-    if let Some(rows) = doc
-        .get("utilization")
-        .and_then(|s| s.get("rows"))
-        .and_then(Json::as_array)
-    {
-        for row in rows {
-            let Some(name) = row.get("type").and_then(Json::as_str) else {
-                continue;
-            };
-            // Types invisible to the miss views can still dominate by wasted
-            // bandwidth, so rows here may introduce new entries in the summary.
-            let i = find(&mut types, name);
-            types[i].utilization_pct = f64_at(row, "utilization_pct");
-            types[i].wasted_bytes = u64_at(row, "wasted_bytes");
-            types[i].wasted_bytes_per_sec = f64_at(row, "wasted_bytes_per_sec");
-            types[i].refetch_ratio = f64_at(row, "refetch_ratio");
-        }
-    }
-
-    if let Some(rows) = doc
-        .get("working_set")
-        .and_then(|s| s.get("rows"))
-        .and_then(Json::as_array)
-    {
-        for row in rows {
-            let Some(name) = row.get("type").and_then(Json::as_str) else {
-                continue;
-            };
-            let i = find(&mut types, name);
-            types[i].working_set_bytes = row
-                .get("avg_live_bytes")
-                .and_then(Json::as_f64)
-                .unwrap_or(types[i].working_set_bytes);
-        }
-    }
-
-    if let Some(flows) = doc
-        .get("data_flow")
-        .and_then(|s| s.get("types"))
-        .and_then(Json::as_array)
-    {
-        for flow in flows {
-            let Some(name) = flow.get("type").and_then(Json::as_str) else {
-                continue;
-            };
-            let i = find(&mut types, name);
-            types[i].core_crossings = flow
-                .get("core_crossings")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64;
-        }
-    }
-
-    // Carried so the diff can report the realized throughput gain (older reports
-    // without a throughput section diff fine; the gain line is simply omitted).
-    let rps = doc
-        .get("throughput")
-        .and_then(|t| t.get("aggregate_rps"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-
-    Ok(ReportSummary { types, rps })
+        .unwrap_or(&[])
+        .iter()
 }
 
 fn f64_at(v: &Json, key: &str) -> f64 {
@@ -587,6 +437,209 @@ fn str_at(v: &Json, key: &str) -> String {
     v.get(key).and_then(Json::as_str).unwrap_or("").to_string()
 }
 
+fn expect_schema(doc: &Json) -> Result<(), String> {
+    match doc.get("schema").and_then(Json::as_str) {
+        Some(REPORT_V1) => Ok(()),
+        Some(other) => Err(format!(
+            "schema is '{other}', expected '{REPORT_V1}' (is this a dprof report?)"
+        )),
+        None => Err(format!(
+            "missing 'schema' field, expected '{REPORT_V1}' (is this a dprof report?)"
+        )),
+    }
+}
+
+// One parser per row type.  A report and a snapshot spell a row with the same keys
+// (the report adds derived ones, which a shard recomputes), so both readers — and the
+// summary reader, for the columns it shares — go through these.
+
+fn profile_row(row: &Json) -> Result<ShardProfileRow, String> {
+    Ok(ShardProfileRow {
+        name: row
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or("data_profile row without a 'type' field")?
+            .to_string(),
+        description: str_at(row, "description"),
+        working_set_bytes: f64_at(row, "working_set_bytes"),
+        pct_of_l1_misses: f64_at(row, "pct_of_l1_misses"),
+        pct_of_miss_cycles: f64_at(row, "pct_of_miss_cycles"),
+        bounce: bool_at(row, "bounce"),
+        samples: u64_at(row, "samples"),
+        l1_miss_samples: u64_at(row, "l1_miss_samples"),
+        threads_seen: usize_at(row, "threads_seen").max(1),
+    })
+}
+
+fn miss_row(row: &Json) -> ShardMissRow {
+    // A report nests the three fractions under `fractions`; a snapshot keeps them flat.
+    let fractions = row.get("fractions").unwrap_or(row);
+    ShardMissRow {
+        name: str_at(row, "type"),
+        miss_samples: u64_at(row, "miss_samples"),
+        invalidation: f64_at(fractions, "invalidation"),
+        conflict: f64_at(fractions, "conflict"),
+        capacity: f64_at(fractions, "capacity"),
+    }
+}
+
+/// Parses one utilization row, rejecting counts no tally can produce: every fold
+/// computes wasted bytes as `8 * (fetched - touched)`, which must not underflow.
+fn utilization_row(row: &Json) -> Result<ShardUtilizationRow, String> {
+    let parsed = ShardUtilizationRow {
+        name: str_at(row, "type"),
+        description: str_at(row, "description"),
+        slots_fetched: u64_at(row, "slots_fetched"),
+        slots_touched: u64_at(row, "slots_touched"),
+        refetch_slots: u64_at(row, "refetch_slots"),
+        wasted_bytes_per_sec: f64_at(row, "wasted_bytes_per_sec"),
+        origins: rows(row, "origins")
+            .map(|o| ShardUtilizationOrigin {
+                origin: str_at(o, "origin"),
+                slots_fetched: u64_at(o, "slots_fetched"),
+                slots_touched: u64_at(o, "slots_touched"),
+            })
+            .collect(),
+    };
+    if parsed.slots_touched > parsed.slots_fetched {
+        return Err(format!(
+            "utilization row '{}': slots_touched {} exceeds slots_fetched {}",
+            parsed.name, parsed.slots_touched, parsed.slots_fetched
+        ));
+    }
+    if let Some(o) = parsed
+        .origins
+        .iter()
+        .find(|o| o.slots_touched > o.slots_fetched)
+    {
+        return Err(format!(
+            "utilization row '{}' origin {}: slots_touched {} exceeds slots_fetched {}",
+            parsed.name, o.origin, o.slots_touched, o.slots_fetched
+        ));
+    }
+    Ok(parsed)
+}
+
+fn utilization(section: &Json) -> Result<ShardUtilization, String> {
+    Ok(ShardUtilization {
+        rows: rows(section, "rows")
+            .map(utilization_row)
+            .collect::<Result<_, _>>()?,
+        total_fetches: u64_at(section, "total_fetches"),
+        total_refetches: u64_at(section, "total_refetches"),
+        resolved_slots_fetched: u64_at(section, "resolved_slots_fetched"),
+        resolved_slots_touched: u64_at(section, "resolved_slots_touched"),
+    })
+}
+
+/// The working-set section.  A report has no `thread_count` of its own (its `run`
+/// section knows) and calls the conflict-set count `max_conflict_sets`.
+fn working_set(section: &Json, thread_count: usize, conflict_sets_key: &str) -> ShardWorkingSet {
+    ShardWorkingSet {
+        rows: rows(section, "rows")
+            .map(|row| ShardWorkingSetRow {
+                name: str_at(row, "type"),
+                description: str_at(row, "description"),
+                avg_live_bytes: f64_at(row, "avg_live_bytes"),
+                avg_live_objects: f64_at(row, "avg_live_objects"),
+                peak_live_bytes: u64_at(row, "peak_live_bytes"),
+                threads_seen: usize_at(row, "threads_seen").max(1),
+            })
+            .collect(),
+        cache_capacity: u64_at(section, "cache_capacity_bytes"),
+        cache_ways: usize_at(section, "cache_ways"),
+        total_avg_bytes: f64_at(section, "total_avg_bytes"),
+        thread_count,
+        threads_exceeding_capacity: usize_at(section, "threads_exceeding_capacity"),
+        conflict_sets: usize_at(section, conflict_sets_key),
+    }
+}
+
+fn flow(flow: &Json) -> ShardFlow {
+    ShardFlow {
+        type_name: str_at(flow, "type"),
+        nodes: rows(flow, "nodes")
+            .map(|n| ShardFlowNode {
+                function: str_at(n, "function"),
+                samples: u64_at(n, "samples"),
+                weight: u64_at(n, "weight"),
+                avg_latency: f64_at(n, "avg_latency"),
+            })
+            .collect(),
+        edges: rows(flow, "edges")
+            .map(|e| ShardFlowEdge {
+                from: str_at(e, "from"),
+                to: str_at(e, "to"),
+                count: u64_at(e, "count"),
+                cpu_change: bool_at(e, "cpu_change"),
+            })
+            .collect(),
+    }
+}
+
+/// Reduces a parsed [`REPORT_V1`] document to the diff engine's [`ReportSummary`].
+pub fn report_summary_from_json(doc: &Json) -> Result<ReportSummary, String> {
+    expect_schema(doc)?;
+    let profile = section(doc, "data_profile");
+    if profile.get("rows").and_then(Json::as_array).is_none() {
+        return Err(
+            "report has no data_profile section; re-run dprof with -v data-profile (or all views)"
+                .to_string(),
+        );
+    }
+    let mut summary = ReportSummary {
+        types: Vec::new(),
+        // Carried so the diff can report the realized throughput gain (older reports
+        // without a throughput section diff fine; the gain line is simply omitted).
+        rps: f64_at(section(doc, "throughput"), "aggregate_rps"),
+    };
+    for row in rows(profile, "rows") {
+        let row = profile_row(row)?;
+        let t = summary.entry(&row.name);
+        t.pct_of_l1_misses = row.pct_of_l1_misses;
+        t.bounce = row.bounce;
+        t.working_set_bytes = row.working_set_bytes;
+    }
+    // The later sections read the report's derived columns as written: a report is
+    // diffable even when it does not carry the counts behind them.
+    let named = |section_key: &str, rows_key: &str| {
+        rows(section(doc, section_key), rows_key)
+            .filter_map(|row| Some((row.get("type")?.as_str()?, row)))
+    };
+    for (name, row) in named("miss_classification", "rows") {
+        let parsed = miss_row(row);
+        let t = summary.entry(name);
+        t.miss_samples = parsed.miss_samples;
+        t.invalidation = parsed.invalidation;
+        t.conflict = parsed.conflict;
+        t.capacity = parsed.capacity;
+        t.dominant_miss = row
+            .get("dominant")
+            .and_then(Json::as_str)
+            .map(str::to_string);
+    }
+    // Types invisible to the miss views can still dominate by wasted bandwidth, so
+    // rows here may introduce new entries in the summary.
+    for (name, row) in named("utilization", "rows") {
+        let t = summary.entry(name);
+        t.utilization_pct = f64_at(row, "utilization_pct");
+        t.wasted_bytes = u64_at(row, "wasted_bytes");
+        t.wasted_bytes_per_sec = f64_at(row, "wasted_bytes_per_sec");
+        t.refetch_ratio = f64_at(row, "refetch_ratio");
+    }
+    for (name, row) in named("working_set", "rows") {
+        let t = summary.entry(name);
+        t.working_set_bytes = row
+            .get("avg_live_bytes")
+            .and_then(Json::as_f64)
+            .unwrap_or(t.working_set_bytes);
+    }
+    for (name, flow) in named("data_flow", "types") {
+        summary.entry(name).core_crossings = u64_at(flow, "core_crossings");
+    }
+    Ok(summary)
+}
+
 /// Converts a full [`REPORT_V1`] document into one mergeable [`ProfileShard`].
 ///
 /// This is how `dprof serve` ingests pushed report shards: the whole report (which may
@@ -595,172 +648,26 @@ fn str_at(v: &Json, key: &str) -> String {
 /// evidence it carries.  `ordinal` fixes the shard's position in the canonical fold
 /// order (the server assigns monotonically increasing ordinals per store key).
 pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(REPORT_V1) => {}
-        Some(other) => {
-            return Err(format!(
-                "schema is '{other}', expected '{REPORT_V1}' (is this a dprof report?)"
-            ))
-        }
-        None => {
-            return Err(format!(
-                "missing 'schema' field, expected '{REPORT_V1}' (is this a dprof report?)"
-            ))
-        }
-    }
-    let run = doc.get("run");
-    let threads_in_report = run.map(|r| usize_at(r, "threads").max(1)).unwrap_or(1);
-    let throughput = doc.get("throughput");
-    let per_thread_samples: u64 = throughput
-        .and_then(|t| t.get("per_thread"))
-        .and_then(Json::as_array)
-        .map(|rows| rows.iter().map(|r| u64_at(r, "samples")).sum())
-        .unwrap_or(0);
+    expect_schema(doc)?;
+    let run = section(doc, "run");
+    let throughput = section(doc, "throughput");
 
-    let mut data_profile = Vec::new();
-    let mut sum_l1: u64 = 0;
-    let mut sum_pct: f64 = 0.0;
-    if let Some(rows) = doc
-        .get("data_profile")
-        .and_then(|s| s.get("rows"))
-        .and_then(Json::as_array)
-    {
-        for row in rows {
-            let name = row
-                .get("type")
-                .and_then(Json::as_str)
-                .ok_or("data_profile row without a 'type' field")?
-                .to_string();
-            let l1 = u64_at(row, "l1_miss_samples");
-            sum_l1 += l1;
-            sum_pct += f64_at(row, "pct_of_l1_misses");
-            data_profile.push(ShardProfileRow {
-                name,
-                description: str_at(row, "description"),
-                working_set_bytes: f64_at(row, "working_set_bytes"),
-                pct_of_l1_misses: f64_at(row, "pct_of_l1_misses"),
-                pct_of_miss_cycles: f64_at(row, "pct_of_miss_cycles"),
-                bounce: bool_at(row, "bounce"),
-                samples: u64_at(row, "samples"),
-                l1_miss_samples: l1,
-                threads_seen: usize_at(row, "threads_seen").max(1),
-            });
-        }
-    }
+    let data_profile: Vec<ShardProfileRow> = rows(section(doc, "data_profile"), "rows")
+        .map(profile_row)
+        .collect::<Result<_, _>>()?;
     // The report's rows carry shares relative to the *total* miss-sample pool, which
     // may exceed the per-row sum when some misses went unattributed; reconstruct the
     // pool so this shard's weight matches the denominator its percentages assume.
+    let sum_l1: u64 = data_profile.iter().map(|r| r.l1_miss_samples).sum();
+    let sum_pct: f64 = data_profile.iter().map(|r| r.pct_of_l1_misses).sum();
     let weight = if sum_pct > 1e-9 {
         (sum_l1 as f64 * 100.0 / sum_pct).round()
     } else {
         sum_l1 as f64
     };
 
-    let mut miss_classification = Vec::new();
-    if let Some(rows) = doc
-        .get("miss_classification")
-        .and_then(|s| s.get("rows"))
-        .and_then(Json::as_array)
-    {
-        for row in rows {
-            let fr = row.get("fractions");
-            miss_classification.push(ShardMissRow {
-                name: str_at(row, "type"),
-                miss_samples: u64_at(row, "miss_samples"),
-                invalidation: fr.map(|f| f64_at(f, "invalidation")).unwrap_or(0.0),
-                conflict: fr.map(|f| f64_at(f, "conflict")).unwrap_or(0.0),
-                capacity: fr.map(|f| f64_at(f, "capacity")).unwrap_or(0.0),
-            });
-        }
-    }
-
-    let util = doc.get("utilization");
-    let utilization = ShardUtilization {
-        rows: util
-            .and_then(|u| u.get("rows"))
-            .and_then(Json::as_array)
-            .map(|rows| rows.iter().map(shard_utilization_row).collect())
-            .unwrap_or_default(),
-        total_fetches: util.map(|u| u64_at(u, "total_fetches")).unwrap_or(0),
-        total_refetches: util.map(|u| u64_at(u, "total_refetches")).unwrap_or(0),
-        resolved_slots_fetched: util
-            .map(|u| u64_at(u, "resolved_slots_fetched"))
-            .unwrap_or(0),
-        resolved_slots_touched: util
-            .map(|u| u64_at(u, "resolved_slots_touched"))
-            .unwrap_or(0),
-    };
-
-    let ws = doc.get("working_set");
-    let working_set = ShardWorkingSet {
-        rows: ws
-            .and_then(|w| w.get("rows"))
-            .and_then(Json::as_array)
-            .map(|rows| {
-                rows.iter()
-                    .map(|row| ShardWorkingSetRow {
-                        name: str_at(row, "type"),
-                        description: str_at(row, "description"),
-                        avg_live_bytes: f64_at(row, "avg_live_bytes"),
-                        avg_live_objects: f64_at(row, "avg_live_objects"),
-                        peak_live_bytes: u64_at(row, "peak_live_bytes"),
-                        threads_seen: usize_at(row, "threads_seen").max(1),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default(),
-        cache_capacity: ws.map(|w| u64_at(w, "cache_capacity_bytes")).unwrap_or(0),
-        cache_ways: ws.map(|w| usize_at(w, "cache_ways")).unwrap_or(0),
-        total_avg_bytes: ws.map(|w| f64_at(w, "total_avg_bytes")).unwrap_or(0.0),
-        thread_count: threads_in_report,
-        threads_exceeding_capacity: ws
-            .map(|w| usize_at(w, "threads_exceeding_capacity"))
-            .unwrap_or(0),
-        conflict_sets: ws.map(|w| usize_at(w, "max_conflict_sets")).unwrap_or(0),
-    };
-
-    let mut data_flows = Vec::new();
-    if let Some(flows) = doc
-        .get("data_flow")
-        .and_then(|s| s.get("types"))
-        .and_then(Json::as_array)
-    {
-        for flow in flows {
-            data_flows.push(ShardFlow {
-                type_name: str_at(flow, "type"),
-                nodes: flow
-                    .get("nodes")
-                    .and_then(Json::as_array)
-                    .map(|nodes| {
-                        nodes
-                            .iter()
-                            .map(|n| ShardFlowNode {
-                                function: str_at(n, "function"),
-                                samples: u64_at(n, "samples"),
-                                weight: u64_at(n, "weight"),
-                                avg_latency: f64_at(n, "avg_latency"),
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                edges: flow
-                    .get("edges")
-                    .and_then(Json::as_array)
-                    .map(|edges| {
-                        edges
-                            .iter()
-                            .map(|e| ShardFlowEdge {
-                                from: str_at(e, "from"),
-                                to: str_at(e, "to"),
-                                count: u64_at(e, "count"),
-                                cpu_change: bool_at(e, "cpu_change"),
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-            });
-        }
-    }
+    let mut data_flows: Vec<ShardFlow> =
+        rows(section(doc, "data_flow"), "types").map(flow).collect();
     data_flows.sort_by(|a, b| a.type_name.cmp(&b.type_name));
 
     Ok(ProfileShard {
@@ -768,47 +675,27 @@ pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, 
         weight,
         meta: ShardMeta {
             thread: 0,
-            seed: run.map(|r| u64_at(r, "base_seed")).unwrap_or(0),
-            requests: throughput.map(|t| u64_at(t, "total_requests")).unwrap_or(0),
-            rps: throughput
-                .map(|t| f64_at(t, "aggregate_rps"))
-                .unwrap_or(0.0),
-            profiling_fraction: throughput
-                .map(|t| f64_at(t, "profiling_fraction"))
-                .unwrap_or(0.0),
-            samples: per_thread_samples,
+            seed: u64_at(run, "base_seed"),
+            requests: u64_at(throughput, "total_requests"),
+            rps: f64_at(throughput, "aggregate_rps"),
+            profiling_fraction: f64_at(throughput, "profiling_fraction"),
+            samples: rows(throughput, "per_thread")
+                .map(|t| u64_at(t, "samples"))
+                .sum(),
             total_cycles: 0,
         },
         data_profile,
-        miss_classification,
-        utilization,
-        working_set,
+        miss_classification: rows(section(doc, "miss_classification"), "rows")
+            .map(miss_row)
+            .collect(),
+        utilization: utilization(section(doc, "utilization"))?,
+        working_set: working_set(
+            section(doc, "working_set"),
+            usize_at(run, "threads").max(1),
+            "max_conflict_sets",
+        ),
         data_flows,
     })
-}
-
-/// Parses one utilization row (shared by report ingestion and snapshot loading —
-/// both carry the same per-row keys).
-fn shard_utilization_row(row: &Json) -> ShardUtilizationRow {
-    ShardUtilizationRow {
-        name: str_at(row, "type"),
-        description: str_at(row, "description"),
-        slots_fetched: u64_at(row, "slots_fetched"),
-        slots_touched: u64_at(row, "slots_touched"),
-        refetch_slots: u64_at(row, "refetch_slots"),
-        wasted_bytes_per_sec: f64_at(row, "wasted_bytes_per_sec"),
-        origins: row
-            .get("origins")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(|o| ShardUtilizationOrigin {
-                origin: str_at(o, "origin"),
-                slots_fetched: u64_at(o, "slots_fetched"),
-                slots_touched: u64_at(o, "slots_touched"),
-            })
-            .collect(),
-    }
 }
 
 /// Serializes a [`ProfileShard`] as the `shard` body of a [`SERVE_V1`] snapshot.
@@ -1034,6 +921,9 @@ pub fn shard_from_json(doc: &Json) -> Result<ProfileShard, String> {
     let ws = doc
         .get("working_set")
         .ok_or("shard without a 'working_set' object")?;
+    if doc.get("data_profile").and_then(Json::as_array).is_none() {
+        return Err("shard without a 'data_profile' array".into());
+    }
     Ok(ProfileShard {
         ordinal: u64_at(doc, "ordinal"),
         weight: f64_at(doc, "weight"),
@@ -1046,109 +936,13 @@ pub fn shard_from_json(doc: &Json) -> Result<ProfileShard, String> {
             samples: u64_at(meta, "samples"),
             total_cycles: u64_at(meta, "total_cycles"),
         },
-        data_profile: doc
-            .get("data_profile")
-            .and_then(Json::as_array)
-            .ok_or("shard without a 'data_profile' array")?
-            .iter()
-            .map(|r| ShardProfileRow {
-                name: str_at(r, "type"),
-                description: str_at(r, "description"),
-                working_set_bytes: f64_at(r, "working_set_bytes"),
-                pct_of_l1_misses: f64_at(r, "pct_of_l1_misses"),
-                pct_of_miss_cycles: f64_at(r, "pct_of_miss_cycles"),
-                bounce: bool_at(r, "bounce"),
-                samples: u64_at(r, "samples"),
-                l1_miss_samples: u64_at(r, "l1_miss_samples"),
-                threads_seen: usize_at(r, "threads_seen").max(1),
-            })
-            .collect(),
-        miss_classification: doc
-            .get("miss_classification")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(|r| ShardMissRow {
-                name: str_at(r, "type"),
-                miss_samples: u64_at(r, "miss_samples"),
-                invalidation: f64_at(r, "invalidation"),
-                conflict: f64_at(r, "conflict"),
-                capacity: f64_at(r, "capacity"),
-            })
-            .collect(),
-        utilization: {
-            let util = doc.get("utilization");
-            ShardUtilization {
-                rows: util
-                    .and_then(|u| u.get("rows"))
-                    .and_then(Json::as_array)
-                    .map(|rows| rows.iter().map(shard_utilization_row).collect())
-                    .unwrap_or_default(),
-                total_fetches: util.map(|u| u64_at(u, "total_fetches")).unwrap_or(0),
-                total_refetches: util.map(|u| u64_at(u, "total_refetches")).unwrap_or(0),
-                resolved_slots_fetched: util
-                    .map(|u| u64_at(u, "resolved_slots_fetched"))
-                    .unwrap_or(0),
-                resolved_slots_touched: util
-                    .map(|u| u64_at(u, "resolved_slots_touched"))
-                    .unwrap_or(0),
-            }
-        },
-        working_set: ShardWorkingSet {
-            rows: ws
-                .get("rows")
-                .and_then(Json::as_array)
-                .unwrap_or(&[])
-                .iter()
-                .map(|r| ShardWorkingSetRow {
-                    name: str_at(r, "type"),
-                    description: str_at(r, "description"),
-                    avg_live_bytes: f64_at(r, "avg_live_bytes"),
-                    avg_live_objects: f64_at(r, "avg_live_objects"),
-                    peak_live_bytes: u64_at(r, "peak_live_bytes"),
-                    threads_seen: usize_at(r, "threads_seen").max(1),
-                })
-                .collect(),
-            cache_capacity: u64_at(ws, "cache_capacity_bytes"),
-            cache_ways: usize_at(ws, "cache_ways"),
-            total_avg_bytes: f64_at(ws, "total_avg_bytes"),
-            thread_count: usize_at(ws, "thread_count").max(1),
-            threads_exceeding_capacity: usize_at(ws, "threads_exceeding_capacity"),
-            conflict_sets: usize_at(ws, "conflict_sets"),
-        },
-        data_flows: doc
-            .get("data_flows")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(|f| ShardFlow {
-                type_name: str_at(f, "type"),
-                nodes: f
-                    .get("nodes")
-                    .and_then(Json::as_array)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|n| ShardFlowNode {
-                        function: str_at(n, "function"),
-                        samples: u64_at(n, "samples"),
-                        weight: u64_at(n, "weight"),
-                        avg_latency: f64_at(n, "avg_latency"),
-                    })
-                    .collect(),
-                edges: f
-                    .get("edges")
-                    .and_then(Json::as_array)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|e| ShardFlowEdge {
-                        from: str_at(e, "from"),
-                        to: str_at(e, "to"),
-                        count: u64_at(e, "count"),
-                        cpu_change: bool_at(e, "cpu_change"),
-                    })
-                    .collect(),
-            })
-            .collect(),
+        data_profile: rows(doc, "data_profile")
+            .map(profile_row)
+            .collect::<Result<_, _>>()?,
+        miss_classification: rows(doc, "miss_classification").map(miss_row).collect(),
+        utilization: utilization(section(doc, "utilization"))?,
+        working_set: working_set(ws, usize_at(ws, "thread_count").max(1), "conflict_sets"),
+        data_flows: rows(doc, "data_flows").map(flow).collect(),
     })
 }
 
@@ -1299,6 +1093,71 @@ mod tests {
         let text = doc.to_pretty_string();
         let back = shard_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, shard);
+    }
+
+    /// Every leaf of `value`, as the path of object keys / array indices to it.
+    fn leaf_paths(value: &Json, here: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+        match value {
+            Json::Obj(fields) => {
+                for (key, child) in fields {
+                    here.push(key.clone());
+                    leaf_paths(child, here, out);
+                    here.pop();
+                }
+            }
+            Json::Arr(items) => {
+                for (i, child) in items.iter().enumerate() {
+                    here.push(i.to_string());
+                    leaf_paths(child, here, out);
+                    here.pop();
+                }
+            }
+            _ => out.push(here.clone()),
+        }
+    }
+
+    fn leaf_mut<'a>(value: &'a mut Json, path: &[String]) -> &'a mut Json {
+        path.iter().fold(value, |at, step| match at {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).unwrap().1,
+            Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => unreachable!("paths end at leaves"),
+        })
+    }
+
+    #[test]
+    fn every_leaf_of_a_shard_document_reaches_the_shard() {
+        let shard = sample_shard();
+        let doc = shard_to_json(&shard);
+        let mut paths = Vec::new();
+        leaf_paths(&doc, &mut Vec::new(), &mut paths);
+        assert!(paths.len() > 50, "the sample shard has a row of every type");
+        for path in paths {
+            let mut perturbed = doc.clone();
+            match leaf_mut(&mut perturbed, &path) {
+                Json::Num(n) => *n += 1.0,
+                Json::Bool(b) => *b = !*b,
+                Json::Str(s) => s.push('~'),
+                other => panic!("unexpected leaf {other:?} at {path:?}"),
+            }
+            assert_ne!(
+                shard_from_json(&perturbed),
+                Ok(shard.clone()),
+                "{} is written but not read back",
+                path.join(".")
+            );
+        }
+    }
+
+    #[test]
+    fn utilization_counts_are_validated_at_the_boundary() {
+        let mut shard = sample_shard();
+        shard.utilization.rows[0].slots_touched = 961;
+        let err = shard_from_json(&shard_to_json(&shard)).unwrap_err();
+        assert!(err.contains("slots_touched 961 exceeds slots_fetched 960"));
+        let mut shard = sample_shard();
+        shard.utilization.rows[0].origins[0].slots_fetched = 239;
+        let err = shard_from_json(&shard_to_json(&shard)).unwrap_err();
+        assert!(err.contains("'skbuff' origin cpu2"), "{err}");
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //!    the one-shot [`merge_shards`] over the canonically sorted set.
 //! 2. **Compaction exactness** — a bounded sink (small compact threshold) keeps
 //!    its resident shard count under the threshold while preserving every exact
-//!    count (pooled miss samples per type, per-class miss samples, requests)
-//!    against the unbounded merge of the same set.
+//!    count (pooled miss samples per type, per-class miss samples, requests,
+//!    thread multiplicities) against the unbounded merge of the same set, and
+//!    every working-set mean to rounding.
 
 use dprof_core::merge::{
     merge_shards, MergeSink, ProfileShard, ShardMeta, ShardMissRow, ShardProfileRow,
-    ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow, ShardWorkingSet, StreamingMerge,
+    ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow, ShardWorkingSet,
+    ShardWorkingSetRow, StreamingMerge,
 };
 use proptest::prelude::*;
 
@@ -75,6 +77,28 @@ fn shard_from(ordinal: u64, seed: u64, rows: Vec<(usize, u64, bool)>) -> Profile
             }
         })
         .collect();
+    // Working-set rows cover a *superset* of the profiled names: a thread allocates
+    // types it never happens to sample, so a type's working-set multiplicity can
+    // exceed its data-profile multiplicity.
+    let working_set_rows: Vec<ShardWorkingSetRow> = NAMES
+        .iter()
+        .enumerate()
+        .filter(|(i, name)| {
+            !(seed + *i as u64).is_multiple_of(3) || picked.iter().any(|(n, _, _)| n == *name)
+        })
+        .map(|(i, name)| {
+            let live = 100 + (seed * 7 + i as u64 * 131) % 900;
+            ShardWorkingSetRow {
+                name: name.to_string(),
+                description: format!("{name} (generated)"),
+                avg_live_bytes: live as f64,
+                avg_live_objects: live as f64 / 64.0,
+                peak_live_bytes: 2 * live,
+                threads_seen: 1,
+            }
+        })
+        .collect();
+    let live_total: f64 = working_set_rows.iter().map(|r| r.avg_live_bytes).sum();
     let resolved_fetched: u64 = utilization_rows.iter().map(|r| r.slots_fetched).sum();
     let resolved_touched: u64 = utilization_rows.iter().map(|r| r.slots_touched).sum();
     ProfileShard {
@@ -99,8 +123,13 @@ fn shard_from(ordinal: u64, seed: u64, rows: Vec<(usize, u64, bool)>) -> Profile
             resolved_slots_touched: resolved_touched,
         },
         working_set: ShardWorkingSet {
+            rows: working_set_rows,
+            cache_capacity: 2048,
+            cache_ways: 8,
+            total_avg_bytes: live_total,
             thread_count: 1,
-            ..ShardWorkingSet::default()
+            threads_exceeding_capacity: usize::from(live_total > 2048.0),
+            conflict_sets: (seed % 5) as usize,
         },
         data_flows: Vec::new(),
     }
@@ -167,7 +196,8 @@ proptest! {
 
     /// A bounded sink keeps `shard_count() < threshold` after every absorb and
     /// preserves the exact pooled counts of the unbounded merge: per-type L1
-    /// miss samples, per-class miss samples, total requests, pooled weight.
+    /// miss samples, per-class miss samples, total requests, pooled weight, and
+    /// the working-set view (means to rounding, multiplicities exactly).
     #[test]
     fn compacting_sink_preserves_exact_counts(
         shards in shard_set_strategy(),
@@ -188,8 +218,8 @@ proptest! {
         let compacted = bounded.finish();
         let exact = unbounded.finish();
 
-        prop_assert_eq!(compacted.total_requests, exact.total_requests);
-        prop_assert_eq!(compacted.total_cycles, exact.total_cycles);
+        prop_assert_eq!(compacted.totals.requests, exact.totals.requests);
+        prop_assert_eq!(compacted.totals.total_cycles, exact.totals.total_cycles);
         prop_assert!((compacted.pooled_weight - exact.pooled_weight).abs() < 1e-6);
 
         prop_assert_eq!(compacted.data_profile.len(), exact.data_profile.len());
@@ -211,5 +241,24 @@ proptest! {
         // Utilization counts pool exactly and rates are sums, so compaction
         // preserves the whole merged view bit-for-bit.
         prop_assert_eq!(&compacted.utilization, &exact.utilization);
+
+        // A base shard keeps each working-set row's own thread multiplicity, so
+        // the means survive compaction (rows may swap places on a rounding-level
+        // tie, hence the lookup by name).
+        let (c, e) = (&compacted.working_set, &exact.working_set);
+        prop_assert_eq!(c.thread_count, e.thread_count);
+        prop_assert_eq!(c.threads_exceeding_capacity, e.threads_exceeding_capacity);
+        prop_assert_eq!(c.conflict_sets, e.conflict_sets);
+        prop_assert_eq!(c.rows.len(), e.rows.len());
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+        for e in &e.rows {
+            let c = c.rows.iter().find(|c| c.name == e.name).expect("row survives");
+            prop_assert!(close(c.avg_live_bytes, e.avg_live_bytes),
+                "{}: {} vs {}", e.name, c.avg_live_bytes, e.avg_live_bytes);
+            prop_assert!(close(c.avg_live_objects, e.avg_live_objects));
+            prop_assert_eq!(c.peak_live_bytes, e.peak_live_bytes);
+            prop_assert_eq!(c.threads_seen, e.threads_seen);
+        }
+        prop_assert!(close(c.total_avg_bytes, e.total_avg_bytes));
     }
 }

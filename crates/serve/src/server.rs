@@ -456,7 +456,7 @@ fn top_json(workload: &str, build: &str, report: &MergedReport, top: usize) -> S
             ("build", Json::str(build)),
             ("shards", Json::num(report.threads.len() as f64)),
             ("pooled_misses", Json::num(report.pooled_weight)),
-            ("aggregate_rps", Json::num(report.aggregate_rps)),
+            ("aggregate_rps", Json::num(report.totals.rps)),
             ("rows", Json::Arr(rows)),
         ],
     )

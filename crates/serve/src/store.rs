@@ -2,8 +2,8 @@
 //!
 //! Memory is bounded per key by the sink's compaction threshold (shards fold
 //! into a single base shard once the threshold is reached), and the whole store
-//! survives restarts through JSON snapshots: each key serializes its merged
-//! state as one compacted shard under `<root>/<workload>/<build>.json`, and
+//! survives restarts through JSON snapshots: each key serializes the fold of its
+//! resident shards as one base shard under `<root>/<workload>/<build>.json`, and
 //! [`ProfileStore::new`] reloads every snapshot it finds.  A reloaded key keeps
 //! absorbing new shards on top of its snapshot shard.
 
@@ -44,9 +44,6 @@ struct BuildEntry {
     sink: StreamingMerge,
     /// Total shards this key represents (snapshot shards count what they folded).
     absorbed: u64,
-    /// Smallest ordinal ever absorbed; the snapshot shard reuses it so a
-    /// reloaded store folds the snapshot at the same canonical position.
-    min_ordinal: u64,
     /// Pushes since the last snapshot (drives the snapshot-every-N policy).
     dirty: u64,
 }
@@ -98,7 +95,6 @@ impl ProfileStore {
                 let (workload, build, absorbed, shard) = snapshot_from_json(&doc)
                     .map_err(|e| format!("snapshot {}: {e}", path.display()))?;
                 let entry = self.entry(&workload, &build);
-                entry.min_ordinal = shard.ordinal;
                 entry.sink.absorb(shard);
                 entry.absorbed = absorbed;
             }
@@ -113,7 +109,6 @@ impl ProfileStore {
             .or_insert_with(|| BuildEntry {
                 sink: StreamingMerge::with_compact_threshold(threshold),
                 absorbed: 0,
-                min_ordinal: u64::MAX,
                 dirty: 0,
             })
     }
@@ -122,7 +117,6 @@ impl ProfileStore {
     /// total shard count.  Tags must already be validated.
     pub fn push_shard(&mut self, workload: &str, build: &str, shard: ProfileShard) -> u64 {
         let entry = self.entry(workload, build);
-        entry.min_ordinal = entry.min_ordinal.min(shard.ordinal);
         entry.sink.absorb(shard);
         entry.absorbed += 1;
         entry.dirty += 1;
@@ -184,10 +178,9 @@ impl ProfileStore {
             if entry.dirty == 0 {
                 continue;
             }
-            let report = entry.sink.finish();
-            let shard =
-                dprof::core::shard_from_merged(&report, entry.min_ordinal.min(u64::MAX - 1));
-            let doc = snapshot_to_json(workload, build, entry.absorbed, &shard);
+            // The fold sits at the smallest ordinal it folded, so a reloaded store
+            // folds the snapshot at the same canonical position.
+            let doc = snapshot_to_json(workload, build, entry.absorbed, &entry.sink.folded());
             let dir = root.join(workload);
             std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
             let path = dir.join(format!("{build}.json"));
@@ -321,7 +314,7 @@ mod tests {
         );
         let after = reloaded.report("ring", "v1").unwrap();
         // Counts are preserved exactly through the snapshot round trip.
-        assert_eq!(after.total_requests, before.total_requests);
+        assert_eq!(after.totals.requests, before.totals.requests);
         assert_eq!(
             after.data_profile[0].l1_miss_samples,
             before.data_profile[0].l1_miss_samples

@@ -1,8 +1,12 @@
 //! End-to-end tests of the serve stack over real sockets: concurrent ingest,
 //! arrival-order independence, query answers, Wilson-gated alerts, snapshot
-//! persistence across a restart, and the malformed-input error paths.
+//! persistence across a restart, the malformed-input error paths, and the byte
+//! spine in `tests/golden/serve`.
 
-use dprof::core::merge::{ProfileShard, ShardMeta, ShardMissRow, ShardProfileRow, ShardWorkingSet};
+use dprof::core::merge::{
+    ProfileShard, ShardMeta, ShardMissRow, ShardProfileRow, ShardUtilizationOrigin,
+    ShardUtilizationRow, ShardWorkingSet,
+};
 use dprof::core::schema::{self, Json};
 use dprof_serve::loadgen::{run_loadgen, LoadgenConfig};
 use dprof_serve::server::{Server, ServerConfig};
@@ -258,6 +262,37 @@ fn malformed_input_errors_do_not_take_the_server_down() {
         .push_trace("ring", "v1", 9, b"DPROFTRC-but-cut".to_vec())
         .unwrap_err();
     assert!(err.contains("server:"), "{err}");
+
+    // Utilization counts no tally can produce (more slots touched than fetched,
+    // on a row or on one of its origins) are refused at the boundary, whichever
+    // document form carries them: folded, they would underflow `wasted_bytes`
+    // under the store lock.
+    let utilization_row = |touched: u64, origin_touched: u64| ShardUtilizationRow {
+        name: "ring_desc".into(),
+        description: String::new(),
+        slots_fetched: 8,
+        slots_touched: touched,
+        refetch_slots: 0,
+        wasted_bytes_per_sec: 0.0,
+        origins: vec![ShardUtilizationOrigin {
+            origin: "cpu0".into(),
+            slots_fetched: 8,
+            slots_touched: origin_touched,
+        }],
+    };
+    let mut hostile_row = shard(4, 100, 0.5);
+    hostile_row.utilization.rows.push(utilization_row(9, 2));
+    let mut hostile_origin = shard(5, 100, 0.5);
+    hostile_origin.utilization.rows.push(utilization_row(2, 9));
+    let hostile_report = r#"{"schema": "dprof-report/v1", "utilization": {"rows": [
+        {"type": "ring_desc", "slots_fetched": 1, "slots_touched": 2}]}}"#;
+    for hostile in [&doc(&hostile_row), &doc(&hostile_origin), hostile_report] {
+        let err = client.push_shard("ring", "v1", 4, hostile).unwrap_err();
+        assert!(err.contains("exceeds slots_fetched"), "{err}");
+    }
+    let top = Json::parse(&client.query_top("ring", "v1", 4).unwrap()).unwrap();
+    assert_eq!(top.get("pooled_misses").and_then(Json::as_f64), Some(100.0));
+
     let stats = Json::parse(&client.stats().unwrap()).unwrap();
     assert_eq!(
         stats.get("shards_absorbed").and_then(Json::as_f64),
@@ -304,4 +339,102 @@ fn loadgen_pushes_concurrently_with_bounded_memory() {
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
     client.shutdown().unwrap();
     server.wait();
+}
+
+fn golden(relative: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(relative)
+}
+
+fn read_golden(relative: &str) -> String {
+    let path = golden(relative);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// `tests/golden/serve` was written by the binary of the commit *before* the fold
+/// learnt to return a shard (`dprof serve --compact-every 2 --snapshot-every 0`, the
+/// pushes below, then `dprof query top|regressions|alerts|snapshot`).  Every shard
+/// of a key carries the same rows, so the answers exercise compaction, ranking and
+/// the regression summary without depending on which threads saw which type.
+#[test]
+fn golden_pushes_answer_byte_for_byte_and_old_snapshots_load() {
+    let mut server = Server::start(ServerConfig {
+        compact_threshold: 2,
+        snapshot_every: 0,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    for (build, report, ids) in [
+        ("v1", "memcached_quick.report.json", 1..=3),
+        ("v2", "false_sharing_quick.report.json", 4..=6),
+    ] {
+        let report = read_golden(report);
+        for id in ids {
+            client.push_shard("golden", build, id, &report).unwrap();
+        }
+    }
+    let expected_top = read_golden("serve/top.json");
+    assert_eq!(client.query_top("golden", "v1", 64).unwrap(), expected_top);
+    assert_eq!(
+        client.query_regressions("golden", "v1", "v2", 64).unwrap(),
+        read_golden("serve/regressions.json")
+    );
+    assert_eq!(
+        client.query_alerts("golden", "v1", "v2").unwrap(),
+        read_golden("serve/alerts.json")
+    );
+    server.shutdown();
+
+    // A collector opened on (a copy of) the store that binary wrote.
+    let root = std::env::temp_dir().join(format!("dprof-serve-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("golden")).unwrap();
+    for build in ["v1.json", "v2.json"] {
+        let from = golden("serve/store/golden").join(build);
+        std::fs::copy(from, root.join("golden").join(build)).unwrap();
+    }
+    let mut server = Server::start(ServerConfig {
+        store_root: Some(root.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let keys = Json::parse(&client.list_keys().unwrap()).unwrap();
+    let keys: Vec<(&str, f64)> = keys
+        .get("keys")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|k| {
+            (
+                k.get("build").and_then(Json::as_str).unwrap(),
+                k.get("shards").and_then(Json::as_f64).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(keys, [("v1", 3.0), ("v2", 3.0)]);
+
+    let counts = |top: &str| -> (Option<f64>, Vec<(String, Option<f64>)>) {
+        let top = Json::parse(top).unwrap();
+        let rows = top.get("rows").and_then(Json::as_array).unwrap();
+        (
+            top.get("pooled_misses").and_then(Json::as_f64),
+            rows.iter()
+                .map(|row| {
+                    (
+                        row.get("type").and_then(Json::as_str).unwrap().to_string(),
+                        row.get("l1_miss_samples").and_then(Json::as_f64),
+                    )
+                })
+                .collect(),
+        )
+    };
+    assert_eq!(
+        counts(&client.query_top("golden", "v1", 64).unwrap()),
+        counts(&expected_top)
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
 }
