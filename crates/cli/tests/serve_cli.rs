@@ -263,3 +263,54 @@ fn push_and_query_round_trip_through_the_binary() {
         "streaming-scan:buggy's top miss type is scan_buffer"
     );
 }
+
+#[test]
+fn hostile_pushes_print_one_error_line_and_the_server_survives() {
+    let server = ServeProcess::start();
+    let push = |name: &str, document: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "dprof-serve-cli-{name}-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, document).unwrap();
+        let output = server.query(&[
+            "push",
+            "-w",
+            "ring",
+            "--build",
+            "v1",
+            "--shard-id",
+            "1",
+            "--file",
+            path.to_str().unwrap(),
+        ]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(output.status.code(), Some(1), "{name}");
+        stderr_error_line(&output)
+    };
+
+    // 10 KB of `[`: unbounded, the parser's recursion overflows the connection
+    // thread's stack and the collector aborts.
+    assert_eq!(
+        push("nested", &"[".repeat(10_000)),
+        "error: server: push: nesting deeper than 128 at byte 128"
+    );
+    // A count no tally can produce, refused where it enters rather than summed.
+    let counts = r#"{"schema": "dprof-report/v1", "throughput": {"total_requests": 1e30}}"#;
+    assert_eq!(
+        push("counts", counts),
+        format!(
+            "error: server: throughput 'total_requests': count {} out of range",
+            1e30
+        )
+    );
+
+    let output = server.query(&["stats"]);
+    assert!(
+        output.status.success(),
+        "stats failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let doc = Json::parse(&String::from_utf8(output.stdout).unwrap()).unwrap();
+    assert_eq!(doc.get("shards_absorbed").and_then(Json::as_f64), Some(0.0));
+}

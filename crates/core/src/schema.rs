@@ -13,6 +13,10 @@
 //!
 //! Object key order is preserved on emit, so documents are byte-stable across runs
 //! with identical inputs — the CI determinism job depends on this.
+//!
+//! Documents also arrive from outside (collector pushes, `dprof diff` arguments, store
+//! snapshots), so the readers bound what they accept where it enters: nesting at
+//! [`MAX_NESTING`] levels, and every count a fold will sum at 2^53 ([`count_at`]).
 
 use crate::merge::{
     ProfileShard, ShardFlow, ShardFlowEdge, ShardFlowNode, ShardMeta, ShardMissRow,
@@ -169,20 +173,32 @@ impl Json {
     }
 
     /// Parses a JSON document.  Returns a message with a byte offset on error.
+    /// Arrays and objects may nest [`MAX_NESTING`] deep.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut parser = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != input.len() {
             return Err(format!("trailing data at byte {}", parser.pos));
         }
         Ok(value)
     }
 }
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.  The parser
+/// recurses once per level and documents arrive from the network, so the bound is what
+/// keeps a push of `[[[[…` from overflowing a connection thread's stack; the deepest
+/// document this workspace writes is a store snapshot, 7 levels.
+pub const MAX_NESTING: usize = 128;
+
+/// Room a non-empty array or object starts with: the rows of a report have five to
+/// nine fields, so most objects never grow and the rest grow once.
+const CONTAINER_CAPACITY: usize = 8;
 
 fn indent(out: &mut String, level: usize) {
     for _ in 0..level {
@@ -219,23 +235,24 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -248,7 +265,7 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -262,25 +279,52 @@ impl Parser<'_> {
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Everything up to the next quote or backslash is copied in one piece.  Both
+            // are ASCII, and an escape ends on an ASCII byte, so a run starts and ends on
+            // a character boundary of the (already valid UTF-8) input.
+            let run_start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                self.pos += 1;
+            }
+            let run = &self.text[run_start..self.pos];
             let start = self.pos;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
+                    // An escape-free string is its one run: a single exact-size copy.
+                    if s.is_empty() {
+                        return Ok(run.to_string());
+                    }
+                    s.push_str(run);
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    s.push_str(run);
                     self.pos += 1;
                     let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -295,7 +339,7 @@ impl Parser<'_> {
                         b'f' => s.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos..self.pos + 4)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
@@ -309,32 +353,31 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {start}")),
                     }
                 }
-                Some(b) => {
-                    // Consume one UTF-8 scalar, validating only its own bytes (not the
-                    // whole remaining input, which would make parsing quadratic).
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        0xf0..=0xf7 => 4,
-                        _ => return Err(format!("invalid utf-8 at byte {start}")),
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or("truncated utf-8 sequence")?;
-                    let text = std::str::from_utf8(chunk).map_err(|_| "invalid utf-8")?;
-                    s.push_str(text);
-                    self.pos += len;
-                }
             }
         }
     }
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
+        }
+        let digits = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        let more = matches!(
+            self.peek(),
+            Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
+        );
+        // A plain integer of at most 15 digits is below 2^53, so accumulating it is
+        // exact and equal to what the float parser returns (the sign keeps `-0`).
+        if !more && (1..=15).contains(&(self.pos - digits)) {
+            let magnitude = self.bytes()[digits..self.pos]
+                .iter()
+                .fold(0u64, |n, d| n * 10 + u64::from(d - b'0')) as f64;
+            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
         }
         while matches!(
             self.peek(),
@@ -342,20 +385,20 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number at byte {start}"))
     }
 
     fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let mut items = Vec::with_capacity(CONTAINER_CAPACITY);
         loop {
             self.skip_ws();
             items.push(self.value()?);
@@ -373,12 +416,12 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let mut fields = Vec::with_capacity(CONTAINER_CAPACITY);
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -417,16 +460,53 @@ fn rows<'a>(section: &'a Json, key: &str) -> std::slice::Iter<'a, Json> {
         .iter()
 }
 
+/// The array at `section.key` read through `row`, failing on the first row that does.
+/// (Sized up front: collecting `Result`s cannot see the length.)
+fn parsed_rows<T>(
+    section: &Json,
+    key: &str,
+    row: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let items = rows(section, key);
+    let mut parsed = Vec::with_capacity(items.len());
+    for item in items {
+        parsed.push(row(item)?);
+    }
+    Ok(parsed)
+}
+
 fn f64_at(v: &Json, key: &str) -> f64 {
     v.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-fn u64_at(v: &Json, key: &str) -> u64 {
-    f64_at(v, key) as u64
+/// The largest count a document may carry: every integer up to 2^53 is exact in the
+/// `f64` a JSON number is read into.
+const MAX_COUNT: f64 = 9_007_199_254_740_992.0;
+
+/// The count at `section.key`: 0 when absent, an error when it is negative, fractional
+/// or above 2^53.  The fold adds counts with `+`, so this is where a document is kept
+/// from overflowing it.
+pub fn count_at(section: &Json, name: &str, key: &str) -> Result<u64, String> {
+    let v = f64_at(section, key);
+    // The cast saturates and drops the fraction, so only a whole number in range
+    // survives the round trip (NaN casts to 0 and equals nothing).
+    let count = v as u64;
+    if count as f64 == v && v <= MAX_COUNT {
+        Ok(count)
+    } else {
+        Err(format!("{name} '{key}': count {v} out of range"))
+    }
 }
 
-fn usize_at(v: &Json, key: &str) -> usize {
-    f64_at(v, key) as usize
+fn usize_at(section: &Json, name: &str, key: &str) -> Result<usize, String> {
+    let count = count_at(section, name, key)?;
+    usize::try_from(count).map_err(|_| format!("{name} '{key}': count {count} out of range"))
+}
+
+/// An identifier (ordinal, seed, thread): never summed, so a value beyond `u64`
+/// saturates instead of failing the document.
+fn id_at(v: &Json, key: &str) -> u64 {
+    f64_at(v, key) as u64
 }
 
 fn bool_at(v: &Json, key: &str) -> bool {
@@ -465,22 +545,22 @@ fn profile_row(row: &Json) -> Result<ShardProfileRow, String> {
         pct_of_l1_misses: f64_at(row, "pct_of_l1_misses"),
         pct_of_miss_cycles: f64_at(row, "pct_of_miss_cycles"),
         bounce: bool_at(row, "bounce"),
-        samples: u64_at(row, "samples"),
-        l1_miss_samples: u64_at(row, "l1_miss_samples"),
-        threads_seen: usize_at(row, "threads_seen").max(1),
+        samples: count_at(row, "data_profile", "samples")?,
+        l1_miss_samples: count_at(row, "data_profile", "l1_miss_samples")?,
+        threads_seen: usize_at(row, "data_profile", "threads_seen")?.max(1),
     })
 }
 
-fn miss_row(row: &Json) -> ShardMissRow {
+fn miss_row(row: &Json) -> Result<ShardMissRow, String> {
     // A report nests the three fractions under `fractions`; a snapshot keeps them flat.
     let fractions = row.get("fractions").unwrap_or(row);
-    ShardMissRow {
+    Ok(ShardMissRow {
         name: str_at(row, "type"),
-        miss_samples: u64_at(row, "miss_samples"),
+        miss_samples: count_at(row, "miss_classification", "miss_samples")?,
         invalidation: f64_at(fractions, "invalidation"),
         conflict: f64_at(fractions, "conflict"),
         capacity: f64_at(fractions, "capacity"),
-    }
+    })
 }
 
 /// Parses one utilization row, rejecting counts no tally can produce: every fold
@@ -489,17 +569,17 @@ fn utilization_row(row: &Json) -> Result<ShardUtilizationRow, String> {
     let parsed = ShardUtilizationRow {
         name: str_at(row, "type"),
         description: str_at(row, "description"),
-        slots_fetched: u64_at(row, "slots_fetched"),
-        slots_touched: u64_at(row, "slots_touched"),
-        refetch_slots: u64_at(row, "refetch_slots"),
+        slots_fetched: count_at(row, "utilization", "slots_fetched")?,
+        slots_touched: count_at(row, "utilization", "slots_touched")?,
+        refetch_slots: count_at(row, "utilization", "refetch_slots")?,
         wasted_bytes_per_sec: f64_at(row, "wasted_bytes_per_sec"),
-        origins: rows(row, "origins")
-            .map(|o| ShardUtilizationOrigin {
+        origins: parsed_rows(row, "origins", |o| {
+            Ok(ShardUtilizationOrigin {
                 origin: str_at(o, "origin"),
-                slots_fetched: u64_at(o, "slots_fetched"),
-                slots_touched: u64_at(o, "slots_touched"),
+                slots_fetched: count_at(o, "utilization origin", "slots_fetched")?,
+                slots_touched: count_at(o, "utilization origin", "slots_touched")?,
             })
-            .collect(),
+        })?,
     };
     if parsed.slots_touched > parsed.slots_fetched {
         return Err(format!(
@@ -522,59 +602,61 @@ fn utilization_row(row: &Json) -> Result<ShardUtilizationRow, String> {
 
 fn utilization(section: &Json) -> Result<ShardUtilization, String> {
     Ok(ShardUtilization {
-        rows: rows(section, "rows")
-            .map(utilization_row)
-            .collect::<Result<_, _>>()?,
-        total_fetches: u64_at(section, "total_fetches"),
-        total_refetches: u64_at(section, "total_refetches"),
-        resolved_slots_fetched: u64_at(section, "resolved_slots_fetched"),
-        resolved_slots_touched: u64_at(section, "resolved_slots_touched"),
+        rows: parsed_rows(section, "rows", utilization_row)?,
+        total_fetches: count_at(section, "utilization", "total_fetches")?,
+        total_refetches: count_at(section, "utilization", "total_refetches")?,
+        resolved_slots_fetched: count_at(section, "utilization", "resolved_slots_fetched")?,
+        resolved_slots_touched: count_at(section, "utilization", "resolved_slots_touched")?,
     })
 }
 
 /// The working-set section.  A report has no `thread_count` of its own (its `run`
 /// section knows) and calls the conflict-set count `max_conflict_sets`.
-fn working_set(section: &Json, thread_count: usize, conflict_sets_key: &str) -> ShardWorkingSet {
-    ShardWorkingSet {
-        rows: rows(section, "rows")
-            .map(|row| ShardWorkingSetRow {
+fn working_set(
+    section: &Json,
+    thread_count: usize,
+    conflict_sets_key: &str,
+) -> Result<ShardWorkingSet, String> {
+    Ok(ShardWorkingSet {
+        rows: parsed_rows(section, "rows", |row| {
+            Ok(ShardWorkingSetRow {
                 name: str_at(row, "type"),
                 description: str_at(row, "description"),
                 avg_live_bytes: f64_at(row, "avg_live_bytes"),
                 avg_live_objects: f64_at(row, "avg_live_objects"),
-                peak_live_bytes: u64_at(row, "peak_live_bytes"),
-                threads_seen: usize_at(row, "threads_seen").max(1),
+                peak_live_bytes: count_at(row, "working_set", "peak_live_bytes")?,
+                threads_seen: usize_at(row, "working_set", "threads_seen")?.max(1),
             })
-            .collect(),
-        cache_capacity: u64_at(section, "cache_capacity_bytes"),
-        cache_ways: usize_at(section, "cache_ways"),
+        })?,
+        cache_capacity: count_at(section, "working_set", "cache_capacity_bytes")?,
+        cache_ways: usize_at(section, "working_set", "cache_ways")?,
         total_avg_bytes: f64_at(section, "total_avg_bytes"),
         thread_count,
-        threads_exceeding_capacity: usize_at(section, "threads_exceeding_capacity"),
-        conflict_sets: usize_at(section, conflict_sets_key),
-    }
+        threads_exceeding_capacity: usize_at(section, "working_set", "threads_exceeding_capacity")?,
+        conflict_sets: usize_at(section, "working_set", conflict_sets_key)?,
+    })
 }
 
-fn flow(flow: &Json) -> ShardFlow {
-    ShardFlow {
+fn flow(flow: &Json) -> Result<ShardFlow, String> {
+    Ok(ShardFlow {
         type_name: str_at(flow, "type"),
-        nodes: rows(flow, "nodes")
-            .map(|n| ShardFlowNode {
+        nodes: parsed_rows(flow, "nodes", |n| {
+            Ok(ShardFlowNode {
                 function: str_at(n, "function"),
-                samples: u64_at(n, "samples"),
-                weight: u64_at(n, "weight"),
+                samples: count_at(n, "data_flow node", "samples")?,
+                weight: count_at(n, "data_flow node", "weight")?,
                 avg_latency: f64_at(n, "avg_latency"),
             })
-            .collect(),
-        edges: rows(flow, "edges")
-            .map(|e| ShardFlowEdge {
+        })?,
+        edges: parsed_rows(flow, "edges", |e| {
+            Ok(ShardFlowEdge {
                 from: str_at(e, "from"),
                 to: str_at(e, "to"),
-                count: u64_at(e, "count"),
+                count: count_at(e, "data_flow edge", "count")?,
                 cpu_change: bool_at(e, "cpu_change"),
             })
-            .collect(),
-    }
+        })?,
+    })
 }
 
 /// Reduces a parsed [`REPORT_V1`] document to the diff engine's [`ReportSummary`].
@@ -607,7 +689,7 @@ pub fn report_summary_from_json(doc: &Json) -> Result<ReportSummary, String> {
             .filter_map(|row| Some((row.get("type")?.as_str()?, row)))
     };
     for (name, row) in named("miss_classification", "rows") {
-        let parsed = miss_row(row);
+        let parsed = miss_row(row)?;
         let t = summary.entry(name);
         t.miss_samples = parsed.miss_samples;
         t.invalidation = parsed.invalidation;
@@ -623,7 +705,7 @@ pub fn report_summary_from_json(doc: &Json) -> Result<ReportSummary, String> {
     for (name, row) in named("utilization", "rows") {
         let t = summary.entry(name);
         t.utilization_pct = f64_at(row, "utilization_pct");
-        t.wasted_bytes = u64_at(row, "wasted_bytes");
+        t.wasted_bytes = count_at(row, "utilization", "wasted_bytes")?;
         t.wasted_bytes_per_sec = f64_at(row, "wasted_bytes_per_sec");
         t.refetch_ratio = f64_at(row, "refetch_ratio");
     }
@@ -635,7 +717,7 @@ pub fn report_summary_from_json(doc: &Json) -> Result<ReportSummary, String> {
             .unwrap_or(t.working_set_bytes);
     }
     for (name, flow) in named("data_flow", "types") {
-        summary.entry(name).core_crossings = u64_at(flow, "core_crossings");
+        summary.entry(name).core_crossings = count_at(flow, "data_flow", "core_crossings")?;
     }
     Ok(summary)
 }
@@ -652,9 +734,7 @@ pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, 
     let run = section(doc, "run");
     let throughput = section(doc, "throughput");
 
-    let data_profile: Vec<ShardProfileRow> = rows(section(doc, "data_profile"), "rows")
-        .map(profile_row)
-        .collect::<Result<_, _>>()?;
+    let data_profile = parsed_rows(section(doc, "data_profile"), "rows", profile_row)?;
     // The report's rows carry shares relative to the *total* miss-sample pool, which
     // may exceed the per-row sum when some misses went unattributed; reconstruct the
     // pool so this shard's weight matches the denominator its percentages assume.
@@ -666,8 +746,7 @@ pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, 
         sum_l1 as f64
     };
 
-    let mut data_flows: Vec<ShardFlow> =
-        rows(section(doc, "data_flow"), "types").map(flow).collect();
+    let mut data_flows = parsed_rows(section(doc, "data_flow"), "types", flow)?;
     data_flows.sort_by(|a, b| a.type_name.cmp(&b.type_name));
 
     Ok(ProfileShard {
@@ -675,25 +754,23 @@ pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, 
         weight,
         meta: ShardMeta {
             thread: 0,
-            seed: u64_at(run, "base_seed"),
-            requests: u64_at(throughput, "total_requests"),
+            seed: id_at(run, "base_seed"),
+            requests: count_at(throughput, "throughput", "total_requests")?,
             rps: f64_at(throughput, "aggregate_rps"),
             profiling_fraction: f64_at(throughput, "profiling_fraction"),
             samples: rows(throughput, "per_thread")
-                .map(|t| u64_at(t, "samples"))
-                .sum(),
+                .map(|t| count_at(t, "throughput per_thread", "samples"))
+                .sum::<Result<_, _>>()?,
             total_cycles: 0,
         },
         data_profile,
-        miss_classification: rows(section(doc, "miss_classification"), "rows")
-            .map(miss_row)
-            .collect(),
+        miss_classification: parsed_rows(section(doc, "miss_classification"), "rows", miss_row)?,
         utilization: utilization(section(doc, "utilization"))?,
         working_set: working_set(
             section(doc, "working_set"),
-            usize_at(run, "threads").max(1),
+            usize_at(run, "run", "threads")?.max(1),
             "max_conflict_sets",
-        ),
+        )?,
         data_flows,
     })
 }
@@ -925,24 +1002,26 @@ pub fn shard_from_json(doc: &Json) -> Result<ProfileShard, String> {
         return Err("shard without a 'data_profile' array".into());
     }
     Ok(ProfileShard {
-        ordinal: u64_at(doc, "ordinal"),
+        ordinal: id_at(doc, "ordinal"),
         weight: f64_at(doc, "weight"),
         meta: ShardMeta {
-            thread: usize_at(meta, "thread"),
-            seed: u64_at(meta, "seed"),
-            requests: u64_at(meta, "requests"),
+            thread: id_at(meta, "thread") as usize,
+            seed: id_at(meta, "seed"),
+            requests: count_at(meta, "meta", "requests")?,
             rps: f64_at(meta, "rps"),
             profiling_fraction: f64_at(meta, "profiling_fraction"),
-            samples: u64_at(meta, "samples"),
-            total_cycles: u64_at(meta, "total_cycles"),
+            samples: count_at(meta, "meta", "samples")?,
+            total_cycles: count_at(meta, "meta", "total_cycles")?,
         },
-        data_profile: rows(doc, "data_profile")
-            .map(profile_row)
-            .collect::<Result<_, _>>()?,
-        miss_classification: rows(doc, "miss_classification").map(miss_row).collect(),
+        data_profile: parsed_rows(doc, "data_profile", profile_row)?,
+        miss_classification: parsed_rows(doc, "miss_classification", miss_row)?,
         utilization: utilization(section(doc, "utilization"))?,
-        working_set: working_set(ws, usize_at(ws, "thread_count").max(1), "conflict_sets"),
-        data_flows: rows(doc, "data_flows").map(flow).collect(),
+        working_set: working_set(
+            ws,
+            usize_at(ws, "working_set", "thread_count")?.max(1),
+            "conflict_sets",
+        )?,
+        data_flows: parsed_rows(doc, "data_flows", flow)?,
     })
 }
 
@@ -1158,6 +1237,123 @@ mod tests {
         shard.utilization.rows[0].origins[0].slots_fetched = 239;
         let err = shard_from_json(&shard_to_json(&shard)).unwrap_err();
         assert!(err.contains("'skbuff' origin cpu2"), "{err}");
+    }
+
+    #[test]
+    fn counts_are_bounded_where_they_enter() {
+        // Means, shares and identifiers: never summed as integers, so not bounded
+        // (`weight` is the shard's own; a flow node's is a count).
+        const NOT_COUNTS: [&str; 17] = [
+            "ordinal",
+            "weight",
+            "thread",
+            "seed",
+            "rps",
+            "profiling_fraction",
+            "working_set_bytes",
+            "pct_of_l1_misses",
+            "pct_of_miss_cycles",
+            "invalidation",
+            "conflict",
+            "capacity",
+            "wasted_bytes_per_sec",
+            "avg_live_bytes",
+            "avg_live_objects",
+            "total_avg_bytes",
+            "avg_latency",
+        ];
+        let doc = shard_to_json(&sample_shard());
+        let mut paths = Vec::new();
+        leaf_paths(&doc, &mut Vec::new(), &mut paths);
+        let mut counts = 0;
+        for path in paths {
+            let mut huge = doc.clone();
+            let Json::Num(n) = leaf_mut(&mut huge, &path) else {
+                continue;
+            };
+            *n = 1e30;
+            let key = path.last().unwrap();
+            let read = shard_from_json(&huge);
+            if NOT_COUNTS.contains(&key.as_str()) && path.join(".") != "data_flows.0.nodes.0.weight"
+            {
+                assert!(read.is_ok(), "{}: {read:?}", path.join("."));
+            } else {
+                counts += 1;
+                let err = read.unwrap_err();
+                assert!(
+                    err.ends_with(&format!("'{key}': count {} out of range", 1e30)),
+                    "{}: {err}",
+                    path.join(".")
+                );
+            }
+        }
+        assert_eq!(counts, 26, "the sample shard has a count of every kind");
+
+        let text = doc.to_pretty_string();
+        let with_requests = |field: &str| {
+            let text = text.replace("\"requests\": 1000,", field);
+            shard_from_json(&Json::parse(&text).unwrap()).map(|shard| shard.meta.requests)
+        };
+        assert_eq!(with_requests(""), Ok(0), "an absent count reads 0");
+        assert_eq!(
+            with_requests("\"requests\": 9007199254740992,"),
+            Ok(1 << 53)
+        );
+        for (refused, printed) in [
+            ("9007199254740994", "9007199254740994"),
+            ("-1", "-1"),
+            ("0.5", "0.5"),
+            ("1e999", "inf"),
+        ] {
+            assert_eq!(
+                with_requests(&format!("\"requests\": {refused},")),
+                Err(format!("meta 'requests': count {printed} out of range"))
+            );
+        }
+
+        // The report reader goes through the same row parsers.
+        let report = Json::parse(
+            r#"{"schema": "dprof-report/v1", "data_profile": {"rows": [
+                {"type": "skbuff", "l1_miss_samples": 1e30}]}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            shard_from_report_json(&report, 1).unwrap_err(),
+            format!(
+                "data_profile 'l1_miss_samples': count {} out of range",
+                1e30
+            )
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        assert_eq!(
+            Json::parse(&nested(MAX_NESTING + 1)),
+            Err("nesting deeper than 128 at byte 128".into())
+        );
+        let objects = "{\"a\": ".repeat(MAX_NESTING + 1);
+        assert_eq!(
+            Json::parse(&objects),
+            Err(format!(
+                "nesting deeper than 128 at byte {}",
+                6 * MAX_NESTING
+            ))
+        );
+        // Siblings do not count: depth is how far down, not how many.
+        assert!(Json::parse(&format!("[{}]", vec!["[[]]"; 500].join(","))).is_ok());
+
+        // A connection thread has 2 MiB of stack; the bound must hold in far less,
+        // however long the run of brackets.
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| Json::parse(&"[".repeat(1_000_000)))
+            .unwrap()
+            .join()
+            .expect("the parser thread overflowed its stack");
+        assert_eq!(parsed, Err("nesting deeper than 128 at byte 128".into()));
     }
 
     #[test]

@@ -8,11 +8,14 @@
 
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{Request, Response};
+use std::io::BufReader;
 use std::net::TcpStream;
 
 /// A connected client.
 pub struct Client {
-    stream: TcpStream,
+    /// Responses are read through the buffer; requests are written to the socket
+    /// under it.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -20,16 +23,18 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         stream.set_nodelay(true).ok();
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Sends one request and returns the server's JSON response document.
     pub fn call(&mut self, request: &Request) -> Result<String, String> {
         let (kind, payload) = request.encode();
-        write_frame(&mut self.stream, kind, &payload)?;
+        write_frame(self.stream.get_mut(), kind, &payload)?;
         let (kind, payload) = read_frame(&mut self.stream)?
             .ok_or_else(|| "server closed the connection".to_string())?;
-        match Response::decode(kind, &payload)? {
+        match Response::decode(kind, payload)? {
             Response::Ok(json) => Ok(json),
             Response::Err(message) => Err(format!("server: {message}")),
         }

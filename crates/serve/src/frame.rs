@@ -13,27 +13,30 @@ use std::io::{Read, Write};
 /// length prefix cannot make the server allocate without bound.
 pub const MAX_FRAME_BYTES: u64 = 64 * 1024 * 1024;
 
-/// Writes one frame: varint length prefix, kind byte, payload.
+/// Writes one frame: varint length prefix, kind byte, payload.  The three go out in one
+/// `write_all`: the sockets run with `TCP_NODELAY`, where every write is a segment and
+/// a wake-up of the peer.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), String> {
-    let mut prefix = Vec::with_capacity(10);
-    dprof::trace::codec::put_varint(&mut prefix, 1 + payload.len() as u64);
-    prefix.push(kind);
-    w.write_all(&prefix)
-        .and_then(|()| w.write_all(payload))
+    let mut frame = Vec::with_capacity(11 + payload.len());
+    dprof::trace::codec::put_varint(&mut frame, 1 + payload.len() as u64);
+    frame.push(kind);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| format!("write frame: {e}"))
 }
 
 /// Reads one frame.  Returns `Ok(None)` on a clean end of stream (EOF before
 /// the first length byte); anything else that cuts a frame short is an error.
+///
+/// The prefix and the kind byte are read a byte at a time, so hand this a buffered
+/// reader when `r` is a socket (both ends of a connection keep one `BufReader`).
 pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, String> {
-    // The varint is decoded byte-by-byte: a length prefix has at most ten
-    // bytes, and the stream yields them one at a time anyway.
     let mut len: u64 = 0;
     let mut shift = 0u32;
     let mut first = true;
+    let mut byte = [0u8; 1];
     loop {
-        let mut byte = [0u8; 1];
         match r.read(&mut byte) {
             Ok(0) if first => return Ok(None),
             Ok(0) => return Err("truncated frame length".into()),
@@ -56,18 +59,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, String> {
     if len > MAX_FRAME_BYTES {
         return Err(format!("frame of {len} bytes exceeds {MAX_FRAME_BYTES}"));
     }
-    let mut body = vec![0u8; len as usize];
-    let mut read = 0;
-    while read < body.len() {
-        match r.read(&mut body[read..]) {
-            Ok(0) => return Err("truncated frame body".into()),
-            Ok(n) => read += n,
-            Err(e) => return Err(format!("read frame body: {e}")),
-        }
-    }
-    let kind = body[0];
-    body.remove(0);
-    Ok(Some((kind, body)))
+    let body_error = |e: std::io::Error| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => "truncated frame body".to_string(),
+        _ => format!("read frame body: {e}"),
+    };
+    r.read_exact(&mut byte).map_err(body_error)?;
+    let mut payload = vec![0u8; len as usize - 1];
+    r.read_exact(&mut payload).map_err(body_error)?;
+    Ok(Some((byte[0], payload)))
 }
 
 #[cfg(test)]

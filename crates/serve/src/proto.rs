@@ -170,16 +170,17 @@ impl Request {
     /// Decodes a request from a frame.  Trailing bytes are an error: a frame
     /// that parses but is longer than its fields means the peer and server
     /// disagree about the protocol, which should fail loudly.
-    pub fn decode(kind: u8, payload: &[u8]) -> Result<Request, String> {
+    pub fn decode(kind: u8, payload: Vec<u8>) -> Result<Request, String> {
         let mut pos = 0usize;
+        let trailing = |bytes: usize| format!("malformed request frame: {bytes} trailing bytes");
         let string = |pos: &mut usize| {
-            get_string(payload, pos).map_err(|e| format!("malformed request frame: {e}"))
+            get_string(&payload, pos).map_err(|e| format!("malformed request frame: {e}"))
         };
         let request = match kind {
             KIND_PUSH_SHARD => {
                 let workload = string(&mut pos)?;
                 let build = string(&mut pos)?;
-                let shard_id = varint(payload, &mut pos)?;
+                let shard_id = varint(&payload, &mut pos)?;
                 let report_json = string(&mut pos)?;
                 Request::PushShard {
                     workload,
@@ -191,30 +192,35 @@ impl Request {
             KIND_PUSH_TRACE => {
                 let workload = string(&mut pos)?;
                 let build = string(&mut pos)?;
-                let shard_id = varint(payload, &mut pos)?;
-                let len = varint(payload, &mut pos)? as usize;
-                if payload.len() - pos < len {
+                let shard_id = varint(&payload, &mut pos)?;
+                let len = varint(&payload, &mut pos)?;
+                let rest = (payload.len() - pos) as u64;
+                if rest < len {
                     return Err("malformed request frame: trace upload truncated".into());
                 }
-                let bytes = payload[pos..pos + len].to_vec();
-                pos += len;
-                Request::PushTrace {
+                if rest > len {
+                    return Err(trailing((rest - len) as usize));
+                }
+                // The upload is the rest of the frame: keep the buffer, drop its head.
+                let mut bytes = payload;
+                bytes.drain(..pos);
+                return Ok(Request::PushTrace {
                     workload,
                     build,
                     shard_id,
                     bytes,
-                }
+                });
             }
             KIND_QUERY_TOP => Request::QueryTop {
                 workload: string(&mut pos)?,
                 build: string(&mut pos)?,
-                top: varint(payload, &mut pos)?,
+                top: varint(&payload, &mut pos)?,
             },
             KIND_QUERY_REGRESSIONS => Request::QueryRegressions {
                 workload: string(&mut pos)?,
                 from: string(&mut pos)?,
                 to: string(&mut pos)?,
-                top: varint(payload, &mut pos)?,
+                top: varint(&payload, &mut pos)?,
             },
             KIND_QUERY_ALERTS => Request::QueryAlerts {
                 workload: string(&mut pos)?,
@@ -228,10 +234,7 @@ impl Request {
             other => return Err(format!("unknown request kind 0x{other:02x}")),
         };
         if pos != payload.len() {
-            return Err(format!(
-                "malformed request frame: {} trailing bytes",
-                payload.len() - pos
-            ));
+            return Err(trailing(payload.len() - pos));
         }
         Ok(request)
     }
@@ -261,8 +264,8 @@ impl Response {
     }
 
     /// Decodes a response from a frame.
-    pub fn decode(kind: u8, payload: &[u8]) -> Result<Response, String> {
-        let text = String::from_utf8(payload.to_vec())
+    pub fn decode(kind: u8, payload: Vec<u8>) -> Result<Response, String> {
+        let text = String::from_utf8(payload)
             .map_err(|_| "malformed response frame: not UTF-8".to_string())?;
         match kind {
             KIND_OK => Ok(Response::Ok(text)),
@@ -314,7 +317,7 @@ mod tests {
         ];
         for request in requests {
             let (kind, payload) = request.encode();
-            assert_eq!(Request::decode(kind, &payload).unwrap(), request);
+            assert_eq!(Request::decode(kind, payload).unwrap(), request);
         }
     }
 
@@ -322,7 +325,7 @@ mod tests {
     fn trailing_bytes_and_torn_uploads_are_rejected() {
         let (kind, mut payload) = Request::ListKeys.encode();
         payload.push(0);
-        assert!(Request::decode(kind, &payload)
+        assert!(Request::decode(kind, payload)
             .unwrap_err()
             .contains("trailing"));
 
@@ -334,7 +337,14 @@ mod tests {
         }
         .encode();
         // Cut the upload mid-body: the declared length no longer fits.
-        let err = Request::decode(kind, &payload[..payload.len() - 10]).unwrap_err();
+        let err = Request::decode(kind, payload[..payload.len() - 10].to_vec()).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
+        // ... and one that runs past its declared length is trailing bytes.
+        let mut long = payload;
+        long.extend_from_slice(&[0; 3]);
+        assert_eq!(
+            Request::decode(kind, long).unwrap_err(),
+            "malformed request frame: 3 trailing bytes"
+        );
     }
 }

@@ -16,6 +16,7 @@ use dprof::core::merge::{MergedReport, ProfileShard, ShardMeta};
 use dprof::core::report::diff::diff;
 use dprof::core::schema::{self, Json};
 use dprof::core::wilson95;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -159,7 +160,9 @@ struct Shared {
     addr: SocketAddr,
 }
 
-fn serve_connection(mut stream: TcpStream, shared: Shared) {
+fn serve_connection(stream: TcpStream, shared: Shared) {
+    // Requests are read through the buffer; responses go to the socket under it.
+    let mut stream = BufReader::new(stream);
     loop {
         let (kind, payload) = match read_frame(&mut stream) {
             Ok(Some(frame)) => frame,
@@ -167,14 +170,14 @@ fn serve_connection(mut stream: TcpStream, shared: Shared) {
             Err(message) => {
                 // The byte stream is broken; answer once and hang up.
                 let (k, p) = Response::Err(message).encode();
-                let _ = write_frame(&mut stream, k, &p);
+                let _ = write_frame(stream.get_mut(), k, &p);
                 return;
             }
         };
-        let response = match Request::decode(kind, &payload) {
+        let response = match Request::decode(kind, payload) {
             Ok(Request::Shutdown) => {
                 let (k, p) = Response::Ok(ack_json("shutdown", &[])).encode();
-                let _ = write_frame(&mut stream, k, &p);
+                let _ = write_frame(stream.get_mut(), k, &p);
                 shared.stop.store(true, Ordering::SeqCst);
                 let _ = TcpStream::connect(shared.addr);
                 return;
@@ -183,7 +186,7 @@ fn serve_connection(mut stream: TcpStream, shared: Shared) {
             Err(message) => Response::Err(message),
         };
         let (k, p) = response.encode();
-        if write_frame(&mut stream, k, &p).is_err() {
+        if write_frame(stream.get_mut(), k, &p).is_err() {
             return;
         }
     }
@@ -342,7 +345,9 @@ fn lock(shared: &Shared) -> Result<std::sync::MutexGuard<'_, ProfileStore>, Stri
         .map_err(|_| "store poisoned".to_string())
 }
 
-fn lookup(shared: &Shared, workload: &str, build: &str) -> Result<MergedReport, String> {
+/// The merged report of one key.  The store is locked for this only (and folds only
+/// on the first read after a push); the caller renders its answer outside the lock.
+fn lookup(shared: &Shared, workload: &str, build: &str) -> Result<Arc<MergedReport>, String> {
     check_key(workload, build)?;
     lock(shared)?
         .report(workload, build)

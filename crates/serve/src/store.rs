@@ -9,9 +9,9 @@
 
 use dprof::core::merge::{MergeSink, MergedReport, ProfileShard, StreamingMerge};
 use dprof::core::schema::{self, Json};
-use dprof::core::ReportSummary;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Whether a workload/build tag is acceptable: 1–64 characters drawn from
 /// `[A-Za-z0-9._-]`, not starting with a separator.  Tags become path
@@ -46,6 +46,10 @@ struct BuildEntry {
     absorbed: u64,
     /// Pushes since the last snapshot (drives the snapshot-every-N policy).
     dirty: u64,
+    /// The ranked fold of the shards in `sink`, kept from the first read after a push
+    /// until the next push.  A pure function of the shard set, so it is dropped
+    /// exactly where that set changes: in [`ProfileStore::push_shard`].
+    report: Option<Arc<MergedReport>>,
 }
 
 /// The in-memory store behind the server, optionally backed by a snapshot tree.
@@ -110,6 +114,7 @@ impl ProfileStore {
                 sink: StreamingMerge::with_compact_threshold(threshold),
                 absorbed: 0,
                 dirty: 0,
+                report: None,
             })
     }
 
@@ -118,22 +123,23 @@ impl ProfileStore {
     pub fn push_shard(&mut self, workload: &str, build: &str, shard: ProfileShard) -> u64 {
         let entry = self.entry(workload, build);
         entry.sink.absorb(shard);
+        entry.report = None;
         entry.absorbed += 1;
         entry.dirty += 1;
         entry.absorbed
     }
 
-    /// The merged report of one key, or `None` for an unknown key.
-    pub fn report(&self, workload: &str, build: &str) -> Option<MergedReport> {
-        self.entries
-            .get(&(workload.to_string(), build.to_string()))
-            .map(|entry| entry.sink.finish())
-    }
-
-    /// The diff-ready summary of one key, or `None` for an unknown key.
-    pub fn summary(&self, workload: &str, build: &str) -> Option<ReportSummary> {
-        self.report(workload, build)
-            .map(|report| dprof::core::summary_from_merged(&report))
+    /// The merged report of one key, or `None` for an unknown key.  Folds the key's
+    /// resident shards on the first call after a push; until the next push every call
+    /// returns the same `Arc`.
+    pub fn report(&mut self, workload: &str, build: &str) -> Option<Arc<MergedReport>> {
+        let entry = self
+            .entries
+            .get_mut(&(workload.to_string(), build.to_string()))?;
+        let sink = &entry.sink;
+        Some(Arc::clone(
+            entry.report.get_or_insert_with(|| Arc::new(sink.finish())),
+        ))
     }
 
     /// Every key with its total shard count, in key order.
@@ -221,12 +227,7 @@ fn snapshot_from_json(doc: &Json) -> Result<(String, String, u64, ProfileShard),
     if !valid_tag(&workload) || !valid_tag(&build) {
         return Err(format!("invalid snapshot key {workload}/{build}"));
     }
-    let absorbed = doc
-        .get("absorbed")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0)
-        .max(0.0)
-        .round() as u64;
+    let absorbed = schema::count_at(doc, "snapshot", "absorbed")?;
     let shard = schema::shard_from_json(
         doc.get("shard")
             .ok_or("snapshot without a 'shard' object")?,
@@ -304,7 +305,7 @@ mod tests {
         assert_eq!(store.snapshot().unwrap(), 2);
         assert_eq!(store.snapshot().unwrap(), 0, "clean keys are not rewritten");
 
-        let reloaded = ProfileStore::new(Some(dir.clone()), 8).unwrap();
+        let mut reloaded = ProfileStore::new(Some(dir.clone()), 8).unwrap();
         assert_eq!(
             reloaded.keys(),
             vec![
@@ -318,6 +319,61 @@ mod tests {
         assert_eq!(
             after.data_profile[0].l1_miss_samples,
             before.data_profile[0].l1_miss_samples
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_report_is_kept_until_the_next_push_to_its_key() {
+        let mut store = ProfileStore::new(None, 8).unwrap();
+        store.push_shard("ring", "v1", shard(1, 40));
+        store.push_shard("ring", "v2", shard(1, 80));
+        let first = store.report("ring", "v1").unwrap();
+        assert!(Arc::ptr_eq(&first, &store.report("ring", "v1").unwrap()));
+
+        store.push_shard("ring", "v2", shard(2, 80));
+        assert!(
+            Arc::ptr_eq(&first, &store.report("ring", "v1").unwrap()),
+            "a push to another key must not drop this one's report"
+        );
+
+        store.push_shard("ring", "v1", shard(2, 41));
+        let second = store.report("ring", "v1").unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(first.data_profile[0].l1_miss_samples, 40);
+        assert_eq!(second.data_profile[0].l1_miss_samples, 81);
+        assert!(store.report("ring", "v3").is_none());
+    }
+
+    #[test]
+    fn compaction_and_snapshots_leave_the_answer_a_fresh_store_gives() {
+        let dir = std::env::temp_dir().join(format!("dprof-store-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ProfileStore::new(Some(dir.clone()), 4).unwrap();
+        let fresh = |pushes: u64| {
+            let mut fresh = ProfileStore::new(None, 4).unwrap();
+            for i in 0..pushes {
+                fresh.push_shard("w", "b", shard(i + 1, 10 + i));
+            }
+            fresh.report("w", "b").unwrap()
+        };
+        for i in 0..3 {
+            store.push_shard("w", "b", shard(i + 1, 10 + i));
+        }
+        assert_eq!(store.report("w", "b").unwrap(), fresh(3));
+        // The fourth push compacts the sink; the report held from before must not
+        // outlive it.
+        store.push_shard("w", "b", shard(4, 13));
+        assert_eq!(store.stats().shards_resident, 1);
+        assert_eq!(store.report("w", "b").unwrap(), fresh(4));
+        // A snapshot leaves the shard set, and so the report, as it is.
+        assert_eq!(store.snapshot().unwrap(), 1);
+        assert_eq!(store.report("w", "b").unwrap(), fresh(4));
+        // A reloaded store starts with nothing kept.
+        let mut reloaded = ProfileStore::new(Some(dir.clone()), 4).unwrap();
+        assert_eq!(
+            reloaded.report("w", "b").unwrap().data_profile,
+            fresh(4).data_profile
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -337,5 +393,51 @@ mod tests {
         );
         let report = store.report("w", "b").unwrap();
         assert_eq!(report.data_profile[0].l1_miss_samples, 1000);
+    }
+
+    const BUILDS: [&str; 3] = ["v1", "v2", "v3"];
+
+    proptest::proptest! {
+        /// Pushes, reads and snapshots in any interleaving: every read equals what a
+        /// sink that is folded afresh for each read, and never snapshotted, gives.
+        #[test]
+        fn any_interleaving_reads_what_a_fresh_fold_would(
+            threshold in 2usize..6,
+            ops in proptest::collection::vec((0usize..4, 0usize..3, 1u64..50), 1..60),
+        ) {
+            let dir = std::env::temp_dir()
+                .join(format!("dprof-store-interleave-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut store = ProfileStore::new(Some(dir.clone()), threshold).unwrap();
+            let mut uncached: Vec<StreamingMerge> = BUILDS
+                .iter()
+                .map(|_| StreamingMerge::with_compact_threshold(threshold))
+                .collect();
+            let check = |store: &mut ProfileStore, uncached: &[StreamingMerge], key: usize| {
+                let read = store.report("w", BUILDS[key]);
+                if uncached[key].absorbed() == 0 {
+                    assert!(read.is_none());
+                } else {
+                    assert_eq!(*read.unwrap(), uncached[key].finish());
+                }
+            };
+            for (ordinal, (op, key, misses)) in ops.into_iter().enumerate() {
+                match op {
+                    0 | 1 => {
+                        let shard = shard(ordinal as u64 + 1, misses);
+                        uncached[key].absorb(shard.clone());
+                        store.push_shard("w", BUILDS[key], shard);
+                    }
+                    2 => check(&mut store, &uncached, key),
+                    _ => {
+                        store.snapshot().unwrap();
+                    }
+                }
+            }
+            for key in 0..BUILDS.len() {
+                check(&mut store, &uncached, key);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -234,7 +234,7 @@ fn malformed_input_errors_do_not_take_the_server_down() {
     let (kind, payload) = dprof_serve::frame::read_frame(&mut std::io::Cursor::new(reply))
         .unwrap()
         .unwrap();
-    match dprof_serve::proto::Response::decode(kind, &payload).unwrap() {
+    match dprof_serve::proto::Response::decode(kind, payload).unwrap() {
         dprof_serve::proto::Response::Err(message) => {
             assert!(message.contains("zero length"), "{message}")
         }
@@ -299,6 +299,67 @@ fn malformed_input_errors_do_not_take_the_server_down() {
         Some(1.0)
     );
 
+    server.shutdown();
+}
+
+/// A connection thread has a 2 MiB stack and the parser recurses per level: without a
+/// depth bound, 10 KB of `[` is a stack overflow, which aborts the whole process.
+#[test]
+fn a_deeply_nested_push_is_an_error_not_a_stack_overflow() {
+    let mut server = Server::start(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let err = client
+        .push_shard("ring", "v1", 1, &"[".repeat(10_000))
+        .unwrap_err();
+    assert_eq!(err, "server: push: nesting deeper than 128 at byte 128");
+    let err = client
+        .push_shard("ring", "v1", 1, &"{\"a\":".repeat(10_000))
+        .unwrap_err();
+    assert_eq!(err, "server: push: nesting deeper than 128 at byte 640");
+    // The connection that sent it, and a new one, are still served.
+    for client in [&mut client, &mut Client::connect(&addr).unwrap()] {
+        let stats = Json::parse(&client.stats().unwrap()).unwrap();
+        assert_eq!(
+            stats.get("shards_absorbed").and_then(Json::as_f64),
+            Some(0.0)
+        );
+    }
+    server.shutdown();
+}
+
+/// Counts are read into `u64`s the fold adds up: a count of `1e30` used to saturate
+/// to `u64::MAX`, and the second such shard overflowed the sum under the store lock.
+#[test]
+fn out_of_range_counts_are_refused_by_the_first_push() {
+    let mut server = Server::start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    client
+        .push_shard("ring", "v1", 1, &doc(&shard(1, 100, 0.5)))
+        .unwrap();
+    let hostile = doc(&shard(2, 100, 0.5)).replace("\"requests\": 1000", "\"requests\": 1e30");
+    assert!(hostile.contains("1e30"));
+    for shard_id in [2, 3] {
+        let err = client
+            .push_shard("ring", "v1", shard_id, &hostile)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            format!("server: meta 'requests': count {} out of range", 1e30)
+        );
+    }
+    let hostile_report = r#"{"schema": "dprof-report/v1", "data_profile": {"rows": [
+        {"type": "ring_desc", "l1_miss_samples": -1}]}}"#;
+    let err = client
+        .push_shard("ring", "v1", 4, hostile_report)
+        .unwrap_err();
+    assert!(
+        err.contains("'l1_miss_samples': count -1 out of range"),
+        "{err}"
+    );
+    let top = Json::parse(&client.query_top("ring", "v1", 4).unwrap()).unwrap();
+    assert_eq!(top.get("pooled_misses").and_then(Json::as_f64), Some(100.0));
+    assert_eq!(top.get("shards").and_then(Json::as_f64), Some(1.0));
     server.shutdown();
 }
 
