@@ -144,7 +144,7 @@ pub mod trace_io {
         rounds: usize,
         trace: &[TraceEvent],
     ) -> TraceFile {
-        let events: Vec<SessionEvent> = trace
+        let events: dprof_trace::EncodedEvents = trace
             .iter()
             .map(|ev| SessionEvent::Access {
                 core: ev.core,

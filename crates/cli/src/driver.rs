@@ -13,7 +13,7 @@
 use dprof::core::{Dprof, DprofConfig, DprofProfile};
 use dprof::kernel::{KernelConfig, KernelState, TxQueuePolicy, TypeId};
 use dprof::machine::{AccessReq, Machine, MachineConfig, SamplingPolicy};
-use dprof::trace::{FieldDump, RecordedStream, ThreadStream, TypeDump};
+use dprof::trace::{EventEncoder, FieldDump, RecordedStream, ThreadStream, TypeDump};
 use dprof::workloads::scenarios::{self, ScenarioConfig, Variant};
 use dprof::workloads::{Apache, ApacheConfig, Memcached, MemcachedConfig, Workload};
 use std::collections::HashMap;
@@ -348,14 +348,21 @@ pub fn run_single(options: &RunOptions, thread: usize) -> ThreadRun {
     let seed = options.base_seed.wrapping_add(thread as u64);
     let (mut machine, mut kernel, mut workload) = build_workload(options, seed);
     // When recording, mark the setup/warmup/profiling round boundaries the replay
-    // driver steps through (no-ops otherwise).
-    machine.mark_session_round();
+    // driver steps through, and at each one move the round's events out of the
+    // machine's recorder into this thread's encoder: the session is held as wire
+    // bytes, the recorder never holds more than a round (both no-ops otherwise).
+    let mut encoder = EventEncoder::new();
+    let mut end_round = |m: &mut Machine| {
+        m.mark_session_round();
+        m.drain_session_events(|events| encoder.extend(events));
+    };
+    end_round(&mut machine);
 
     // Phase-shift each thread so even seedless workloads (Apache) produce distinct
     // sample streams.
     for _ in 0..options.warmup_rounds + thread {
         workload.step(&mut machine, &mut kernel);
-        machine.mark_session_round();
+        end_round(&mut machine);
     }
     // Snapshot counters after warmup, so the reported throughput/overhead cover only
     // the profiled window.  (We deliberately do not `reset_measurement()`: that would
@@ -380,7 +387,7 @@ pub fn run_single(options: &RunOptions, thread: usize) -> ThreadRun {
 
     let profile = Dprof::new(config).run(&mut machine, &mut kernel, |m, k| {
         workload.step(m, k);
-        m.mark_session_round();
+        end_round(m);
     });
 
     let mut type_names: HashMap<TypeId, String> = profile
@@ -400,6 +407,8 @@ pub fn run_single(options: &RunOptions, thread: usize) -> ThreadRun {
     let profiling = machine.total_profiling_cycles() - profiling_before;
 
     let recorded = if options.record_session {
+        // Whatever followed the last round mark.
+        machine.drain_session_events(|events| encoder.extend(events));
         Some(RecordedStream {
             machine: *machine.config(),
             stream: ThreadStream {
@@ -428,8 +437,9 @@ pub fn run_single(options: &RunOptions, thread: usize) -> ThreadRun {
                             .collect(),
                     })
                     .collect(),
-                events: machine.take_session_events(),
+                events: encoder.finish(),
             },
+            peak_buffered_events: machine.session_peak_events(),
         })
     } else {
         None
@@ -537,6 +547,44 @@ mod tests {
             stream(&runs[0]),
             stream(&runs[1]),
             "threads produced identical samples"
+        );
+    }
+
+    /// The writer's twin of the reader's `peak_buffered_bytes` bound: the machine's
+    /// recorder is drained into the encoder at every round mark, so it never holds
+    /// more than the largest round, and the bytes are those of the session encoded
+    /// whole.
+    #[test]
+    fn recording_buffers_one_round_and_encodes_the_whole_session() {
+        use dprof::machine::SessionEvent;
+        use dprof::trace::{codec::encode_events, EventReader};
+        let options = RunOptions {
+            record_session: true,
+            ..tiny(WorkloadKind::Memcached)
+        };
+        let recorded = run_single(&options, 0).recorded.expect("session recorded");
+        let events: Vec<SessionEvent> = EventReader::over(&recorded.stream.events, options.cores)
+            .collect::<Result<_, _>>()
+            .expect("stream decodes");
+        assert_eq!(events.len(), recorded.stream.events.len());
+        assert_eq!(recorded.stream.events.bytes(), encode_events(&events));
+
+        // A round is the events up to and including its mark (set-up is the first).
+        let largest_round = events
+            .split_inclusive(|ev| *ev == SessionEvent::RoundEnd)
+            .map(<[SessionEvent]>::len)
+            .max()
+            .expect("rounds were marked");
+        let peak = recorded.peak_buffered_events;
+        assert!(peak > 0, "the recorder was used");
+        assert!(
+            peak <= largest_round,
+            "recorder held {peak} events, the largest round is {largest_round}"
+        );
+        assert!(
+            peak * 10 <= events.len(),
+            "recorder held {peak} of the session's {} events",
+            events.len()
         );
     }
 

@@ -67,34 +67,38 @@ pub(crate) fn run_profile(options: args::Options) -> i32 {
         options.run.sample_rounds
     );
 
-    let mut runs = match driver::run_parallel(&options.run) {
+    // `dprof record`: create the trace before simulating, so that a path that cannot
+    // be written is an error now and not after the whole run.
+    let trace_out = match &options.trace_out {
+        Some(path) => match std::fs::File::create(path) {
+            Ok(file) => Some((path, file)),
+            Err(e) => {
+                eprintln!("error: cannot write {path}: {e}");
+                return 1;
+            }
+        },
+        None => None,
+    };
+
+    let recorded = driver::run_parallel(&options.run).and_then(|mut runs| {
+        // Persist the session trace before rendering the report.
+        if let Some((path, file)) = &trace_out {
+            write_trace(&options, &mut runs, path, file)?;
+        }
+        Ok(runs)
+    });
+    let runs = match recorded {
         Ok(runs) => runs,
         Err(message) => {
             eprintln!("error: {message}");
+            if let Some((path, file)) = trace_out {
+                // Nothing usable was written: leave no empty or torn trace behind.
+                drop(file);
+                let _ = std::fs::remove_file(path);
+            }
             return 1;
         }
     };
-
-    // `dprof record`: persist the session trace before rendering the report.
-    if let Some(trace_path) = &options.trace_out {
-        match build_trace_file(&options, &mut runs) {
-            Some(file) => {
-                if let Err(message) = file.write(trace_path) {
-                    eprintln!("error: {message}");
-                    return 1;
-                }
-                let events: usize = file.streams.iter().map(|s| s.events.len()).sum();
-                eprintln!(
-                    "session trace written to {trace_path} ({} stream(s), {events} events)",
-                    file.streams.len()
-                );
-            }
-            None => {
-                eprintln!("error: recording produced no session streams");
-                return 1;
-            }
-        }
-    }
 
     let report = merge::merge(&runs);
 
@@ -131,22 +135,21 @@ pub(crate) fn emit(rendered: &str, output: &Option<String>) -> i32 {
     }
 }
 
-/// Assembles the `.dtrace` file from a recorded multi-thread run, taking the streams
-/// by move — they can hold millions of events per thread, and nothing after the trace
-/// write needs them.
-fn build_trace_file(
+/// Assembles the `.dtrace` file from a recorded multi-thread run and writes it to
+/// `file` (created at `path`).  The streams are taken by move — each holds its whole
+/// encoded session, and nothing after the trace write needs them.
+fn write_trace(
     options: &args::Options,
     runs: &mut [driver::ThreadRun],
-) -> Option<dprof::trace::TraceFile> {
-    let machine = runs.first()?.recorded.as_ref()?.machine;
-    let streams: Vec<dprof::trace::ThreadStream> = runs
-        .iter_mut()
-        .filter_map(|r| r.recorded.take().map(|rec| rec.stream))
-        .collect();
-    if streams.len() != runs.len() {
-        return None;
-    }
-    Some(dprof::trace::TraceFile {
+    path: &str,
+    mut file: &std::fs::File,
+) -> Result<(), String> {
+    let recorded: Vec<_> = runs.iter_mut().filter_map(|r| r.recorded.take()).collect();
+    let machine = match recorded.first() {
+        Some(first) if recorded.len() == runs.len() => first.machine,
+        _ => return Err("recording produced no session streams".into()),
+    };
+    let trace = dprof::trace::TraceFile {
         kind: dprof::trace::TraceKind::FullSession,
         machine,
         params: dprof::trace::SessionParams {
@@ -160,8 +163,17 @@ fn build_trace_file(
             history_sets: options.run.history_sets,
             base_seed: options.run.base_seed,
         },
-        streams,
-    })
+        streams: recorded.into_iter().map(|r| r.stream).collect(),
+    };
+    trace
+        .write_to(&mut file)
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    let events: usize = trace.streams.iter().map(|s| s.events.len()).sum();
+    eprintln!(
+        "session trace written to {path} ({} stream(s), {events} events)",
+        trace.streams.len()
+    );
+    Ok(())
 }
 
 /// `dprof replay`: re-profiles a recorded session and renders the report.  The run

@@ -253,6 +253,44 @@ fn replay_rejects_the_removed_parallel_engine_flag() {
 }
 
 #[test]
+fn record_to_an_unwritable_trace_is_one_error_line_before_simulating() {
+    // `--trace` is created before the run: a session this long simulates for the
+    // better part of a minute, and the error used to come after it.
+    let dir = std::env::temp_dir().join(format!("dprof-cli-test-no-dir-{}", std::process::id()));
+    let trace = dir.join("x.dtrace");
+    let started = std::time::Instant::now();
+    let out = dprof()
+        .args([
+            "record",
+            "-w",
+            "memcached",
+            "--cores",
+            "16",
+            "--threads",
+            "1",
+        ])
+        .args(["--rounds", "50000", "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].starts_with(&format!("error: cannot write {}: ", trace.display())),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("session trace written"), "{stderr}");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "the run was simulated before the path was tried"
+    );
+    assert!(!dir.exists(), "nothing was created");
+}
+
+#[test]
 fn output_flag_writes_report_to_file() {
     let dir = std::env::temp_dir().join("dprof-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -139,15 +139,15 @@ fn a_panicking_stream_is_a_clean_error_naming_it_while_the_others_complete() {
     // the replay allocator (`replayed free of non-live address`).
     let trace = tmp("bad-free.dtrace");
     record_memcached(2, 8, &trace);
-    let mut file = in_memory(&TraceReader::open(&trace).expect("trace opens"));
-    file.streams[1].events.insert(
-        0,
-        SessionEvent::Free {
-            core: 0,
-            addr: 0xdead_0000,
-            cycle: 1,
-        },
-    );
+    let reader = TraceReader::open(&trace).expect("trace opens");
+    let mut file = in_memory(&reader);
+    let bad_free = SessionEvent::Free {
+        core: 0,
+        addr: 0xdead_0000,
+        cycle: 1,
+    };
+    let recorded = (reader.events(1).expect("stream opens")).map(|ev| ev.expect("stream decodes"));
+    file.streams[1].events = std::iter::once(bad_free).chain(recorded).collect();
     file.write(&trace).expect("bad trace writes");
     let reader = TraceReader::open(&trace).expect("the damage is semantic, not structural");
 

@@ -7,6 +7,9 @@
 //! 2. The checked-in golden traces under `tests/golden/` must replay to byte-identical
 //!    copies of their committed golden reports — the same gate the CI determinism job
 //!    applies, enforced locally on every `cargo test`.
+//! 3. Re-recording each golden session reproduces the committed trace *and* report
+//!    byte for byte: the write side's spine, so a change to the recorder, the encoder
+//!    or the container writer cannot move a byte unnoticed.
 
 use std::path::PathBuf;
 
@@ -97,6 +100,116 @@ fn golden_traces_replay_to_their_committed_reports() {
              `dprof record` (see README)"
         );
         let _ = std::fs::remove_file(out);
+    }
+}
+
+/// The recording commands of `docs/trace-format.md` ("Golden traces"), minus the
+/// output paths.
+const GOLDEN_SESSIONS: [(&str, &[&str]); 4] = [
+    (
+        "memcached_quick",
+        &[
+            "-w",
+            "memcached",
+            "--cores",
+            "2",
+            "--threads",
+            "1",
+            "--warmup",
+            "4",
+            "--rounds",
+            "25",
+            "--history-types",
+            "2",
+            "--history-sets",
+            "2",
+        ],
+    ),
+    (
+        "false_sharing_quick",
+        &[
+            "-w",
+            "custom",
+            "--cores",
+            "2",
+            "--threads",
+            "1",
+            "--warmup",
+            "4",
+            "--rounds",
+            "30",
+            "--history-types",
+            "2",
+            "--history-sets",
+            "2",
+        ],
+    ),
+    (
+        "apache_quick",
+        &[
+            "-w",
+            "apache",
+            "--cores",
+            "2",
+            "--threads",
+            "1",
+            "--warmup",
+            "3",
+            "--rounds",
+            "10",
+            "--history-types",
+            "2",
+            "--history-sets",
+            "1",
+        ],
+    ),
+    (
+        "sparse_struct_waste_quick",
+        &[
+            "-w",
+            "sparse-struct-waste:buggy",
+            "--cores",
+            "2",
+            "--threads",
+            "1",
+            "--warmup",
+            "4",
+            "--rounds",
+            "4",
+            "--history-types",
+            "0",
+            "--history-sets",
+            "0",
+        ],
+    ),
+];
+
+#[test]
+fn golden_sessions_re_record_to_their_committed_traces_and_reports() {
+    for (name, session) in GOLDEN_SESSIONS {
+        let trace = tmp(&format!("{name}-rerecorded.dtrace"));
+        let report = tmp(&format!("{name}-rerecorded.json"));
+        let mut args = vec!["record"];
+        args.extend_from_slice(session);
+        args.extend_from_slice(&["--trace", &trace, "-f", "json", "-o", &report]);
+        assert_eq!(run(&args), 0, "re-recording {name} must succeed");
+        for (got, committed) in [
+            (&trace, format!("{name}.dtrace")),
+            (&report, format!("{name}.report.json")),
+        ] {
+            let expected = std::fs::read(golden_dir().join(&committed)).expect("golden exists");
+            let got = std::fs::read(got).expect("re-recorded output exists");
+            assert!(
+                expected == got,
+                "{name}: re-recording no longer reproduces tests/golden/{committed} byte for \
+                 byte ({} bytes against {} committed)",
+                got.len(),
+                expected.len()
+            );
+        }
+        for p in [trace, report] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }
 

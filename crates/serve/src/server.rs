@@ -381,6 +381,11 @@ fn replay_trace_upload(
     shard_id: u64,
     bytes: &[u8],
 ) -> Result<Vec<ProfileShard>, String> {
+    // 1024 streams per upload is far above any recorded trace; uploads stay disjoint
+    // in ordinal space.  The id is the client's: refuse one whose ordinals do not fit
+    // before replaying anything.
+    let out_of_range = || format!("trace upload: shard id {shard_id} out of range");
+    let first_ordinal = shard_id.checked_mul(1024).ok_or_else(out_of_range)?;
     let unique = shared.upload_counter.fetch_add(1, Ordering::SeqCst);
     let path = shared.scratch_dir.join(format!(
         "dprof-upload-{}-{unique}.dtrace",
@@ -391,15 +396,17 @@ fn replay_trace_upload(
         let reader = dprof::trace::TraceReader::open(&path.display().to_string())
             .map_err(|e| format!("trace upload: {e}"))?;
         let runs = dprof::trace::replay_all_streaming(&reader)?;
-        Ok(runs
-            .iter()
+        runs.iter()
             .map(|run| {
                 let rps = if run.elapsed_seconds > 0.0 {
                     run.requests as f64 / run.elapsed_seconds
                 } else {
                     0.0
                 };
-                ProfileShard::from_profile(
+                let ordinal = first_ordinal
+                    .checked_add(run.thread as u64)
+                    .ok_or_else(out_of_range)?;
+                Ok(ProfileShard::from_profile(
                     &run.profile,
                     &run.type_names,
                     ShardMeta {
@@ -411,12 +418,10 @@ fn replay_trace_upload(
                         samples: run.profile.samples.len() as u64,
                         total_cycles: run.total_cycles,
                     },
-                    // 1024 streams per upload is far above any recorded trace;
-                    // uploads stay disjoint in ordinal space.
-                    shard_id * 1024 + run.thread as u64,
-                )
+                    ordinal,
+                ))
             })
-            .collect())
+            .collect()
     })();
     let _ = std::fs::remove_file(&path);
     result

@@ -363,6 +363,39 @@ fn out_of_range_counts_are_refused_by_the_first_push() {
     server.shutdown();
 }
 
+/// A trace upload's ordinals are `shard_id * 1024 + thread` and the id is the client's:
+/// `u64::MAX` used to overflow on the connection thread (a panic in debug, a silent
+/// wrap onto other uploads' ordinals in release).
+#[test]
+fn a_trace_upload_with_an_out_of_range_shard_id_is_one_error_line() {
+    let mut server = Server::start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let trace = std::fs::read(golden("memcached_quick.dtrace")).unwrap();
+    // `u64::MAX / 1024 + 1` is the smallest id whose first ordinal does not fit.
+    for shard_id in [u64::MAX, u64::MAX / 1024 + 1] {
+        let err = client
+            .push_trace("golden", "v1", shard_id, trace.clone())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            format!("server: trace upload: shard id {shard_id} out of range")
+        );
+    }
+    // The same connection is still served, nothing was absorbed, and the largest id
+    // that fits is taken.
+    let stats = Json::parse(&client.stats().unwrap()).unwrap();
+    assert_eq!(
+        stats.get("shards_absorbed").and_then(Json::as_f64),
+        Some(0.0)
+    );
+    let ack = client
+        .push_trace("golden", "v1", u64::MAX / 1024, trace)
+        .unwrap();
+    let ack = Json::parse(&ack).unwrap();
+    assert_eq!(ack.get("streams").and_then(Json::as_f64), Some(1.0));
+    server.shutdown();
+}
+
 #[test]
 fn loadgen_pushes_concurrently_with_bounded_memory() {
     let mut server = Server::start(ServerConfig {

@@ -229,9 +229,19 @@ impl Machine {
         self.session.is_some()
     }
 
-    /// Drains the recorded session events (empty if recording was never enabled).
-    pub fn take_session_events(&mut self) -> Vec<SessionEvent> {
-        self.session.as_mut().map(|s| s.take()).unwrap_or_default()
+    /// Hands the session events recorded since the last drain to `sink` and empties
+    /// the recorder, which keeps its capacity.  `sink` is not called when recording
+    /// was never enabled.  A driver that drains at every round boundary keeps the
+    /// recorder at one round's events however long the session runs.
+    pub fn drain_session_events(&mut self, sink: impl FnOnce(&[SessionEvent])) {
+        if let Some(s) = self.session.as_mut() {
+            s.drain(sink);
+        }
+    }
+
+    /// Most session events the recorder ever held at once (0 when not recording).
+    pub fn session_peak_events(&self) -> usize {
+        self.session.as_ref().map_or(0, |s| s.peak_buffered())
     }
 
     /// Marks a workload-round boundary in the session recording.  No-op when not

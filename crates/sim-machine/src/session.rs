@@ -109,9 +109,13 @@ impl SessionEvent {
 }
 
 /// The in-memory session event buffer, owned by [`crate::Machine`] while recording.
+/// Whoever records drains it as the session runs ([`SessionRecorder::drain`]), so it
+/// holds the events since the last drain, not the session.
 #[derive(Debug, Clone, Default)]
 pub struct SessionRecorder {
     events: Vec<SessionEvent>,
+    /// Most events ever buffered at a drain.
+    peak: usize,
 }
 
 impl SessionRecorder {
@@ -131,14 +135,22 @@ impl SessionRecorder {
         self.events.len()
     }
 
-    /// True if nothing has been recorded.
+    /// True if nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
-    /// Takes the buffered events, leaving the recorder empty (and still recording).
-    pub fn take(&mut self) -> Vec<SessionEvent> {
-        std::mem::take(&mut self.events)
+    /// Hands the buffered events to `sink` and empties the buffer, keeping its
+    /// capacity (and still recording).
+    pub fn drain(&mut self, sink: impl FnOnce(&[SessionEvent])) {
+        self.peak = self.peak_buffered();
+        sink(&self.events);
+        self.events.clear();
+    }
+
+    /// Most events the buffer ever held at once — the recorder's memory footprint.
+    pub fn peak_buffered(&self) -> usize {
+        self.peak.max(self.events.len())
     }
 }
 
@@ -157,9 +169,14 @@ mod tests {
             cycles: 30,
         });
         assert_eq!(r.len(), 2);
-        let events = r.take();
+        let mut events = Vec::new();
+        r.drain(|buffered| events.extend_from_slice(buffered));
         assert_eq!(events.len(), 2);
         assert!(r.is_empty());
         assert_eq!(events[0], SessionEvent::RoundEnd);
+        // Still recording, and the mark is the fullest the buffer has been.
+        r.push(SessionEvent::RoundEnd);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.peak_buffered(), 2);
     }
 }

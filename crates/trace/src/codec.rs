@@ -24,7 +24,7 @@
 //! mapping is bijective.
 
 use crate::TraceError;
-use sim_machine::SessionEvent;
+use sim_machine::{FunctionId, SessionEvent};
 
 pub(crate) const OP_ACCESS_RUN: u8 = 0x00;
 pub(crate) const OP_COMPUTE: u8 = 0x01;
@@ -138,53 +138,138 @@ pub fn get_string(bytes: &[u8], pos: &mut usize) -> Result<String, TraceError> {
     Ok(s)
 }
 
-/// Encodes a session-event stream, coalescing consecutive same-`(core, ip)` accesses
-/// into access runs.
-pub fn encode_events(events: &[SessionEvent]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(events.len() * 3);
-    // The delta-encoding base per core: the address of its previous access, 0 at first.
-    let mut prev: Vec<u64> = Vec::new();
-    let mut i = 0;
-    while i < events.len() {
-        match events[i] {
-            SessionEvent::Access { core, ip, .. } => {
-                // Find the run of accesses sharing this (core, ip).
-                let mut end = i + 1;
-                while end < events.len() {
-                    match events[end] {
-                        SessionEvent::Access { core: c, ip: f, .. } if c == core && f == ip => {
-                            end += 1
-                        }
-                        _ => break,
-                    }
+/// A session's events in wire form: their count and their encoded bytes, which is how
+/// a recorded stream is held from the moment it is produced (about 6 bytes an event
+/// where the [`SessionEvent`]s themselves take 40).  Two of these are equal exactly
+/// when they hold the same events: the encoding is canonical.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EncodedEvents {
+    count: usize,
+    bytes: Vec<u8>,
+}
+
+impl EncodedEvents {
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True if there are no events.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The encoded event region, as a `.dtrace` stream carries it.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl FromIterator<SessionEvent> for EncodedEvents {
+    fn from_iter<I: IntoIterator<Item = SessionEvent>>(events: I) -> Self {
+        let mut encoder = EventEncoder::new();
+        for ev in events {
+            encoder.push(ev);
+        }
+        encoder.finish()
+    }
+}
+
+impl From<Vec<SessionEvent>> for EncodedEvents {
+    fn from(events: Vec<SessionEvent>) -> Self {
+        events.into_iter().collect()
+    }
+}
+
+/// The incremental event encoder — the only encoder: events are pushed as the session
+/// produces them, in pieces of any size, and the bytes are the same as for the whole
+/// session pushed at once.  It carries what [`crate::stream::EventReader`] carries on
+/// the way back: the per-core delta bases and the current access run.
+///
+/// A run header holds the run's item count, which is known only when the run closes,
+/// so the open run's items wait in a scratch buffer; the header and the items go out
+/// when an event that cannot join the run arrives, or at [`EventEncoder::finish`].
+/// The end of a pushed piece closes nothing.
+#[derive(Debug, Clone)]
+pub struct EventEncoder {
+    out: Vec<u8>,
+    count: usize,
+    /// The delta-encoding base per core: the address of its previous access, 0 at
+    /// first.  The decoder's table, and like it never grown.
+    prev_addr: [u64; sim_cache::MAX_CORES],
+    /// The open access run: `(core, ip, items so far)`; none open at 0.
+    run: (u32, FunctionId, u64),
+    /// The open run's encoded items.
+    items: Vec<u8>,
+}
+
+impl Default for EventEncoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl EventEncoder {
+    /// An encoder at the start of a stream.
+    pub fn new() -> Self {
+        EventEncoder {
+            out: Vec::new(),
+            count: 0,
+            prev_addr: [0; sim_cache::MAX_CORES],
+            run: (0, FunctionId(0), 0),
+            items: Vec::new(),
+        }
+    }
+
+    /// Encodes the next events of the stream.
+    pub fn extend(&mut self, events: &[SessionEvent]) {
+        for &ev in events {
+            self.push(ev);
+        }
+    }
+
+    /// Encodes the next event of the stream.  Consecutive accesses with the same
+    /// `(core, ip)` coalesce into one access run.
+    ///
+    /// # Panics
+    ///
+    /// On an access whose core no machine can have (`>= sim_cache::MAX_CORES`): the
+    /// recorder only ever sees a real machine's cores, and the format keeps a delta
+    /// base per core.
+    #[inline]
+    pub fn push(&mut self, ev: SessionEvent) {
+        self.count += 1;
+        match ev {
+            SessionEvent::Access {
+                core,
+                ip,
+                addr,
+                len,
+                kind,
+            } => {
+                // A closed run leaves its `(core, ip)` behind with no items: an access
+                // that matches it starts the next run under the same header.
+                if (core, ip) != (self.run.0, self.run.1) {
+                    self.close_run();
+                    assert!(
+                        (core as usize) < sim_cache::MAX_CORES,
+                        "access on core {core}: a machine has at most {} cores",
+                        sim_cache::MAX_CORES
+                    );
+                    self.run = (core, ip, 0);
                 }
-                if core as usize >= prev.len() {
-                    prev.resize(core as usize + 1, 0);
-                }
-                let p = &mut prev[core as usize];
-                out.push(OP_ACCESS_RUN);
-                put_varint(&mut out, u64::from(core));
-                put_varint(&mut out, u64::from(ip.0));
-                put_varint(&mut out, (end - i) as u64);
-                for ev in &events[i..end] {
-                    let SessionEvent::Access {
-                        addr, len, kind, ..
-                    } = *ev
-                    else {
-                        unreachable!("run contains only accesses");
-                    };
-                    put_varint(&mut out, zigzag(addr.wrapping_sub(*p) as i64));
-                    *p = addr;
-                    put_varint(&mut out, (len << 1) | u64::from(kind.is_write()));
-                }
-                i = end;
+                self.run.2 += 1;
+                let prev = &mut self.prev_addr[core as usize];
+                put_varint(&mut self.items, zigzag(addr.wrapping_sub(*prev) as i64));
+                *prev = addr;
+                put_varint(&mut self.items, (len << 1) | u64::from(kind.is_write()));
             }
             SessionEvent::Compute { core, ip, cycles } => {
+                let out = self.close_run();
                 out.push(OP_COMPUTE);
-                put_varint(&mut out, u64::from(core));
-                put_varint(&mut out, u64::from(ip.0));
-                put_varint(&mut out, cycles);
-                i += 1;
+                put_varint(out, u64::from(core));
+                put_varint(out, u64::from(ip.0));
+                put_varint(out, cycles);
             }
             SessionEvent::Alloc {
                 core,
@@ -194,29 +279,57 @@ pub fn encode_events(events: &[SessionEvent]) -> Vec<u8> {
                 cycle,
                 hookable,
             } => {
+                let out = self.close_run();
                 out.push(OP_ALLOC);
                 out.push(u8::from(hookable));
-                put_varint(&mut out, u64::from(core));
-                put_varint(&mut out, u64::from(type_id));
-                put_varint(&mut out, size);
-                put_varint(&mut out, addr);
-                put_varint(&mut out, cycle);
-                i += 1;
+                put_varint(out, u64::from(core));
+                put_varint(out, u64::from(type_id));
+                put_varint(out, size);
+                put_varint(out, addr);
+                put_varint(out, cycle);
             }
             SessionEvent::Free { core, addr, cycle } => {
+                let out = self.close_run();
                 out.push(OP_FREE);
-                put_varint(&mut out, u64::from(core));
-                put_varint(&mut out, addr);
-                put_varint(&mut out, cycle);
-                i += 1;
+                put_varint(out, u64::from(core));
+                put_varint(out, addr);
+                put_varint(out, cycle);
             }
-            SessionEvent::RoundEnd => {
-                out.push(OP_ROUND_END);
-                i += 1;
-            }
+            SessionEvent::RoundEnd => self.close_run().push(OP_ROUND_END),
         }
     }
-    out
+
+    /// Writes the open run, if any — its header, now that the count is known, then its
+    /// items — and returns the output, where the next event goes.
+    fn close_run(&mut self) -> &mut Vec<u8> {
+        let (core, ip, count) = self.run;
+        if count > 0 {
+            self.out.push(OP_ACCESS_RUN);
+            put_varint(&mut self.out, u64::from(core));
+            put_varint(&mut self.out, u64::from(ip.0));
+            put_varint(&mut self.out, count);
+            self.out.extend_from_slice(&self.items);
+            self.items.clear();
+            self.run.2 = 0;
+        }
+        &mut self.out
+    }
+
+    /// Closes the stream and returns its encoded form.
+    pub fn finish(mut self) -> EncodedEvents {
+        self.close_run();
+        EncodedEvents {
+            count: self.count,
+            bytes: self.out,
+        }
+    }
+}
+
+/// Encodes a whole session-event stream at once: the [`EventEncoder`] over a slice.
+pub fn encode_events(events: &[SessionEvent]) -> Vec<u8> {
+    let mut encoder = EventEncoder::new();
+    encoder.extend(events);
+    encoder.finish().bytes
 }
 
 #[cfg(test)]

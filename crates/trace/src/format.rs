@@ -23,14 +23,15 @@
 //! UTF-8.  Event bytes use the [`crate::codec`] wire encoding.  See
 //! `docs/trace-format.md` for the full specification and versioning rules.
 //!
-//! This module writes the container ([`TraceFile::encode`]) and parses its fixed-size
-//! header sections; reading a file back — prologue, streams and events — is
+//! This module writes the container ([`TraceFile::write_to`]) and parses its
+//! fixed-size header sections; reading a file back — prologue, streams and events — is
 //! [`crate::stream`]'s job.
 
-use crate::codec::{encode_events, get_string, get_varint, put_string, put_varint};
+use crate::codec::{get_string, get_varint, put_string, put_varint, EncodedEvents};
 use crate::TraceError;
 use sim_cache::{CacheGeometry, HierarchyConfig, LatencyModel};
-use sim_machine::{MachineConfig, SamplingPolicy, SessionEvent};
+use sim_machine::{MachineConfig, SamplingPolicy};
+use std::io::{self, Write};
 
 /// File magic, first eight bytes of every `.dtrace`.
 pub const MAGIC: &[u8; 8] = b"DPROFTRC";
@@ -133,8 +134,9 @@ pub struct ThreadStream {
     pub symbols: Vec<String>,
     /// Registered types, ordered by id.
     pub types: Vec<TypeDump>,
-    /// The recorded event stream.
-    pub events: Vec<SessionEvent>,
+    /// The recorded event stream, in wire form (a `Vec<SessionEvent>` converts with
+    /// `.into()`, an iterator of events with `.collect()`).
+    pub events: EncodedEvents,
 }
 
 /// A fully recorded stream plus the machine configuration it ran on, as handed from
@@ -145,6 +147,10 @@ pub struct RecordedStream {
     pub machine: MachineConfig,
     /// The stream itself.
     pub stream: ThreadStream,
+    /// Most events the machine's recorder held at once while the stream was
+    /// produced: the driver drains it into the encoder every round, so this is one
+    /// round's events, not the session's.
+    pub peak_buffered_events: usize,
 }
 
 /// An in-memory `.dtrace` file.
@@ -288,7 +294,9 @@ pub(crate) fn get_params(bytes: &[u8], pos: &mut usize) -> Result<SessionParams,
     })
 }
 
-fn put_stream(out: &mut Vec<u8>, s: &ThreadStream) {
+/// A stream up to its event region: identity, symbol and type tables, and the region's
+/// declared event count and byte length.
+fn put_stream_header(out: &mut Vec<u8>, s: &ThreadStream) {
     put_varint(out, s.seed);
     put_varint(out, s.requests);
     put_varint(out, s.symbols.len() as u64);
@@ -307,10 +315,8 @@ fn put_stream(out: &mut Vec<u8>, s: &ThreadStream) {
             put_varint(out, f.size);
         }
     }
-    let encoded = encode_events(&s.events);
     put_varint(out, s.events.len() as u64);
-    put_varint(out, encoded.len() as u64);
-    out.extend_from_slice(&encoded);
+    put_varint(out, s.events.bytes().len() as u64);
 }
 
 /// Largest access length a stream may carry.  Live accesses are at most a few KiB
@@ -319,24 +325,40 @@ fn put_stream(out: &mut Vec<u8>, s: &ThreadStream) {
 pub(crate) const MAX_ACCESS_LEN: u64 = 1 << 20;
 
 impl TraceFile {
+    /// Writes the trace in its on-disk byte form — the one container writer.  The
+    /// prologue and each stream's header are a few hundred bytes assembled in a
+    /// buffer; each event region, already encoded, goes out as it is held.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut head = Vec::new();
+        head.extend_from_slice(MAGIC);
+        head.extend_from_slice(&VERSION.to_le_bytes());
+        head.push(self.kind.to_byte());
+        put_machine(&mut head, &self.machine);
+        put_params(&mut head, &self.params);
+        put_varint(&mut head, self.streams.len() as u64);
+        for s in &self.streams {
+            put_stream_header(&mut head, s);
+            w.write_all(&head)?;
+            w.write_all(s.events.bytes())?;
+            head.clear();
+        }
+        // Only a trace with no streams still holds its prologue here.
+        w.write_all(&head)
+    }
+
     /// Serializes the trace to its on-disk byte form.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.kind.to_byte());
-        put_machine(&mut out, &self.machine);
-        put_params(&mut out, &self.params);
-        put_varint(&mut out, self.streams.len() as u64);
-        for s in &self.streams {
-            put_stream(&mut out, s);
-        }
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
         out
     }
 
-    /// Encodes and writes the trace to disk.
+    /// Writes the trace to a new file at `path`.
     pub fn write(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.encode()).map_err(|e| format!("cannot write {path}: {e}"))
+        std::fs::File::create(path)
+            .and_then(|mut file| self.write_to(&mut file))
+            .map_err(|e| format!("cannot write {path}: {e}"))
     }
 }
 
@@ -345,7 +367,7 @@ impl TraceFile {
 pub(crate) mod tests_support {
     use super::*;
     use sim_cache::AccessKind;
-    use sim_machine::FunctionId;
+    use sim_machine::{FunctionId, SessionEvent};
 
     /// One plausible recorded stream with a small mixed event tail.
     pub(crate) fn sample_stream() -> ThreadStream {
@@ -363,7 +385,7 @@ pub(crate) mod tests_support {
                     size: 4,
                 }],
             }],
-            events: vec![
+            events: EncodedEvents::from(vec![
                 SessionEvent::RoundEnd,
                 SessionEvent::Access {
                     core: 0,
@@ -386,8 +408,15 @@ pub(crate) mod tests_support {
                     cycle: 99,
                 },
                 SessionEvent::RoundEnd,
-            ],
+            ]),
         }
+    }
+
+    /// A stream's events back out of their wire form.
+    pub(crate) fn decoded(events: &EncodedEvents) -> Vec<SessionEvent> {
+        crate::stream::EventReader::over(events, sim_cache::MAX_CORES)
+            .collect::<Result<_, _>>()
+            .expect("encoded events decode")
     }
 
     /// A complete single-stream full-session trace on the small test machine.
@@ -450,7 +479,7 @@ pub(crate) mod tests_support {
     /// event bytes) follows — so a test can make either declaration lie.
     pub(crate) fn with_event_region(event_count: u64, byte_len: u64, tail: &[u8]) -> Vec<u8> {
         let mut file = sample_file();
-        file.streams[0].events.clear();
+        file.streams[0].events = EncodedEvents::default();
         let mut bytes = file.encode();
         bytes.truncate(bytes.len() - 2); // the empty region's `event_count=0 byte_len=0`
         put_varint(&mut bytes, event_count);

@@ -49,6 +49,7 @@ pub mod source;
 pub mod stream;
 pub mod whatif;
 
+pub use codec::{EncodedEvents, EventEncoder};
 pub use format::{
     FieldDump, RecordedStream, SessionParams, ThreadStream, TraceFile, TraceKind, TypeDump,
 };

@@ -5,11 +5,12 @@
 //! each stream incrementally from its own file handle (`dprof replay`, `dprof whatif`,
 //! `dprof serve`): every pass is a fresh decode, so passes can run side by side and
 //! none of them holds the events.  A [`TraceFile`] walks the streams of a session just
-//! recorded, already in memory.  Every replay, measurement and analysis function in
-//! this crate is generic over [`TraceSource`], so each exists once.
+//! recorded, held in memory in wire form, with the same decoder over a slice.  Every
+//! replay, measurement and analysis function in this crate is generic over
+//! [`TraceSource`], so each exists once.
 
 use crate::format::{SessionParams, TraceFile, TraceKind, TypeDump};
-use crate::stream::TraceReader;
+use crate::stream::{EventReader, TraceReader};
 use crate::TraceError;
 use sim_machine::{MachineConfig, SessionEvent};
 
@@ -116,6 +117,9 @@ impl TraceSource for TraceFile {
         &self,
         thread: usize,
     ) -> Result<impl Iterator<Item = Result<SessionEvent, TraceError>> + '_, TraceError> {
-        Ok(self.streams[thread].events.iter().copied().map(Ok))
+        Ok(EventReader::over(
+            &self.streams[thread].events,
+            self.machine.hierarchy.cores,
+        ))
     }
 }

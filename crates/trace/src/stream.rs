@@ -26,15 +26,21 @@
 //! rejected with an error instead of panicking or hanging mid-replay — lazily, when
 //! the damage is reached.  Each [`EventReader`] owns an independent file handle, so
 //! per-stream readers can run on parallel replay threads.
+//!
+//! The decoder is generic over where its bytes come from: a `File` for a trace on disk
+//! (the default, so `EventReader` alone names that one), a `&[u8]` for a session just
+//! recorded, which is held in wire form ([`EventReader::over`]).  Same chunks, same
+//! window, same checks.
 
 use crate::codec::{
-    get_string, get_varint, unzigzag, varint, VarintError, MAX_EVENT_BYTES, OP_ACCESS_RUN,
-    OP_ALLOC, OP_COMPUTE, OP_FREE, OP_ROUND_END,
+    get_string, get_varint, unzigzag, varint, EncodedEvents, VarintError, MAX_EVENT_BYTES,
+    OP_ACCESS_RUN, OP_ALLOC, OP_COMPUTE, OP_FREE, OP_ROUND_END,
 };
 use crate::format::{get_machine, get_params, TraceKind, TypeDump, MAGIC, MAX_ACCESS_LEN, VERSION};
 use crate::TraceError;
 use sim_cache::AccessKind;
 use sim_machine::{FunctionId, MachineConfig, SessionEvent};
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 
 /// Bytes read from the file per refill.  Large enough to amortize syscalls, small
@@ -42,10 +48,10 @@ use std::io::{Read, Seek, SeekFrom};
 /// decoded simulation state.
 pub const CHUNK_SIZE: usize = 64 * 1024;
 
-/// A chunked, forward-only file reader: keeps at most a couple of chunks buffered,
-/// compacts consumed bytes away, and tracks the buffering high-water mark.
-struct ChunkedReader {
-    file: std::fs::File,
+/// A chunked, forward-only reader: keeps at most a couple of chunks buffered, compacts
+/// consumed bytes away, and tracks the buffering high-water mark.
+struct ChunkedReader<R = File> {
+    file: R,
     buf: Vec<u8>,
     /// Consumed prefix of `buf`.
     start: usize,
@@ -57,15 +63,36 @@ struct ChunkedReader {
 
 impl ChunkedReader {
     fn open(path: &str) -> Result<Self, TraceError> {
-        let file = std::fs::File::open(path)
-            .map_err(|e| TraceError::Io(format!("cannot open {path}: {e}")))?;
-        Ok(ChunkedReader {
+        File::open(path)
+            .map(ChunkedReader::new)
+            .map_err(|e| TraceError::Io(format!("cannot open {path}: {e}")))
+    }
+
+    /// Skips ahead to absolute file offset `target` (at or past the current one),
+    /// seeking past whatever is not already buffered.
+    fn skip_to(&mut self, target: u64) -> Result<(), TraceError> {
+        let buffered = (self.available() as u64).min(target - self.offset);
+        self.consume(buffered as usize);
+        if self.offset < target {
+            // Everything buffered was consumed, so the file cursor is at `offset`.
+            self.file
+                .seek(SeekFrom::Start(target))
+                .map_err(|e| TraceError::Io(format!("seek failed: {e}")))?;
+            self.offset = target;
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> ChunkedReader<R> {
+    fn new(file: R) -> Self {
+        ChunkedReader {
             file,
             buf: Vec::new(),
             start: 0,
             offset: 0,
             peak: 0,
-        })
+        }
     }
 
     fn available(&self) -> usize {
@@ -109,21 +136,6 @@ impl ChunkedReader {
             self.buf.clear();
             self.start = 0;
         }
-    }
-
-    /// Skips ahead to absolute file offset `target` (at or past the current one),
-    /// seeking past whatever is not already buffered.
-    fn skip_to(&mut self, target: u64) -> Result<(), TraceError> {
-        let buffered = (self.available() as u64).min(target - self.offset);
-        self.consume(buffered as usize);
-        if self.offset < target {
-            // Everything buffered was consumed, so the file cursor is at `offset`.
-            self.file
-                .seek(SeekFrom::Start(target))
-                .map_err(|e| TraceError::Io(format!("seek failed: {e}")))?;
-            self.offset = target;
-        }
-        Ok(())
     }
 
     /// Parses one prologue item with `get`, buffering one more byte and retrying
@@ -287,16 +299,12 @@ impl TraceReader {
             .seek(SeekFrom::Start(header.events_offset))
             .map_err(|e| TraceError::Io(format!("seek failed: {e}")))?;
         r.offset = header.events_offset;
-        Ok(EventReader {
-            reader: r,
-            region_end: header.events_offset + header.byte_len,
-            expected: header.event_count,
-            produced: 0,
-            cores: self.machine.hierarchy.cores,
-            prev_addr: [0; sim_cache::MAX_CORES],
-            run: (0, FunctionId(0), 0),
-            done: false,
-        })
+        Ok(EventReader::new(
+            r,
+            header.byte_len,
+            header.event_count,
+            self.machine.hierarchy.cores,
+        ))
     }
 }
 
@@ -342,9 +350,9 @@ fn read_stream_prologue(
 /// [`SessionEvent`]s with bounded buffering.  Fused — after the first error, the
 /// iterator yields `None` forever.
 #[derive(Debug)]
-pub struct EventReader {
-    reader: ChunkedReader,
-    /// Absolute file offset one past the event region.
+pub struct EventReader<R = File> {
+    reader: ChunkedReader<R>,
+    /// Absolute offset one past the event region.
     region_end: u64,
     /// Event count the stream header declared.
     expected: usize,
@@ -359,17 +367,45 @@ pub struct EventReader {
     done: bool,
 }
 
-impl std::fmt::Debug for ChunkedReader {
+impl<R> std::fmt::Debug for ChunkedReader<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkedReader")
             .field("offset", &self.offset)
-            .field("buffered", &self.available())
+            .field("buffered", &(self.buf.len() - self.start))
             .field("peak", &self.peak)
             .finish()
     }
 }
 
-impl EventReader {
+impl<'a> EventReader<&'a [u8]> {
+    /// A decoder over a stream held in memory in wire form, validating against a
+    /// machine of `cores` cores: what [`TraceReader::events`] is to a stream on disk.
+    pub fn over(events: &'a EncodedEvents, cores: usize) -> Self {
+        let bytes = events.bytes();
+        EventReader::new(
+            ChunkedReader::new(bytes),
+            bytes.len() as u64,
+            events.len(),
+            cores,
+        )
+    }
+}
+
+impl<R: Read> EventReader<R> {
+    /// A decoder at the start of the `byte_len`-byte event region `reader` stands at.
+    fn new(reader: ChunkedReader<R>, byte_len: u64, expected: usize, cores: usize) -> Self {
+        EventReader {
+            region_end: reader.offset + byte_len,
+            reader,
+            expected,
+            produced: 0,
+            cores,
+            prev_addr: [0; sim_cache::MAX_CORES],
+            run: (0, FunctionId(0), 0),
+            done: false,
+        }
+    }
+
     /// Largest number of bytes this reader ever held buffered at once — the decoder's
     /// memory footprint, which stays a small constant regardless of trace size.
     pub fn peak_buffered_bytes(&self) -> usize {
@@ -580,10 +616,10 @@ fn fn_id(id: u64) -> Result<FunctionId, TraceError> {
         .map_err(|_| TraceError::Corrupt("function id overflows u32".into()))
 }
 
-impl Iterator for EventReader {
-    type Item = Result<SessionEvent, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<R: Read> EventReader<R> {
+    /// [`Iterator::next`] for either byte supplier.
+    #[inline]
+    fn next_fused(&mut self) -> Option<Result<SessionEvent, TraceError>> {
         if self.done {
             return None;
         }
@@ -593,10 +629,32 @@ impl Iterator for EventReader {
     }
 }
 
+// One `Iterator` impl per byte supplier rather than one generic over `Read`: a concrete
+// impl is compiled here, once, and called from the crates that replay, as the decode
+// loop was before it had a second supplier; a generic one would be instantiated again in
+// every crate that walks a stream.
+impl Iterator for EventReader<File> {
+    type Item = Result<SessionEvent, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_fused()
+    }
+}
+
+impl Iterator for EventReader<&[u8]> {
+    type Item = Result<SessionEvent, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_fused()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::tests_support::{read_bytes, sample_file, sample_stream, with_event_region};
+    use crate::format::tests_support::{
+        decoded, read_bytes, sample_file, sample_stream, with_event_region,
+    };
     use crate::format::TraceFile;
 
     fn temp_path(name: &str) -> String {
@@ -647,7 +705,7 @@ mod tests {
             }
             let mut s = sample_stream();
             s.seed += t as u64;
-            s.events = events;
+            s.events = events.into();
             file.streams.push(s);
         }
         file
@@ -679,7 +737,7 @@ mod tests {
                 .unwrap()
                 .map(|r| r.expect("event decodes"))
                 .collect();
-            assert_eq!(streamed, s.events, "stream {i} events diverged");
+            assert_eq!(streamed, decoded(&s.events), "stream {i} events diverged");
         }
     }
 
@@ -731,7 +789,9 @@ mod tests {
         let mut file = big_file(1_000, 1);
         // Force the last event (and therefore the file's last byte) to be a RoundEnd
         // opcode, so the clobber below is guaranteed to hit an opcode position.
-        file.streams[0].events.push(SessionEvent::RoundEnd);
+        let mut events = decoded(&file.streams[0].events);
+        events.push(SessionEvent::RoundEnd);
+        file.streams[0].events = events.into();
         let path = temp_path("corrupt.dtrace");
         let mut bytes = file.encode();
         let len = bytes.len();
@@ -745,8 +805,8 @@ mod tests {
     /// One stream of the sample file holding exactly `events`, through the decoder.
     fn decode(events: Vec<SessionEvent>) -> Result<Vec<SessionEvent>, TraceError> {
         let mut file = sample_file();
-        file.streams[0].events = events;
-        Ok(read_bytes(&file.encode())?.streams.remove(0).events)
+        file.streams[0].events = events.into();
+        Ok(decoded(&read_bytes(&file.encode())?.streams[0].events))
     }
 
     fn access(core: u32, addr: u64, len: u64, kind: AccessKind) -> SessionEvent {
@@ -878,7 +938,7 @@ mod tests {
         // be trusted as a seek target either.
         let mut file = sample_file();
         file.streams.insert(0, sample_stream());
-        file.streams[0].events.clear();
+        file.streams[0].events = Default::default();
         let bytes = file.encode();
         let counts = with_event_region(0, 0, &[]).len() - 2; // stream 0's `0 0`
         let mut lying = bytes[..counts + 1].to_vec();
@@ -898,7 +958,7 @@ mod tests {
         // seed, chosen so that it would complete the event if the decoder took it.
         let mut file = sample_file();
         file.streams.push(sample_stream());
-        file.streams[0].events = vec![
+        let first = vec![
             SessionEvent::RoundEnd,
             access(0, 0x1000, 8, AccessKind::Read),
             SessionEvent::Compute {
@@ -907,6 +967,7 @@ mod tests {
                 cycles: 1_500,
             },
         ];
+        file.streams[0].events = first.clone().into();
         file.streams[1].seed = 5;
         let honest = file.encode();
         let path = temp_path("short-region.dtrace");
@@ -928,8 +989,8 @@ mod tests {
         std::fs::write(&path, &cut).unwrap();
         let reader = TraceReader::open(&path).unwrap();
         let mut events = reader.events(0).unwrap();
-        assert_eq!(events.next(), Some(Ok(file.streams[0].events[0])));
-        assert_eq!(events.next(), Some(Ok(file.streams[0].events[1])));
+        assert_eq!(events.next(), Some(Ok(first[0])));
+        assert_eq!(events.next(), Some(Ok(first[1])));
         assert!(matches!(
             events.next(),
             Some(Err(TraceError::Corrupt(m))) if m.contains("declared byte length")
@@ -937,7 +998,7 @@ mod tests {
         assert_eq!(events.next(), None, "fused after the error");
         // The second stream is intact.
         let second: Result<Vec<_>, _> = reader.events(1).unwrap().collect();
-        assert_eq!(second.unwrap(), file.streams[1].events);
+        assert_eq!(second.unwrap(), decoded(&file.streams[1].events));
     }
 
     #[test]
@@ -970,16 +1031,12 @@ mod tests {
                 },
             ]);
             let mut file = sample_file();
-            file.streams[0].events = events;
+            file.streams[0].events = events.clone().into();
             file.write(&path).unwrap();
             let reader = TraceReader::open(&path).unwrap();
             let mut decoded = reader.events(0).unwrap();
             let back: Result<Vec<_>, _> = decoded.by_ref().collect();
-            assert_eq!(
-                back.unwrap()[start..],
-                file.streams[0].events[start..],
-                "start {start}"
-            );
+            assert_eq!(back.unwrap()[start..], events[start..], "start {start}");
             assert!(decoded.peak_buffered_bytes() <= 2 * CHUNK_SIZE);
         }
     }
@@ -1017,9 +1074,9 @@ mod tests {
             bytes.push(0);
         }
         assert_eq!(bytes.len(), MAX_EVENT_BYTES);
-        let decoded = read_bytes(&with_event_region(1, bytes.len() as u64, &bytes)).unwrap();
+        let back = read_bytes(&with_event_region(1, bytes.len() as u64, &bytes)).unwrap();
         assert_eq!(
-            decoded.streams[0].events,
+            decoded(&back.streams[0].events),
             [SessionEvent::Alloc {
                 core: 0,
                 type_id: 0,

@@ -2,7 +2,11 @@
 //! identity over arbitrary event streams, and damaged inputs (truncation, corrupt
 //! headers) must be rejected rather than misdecoded.
 
-use dprof_trace::{SessionParams, ThreadStream, TraceError, TraceFile, TraceKind, TraceReader};
+use dprof_trace::codec::encode_events;
+use dprof_trace::{
+    EventEncoder, EventReader, SessionParams, ThreadStream, TraceError, TraceFile, TraceKind,
+    TraceReader,
+};
 use proptest::prelude::*;
 use sim_cache::AccessKind;
 use sim_machine::{FunctionId, MachineConfig, SessionEvent};
@@ -82,6 +86,36 @@ fn event_strategy() -> impl Strategy<Value = SessionEvent> {
         })
 }
 
+/// Strategy producing a stretch of a session as a recorder sees it: mostly access runs
+/// — one `(core, ip)`, up to sixty accesses — and between them single events of any
+/// opcode, an access on some other `(core, ip)` included.
+fn stretch_strategy() -> impl Strategy<Value = Vec<SessionEvent>> {
+    (
+        0u8..3,
+        (0u32..8, 0u32..4),
+        proptest::collection::vec((0u64..0x2_0000_0000, 1u64..4096, any::<bool>()), 1..60),
+        event_strategy(),
+    )
+        .prop_map(|(shape, (core, ip), items, single)| {
+            if shape == 0 {
+                return vec![single];
+            }
+            (items.into_iter())
+                .map(|(addr, len, write)| SessionEvent::Access {
+                    core,
+                    ip: FunctionId(ip),
+                    addr,
+                    len,
+                    kind: if write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                })
+                .collect()
+        })
+}
+
 fn full_file(events: Vec<SessionEvent>) -> TraceFile {
     TraceFile {
         kind: TraceKind::FullSession,
@@ -104,7 +138,7 @@ fn full_file(events: Vec<SessionEvent>) -> TraceFile {
             requests: 7,
             symbols: vec!["f".into(), "g".into()],
             types: Vec::new(),
-            events,
+            events: events.into(),
         }],
     }
 }
@@ -121,6 +155,35 @@ proptest! {
         prop_assert_eq!(&back.streams, &file.streams);
         prop_assert_eq!(back.params, file.params);
         prop_assert_eq!(back.kind, file.kind);
+    }
+
+    /// However a session is cut into pieces — in the middle of a run, between runs,
+    /// into empty pieces — pushing the pieces encodes to the bytes of the whole session
+    /// encoded at once, and those decode back to the session: the end of a piece closes
+    /// nothing, so a run that straddles many drains still gets one header.
+    #[test]
+    fn encoding_is_invariant_under_chunking(
+        stretches in proptest::collection::vec(stretch_strategy(), 0..24),
+        cuts in proptest::collection::vec(0usize..48, 1..64),
+    ) {
+        let events: Vec<SessionEvent> = stretches.concat();
+        let mut encoder = EventEncoder::new();
+        let mut rest = &events[..];
+        for len in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            // A zero-length cut is an empty piece: a round in which nothing happened.
+            let (piece, tail) = rest.split_at((*len).min(rest.len()));
+            encoder.extend(piece);
+            encoder.extend(&[]);
+            rest = tail;
+        }
+        let encoded = encoder.finish();
+        prop_assert_eq!(encoded.len(), events.len());
+        prop_assert_eq!(encoded.bytes(), &encode_events(&events)[..]);
+        let back: Result<Vec<_>, _> = EventReader::over(&encoded, 8).collect();
+        prop_assert_eq!(back.expect("decodes"), events);
     }
 
     /// No truncation of a valid file decodes successfully (every prefix is rejected,
@@ -159,4 +222,29 @@ proptest! {
         let decoded = read_bytes(&file.encode());
         prop_assert_eq!(decoded.is_err(), has_high_core);
     }
+}
+
+/// The case the property is about, spelt out: one run pushed an access at a time is one
+/// run header carrying the whole count, then the items.
+#[test]
+fn a_run_pushed_an_access_at_a_time_gets_one_header() {
+    let run: Vec<SessionEvent> = (0..1000u64)
+        .map(|i| SessionEvent::Access {
+            core: 3,
+            ip: FunctionId(7),
+            addr: 0x1000 + 64 * i,
+            len: 8,
+            kind: AccessKind::Read,
+        })
+        .collect();
+    let mut encoder = EventEncoder::new();
+    for ev in &run {
+        encoder.extend(std::slice::from_ref(ev));
+    }
+    let encoded = encoder.finish();
+    // opcode 0x00, core 3, ip 7, count 1000 as a varint, then 1000 items.
+    assert_eq!(encoded.bytes()[..5], [0x00, 3, 7, 0xe8, 0x07]);
+    assert_eq!(encoded.bytes(), &encode_events(&run)[..]);
+    let headers = encoded.bytes().iter().filter(|&&b| b == 0x00).count();
+    assert_eq!(headers, 1, "no item byte of this run is zero");
 }

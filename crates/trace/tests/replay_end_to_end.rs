@@ -6,8 +6,8 @@
 
 use dprof_core::{Dprof, DprofConfig, DprofProfile};
 use dprof_trace::{
-    replay_all_streaming, replay_stream_streaming, FieldDump, SessionParams, ThreadStream,
-    TraceFile, TraceKind, TraceReader, TypeDump,
+    replay_all_streaming, replay_stream_streaming, EventEncoder, FieldDump, SessionParams,
+    ThreadStream, TraceFile, TraceKind, TraceReader, TypeDump,
 };
 use sim_machine::SamplingPolicy;
 use workloads::{Memcached, MemcachedConfig, Workload};
@@ -55,6 +55,8 @@ fn record_live_with(sampling: SamplingPolicy) -> (DprofProfile, u64, TraceFile) 
     });
     let requests = workload.requests_completed() - requests_before;
 
+    let mut encoder = EventEncoder::new();
+    machine.drain_session_events(|events| encoder.extend(events));
     let stream = ThreadStream {
         seed: SEED,
         requests,
@@ -81,7 +83,7 @@ fn record_live_with(sampling: SamplingPolicy) -> (DprofProfile, u64, TraceFile) 
                     .collect(),
             })
             .collect(),
-        events: machine.take_session_events(),
+        events: encoder.finish(),
     };
     let file = TraceFile {
         kind: TraceKind::FullSession,

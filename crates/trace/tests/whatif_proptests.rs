@@ -14,8 +14,9 @@
 use dprof_core::{Dprof, DprofConfig, HistoryConfig};
 use dprof_trace::whatif::{stream_type_id, SHADOW_BASE};
 use dprof_trace::{
-    analyze_sharing, measure_stream_streaming, trace_type_names, FieldDump, FixSpec, SessionParams,
-    ThreadStream, TraceFile, TraceKind, TraceReader, TraceSource, Transform, TypeDump,
+    analyze_sharing, measure_stream_streaming, trace_type_names, EventEncoder, FieldDump, FixSpec,
+    SessionParams, ThreadStream, TraceFile, TraceKind, TraceReader, TraceSource, Transform,
+    TypeDump,
 };
 use proptest::prelude::*;
 use sim_kernel::{RemapTarget, ResolvedAddr, TypeId};
@@ -105,6 +106,8 @@ fn record_session(seed: u64, sample_rounds: usize) -> TraceFile {
         workload.step(m, k);
         m.mark_session_round();
     });
+    let mut encoder = EventEncoder::new();
+    machine.drain_session_events(|events| encoder.extend(events));
     let stream = ThreadStream {
         seed,
         requests: workload.requests_completed() - requests_before,
@@ -131,7 +134,7 @@ fn record_session(seed: u64, sample_rounds: usize) -> TraceFile {
                     .collect(),
             })
             .collect(),
-        events: machine.take_session_events(),
+        events: encoder.finish(),
     };
     TraceFile {
         kind: TraceKind::FullSession,
