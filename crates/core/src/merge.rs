@@ -125,7 +125,7 @@ pub struct ShardUtilizationOrigin {
 impl ShardUtilizationOrigin {
     /// Untouched bytes fetched for this origin (a granule-slot is 8 bytes).
     pub fn wasted_bytes(&self) -> u64 {
-        8 * (self.slots_fetched - self.slots_touched)
+        (self.slots_fetched - self.slots_touched).saturating_mul(8)
     }
 }
 
@@ -162,7 +162,7 @@ impl ShardUtilizationRow {
     /// Untouched bytes: `8 * (slots_fetched - slots_touched)` (same invariant as
     /// [`ShardUtilizationOrigin::wasted_bytes`]).
     pub fn wasted_bytes(&self) -> u64 {
-        8 * (self.slots_fetched - self.slots_touched)
+        (self.slots_fetched - self.slots_touched).saturating_mul(8)
     }
 
     /// `refetch_slots / slots_fetched`.
@@ -272,8 +272,7 @@ impl ShardFlow {
         self.edges
             .iter()
             .filter(|e| e.cpu_change)
-            .map(|e| e.count)
-            .sum()
+            .fold(0, |n, e| n.saturating_add(e.count))
     }
 }
 
@@ -678,14 +677,14 @@ pub fn merge_shards(shards: &[&ProfileShard]) -> MergedReport {
 /// [`ShardMeta`]; every table is sorted on a total key.
 pub fn fold(shards: &[&ProfileShard]) -> ProfileShard {
     let weight: f64 = shards.iter().map(|s| s.weight).sum();
-    let total_cycles: u64 = shards.iter().map(|s| s.meta.total_cycles).sum();
+    let total_cycles = sum_counts(shards, |s| s.meta.total_cycles);
     ProfileShard {
         ordinal: shards.iter().map(|s| s.ordinal).min().unwrap_or(0),
         weight,
         meta: ShardMeta {
             thread: 0,
             seed: 0,
-            requests: shards.iter().map(|s| s.meta.requests).sum(),
+            requests: sum_counts(shards, |s| s.meta.requests),
             rps: shards.iter().map(|s| s.meta.rps).sum(),
             // Cycle-weighted, so a shard that simulated 10x more work counts 10x.
             profiling_fraction: if total_cycles == 0 {
@@ -697,7 +696,7 @@ pub fn fold(shards: &[&ProfileShard]) -> ProfileShard {
                     .sum::<f64>()
                     / total_cycles as f64
             },
-            samples: shards.iter().map(|s| s.meta.samples).sum(),
+            samples: sum_counts(shards, |s| s.meta.samples),
             total_cycles,
         },
         data_profile: fold_data_profile(shards, weight),
@@ -706,6 +705,13 @@ pub fn fold(shards: &[&ProfileShard]) -> ProfileShard {
         working_set: fold_working_set(shards),
         data_flows: fold_data_flows(shards),
     }
+}
+
+/// A count summed over shards.  Every count sum of the fold saturates: a document's
+/// counts are bounded at 2^53 where they enter (`schema::count_at`), but nothing bounds
+/// how many documents are pushed to one key, and the fold runs under the store's lock.
+fn sum_counts(shards: &[&ProfileShard], count: impl Fn(&ProfileShard) -> u64) -> u64 {
+    shards.iter().fold(0, |sum, s| sum.saturating_add(count(s)))
 }
 
 // Each table below accumulates into its own row type: while shards are being
@@ -733,9 +739,9 @@ fn fold_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<ShardPr
             entry.pct_of_l1_misses += shard.weight * row.pct_of_l1_misses;
             entry.pct_of_miss_cycles += shard.weight * row.pct_of_miss_cycles;
             entry.bounce |= row.bounce;
-            entry.samples += row.samples;
-            entry.l1_miss_samples += row.l1_miss_samples;
-            entry.threads_seen += row.threads_seen;
+            entry.samples = entry.samples.saturating_add(row.samples);
+            entry.l1_miss_samples = entry.l1_miss_samples.saturating_add(row.l1_miss_samples);
+            entry.threads_seen = entry.threads_seen.saturating_add(row.threads_seen);
         }
     }
     let mut rows: Vec<ShardProfileRow> = acc
@@ -773,7 +779,7 @@ fn fold_miss_classification(shards: &[&ProfileShard]) -> Vec<ShardMissRow> {
                 conflict: 0.0,
                 capacity: 0.0,
             });
-            entry.miss_samples += row.miss_samples;
+            entry.miss_samples = entry.miss_samples.saturating_add(row.miss_samples);
             entry.invalidation += w * row.invalidation;
             entry.conflict += w * row.conflict;
             entry.capacity += w * row.capacity;
@@ -810,16 +816,16 @@ fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
                 };
                 (entry, Origins::new())
             });
-            entry.slots_fetched += row.slots_fetched;
-            entry.slots_touched += row.slots_touched;
-            entry.refetch_slots += row.refetch_slots;
+            entry.slots_fetched = entry.slots_fetched.saturating_add(row.slots_fetched);
+            entry.slots_touched = entry.slots_touched.saturating_add(row.slots_touched);
+            entry.refetch_slots = entry.refetch_slots.saturating_add(row.refetch_slots);
             // Per-shard rates are bandwidths of machines running in parallel, so they
             // add; the pooled slot counts stay exact for the Wilson interval.
             entry.wasted_bytes_per_sec += row.wasted_bytes_per_sec;
             for o in &row.origins {
                 let slot = origins.entry(&o.origin).or_default();
-                slot.0 += o.slots_fetched;
-                slot.1 += o.slots_touched;
+                slot.0 = slot.0.saturating_add(o.slots_fetched);
+                slot.1 = slot.1.saturating_add(o.slots_touched);
             }
         }
     }
@@ -847,15 +853,12 @@ fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
             .cmp(&a.wasted_bytes())
             .then_with(|| a.name.cmp(&b.name))
     });
-    let total = |count: fn(&ShardUtilization) -> u64| -> u64 {
-        shards.iter().map(|s| count(&s.utilization)).sum()
-    };
     ShardUtilization {
         rows,
-        total_fetches: total(|u| u.total_fetches),
-        total_refetches: total(|u| u.total_refetches),
-        resolved_slots_fetched: total(|u| u.resolved_slots_fetched),
-        resolved_slots_touched: total(|u| u.resolved_slots_touched),
+        total_fetches: sum_counts(shards, |s| s.utilization.total_fetches),
+        total_refetches: sum_counts(shards, |s| s.utilization.total_refetches),
+        resolved_slots_fetched: sum_counts(shards, |s| s.utilization.resolved_slots_fetched),
+        resolved_slots_touched: sum_counts(shards, |s| s.utilization.resolved_slots_touched),
     }
 }
 
@@ -874,7 +877,7 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
             entry.avg_live_bytes += t.avg_live_bytes * t.threads_seen as f64;
             entry.avg_live_objects += t.avg_live_objects * t.threads_seen as f64;
             entry.peak_live_bytes = entry.peak_live_bytes.max(t.peak_live_bytes);
-            entry.threads_seen += t.threads_seen;
+            entry.threads_seen = entry.threads_seen.saturating_add(t.threads_seen);
         }
     }
     let mut rows: Vec<ShardWorkingSetRow> = acc
@@ -893,7 +896,9 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
     });
 
     let first = shards.first().map(|s| &s.working_set);
-    let thread_count: usize = shards.iter().map(|s| s.working_set.thread_count).sum();
+    let thread_count = shards
+        .iter()
+        .fold(0usize, |n, s| n.saturating_add(s.working_set.thread_count));
     ShardWorkingSet {
         rows,
         cache_capacity: first.map_or(0, |ws| ws.cache_capacity),
@@ -904,10 +909,9 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
             .sum::<f64>()
             / thread_count.max(1) as f64,
         thread_count,
-        threads_exceeding_capacity: shards
-            .iter()
-            .map(|s| s.working_set.threads_exceeding_capacity)
-            .sum(),
+        threads_exceeding_capacity: shards.iter().fold(0usize, |n, s| {
+            n.saturating_add(s.working_set.threads_exceeding_capacity)
+        }),
         conflict_sets: shards
             .iter()
             .map(|s| s.working_set.conflict_sets)
@@ -936,15 +940,16 @@ fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
                         weight: 0,
                         avg_latency: 0.0,
                     });
-                acc.samples += node.samples;
-                acc.weight += node.weight;
+                acc.samples = acc.samples.saturating_add(node.samples);
+                acc.weight = acc.weight.saturating_add(node.weight);
                 // Per-shard avg_latency is a per-sample mean, so weight by samples to
                 // keep the merged value a per-sample mean.
                 acc.avg_latency += node.samples as f64 * node.avg_latency;
             }
             for edge in &graph.edges {
                 let key = (edge.from.as_str(), edge.to.as_str(), edge.cpu_change);
-                *flow.edges.entry(key).or_insert(0) += edge.count;
+                let count = flow.edges.entry(key).or_insert(0);
+                *count = count.saturating_add(edge.count);
             }
         }
     }
@@ -1128,6 +1133,79 @@ mod tests {
             backward.absorb(s.clone());
         }
         assert_eq!(forward.finish(), backward.finish());
+    }
+
+    /// ROADMAP, hostile input: a document's counts are bounded at 2^53 each, the number
+    /// of documents pushed to one key is not, and 2 049 maximal ones pass 2^64.
+    #[test]
+    fn folding_maximal_counts_saturates() {
+        const MAX: u64 = 1 << 53;
+        let mut maximal = shard(0, "a", 1, 50.0);
+        maximal.meta.requests = MAX;
+        maximal.meta.samples = MAX;
+        maximal.meta.total_cycles = MAX;
+        let row = &mut maximal.data_profile[0];
+        (row.samples, row.l1_miss_samples, row.threads_seen) = (MAX, MAX, MAX as usize);
+        maximal.miss_classification[0].miss_samples = MAX;
+        let util = &mut maximal.utilization;
+        (util.total_fetches, util.total_refetches) = (MAX, MAX);
+        (util.resolved_slots_fetched, util.resolved_slots_touched) = (MAX, MAX);
+        let row = &mut util.rows[0];
+        (row.slots_fetched, row.slots_touched, row.refetch_slots) = (MAX, MAX / 2, MAX);
+        row.origins[0].origin = "cpu".into();
+        (row.origins[0].slots_fetched, row.origins[0].slots_touched) = (MAX, 1);
+        maximal.working_set.rows[0].threads_seen = MAX as usize;
+        maximal.working_set.thread_count = MAX as usize;
+        maximal.working_set.threads_exceeding_capacity = MAX as usize;
+        maximal.data_flows = vec![ShardFlow {
+            type_name: "a".into(),
+            nodes: vec![ShardFlowNode {
+                function: "f".into(),
+                samples: MAX,
+                weight: MAX,
+                avg_latency: 3.0,
+            }],
+            edges: vec![ShardFlowEdge {
+                from: "f".into(),
+                to: "f".into(),
+                cpu_change: true,
+                count: MAX,
+            }],
+        }];
+        let shards: Vec<ProfileShard> = (0..2049)
+            .map(|ordinal| ProfileShard {
+                ordinal,
+                ..maximal.clone()
+            })
+            .collect();
+        let report = merge_shards(&shards.iter().collect::<Vec<_>>());
+
+        assert_eq!(report.totals.requests, u64::MAX);
+        assert_eq!(report.totals.samples, u64::MAX);
+        assert_eq!(report.totals.total_cycles, u64::MAX);
+        let row = &report.data_profile[0].row;
+        assert_eq!((row.samples, row.l1_miss_samples), (u64::MAX, u64::MAX));
+        assert_eq!(row.threads_seen, usize::MAX);
+        assert_eq!(report.miss_classification[0].miss_samples, u64::MAX);
+        assert_eq!(report.utilization.total_fetches, u64::MAX);
+        assert_eq!(report.utilization.resolved_slots_touched, u64::MAX);
+        let row = &report.utilization.rows[0].row;
+        assert_eq!((row.slots_fetched, row.refetch_slots), (u64::MAX, u64::MAX));
+        // 2 049 * 2^52 is short of 2^64: the smaller sum has not saturated.
+        assert_eq!(row.slots_touched, 2049 * (MAX / 2));
+        assert!(row.slots_touched <= row.slots_fetched);
+        assert_eq!(row.origins[0].slots_touched, 2049);
+        assert_eq!(row.origins[0].wasted_bytes(), u64::MAX);
+        assert_eq!(report.working_set.thread_count, usize::MAX);
+        assert_eq!(report.working_set.threads_exceeding_capacity, usize::MAX);
+        assert_eq!(report.working_set.rows[0].threads_seen, usize::MAX);
+        let flow = &report.data_flows[0];
+        assert_eq!(
+            (flow.nodes[0].samples, flow.nodes[0].weight),
+            (u64::MAX, u64::MAX)
+        );
+        assert_eq!(flow.edges[0].count, u64::MAX);
+        assert_eq!(flow.core_crossings(), u64::MAX);
     }
 
     #[test]

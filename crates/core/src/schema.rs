@@ -484,8 +484,8 @@ fn f64_at(v: &Json, key: &str) -> f64 {
 const MAX_COUNT: f64 = 9_007_199_254_740_992.0;
 
 /// The count at `section.key`: 0 when absent, an error when it is negative, fractional
-/// or above 2^53.  The fold adds counts with `+`, so this is where a document is kept
-/// from overflowing it.
+/// or above 2^53 (beyond which the `f64` it was read into no longer names one integer).
+/// Sums of counts saturate, here and in the fold, however many are added.
 pub fn count_at(section: &Json, name: &str, key: &str) -> Result<u64, String> {
     let v = f64_at(section, key);
     // The cast saturates and drops the fraction, so only a whole number in range
@@ -738,7 +738,9 @@ pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, 
     // The report's rows carry shares relative to the *total* miss-sample pool, which
     // may exceed the per-row sum when some misses went unattributed; reconstruct the
     // pool so this shard's weight matches the denominator its percentages assume.
-    let sum_l1: u64 = data_profile.iter().map(|r| r.l1_miss_samples).sum();
+    let sum_l1 = data_profile
+        .iter()
+        .fold(0u64, |n, r| n.saturating_add(r.l1_miss_samples));
     let sum_pct: f64 = data_profile.iter().map(|r| r.pct_of_l1_misses).sum();
     let weight = if sum_pct > 1e-9 {
         (sum_l1 as f64 * 100.0 / sum_pct).round()
@@ -758,9 +760,9 @@ pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, 
             requests: count_at(throughput, "throughput", "total_requests")?,
             rps: f64_at(throughput, "aggregate_rps"),
             profiling_fraction: f64_at(throughput, "profiling_fraction"),
-            samples: rows(throughput, "per_thread")
-                .map(|t| count_at(t, "throughput per_thread", "samples"))
-                .sum::<Result<_, _>>()?,
+            samples: rows(throughput, "per_thread").try_fold(0u64, |n, t| {
+                count_at(t, "throughput per_thread", "samples").map(|c| n.saturating_add(c))
+            })?,
             total_cycles: 0,
         },
         data_profile,

@@ -15,13 +15,12 @@
 
 use crate::hierarchy::{AccessKind, HitLevel};
 use crate::line_table::BuildMixHasher;
-use crate::{CoreId, LineAddr};
+use crate::{CoreId, CoreMask, LineAddr};
 use serde::{Deserialize, Serialize};
 
 /// The tallies are probed on every access while profiling is on, so their tables hash
 /// with [`crate::line_table::MixHasher`], not SipHash.
 type MixMap<K, V> = std::collections::HashMap<K, V, BuildMixHasher>;
-type MixSet<K> = std::collections::HashSet<K, BuildMixHasher>;
 
 /// Exact counters for one 8-byte granule of the address space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,23 +122,54 @@ pub fn granule_mask(addr: u64, len: u64, line_size: u64) -> u8 {
 /// tally opens residencies only for fills the IBS sampler observed (touches still
 /// accumulate exactly, so each counted residency is measured precisely — fill
 /// sampling, not touch sampling).
+///
+/// It is fed every line-chunk of every operation, so it costs what it follows: a hit
+/// reads one bit of a per-core guard and goes to the `open` table only when that core
+/// may have an open residency on the line; a fill does one table operation (the
+/// line's mask of cores that filled it) and touches `open`/`lines` only when it is
+/// counted or the guard says there may be a residency to close.
 #[derive(Debug, Clone, Default)]
 pub struct UtilizationTally {
     lines: MixMap<LineAddr, LineUtilCounts>,
     /// Open residencies: the touch bitmask accumulated since the counted fill.
     open: MixMap<(CoreId, LineAddr), u8>,
-    /// Every `(core, line)` ever filled (counted or not), for re-fetch detection.
-    seen: MixSet<(CoreId, LineAddr)>,
+    /// Per core, [`GUARD_BITS`] bits indexed by [`guard_slot`] of a line address: set
+    /// when the core opens a residency on such a line and never cleared, so a clear
+    /// bit proves `open` holds nothing for `(core, line)`.
+    guard: Vec<[u64; GUARD_WORDS]>,
+    /// Per line, the cores that ever filled it (counted or not), for re-fetch
+    /// detection.
+    filled_by: MixMap<LineAddr, CoreMask>,
     /// Total counted fills.
     pub total_fetches: u64,
     /// Of the counted fills, re-fetches of previously fetched lines.
     pub total_refetches: u64,
 }
 
+/// Width of the per-core open-residency guard, in bits (128 bytes a core).
+const GUARD_BITS: usize = 1024;
+const GUARD_WORDS: usize = GUARD_BITS / 64;
+
+/// The guard bit of a line, as `(word, bit mask)`.  The top bits of a multiplicative
+/// hash, not the low bits of the address: the hot field of every object of one slab
+/// sits at the same offset, so such lines differ by a multiple of the object size.
+#[inline]
+fn guard_slot(line: LineAddr) -> (usize, u64) {
+    let slot = (line.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - GUARD_BITS.ilog2())) as usize;
+    (slot / 64, 1 << (slot % 64))
+}
+
 impl UtilizationTally {
     /// An empty tally.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// False only if `core` has no open residency on `line`.
+    #[inline]
+    fn may_be_open(&self, core: CoreId, line: LineAddr) -> bool {
+        let (word, bit) = guard_slot(line);
+        self.guard.get(core).is_some_and(|g| g[word] & bit != 0)
     }
 
     /// Records one line-chunk of a memory operation.
@@ -158,23 +188,37 @@ impl UtilizationTally {
         count: bool,
     ) {
         debug_assert!(mask != 0, "a chunk touches at least one granule");
-        if is_fetch {
+        if !is_fetch {
+            if self.may_be_open(core, line) {
+                if let Some(open_mask) = self.open.get_mut(&(core, line)) {
+                    *open_mask |= mask;
+                }
+            }
+            return;
+        }
+        if self.may_be_open(core, line) {
             if let Some(open_mask) = self.open.remove(&(core, line)) {
                 self.close(line, open_mask);
             }
-            let seen_before = !self.seen.insert((core, line));
-            if count {
-                let counts = self.lines.entry(line).or_default();
-                counts.fetches += 1;
-                self.total_fetches += 1;
-                if seen_before {
-                    counts.refetches += 1;
-                    self.total_refetches += 1;
-                }
-                self.open.insert((core, line), mask);
+        }
+        let filled_by = self.filled_by.entry(line).or_default();
+        let bit = (1 as CoreMask) << core;
+        let seen_before = *filled_by & bit != 0;
+        *filled_by |= bit;
+        if count {
+            let counts = self.lines.entry(line).or_default();
+            counts.fetches += 1;
+            self.total_fetches += 1;
+            if seen_before {
+                counts.refetches += 1;
+                self.total_refetches += 1;
             }
-        } else if let Some(open_mask) = self.open.get_mut(&(core, line)) {
-            *open_mask |= mask;
+            self.open.insert((core, line), mask);
+            if core >= self.guard.len() {
+                self.guard.resize(core + 1, [0; GUARD_WORDS]);
+            }
+            let (word, bit) = guard_slot(line);
+            self.guard[core][word] |= bit;
         }
     }
 
@@ -276,6 +320,116 @@ impl GroundTruthTally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
+
+    /// What [`UtilizationTally`] must compute, written the obvious way: a table
+    /// operation or two on every chunk.
+    #[derive(Default)]
+    struct NaiveTally {
+        lines: HashMap<LineAddr, LineUtilCounts>,
+        open: HashMap<(CoreId, LineAddr), u8>,
+        seen: HashSet<(CoreId, LineAddr)>,
+        refetches: u64,
+    }
+
+    impl NaiveTally {
+        fn record_chunk(
+            &mut self,
+            core: CoreId,
+            line: LineAddr,
+            mask: u8,
+            fetch: bool,
+            count: bool,
+        ) {
+            if !fetch {
+                if let Some(open_mask) = self.open.get_mut(&(core, line)) {
+                    *open_mask |= mask;
+                }
+                return;
+            }
+            if let Some(open_mask) = self.open.remove(&(core, line)) {
+                self.close(line, open_mask);
+            }
+            let seen_before = !self.seen.insert((core, line));
+            if count {
+                let counts = self.lines.entry(line).or_default();
+                counts.fetches += 1;
+                counts.refetches += u64::from(seen_before);
+                self.refetches += u64::from(seen_before);
+                self.open.insert((core, line), mask);
+            }
+        }
+
+        fn close(&mut self, line: LineAddr, mask: u8) {
+            let counts = self
+                .lines
+                .get_mut(&line)
+                .expect("an open residency was counted");
+            for g in (0..MAX_GRANULES_PER_LINE).filter(|g| mask & (1 << g) != 0) {
+                counts.touched[g] += 1;
+            }
+        }
+
+        fn finalize(&mut self) {
+            for ((_, line), mask) in std::mem::take(&mut self.open) {
+                self.close(line, mask);
+            }
+        }
+    }
+
+    /// A few neighbouring lines, and for the first of them three more that share its
+    /// guard bit: a residency open on one makes the guard pass hits and fills on the
+    /// others through to `open`, which must then find nothing.
+    fn line_pool() -> Vec<LineAddr> {
+        let colliding = (0x2000u64..).filter(|&l| guard_slot(l) == guard_slot(0x1000));
+        (0x1000..0x1006).chain(colliding.take(3)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn tally_equals_the_naive_model(
+            chunks in proptest::collection::vec(
+                ((0usize..8, 0usize..9), 1u16..256, (0u8..12, any::<bool>())),
+                1..400,
+            ),
+        ) {
+            let pool = line_pool();
+            // Cores as the machine numbers them, then some far above any seen before.
+            let cores = [0, 1, 2, 3, 3, 17, 64, 127];
+            let (mut tally, mut model) = (UtilizationTally::new(), NaiveTally::default());
+            for ((core, line), mask, (kind, count)) in chunks {
+                let (core, line, mask) = (cores[core], pool[line], mask as u8);
+                match kind {
+                    // Detach-time flush in mid-stream: what follows starts from no
+                    // open residency but remembers every fill.
+                    0 => {
+                        tally.finalize();
+                        model.finalize();
+                    }
+                    // Fills, followed or not: an unfollowed one closes what is open.
+                    1..=4 => {
+                        tally.record_chunk(core, line, mask, true, count);
+                        model.record_chunk(core, line, mask, true, count);
+                    }
+                    _ => {
+                        tally.record_chunk(core, line, mask, false, count);
+                        model.record_chunk(core, line, mask, false, count);
+                    }
+                }
+            }
+            tally.finalize();
+            model.finalize();
+            let mut expected: Vec<_> = model.lines.iter().map(|(&l, &c)| (l, c)).collect();
+            expected.sort_unstable_by_key(|&(l, _)| l);
+            prop_assert_eq!(tally.snapshot(), expected);
+            let fetches: u64 = model.lines.values().map(|c| c.fetches).sum();
+            prop_assert_eq!(tally.total_fetches, fetches);
+            prop_assert_eq!(tally.total_refetches, model.refetches);
+        }
+    }
 
     #[test]
     fn tally_accumulates_per_granule() {

@@ -2,7 +2,7 @@
 //!
 //! The per-access hot path is deliberately flat: the private caches are
 //! struct-of-arrays [`SetAssocCache`]s, and all per-line coherence bookkeeping
-//! (sharer mask, modified owner, departure reasons, touched bits) lives in a single
+//! (sharer mask, modified owner, invalidation notes, touched bits) lives in a single
 //! open-addressed [`LineTable`] instead of the seed's `HashMap`/`HashSet` trio.  In the
 //! steady state an access performs no heap allocation (verified by the
 //! `alloc_steady_state` integration test) and no SipHash computations.
@@ -439,7 +439,7 @@ impl CacheHierarchy {
         }
         // A read leaves no owner: a remote one was downgraded and cleared above.
         debug_assert!(is_write || e.owner_core().is_none());
-        let miss_kind = Self::classify_entry(e, core);
+        let miss_kind = e.miss_kind(core);
         e.touched |= (1 as CoreMask) << core;
         e.clear_departure(core);
 
@@ -510,12 +510,7 @@ impl CacheHierarchy {
         // A remote write also invalidates the stale L3 copy.
         self.l3.invalidate(line);
         let e = self.table.entry_at_mut(slot);
-        let mut d = departed;
-        while d != 0 {
-            let c = d.trailing_zeros() as CoreId;
-            d &= d - 1;
-            e.note_invalidated(c);
-        }
+        e.invalidated |= departed;
         e.sharers &= 1 << writer;
         e.set_owner(Some(writer));
     }
@@ -541,30 +536,11 @@ impl CacheHierarchy {
 
     /// Records that `line` left `core`'s private caches by replacement.
     fn note_eviction(&mut self, core: CoreId, line: LineAddr) {
+        // No note is kept: the core stays in `touched` (see `DirEntry::miss_kind`).
         let e = self.table.entry_mut(line);
-        // An earlier invalidation note takes precedence (see `note_evicted`).
-        e.note_evicted(core);
         e.sharers &= !((1 as CoreMask) << core);
         if e.owner_core() == Some(core) {
             e.set_owner(None);
-        }
-    }
-
-    /// Ground-truth classification of a private-cache miss from the line's directory
-    /// entry.  (A just-inserted default entry classifies as Cold, matching the seed's
-    /// behavior for never-seen lines.)
-    fn classify_entry(e: &crate::line_table::DirEntry, core: CoreId) -> MissKind {
-        let bit = (1 as CoreMask) << core;
-        if e.invalidated & bit != 0 {
-            MissKind::Invalidation
-        } else if e.evicted & bit != 0 {
-            MissKind::Eviction
-        } else if e.touched & bit != 0 {
-            // The line was silently dropped (e.g. replaced in L3 after eviction
-            // bookkeeping was cleared); treat as an eviction.
-            MissKind::Eviction
-        } else {
-            MissKind::Cold
         }
     }
 

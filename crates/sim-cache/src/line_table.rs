@@ -1,7 +1,7 @@
 //! Open-addressed, power-of-two-sized hash tables keyed by cache-line address.
 //!
 //! The per-access hot path of the hierarchy needs three pieces of per-line bookkeeping
-//! (directory sharers/owner, departure reasons, touched bits).  Storing them in
+//! (directory sharers/owner, invalidation notes, touched bits).  Storing them in
 //! `std::collections::HashMap`s costs a SipHash computation plus a pointer chase per
 //! lookup, and the per-core `departures`/`touched` maps allocate on nearly every miss.
 //! This module replaces all of that with one flat table:
@@ -16,7 +16,7 @@
 //! [`LineSet`] is the same machinery reduced to membership-only, used by the opt-in
 //! conflict tracker in [`crate::SetAssocCache`].
 
-use crate::{CoreId, CoreMask, LineAddr};
+use crate::{CoreId, CoreMask, LineAddr, MissKind};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sentinel meaning "this slot is empty".  Real line addresses never reach this value:
@@ -108,10 +108,10 @@ pub struct DirEntry {
     pub sharers: CoreMask,
     /// Bitmask of cores that have ever touched the line (cold-miss detection).
     pub touched: CoreMask,
-    /// Bitmask of cores whose copy most recently left via a coherence invalidation.
+    /// Bitmask of cores whose copy was taken by a coherence invalidation since their
+    /// last fill; the note outlives a later eviction.  (A copy that left by replacement
+    /// needs no note: the core is in `touched`, not in `sharers`, and not in here.)
     pub invalidated: CoreMask,
-    /// Bitmask of cores whose copy most recently left via a replacement eviction.
-    pub evicted: CoreMask,
     /// Core holding the line in Modified state; [`DirEntry::NO_OWNER`] if none.
     pub owner: u8,
 }
@@ -122,7 +122,6 @@ impl Default for DirEntry {
             sharers: 0,
             touched: 0,
             invalidated: 0,
-            evicted: 0,
             owner: DirEntry::NO_OWNER,
         }
     }
@@ -151,31 +150,26 @@ impl DirEntry {
         };
     }
 
-    /// Records that `core`'s copy left due to an invalidation (overrides any earlier
-    /// eviction note, as invalidation takes precedence for miss classification).
-    #[inline]
-    pub fn note_invalidated(&mut self, core: CoreId) {
-        let bit = (1 as CoreMask) << core;
-        self.invalidated |= bit;
-        self.evicted &= !bit;
-    }
-
-    /// Records that `core`'s copy left due to an eviction, unless a departure reason is
-    /// already noted (matching the old `entry(..).or_insert(Evicted)` semantics).
-    #[inline]
-    pub fn note_evicted(&mut self, core: CoreId) {
-        let bit = (1 as CoreMask) << core;
-        if (self.invalidated | self.evicted) & bit == 0 {
-            self.evicted |= bit;
-        }
-    }
-
-    /// Clears any departure note for `core` (called when the core re-fetches the line).
+    /// Clears the invalidation note for `core` (called when the core re-fetches the line).
     #[inline]
     pub fn clear_departure(&mut self, core: CoreId) {
-        let bit = !((1 as CoreMask) << core);
-        self.invalidated &= bit;
-        self.evicted &= bit;
+        self.invalidated &= !((1 as CoreMask) << core);
+    }
+
+    /// Ground-truth classification of a private-cache miss by `core` on this line,
+    /// asked before the fill marks the core in `touched`.  A default entry (a
+    /// never-seen line) is a cold miss.
+    #[inline]
+    pub fn miss_kind(&self, core: CoreId) -> MissKind {
+        let bit = (1 as CoreMask) << core;
+        if self.invalidated & bit != 0 {
+            MissKind::Invalidation
+        } else if self.touched & bit != 0 {
+            // Held once, not invalidated since: the copy was replaced.
+            MissKind::Eviction
+        } else {
+            MissKind::Cold
+        }
     }
 }
 
@@ -496,18 +490,18 @@ mod tests {
 
     #[test]
     fn dir_entry_departure_semantics() {
+        assert_eq!(std::mem::size_of::<DirEntry>(), 64); // three masks and the owner
         let mut e = DirEntry::default();
-        e.note_evicted(3);
-        assert_ne!(e.evicted & (1 << 3), 0);
-        // Invalidation overrides eviction.
-        e.note_invalidated(3);
-        assert_eq!(e.evicted & (1 << 3), 0);
-        assert_ne!(e.invalidated & (1 << 3), 0);
-        // Eviction does not override an invalidation note.
-        e.note_evicted(3);
-        assert_eq!(e.evicted & (1 << 3), 0);
+        assert_eq!(e.miss_kind(3), MissKind::Cold);
+        // A fill marks the core; a copy that then leaves by replacement leaves no note.
+        e.touched |= 1 << 3;
+        assert_eq!(e.miss_kind(3), MissKind::Eviction);
+        assert_eq!(e.miss_kind(4), MissKind::Cold);
+        // An invalidation takes precedence, until the re-fetch clears it.
+        e.invalidated |= 1 << 3;
+        assert_eq!(e.miss_kind(3), MissKind::Invalidation);
         e.clear_departure(3);
-        assert_eq!(e.invalidated | e.evicted, 0);
+        assert_eq!(e.miss_kind(3), MissKind::Eviction);
     }
 
     #[test]

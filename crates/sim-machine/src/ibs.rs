@@ -312,6 +312,16 @@ impl IbsUnit {
         }
     }
 
+    /// True if the next memory operation on `core` is the one IBS has tagged: the next
+    /// [`Self::on_access`] for that core will take a sample.  Real IBS tags an
+    /// operation as it enters the pipeline; here the decision depends on nothing the
+    /// access itself produces, so the machine can ask before it performs the access
+    /// and follow the operation's fills as they happen.
+    #[inline]
+    pub fn tags_next(&self, core: CoreId) -> bool {
+        self.config.enabled() && self.countdown[core] <= 1 && !self.budget_exhausted()
+    }
+
     /// Notifies the unit of a completed memory operation.  Returns the cycles of
     /// interrupt overhead to charge to the core (zero unless this op was sampled).
     #[allow(clippy::too_many_arguments)]
@@ -339,6 +349,7 @@ impl IbsUnit {
             return 0;
         }
         // Sample fires.
+        debug_assert!(self.tags_next(core), "tags_next must foretell every sample");
         self.phase_samples += 1;
         self.note_adaptive_sample();
         self.countdown[core] = self.next_interval();
@@ -376,6 +387,57 @@ impl IbsUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// What the machine's sampled tally rests on: [`IbsUnit::tags_next`], read before
+        /// an operation, says whether that operation's `on_access` takes a sample — for
+        /// every operation on every core, under every policy, across a budget running
+        /// out mid-stream and across a reconfiguration.
+        #[test]
+        fn tags_next_foretells_every_sample(
+            stream in proptest::collection::vec(0usize..4, 1..3_000),
+            policies in (0usize..6, 0usize..6),
+            reconfigure_at in 0usize..3_000,
+            seed in 0u64..1_000,
+        ) {
+            let policy = |i| {
+                [
+                    SamplingPolicy::Disabled,
+                    SamplingPolicy::fixed(1),
+                    SamplingPolicy::fixed(7),
+                    SamplingPolicy::fixed(150),
+                    // Spent within the first few hundred operations.
+                    SamplingPolicy::adaptive(3),
+                    SamplingPolicy::adaptive(40),
+                ][i]
+            };
+            let config = |i| IbsConfig { policy: policy(i), interrupt_cost: 5, seed };
+            let (ip, addr, kind, level, lat) = sample_args();
+            // A new unit is disabled until configured: index 0 leaves it as built.
+            let mut u = IbsUnit::new(4);
+            if policies.0 != 0 {
+                u.configure(config(policies.0));
+            }
+            for (i, &core) in stream.iter().enumerate() {
+                if i == reconfigure_at {
+                    u.configure(config(policies.1));
+                }
+                let tagged = u.tags_next(core);
+                let before = u.samples_taken;
+                let cost = u.on_access(core, ip, addr, kind, level, lat, i as u64);
+                prop_assert_eq!(
+                    tagged,
+                    u.samples_taken == before + 1,
+                    "operation {} on core {} under {}", i, core, u.config().policy
+                );
+                prop_assert_eq!(cost, if tagged { 5 } else { 0 });
+            }
+            prop_assert!(u.phase_samples() <= u.config().policy.budget().unwrap_or(u64::MAX));
+        }
+    }
 
     fn sample_args() -> (FunctionId, u64, AccessKind, HitLevel, u64) {
         (FunctionId(1), 0x1000, AccessKind::Read, HitLevel::L1, 3)

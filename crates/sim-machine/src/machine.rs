@@ -9,7 +9,7 @@ use crate::watchpoint::{WatchpointError, WatchpointId, WatchpointUnit};
 use serde::{Deserialize, Serialize};
 use sim_cache::{
     granule_mask, AccessKind, AccessOutcome, CacheHierarchy, CoreId, GroundTruthTally,
-    HierarchyConfig, HitLevel, LineAddr, MissKind, UtilizationTally,
+    HierarchyConfig, HitLevel, MissKind, UtilizationTally,
 };
 use std::collections::HashMap;
 
@@ -139,9 +139,6 @@ pub struct Machine {
     /// unit sampled (what a real profiler could afford), while the exact tally inside
     /// `ground_truth` counts every fill.  `None` by default.
     utilization: Option<Box<UtilizationTally>>,
-    /// Reused per-access buffer of `(line, granule_mask, is_fetch)` chunk records for
-    /// the utilization tallies; empty between accesses.
-    util_chunks: Vec<(LineAddr, u8, bool)>,
 }
 
 impl Machine {
@@ -161,7 +158,6 @@ impl Machine {
             session: None,
             ground_truth: None,
             utilization: None,
-            util_chunks: Vec::new(),
             config,
         }
     }
@@ -410,6 +406,35 @@ impl Machine {
         &self.run_outcomes
     }
 
+    /// One line-chunk of an operation: `len` bytes at `addr`, all within one line.  The
+    /// utilization tallies see the chunk as it executes; a chunk is a *fetch* when its
+    /// own line missed the private caches (filled from L3, a foreign cache or DRAM).
+    /// The exact tally counts every fetch, the sampled one those of a `tagged` operation.
+    #[inline(always)]
+    fn access_chunk(
+        &mut self,
+        core: CoreId,
+        addr: u64,
+        len: u64,
+        kind: AccessKind,
+        tagged: bool,
+    ) -> AccessOutcome {
+        let outcome = self.hierarchy.access(core, addr, kind);
+        if self.ground_truth.is_some() || self.utilization.is_some() {
+            let line_size = self.hierarchy.config().l1.line_size as u64;
+            let mask = granule_mask(addr, len, line_size);
+            let is_fetch = outcome.level.is_miss();
+            if let Some(gt) = self.ground_truth.as_mut() {
+                gt.utilization
+                    .record_chunk(core, outcome.line, mask, is_fetch, true);
+            }
+            if let Some(ut) = self.utilization.as_mut() {
+                ut.record_chunk(core, outcome.line, mask, is_fetch, tagged);
+            }
+        }
+        outcome
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn access_inner(
         &mut self,
@@ -431,42 +456,33 @@ impl Machine {
                 kind,
             });
         }
+        // IBS tags an operation before it executes: whether this one will be sampled
+        // is known now, so the sampled tally follows its fills as they happen.
+        let tagged = ibs_on && self.ibs.tags_next(core);
         // Line sizes are powers of two (`CacheGeometry::new` asserts it): lines are
-        // split with the geometry's mask, not a divide per chunk.
+        // split with the geometry's mask, not a divide per chunk.  The first chunk
+        // runs to the end of its line; the others start on a line boundary.  Most
+        // operations have one chunk: its outcome is built in place as `worst`, where
+        // copying a just-written outcome out of a loop variable stalled on the stores.
         let l1 = self.hierarchy.config().l1;
         let line_size = l1.line_size as u64;
-        let mut offset = 0u64;
-        let mut worst: Option<AccessOutcome> = None;
-        let mut total_latency = 0u64;
-        let tallying = self.ground_truth.is_some() || self.utilization.is_some();
-
+        let first = (l1.line_base(addr) + line_size - addr).min(len);
+        let mut worst = self.access_chunk(core, addr, first, kind, tagged);
+        let mut total_latency = worst.latency;
+        let mut offset = first;
         while offset < len {
-            let a = addr + offset;
-            let line_end = l1.line_base(a) + line_size;
-            let chunk = (line_end - a).min(len - offset);
-            let outcome = self.hierarchy.access(core, a, kind);
+            let chunk = line_size.min(len - offset);
+            let outcome = self.access_chunk(core, addr + offset, chunk, kind, tagged);
             total_latency += outcome.latency;
-            if tallying {
-                // A chunk is a *fetch* when its own line missed the private caches
-                // (filled from L3, a foreign cache or DRAM).
-                self.util_chunks.push((
-                    outcome.line,
-                    granule_mask(a, chunk, line_size),
-                    outcome.level.is_miss(),
-                ));
-            }
-            let is_worse = worst.map(|w| outcome.latency > w.latency).unwrap_or(true);
-            if is_worse {
-                worst = Some(outcome);
+            if outcome.latency > worst.latency {
+                worst = outcome;
             }
             offset += chunk;
         }
-        let worst = worst.expect("at least one line accessed");
 
         if let Some(gt) = self.ground_truth.as_mut() {
             gt.record(addr, kind, worst.level, worst.latency);
         }
-        let samples_before = self.ibs.samples_taken;
 
         // Charge the core and the function counters.
         let charged = total_latency + self.config.op_cost;
@@ -497,24 +513,6 @@ impl Machine {
                 self.clocks[core] += cost;
                 self.profiling_cycles[core] += cost;
             }
-        }
-
-        if tallying {
-            // `samples_taken` advanced iff IBS sampled this operation — that decides
-            // which fills the *sampled* tally follows; the exact tally counts them all.
-            let sampled = ibs_on && self.ibs.samples_taken > samples_before;
-            if let Some(gt) = self.ground_truth.as_mut() {
-                for &(line, mask, is_fetch) in &self.util_chunks {
-                    gt.utilization
-                        .record_chunk(core, line, mask, is_fetch, true);
-                }
-            }
-            if let Some(ut) = self.utilization.as_mut() {
-                for &(line, mask, is_fetch) in &self.util_chunks {
-                    ut.record_chunk(core, line, mask, is_fetch, sampled);
-                }
-            }
-            self.util_chunks.clear();
         }
 
         worst
