@@ -10,8 +10,13 @@
 //! 3. Re-recording each golden session reproduces the committed trace *and* report
 //!    byte for byte: the write side's spine, so a change to the recorder, the encoder
 //!    or the container writer cannot move a byte unnoticed.
+//! 4. A trace whose events contradict each other, or ask for the impossible, is one
+//!    `error:` line from the real binary that names the event and the address.
 
+use dprof::machine::SessionEvent;
+use dprof::trace::{ThreadStream, TraceFile, TraceReader};
 use std::path::PathBuf;
+use std::process::Command;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -329,4 +334,83 @@ fn replay_rejects_garbage_and_missing_files() {
         "missing file must fail"
     );
     let _ = std::fs::remove_file(bogus);
+}
+
+/// The golden memcached trace with `hostile` inserted as event `at` of its stream.
+fn golden_with_event(at: usize, hostile: SessionEvent, name: &str) -> String {
+    let golden = golden_dir().join("memcached_quick.dtrace");
+    let reader = TraceReader::open(golden.to_str().unwrap()).expect("golden trace opens");
+    let mut events: Vec<SessionEvent> = (reader.events(0).expect("stream opens"))
+        .collect::<Result<_, _>>()
+        .expect("golden trace decodes");
+    events.insert(at, hostile);
+    let header = &reader.headers()[0];
+    let file = TraceFile {
+        kind: reader.kind,
+        machine: reader.machine,
+        params: reader.params.clone(),
+        streams: vec![ThreadStream {
+            seed: header.seed,
+            requests: header.requests,
+            symbols: header.symbols.clone(),
+            types: header.types.clone(),
+            events: events.into(),
+        }],
+    };
+    let path = tmp(name);
+    file.write(&path).expect("hostile trace writes");
+    path
+}
+
+#[test]
+fn hostile_alloc_and_free_events_are_one_error_line_naming_event_and_address() {
+    let never_allocated = golden_with_event(
+        1234,
+        SessionEvent::Free {
+            core: 1,
+            addr: 0xdead_0000,
+            cycle: 9,
+        },
+        "bad-free.dtrace",
+    );
+    let sixteen_exbibytes = golden_with_event(
+        77,
+        SessionEvent::Alloc {
+            core: 0,
+            type_id: 0,
+            size: u64::MAX,
+            addr: 0x1000,
+            cycle: 9,
+            hookable: true,
+        },
+        "huge-alloc.dtrace",
+    );
+    for (trace, message) in [
+        (
+            &never_allocated,
+            "stream 0: event 1234: free of non-live address 0xdead0000",
+        ),
+        (
+            &sixteen_exbibytes,
+            "stream 0: corrupt trace: event 77 allocates 18446744073709551615 bytes at 0x1000",
+        ),
+    ] {
+        for args in [
+            vec!["replay", trace.as_str()],
+            vec!["whatif", trace.as_str(), "--auto"],
+            vec!["whatif", trace.as_str(), "--fix", "pad:skbuff"],
+        ] {
+            let output = Command::new(env!("CARGO_BIN_EXE_dprof"))
+                .args(&args)
+                .output()
+                .unwrap();
+            assert_eq!(output.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+            assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+            assert!(errors[0].contains(message), "{args:?}: {}", errors[0]);
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+        let _ = std::fs::remove_file(trace);
+    }
 }

@@ -45,14 +45,18 @@ impl AccessSample {
 /// Resolves raw IBS records into typed access samples using the allocator's address set.
 ///
 /// Records whose address cannot be attributed to any (live or historical) allocation are
-/// dropped, mirroring how DProf ignores samples it cannot type.
+/// dropped, mirroring how DProf ignores samples it cannot type.  The freed part of the
+/// address set is indexed once, when the first record misses the live objects.
 pub fn resolve_samples(records: &[IbsRecord], allocator: &SlabAllocator) -> Vec<AccessSample> {
+    let mut history = None;
     records
         .iter()
         .filter_map(|r| {
-            let resolved = allocator
-                .resolve(r.addr)
-                .or_else(|| allocator.resolve_historical(r.addr))?;
+            let resolved = allocator.resolve(r.addr).or_else(|| {
+                history
+                    .get_or_insert_with(|| allocator.history())
+                    .resolve_historical(r.addr)
+            })?;
             Some(AccessSample {
                 type_id: resolved.type_id,
                 offset: resolved.offset,

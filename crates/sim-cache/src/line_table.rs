@@ -43,11 +43,12 @@ fn mix(key: LineAddr) -> u64 {
     x ^ (x >> 31)
 }
 
-/// This module's mixer as a `std` hasher, for the `HashMap`s of the profiling
-/// tallies, which are keyed by addresses and `(core, line)` pairs and probed on every
-/// access: one multiply-xorshift round per integer written instead of SipHash.
-/// Iteration order depends on nothing but the keys inserted; every consumer sorts or
-/// sums anyway.
+/// This module's mixer as a `std` hasher, for the `HashMap`s that are probed on every
+/// access and keyed by integers and small tuples of them — the profiling tallies
+/// (addresses, `(core, line)` pairs), `sim-kernel`'s address index (pages) and the
+/// what-if tables (`(base, granule, core)`): one multiply-xorshift round per integer
+/// written instead of SipHash.  Iteration order depends on nothing but the keys
+/// inserted; every consumer sorts or sums anyway.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MixHasher(u64);
 
@@ -60,7 +61,7 @@ impl Hasher for MixHasher {
         self.0
     }
 
-    /// Not on any path here: the tallies' keys are integers and pairs of integers.
+    /// Not on any path here: every key is an integer or a tuple of integers.
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u64(b.into());
@@ -70,6 +71,11 @@ impl Hasher for MixHasher {
     #[inline]
     fn write_u64(&mut self, v: u64) {
         self.0 = mix(self.0 ^ v);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
     }
 
     #[inline]

@@ -11,7 +11,11 @@
 //!
 //! * every allocation/free is logged to the **address set** ([`AllocRecord`]) with its
 //!   type, allocating core, and allocation/free timestamps,
-//! * `resolve(addr)` maps any address inside a live object back to `(type, base)`,
+//! * `resolve(addr)` maps any address inside a live object back to `(type, base)`
+//!   through the page-indexed [`AddrIndex`] — address → page → object, as the kernel
+//!   goes address → page → slab — and [`SlabAllocator::history`] files the rest of
+//!   the log in a second index of the same type, to answer which allocation, live or
+//!   freed, covered an address most recently,
 //! * allocation and free touch the per-core `array_cache` object and the slab
 //!   descriptor through the machine, so profilers see the bookkeeping traffic,
 //! * objects freed on a remote core take the alien path and are periodically drained
@@ -21,12 +25,13 @@
 //! * a [`ProfileHook`] lets DProf reserve "the next allocation of type T" for object
 //!   access history collection and learn when the watched object is freed.
 
+use crate::addr_index::{AddrIndex, Object, PAGE_SIZE};
 use crate::locks::KLock;
 use crate::types::{TypeId, TypeRegistry};
 use serde::{Deserialize, Serialize};
 use sim_cache::CoreId;
 use sim_machine::{FunctionId, Machine};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Size classes of the generic (`kmalloc`-style) pools.
 pub const GENERIC_SIZES: &[u64] = &[64, 128, 256, 512, 1024, 2048];
@@ -37,8 +42,6 @@ const REFILL_BATCH: usize = 16;
 const ARRAY_CACHE_LIMIT: usize = 32;
 /// Alien-cache drain threshold.
 const ALIEN_LIMIT: usize = 12;
-/// Simulated page size.
-const PAGE_SIZE: u64 = 4096;
 /// Base of the simulated dynamic-allocation address range.
 const HEAP_BASE: u64 = 0x0001_0000_0000;
 
@@ -102,17 +105,76 @@ pub struct RemapTarget {
     pub alloc_core: CoreId,
 }
 
-/// A live object tracked by the allocator.
+/// What the live index files with an object's base and size.  Sixteen bytes, so that
+/// a node of the index is thirty-two, two to a cache line: the drop-off backlog is
+/// 14 000 of these at once.
 #[derive(Debug, Clone, Copy)]
 struct LiveObject {
     type_id: TypeId,
-    size: u64,
-    /// Address of the slab descriptor this object was carved from.
-    slab_desc: u64,
-    /// Core whose array cache "owns" the slab.
-    home_core: CoreId,
     /// Index of this allocation in the address-set log.
-    record: usize,
+    record: u32,
+    /// The slab descriptor this object was carved from, as its page's number in the
+    /// heap: descriptors come a page each from the bump allocator.
+    slab_page: u32,
+    /// Core that allocated the object, kept here so that no lookup reads the log.
+    alloc_core: u8,
+    /// Core whose array cache "owns" the slab.
+    home_core: u8,
+}
+
+impl LiveObject {
+    /// # Panics
+    /// Panics on a core the machine cannot have (`sim_cache::MAX_CORES` is 128), on a
+    /// log of 2^32 allocations (300 GB of records) and on a descriptor 16 TiB up the
+    /// heap.
+    fn new(
+        type_id: TypeId,
+        slab_desc: u64,
+        alloc_core: CoreId,
+        home_core: CoreId,
+        record: usize,
+    ) -> Self {
+        let core = |c: CoreId| u8::try_from(c).expect("a machine has at most 128 cores");
+        LiveObject {
+            type_id,
+            record: u32::try_from(record).expect("fewer than 2^32 allocations"),
+            slab_page: u32::try_from((slab_desc - HEAP_BASE) / PAGE_SIZE)
+                .expect("a heap of fewer than 2^32 pages"),
+            alloc_core: core(alloc_core),
+            home_core: core(home_core),
+        }
+    }
+
+    fn slab_desc(&self) -> u64 {
+        HEAP_BASE + u64::from(self.slab_page) * PAGE_SIZE
+    }
+}
+
+/// The address set's past, by address: every allocation that is no longer live, in an
+/// index of its own, beside the allocator's live one.  A snapshot — it borrows the
+/// allocator, so it cannot go stale — built by one pass over the log
+/// ([`SlabAllocator::history`]) and asked any number of times.
+#[derive(Debug)]
+pub struct AddressHistory<'a> {
+    allocator: &'a SlabAllocator,
+    /// `records` position of each allocation that is not live any more.
+    retired: AddrIndex<u32>,
+}
+
+impl AddressHistory<'_> {
+    /// Resolves an address against the full address set, returning the most recent
+    /// allocation — live or freed — covering it.  DProf uses this when an IBS sample
+    /// arrives after the object has already been freed.
+    pub fn resolve_historical(&self, addr: u64) -> Option<ResolvedAddr> {
+        let live = self.allocator.live.covering(addr).map(|o| o.payload.record);
+        let retired = self.retired.covering(addr).map(|o| o.payload);
+        let r = &self.allocator.records[live.chain(retired).max()? as usize];
+        Some(ResolvedAddr {
+            type_id: r.type_id,
+            base: r.addr,
+            offset: addr - r.addr,
+        })
+    }
 }
 
 /// Per-core portion of a kmem cache.
@@ -226,7 +288,7 @@ pub struct SlabAllocator {
     caches: Vec<KmemCache>,
     cache_of_type: HashMap<TypeId, usize>,
     generic_caches: Vec<(u64, usize)>,
-    live: BTreeMap<u64, LiveObject>,
+    live: AddrIndex<LiveObject>,
     records: Vec<AllocRecord>,
     syms: AllocSymbols,
     /// Types for the allocator's own bookkeeping objects.
@@ -263,7 +325,7 @@ impl SlabAllocator {
             caches: Vec::new(),
             cache_of_type: HashMap::new(),
             generic_caches: Vec::new(),
-            live: BTreeMap::new(),
+            live: AddrIndex::new(),
             records: Vec::new(),
             syms,
             slab_type,
@@ -328,64 +390,62 @@ impl SlabAllocator {
 
     /// Number of live objects of a specific type.
     pub fn live_objects_of(&self, type_id: TypeId) -> usize {
-        self.live.values().filter(|o| o.type_id == type_id).count()
+        self.live
+            .iter()
+            .filter(|o| o.payload.type_id == type_id)
+            .count()
     }
 
     /// Live bytes of a specific type.
     pub fn live_bytes_of(&self, type_id: TypeId) -> u64 {
         self.live
-            .values()
-            .filter(|o| o.type_id == type_id)
+            .iter()
+            .filter(|o| o.payload.type_id == type_id)
             .map(|o| o.size)
             .sum()
     }
 
-    /// Resolves an address to the live object containing it.
+    /// Resolves an address to the live object containing it: of the live objects, the
+    /// one with the nearest base at or below `addr`, if it reaches `addr`.
     pub fn resolve(&self, addr: u64) -> Option<ResolvedAddr> {
-        let (&base, obj) = self.live.range(..=addr).next_back()?;
-        if addr < base + obj.size {
-            Some(ResolvedAddr {
-                type_id: obj.type_id,
-                base,
-                offset: addr - base,
-            })
-        } else {
-            None
-        }
+        self.resolve_remap(addr).map(|hit| hit.resolved)
     }
 
     /// Resolves an address to the live object containing it, together with the object's
     /// size and allocating core — everything an allocator-remap layer (e.g. the what-if
     /// engine's counterfactual transforms) needs to relocate or re-home the access.
+    #[inline]
     pub fn resolve_remap(&self, addr: u64) -> Option<RemapTarget> {
-        let (&base, obj) = self.live.range(..=addr).next_back()?;
-        if addr >= base + obj.size {
-            return None;
-        }
+        let obj = self.live.find(addr)?;
         Some(RemapTarget {
             resolved: ResolvedAddr {
-                type_id: obj.type_id,
-                base,
-                offset: addr - base,
+                type_id: obj.payload.type_id,
+                base: obj.base,
+                offset: addr - obj.base,
             },
             size: obj.size,
-            alloc_core: self.records[obj.record].alloc_core,
+            alloc_core: obj.payload.alloc_core.into(),
         })
     }
 
-    /// Resolves an address against the full address set (including freed objects),
-    /// returning the most recent allocation covering it.  DProf uses this when an IBS
-    /// sample arrives after the object has already been freed.
-    pub fn resolve_historical(&self, addr: u64) -> Option<ResolvedAddr> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| addr >= r.addr && addr < r.addr + r.size)
-            .map(|r| ResolvedAddr {
-                type_id: r.type_id,
-                base: r.addr,
-                offset: addr - r.addr,
-            })
+    /// Indexes the part of the address set that is no longer live — objects freed, and
+    /// objects a replayed allocation at the same base displaced — for
+    /// [`AddressHistory::resolve_historical`].  One pass over the log; the live
+    /// objects, which a drop-off backlog makes nearly all of it, stay where they are.
+    pub fn history(&self) -> AddressHistory<'_> {
+        let mut retired = AddrIndex::new();
+        for (i, r) in self.records.iter().enumerate() {
+            // Exact: `LiveObject::new` checked every position as its record was pushed.
+            let position = i as u32;
+            let is_live = |o: Object<LiveObject>| o.payload.record == position;
+            if r.free_cycle.is_some() || !self.live.find(r.addr).is_some_and(is_live) {
+                retired.insert_newest(r.addr, r.size, position);
+            }
+        }
+        AddressHistory {
+            allocator: self,
+            retired,
+        }
     }
 
     fn bump_pages(&mut self, pages: u64) -> u64 {
@@ -417,13 +477,8 @@ impl SlabAllocator {
         });
         self.live.insert(
             addr,
-            LiveObject {
-                type_id,
-                size,
-                slab_desc: addr,
-                home_core: core,
-                record,
-            },
+            size,
+            LiveObject::new(type_id, addr, core, core, record),
         );
         machine.record_session_alloc(core, type_id.0, size, addr, cycle, false);
         addr
@@ -549,13 +604,8 @@ impl SlabAllocator {
         });
         self.live.insert(
             base,
-            LiveObject {
-                type_id,
-                size,
-                slab_desc,
-                home_core,
-                record,
-            },
+            size,
+            LiveObject::new(type_id, slab_desc, core, home_core, record),
         );
         self.stats.allocs += 1;
         machine.record_session_alloc(core, type_id.0, size, base, cycle, true);
@@ -628,10 +678,12 @@ impl SlabAllocator {
     pub fn free(&mut self, machine: &mut Machine, core: CoreId, addr: u64) {
         let obj = self
             .live
-            .remove(&addr)
-            .unwrap_or_else(|| panic!("free of non-live address {addr:#x}"));
+            .remove(addr)
+            .unwrap_or_else(|| panic!("free of non-live address {addr:#x}"))
+            .payload;
+        let home_core = CoreId::from(obj.home_core);
         let cycle = machine.clock(core);
-        let rec = &mut self.records[obj.record];
+        let rec = &mut self.records[obj.record as usize];
         rec.free_core = Some(core);
         rec.free_cycle = Some(cycle);
         self.stats.frees += 1;
@@ -645,8 +697,8 @@ impl SlabAllocator {
         let ac = self.ensure_array_cache(machine, cache_idx, core, cycle);
         machine.read(core, self.syms.kmem_cache_free, ac, 8);
 
-        let entry = (addr, obj.slab_desc, obj.home_core);
-        if obj.home_core == core {
+        let entry = (addr, obj.slab_desc(), home_core);
+        if home_core == core {
             // Local free: push onto this core's array cache.
             machine.write(core, self.syms.kmem_cache_free, ac + 8, 8);
             let cc = &mut self.caches[cache_idx].per_core[core];
@@ -717,12 +769,12 @@ impl SlabAllocator {
     // A replayed session applies recorded `Alloc`/`Free` events as pure bookkeeping:
     // the allocator's own memory traffic was captured as access events and is re-issued
     // by the replay driver, so these methods must NOT touch the machine's memory — only
-    // the address set, the live map and the profile hook (whose watchpoint arming and
+    // the address set, the live index and the profile hook (whose watchpoint arming and
     // cycle charges are deliberately re-run, exactly as the live allocator ran them).
     // ------------------------------------------------------------------
 
     /// Creates a bare allocator for trace replay: no pools, no caches — just the
-    /// address-set/live-map bookkeeping that [`Self::replay_alloc`] and
+    /// address-set/live-index bookkeeping that [`Self::replay_alloc`] and
     /// [`Self::replay_free`] maintain, plus a working profile hook.
     ///
     /// `registry` must already contain the `slab` and `array-cache` types (a replayed
@@ -746,7 +798,7 @@ impl SlabAllocator {
             caches: Vec::new(),
             cache_of_type: HashMap::new(),
             generic_caches: Vec::new(),
-            live: BTreeMap::new(),
+            live: AddrIndex::new(),
             records: Vec::new(),
             syms,
             slab_type,
@@ -759,7 +811,12 @@ impl SlabAllocator {
 
     /// Applies a recorded allocation event: inserts the address-set record and live
     /// entry with the live-recorded cycle stamp, then (for hookable allocations)
-    /// re-runs the profile-hook arming decision.
+    /// re-runs the profile-hook arming decision.  An allocation at a base that is
+    /// still live replaces that object.
+    ///
+    /// # Panics
+    /// Panics if `size` exceeds `u32::MAX`; the trace decoder rejects an `Alloc` event
+    /// of more than a mebibyte.
     #[allow(clippy::too_many_arguments)]
     pub fn replay_alloc(
         &mut self,
@@ -781,17 +838,12 @@ impl SlabAllocator {
             free_core: None,
             free_cycle: None,
         });
+        // Pool geometry is irrelevant during replay; the slab/home fields are only
+        // consulted by the live free path, which replay never takes.
         self.live.insert(
             addr,
-            LiveObject {
-                type_id,
-                size,
-                // Pool geometry is irrelevant during replay; the slab/home fields are
-                // only consulted by the live free path, which replay never takes.
-                slab_desc: addr,
-                home_core: core,
-                record,
-            },
+            size,
+            LiveObject::new(type_id, HEAP_BASE, core, core, record),
         );
         if hookable {
             self.stats.allocs += 1;
@@ -801,29 +853,31 @@ impl SlabAllocator {
 
     /// Applies a recorded free event: completes the address-set record, removes the
     /// live entry and re-runs the profile-hook completion.
-    pub fn replay_free(&mut self, machine: &mut Machine, core: CoreId, addr: u64, cycle: u64) {
-        let obj = self
-            .live
-            .remove(&addr)
-            .unwrap_or_else(|| panic!("replayed free of non-live address {addr:#x}"));
-        let rec = &mut self.records[obj.record];
+    ///
+    /// Returns `false`, having changed nothing, when `addr` is not the base of a live
+    /// object.  A recorded stream is outside input: the caller reports that as an
+    /// error naming the event, where [`Self::free`] panics on the program's own bug.
+    pub fn replay_free(
+        &mut self,
+        machine: &mut Machine,
+        core: CoreId,
+        addr: u64,
+        cycle: u64,
+    ) -> bool {
+        let Some(obj) = self.live.remove(addr) else {
+            return false;
+        };
+        let rec = &mut self.records[obj.payload.record as usize];
         rec.free_core = Some(core);
         rec.free_cycle = Some(cycle);
         self.stats.frees += 1;
         self.finish_profile_hook_on_free(machine, addr, cycle);
+        true
     }
 
     /// The global list lock ("SLAB cache lock"), exposed for lock-stat reporting.
     pub fn slab_lock(&self) -> &KLock {
         &self.slab_lock
-    }
-
-    /// Iterates over live objects of a type: `(base, size)`.
-    pub fn iter_live_of(&self, type_id: TypeId) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.live
-            .iter()
-            .filter(move |(_, o)| o.type_id == type_id)
-            .map(|(&b, o)| (b, o.size))
     }
 }
 
@@ -878,10 +932,123 @@ mod tests {
         a.free(&mut m, 0, addr);
         assert!(a.resolve(addr).is_none());
         let h = a
+            .history()
             .resolve_historical(addr + 8)
             .expect("historical resolution");
         assert_eq!(h.type_id, kt.udp_sock);
         assert_eq!(h.offset, 8);
+    }
+
+    /// The linear scan `resolve_historical` was: the newest record covering `addr`.
+    fn scan_the_log(a: &SlabAllocator, addr: u64) -> Option<ResolvedAddr> {
+        a.address_set()
+            .iter()
+            .rev()
+            .find(|r| addr >= r.addr && addr - r.addr < r.size)
+            .map(|r| ResolvedAddr {
+                type_id: r.type_id,
+                base: r.addr,
+                offset: addr - r.addr,
+            })
+    }
+
+    #[test]
+    fn historical_resolution_equals_a_scan_of_the_log() {
+        // Replayed logs over an eight-page arena: a few slots recycled again and again
+        // by different types at different sizes (freed first, or — as only a crafted
+        // trace does — allocated over), objects at odd offsets that overlap their
+        // neighbours partially, sizes from one byte to three pages; a third of the
+        // objects still live when the history is taken.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        const ARENA: u64 = 0x1_0000_0000;
+        for case in 0..150 {
+            let (mut m, reg, _kt, _) = setup();
+            let mut a = SlabAllocator::for_replay(&mut m, &reg, 2);
+            let slots: Vec<u64> = (0..6).map(|_| ARENA + next(8 * PAGE_SIZE)).collect();
+            let mut live: Vec<u64> = Vec::new();
+            for cycle in 0..next(60) {
+                let base = if next(3) == 0 {
+                    ARENA + next(8 * PAGE_SIZE)
+                } else {
+                    slots[next(6) as usize]
+                };
+                let size = match next(4) {
+                    0 => 1 + next(16),
+                    1 => 1 + next(3 * PAGE_SIZE),
+                    _ => 64 << next(5),
+                };
+                if live.contains(&base) && next(4) != 0 {
+                    assert!(a.replay_free(&mut m, 1, base, cycle));
+                    live.retain(|&b| b != base);
+                }
+                let type_id = TypeId(next(5) as u32);
+                a.replay_alloc(&mut m, next(2) as usize, type_id, size, base, cycle, true);
+                if !live.contains(&base) {
+                    live.push(base);
+                }
+                if next(3) != 0 {
+                    let freed = live.swap_remove(next(live.len() as u64) as usize);
+                    assert!(a.replay_free(&mut m, 0, freed, cycle));
+                }
+            }
+            assert_eq!(a.live_objects(), live.len(), "case {case}");
+            let history = a.history();
+            let edges = a.address_set().iter().flat_map(|r| {
+                [
+                    r.addr.wrapping_sub(1),
+                    r.addr,
+                    r.addr + r.size - 1,
+                    r.addr + r.size,
+                ]
+            });
+            let anywhere = (0..64).map(|i| ARENA - PAGE_SIZE + i * 643);
+            for addr in edges.chain(anywhere).collect::<Vec<_>>() {
+                assert_eq!(
+                    history.resolve_historical(addr),
+                    scan_the_log(&a, addr),
+                    "case {case}: {addr:#x} in {:x?}",
+                    a.address_set()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_replayed_free_of_a_non_live_address_is_refused_and_changes_nothing() {
+        let (mut m, reg, kt, _) = setup();
+        let mut a = SlabAllocator::for_replay(&mut m, &reg, 2);
+        assert!(!a.replay_free(&mut m, 0, 0xdead_0000, 1), "never allocated");
+        a.replay_alloc(&mut m, 0, kt.skbuff, 256, 0x1_0000_1000, 2, true);
+        assert!(
+            !a.replay_free(&mut m, 0, 0x1_0000_1008, 3),
+            "inside, not the base"
+        );
+        assert!(a.replay_free(&mut m, 1, 0x1_0000_1000, 4));
+        assert!(!a.replay_free(&mut m, 1, 0x1_0000_1000, 5), "double free");
+        assert_eq!((a.stats.allocs, a.stats.frees), (1, 1));
+        assert_eq!(a.address_set()[0].free_cycle, Some(4));
+        assert_eq!(a.live_objects(), 0);
+    }
+
+    #[test]
+    fn a_lookup_never_reads_the_log_for_the_allocating_core() {
+        let (mut m, reg, kt, mut a) = setup();
+        let addr = a.alloc(&mut m, &reg, 1, kt.tcp_sock);
+        let hit = a
+            .resolve_remap(addr + 1599)
+            .expect("last byte of the object");
+        assert_eq!(
+            (hit.alloc_core, hit.size, hit.resolved.offset),
+            (1, 1600, 1599)
+        );
+        assert_eq!(hit.resolved, a.resolve(addr + 1599).unwrap());
+        assert!(a.resolve_remap(addr + 1600).is_none());
     }
 
     #[test]

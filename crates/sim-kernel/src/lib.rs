@@ -10,6 +10,8 @@
 //!   with sizes and named fields,
 //! * a typed SLAB [`allocator::SlabAllocator`] with per-core caches, alien frees and an
 //!   **address set** log — DProf's address-to-type resolver,
+//! * the page-indexed [`addr_index::AddrIndex`] every "which object holds this address"
+//!   question is put to,
 //! * lock-stat-instrumented spinlocks ([`locks::KLock`]),
 //! * a multi-queue NIC with pfifo_fast qdiscs and the hash-vs-local transmit-queue
 //!   selection switch at the heart of the memcached case study
@@ -24,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod addr_index;
 pub mod allocator;
 pub mod kernel;
 pub mod locks;
@@ -32,9 +35,10 @@ pub mod skbuff;
 pub mod sockets;
 pub mod types;
 
+pub use addr_index::AddrIndex;
 pub use allocator::{
-    AllocRecord, AllocStats, ProfileHook, ProfileRequest, ProfiledObject, RemapTarget,
-    ResolvedAddr, SlabAllocator,
+    AddressHistory, AllocRecord, AllocStats, ProfileHook, ProfileRequest, ProfiledObject,
+    RemapTarget, ResolvedAddr, SlabAllocator,
 };
 pub use kernel::{KernelConfig, KernelState, KernelSymbols};
 pub use locks::{lock_report, KLock, LockReportRow, LockStats};

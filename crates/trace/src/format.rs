@@ -321,7 +321,9 @@ fn put_stream_header(out: &mut Vec<u8>, s: &ThreadStream) {
 
 /// Largest access length a stream may carry.  Live accesses are at most a few KiB
 /// (payload copies chunk at 64 bytes); the generous 1 MiB bound exists purely so a
-/// crafted trace cannot make replay's line-split loop iterate ~2^54 times.
+/// crafted trace cannot make replay's line-split loop iterate ~2^54 times.  An `Alloc`
+/// event's size has the same bound, for the same reason: the address index walks back
+/// `size / 4096` pages for an object's base, and no access could reach past it anyway.
 pub(crate) const MAX_ACCESS_LEN: u64 = 1 << 20;
 
 impl TraceFile {

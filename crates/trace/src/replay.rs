@@ -86,11 +86,19 @@ pub(crate) fn rebuild_universe(source: &impl TraceSource, thread: usize) -> (Mac
 /// Applies one recorded event to the rebuilt universe.  Round markers carry no machine
 /// effect; what a round boundary means is up to the caller.
 ///
+/// `Err` when the event contradicts the stream before it — a `Free` of an address no
+/// live object starts at.  The decoder cannot see that; the caller adds the event's
+/// ordinal.
+///
 /// `#[inline]` because the replay loops are generic over the event source and so are
 /// instantiated in the calling crate: without it this is an out-of-line call per event
 /// (measured at ~20 ns an event, 15 % of a what-if measurement pass).
 #[inline]
-pub(crate) fn apply_event(ev: SessionEvent, machine: &mut Machine, kernel: &mut KernelState) {
+pub(crate) fn apply_event(
+    ev: SessionEvent,
+    machine: &mut Machine,
+    kernel: &mut KernelState,
+) -> Result<(), String> {
     match ev {
         SessionEvent::RoundEnd => {}
         SessionEvent::Access {
@@ -122,11 +130,20 @@ pub(crate) fn apply_event(ev: SessionEvent, machine: &mut Machine, kernel: &mut 
             hookable,
         ),
         SessionEvent::Free { core, addr, cycle } => {
-            kernel
+            if !kernel
                 .allocator
                 .replay_free(machine, core as usize, addr, cycle)
+            {
+                return Err(non_live_free(addr));
+            }
         }
     }
+    Ok(())
+}
+
+#[cold]
+fn non_live_free(addr: u64) -> String {
+    format!("free of non-live address {addr:#x}")
 }
 
 /// A cursor feeding recorded events into the machine/kernel, one round per call.
@@ -136,9 +153,10 @@ struct EventCursor<I> {
     consumed: usize,
     /// Set if the cursor ran dry mid-round — replay divergence, reported to the user.
     exhausted: bool,
-    /// A decode error ends the stream and is parked here: the profiler's `step`
-    /// closure cannot fail, so the caller inspects it once the profiler pass finishes.
-    error: Option<TraceError>,
+    /// A decode error, or an event that cannot be applied, ends the stream and is
+    /// parked here: the profiler's `step` closure cannot fail, so the caller inspects
+    /// it once the profiler pass finishes.
+    error: Option<String>,
 }
 
 impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
@@ -151,10 +169,13 @@ impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
                     if matches!(ev, SessionEvent::RoundEnd) {
                         return;
                     }
-                    apply_event(ev, machine, kernel);
+                    if let Err(e) = apply_event(ev, machine, kernel) {
+                        self.error = Some(format!("event {}: {e}", self.consumed - 1));
+                        break;
+                    }
                 }
                 Err(e) => {
-                    self.error = Some(e);
+                    self.error = Some(e.into());
                     break;
                 }
             }
@@ -164,7 +185,8 @@ impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
 }
 
 /// Replays one stream of a full-session trace through the profiler pipeline.  Decode
-/// errors surface as `Err`.
+/// errors, and events that contradict their stream (`event 1234: free of non-live
+/// address 0x…`), surface as `Err`.
 ///
 /// # Panics
 /// Panics if `thread` is out of range.
@@ -208,7 +230,7 @@ pub fn replay_stream_streaming(
 
     let profile = Dprof::new(config).run(&mut machine, &mut kernel, |m, k| cursor.run_round(m, k));
     if let Some(e) = cursor.error {
-        return Err(e.into());
+        return Err(e);
     }
 
     let mut type_names: HashMap<TypeId, String> = profile
@@ -261,10 +283,11 @@ pub fn available_workers() -> usize {
 /// shared counter, and returns the results in job order — so nothing a caller derives
 /// from them can depend on which worker ran what, or when.
 ///
-/// Jobs always run on a worker, never on the calling thread: a panic while applying a
-/// semantically inconsistent event stream (e.g. a crafted free of a never allocated
-/// address) then costs only that job, which reports `replay thread panicked`; the
-/// worker goes on to the next index and every thread is joined before this returns.
+/// Jobs always run on a worker, never on the calling thread, and a job that panics
+/// costs only itself: it reports `replay thread panicked`, the worker goes on to the
+/// next index and every thread is joined before this returns.  (What a crafted stream
+/// is known to be able to do — a free of a never-allocated address, an allocation of
+/// 2^64 bytes — is an ordinary `Err` naming the event, not a panic.)
 fn fan_out<T: Send>(
     workers: usize,
     jobs: usize,

@@ -522,8 +522,8 @@ impl<R: Read> EventReader<R> {
     }
 
     /// Counts the event and validates it against the declared machine — core in
-    /// range, sane access extents — so a decodable-but-invalid trace is rejected here
-    /// instead of panicking or hanging mid-replay.
+    /// range, sane access and allocation extents — so a decodable-but-invalid trace is
+    /// rejected here instead of panicking or hanging mid-replay.
     #[inline(always)]
     fn emit(&mut self, ev: SessionEvent) -> Result<Option<SessionEvent>, TraceError> {
         let i = self.produced;
@@ -538,9 +538,20 @@ impl<R: Read> EventReader<R> {
             SessionEvent::Access {
                 core, addr, len, ..
             } => (core, Some((addr, len))),
-            SessionEvent::Compute { core, .. }
-            | SessionEvent::Alloc { core, .. }
-            | SessionEvent::Free { core, .. } => (core, None),
+            SessionEvent::Alloc {
+                core, addr, size, ..
+            } => {
+                // Nothing longer can be accessed in one event, and the address index
+                // looks back `size / 4096` pages for an object's base.
+                if size > MAX_ACCESS_LEN || addr.checked_add(size).is_none() {
+                    return Err(TraceError::Corrupt(format!(
+                        "event {i} allocates {size} bytes at {addr:#x} (at most \
+                         {MAX_ACCESS_LEN}, and inside the address space)"
+                    )));
+                }
+                (core, None)
+            }
+            SessionEvent::Compute { core, .. } | SessionEvent::Free { core, .. } => (core, None),
             SessionEvent::RoundEnd => return Ok(Some(ev)),
         };
         if core as usize >= self.cores {
@@ -924,6 +935,35 @@ mod tests {
     }
 
     #[test]
+    fn oversized_and_wrapping_allocation_extents_are_rejected() {
+        let alloc = |size, addr| SessionEvent::Alloc {
+            core: 0,
+            type_id: 0,
+            size,
+            addr,
+            cycle: 1,
+            hookable: true,
+        };
+        assert!(decode(vec![alloc(0, u64::MAX), alloc(MAX_ACCESS_LEN, 0x1000)]).is_ok());
+        assert!(decode(vec![alloc(MAX_ACCESS_LEN, u64::MAX - MAX_ACCESS_LEN)]).is_ok());
+        for (size, addr) in [
+            (MAX_ACCESS_LEN + 1, 0x1000),
+            (u64::MAX, 0x1000),
+            (8, u64::MAX - 3),
+        ] {
+            // The message alone says which event, how much, and where.
+            let message = format!("event 1 allocates {size} bytes at {addr:#x}");
+            assert!(
+                matches!(
+                    decode(vec![SessionEvent::RoundEnd, alloc(size, addr)]),
+                    Err(TraceError::Corrupt(m)) if m.contains(&message)
+                ),
+                "an allocation of {size} bytes at {addr:#x} must be rejected"
+            );
+        }
+    }
+
+    #[test]
     fn hostile_byte_len_is_an_error_not_a_panic() {
         // A declared event-region length is a seek target; none of these fit in the
         // file, and the largest overflow `offset + byte_len`.
@@ -1012,8 +1052,8 @@ mod tests {
                 SessionEvent::Alloc {
                     core: 1,
                     type_id: u32::MAX,
-                    size: u64::MAX,
-                    addr: u64::MAX,
+                    size: MAX_ACCESS_LEN,
+                    addr: u64::MAX - MAX_ACCESS_LEN,
                     cycle: u64::MAX,
                     hookable: true,
                 },

@@ -31,9 +31,13 @@
 use crate::format::TypeDump;
 use crate::replay::{apply_event, available_workers, for_each_stream, rebuild_universe};
 use crate::source::TraceSource;
-use sim_kernel::{RemapTarget, TypeId};
+use sim_cache::line_table::BuildMixHasher;
+use sim_kernel::{AddrIndex, RemapTarget, TypeId};
 use sim_machine::SessionEvent;
-use std::collections::{BTreeMap, HashMap};
+
+/// The tables here are keyed by addresses, granules and cores and probed on every
+/// access; nothing reads them in iteration order except to sum or take a maximum.
+type MixMap<K, V> = std::collections::HashMap<K, V, BuildMixHasher>;
 
 /// Base of the shadow address range counterfactual layouts are carved from.  Far above
 /// the allocator's heap (`0x0001_0000_0000`), so rewritten and pass-through traffic can
@@ -199,17 +203,17 @@ enum Mode {
     Identity,
     /// `base -> shadow region` (one line per 8-byte granule).
     Pad {
-        shadow: HashMap<u64, u64>,
+        shadow: MixMap<u64, u64>,
     },
     /// `(base, accessing core) -> shadow region` (a private copy per core).
     Localize {
-        shadow: HashMap<(u64, u32), u64>,
+        shadow: MixMap<(u64, u32), u64>,
     },
     Pin,
     /// `base -> shadow region` of `bytes` compacted bytes.
     Shrink {
         bytes: u64,
-        shadow: HashMap<u64, u64>,
+        shadow: MixMap<u64, u64>,
     },
 }
 
@@ -237,15 +241,15 @@ impl Transform {
         let mode = match spec {
             FixSpec::Identity => Mode::Identity,
             FixSpec::Pad { .. } => Mode::Pad {
-                shadow: HashMap::new(),
+                shadow: MixMap::default(),
             },
             FixSpec::Localize { .. } => Mode::Localize {
-                shadow: HashMap::new(),
+                shadow: MixMap::default(),
             },
             FixSpec::Pin { .. } => Mode::Pin,
             FixSpec::Shrink { bytes, .. } => Mode::Shrink {
                 bytes: *bytes,
-                shadow: HashMap::new(),
+                shadow: MixMap::default(),
             },
         };
         let target = match mode {
@@ -359,7 +363,9 @@ impl WhatifMeasure {
 }
 
 /// Replays one stream under `spec` with **no profiler in the loop**, recording the
-/// makespan at every post-warmup round boundary.  Decode errors surface as `Err`.
+/// makespan at every post-warmup round boundary.  Decode errors, and events that
+/// contradict their stream (`event 1234: free of non-live address 0x…`), surface as
+/// `Err`.
 ///
 /// # Panics
 /// Panics if `thread` is out of range.
@@ -383,7 +389,7 @@ pub fn measure_stream_streaming(
     let mut warmup_clock = 0u64;
     let mut round_clocks = Vec::new();
 
-    for ev in source.events(thread)? {
+    for (i, ev) in source.events(thread)?.enumerate() {
         match ev? {
             SessionEvent::RoundEnd => {
                 round += 1;
@@ -392,6 +398,7 @@ pub fn measure_stream_streaming(
                 } else if round > warmup_boundary {
                     round_clocks.push(machine.max_clock());
                 }
+                Ok(())
             }
             ev @ SessionEvent::Access {
                 core, addr, len, ..
@@ -402,10 +409,11 @@ pub fn measure_stream_streaming(
                     ev.with_access_target(core, addr, len),
                     &mut machine,
                     &mut kernel,
-                );
+                )
             }
             ev => apply_event(ev, &mut machine, &mut kernel),
         }
+        .map_err(|e| format!("event {i}: {e}"))?;
     }
 
     Ok(WhatifMeasure {
@@ -445,32 +453,40 @@ pub struct SharingProfile {
     pub concurrency: f64,
 }
 
-/// One type's running state in the sharing walk.  Types share nothing — each has its
-/// own live map, granule table and round masks — so a type's profile does not depend
-/// on which other types are walked beside it.
+/// One type's running state in the sharing walk.  Types share the index of live
+/// objects — an object is of one type — and nothing else: each has its own granule
+/// tables and round masks, so a type's profile does not depend on which other types
+/// are walked beside it.
 #[derive(Default)]
 struct SharingState {
     /// The type's id in the stream being walked (`None`: the stream never registered
     /// it, and none of its events can concern the type).
     target: Option<TypeId>,
-    /// Live objects of the type, `base -> size`, from its `Alloc`/`Free` events.
-    live: BTreeMap<u64, u64>,
-    /// `(base, granule) -> core -> accesses`.
-    granules: HashMap<(u64, u64), HashMap<u32, u64>>,
+    /// `(base, granule, core) -> accesses`.
+    granule_cores: MixMap<(u64, u64, u32), u64>,
+    /// `(base, granule) -> accesses of its dominant core`: the largest count
+    /// `granule_cores` holds for the granule.
+    granule_owner: MixMap<(u64, u64), u64>,
     /// `base -> mask of cores that touched the object this round`.
-    round_cores: HashMap<u64, u128>,
+    round_cores: MixMap<u64, u128>,
     accesses: u64,
     object_rounds: u64,
     core_sum: u64,
 }
 
 impl SharingState {
+    fn record_access(&mut self, base: u64, offset: u64, core: u32) {
+        self.accesses += 1;
+        let granule = offset / 8;
+        let by_core = self.granule_cores.entry((base, granule, core)).or_insert(0);
+        *by_core += 1;
+        let owner = self.granule_owner.entry((base, granule)).or_insert(0);
+        *owner = (*owner).max(*by_core);
+        *self.round_cores.entry(base).or_insert(0) |= 1u128 << core.min(127);
+    }
+
     fn profile(&self) -> SharingProfile {
-        let owner_sum: u64 = self
-            .granules
-            .values()
-            .map(|by_core| by_core.values().copied().max().unwrap_or(0))
-            .sum();
+        let owner_sum: u64 = self.granule_owner.values().sum();
         SharingProfile {
             accesses: self.accesses,
             foreign_fraction: if self.accesses == 0 {
@@ -488,21 +504,24 @@ impl SharingState {
 }
 
 /// Computes the [`SharingProfile`] of every type in `type_names` (in that order) by a
-/// single pass over every stream's events, tracking each type's live intervals from
-/// its `Alloc`/`Free` events.  A stream that registered none of the types is not
-/// decoded at all.  Decode errors surface as `Err`.
+/// single pass over every stream's events, tracking the live objects of those types
+/// from their `Alloc`/`Free` events in one [`AddrIndex`] whose payload is the type's
+/// position in `type_names` — an access is looked up once, not once per type.  A
+/// stream that registered none of the types is not decoded at all.  Decode errors
+/// surface as `Err`.
 pub fn analyze_sharing(
     source: &impl TraceSource,
     type_names: &[&str],
 ) -> Result<Vec<SharingProfile>, String> {
     let mut states: Vec<SharingState> = type_names.iter().map(|_| Default::default()).collect();
+    let mut live: AddrIndex<usize> = AddrIndex::new();
     for thread in 0..source.stream_count() {
         let types = source.stream(thread).types;
         for (state, name) in states.iter_mut().zip(type_names) {
             state.target = stream_type_id(types, name);
-            state.live.clear();
             state.round_cores.clear();
         }
+        live.clear();
         if states.iter().all(|s| s.target.is_none()) {
             continue;
         }
@@ -514,33 +533,17 @@ pub fn analyze_sharing(
                     addr,
                     ..
                 } => {
-                    for s in states.iter_mut() {
-                        if s.target == Some(TypeId(type_id)) {
-                            s.live.insert(addr, size);
-                        }
+                    let target = Some(TypeId(type_id));
+                    if let Some(slot) = states.iter().position(|s| s.target == target) {
+                        live.insert(addr, size, slot);
                     }
                 }
                 SessionEvent::Free { addr, .. } => {
-                    for s in states.iter_mut() {
-                        s.live.remove(&addr);
-                    }
+                    live.remove(addr);
                 }
                 SessionEvent::Access { core, addr, .. } => {
-                    for s in states.iter_mut() {
-                        let Some((&base, &size)) = s.live.range(..=addr).next_back() else {
-                            continue;
-                        };
-                        if addr >= base + size {
-                            continue;
-                        }
-                        s.accesses += 1;
-                        let granule = (addr - base) / 8;
-                        *s.granules
-                            .entry((base, granule))
-                            .or_default()
-                            .entry(core)
-                            .or_insert(0) += 1;
-                        *s.round_cores.entry(base).or_insert(0u128) |= 1u128 << (core.min(127));
+                    if let Some(obj) = live.find(addr) {
+                        states[obj.payload].record_access(obj.base, addr - obj.base, core);
                     }
                 }
                 SessionEvent::RoundEnd => {
@@ -558,7 +561,12 @@ pub fn analyze_sharing(
             }
         }
     }
-    Ok(states.iter().map(SharingState::profile).collect())
+    // A name given twice is one type: its objects were filed under its first position.
+    let first = |name| type_names.iter().position(|n| n == name);
+    Ok(type_names
+        .iter()
+        .map(|name| states[first(name).expect("is in the list")].profile())
+        .collect())
 }
 
 #[cfg(test)]

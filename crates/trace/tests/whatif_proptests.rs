@@ -9,19 +9,20 @@
 //! * Every transform is deterministic: the same event sequence through two freshly
 //!   built transforms (or two measurement replays) yields identical results.
 //! * The sharing walk keeps its types apart: walking many types at once gives each the
-//!   profile it gets walked alone.
+//!   profile it gets walked alone — and the profile the walk gave when every type kept
+//!   a `BTreeMap` of its own live objects.
 
 use dprof_core::{Dprof, DprofConfig, HistoryConfig};
 use dprof_trace::whatif::{stream_type_id, SHADOW_BASE};
 use dprof_trace::{
     analyze_sharing, measure_stream_streaming, trace_type_names, EventEncoder, FieldDump, FixSpec,
-    SessionParams, ThreadStream, TraceFile, TraceKind, TraceReader, TraceSource, Transform,
-    TypeDump,
+    SessionParams, SharingProfile, ThreadStream, TraceFile, TraceKind, TraceReader, TraceSource,
+    Transform, TypeDump,
 };
 use proptest::prelude::*;
 use sim_kernel::{RemapTarget, ResolvedAddr, TypeId};
-use sim_machine::SamplingPolicy;
-use std::collections::HashMap;
+use sim_machine::{AccessKind, FunctionId, MachineConfig, SamplingPolicy, SessionEvent};
+use std::collections::{BTreeMap, HashMap};
 use workloads::{Memcached, MemcachedConfig, Workload};
 
 const LINE: u64 = 64;
@@ -308,4 +309,207 @@ fn one_sharing_walk_equals_a_walk_per_type() {
     assert!(assert_fused_walk_equals_per_type(&file, "two streams") > 2);
     let split = analyze_sharing(&file, &[hot, "size-1024-renamed"]).unwrap();
     assert!(split[0].accesses > 0 && split[1].accesses > 0);
+}
+
+/// The sharing walk as it was before the address index: each type keeps a `BTreeMap`
+/// of its own live objects and a heap map of cores per touched granule, and every
+/// access is looked up once per type.
+fn sharing_walk_oracle(file: &TraceFile, type_names: &[&str]) -> Vec<SharingProfile> {
+    #[derive(Default)]
+    struct State {
+        target: Option<TypeId>,
+        live: BTreeMap<u64, u64>,
+        granules: HashMap<(u64, u64), HashMap<u32, u64>>,
+        round_cores: HashMap<u64, u128>,
+        accesses: u64,
+        object_rounds: u64,
+        core_sum: u64,
+    }
+    let mut states: Vec<State> = type_names.iter().map(|_| State::default()).collect();
+    for stream in &file.streams {
+        for (state, name) in states.iter_mut().zip(type_names) {
+            state.target = stream_type_id(&stream.types, name);
+            state.live.clear();
+            state.round_cores.clear();
+        }
+        for ev in dprof_trace::EventReader::over(&stream.events, file.params.cores) {
+            match ev.expect("generated streams decode") {
+                SessionEvent::Alloc {
+                    type_id,
+                    size,
+                    addr,
+                    ..
+                } => {
+                    for s in states.iter_mut() {
+                        if s.target == Some(TypeId(type_id)) {
+                            s.live.insert(addr, size);
+                        }
+                    }
+                }
+                SessionEvent::Free { addr, .. } => {
+                    for s in states.iter_mut() {
+                        s.live.remove(&addr);
+                    }
+                }
+                SessionEvent::Access { core, addr, .. } => {
+                    for s in states.iter_mut() {
+                        let Some((&base, &size)) = s.live.range(..=addr).next_back() else {
+                            continue;
+                        };
+                        if addr >= base + size {
+                            continue;
+                        }
+                        s.accesses += 1;
+                        let by_core = s.granules.entry((base, (addr - base) / 8)).or_default();
+                        *by_core.entry(core).or_insert(0) += 1;
+                        *s.round_cores.entry(base).or_insert(0) |= 1u128 << core.min(127);
+                    }
+                }
+                SessionEvent::RoundEnd => {
+                    for s in states.iter_mut() {
+                        for mask in s.round_cores.values_mut().filter(|m| **m != 0) {
+                            s.object_rounds += 1;
+                            s.core_sum += mask.count_ones() as u64;
+                            *mask = 0;
+                        }
+                    }
+                }
+                SessionEvent::Compute { .. } => {}
+            }
+        }
+    }
+    states
+        .iter()
+        .map(|s| {
+            let owner_sum: u64 = (s.granules.values())
+                .map(|by_core| by_core.values().copied().max().unwrap_or(0))
+                .sum();
+            SharingProfile {
+                accesses: s.accesses,
+                foreign_fraction: if s.accesses == 0 {
+                    0.0
+                } else {
+                    (s.accesses - owner_sum) as f64 / s.accesses as f64
+                },
+                concurrency: if s.object_rounds == 0 {
+                    0.0
+                } else {
+                    s.core_sum as f64 / s.object_rounds as f64
+                },
+            }
+        })
+        .collect()
+}
+
+/// Five types; a stream registers them from `first_type` on, so the same name has a
+/// different id in each stream.
+const SHARED_TYPES: [(&str, u64); 5] = [
+    ("granule", 8),
+    ("line", 64),
+    ("skb", 256),
+    ("sock", 1_600),
+    ("pages", 9_000),
+];
+
+/// One generated stream: slots 9 600 bytes apart from an odd base (so objects start
+/// anywhere in a page, the larger ones straddle one or two boundaries, and none
+/// overlap), each recycled by whatever type comes next; accesses inside objects, at
+/// their edges, in the gaps and at freed slots; a round marker now and then.
+fn sharing_stream(first_type: usize, ops: &[((u8, u8, u8), u32, u64)]) -> ThreadStream {
+    const HEAP: u64 = 0x1_0000_0f38;
+    let types: Vec<TypeDump> = (0..SHARED_TYPES.len())
+        .map(|i| SHARED_TYPES[(first_type + i) % SHARED_TYPES.len()])
+        .map(|(name, size)| TypeDump {
+            name: name.to_string(),
+            description: String::new(),
+            size,
+            fields: Vec::new(),
+        })
+        .collect();
+    let mut live: [Option<u64>; 12] = [None; 12];
+    let mut events = Vec::new();
+    for (cycle, &((op, slot, ty), core, at)) in ops.iter().enumerate() {
+        let slot = slot as usize % live.len();
+        let addr = HEAP + slot as u64 * 9_600;
+        match (op, live[slot]) {
+            (0..=2, None) => {
+                let type_id = ty as usize % types.len();
+                live[slot] = Some(types[type_id].size);
+                events.push(SessionEvent::Alloc {
+                    core,
+                    type_id: type_id as u32,
+                    size: types[type_id].size,
+                    addr,
+                    cycle: cycle as u64,
+                    hookable: true,
+                });
+            }
+            (0..=2, Some(_)) => {
+                live[slot] = None;
+                events.push(SessionEvent::Free {
+                    core,
+                    addr,
+                    cycle: cycle as u64,
+                });
+            }
+            (3, _) => events.push(SessionEvent::RoundEnd),
+            _ => {
+                // From 16 bytes before the slot to 16 past the largest object's end.
+                let size = live[slot].unwrap_or(256);
+                events.push(SessionEvent::Access {
+                    core,
+                    ip: FunctionId(0),
+                    addr: addr - 16 + at % (size + 32),
+                    len: 8,
+                    kind: AccessKind::Read,
+                });
+            }
+        }
+    }
+    events.push(SessionEvent::RoundEnd);
+    ThreadStream {
+        seed: 1,
+        requests: 0,
+        symbols: vec!["f".to_string()],
+        types,
+        events: events.into(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On generated multi-type, two-stream traces the walk over one shared address
+    /// index gives every type — asked for together, in any order, one of them twice,
+    /// one of them unknown — the profile the per-type-`BTreeMap` walk gives it.
+    #[test]
+    fn sharing_walk_equals_the_per_type_btreemap_walk(
+        first in proptest::collection::vec(((0u8..12, 0u8..12, 0u8..5), 0u32..4, 0u64..20_000), 1..500),
+        second in proptest::collection::vec(((0u8..12, 0u8..12, 0u8..5), 0u32..4, 0u64..20_000), 1..500),
+    ) {
+        let file = TraceFile {
+            kind: TraceKind::FullSession,
+            machine: MachineConfig::with_cores(4),
+            params: SessionParams {
+                workload: "generated".into(),
+                threads: 2,
+                cores: 4,
+                warmup_rounds: 0,
+                sample_rounds: 1,
+                sampling: SamplingPolicy::Fixed { interval_ops: 120 },
+                history_types: 1,
+                history_sets: 1,
+                base_seed: 1,
+            },
+            streams: vec![sharing_stream(0, &first), sharing_stream(2, &second)],
+        };
+        let names = ["sock", "granule", "__no_such_type", "pages", "sock", "skb", "line"];
+        let walked = analyze_sharing(&file, &names).expect("generated streams decode");
+        let oracle = sharing_walk_oracle(&file, &names);
+        for ((name, walked), oracle) in names.iter().zip(&walked).zip(&oracle) {
+            prop_assert_eq!(walked, oracle, "type '{}'", name);
+        }
+        prop_assert_eq!(walked[0], walked[4], "a name given twice is one type");
+        prop_assert_eq!(walked[2].accesses, 0);
+    }
 }
