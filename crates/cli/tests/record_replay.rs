@@ -336,14 +336,13 @@ fn replay_rejects_garbage_and_missing_files() {
     let _ = std::fs::remove_file(bogus);
 }
 
-/// The golden memcached trace with `hostile` inserted as event `at` of its stream.
-fn golden_with_event(at: usize, hostile: SessionEvent, name: &str) -> String {
+/// The golden memcached trace in memory, and its stream's events decoded.
+fn golden_session() -> (TraceFile, Vec<SessionEvent>) {
     let golden = golden_dir().join("memcached_quick.dtrace");
     let reader = TraceReader::open(golden.to_str().unwrap()).expect("golden trace opens");
-    let mut events: Vec<SessionEvent> = (reader.events(0).expect("stream opens"))
+    let events: Vec<SessionEvent> = (reader.events(0).expect("stream opens"))
         .collect::<Result<_, _>>()
         .expect("golden trace decodes");
-    events.insert(at, hostile);
     let header = &reader.headers()[0];
     let file = TraceFile {
         kind: reader.kind,
@@ -354,12 +353,58 @@ fn golden_with_event(at: usize, hostile: SessionEvent, name: &str) -> String {
             requests: header.requests,
             symbols: header.symbols.clone(),
             types: header.types.clone(),
-            events: events.into(),
+            events: events.clone().into(),
         }],
     };
+    (file, events)
+}
+
+/// The golden memcached trace with `hostile` inserted as event `at` of its stream.
+fn golden_with_event(at: usize, hostile: SessionEvent, name: &str) -> String {
+    let (mut file, mut events) = golden_session();
+    events.insert(at, hostile);
+    file.streams[0].events = events.into();
     let path = tmp(name);
     file.write(&path).expect("hostile trace writes");
     path
+}
+
+/// Runs the real binary, killing it (and failing) if it has not exited in 30 s: the
+/// inputs below used to make it spin.
+fn dprof_output(args: &[&str]) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dprof"))
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("{args:?} still running after 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+/// `replay`, `whatif --auto` and `whatif --fix` of `trace` each exit 1 with exactly
+/// one `error:` line, which contains `message`, and no panic.
+fn assert_one_error_line(trace: &str, message: &str) {
+    for args in [
+        vec!["replay", trace],
+        vec!["whatif", trace, "--auto"],
+        vec!["whatif", trace, "--fix", "pad:skbuff"],
+    ] {
+        let output = dprof_output(&args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+        assert!(errors[0].contains(message), "{args:?}: {}", errors[0]);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -395,22 +440,62 @@ fn hostile_alloc_and_free_events_are_one_error_line_naming_event_and_address() {
             "stream 0: corrupt trace: event 77 allocates 18446744073709551615 bytes at 0x1000",
         ),
     ] {
-        for args in [
-            vec!["replay", trace.as_str()],
-            vec!["whatif", trace.as_str(), "--auto"],
-            vec!["whatif", trace.as_str(), "--fix", "pad:skbuff"],
-        ] {
-            let output = Command::new(env!("CARGO_BIN_EXE_dprof"))
-                .args(&args)
-                .output()
-                .unwrap();
-            assert_eq!(output.status.code(), Some(1), "{args:?}");
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
-            assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
-            assert!(errors[0].contains(message), "{args:?}: {}", errors[0]);
-            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        }
+        assert_one_error_line(trace, message);
+        let _ = std::fs::remove_file(trace);
+    }
+}
+
+/// The prologue is input too: a cache geometry the simulator's tables cannot be sized
+/// from, and round counts no stream of the file could hold.  At the parent the first
+/// two aborted on a 128 TiB and a 4 PiB allocation, the third panicked in the
+/// utilization view, the fourth replayed to a report, and the last three spun until
+/// killed.
+#[test]
+fn hostile_prologues_are_one_error_line_naming_level_and_value() {
+    type Edit = fn(&mut TraceFile);
+    let cases: [(&str, Edit, &str); 7] = [
+        (
+            "l3-sets",
+            |f| f.machine.hierarchy.l3.sets = 1 << 40,
+            "corrupt trace: L3 cache geometry: 1099511627776 sets of 16 ways is more than 16777216 slots",
+        ),
+        (
+            "l2-ways",
+            |f| f.machine.hierarchy.l2.ways = 1 << 40,
+            "corrupt trace: L2 cache geometry: 1099511627776 ways, 1..=255 supported",
+        ),
+        (
+            "l1-line",
+            |f| f.machine.hierarchy.l1.line_size = 1,
+            "corrupt trace: L1 cache geometry: line size 1 is not a power of two in 8..=64",
+        ),
+        (
+            "l2-line",
+            |f| f.machine.hierarchy.l2.line_size = 32,
+            "corrupt trace: L2 cache geometry: line size 32 differs from the L1's 64",
+        ),
+        (
+            "warmup",
+            |f| f.params.warmup_rounds = 1 << 51,
+            "corrupt trace: 2251799813685248 warmup and 25 sample rounds, but the shortest stream has",
+        ),
+        (
+            "rounds",
+            |f| f.params.sample_rounds = 1 << 51,
+            "corrupt trace: 4 warmup and 2251799813685248 sample rounds, but the shortest stream has",
+        ),
+        (
+            "history-sets",
+            |f| f.params.history_sets = 1 << 51,
+            "corrupt trace: 2251799813685248 history sets, but the shortest stream has",
+        ),
+    ];
+    for (name, edit, message) in cases {
+        let (mut file, _) = golden_session();
+        edit(&mut file);
+        let trace = tmp(&format!("prologue-{name}.dtrace"));
+        file.write(&trace).expect("hostile trace writes");
+        assert_one_error_line(&trace, message);
         let _ = std::fs::remove_file(trace);
     }
 }

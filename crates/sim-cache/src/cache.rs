@@ -2,10 +2,16 @@
 //!
 //! The cache is the innermost data structure of the simulator: every memory access
 //! probes two or three of them.  Lines are therefore kept as packed parallel vectors
-//! (`tags` / `states` / `last_used`) rather than `Vec<Option<CacheLine>>`:
+//! (`tags` / `states` / `ranks`, ten bytes a slot) rather than `Vec<Option<CacheLine>>`:
 //! a way-scan touches a dense run of eight-byte tags instead of striding over 32-byte
 //! option-wrapped structs, and the invalid-slot check is a tag compare against a
 //! sentinel instead of an `Option` discriminant load.
+//!
+//! LRU order is a one-byte *recency rank* per slot: within a set the ranks are a
+//! permutation of `0..ways`, 0 the most recently used way.  A use of the way ranked `r`
+//! moves the ways ranked below `r` down by one and ranks it 0, so the way ranked
+//! `ways - 1` is the least recently used: strict LRU, as an eight-byte stamp per slot
+//! kept it.  An invalidated way keeps its rank and is reused before any eviction.
 
 use crate::geometry::CacheGeometry;
 use crate::line::{CacheLine, MesiState};
@@ -27,25 +33,18 @@ const INVALID: LineAddr = LineAddr::MAX;
 /// [`INVALID`] itself, and gets the first empty way.
 #[inline]
 fn find_way(tags: &[LineAddr], line: LineAddr) -> Option<usize> {
-    let mut i = 0;
-    while i + 8 <= tags.len() {
-        let chunk: &[LineAddr; 8] = tags[i..i + 8].try_into().unwrap();
+    let (chunks, tail) = tags.as_chunks::<8>();
+    for (c, chunk) in chunks.iter().enumerate() {
         let mut mask = 0u32;
         for (j, &t) in chunk.iter().enumerate() {
             mask |= u32::from((t ^ line) == 0) << j;
         }
         if mask != 0 {
-            return Some(i + mask.trailing_zeros() as usize);
+            return Some(c * 8 + mask.trailing_zeros() as usize);
         }
-        i += 8;
     }
-    while i < tags.len() {
-        if tags[i] == line {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
+    let way = tail.iter().position(|&t| t == line)?;
+    Some(chunks.len() * 8 + way)
 }
 
 /// Opt-in tracker of distinct line addresses installed per associativity set.
@@ -90,10 +89,9 @@ pub struct SetAssocCache {
     tags: Vec<LineAddr>,
     /// Coherence state per slot (meaningful only where the tag is valid).
     states: Vec<MesiState>,
-    /// LRU timestamp per slot.
-    last_used: Vec<u64>,
-    /// Monotonic access counter used as the LRU clock.
-    tick: u64,
+    /// Recency rank per slot: a permutation of `0..ways` within each set, 0 the most
+    /// recently used way (see the module docs).
+    ranks: Vec<u8>,
     /// Hit/miss/eviction statistics.
     pub stats: CacheStats,
     /// Opt-in distinct-lines-per-set tracking for the conflict analysis.
@@ -107,14 +105,15 @@ impl SetAssocCache {
     /// distinct-line counts from the simulated caches themselves.  (The shipped
     /// working-set view computes its histogram from allocation records instead, so
     /// nothing in the profiler pays for tracking it does not use.)
+    /// Panics on more than [`CacheGeometry::MAX_WAYS`] ways: a rank is one byte.
     pub fn new(geometry: CacheGeometry) -> Self {
+        assert!(geometry.ways <= CacheGeometry::MAX_WAYS, "too many ways");
         let slot_count = geometry.sets * geometry.ways;
         SetAssocCache {
             geometry,
             tags: vec![INVALID; slot_count],
             states: vec![MesiState::Invalid; slot_count],
-            last_used: vec![0; slot_count],
-            tick: 0,
+            ranks: (0..slot_count).map(|i| (i % geometry.ways) as u8).collect(),
             stats: CacheStats::default(),
             conflict: None,
         }
@@ -148,6 +147,12 @@ impl SetAssocCache {
             .unwrap_or(0)
     }
 
+    /// Heap bytes of the cache's tables (tag, state and rank per slot) and tracker.
+    pub fn heap_bytes(&self) -> usize {
+        let slot = size_of::<LineAddr>() + size_of::<MesiState>() + size_of::<u8>();
+        self.tags.len() * slot + self.conflict_tracking_bytes()
+    }
+
     /// The cache geometry.
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry
@@ -158,10 +163,25 @@ impl SetAssocCache {
         self.geometry.set_index_of_line(line) * self.geometry.ways
     }
 
+    /// Ranks slot `i`, in `line`'s set, that set's most recent: its rank becomes 0 and
+    /// every rank below it moves down by one.  Selects written as arithmetic (`+ 1`
+    /// where below, `& 0` where equal), eight ranks at a time, so an 8-way set is one
+    /// vector operation and one store; no early return for a slot already ranked 0,
+    /// a branch the host cannot predict (the update leaves such a set as it was).
     #[inline]
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    fn touch(&mut self, line: LineAddr, i: usize) {
+        let base = self.set_base(line);
+        let rank = self.ranks[i];
+        let moved = |r: u8| (r + u8::from(r < rank)) & u8::from(r == rank).wrapping_sub(1);
+        let (chunks, tail) = self.ranks[base..base + self.geometry.ways].as_chunks_mut::<8>();
+        for chunk in chunks {
+            for r in chunk {
+                *r = moved(*r);
+            }
+        }
+        for r in tail {
+            *r = moved(*r);
+        }
     }
 
     /// Slot index of a resident line, if present.
@@ -178,10 +198,9 @@ impl SetAssocCache {
     /// again.  The slot is valid until the next `fill` or `invalidate` on this cache.
     #[inline]
     pub fn lookup(&mut self, line: LineAddr) -> Option<(usize, MesiState)> {
-        let now = self.bump();
         match self.slot_of(line) {
             Some(i) => {
-                self.last_used[i] = now;
+                self.touch(line, i);
                 self.stats.hits += 1;
                 Some((i, self.states[i]))
             }
@@ -193,14 +212,13 @@ impl SetAssocCache {
     }
 
     /// Combined `contains` + `lookup` for callers that only want to refresh a line
-    /// already resident: on a hit this is exactly `lookup` (tick bump, LRU refresh,
-    /// hit count); on a miss the cache is left completely untouched — the same end
-    /// state a separate `contains()` pre-check would leave, in a single way scan.
+    /// already resident: on a hit this is exactly `lookup` (LRU refresh, hit count);
+    /// on a miss the cache is left completely untouched — the same end state a
+    /// separate `contains()` pre-check would leave, in a single way scan.
     #[inline]
     pub fn touch_existing(&mut self, line: LineAddr) -> Option<MesiState> {
         let i = self.slot_of(line)?;
-        let now = self.bump();
-        self.last_used[i] = now;
+        self.touch(line, i);
         self.stats.hits += 1;
         Some(self.states[i])
     }
@@ -236,12 +254,10 @@ impl SetAssocCache {
         self.states[slot] = state;
     }
 
-    /// Counts a miss the caller already knows about (the hierarchy's directory says
-    /// this cache lacks the line): exactly what [`Self::lookup`] does when its way
-    /// scan finds nothing, without the scan.
+    /// Counts a miss the hierarchy's directory already answered: what [`Self::lookup`]
+    /// does when its way scan finds nothing, without the scan.
     #[inline]
     pub(crate) fn note_miss(&mut self) {
-        self.bump();
         self.stats.misses += 1;
     }
 
@@ -253,42 +269,36 @@ impl SetAssocCache {
         let Some(i) = self.slot_of(line) else {
             return self.place(line, state);
         };
-        let now = self.bump();
         self.note_conflict(line);
         self.states[i] = state;
-        self.last_used[i] = now;
+        self.touch(line, i);
         None
     }
 
     /// [`Self::fill`] for a line the caller knows is absent, and the one
     /// victim-selection routine: the first invalid way if the set has one, else the
-    /// least recently used way (the first of them on a tie).  Neither step branches
-    /// per way: the invalid way comes from the chunked tag compare, the victim from an
-    /// arg-min written as selects.
+    /// least recently used way — the one ranked `ways - 1`.
     pub(crate) fn place(&mut self, line: LineAddr, state: MesiState) -> Option<CacheLine> {
         debug_assert!(!self.contains(line), "place of a resident line");
-        let now = self.bump();
         self.note_conflict(line);
         let base = self.set_base(line);
         let ways = self.geometry.ways;
         self.stats.fills += 1;
 
-        if let Some(free) = find_way(&self.tags[base..base + ways], INVALID) {
-            self.install(base + free, line, state, now);
-            return None;
-        }
-
-        let used = &self.last_used[base..base + ways];
-        let (mut victim, mut oldest) = (0, used[0]);
-        for (w, &u) in used.iter().enumerate().skip(1) {
-            let older = u < oldest;
-            victim = if older { w } else { victim };
-            oldest = if older { u } else { oldest };
-        }
-        let evicted = self.line_at(base + victim);
-        self.install(base + victim, line, state, now);
-        self.stats.evictions += 1;
-        Some(evicted)
+        let (i, evicted) = match find_way(&self.tags[base..base + ways], INVALID) {
+            Some(free) => (base + free, None),
+            None => {
+                let mut set = self.ranks[base..base + ways].iter();
+                let lru = set.position(|&r| r as usize == ways - 1);
+                let i = base + lru.expect("a set's ranks are a permutation of 0..ways");
+                self.stats.evictions += 1;
+                (i, Some(self.line_at(i)))
+            }
+        };
+        self.tags[i] = line;
+        self.states[i] = state;
+        self.touch(line, i);
+        evicted
     }
 
     /// Removes a line (e.g. due to a coherence invalidation).  Returns whether it was
@@ -309,13 +319,6 @@ impl SetAssocCache {
         if let Some(t) = self.conflict.as_mut() {
             t.note(self.geometry.set_index_of_line(line), line);
         }
-    }
-
-    #[inline]
-    fn install(&mut self, i: usize, line: LineAddr, state: MesiState, now: u64) {
-        self.tags[i] = line;
-        self.states[i] = state;
-        self.last_used[i] = now;
     }
 
     #[inline]
@@ -493,23 +496,10 @@ mod tests {
         assert_eq!(evicted.line, 0);
     }
 
-    #[test]
-    fn eviction_prefers_first_way_on_lru_tie() {
-        // Normal operation never produces equal timestamps (every lookup/fill bumps
-        // the tick), but the victim scan must still match the reference's
-        // `min_by_key` keep-first semantics if it ever sees one — pin it by forcing
-        // a tie directly.
-        let mut c = tiny();
-        c.fill(0, MesiState::Exclusive);
-        c.fill(4, MesiState::Exclusive);
-        c.last_used[0] = 7;
-        c.last_used[1] = 7;
-        let evicted = c.fill(8, MesiState::Exclusive).unwrap();
-        assert_eq!(evicted.line, 0, "first way must win an exact LRU tie");
-    }
-
     /// The optimized cache and the reference, driven in lockstep: every operation must
-    /// return the same thing and leave the same lines, states, LRU stamps and counts.
+    /// return the same thing and leave the same counts and, set by set, the same lines
+    /// and states in the same recency order — the reference's stamps sorted, the
+    /// ranks read off.
     struct Lockstep {
         c: SetAssocCache,
         r: crate::reference::RefSetAssocCache,
@@ -559,19 +549,30 @@ mod tests {
 
         fn check(&self) {
             assert_eq!(self.c.stats, self.r.stats);
-            let mut got: Vec<_> = (0..self.c.tags.len())
-                .filter(|&i| self.c.tags[i] != INVALID)
-                .map(|i| (self.c.tags[i], self.c.states[i], self.c.last_used[i]))
-                .collect();
-            let mut want: Vec<_> = self
-                .r
-                .resident_lines()
-                .map(|l| (l.line, l.state, l.last_used))
-                .collect();
-            // Which empty way a line lands in is not the reference's business.
-            got.sort_unstable_by_key(|l| l.0);
-            want.sort_unstable_by_key(|l| l.0);
-            assert_eq!(got, want);
+            let g = self.c.geometry;
+            for set in 0..g.sets {
+                let slots = set * g.ways..(set + 1) * g.ways;
+                // Invalid ways included: the ranks are a permutation of 0..ways.
+                let mut ranks = self.c.ranks[slots.clone()].to_vec();
+                ranks.sort_unstable();
+                assert!(ranks.iter().map(|&r| r as usize).eq(0..g.ways), "set {set}");
+                // Which way a line sits in is not the reference's business; how
+                // recently it was used, next to its set's other lines, is.
+                let mut got: Vec<_> = slots
+                    .filter(|&i| self.c.tags[i] != INVALID)
+                    .map(|i| (self.c.ranks[i], self.c.tags[i], self.c.states[i]))
+                    .collect();
+                let mut want: Vec<_> = (self.r.resident_lines())
+                    .filter(|l| g.set_index_of_line(l.line) == set)
+                    .map(|l| (std::cmp::Reverse(l.last_used), l.line, l.state))
+                    .collect();
+                got.sort_unstable_by_key(|l| l.0);
+                want.sort_unstable_by_key(|l| l.0);
+                assert!(
+                    (got.iter().map(|l| (l.1, l.2))).eq(want.iter().map(|l| (l.1, l.2))),
+                    "set {set}: {got:?} against {want:?}"
+                );
+            }
         }
 
         /// A pseudo-random fill/lookup/invalidate sequence over few enough lines that
@@ -630,8 +631,9 @@ mod tests {
         assert_eq!(m.fill(10, MesiState::Shared), Some(6));
         assert_eq!(m.fill(12, MesiState::Shared), Some(0));
         assert_eq!(m.c.tags[..4], [12, 2, 8, 10]);
-        // 8- and 16-way sets go through the chunked tag compare.
-        for ways in [8, 16, 3] {
+        // 8- and 16-way sets go through the chunked tag compare and rank update, 17
+        // through a chunk and the tail, 2, 3 and 4 through the tail alone.
+        for ways in [2, 3, 4, 8, 16, 17] {
             let mut m = Lockstep::new(ways, 4);
             m.random_ops(0xd1b5_4a32_d192_ed03 + ways as u64, 6_000);
             assert!(m.c.stats.evictions > 100, "{ways} ways: sets never filled");
@@ -660,9 +662,22 @@ mod tests {
         let mut told = scanned.clone();
         assert_eq!(scanned.lookup(8), None);
         told.note_miss();
-        // Tick, LRU stamps, contents and counts: the whole cache.
+        // Ranks, contents and counts: the whole cache.
         assert_eq!(format!("{told:?}"), format!("{scanned:?}"));
         assert_eq!(told.stats.misses, 1);
-        assert_eq!(told.tick, 3);
+    }
+
+    #[test]
+    fn the_widest_set_keeps_strict_lru_and_one_way_more_is_refused() {
+        let mut m = Lockstep::new(CacheGeometry::MAX_WAYS, 1);
+        m.random_ops(0x6a09_e667_f3bc_c908, 3_000);
+        assert!(m.c.stats.evictions > 100);
+        assert_eq!(m.c.heap_bytes(), 255 * 10);
+        let wider = CacheGeometry {
+            line_size: 64,
+            ways: CacheGeometry::MAX_WAYS + 1,
+            sets: 1,
+        };
+        assert!(std::panic::catch_unwind(|| SetAssocCache::new(wider)).is_err());
     }
 }

@@ -19,17 +19,22 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
+    /// Largest associativity a cache can be built with: [`crate::SetAssocCache`] keeps
+    /// a way's LRU position in one byte.
+    pub const MAX_WAYS: usize = u8::MAX as usize;
+
     /// Creates a new geometry, validating the power-of-two constraints.
     ///
     /// # Panics
-    /// Panics if `line_size` or `sets` is not a power of two, or if any field is zero.
+    /// Panics if `line_size` or `sets` is not a power of two, if any field is zero, or
+    /// on more than [`Self::MAX_WAYS`] ways.
     pub fn new(line_size: usize, ways: usize, sets: usize) -> Self {
         assert!(
             line_size.is_power_of_two(),
             "line_size must be a power of two"
         );
         assert!(sets.is_power_of_two(), "sets must be a power of two");
-        assert!(ways > 0, "ways must be non-zero");
+        assert!((1..=Self::MAX_WAYS).contains(&ways), "1..=255 ways");
         CacheGeometry {
             line_size,
             ways,

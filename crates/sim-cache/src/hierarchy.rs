@@ -3,9 +3,9 @@
 //! The per-access hot path is deliberately flat: the private caches are
 //! struct-of-arrays [`SetAssocCache`]s, and all per-line coherence bookkeeping
 //! (sharer mask, modified owner, invalidation notes, touched bits) lives in a single
-//! open-addressed [`LineTable`] instead of the seed's `HashMap`/`HashSet` trio.  In the
-//! steady state an access performs no heap allocation (verified by the
-//! `alloc_steady_state` integration test) and no SipHash computations.
+//! dense [`LineTable`] instead of the seed's `HashMap`/`HashSet` trio.  In the steady
+//! state an access performs no heap allocation (verified by the `alloc_steady_state`
+//! integration test) and no SipHash computations.
 //!
 //! Three invariants keep the path short, and [`CacheHierarchy::check_coherence_invariants`]
 //! checks all of them.  *Inclusion*: a line resident in a core's L1 is resident in that
@@ -170,7 +170,7 @@ pub struct CacheHierarchy {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     l3: SetAssocCache,
-    /// Per-line directory, departure and touched bookkeeping, open-addressed.
+    /// Per-line directory, departure and touched bookkeeping, one entry a line.
     table: LineTable,
     /// Aggregated statistics.
     pub stats: HierarchyStats,
@@ -243,6 +243,14 @@ impl CacheHierarchy {
         self.table.len()
     }
 
+    /// Heap bytes of the simulator's own tables: every cache's tags, states and ranks,
+    /// and the directory's index and entries.  Read off the tables' lengths when asked;
+    /// nothing is counted on the access path.
+    pub fn heap_bytes(&self) -> usize {
+        let caches = self.l1.iter().chain(&self.l2).chain([&self.l3]);
+        caches.map(SetAssocCache::heap_bytes).sum::<usize>() + self.table.heap_bytes()
+    }
+
     /// Turns on distinct-lines-per-set conflict tracking in every cache of the
     /// hierarchy (L1s, L2s and L3), so the conflict analysis can query
     /// [`SetAssocCache::distinct_lines_in_set`] through the cache getters.  Off by
@@ -306,9 +314,8 @@ impl CacheHierarchy {
     ///
     /// The miss path resolves the line's directory slot once ([`LineTable::ensure_slot`])
     /// and threads it through every directory update, including the final
-    /// classification — the seed probed the table 3-4 times per miss.  The slot is
-    /// re-resolved only if filling the line grew the table (victim bookkeeping can
-    /// insert new lines, and growth invalidates slot indices).
+    /// classification — the seed probed the table 3-4 times per miss.  A slot is the
+    /// line's for good, whatever the fill's victim bookkeeping inserts meanwhile.
     fn access_line(
         &mut self,
         core: CoreId,
@@ -334,8 +341,7 @@ impl CacheHierarchy {
         // with a directory update for this line and every line an L2 holds has an
         // entry, so inserting the (default) entry up front changes nothing observable
         // and lets the rest of the path reuse the slot.
-        let mut slot = self.table.ensure_slot(line);
-        let generation = self.table.generation();
+        let slot = self.table.ensure_slot(line);
         let entry = *self.table.entry_at(slot);
         let bit = (1 as CoreMask) << core;
 
@@ -422,15 +428,6 @@ impl CacheHierarchy {
         };
         self.fill_private(core, line, state, /*l1_only=*/ false);
 
-        // Victim bookkeeping in fill_private may have inserted new lines and grown the
-        // table; re-resolve the slot only in that (rare) case.
-        if self.table.generation() != generation {
-            slot = self
-                .table
-                .slot_of(line)
-                .expect("a resolved line survives table growth");
-        }
-
         // Update the directory and classify the miss with the single resolved slot.
         let e = self.table.entry_at_mut(slot);
         e.sharers |= 1 << core;
@@ -487,8 +484,7 @@ impl CacheHierarchy {
     ///
     /// `sharers` is the directory's sharer mask, so only the cores that hold the line
     /// are visited — the seed implementation scanned all cores' sets
-    /// unconditionally.  `slot` is the line's already-resolved
-    /// directory slot; nothing in here inserts new lines, so it stays valid throughout.
+    /// unconditionally.  `slot` is the line's already-resolved directory slot.
     fn invalidate_remote_copies(
         &mut self,
         writer: CoreId,
@@ -861,7 +857,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // check_coherence_invariants under the open-addressed directory layout.
+    // check_coherence_invariants under the flat directory layout.
     // ------------------------------------------------------------------
 
     #[test]

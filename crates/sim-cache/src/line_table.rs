@@ -1,29 +1,31 @@
-//! Open-addressed, power-of-two-sized hash tables keyed by cache-line address.
+//! The line directory and the line set: flat tables keyed by cache-line address.
 //!
 //! The per-access hot path of the hierarchy needs three pieces of per-line bookkeeping
 //! (directory sharers/owner, invalidation notes, touched bits).  Storing them in
 //! `std::collections::HashMap`s costs a SipHash computation plus a pointer chase per
 //! lookup, and the per-core `departures`/`touched` maps allocate on nearly every miss.
-//! This module replaces all of that with one flat table:
+//! [`LineTable`] replaces all of that with one dense table:
 //!
-//! * linear probing over a power-of-two capacity (index = mixed key & mask),
-//! * no tombstones — entries are never removed, their bitmasks are merely cleared,
-//!   which matches how the directory retires lines (sharer bits drop to zero but the
-//!   line's history remains useful for miss classification),
+//! * the entries are a vector in first-touch order, sized by the lines a session
+//!   touched and by nothing else; a line's slot is its position there and never moves,
+//! * a small open-addressed index (linear probing over a power-of-two capacity, index =
+//!   mixed key & mask) maps a line to its slot; only the index is re-filed on growth,
+//! * nothing is ever removed — an entry's bitmasks are merely cleared: sharer bits drop
+//!   to zero but the line's history remains useful for miss classification,
 //! * zero allocation per access in the steady state: the table only grows (amortized)
 //!   when a previously-unseen line is inserted.
 //!
-//! [`LineSet`] is the same machinery reduced to membership-only, used by the opt-in
-//! conflict tracker in [`crate::SetAssocCache`].
+//! [`LineSet`] is membership only — open-addressed keys, no payload — used by the
+//! opt-in conflict tracker in [`crate::SetAssocCache`].
 
 use crate::{CoreId, CoreMask, LineAddr, MissKind};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Sentinel meaning "this slot is empty".  Real line addresses never reach this value:
-/// it would require a byte address above 2^70.
+/// [`LineSet`]'s "this slot is empty".  Real line addresses never reach this value: it
+/// would require a byte address above 2^70.
 const EMPTY: LineAddr = LineAddr::MAX;
 
-/// Initial capacity (slots) of a table; must be a power of two.
+/// Initial capacity (index positions of a table, slots of a set); a power of two.
 const INITIAL_CAPACITY: usize = 1024;
 
 /// Grow when `len * 4 > capacity * 3` (75 % load factor).
@@ -84,29 +86,11 @@ impl Hasher for MixHasher {
     }
 }
 
-/// Linear probe over a power-of-two key array (`mask = len - 1`): `Ok(slot)` if `line`
-/// is present, `Err(empty_slot)` where it would be inserted.  Shared by [`LineTable`]
-/// and [`LineSet`] (lookups, inserts and rehash-on-grow all route through it) so the
-/// probing logic cannot diverge; the grow routines themselves stay separate because
-/// the table must move its entry payloads alongside the keys.
-#[inline]
-fn probe(keys: &[LineAddr], mask: usize, line: LineAddr) -> Result<usize, usize> {
-    let mut i = (mix(line) as usize) & mask;
-    loop {
-        let k = keys[i];
-        if k == line {
-            return Ok(i);
-        }
-        if k == EMPTY {
-            return Err(i);
-        }
-        i = (i + 1) & mask;
-    }
-}
-
 /// Per-line directory entry: everything the hierarchy tracks about one cache line,
 /// packed into bitmasks indexed by core (the hierarchy supports at most
-/// [`crate::MAX_CORES`] cores — one bit per core in a [`CoreMask`]).
+/// [`crate::MAX_CORES`] cores — one bit per core in a [`CoreMask`]).  The three masks
+/// are 16-byte aligned, so the line and the owner ride in what would be padding: 64
+/// bytes, one host cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirEntry {
     /// Bitmask of cores holding the line in their private caches (exact: bit `c` is set
@@ -118,24 +102,26 @@ pub struct DirEntry {
     /// last fill; the note outlives a later eviction.  (A copy that left by replacement
     /// needs no note: the core is in `touched`, not in `sharers`, and not in here.)
     pub invalidated: CoreMask,
+    /// The line this entry describes (what [`LineTable`] re-files its index from).
+    line: LineAddr,
     /// Core holding the line in Modified state; [`DirEntry::NO_OWNER`] if none.
     pub owner: u8,
-}
-
-impl Default for DirEntry {
-    fn default() -> Self {
-        DirEntry {
-            sharers: 0,
-            touched: 0,
-            invalidated: 0,
-            owner: DirEntry::NO_OWNER,
-        }
-    }
 }
 
 impl DirEntry {
     /// Sentinel `owner` value meaning "no modified owner".
     pub const NO_OWNER: u8 = u8::MAX;
+
+    /// The entry of a never-seen line: no sharer, no owner, touched by nobody.
+    pub fn new(line: LineAddr) -> Self {
+        DirEntry {
+            sharers: 0,
+            touched: 0,
+            invalidated: 0,
+            line,
+            owner: DirEntry::NO_OWNER,
+        }
+    }
 
     /// The owning core, if any.
     #[inline]
@@ -163,8 +149,8 @@ impl DirEntry {
     }
 
     /// Ground-truth classification of a private-cache miss by `core` on this line,
-    /// asked before the fill marks the core in `touched`.  A default entry (a
-    /// never-seen line) is a cold miss.
+    /// asked before the fill marks the core in `touched`.  A new entry (a never-seen
+    /// line) is a cold miss.
     #[inline]
     pub fn miss_kind(&self, core: CoreId) -> MissKind {
         let bit = (1 as CoreMask) << core;
@@ -179,19 +165,18 @@ impl DirEntry {
     }
 }
 
-/// The open-addressed line table: `LineAddr -> DirEntry` with linear probing.
+/// The line directory: `LineAddr -> DirEntry`, dense.
 ///
-/// Keys and entries live in parallel flat vectors so a probe touches one contiguous
-/// cache line of keys before loading the (larger) entry.
+/// Entries sit in one vector in first-touch order and a line's *slot* is its position
+/// there — handed out once by [`Self::ensure_slot`], valid for the table's lifetime,
+/// whatever is inserted afterwards.  Finding a line's slot is a linear probe of a
+/// power-of-two index of 16-byte `(line, slot + 1)` pairs, key and slot in one load;
+/// an all-zero pair is an empty position.  Growth doubles the index where it stands
+/// and re-files it from the entries, which stay put.
 #[derive(Debug, Clone)]
 pub struct LineTable {
-    keys: Vec<LineAddr>,
+    index: Vec<(LineAddr, u32)>,
     entries: Vec<DirEntry>,
-    mask: usize,
-    len: usize,
-    /// Incremented on every growth.  Slot indices obtained from [`Self::ensure_slot`] /
-    /// [`Self::slot_of`] are valid only while the generation is unchanged.
-    generation: u64,
 }
 
 impl Default for LineTable {
@@ -201,131 +186,142 @@ impl Default for LineTable {
 }
 
 impl LineTable {
-    /// Creates an empty table with the initial capacity.
+    /// Creates an empty table with the initial index capacity.
     pub fn new() -> Self {
         LineTable {
-            keys: vec![EMPTY; INITIAL_CAPACITY],
-            entries: vec![DirEntry::default(); INITIAL_CAPACITY],
-            mask: INITIAL_CAPACITY - 1,
-            len: 0,
-            generation: 0,
+            index: vec![(0, 0); INITIAL_CAPACITY],
+            entries: Vec::new(),
         }
     }
 
-    /// The growth generation.  A slot index is invalidated whenever this changes (any
-    /// operation that can insert a *new* line may grow the table); callers threading a
-    /// slot through multi-step operations re-resolve with [`Self::slot_of`] when the
-    /// generation moved.
+    /// Linear probe of the index: `Ok(slot)` if `line` is present, `Err(i)` with the
+    /// empty index position it would be filed at.
     #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
+    fn find(&self, line: LineAddr) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut i = (mix(line) as usize) & mask;
+        loop {
+            let (key, slot1) = self.index[i];
+            if slot1 == 0 {
+                return Err(i);
+            }
+            if key == line {
+                return Ok(slot1 as usize - 1);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
-    /// The slot holding `line`, inserting a default entry if absent.  Amortized O(1);
+    /// The slot holding `line`, inserting a new entry if absent.  Amortized O(1);
     /// combined with [`Self::entry_at_mut`] this lets the hierarchy's miss path probe
     /// the table once and reuse the slot for every subsequent directory update.
     #[inline]
     pub fn ensure_slot(&mut self, line: LineAddr) -> usize {
-        debug_assert_ne!(line, EMPTY, "line address collides with the empty sentinel");
-        match probe(&self.keys, self.mask, line) {
-            Ok(i) => i,
-            Err(mut i) => {
-                if needs_grow(self.len + 1, self.keys.len()) {
-                    self.grow();
-                    i = probe(&self.keys, self.mask, line)
-                        .expect_err("line cannot appear during growth");
-                }
-                self.keys[i] = line;
-                self.entries[i] = DirEntry::default();
-                self.len += 1;
-                i
-            }
+        match self.find(line) {
+            Ok(slot) => slot,
+            Err(at) => self.insert(line, at),
         }
+    }
+
+    /// Appends a never-seen line's entry, filed at index position `at` or, once the
+    /// index has grown, where it then belongs.
+    fn insert(&mut self, line: LineAddr, mut at: usize) -> usize {
+        let slot = self.entries.len();
+        let slot1 = u32::try_from(slot + 1).expect("a directory holds fewer than 2^32 lines");
+        if needs_grow(slot + 1, self.index.len()) {
+            self.grow();
+            at = self
+                .find(line)
+                .expect_err("line cannot appear during growth");
+        }
+        self.index[at] = (line, slot1);
+        self.entries.push(DirEntry::new(line));
+        slot
     }
 
     /// The slot holding `line`, if present.
     #[inline]
     pub fn slot_of(&self, line: LineAddr) -> Option<usize> {
-        probe(&self.keys, self.mask, line).ok()
+        self.find(line).ok()
     }
 
-    /// The entry at an occupied slot (from [`Self::ensure_slot`] / [`Self::slot_of`],
-    /// same generation).
+    /// The entry at a slot from [`Self::ensure_slot`] / [`Self::slot_of`].
     #[inline]
     pub fn entry_at(&self, slot: usize) -> &DirEntry {
-        debug_assert_ne!(self.keys[slot], EMPTY, "slot is not occupied");
         &self.entries[slot]
     }
 
-    /// Mutable entry at an occupied slot.
+    /// Mutable entry at a slot.
     #[inline]
     pub fn entry_at_mut(&mut self, slot: usize) -> &mut DirEntry {
-        debug_assert_ne!(self.keys[slot], EMPTY, "slot is not occupied");
         &mut self.entries[slot]
     }
 
     /// Number of distinct lines recorded.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True if no lines have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Slot count (always a power of two).
-    pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.entries.is_empty()
     }
 
     /// Looks up the entry for `line`, if present.
     #[inline]
     pub fn get(&self, line: LineAddr) -> Option<&DirEntry> {
-        probe(&self.keys, self.mask, line)
-            .ok()
-            .map(|i| &self.entries[i])
+        self.find(line).ok().map(|slot| &self.entries[slot])
     }
 
-    /// Returns a mutable entry for `line`, inserting a default entry if absent.
+    /// Returns a mutable entry for `line`, inserting a new entry if absent.
     ///
-    /// Amortized O(1); only allocates when an insertion of a never-seen line pushes
-    /// the table past its load factor — lookups of existing lines never grow it.
+    /// Amortized O(1); only allocates when an insertion of a never-seen line grows the
+    /// entry vector or pushes the index past its load factor — lookups of existing
+    /// lines never do.
     #[inline]
     pub fn entry_mut(&mut self, line: LineAddr) -> &mut DirEntry {
         let slot = self.ensure_slot(line);
         &mut self.entries[slot]
     }
 
-    /// Iterates over all `(line, entry)` pairs (slot order, not insertion order).
+    /// Iterates over all `(line, entry)` pairs, in slot (first-touch) order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &DirEntry)> {
-        self.keys
-            .iter()
-            .zip(self.entries.iter())
-            .filter(|(k, _)| **k != EMPTY)
-            .map(|(k, e)| (*k, e))
+        self.entries.iter().map(|e| (e.line, e))
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes: the index positions and the entries pushed.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.len() * std::mem::size_of::<LineAddr>()
-            + self.entries.len() * std::mem::size_of::<DirEntry>()
+        std::mem::size_of_val(&self.index[..]) + std::mem::size_of_val(&self.entries[..])
     }
 
     fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        let old_entries = std::mem::replace(&mut self.entries, vec![DirEntry::default(); new_cap]);
-        self.mask = new_cap - 1;
-        self.generation += 1;
-        for (k, e) in old_keys.into_iter().zip(old_entries) {
-            if k == EMPTY {
-                continue;
-            }
-            let i = probe(&self.keys, self.mask, k).expect_err("keys are unique");
-            self.keys[i] = k;
-            self.entries[i] = e;
+        let positions = self.index.len() * 2;
+        // Emptied and lengthened where it stands: the entries say all the old index
+        // said, and the pages it had are the new one's lower half.
+        self.index.clear();
+        self.index.resize(positions, (0, 0));
+        for (slot, e) in self.entries.iter().enumerate() {
+            let at = self.find(e.line).expect_err("lines are unique");
+            self.index[at] = (e.line, slot as u32 + 1);
         }
+    }
+}
+
+/// Linear probe over a power-of-two key array (`mask = len - 1`): `Ok(slot)` if `line`
+/// is present, `Err(empty_slot)` where it would be inserted.  [`LineSet`]'s lookups,
+/// inserts and rehash-on-grow all route through it.
+#[inline]
+fn probe(keys: &[LineAddr], mask: usize, line: LineAddr) -> Result<usize, usize> {
+    let mut i = (mix(line) as usize) & mask;
+    loop {
+        let k = keys[i];
+        if k == line {
+            return Ok(i);
+        }
+        if k == EMPTY {
+            return Err(i);
+        }
+        i = (i + 1) & mask;
     }
 }
 
@@ -440,7 +436,7 @@ mod tests {
             t.entry_mut(i).sharers = i as CoreMask;
         }
         assert_eq!(t.len(), 10_000);
-        assert!(t.capacity().is_power_of_two());
+        assert!(t.index.len().is_power_of_two());
         for i in (0..10_000u64).step_by(97) {
             assert_eq!(
                 t.get(i).unwrap().sharers,
@@ -459,7 +455,7 @@ mod tests {
         for i in 0..threshold as u64 {
             t.entry_mut(i);
         }
-        let cap = t.capacity();
+        let cap = t.index.len();
         assert_eq!(cap, INITIAL_CAPACITY, "should not have grown yet");
         // Hitting existing lines (the steady-state path) must never trigger growth.
         for _ in 0..3 {
@@ -467,37 +463,132 @@ mod tests {
                 t.entry_mut(i).touched |= 1;
             }
         }
-        assert_eq!(t.capacity(), cap, "lookups must not grow the table");
+        assert_eq!(t.index.len(), cap, "lookups must not grow the table");
         // The next genuinely new line crosses the threshold and doubles.
         t.entry_mut(threshold as u64);
-        assert_eq!(t.capacity(), cap * 2);
+        assert_eq!(t.index.len(), cap * 2);
     }
 
     #[test]
-    fn slots_survive_until_growth_and_generation_tracks_it() {
+    fn a_slot_names_its_line_for_good() {
         let mut t = LineTable::new();
         let slot = t.ensure_slot(77);
         t.entry_at_mut(slot).sharers = 0b11;
         assert_eq!(t.slot_of(77), Some(slot));
-        assert_eq!(t.entry_at(slot).sharers, 0b11);
-        let gen = t.generation();
-        // Inserting existing lines never grows.
         assert_eq!(t.ensure_slot(77), slot);
-        assert_eq!(t.generation(), gen);
-        // Push past the load factor: the table grows, the generation moves, and the
-        // line is still findable at its (possibly new) slot.
-        for i in 0..INITIAL_CAPACITY as u64 {
-            t.ensure_slot(1_000_000 + i);
+        // Slots are dense and in first-touch order, and growth re-files the index only.
+        for i in 0..4 * INITIAL_CAPACITY as u64 {
+            assert_eq!(t.ensure_slot(1_000_000 + i), 1 + i as usize);
         }
-        assert!(t.generation() > gen, "growth must bump the generation");
-        let new_slot = t.slot_of(77).expect("line survives growth");
-        assert_eq!(t.entry_at(new_slot).sharers, 0b11);
+        assert!(t.index.len() > INITIAL_CAPACITY, "the index grew");
+        assert_eq!(t.slot_of(77), Some(slot));
+        assert_eq!(t.entry_at(slot).sharers, 0b11);
+        assert_eq!(t.iter().next().map(|(line, _)| line), Some(77));
+    }
+
+    #[test]
+    fn footprint_counts_index_positions_and_pushed_entries() {
+        let mut t = LineTable::new();
+        assert_eq!(t.heap_bytes(), INITIAL_CAPACITY * 16);
+        for i in 0..10u64 {
+            t.entry_mut(i * 4096);
+        }
+        assert_eq!(t.heap_bytes(), INITIAL_CAPACITY * 16 + 10 * 64);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Generated `ensure_slot` / `entry_mut` / `get` / `slot_of` sequences against
+        /// a `HashMap` of entries and the first-touch order kept beside it, over at
+        /// least four growths of the index.
+        #[test]
+        fn table_equals_the_hashmap_model(
+            layout in 0usize..4,
+            ops in proptest::collection::vec(
+                (0u8..10, proptest::prelude::any::<u32>()),
+                10_000..12_000,
+            ),
+        ) {
+            use proptest::prelude::*;
+            use std::collections::HashMap;
+            // Clustered, page-strided, and both ends of the key space (0 and
+            // `u64::MAX` are lines like any other here).
+            let line_of = |x: u32| -> LineAddr {
+                let x = u64::from(x >> 8);
+                match layout {
+                    0 => x,
+                    1 => x << 12,
+                    2 => u64::MAX - x,
+                    _ => mix(x),
+                }
+            };
+            let mut t = LineTable::new();
+            let mut model: HashMap<LineAddr, (usize, DirEntry)> = HashMap::new();
+            let mut order: Vec<LineAddr> = Vec::new();
+            let mut growths = 0;
+
+            for (step, &(op, x)) in ops.iter().enumerate() {
+                // Lookups ask for a known line half the time.
+                let line = match order.len() {
+                    n if n > 0 && op >= 7 && x & 1 == 1 => order[x as usize % n],
+                    _ => line_of(x),
+                };
+                let capacity = t.index.len();
+                match op {
+                    0..=6 => {
+                        let known = model.entry(line).or_insert_with(|| {
+                            order.push(line);
+                            (order.len() - 1, DirEntry::new(line))
+                        });
+                        if op == 6 {
+                            t.entry_mut(line).touched ^= CoreMask::from(x) << 64 | 1;
+                            known.1.touched ^= CoreMask::from(x) << 64 | 1;
+                        } else {
+                            let slot = t.ensure_slot(line);
+                            prop_assert_eq!(slot, known.0, "step {}: slot of {:#x}", step, line);
+                        }
+                    }
+                    7 => {
+                        if let Some(known) = model.get_mut(&line) {
+                            for e in [t.entry_at_mut(known.0), &mut known.1] {
+                                e.sharers |= 1 << (x % 128);
+                                e.set_owner(Some((x % 128) as CoreId));
+                            }
+                        }
+                    }
+                    8 => prop_assert_eq!(
+                        t.get(line), model.get(&line).map(|known| &known.1),
+                        "step {}: get {:#x}", step, line
+                    ),
+                    _ => prop_assert_eq!(
+                        t.slot_of(line), model.get(&line).map(|known| known.0),
+                        "step {}: slot_of {:#x}", step, line
+                    ),
+                }
+                prop_assert_eq!(t.len(), model.len(), "step {}", step);
+                if t.index.len() != capacity {
+                    growths += 1;
+                    // Every slot handed out before the growth names the line it named.
+                    for (slot, &line) in order.iter().enumerate() {
+                        prop_assert_eq!(t.entry_at(slot).line, line);
+                        prop_assert_eq!(t.slot_of(line), Some(slot), "growth {}", growths);
+                    }
+                }
+            }
+            prop_assert!(growths >= 4, "only {} growths", growths);
+            prop_assert_eq!(t.is_empty(), order.is_empty());
+            let walked: Vec<(LineAddr, DirEntry)> = t.iter().map(|(line, e)| (line, *e)).collect();
+            let expected: Vec<(LineAddr, DirEntry)> =
+                order.iter().map(|line| (*line, model[line].1)).collect();
+            prop_assert_eq!(walked, expected);
+        }
     }
 
     #[test]
     fn dir_entry_departure_semantics() {
         assert_eq!(std::mem::size_of::<DirEntry>(), 64); // three masks and the owner
-        let mut e = DirEntry::default();
+        let mut e = DirEntry::new(0);
         assert_eq!(e.miss_kind(3), MissKind::Cold);
         // A fill marks the core; a copy that then leaves by replacement leaves no note.
         e.touched |= 1 << 3;
@@ -512,7 +603,7 @@ mod tests {
 
     #[test]
     fn dir_entry_owner_round_trip() {
-        let mut e = DirEntry::default();
+        let mut e = DirEntry::new(0);
         assert_eq!(e.owner_core(), None);
         e.set_owner(Some(7));
         assert_eq!(e.owner_core(), Some(7));

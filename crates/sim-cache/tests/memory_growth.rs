@@ -44,3 +44,35 @@ fn opt_in_tracking_is_compact_and_exact() {
         "tracker uses {bytes} bytes for {n} lines"
     );
 }
+
+/// The simulator's own tables are sized by what a session touched: after 100 000
+/// distinct lines on the paper's machine the directory holds at most 110 bytes a line
+/// (a 64-byte entry a line and 16-byte index positions at no less than 37.5 % load),
+/// and a cache ten bytes a slot (tag, state, rank).  Before the directory went dense
+/// and the LRU stamps became ranks: 189 and 17.
+#[test]
+fn table_bytes_per_line_and_per_slot_are_bounded() {
+    let cfg = HierarchyConfig::paper_machine();
+    let slots = cfg.cores * (cfg.l1.sets * cfg.l1.ways + cfg.l2.sets * cfg.l2.ways)
+        + cfg.l3.sets * cfg.l3.ways;
+    let mut h = CacheHierarchy::new(cfg);
+    let lines = 100_000;
+    for i in 0..lines as u64 {
+        h.access((i % 16) as usize, i * 64, AccessKind::Read);
+    }
+    assert_eq!(h.directory_lines(), lines);
+    let caches: usize = (0..cfg.cores)
+        .flat_map(|c| [h.l1_cache(c), h.l2_cache(c)])
+        .chain([h.l3_cache()])
+        .map(SetAssocCache::heap_bytes)
+        .sum();
+    let directory = h.heap_bytes() - caches;
+    assert!(
+        directory <= 110 * lines,
+        "directory: {directory} bytes for {lines} lines"
+    );
+    assert!(
+        caches <= 10 * slots,
+        "caches: {caches} bytes for {slots} slots"
+    );
+}

@@ -95,6 +95,44 @@ pub struct SessionParams {
     pub base_seed: u64,
 }
 
+impl SessionParams {
+    /// Holds the counts replay loops over to what the file can back.  Replay steps the
+    /// profiler one round marker at a time — `warmup_rounds` then `sample_rounds`
+    /// times, then at least once per history set — and a stream of `n` events holds
+    /// at most `n` markers: a header asking for more than its shortest stream has
+    /// events describes no recording, and would spin replay on an exhausted stream.
+    /// `cores` sizes the replayed kernel's per-core tables and is the machine's count.
+    pub(crate) fn check(
+        &self,
+        machine: &MachineConfig,
+        shortest_stream: Option<usize>,
+    ) -> Result<(), TraceError> {
+        if self.cores != machine.hierarchy.cores {
+            return Err(TraceError::Corrupt(format!(
+                "session of {} cores on a machine of {}",
+                self.cores, machine.hierarchy.cores
+            )));
+        }
+        let Some(events) = shortest_stream else {
+            return Ok(());
+        };
+        let rounds = self.warmup_rounds.checked_add(self.sample_rounds);
+        if rounds.is_none_or(|rounds| rounds > events) {
+            return Err(TraceError::Corrupt(format!(
+                "{} warmup and {} sample rounds, but the shortest stream has {events} events",
+                self.warmup_rounds, self.sample_rounds
+            )));
+        }
+        if self.history_sets > events {
+            return Err(TraceError::Corrupt(format!(
+                "{} history sets, but the shortest stream has {events} events",
+                self.history_sets
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// One dumped field of a registered type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDump {
@@ -172,17 +210,47 @@ fn put_geometry(out: &mut Vec<u8>, g: &CacheGeometry) {
     put_varint(out, g.sets as u64);
 }
 
-fn get_geometry(bytes: &[u8], pos: &mut usize) -> Result<CacheGeometry, TraceError> {
+/// Most slots (`sets * ways`) one cache level of a trace's machine may declare.  The
+/// simulator allocates ten bytes a slot before the first event is read; the paper's L3
+/// has 2^17.
+const MAX_CACHE_SLOTS: usize = 1 << 24;
+
+/// Largest line size a trace's machine may declare: the utilization tally keeps one
+/// bit per 8-byte granule of a line in a `u8`.
+const MAX_LINE_SIZE: usize = 8 * sim_cache::MAX_GRANULES_PER_LINE;
+
+/// One cache level's geometry.  The simulator's tables are sized from it, so every
+/// field is bounded here, the error naming the level and the value.
+fn get_geometry(bytes: &[u8], pos: &mut usize, level: &str) -> Result<CacheGeometry, TraceError> {
     let line_size = get_varint(bytes, pos)? as usize;
     let ways = get_varint(bytes, pos)? as usize;
     let sets = get_varint(bytes, pos)? as usize;
-    if line_size == 0 || !line_size.is_power_of_two() || sets == 0 || !sets.is_power_of_two() {
-        return Err(TraceError::Corrupt(format!(
-            "invalid cache geometry {line_size}B x {ways}w x {sets}s"
-        )));
+    let invalid = |what: String| {
+        Err(TraceError::Corrupt(format!(
+            "{level} cache geometry: {what}"
+        )))
+    };
+    if !line_size.is_power_of_two() || !(8..=MAX_LINE_SIZE).contains(&line_size) {
+        return invalid(format!(
+            "line size {line_size} is not a power of two in 8..={MAX_LINE_SIZE}"
+        ));
     }
-    if ways == 0 {
-        return Err(TraceError::Corrupt("zero-way cache geometry".into()));
+    if !(1..=CacheGeometry::MAX_WAYS).contains(&ways) {
+        return invalid(format!(
+            "{ways} ways, 1..={} supported",
+            CacheGeometry::MAX_WAYS
+        ));
+    }
+    if !sets.is_power_of_two() {
+        return invalid(format!("{sets} sets is not a power of two"));
+    }
+    if sets
+        .checked_mul(ways)
+        .is_none_or(|slots| slots > MAX_CACHE_SLOTS)
+    {
+        return invalid(format!(
+            "{sets} sets of {ways} ways is more than {MAX_CACHE_SLOTS} slots"
+        ));
     }
     Ok(CacheGeometry {
         line_size,
@@ -216,9 +284,17 @@ pub(crate) fn get_machine(bytes: &[u8], pos: &mut usize) -> Result<MachineConfig
     if cores == 0 || cores > sim_cache::MAX_CORES {
         return Err(TraceError::Corrupt(format!("{cores} cores out of range")));
     }
-    let l1 = get_geometry(bytes, pos)?;
-    let l2 = get_geometry(bytes, pos)?;
-    let l3 = get_geometry(bytes, pos)?;
+    let l1 = get_geometry(bytes, pos, "L1")?;
+    let l2 = get_geometry(bytes, pos, "L2")?;
+    let l3 = get_geometry(bytes, pos, "L3")?;
+    for (level, g) in [("L2", l2), ("L3", l3)] {
+        if g.line_size != l1.line_size {
+            return Err(TraceError::Corrupt(format!(
+                "{level} cache geometry: line size {} differs from the L1's {}",
+                g.line_size, l1.line_size
+            )));
+        }
+    }
     let mut lat = [0u64; 6];
     for v in &mut lat {
         *v = get_varint(bytes, pos)?;
@@ -430,11 +506,14 @@ pub(crate) mod tests_support {
                 workload: "memcached".into(),
                 threads: 1,
                 cores: 2,
-                warmup_rounds: 5,
-                sample_rounds: 30,
+                // No rounds and no history sets: tests swap the event region for
+                // short, empty and lying ones, and the prologue holds those counts
+                // to the shortest stream's event count.
+                warmup_rounds: 0,
+                sample_rounds: 0,
                 sampling: SamplingPolicy::Fixed { interval_ops: 200 },
                 history_types: 2,
-                history_sets: 2,
+                history_sets: 0,
                 base_seed: 3471,
             },
             streams: vec![sample_stream()],
@@ -495,6 +574,7 @@ pub(crate) mod tests_support {
 mod tests {
     use super::tests_support::{read_bytes, sample_file};
     use super::*;
+    use crate::codec::OP_ROUND_END;
 
     #[test]
     fn file_round_trips() {
@@ -531,7 +611,7 @@ mod tests {
         out.push(1); // kind
         put_machine(&mut out, &file.machine);
         put_string(&mut out, &file.params.workload);
-        for v in [1u64, 2, 5, 30] {
+        for v in [1u64, 2, 0, 0] {
             put_varint(&mut out, v);
         }
         put_varint(&mut out, 9); // invalid sampling tag
@@ -563,18 +643,137 @@ mod tests {
         ));
     }
 
+    /// The sample file with `edit` applied to its machine, decoded: `Ok`, or the
+    /// `Corrupt` message.
+    fn with_machine(edit: impl Fn(&mut HierarchyConfig)) -> Result<(), String> {
+        let mut file = sample_file();
+        edit(&mut file.machine.hierarchy);
+        match read_bytes(&file.encode()) {
+            Ok(_) => Ok(()),
+            Err(TraceError::Corrupt(m)) => Err(m),
+            Err(other) => panic!("not a Corrupt error: {other:?}"),
+        }
+    }
+
     #[test]
     fn impossible_cache_geometry_rejected() {
-        let corrupt = |edit: fn(&mut CacheGeometry)| {
-            let mut file = sample_file();
-            edit(&mut file.machine.hierarchy.l2);
-            matches!(read_bytes(&file.encode()), Err(TraceError::Corrupt(m)) if m.contains("geometry"))
-        };
+        let corrupt = |edit: fn(&mut CacheGeometry)| matches!(with_machine(|h| edit(&mut h.l2)), Err(m) if m.contains("L2 cache geometry"));
         assert!(corrupt(|g| g.line_size = 0));
         assert!(corrupt(|g| g.line_size = 48));
         assert!(corrupt(|g| g.sets = 0));
         assert!(corrupt(|g| g.sets = 12));
         assert!(corrupt(|g| g.ways = 0));
+    }
+
+    #[test]
+    fn cache_geometry_is_bounded_where_the_tables_are_sized_from_it() {
+        let line_size = |size: usize| {
+            with_machine(|h| {
+                for g in [&mut h.l1, &mut h.l2, &mut h.l3] {
+                    g.line_size = size;
+                }
+            })
+        };
+        assert_eq!(line_size(8), Ok(()));
+        assert_eq!(line_size(64), Ok(()));
+        for size in [1, 4, 128, 1 << 40] {
+            let message = line_size(size).unwrap_err();
+            assert!(
+                message.contains(&format!("L1 cache geometry: line size {size} ")),
+                "{message}"
+            );
+        }
+        // One line size for the three levels.
+        let message = with_machine(|h| h.l3.line_size = 32).unwrap_err();
+        assert!(
+            message.contains("L3 cache geometry: line size 32 differs from the L1's 64"),
+            "{message}"
+        );
+
+        assert_eq!(with_machine(|h| h.l1.ways = 255), Ok(()));
+        for ways in [256, 1 << 40] {
+            let message = with_machine(|h| h.l1.ways = ways).unwrap_err();
+            assert!(
+                message.contains(&format!("L1 cache geometry: {ways} ways")),
+                "{message}"
+            );
+        }
+
+        let slots = |sets: usize, ways: usize| {
+            with_machine(|h| {
+                h.l3.sets = sets;
+                h.l3.ways = ways;
+            })
+        };
+        assert_eq!(slots(MAX_CACHE_SLOTS, 1), Ok(()));
+        assert_eq!(slots(MAX_CACHE_SLOTS / 2, 2), Ok(()));
+        for (sets, ways) in [
+            (MAX_CACHE_SLOTS * 2, 1),
+            (MAX_CACHE_SLOTS / 2, 3),
+            (1 << 40, 16),
+            (1 << 62, 255), // the product wraps
+        ] {
+            let message = slots(sets, ways).unwrap_err();
+            assert!(
+                message.contains(&format!("L3 cache geometry: {sets} sets of {ways} ways")),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn round_counts_are_held_to_the_shortest_streams_event_count() {
+        let with_params = |edit: fn(&mut SessionParams)| {
+            let mut file = sample_file();
+            // A second, shorter stream: two events against the first one's five.
+            let mut short = file.streams[0].clone();
+            short.events = EncodedEvents::from(vec![sim_machine::SessionEvent::RoundEnd; 2]);
+            file.streams.push(short);
+            edit(&mut file.params);
+            match read_bytes(&file.encode()) {
+                Ok(_) => Ok(()),
+                Err(TraceError::Corrupt(m)) => Err(m),
+                Err(other) => panic!("not a Corrupt error: {other:?}"),
+            }
+        };
+        assert_eq!(with_params(|_| {}), Ok(()));
+        assert_eq!(
+            with_params(|p| (p.warmup_rounds, p.sample_rounds) = (1, 1)),
+            Ok(())
+        );
+        assert_eq!(with_params(|p| p.history_sets = 2), Ok(()));
+        for edit in [
+            (|p| (p.warmup_rounds, p.sample_rounds) = (1, 2)) as fn(&mut SessionParams),
+            |p| p.warmup_rounds = 1 << 51,
+            |p| p.sample_rounds = 1 << 51,
+            |p| (p.warmup_rounds, p.sample_rounds) = (usize::MAX, 1),
+        ] {
+            let message = with_params(edit).unwrap_err();
+            assert!(
+                message.contains("sample rounds, but the shortest stream has 2 events"),
+                "{message}"
+            );
+        }
+        let message = with_params(|p| p.history_sets = 3).unwrap_err();
+        assert!(
+            message.contains("3 history sets, but the shortest stream has 2 events"),
+            "{message}"
+        );
+        let message = with_params(|p| p.cores = 1 << 40).unwrap_err();
+        assert!(
+            message.contains("session of 1099511627776 cores on a machine of 2"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_stream_cannot_declare_more_events_than_bytes() {
+        use super::tests_support::with_event_region;
+        assert!(matches!(
+            read_bytes(&with_event_region(3, 2, &[OP_ROUND_END; 2])),
+            Err(TraceError::Corrupt(m)) if m.contains("stream 0 declares 3 events in 2 bytes")
+        ));
+        assert!(read_bytes(&with_event_region(2, 2, &[OP_ROUND_END; 2])).is_ok());
     }
 
     #[test]

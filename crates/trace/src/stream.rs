@@ -245,6 +245,14 @@ impl TraceReader {
             let (seed, requests, symbols, types) = read_stream_prologue(&mut r)?;
             let event_count = r.read_varint()? as usize;
             let byte_len = r.read_varint()?;
+            // No event is shorter than a byte, so a count is bounded by its region,
+            // and the region (below) by the file.
+            if event_count as u64 > byte_len {
+                return Err(TraceError::Corrupt(format!(
+                    "stream {} declares {event_count} events in {byte_len} bytes",
+                    headers.len()
+                )));
+            }
             let events_offset = r.offset;
             // The declared length comes from the file: check it against the file's
             // real size before trusting it as a seek target.  (A seek past
@@ -270,6 +278,7 @@ impl TraceReader {
                 "trailing bytes after the last stream".into(),
             ));
         }
+        params.check(&machine, headers.iter().map(|h| h.event_count).min())?;
         Ok(TraceReader {
             path: path.to_string(),
             kind,

@@ -126,11 +126,13 @@ fn full_file(events: Vec<SessionEvent>) -> TraceFile {
             workload: "memcached".into(),
             threads: 1,
             cores: 8,
-            warmup_rounds: 3,
-            sample_rounds: 10,
+            // No rounds, no history sets: the generated streams may be empty, and the
+            // prologue holds those counts to the shortest stream's event count.
+            warmup_rounds: 0,
+            sample_rounds: 0,
             sampling: sim_machine::SamplingPolicy::Fixed { interval_ops: 100 },
             history_types: 2,
-            history_sets: 2,
+            history_sets: 0,
             base_seed: 1,
         },
         streams: vec![ThreadStream {
