@@ -34,8 +34,14 @@ use crate::profiler::DprofProfile;
 use crate::report::diff::ReportSummary;
 use crate::stats::{mark_rank_stability, wilson95};
 use crate::views::MissClass;
+use sim_cache::line_table::BuildKeyedMixHasher;
 use sim_kernel::TypeId;
 use std::collections::HashMap;
+
+/// The fold's accumulators: keyed by names borrowed from the shards (type, function,
+/// origin; an edge by both its ends), hashed eight bytes a round instead of by SipHash.
+/// Iteration order is nobody's business: every table is sorted on stable keys.
+type NameMap<K, V> = HashMap<K, V, BuildKeyedMixHasher>;
 
 /// Producer-level bookkeeping carried by a shard into the merged thread table; on a
 /// folded shard, the totals over everything folded in.
@@ -125,7 +131,7 @@ pub struct ShardUtilizationOrigin {
 impl ShardUtilizationOrigin {
     /// Untouched bytes fetched for this origin (a granule-slot is 8 bytes).
     pub fn wasted_bytes(&self) -> u64 {
-        (self.slots_fetched - self.slots_touched).saturating_mul(8)
+        wasted_bytes(self.slots_fetched, self.slots_touched)
     }
 }
 
@@ -162,7 +168,7 @@ impl ShardUtilizationRow {
     /// Untouched bytes: `8 * (slots_fetched - slots_touched)` (same invariant as
     /// [`ShardUtilizationOrigin::wasted_bytes`]).
     pub fn wasted_bytes(&self) -> u64 {
-        (self.slots_fetched - self.slots_touched).saturating_mul(8)
+        wasted_bytes(self.slots_fetched, self.slots_touched)
     }
 
     /// `refetch_slots / slots_fetched`.
@@ -272,7 +278,7 @@ impl ShardFlow {
         self.edges
             .iter()
             .filter(|e| e.cpu_change)
-            .fold(0, |n, e| n.saturating_add(e.count))
+            .fold(0, |n, e| add_counts(n, e.count))
     }
 }
 
@@ -707,18 +713,41 @@ pub fn fold(shards: &[&ProfileShard]) -> ProfileShard {
     }
 }
 
-/// A count summed over shards.  Every count sum of the fold saturates: a document's
-/// counts are bounded at 2^53 where they enter (`schema::count_at`), but nothing bounds
-/// how many documents are pushed to one key, and the fold runs under the store's lock.
+/// The largest count a document may carry, and where every sum of counts saturates:
+/// each integer up to 2^53 is exact in the `f64` a JSON number is read into.  A
+/// document's counts are bounded by it where they enter (`schema::count_at`), but
+/// nothing bounds how many documents are pushed to one key, and a sum that stopped at
+/// `u64::MAX` instead would be snapshotted and then refused by the store that wrote it.
+pub const MAX_COUNT: u64 = 1 << 53;
+
+/// `a + b`, saturating at [`MAX_COUNT`].
+#[inline]
+pub fn add_counts(a: u64, b: u64) -> u64 {
+    a.saturating_add(b).min(MAX_COUNT)
+}
+
+/// Bytes fetched and never touched (a granule-slot is 8 bytes; `touched` is never more
+/// than `fetched`), a count like any other: it stops at [`MAX_COUNT`].
+fn wasted_bytes(fetched: u64, touched: u64) -> u64 {
+    (fetched - touched).saturating_mul(8).min(MAX_COUNT)
+}
+
+/// [`add_counts`] for the thread counts kept as `usize`.
+fn add_thread_counts(a: usize, b: usize) -> usize {
+    a.saturating_add(b)
+        .min(usize::try_from(MAX_COUNT).unwrap_or(usize::MAX))
+}
+
+/// A count summed over shards.
 fn sum_counts(shards: &[&ProfileShard], count: impl Fn(&ProfileShard) -> u64) -> u64 {
-    shards.iter().fold(0, |sum, s| sum.saturating_add(count(s)))
+    shards.iter().fold(0, |sum, s| add_counts(sum, count(s)))
 }
 
 // Each table below accumulates into its own row type: while shards are being
 // absorbed a mean field holds the weighted *sum*, and the final pass divides.
 
 fn fold_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<ShardProfileRow> {
-    let mut acc: HashMap<&str, ShardProfileRow> = HashMap::new();
+    let mut acc: NameMap<&str, ShardProfileRow> = NameMap::default();
     for shard in shards {
         for row in &shard.data_profile {
             let entry = acc.entry(&row.name).or_insert_with(|| ShardProfileRow {
@@ -739,9 +768,9 @@ fn fold_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<ShardPr
             entry.pct_of_l1_misses += shard.weight * row.pct_of_l1_misses;
             entry.pct_of_miss_cycles += shard.weight * row.pct_of_miss_cycles;
             entry.bounce |= row.bounce;
-            entry.samples = entry.samples.saturating_add(row.samples);
-            entry.l1_miss_samples = entry.l1_miss_samples.saturating_add(row.l1_miss_samples);
-            entry.threads_seen = entry.threads_seen.saturating_add(row.threads_seen);
+            entry.samples = add_counts(entry.samples, row.samples);
+            entry.l1_miss_samples = add_counts(entry.l1_miss_samples, row.l1_miss_samples);
+            entry.threads_seen = add_thread_counts(entry.threads_seen, row.threads_seen);
         }
     }
     let mut rows: Vec<ShardProfileRow> = acc
@@ -768,7 +797,7 @@ fn fold_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<ShardPr
 }
 
 fn fold_miss_classification(shards: &[&ProfileShard]) -> Vec<ShardMissRow> {
-    let mut acc: HashMap<&str, ShardMissRow> = HashMap::new();
+    let mut acc: NameMap<&str, ShardMissRow> = NameMap::default();
     for shard in shards {
         for row in &shard.miss_classification {
             let w = row.miss_samples as f64;
@@ -779,7 +808,7 @@ fn fold_miss_classification(shards: &[&ProfileShard]) -> Vec<ShardMissRow> {
                 conflict: 0.0,
                 capacity: 0.0,
             });
-            entry.miss_samples = entry.miss_samples.saturating_add(row.miss_samples);
+            entry.miss_samples = add_counts(entry.miss_samples, row.miss_samples);
             entry.invalidation += w * row.invalidation;
             entry.conflict += w * row.conflict;
             entry.capacity += w * row.capacity;
@@ -804,8 +833,8 @@ fn fold_miss_classification(shards: &[&ProfileShard]) -> Vec<ShardMissRow> {
 }
 
 fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
-    type Origins<'a> = HashMap<&'a str, (u64, u64)>;
-    let mut acc: HashMap<&str, (ShardUtilizationRow, Origins)> = HashMap::new();
+    type Origins<'a> = NameMap<&'a str, (u64, u64)>;
+    let mut acc: NameMap<&str, (ShardUtilizationRow, Origins)> = NameMap::default();
     for shard in shards {
         for row in &shard.utilization.rows {
             let (entry, origins) = acc.entry(&row.name).or_insert_with(|| {
@@ -814,18 +843,18 @@ fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
                     description: row.description.clone(),
                     ..ShardUtilizationRow::default()
                 };
-                (entry, Origins::new())
+                (entry, Origins::default())
             });
-            entry.slots_fetched = entry.slots_fetched.saturating_add(row.slots_fetched);
-            entry.slots_touched = entry.slots_touched.saturating_add(row.slots_touched);
-            entry.refetch_slots = entry.refetch_slots.saturating_add(row.refetch_slots);
+            entry.slots_fetched = add_counts(entry.slots_fetched, row.slots_fetched);
+            entry.slots_touched = add_counts(entry.slots_touched, row.slots_touched);
+            entry.refetch_slots = add_counts(entry.refetch_slots, row.refetch_slots);
             // Per-shard rates are bandwidths of machines running in parallel, so they
             // add; the pooled slot counts stay exact for the Wilson interval.
             entry.wasted_bytes_per_sec += row.wasted_bytes_per_sec;
             for o in &row.origins {
                 let slot = origins.entry(&o.origin).or_default();
-                slot.0 = slot.0.saturating_add(o.slots_fetched);
-                slot.1 = slot.1.saturating_add(o.slots_touched);
+                slot.0 = add_counts(slot.0, o.slots_fetched);
+                slot.1 = add_counts(slot.1, o.slots_touched);
             }
         }
     }
@@ -863,7 +892,7 @@ fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
 }
 
 fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
-    let mut acc: HashMap<&str, ShardWorkingSetRow> = HashMap::new();
+    let mut acc: NameMap<&str, ShardWorkingSetRow> = NameMap::default();
     for shard in shards {
         for t in &shard.working_set.rows {
             let entry = acc.entry(&t.name).or_insert_with(|| ShardWorkingSetRow {
@@ -877,7 +906,7 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
             entry.avg_live_bytes += t.avg_live_bytes * t.threads_seen as f64;
             entry.avg_live_objects += t.avg_live_objects * t.threads_seen as f64;
             entry.peak_live_bytes = entry.peak_live_bytes.max(t.peak_live_bytes);
-            entry.threads_seen = entry.threads_seen.saturating_add(t.threads_seen);
+            entry.threads_seen = add_thread_counts(entry.threads_seen, t.threads_seen);
         }
     }
     let mut rows: Vec<ShardWorkingSetRow> = acc
@@ -898,7 +927,7 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
     let first = shards.first().map(|s| &s.working_set);
     let thread_count = shards
         .iter()
-        .fold(0usize, |n, s| n.saturating_add(s.working_set.thread_count));
+        .fold(0, |n, s| add_thread_counts(n, s.working_set.thread_count));
     ShardWorkingSet {
         rows,
         cache_capacity: first.map_or(0, |ws| ws.cache_capacity),
@@ -909,8 +938,8 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
             .sum::<f64>()
             / thread_count.max(1) as f64,
         thread_count,
-        threads_exceeding_capacity: shards.iter().fold(0usize, |n, s| {
-            n.saturating_add(s.working_set.threads_exceeding_capacity)
+        threads_exceeding_capacity: shards.iter().fold(0, |n, s| {
+            add_thread_counts(n, s.working_set.threads_exceeding_capacity)
         }),
         conflict_sets: shards
             .iter()
@@ -923,10 +952,10 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
 fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
     #[derive(Default)]
     struct FlowAcc<'a> {
-        nodes: HashMap<&'a str, ShardFlowNode>,
-        edges: HashMap<(&'a str, &'a str, bool), u64>,
+        nodes: NameMap<&'a str, ShardFlowNode>,
+        edges: NameMap<(&'a str, &'a str, bool), u64>,
     }
-    let mut flows: HashMap<&str, FlowAcc> = HashMap::new();
+    let mut flows: NameMap<&str, FlowAcc> = NameMap::default();
     for shard in shards {
         for graph in &shard.data_flows {
             let flow = flows.entry(&graph.type_name).or_default();
@@ -940,8 +969,8 @@ fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
                         weight: 0,
                         avg_latency: 0.0,
                     });
-                acc.samples = acc.samples.saturating_add(node.samples);
-                acc.weight = acc.weight.saturating_add(node.weight);
+                acc.samples = add_counts(acc.samples, node.samples);
+                acc.weight = add_counts(acc.weight, node.weight);
                 // Per-shard avg_latency is a per-sample mean, so weight by samples to
                 // keep the merged value a per-sample mean.
                 acc.avg_latency += node.samples as f64 * node.avg_latency;
@@ -949,7 +978,7 @@ fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
             for edge in &graph.edges {
                 let key = (edge.from.as_str(), edge.to.as_str(), edge.cpu_change);
                 let count = flow.edges.entry(key).or_insert(0);
-                *count = count.saturating_add(edge.count);
+                *count = add_counts(*count, edge.count);
             }
         }
     }
@@ -1136,10 +1165,11 @@ mod tests {
     }
 
     /// ROADMAP, hostile input: a document's counts are bounded at 2^53 each, the number
-    /// of documents pushed to one key is not, and 2 049 maximal ones pass 2^64.
+    /// of documents pushed to one key is not: two maximal ones pass what a snapshot can
+    /// carry, 2 049 pass 2^64.  Every sum stops at 2^53.
     #[test]
     fn folding_maximal_counts_saturates() {
-        const MAX: u64 = 1 << 53;
+        const MAX: u64 = MAX_COUNT;
         let mut maximal = shard(0, "a", 1, 50.0);
         maximal.meta.requests = MAX;
         maximal.meta.samples = MAX;
@@ -1180,32 +1210,35 @@ mod tests {
             .collect();
         let report = merge_shards(&shards.iter().collect::<Vec<_>>());
 
-        assert_eq!(report.totals.requests, u64::MAX);
-        assert_eq!(report.totals.samples, u64::MAX);
-        assert_eq!(report.totals.total_cycles, u64::MAX);
+        assert_eq!(report.totals.requests, MAX);
+        assert_eq!(report.totals.samples, MAX);
+        assert_eq!(report.totals.total_cycles, MAX);
         let row = &report.data_profile[0].row;
-        assert_eq!((row.samples, row.l1_miss_samples), (u64::MAX, u64::MAX));
-        assert_eq!(row.threads_seen, usize::MAX);
-        assert_eq!(report.miss_classification[0].miss_samples, u64::MAX);
-        assert_eq!(report.utilization.total_fetches, u64::MAX);
-        assert_eq!(report.utilization.resolved_slots_touched, u64::MAX);
+        assert_eq!((row.samples, row.l1_miss_samples), (MAX, MAX));
+        assert_eq!(row.threads_seen, MAX as usize);
+        assert_eq!(report.miss_classification[0].miss_samples, MAX);
+        assert_eq!(report.utilization.total_fetches, MAX);
+        assert_eq!(report.utilization.resolved_slots_touched, MAX);
         let row = &report.utilization.rows[0].row;
-        assert_eq!((row.slots_fetched, row.refetch_slots), (u64::MAX, u64::MAX));
-        // 2 049 * 2^52 is short of 2^64: the smaller sum has not saturated.
-        assert_eq!(row.slots_touched, 2049 * (MAX / 2));
-        assert!(row.slots_touched <= row.slots_fetched);
+        assert_eq!((row.slots_fetched, row.refetch_slots), (MAX, MAX));
+        // The smaller sum saturates at the same bound, never past the larger one.
+        assert_eq!(row.slots_touched, MAX);
+        assert_eq!(row.wasted_bytes(), 0);
         assert_eq!(row.origins[0].slots_touched, 2049);
-        assert_eq!(row.origins[0].wasted_bytes(), u64::MAX);
-        assert_eq!(report.working_set.thread_count, usize::MAX);
-        assert_eq!(report.working_set.threads_exceeding_capacity, usize::MAX);
-        assert_eq!(report.working_set.rows[0].threads_seen, usize::MAX);
+        assert_eq!(row.origins[0].wasted_bytes(), MAX);
+        assert_eq!(report.working_set.thread_count, MAX as usize);
+        assert_eq!(report.working_set.threads_exceeding_capacity, MAX as usize);
+        assert_eq!(report.working_set.rows[0].threads_seen, MAX as usize);
         let flow = &report.data_flows[0];
-        assert_eq!(
-            (flow.nodes[0].samples, flow.nodes[0].weight),
-            (u64::MAX, u64::MAX)
-        );
-        assert_eq!(flow.edges[0].count, u64::MAX);
-        assert_eq!(flow.core_crossings(), u64::MAX);
+        assert_eq!((flow.nodes[0].samples, flow.nodes[0].weight), (MAX, MAX));
+        assert_eq!(flow.edges[0].count, MAX);
+        assert_eq!(flow.core_crossings(), MAX);
+        // Two documents are enough, and what the fold holds a snapshot can carry.
+        let folded = fold(&[&shards[0], &shards[1]]);
+        assert_eq!(folded.meta.requests, MAX);
+        let text = crate::schema::shard_to_json(&folded).to_pretty_string();
+        let reread = crate::schema::Json::parse(&text).unwrap();
+        assert_eq!(crate::schema::shard_from_json(&reread), Ok(folded));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! [`MAX_NESTING`] levels, and every count a fold will sum at 2^53 ([`count_at`]).
 
 use crate::merge::{
-    ProfileShard, ShardFlow, ShardFlowEdge, ShardFlowNode, ShardMeta, ShardMissRow,
+    self, ProfileShard, ShardFlow, ShardFlowEdge, ShardFlowNode, ShardMeta, ShardMissRow,
     ShardProfileRow, ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow,
     ShardWorkingSet, ShardWorkingSetRow,
 };
@@ -479,19 +479,16 @@ fn f64_at(v: &Json, key: &str) -> f64 {
     v.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-/// The largest count a document may carry: every integer up to 2^53 is exact in the
-/// `f64` a JSON number is read into.
-const MAX_COUNT: f64 = 9_007_199_254_740_992.0;
-
 /// The count at `section.key`: 0 when absent, an error when it is negative, fractional
-/// or above 2^53 (beyond which the `f64` it was read into no longer names one integer).
-/// Sums of counts saturate, here and in the fold, however many are added.
+/// or above 2^53 ([`merge::MAX_COUNT`], beyond which the `f64` it was read into no
+/// longer names one integer).  Sums of counts saturate there, here and in the fold,
+/// however many are added, so whatever is written from them reads back.
 pub fn count_at(section: &Json, name: &str, key: &str) -> Result<u64, String> {
     let v = f64_at(section, key);
     // The cast saturates and drops the fraction, so only a whole number in range
     // survives the round trip (NaN casts to 0 and equals nothing).
     let count = v as u64;
-    if count as f64 == v && v <= MAX_COUNT {
+    if count as f64 == v && count <= merge::MAX_COUNT {
         Ok(count)
     } else {
         Err(format!("{name} '{key}': count {v} out of range"))
@@ -740,7 +737,7 @@ pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, 
     // pool so this shard's weight matches the denominator its percentages assume.
     let sum_l1 = data_profile
         .iter()
-        .fold(0u64, |n, r| n.saturating_add(r.l1_miss_samples));
+        .fold(0, |n, r| merge::add_counts(n, r.l1_miss_samples));
     let sum_pct: f64 = data_profile.iter().map(|r| r.pct_of_l1_misses).sum();
     let weight = if sum_pct > 1e-9 {
         (sum_l1 as f64 * 100.0 / sum_pct).round()
@@ -761,7 +758,7 @@ pub fn shard_from_report_json(doc: &Json, ordinal: u64) -> Result<ProfileShard, 
             rps: f64_at(throughput, "aggregate_rps"),
             profiling_fraction: f64_at(throughput, "profiling_fraction"),
             samples: rows(throughput, "per_thread").try_fold(0u64, |n, t| {
-                count_at(t, "throughput per_thread", "samples").map(|c| n.saturating_add(c))
+                count_at(t, "throughput per_thread", "samples").map(|c| merge::add_counts(n, c))
             })?,
             total_cycles: 0,
         },

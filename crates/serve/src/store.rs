@@ -5,9 +5,13 @@
 //! survives restarts through JSON snapshots: each key serializes the fold of its
 //! resident shards as one base shard under `<root>/<workload>/<build>.json`, and
 //! [`ProfileStore::new`] reloads every snapshot it finds.  A reloaded key keeps
-//! absorbing new shards on top of its snapshot shard.
+//! absorbing new shards on top of its snapshot shard.  A snapshot is written beside
+//! its file as `<build>.json.tmp` and renamed over it, so a collector killed while
+//! writing leaves the previous snapshot and a stray `.tmp`, which the next start
+//! removes; it is not `fsync`ed (that would be a disk flush under the store's lock
+//! every few pushes), so a power cut may still cost the last snapshots.
 
-use dprof::core::merge::{MergeSink, MergedReport, ProfileShard, StreamingMerge};
+use dprof::core::merge::{self, MergeSink, MergedReport, ProfileShard, StreamingMerge};
 use dprof::core::schema::{self, Json};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -89,7 +93,15 @@ impl ProfileStore {
                 .map_err(|e| format!("read {}: {e}", workload_dir.path().display()))?;
             for build_file in builds.flatten() {
                 let path = build_file.path();
-                if path.extension().map(|e| e != "json").unwrap_or(true) {
+                let name = build_file.file_name();
+                let name = name.to_string_lossy();
+                if name.ends_with(".json.tmp") {
+                    // A snapshot its writer did not live to rename: whatever it
+                    // holds, the file it was to replace is the last good state.
+                    let _ = std::fs::remove_file(&path);
+                    continue;
+                }
+                if !name.ends_with(".json") {
                     continue;
                 }
                 let text = std::fs::read_to_string(&path)
@@ -124,7 +136,7 @@ impl ProfileStore {
         let entry = self.entry(workload, build);
         entry.sink.absorb(shard);
         entry.report = None;
-        entry.absorbed += 1;
+        entry.absorbed = merge::add_counts(entry.absorbed, 1);
         entry.dirty += 1;
         entry.absorbed
     }
@@ -190,7 +202,9 @@ impl ProfileStore {
             let dir = root.join(workload);
             std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
             let path = dir.join(format!("{build}.json"));
-            std::fs::write(&path, doc.to_pretty_string())
+            let tmp = dir.join(format!("{build}.json.tmp"));
+            std::fs::write(&tmp, doc.to_pretty_string())
+                .and_then(|()| std::fs::rename(&tmp, &path))
                 .map_err(|e| format!("write snapshot {}: {e}", path.display()))?;
             entry.dirty = 0;
             written += 1;
@@ -293,8 +307,7 @@ mod tests {
 
     #[test]
     fn snapshots_survive_a_restart() {
-        let dir = std::env::temp_dir().join(format!("dprof-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("test");
 
         let mut store = ProfileStore::new(Some(dir.clone()), 8).unwrap();
         for i in 0..5 {
@@ -323,6 +336,75 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A fresh store directory for one test (tests of one process run side by side).
+    fn scratch(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dprof-store-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn counts_folded_past_what_a_document_may_carry_snapshot_and_reload() {
+        let dir = scratch("maximal");
+        let mut maximal = shard(1, 40);
+        maximal.meta.requests = merge::MAX_COUNT;
+        maximal.meta.samples = merge::MAX_COUNT;
+        maximal.data_profile[0].samples = merge::MAX_COUNT;
+        let mut store = ProfileStore::new(Some(dir.clone()), 2).unwrap();
+        store.push_shard("big", "b", maximal.clone());
+        maximal.ordinal = 2;
+        // The second push compacts: the sums are in the sink's one shard.
+        store.push_shard("big", "b", maximal);
+        let before = store.report("big", "b").unwrap();
+        assert_eq!(before.totals.requests, merge::MAX_COUNT);
+        assert_eq!(store.snapshot().unwrap(), 1);
+
+        let mut reloaded = ProfileStore::new(Some(dir.clone()), 2).unwrap();
+        assert_eq!(reloaded.keys(), vec![("big".into(), "b".into(), 2)]);
+        assert_eq!(reloaded.report("big", "b").unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_tmp_is_removed_and_a_cut_snapshot_is_an_error_naming_it() {
+        let dir = scratch("torn");
+        let mut store = ProfileStore::new(Some(dir.clone()), 8).unwrap();
+        for i in 0..3 {
+            store.push_shard("ring", "v1", shard(i + 1, 40 + i));
+        }
+        assert_eq!(store.snapshot().unwrap(), 1);
+        let snapshot = dir.join("ring/v1.json");
+        let text = std::fs::read(&snapshot).unwrap();
+        assert!(
+            !dir.join("ring/v1.json.tmp").exists(),
+            "renamed, not copied"
+        );
+        let mut good = ProfileStore::new(Some(dir.clone()), 8).unwrap();
+        let before = good.report("ring", "v1").unwrap();
+
+        // Killed while writing the next snapshot: half a document beside the good
+        // one, and the start of another key's first.
+        std::fs::write(dir.join("ring/v1.json.tmp"), &text[..text.len() / 2]).unwrap();
+        std::fs::write(dir.join("ring/v2.json.tmp"), b"{").unwrap();
+        let mut reloaded = ProfileStore::new(Some(dir.clone()), 8).unwrap();
+        assert_eq!(reloaded.keys(), vec![("ring".into(), "v1".into(), 3)]);
+        assert_eq!(reloaded.report("ring", "v1").unwrap(), before);
+        assert!(!dir.join("ring/v1.json.tmp").exists());
+        assert!(!dir.join("ring/v2.json.tmp").exists());
+
+        // A snapshot cut short some other way is refused by name, wherever the cut
+        // (every 256 bytes of this 1.3 KB document, empty file included).
+        assert!(text.len() > 1024);
+        for cut in (0..text.len()).step_by(256) {
+            std::fs::write(&snapshot, &text[..cut]).unwrap();
+            let Err(e) = ProfileStore::new(Some(dir.clone()), 8) else {
+                panic!("a snapshot cut at byte {cut} was accepted");
+            };
+            assert!(e.contains("ring/v1.json") && !e.contains('\n'), "{e}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn a_report_is_kept_until_the_next_push_to_its_key() {
         let mut store = ProfileStore::new(None, 8).unwrap();
@@ -347,8 +429,7 @@ mod tests {
 
     #[test]
     fn compaction_and_snapshots_leave_the_answer_a_fresh_store_gives() {
-        let dir = std::env::temp_dir().join(format!("dprof-store-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("cache");
         let mut store = ProfileStore::new(Some(dir.clone()), 4).unwrap();
         let fresh = |pushes: u64| {
             let mut fresh = ProfileStore::new(None, 4).unwrap();
@@ -405,9 +486,7 @@ mod tests {
             threshold in 2usize..6,
             ops in proptest::collection::vec((0usize..4, 0usize..3, 1u64..50), 1..60),
         ) {
-            let dir = std::env::temp_dir()
-                .join(format!("dprof-store-interleave-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
+            let dir = scratch("interleave");
             let mut store = ProfileStore::new(Some(dir.clone()), threshold).unwrap();
             let mut uncached: Vec<StreamingMerge> = BUILDS
                 .iter()

@@ -20,12 +20,19 @@
 //! "who holds this line" without probing a cache: after an L1 miss a clear sharer bit
 //! *is* the L2 miss, a line is held elsewhere when another bit is set, and a fill after
 //! a miss places the line without looking for it.
+//!
+//! Below the L1 a line *is* its directory slot.  The L1s are tagged by line address, so
+//! a hit there asks the directory nothing; everything that reaches an L2 or the L3 has
+//! resolved the line's [`Slot`] on the way (or, for a victim, reads it back as the tag),
+//! so those caches are tagged by slot, four bytes a way, and an L2 victim's directory
+//! entry is an array index away, its line address inside it.  Each level's set index
+//! is computed here, from the line address, and handed to the cache with the tag.
 
 use crate::cache::SetAssocCache;
 use crate::geometry::CacheGeometry;
 use crate::latency::LatencyModel;
 use crate::line::MesiState;
-use crate::line_table::LineTable;
+use crate::line_table::{LineTable, Slot};
 use crate::stats::{HierarchyStats, MissKind};
 use crate::{Addr, CoreId, CoreMask, LineAddr, MAX_CORES};
 use serde::{Deserialize, Serialize};
@@ -158,6 +165,17 @@ impl HierarchyConfig {
     }
 }
 
+/// One line as every level files it: by address in the L1s, by directory slot in the
+/// L2s and the L3, in the set its address selects at each level.
+#[derive(Debug, Clone, Copy)]
+struct Filed {
+    line: LineAddr,
+    slot: Slot,
+    l1_set: usize,
+    l2_set: usize,
+    l3_set: usize,
+}
+
 /// The full multi-core cache hierarchy.
 ///
 /// All coherence is modelled with a central directory: for every line we track the set
@@ -167,9 +185,9 @@ impl HierarchyConfig {
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     config: HierarchyConfig,
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
-    l3: SetAssocCache,
+    l1: Vec<SetAssocCache<LineAddr>>,
+    l2: Vec<SetAssocCache<Slot>>,
+    l3: SetAssocCache<Slot>,
     /// Per-line directory, departure and touched bookkeeping, one entry a line.
     table: LineTable,
     /// Aggregated statistics.
@@ -223,43 +241,26 @@ impl CacheHierarchy {
         self.config.l1.line_addr(addr)
     }
 
-    /// Access to the per-core L2 cache (read-only), e.g. for working-set inspection.
-    pub fn l2_cache(&self, core: CoreId) -> &SetAssocCache {
-        &self.l2[core]
-    }
-
-    /// Access to the per-core L1 cache (read-only).
-    pub fn l1_cache(&self, core: CoreId) -> &SetAssocCache {
-        &self.l1[core]
-    }
-
-    /// Access to the shared L3 cache (read-only).
-    pub fn l3_cache(&self) -> &SetAssocCache {
-        &self.l3
-    }
-
     /// Number of distinct lines the directory has ever tracked.
     pub fn directory_lines(&self) -> usize {
         self.table.len()
     }
 
-    /// Heap bytes of the simulator's own tables: every cache's tags, states and ranks,
-    /// and the directory's index and entries.  Read off the tables' lengths when asked;
-    /// nothing is counted on the access path.
-    pub fn heap_bytes(&self) -> usize {
-        let caches = self.l1.iter().chain(&self.l2).chain([&self.l3]);
-        caches.map(SetAssocCache::heap_bytes).sum::<usize>() + self.table.heap_bytes()
+    /// Heap bytes of the cache tables (tag, state and rank per slot) by level: all L1s,
+    /// all L2s, the L3.
+    pub fn cache_heap_bytes(&self) -> [usize; 3] {
+        [
+            self.l1.iter().map(SetAssocCache::heap_bytes).sum(),
+            self.l2.iter().map(SetAssocCache::heap_bytes).sum(),
+            self.l3.heap_bytes(),
+        ]
     }
 
-    /// Turns on distinct-lines-per-set conflict tracking in every cache of the
-    /// hierarchy (L1s, L2s and L3), so the conflict analysis can query
-    /// [`SetAssocCache::distinct_lines_in_set`] through the cache getters.  Off by
-    /// default — the tracker costs memory proportional to the distinct lines touched.
-    pub fn enable_conflict_tracking(&mut self) {
-        for c in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-            c.enable_conflict_tracking();
-        }
-        self.l3.enable_conflict_tracking();
+    /// Heap bytes of the simulator's own tables: [`Self::cache_heap_bytes`] and the
+    /// directory's index and entries.  Read off the tables' lengths when asked;
+    /// nothing is counted on the access path.
+    pub fn heap_bytes(&self) -> usize {
+        self.cache_heap_bytes().iter().sum::<usize>() + self.table.heap_bytes()
     }
 
     /// Turns access-trace capture on or off.  While on, every access is appended to an
@@ -294,7 +295,7 @@ impl CacheHierarchy {
         let l2_set = self.config.l2.set_index_of_line(line);
         let latency_model = self.config.latency;
 
-        let (level, extra, miss_kind) = self.access_line(core, line, kind);
+        let (level, extra, miss_kind) = self.access_line(core, line, l2_set, kind);
         let latency = latency_model.for_level(level) + extra;
 
         self.record_stats(core, level, latency, miss_kind);
@@ -313,26 +314,37 @@ impl CacheHierarchy {
     /// miss classification.
     ///
     /// The miss path resolves the line's directory slot once ([`LineTable::ensure_slot`])
-    /// and threads it through every directory update, including the final
-    /// classification — the seed probed the table 3-4 times per miss.  A slot is the
-    /// line's for good, whatever the fill's victim bookkeeping inserts meanwhile.
+    /// and threads it through every L2 and L3 operation and every directory update,
+    /// including the final classification — the seed probed the table 3-4 times per
+    /// miss.  A slot is the line's for good, whatever the fill's victim bookkeeping
+    /// inserts meanwhile.
     fn access_line(
         &mut self,
         core: CoreId,
         line: LineAddr,
+        l2_set: usize,
         kind: AccessKind,
     ) -> (HitLevel, u64, Option<MissKind>) {
         let is_write = kind.is_write();
+        let l1_set = self.config.l1.set_index_of_line(line);
+        let l3_set = self.config.l3.set_index_of_line(line);
+        let filed = |slot| Filed {
+            line,
+            slot,
+            l1_set,
+            l2_set,
+            l3_set,
+        };
 
-        // L1 lookup.  A hit hands back its slot, so a state change is a store; a write
+        // L1 lookup.  A hit hands back its way, so a state change is a store; a write
         // that finds the line Modified has nothing to change (see the module docs).
-        if let Some((slot, state)) = self.l1[core].lookup(line) {
+        if let Some((way, state)) = self.l1[core].lookup(l1_set, line) {
             let mut extra = 0;
             if is_write && state != MesiState::Modified {
-                let dir_slot = self.table.ensure_slot(line);
-                extra = self.take_ownership(core, line, state, dir_slot);
-                self.l1[core].set_state_at(slot, MesiState::Modified);
-                self.l2[core].set_state(line, MesiState::Modified);
+                let at = filed(self.table.ensure_slot(line));
+                extra = self.take_ownership(core, at, state);
+                self.l1[core].set_state_at(way, MesiState::Modified);
+                self.l2[core].set_state(l2_set, at.slot, MesiState::Modified);
             }
             return (HitLevel::L1, extra, None);
         }
@@ -341,24 +353,27 @@ impl CacheHierarchy {
         // with a directory update for this line and every line an L2 holds has an
         // entry, so inserting the (default) entry up front changes nothing observable
         // and lets the rest of the path reuse the slot.
-        let slot = self.table.ensure_slot(line);
-        let entry = *self.table.entry_at(slot);
+        let at = filed(self.table.ensure_slot(line));
+        let entry = *self.table.entry_at(at.slot);
         let bit = (1 as CoreMask) << core;
 
         // L2 lookup, scanned only when the directory says the line is there
         // (exactness); otherwise the miss is counted without a way scan.
         if entry.sharers & bit == 0 {
-            debug_assert!(!self.l2[core].contains(line), "clear sharer bit, line held");
+            debug_assert!(
+                !self.l2[core].contains(l2_set, at.slot),
+                "clear sharer bit, line held"
+            );
             self.l2[core].note_miss();
-        } else if let Some((l2_slot, state)) = self.l2[core].lookup(line) {
+        } else if let Some((way, state)) = self.l2[core].lookup(l2_set, at.slot) {
             let mut extra = 0;
             if is_write && state != MesiState::Modified {
-                extra = self.take_ownership(core, line, state, slot);
-                self.l2[core].set_state_at(l2_slot, MesiState::Modified);
+                extra = self.take_ownership(core, at, state);
+                self.l2[core].set_state_at(way, MesiState::Modified);
             }
             // Promote into L1.
             let new_state = if is_write { MesiState::Modified } else { state };
-            self.fill_private(core, line, new_state, /*l1_only=*/ true);
+            self.fill_private(core, at, new_state, /*l1_only=*/ true);
             return (HitLevel::L2, extra, None);
         }
 
@@ -374,18 +389,18 @@ impl CacheHierarchy {
         let level = if let Some(owner) = remote_owner {
             // Dirty line lives in another core's cache: cache-to-cache transfer.
             if is_write {
-                self.invalidate_remote_copies(core, line, entry.sharers, slot);
+                self.invalidate_remote_copies(core, at, entry.sharers);
             } else {
                 // Owner downgrades to Shared; line is also pushed to L3.
-                self.downgrade_to_shared(owner, line);
-                self.l3.fill(line, MesiState::Shared);
-                self.table.entry_at_mut(slot).set_owner(None);
+                self.downgrade_to_shared(owner, at);
+                self.l3.fill(l3_set, at.slot, MesiState::Shared);
+                self.table.entry_at_mut(at.slot).set_owner(None);
             }
             HitLevel::RemoteCache
         } else if held_elsewhere {
             // Clean copy in some other private cache (and possibly L3).
             if is_write {
-                self.invalidate_remote_copies(core, line, entry.sharers, slot);
+                self.invalidate_remote_copies(core, at, entry.sharers);
             } else {
                 // Remote Exclusive copies must downgrade to Shared so a later write on
                 // that core performs a visible upgrade (and invalidates us).
@@ -393,7 +408,7 @@ impl CacheHierarchy {
                 while mask != 0 {
                     let c = mask.trailing_zeros() as CoreId;
                     mask &= mask - 1;
-                    self.downgrade_to_shared(c, line);
+                    self.downgrade_to_shared(c, at);
                 }
                 // (None of them is the directory owner: an owner would have been the
                 // remote owner above.)
@@ -402,18 +417,18 @@ impl CacheHierarchy {
             // `touch_existing` is a single way scan: on a hit it is exactly the old
             // `contains` + `lookup` pair; on a miss it leaves the L3 untouched, the
             // same state the old `contains` pre-check left.
-            if self.l3.touch_existing(line).is_none() {
-                self.l3.place(line, MesiState::Shared);
+            if self.l3.touch_existing(l3_set, at.slot).is_none() {
+                self.l3.place(l3_set, at.slot, MesiState::Shared);
             }
             HitLevel::L3
-        } else if self.l3.touch_existing(line).is_some() {
+        } else if self.l3.touch_existing(l3_set, at.slot).is_some() {
             if is_write {
-                self.invalidate_remote_copies(core, line, entry.sharers, slot);
+                self.invalidate_remote_copies(core, at, entry.sharers);
             }
             HitLevel::L3
         } else {
             if is_write {
-                self.invalidate_remote_copies(core, line, entry.sharers, slot);
+                self.invalidate_remote_copies(core, at, entry.sharers);
             }
             HitLevel::Dram
         };
@@ -426,10 +441,10 @@ impl CacheHierarchy {
         } else {
             MesiState::Exclusive
         };
-        self.fill_private(core, line, state, /*l1_only=*/ false);
+        self.fill_private(core, at, state, /*l1_only=*/ false);
 
         // Update the directory and classify the miss with the single resolved slot.
-        let e = self.table.entry_at_mut(slot);
+        let e = self.table.entry_at_mut(at.slot);
         e.sharers |= 1 << core;
         if is_write {
             e.set_owner(Some(core));
@@ -443,36 +458,30 @@ impl CacheHierarchy {
         (level, 0, Some(miss_kind))
     }
 
-    /// Downgrades core `c`'s copy of `line`, if it has one, to Shared.
+    /// Downgrades core `c`'s copy of the line, if it has one, to Shared.
     #[inline]
-    fn downgrade_to_shared(&mut self, c: CoreId, line: LineAddr) {
-        if self.l2[c].set_state(line, MesiState::Shared) {
-            self.l1[c].set_state(line, MesiState::Shared);
+    fn downgrade_to_shared(&mut self, c: CoreId, at: Filed) {
+        if self.l2[c].set_state(at.l2_set, at.slot, MesiState::Shared) {
+            self.l1[c].set_state(at.l1_set, at.line, MesiState::Shared);
         }
     }
 
     /// Directory side of a write hit on a line held Exclusive or Shared: records
     /// `core` as the owner, invalidating every other copy first if the line was
     /// Shared.  Returns the extra latency.  The caller stores Modified into the
-    /// private copies.  `slot` is the line's directory slot (a write-hit line is always
-    /// in the table already: its fill inserted it).
-    fn take_ownership(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        state: MesiState,
-        slot: usize,
-    ) -> u64 {
+    /// private copies.  (A write-hit line is always in the table already: its fill
+    /// inserted it.)
+    fn take_ownership(&mut self, core: CoreId, at: Filed, state: MesiState) -> u64 {
         let bit = (1 as CoreMask) << core;
         if state.can_write_silently() {
-            let e = self.table.entry_at_mut(slot);
+            let e = self.table.entry_at_mut(at.slot);
             e.set_owner(Some(core));
             e.sharers |= bit;
             0
         } else {
-            let sharers = self.table.entry_at(slot).sharers;
-            self.invalidate_remote_copies(core, line, sharers, slot);
-            let e = self.table.entry_at_mut(slot);
+            let sharers = self.table.entry_at(at.slot).sharers;
+            self.invalidate_remote_copies(core, at, sharers);
+            let e = self.table.entry_at_mut(at.slot);
             e.set_owner(Some(core));
             e.sharers = bit;
             self.config.latency.upgrade
@@ -484,28 +493,22 @@ impl CacheHierarchy {
     ///
     /// `sharers` is the directory's sharer mask, so only the cores that hold the line
     /// are visited — the seed implementation scanned all cores' sets
-    /// unconditionally.  `slot` is the line's already-resolved directory slot.
-    fn invalidate_remote_copies(
-        &mut self,
-        writer: CoreId,
-        line: LineAddr,
-        sharers: CoreMask,
-        slot: usize,
-    ) {
+    /// unconditionally.
+    fn invalidate_remote_copies(&mut self, writer: CoreId, at: Filed, sharers: CoreMask) {
         let mut mask = sharers & !((1 as CoreMask) << writer);
         let mut departed: CoreMask = 0;
         while mask != 0 {
             let c = mask.trailing_zeros() as CoreId;
             mask &= mask - 1;
             // L2 first: when it lacks the line, so does the L1 (inclusion).
-            if self.l2[c].invalidate(line) {
-                self.l1[c].invalidate(line);
+            if self.l2[c].invalidate(at.l2_set, at.slot) {
+                self.l1[c].invalidate(at.l1_set, at.line);
                 departed |= (1 as CoreMask) << c;
             }
         }
         // A remote write also invalidates the stale L3 copy.
-        self.l3.invalidate(line);
-        let e = self.table.entry_at_mut(slot);
+        self.l3.invalidate(at.l3_set, at.slot);
+        let e = self.table.entry_at_mut(at.slot);
         e.invalidated |= departed;
         e.sharers &= 1 << writer;
         e.set_owner(Some(writer));
@@ -513,31 +516,44 @@ impl CacheHierarchy {
 
     /// Places the line, which just missed there, into this core's private caches,
     /// handling evictions.
-    fn fill_private(&mut self, core: CoreId, line: LineAddr, state: MesiState, l1_only: bool) {
+    fn fill_private(&mut self, core: CoreId, at: Filed, state: MesiState, l1_only: bool) {
         // An L1 victim still lives in the L2 (inclusion), in the same state, so it
         // has not left the core and there is nothing to write back or record.
-        let l1_victim = self.l1[core].place(line, state);
-        debug_assert!(l1_victim.is_none_or(|v| self.l2[core].peek(v.line) == Some(v.state)));
+        let l1_victim = self.l1[core].place(at.l1_set, at.line, state);
+        debug_assert!(
+            l1_victim.is_none_or(|(line, state)| self.l2_state(core, line) == Some(state))
+        );
         if !l1_only {
-            if let Some(victim) = self.l2[core].place(line, state) {
-                // Leaving the L2 means leaving the core: drop the L1 copy too.
-                self.l1[core].invalidate(victim.line);
-                if victim.is_dirty() {
-                    self.l3.fill(victim.line, MesiState::Modified);
+            if let Some((victim, victim_state)) = self.l2[core].place(at.l2_set, at.slot, state) {
+                // The victim's tag is its directory slot, and the entry there knows
+                // its line.  Leaving the L2 means leaving the core: drop the L1 copy.
+                let line = self.table.entry_at(victim).line();
+                self.l1[core].invalidate(self.config.l1.set_index_of_line(line), line);
+                if victim_state == MesiState::Modified {
+                    let l3_set = self.config.l3.set_index_of_line(line);
+                    self.l3.fill(l3_set, victim, MesiState::Modified);
                 }
-                self.note_eviction(core, victim.line);
+                self.note_eviction(core, victim);
             }
         }
     }
 
-    /// Records that `line` left `core`'s private caches by replacement.
-    fn note_eviction(&mut self, core: CoreId, line: LineAddr) {
+    /// Records that the line at directory slot `slot` left `core`'s private caches by
+    /// replacement.
+    fn note_eviction(&mut self, core: CoreId, slot: Slot) {
         // No note is kept: the core stays in `touched` (see `DirEntry::miss_kind`).
-        let e = self.table.entry_mut(line);
+        let e = self.table.entry_at_mut(slot);
         e.sharers &= !((1 as CoreMask) << core);
         if e.owner_core() == Some(core) {
             e.set_owner(None);
         }
+    }
+
+    /// The state of `line` in `core`'s L2, asked by address: through the directory's
+    /// index, which the access path never needs (it holds the slot).  For the checks.
+    fn l2_state(&self, core: CoreId, line: LineAddr) -> Option<MesiState> {
+        let slot = self.table.slot_of(line)?;
+        self.l2[core].peek(self.config.l2.set_index_of_line(line), slot)
     }
 
     fn record_stats(
@@ -578,31 +594,62 @@ impl CacheHierarchy {
         self.l3.reset_stats();
     }
 
+    /// The lines a slot-tagged cache holds, or what is wrong with one of its tags.
+    fn lines_of(
+        &self,
+        cache: &SetAssocCache<Slot>,
+        name: &str,
+    ) -> Result<Vec<(LineAddr, MesiState)>, String> {
+        let line_of = |(set, slot, state)| {
+            if slot as usize >= self.table.len() {
+                return Err(format!(
+                    "{name} holds slot {slot} in set {set}, but the directory has {} lines",
+                    self.table.len()
+                ));
+            }
+            let line = self.table.entry_at(slot).line();
+            if cache.geometry().set_index_of_line(line) != set {
+                return Err(format!(
+                    "{name} holds line {line:#x} (slot {slot}) in set {set}, not the line's"
+                ));
+            }
+            Ok((line, state))
+        };
+        cache.resident().map(line_of).collect()
+    }
+
     /// Checks the MESI and directory invariants.  Used by property tests.
     ///
+    /// * slot tags: every tag of an L2 or of the L3 is a slot the directory handed out,
+    ///   and sits in the set that slot's line maps to (as every L1 line does);
     /// * single owner: a line Modified on one core is not valid on any other core;
     /// * directory ownership: a Modified line's directory entry names that core as the
     ///   owner, and a directory owner holds the line;
     /// * exact sharers: core `c`'s sharer bit is set exactly when `c`'s L2 holds the
-    ///   line;
+    ///   line's slot, in the line's set;
     /// * inclusion: a line resident in a core's L1 is resident in that core's L2, in
     ///   the same state.
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
         use std::collections::{HashMap, HashSet};
         let mut modified_lines: HashMap<LineAddr, CoreId> = HashMap::new();
         let mut holders: HashMap<LineAddr, HashSet<CoreId>> = HashMap::new();
+        self.lines_of(&self.l3, "the L3")?;
         for c in 0..self.config.cores {
-            for cache in [&self.l1[c], &self.l2[c]] {
-                for l in cache.resident_lines() {
-                    holders.entry(l.line).or_default().insert(c);
-                    if l.state == MesiState::Modified {
-                        if let Some(prev) = modified_lines.insert(l.line, c) {
-                            if prev != c {
-                                return Err(format!(
-                                    "line {:#x} Modified on cores {} and {}",
-                                    l.line, prev, c
-                                ));
-                            }
+            let mut lines = self.lines_of(&self.l2[c], &format!("core {c}'s L2"))?;
+            for (set, line, state) in self.l1[c].resident() {
+                if self.config.l1.set_index_of_line(line) != set {
+                    return Err(format!(
+                        "core {c}'s L1 holds line {line:#x} in set {set}, not the line's"
+                    ));
+                }
+                lines.push((line, state));
+            }
+            for (line, state) in lines {
+                holders.entry(line).or_default().insert(c);
+                if state == MesiState::Modified {
+                    if let Some(prev) = modified_lines.insert(line, c) {
+                        if prev != c {
+                            return Err(format!("line {line:#x} Modified on cores {prev} and {c}"));
                         }
                     }
                 }
@@ -645,35 +692,35 @@ impl CacheHierarchy {
             }
         }
         for c in 0..self.config.cores {
-            for l in self.l1[c].resident_lines() {
-                match self.l2[c].peek(l.line) {
-                    Some(state) if state == l.state => {}
+            for (_, line, l1_state) in self.l1[c].resident() {
+                match self.l2_state(c, line) {
+                    Some(state) if state == l1_state => {}
                     Some(state) => {
                         return Err(format!(
-                            "line {:#x} is {:?} in core {c}'s L1 but {state:?} in its L2",
-                            l.line, l.state
+                            "line {line:#x} is {l1_state:?} in core {c}'s L1 but {state:?} in \
+                             its L2"
                         ));
                     }
                     None => {
                         return Err(format!(
-                            "line {:#x} resident in core {c}'s L1 but not in its L2 \
-                             (inclusion)",
-                            l.line
+                            "line {line:#x} resident in core {c}'s L1 but not in its L2 \
+                             (inclusion)"
                         ));
                     }
                 }
             }
         }
         // ...and (exactness, the other direction) every set bit, and the owner, names
-        // a core whose L2 has the line.  After inclusion, so a lost L2 copy under a
-        // live L1 copy reads as the inclusion failure it is.
-        for (line, e) in self.table.iter() {
+        // a core whose L2 has the line's slot.  After inclusion, so a lost L2 copy
+        // under a live L1 copy reads as the inclusion failure it is.
+        for (slot, (line, e)) in self.table.iter().enumerate() {
+            let l2_set = self.config.l2.set_index_of_line(line);
             let owner = e.owner_core().map_or(0, |o| (1 as CoreMask) << o);
             let mut mask = e.sharers | owner;
             while mask != 0 {
                 let c = mask.trailing_zeros() as CoreId;
                 mask &= mask - 1;
-                if c >= self.config.cores || !self.l2[c].contains(line) {
+                if c >= self.config.cores || !self.l2[c].contains(l2_set, slot as Slot) {
                     let what = if e.sharers >> c & 1 == 1 {
                         "sharer"
                     } else {
@@ -696,6 +743,26 @@ mod tests {
 
     fn hierarchy() -> CacheHierarchy {
         CacheHierarchy::new(HierarchyConfig::small_test())
+    }
+
+    /// The tests speak lines; these say where a level files one.
+    impl CacheHierarchy {
+        fn l1_at(&self, line: LineAddr) -> (usize, LineAddr) {
+            (self.config.l1.set_index_of_line(line), line)
+        }
+
+        fn l2_at(&self, line: LineAddr) -> (usize, Slot) {
+            let slot = self
+                .table
+                .slot_of(line)
+                .expect("line has a directory entry");
+            (self.config.l2.set_index_of_line(line), slot)
+        }
+
+        fn l1_state(&self, core: CoreId, line: LineAddr) -> Option<MesiState> {
+            let (set, tag) = self.l1_at(line);
+            self.l1[core].peek(set, tag)
+        }
     }
 
     #[test]
@@ -884,7 +951,8 @@ mod tests {
         h.access(0, 0x6000, AccessKind::Write);
         // Corrupt the model: force a second valid copy of the dirty line on core 1.
         let line = h.line_addr(0x6000);
-        h.l1[1].fill(line, MesiState::Shared);
+        let (set, tag) = h.l1_at(line);
+        h.l1[1].fill(set, tag, MesiState::Shared);
         let err = h.check_coherence_invariants().unwrap_err();
         assert!(
             err.contains("Modified on core") && err.contains("held by 2"),
@@ -893,8 +961,7 @@ mod tests {
         // Two Modified copies must also be flagged.
         let mut h2 = hierarchy();
         h2.access(0, 0x6000, AccessKind::Write);
-        let line = h2.line_addr(0x6000);
-        h2.l1[1].fill(line, MesiState::Modified);
+        h2.l1[1].fill(set, tag, MesiState::Modified);
         let err = h2.check_coherence_invariants().unwrap_err();
         assert!(err.contains("Modified on cores"), "unexpected error: {err}");
     }
@@ -905,13 +972,14 @@ mod tests {
         let mut h = hierarchy();
         h.access(0, 0x6000, AccessKind::Read);
         let line = h.line_addr(0x6000);
-        assert!(h.l2[0].invalidate(line));
+        let (set, slot) = h.l2_at(line);
+        assert!(h.l2[0].invalidate(set, slot));
         let err = h.check_coherence_invariants().unwrap_err();
         assert!(err.contains("inclusion"), "unexpected error: {err}");
         // An L1 line whose L2 copy is in another state.
         let mut h = hierarchy();
         h.access(0, 0x6000, AccessKind::Read);
-        assert!(h.l2[0].set_state(line, MesiState::Shared));
+        assert!(h.l2[0].set_state(set, slot, MesiState::Shared));
         let err = h.check_coherence_invariants().unwrap_err();
         assert!(
             err.contains("Exclusive in core 0's L1 but Shared in its L2"),
@@ -947,8 +1015,8 @@ mod tests {
         // Everything a write hit could touch on core 0, for before/after comparisons.
         let snapshot = |h: &CacheHierarchy, line: LineAddr| {
             (
-                (h.l1[0].peek(line), h.l1[0].stats),
-                (h.l2[0].peek(line), h.l2[0].stats),
+                (h.l1_state(0, line), h.l1[0].stats),
+                (h.l2_state(0, line), h.l2[0].stats),
                 h.table.get(line).copied(),
             )
         };
@@ -991,7 +1059,7 @@ mod tests {
             (dir.owner_core(), dir.sharers, dir.invalidated),
             (Some(0), 1, 2)
         );
-        assert_eq!(h.l2[0].peek(p), Some(MesiState::Modified));
+        assert_eq!(h.l2_state(0, p), Some(MesiState::Modified));
         // The written lines are the L1 set's most recent: `t` (older) is the victim
         // of the next fill, `p` stays.
         both(&mut h, &mut r, 0, q, Read);
@@ -1009,7 +1077,7 @@ mod tests {
         }
         // E -> M: `t` is the L2 set's oldest line until the write's lookup refreshes
         // it; it is promoted into the L1 as Modified.
-        assert_eq!(h.l1[0].peek(t), None);
+        assert_eq!(h.l1_state(0, t), None);
         let out = both(&mut h, &mut r, 0, t, Write);
         assert_eq!((out.level, out.latency), (HitLevel::L2, lat.l2));
         let (l1, l2, dir) = snapshot(&h, t);
@@ -1021,7 +1089,7 @@ mod tests {
         // M -> M: push `t` out of the L1 again, write it: an L2 hit, an L1 refill.
         both(&mut h, &mut r, 0, v, Read);
         both(&mut h, &mut r, 0, w, Read);
-        assert_eq!(h.l1[0].peek(t), None);
+        assert_eq!(h.l1_state(0, t), None);
         let before = snapshot(&h, t);
         let out = both(&mut h, &mut r, 0, t, Write);
         assert_eq!((out.level, out.latency), (HitLevel::L2, lat.l2));
@@ -1032,7 +1100,7 @@ mod tests {
         assert_eq!(after.2, before.2);
         // The L2 set's victim is now `u`, the one line no hit refreshed: not `t`.
         both(&mut h, &mut r, 0, x, Read);
-        assert_eq!(h.l2[0].peek(u), None);
+        assert_eq!(h.l2_state(0, u), None);
         assert_eq!(both(&mut h, &mut r, 0, t, Read).level, HitLevel::L1);
         let out = both(&mut h, &mut r, 0, u, Read);
         assert_eq!(out.miss_kind, Some(MissKind::Eviction));
@@ -1041,14 +1109,14 @@ mod tests {
         both(&mut h, &mut r, 1, p, Read);
         both(&mut h, &mut r, 0, t, Read);
         both(&mut h, &mut r, 0, u, Read);
-        assert_eq!(h.l1[0].peek(p), None);
+        assert_eq!(h.l1_state(0, p), None);
         let out = both(&mut h, &mut r, 0, p, Write);
         assert_eq!(
             (out.level, out.latency),
             (HitLevel::L2, lat.l2 + lat.upgrade)
         );
-        assert_eq!(h.l1[0].peek(p), Some(MesiState::Modified));
-        assert_eq!(h.l2[0].peek(p), Some(MesiState::Modified));
+        assert_eq!(h.l1_state(0, p), Some(MesiState::Modified));
+        assert_eq!(h.l2_state(0, p), Some(MesiState::Modified));
         let dir = *h.table.get(p).unwrap();
         assert_eq!(
             (dir.owner_core(), dir.sharers, dir.invalidated),
@@ -1090,10 +1158,10 @@ mod tests {
         // oldest line, exactly as in the reference (which scans every time).
         assert_eq!(both(&mut h, &mut r, 0, x, Read).level, HitLevel::Dram);
         assert_eq!(l2(&h), (1, 5, 5, 1));
-        assert_eq!(h.l2[0].peek(u), None);
+        assert_eq!(h.l2_state(0, u), None);
         let out = both(&mut h, &mut r, 0, u, Read);
         assert_eq!(out.miss_kind, Some(MissKind::Eviction));
-        assert_eq!(h.l2[0].peek(v), None, "`v` was the oldest after `u` left");
+        assert_eq!(h.l2_state(0, v), None, "`v` was the oldest after `u` left");
         assert_eq!(l2(&h), (1, 6, 6, 2));
         // An invalidation clears the bit: the next access is a counted miss again,
         // and its fill takes the emptied way instead of evicting.
@@ -1106,7 +1174,7 @@ mod tests {
         );
         assert_eq!(l2(&h), (1, 7, 7, 2));
         for line in [t, x, u, w] {
-            assert!(h.l2[0].contains(line), "line {line:#x}");
+            assert!(h.l2_state(0, line).is_some(), "line {line:#x}");
         }
 
         assert_eq!(h.stats, r.stats);
@@ -1135,7 +1203,7 @@ mod tests {
         for i in 1..=(h.config().l2.ways as u64 + h.config().l1.ways as u64 + 2) {
             h.access(0, 0x40_0000 + i * stride, AccessKind::Write);
         }
-        assert!(!h.l2[0].contains(line));
+        assert!(h.l2_state(0, line).is_none());
         h.check_coherence_invariants().unwrap();
         (h, line)
     }
@@ -1171,17 +1239,115 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_conflict_tracking_reaches_every_cache() {
+    fn an_l2_victim_reaches_its_entry_by_slot_across_index_growths() {
+        use AccessKind::{Read, Write};
+        let cfg = HierarchyConfig::small_test();
+        let mut h = CacheHierarchy::new(cfg);
+        let mut r = crate::reference::RefCacheHierarchy::new(cfg);
+        let index_bytes = |h: &CacheHierarchy| h.table.heap_bytes() - 64 * h.table.len();
+        // Core 0 dirties `a`: slot 0, owner and sharer bit 0, filed in its L2 by slot.
+        let a = 0x4_0000;
+        both(&mut h, &mut r, 0, a, Write);
+        let (l2_set, slot) = h.l2_at(a);
+        assert_eq!(slot, 0);
+        let before = index_bytes(&h);
+        // Core 1 walks 2 000 other lines: the index doubles twice (at 769 and 1 537
+        // lines) and is re-filed; core 0's L2 is not touched, the entries do not move.
+        for i in 0..2_000 {
+            both(&mut h, &mut r, 1, 0x10_0000 + i, Read);
+        }
+        assert_eq!(index_bytes(&h), 4 * before, "two growths");
+        assert_eq!(h.l2_at(a), (l2_set, 0));
+        assert_eq!(h.l2_state(0, a), Some(MesiState::Modified));
+        // Now core 0 fills `a`'s L2 set: `a` is the victim, found by its tag alone.
+        let stride = cfg.l2.sets as u64;
+        for i in 1..=cfg.l2.ways as u64 {
+            both(&mut h, &mut r, 0, a + i * stride, Read);
+        }
+        assert_eq!(h.l2_state(0, a), None);
+        assert_eq!(h.l1_state(0, a), None, "leaving the L2 is leaving the core");
+        let e = h.table.get(a).unwrap();
+        assert_eq!((e.sharers, e.owner_core(), e.touched), (0, None, 1));
+        // Nobody else's entry paid for it, and the dirty victim went to the L3.
+        h.check_coherence_invariants().unwrap();
+        let out = both(&mut h, &mut r, 0, a, Read);
+        assert_eq!(
+            (out.level, out.miss_kind),
+            (HitLevel::L3, Some(MissKind::Eviction))
+        );
+        assert_eq!(h.stats, r.stats);
+    }
+
+    #[test]
+    fn a_slot_equal_to_another_lines_address_bits_is_not_that_line() {
+        use AccessKind::{Read, Write};
+        let cfg = HierarchyConfig::small_test();
+        let mut h = CacheHierarchy::new(cfg);
+        let mut r = crate::reference::RefCacheHierarchy::new(cfg);
+        // Five lines take slots 0..5, so `x` gets slot 5: the low 32 address bits of
+        // lines `y` and `z`, which map to `x`'s set at every level (set 5 of 16, 32, 64).
+        for filler in 0..5 {
+            both(&mut h, &mut r, 1, 0x9000 + filler, Read);
+        }
+        let (x, y, z) = (5 + (1000 << 6), 5, 5 + (1 << 32));
+        both(&mut h, &mut r, 0, x, Write);
+        assert_eq!(h.l2_at(x).1, 5);
+        for level in [cfg.l1, cfg.l2, cfg.l3] {
+            assert_eq!([x, y, z].map(|l| level.set_index_of_line(l)), [5; 3]);
+        }
+        // Neither is `x`: cold misses from DRAM, in the L1, the L2 and the L3 alike.
+        for line in [y, z] {
+            let out = both(&mut h, &mut r, 0, line, Read);
+            assert_eq!(
+                (out.level, out.miss_kind),
+                (HitLevel::Dram, Some(MissKind::Cold))
+            );
+        }
+        assert_eq!((h.l2_at(y).1, h.l2_at(z).1), (6, 7));
+        // And `x` is still itself: Modified on core 0, a foreign-cache fetch for core
+        // 1, whose write then takes all of core 0's copies of `x` and none of `y`.
+        assert_eq!(h.l2_state(0, x), Some(MesiState::Modified));
+        assert_eq!(
+            both(&mut h, &mut r, 1, x, Read).level,
+            HitLevel::RemoteCache
+        );
+        both(&mut h, &mut r, 1, x, Write);
+        assert_eq!((h.l1_state(0, x), h.l2_state(0, x)), (None, None));
+        assert_eq!(h.l1_state(0, y), Some(MesiState::Exclusive));
+        assert_eq!(h.l2_state(0, y), Some(MesiState::Exclusive));
+        assert_eq!(both(&mut h, &mut r, 0, z, Read).level, HitLevel::L1);
+        assert_eq!(h.stats, r.stats);
+        h.check_coherence_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_slot_tag_the_directory_never_made_or_in_the_wrong_set_is_flagged() {
         let mut h = hierarchy();
-        h.enable_conflict_tracking();
-        // Two conflicting lines in the same L2 set (stride = sets * line size).
-        let stride = (h.config().l2.sets * h.config().l2.line_size) as u64;
-        h.access(0, 0x5_0000, AccessKind::Read);
-        h.access(0, 0x5_0000 + stride, AccessKind::Read);
-        let set = h.config().l2.set_index(0x5_0000);
-        assert_eq!(h.l2_cache(0).distinct_lines_in_set(set), 2);
-        assert!(h.l1_cache(0).conflict_tracking_enabled());
-        assert!(h.l3_cache().conflict_tracking_enabled());
+        h.access(0, 0x6000, AccessKind::Read);
+        let (set, slot) = h.l2_at(h.line_addr(0x6000));
+        // A tag past the directory's last entry.
+        let mut forged = h.clone();
+        forged.l2[1].fill(set, 1, MesiState::Shared);
+        let err = forged.check_coherence_invariants().unwrap_err();
+        assert!(
+            err.contains("core 1's L2 holds slot 1") && err.contains("has 1 lines"),
+            "unexpected error: {err}"
+        );
+        // A real slot in a set its line does not map to: in the L3, and core 0's own L2
+        // copy moved one set along.
+        let mut forged = h.clone();
+        forged.l3.fill(set + 1, slot, MesiState::Shared);
+        let err = forged.check_coherence_invariants().unwrap_err();
+        assert!(
+            err.contains("the L3 holds line 0x180 (slot 0) in set"),
+            "unexpected error: {err}"
+        );
+        let (l1_set, line) = h.l1_at(0x180);
+        h.l1[0].invalidate(l1_set, line);
+        h.l2[0].invalidate(set, slot);
+        h.l2[0].fill(set + 1, slot, MesiState::Exclusive);
+        let err = h.check_coherence_invariants().unwrap_err();
+        assert!(err.contains("not the line's"), "unexpected error: {err}");
     }
 
     #[test]

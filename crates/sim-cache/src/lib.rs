@@ -47,7 +47,7 @@ pub mod line_table;
 pub mod reference;
 pub mod stats;
 
-pub use cache::SetAssocCache;
+pub use cache::{SetAssocCache, Tag};
 pub use geometry::CacheGeometry;
 pub use ground_truth::{
     granule_mask, GranuleCounts, GroundTruthTally, LineUtilCounts, UtilizationTally,
@@ -57,7 +57,7 @@ pub use hierarchy::{
     AccessKind, AccessOutcome, CacheHierarchy, HierarchyConfig, HitLevel, TraceEvent,
 };
 pub use latency::LatencyModel;
-pub use line::{CacheLine, MesiState};
+pub use line::MesiState;
 pub use stats::{CacheStats, HierarchyStats, MissKind, MissKindCounts};
 
 /// Identifier of a simulated CPU core.

@@ -1,4 +1,4 @@
-//! Cache line state: MESI coherence states and per-line metadata.
+//! Cache line state: MESI coherence states.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,23 +36,6 @@ impl MesiState {
     }
 }
 
-/// A single line resident in a [`crate::SetAssocCache`]: what `fill` reports as its
-/// victim and what `resident_lines` yields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheLine {
-    /// Line address (byte address divided by the line size).
-    pub line: u64,
-    /// Coherence state.
-    pub state: MesiState,
-}
-
-impl CacheLine {
-    /// True if the line must be written back when evicted.
-    pub fn is_dirty(&self) -> bool {
-        self.state == MesiState::Modified
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,14 +57,6 @@ mod tests {
         assert_eq!(MesiState::Shared.after_local_write(), MesiState::Modified);
         assert_eq!(MesiState::Modified.after_local_write(), MesiState::Modified);
         assert_eq!(MesiState::Invalid.after_local_write(), MesiState::Invalid);
-    }
-
-    #[test]
-    fn dirty_only_when_modified() {
-        let with = |state| CacheLine { line: 1, state };
-        assert!(with(MesiState::Modified).is_dirty());
-        assert!(!with(MesiState::Exclusive).is_dirty());
-        assert!(!with(MesiState::Shared).is_dirty());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! [`LineTable`] replaces all of that with one dense table:
 //!
 //! * the entries are a vector in first-touch order, sized by the lines a session
-//!   touched and by nothing else; a line's slot is its position there and never moves,
+//!   touched and by nothing else; a line's [`Slot`] is its position there and never
+//!   moves, which is what lets the L2s and the L3 file a line under its slot,
 //! * a small open-addressed index (linear probing over a power-of-two capacity, index =
 //!   mixed key & mask) maps a line to its slot; only the index is re-filed on growth,
 //! * nothing is ever removed — an entry's bitmasks are merely cleared: sharer bits drop
@@ -19,7 +20,7 @@
 //! opt-in conflict tracker in [`crate::SetAssocCache`].
 
 use crate::{CoreId, CoreMask, LineAddr, MissKind};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 
 /// [`LineSet`]'s "this slot is empty".  Real line addresses never reach this value: it
 /// would require a byte address above 2^70.
@@ -57,17 +58,60 @@ pub struct MixHasher(u64);
 /// `BuildHasher` of [`MixHasher`].
 pub type BuildMixHasher = BuildHasherDefault<MixHasher>;
 
+/// `BuildHasher` of [`MixHasher`] for keys that arrive from outside the program (the
+/// report fold's type and function names, which a collector reads from pushed
+/// documents): every map starts its hashers from a state of the process's
+/// [`RandomState`], so a document cannot aim its names at one bucket of a mixer anyone
+/// can invert.  [`BuildMixHasher`] is for keys the simulator makes itself.
+#[derive(Debug, Clone)]
+pub struct BuildKeyedMixHasher(u64);
+
+impl Default for BuildKeyedMixHasher {
+    fn default() -> Self {
+        BuildKeyedMixHasher(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for BuildKeyedMixHasher {
+    type Hasher = MixHasher;
+
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
+    }
+}
+
 impl Hasher for MixHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
-    /// Not on any path here: every key is an integer or a tuple of integers.
+    /// Strings (the report fold's type and function names).  Whole words but the last
+    /// are folded in with a multiply and a rotate; the last eight bytes — read
+    /// overlapping the word before when the length is no multiple of eight, so no tail
+    /// is copied — go with the length through the full mixer, which every hash ends in
+    /// (`str` adds its `0xff` terminator through here, another full round).
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b.into());
-        }
+        let n = bytes.len();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let half = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        let last = if n >= 8 {
+            let mut at = 0;
+            while at + 8 < n {
+                let folded = (self.0 ^ word(at)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                self.0 = folded.rotate_left(26);
+                at += 8;
+            }
+            word(n - 8)
+        } else if n >= 4 {
+            u64::from(half(0)) | u64::from(half(n - 4)) << 32
+        } else if n > 0 {
+            u64::from(bytes[0]) | u64::from(bytes[n / 2]) << 8 | u64::from(bytes[n - 1]) << 16
+        } else {
+            0
+        };
+        self.write_u64(last ^ (n as u64).rotate_right(8));
     }
 
     #[inline]
@@ -123,6 +167,12 @@ impl DirEntry {
         }
     }
 
+    /// The line this entry describes.
+    #[inline]
+    pub fn line(&self) -> LineAddr {
+        self.line
+    }
+
     /// The owning core, if any.
     #[inline]
     pub fn owner_core(&self) -> Option<CoreId> {
@@ -165,6 +215,11 @@ impl DirEntry {
     }
 }
 
+/// A line's position in the directory's entry vector, and the tag the L2s and the L3
+/// file it under.  `u32::MAX` is no line's slot (the caches' empty way): the index
+/// stores `slot + 1` in a `u32`, so [`LineTable::ensure_slot`] panics one line earlier.
+pub type Slot = u32;
+
 /// The line directory: `LineAddr -> DirEntry`, dense.
 ///
 /// Entries sit in one vector in first-touch order and a line's *slot* is its position
@@ -197,7 +252,7 @@ impl LineTable {
     /// Linear probe of the index: `Ok(slot)` if `line` is present, `Err(i)` with the
     /// empty index position it would be filed at.
     #[inline]
-    fn find(&self, line: LineAddr) -> Result<usize, usize> {
+    fn find(&self, line: LineAddr) -> Result<Slot, usize> {
         let mask = self.index.len() - 1;
         let mut i = (mix(line) as usize) & mask;
         loop {
@@ -206,7 +261,7 @@ impl LineTable {
                 return Err(i);
             }
             if key == line {
-                return Ok(slot1 as usize - 1);
+                return Ok(slot1 - 1);
             }
             i = (i + 1) & mask;
         }
@@ -216,7 +271,7 @@ impl LineTable {
     /// combined with [`Self::entry_at_mut`] this lets the hierarchy's miss path probe
     /// the table once and reuse the slot for every subsequent directory update.
     #[inline]
-    pub fn ensure_slot(&mut self, line: LineAddr) -> usize {
+    pub fn ensure_slot(&mut self, line: LineAddr) -> Slot {
         match self.find(line) {
             Ok(slot) => slot,
             Err(at) => self.insert(line, at),
@@ -225,10 +280,9 @@ impl LineTable {
 
     /// Appends a never-seen line's entry, filed at index position `at` or, once the
     /// index has grown, where it then belongs.
-    fn insert(&mut self, line: LineAddr, mut at: usize) -> usize {
-        let slot = self.entries.len();
-        let slot1 = u32::try_from(slot + 1).expect("a directory holds fewer than 2^32 lines");
-        if needs_grow(slot + 1, self.index.len()) {
+    fn insert(&mut self, line: LineAddr, mut at: usize) -> Slot {
+        let slot1 = slot_plus_one(self.entries.len());
+        if needs_grow(self.entries.len() + 1, self.index.len()) {
             self.grow();
             at = self
                 .find(line)
@@ -236,25 +290,25 @@ impl LineTable {
         }
         self.index[at] = (line, slot1);
         self.entries.push(DirEntry::new(line));
-        slot
+        slot1 - 1
     }
 
     /// The slot holding `line`, if present.
     #[inline]
-    pub fn slot_of(&self, line: LineAddr) -> Option<usize> {
+    pub fn slot_of(&self, line: LineAddr) -> Option<Slot> {
         self.find(line).ok()
     }
 
     /// The entry at a slot from [`Self::ensure_slot`] / [`Self::slot_of`].
     #[inline]
-    pub fn entry_at(&self, slot: usize) -> &DirEntry {
-        &self.entries[slot]
+    pub fn entry_at(&self, slot: Slot) -> &DirEntry {
+        &self.entries[slot as usize]
     }
 
     /// Mutable entry at a slot.
     #[inline]
-    pub fn entry_at_mut(&mut self, slot: usize) -> &mut DirEntry {
-        &mut self.entries[slot]
+    pub fn entry_at_mut(&mut self, slot: Slot) -> &mut DirEntry {
+        &mut self.entries[slot as usize]
     }
 
     /// Number of distinct lines recorded.
@@ -270,7 +324,7 @@ impl LineTable {
     /// Looks up the entry for `line`, if present.
     #[inline]
     pub fn get(&self, line: LineAddr) -> Option<&DirEntry> {
-        self.find(line).ok().map(|slot| &self.entries[slot])
+        self.find(line).ok().map(|slot| self.entry_at(slot))
     }
 
     /// Returns a mutable entry for `line`, inserting a new entry if absent.
@@ -281,7 +335,7 @@ impl LineTable {
     #[inline]
     pub fn entry_mut(&mut self, line: LineAddr) -> &mut DirEntry {
         let slot = self.ensure_slot(line);
-        &mut self.entries[slot]
+        self.entry_at_mut(slot)
     }
 
     /// Iterates over all `(line, entry)` pairs, in slot (first-touch) order.
@@ -305,6 +359,14 @@ impl LineTable {
             self.index[at] = (e.line, slot as u32 + 1);
         }
     }
+}
+
+/// What the index stores for a new entry at position `slot`: `slot + 1`, zero being an
+/// empty index position.  Where a [`Slot`] is made, and it refuses `u32::MAX`.
+#[inline]
+fn slot_plus_one(slot: usize) -> u32 {
+    let slot1 = u32::try_from(slot + 1).ok();
+    slot1.expect("a directory holds fewer than 2^32 - 1 lines")
 }
 
 /// Linear probe over a power-of-two key array (`mask = len - 1`): `Ok(slot)` if `line`
@@ -478,12 +540,66 @@ mod tests {
         assert_eq!(t.ensure_slot(77), slot);
         // Slots are dense and in first-touch order, and growth re-files the index only.
         for i in 0..4 * INITIAL_CAPACITY as u64 {
-            assert_eq!(t.ensure_slot(1_000_000 + i), 1 + i as usize);
+            assert_eq!(t.ensure_slot(1_000_000 + i), 1 + i as Slot);
         }
         assert!(t.index.len() > INITIAL_CAPACITY, "the index grew");
         assert_eq!(t.slot_of(77), Some(slot));
         assert_eq!(t.entry_at(slot).sharers, 0b11);
         assert_eq!(t.iter().next().map(|(line, _)| line), Some(77));
+    }
+
+    #[test]
+    fn the_last_slot_is_one_short_of_the_caches_empty_tag() {
+        use crate::cache::Tag;
+        // `slot + 1` has to fit the index's `u32`, so the largest slot ever handed out
+        // is `u32::MAX - 1` and the slot-tagged caches' "no line here" names no line.
+        assert_eq!(
+            slot_plus_one(u32::MAX as usize - 1) - 1,
+            <Slot as Tag>::INVALID - 1
+        );
+        assert!(std::panic::catch_unwind(|| slot_plus_one(u32::MAX as usize)).is_err());
+    }
+
+    #[test]
+    fn mix_hasher_takes_strings_a_word_at_a_time() {
+        use std::hash::BuildHasher;
+        let hash = |s: &str| BuildMixHasher::default().hash_one(s);
+        // Same bytes, same hash; a different byte anywhere, a prefix, or zero padding:
+        // another.
+        let names = [
+            "",
+            "a",
+            "b",
+            "ab",
+            "ab\0",
+            "skbuff",
+            "skbuff\0\0",
+            "size-1024",
+            "size-1025",
+            "tcp_sendmsg_locked",
+            "tcp_sendmsg_lockee",
+            "dev_queue_xmit__",
+            "dev_queue_xmit_",
+            "_dev_queue_xmit_",
+            "tcp_sendmsg_locked\0",
+        ];
+        for (i, a) in names.iter().enumerate() {
+            assert_eq!(hash(a), hash(String::from(*a).as_str()));
+            for b in &names[i + 1..] {
+                assert_ne!(hash(a), hash(b), "{a:?} against {b:?}");
+            }
+        }
+        // An integer key hashes as it always did: `write` is not on that path.
+        let mut h = MixHasher::default();
+        h.write_u64(42);
+        assert_eq!(h.finish(), mix(42));
+        // Keyed: one map hashes a name one way, two maps (almost surely) two ways.
+        let (one, other) = (
+            BuildKeyedMixHasher::default(),
+            BuildKeyedMixHasher::default(),
+        );
+        assert_eq!(one.hash_one("skbuff"), one.clone().hash_one("skbuff"));
+        assert_ne!(one.hash_one("skbuff"), other.hash_one("skbuff"));
     }
 
     #[test]
@@ -524,7 +640,7 @@ mod tests {
                 }
             };
             let mut t = LineTable::new();
-            let mut model: HashMap<LineAddr, (usize, DirEntry)> = HashMap::new();
+            let mut model: HashMap<LineAddr, (Slot, DirEntry)> = HashMap::new();
             let mut order: Vec<LineAddr> = Vec::new();
             let mut growths = 0;
 
@@ -539,7 +655,7 @@ mod tests {
                     0..=6 => {
                         let known = model.entry(line).or_insert_with(|| {
                             order.push(line);
-                            (order.len() - 1, DirEntry::new(line))
+                            (order.len() as Slot - 1, DirEntry::new(line))
                         });
                         if op == 6 {
                             t.entry_mut(line).touched ^= CoreMask::from(x) << 64 | 1;
@@ -570,7 +686,7 @@ mod tests {
                 if t.index.len() != capacity {
                     growths += 1;
                     // Every slot handed out before the growth names the line it named.
-                    for (slot, &line) in order.iter().enumerate() {
+                    for (slot, &line) in (0..).zip(&order) {
                         prop_assert_eq!(t.entry_at(slot).line, line);
                         prop_assert_eq!(t.slot_of(line), Some(slot), "growth {}", growths);
                     }

@@ -6,22 +6,18 @@ use sim_cache::{
     AccessKind, CacheGeometry, CacheHierarchy, HierarchyConfig, MesiState, SetAssocCache,
 };
 
-/// Streaming workload over a default-configured hierarchy: no conflict-tracking memory
-/// may be retained anywhere in the hierarchy.
+/// Streaming workload over a hierarchy: its caches retain nothing per distinct line
+/// (the hierarchy builds them without a conflict tracker, and has no way to add one).
 #[test]
 fn streaming_workload_retains_no_distinct_line_tracking() {
     let mut h = CacheHierarchy::new(HierarchyConfig::small_test());
+    let empty = h.cache_heap_bytes();
     // Stream 100k distinct lines (a ~6 MiB footprint against 10 KiB of private cache):
     // the seed implementation would have retained every one of them in per-set sets.
     for i in 0..100_000u64 {
         h.access(0, i * 64, AccessKind::Read);
     }
-    for core in 0..h.cores() {
-        assert_eq!(h.l1_cache(core).conflict_tracking_bytes(), 0);
-        assert_eq!(h.l2_cache(core).conflict_tracking_bytes(), 0);
-        assert!(!h.l1_cache(core).conflict_tracking_enabled());
-    }
-    assert_eq!(h.l3_cache().conflict_tracking_bytes(), 0);
+    assert_eq!(h.cache_heap_bytes(), empty);
 }
 
 /// When tracking is requested, the compact structure stays within a small constant
@@ -29,10 +25,10 @@ fn streaming_workload_retains_no_distinct_line_tracking() {
 #[test]
 fn opt_in_tracking_is_compact_and_exact() {
     let geom = CacheGeometry::new(64, 4, 64);
-    let mut c = SetAssocCache::with_conflict_tracking(geom);
+    let mut c = SetAssocCache::<u64>::with_conflict_tracking(geom);
     let n = 50_000u64;
     for i in 0..n {
-        c.fill(i, MesiState::Exclusive);
+        c.fill(geom.set_index_of_line(i), i, MesiState::Exclusive);
     }
     let total: usize = (0..geom.sets).map(|s| c.distinct_lines_in_set(s)).sum();
     assert_eq!(total as u64, n, "tracking must stay exact");
@@ -48,31 +44,39 @@ fn opt_in_tracking_is_compact_and_exact() {
 /// The simulator's own tables are sized by what a session touched: after 100 000
 /// distinct lines on the paper's machine the directory holds at most 110 bytes a line
 /// (a 64-byte entry a line and 16-byte index positions at no less than 37.5 % load),
-/// and a cache ten bytes a slot (tag, state, rank).  Before the directory went dense
-/// and the LRU stamps became ranks: 189 and 17.
+/// an L1 ten bytes a slot (line-address tag, state, rank) and an L2 or the L3 six (the
+/// tag is the line's four-byte directory slot).  Before the directory went dense and
+/// the LRU stamps became ranks: 189 and 17; before slots were tags: 10 at every level,
+/// 2.79 MB for the empty machine.
 #[test]
 fn table_bytes_per_line_and_per_slot_are_bounded() {
     let cfg = HierarchyConfig::paper_machine();
-    let slots = cfg.cores * (cfg.l1.sets * cfg.l1.ways + cfg.l2.sets * cfg.l2.ways)
-        + cfg.l3.sets * cfg.l3.ways;
+    let slots = [cfg.l1, cfg.l2, cfg.l3].map(|g| g.sets * g.ways);
+    let slots = [cfg.cores * slots[0], cfg.cores * slots[1], slots[2]];
     let mut h = CacheHierarchy::new(cfg);
+    assert!(
+        h.heap_bytes() <= 1_800_000,
+        "empty paper machine: {} bytes",
+        h.heap_bytes()
+    );
     let lines = 100_000;
     for i in 0..lines as u64 {
         h.access((i % 16) as usize, i * 64, AccessKind::Read);
     }
     assert_eq!(h.directory_lines(), lines);
-    let caches: usize = (0..cfg.cores)
-        .flat_map(|c| [h.l1_cache(c), h.l2_cache(c)])
-        .chain([h.l3_cache()])
-        .map(SetAssocCache::heap_bytes)
-        .sum();
-    let directory = h.heap_bytes() - caches;
+    let caches = h.cache_heap_bytes();
+    let directory = h.heap_bytes() - caches.iter().sum::<usize>();
     assert!(
         directory <= 110 * lines,
         "directory: {directory} bytes for {lines} lines"
     );
-    assert!(
-        caches <= 10 * slots,
-        "caches: {caches} bytes for {slots} slots"
-    );
+    for (level, bound) in [(0, 10), (1, 6), (2, 6)] {
+        assert!(
+            caches[level] <= bound * slots[level],
+            "L{}: {} bytes for {} slots",
+            level + 1,
+            caches[level],
+            slots[level]
+        );
+    }
 }

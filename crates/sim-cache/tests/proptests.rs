@@ -4,11 +4,42 @@ use proptest::prelude::*;
 use sim_cache::reference::RefCacheHierarchy;
 use sim_cache::{
     AccessKind, CacheGeometry, CacheHierarchy, HierarchyConfig, HitLevel, MesiState, SetAssocCache,
+    Tag,
 };
 
 /// Strategy producing a random access: (core, address, is_write).
 fn access_strategy(cores: usize) -> impl Strategy<Value = (usize, u64, bool)> {
     (0..cores, 0u64..0x40_000u64, any::<bool>()).prop_map(|(c, a, w)| (c, a * 8, w))
+}
+
+/// Fills `lines` into a cache of the given associativity under tags made by `tag_of`
+/// (injective): no set ever holds more lines than ways or the same tag twice, and the
+/// lines resident at the end are what strict LRU per set leaves of the sequence.
+fn check_occupancy_and_uniqueness<T: Tag + std::hash::Hash>(
+    ways: usize,
+    lines: &[u64],
+    tag_of: impl Fn(u64) -> T,
+) {
+    let geom = CacheGeometry::new(64, ways, 16);
+    let mut c = SetAssocCache::<T>::new(geom);
+    // Per set, most recent first.
+    let mut model: Vec<Vec<u64>> = vec![Vec::new(); geom.sets];
+    for &l in lines {
+        let set = geom.set_index_of_line(l);
+        let victim = c.fill(set, tag_of(l), MesiState::Exclusive);
+        let recent = &mut model[set];
+        recent.retain(|&m| m != l);
+        recent.insert(0, l);
+        let expected = (recent.len() > ways).then(|| recent.pop().unwrap());
+        prop_assert_eq!(victim.map(|v| v.0), expected.map(&tag_of));
+        prop_assert!(c.set_occupancy(set) <= geom.ways);
+    }
+    let mut seen = std::collections::HashSet::new();
+    for (set, tag, _) in c.resident() {
+        prop_assert!(seen.insert(tag), "duplicate resident tag {:?}", tag);
+        prop_assert!(model[set].iter().any(|&l| tag_of(l) == tag));
+    }
+    prop_assert_eq!(seen.len(), model.iter().map(Vec::len).sum::<usize>());
 }
 
 proptest! {
@@ -57,22 +88,23 @@ proptest! {
     }
 
     /// A set never holds more lines than its associativity, and never holds the same
-    /// tag twice.
+    /// tag twice — under line-address tags (the L1s) and under four-byte slot tags
+    /// (the L2s and the L3), from 2 ways to the 255 a one-byte rank allows.
     #[test]
-    fn set_occupancy_and_uniqueness(lines in proptest::collection::vec(0u64..4096u64, 1..500)) {
-        let geom = CacheGeometry::new(64, 4, 16);
-        let mut c = SetAssocCache::new(geom);
-        for l in &lines {
-            c.fill(*l, MesiState::Exclusive);
+    fn set_occupancy_and_uniqueness(
+        ways in (2usize..19).prop_map(|w| if w == 18 { 255 } else { w }),
+        lines in proptest::collection::vec(0u64..4096u64, 1..500),
+    ) {
+        check_occupancy_and_uniqueness::<u64>(ways, &lines, |l| l);
+        // Slots as a directory would hand them out: first-touch order.
+        let mut order: Vec<u64> = Vec::new();
+        for &l in &lines {
+            if !order.contains(&l) {
+                order.push(l);
+            }
         }
-        for set in 0..geom.sets {
-            prop_assert!(c.set_occupancy(set) <= geom.ways);
-        }
-        // Uniqueness: collect resident lines, no duplicates.
-        let mut seen = std::collections::HashSet::new();
-        for l in c.resident_lines() {
-            prop_assert!(seen.insert(l.line), "duplicate resident line {:#x}", l.line);
-        }
+        let slot_of = |l| order.iter().position(|&o| o == l).unwrap() as u32;
+        check_occupancy_and_uniqueness::<u32>(ways, &lines, slot_of);
     }
 
     /// Latency is always one of the modelled levels (plus possibly the upgrade penalty).
