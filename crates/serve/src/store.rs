@@ -97,7 +97,9 @@ impl ProfileStore {
                 let name = name.to_string_lossy();
                 if name.ends_with(".json.tmp") {
                     // A snapshot its writer did not live to rename: whatever it
-                    // holds, the file it was to replace is the last good state.
+                    // holds, the file it was to replace is the last good state.  One
+                    // that cannot be removed is still never read, and the key's next
+                    // snapshot writes over it.
                     let _ = std::fs::remove_file(&path);
                     continue;
                 }
@@ -205,7 +207,15 @@ impl ProfileStore {
             let tmp = dir.join(format!("{build}.json.tmp"));
             std::fs::write(&tmp, doc.to_pretty_string())
                 .and_then(|()| std::fs::rename(&tmp, &path))
-                .map_err(|e| format!("write snapshot {}: {e}", path.display()))?;
+                .map_err(|e| {
+                    // Whatever part got written is no snapshot; `path` is untouched.
+                    let _ = std::fs::remove_file(&tmp);
+                    format!(
+                        "write snapshot {} via {}: {e}",
+                        path.display(),
+                        tmp.display()
+                    )
+                })?;
             entry.dirty = 0;
             written += 1;
         }
@@ -402,6 +412,21 @@ mod tests {
             };
             assert!(e.contains("ring/v1.json") && !e.contains('\n'), "{e}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_snapshot_that_cannot_be_written_leaves_no_tmp_and_names_it() {
+        let dir = scratch("unwritable");
+        let mut store = ProfileStore::new(Some(dir.clone()), 8).unwrap();
+        store.push_shard("ring", "v1", shard(1, 40));
+        // A directory where the snapshot goes: the write succeeds, the rename cannot.
+        std::fs::create_dir_all(dir.join("ring/v1.json")).unwrap();
+        let e = store.snapshot().unwrap_err();
+        assert!(e.contains("ring/v1.json via ") && e.contains("ring/v1.json.tmp"));
+        assert!(!e.contains('\n'), "{e}");
+        assert!(!dir.join("ring/v1.json.tmp").exists());
+        assert_eq!(store.dirty("ring", "v1"), 1, "still to be written");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -263,6 +263,25 @@ impl CacheHierarchy {
         self.cache_heap_bytes().iter().sum::<usize>() + self.table.heap_bytes()
     }
 
+    /// Turns on distinct-lines-per-set conflict tracking in every cache of the
+    /// hierarchy (L1s, L2s and L3); [`Self::distinct_lines_in_l2_set`] reads it.  Off by
+    /// default — the tracker costs memory proportional to the distinct lines touched.
+    pub fn enable_conflict_tracking(&mut self) {
+        self.l1
+            .iter_mut()
+            .for_each(SetAssocCache::enable_conflict_tracking);
+        self.l2
+            .iter_mut()
+            .for_each(SetAssocCache::enable_conflict_tracking);
+        self.l3.enable_conflict_tracking();
+    }
+
+    /// Distinct lines ever installed in set `set` ([`AccessOutcome::l2_set`]) of `core`'s
+    /// L2.  Zero unless [`Self::enable_conflict_tracking`] was called first.
+    pub fn distinct_lines_in_l2_set(&self, core: CoreId, set: usize) -> usize {
+        self.l2[core].distinct_lines_in_set(set)
+    }
+
     /// Turns access-trace capture on or off.  While on, every access is appended to an
     /// in-memory buffer retrievable with [`Self::take_trace`].
     pub fn record_trace(&mut self, on: bool) {
@@ -1348,6 +1367,29 @@ mod tests {
         h.l2[0].fill(set + 1, slot, MesiState::Exclusive);
         let err = h.check_coherence_invariants().unwrap_err();
         assert!(err.contains("not the line's"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn hierarchy_conflict_tracking_reaches_every_cache() {
+        let mut h = hierarchy();
+        let stride = (h.config().l2.sets * h.config().l2.line_size) as u64;
+        let set = h.config().l2.set_index(0x5_0000);
+        h.access(0, 0x5_0000, AccessKind::Read);
+        assert_eq!(h.distinct_lines_in_l2_set(0, set), 0, "off by default");
+        h.enable_conflict_tracking();
+        // Two conflicting lines in the same L2 set (stride = sets * line size), filed
+        // there under their slots; a refill of a line already counted adds nothing.
+        h.access(0, 0x5_0000 + stride, AccessKind::Read);
+        h.access(0, 0x5_0000 + 2 * stride, AccessKind::Read);
+        h.access(1, 0x5_0000 + stride, AccessKind::Write);
+        h.access(0, 0x5_0000 + stride, AccessKind::Read);
+        assert_eq!(h.distinct_lines_in_l2_set(0, set), 2);
+        assert_eq!(h.distinct_lines_in_l2_set(1, set), 1);
+        assert_eq!(h.distinct_lines_in_l2_set(0, set + 1), 0);
+        assert!(h.l1.iter().all(SetAssocCache::conflict_tracking_enabled));
+        assert!(h.l2.iter().all(SetAssocCache::conflict_tracking_enabled));
+        assert!(h.l3.conflict_tracking_enabled());
+        h.check_coherence_invariants().unwrap();
     }
 
     #[test]

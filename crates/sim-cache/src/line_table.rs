@@ -55,7 +55,9 @@ fn mix(key: LineAddr) -> u64 {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MixHasher(u64);
 
-/// `BuildHasher` of [`MixHasher`].
+/// `BuildHasher` of [`MixHasher`], unkeyed: never for a map keyed by strings or numbers
+/// read from outside the program — that is [`BuildKeyedMixHasher`]'s, and the only
+/// thing that tells the two apart.
 pub type BuildMixHasher = BuildHasherDefault<MixHasher>;
 
 /// `BuildHasher` of [`MixHasher`] for keys that arrive from outside the program (the
@@ -600,6 +602,10 @@ mod tests {
         );
         assert_eq!(one.hash_one("skbuff"), one.clone().hash_one("skbuff"));
         assert_ne!(one.hash_one("skbuff"), other.hash_one("skbuff"));
+        // The key goes in before the first word, so it reaches a name of several.
+        let long = "tcp_sendmsg_locked_and_then_some";
+        assert_eq!(one.hash_one(long), one.clone().hash_one(long));
+        assert_ne!(one.hash_one(long), other.hash_one(long));
     }
 
     #[test]
