@@ -3,7 +3,7 @@
 //! table or a `dprof-diff/v1` JSON document.
 
 use crate::args::{DiffOptions, Format};
-use crate::json::Json;
+use crate::json::{Json, JsonOf, JsonRef};
 use dprof::core::report::diff::{diff, ReportDiff, ReportSummary};
 use std::fmt::Write as _;
 
@@ -16,7 +16,7 @@ pub const DIFF_SCHEMA: &str = dprof::core::schema::DIFF_V1;
 pub fn load_summary(path: &str) -> Result<ReportSummary, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read report '{path}': {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| {
+    let doc = JsonRef::parse(&text).map_err(|e| {
         format!("'{path}' is not valid JSON ({e}); expected a dprof -f json report")
     })?;
     summary_from_report(&doc).map_err(|e| format!("'{path}': {e}"))
@@ -26,7 +26,7 @@ pub fn load_summary(path: &str) -> Result<ReportSummary, String> {
 ///
 /// The parsing itself lives in `dprof-core::schema` (shared with `dprof serve`);
 /// this wrapper keeps the historical CLI-side name.
-pub fn summary_from_report(doc: &Json) -> Result<ReportSummary, String> {
+pub fn summary_from_report<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<ReportSummary, String> {
     dprof::core::schema::report_summary_from_json(doc)
 }
 
@@ -46,10 +46,10 @@ pub struct Prediction {
 pub fn load_prediction(path: &str) -> Result<Prediction, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read whatif file '{path}': {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| {
+    let doc = JsonRef::parse(&text).map_err(|e| {
         format!("'{path}' is not valid JSON ({e}); expected a dprof whatif -f json document")
     })?;
-    match doc.get("schema").and_then(Json::as_str) {
+    match doc.get("schema").and_then(JsonRef::as_str) {
         Some(crate::whatif::WHATIF_SCHEMA) => {}
         other => {
             return Err(format!(
@@ -61,22 +61,22 @@ pub fn load_prediction(path: &str) -> Result<Prediction, String> {
     }
     let best = doc
         .get("candidates")
-        .and_then(Json::as_array)
+        .and_then(JsonRef::as_array)
         .and_then(|c| c.first())
         .ok_or_else(|| format!("'{path}': whatif document has no candidates"))?;
     Ok(Prediction {
         fix: best
             .get("fix")
-            .and_then(Json::as_str)
+            .and_then(JsonRef::as_str)
             .ok_or_else(|| format!("'{path}': candidate without a 'fix' field"))?
             .to_string(),
         gain: best
             .get("predicted_gain")
-            .and_then(Json::as_f64)
+            .and_then(JsonRef::as_f64)
             .ok_or_else(|| format!("'{path}': candidate without a 'predicted_gain' field"))?,
         confident: best
             .get("confident")
-            .and_then(Json::as_bool)
+            .and_then(JsonRef::as_bool)
             .unwrap_or(false),
     })
 }

@@ -4,4 +4,4 @@
 //! store and its clients) shares the one document model in `dprof-core::schema`; this
 //! shim keeps the `dprof_cli::json::Json` path working.
 
-pub use dprof::core::schema::Json;
+pub use dprof::core::schema::{Json, JsonOf, JsonRef};

@@ -1,15 +1,62 @@
-//! What `schema::Json::parse` must keep doing however it scans: the tree it builds,
-//! the value of every number, and the message and byte offset of every error.
+//! What `schema::Json::parse` must keep doing however it scans — and `JsonRef::parse`
+//! with it, whatever holds the strings: the tree it builds, the value of every number,
+//! and the message and byte offset of every error.  Every parse in this file goes
+//! through [`parse`], which reads the text into both storages and holds them equal.
 //!
 //! 1. **Round trip** — a generated tree, whose strings mix ASCII, everything the
 //!    emitter escapes and 2-, 3- and 4-byte scalars, parses back from its own
 //!    pretty-printed form; so does every committed golden document, byte for byte.
 //! 2. **Numbers** — a number token reads as exactly the `f64` `str::parse` gives,
 //!    on both sides of the 15-digit plain-integer boundary.
-//! 3. **Errors** — a table of malformed inputs with the exact messages.
+//! 3. **Errors** — a table of malformed inputs with the exact messages, and every
+//!    golden document cut short at every character.
+//!
+//! And what the readers make of a tree does not depend on its storage either: every
+//! golden document a reader accepts reads as the same shard or summary from both.
 
-use dprof_core::schema::Json;
+use dprof_core::schema::{
+    report_summary_from_json, shard_from_json, shard_from_report_json, Json, JsonOf, JsonRef,
+    MAX_NODES,
+};
 use proptest::prelude::*;
+
+/// Structural equality that does not see what holds the strings; numbers by their bits.
+fn same<A: AsRef<str>, B: AsRef<str>>(a: &JsonOf<A>, b: &JsonOf<B>) -> bool {
+    match (a, b) {
+        (JsonOf::Null, JsonOf::Null) => true,
+        (JsonOf::Bool(a), JsonOf::Bool(b)) => a == b,
+        (JsonOf::Num(a), JsonOf::Num(b)) => a.to_bits() == b.to_bits(),
+        (JsonOf::Str(a), JsonOf::Str(b)) => a.as_ref() == b.as_ref(),
+        (JsonOf::Arr(a), JsonOf::Arr(b)) => {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b))
+        }
+        (JsonOf::Obj(a), JsonOf::Obj(b)) => {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|((ka, a), (kb, b))| ka.as_ref() == kb.as_ref() && same(a, b))
+        }
+        _ => false,
+    }
+}
+
+/// `Json::parse`, having checked that `JsonRef::parse` says the same: an equal tree
+/// that prints alike, or the identical message.
+fn parse(text: &str) -> Result<Json, String> {
+    let owned = Json::parse(text);
+    match (&owned, &JsonRef::parse(text)) {
+        (Ok(owned), Ok(borrowed)) => {
+            assert!(same(owned, borrowed), "{text:?}: {owned:?} != {borrowed:?}");
+            assert_eq!(owned.to_pretty_string(), borrowed.to_pretty_string());
+        }
+        (owned, borrowed) => assert_eq!(
+            owned.as_ref().err(),
+            borrowed.as_ref().err(),
+            "input {text:?}"
+        ),
+    }
+    owned
+}
 
 /// A splitmix64 stream: the tree generator's only source of choices.
 struct Choices(u64);
@@ -85,7 +132,7 @@ proptest! {
     fn generated_trees_round_trip(seed in any::<u64>()) {
         let doc = tree(&mut Choices(seed), 4);
         let text = doc.to_pretty_string();
-        prop_assert_eq!(Json::parse(&text), Ok(doc), "{}", text);
+        prop_assert_eq!(parse(&text), Ok(doc), "{}", text);
     }
 
     #[test]
@@ -101,7 +148,7 @@ proptest! {
 
 fn assert_number(token: &str) {
     let expected: f64 = token.parse().unwrap();
-    match Json::parse(token) {
+    match parse(token) {
         Ok(Json::Num(n)) => assert_eq!(n.to_bits(), expected.to_bits(), "{token}"),
         other => panic!("{token}: {other:?}"),
     }
@@ -132,8 +179,9 @@ fn numbers_on_both_sides_of_the_plain_integer_boundary() {
         "1.5e-3",
         "123456789012345e3",
         "123456789012345.5",
-        "1e999",
-        "-1e999",
+        "1.7976931348623157e308",
+        "4.9e-324",
+        "1e-999",
     ] {
         assert_number(token);
     }
@@ -153,7 +201,7 @@ fn scalars_first_last_and_beside_escapes() {
                 format!("{escaped}{escaped}{scalar}{scalar}{escaped}"),
             ] {
                 let doc = Json::obj(vec![(text.as_str(), Json::str(text.as_str()))]);
-                assert_eq!(Json::parse(&doc.to_pretty_string()), Ok(doc));
+                assert_eq!(parse(&doc.to_pretty_string()), Ok(doc));
             }
         }
     }
@@ -164,16 +212,27 @@ fn escapes_and_raw_bytes_only_a_foreign_emitter_writes() {
     for (input, expected) in [
         (r#""\/\b\f""#, "/\u{8}\u{c}"),
         (r#""\u00e9\u20AC""#, "é€"),
-        // Surrogates are not paired up: each half reads as the replacement character.
-        (r#""\ud83d\ude00""#, "\u{fffd}\u{fffd}"),
-        (r#""\u+041""#, "A"),
+        // An escaped surrogate pair is its one scalar, whatever the case of its digits
+        // (what `json.dumps` writes for anything beyond ASCII)...
+        (r#""\ud83d\ude00""#, "😀"),
+        (r#""a\uD83D\uDE00b""#, "a😀b"),
+        (r#""\udbff\udfff""#, "\u{10ffff}"),
+        // ...and a half without its other is the replacement character: a high one at
+        // the end, before a plain character, before another escape, before a second
+        // high one (which still pairs with what follows it); a low one anywhere.
+        (r#""\ud83d""#, "\u{fffd}"),
+        (r#""\ud83dx""#, "\u{fffd}x"),
+        (r#""\ud83d\n""#, "\u{fffd}\n"),
+        (r#""\ud83d\u0041""#, "\u{fffd}A"),
+        (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+        (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
         // Raw control characters pass through unescaped.
         ("\"a\nb\tc\u{0}\"", "a\nb\tc\u{0}"),
         (r#""""#, ""),
         (r#""\\""#, "\\"),
         (r#""é\\""#, "é\\"),
     ] {
-        assert_eq!(Json::parse(input), Ok(Json::str(expected)), "{input}");
+        assert_eq!(parse(input), Ok(Json::str(expected)), "{input}");
     }
 }
 
@@ -196,12 +255,20 @@ fn malformed_input_is_reported_with_its_message_and_offset() {
         ("\"abc\\", "unterminated escape"),
         ("\"a\\qb\"", "bad escape at byte 2"),
         ("[\"é\\x\"]", "bad escape at byte 4"),
-        ("\"\\u12", "truncated \\u escape"),
-        ("\"\\u12\"", "truncated \\u escape"),
-        ("\"\\u12\" ", "bad \\u escape"),
-        ("\"\\uzzzz\"", "bad \\u escape"),
-        ("\"\\u00é\"", "bad \\u escape"),
-        ("\"\\u000é\"", "bad \\u escape"),
+        ("\"\\u12", "truncated \\u escape at byte 1"),
+        ("\"\\u12\"", "truncated \\u escape at byte 1"),
+        ("\"\\u12\" ", "bad \\u escape at byte 1"),
+        ("\"\\uzzzz\"", "bad \\u escape at byte 1"),
+        ("\"\\u00é\"", "bad \\u escape at byte 1"),
+        ("\"\\u000é\"", "bad \\u escape at byte 1"),
+        // Four hex digits and nothing else: `from_str_radix` would take a sign.
+        ("\"\\u+041\"", "bad \\u escape at byte 1"),
+        ("[\"é\\u-041\"]", "bad \\u escape at byte 4"),
+        ("\"\\u 041\"", "bad \\u escape at byte 1"),
+        // The escape after a high surrogate is held to the same rule.
+        ("\"\\ud83d\\u+e00\"", "bad \\u escape at byte 7"),
+        ("\"\\ud83d\\ude0", "truncated \\u escape at byte 7"),
+        ("\"\\ud83d\\q\"", "bad escape at byte 7"),
         ("-", "invalid number at byte 0"),
         ("--1", "invalid number at byte 0"),
         ("1e", "invalid number at byte 0"),
@@ -209,6 +276,11 @@ fn malformed_input_is_reported_with_its_message_and_offset() {
         ("[1-2]", "invalid number at byte 1"),
         ("[1, 1e5e]", "invalid number at byte 4"),
         ("{\"n\": 123456789012345-}", "invalid number at byte 6"),
+        // A token `str::parse` rounds to an infinity is not a number a reader can use.
+        ("1e999", "number out of range at byte 0"),
+        ("{\"a\": 1e999}", "number out of range at byte 6"),
+        ("[0, -1e999]", "number out of range at byte 4"),
+        ("[1.8e308]", "number out of range at byte 1"),
         ("[1, 2", "expected ',' or ']' at byte 5"),
         ("[1 2]", "expected ',' or ']' at byte 3"),
         ("{\"a\": 1 \"b\"", "expected ',' or '}' at byte 8"),
@@ -217,12 +289,34 @@ fn malformed_input_is_reported_with_its_message_and_offset() {
         ("{a: 1}", "expected '\"' at byte 1"),
         ("{\"a\":1,}", "expected '\"' at byte 7"),
     ] {
-        assert_eq!(
-            Json::parse(input),
-            Err(message.to_string()),
-            "input {input:?}"
-        );
+        assert_eq!(parse(input), Err(message.to_string()), "input {input:?}");
     }
+}
+
+#[test]
+fn a_document_holds_at_most_max_nodes_values() {
+    // The outer array and `MAX_NODES - 1` elements fit; one more value does not, and
+    // the message names the byte it would have started at.
+    let mut text = format!("[{}", "0,".repeat(MAX_NODES - 2));
+    assert!(parse(&format!("{text}0]")).is_ok());
+    text.push_str("0,");
+    assert_eq!(
+        parse(&format!("{text}0]")),
+        Err(format!(
+            "more than {MAX_NODES} values at byte {}",
+            text.len()
+        ))
+    );
+    // Containers count like scalars, empty or not, and so does an object's value
+    // (its key does not).
+    let pairs = "[],{\"k\":0},".repeat(MAX_NODES / 3);
+    assert_eq!(
+        parse(&format!("[{pairs}0]")),
+        Err(format!(
+            "more than {MAX_NODES} values at byte {}",
+            1 + pairs.len()
+        ))
+    );
 }
 
 fn golden_documents(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
@@ -236,15 +330,61 @@ fn golden_documents(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-#[test]
-fn every_golden_document_parses_and_re_emits_byte_for_byte() {
+/// Every committed golden document: its path and its text.
+fn goldens() -> Vec<(String, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     let mut documents = Vec::new();
     golden_documents(&root, &mut documents);
     assert!(documents.len() >= 10, "found only {documents:?}");
-    for path in documents {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(doc.to_pretty_string(), text, "{}", path.display());
+    documents
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).unwrap();
+            (path.display().to_string(), text)
+        })
+        .collect()
+}
+
+#[test]
+fn every_golden_document_parses_and_re_emits_byte_for_byte() {
+    for (path, text) in goldens() {
+        let doc = parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(doc.to_pretty_string(), text, "{path}");
     }
+}
+
+/// A document cut anywhere before its closing bracket is an error, the same one from
+/// both storages ([`parse`] checks that); the borrowed tree slices the input at the
+/// offsets the scan stopped at, so this is also where a slice off a character
+/// boundary would panic.
+#[test]
+fn every_golden_document_cut_short_is_the_same_error_from_both_storages() {
+    for (path, text) in goldens() {
+        let end = text.trim_end().len();
+        for cut in (0..end).filter(|&cut| text.is_char_boundary(cut)) {
+            assert!(parse(&text[..cut]).is_err(), "{path} cut at byte {cut}");
+        }
+        assert!(parse(&text[..end]).is_ok(), "{path}");
+    }
+}
+
+#[test]
+fn readers_return_equal_values_from_either_storage() {
+    let (mut reports, mut shards) = (0, 0);
+    for (path, text) in goldens() {
+        let owned = Json::parse(&text).unwrap();
+        let borrowed = JsonRef::parse(&text).unwrap();
+        let from_report = shard_from_report_json(&owned, 7);
+        assert_eq!(from_report, shard_from_report_json(&borrowed, 7), "{path}");
+        let summary = report_summary_from_json(&owned);
+        assert_eq!(summary, report_summary_from_json(&borrowed), "{path}");
+        assert_eq!(from_report.is_ok(), summary.is_ok(), "{path}");
+        reports += usize::from(from_report.is_ok());
+        // A store snapshot keeps its shard under `shard`.
+        let (owned, borrowed) = (owned.get("shard"), borrowed.get("shard"));
+        let from_shard = owned.map(shard_from_json);
+        assert_eq!(from_shard, borrowed.map(shard_from_json), "{path}");
+        shards += usize::from(from_shard.is_some_and(|shard| shard.is_ok()));
+    }
+    assert_eq!((reports, shards), (4, 2), "golden reports and snapshots");
 }

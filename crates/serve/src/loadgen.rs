@@ -8,7 +8,7 @@
 
 use crate::client::Client;
 use dprof::core::merge::ProfileShard;
-use dprof::core::schema::{self, Json};
+use dprof::core::schema::{self, JsonRef};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -128,30 +128,30 @@ pub fn run_loadgen(
     let mut queries_answered = 0u64;
     let builds: Vec<String> = templates.iter().map(|(build, _)| build.clone()).collect();
     for build in &builds {
-        let top = parse(&client.query_top(&config.workload, build, config.top)?)?;
-        expect_rows(&top, "rows")?;
+        let top = client.query_top(&config.workload, build, config.top)?;
+        expect_rows(&parse(&top)?, "rows")?;
         queries_answered += 1;
     }
     let first = builds.first().expect("non-empty").clone();
     let last = builds.last().expect("non-empty").clone();
-    let regressions =
-        parse(&client.query_regressions(&config.workload, &first, &last, config.top)?)?;
-    let verdict = regressions
+    let regressions = client.query_regressions(&config.workload, &first, &last, config.top)?;
+    let verdict = parse(&regressions)?
         .get("verdict")
-        .and_then(Json::as_str)
+        .and_then(JsonRef::as_str)
         .unwrap_or("unknown")
         .to_string();
     queries_answered += 1;
-    let alerts = parse(&client.query_alerts(&config.workload, &first, &last)?)?;
-    let alerts_fired = alerts
+    let alerts = client.query_alerts(&config.workload, &first, &last)?;
+    let alerts_fired = parse(&alerts)?
         .get("alert_count")
-        .and_then(Json::as_f64)
+        .and_then(JsonRef::as_f64)
         .unwrap_or(0.0) as u64;
     queries_answered += 1;
-    let keys = parse(&client.list_keys()?)?;
-    expect_rows(&keys, "keys")?;
+    let keys = client.list_keys()?;
+    expect_rows(&parse(&keys)?, "keys")?;
     queries_answered += 1;
-    let stats = parse(&client.stats()?)?;
+    let stats = client.stats()?;
+    let stats = parse(&stats)?;
     queries_answered += 1;
 
     Ok(LoadgenReport {
@@ -168,25 +168,25 @@ pub fn run_loadgen(
         alerts_fired,
         shards_resident: stats
             .get("shards_resident")
-            .and_then(Json::as_f64)
+            .and_then(JsonRef::as_f64)
             .unwrap_or(0.0) as u64,
         shards_absorbed: stats
             .get("shards_absorbed")
-            .and_then(Json::as_f64)
+            .and_then(JsonRef::as_f64)
             .unwrap_or(0.0) as u64,
     })
 }
 
-fn parse(text: &str) -> Result<Json, String> {
-    let doc = Json::parse(text)?;
-    match doc.get("schema").and_then(Json::as_str) {
+fn parse(text: &str) -> Result<JsonRef<'_>, String> {
+    let doc = JsonRef::parse(text)?;
+    match doc.get("schema").and_then(JsonRef::as_str) {
         Some(schema::SERVE_V1) => Ok(doc),
         other => Err(format!("unexpected response schema {other:?}")),
     }
 }
 
-fn expect_rows(doc: &Json, key: &str) -> Result<(), String> {
-    match doc.get(key).and_then(Json::as_array) {
+fn expect_rows(doc: &JsonRef, key: &str) -> Result<(), String> {
+    match doc.get(key).and_then(JsonRef::as_array) {
         Some(rows) if !rows.is_empty() => Ok(()),
         _ => Err(format!("query response has no '{key}' rows")),
     }

@@ -14,7 +14,7 @@ use crate::proto::{Request, Response};
 use crate::store::{valid_tag, ProfileStore};
 use dprof::core::merge::{MergedReport, ProfileShard, ShardMeta};
 use dprof::core::report::diff::diff;
-use dprof::core::schema::{self, Json};
+use dprof::core::schema::{self, Json, JsonRef};
 use dprof::core::wilson95;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -208,11 +208,11 @@ fn dispatch(shared: &Shared, request: Request) -> Result<String, String> {
             report_json,
         } => {
             check_key(&workload, &build)?;
-            let doc = Json::parse(&report_json).map_err(|e| format!("push: {e}"))?;
+            let doc = JsonRef::parse(&report_json).map_err(|e| format!("push: {e}"))?;
             // Accept either a full report document or a bare shard document;
             // the client's shard_id wins as the fold ordinal in both cases, so
             // the merged result does not depend on arrival order.
-            let mut shard = match doc.get("schema").and_then(Json::as_str) {
+            let mut shard = match doc.get("schema").and_then(JsonRef::as_str) {
                 Some(schema::REPORT_V1) => schema::shard_from_report_json(&doc, shard_id)?,
                 _ => schema::shard_from_json(&doc)?,
             };

@@ -12,7 +12,7 @@
 //! every few pushes), so a power cut may still cost the last snapshots.
 
 use dprof::core::merge::{self, MergeSink, MergedReport, ProfileShard, StreamingMerge};
-use dprof::core::schema::{self, Json};
+use dprof::core::schema::{self, Json, JsonRef};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -108,7 +108,7 @@ impl ProfileStore {
                 }
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("read snapshot {}: {e}", path.display()))?;
-                let doc = Json::parse(&text)
+                let doc = JsonRef::parse(&text)
                     .map_err(|e| format!("parse snapshot {}: {e}", path.display()))?;
                 let (workload, build, absorbed, shard) = snapshot_from_json(&doc)
                     .map_err(|e| format!("snapshot {}: {e}", path.display()))?;
@@ -235,14 +235,14 @@ fn snapshot_to_json(workload: &str, build: &str, absorbed: u64, shard: &ProfileS
     ])
 }
 
-fn snapshot_from_json(doc: &Json) -> Result<(String, String, u64, ProfileShard), String> {
-    match doc.get("schema").and_then(Json::as_str) {
+fn snapshot_from_json(doc: &JsonRef) -> Result<(String, String, u64, ProfileShard), String> {
+    match doc.get("schema").and_then(JsonRef::as_str) {
         Some(schema::SERVE_V1) => {}
         other => return Err(format!("unsupported snapshot schema {other:?}")),
     }
     let field = |key: &str| {
         doc.get(key)
-            .and_then(Json::as_str)
+            .and_then(JsonRef::as_str)
             .map(str::to_string)
             .ok_or_else(|| format!("snapshot without a '{key}' string"))
     };

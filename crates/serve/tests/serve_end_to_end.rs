@@ -363,6 +363,39 @@ fn out_of_range_counts_are_refused_by_the_first_push() {
     server.shutdown();
 }
 
+/// `str::parse` rounds `1e999` to an infinity without an error.  The readers used to
+/// take it into `rps` unchecked, the fold summed it, a snapshot wrote it as `null` and
+/// a restart read that as 0: a store that did not read back what it had snapshotted.
+/// And a type name written the way `json.dumps` writes anything beyond ASCII — a scalar
+/// outside the BMP as an escaped surrogate pair — used to come back as two U+FFFD.
+#[test]
+fn a_non_finite_number_is_refused_and_an_escaped_surrogate_pair_is_its_scalar() {
+    let mut server = Server::start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let report = read_golden("memcached_quick.report.json");
+    let key = "\"aggregate_rps\": ";
+    let at = report.find(key).unwrap() + key.len();
+    let end = at + report[at..].find(',').unwrap();
+    let hostile = format!("{}1e999{}", &report[..at], &report[end..]);
+    assert_eq!(
+        client.push_shard("golden", "v1", 1, &hostile).unwrap_err(),
+        format!("server: push: number out of range at byte {at}")
+    );
+    let stats = Json::parse(&client.stats().unwrap()).unwrap();
+    assert_eq!(
+        stats.get("shards_absorbed").and_then(Json::as_f64),
+        Some(0.0)
+    );
+
+    let renamed = report.replace("\"size-1024\"", r#""size-\ud83d\ude00""#);
+    assert_ne!(renamed, report);
+    client.push_shard("golden", "v1", 1, &renamed).unwrap();
+    let top = client.query_top("golden", "v1", 64).unwrap();
+    assert!(top.contains("\"type\": \"size-😀\""), "{top}");
+    assert!(!top.contains('\u{fffd}') && !top.contains("size-1024"));
+    server.shutdown();
+}
+
 /// A trace upload's ordinals are `shard_id * 1024 + thread` and the id is the client's:
 /// `u64::MAX` used to overflow on the connection thread (a panic in debug, a silent
 /// wrap onto other uploads' ordinals in release).
