@@ -94,25 +94,35 @@ impl Json {
     /// a number must be finite; `\uXXXX` takes four hex digits, an escaped surrogate
     /// pair reads as its one scalar and a lone surrogate as U+FFFD.
     pub fn parse(input: &str) -> Result<Json, String> {
-        parse(input)
+        parse(input, MAX_NODES)
     }
 }
 
 impl<'a> JsonRef<'a> {
     /// [`Json::parse`], borrowing from `input` every string that has no escape.
     pub fn parse(input: &'a str) -> Result<JsonRef<'a>, String> {
-        parse(input)
+        parse(input, MAX_NODES)
+    }
+
+    /// [`JsonRef::parse`] of a local file's text, without the [`MAX_NODES`] budget: the
+    /// file's size is what bounds the tree.  A store snapshot holds a fold of any number
+    /// of pushes, and what the store wrote it must read back.
+    pub fn parse_local(input: &'a str) -> Result<JsonRef<'a>, String> {
+        parse(input, usize::MAX)
     }
 }
 
-// The two `parse`s above are concrete on purpose: a generic one would be instantiated
+// The `parse`s above are concrete on purpose: a generic one would be instantiated
 // in the calling crate, and in the benchmark's that changes how its probe is compiled.
-fn parse<'a, S: From<&'a str> + From<String>>(input: &'a str) -> Result<JsonOf<S>, String> {
+fn parse<'a, S: From<&'a str> + From<String>>(
+    input: &'a str,
+    budget: usize,
+) -> Result<JsonOf<S>, String> {
     let mut parser = Parser {
         text: input,
         pos: 0,
         depth: 0,
-        nodes: 0,
+        budget,
         storage: PhantomData,
     };
     parser.skip_ws();
@@ -229,9 +239,12 @@ pub const MAX_NESTING: usize = 128;
 
 /// The most values, scalars and containers alike, [`Json::parse`] accepts.  A container
 /// costs its first eight slots whatever it holds — `[[1],[1],…` asks for 64 bytes
-/// of tree per byte of text — so this is what bounds the memory one frame can claim (28
-/// MiB, every value a container of one).  64 × the largest document the workspace writes:
-/// 1 023 values, a 4-thread 16-core memcached report at `--top 1000 --history-types 40`.
+/// of tree per byte of text — so this is what bounds the memory one pushed frame can
+/// claim: 28 MiB of tree at rest (every value a container of one), 40 MB at the peak
+/// (eleven 56-byte slots a value: a parent that doubles holds both generations while it
+/// moves).  64 × the largest report the workspace writes: 1 023 values, a 4-thread
+/// 16-core memcached report at `--top 1000 --history-types 40`.  A snapshot, the fold of
+/// any number of such reports, is read by [`JsonRef::parse_local`] instead.
 pub const MAX_NODES: usize = 1 << 16;
 
 /// Room a non-empty array or object starts with: the rows of a report have five to
@@ -276,7 +289,9 @@ struct Parser<'a, S> {
     text: &'a str,
     pos: usize,
     depth: usize,
-    nodes: usize,
+    /// Values the document may still hold (`usize::MAX` is never spent: a value takes
+    /// a byte of text).
+    budget: usize,
     storage: PhantomData<S>,
 }
 
@@ -314,10 +329,10 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
     }
 
     fn value(&mut self) -> Result<JsonOf<S>, String> {
-        if self.nodes == MAX_NODES {
+        if self.budget == 0 {
             return Err(format!("more than {MAX_NODES} values at byte {}", self.pos));
         }
-        self.nodes += 1;
+        self.budget -= 1;
         match self.peek() {
             Some(b'n') => self.eat_literal("null", JsonOf::Null),
             Some(b't') => self.eat_literal("true", JsonOf::Bool(true)),

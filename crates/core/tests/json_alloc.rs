@@ -2,63 +2,16 @@
 //! and nothing per string, an owned one pays for every key and string besides, and a
 //! document built to ask for as much tree as it can is refused inside the node budget.
 //!
-//! This file intentionally contains a single test: the counting allocator is global to
-//! the test binary, and a concurrently-running test would pollute the measured window.
+//! This file intentionally contains a single test: the counting allocator
+//! (`tests/support/counting_alloc.rs`) is global to the test binary, and a
+//! concurrently-running test would pollute the measured window.
 
 use dprof_core::schema::{shard_from_report_json, Json, JsonOf, JsonRef, MAX_NODES};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static GROWTHS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE_BYTES.fetch_add(bytes as u64, Relaxed) + bytes as u64;
-    PEAK_BYTES.fetch_max(live, Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        grew(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        GROWTHS.fetch_add(1, Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
-        grew(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// What `work` asked of the allocator: (`alloc` calls, `realloc` calls, the most bytes
-/// it held above what was live when it began).
-fn measured<T>(work: impl FnOnce() -> T) -> (T, u64, u64, u64) {
-    let base = LIVE_BYTES.load(Relaxed);
-    PEAK_BYTES.store(base, Relaxed);
-    let (allocations, growths) = (ALLOCATIONS.load(Relaxed), GROWTHS.load(Relaxed));
-    let value = work();
-    (
-        value,
-        ALLOCATIONS.load(Relaxed) - allocations,
-        GROWTHS.load(Relaxed) - growths,
-        PEAK_BYTES.load(Relaxed) - base,
-    )
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::measured;
 
 /// What a tree must have cost.
 #[derive(Debug, Default, PartialEq)]
@@ -111,7 +64,7 @@ fn a_borrowed_tree_is_its_containers_and_a_hostile_one_stays_inside_the_budget()
     let report = report.replacen("\"size-1024\"", "\"size\\u002d1024\"", 1);
     assert!(report.contains("\\u002d"));
 
-    let (borrowed, allocations, growths, _) = measured(|| JsonRef::parse(&report).unwrap());
+    let (borrowed, asked) = measured(|| JsonRef::parse(&report).unwrap());
     let mut census = Census::default();
     census.of(&borrowed);
     let Census {
@@ -126,26 +79,24 @@ fn a_borrowed_tree_is_its_containers_and_a_hostile_one_stays_inside_the_budget()
     // slots.  These repeat exactly.  At the parent commit every key and every string
     // was an allocation too: 494, the owned count below.
     assert_eq!((containers, strings, escaped), (74, 420, 1));
-    assert_eq!(allocations, containers + escaped);
-    assert_eq!(allocations, 75);
-    assert_eq!(growths, doublings + escaped);
-    assert_eq!(growths, 11);
+    assert_eq!(asked.allocations, containers + escaped);
+    assert_eq!(asked.allocations, 75);
+    assert_eq!(asked.growths, doublings + escaped);
+    assert_eq!(asked.growths, 11);
 
-    let (owned, allocations, owned_growths, _) = measured(|| Json::parse(&report).unwrap());
+    let (owned, owned_asked) = measured(|| Json::parse(&report).unwrap());
     // (None of this report's strings is empty; an empty one would not allocate.)
-    assert_eq!(allocations, containers + strings);
-    assert_eq!(allocations, 494);
-    assert_eq!(owned_growths, growths);
+    assert_eq!(owned_asked.allocations, containers + strings);
+    assert_eq!(owned_asked.allocations, 494);
+    assert_eq!(owned_asked.growths, asked.growths);
 
     // The reader copies the names a shard keeps and nothing else, so it costs the same
     // from either tree.
-    let (from_borrowed, reader_allocations, ..) =
-        measured(|| shard_from_report_json(&borrowed, 1).unwrap());
-    let (from_owned, from_owned_allocations, ..) =
-        measured(|| shard_from_report_json(&owned, 1).unwrap());
+    let (from_borrowed, reader) = measured(|| shard_from_report_json(&borrowed, 1).unwrap());
+    let (from_owned, reader_of_owned) = measured(|| shard_from_report_json(&owned, 1).unwrap());
     assert_eq!(from_borrowed, from_owned);
-    assert_eq!(reader_allocations, from_owned_allocations);
-    assert_eq!(reader_allocations, 91);
+    assert_eq!(reader.allocations, reader_of_owned.allocations);
+    assert_eq!(reader.allocations, 91);
     drop((borrowed, owned, from_borrowed, from_owned));
 
     // The most tree per byte of text is containers of one element, and the most per
@@ -159,16 +110,20 @@ fn a_borrowed_tree_is_its_containers_and_a_hostile_one_stays_inside_the_budget()
     for element in ["[1],", "{\"\":1},", "[[]],", nested.as_str()] {
         let shape = &element[..element.len().min(8)];
         let hostile = format!("[{}1]", element.repeat(MAX_NODES / 2));
-        let (refused, _, _, peak) = measured(|| JsonRef::parse(&hostile).map(drop));
+        let (refused, asked) = measured(|| JsonRef::parse(&hostile).map(drop));
+        let peak = asked.peak_bytes;
         let at = refused.unwrap_err();
         assert!(
             at.starts_with(&format!("more than {MAX_NODES} values at byte ")),
             "{at}"
         );
         assert!(peak <= allowed, "{shape} held {peak} bytes of {allowed}");
-        let (owned_refused, _, _, owned_peak) = measured(|| Json::parse(&hostile).map(drop));
+        let (owned_refused, owned_asked) = measured(|| Json::parse(&hostile).map(drop));
         assert_eq!(owned_refused, Err(at));
-        assert!(owned_peak <= allowed, "{shape} held {owned_peak} bytes");
+        assert!(
+            owned_asked.peak_bytes <= allowed,
+            "{shape}: {owned_asked:?}"
+        );
         // And the budget is what bounds it: the text alone would have asked for more.
         assert!(peak > allowed / 8, "{shape} held only {peak} bytes");
     }

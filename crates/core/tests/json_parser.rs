@@ -1,7 +1,8 @@
 //! What `schema::Json::parse` must keep doing however it scans — and `JsonRef::parse`
 //! with it, whatever holds the strings: the tree it builds, the value of every number,
 //! and the message and byte offset of every error.  Every parse in this file goes
-//! through [`parse`], which reads the text into both storages and holds them equal.
+//! through [`parse`], which reads the text into both storages and holds them equal
+//! (and to `JsonRef::parse_local`, the same parser without the node budget).
 //!
 //! 1. **Round trip** — a generated tree, whose strings mix ASCII, everything the
 //!    emitter escapes and 2-, 3- and 4-byte scalars, parses back from its own
@@ -41,10 +42,12 @@ fn same<A: AsRef<str>, B: AsRef<str>>(a: &JsonOf<A>, b: &JsonOf<B>) -> bool {
 }
 
 /// `Json::parse`, having checked that `JsonRef::parse` says the same: an equal tree
-/// that prints alike, or the identical message.
+/// that prints alike, or the identical message.  And that `JsonRef::parse_local` says
+/// the same as both, but for a document over the budget, which it reads.
 fn parse(text: &str) -> Result<Json, String> {
     let owned = Json::parse(text);
-    match (&owned, &JsonRef::parse(text)) {
+    let borrowed = JsonRef::parse(text);
+    match (&owned, &borrowed) {
         (Ok(owned), Ok(borrowed)) => {
             assert!(same(owned, borrowed), "{text:?}: {owned:?} != {borrowed:?}");
             assert_eq!(owned.to_pretty_string(), borrowed.to_pretty_string());
@@ -54,6 +57,10 @@ fn parse(text: &str) -> Result<Json, String> {
             borrowed.as_ref().err(),
             "input {text:?}"
         ),
+    }
+    match (borrowed, JsonRef::parse_local(text)) {
+        (Err(over), local) if over.starts_with("more than ") => assert!(local.is_ok()),
+        (borrowed, local) => assert_eq!(borrowed, local, "input {text:?}"),
     }
     owned
 }

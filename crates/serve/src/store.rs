@@ -108,7 +108,7 @@ impl ProfileStore {
                 }
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("read snapshot {}: {e}", path.display()))?;
-                let doc = JsonRef::parse(&text)
+                let doc = JsonRef::parse_local(&text)
                     .map_err(|e| format!("parse snapshot {}: {e}", path.display()))?;
                 let (workload, build, absorbed, shard) = snapshot_from_json(&doc)
                     .map_err(|e| format!("snapshot {}: {e}", path.display()))?;
@@ -372,6 +372,52 @@ mod tests {
         let mut reloaded = ProfileStore::new(Some(dir.clone()), 2).unwrap();
         assert_eq!(reloaded.keys(), vec![("big".into(), "b".into(), 2)]);
         assert_eq!(reloaded.report("big", "b").unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fold_past_what_one_push_may_carry_snapshots_and_reloads() {
+        // Two pushes of 2 100 types each, no name in common: each is inside the budget
+        // a pushed frame is held to, their fold (which keeps every row) is not.
+        let wide = |ordinal: u64| {
+            let mut wide = shard(ordinal, 40);
+            let (profile, miss) = (
+                wide.data_profile.remove(0),
+                wide.miss_classification.remove(0),
+            );
+            for i in 0..2_100 {
+                let name = format!("type_{ordinal}_{i}");
+                wide.data_profile.push(ShardProfileRow {
+                    name: name.clone(),
+                    ..profile.clone()
+                });
+                wide.miss_classification.push(ShardMissRow {
+                    name,
+                    ..miss.clone()
+                });
+            }
+            wide
+        };
+        let pushed = schema::shard_to_json(&wide(1)).to_pretty_string();
+        assert!(JsonRef::parse(&pushed).is_ok());
+
+        let dir = scratch("wide");
+        let mut store = ProfileStore::new(Some(dir.clone()), 2).unwrap();
+        store.push_shard("wide", "b", wide(1));
+        store.push_shard("wide", "b", wide(2));
+        let before = store.report("wide", "b").unwrap();
+        assert_eq!(before.data_profile.len(), 4_200);
+        assert_eq!(store.snapshot().unwrap(), 1);
+        let text = std::fs::read_to_string(dir.join("wide/b.json")).unwrap();
+        let over = JsonRef::parse(&text).unwrap_err();
+        assert!(
+            over.starts_with("more than 65536 values at byte "),
+            "{over}"
+        );
+
+        let mut reloaded = ProfileStore::new(Some(dir.clone()), 2).unwrap();
+        assert_eq!(reloaded.keys(), vec![("wide".into(), "b".into(), 2)]);
+        assert_eq!(reloaded.report("wide", "b").unwrap(), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,35 +2,14 @@
 //! has seen a working set, replaying accesses over that working set performs no heap
 //! allocation at all.
 //!
-//! This file intentionally contains a single test: the counting allocator is global to
-//! the test binary, and a concurrently-running test would pollute the measured window.
+//! This file intentionally contains a single test: the counting allocator
+//! (`tests/support/counting_alloc.rs`) is global to the test binary, and a
+//! concurrently-running test would pollute the measured window.
 
 use sim_cache::{AccessKind, CacheHierarchy, HierarchyConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::measured;
 
 /// One pass over a contended working set: mixed reads/writes from every core, with
 /// enough distinct lines to cause steady-state evictions, invalidations and upgrades.
@@ -59,16 +38,14 @@ fn warmed_up_access_loop_does_not_allocate() {
     // every line of the working set from every core.
     drive(&mut h, cores);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    drive(&mut h, cores);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let ((), asked) = measured(|| drive(&mut h, cores));
 
     assert_eq!(
-        after - before,
+        asked.calls(),
         0,
         "the steady-state access loop must not allocate (got {} allocations \
          over 200k accesses)",
-        after - before
+        asked.calls()
     );
     // Sanity: the loop really exercised the hierarchy.
     assert_eq!(h.stats.accesses, 400_000);

@@ -3,35 +3,14 @@
 //! been live at the same time — freed nodes are reused, and a page's bucket survives
 //! its last object.
 //!
-//! This file intentionally contains a single test: the counting allocator is global to
-//! the test binary, and a concurrently-running test would pollute the measured window.
+//! This file intentionally contains a single test: the counting allocator
+//! (`tests/support/counting_alloc.rs`) is global to the test binary, and a
+//! concurrently-running test would pollute the measured window.
 
 use sim_kernel::AddrIndex;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::measured;
 
 const HEAP: u64 = 0x1_0000_0000;
 
@@ -60,33 +39,34 @@ fn lookups_and_warmed_up_churn_do_not_allocate() {
     }
     assert!(index.is_empty());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut hits = 0u64;
-    for round in 0..4u64 {
-        // A different order and a different subset live each round.
-        let stride = [7, 11, 13, 17][round as usize];
-        for k in 0..slots.len() {
-            let i = (k * stride) % slots.len();
-            index.insert(slots[i].0, slots[i].1, i as u32);
-            // Its own last byte, the byte after it, and a page nothing was ever in.
-            let (base, size) = slots[i];
-            hits += u64::from(index.find(base + size - 1).is_some());
-            hits += u64::from(index.find(base + size).is_some());
-            hits += u64::from(index.find(HEAP - 3 * 4096 + k as u64).is_some());
-            hits += index.covering(base + 8).count() as u64;
-            if k % 3 == round as usize % 3 {
-                index.remove(slots[(i + slots.len() / 2) % slots.len()].0);
+    let (hits, asked) = measured(|| {
+        let mut hits = 0u64;
+        for round in 0..4u64 {
+            // A different order and a different subset live each round.
+            let stride = [7, 11, 13, 17][round as usize];
+            for k in 0..slots.len() {
+                let i = (k * stride) % slots.len();
+                index.insert(slots[i].0, slots[i].1, i as u32);
+                // Its own last byte, the byte after it, and a page nothing was ever in.
+                let (base, size) = slots[i];
+                hits += u64::from(index.find(base + size - 1).is_some());
+                hits += u64::from(index.find(base + size).is_some());
+                hits += u64::from(index.find(HEAP - 3 * 4096 + k as u64).is_some());
+                hits += index.covering(base + 8).count() as u64;
+                if k % 3 == round as usize % 3 {
+                    index.remove(slots[(i + slots.len() / 2) % slots.len()].0);
+                }
             }
+            for &(base, _) in &slots {
+                index.remove(base);
+            }
+            assert!(index.is_empty());
         }
-        for &(base, _) in &slots {
-            index.remove(base);
-        }
-        assert!(index.is_empty());
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+        hits
+    });
 
     assert_eq!(
-        after - before,
+        asked.calls(),
         0,
         "lookups and churn over slots already seen must not allocate"
     );

@@ -4,35 +4,14 @@
 //! the working set has been seen and the sampling budget is spent, hits and fills alike
 //! pass through the tally without touching the heap.
 //!
-//! This file intentionally contains a single test: the counting allocator is global to
-//! the test binary, and a concurrently-running test would pollute the measured window.
+//! This file intentionally contains a single test: the counting allocator
+//! (`tests/support/counting_alloc.rs`) is global to the test binary, and a
+//! concurrently-running test would pollute the measured window.
 
 use sim_machine::{AccessKind, IbsConfig, Machine, MachineConfig, SamplingPolicy};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::measured;
 
 /// One pass over a contended working set of ~12k lines from every core: mixed reads
 /// and writes, every seventh operation spanning three lines.
@@ -65,15 +44,13 @@ fn warmed_up_profiled_access_loop_does_not_allocate() {
     assert!(m.ibs.config().enabled() && m.ibs.budget_exhausted());
     let fills_before = m.hierarchy.stats.dram_fills + m.hierarchy.stats.l3_hits;
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    drive(&mut m, cores);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let ((), asked) = measured(|| drive(&mut m, cores));
 
     assert_eq!(
-        after - before,
+        asked.calls(),
         0,
         "untagged operations must not allocate (got {} allocations over 200k operations)",
-        after - before
+        asked.calls()
     );
     // Sanity: the window had fills for the tally to see, and the tally followed the
     // 64 tagged operations of the warm-up.
