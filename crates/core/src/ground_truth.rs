@@ -86,11 +86,11 @@ pub fn resolve_ground_truth(
     let mut attribution: HashMap<u64, TypeId> = HashMap::with_capacity(tally.len());
     let tallied: std::collections::HashSet<u64> = tally.iter().map(|(g, _)| g).collect();
     for r in allocator.address_set() {
-        let mut g = r.addr & !7;
-        let end = r.addr + r.size;
+        let mut g = r.addr() & !7;
+        let end = r.end();
         while g < end {
             if tallied.contains(&g) {
-                attribution.insert(g, r.type_id);
+                attribution.insert(g, r.type_id());
             }
             g += 8;
         }

@@ -682,7 +682,7 @@ pub fn merge_shards(shards: &[&ProfileShard]) -> MergedReport {
 /// float rounding.  Per-producer bookkeeping collapses into one aggregate
 /// [`ShardMeta`]; every table is sorted on a total key.
 pub fn fold(shards: &[&ProfileShard]) -> ProfileShard {
-    let weight: f64 = shards.iter().map(|s| s.weight).sum();
+    let weight = sum_f64(shards, |s| s.weight);
     let total_cycles = sum_counts(shards, |s| s.meta.total_cycles);
     ProfileShard {
         ordinal: shards.iter().map(|s| s.ordinal).min().unwrap_or(0),
@@ -691,16 +691,14 @@ pub fn fold(shards: &[&ProfileShard]) -> ProfileShard {
             thread: 0,
             seed: 0,
             requests: sum_counts(shards, |s| s.meta.requests),
-            rps: shards.iter().map(|s| s.meta.rps).sum(),
+            rps: sum_f64(shards, |s| s.meta.rps),
             // Cycle-weighted, so a shard that simulated 10x more work counts 10x.
             profiling_fraction: if total_cycles == 0 {
                 0.0
             } else {
-                shards
-                    .iter()
-                    .map(|s| s.meta.profiling_fraction * s.meta.total_cycles as f64)
-                    .sum::<f64>()
-                    / total_cycles as f64
+                sum_f64(shards, |s| {
+                    s.meta.profiling_fraction * s.meta.total_cycles as f64
+                }) / total_cycles as f64
             },
             samples: sum_counts(shards, |s| s.meta.samples),
             total_cycles,
@@ -743,6 +741,19 @@ fn sum_counts(shards: &[&ProfileShard], count: impl Fn(&ProfileShard) -> u64) ->
     shards.iter().fold(0, |sum, s| add_counts(sum, count(s)))
 }
 
+/// `a + b`, saturating at `±f64::MAX`: [`add_counts`] for the rates, weights and
+/// weighted sums the fold accumulates.  A sum that reached infinity would be written
+/// as `null` and read back as 0.
+#[inline]
+fn add_f64(a: f64, b: f64) -> f64 {
+    (a + b).clamp(-f64::MAX, f64::MAX)
+}
+
+/// A value summed over shards with [`add_f64`], from `-0.0` as `Iterator::sum` starts.
+fn sum_f64(shards: &[&ProfileShard], value: impl Fn(&ProfileShard) -> f64) -> f64 {
+    shards.iter().fold(-0.0, |sum, s| add_f64(sum, value(s)))
+}
+
 // Each table below accumulates into its own row type: while shards are being
 // absorbed a mean field holds the weighted *sum*, and the final pass divides.
 
@@ -764,9 +775,16 @@ fn fold_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<ShardPr
             // `working_set_bytes` is the row's mean over `threads_seen` threads;
             // re-expanding to a sum keeps the merged mean exact under compaction
             // (and is a multiplication by 1.0 — bit-exact — for fresh shards).
-            entry.working_set_bytes += row.working_set_bytes * row.threads_seen as f64;
-            entry.pct_of_l1_misses += shard.weight * row.pct_of_l1_misses;
-            entry.pct_of_miss_cycles += shard.weight * row.pct_of_miss_cycles;
+            entry.working_set_bytes = add_f64(
+                entry.working_set_bytes,
+                row.working_set_bytes * row.threads_seen as f64,
+            );
+            entry.pct_of_l1_misses =
+                add_f64(entry.pct_of_l1_misses, shard.weight * row.pct_of_l1_misses);
+            entry.pct_of_miss_cycles = add_f64(
+                entry.pct_of_miss_cycles,
+                shard.weight * row.pct_of_miss_cycles,
+            );
             entry.bounce |= row.bounce;
             entry.samples = add_counts(entry.samples, row.samples);
             entry.l1_miss_samples = add_counts(entry.l1_miss_samples, row.l1_miss_samples);
@@ -809,9 +827,9 @@ fn fold_miss_classification(shards: &[&ProfileShard]) -> Vec<ShardMissRow> {
                 capacity: 0.0,
             });
             entry.miss_samples = add_counts(entry.miss_samples, row.miss_samples);
-            entry.invalidation += w * row.invalidation;
-            entry.conflict += w * row.conflict;
-            entry.capacity += w * row.capacity;
+            entry.invalidation = add_f64(entry.invalidation, w * row.invalidation);
+            entry.conflict = add_f64(entry.conflict, w * row.conflict);
+            entry.capacity = add_f64(entry.capacity, w * row.capacity);
         }
     }
     let mut rows: Vec<ShardMissRow> = acc
@@ -850,7 +868,8 @@ fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
             entry.refetch_slots = add_counts(entry.refetch_slots, row.refetch_slots);
             // Per-shard rates are bandwidths of machines running in parallel, so they
             // add; the pooled slot counts stay exact for the Wilson interval.
-            entry.wasted_bytes_per_sec += row.wasted_bytes_per_sec;
+            entry.wasted_bytes_per_sec =
+                add_f64(entry.wasted_bytes_per_sec, row.wasted_bytes_per_sec);
             for o in &row.origins {
                 let slot = origins.entry(&o.origin).or_default();
                 slot.0 = add_counts(slot.0, o.slots_fetched);
@@ -903,8 +922,14 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
                 peak_live_bytes: 0,
                 threads_seen: 0,
             });
-            entry.avg_live_bytes += t.avg_live_bytes * t.threads_seen as f64;
-            entry.avg_live_objects += t.avg_live_objects * t.threads_seen as f64;
+            entry.avg_live_bytes = add_f64(
+                entry.avg_live_bytes,
+                t.avg_live_bytes * t.threads_seen as f64,
+            );
+            entry.avg_live_objects = add_f64(
+                entry.avg_live_objects,
+                t.avg_live_objects * t.threads_seen as f64,
+            );
             entry.peak_live_bytes = entry.peak_live_bytes.max(t.peak_live_bytes);
             entry.threads_seen = add_thread_counts(entry.threads_seen, t.threads_seen);
         }
@@ -932,11 +957,9 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
         rows,
         cache_capacity: first.map_or(0, |ws| ws.cache_capacity),
         cache_ways: first.map_or(0, |ws| ws.cache_ways),
-        total_avg_bytes: shards
-            .iter()
-            .map(|s| s.working_set.total_avg_bytes * s.working_set.thread_count as f64)
-            .sum::<f64>()
-            / thread_count.max(1) as f64,
+        total_avg_bytes: sum_f64(shards, |s| {
+            s.working_set.total_avg_bytes * s.working_set.thread_count as f64
+        }) / thread_count.max(1) as f64,
         thread_count,
         threads_exceeding_capacity: shards.iter().fold(0, |n, s| {
             add_thread_counts(n, s.working_set.threads_exceeding_capacity)
@@ -973,7 +996,7 @@ fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
                 acc.weight = add_counts(acc.weight, node.weight);
                 // Per-shard avg_latency is a per-sample mean, so weight by samples to
                 // keep the merged value a per-sample mean.
-                acc.avg_latency += node.samples as f64 * node.avg_latency;
+                acc.avg_latency = add_f64(acc.avg_latency, node.samples as f64 * node.avg_latency);
             }
             for edge in &graph.edges {
                 let key = (edge.from.as_str(), edge.to.as_str(), edge.cpu_change);
@@ -1236,6 +1259,58 @@ mod tests {
         // Two documents are enough, and what the fold holds a snapshot can carry.
         let folded = fold(&[&shards[0], &shards[1]]);
         assert_eq!(folded.meta.requests, MAX);
+        let text = crate::schema::shard_to_json(&folded).to_pretty_string();
+        let reread = crate::schema::Json::parse(&text).unwrap();
+        assert_eq!(crate::schema::shard_from_json(&reread), Ok(folded));
+    }
+
+    #[test]
+    fn folding_maximal_rates_saturates() {
+        const MAX: f64 = f64::MAX;
+        let mut huge = shard(0, "a", 1, 50.0);
+        (huge.weight, huge.meta.rps, huge.meta.profiling_fraction) = (MAX, MAX, MAX);
+        let row = &mut huge.data_profile[0];
+        (
+            row.working_set_bytes,
+            row.pct_of_l1_misses,
+            row.pct_of_miss_cycles,
+        ) = (MAX, MAX, MAX);
+        row.threads_seen = 2;
+        let miss = &mut huge.miss_classification[0];
+        (miss.invalidation, miss.conflict, miss.capacity) = (MAX, MAX, MAX);
+        huge.utilization.rows[0].wasted_bytes_per_sec = MAX;
+        let ws = &mut huge.working_set;
+        (ws.rows[0].avg_live_bytes, ws.rows[0].avg_live_objects) = (MAX, MAX);
+        (ws.total_avg_bytes, ws.thread_count) = (MAX, 2);
+        huge.data_flows = vec![ShardFlow {
+            type_name: "a".into(),
+            nodes: vec![ShardFlowNode {
+                function: "f".into(),
+                samples: 2,
+                weight: 2,
+                avg_latency: MAX,
+            }],
+            edges: Vec::new(),
+        }];
+        let twice = ProfileShard {
+            ordinal: 1,
+            ..huge.clone()
+        };
+        let folded = fold(&[&huge, &twice]);
+
+        assert_eq!((folded.weight, folded.meta.rps), (MAX, MAX));
+        // Means of sums that stopped at MAX: finite, at most what was folded.
+        let means = [
+            folded.meta.profiling_fraction,
+            folded.data_profile[0].working_set_bytes,
+            folded.miss_classification[0].invalidation,
+            folded.working_set.rows[0].avg_live_bytes,
+            folded.working_set.total_avg_bytes,
+            folded.data_flows[0].nodes[0].avg_latency,
+        ];
+        assert!(means.iter().all(|m| m.is_finite() && *m > 0.0), "{means:?}");
+        assert_eq!(folded.utilization.rows[0].wasted_bytes_per_sec, MAX);
+        // What the fold holds a snapshot can carry.
         let text = crate::schema::shard_to_json(&folded).to_pretty_string();
         let reread = crate::schema::Json::parse(&text).unwrap();
         assert_eq!(crate::schema::shard_from_json(&reread), Ok(folded));

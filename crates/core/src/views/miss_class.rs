@@ -234,15 +234,7 @@ mod tests {
     fn capacity_dominates_when_working_set_exceeds_cache() {
         let geom = CacheGeometry::new(64, 2, 16); // 2 KiB cache
         let records: Vec<AllocRecord> = (0..8)
-            .map(|i| AllocRecord {
-                addr: 0x1000 + i * 1024,
-                type_id: TypeId(1),
-                size: 1024,
-                alloc_core: 0,
-                alloc_cycle: 0,
-                free_core: None,
-                free_cycle: None,
-            })
+            .map(|i| AllocRecord::new(0x1000 + i * 1024, TypeId(1), 1024, 0, 0, None))
             .collect();
         let samples = vec![
             sample(1, HitLevel::Dram),
@@ -259,15 +251,7 @@ mod tests {
         let geom = CacheGeometry::new(64, 4, 64);
         let stride = (geom.sets * geom.line_size) as u64;
         let records: Vec<AllocRecord> = (0..32)
-            .map(|i| AllocRecord {
-                addr: 0x10_0000 + i * stride,
-                type_id: TypeId(0),
-                size: 64,
-                alloc_core: 0,
-                alloc_cycle: 0,
-                free_core: None,
-                free_cycle: None,
-            })
+            .map(|i| AllocRecord::new(0x10_0000 + i * stride, TypeId(0), 64, 0, 0, None))
             .collect();
         let samples = vec![sample(0, HitLevel::Dram), sample(0, HitLevel::L3)];
         let view = ws(&records, geom);

@@ -195,8 +195,8 @@ fn resolve_granules(
     let granules_per_line = (line_size / 8) as usize;
     let mut owners = vec![None; lines.len() * granules_per_line];
     for r in records {
-        let start = r.addr & !7;
-        let end = r.addr + r.size;
+        let start = r.addr() & !7;
+        let end = r.end();
         let first_line = start / line_size;
         let first = lines.partition_point(|&l| l < first_line);
         for (i, &line) in lines.iter().enumerate().skip(first) {
@@ -206,7 +206,7 @@ fn resolve_granules(
             }
             let from = ((start.max(base) - base) / 8) as usize;
             let to = (end.min(base + line_size) - base).div_ceil(8) as usize;
-            owners[i * granules_per_line..][from..to].fill(Some((r.type_id, r.alloc_core)));
+            owners[i * granules_per_line..][from..to].fill(Some((r.type_id(), r.alloc_core())));
         }
     }
     owners
@@ -395,10 +395,10 @@ mod tests {
         let mut tallied: HashMap<u64, Option<(TypeId, usize)>> =
             lines.iter().flat_map(granules).map(|g| (g, None)).collect();
         for r in records {
-            let mut g = r.addr & !7;
-            while g < r.addr + r.size {
+            let mut g = r.addr() & !7;
+            while g < r.end() {
                 if let Some(slot) = tallied.get_mut(&g) {
-                    *slot = Some((r.type_id, r.alloc_core));
+                    *slot = Some((r.type_id(), r.alloc_core()));
                 }
                 g += 8;
             }
@@ -427,22 +427,19 @@ mod tests {
         for case in 0..200 {
             let slots: Vec<u64> = (0..6).map(|_| ARENA + next(64 * 64)).collect();
             let records: Vec<AllocRecord> = (0..next(40))
-                .map(|i| AllocRecord {
-                    addr: if next(3) == 0 {
+                .map(|i| {
+                    let addr = if next(3) == 0 {
                         slots[next(6) as usize]
                     } else {
                         ARENA + next(64 * 64)
-                    },
-                    type_id: TypeId(next(5) as u32),
-                    size: match next(4) {
+                    };
+                    let type_id = TypeId(next(5) as u32);
+                    let size = match next(4) {
                         0 => 0,
                         1 => 1 + next(16),
                         _ => 1 + next(320),
-                    },
-                    alloc_core: next(4) as usize,
-                    alloc_cycle: i,
-                    free_core: None,
-                    free_cycle: None,
+                    };
+                    AllocRecord::new(addr, type_id, size, next(4) as usize, i, None)
                 })
                 .collect();
             let mut lines: Vec<u64> = (0..next(24)).map(|_| ARENA / 64 - 4 + next(80)).collect();

@@ -376,6 +376,32 @@ mod tests {
     }
 
     #[test]
+    fn rates_folded_past_what_an_f64_holds_snapshot_and_reload() {
+        // Each push's rate is a finite f64, their sum is not: it stops at f64::MAX.
+        let golden = include_str!("../../../tests/golden/memcached_quick.report.json");
+        let huge = golden.replace(
+            "\"aggregate_rps\": 110459.51783484367,",
+            "\"aggregate_rps\": 1.5e308,",
+        );
+        assert_ne!(huge, golden);
+        let report = JsonRef::parse(&huge).unwrap();
+        let dir = scratch("huge-rps");
+        let mut store = ProfileStore::new(Some(dir.clone()), 2).unwrap();
+        for ordinal in 1..=2 {
+            let shard = schema::shard_from_report_json(&report, ordinal).unwrap();
+            store.push_shard("huge", "b", shard);
+        }
+        let before = store.report("huge", "b").unwrap();
+        assert_eq!(before.totals.rps, f64::MAX);
+        assert_eq!(store.snapshot().unwrap(), 1);
+
+        let mut reloaded = ProfileStore::new(Some(dir.clone()), 2).unwrap();
+        assert_eq!(reloaded.keys(), vec![("huge".into(), "b".into(), 2)]);
+        assert_eq!(reloaded.report("huge", "b").unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_fold_past_what_one_push_may_carry_snapshots_and_reloads() {
         // Two pushes of 2 100 types each, no name in common: each is inside the budget
         // a pushed frame is held to, their fold (which keeps every row) is not.

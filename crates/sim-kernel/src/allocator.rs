@@ -46,37 +46,89 @@ const ALIEN_LIMIT: usize = 12;
 const HEAP_BASE: u64 = 0x0001_0000_0000;
 
 /// One entry of the address set: the full life of one allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Forty bytes, because a replay keeps one for every allocation it ever saw (73 808 on
+/// the apache benchmark session).  The narrow fields hold what the allocator already
+/// refuses past: a size in four bytes, as in [`AddrIndex`] (the trace decoder refuses
+/// an `Alloc` of more than a mebibyte), a core in one, as in the live index, and "not
+/// freed" as a free at `u64::MAX`, a cycle every reader of the log already took for
+/// "never".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocRecord {
-    /// Base address of the object.
-    pub addr: u64,
-    /// Type of the object.
-    pub type_id: TypeId,
-    /// Object size in bytes.
-    pub size: u64,
-    /// Core that allocated the object.
-    pub alloc_core: CoreId,
-    /// Core-local cycle count at allocation.
-    pub alloc_cycle: u64,
-    /// Core that freed the object, if it has been freed.
-    pub free_core: Option<CoreId>,
-    /// Cycle count at free, if freed.
-    pub free_cycle: Option<u64>,
+    addr: u64,
+    alloc_cycle: u64,
+    /// [`NOT_FREED`] while the object is live.
+    free_cycle: u64,
+    type_id: TypeId,
+    size: u32,
+    alloc_core: u8,
 }
 
+/// The free cycle of an allocation that has not been freed.
+const NOT_FREED: u64 = u64::MAX;
+
 impl AllocRecord {
-    /// Object lifetime in cycles, if the object has been freed.
-    pub fn lifetime(&self) -> Option<u64> {
-        self.free_cycle.map(|f| f.saturating_sub(self.alloc_cycle))
+    /// A record of an allocation of `size` bytes at `addr`; `free_cycle` is `None` for
+    /// an object not freed (yet), and a free at `u64::MAX` is the same thing.
+    ///
+    /// # Panics
+    /// Panics on a size of 4 GiB or more and on a core past 255 (a machine has at most
+    /// 128).
+    pub fn new(
+        addr: u64,
+        type_id: TypeId,
+        size: u64,
+        alloc_core: CoreId,
+        alloc_cycle: u64,
+        free_cycle: Option<u64>,
+    ) -> Self {
+        AllocRecord {
+            addr,
+            alloc_cycle,
+            free_cycle: free_cycle.unwrap_or(NOT_FREED),
+            type_id,
+            size: u32::try_from(size).expect("an allocation is smaller than 4 GiB"),
+            alloc_core: u8::try_from(alloc_core).expect("a machine has at most 128 cores"),
+        }
     }
 
-    /// The allocation-origin label of this record: the per-core slab the object was
+    /// Base address of the object.
+    pub fn addr(&self) -> u64 {
+        self.addr
+    }
+
+    /// Type of the object.
+    pub fn type_id(&self) -> TypeId {
+        self.type_id
+    }
+
+    /// Object size in bytes.
+    pub fn size(&self) -> u64 {
+        self.size.into()
+    }
+
+    /// One past the object's last byte.
+    pub fn end(&self) -> u64 {
+        self.addr + self.size()
+    }
+
+    /// Core that allocated the object.
+    pub fn alloc_core(&self) -> CoreId {
+        self.alloc_core.into()
+    }
+
+    /// Core-local cycle count at allocation.
+    pub fn alloc_cycle(&self) -> u64 {
+        self.alloc_cycle
+    }
+
+    /// Cycle count at free, if freed.
+    pub fn free_cycle(&self) -> Option<u64> {
+        (self.free_cycle != NOT_FREED).then_some(self.free_cycle)
+    }
+
+    /// The origin label for a given allocating core: the per-core slab the object was
     /// carved from.  Attribution axes (e.g. the utilization view) group by this.
-    pub fn origin_label(&self) -> String {
-        Self::origin_label_for(self.alloc_core)
-    }
-
-    /// The origin label for a given allocating core.
     pub fn origin_label_for(core: CoreId) -> String {
         format!("cpu{core}")
     }
@@ -125,7 +177,7 @@ struct LiveObject {
 impl LiveObject {
     /// # Panics
     /// Panics on a core the machine cannot have (`sim_cache::MAX_CORES` is 128), on a
-    /// log of 2^32 allocations (300 GB of records) and on a descriptor 16 TiB up the
+    /// log of 2^32 allocations (170 GB of records) and on a descriptor 16 TiB up the
     /// heap.
     fn new(
         type_id: TypeId,
@@ -438,8 +490,8 @@ impl SlabAllocator {
             // Exact: `LiveObject::new` checked every position as its record was pushed.
             let position = i as u32;
             let is_live = |o: Object<LiveObject>| o.payload.record == position;
-            if r.free_cycle.is_some() || !self.live.find(r.addr).is_some_and(is_live) {
-                retired.insert_newest(r.addr, r.size, position);
+            if r.free_cycle().is_some() || !self.live.find(r.addr).is_some_and(is_live) {
+                retired.insert_newest(r.addr, r.size(), position);
             }
         }
         AddressHistory {
@@ -466,15 +518,8 @@ impl SlabAllocator {
     ) -> u64 {
         let addr = self.bump_pages(1);
         let record = self.records.len();
-        self.records.push(AllocRecord {
-            addr,
-            type_id,
-            size,
-            alloc_core: core,
-            alloc_cycle: cycle,
-            free_core: None,
-            free_cycle: None,
-        });
+        self.records
+            .push(AllocRecord::new(addr, type_id, size, core, cycle, None));
         self.live.insert(
             addr,
             size,
@@ -593,15 +638,8 @@ impl SlabAllocator {
         let type_id = self.caches[cache_idx].type_id;
         let size = self.caches[cache_idx].obj_size;
         let record = self.records.len();
-        self.records.push(AllocRecord {
-            addr: base,
-            type_id,
-            size,
-            alloc_core: core,
-            alloc_cycle: cycle,
-            free_core: None,
-            free_cycle: None,
-        });
+        self.records
+            .push(AllocRecord::new(base, type_id, size, core, cycle, None));
         self.live.insert(
             base,
             size,
@@ -683,9 +721,7 @@ impl SlabAllocator {
             .payload;
         let home_core = CoreId::from(obj.home_core);
         let cycle = machine.clock(core);
-        let rec = &mut self.records[obj.record as usize];
-        rec.free_core = Some(core);
-        rec.free_cycle = Some(cycle);
+        self.records[obj.record as usize].free_cycle = cycle;
         self.stats.frees += 1;
         machine.record_session_free(core, addr, cycle);
         self.finish_profile_hook_on_free(machine, addr, cycle);
@@ -829,15 +865,8 @@ impl SlabAllocator {
         hookable: bool,
     ) {
         let record = self.records.len();
-        self.records.push(AllocRecord {
-            addr,
-            type_id,
-            size,
-            alloc_core: core,
-            alloc_cycle: cycle,
-            free_core: None,
-            free_cycle: None,
-        });
+        self.records
+            .push(AllocRecord::new(addr, type_id, size, core, cycle, None));
         // Pool geometry is irrelevant during replay; the slab/home fields are only
         // consulted by the live free path, which replay never takes.
         self.live.insert(
@@ -852,7 +881,8 @@ impl SlabAllocator {
     }
 
     /// Applies a recorded free event: completes the address-set record, removes the
-    /// live entry and re-runs the profile-hook completion.
+    /// live entry and re-runs the profile-hook completion.  The freeing core is the
+    /// event's, and nothing keeps it.
     ///
     /// Returns `false`, having changed nothing, when `addr` is not the base of a live
     /// object.  A recorded stream is outside input: the caller reports that as an
@@ -860,16 +890,14 @@ impl SlabAllocator {
     pub fn replay_free(
         &mut self,
         machine: &mut Machine,
-        core: CoreId,
+        _core: CoreId,
         addr: u64,
         cycle: u64,
     ) -> bool {
         let Some(obj) = self.live.remove(addr) else {
             return false;
         };
-        let rec = &mut self.records[obj.payload.record as usize];
-        rec.free_core = Some(core);
-        rec.free_cycle = Some(cycle);
+        self.records[obj.payload.record as usize].free_cycle = cycle;
         self.stats.frees += 1;
         self.finish_profile_hook_on_free(machine, addr, cycle);
         true
@@ -944,11 +972,11 @@ mod tests {
         a.address_set()
             .iter()
             .rev()
-            .find(|r| addr >= r.addr && addr - r.addr < r.size)
+            .find(|r| addr >= r.addr() && addr < r.end())
             .map(|r| ResolvedAddr {
-                type_id: r.type_id,
-                base: r.addr,
-                offset: addr - r.addr,
+                type_id: r.type_id(),
+                base: r.addr(),
+                offset: addr - r.addr(),
             })
     }
 
@@ -999,14 +1027,10 @@ mod tests {
             }
             assert_eq!(a.live_objects(), live.len(), "case {case}");
             let history = a.history();
-            let edges = a.address_set().iter().flat_map(|r| {
-                [
-                    r.addr.wrapping_sub(1),
-                    r.addr,
-                    r.addr + r.size - 1,
-                    r.addr + r.size,
-                ]
-            });
+            let edges = a
+                .address_set()
+                .iter()
+                .flat_map(|r| [r.addr().wrapping_sub(1), r.addr(), r.end() - 1, r.end()]);
             let anywhere = (0..64).map(|i| ARENA - PAGE_SIZE + i * 643);
             for addr in edges.chain(anywhere).collect::<Vec<_>>() {
                 assert_eq!(
@@ -1032,7 +1056,7 @@ mod tests {
         assert!(a.replay_free(&mut m, 1, 0x1_0000_1000, 4));
         assert!(!a.replay_free(&mut m, 1, 0x1_0000_1000, 5), "double free");
         assert_eq!((a.stats.allocs, a.stats.frees), (1, 1));
-        assert_eq!(a.address_set()[0].free_cycle, Some(4));
+        assert_eq!(a.address_set()[0].free_cycle(), Some(4));
         assert_eq!(a.live_objects(), 0);
     }
 
@@ -1061,11 +1085,28 @@ mod tests {
         let rec = a
             .address_set()
             .iter()
-            .find(|r| r.addr == addr)
+            .find(|r| r.addr() == addr)
             .expect("record exists");
-        assert_eq!(rec.type_id, kt.tcp_sock);
-        assert!(rec.lifetime().unwrap() >= 5_000);
-        assert_eq!(rec.free_core, Some(0));
+        assert_eq!(
+            (rec.type_id(), rec.size(), rec.alloc_core()),
+            (kt.tcp_sock, 1600, 0)
+        );
+        assert!(rec.free_cycle().unwrap() - rec.alloc_cycle() >= 5_000);
+    }
+
+    #[test]
+    fn a_record_is_forty_bytes_and_reads_back_what_it_was_given() {
+        assert_eq!(std::mem::size_of::<AllocRecord>(), 40);
+        let r = AllocRecord::new(u64::MAX - (1 << 20), TypeId(7), 1 << 20, 127, 5, Some(9));
+        assert_eq!(
+            (r.addr(), r.type_id(), r.size(), r.end(), r.alloc_core()),
+            (u64::MAX - (1 << 20), TypeId(7), 1 << 20, u64::MAX, 127)
+        );
+        assert_eq!((r.alloc_cycle(), r.free_cycle()), (5, Some(9)));
+        // No reader of the log tells a free at the last cycle from no free.
+        let never = AllocRecord::new(0, TypeId(0), 0, 0, 0, Some(u64::MAX));
+        assert_eq!(never, AllocRecord::new(0, TypeId(0), 0, 0, 0, None));
+        assert_eq!(never.free_cycle(), None);
     }
 
     #[test]
@@ -1122,8 +1163,11 @@ mod tests {
     fn bookkeeping_objects_appear_in_address_set() {
         let (mut m, reg, kt, mut a) = setup();
         a.alloc(&mut m, &reg, 0, kt.skbuff);
-        let has_slab = a.address_set().iter().any(|r| r.type_id == kt.slab);
-        let has_ac = a.address_set().iter().any(|r| r.type_id == kt.array_cache);
+        let has_slab = a.address_set().iter().any(|r| r.type_id() == kt.slab);
+        let has_ac = a
+            .address_set()
+            .iter()
+            .any(|r| r.type_id() == kt.array_cache);
         assert!(has_slab, "slab descriptor should be in the address set");
         assert!(has_ac, "array_cache should be in the address set");
     }
