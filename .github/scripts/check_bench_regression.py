@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Throughput-regression gate for the CI `perf-regression` job.
+"""Throughput-regression gate for the CI `dprof-bench` job.
 
 Compares a fresh `dprof-bench --quick --emit-json` run against the checked-in
 quick-scale baseline (`BENCH_throughput_quick.json`, schema

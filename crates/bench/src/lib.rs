@@ -1,17 +1,21 @@
 //! # dprof-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the DProf
-//! evaluation (Chapter 6 of the thesis), plus the ablations called out in DESIGN.md.
+//! The harness that regenerates every table and figure of the DProf evaluation
+//! (Chapter 6 of the thesis), and the simulated-access throughput grid.
 //!
 //! * [`case_studies`] — the memcached (§6.1) and Apache (§6.2) case studies: Tables
 //!   6.1–6.6, Figure 6-1, and the two fixes (57 % and 16 %).
 //! * [`overheads`] — Figure 6-2 (IBS sampling overhead), Tables 6.7–6.10 (object access
 //!   history collection costs), Figure 6-3 (unique-path coverage), Table 4.1 (example
 //!   path trace).
+//! * [`throughput`] — cache-hierarchy accesses per second over captured workload
+//!   traces, per workload × simulated core count.
 //! * [`scale`] — paper-scale vs quick-scale experiment settings.
 //!
 //! The `repro` binary (`cargo run -p dprof-bench --bin repro -- all`) prints the
-//! paper-style tables; the Criterion benches under `benches/` time the same experiments.
+//! paper-style tables; the `dprof-bench` binary measures the core-count grid.
+//! End-to-end and per-layer timings of the `dprof` subcommands live in the
+//! repository's `benchmark/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +35,3 @@ pub use overheads::{
     WhichWorkload,
 };
 pub use scale::Scale;
-pub use throughput::{
-    capture_trace, measure_point, render_json, render_scaling, render_table, ThroughputPoint,
-    TraceWorkload,
-};

@@ -1,5 +1,5 @@
 //! Experiment scaling: every experiment can run at paper scale (16 cores, long runs) or
-//! at a reduced "quick" scale for CI, unit tests and Criterion benches.
+//! at a reduced "quick" scale for CI and unit tests.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,7 +36,7 @@ impl Scale {
         }
     }
 
-    /// Reduced settings for fast runs (CI, Criterion, integration tests).
+    /// Reduced settings for fast runs (CI, unit tests).
     pub fn quick() -> Self {
         Scale {
             cores: 4,

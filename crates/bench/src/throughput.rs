@@ -11,7 +11,7 @@
 //! 3. Report accesses/second for both, per workload × core count, and emit
 //!    `BENCH_throughput.json` so throughput regressions are visible in review.
 //!
-//! Replays run on freshly-built hierarchies (best of [`REPS`] runs), so the numbers
+//! Replays run on freshly-built hierarchies (best of three runs), so the numbers
 //! include cold-structure warm-up exactly once per run for both implementations.
 
 use serde::{Deserialize, Serialize};
@@ -21,7 +21,7 @@ use std::time::Instant;
 use workloads::{Apache, ApacheConfig, Memcached, MemcachedConfig, Workload};
 
 /// Replay repetitions per measurement; the best (fastest) run is reported.
-pub const REPS: usize = 3;
+const REPS: usize = 3;
 
 /// Which workload generated a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -106,7 +106,7 @@ fn replay_with(
 }
 
 /// Replays a trace through the optimized hierarchy once.
-pub fn replay_optimized(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64, u64) {
+fn replay_optimized(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64, u64) {
     let mut h = CacheHierarchy::new(*config);
     replay_with(trace, |ev| {
         h.access(ev.core as usize, ev.addr, ev.kind).latency
@@ -114,7 +114,7 @@ pub fn replay_optimized(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64,
 }
 
 /// Replays a trace through the retained reference hierarchy once.
-pub fn replay_reference(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64, u64) {
+fn replay_reference(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64, u64) {
     let mut h = RefCacheHierarchy::new(*config);
     replay_with(trace, |ev| {
         h.access(ev.core as usize, ev.addr, ev.kind).latency
@@ -236,7 +236,7 @@ pub fn measure_point_from_trace(
 }
 
 /// Measures one throughput point: captures the workload trace, replays it through both
-/// implementations ([`REPS`] fresh runs each, best kept), and cross-checks that both
+/// implementations (three fresh runs each, best kept), and cross-checks that both
 /// produced identical latency checksums.
 pub fn measure_point(which: TraceWorkload, cores: usize, rounds: usize) -> ThroughputPoint {
     let trace = capture_trace(which, cores, rounds);
@@ -363,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn json_document_round_trips_through_the_cli_parser() {
+    fn json_document_round_trips_through_the_schema_parser() {
         let points = vec![
             ThroughputPoint {
                 workload: "memcached".into(),
@@ -383,7 +383,8 @@ mod tests {
             },
         ];
         let doc = render_json("paper", &points);
-        let parsed = dprof_cli::json::Json::parse(&doc).expect("render_json must emit valid JSON");
+        let parsed =
+            dprof_core::schema::Json::parse(&doc).expect("render_json must emit valid JSON");
         assert_eq!(
             parsed.get("schema").and_then(|s| s.as_str()),
             Some("dprof-bench-throughput/v1")

@@ -12,7 +12,7 @@
 
 use crate::args::{AccuracyOptions, Format};
 use crate::driver::{run_parallel, ThreadRun};
-use crate::json::Json;
+use dprof::core::schema::Json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 

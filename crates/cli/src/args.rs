@@ -157,7 +157,7 @@ pub struct ServeOptions {
     pub port_file: Option<String>,
 }
 
-/// Options of a `dprof loadgen` invocation (the ingest-throughput driver).
+/// Options of a `dprof loadgen` invocation (the collector load test).
 #[derive(Debug, Clone)]
 pub struct LoadgenOptions {
     /// Collector address; `None` requires `--spawn`.
@@ -178,8 +178,6 @@ pub struct LoadgenOptions {
     pub rounds: usize,
     /// Spawned collector's compaction threshold (bounded-memory proof).
     pub compact_threshold: usize,
-    /// Fail (exit 1) when sustained throughput lands below this, shards/s.
-    pub min_throughput: Option<f64>,
     /// Output format.
     pub format: Format,
     /// Write the loadgen report here instead of stdout.
@@ -286,25 +284,6 @@ pub enum Parsed {
     Version,
 }
 
-impl Parsed {
-    /// The registry name of the subcommand this invocation dispatches to
-    /// (`None` for `--help` / `--version`, which the shell handles itself).
-    /// `record` parses to [`Parsed::Run`] deliberately: record *is* a run.
-    pub fn command_name(&self) -> Option<&'static str> {
-        match self {
-            Parsed::Run(_) => Some("run"),
-            Parsed::Replay(_) => Some("replay"),
-            Parsed::Diff(_) => Some("diff"),
-            Parsed::Accuracy(_) => Some("accuracy"),
-            Parsed::Whatif(_) => Some("whatif"),
-            Parsed::Serve(_) => Some("serve"),
-            Parsed::Loadgen(_) => Some("loadgen"),
-            Parsed::Query(_) => Some("query"),
-            Parsed::Help | Parsed::Version => None,
-        }
-    }
-}
-
 /// The `--help` text above the synopsis (the synopsis itself is generated from
 /// the subcommand registry by [`usage`]).
 const USAGE_HEADER: &str = "\
@@ -367,7 +346,6 @@ LOADGEN:
         --rounds <N>          template profiling rounds          [default: 40]
         --compact-every <N>   spawned collector's resident-shard bound
                                                                  [default: 32]
-        --min-throughput <X>  fail (exit 1) below X shards/s     (the CI gate)
     loadgen also accepts --format and --output; the JSON report is
     dprof-loadgen/v1 (sustained shards/s, query answers, verdict, alerts).
 
@@ -449,7 +427,7 @@ EXAMPLES:
     dprof query push-trace -c $(cat serve.addr) -w ring --build v2 --shard-id 2 \\
         --file buggy.dtrace
     dprof query alerts -c $(cat serve.addr) -w ring --from v1 --to v2
-    dprof loadgen --spawn --shards 200 --producers 8 --min-throughput 50
+    dprof loadgen --spawn --shards 200 --producers 8
 ";
 
 /// Builds the `--help` text: the header, a synopsis line per registered
@@ -644,7 +622,6 @@ pub(crate) fn parse_loadgen(args: &[String]) -> Result<Parsed, String> {
         tag: "loadgen".into(),
         rounds: 40,
         compact_threshold: 32,
-        min_throughput: None,
         format: Format::Text,
         output: None,
     };
@@ -666,9 +643,6 @@ pub(crate) fn parse_loadgen(args: &[String]) -> Result<Parsed, String> {
                 if options.compact_threshold < 2 {
                     return Err("--compact-every must be at least 2".into());
                 }
-            }
-            "--min-throughput" => {
-                options.min_throughput = Some(parse_num(arg, &take_value(&mut iter, arg)?)?)
             }
             "-f" | "--format" => options.format = parse_format(&take_value(&mut iter, arg)?)?,
             "-o" | "--output" => options.output = Some(take_value(&mut iter, arg)?),
@@ -1202,6 +1176,11 @@ mod tests {
         assert!(parse(&args("--ibs-interval 0")).is_err());
         assert!(parse(&args("--threads")).is_err());
         assert!(parse(&args("-v everything")).is_err());
+        let err = parse(&args("loadgen --spawn --min-throughput 5")).unwrap_err();
+        assert!(
+            err.contains("unknown loadgen argument '--min-throughput'"),
+            "{err}"
+        );
     }
 
     #[test]

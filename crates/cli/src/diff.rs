@@ -3,8 +3,8 @@
 //! table or a `dprof-diff/v1` JSON document.
 
 use crate::args::{DiffOptions, Format};
-use crate::json::{Json, JsonOf, JsonRef};
 use dprof::core::report::diff::{diff, ReportDiff, ReportSummary};
+use dprof::core::schema::{Json, JsonOf, JsonRef};
 use std::fmt::Write as _;
 
 /// JSON schema identifier of the diff document.

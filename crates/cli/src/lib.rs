@@ -13,7 +13,8 @@
 //! The crate is a thin shell over the workspace: [`driver`] builds machines and runs
 //! [`dprof::core::Dprof`] sessions, [`merge`] folds per-thread profiles into one
 //! report keyed by type / function names, [`render`] emits text or JSON (via the
-//! dependency-free [`json`] module), and [`args`] parses the flag surface.
+//! dependency-free `dprof::core::schema` document model), and [`args`] parses the
+//! flag surface.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +23,6 @@ pub mod accuracy;
 pub mod args;
 pub mod diff;
 pub mod driver;
-pub mod json;
 pub mod merge;
 pub mod registry;
 pub mod render;
@@ -47,7 +47,15 @@ pub fn run(args: &[String]) -> i32 {
             println!("dprof {VERSION}");
             0
         }
-        Ok(parsed) => registry::dispatch(parsed),
+        // `record` parses to `Parsed::Run` deliberately: record *is* a run.
+        Ok(Parsed::Run(options)) => run_profile(options),
+        Ok(Parsed::Replay(options)) => run_replay(&options),
+        Ok(Parsed::Diff(options)) => diff::run_diff(&options),
+        Ok(Parsed::Accuracy(options)) => accuracy::run_accuracy(&options),
+        Ok(Parsed::Whatif(options)) => whatif::run_whatif(&options),
+        Ok(Parsed::Serve(options)) => serve_cmd::run_serve(&options),
+        Ok(Parsed::Loadgen(options)) => serve_cmd::run_loadgen_cmd(&options),
+        Ok(Parsed::Query(options)) => serve_cmd::run_query(&options),
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!("usage: dprof [SUBCOMMAND] [OPTIONS] (try --help)");

@@ -1,12 +1,12 @@
 //! The declarative subcommand registry.
 //!
 //! Every `dprof` subcommand is one [`Subcommand`] row: its name, the synopsis
-//! and description lines the `--help` synopsis is generated from, the parser
-//! for its flags, and the executor for its parsed options.  [`crate::args::parse`]
-//! routes the first argument through [`find`], and [`dispatch`] routes the
-//! parsed result to the executor — adding a subcommand means adding one row
-//! here (plus its `Parsed` variant), not editing two hand-maintained `match`es
-//! and a help string.
+//! and description lines the `--help` synopsis is generated from, and the
+//! parser for its flags.  [`crate::args::parse`] routes the first argument
+//! through [`find`]; [`crate::run`] executes the parsed result with one
+//! exhaustive `match` on [`Parsed`], so a variant without an executor is a
+//! compile error.  Adding a subcommand means one row here, its `Parsed`
+//! variant and its arm in `run` — the help synopsis follows from the row.
 
 use crate::args::Parsed;
 
@@ -21,8 +21,6 @@ pub struct Subcommand {
     pub about: &'static [&'static str],
     /// Parses the arguments after the subcommand name.
     pub parse: fn(&[String]) -> Result<Parsed, String>,
-    /// Executes a parsed invocation of this subcommand.
-    pub exec: fn(Parsed) -> i32,
 }
 
 /// Every subcommand, in help order.  `run` doubles as the default when the
@@ -34,14 +32,12 @@ pub fn registry() -> &'static [Subcommand] {
             synopsis: "dprof [run] [OPTIONS]",
             about: &["profile a workload live"],
             parse: crate::args::parse_run,
-            exec: exec_run,
         },
         Subcommand {
             name: "record",
             synopsis: "dprof record [OPTIONS]",
             about: &["profile AND capture a replayable .dtrace session"],
             parse: crate::args::parse_record,
-            exec: exec_run,
         },
         Subcommand {
             name: "replay",
@@ -51,7 +47,6 @@ pub fn registry() -> &'static [Subcommand] {
                 "the report is byte-identical to the recorded run's)",
             ],
             parse: crate::args::parse_replay,
-            exec: exec_replay,
         },
         Subcommand {
             name: "diff",
@@ -62,7 +57,6 @@ pub fn registry() -> &'static [Subcommand] {
                 "unchanged / worsened)",
             ],
             parse: crate::args::parse_diff,
-            exec: exec_diff,
         },
         Subcommand {
             name: "accuracy",
@@ -73,7 +67,6 @@ pub fn registry() -> &'static [Subcommand] {
                 "share error, top-K rank agreement, samples spent)",
             ],
             parse: crate::args::parse_accuracy,
-            exec: exec_accuracy,
         },
         Subcommand {
             name: "whatif",
@@ -84,7 +77,6 @@ pub fn registry() -> &'static [Subcommand] {
                 "recorded .dtrace session",
             ],
             parse: crate::args::parse_whatif,
-            exec: exec_whatif,
         },
         Subcommand {
             name: "serve",
@@ -95,7 +87,6 @@ pub fn registry() -> &'static [Subcommand] {
                 "merges per (workload, build) and answers queries",
             ],
             parse: crate::args::parse_serve,
-            exec: exec_serve,
         },
         Subcommand {
             name: "loadgen",
@@ -105,7 +96,6 @@ pub fn registry() -> &'static [Subcommand] {
                 "report sustained merge throughput (the CI gate)",
             ],
             parse: crate::args::parse_loadgen,
-            exec: exec_loadgen,
         },
         Subcommand {
             name: "query",
@@ -115,7 +105,6 @@ pub fn registry() -> &'static [Subcommand] {
                 "over-build regressions, Wilson-gated alerts",
             ],
             parse: crate::args::parse_query,
-            exec: exec_query,
         },
     ];
     REGISTRY
@@ -124,79 +113,6 @@ pub fn registry() -> &'static [Subcommand] {
 /// Looks a subcommand up by name.
 pub fn find(name: &str) -> Option<&'static Subcommand> {
     registry().iter().find(|command| command.name == name)
-}
-
-/// Routes a parsed invocation to its subcommand's executor.
-pub fn dispatch(parsed: Parsed) -> i32 {
-    let Some(name) = parsed.command_name() else {
-        // Help/Version are handled by the shell before dispatch.
-        return 0;
-    };
-    match find(name) {
-        Some(command) => (command.exec)(parsed),
-        None => mismatch(name),
-    }
-}
-
-fn mismatch(name: &str) -> i32 {
-    eprintln!("error: internal dispatch mismatch for subcommand '{name}'");
-    2
-}
-
-fn exec_run(parsed: Parsed) -> i32 {
-    match parsed {
-        Parsed::Run(options) => crate::run_profile(options),
-        _ => mismatch("run"),
-    }
-}
-
-fn exec_replay(parsed: Parsed) -> i32 {
-    match parsed {
-        Parsed::Replay(options) => crate::run_replay(&options),
-        _ => mismatch("replay"),
-    }
-}
-
-fn exec_diff(parsed: Parsed) -> i32 {
-    match parsed {
-        Parsed::Diff(options) => crate::diff::run_diff(&options),
-        _ => mismatch("diff"),
-    }
-}
-
-fn exec_accuracy(parsed: Parsed) -> i32 {
-    match parsed {
-        Parsed::Accuracy(options) => crate::accuracy::run_accuracy(&options),
-        _ => mismatch("accuracy"),
-    }
-}
-
-fn exec_whatif(parsed: Parsed) -> i32 {
-    match parsed {
-        Parsed::Whatif(options) => crate::whatif::run_whatif(&options),
-        _ => mismatch("whatif"),
-    }
-}
-
-fn exec_serve(parsed: Parsed) -> i32 {
-    match parsed {
-        Parsed::Serve(options) => crate::serve_cmd::run_serve(&options),
-        _ => mismatch("serve"),
-    }
-}
-
-fn exec_loadgen(parsed: Parsed) -> i32 {
-    match parsed {
-        Parsed::Loadgen(options) => crate::serve_cmd::run_loadgen_cmd(&options),
-        _ => mismatch("loadgen"),
-    }
-}
-
-fn exec_query(parsed: Parsed) -> i32 {
-    match parsed {
-        Parsed::Query(options) => crate::serve_cmd::run_query(&options),
-        _ => mismatch("query"),
-    }
 }
 
 #[cfg(test)]

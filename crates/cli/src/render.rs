@@ -2,8 +2,8 @@
 //! both driven by the same [`MergedReport`].
 
 use crate::args::{Format, Options, View};
-use crate::json::Json;
 use crate::merge::MergedReport;
+use dprof::core::schema::Json;
 use std::fmt::Write as _;
 
 /// JSON schema identifier emitted in every report.

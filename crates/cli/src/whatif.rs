@@ -16,8 +16,8 @@
 //! (concurrent sharing).
 
 use crate::args::{Format, WhatifOptions};
-use crate::json::Json;
 use crate::{driver, merge};
+use dprof::core::schema::Json;
 use dprof::core::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};
 use dprof::trace::{
     analyze_sharing, available_workers, for_each_stream, measure_stream_streaming,

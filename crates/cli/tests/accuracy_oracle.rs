@@ -4,6 +4,7 @@
 //! in-process twin of the CI `scenario-oracle` job's `dprof accuracy` loop, so the
 //! gate also holds on a plain `cargo test --workspace`.
 
+use dprof::core::schema::Json;
 use dprof::machine::SamplingPolicy;
 use dprof::workloads::scenarios::{self, ExpectedView};
 use dprof_cli::accuracy::compare;
@@ -149,21 +150,21 @@ fn accuracy_cli_emits_schema_v1_json() {
     .collect();
     assert_eq!(dprof_cli::run(&args), 0, "accuracy subcommand must succeed");
     let text = std::fs::read_to_string(&out).expect("accuracy report written");
-    let doc = dprof_cli::json::Json::parse(&text).expect("valid JSON");
+    let doc = Json::parse(&text).expect("valid JSON");
     assert_eq!(
-        doc.get("schema").and_then(dprof_cli::json::Json::as_str),
+        doc.get("schema").and_then(Json::as_str),
         Some("dprof-accuracy/v1")
     );
     assert_eq!(
         doc.get("run")
             .and_then(|r| r.get("sampling"))
-            .and_then(dprof_cli::json::Json::as_str),
+            .and_then(Json::as_str),
         Some("adaptive:2500")
     );
     assert_eq!(
         doc.get("samples")
             .and_then(|s| s.get("within_budget"))
-            .and_then(dprof_cli::json::Json::as_bool),
+            .and_then(Json::as_bool),
         Some(true)
     );
     let _ = std::fs::remove_file(out);

@@ -3,7 +3,7 @@
 //! shape (`--workload memcached --threads N --format json` must produce a JSON report
 //! containing all five views).
 
-use dprof_cli::json::Json;
+use dprof::core::schema::Json;
 use std::process::Command;
 
 fn dprof() -> Command {

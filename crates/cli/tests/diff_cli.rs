@@ -3,7 +3,7 @@
 //! scenario run feeding a diff) and every error path, each of which must exit non-zero
 //! with a one-line actionable message on stderr.
 
-use dprof_cli::json::Json;
+use dprof::core::schema::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

@@ -1,9 +1,9 @@
 //! Record/replay determinism through the real CLI surface.
 //!
-//! Two layers of enforcement:
+//! Four layers of enforcement:
 //!
 //! 1. A fresh `dprof record` → `dprof replay` round trip must produce byte-identical
-//!    JSON reports (the tentpole acceptance criterion).
+//!    JSON reports.
 //! 2. The checked-in golden traces under `tests/golden/` must replay to byte-identical
 //!    copies of their committed golden reports — the same gate the CI determinism job
 //!    applies, enforced locally on every `cargo test`.

@@ -3,7 +3,7 @@
 //! non-zero, and none of them take the server down — the next valid request on a
 //! fresh connection still answers.
 
-use dprof_cli::json::Json;
+use dprof::core::schema::Json;
 use std::io::Write;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};

@@ -3,7 +3,7 @@
 //! every error path — each of which must exit non-zero with a one-line actionable
 //! `error:` message on stderr (same convention as `diff_cli.rs`).
 
-use dprof_cli::json::Json;
+use dprof::core::schema::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

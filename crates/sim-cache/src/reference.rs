@@ -7,8 +7,8 @@
 //! 1. **Oracle** — the property tests replay randomized access streams through this
 //!    model and the optimized [`crate::CacheHierarchy`] and require byte-identical
 //!    [`AccessOutcome`] sequences and final statistics.
-//! 2. **Baseline** — the `hierarchy_throughput` bench and `dprof-bench --emit-json`
-//!    measure both implementations so `BENCH_throughput.json` records the speedup.
+//! 2. **Baseline** — `dprof-bench` measures both implementations so
+//!    `BENCH_throughput.json` records the speedup.
 //!
 //! It is not part of the supported API surface and may lag behind the optimized
 //! implementation's extended introspection features.
