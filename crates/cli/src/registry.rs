@@ -93,7 +93,7 @@ pub fn registry() -> &'static [Subcommand] {
             synopsis: "dprof loadgen [OPTIONS]",
             about: &[
                 "drive a collector with concurrent producers and",
-                "report sustained merge throughput (the CI gate)",
+                "check every shard is absorbed, every query answered",
             ],
             parse: crate::args::parse_loadgen,
         },

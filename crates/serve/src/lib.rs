@@ -23,8 +23,8 @@
 //!   shared store.
 //! * [`client`] — a blocking client speaking the same protocol (used by the
 //!   `dprof query`, `dprof loadgen` and push subcommands, and by tests).
-//! * [`loadgen`] — a concurrent load generator measuring sustained ingest
-//!   throughput (the CI gate).
+//! * [`loadgen`] — a concurrent load generator that checks every pushed shard is
+//!   absorbed and every query answers (a correctness load test).
 //!
 //! Everything merged here is bit-identical to the CLI's one-shot merge: both
 //! paths fold shards through `dprof::core::merge` in canonical order, so a

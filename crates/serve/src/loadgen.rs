@@ -3,8 +3,8 @@
 //! `run_loadgen` replays a fleet: `producers` threads share `shards` pushes
 //! round-robin over a set of template shards (one template set per build tag),
 //! each push carrying a unique shard id.  After the push phase it issues every
-//! query once and checks the answers are well-formed.  The measured sustained
-//! merge throughput (shards per wall-clock second) is the number CI gates on.
+//! query once and checks the answers are well-formed.  The sustained merge
+//! throughput it reports (shards per wall-clock second) is informational.
 
 use crate::client::Client;
 use dprof::core::merge::ProfileShard;
