@@ -625,6 +625,7 @@ pub(crate) fn parse_loadgen(args: &[String]) -> Result<Parsed, String> {
         format: Format::Text,
         output: None,
     };
+    let mut compact_given = false;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -643,6 +644,7 @@ pub(crate) fn parse_loadgen(args: &[String]) -> Result<Parsed, String> {
                 if options.compact_threshold < 2 {
                     return Err("--compact-every must be at least 2".into());
                 }
+                compact_given = true;
             }
             "-f" | "--format" => options.format = parse_format(&take_value(&mut iter, arg)?)?,
             "-o" | "--output" => options.output = Some(take_value(&mut iter, arg)?),
@@ -657,6 +659,10 @@ pub(crate) fn parse_loadgen(args: &[String]) -> Result<Parsed, String> {
     }
     if options.store.is_some() && !options.spawn {
         return Err("'--store' only applies to a --spawn collector".into());
+    }
+    // Only a spawned collector is configured here; an external one keeps its own bound.
+    if compact_given && !options.spawn {
+        return Err("'--compact-every' only applies to a --spawn collector".into());
     }
     if options.shards == 0 {
         return Err("--shards must be at least 1".into());
@@ -1181,6 +1187,18 @@ mod tests {
             err.contains("unknown loadgen argument '--min-throughput'"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn loadgen_refuses_spawn_only_flags_against_an_external_collector() {
+        for (name, value) in [("--store", "s"), ("--compact-every", "8")] {
+            let err = parse(&args(&format!("loadgen -c 127.0.0.1:1 {name} {value}")));
+            assert_eq!(
+                err.unwrap_err(),
+                format!("'{name}' only applies to a --spawn collector")
+            );
+            assert!(parse(&args(&format!("loadgen --spawn {name} {value}"))).is_ok());
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Profile-run orchestration: builds one simulated machine + kernel + workload per
-//! worker thread, runs a full DProf session on each, and hands the per-thread results
-//! to [`crate::merge`].
+//! worker thread, runs set-up and warmup on each, and hands the profiled window to
+//! [`profile_window`] — the same window `dprof replay` runs over a recorded stream —
+//! so a live thread and its replay are the same [`ThreadRun`], merged by
+//! [`crate::merge`].
 //!
 //! Threads are deliberately *independent machines*, not cores of one machine: the
 //! simulator is deterministic, so running the same configuration N times would produce
@@ -10,13 +12,13 @@
 //! sample streams — the same reason the paper profiles several runs of the real
 //! machine.
 
-use dprof::core::{Dprof, DprofConfig, DprofProfile};
+use dprof::core::DprofConfig;
 use dprof::kernel::{KernelConfig, KernelState, TxQueuePolicy, TypeId};
 use dprof::machine::{AccessReq, Machine, MachineConfig, SamplingPolicy};
-use dprof::trace::{EventEncoder, FieldDump, RecordedStream, ThreadStream, TypeDump};
+pub use dprof::trace::ThreadRun;
+use dprof::trace::{profile_window, EventEncoder, RecordedStream, SessionParams};
 use dprof::workloads::scenarios::{self, ScenarioConfig, Variant};
 use dprof::workloads::{Apache, ApacheConfig, Memcached, MemcachedConfig, Workload};
-use std::collections::HashMap;
 
 /// Which workload to profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,53 +149,20 @@ impl Default for RunOptions {
     }
 }
 
-/// The outcome of one worker thread's profiling session.
-#[derive(Debug)]
-pub struct ThreadRun {
-    /// Thread index (0-based).
-    pub thread: usize,
-    /// The seed this thread ran with.
-    pub seed: u64,
-    /// The full DProf profile.
-    pub profile: DprofProfile,
-    /// Type names for every `TypeId` appearing in the profile's maps.
-    pub type_names: HashMap<TypeId, String>,
-    /// Application requests completed while the profiler was attached.
-    pub requests: u64,
-    /// Simulated elapsed seconds of the profiled window (warmup excluded).
-    pub elapsed_seconds: f64,
-    /// Total simulated cycles (all cores) spent in the profiled window.
-    pub total_cycles: u64,
-    /// Fraction of profiled-window cycles spent in profiling interrupts.
-    pub profiling_fraction: f64,
-    /// The recorded session stream, when [`RunOptions::record_session`] was on.
-    pub recorded: Option<RecordedStream>,
-}
-
-/// A replayed stream stands in for the live thread it was recorded from.
-impl From<dprof::trace::ReplayRun> for ThreadRun {
-    fn from(r: dprof::trace::ReplayRun) -> Self {
-        ThreadRun {
-            thread: r.thread,
-            seed: r.seed,
-            profile: r.profile,
-            type_names: r.type_names,
-            requests: r.requests,
-            elapsed_seconds: r.elapsed_seconds,
-            total_cycles: r.total_cycles,
-            profiling_fraction: r.profiling_fraction,
-            recorded: None,
-        }
-    }
-}
-
-impl ThreadRun {
-    /// Simulated requests per second while profiled.
-    pub fn rps(&self) -> f64 {
-        if self.elapsed_seconds > 0.0 {
-            self.requests as f64 / self.elapsed_seconds
-        } else {
-            0.0
+impl RunOptions {
+    /// The session parameters a trace of this run records, and the profiler
+    /// configuration every thread of it runs (see [`SessionParams::dprof_config`]).
+    pub fn session_params(&self) -> SessionParams {
+        SessionParams {
+            workload: self.workload.name().to_string(),
+            threads: self.threads,
+            cores: self.cores,
+            warmup_rounds: self.warmup_rounds,
+            sample_rounds: self.sample_rounds,
+            sampling: self.sampling,
+            history_types: self.history_types,
+            history_sets: self.history_sets,
+            base_seed: self.base_seed,
         }
     }
 }
@@ -364,102 +333,27 @@ pub fn run_single(options: &RunOptions, thread: usize) -> ThreadRun {
         workload.step(&mut machine, &mut kernel);
         end_round(&mut machine);
     }
-    // Snapshot counters after warmup, so the reported throughput/overhead cover only
-    // the profiled window.  (We deliberately do not `reset_measurement()`: that would
-    // zero the clocks and corrupt the working-set view's allocation timestamps.)
-    let requests_before = workload.requests_completed();
-    let elapsed_before = machine.elapsed_seconds();
-    let cycles_before: u64 = (0..machine.cores()).map(|c| machine.clock(c)).sum();
-    let profiling_before = machine.total_profiling_cycles();
-
     let config = DprofConfig {
-        sampling: options.sampling,
-        sample_rounds: options.sample_rounds,
-        history_types: options.history_types,
-        history: dprof::core::HistoryConfig {
-            history_sets: options.history_sets,
-            seed,
-            ..Default::default()
-        },
         collect_ground_truth: options.collect_ground_truth,
-        ..Default::default()
+        ..options.session_params().dprof_config(seed)
     };
-
-    let profile = Dprof::new(config).run(&mut machine, &mut kernel, |m, k| {
+    let requests_before = workload.requests_completed();
+    let mut run = profile_window(&mut machine, &mut kernel, thread, config, |m, k| {
         workload.step(m, k);
         end_round(m);
     });
+    run.requests = workload.requests_completed() - requests_before;
 
-    let mut type_names: HashMap<TypeId, String> = profile
-        .data_profile
-        .iter()
-        .map(|row| (row.type_id, row.name.clone()))
-        .collect();
-    for ty in profile.data_flows.keys() {
-        type_names
-            .entry(*ty)
-            .or_insert_with(|| format!("type#{}", ty.0));
+    if options.record_session {
+        run.recorded = Some(RecordedStream::capture(
+            &mut machine,
+            &kernel.types,
+            seed,
+            run.requests,
+            encoder,
+        ));
     }
-
-    let requests = workload.requests_completed() - requests_before;
-    let total_cycles: u64 =
-        (0..machine.cores()).map(|c| machine.clock(c)).sum::<u64>() - cycles_before;
-    let profiling = machine.total_profiling_cycles() - profiling_before;
-
-    let recorded = if options.record_session {
-        // Whatever followed the last round mark.
-        machine.drain_session_events(|events| encoder.extend(events));
-        Some(RecordedStream {
-            machine: *machine.config(),
-            stream: ThreadStream {
-                seed,
-                requests,
-                symbols: machine
-                    .symbols
-                    .iter()
-                    .map(|(_, name)| name.to_string())
-                    .collect(),
-                types: kernel
-                    .types
-                    .iter()
-                    .map(|t| TypeDump {
-                        name: t.name.clone(),
-                        description: t.description.clone(),
-                        size: t.size,
-                        fields: t
-                            .fields
-                            .iter()
-                            .map(|f| FieldDump {
-                                name: f.name.clone(),
-                                offset: f.offset,
-                                size: f.size,
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-                events: encoder.finish(),
-            },
-            peak_buffered_events: machine.session_peak_events(),
-        })
-    } else {
-        None
-    };
-
-    ThreadRun {
-        thread,
-        seed,
-        profile,
-        type_names,
-        requests,
-        elapsed_seconds: machine.elapsed_seconds() - elapsed_before,
-        total_cycles,
-        profiling_fraction: if total_cycles == 0 {
-            0.0
-        } else {
-            profiling as f64 / total_cycles as f64
-        },
-        recorded,
-    }
+    run
 }
 
 /// Runs `options.threads` independent profiling sessions in parallel and returns them

@@ -160,17 +160,7 @@ fn write_trace(
     let trace = dprof::trace::TraceFile {
         kind: dprof::trace::TraceKind::FullSession,
         machine,
-        params: dprof::trace::SessionParams {
-            workload: options.run.workload.name().to_string(),
-            threads: options.run.threads,
-            cores: options.run.cores,
-            warmup_rounds: options.run.warmup_rounds,
-            sample_rounds: options.run.sample_rounds,
-            sampling: options.run.sampling,
-            history_types: options.run.history_types,
-            history_sets: options.run.history_sets,
-            base_seed: options.run.base_seed,
-        },
+        params: options.run.session_params(),
         streams: recorded.into_iter().map(|r| r.stream).collect(),
     };
     trace
@@ -215,28 +205,27 @@ pub(crate) fn run_replay(options: &args::ReplayOptions) -> i32 {
             return 1;
         }
     };
-    for r in &replays {
-        if r.trailing_events > 0 {
+    for (run, trailing) in &replays {
+        if *trailing > 0 {
             eprintln!(
-                "warning: stream {} diverged from the recording ({} trailing event(s)); \
-                 the trace was probably produced by a different build",
-                r.thread, r.trailing_events
+                "warning: stream {} diverged from the recording ({trailing} trailing \
+                 event(s)); the trace was probably produced by a different build",
+                run.thread
             );
         }
     }
-
-    emit(&render_replay(&reader, replays, options), &options.output)
+    let runs: Vec<driver::ThreadRun> = replays.into_iter().map(|(run, _)| run).collect();
+    emit(&render_replay(&reader, &runs, options), &options.output)
 }
 
 /// Merges replayed streams (in stream order) and renders the report as the recorded
 /// run rendered its own.
 pub fn render_replay(
     reader: &dprof::trace::TraceReader,
-    replays: Vec<dprof::trace::ReplayRun>,
+    runs: &[driver::ThreadRun],
     options: &args::ReplayOptions,
 ) -> String {
-    let runs: Vec<driver::ThreadRun> = replays.into_iter().map(Into::into).collect();
-    let report = merge::merge(&runs);
+    let report = merge::merge(runs);
 
     // Rebuild the options the recorded run rendered with, so the `run` section of the
     // report (and the text header) match the live output byte-for-byte.

@@ -1,10 +1,11 @@
 //! Merging of per-thread [`ThreadRun`]s into one report.
 //!
 //! The merge algorithm itself lives in `dprof-core::merge` behind the
-//! [`MergeSink`] trait (it is shared with the `dprof serve` ingest path); this
-//! module is the CLI-side adapter that turns a [`ThreadRun`] into a
-//! [`ProfileShard`] and folds a batch of runs through a [`StreamingMerge`].
-//! Ordinals are the thread indices, so the canonical fold order is the run order.
+//! [`MergeSink`] trait, and a run becomes a [`ProfileShard`] through
+//! [`ThreadRun::shard`] — the same conversion the `dprof serve` trace upload and
+//! loadgen's template shards use.  This module folds a batch of runs through a
+//! [`StreamingMerge`].  Ordinals are the thread indices, so the canonical fold order
+//! is the run order.
 
 use crate::driver::ThreadRun;
 pub use dprof::core::merge::{
@@ -12,30 +13,12 @@ pub use dprof::core::merge::{
     StreamingMerge,
 };
 
-/// Converts one per-thread run into a mergeable shard (ordinal = thread index).
-pub fn shard_from_run(run: &ThreadRun) -> ProfileShard {
-    ProfileShard::from_profile(
-        &run.profile,
-        &run.type_names,
-        ShardMeta {
-            thread: run.thread,
-            seed: run.seed,
-            requests: run.requests,
-            rps: run.rps(),
-            profiling_fraction: run.profiling_fraction,
-            samples: run.profile.samples.len() as u64,
-            total_cycles: run.total_cycles,
-        },
-        run.thread as u64,
-    )
-}
-
 /// Merges per-thread profiling runs into one report.  `runs` must be non-empty.
 pub fn merge(runs: &[ThreadRun]) -> MergedReport {
     assert!(!runs.is_empty(), "merge requires at least one run");
     let mut sink = StreamingMerge::new();
     for run in runs {
-        sink.absorb(shard_from_run(run));
+        sink.absorb(run.shard(run.thread as u64));
     }
     sink.finish()
 }
@@ -127,7 +110,7 @@ mod tests {
         let one_shot = merge(&rs);
         let mut sink = StreamingMerge::new();
         for run in rs.iter().rev() {
-            sink.absorb(shard_from_run(run));
+            sink.absorb(run.shard(run.thread as u64));
         }
         assert_eq!(sink.finish(), one_shot);
     }

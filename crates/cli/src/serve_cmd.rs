@@ -11,7 +11,6 @@
 
 use crate::args::{Format, LoadgenOptions, QueryAction, QueryOptions, ServeOptions};
 use crate::driver::{self, RunOptions};
-use crate::merge::shard_from_run;
 use dprof::core::merge::ProfileShard;
 use dprof::core::schema::{self, Json};
 use dprof_serve::loadgen::{run_loadgen, LoadgenConfig};
@@ -79,7 +78,10 @@ fn template_shards(
         ..RunOptions::default()
     };
     let runs = driver::run_parallel(&run)?;
-    Ok(runs.iter().map(shard_from_run).collect())
+    Ok(runs
+        .iter()
+        .map(|run| run.shard(run.thread as u64))
+        .collect())
 }
 
 /// `dprof loadgen`: drive a collector with concurrent producers and queries.

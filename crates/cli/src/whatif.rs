@@ -118,7 +118,7 @@ pub fn analyze_trace_on(
     let profiled_passes = usize::from(auto);
     let wave1 = for_each_stream(workers, source, profiled_passes + 1, |pass, thread| {
         if pass < profiled_passes {
-            replay_stream_streaming(source, thread).map(|run| Wave1::Profiled(Box::new(run.into())))
+            replay_stream_streaming(source, thread).map(|(run, _)| Wave1::Profiled(Box::new(run)))
         } else {
             measure_stream_streaming(source, thread, &FixSpec::Identity).map(Wave1::Baseline)
         }

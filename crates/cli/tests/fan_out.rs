@@ -10,6 +10,8 @@ use dprof::trace::{
 };
 use dprof_cli::args::{self, Parsed};
 use dprof_cli::whatif::{analyze_trace, analyze_trace_on, render_whatif_json};
+use dprof_serve::server::{Server, ServerConfig};
+use dprof_serve::Client;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,9 +26,9 @@ fn tmp(name: &str) -> String {
     p.to_string_lossy().into_owned()
 }
 
-fn golden_ring_trace() -> String {
+fn golden_trace(name: &str) -> String {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/ring_false_sharing_quick.dtrace")
+        .join(format!("../../tests/golden/{name}.dtrace"))
         .to_string_lossy()
         .into_owned()
 }
@@ -114,7 +116,7 @@ fn a_twelve_stream_replay_builds_at_most_workers_universes_and_the_same_report()
         let replays = for_each_stream(workers, &reader, 1, |_, thread| {
             let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
             high_water.fetch_max(now, Ordering::SeqCst);
-            let run = replay_stream_streaming(&reader, thread);
+            let run = replay_stream_streaming(&reader, thread).map(|(run, _)| run);
             in_flight.fetch_sub(1, Ordering::SeqCst);
             run
         })
@@ -124,7 +126,7 @@ fn a_twelve_stream_replay_builds_at_most_workers_universes_and_the_same_report()
             "{} replays in flight on {workers} worker(s)",
             high_water.load(Ordering::SeqCst)
         );
-        let replayed = dprof_cli::render_replay(&reader, replays, &options);
+        let replayed = dprof_cli::render_replay(&reader, &replays, &options);
         assert!(
             replayed.as_bytes() == live.as_slice(),
             "{workers} worker(s): replayed report differs from the live one"
@@ -165,7 +167,7 @@ fn an_inconsistent_stream_is_a_clean_error_naming_it_while_the_others_complete()
     // previous job failed.
     let completed = AtomicUsize::new(0);
     let result = for_each_stream(1, &reader, 2, |_, thread| {
-        let run = replay_stream_streaming(&reader, thread)?;
+        let (run, _) = replay_stream_streaming(&reader, thread)?;
         completed.fetch_add(1, Ordering::SeqCst);
         Ok(run.thread)
     });
@@ -183,7 +185,7 @@ fn an_inconsistent_stream_is_a_clean_error_naming_it_while_the_others_complete()
 fn scheduling_and_event_source_cannot_reach_the_whatif_document() {
     let fresh = tmp("two-streams.dtrace");
     record_memcached(2, 30, &fresh);
-    let golden = golden_ring_trace();
+    let golden = golden_trace("ring_false_sharing_quick");
     for (path, fixes) in [(&golden, vec![]), (&fresh, vec!["pad:skbuff"])] {
         let mut argv = vec!["whatif", path.as_str(), "--auto", "-f", "json"];
         for fix in &fixes {
@@ -241,4 +243,34 @@ fn the_benchmark_shaped_session_ranks_the_same_on_one_worker_and_on_two() {
     };
     assert!(render(1) == render(2));
     let _ = std::fs::remove_file(trace);
+}
+
+#[test]
+fn a_pushed_trace_folds_to_the_report_the_cli_merges_from_its_replay() {
+    // The collector turns an uploaded trace into shards itself (ordinals
+    // `shard_id * 1024 + stream`); its fold must be the CLI's merge of the same replay,
+    // row for row and count for count.
+    let fresh = tmp("pushed.dtrace");
+    record_memcached(2, 12, &fresh);
+    let golden = golden_trace("memcached_quick");
+    let mut server = Server::start(ServerConfig::default()).expect("collector starts");
+    let mut client = Client::connect(&server.addr().to_string()).expect("collector answers");
+    for (build, path, streams) in [("golden", &golden, 1), ("fresh", &fresh, 2)] {
+        let bytes = std::fs::read(path).expect("trace reads");
+        client
+            .push_trace("pushed", build, 7, bytes)
+            .expect("upload absorbed");
+        let reader = TraceReader::open(path).expect("trace opens");
+        assert_eq!(reader.stream_count(), streams, "{path}");
+        let runs: Vec<_> = (replay_all_streaming(&reader).expect("trace replays"))
+            .into_iter()
+            .map(|(run, _)| run)
+            .collect();
+        let folded = (server.store().lock().unwrap())
+            .report("pushed", build)
+            .expect("the upload made a key");
+        assert_eq!(*folded, dprof_cli::merge::merge(&runs), "{path}");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_file(fresh);
 }

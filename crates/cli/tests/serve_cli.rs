@@ -203,6 +203,18 @@ fn query_parse_errors_exit_2_before_touching_the_network() {
     // loadgen: --connect and --spawn are mutually exclusive with neither given.
     let output = dprof().args(["loadgen"]).output().expect("loadgen runs");
     assert_eq!(output.status.code(), Some(2));
+
+    // loadgen: a compaction bound configures only a collector it spawns; against an
+    // external one it would be silently ignored, so it is refused.
+    let output = dprof()
+        .args(["loadgen", "-c", "127.0.0.1:1", "--compact-every", "8"])
+        .output()
+        .expect("loadgen runs");
+    assert_eq!(output.status.code(), Some(2));
+    assert_eq!(
+        stderr_error_line(&output),
+        "error: '--compact-every' only applies to a --spawn collector"
+    );
 }
 
 #[test]

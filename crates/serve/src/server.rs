@@ -12,7 +12,7 @@
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{Request, Response};
 use crate::store::{valid_tag, ProfileStore};
-use dprof::core::merge::{MergedReport, ProfileShard, ShardMeta};
+use dprof::core::merge::{MergedReport, ProfileShard};
 use dprof::core::report::diff::diff;
 use dprof::core::schema::{self, Json, JsonRef};
 use dprof::core::wilson95;
@@ -397,29 +397,11 @@ fn replay_trace_upload(
             .map_err(|e| format!("trace upload: {e}"))?;
         let runs = dprof::trace::replay_all_streaming(&reader)?;
         runs.iter()
-            .map(|run| {
-                let rps = if run.elapsed_seconds > 0.0 {
-                    run.requests as f64 / run.elapsed_seconds
-                } else {
-                    0.0
-                };
+            .map(|(run, _)| {
                 let ordinal = first_ordinal
                     .checked_add(run.thread as u64)
                     .ok_or_else(out_of_range)?;
-                Ok(ProfileShard::from_profile(
-                    &run.profile,
-                    &run.type_names,
-                    ShardMeta {
-                        thread: run.thread,
-                        seed: run.seed,
-                        requests: run.requests,
-                        rps,
-                        profiling_fraction: run.profiling_fraction,
-                        samples: run.profile.samples.len() as u64,
-                        total_cycles: run.total_cycles,
-                    },
-                    ordinal,
-                ))
+                Ok(run.shard(ordinal))
             })
             .collect()
     })();

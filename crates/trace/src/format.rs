@@ -27,10 +27,14 @@
 //! fixed-size header sections; reading a file back — prologue, streams and events — is
 //! [`crate::stream`]'s job.
 
-use crate::codec::{get_string, get_varint, put_string, put_varint, EncodedEvents};
+use crate::codec::{get_string, get_varint, put_string, put_varint, EncodedEvents, EventEncoder};
 use crate::TraceError;
+use dprof_core::merge::{ProfileShard, ShardMeta};
+use dprof_core::{DprofConfig, DprofProfile, HistoryConfig};
 use sim_cache::{CacheGeometry, HierarchyConfig, LatencyModel};
-use sim_machine::{MachineConfig, SamplingPolicy};
+use sim_kernel::{TypeId, TypeRegistry};
+use sim_machine::{Machine, MachineConfig, SamplingPolicy};
+use std::collections::HashMap;
 use std::io::{self, Write};
 
 /// File magic, first eight bytes of every `.dtrace`.
@@ -71,7 +75,7 @@ impl TraceKind {
 }
 
 /// The session parameters needed to re-run the profiler against a recorded stream
-/// (mirrors the CLI's `RunOptions` as far as replay is concerned).
+/// (what the CLI's `RunOptions::session_params` keeps of a run).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionParams {
     /// Workload name ("memcached", "apache", "custom", ...).  Informational: replay
@@ -96,6 +100,23 @@ pub struct SessionParams {
 }
 
 impl SessionParams {
+    /// The profiler configuration of the thread that ran with `seed`: the one place a
+    /// recorded setting becomes a profiler setting, so a live run and its replay
+    /// cannot configure the profiler differently.
+    pub fn dprof_config(&self, seed: u64) -> DprofConfig {
+        DprofConfig {
+            sampling: self.sampling,
+            sample_rounds: self.sample_rounds,
+            history_types: self.history_types,
+            history: HistoryConfig {
+                history_sets: self.history_sets,
+                seed,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
     /// Holds the counts replay loops over to what the file can back.  Replay steps the
     /// profiler one round marker at a time — `warmup_rounds` then `sample_rounds`
     /// times, then at least once per history set — and a stream of `n` events holds
@@ -189,6 +210,99 @@ pub struct RecordedStream {
     /// produced: the driver drains it into the encoder every round, so this is one
     /// round's events, not the session's.
     pub peak_buffered_events: usize,
+}
+
+impl RecordedStream {
+    /// Ends a live recording: drains what followed the machine's last round mark into
+    /// `encoder`, and dumps the symbols and types registered so far (in id order, so a
+    /// replay re-registers the same ids) beside the events.
+    pub fn capture(
+        machine: &mut Machine,
+        types: &TypeRegistry,
+        seed: u64,
+        requests: u64,
+        mut encoder: EventEncoder,
+    ) -> RecordedStream {
+        machine.drain_session_events(|events| encoder.extend(events));
+        let symbols = machine.symbols.iter().map(|(_, name)| name.to_string());
+        let types = types.iter().map(|t| TypeDump {
+            name: t.name.clone(),
+            description: t.description.clone(),
+            size: t.size,
+            fields: (t.fields.iter())
+                .map(|f| FieldDump {
+                    name: f.name.clone(),
+                    offset: f.offset,
+                    size: f.size,
+                })
+                .collect(),
+        });
+        RecordedStream {
+            machine: *machine.config(),
+            stream: ThreadStream {
+                seed,
+                requests,
+                symbols: symbols.collect(),
+                types: types.collect(),
+                events: encoder.finish(),
+            },
+            peak_buffered_events: machine.session_peak_events(),
+        }
+    }
+}
+
+/// One profiled thread, live or replayed: what [`crate::profile_window`] measured, plus
+/// the requests its caller counted and, for a recording live run, its stream.
+#[derive(Debug)]
+pub struct ThreadRun {
+    /// Thread index (0-based; a replayed stream's index).
+    pub thread: usize,
+    /// The seed this thread ran with.
+    pub seed: u64,
+    /// The full DProf profile.
+    pub profile: DprofProfile,
+    /// Type names for every `TypeId` appearing in the profile's maps.
+    pub type_names: HashMap<TypeId, String>,
+    /// Application requests completed while the profiler was attached (a replay
+    /// carries the recorded count).
+    pub requests: u64,
+    /// Simulated elapsed seconds of the profiled window (warmup excluded).
+    pub elapsed_seconds: f64,
+    /// Total simulated cycles (all cores) spent in the profiled window.
+    pub total_cycles: u64,
+    /// Fraction of profiled-window cycles spent in profiling interrupts.
+    pub profiling_fraction: f64,
+    /// The recorded session stream, when the live run recorded one.
+    pub recorded: Option<RecordedStream>,
+}
+
+impl ThreadRun {
+    /// Simulated requests per second while profiled.
+    pub fn rps(&self) -> f64 {
+        if self.elapsed_seconds > 0.0 {
+            self.requests as f64 / self.elapsed_seconds
+        } else {
+            0.0
+        }
+    }
+
+    /// The run as a mergeable shard; `ordinal` places it in the canonical fold order.
+    pub fn shard(&self, ordinal: u64) -> ProfileShard {
+        ProfileShard::from_profile(
+            &self.profile,
+            &self.type_names,
+            ShardMeta {
+                thread: self.thread,
+                seed: self.seed,
+                requests: self.requests,
+                rps: self.rps(),
+                profiling_fraction: self.profiling_fraction,
+                samples: self.profile.samples.len() as u64,
+                total_cycles: self.total_cycles,
+            },
+            ordinal,
+        )
+    }
 }
 
 /// An in-memory `.dtrace` file.

@@ -19,18 +19,20 @@
 //! * [`codec`] — hand-rolled varint/zigzag primitives and the event *encoder*:
 //!   per-core address deltas and `AccessReq`-run coalescing (no external dependencies).
 //! * [`mod@format`] — the `.dtrace` container: magic, version, machine configuration,
-//!   session parameters and per-thread streams (symbol + type dumps, encoded events),
-//!   and how to write one.
+//!   session parameters (and the profiler configuration they imply) and per-thread
+//!   streams (symbol + type dumps, encoded events), and how to write one; beside them
+//!   [`ThreadRun`], one profiled thread, live or replayed.
 //! * [`stream`] — the one bytes→events decoder: [`TraceReader`] parses a file's
 //!   prologue and [`EventReader`] decodes and validates a stream's events
 //!   incrementally in bounded 64 KiB chunks.  It is the one way to read a file.
 //! * [`source`] — [`TraceSource`], the event-source abstraction both a [`TraceReader`]
 //!   (a file on disk) and a [`TraceFile`] (a session just recorded) provide.
-//! * [`replay`] — the one replay driver, generic over [`TraceSource`], and the one
-//!   bounded fan-out independent replays run on: each job drives a fresh machine +
-//!   replay kernel through the profiler on one of at most [`available_workers`]
-//!   threads; results come back in job order and merge through the CLI's existing
-//!   merge path.
+//! * [`replay`] — [`profile_window`], the one profiled window a live thread and a
+//!   replayed stream share, the one replay driver, generic over [`TraceSource`], and
+//!   the one bounded fan-out independent replays run on: each job drives a fresh
+//!   machine + replay kernel through the profiler on one of at most
+//!   [`available_workers`] threads; results come back in job order as [`ThreadRun`]s,
+//!   which [`ThreadRun::shard`] turns into the shards every merge folds.
 //! * [`mod@line`] — lowering of session events to per-cache-line
 //!   [`sim_cache::TraceEvent`] streams, used by `dprof-bench` to replay captured
 //!   workloads against alternative hierarchy implementations.
@@ -51,10 +53,12 @@ pub mod whatif;
 
 pub use codec::{EncodedEvents, EventEncoder};
 pub use format::{
-    FieldDump, RecordedStream, SessionParams, ThreadStream, TraceFile, TraceKind, TypeDump,
+    FieldDump, RecordedStream, SessionParams, ThreadRun, ThreadStream, TraceFile, TraceKind,
+    TypeDump,
 };
 pub use replay::{
-    available_workers, for_each_stream, replay_all_streaming, replay_stream_streaming, ReplayRun,
+    available_workers, for_each_stream, profile_window, replay_all_streaming,
+    replay_stream_streaming,
 };
 pub use source::{StreamInfo, TraceSource};
 pub use stream::{EventReader, StreamHeader, TraceReader};

@@ -10,8 +10,10 @@
 //! Determinism does the rest: the replayed machine's clocks, cache state, IBS samples
 //! and watchpoint hits evolve exactly as the live run's did, the profiler re-makes the
 //! same decisions (same config, same seeds, same sample streams), and the resulting
-//! [`DprofProfile`] — and therefore the rendered report — is byte-identical to the
-//! live run's.
+//! [`dprof_core::DprofProfile`] — and therefore the rendered report — is
+//! byte-identical to the live run's.  The window is not a copy of the live driver's:
+//! both call [`profile_window`] with [`crate::SessionParams::dprof_config`] and both
+//! produce a [`ThreadRun`].
 //!
 //! There is one driver, generic over where the events come from ([`TraceSource`]): a
 //! [`crate::TraceReader`] decodes each stream incrementally from its own file handle,
@@ -21,40 +23,64 @@
 //! recorded event meets the machine and kernel, and `fan_out`, the one bounded pool of
 //! worker threads every set of independent replays runs on.
 
-use crate::format::TraceKind;
+use crate::format::{ThreadRun, TraceKind};
 use crate::source::TraceSource;
 use crate::TraceError;
-use dprof_core::{Dprof, DprofConfig, DprofProfile};
+use dprof_core::{Dprof, DprofConfig};
 use sim_kernel::{KernelState, TypeId, TypeRegistry};
 use sim_machine::{Machine, SessionEvent};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The outcome of replaying one recorded stream: everything the CLI needs to build a
-/// `ThreadRun` and merge it alongside (or instead of) live runs.
-#[derive(Debug)]
-pub struct ReplayRun {
-    /// Stream index (the live run's thread index).
-    pub thread: usize,
-    /// The seed the recorded thread ran with.
-    pub seed: u64,
-    /// The full profile produced by the replayed profiler.
-    pub profile: DprofProfile,
-    /// Type names for every `TypeId` appearing in the profile's maps.
-    pub type_names: HashMap<TypeId, String>,
-    /// Application requests completed in the profiled window (carried from the trace).
-    pub requests: u64,
-    /// Simulated elapsed seconds of the profiled window.
-    pub elapsed_seconds: f64,
-    /// Total simulated cycles (all cores) spent in the profiled window.
-    pub total_cycles: u64,
-    /// Fraction of profiled-window cycles spent in profiling interrupts.
-    pub profiling_fraction: f64,
-    /// Events left unconsumed after the profiler finished.  Zero for a faithful
-    /// replay; non-zero means the replayed profiler diverged from the recording
-    /// (e.g. a trace produced by a different build).
-    pub trailing_events: usize,
+/// Profiles one thread's window: runs [`Dprof`] over `step` from the machine's current
+/// state and accounts the window's simulated time, cycles and profiling share.  The
+/// caller has already run set-up and warmup, and fills in `requests` (and `recorded`)
+/// itself; the seed is the one `config` collects histories with.
+pub fn profile_window(
+    machine: &mut Machine,
+    kernel: &mut KernelState,
+    thread: usize,
+    config: DprofConfig,
+    step: impl FnMut(&mut Machine, &mut KernelState),
+) -> ThreadRun {
+    // Counters are snapshotted, not reset: `reset_measurement()` would zero the clocks
+    // and corrupt the working-set view's allocation timestamps.
+    let all_cycles = |m: &Machine| -> u64 { (0..m.cores()).map(|c| m.clock(c)).sum() };
+    let elapsed_before = machine.elapsed_seconds();
+    let cycles_before = all_cycles(machine);
+    let profiling_before = machine.total_profiling_cycles();
+    let seed = config.history.seed;
+
+    let profile = Dprof::new(config).run(machine, kernel, step);
+
+    let mut type_names: HashMap<TypeId, String> = profile
+        .data_profile
+        .iter()
+        .map(|row| (row.type_id, row.name.clone()))
+        .collect();
+    for ty in profile.data_flows.keys() {
+        type_names
+            .entry(*ty)
+            .or_insert_with(|| format!("type#{}", ty.0));
+    }
+    let total_cycles = all_cycles(machine) - cycles_before;
+    let profiling = machine.total_profiling_cycles() - profiling_before;
+    ThreadRun {
+        thread,
+        seed,
+        profile,
+        type_names,
+        requests: 0,
+        elapsed_seconds: machine.elapsed_seconds() - elapsed_before,
+        total_cycles,
+        profiling_fraction: if total_cycles == 0 {
+            0.0
+        } else {
+            profiling as f64 / total_cycles as f64
+        },
+        recorded: None,
+    }
 }
 
 /// Rebuilds the universe stream `thread` was recorded in: a machine with the recorded
@@ -184,16 +210,19 @@ impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
     }
 }
 
-/// Replays one stream of a full-session trace through the profiler pipeline.  Decode
-/// errors, and events that contradict their stream (`event 1234: free of non-live
-/// address 0x…`), surface as `Err`.
+/// Replays one stream of a full-session trace through the profiler pipeline, returning
+/// the run and the events left unconsumed after the profiler finished: zero for a
+/// faithful replay, non-zero when the replayed profiler diverged from the recording
+/// (e.g. a trace produced by a different build).  Decode errors, and events that
+/// contradict their stream (`event 1234: free of non-live address 0x…`), surface as
+/// `Err`.
 ///
 /// # Panics
 /// Panics if `thread` is out of range.
 pub fn replay_stream_streaming(
     source: &impl TraceSource,
     thread: usize,
-) -> Result<ReplayRun, String> {
+) -> Result<(ThreadRun, usize), String> {
     let stream = source.stream(thread);
     let params = source.params();
     let (mut machine, mut kernel) = rebuild_universe(source, thread);
@@ -204,69 +233,31 @@ pub fn replay_stream_streaming(
         error: None,
     };
 
-    // Segment 0: kernel/workload setup traffic (everything before the first marker).
-    cursor.run_round(&mut machine, &mut kernel);
-    // Warmup, phase-shifted per thread exactly as the live driver ran it.
-    for _ in 0..params.warmup_rounds + thread {
+    // Segment 0 is the kernel/workload set-up traffic (everything before the first
+    // marker); the warmup after it is phase-shifted per thread, as the live run's was.
+    for _ in 0..1 + params.warmup_rounds + thread {
         cursor.run_round(&mut machine, &mut kernel);
     }
-
-    // Snapshot counters after warmup, mirroring the live driver's measurement window.
-    let elapsed_before = machine.elapsed_seconds();
-    let cycles_before: u64 = (0..machine.cores()).map(|c| machine.clock(c)).sum();
-    let profiling_before = machine.total_profiling_cycles();
-
-    let config = DprofConfig {
-        sampling: params.sampling,
-        sample_rounds: params.sample_rounds,
-        history_types: params.history_types,
-        history: dprof_core::HistoryConfig {
-            history_sets: params.history_sets,
-            seed: stream.seed,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-
-    let profile = Dprof::new(config).run(&mut machine, &mut kernel, |m, k| cursor.run_round(m, k));
+    let mut run = profile_window(
+        &mut machine,
+        &mut kernel,
+        thread,
+        params.dprof_config(stream.seed),
+        |m, k| cursor.run_round(m, k),
+    );
     if let Some(e) = cursor.error {
         return Err(e);
     }
-
-    let mut type_names: HashMap<TypeId, String> = profile
-        .data_profile
-        .iter()
-        .map(|row| (row.type_id, row.name.clone()))
-        .collect();
-    for ty in profile.data_flows.keys() {
-        type_names
-            .entry(*ty)
-            .or_insert_with(|| format!("type#{}", ty.0));
-    }
-
-    let total_cycles: u64 =
-        (0..machine.cores()).map(|c| machine.clock(c)).sum::<u64>() - cycles_before;
-    let profiling = machine.total_profiling_cycles() - profiling_before;
-    Ok(ReplayRun {
-        thread,
-        seed: stream.seed,
-        profile,
-        type_names,
-        requests: stream.requests,
-        elapsed_seconds: machine.elapsed_seconds() - elapsed_before,
-        total_cycles,
-        profiling_fraction: if total_cycles == 0 {
-            0.0
-        } else {
-            profiling as f64 / total_cycles as f64
-        },
-        trailing_events: stream.event_count - cursor.consumed + usize::from(cursor.exhausted),
-    })
+    run.requests = stream.requests;
+    Ok((
+        run,
+        stream.event_count - cursor.consumed + usize::from(cursor.exhausted),
+    ))
 }
 
 /// Replays every stream of a full-session trace on the bounded fan-out, returning the
-/// runs ordered by stream index.
-pub fn replay_all_streaming(source: &impl TraceSource) -> Result<Vec<ReplayRun>, String> {
+/// runs (with their trailing-event counts) ordered by stream index.
+pub fn replay_all_streaming(source: &impl TraceSource) -> Result<Vec<(ThreadRun, usize)>, String> {
     for_each_stream(available_workers(), source, 1, |_, thread| {
         replay_stream_streaming(source, thread)
     })

@@ -4,10 +4,9 @@
 //! same IBS samples, same object access histories, same view contents — after a full
 //! encode/decode round trip of the trace bytes through a file on disk.
 
-use dprof_core::{Dprof, DprofConfig, DprofProfile};
 use dprof_trace::{
-    replay_all_streaming, replay_stream_streaming, EventEncoder, FieldDump, SessionParams,
-    ThreadStream, TraceFile, TraceKind, TraceReader, TypeDump,
+    profile_window, replay_all_streaming, replay_stream_streaming, EventEncoder, RecordedStream,
+    SessionParams, ThreadRun, TraceFile, TraceKind, TraceReader,
 };
 use sim_machine::SamplingPolicy;
 use workloads::{Memcached, MemcachedConfig, Workload};
@@ -16,13 +15,13 @@ const WARMUP: usize = 4;
 const SAMPLE_ROUNDS: usize = 25;
 const SEED: u64 = 3471;
 
-fn record_live() -> (DprofProfile, u64, TraceFile) {
+fn record_live() -> (ThreadRun, TraceFile) {
     record_live_with(SamplingPolicy::Fixed { interval_ops: 150 })
 }
 
 /// Runs a live recorded session exactly as the CLI driver does for one thread, and
-/// returns the live profile plus the recorded trace file.
-fn record_live_with(sampling: SamplingPolicy) -> (DprofProfile, u64, TraceFile) {
+/// returns the live run plus the recorded trace file.
+fn record_live_with(sampling: SamplingPolicy) -> (ThreadRun, TraceFile) {
     let config = MemcachedConfig {
         cores: 2,
         seed: SEED,
@@ -36,72 +35,34 @@ fn record_live_with(sampling: SamplingPolicy) -> (DprofProfile, u64, TraceFile) 
         workload.step(&mut machine, &mut kernel);
         machine.mark_session_round();
     }
-    let requests_before = workload.requests_completed();
-
-    let dprof_config = DprofConfig {
-        sampling,
+    let params = SessionParams {
+        workload: "memcached".into(),
+        threads: 1,
+        cores: 2,
+        warmup_rounds: WARMUP,
         sample_rounds: SAMPLE_ROUNDS,
+        sampling,
         history_types: 2,
-        history: dprof_core::HistoryConfig {
-            history_sets: 2,
-            seed: SEED,
-            ..Default::default()
-        },
-        ..Default::default()
+        history_sets: 2,
+        base_seed: SEED,
     };
-    let profile = Dprof::new(dprof_config).run(&mut machine, &mut kernel, |m, k| {
+    let config = params.dprof_config(SEED);
+    let requests_before = workload.requests_completed();
+    let mut live = profile_window(&mut machine, &mut kernel, 0, config, |m, k| {
         workload.step(m, k);
         m.mark_session_round();
     });
-    let requests = workload.requests_completed() - requests_before;
+    live.requests = workload.requests_completed() - requests_before;
 
-    let mut encoder = EventEncoder::new();
-    machine.drain_session_events(|events| encoder.extend(events));
-    let stream = ThreadStream {
-        seed: SEED,
-        requests,
-        symbols: machine
-            .symbols
-            .iter()
-            .map(|(_, name)| name.to_string())
-            .collect(),
-        types: kernel
-            .types
-            .iter()
-            .map(|t| TypeDump {
-                name: t.name.clone(),
-                description: t.description.clone(),
-                size: t.size,
-                fields: t
-                    .fields
-                    .iter()
-                    .map(|f| FieldDump {
-                        name: f.name.clone(),
-                        offset: f.offset,
-                        size: f.size,
-                    })
-                    .collect(),
-            })
-            .collect(),
-        events: encoder.finish(),
-    };
+    let (requests, encoder) = (live.requests, EventEncoder::new());
+    let recorded = RecordedStream::capture(&mut machine, &kernel.types, SEED, requests, encoder);
     let file = TraceFile {
         kind: TraceKind::FullSession,
-        machine: *machine.config(),
-        params: SessionParams {
-            workload: "memcached".into(),
-            threads: 1,
-            cores: 2,
-            warmup_rounds: WARMUP,
-            sample_rounds: SAMPLE_ROUNDS,
-            sampling,
-            history_types: 2,
-            history_sets: 2,
-            base_seed: SEED,
-        },
-        streams: vec![stream],
+        machine: recorded.machine,
+        params,
+        streams: vec![recorded.stream],
     };
-    (profile, requests, file)
+    (live, file)
 }
 
 /// Writes `file` to a temp path unique to `name` and opens it for streaming.  The
@@ -117,23 +78,28 @@ fn on_disk(file: &TraceFile, name: &str) -> (TraceReader, std::path::PathBuf) {
 
 #[test]
 fn replayed_profile_is_identical_to_the_live_run() {
-    let (live, live_requests, file) = record_live();
+    let (run, file) = record_live();
+    let live = &run.profile;
 
     // Round-trip through the on-disk byte form first: the replay below therefore
     // also proves the codec preserves everything the profiler depends on.
     let (reader, path) = on_disk(&file, "fixed");
-    let replayed = replay_stream_streaming(&reader, 0).expect("stream replays");
+    let (replayed, trailing) = replay_stream_streaming(&reader, 0).expect("stream replays");
     std::fs::remove_file(path).ok();
     // Replaying the in-memory stream is the same driver over a different source.
-    let in_memory = replay_stream_streaming(&file, 0).expect("stream replays");
+    let (in_memory, _) = replay_stream_streaming(&file, 0).expect("stream replays");
     assert_eq!(in_memory.profile.samples, replayed.profile.samples);
     assert_eq!(in_memory.profile.histories, replayed.profile.histories);
 
     assert_eq!(
-        replayed.trailing_events, 0,
+        trailing, 0,
         "replay must consume the recorded stream exactly"
     );
-    assert_eq!(replayed.requests, live_requests);
+    assert_eq!(replayed.requests, run.requests);
+    // One window, live or replayed: the same simulated time, cycles and overhead.
+    assert_eq!(replayed.elapsed_seconds, run.elapsed_seconds);
+    assert_eq!(replayed.total_cycles, run.total_cycles);
+    assert_eq!(replayed.profiling_fraction, run.profiling_fraction);
 
     // The profiler's raw material must match sample-for-sample...
     assert_eq!(replayed.profile.samples, live.samples);
@@ -179,7 +145,8 @@ fn adaptive_sampled_session_replays_identically() {
     // The adaptive controller's decisions must be a pure function of the recorded
     // event stream: replaying under the recorded `adaptive:<budget>` policy must
     // reproduce the identical sample stream, spend count and views.
-    let (live, live_requests, file) = record_live_with(SamplingPolicy::Adaptive { budget: 400 });
+    let (run, file) = record_live_with(SamplingPolicy::Adaptive { budget: 400 });
+    let live = &run.profile;
     assert!(
         live.samples_spent <= 400,
         "budget exceeded: {} samples",
@@ -192,10 +159,10 @@ fn adaptive_sampled_session_replays_identically() {
         reader.params.sampling,
         SamplingPolicy::Adaptive { budget: 400 }
     );
-    let replayed = replay_stream_streaming(&reader, 0).expect("stream replays");
+    let (replayed, trailing) = replay_stream_streaming(&reader, 0).expect("stream replays");
     std::fs::remove_file(path).ok();
-    assert_eq!(replayed.trailing_events, 0);
-    assert_eq!(replayed.requests, live_requests);
+    assert_eq!(trailing, 0);
+    assert_eq!(replayed.requests, run.requests);
     assert_eq!(replayed.profile.samples, live.samples);
     assert_eq!(replayed.profile.samples_spent, live.samples_spent);
     assert_eq!(replayed.profile.data_profile.len(), live.data_profile.len());
@@ -215,7 +182,7 @@ fn adaptive_sampled_session_replays_identically() {
 
 #[test]
 fn replay_all_rejects_access_only_traces() {
-    let (_, _, mut file) = record_live();
+    let (_, mut file) = record_live();
     file.kind = TraceKind::AccessOnly;
     assert!(replay_all_streaming(&file).is_err());
 }

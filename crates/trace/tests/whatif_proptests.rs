@@ -12,12 +12,11 @@
 //!   profile it gets walked alone — and the profile the walk gave when every type kept
 //!   a `BTreeMap` of its own live objects.
 
-use dprof_core::{Dprof, DprofConfig, HistoryConfig};
 use dprof_trace::whatif::{stream_type_id, SHADOW_BASE};
 use dprof_trace::{
-    analyze_sharing, measure_stream_streaming, trace_type_names, EventEncoder, FieldDump, FixSpec,
-    SessionParams, SharingProfile, ThreadStream, TraceFile, TraceKind, TraceReader, TraceSource,
-    Transform, TypeDump,
+    analyze_sharing, measure_stream_streaming, profile_window, trace_type_names, EventEncoder,
+    FixSpec, RecordedStream, SessionParams, SharingProfile, ThreadStream, TraceFile, TraceKind,
+    TraceReader, TraceSource, Transform, TypeDump,
 };
 use proptest::prelude::*;
 use sim_kernel::{RemapTarget, ResolvedAddr, TypeId};
@@ -91,67 +90,31 @@ fn record_session(seed: u64, sample_rounds: usize) -> TraceFile {
         workload.step(&mut machine, &mut kernel);
         machine.mark_session_round();
     }
-    let requests_before = workload.requests_completed();
-    let dprof_config = DprofConfig {
-        sampling: SamplingPolicy::Fixed { interval_ops: 120 },
+    let params = SessionParams {
+        workload: "memcached".into(),
+        threads: 1,
+        cores: 2,
+        warmup_rounds: WARMUP,
         sample_rounds,
+        sampling: SamplingPolicy::Fixed { interval_ops: 120 },
         history_types: 1,
-        history: HistoryConfig {
-            history_sets: 1,
-            seed,
-            ..Default::default()
-        },
-        ..Default::default()
+        history_sets: 1,
+        base_seed: seed,
     };
-    Dprof::new(dprof_config).run(&mut machine, &mut kernel, |m, k| {
+    let config = params.dprof_config(seed);
+    let requests_before = workload.requests_completed();
+    profile_window(&mut machine, &mut kernel, 0, config, |m, k| {
         workload.step(m, k);
         m.mark_session_round();
     });
-    let mut encoder = EventEncoder::new();
-    machine.drain_session_events(|events| encoder.extend(events));
-    let stream = ThreadStream {
-        seed,
-        requests: workload.requests_completed() - requests_before,
-        symbols: machine
-            .symbols
-            .iter()
-            .map(|(_, name)| name.to_string())
-            .collect(),
-        types: kernel
-            .types
-            .iter()
-            .map(|t| TypeDump {
-                name: t.name.clone(),
-                description: t.description.clone(),
-                size: t.size,
-                fields: t
-                    .fields
-                    .iter()
-                    .map(|f| FieldDump {
-                        name: f.name.clone(),
-                        offset: f.offset,
-                        size: f.size,
-                    })
-                    .collect(),
-            })
-            .collect(),
-        events: encoder.finish(),
-    };
+    let requests = workload.requests_completed() - requests_before;
+    let encoder = EventEncoder::new();
+    let recorded = RecordedStream::capture(&mut machine, &kernel.types, seed, requests, encoder);
     TraceFile {
         kind: TraceKind::FullSession,
-        machine: *machine.config(),
-        params: SessionParams {
-            workload: "memcached".into(),
-            threads: 1,
-            cores: 2,
-            warmup_rounds: WARMUP,
-            sample_rounds,
-            sampling: SamplingPolicy::Fixed { interval_ops: 120 },
-            history_types: 1,
-            history_sets: 1,
-            base_seed: seed,
-        },
-        streams: vec![stream],
+        machine: recorded.machine,
+        params,
+        streams: vec![recorded.stream],
     }
 }
 

@@ -12,7 +12,7 @@
 
 use dprof::core::report::diff::{diff, ReportSummary};
 use dprof::machine::SamplingPolicy;
-use dprof::trace::{SessionParams, TraceFile, TraceKind};
+use dprof::trace::{TraceFile, TraceKind};
 use dprof::workloads::scenarios::{self, Variant};
 use dprof_cli::driver::{self, RunOptions, WorkloadKind};
 use dprof_cli::whatif::{analyze_trace, WhatifAnalysis};
@@ -65,17 +65,7 @@ fn record_buggy_trace(index: usize) -> TraceFile {
     TraceFile {
         kind: TraceKind::FullSession,
         machine: recorded.machine,
-        params: SessionParams {
-            workload: options.workload.name().to_string(),
-            threads: 1,
-            cores: options.cores,
-            warmup_rounds: options.warmup_rounds,
-            sample_rounds: options.sample_rounds,
-            sampling: options.sampling,
-            history_types: options.history_types,
-            history_sets: options.history_sets,
-            base_seed: options.base_seed,
-        },
+        params: options.session_params(),
         streams: vec![recorded.stream],
     }
 }
