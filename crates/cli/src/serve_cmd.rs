@@ -180,12 +180,14 @@ pub fn run_loadgen_cmd(options: &LoadgenOptions) -> i32 {
             ("alerts_fired", Json::num(report.alerts_fired as f64)),
             ("shards_absorbed", Json::num(report.shards_absorbed as f64)),
             ("shards_resident", Json::num(report.shards_resident as f64)),
+            ("fold_rebuilds", Json::num(report.fold_rebuilds as f64)),
         ])
         .to_pretty_string(),
         Format::Text => format!(
             "loadgen: {} shards via {} producer(s) in {:.2}s — {:.1} shards/s\n\
              builds: {}; verdict: {}; alerts fired: {}\n\
-             queries answered: {}; collector resident shards: {} of {} absorbed\n",
+             queries answered: {}; collector resident shards: {} of {} absorbed, \
+             fold rebuilds: {}\n",
             report.shards_pushed,
             options.producers,
             report.elapsed_seconds,
@@ -196,6 +198,7 @@ pub fn run_loadgen_cmd(options: &LoadgenOptions) -> i32 {
             report.queries_answered,
             report.shards_resident,
             report.shards_absorbed,
+            report.fold_rebuilds,
         ),
     };
     crate::emit(&rendered, &options.output)

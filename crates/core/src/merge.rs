@@ -13,14 +13,19 @@
 //! metrics are summed, and footprint metrics are averaged — mirroring how the paper
 //! averages repeated runs of the real machine.
 //!
-//! **Determinism.** IEEE-754 addition is commutative but not associative, so a naive
-//! running fold would make the merged floats depend on arrival order.
-//! [`StreamingMerge`] therefore keeps absorbed shards and, at [`MergeSink::finish`],
-//! sorts them into a canonical order (ordinal, then seed/thread tie-breaks) before
-//! folding — the merged report is bit-identical no matter the order shards arrived
-//! in (the CLI assigns ordinals in thread order).  All merged collections are
-//! additionally sorted on stable keys, so the rendered report is byte-identical for
-//! identical inputs regardless of `HashMap` iteration order.
+//! **Determinism.** IEEE-754 addition is commutative but not associative, so the
+//! merged floats depend on the order shards are folded in.  [`StreamingMerge`]
+//! therefore folds its retained shards in one canonical order (ordinal, then
+//! seed/thread/weight tie-breaks: [`ProfileShard::sort_key`]), whatever order they
+//! arrived in: it keeps them sorted, a read adds the shards absorbed since the last
+//! read to its running fold, and a shard that sorts below one the fold already
+//! summed makes the next read fold the retained shards again.  Without compaction the
+//! merged report is bit-identical for any arrival order (the CLI assigns ordinals in
+//! thread order).  With compaction, arrival order decides which shards each
+//! compaction grouped into its base shard, so counts are still exact but means agree
+//! only to rounding.  All merged collections are additionally sorted on stable keys,
+//! so the rendered report is byte-identical for identical inputs regardless of
+//! `HashMap` iteration order.
 //!
 //! **Bounded memory.** A sink built with [`StreamingMerge::with_compact_threshold`]
 //! folds its retained shards into a single base shard whenever the threshold is
@@ -28,7 +33,8 @@
 //! shard count.  Compaction is exact for all counts (samples, misses, requests,
 //! Wilson-interval numerators/denominators, the thread multiplicity behind every
 //! mean) and rounding-level for weighted means; it collapses per-producer thread rows
-//! into one aggregate row.
+//! into one aggregate row.  The running fold restarts from the base shard, re-expanding
+//! its means exactly as a store reloaded from that base shard's snapshot does.
 
 use crate::profiler::DprofProfile;
 use crate::report::diff::ReportSummary;
@@ -36,11 +42,12 @@ use crate::stats::{mark_rank_stability, wilson95};
 use crate::views::MissClass;
 use sim_cache::line_table::BuildKeyedMixHasher;
 use sim_kernel::TypeId;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// The fold's accumulators: keyed by names borrowed from the shards (type, function,
-/// origin; an edge by both its ends), hashed eight bytes a round instead of by SipHash.
-/// Iteration order is nobody's business: every table is sorted on stable keys.
+/// The fold's name index (type, function, origin), hashed eight bytes a round instead
+/// of by SipHash.  Iteration order is nobody's business: every table is sorted on
+/// stable keys.
 type NameMap<K, V> = HashMap<K, V, BuildKeyedMixHasher>;
 
 /// Producer-level bookkeeping carried by a shard into the merged thread table; on a
@@ -573,10 +580,12 @@ impl MergedReport {
 
 /// A destination that profile shards can be merged into incrementally.
 ///
-/// The contract every implementation must honour (and the proptests pin):
-/// [`finish`](MergeSink::finish) is a pure function of the *set* of absorbed
-/// shards — absorbing the same shards in any order yields a bit-identical
-/// [`MergedReport`], equal to [`merge_shards`] over the canonically sorted set.
+/// The contract every implementation must honour (and the proptests pin): without
+/// compaction, [`finish`](MergeSink::finish) is a pure function of the *set* of
+/// absorbed shards — absorbing the same shards in any order yields a bit-identical
+/// [`MergedReport`], equal to [`merge_shards`] over the canonically sorted set.  A
+/// compacting sink keeps every count exact for any order, but its means agree only to
+/// rounding: arrival order decides which shards each compaction folded together.
 pub trait MergeSink {
     /// Absorbs one shard.
     fn absorb(&mut self, shard: ProfileShard);
@@ -589,22 +598,25 @@ pub trait MergeSink {
     fn finish(&self) -> MergedReport;
 }
 
-/// The canonical [`MergeSink`]: retains shards and folds them in canonical order.
+/// The canonical [`MergeSink`]: retains shards in canonical order and keeps their
+/// running fold, so a read costs the rows folded since the last read, not the
+/// retained shards.
 #[derive(Debug, Clone)]
 pub struct StreamingMerge {
+    /// Sorted by [`ProfileShard::sort_key`]; shards with equal keys in arrival order.
     shards: Vec<ProfileShard>,
+    /// The fold of the first `.1` retained shards, in order.  A read absorbs the
+    /// rest first.
+    fold: RefCell<(Fold, usize)>,
     compact_threshold: usize,
     absorbed: u64,
+    rebuilds: u64,
 }
 
 impl StreamingMerge {
     /// An unbounded sink: every absorbed shard is retained until `finish`.
     pub fn new() -> StreamingMerge {
-        StreamingMerge {
-            shards: Vec::new(),
-            compact_threshold: usize::MAX,
-            absorbed: 0,
-        }
+        StreamingMerge::with_compact_threshold(usize::MAX)
     }
 
     /// A bounded sink: whenever `threshold` shards are retained they are folded
@@ -612,28 +624,40 @@ impl StreamingMerge {
     pub fn with_compact_threshold(threshold: usize) -> StreamingMerge {
         StreamingMerge {
             shards: Vec::new(),
+            fold: RefCell::new((Fold::default(), 0)),
             compact_threshold: threshold.max(2),
             absorbed: 0,
+            rebuilds: 0,
         }
-    }
-
-    fn ordered(&self) -> Vec<&ProfileShard> {
-        let mut ordered: Vec<&ProfileShard> = self.shards.iter().collect();
-        ordered.sort_by_key(|s| s.sort_key());
-        ordered
     }
 
     /// The retained shards folded, in canonical order, into one base shard: what
     /// [`compact`](StreamingMerge::compact) keeps and the serve store snapshots.
     pub fn folded(&self) -> ProfileShard {
-        fold(&self.ordered())
+        let mut running = self.fold.borrow_mut();
+        let (fold, folded) = &mut *running;
+        for shard in &self.shards[*folded..] {
+            fold.absorb(shard);
+        }
+        *folded = self.shards.len();
+        fold.shard()
     }
 
-    /// Replaces the retained shards by their fold (no-op below 2 shards).
+    /// Replaces the retained shards by their fold (no-op below 2 shards).  The running
+    /// fold restarts from the base shard instead of keeping its sums, so the sink goes
+    /// on exactly as one that absorbed only the base shard — a store reloaded from its
+    /// snapshot — would.
     pub fn compact(&mut self) {
         if self.shards.len() >= 2 {
             self.shards = vec![self.folded()];
+            *self.fold.get_mut() = (Fold::default(), 0);
         }
+    }
+
+    /// How many absorbed shards sorted below one the running fold had already
+    /// summed, so that the retained shards were folded again from the first.
+    pub fn fold_rebuilds(&self) -> u64 {
+        self.rebuilds
     }
 }
 
@@ -645,8 +669,17 @@ impl Default for StreamingMerge {
 
 impl MergeSink for StreamingMerge {
     fn absorb(&mut self, shard: ProfileShard) {
-        self.shards.push(shard);
         self.absorbed += 1;
+        let key = shard.sort_key();
+        let at = self.shards.partition_point(|s| s.sort_key() <= key);
+        let (fold, folded) = self.fold.get_mut();
+        if at < *folded {
+            // Its rows belong before sums already taken, and float sums depend on
+            // their order: start over.
+            (*fold, *folded) = (Fold::default(), 0);
+            self.rebuilds += 1;
+        }
+        self.shards.insert(at, shard);
         if self.shards.len() >= self.compact_threshold {
             self.compact();
         }
@@ -661,7 +694,8 @@ impl MergeSink for StreamingMerge {
     }
 
     fn finish(&self) -> MergedReport {
-        merge_shards(&self.ordered())
+        let threads = self.shards.iter().map(|s| s.meta.clone()).collect();
+        MergedReport::rank(threads, self.folded())
     }
 }
 
@@ -682,33 +716,11 @@ pub fn merge_shards(shards: &[&ProfileShard]) -> MergedReport {
 /// float rounding.  Per-producer bookkeeping collapses into one aggregate
 /// [`ShardMeta`]; every table is sorted on a total key.
 pub fn fold(shards: &[&ProfileShard]) -> ProfileShard {
-    let weight = sum_f64(shards, |s| s.weight);
-    let total_cycles = sum_counts(shards, |s| s.meta.total_cycles);
-    ProfileShard {
-        ordinal: shards.iter().map(|s| s.ordinal).min().unwrap_or(0),
-        weight,
-        meta: ShardMeta {
-            thread: 0,
-            seed: 0,
-            requests: sum_counts(shards, |s| s.meta.requests),
-            rps: sum_f64(shards, |s| s.meta.rps),
-            // Cycle-weighted, so a shard that simulated 10x more work counts 10x.
-            profiling_fraction: if total_cycles == 0 {
-                0.0
-            } else {
-                sum_f64(shards, |s| {
-                    s.meta.profiling_fraction * s.meta.total_cycles as f64
-                }) / total_cycles as f64
-            },
-            samples: sum_counts(shards, |s| s.meta.samples),
-            total_cycles,
-        },
-        data_profile: fold_data_profile(shards, weight),
-        miss_classification: fold_miss_classification(shards),
-        utilization: fold_utilization(shards),
-        working_set: fold_working_set(shards),
-        data_flows: fold_data_flows(shards),
+    let mut fold = Fold::default();
+    for shard in shards {
+        fold.absorb(shard);
     }
+    fold.shard()
 }
 
 /// The largest count a document may carry, and where every sum of counts saturates:
@@ -736,11 +748,6 @@ fn add_thread_counts(a: usize, b: usize) -> usize {
         .min(usize::try_from(MAX_COUNT).unwrap_or(usize::MAX))
 }
 
-/// A count summed over shards.
-fn sum_counts(shards: &[&ProfileShard], count: impl Fn(&ProfileShard) -> u64) -> u64 {
-    shards.iter().fold(0, |sum, s| add_counts(sum, count(s)))
-}
-
 /// `a + b`, saturating at `±f64::MAX`: [`add_counts`] for the rates, weights and
 /// weighted sums the fold accumulates.  A sum that reached infinity would be written
 /// as `null` and read back as 0.
@@ -749,19 +756,115 @@ fn add_f64(a: f64, b: f64) -> f64 {
     (a + b).clamp(-f64::MAX, f64::MAX)
 }
 
-/// A value summed over shards with [`add_f64`], from `-0.0` as `Iterator::sum` starts.
-fn sum_f64(shards: &[&ProfileShard], value: impl Fn(&ProfileShard) -> f64) -> f64 {
-    shards.iter().fold(-0.0, |sum, s| add_f64(sum, value(s)))
+/// One of a fold's name-keyed tables: rows in the order their names were first
+/// absorbed, found through an index that owns a copy of each name.
+#[derive(Debug, Clone)]
+struct Table<R> {
+    index: NameMap<String, usize>,
+    rows: Vec<R>,
 }
 
-// Each table below accumulates into its own row type: while shards are being
-// absorbed a mean field holds the weighted *sum*, and the final pass divides.
+impl<R> Default for Table<R> {
+    fn default() -> Table<R> {
+        Table {
+            index: NameMap::default(),
+            rows: Vec::new(),
+        }
+    }
+}
 
-fn fold_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<ShardProfileRow> {
-    let mut acc: NameMap<&str, ShardProfileRow> = NameMap::default();
-    for shard in shards {
+impl<R> Table<R> {
+    /// The row named `name`, made by `new` when the name is first seen.
+    fn row(&mut self, name: &str, new: impl FnOnce() -> R) -> &mut R {
+        let at = match self.index.get(name) {
+            Some(&at) => at,
+            None => {
+                self.index.insert(name.to_owned(), self.rows.len());
+                self.rows.push(new());
+                self.rows.len() - 1
+            }
+        };
+        &mut self.rows[at]
+    }
+}
+
+/// One type's data-flow graph while it is being folded.
+#[derive(Debug, Clone)]
+struct FlowAcc {
+    type_name: String,
+    nodes: Table<ShardFlowNode>,
+    /// By source, then destination; `[cpu_change == false, cpu_change == true]`.
+    edges: Table<Table<[Option<ShardFlowEdge>; 2]>>,
+}
+
+/// The one fold ([`fold`]), as running sums over the shards absorbed so far in the
+/// order they were absorbed.  While shards are absorbed a mean field holds its
+/// weighted *sum*; [`shard`](Fold::shard) divides.
+#[derive(Debug, Clone)]
+pub(crate) struct Fold {
+    /// The smallest ordinal absorbed (`None` before the first shard).
+    ordinal: Option<u64>,
+    weight: f64,
+    /// The bookkeeping sums; `profiling_fraction` holds the cycle-weighted sum.
+    meta: ShardMeta,
+    data_profile: Table<ShardProfileRow>,
+    miss_classification: Table<ShardMissRow>,
+    utilization: Table<(ShardUtilizationRow, Table<ShardUtilizationOrigin>)>,
+    /// The utilization view's totals (`rows` stays empty).
+    utilization_totals: ShardUtilization,
+    working_set: Table<ShardWorkingSetRow>,
+    /// The working-set view's scalars (`rows` stays empty): `total_avg_bytes` holds the
+    /// thread-weighted sum; the cache geometry is the first shard's.
+    working_set_totals: ShardWorkingSet,
+    data_flows: Table<FlowAcc>,
+}
+
+impl Default for Fold {
+    /// An empty fold.  A shard-level float sum starts from `-0.0`, as `Iterator::sum`
+    /// does, and a row's from `0.0`: which zero a sum starts from decides the sign of a
+    /// zero sum, and a snapshot writes that sign.
+    fn default() -> Fold {
+        Fold {
+            ordinal: None,
+            weight: -0.0,
+            meta: ShardMeta {
+                rps: -0.0,
+                profiling_fraction: -0.0,
+                ..ShardMeta::default()
+            },
+            data_profile: Table::default(),
+            miss_classification: Table::default(),
+            utilization: Table::default(),
+            utilization_totals: ShardUtilization::default(),
+            working_set: Table::default(),
+            working_set_totals: ShardWorkingSet {
+                total_avg_bytes: -0.0,
+                ..ShardWorkingSet::default()
+            },
+            data_flows: Table::default(),
+        }
+    }
+}
+
+impl Fold {
+    /// Adds one shard's rows into the running sums.
+    pub fn absorb(&mut self, shard: &ProfileShard) {
+        let first = self.ordinal.is_none();
+        self.ordinal = Some(self.ordinal.map_or(shard.ordinal, |o| o.min(shard.ordinal)));
+        self.weight = add_f64(self.weight, shard.weight);
+        let (meta, m) = (&mut self.meta, &shard.meta);
+        meta.requests = add_counts(meta.requests, m.requests);
+        meta.rps = add_f64(meta.rps, m.rps);
+        // Cycle-weighted, so a shard that simulated 10x more work counts 10x.
+        meta.profiling_fraction = add_f64(
+            meta.profiling_fraction,
+            m.profiling_fraction * m.total_cycles as f64,
+        );
+        meta.samples = add_counts(meta.samples, m.samples);
+        meta.total_cycles = add_counts(meta.total_cycles, m.total_cycles);
+
         for row in &shard.data_profile {
-            let entry = acc.entry(&row.name).or_insert_with(|| ShardProfileRow {
+            let entry = self.data_profile.row(&row.name, || ShardProfileRow {
                 name: row.name.clone(),
                 description: row.description.clone(),
                 working_set_bytes: 0.0,
@@ -790,36 +893,10 @@ fn fold_data_profile(shards: &[&ProfileShard], total_weight: f64) -> Vec<ShardPr
             entry.l1_miss_samples = add_counts(entry.l1_miss_samples, row.l1_miss_samples);
             entry.threads_seen = add_thread_counts(entry.threads_seen, row.threads_seen);
         }
-    }
-    let mut rows: Vec<ShardProfileRow> = acc
-        .into_values()
-        .map(|mut row| {
-            row.working_set_bytes /= row.threads_seen as f64;
-            if total_weight > 0.0 {
-                row.pct_of_l1_misses /= total_weight;
-                row.pct_of_miss_cycles /= total_weight;
-            } else {
-                row.pct_of_l1_misses = 0.0;
-                row.pct_of_miss_cycles = 0.0;
-            }
-            row
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.pct_of_l1_misses
-            .partial_cmp(&a.pct_of_l1_misses)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    rows
-}
 
-fn fold_miss_classification(shards: &[&ProfileShard]) -> Vec<ShardMissRow> {
-    let mut acc: NameMap<&str, ShardMissRow> = NameMap::default();
-    for shard in shards {
         for row in &shard.miss_classification {
             let w = row.miss_samples as f64;
-            let entry = acc.entry(&row.name).or_insert_with(|| ShardMissRow {
+            let entry = self.miss_classification.row(&row.name, || ShardMissRow {
                 name: row.name.clone(),
                 miss_samples: 0,
                 invalidation: 0.0,
@@ -831,37 +908,16 @@ fn fold_miss_classification(shards: &[&ProfileShard]) -> Vec<ShardMissRow> {
             entry.conflict = add_f64(entry.conflict, w * row.conflict);
             entry.capacity = add_f64(entry.capacity, w * row.capacity);
         }
-    }
-    let mut rows: Vec<ShardMissRow> = acc
-        .into_values()
-        .map(|mut row| {
-            let w = row.miss_samples.max(1) as f64;
-            row.invalidation /= w;
-            row.conflict /= w;
-            row.capacity /= w;
-            row
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.miss_samples
-            .cmp(&a.miss_samples)
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    rows
-}
 
-fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
-    type Origins<'a> = NameMap<&'a str, (u64, u64)>;
-    let mut acc: NameMap<&str, (ShardUtilizationRow, Origins)> = NameMap::default();
-    for shard in shards {
-        for row in &shard.utilization.rows {
-            let (entry, origins) = acc.entry(&row.name).or_insert_with(|| {
+        let util = &shard.utilization;
+        for row in &util.rows {
+            let (entry, origins) = self.utilization.row(&row.name, || {
                 let entry = ShardUtilizationRow {
                     name: row.name.clone(),
                     description: row.description.clone(),
                     ..ShardUtilizationRow::default()
                 };
-                (entry, Origins::default())
+                (entry, Table::default())
             });
             entry.slots_fetched = add_counts(entry.slots_fetched, row.slots_fetched);
             entry.slots_touched = add_counts(entry.slots_touched, row.slots_touched);
@@ -871,50 +927,26 @@ fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
             entry.wasted_bytes_per_sec =
                 add_f64(entry.wasted_bytes_per_sec, row.wasted_bytes_per_sec);
             for o in &row.origins {
-                let slot = origins.entry(&o.origin).or_default();
-                slot.0 = add_counts(slot.0, o.slots_fetched);
-                slot.1 = add_counts(slot.1, o.slots_touched);
+                let slot = origins.row(&o.origin, || ShardUtilizationOrigin {
+                    origin: o.origin.clone(),
+                    slots_fetched: 0,
+                    slots_touched: 0,
+                });
+                slot.slots_fetched = add_counts(slot.slots_fetched, o.slots_fetched);
+                slot.slots_touched = add_counts(slot.slots_touched, o.slots_touched);
             }
         }
-    }
-    let mut rows: Vec<ShardUtilizationRow> = acc
-        .into_values()
-        .map(|(mut row, origins)| {
-            row.origins = origins
-                .into_iter()
-                .map(|(origin, (fetched, touched))| ShardUtilizationOrigin {
-                    origin: origin.to_string(),
-                    slots_fetched: fetched,
-                    slots_touched: touched,
-                })
-                .collect();
-            row.origins.sort_by(|x, y| {
-                y.wasted_bytes()
-                    .cmp(&x.wasted_bytes())
-                    .then_with(|| x.origin.cmp(&y.origin))
-            });
-            row
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.wasted_bytes()
-            .cmp(&a.wasted_bytes())
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    ShardUtilization {
-        rows,
-        total_fetches: sum_counts(shards, |s| s.utilization.total_fetches),
-        total_refetches: sum_counts(shards, |s| s.utilization.total_refetches),
-        resolved_slots_fetched: sum_counts(shards, |s| s.utilization.resolved_slots_fetched),
-        resolved_slots_touched: sum_counts(shards, |s| s.utilization.resolved_slots_touched),
-    }
-}
+        let totals = &mut self.utilization_totals;
+        totals.total_fetches = add_counts(totals.total_fetches, util.total_fetches);
+        totals.total_refetches = add_counts(totals.total_refetches, util.total_refetches);
+        totals.resolved_slots_fetched =
+            add_counts(totals.resolved_slots_fetched, util.resolved_slots_fetched);
+        totals.resolved_slots_touched =
+            add_counts(totals.resolved_slots_touched, util.resolved_slots_touched);
 
-fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
-    let mut acc: NameMap<&str, ShardWorkingSetRow> = NameMap::default();
-    for shard in shards {
-        for t in &shard.working_set.rows {
-            let entry = acc.entry(&t.name).or_insert_with(|| ShardWorkingSetRow {
+        let ws = &shard.working_set;
+        for t in &ws.rows {
+            let entry = self.working_set.row(&t.name, || ShardWorkingSetRow {
                 name: t.name.clone(),
                 description: t.description.clone(),
                 avg_live_bytes: 0.0,
@@ -933,65 +965,34 @@ fn fold_working_set(shards: &[&ProfileShard]) -> ShardWorkingSet {
             entry.peak_live_bytes = entry.peak_live_bytes.max(t.peak_live_bytes);
             entry.threads_seen = add_thread_counts(entry.threads_seen, t.threads_seen);
         }
-    }
-    let mut rows: Vec<ShardWorkingSetRow> = acc
-        .into_values()
-        .map(|mut row| {
-            row.avg_live_bytes /= row.threads_seen as f64;
-            row.avg_live_objects /= row.threads_seen as f64;
-            row
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.avg_live_bytes
-            .partial_cmp(&a.avg_live_bytes)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.name.cmp(&b.name))
-    });
+        let totals = &mut self.working_set_totals;
+        if first {
+            (totals.cache_capacity, totals.cache_ways) = (ws.cache_capacity, ws.cache_ways);
+        }
+        totals.total_avg_bytes = add_f64(
+            totals.total_avg_bytes,
+            ws.total_avg_bytes * ws.thread_count as f64,
+        );
+        totals.thread_count = add_thread_counts(totals.thread_count, ws.thread_count);
+        totals.threads_exceeding_capacity = add_thread_counts(
+            totals.threads_exceeding_capacity,
+            ws.threads_exceeding_capacity,
+        );
+        totals.conflict_sets = totals.conflict_sets.max(ws.conflict_sets);
 
-    let first = shards.first().map(|s| &s.working_set);
-    let thread_count = shards
-        .iter()
-        .fold(0, |n, s| add_thread_counts(n, s.working_set.thread_count));
-    ShardWorkingSet {
-        rows,
-        cache_capacity: first.map_or(0, |ws| ws.cache_capacity),
-        cache_ways: first.map_or(0, |ws| ws.cache_ways),
-        total_avg_bytes: sum_f64(shards, |s| {
-            s.working_set.total_avg_bytes * s.working_set.thread_count as f64
-        }) / thread_count.max(1) as f64,
-        thread_count,
-        threads_exceeding_capacity: shards.iter().fold(0, |n, s| {
-            add_thread_counts(n, s.working_set.threads_exceeding_capacity)
-        }),
-        conflict_sets: shards
-            .iter()
-            .map(|s| s.working_set.conflict_sets)
-            .max()
-            .unwrap_or(0),
-    }
-}
-
-fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
-    #[derive(Default)]
-    struct FlowAcc<'a> {
-        nodes: NameMap<&'a str, ShardFlowNode>,
-        edges: NameMap<(&'a str, &'a str, bool), u64>,
-    }
-    let mut flows: NameMap<&str, FlowAcc> = NameMap::default();
-    for shard in shards {
         for graph in &shard.data_flows {
-            let flow = flows.entry(&graph.type_name).or_default();
+            let flow = self.data_flows.row(&graph.type_name, || FlowAcc {
+                type_name: graph.type_name.clone(),
+                nodes: Table::default(),
+                edges: Table::default(),
+            });
             for node in &graph.nodes {
-                let acc = flow
-                    .nodes
-                    .entry(&node.function)
-                    .or_insert_with(|| ShardFlowNode {
-                        function: node.function.clone(),
-                        samples: 0,
-                        weight: 0,
-                        avg_latency: 0.0,
-                    });
+                let acc = flow.nodes.row(&node.function, || ShardFlowNode {
+                    function: node.function.clone(),
+                    samples: 0,
+                    weight: 0,
+                    avg_latency: 0.0,
+                });
                 acc.samples = add_counts(acc.samples, node.samples);
                 acc.weight = add_counts(acc.weight, node.weight);
                 // Per-shard avg_latency is a per-sample mean, so weight by samples to
@@ -999,62 +1000,159 @@ fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
                 acc.avg_latency = add_f64(acc.avg_latency, node.samples as f64 * node.avg_latency);
             }
             for edge in &graph.edges {
-                let key = (edge.from.as_str(), edge.to.as_str(), edge.cpu_change);
-                let count = flow.edges.entry(key).or_insert(0);
-                *count = add_counts(*count, edge.count);
+                let slot = &mut flow
+                    .edges
+                    .row(&edge.from, Table::default)
+                    .row(&edge.to, Default::default)[usize::from(edge.cpu_change)];
+                let acc = slot.get_or_insert_with(|| ShardFlowEdge {
+                    from: edge.from.clone(),
+                    to: edge.to.clone(),
+                    count: 0,
+                    cpu_change: edge.cpu_change,
+                });
+                acc.count = add_counts(acc.count, edge.count);
             }
         }
     }
-    let mut merged: Vec<ShardFlow> = flows
-        .into_iter()
-        .map(|(type_name, flow)| {
-            let mut nodes: Vec<ShardFlowNode> = flow
-                .nodes
-                .into_values()
-                .map(|mut node| {
+
+    /// Everything absorbed so far as one base shard: the means divided out and every
+    /// table sorted.  The fold goes on absorbing.
+    pub fn shard(&self) -> ProfileShard {
+        let weight = self.weight;
+        let mut meta = self.meta.clone();
+        meta.profiling_fraction = if meta.total_cycles == 0 {
+            0.0
+        } else {
+            meta.profiling_fraction / meta.total_cycles as f64
+        };
+
+        let mut data_profile = self.data_profile.rows.clone();
+        for row in &mut data_profile {
+            row.working_set_bytes /= row.threads_seen as f64;
+            if weight > 0.0 {
+                row.pct_of_l1_misses /= weight;
+                row.pct_of_miss_cycles /= weight;
+            } else {
+                row.pct_of_l1_misses = 0.0;
+                row.pct_of_miss_cycles = 0.0;
+            }
+        }
+        data_profile.sort_by(|a, b| {
+            b.pct_of_l1_misses
+                .partial_cmp(&a.pct_of_l1_misses)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.name.cmp(&b.name))
+        });
+
+        let mut miss_classification = self.miss_classification.rows.clone();
+        for row in &mut miss_classification {
+            let w = row.miss_samples.max(1) as f64;
+            row.invalidation /= w;
+            row.conflict /= w;
+            row.capacity /= w;
+        }
+        miss_classification.sort_by(|a, b| {
+            b.miss_samples
+                .cmp(&a.miss_samples)
+                .then_with(|| a.name.cmp(&b.name))
+        });
+
+        let mut utilization_rows: Vec<ShardUtilizationRow> = self
+            .utilization
+            .rows
+            .iter()
+            .map(|(row, origins)| {
+                let mut row = row.clone();
+                row.origins = origins.rows.clone();
+                row.origins.sort_by(|x, y| {
+                    y.wasted_bytes()
+                        .cmp(&x.wasted_bytes())
+                        .then_with(|| x.origin.cmp(&y.origin))
+                });
+                row
+            })
+            .collect();
+        utilization_rows.sort_by(|a, b| {
+            b.wasted_bytes()
+                .cmp(&a.wasted_bytes())
+                .then_with(|| a.name.cmp(&b.name))
+        });
+
+        let mut working_set_rows = self.working_set.rows.clone();
+        for row in &mut working_set_rows {
+            row.avg_live_bytes /= row.threads_seen as f64;
+            row.avg_live_objects /= row.threads_seen as f64;
+        }
+        working_set_rows.sort_by(|a, b| {
+            b.avg_live_bytes
+                .partial_cmp(&a.avg_live_bytes)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.name.cmp(&b.name))
+        });
+        let ws = &self.working_set_totals;
+
+        let mut data_flows: Vec<ShardFlow> = self
+            .data_flows
+            .rows
+            .iter()
+            .map(|flow| {
+                let mut nodes = flow.nodes.rows.clone();
+                for node in &mut nodes {
                     if node.samples > 0 {
                         node.avg_latency /= node.samples as f64;
                     } else {
                         node.avg_latency = 0.0;
                     }
-                    node
-                })
-                .collect();
-            nodes.sort_by(|a, b| {
-                b.weight
-                    .cmp(&a.weight)
-                    .then_with(|| a.function.cmp(&b.function))
-            });
-            let mut edges: Vec<ShardFlowEdge> = flow
-                .edges
-                .into_iter()
-                .map(|((from, to, cpu_change), count)| ShardFlowEdge {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                    count,
-                    cpu_change,
-                })
-                .collect();
-            // The full accumulation key — (from, to, cpu_change) — must participate
-            // in the sort: two edges differing only in cpu_change would otherwise
-            // tie and inherit HashMap iteration order, which is not stable across
-            // processes (record vs replay byte-diffs the rendered report).
-            edges.sort_by(|a, b| {
-                b.count
-                    .cmp(&a.count)
-                    .then_with(|| a.from.cmp(&b.from))
-                    .then_with(|| a.to.cmp(&b.to))
-                    .then_with(|| a.cpu_change.cmp(&b.cpu_change))
-            });
-            ShardFlow {
-                type_name: type_name.to_string(),
-                nodes,
-                edges,
-            }
-        })
-        .collect();
-    merged.sort_by(|a, b| a.type_name.cmp(&b.type_name));
-    merged
+                }
+                nodes.sort_by(|a, b| {
+                    b.weight
+                        .cmp(&a.weight)
+                        .then_with(|| a.function.cmp(&b.function))
+                });
+                let mut edges: Vec<ShardFlowEdge> = flow
+                    .edges
+                    .rows
+                    .iter()
+                    .flat_map(|targets| targets.rows.iter().flatten().flatten().cloned())
+                    .collect();
+                // The full accumulation key — (from, to, cpu_change) — must participate
+                // in the sort: two edges differing only in cpu_change would otherwise
+                // tie and keep the order they were first absorbed in, which differs
+                // between shard sets that fold to the same edges.
+                edges.sort_by(|a, b| {
+                    b.count
+                        .cmp(&a.count)
+                        .then_with(|| a.from.cmp(&b.from))
+                        .then_with(|| a.to.cmp(&b.to))
+                        .then_with(|| a.cpu_change.cmp(&b.cpu_change))
+                });
+                ShardFlow {
+                    type_name: flow.type_name.clone(),
+                    nodes,
+                    edges,
+                }
+            })
+            .collect();
+        data_flows.sort_by(|a, b| a.type_name.cmp(&b.type_name));
+
+        ProfileShard {
+            ordinal: self.ordinal.unwrap_or(0),
+            weight,
+            meta,
+            data_profile,
+            miss_classification,
+            utilization: ShardUtilization {
+                rows: utilization_rows,
+                ..self.utilization_totals.clone()
+            },
+            working_set: ShardWorkingSet {
+                rows: working_set_rows,
+                total_avg_bytes: ws.total_avg_bytes / ws.thread_count.max(1) as f64,
+                ..ws.clone()
+            },
+            data_flows,
+        }
+    }
 }
 
 /// Reduces a merged report to the diff engine's [`ReportSummary`] — the in-memory
@@ -1094,6 +1192,9 @@ pub fn summary_from_merged(report: &MergedReport) -> ReportSummary {
     }
     summary
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -63,6 +63,10 @@ pub struct LoadgenReport {
     /// Shards the server counted as absorbed (must equal `shards_pushed` plus
     /// whatever the store already held).
     pub shards_absorbed: u64,
+    /// The server's `fold_rebuilds`: pushes that sorted below a shard their key's
+    /// running fold had already summed, so that its resident shards were folded again
+    /// (producers race, so ids interleave; without reads in between they cost nothing).
+    pub fold_rebuilds: u64,
 }
 
 /// Runs the load against a server.  `templates` maps build tags to the shard
@@ -172,6 +176,10 @@ pub fn run_loadgen(
             .unwrap_or(0.0) as u64,
         shards_absorbed: stats
             .get("shards_absorbed")
+            .and_then(JsonRef::as_f64)
+            .unwrap_or(0.0) as u64,
+        fold_rebuilds: stats
+            .get("fold_rebuilds")
             .and_then(JsonRef::as_f64)
             .unwrap_or(0.0) as u64,
     })

@@ -37,8 +37,10 @@ pub enum Request {
     /// a full `dprof-report/v1` document (what `dprof -f json` emits) or a
     /// `dprof-serve/v1` shard document; the server sniffs the `schema` field.
     /// `shard_id` must be unique per key per producer fleet — it becomes the
-    /// shard's canonical fold ordinal, which is what makes the merged report a
-    /// pure function of the shard set rather than of arrival order.
+    /// shard's canonical fold ordinal, so the merged report does not depend on
+    /// arrival order, except at rounding level in the means of a key that compacted
+    /// (see `MergeSink`).  A shard id below one its key's running fold already
+    /// summed makes the key's next read fold its resident shards again.
     PushShard {
         /// Workload tag.
         workload: String,

@@ -211,7 +211,8 @@ fn dispatch(shared: &Shared, request: Request) -> Result<String, String> {
             let doc = JsonRef::parse(&report_json).map_err(|e| format!("push: {e}"))?;
             // Accept either a full report document or a bare shard document;
             // the client's shard_id wins as the fold ordinal in both cases, so
-            // the merged result does not depend on arrival order.
+            // the merged result does not depend on arrival order until compaction
+            // groups shards, and from then on only in its means' rounding.
             let mut shard = match doc.get("schema").and_then(JsonRef::as_str) {
                 Some(schema::REPORT_V1) => schema::shard_from_report_json(&doc, shard_id)?,
                 _ => schema::shard_from_json(&doc)?,
@@ -305,6 +306,7 @@ fn dispatch(shared: &Shared, request: Request) -> Result<String, String> {
                         "snapshots_written",
                         Json::num(stats.snapshots_written as f64),
                     ),
+                    ("fold_rebuilds", Json::num(stats.fold_rebuilds as f64)),
                     ("persistent", Json::Bool(store.persistent())),
                 ],
             ))

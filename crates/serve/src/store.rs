@@ -42,6 +42,11 @@ pub struct StoreStats {
     pub shards_resident: usize,
     /// Snapshot files written since the store opened.
     pub snapshots_written: u64,
+    /// Pushes whose shard sorted below one its key's running fold had already summed,
+    /// so that the key's resident shards were folded again from the first (see
+    /// [`StreamingMerge::fold_rebuilds`]).  Every other push is added to the fold by
+    /// the key's next read.
+    pub fold_rebuilds: u64,
 }
 
 struct BuildEntry {
@@ -179,6 +184,7 @@ impl ProfileStore {
             shards_absorbed: self.entries.values().map(|e| e.absorbed).sum(),
             shards_resident: self.entries.values().map(|e| e.sink.shard_count()).sum(),
             snapshots_written: self.snapshots_written,
+            fold_rebuilds: self.entries.values().map(|e| e.sink.fold_rebuilds()).sum(),
         }
     }
 
@@ -554,6 +560,32 @@ mod tests {
             fresh(4).data_profile
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_push_below_a_shard_already_read_refolds_and_reads_what_ascending_pushes_do() {
+        let store = |ids: [u64; 4], read: bool| {
+            let mut store = ProfileStore::new(None, 8).unwrap();
+            for id in ids {
+                store.push_shard("w", "b", shard(id, 10 + id));
+                if read {
+                    store.report("w", "b").unwrap();
+                }
+            }
+            store
+        };
+        let debug = |store: &mut ProfileStore| format!("{:?}", store.report("w", "b").unwrap());
+        let mut ascending = store([1, 2, 3, 4], true);
+        assert_eq!(ascending.stats().fold_rebuilds, 0);
+        let answer = debug(&mut ascending);
+        // Shard 3 sorts below shard 4, which the read after its push summed.
+        let mut late = store([1, 2, 4, 3], true);
+        assert_eq!(late.stats().fold_rebuilds, 1);
+        assert_eq!(debug(&mut late), answer);
+        // Unread, shard 4 is not summed yet: shard 3 goes before it for nothing.
+        let mut unread = store([1, 2, 4, 3], false);
+        assert_eq!(unread.stats().fold_rebuilds, 0);
+        assert_eq!(debug(&mut unread), answer);
     }
 
     #[test]
