@@ -16,15 +16,17 @@
 //! (concurrent sharing).
 
 use crate::args::{Format, WhatifOptions};
+use crate::merge::MergedReport;
 use crate::{driver, merge};
 use dprof::core::schema::Json;
 use dprof::core::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};
 use dprof::trace::{
-    analyze_sharing, available_workers, for_each_stream, measure_stream_streaming,
-    replay_stream_streaming, validate_spec, FixSpec, SharingProfile, TraceReader, TraceSource,
-    WhatifMeasure,
+    analyze_sharing, analyze_sharing_unless, available_workers, fan_out, for_each_stream,
+    measure_stream_streaming, replay_stream_streaming, session_streams, trace_type_names,
+    validate_spec, FixSpec, SharingProfile, TraceReader, TraceSource, WhatifMeasure,
 };
 use std::fmt::Write as _;
+use std::sync::{Mutex, OnceLock};
 
 /// JSON schema identifier of the what-if document.
 pub const WHATIF_SCHEMA: &str = dprof::core::schema::WHATIF_V1;
@@ -90,16 +92,31 @@ pub fn analyze_trace(
 
 /// One wave-1 job's result.
 enum Wave1 {
-    /// `--auto`'s re-profile of one stream.
-    Profiled(Box<driver::ThreadRun>),
+    /// `--auto`'s re-profile of one stream, handed to the diagnosis.
+    Profiled,
     /// The identity baseline of one stream.
     Baseline(WhatifMeasure),
+    /// `--auto`'s sharing walk: the types it walked and their profiles, or `None` when
+    /// it was abandoned because the diagnosis needs none.
+    Sharing(Option<(Vec<String>, Vec<SharingProfile>)>),
 }
 
-/// [`analyze_trace`] with at most `workers` replays in flight.  Every replay is an
+/// What `--auto` diagnoses from: the merged report of the profiled replays, and the
+/// invalidation-dominated hot types, whose sharing profiles the diagnosis reads.
+type Diagnosis = (MergedReport, Vec<String>);
+
+/// [`analyze_trace`] with at most `workers` jobs in flight.  Every replay is an
 /// independent job with its own universe, run in two waves on the bounded fan-out
 /// and slotted by index, and everything computed from them runs on the calling thread
 /// in candidate order — so the analysis is the same for every `workers`.
+///
+/// Wave 1 is the identity baseline of every stream and, under `--auto`, the profiled
+/// replay of every stream and, last, the sharing walk (`sharing_walk`).  The last
+/// profiled replay to finish merges them all, which names the types the walk must
+/// cover.  On two workers the walk starts once the shorter baseline is done, while
+/// the profile still runs, so it walks every type; on one it starts after the profile
+/// and walks only the types named.  The candidates are diagnosed on the calling
+/// thread; wave 2 measures them.
 pub fn analyze_trace_on(
     workers: usize,
     source: &impl TraceSource,
@@ -113,22 +130,46 @@ pub fn analyze_trace_on(
         return Err("no candidate fixes (pass --fix <spec> and/or --auto)".into());
     }
 
-    // Wave 1: the identity baseline and, under `--auto`, the profiled replay the
-    // candidates are enumerated from.  Neither needs the other.
+    let streams = session_streams(source)?;
     let profiled_passes = usize::from(auto);
-    let wave1 = for_each_stream(workers, source, profiled_passes + 1, |pass, thread| {
-        if pass < profiled_passes {
-            replay_stream_streaming(source, thread).map(|(run, _)| Wave1::Profiled(Box::new(run)))
+    let replays = (profiled_passes + 1) * streams;
+    let profiled: Mutex<Vec<Option<driver::ThreadRun>>> =
+        Mutex::new((0..streams).map(|_| None).collect());
+    let diagnosis: OnceLock<Diagnosis> = OnceLock::new();
+    let wave1 = fan_out(workers, replays + profiled_passes, |i| {
+        let thread = i % streams;
+        if i == replays {
+            sharing_walk(source, &diagnosis).map(Wave1::Sharing)
+        } else if i / streams < profiled_passes {
+            // The last profiled replay in merges them all and names the types the
+            // diagnosis will read the sharing profiles of.
+            let (run, _) = replay_stream_streaming(source, thread)?;
+            let mut runs = profiled.lock().expect("no job panics holding it");
+            runs[thread] = Some(run);
+            if runs.iter().all(Option::is_some) {
+                let runs: Vec<driver::ThreadRun> = runs.iter_mut().flat_map(Option::take).collect();
+                let report = merge::merge(&runs);
+                let invalidated = invalidated(&hot_types(&report));
+                let _ = diagnosis.set((report, invalidated));
+            }
+            Ok(Wave1::Profiled)
         } else {
             measure_stream_streaming(source, thread, &FixSpec::Identity).map(Wave1::Baseline)
         }
-    })?;
-    let mut runs: Vec<driver::ThreadRun> = Vec::new();
+    });
     let mut baseline: Vec<WhatifMeasure> = Vec::new();
-    for result in wave1 {
-        match result {
-            Wave1::Profiled(run) => runs.push(*run),
+    let mut walked: Option<(Vec<String>, Vec<SharingProfile>)> = None;
+    for (i, result) in wave1.into_iter().enumerate() {
+        // The walk names the stream it failed on itself.
+        let result = if i < replays {
+            result.map_err(|e| format!("stream {}: {e}", i % streams))
+        } else {
+            result
+        };
+        match result? {
+            Wave1::Profiled => {}
             Wave1::Baseline(measure) => baseline.push(measure),
+            Wave1::Sharing(profiles) => walked = profiles,
         }
     }
 
@@ -136,8 +177,9 @@ pub fn analyze_trace_on(
         .iter()
         .map(|s| (s.clone(), "--fix".to_string()))
         .collect();
-    if auto {
-        for (spec, why) in auto_candidates(source, &runs)? {
+    if let Some(diagnosis) = diagnosis.get() {
+        let walked = walked.as_ref().map(|(n, p)| (n.as_slice(), p.as_slice()));
+        for (spec, why) in auto_candidates(source, diagnosis, walked)? {
             if !specs.iter().any(|(s, _)| s == &spec) {
                 specs.push((spec, why));
             }
@@ -202,17 +244,31 @@ pub fn analyze_trace_on(
     })
 }
 
-/// Enumerates `--auto` candidates from the trace's re-profile (`runs`, the ordinary
-/// replay pipeline's output): take the top data-profile rows and diagnose a fix
-/// family per type.
-fn auto_candidates(
+/// `--auto`'s sharing walk, a wave-1 job that may start before the profiled replays
+/// are done.  Once the diagnosis is in, it walks the types the diagnosis needs; before,
+/// it walks every recorded type (a type's profile does not depend on which types are
+/// walked beside it) and gives up at the first round end after the diagnosis turns
+/// out to need none.
+fn sharing_walk(
     source: &impl TraceSource,
-    runs: &[driver::ThreadRun],
-) -> Result<Vec<(FixSpec, String)>, String> {
-    let report = merge::merge(runs);
-    let line = source.machine().hierarchy.l1.line_size as u64;
+    diagnosis: &OnceLock<Diagnosis>,
+) -> Result<Option<(Vec<String>, Vec<SharingProfile>)>, String> {
+    let names = match diagnosis.get() {
+        Some((_, invalidated)) => invalidated.clone(),
+        None => trace_type_names(source),
+    };
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let needless = || {
+        diagnosis
+            .get()
+            .is_some_and(|(_, invalidated)| invalidated.is_empty())
+    };
+    Ok(analyze_sharing_unless(source, &refs, needless)?.map(|profiles| (names, profiles)))
+}
 
-    let hot: Vec<(&str, &str)> = report
+/// The top data-profile rows `--auto` diagnoses, each with its dominant miss class.
+fn hot_types(report: &MergedReport) -> Vec<(&str, &str)> {
+    report
         .data_profile
         .iter()
         .filter(|r| r.l1_miss_samples >= AUTO_MISS_FLOOR)
@@ -226,14 +282,46 @@ fn auto_candidates(
                 .unwrap_or("invalidation");
             (row.name.as_str(), dominant)
         })
-        .collect();
-    // One walk gathers the sharing statistics of every invalidation-dominated type.
-    let invalidated: Vec<&str> = hot
-        .iter()
+        .collect()
+}
+
+/// The invalidation-dominated types among `hot`, in order.
+fn invalidated(hot: &[(&str, &str)]) -> Vec<String> {
+    hot.iter()
         .filter(|(_, dominant)| *dominant == "invalidation")
-        .map(|(name, _)| *name)
-        .collect();
-    let mut sharing = analyze_sharing(source, &invalidated)?.into_iter();
+        .map(|(name, _)| name.to_string())
+        .collect()
+}
+
+/// Enumerates `--auto` candidates from the trace's re-profile (the ordinary replay
+/// pipeline's output, merged in `diagnosis`): take the top data-profile rows and
+/// diagnose a fix family per type.  An invalidation-dominated type's family comes from
+/// its sharing profile, read from `walked` (the types wave 1's walk covered, and their
+/// profiles) or, when the walk was abandoned, from one walk of just those types.
+fn auto_candidates(
+    source: &impl TraceSource,
+    (report, invalidated): &Diagnosis,
+    walked: Option<(&[String], &[SharingProfile])>,
+) -> Result<Vec<(FixSpec, String)>, String> {
+    let line = source.machine().hierarchy.l1.line_size as u64;
+
+    let hot = hot_types(report);
+    let sharing = match walked {
+        // A name the walk did not cover is a type no stream registered, and walking
+        // it would give the zero profile.
+        Some((names, profiles)) => invalidated
+            .iter()
+            .map(|name| {
+                let i = names.iter().position(|n| n == name);
+                i.map_or(SharingProfile::default(), |i| profiles[i])
+            })
+            .collect(),
+        None => {
+            let names: Vec<&str> = invalidated.iter().map(String::as_str).collect();
+            analyze_sharing(source, &names)?
+        }
+    };
+    let mut sharing = sharing.into_iter();
     let mut out: Vec<(FixSpec, String)> = hot
         .iter()
         .map(|&(name, dominant)| match dominant {
@@ -455,4 +543,47 @@ pub fn render_whatif_json(a: &WhatifAnalysis, options: &WhatifOptions) -> Json {
             ),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_profiled_type_no_stream_registered_is_diagnosed_from_the_zero_profile() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/ring_false_sharing_quick.dtrace"
+        );
+        let reader = TraceReader::open(path).unwrap();
+        let (mut run, _) = replay_stream_streaming(&reader, 0).unwrap();
+        // The hot, invalidation-dominated row, under a name the trace does not record.
+        let profile = &mut run.profile;
+        let rows = profile.data_profile.iter_mut().map(|r| &mut r.name);
+        let classes = profile.miss_classification.iter_mut().map(|m| &mut m.name);
+        for name in rows.chain(classes).filter(|n| *n == "ring_desc") {
+            *name = "__nosuch".to_string();
+        }
+        let report = merge::merge(&[run]);
+        let invalidated = invalidated(&hot_types(&report));
+        let diagnosis = (report, invalidated);
+        let names = trace_type_names(&reader);
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let profiles = analyze_sharing(&reader, &refs).unwrap();
+
+        let from_wave1 = auto_candidates(&reader, &diagnosis, Some((&names, &profiles))).unwrap();
+        assert_eq!(
+            from_wave1,
+            auto_candidates(&reader, &diagnosis, None).unwrap()
+        );
+        let pad = FixSpec::Pad {
+            type_name: "__nosuch".to_string(),
+        };
+        assert!(
+            from_wave1
+                .iter()
+                .any(|(spec, why)| *spec == pad && why.contains("(0% foreign)")),
+            "{from_wave1:?}"
+        );
+    }
 }

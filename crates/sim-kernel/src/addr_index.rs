@@ -24,7 +24,8 @@
 //!
 //! Three users, one type: the allocator's live objects ([`AddrIndex::insert`] /
 //! [`AddrIndex::remove`] / [`AddrIndex::find`], the semantics of a `BTreeMap` keyed by
-//! base), the what-if sharing walk (the same, with a type slot as payload), and the
+//! base), the what-if sharing walk (the same, with a type slot and an object number as
+//! payload), and the
 //! index over the freed part of the allocation log behind
 //! [`crate::AddressHistory::resolve_historical`] ([`AddrIndex::insert_newest`] /
 //! [`AddrIndex::covering`]).

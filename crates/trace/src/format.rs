@@ -514,6 +514,7 @@ fn put_stream_header(out: &mut Vec<u8>, s: &ThreadStream) {
 /// crafted trace cannot make replay's line-split loop iterate ~2^54 times.  An `Alloc`
 /// event's size has the same bound, for the same reason: the address index walks back
 /// `size / 4096` pages for an object's base, and no access could reach past it anyway.
+/// What-if's sharing walk relies on it too: it packs an object's granule in 17 bits.
 pub(crate) const MAX_ACCESS_LEN: u64 = 1 << 20;
 
 impl TraceFile {

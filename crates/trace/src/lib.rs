@@ -57,14 +57,14 @@ pub use format::{
     TypeDump,
 };
 pub use replay::{
-    available_workers, for_each_stream, profile_window, replay_all_streaming,
-    replay_stream_streaming,
+    available_workers, fan_out, for_each_stream, profile_window, replay_all_streaming,
+    replay_stream_streaming, session_streams,
 };
 pub use source::{StreamInfo, TraceSource};
 pub use stream::{EventReader, StreamHeader, TraceReader};
 pub use whatif::{
-    analyze_sharing, measure_all_streaming, measure_stream_streaming, trace_type_names,
-    validate_spec, FixSpec, SharingProfile, Transform, WhatifMeasure,
+    analyze_sharing, analyze_sharing_unless, measure_all_streaming, measure_stream_streaming,
+    trace_type_names, validate_spec, FixSpec, SharingProfile, Transform, WhatifMeasure,
 };
 
 /// Errors produced while decoding a `.dtrace` file.

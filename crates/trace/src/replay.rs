@@ -279,7 +279,7 @@ pub fn available_workers() -> usize {
 /// next index and every thread is joined before this returns.  (What a crafted stream
 /// is known to be able to do — a free of a never-allocated address, an allocation of
 /// 2^64 bytes — is an ordinary `Err` naming the event, not a panic.)
-fn fan_out<T: Send>(
+pub fn fan_out<T: Send>(
     workers: usize,
     jobs: usize,
     job: impl Fn(usize) -> Result<T, String> + Sync,
@@ -311,6 +311,21 @@ fn fan_out<T: Send>(
     done.into_iter().map(|(_, result)| result).collect()
 }
 
+/// The number of streams of a full-session trace, or why it cannot be replayed.
+pub fn session_streams(source: &impl TraceSource) -> Result<usize, String> {
+    if source.kind() != TraceKind::FullSession {
+        return Err(
+            "trace is access-only (e.g. a bench capture); replay and what-if analysis need a \
+             full-session trace"
+                .into(),
+        );
+    }
+    match source.stream_count() {
+        0 => Err("trace contains no streams".into()),
+        streams => Ok(streams),
+    }
+}
+
 /// Runs `f(pass, thread)` for every stream of a full-session trace, `passes` times
 /// over, on at most `workers` threads at once, and returns the results in
 /// `(pass, thread)` order (index `pass * stream_count + thread`).  Every job builds
@@ -323,17 +338,7 @@ pub fn for_each_stream<T: Send>(
     passes: usize,
     f: impl Fn(usize, usize) -> Result<T, String> + Sync,
 ) -> Result<Vec<T>, String> {
-    if source.kind() != TraceKind::FullSession {
-        return Err(
-            "trace is access-only (e.g. a bench capture); replay and what-if analysis need a \
-             full-session trace"
-                .into(),
-        );
-    }
-    let streams = source.stream_count();
-    if streams == 0 {
-        return Err("trace contains no streams".into());
-    }
+    let streams = session_streams(source)?;
     fan_out(workers, passes * streams, |i| f(i / streams, i % streams))
         .into_iter()
         .enumerate()

@@ -35,8 +35,8 @@ use sim_cache::line_table::BuildMixHasher;
 use sim_kernel::{AddrIndex, RemapTarget, TypeId};
 use sim_machine::SessionEvent;
 
-/// The tables here are keyed by addresses, granules and cores and probed on every
-/// access; nothing reads them in iteration order except to sum or take a maximum.
+/// The tables here are keyed by addresses, types and cores and probed on every access
+/// or allocation; nothing reads them in iteration order.
 type MixMap<K, V> = std::collections::HashMap<K, V, BuildMixHasher>;
 
 /// Base of the shadow address range counterfactual layouts are carved from.  Far above
@@ -437,8 +437,9 @@ pub fn measure_all_streaming(
 }
 
 /// Granule-level sharing statistics for one type, aggregated over all streams: the raw
-/// material of `--auto`'s fix-family diagnosis.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// material of `--auto`'s fix-family diagnosis.  The default is the profile of a type
+/// no access resolved to.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SharingProfile {
     /// Total accesses that resolved to an object of the type.
     pub accesses: u64,
@@ -453,89 +454,153 @@ pub struct SharingProfile {
     pub concurrency: f64,
 }
 
-/// One type's running state in the sharing walk.  Types share the index of live
-/// objects — an object is of one type — and nothing else: each has its own granule
-/// tables and round masks, so a type's profile does not depend on which other types
-/// are walked beside it.
-#[derive(Default)]
-struct SharingState {
-    /// The type's id in the stream being walked (`None`: the stream never registered
-    /// it, and none of its events can concern the type).
-    target: Option<TypeId>,
-    /// `(base, granule, core) -> accesses`.
-    granule_cores: MixMap<(u64, u64, u32), u64>,
-    /// `(base, granule) -> accesses of its dominant core`: the largest count
-    /// `granule_cores` holds for the granule.
-    granule_owner: MixMap<(u64, u64), u64>,
-    /// `base -> mask of cores that touched the object this round`.
-    round_cores: MixMap<u64, u128>,
+/// How many access keys the sharing walk logs before it sorts them into its table:
+/// 512 KiB of keys, whatever the trace's length.
+const SHARING_BATCH: usize = 1 << 16;
+
+/// One walked type's totals.
+#[derive(Default, Clone, Copy)]
+struct SlotTotals {
     accesses: u64,
+    /// Accesses of each granule's dominant core, summed over the type's granules.
+    owner_sum: u64,
     object_rounds: u64,
     core_sum: u64,
 }
 
-impl SharingState {
-    fn record_access(&mut self, base: u64, offset: u64, core: u32) {
-        self.accesses += 1;
-        let granule = offset / 8;
-        let by_core = self.granule_cores.entry((base, granule, core)).or_insert(0);
-        *by_core += 1;
-        let owner = self.granule_owner.entry((base, granule)).or_insert(0);
-        *owner = (*owner).max(*by_core);
-        *self.round_cores.entry(base).or_insert(0) |= 1u128 << core.min(127);
+/// Per-granule, per-core access counts of every walked object, as one sorted table of
+/// packed keys `object << 24 | granule << 7 | core`.  The packing is exact: the decoder
+/// bounds an object at `MAX_ACCESS_LEN` = 1 MiB, so a granule is below 2^17, and a
+/// machine at 128 cores.  An access appends its key to a log; a full log is sorted and
+/// its runs merged into the table, so memory is bounded by the distinct keys plus one
+/// batch, not by the trace's length.
+#[derive(Default)]
+struct GranuleCounts {
+    /// Keys of the accesses since the last compaction, in event order.
+    log: Vec<u64>,
+    /// `(key, accesses)`, sorted by key, each key once.
+    table: Vec<(u64, u64)>,
+}
+
+impl GranuleCounts {
+    fn key(object: u32, granule: u64, core: u32) -> u64 {
+        assert!(granule < 1 << 17 && core < 128, "the decoder bounds both");
+        (object as u64) << 24 | granule << 7 | core as u64
     }
 
-    fn profile(&self) -> SharingProfile {
-        let owner_sum: u64 = self.granule_owner.values().sum();
-        SharingProfile {
-            accesses: self.accesses,
-            foreign_fraction: if self.accesses == 0 {
-                0.0
-            } else {
-                (self.accesses - owner_sum) as f64 / self.accesses as f64
-            },
-            concurrency: if self.object_rounds == 0 {
-                0.0
-            } else {
-                self.core_sum as f64 / self.object_rounds as f64
-            },
+    fn record(&mut self, key: u64) {
+        self.log.push(key);
+        if self.log.len() == SHARING_BATCH {
+            self.compact();
+        }
+    }
+
+    /// Sorts the log and merges its runs with the table.
+    fn compact(&mut self) {
+        self.log.sort_unstable();
+        // Sized for the log's distinct keys, not its length, which they repeat.
+        let distinct = self.log.chunk_by(|a, b| a == b).count();
+        let mut merged = Vec::with_capacity(self.table.len() + distinct);
+        let mut table = self.table.iter().copied().peekable();
+        for run in self.log.chunk_by(|a, b| a == b) {
+            let key = run[0];
+            let mut count = run.len() as u64;
+            while let Some((older, n)) = table.next_if(|&(older, _)| older <= key) {
+                if older == key {
+                    count += n;
+                } else {
+                    merged.push((older, n));
+                }
+            }
+            merged.push((key, count));
+        }
+        merged.extend(table);
+        self.table = merged;
+        self.log.clear();
+    }
+
+    /// Adds each granule's dominant-core count to its object's type in `totals`.
+    fn sum_owners(&mut self, object_slot: &[u32], totals: &mut [SlotTotals]) {
+        self.compact();
+        for granule in self.table.chunk_by(|a, b| a.0 >> 7 == b.0 >> 7) {
+            let owner = granule
+                .iter()
+                .map(|&(_, n)| n)
+                .max()
+                .expect("chunks are not empty");
+            totals[object_slot[(granule[0].0 >> 24) as usize] as usize].owner_sum += owner;
         }
     }
 }
 
 /// Computes the [`SharingProfile`] of every type in `type_names` (in that order) by a
-/// single pass over every stream's events, tracking the live objects of those types
-/// from their `Alloc`/`Free` events in one [`AddrIndex`] whose payload is the type's
-/// position in `type_names` — an access is looked up once, not once per type.  A
-/// stream that registered none of the types is not decoded at all.  Decode errors
-/// surface as `Err`.
+/// single pass over every stream's events.  The live objects of those types are
+/// tracked from their `Alloc`/`Free` events in one [`AddrIndex`], so an access is
+/// looked up once, not once per type.  An object is numbered when it is allocated,
+/// by `(type, base)`; its accesses go to one granule table shared by every type, and
+/// its cores this round to a dense mask that the round's end reads for the objects
+/// touched in it.  Objects are keyed by base across streams: two streams' objects at
+/// one base are one object.  A type's profile does not depend on which other types
+/// are walked beside it.  A stream that registered none of the types is not decoded
+/// at all.  Decode errors surface as `Err`, naming the stream.
 pub fn analyze_sharing(
     source: &impl TraceSource,
     type_names: &[&str],
 ) -> Result<Vec<SharingProfile>, String> {
-    let mut states: Vec<SharingState> = type_names.iter().map(|_| Default::default()).collect();
-    let mut live: AddrIndex<usize> = AddrIndex::new();
+    let walked = analyze_sharing_unless(source, type_names, || false)?;
+    Ok(walked.expect("a walk that is never abandoned"))
+}
+
+/// [`analyze_sharing`], abandoned with `Ok(None)` at the first round end at which
+/// `abandon()` is true: for a caller that starts the walk before it knows whether it
+/// will need the profiles.
+pub fn analyze_sharing_unless(
+    source: &impl TraceSource,
+    type_names: &[&str],
+    abandon: impl Fn() -> bool,
+) -> Result<Option<Vec<SharingProfile>>, String> {
+    let mut totals = vec![SlotTotals::default(); type_names.len()];
+    // `(type slot, base) -> object`, read only on `Alloc`.
+    let mut objects: MixMap<(u32, u64), u32> = MixMap::default();
+    let mut object_slot: Vec<u32> = Vec::new();
+    // Cores that touched each object this round, and the objects touched.
+    let mut round_cores: Vec<u128> = Vec::new();
+    let mut touched: Vec<u32> = Vec::new();
+    let mut granules = GranuleCounts::default();
+    let mut live: AddrIndex<(u32, u32)> = AddrIndex::new();
     for thread in 0..source.stream_count() {
+        // The walked slot of each of the stream's type ids: a name's first position.
         let types = source.stream(thread).types;
-        for (state, name) in states.iter_mut().zip(type_names) {
-            state.target = stream_type_id(types, name);
-            state.round_cores.clear();
+        let mut slot_of: Vec<Option<u32>> = vec![None; types.len()];
+        for (slot, name) in type_names.iter().enumerate() {
+            if let Some(TypeId(id)) = stream_type_id(types, name) {
+                slot_of[id as usize].get_or_insert(slot as u32);
+            }
+        }
+        for object in touched.drain(..) {
+            round_cores[object as usize] = 0;
         }
         live.clear();
-        if states.iter().all(|s| s.target.is_none()) {
+        if slot_of.iter().all(Option::is_none) {
             continue;
         }
-        for ev in source.events(thread)? {
-            match ev? {
+        let in_stream = |e: crate::TraceError| format!("stream {thread}: {e}");
+        for ev in source.events(thread).map_err(in_stream)? {
+            match ev.map_err(in_stream)? {
                 SessionEvent::Alloc {
                     type_id,
                     size,
                     addr,
                     ..
                 } => {
-                    let target = Some(TypeId(type_id));
-                    if let Some(slot) = states.iter().position(|s| s.target == target) {
-                        live.insert(addr, size, slot);
+                    if let Some(Some(slot)) = slot_of.get(type_id as usize).copied() {
+                        let next = u32::try_from(object_slot.len()).expect("under 2^32 objects");
+                        let object = *objects.entry((slot, addr)).or_insert(next);
+                        if object == next {
+                            object_slot.push(slot);
+                            round_cores.push(0);
+                        }
+                        live.insert(addr, size, (slot, object));
                     }
                 }
                 SessionEvent::Free { addr, .. } => {
@@ -543,30 +608,55 @@ pub fn analyze_sharing(
                 }
                 SessionEvent::Access { core, addr, .. } => {
                     if let Some(obj) = live.find(addr) {
-                        states[obj.payload].record_access(obj.base, addr - obj.base, core);
+                        let (slot, object) = obj.payload;
+                        totals[slot as usize].accesses += 1;
+                        granules.record(GranuleCounts::key(object, (addr - obj.base) / 8, core));
+                        let mask = &mut round_cores[object as usize];
+                        if *mask == 0 {
+                            touched.push(object);
+                        }
+                        *mask |= 1u128 << core;
                     }
                 }
                 SessionEvent::RoundEnd => {
-                    for s in states.iter_mut() {
-                        for mask in s.round_cores.values_mut() {
-                            if *mask != 0 {
-                                s.object_rounds += 1;
-                                s.core_sum += mask.count_ones() as u64;
-                                *mask = 0;
-                            }
-                        }
+                    if abandon() {
+                        return Ok(None);
+                    }
+                    for object in touched.drain(..) {
+                        let t = &mut totals[object_slot[object as usize] as usize];
+                        t.object_rounds += 1;
+                        t.core_sum += round_cores[object as usize].count_ones() as u64;
+                        round_cores[object as usize] = 0;
                     }
                 }
                 SessionEvent::Compute { .. } => {}
             }
         }
     }
+    granules.sum_owners(&object_slot, &mut totals);
     // A name given twice is one type: its objects were filed under its first position.
     let first = |name| type_names.iter().position(|n| n == name);
-    Ok(type_names
-        .iter()
-        .map(|name| states[first(name).expect("is in the list")].profile())
-        .collect())
+    Ok(Some(
+        type_names
+            .iter()
+            .map(|name| {
+                let t = totals[first(name).expect("is in the list")];
+                SharingProfile {
+                    accesses: t.accesses,
+                    foreign_fraction: if t.accesses == 0 {
+                        0.0
+                    } else {
+                        (t.accesses - t.owner_sum) as f64 / t.accesses as f64
+                    },
+                    concurrency: if t.object_rounds == 0 {
+                        0.0
+                    } else {
+                        t.core_sum as f64 / t.object_rounds as f64
+                    },
+                }
+            })
+            .collect(),
+    ))
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@
 
 use dprof_trace::whatif::{stream_type_id, SHADOW_BASE};
 use dprof_trace::{
-    analyze_sharing, measure_stream_streaming, profile_window, trace_type_names, EventEncoder,
-    FixSpec, RecordedStream, SessionParams, SharingProfile, ThreadStream, TraceFile, TraceKind,
-    TraceReader, TraceSource, Transform, TypeDump,
+    analyze_sharing, analyze_sharing_unless, measure_stream_streaming, profile_window,
+    trace_type_names, EventEncoder, FixSpec, RecordedStream, SessionParams, SharingProfile,
+    ThreadStream, TraceFile, TraceKind, TraceReader, TraceSource, Transform, TypeDump,
 };
 use proptest::prelude::*;
 use sim_kernel::{RemapTarget, ResolvedAddr, TypeId};
@@ -475,4 +475,188 @@ proptest! {
         prop_assert_eq!(walked[0], walked[4], "a name given twice is one type");
         prop_assert_eq!(walked[2].accesses, 0);
     }
+}
+
+/// A one-stream, 128-core trace of `events` over the types `(name, size)`.
+fn one_stream_file(types: &[(&str, u64)], events: Vec<SessionEvent>) -> TraceFile {
+    let cores = sim_cache::MAX_CORES;
+    TraceFile {
+        kind: TraceKind::FullSession,
+        machine: MachineConfig::with_cores(cores),
+        params: SessionParams {
+            workload: "generated".into(),
+            threads: 1,
+            cores,
+            warmup_rounds: 0,
+            sample_rounds: 1,
+            sampling: SamplingPolicy::Fixed { interval_ops: 120 },
+            history_types: 1,
+            history_sets: 1,
+            base_seed: 1,
+        },
+        streams: vec![ThreadStream {
+            seed: 1,
+            requests: 0,
+            symbols: vec!["f".to_string()],
+            types: types
+                .iter()
+                .map(|&(name, size)| TypeDump {
+                    name: name.to_string(),
+                    description: String::new(),
+                    size,
+                    fields: Vec::new(),
+                })
+                .collect(),
+            events: events.into(),
+        }],
+    }
+}
+
+fn alloc(type_id: u32, size: u64, addr: u64) -> SessionEvent {
+    SessionEvent::Alloc {
+        core: 0,
+        type_id,
+        size,
+        addr,
+        cycle: 0,
+        hookable: true,
+    }
+}
+
+fn access(core: u32, addr: u64) -> SessionEvent {
+    SessionEvent::Access {
+        core,
+        ip: FunctionId(0),
+        addr,
+        len: 8,
+        kind: AccessKind::Read,
+    }
+}
+
+#[test]
+fn sharing_walk_equals_the_oracle_past_a_compaction_batch_and_at_the_edges() {
+    // Three types on a 128-core machine.  `huge` is one 1 MiB object, touched up to its
+    // last granule; base `SHARED` holds a `small` and then a `tiny`; base `RESIZED` holds
+    // a `small` of 64 bytes and then one of 128.  Thirty other `small`s carry the
+    // volume: 240 000 accesses, so the walk compacts three times and every batch finds
+    // keys the table already counts.
+    const MIB: u64 = 1 << 20;
+    const HUGE: u64 = 0x1_0000_0000;
+    const SHARED: u64 = 0x2_0000_0000;
+    const RESIZED: u64 = 0x2_0000_1000;
+    const SMALLS: u64 = 0x3_0000_0000;
+    let types = [("small", 64), ("huge", MIB), ("tiny", 64)];
+    let cores = [0, 1, 2, 63, 64, 126, 127];
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    let mut events = vec![
+        alloc(1, MIB, HUGE),
+        alloc(0, 64, SHARED),
+        alloc(0, 64, RESIZED),
+    ];
+    events.extend((0..30).map(|i| alloc(0, 64, SMALLS + i * 64)));
+    for half in 0..2 {
+        if half == 1 {
+            events.extend([
+                SessionEvent::Free {
+                    core: 5,
+                    addr: SHARED,
+                    cycle: 0,
+                },
+                alloc(2, 64, SHARED),
+                SessionEvent::Free {
+                    core: 5,
+                    addr: RESIZED,
+                    cycle: 0,
+                },
+                alloc(0, 128, RESIZED),
+            ]);
+        }
+        for i in 0..120_000u64 {
+            let core = cores[next(cores.len() as u64) as usize];
+            let addr = match next(8) {
+                0 => HUGE + MIB - 8,
+                1 => HUGE + next(MIB / 8) * 8,
+                2 => SHARED + next(8) * 8,
+                3 => RESIZED + next(16) * 8,
+                _ => SMALLS + next(30 * 8) * 8,
+            };
+            events.push(access(core, addr));
+            if i % 997 == 0 {
+                events.push(SessionEvent::RoundEnd);
+            }
+        }
+    }
+    events.push(SessionEvent::RoundEnd);
+    let file = one_stream_file(&types, events);
+
+    let names = ["small", "huge", "tiny", "huge"];
+    let walked = analyze_sharing(&file, &names).expect("the generated stream decodes");
+    assert_eq!(walked, sharing_walk_oracle(&file, &names));
+    assert!(walked[..3].iter().map(|p| p.accesses).sum::<u64>() > 3 * 65_536);
+    assert!(walked
+        .iter()
+        .all(|p| p.accesses > 0 && p.foreign_fraction > 0.0));
+}
+
+#[test]
+fn sharing_walk_keys_objects_by_base_across_streams() {
+    // One `t` at one base in each of two streams (two simulated machines): core 0
+    // touches its granule 0 three times in stream 0, core 1 once in stream 1.  The walk
+    // counts one object, so core 1's access is foreign to the granule's owner.
+    let mut file = one_stream_file(
+        &[("t", 64)],
+        vec![
+            alloc(0, 64, 0x1000),
+            access(0, 0x1000),
+            access(0, 0x1000),
+            access(0, 0x1000),
+            SessionEvent::RoundEnd,
+        ],
+    );
+    let second = one_stream_file(
+        &[("t", 64)],
+        vec![
+            alloc(0, 64, 0x1000),
+            access(1, 0x1000),
+            SessionEvent::RoundEnd,
+        ],
+    );
+    file.streams.extend(second.streams);
+    let walked = analyze_sharing(&file, &["t"]).unwrap()[0];
+    assert_eq!(walked.accesses, 4);
+    assert_eq!(walked.foreign_fraction, 0.25);
+    assert_eq!(walked.concurrency, 1.0);
+    assert_eq!([walked], sharing_walk_oracle(&file, &["t"])[..]);
+}
+
+#[test]
+fn sharing_walk_is_abandoned_at_the_first_round_end_that_asks() {
+    let file = one_stream_file(
+        &[("t", 64)],
+        vec![
+            alloc(0, 64, 0x1000),
+            access(0, 0x1000),
+            SessionEvent::RoundEnd,
+            access(1, 0x1000),
+            SessionEvent::RoundEnd,
+        ],
+    );
+    let asked = std::cell::Cell::new(0);
+    let second_round = || {
+        asked.set(asked.get() + 1);
+        asked.get() == 2
+    };
+    assert_eq!(
+        analyze_sharing_unless(&file, &["t"], second_round),
+        Ok(None)
+    );
+    assert_eq!(asked.get(), 2);
+    let kept = analyze_sharing_unless(&file, &["t"], || false).unwrap();
+    assert_eq!(kept, Some(analyze_sharing(&file, &["t"]).unwrap()));
 }
