@@ -15,7 +15,8 @@ quick-scale trace is five times shorter than a paper-scale one at the same
 core count, so more of it is cold misses: one and the same build read
 0.82-0.99x of its paper-scale figures at quick scale on a quiet host and
 0.53-0.86x on a busy one, which alone can trip the tolerance.  Comparing
-across scales is refused.
+across scales is refused, and so is a shared point whose `trace_len` differs
+from the baseline's: a different access stream is a different measurement.
 
 Refreshing the baselines (e.g. after an intentional trade-off, or when the CI
 runner fleet changes speed class): run
@@ -28,7 +29,8 @@ on the reference machine and commit both regenerated files in the same PR,
 noting the reason in the PR description.
 
 Exit status: 0 when every compared point clears the tolerance, 1 when one does
-not, 2 when the two documents were measured at different scales.
+not, 2 when the two documents were measured at different scales or a shared
+point replayed a stream of a different length.
 """
 
 import argparse
@@ -69,6 +71,17 @@ def main():
     shared = sorted(set(baseline) & set(fresh))
     if not shared:
         sys.exit("no (workload, cores) points shared between baseline and fresh run")
+    unlike = [k for k in shared if baseline[k]["trace_len"] != fresh[k]["trace_len"]]
+    for workload, cores in unlike:
+        print(
+            f"::error::{workload}/{cores}c replayed {fresh[(workload, cores)]['trace_len']} "
+            f"accesses but {args.baseline} measured "
+            f"{baseline[(workload, cores)]['trace_len']}: throughput is only comparable "
+            "over one stream",
+            file=sys.stderr,
+        )
+    if unlike:
+        return 2
 
     failures = []
     print(f"{'workload':<12} {'cores':>5} {'baseline a/s':>14} {'fresh a/s':>14} {'ratio':>7}")

@@ -54,11 +54,6 @@ impl LockstatReport {
             .find(|r| r.name == name && r.acquisitions > 0)
     }
 
-    /// The most contended lock by wait time, if any lock waited at all.
-    pub fn most_contended(&self) -> Option<&LockReportRow> {
-        self.rows.iter().find(|r| r.wait_seconds > 0.0)
-    }
-
     /// Renders the report as a text table.
     pub fn render(&self, top: usize) -> String {
         use std::fmt::Write as _;

@@ -4,65 +4,28 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dprof-bench --bin dprof-bench -- \
-//!     [--quick] [--emit-json [PATH]] [--save-traces DIR | --traces DIR]
+//! cargo run --release -p dprof-bench --bin dprof-bench -- [--quick] [--emit-json [PATH]]
 //! ```
 //!
-//! For each workload (memcached, Apache) and core count, the tool captures the
-//! workload's real memory-access trace, replays it through the retained reference
-//! hierarchy and the optimized hierarchy, and prints accesses/second for both.  With
+//! For each workload (memcached, Apache) and core count, the tool records the
+//! workload's session, lowers it to the per-line access stream the machine issues,
+//! replays that stream through the cache hierarchy and prints accesses/second.  With
 //! `--emit-json` the results are also written as a `dprof-bench-throughput/v1` document
 //! (default path `BENCH_throughput.json`), which CI validates on every PR.
-//!
-//! Trace reuse: `--save-traces DIR` writes each captured workload stream as an
-//! access-only `.dtrace` file (named `<workload>_<cores>c.dtrace`) and measures from
-//! it; `--traces DIR` skips capture entirely and replays those files, so successive
-//! bench runs measure the *identical* access stream instead of re-simulating the
-//! workload each time.
 
 use dprof_bench::throughput::{
-    capture_trace, measure_point, measure_point_from_trace, render_json, render_scaling,
-    render_table, trace_file_name, trace_io, TraceWorkload,
+    measure_point, render_json, render_scaling, render_table, TraceWorkload,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let mut emit_json: Option<String> = None;
-    let mut traces_dir: Option<String> = None;
-    let mut save_dir: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--emit-json" => {
-                let path = args
-                    .get(i + 1)
-                    .filter(|a| !a.starts_with("--"))
-                    .cloned()
-                    .unwrap_or_else(|| "BENCH_throughput.json".to_string());
-                emit_json = Some(path);
-            }
-            "--traces" => {
-                traces_dir = args.get(i + 1).filter(|a| !a.starts_with("--")).cloned();
-                if traces_dir.is_none() {
-                    eprintln!("--traces requires a directory");
-                    std::process::exit(2);
-                }
-            }
-            "--save-traces" => {
-                save_dir = args.get(i + 1).filter(|a| !a.starts_with("--")).cloned();
-                if save_dir.is_none() {
-                    eprintln!("--save-traces requires a directory");
-                    std::process::exit(2);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if let Some(dir) = &save_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {dir}: {e}"));
-    }
+    let emit_json = args.iter().position(|a| a == "--emit-json").map(|i| {
+        args.get(i + 1)
+            .filter(|a| !a.starts_with("--"))
+            .cloned()
+            .unwrap_or_else(|| "BENCH_throughput.json".to_string())
+    });
 
     // Quick mode keeps the CI smoke job fast; paper mode measures the trajectory
     // through the 16-core paper configuration and on up to 64/128 cores.  High core
@@ -89,31 +52,10 @@ fn main() {
     let mut points = Vec::new();
     for which in [TraceWorkload::Memcached, TraceWorkload::Apache] {
         for &cores in &core_counts {
-            let p = if let Some(dir) = &traces_dir {
-                // Replay a previously saved capture instead of re-running the
-                // workload, streaming the line events straight from disk.
-                let path = format!("{dir}/{}", trace_file_name(which, cores));
-                let (trace_cores, trace) = trace_io::read_line_events(&path).unwrap_or_else(|e| {
-                    panic!("{e}; run with --save-traces {dir} first to capture the set")
-                });
-                assert_eq!(
-                    trace_cores, cores,
-                    "{path} was captured on a {trace_cores}-core machine"
-                );
-                measure_point_from_trace(which.name(), cores, &trace)
-            } else if let Some(dir) = &save_dir {
-                let trace = capture_trace(which, cores, rounds_for(cores));
-                let path = format!("{dir}/{}", trace_file_name(which, cores));
-                trace_io::from_line_events(which, cores, rounds_for(cores), &trace)
-                    .write(&path)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                measure_point_from_trace(which.name(), cores, &trace)
-            } else {
-                measure_point(which, cores, rounds_for(cores))
-            };
+            let p = measure_point(which, cores, rounds_for(cores));
             println!(
-                "  {:<10} {:>3} cores: {:>12.0} -> {:>12.0} accesses/s ({:.2}x)",
-                p.workload, p.cores, p.reference_aps, p.optimized_aps, p.speedup
+                "  {:<10} {:>3} cores: {:>12.0} accesses/s",
+                p.workload, p.cores, p.optimized_aps
             );
             points.push(p);
         }

@@ -1,22 +1,23 @@
-//! Simulated-access throughput measurement: the bench trajectory the ROADMAP asks for.
+//! Simulated-access throughput: the core-count grid.
 //!
-//! The methodology follows the tentpole optimization's acceptance criteria:
-//!
-//! 1. Run a real workload (memcached or Apache) on the full machine with access-trace
-//!    capture enabled, producing a stream of `(core, addr, kind)` events — the actual
+//! 1. Run a real workload (memcached or Apache) on the full machine with its session
+//!    recorded, and lower each round's events to the `(core, addr, kind)` stream of
+//!    one access per cache line that the machine issues to its hierarchy — the actual
 //!    memory traffic of the paper's request paths, not a synthetic pattern.
-//! 2. Replay that identical trace against a fresh hierarchy, once through the retained
-//!    reference implementation (`HashMap` directory, AoS caches) and once through the
-//!    optimized implementation (open-addressed directory, SoA caches), timing each.
-//! 3. Report accesses/second for both, per workload × core count, and emit
+//! 2. Replay that stream against a fresh [`CacheHierarchy`], three times, and keep the
+//!    fastest run.
+//! 3. Report accesses/second per workload × core count, and emit
 //!    `BENCH_throughput.json` so throughput regressions are visible in review.
 //!
-//! Replays run on freshly-built hierarchies (best of three runs), so the numbers
-//! include cold-structure warm-up exactly once per run for both implementations.
+//! Each replay starts from an empty hierarchy, so the numbers include cold-structure
+//! warm-up once per run.  That the hierarchy computes what the seed model computed
+//! on these streams is a unit test below, not part of the measurement.
 
+use dprof_trace::line::push_line_events;
 use serde::{Deserialize, Serialize};
-use sim_cache::reference::RefCacheHierarchy;
 use sim_cache::{CacheHierarchy, HierarchyConfig, TraceEvent};
+use sim_kernel::KernelState;
+use sim_machine::Machine;
 use std::time::Instant;
 use workloads::{Apache, ApacheConfig, Memcached, MemcachedConfig, Workload};
 
@@ -51,196 +52,86 @@ pub struct ThroughputPoint {
     pub cores: usize,
     /// Number of accesses in the replayed trace.
     pub trace_len: usize,
-    /// Accesses/second through the retained reference (pre-optimization) hierarchy.
-    pub reference_aps: f64,
-    /// Accesses/second through the optimized hierarchy.
+    /// Accesses/second through the hierarchy.
     pub optimized_aps: f64,
-    /// `optimized_aps / reference_aps`.
-    pub speedup: f64,
 }
 
-/// Captures the memory-access trace of `rounds` workload rounds on a `cores`-core
-/// paper-geometry machine.
+/// Captures the cache-line accesses of `rounds` workload rounds on a `cores`-core
+/// paper-geometry machine.  The workload runs with its session recorded; the setup's
+/// events are dropped, and each round's events are lowered to one access per line,
+/// split as the machine splits them.
 pub fn capture_trace(which: TraceWorkload, cores: usize, rounds: usize) -> Vec<TraceEvent> {
     match which {
         TraceWorkload::Memcached => {
             let config = MemcachedConfig {
                 cores,
+                record_session: true,
                 ..Default::default()
             };
-            let (mut machine, mut kernel, mut workload) = Memcached::setup(config);
-            machine.hierarchy.record_trace(true);
-            for _ in 0..rounds {
-                workload.step(&mut machine, &mut kernel);
-            }
-            machine.hierarchy.take_trace()
+            let (machine, kernel, workload) = Memcached::setup(config);
+            lowered_rounds(machine, kernel, workload, rounds)
         }
         TraceWorkload::Apache => {
             let config = ApacheConfig {
                 cores,
+                record_session: true,
                 ..ApacheConfig::peak()
             };
-            let (mut machine, mut kernel, mut workload) = Apache::setup(config);
-            machine.hierarchy.record_trace(true);
-            for _ in 0..rounds {
-                workload.step(&mut machine, &mut kernel);
-            }
-            machine.hierarchy.take_trace()
+            let (machine, kernel, workload) = Apache::setup(config);
+            lowered_rounds(machine, kernel, workload, rounds)
         }
     }
 }
 
-/// The shared timed replay loop: elapsed seconds plus a checksum of outcome latencies
-/// (so the work cannot be optimized away, and so the two implementations can be
-/// cross-checked for identical behavior).
-fn replay_with(
-    trace: &[TraceEvent],
-    mut access_latency: impl FnMut(&TraceEvent) -> u64,
-) -> (f64, u64) {
+/// Steps `workload` `rounds` times and lowers the session events of each round.
+fn lowered_rounds(
+    mut machine: Machine,
+    mut kernel: KernelState,
+    mut workload: impl Workload,
+    rounds: usize,
+) -> Vec<TraceEvent> {
+    let line_size = machine.hierarchy.line_size() as u64;
+    machine.drain_session_events(|_setup| {});
+    let mut trace = Vec::new();
+    for _ in 0..rounds {
+        workload.step(&mut machine, &mut kernel);
+        machine.drain_session_events(|events| {
+            for ev in events {
+                push_line_events(ev, line_size, &mut trace);
+            }
+        });
+    }
+    trace
+}
+
+/// Replays a trace through a fresh hierarchy once and returns the elapsed seconds.
+/// The outcome latencies are summed so the work cannot be optimized away.
+fn replay(config: &HierarchyConfig, trace: &[TraceEvent]) -> f64 {
+    let mut h = CacheHierarchy::new(*config);
     let start = Instant::now();
     let mut checksum = 0u64;
     for ev in trace {
-        checksum = checksum.wrapping_add(access_latency(ev));
+        let outcome = h.access(ev.core as usize, ev.addr, ev.kind);
+        checksum = checksum.wrapping_add(outcome.latency);
     }
-    (start.elapsed().as_secs_f64(), checksum)
+    std::hint::black_box(checksum);
+    start.elapsed().as_secs_f64()
 }
 
-/// Replays a trace through the optimized hierarchy once.
-fn replay_optimized(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64, u64) {
-    let mut h = CacheHierarchy::new(*config);
-    replay_with(trace, |ev| {
-        h.access(ev.core as usize, ev.addr, ev.kind).latency
-    })
-}
-
-/// Replays a trace through the retained reference hierarchy once.
-fn replay_reference(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64, u64) {
-    let mut h = RefCacheHierarchy::new(*config);
-    replay_with(trace, |ev| {
-        h.access(ev.core as usize, ev.addr, ev.kind).latency
-    })
-}
-
-/// The canonical `.dtrace` file name of a bench capture inside a trace directory.
-pub fn trace_file_name(which: TraceWorkload, cores: usize) -> String {
-    format!("{}_{}c.dtrace", which.name(), cores)
-}
-
-/// Helpers converting between the hierarchy-level line streams the replay loops
-/// consume and the access-only `.dtrace` container.
-pub mod trace_io {
-    use super::TraceWorkload;
-    use dprof_trace::line::push_line_events;
-    use dprof_trace::{SessionParams, ThreadStream, TraceFile, TraceKind, TraceReader};
-    use sim_cache::TraceEvent;
-    use sim_machine::{FunctionId, SessionEvent};
-
-    /// Wraps a per-line access stream as an access-only trace file, so later bench
-    /// runs can replay the identical stream instead of re-capturing (and so
-    /// regressions are measured against a *fixed* workload, not a re-simulated one).
-    pub fn from_line_events(
-        which: TraceWorkload,
-        cores: usize,
-        rounds: usize,
-        trace: &[TraceEvent],
-    ) -> TraceFile {
-        let events: dprof_trace::EncodedEvents = trace
-            .iter()
-            .map(|ev| SessionEvent::Access {
-                core: ev.core,
-                ip: FunctionId::UNKNOWN,
-                addr: ev.addr,
-                // Per-line events are already split; length 1 keeps the lowering 1:1.
-                len: 1,
-                kind: ev.kind,
-            })
-            .collect();
-        TraceFile {
-            kind: TraceKind::AccessOnly,
-            machine: sim_machine::MachineConfig::with_cores(cores),
-            params: SessionParams {
-                workload: which.name().to_string(),
-                threads: 1,
-                cores,
-                warmup_rounds: 0,
-                sample_rounds: rounds,
-                sampling: sim_machine::SamplingPolicy::Disabled,
-                history_types: 0,
-                history_sets: 0,
-                base_seed: 0,
-            },
-            streams: vec![ThreadStream {
-                seed: 0,
-                requests: 0,
-                symbols: Vec::new(),
-                types: Vec::new(),
-                events,
-            }],
-        }
-    }
-
-    /// Streams a `.dtrace` file's per-line access stream straight from disk (either
-    /// kind: a full-session trace lowers its spanning accesses at line boundaries):
-    /// events are lowered to [`TraceEvent`]s as they decode, so only the line
-    /// stream — never the session-event stream — is materialized.  Returns the
-    /// core count alongside the events.
-    pub fn read_line_events(path: &str) -> Result<(usize, Vec<TraceEvent>), String> {
-        let reader = TraceReader::open(path).map_err(|e| e.to_string())?;
-        let line_size = reader.machine.hierarchy.l1.line_size as u64;
-        let mut out = Vec::new();
-        for thread in 0..reader.stream_count() {
-            for ev in reader.events(thread).map_err(|e| e.to_string())? {
-                push_line_events(&ev.map_err(|e| e.to_string())?, line_size, &mut out);
-            }
-        }
-        Ok((reader.machine.hierarchy.cores, out))
-    }
-}
-
-/// Measures one throughput point from an already-captured trace.
-pub fn measure_point_from_trace(
-    workload_name: &str,
-    cores: usize,
-    trace: &[TraceEvent],
-) -> ThroughputPoint {
-    let config = HierarchyConfig::with_cores(cores);
-
-    let mut best_ref = f64::INFINITY;
-    let mut best_opt = f64::INFINITY;
-    let mut ref_sum = 0;
-    let mut opt_sum = 0;
-    for _ in 0..REPS {
-        let (t, s) = replay_reference(&config, trace);
-        best_ref = best_ref.min(t);
-        ref_sum = s;
-        let (t, s) = replay_optimized(&config, trace);
-        best_opt = best_opt.min(t);
-        opt_sum = s;
-    }
-    assert_eq!(
-        ref_sum, opt_sum,
-        "reference and optimized hierarchies diverged on the {workload_name} trace"
-    );
-
-    let n = trace.len() as f64;
-    let reference_aps = n / best_ref.max(1e-12);
-    let optimized_aps = n / best_opt.max(1e-12);
-    ThroughputPoint {
-        workload: workload_name.to_string(),
-        cores,
-        trace_len: trace.len(),
-        reference_aps,
-        optimized_aps,
-        speedup: optimized_aps / reference_aps.max(1e-12),
-    }
-}
-
-/// Measures one throughput point: captures the workload trace, replays it through both
-/// implementations (three fresh runs each, best kept), and cross-checks that both
-/// produced identical latency checksums.
+/// Measures one throughput point: captures the workload trace and replays it three
+/// times through fresh hierarchies, keeping the fastest run.
 pub fn measure_point(which: TraceWorkload, cores: usize, rounds: usize) -> ThroughputPoint {
     let trace = capture_trace(which, cores, rounds);
-    measure_point_from_trace(which.name(), cores, &trace)
+    let config = HierarchyConfig::with_cores(cores);
+    let best = (0..REPS)
+        .map(|_| replay(&config, &trace))
+        .fold(f64::INFINITY, f64::min);
+    ThroughputPoint {
+        workload: which.name().to_string(),
+        cores,
+        trace_len: trace.len(),
+        optimized_aps: trace.len() as f64 / best.max(1e-12),
+    }
 }
 
 /// Renders the points as the `BENCH_throughput.json` document (`dprof-bench-throughput/v1`).
@@ -254,13 +145,11 @@ pub fn render_json(scale_name: &str, points: &[ThroughputPoint]) -> String {
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"cores\": {}, \"trace_len\": {}, \
-             \"reference_aps\": {:.0}, \"optimized_aps\": {:.0}, \"speedup\": {:.2}}}{}\n",
+             \"optimized_aps\": {:.0}}}{}\n",
             p.workload,
             p.cores,
             p.trace_len,
-            p.reference_aps,
             p.optimized_aps,
-            p.speedup,
             if i + 1 == points.len() { "" } else { "," }
         ));
     }
@@ -272,13 +161,13 @@ pub fn render_json(scale_name: &str, points: &[ThroughputPoint]) -> String {
 pub fn render_table(points: &[ThroughputPoint]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} {:>5} {:>12} {:>16} {:>16} {:>8}\n",
-        "workload", "cores", "trace", "reference a/s", "optimized a/s", "speedup"
+        "{:<10} {:>5} {:>12} {:>16}\n",
+        "workload", "cores", "trace", "optimized a/s"
     ));
     for p in points {
         out.push_str(&format!(
-            "{:<10} {:>5} {:>12} {:>16.0} {:>16.0} {:>7.2}x\n",
-            p.workload, p.cores, p.trace_len, p.reference_aps, p.optimized_aps, p.speedup
+            "{:<10} {:>5} {:>12} {:>16.0}\n",
+            p.workload, p.cores, p.trace_len, p.optimized_aps
         ));
     }
     out
@@ -324,6 +213,7 @@ pub fn render_scaling(points: &[ThroughputPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_cache::reference::RefCacheHierarchy;
 
     #[test]
     fn trace_capture_produces_events() {
@@ -332,24 +222,36 @@ mod tests {
         assert!(trace.iter().all(|e| (e.core as usize) < 2));
     }
 
+    /// The quick grid's six streams through the hierarchy and through the seed model
+    /// it replaced: every outcome, then the final counts, must agree.
     #[test]
-    fn trace_file_round_trip_preserves_the_line_stream() {
-        let trace = capture_trace(TraceWorkload::Memcached, 2, 3);
-        let file = trace_io::from_line_events(TraceWorkload::Memcached, 2, 3, &trace);
-        let dir = std::env::temp_dir().join("dprof_bench_stream_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("memcached_2c.dtrace");
-        let path = path.to_str().unwrap();
-        file.write(path).expect("trace writes");
-        let (cores, back) = trace_io::read_line_events(path).expect("trace streams");
-        assert_eq!(cores, 2);
-        assert_eq!(
-            back, trace,
-            "dtrace round trip must preserve the line stream"
-        );
-        let p = measure_point_from_trace("memcached", 2, &back);
-        assert_eq!(p.trace_len, trace.len());
-        assert!(p.reference_aps > 0.0 && p.optimized_aps > 0.0);
+    fn the_hierarchy_matches_the_reference_on_the_quick_grid_streams() {
+        use TraceWorkload::{Apache, Memcached};
+        // (workload, cores, rounds, accesses): `dprof-bench --quick`'s points.
+        let quick = [
+            (Memcached, 2, 40, 9_119),
+            (Memcached, 4, 40, 18_732),
+            (Memcached, 64, 10, 73_853),
+            (Apache, 2, 40, 19_876),
+            (Apache, 4, 40, 39_793),
+            (Apache, 64, 10, 161_607),
+        ];
+        for (which, cores, rounds, accesses) in quick {
+            let point = format!("{} at {cores} cores", which.name());
+            let trace = capture_trace(which, cores, rounds);
+            assert_eq!(trace.len(), accesses, "{point}: trace length");
+            let config = HierarchyConfig::with_cores(cores);
+            let mut h = CacheHierarchy::new(config);
+            let mut r = RefCacheHierarchy::new(config);
+            for (i, ev) in trace.iter().enumerate() {
+                let core = ev.core as usize;
+                let got = h.access(core, ev.addr, ev.kind);
+                let expected = r.access(core, ev.addr, ev.kind);
+                assert_eq!(got, expected, "{point}: access {i} {ev:?}");
+            }
+            assert_eq!(h.stats, r.stats, "{point}: stats");
+            assert_eq!(h.per_core, r.per_core, "{point}: per-core stats");
+        }
     }
 
     #[test]
@@ -357,9 +259,7 @@ mod tests {
         let p = measure_point(TraceWorkload::Memcached, 2, 5);
         assert_eq!(p.workload, "memcached");
         assert!(p.trace_len > 0);
-        assert!(p.reference_aps > 0.0);
         assert!(p.optimized_aps > 0.0);
-        assert!(p.speedup > 0.0);
     }
 
     #[test]
@@ -369,17 +269,13 @@ mod tests {
                 workload: "memcached".into(),
                 cores: 16,
                 trace_len: 1000,
-                reference_aps: 1.0e7,
                 optimized_aps: 4.0e7,
-                speedup: 4.0,
             },
             ThroughputPoint {
                 workload: "apache".into(),
                 cores: 2,
                 trace_len: 500,
-                reference_aps: 2.0e7,
                 optimized_aps: 5.0e7,
-                speedup: 2.5,
             },
         ];
         let doc = render_json("paper", &points);
@@ -395,7 +291,10 @@ mod tests {
             .expect("points array");
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0].get("cores").and_then(|c| c.as_f64()), Some(16.0));
-        assert_eq!(arr[1].get("speedup").and_then(|s| s.as_f64()), Some(2.5));
+        assert_eq!(
+            arr[1].get("optimized_aps").and_then(|s| s.as_f64()),
+            Some(5.0e7)
+        );
     }
 
     #[test]
@@ -404,9 +303,7 @@ mod tests {
             workload: "memcached".into(),
             cores,
             trace_len: 100,
-            reference_aps: 1.0e6,
             optimized_aps: opt,
-            speedup: 1.0,
         };
         let points = vec![mk(2, 4.0e7), mk(64, 1.0e7)];
         let view = render_scaling(&points);

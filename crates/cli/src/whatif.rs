@@ -90,6 +90,9 @@ pub fn analyze_trace(
     analyze_trace_on(available_workers(), source, explicit, auto)
 }
 
+/// The types a sharing walk covered, and their profiles.
+type Walked = (Vec<String>, Vec<SharingProfile>);
+
 /// One wave-1 job's result.
 enum Wave1 {
     /// `--auto`'s re-profile of one stream, handed to the diagnosis.
@@ -98,7 +101,7 @@ enum Wave1 {
     Baseline(WhatifMeasure),
     /// `--auto`'s sharing walk: the types it walked and their profiles, or `None` when
     /// it was abandoned because the diagnosis needs none.
-    Sharing(Option<(Vec<String>, Vec<SharingProfile>)>),
+    Sharing(Option<Walked>),
 }
 
 /// What `--auto` diagnoses from: the merged report of the profiled replays, and the
@@ -158,7 +161,7 @@ pub fn analyze_trace_on(
         }
     });
     let mut baseline: Vec<WhatifMeasure> = Vec::new();
-    let mut walked: Option<(Vec<String>, Vec<SharingProfile>)> = None;
+    let mut walked: Option<Walked> = None;
     for (i, result) in wave1.into_iter().enumerate() {
         // The walk names the stream it failed on itself.
         let result = if i < replays {
@@ -252,7 +255,7 @@ pub fn analyze_trace_on(
 fn sharing_walk(
     source: &impl TraceSource,
     diagnosis: &OnceLock<Diagnosis>,
-) -> Result<Option<(Vec<String>, Vec<SharingProfile>)>, String> {
+) -> Result<Option<Walked>, String> {
     let names = match diagnosis.get() {
         Some((_, invalidated)) => invalidated.clone(),
         None => trace_type_names(source),

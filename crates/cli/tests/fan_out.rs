@@ -6,7 +6,7 @@
 use dprof::machine::SessionEvent;
 use dprof::trace::{
     for_each_stream, measure_all_streaming, replay_all_streaming, replay_stream_streaming, FixSpec,
-    ThreadStream, TraceFile, TraceReader,
+    ThreadStream, TraceFile, TraceKind, TraceReader,
 };
 use dprof_cli::args::{self, Parsed};
 use dprof_cli::whatif::{analyze_trace, analyze_trace_on, render_whatif_json};
@@ -65,7 +65,7 @@ fn record_memcached(threads: usize, rounds: usize, trace: &str) -> Vec<u8> {
 /// The in-memory equivalent of an opened trace: every stream walked once.
 fn in_memory(reader: &TraceReader) -> TraceFile {
     TraceFile {
-        kind: reader.kind,
+        kind: TraceKind::FullSession,
         machine: reader.machine,
         params: reader.params.clone(),
         streams: (reader.headers().iter().enumerate())

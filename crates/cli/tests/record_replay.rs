@@ -14,7 +14,7 @@
 //!    `error:` line from the real binary that names the event and the address.
 
 use dprof::machine::SessionEvent;
-use dprof::trace::{ThreadStream, TraceFile, TraceReader};
+use dprof::trace::{ThreadStream, TraceFile, TraceKind, TraceReader};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -345,7 +345,7 @@ fn golden_session() -> (TraceFile, Vec<SessionEvent>) {
         .expect("golden trace decodes");
     let header = &reader.headers()[0];
     let file = TraceFile {
-        kind: reader.kind,
+        kind: TraceKind::FullSession,
         machine: reader.machine,
         params: reader.params.clone(),
         streams: vec![ThreadStream {

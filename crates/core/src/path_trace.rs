@@ -47,11 +47,6 @@ pub struct PathTrace {
 }
 
 impl PathTrace {
-    /// The execution-path key of this trace.
-    pub fn path_key(&self) -> Vec<(FunctionId, bool)> {
-        self.entries.iter().map(|e| (e.ip, e.cpu_change)).collect()
-    }
-
     /// True if any step runs on a different CPU than its predecessor.
     pub fn has_cpu_change(&self) -> bool {
         self.entries.iter().any(|e| e.cpu_change)

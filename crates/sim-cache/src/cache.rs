@@ -21,12 +21,11 @@
 
 use crate::geometry::CacheGeometry;
 use crate::line::MesiState;
-use crate::line_table::LineSet;
 use crate::stats::CacheStats;
 
 /// What a [`SetAssocCache`] files a line under, next to its set: a line address or a
 /// directory slot.  Equality is all the cache asks of it.
-pub trait Tag: Copy + Eq + std::fmt::Debug + Into<u64> {
+pub trait Tag: Copy + Eq + std::fmt::Debug {
     /// "This way holds no line".  Never a line's tag: a line address would need a byte
     /// address above 2^70, and the directory hands out no such slot
     /// ([`crate::line_table::Slot`]).
@@ -65,37 +64,6 @@ fn find_way<T: Tag>(tags: &[T], tag: T) -> Option<usize> {
     Some(chunks.len() * 8 + way)
 }
 
-/// Opt-in tracker of distinct lines installed per associativity set.
-///
-/// The conflict analysis wants "how many distinct lines ever mapped to set `s`", which
-/// the seed implementation kept as one `HashSet<LineAddr>` per set — unbounded growth
-/// on streaming workloads and an allocation on nearly every fill.  The tracker keeps a
-/// single open-addressed [`LineSet`] (8 bytes per distinct line; a tag is its line's
-/// for good, so distinct tags are distinct lines) plus a `u32` counter per set, and is
-/// only instantiated when conflict analysis is requested.
-#[derive(Debug, Clone)]
-struct ConflictTracker {
-    seen: LineSet,
-    per_set: Vec<u32>,
-}
-
-impl ConflictTracker {
-    fn new(sets: usize) -> Self {
-        ConflictTracker {
-            seen: LineSet::new(),
-            per_set: vec![0; sets],
-        }
-    }
-
-    /// Out of line: the tracker is opt-in, and every fill checks for it.
-    #[inline(never)]
-    fn note(&mut self, set: usize, tag: u64) {
-        if self.seen.insert(tag) {
-            self.per_set[set] += 1;
-        }
-    }
-}
-
 /// A set-associative cache with strict LRU replacement within each associativity set.
 ///
 /// The cache stores only metadata (tags and coherence state), never data bytes — the
@@ -115,18 +83,11 @@ pub struct SetAssocCache<T> {
     ranks: Vec<u8>,
     /// Hit/miss/eviction statistics.
     pub stats: CacheStats,
-    /// Opt-in distinct-lines-per-set tracking for the conflict analysis.
-    conflict: Option<ConflictTracker>,
 }
 
 impl<T: Tag> SetAssocCache<T> {
-    /// Creates an empty cache with the given geometry.  Conflict tracking is off by
-    /// default; [`Self::with_conflict_tracking`] / [`Self::enable_conflict_tracking`]
-    /// turn on [`Self::distinct_lines_in_set`] for analyses that want per-set
-    /// distinct-line counts from the simulated caches themselves.  (The shipped
-    /// working-set view computes its histogram from allocation records instead, so
-    /// nothing in the profiler pays for tracking it does not use.)
-    /// Panics on more than [`CacheGeometry::MAX_WAYS`] ways: a rank is one byte.
+    /// Creates an empty cache with the given geometry.  Panics on more than
+    /// [`CacheGeometry::MAX_WAYS`] ways: a rank is one byte.
     pub fn new(geometry: CacheGeometry) -> Self {
         assert!(geometry.ways <= CacheGeometry::MAX_WAYS, "too many ways");
         let slot_count = geometry.sets * geometry.ways;
@@ -136,42 +97,13 @@ impl<T: Tag> SetAssocCache<T> {
             states: vec![MesiState::Invalid; slot_count],
             ranks: (0..slot_count).map(|i| (i % geometry.ways) as u8).collect(),
             stats: CacheStats::default(),
-            conflict: None,
         }
     }
 
-    /// Creates an empty cache that tracks distinct lines per set for conflict analysis.
-    pub fn with_conflict_tracking(geometry: CacheGeometry) -> Self {
-        let mut c = Self::new(geometry);
-        c.enable_conflict_tracking();
-        c
-    }
-
-    /// Turns on distinct-lines-per-set tracking (idempotent).
-    pub fn enable_conflict_tracking(&mut self) {
-        if self.conflict.is_none() {
-            self.conflict = Some(ConflictTracker::new(self.geometry.sets));
-        }
-    }
-
-    /// True if distinct-lines-per-set tracking is active.
-    pub fn conflict_tracking_enabled(&self) -> bool {
-        self.conflict.is_some()
-    }
-
-    /// Heap bytes consumed by the conflict tracker (zero when tracking is off).  Used
-    /// by the memory-growth regression tests.
-    pub fn conflict_tracking_bytes(&self) -> usize {
-        self.conflict
-            .as_ref()
-            .map(|t| t.seen.heap_bytes() + t.per_set.len() * std::mem::size_of::<u32>())
-            .unwrap_or(0)
-    }
-
-    /// Heap bytes of the cache's tables (tag, state and rank per slot) and tracker.
+    /// Heap bytes of the cache's tables (tag, state and rank per slot).
     pub fn heap_bytes(&self) -> usize {
         let slot = size_of::<T>() + size_of::<MesiState>() + size_of::<u8>();
-        self.tags.len() * slot + self.conflict_tracking_bytes()
+        self.tags.len() * slot
     }
 
     /// The cache geometry.
@@ -293,7 +225,6 @@ impl<T: Tag> SetAssocCache<T> {
         let Some(i) = self.slot_of(set, tag) else {
             return self.place(set, tag, state);
         };
-        self.note_conflict(set, tag);
         self.states[i] = state;
         self.touch(set, i);
         None
@@ -305,7 +236,6 @@ impl<T: Tag> SetAssocCache<T> {
     pub(crate) fn place(&mut self, set: usize, tag: T, state: MesiState) -> Option<(T, MesiState)> {
         debug_assert_ne!(tag, T::INVALID, "the empty way's tag is no line's");
         debug_assert!(!self.contains(set, tag), "place of a resident line");
-        self.note_conflict(set, tag);
         let ways = self.ways_of(set);
         self.stats.fills += 1;
 
@@ -338,13 +268,6 @@ impl<T: Tag> SetAssocCache<T> {
         true
     }
 
-    #[inline]
-    fn note_conflict(&mut self, set: usize, tag: T) {
-        if let Some(t) = self.conflict.as_mut() {
-            t.note(set, tag.into());
-        }
-    }
-
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != T::INVALID).count()
@@ -366,23 +289,9 @@ impl<T: Tag> SetAssocCache<T> {
             .count()
     }
 
-    /// Number of distinct lines ever installed into associativity set `set`.
-    ///
-    /// Always zero unless conflict tracking was enabled (see [`Self::new`]).
-    pub fn distinct_lines_in_set(&self, set: usize) -> usize {
-        self.conflict
-            .as_ref()
-            .map(|t| t.per_set[set] as usize)
-            .unwrap_or(0)
-    }
-
-    /// Resets statistics and distinct-line tracking (contents are preserved).
+    /// Resets statistics (contents are preserved).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-        if let Some(t) = self.conflict.as_mut() {
-            t.seen.clear();
-            t.per_set.fill(0);
-        }
     }
 }
 
@@ -494,45 +403,6 @@ mod tests {
         // Six bytes a slot against the line-tagged cache's ten.
         assert_eq!(c.heap_bytes(), 8 * 6);
         assert_eq!(tiny().0.heap_bytes(), 8 * 10);
-    }
-
-    #[test]
-    fn distinct_lines_tracked_per_set_when_enabled() {
-        let mut c = ByLine(SetAssocCache::with_conflict_tracking(CacheGeometry::new(
-            64, 2, 4,
-        )));
-        c.fill(0, MesiState::Exclusive);
-        c.fill(4, MesiState::Exclusive);
-        c.fill(8, MesiState::Exclusive); // evicts, still counts as distinct
-        c.fill(0, MesiState::Exclusive); // already counted
-        assert_eq!(c.0.distinct_lines_in_set(0), 3);
-        assert_eq!(c.0.distinct_lines_in_set(1), 0);
-    }
-
-    #[test]
-    fn distinct_tracking_off_by_default() {
-        let mut c = tiny();
-        assert!(!c.0.conflict_tracking_enabled());
-        for i in 0..100u64 {
-            c.fill(i, MesiState::Exclusive);
-        }
-        assert_eq!(c.0.distinct_lines_in_set(0), 0);
-        assert_eq!(c.0.conflict_tracking_bytes(), 0);
-    }
-
-    #[test]
-    fn reset_clears_distinct_tracking() {
-        let mut c = ByLine(SetAssocCache::with_conflict_tracking(CacheGeometry::new(
-            64, 2, 4,
-        )));
-        c.fill(0, MesiState::Exclusive);
-        c.fill(4, MesiState::Exclusive);
-        c.0.reset_stats();
-        assert_eq!(c.0.distinct_lines_in_set(0), 0);
-        // Contents preserved; refilling the same lines counts them again.
-        assert!(c.peek(0).is_some());
-        c.fill(0, MesiState::Exclusive);
-        assert_eq!(c.0.distinct_lines_in_set(0), 1);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl HitLevel {
         !matches!(self, HitLevel::L1 | HitLevel::L2)
     }
 
-    /// True if the data crossed a core boundary.
-    pub fn is_remote(self) -> bool {
-        matches!(self, HitLevel::RemoteCache)
-    }
-
     /// Human-readable name used in path-trace output ("local L1", "foreign cache", ...).
     pub fn display_name(self) -> &'static str {
         match self {
@@ -106,9 +101,9 @@ pub struct AccessOutcome {
     pub line: LineAddr,
 }
 
-/// One recorded access, captured when trace recording is on (see
-/// [`CacheHierarchy::record_trace`]).  Traces feed the throughput benchmarks, which
-/// replay real workload access streams against alternative hierarchy implementations.
+/// One access of at most one cache line, as [`CacheHierarchy::access`] takes it: what
+/// a recorded session lowers to (`dprof_trace::line::push_line_events`) so a bare
+/// hierarchy can replay it, as the throughput grid and the benchmark's layer rows do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Core that issued the access.
@@ -194,8 +189,6 @@ pub struct CacheHierarchy {
     pub stats: HierarchyStats,
     /// Per-core statistics.
     pub per_core: Vec<HierarchyStats>,
-    /// Optional access-trace capture buffer.
-    trace: Option<Vec<TraceEvent>>,
 }
 
 impl CacheHierarchy {
@@ -216,7 +209,6 @@ impl CacheHierarchy {
             table: LineTable::new(),
             stats: HierarchyStats::default(),
             per_core: vec![HierarchyStats::default(); config.cores],
-            trace: None,
             config,
         }
     }
@@ -263,53 +255,12 @@ impl CacheHierarchy {
         self.cache_heap_bytes().iter().sum::<usize>() + self.table.heap_bytes()
     }
 
-    /// Turns on distinct-lines-per-set conflict tracking in every cache of the
-    /// hierarchy (L1s, L2s and L3); [`Self::distinct_lines_in_l2_set`] reads it.  Off by
-    /// default — the tracker costs memory proportional to the distinct lines touched.
-    pub fn enable_conflict_tracking(&mut self) {
-        self.l1
-            .iter_mut()
-            .for_each(SetAssocCache::enable_conflict_tracking);
-        self.l2
-            .iter_mut()
-            .for_each(SetAssocCache::enable_conflict_tracking);
-        self.l3.enable_conflict_tracking();
-    }
-
-    /// Distinct lines ever installed in set `set` ([`AccessOutcome::l2_set`]) of `core`'s
-    /// L2.  Zero unless [`Self::enable_conflict_tracking`] was called first.
-    pub fn distinct_lines_in_l2_set(&self, core: CoreId, set: usize) -> usize {
-        self.l2[core].distinct_lines_in_set(set)
-    }
-
-    /// Turns access-trace capture on or off.  While on, every access is appended to an
-    /// in-memory buffer retrievable with [`Self::take_trace`].
-    pub fn record_trace(&mut self, on: bool) {
-        if on && self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        } else if !on {
-            self.trace = None;
-        }
-    }
-
-    /// Drains the captured access trace (empty if recording was never enabled).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
     /// Performs a single memory access of at most one cache line.
     ///
     /// Accesses spanning a line boundary should be split by the caller (the
     /// `sim-machine` crate does this); each call touches exactly one line.
     pub fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind) -> AccessOutcome {
         assert!(core < self.config.cores, "core {core} out of range");
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEvent {
-                core: core as u32,
-                addr,
-                kind,
-            });
-        }
         let line = self.line_addr(addr);
         let l2_set = self.config.l2.set_index_of_line(line);
         let latency_model = self.config.latency;
@@ -908,34 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_recording_captures_accesses() {
-        let mut h = hierarchy();
-        h.access(0, 0x1000, AccessKind::Read); // not recorded
-        h.record_trace(true);
-        h.access(1, 0x2000, AccessKind::Write);
-        h.access(0, 0x3000, AccessKind::Read);
-        let trace = h.take_trace();
-        assert_eq!(
-            trace,
-            vec![
-                TraceEvent {
-                    core: 1,
-                    addr: 0x2000,
-                    kind: AccessKind::Write
-                },
-                TraceEvent {
-                    core: 0,
-                    addr: 0x3000,
-                    kind: AccessKind::Read
-                },
-            ]
-        );
-        h.record_trace(false);
-        h.access(0, 0x4000, AccessKind::Read);
-        assert!(h.take_trace().is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_invalid_core() {
         let mut h = hierarchy();
@@ -1367,29 +1290,6 @@ mod tests {
         h.l2[0].fill(set + 1, slot, MesiState::Exclusive);
         let err = h.check_coherence_invariants().unwrap_err();
         assert!(err.contains("not the line's"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn hierarchy_conflict_tracking_reaches_every_cache() {
-        let mut h = hierarchy();
-        let stride = (h.config().l2.sets * h.config().l2.line_size) as u64;
-        let set = h.config().l2.set_index(0x5_0000);
-        h.access(0, 0x5_0000, AccessKind::Read);
-        assert_eq!(h.distinct_lines_in_l2_set(0, set), 0, "off by default");
-        h.enable_conflict_tracking();
-        // Two conflicting lines in the same L2 set (stride = sets * line size), filed
-        // there under their slots; a refill of a line already counted adds nothing.
-        h.access(0, 0x5_0000 + stride, AccessKind::Read);
-        h.access(0, 0x5_0000 + 2 * stride, AccessKind::Read);
-        h.access(1, 0x5_0000 + stride, AccessKind::Write);
-        h.access(0, 0x5_0000 + stride, AccessKind::Read);
-        assert_eq!(h.distinct_lines_in_l2_set(0, set), 2);
-        assert_eq!(h.distinct_lines_in_l2_set(1, set), 1);
-        assert_eq!(h.distinct_lines_in_l2_set(0, set + 1), 0);
-        assert!(h.l1.iter().all(SetAssocCache::conflict_tracking_enabled));
-        assert!(h.l2.iter().all(SetAssocCache::conflict_tracking_enabled));
-        assert!(h.l3.conflict_tracking_enabled());
-        h.check_coherence_invariants().unwrap();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The line directory and the line set: flat tables keyed by cache-line address.
+//! The line directory: a flat table keyed by cache-line address.
 //!
 //! The per-access hot path of the hierarchy needs three pieces of per-line bookkeeping
 //! (directory sharers/owner, invalidation notes, touched bits).  Storing them in
@@ -15,18 +15,11 @@
 //!   to zero but the line's history remains useful for miss classification,
 //! * zero allocation per access in the steady state: the table only grows (amortized)
 //!   when a previously-unseen line is inserted.
-//!
-//! [`LineSet`] is membership only — open-addressed keys, no payload — used by the
-//! opt-in conflict tracker in [`crate::SetAssocCache`].
 
 use crate::{CoreId, CoreMask, LineAddr, MissKind};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 
-/// [`LineSet`]'s "this slot is empty".  Real line addresses never reach this value: it
-/// would require a byte address above 2^70.
-const EMPTY: LineAddr = LineAddr::MAX;
-
-/// Initial capacity (index positions of a table, slots of a set); a power of two.
+/// Initial capacity of a table's index, in positions; a power of two.
 const INITIAL_CAPACITY: usize = 1024;
 
 /// Grow when `len * 4 > capacity * 3` (75 % load factor).
@@ -371,109 +364,6 @@ fn slot_plus_one(slot: usize) -> u32 {
     slot1.expect("a directory holds fewer than 2^32 - 1 lines")
 }
 
-/// Linear probe over a power-of-two key array (`mask = len - 1`): `Ok(slot)` if `line`
-/// is present, `Err(empty_slot)` where it would be inserted.  [`LineSet`]'s lookups,
-/// inserts and rehash-on-grow all route through it.
-#[inline]
-fn probe(keys: &[LineAddr], mask: usize, line: LineAddr) -> Result<usize, usize> {
-    let mut i = (mix(line) as usize) & mask;
-    loop {
-        let k = keys[i];
-        if k == line {
-            return Ok(i);
-        }
-        if k == EMPTY {
-            return Err(i);
-        }
-        i = (i + 1) & mask;
-    }
-}
-
-/// A membership-only open-addressed set of line addresses.
-#[derive(Debug, Clone)]
-pub struct LineSet {
-    keys: Vec<LineAddr>,
-    mask: usize,
-    len: usize,
-}
-
-impl Default for LineSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LineSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        LineSet {
-            keys: vec![EMPTY; INITIAL_CAPACITY],
-            mask: INITIAL_CAPACITY - 1,
-            len: 0,
-        }
-    }
-
-    /// Number of distinct lines recorded.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts `line`; returns `true` if it was not already present.  Only grows the
-    /// set on an actual insertion, never on a re-insert of a known line.
-    #[inline]
-    pub fn insert(&mut self, line: LineAddr) -> bool {
-        debug_assert_ne!(line, EMPTY, "line address collides with the empty sentinel");
-        match probe(&self.keys, self.mask, line) {
-            Ok(_) => false,
-            Err(mut i) => {
-                if needs_grow(self.len + 1, self.keys.len()) {
-                    self.grow();
-                    i = probe(&self.keys, self.mask, line)
-                        .expect_err("line cannot appear during growth");
-                }
-                self.keys[i] = line;
-                self.len += 1;
-                true
-            }
-        }
-    }
-
-    /// True if `line` has been inserted.
-    #[inline]
-    pub fn contains(&self, line: LineAddr) -> bool {
-        probe(&self.keys, self.mask, line).is_ok()
-    }
-
-    /// Removes all elements, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.keys.len() * std::mem::size_of::<LineAddr>()
-    }
-
-    fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        self.mask = new_cap - 1;
-        for k in old_keys {
-            if k == EMPTY {
-                continue;
-            }
-            let i = probe(&self.keys, self.mask, k).expect_err("keys are unique");
-            self.keys[i] = k;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,22 +621,5 @@ mod tests {
         assert_eq!(e.owner_core(), Some(7));
         e.set_owner(None);
         assert_eq!(e.owner_core(), None);
-    }
-
-    #[test]
-    fn set_insert_contains_clear() {
-        let mut s = LineSet::new();
-        assert!(s.insert(9));
-        assert!(!s.insert(9));
-        assert!(s.contains(9));
-        assert!(!s.contains(10));
-        for i in 0..5_000u64 {
-            s.insert(i * 3);
-        }
-        assert_eq!(s.len(), 5_000); // 9 is a multiple of 3
-        assert!(s.contains(4_998 * 3 / 3 * 3));
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.contains(9));
     }
 }

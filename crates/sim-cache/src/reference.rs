@@ -1,17 +1,13 @@
 //! The retained reference implementation of the cache hierarchy.
 //!
-//! This is the seed (pre-optimization) model kept verbatim: `Vec<Option<CacheLine>>`
-//! slots with per-set `HashSet` distinct-line tracking, and a `HashMap`-based directory
-//! plus per-core `departures`/`touched` maps.  It exists for two reasons:
+//! This is the seed (pre-optimization) model kept verbatim, less its per-set
+//! distinct-line sets: `Vec<Option<CacheLine>>` slots, and a `HashMap`-based directory
+//! plus per-core `departures`/`touched` maps.  It is an **oracle**: the property tests
+//! replay randomized access streams, and `dprof-bench`'s tests the quick grid's
+//! workload streams, through this model and the optimized [`crate::CacheHierarchy`],
+//! and require identical [`AccessOutcome`] sequences and final statistics.
 //!
-//! 1. **Oracle** — the property tests replay randomized access streams through this
-//!    model and the optimized [`crate::CacheHierarchy`] and require byte-identical
-//!    [`AccessOutcome`] sequences and final statistics.
-//! 2. **Baseline** — `dprof-bench` measures both implementations so
-//!    `BENCH_throughput.json` records the speedup.
-//!
-//! It is not part of the supported API surface and may lag behind the optimized
-//! implementation's extended introspection features.
+//! It is not part of the supported API surface.
 
 #![allow(missing_docs)]
 // The module is the seed code kept verbatim (see above); lint-driven rewrites would
@@ -56,14 +52,13 @@ pub enum LookupResult {
     Miss,
 }
 
-/// The seed set-associative cache: option-wrapped lines, always-on distinct tracking.
+/// The seed set-associative cache: option-wrapped lines and fill stamps.
 #[derive(Debug, Clone)]
 pub struct RefSetAssocCache {
     geometry: CacheGeometry,
     slots: Vec<Option<CacheLine>>,
     tick: u64,
     pub stats: CacheStats,
-    distinct_per_set: Vec<HashSet<LineAddr>>,
 }
 
 impl RefSetAssocCache {
@@ -74,7 +69,6 @@ impl RefSetAssocCache {
             slots: vec![None; slot_count],
             tick: 0,
             stats: CacheStats::default(),
-            distinct_per_set: vec![HashSet::new(); geometry.sets],
         }
     }
 
@@ -131,7 +125,6 @@ impl RefSetAssocCache {
     pub fn fill(&mut self, line: LineAddr, state: MesiState) -> Option<CacheLine> {
         let now = self.bump();
         let range = self.set_range(line);
-        self.distinct_per_set[self.geometry.set_index_of_line(line)].insert(line);
 
         for slot in &mut self.slots[range.clone()] {
             if let Some(l) = slot {
@@ -182,15 +175,8 @@ impl RefSetAssocCache {
         self.slots.iter().flatten()
     }
 
-    pub fn distinct_lines_in_set(&self, set: usize) -> usize {
-        self.distinct_per_set[set].len()
-    }
-
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-        for s in &mut self.distinct_per_set {
-            s.clear();
-        }
     }
 }
 

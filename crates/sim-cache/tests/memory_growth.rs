@@ -2,12 +2,9 @@
 //! `distinct_per_set: Vec<HashSet<LineAddr>>` grew by one entry (plus hashing overhead)
 //! for every distinct line ever installed, even when no analysis wanted the data.
 
-use sim_cache::{
-    AccessKind, CacheGeometry, CacheHierarchy, HierarchyConfig, MesiState, SetAssocCache,
-};
+use sim_cache::{AccessKind, CacheHierarchy, HierarchyConfig};
 
-/// Streaming workload over a hierarchy: its caches retain nothing per distinct line
-/// (the hierarchy builds them without a conflict tracker, and has no way to add one).
+/// Streaming workload over a hierarchy: its caches retain nothing per distinct line.
 #[test]
 fn streaming_workload_retains_no_distinct_line_tracking() {
     let mut h = CacheHierarchy::new(HierarchyConfig::small_test());
@@ -18,27 +15,6 @@ fn streaming_workload_retains_no_distinct_line_tracking() {
         h.access(0, i * 64, AccessKind::Read);
     }
     assert_eq!(h.cache_heap_bytes(), empty);
-}
-
-/// When tracking is requested, the compact structure stays within a small constant
-/// factor of the information-theoretic minimum (8 bytes per distinct line).
-#[test]
-fn opt_in_tracking_is_compact_and_exact() {
-    let geom = CacheGeometry::new(64, 4, 64);
-    let mut c = SetAssocCache::<u64>::with_conflict_tracking(geom);
-    let n = 50_000u64;
-    for i in 0..n {
-        c.fill(geom.set_index_of_line(i), i, MesiState::Exclusive);
-    }
-    let total: usize = (0..geom.sets).map(|s| c.distinct_lines_in_set(s)).sum();
-    assert_eq!(total as u64, n, "tracking must stay exact");
-    // Open addressing at <=75% load with 8-byte keys: at most ~24 bytes per line even
-    // right after a growth doubling, far below the seed's HashSet-per-set overhead.
-    let bytes = c.conflict_tracking_bytes();
-    assert!(
-        bytes <= 24 * n as usize,
-        "tracker uses {bytes} bytes for {n} lines"
-    );
 }
 
 /// The simulator's own tables are sized by what a session touched: after 100 000

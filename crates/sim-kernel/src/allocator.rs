@@ -425,11 +425,6 @@ impl SlabAllocator {
         idx
     }
 
-    /// Number of pages-worth of address space handed out so far (a proxy for RSS).
-    pub fn pages_used(&self) -> u64 {
-        (self.page_cursor - HEAP_BASE) / PAGE_SIZE
-    }
-
     /// The address-set log of every allocation seen so far.
     pub fn address_set(&self) -> &[AllocRecord] {
         &self.records

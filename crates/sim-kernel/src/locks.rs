@@ -26,17 +26,6 @@ pub struct LockStats {
     pub callers: HashMap<FunctionId, u64>,
 }
 
-impl LockStats {
-    /// Fraction of acquisitions that contended.
-    pub fn contention_ratio(&self) -> f64 {
-        if self.acquisitions == 0 {
-            0.0
-        } else {
-            self.contentions as f64 / self.acquisitions as f64
-        }
-    }
-}
-
 /// A kernel spinlock.
 ///
 /// The simulation is single-threaded, so "contention" is modelled with a busy-until
@@ -109,11 +98,6 @@ impl KLock {
         self.stats.hold_cycles += hold;
         self.busy_until = now;
         self.held = false;
-    }
-
-    /// True if currently held.
-    pub fn is_held(&self) -> bool {
-        self.held
     }
 }
 

@@ -125,18 +125,6 @@ impl NetDevice {
     pub fn total_backlog(&self) -> usize {
         self.tx_queues.iter().map(|q| q.backlog()).sum()
     }
-
-    /// Fraction of enqueues that landed on a queue not owned by the enqueuing core.
-    /// This is the direct observable for the §6.1 bug: ~(N-1)/N under the hash policy,
-    /// 0 under the local policy.
-    pub fn remote_enqueue_fraction(&self, remote_enqueues: u64) -> f64 {
-        let total: u64 = self.tx_queues.iter().map(|q| q.enqueued).sum();
-        if total == 0 {
-            0.0
-        } else {
-            remote_enqueues as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

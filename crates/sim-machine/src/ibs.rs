@@ -376,12 +376,6 @@ impl IbsUnit {
     pub fn buffered(&self) -> usize {
         self.buffer.len()
     }
-
-    /// Memory used by buffered samples, in bytes (the thesis reports 88 bytes per
-    /// access sample; our in-memory record is close to that).
-    pub fn buffered_bytes(&self) -> usize {
-        self.buffer.len() * std::mem::size_of::<IbsRecord>()
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use crate::watchpoint::{WatchpointError, WatchpointId, WatchpointUnit};
 use serde::{Deserialize, Serialize};
 use sim_cache::{
     granule_mask, AccessKind, AccessOutcome, CacheHierarchy, CoreId, GroundTruthTally,
-    HierarchyConfig, HitLevel, MissKind, UtilizationTally,
+    HierarchyConfig, HitLevel, UtilizationTally,
 };
 use std::collections::HashMap;
 
@@ -171,11 +171,6 @@ impl Machine {
         }
     }
 
-    /// True if ground-truth tallying is active.
-    pub fn ground_truth_active(&self) -> bool {
-        self.ground_truth.is_some()
-    }
-
     /// Detaches and returns the ground-truth tally (`None` if tallying was never
     /// enabled).  Tallying stops.  The embedded utilization tally is finalized (open
     /// line residencies are flushed) so its counters are consistent.
@@ -196,11 +191,6 @@ impl Machine {
         }
     }
 
-    /// True if the sampled utilization tally is active.
-    pub fn utilization_active(&self) -> bool {
-        self.utilization.is_some()
-    }
-
     /// Detaches and returns the sampled utilization tally, finalized (`None` if it was
     /// never enabled).  Tallying stops.
     pub fn take_utilization(&mut self) -> Option<UtilizationTally> {
@@ -218,11 +208,6 @@ impl Machine {
         if self.session.is_none() {
             self.session = Some(Box::new(SessionRecorder::new()));
         }
-    }
-
-    /// True if session recording is active.
-    pub fn session_recording(&self) -> bool {
-        self.session.is_some()
     }
 
     /// Hands the session events recorded since the last drain to `sink` and empties
@@ -573,11 +558,6 @@ impl Machine {
             map.insert(FunctionId::UNKNOWN, self.unknown_counters);
         }
         map
-    }
-
-    /// Ground-truth count of misses of a given kind observed by the hierarchy.
-    pub fn miss_kind_count(&self, kind: MissKind) -> u64 {
-        self.hierarchy.stats.miss_kind(kind)
     }
 
     /// Resets statistics, clocks, counters and profiling costs, keeping the cache

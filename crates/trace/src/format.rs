@@ -46,29 +46,25 @@ pub const MAGIC: &[u8; 8] = b"DPROFTRC";
 /// policy (fixed interval or adaptive budget).
 pub const VERSION: u16 = 2;
 
-/// What a trace contains, and therefore what it can be used for.
+/// What a trace contains.  A recorded profiling session is the one kind, kind byte 1;
+/// a decoder refuses any other byte at open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A complete recorded profiling session (accesses + computes + allocator events
     /// + round marks): replayable through the full profiler pipeline.
     FullSession,
-    /// Accesses only (e.g. a `dprof-bench` workload capture): replayable against a
-    /// cache hierarchy, but not through the profiler.
-    AccessOnly,
 }
 
 impl TraceKind {
     fn to_byte(self) -> u8 {
         match self {
             TraceKind::FullSession => 1,
-            TraceKind::AccessOnly => 2,
         }
     }
 
     pub(crate) fn from_byte(b: u8) -> Result<Self, TraceError> {
         match b {
             1 => Ok(TraceKind::FullSession),
-            2 => Ok(TraceKind::AccessOnly),
             other => Err(TraceError::Corrupt(format!("unknown trace kind {other}"))),
         }
     }
@@ -660,7 +656,7 @@ pub(crate) mod tests_support {
                 })
                 .collect::<Result<_, TraceError>>()?;
             Ok(TraceFile {
-                kind: r.kind,
+                kind: TraceKind::FullSession,
                 machine: r.machine,
                 params: r.params.clone(),
                 streams,

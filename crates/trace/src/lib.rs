@@ -34,8 +34,8 @@
 //!   [`available_workers`] threads; results come back in job order as [`ThreadRun`]s,
 //!   which [`ThreadRun::shard`] turns into the shards every merge folds.
 //! * [`mod@line`] — lowering of session events to per-cache-line
-//!   [`sim_cache::TraceEvent`] streams, used by `dprof-bench` to replay captured
-//!   workloads against alternative hierarchy implementations.
+//!   [`sim_cache::TraceEvent`] streams, which `dprof-bench`'s core-count grid replays
+//!   through a bare hierarchy.
 //! * [`mod@whatif`] — counterfactual transforms: replay a recorded stream against a
 //!   hypothetical memory layout (`pad`/`localize`/`pin`/`shrink` fixes) and measure
 //!   the makespan delta, the engine behind `dprof whatif`.

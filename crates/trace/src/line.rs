@@ -3,34 +3,18 @@
 //! The cache hierarchy consumes one access per line ([`CacheHierarchy::access`]
 //! asserts single-line accesses); the machine splits multi-line requests at line
 //! boundaries.  This module replicates that split so a recorded machine-level stream
-//! can drive a bare hierarchy — which is exactly what `dprof-bench` does when it
-//! replays `.dtrace` workload captures against the reference and optimized
-//! implementations.
+//! can drive a bare hierarchy — which is what `dprof-bench`'s core-count grid does
+//! with each round of a workload's recorded session.
 //!
 //! [`CacheHierarchy::access`]: sim_cache::CacheHierarchy::access
 
 use sim_cache::TraceEvent;
 use sim_machine::SessionEvent;
 
-/// Converts a session-event stream into the per-line [`TraceEvent`] stream the
-/// hierarchy-level replay consumes, splitting multi-line accesses exactly as
-/// `Machine::access` does.  Non-access events are skipped.
-pub fn session_to_line_events(events: &[SessionEvent], line_size: u64) -> Vec<TraceEvent> {
-    assert!(
-        line_size.is_power_of_two() && line_size > 0,
-        "line size must be a power of two"
-    );
-    let mut out = Vec::with_capacity(events.len());
-    for ev in events {
-        push_line_events(ev, line_size, &mut out);
-    }
-    out
-}
-
-/// Appends the per-line accesses of one session event to `out` (non-access events
-/// append nothing).  This is the per-event core of [`session_to_line_events`],
-/// exposed so streaming consumers can lower events as they decode instead of
-/// materializing the session stream first.
+/// Appends the per-line accesses of one session event to `out`, splitting a
+/// multi-line access exactly as `Machine::access` does (non-access events append
+/// nothing).  Consumers lower events as they decode or drain them, so the session
+/// stream is never materialized.
 pub fn push_line_events(ev: &SessionEvent, line_size: u64, out: &mut Vec<TraceEvent>) {
     let SessionEvent::Access {
         core,
@@ -62,6 +46,14 @@ mod tests {
     use sim_cache::AccessKind;
     use sim_machine::FunctionId;
 
+    fn lower(events: &[SessionEvent]) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
+        for ev in events {
+            push_line_events(ev, 64, &mut out);
+        }
+        out
+    }
+
     #[test]
     fn spanning_access_splits_at_line_boundaries() {
         let events = vec![
@@ -81,7 +73,7 @@ mod tests {
                 kind: AccessKind::Read,
             },
         ];
-        let lines = session_to_line_events(&events, 64);
+        let lines = lower(&events);
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].addr, 0x1038);
         assert_eq!(lines[1].addr, 0x1040);
@@ -99,7 +91,7 @@ mod tests {
             len: 128,
             kind: AccessKind::Read,
         }];
-        let lines = session_to_line_events(&events, 64);
+        let lines = lower(&events);
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].addr, 0x1000);
         assert_eq!(lines[1].addr, 0x1040);

@@ -23,7 +23,7 @@
 //! recorded event meets the machine and kernel, and `fan_out`, the one bounded pool of
 //! worker threads every set of independent replays runs on.
 
-use crate::format::{ThreadRun, TraceKind};
+use crate::format::ThreadRun;
 use crate::source::TraceSource;
 use crate::TraceError;
 use dprof_core::{Dprof, DprofConfig};
@@ -311,15 +311,8 @@ pub fn fan_out<T: Send>(
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// The number of streams of a full-session trace, or why it cannot be replayed.
+/// The number of streams of a trace, or why it cannot be replayed.
 pub fn session_streams(source: &impl TraceSource) -> Result<usize, String> {
-    if source.kind() != TraceKind::FullSession {
-        return Err(
-            "trace is access-only (e.g. a bench capture); replay and what-if analysis need a \
-             full-session trace"
-                .into(),
-        );
-    }
     match source.stream_count() {
         0 => Err("trace contains no streams".into()),
         streams => Ok(streams),

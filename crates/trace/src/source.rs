@@ -9,7 +9,7 @@
 //! replay, measurement and analysis function in this crate is generic over
 //! [`TraceSource`], so each exists once.
 
-use crate::format::{SessionParams, TraceFile, TraceKind, TypeDump};
+use crate::format::{SessionParams, TraceFile, TypeDump};
 use crate::stream::{EventReader, TraceReader};
 use crate::TraceError;
 use sim_machine::{MachineConfig, SessionEvent};
@@ -32,8 +32,6 @@ pub struct StreamInfo<'a> {
 /// A recorded trace whose streams can be walked event by event.  `Sync`, because
 /// replay walks the streams on parallel worker threads.
 pub trait TraceSource: Sync {
-    /// What the trace contains.
-    fn kind(&self) -> TraceKind;
     /// Machine configuration shared by all streams.
     fn machine(&self) -> MachineConfig;
     /// Session parameters.
@@ -50,10 +48,6 @@ pub trait TraceSource: Sync {
 }
 
 impl TraceSource for TraceReader {
-    fn kind(&self) -> TraceKind {
-        self.kind
-    }
-
     fn machine(&self) -> MachineConfig {
         self.machine
     }
@@ -86,10 +80,6 @@ impl TraceSource for TraceReader {
 }
 
 impl TraceSource for TraceFile {
-    fn kind(&self) -> TraceKind {
-        self.kind
-    }
-
     fn machine(&self) -> MachineConfig {
         self.machine
     }

@@ -198,8 +198,6 @@ pub struct StreamHeader {
 #[derive(Debug)]
 pub struct TraceReader {
     path: String,
-    /// What the trace contains.
-    pub kind: TraceKind,
     /// Machine configuration shared by all streams.
     pub machine: MachineConfig,
     /// Session parameters.
@@ -230,7 +228,7 @@ impl TraceReader {
         if version != VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let kind = TraceKind::from_byte(r.read_byte()?)?;
+        TraceKind::from_byte(r.read_byte()?)?;
 
         // The machine and params sections are a few dozen bytes; parse them from one
         // buffered view rather than duplicating their field walks here.
@@ -281,7 +279,6 @@ impl TraceReader {
         params.check(&machine, headers.iter().map(|h| h.event_count).min())?;
         Ok(TraceReader {
             path: path.to_string(),
-            kind,
             machine,
             params,
             headers,
@@ -742,7 +739,6 @@ mod tests {
         );
 
         let reader = TraceReader::open(&path).unwrap();
-        assert_eq!(reader.kind, file.kind);
         assert_eq!(reader.params, file.params);
         assert_eq!(reader.stream_count(), file.streams.len());
         for (i, s) in file.streams.iter().enumerate() {

@@ -36,7 +36,7 @@ fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
             })
             .collect::<Result<_, TraceError>>()?;
         Ok(TraceFile {
-            kind: r.kind,
+            kind: TraceKind::FullSession,
             machine: r.machine,
             params: r.params.clone(),
             streams,

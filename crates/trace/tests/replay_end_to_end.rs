@@ -5,8 +5,8 @@
 //! encode/decode round trip of the trace bytes through a file on disk.
 
 use dprof_trace::{
-    profile_window, replay_all_streaming, replay_stream_streaming, EventEncoder, RecordedStream,
-    SessionParams, ThreadRun, TraceFile, TraceKind, TraceReader,
+    profile_window, replay_stream_streaming, EventEncoder, RecordedStream, SessionParams,
+    ThreadRun, TraceFile, TraceKind, TraceReader,
 };
 use sim_machine::SamplingPolicy;
 use workloads::{Memcached, MemcachedConfig, Workload};
@@ -180,9 +180,30 @@ fn adaptive_sampled_session_replays_identically() {
     }
 }
 
+/// Kind byte 1 is the only kind: a recorded file with any other byte in its place
+/// (right after the magic and the version) is refused at open, with the byte named.
 #[test]
-fn replay_all_rejects_access_only_traces() {
-    let (_, mut file) = record_live();
-    file.kind = TraceKind::AccessOnly;
-    assert!(replay_all_streaming(&file).is_err());
+fn a_kind_byte_other_than_a_session_is_refused_at_open() {
+    let (_, file) = record_live();
+    let (_, path) = on_disk(&file, "kind_byte");
+    let bytes = std::fs::read(&path).expect("trace reads back");
+    std::fs::remove_file(&path).ok();
+    let at = dprof_trace::format::MAGIC.len() + 2;
+    assert_eq!(bytes[at], 1, "a recorded session's kind byte");
+    for kind in [0u8, 2, 255] {
+        let mut patched = bytes.clone();
+        patched[at] = kind;
+        let path = std::env::temp_dir().join(format!(
+            "dprof_replay_{}_kind_{kind}.dtrace",
+            std::process::id()
+        ));
+        std::fs::write(&path, &patched).expect("patched trace writes");
+        let opened = TraceReader::open(path.to_str().unwrap());
+        std::fs::remove_file(&path).ok();
+        let error = opened.expect_err("a trace of an unknown kind opens");
+        assert_eq!(
+            error.to_string(),
+            format!("corrupt trace: unknown trace kind {kind}")
+        );
+    }
 }
