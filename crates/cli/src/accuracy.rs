@@ -12,6 +12,7 @@
 
 use crate::args::{AccuracyOptions, Format};
 use crate::driver::{run_parallel, ThreadRun};
+use dprof::core::merge::ShardUtilizationRow;
 use dprof::core::schema::Json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -209,7 +210,7 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
     // side — exact from the ground-truth tally, sampled from the profile's
     // utilization view — and compare the wasted-byte rankings the same way.
     let pool_utilization = |per_type: &mut HashMap<String, (u64, u64)>,
-                            rows: &[dprof::core::UtilizationRow]| {
+                            rows: &[ShardUtilizationRow]| {
         for row in rows {
             let e = per_type.entry(row.name.clone()).or_insert((0, 0));
             e.0 += row.slots_fetched;

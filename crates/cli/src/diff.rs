@@ -4,7 +4,7 @@
 
 use crate::args::{DiffOptions, Format};
 use dprof::core::report::diff::{diff, ReportDiff, ReportSummary};
-use dprof::core::schema::{Json, JsonOf, JsonRef};
+use dprof::core::schema::{report_summary_from_json, Json, JsonRef};
 use std::fmt::Write as _;
 
 /// JSON schema identifier of the diff document.
@@ -19,15 +19,7 @@ pub fn load_summary(path: &str) -> Result<ReportSummary, String> {
     let doc = JsonRef::parse(&text).map_err(|e| {
         format!("'{path}' is not valid JSON ({e}); expected a dprof -f json report")
     })?;
-    summary_from_report(&doc).map_err(|e| format!("'{path}': {e}"))
-}
-
-/// Reduces a parsed `dprof-report/v1` document to a [`ReportSummary`].
-///
-/// The parsing itself lives in `dprof-core::schema` (shared with `dprof serve`);
-/// this wrapper keeps the historical CLI-side name.
-pub fn summary_from_report<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<ReportSummary, String> {
-    dprof::core::schema::report_summary_from_json(doc)
+    report_summary_from_json(&doc).map_err(|e| format!("'{path}': {e}"))
 }
 
 /// The top-ranked candidate of a `dprof-whatif/v1` document, attached to a diff via
@@ -383,7 +375,7 @@ mod tests {
     #[test]
     fn summary_round_trips_from_report_json() {
         let doc = report_doc(&[("skbuff", 60.0, 600), ("payload", 40.0, 400)]);
-        let summary = summary_from_report(&doc).unwrap();
+        let summary = report_summary_from_json(&doc).unwrap();
         assert_eq!(summary.types.len(), 2);
         let skb = summary.get("skbuff").unwrap();
         assert_eq!(skb.pct_of_l1_misses, 60.0);
@@ -394,13 +386,15 @@ mod tests {
     #[test]
     fn schema_mismatch_and_missing_sections_are_rejected() {
         let bad = Json::obj(vec![("schema", Json::str("other/v9"))]);
-        assert!(summary_from_report(&bad).unwrap_err().contains("other/v9"));
+        assert!(report_summary_from_json(&bad)
+            .unwrap_err()
+            .contains("other/v9"));
         let none = Json::obj(vec![("hello", Json::num(1u32))]);
-        assert!(summary_from_report(&none)
+        assert!(report_summary_from_json(&none)
             .unwrap_err()
             .contains("missing 'schema'"));
         let no_profile = Json::obj(vec![("schema", Json::str(crate::render::SCHEMA))]);
-        assert!(summary_from_report(&no_profile)
+        assert!(report_summary_from_json(&no_profile)
             .unwrap_err()
             .contains("data_profile"));
     }
@@ -408,7 +402,7 @@ mod tests {
     #[test]
     fn self_diff_renders_neutral_in_both_formats() {
         let doc = report_doc(&[("skbuff", 60.0, 600), ("payload", 40.0, 400)]);
-        let summary = summary_from_report(&doc).unwrap();
+        let summary = report_summary_from_json(&doc).unwrap();
         let d = dprof::core::report::diff::diff(&summary, &summary, None);
         assert!(d.is_neutral());
         let options = DiffOptions {

@@ -54,7 +54,7 @@ pub struct GroundTruthProfile {
     /// embedded [`sim_cache::UtilizationTally`].  The accuracy harness compares the
     /// sampled utilization rankings against this.
     #[serde(default)]
-    pub utilization: crate::views::UtilizationProfile,
+    pub utilization: crate::merge::ShardUtilization,
 }
 
 impl GroundTruthProfile {
@@ -155,7 +155,7 @@ pub fn resolve_ground_truth(
         total_accesses: tally.total_accesses,
         total_l1_misses: tally.total_l1_misses,
         resolved_l1_misses,
-        utilization: crate::views::UtilizationProfile::default(),
+        utilization: crate::merge::ShardUtilization::default(),
     }
 }
 

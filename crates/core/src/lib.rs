@@ -83,7 +83,6 @@ pub use sample::{aggregate_samples, resolve_samples, AccessSample, SampleKey, Sa
 pub use stats::{mark_rank_stability, wilson95};
 pub use views::{
     build_data_profile, build_utilization, build_working_set, classify_misses, DataFlowEdge,
-    DataFlowGraph, DataFlowNode, DataProfileRow, MissClass, TypeMissClassification, TypeWorkingSet,
-    UtilizationOrigin, UtilizationProfile, UtilizationRow, WorkingSetView,
+    DataFlowGraph, DataFlowNode, DataProfileRow, TypeWorkingSet, WorkingSetView,
 };
 pub use whatif::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};

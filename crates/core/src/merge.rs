@@ -39,7 +39,6 @@
 use crate::profiler::DprofProfile;
 use crate::report::diff::ReportSummary;
 use crate::stats::{mark_rank_stability, wilson95};
-use crate::views::MissClass;
 use sim_cache::line_table::BuildKeyedMixHasher;
 use sim_kernel::TypeId;
 use std::cell::RefCell;
@@ -111,7 +110,8 @@ pub struct ShardMissRow {
 }
 
 impl ShardMissRow {
-    /// The dominant class name of the row's fractions.
+    /// The dominant class name of the row's fractions; on a tie the first maximum in
+    /// the order invalidation, conflict, capacity wins.
     pub fn dominant(&self) -> &'static str {
         let mut best = ("invalidation", self.invalidation);
         for (name, value) in [("conflict", self.conflict), ("capacity", self.capacity)] {
@@ -382,45 +382,8 @@ impl ProfileShard {
                     threads_seen: 1,
                 })
                 .collect(),
-            miss_classification: profile
-                .miss_classification
-                .iter()
-                .map(|row| ShardMissRow {
-                    name: row.name.clone(),
-                    miss_samples: row.miss_samples,
-                    invalidation: row.fraction(MissClass::Invalidation),
-                    conflict: row.fraction(MissClass::Conflict),
-                    capacity: row.fraction(MissClass::Capacity),
-                })
-                .collect(),
-            utilization: ShardUtilization {
-                rows: profile
-                    .utilization
-                    .rows
-                    .iter()
-                    .map(|r| ShardUtilizationRow {
-                        name: r.name.clone(),
-                        description: r.description.clone(),
-                        slots_fetched: r.slots_fetched,
-                        slots_touched: r.slots_touched,
-                        refetch_slots: r.refetch_slots,
-                        wasted_bytes_per_sec: r.wasted_bytes_per_sec,
-                        origins: r
-                            .origins
-                            .iter()
-                            .map(|o| ShardUtilizationOrigin {
-                                origin: o.origin.clone(),
-                                slots_fetched: o.slots_fetched,
-                                slots_touched: o.slots_touched,
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-                total_fetches: profile.utilization.total_fetches,
-                total_refetches: profile.utilization.total_refetches,
-                resolved_slots_fetched: profile.utilization.resolved_slots_fetched,
-                resolved_slots_touched: profile.utilization.resolved_slots_touched,
-            },
+            miss_classification: profile.miss_classification.clone(),
+            utilization: profile.utilization.clone(),
             working_set: ShardWorkingSet {
                 rows: profile
                     .working_set
@@ -1464,6 +1427,43 @@ mod tests {
         assert_eq!(a.wasted_bytes, 8 * (8 * 100 - 2 * 100));
         assert!((a.utilization_pct - 25.0).abs() < 1e-9);
         assert_eq!(summary.rps, report.totals.rps);
+    }
+
+    /// The interval is computed once, here, from counts pooled across shards: it
+    /// brackets the share the report prints, and a clear split ranks firmly while a
+    /// near-tie does not.
+    #[test]
+    fn pooled_intervals_bracket_the_share_and_mark_stability() {
+        let merged =
+            |a: u64, b: u64| merge_shards(&[&shard(0, "a", a, 100.0), &shard(1, "b", b, 100.0)]);
+        let report = merged(30, 1);
+        assert_eq!(report.data_profile[0].l1_miss_samples, 30);
+        for row in &report.data_profile {
+            assert!(
+                row.ci95_low <= row.pct_of_l1_misses && row.pct_of_l1_misses <= row.ci95_high,
+                "{}: CI [{:.2}, {:.2}] must bracket the share {:.2}",
+                row.name,
+                row.ci95_low,
+                row.ci95_high,
+                row.pct_of_l1_misses
+            );
+            assert!(row.rank_stable, "{}: 30 vs 1 ranks firmly", row.name);
+        }
+        for row in &report.utilization.rows {
+            let pct = row.utilization_pct();
+            assert!(
+                row.ci95_low <= pct && pct <= row.ci95_high,
+                "{}: CI [{:.2}, {:.2}] must bracket the utilization {pct:.2}",
+                row.name,
+                row.ci95_low,
+                row.ci95_high
+            );
+        }
+        let report = merged(2, 1);
+        assert!(
+            report.data_profile.iter().all(|row| !row.rank_stable),
+            "2 vs 1 is a near-tie"
+        );
     }
 
     #[test]

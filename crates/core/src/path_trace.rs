@@ -51,26 +51,6 @@ impl PathTrace {
     pub fn has_cpu_change(&self) -> bool {
         self.entries.iter().any(|e| e.cpu_change)
     }
-
-    /// Average miss rate to DRAM or other CPUs' caches along the path (the quantity the
-    /// data-profile view averages over paths, §4.1).
-    pub fn remote_or_dram_fraction(&self) -> f64 {
-        let mut total = 0u64;
-        let mut bad = 0u64;
-        for e in &self.entries {
-            total += e.stats.count;
-            for (name, count) in &e.stats.level_counts {
-                if name == "foreign cache" || name == "DRAM" {
-                    bad += count;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            bad as f64 / total as f64
-        }
-    }
 }
 
 /// Builds path traces for one type from its object access histories and the access
@@ -251,7 +231,6 @@ mod tests {
         assert_eq!(t.entries[0].stats.count, 1);
         assert_eq!(t.entries[1].stats.count, 2);
         assert!(t.entries[1].stats.hit_probability(HitLevel::RemoteCache) > 0.99);
-        assert!(t.remote_or_dram_fraction() > 0.5);
     }
 
     #[test]

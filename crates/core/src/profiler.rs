@@ -4,11 +4,12 @@
 
 use crate::ground_truth::{resolve_ground_truth, GroundTruthProfile};
 use crate::history::{collect_histories, CollectionStats, HistoryConfig, ObjectAccessHistory};
+use crate::merge::{ShardMissRow, ShardUtilization};
 use crate::path_trace::{build_path_traces, PathTrace};
 use crate::sample::{resolve_samples, AccessSample};
 use crate::views::{
     build_data_profile, build_utilization, build_working_set, classify_misses, DataFlowGraph,
-    DataProfileRow, TypeMissClassification, UtilizationProfile, WorkingSetView,
+    DataProfileRow, WorkingSetView,
 };
 use serde::{Deserialize, Serialize};
 use sim_kernel::{KernelState, TypeId};
@@ -60,7 +61,7 @@ pub struct DprofProfile {
     /// The working-set view.
     pub working_set: WorkingSetView,
     /// The miss-classification view.
-    pub miss_classification: Vec<TypeMissClassification>,
+    pub miss_classification: Vec<ShardMissRow>,
     /// Path traces per profiled type.
     pub path_traces: HashMap<TypeId, Vec<PathTrace>>,
     /// Data-flow graphs per profiled type.
@@ -80,7 +81,7 @@ pub struct DprofProfile {
     /// The sampled line-utilization view (always collected; residencies are followed
     /// when their fill coincided with an IBS sample).
     #[serde(default)]
-    pub utilization: UtilizationProfile,
+    pub utilization: ShardUtilization,
 }
 
 impl DprofProfile {
@@ -293,7 +294,7 @@ pub struct SamplePhase {
     /// The exact per-type profile, when ground truth was collected.
     pub ground_truth: Option<GroundTruthProfile>,
     /// The sampled line-utilization view of the phase.
-    pub utilization: UtilizationProfile,
+    pub utilization: ShardUtilization,
 }
 
 /// The most frequently sampled 8-byte-aligned offsets of a type, largest first.

@@ -3,10 +3,10 @@
 
 pub mod diff;
 
+use crate::merge::{ShardMissRow, ShardUtilizationRow};
 use crate::path_trace::PathTrace;
 use crate::profiler::DprofProfile;
-use crate::views::miss_class::MissClass;
-use crate::views::{DataProfileRow, TypeMissClassification, UtilizationRow, WorkingSetView};
+use crate::views::{DataProfileRow, WorkingSetView};
 use sim_machine::SymbolTable;
 use std::fmt::Write as _;
 
@@ -117,7 +117,7 @@ pub fn render_working_set(view: &WorkingSetView, top: usize) -> String {
 }
 
 /// Renders the miss-classification view.
-pub fn render_miss_classification(rows: &[TypeMissClassification], top: usize) -> String {
+pub fn render_miss_classification(rows: &[ShardMissRow], top: usize) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -129,13 +129,13 @@ pub fn render_miss_classification(rows: &[TypeMissClassification], top: usize) -
     for r in rows.iter().take(top) {
         writeln!(
             out,
-            "{:<16} {:>10} {:>13.1}% {:>9.1}% {:>9.1}%  {:?}",
+            "{:<16} {:>10} {:>13.1}% {:>9.1}% {:>9.1}%  {}",
             r.name,
             r.miss_samples,
-            100.0 * r.fraction(MissClass::Invalidation),
-            100.0 * r.fraction(MissClass::Conflict),
-            100.0 * r.fraction(MissClass::Capacity),
-            r.dominant
+            100.0 * r.invalidation,
+            100.0 * r.conflict,
+            100.0 * r.capacity,
+            r.dominant()
         )
         .unwrap();
     }
@@ -143,28 +143,27 @@ pub fn render_miss_classification(rows: &[TypeMissClassification], top: usize) -
 }
 
 /// Renders the line-utilization view: types ranked by the bandwidth wasted on
-/// fetched-but-untouched bytes.
-pub fn render_utilization(rows: &[UtilizationRow], top: usize) -> String {
+/// fetched-but-untouched bytes.  A per-thread row carries counts only; the merged
+/// report's renderer adds the pooled interval and rank mark.
+pub fn render_utilization(rows: &[ShardUtilizationRow], top: usize) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "{:<16} {:>8} {:>15} {:>12} {:>12} {:>9}  Origin",
-        "Type name", "Util%", "95% CI", "Wasted", "Wasted/s", "Re-fetch"
+        "{:<16} {:>8} {:>12} {:>12} {:>9}  Origin",
+        "Type name", "Util%", "Wasted", "Wasted/s", "Re-fetch"
     )
     .unwrap();
-    writeln!(out, "{}", "-".repeat(92)).unwrap();
+    writeln!(out, "{}", "-".repeat(76)).unwrap();
     for r in rows.iter().take(top) {
         let origin = r.origins.first().map(|o| o.origin.as_str()).unwrap_or("-");
         writeln!(
             out,
-            "{:<16} {:>7.1}% [{:>5.1}, {:>5.1}] {:>12} {:>10}/s {:>8.1}%  {}",
+            "{:<16} {:>7.1}% {:>12} {:>10}/s {:>8.1}%  {}",
             r.name,
-            r.utilization_pct,
-            r.ci95_low,
-            r.ci95_high,
-            format_bytes(r.wasted_bytes as f64),
+            r.utilization_pct(),
+            format_bytes(r.wasted_bytes() as f64),
             format_bytes(r.wasted_bytes_per_sec),
-            100.0 * r.refetch_ratio,
+            100.0 * r.refetch_ratio(),
             origin
         )
         .unwrap();
@@ -216,8 +215,8 @@ pub fn render_path_trace(trace: &PathTrace, symbols: &SymbolTable) -> String {
 }
 
 /// Renders a complete profile: data profile, working set, miss classification, and the
-/// core-crossing summary of every collected data-flow graph.
-pub fn render_profile(profile: &DprofProfile, _symbols: &SymbolTable, top: usize) -> String {
+/// core-crossing summary of every collected data-flow graph, by type name.
+pub fn render_profile(profile: &DprofProfile, top: usize) -> String {
     let mut out = String::new();
     writeln!(out, "=== Data profile ===").unwrap();
     out.push_str(&render_data_profile(&profile.data_profile, top));
@@ -231,13 +230,21 @@ pub fn render_profile(profile: &DprofProfile, _symbols: &SymbolTable, top: usize
     writeln!(out, "\n=== Line utilization ===").unwrap();
     out.push_str(&render_utilization(&profile.utilization.rows, top));
     writeln!(out, "\n=== Data flow (core crossings) ===").unwrap();
-    for (ty, graph) in &profile.data_flows {
-        let name = profile
-            .data_profile
-            .iter()
-            .find(|r| r.type_id == *ty)
-            .map(|r| r.name.clone())
-            .unwrap_or_else(|| format!("type#{}", ty.0));
+    let mut flows: Vec<_> = profile
+        .data_flows
+        .iter()
+        .map(|(ty, graph)| {
+            let name = profile
+                .data_profile
+                .iter()
+                .find(|r| r.type_id == *ty)
+                .map(|r| r.name.clone())
+                .unwrap_or_else(|| format!("type#{}", ty.0));
+            (name, graph)
+        })
+        .collect();
+    flows.sort_by(|a, b| a.0.cmp(&b.0));
+    for (name, graph) in flows {
         let crossings = graph.cpu_crossing_edges();
         if crossings.is_empty() {
             writeln!(out, "{name}: no core transitions observed").unwrap();
@@ -287,9 +294,6 @@ mod tests {
             bounce: true,
             samples: 1000,
             l1_miss_samples: 454,
-            ci95_low: 42.4,
-            ci95_high: 48.5,
-            rank_stable: true,
         }];
         let t = render_data_profile(&rows, 10);
         assert!(t.contains("size-1024"));

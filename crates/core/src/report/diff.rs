@@ -9,24 +9,14 @@
 //! threshold-based [`Verdict`] on the focus type ("bottleneck eliminated / moved /
 //! unchanged").
 //!
-//! [`ReportSummary`] is deliberately name-keyed and self-contained: it can be built
-//! from an in-process [`DprofProfile`] (the scenario-oracle harness does this) or
-//! parsed back out of a `dprof-report/v1` JSON document (the `dprof diff` subcommand
-//! does that), so recorded reports from different machines remain comparable.
+//! [`ReportSummary`] is deliberately name-keyed and self-contained: it is built from a
+//! merged report ([`summary_from_merged`](crate::merge::summary_from_merged), what
+//! `dprof serve` and the oracle harnesses use) or parsed back out of a
+//! `dprof-report/v1` JSON document (`schema::report_summary_from_json`, what the
+//! `dprof diff` subcommand uses), so recorded reports from different machines remain
+//! comparable.
 
-use crate::profiler::DprofProfile;
-use crate::views::miss_class::MissClass;
 use serde::{Deserialize, Serialize};
-
-/// Spelling of a miss class as it appears in reports ("invalidation" / "conflict" /
-/// "capacity").
-pub fn miss_class_key(class: MissClass) -> &'static str {
-    match class {
-        MissClass::Invalidation => "invalidation",
-        MissClass::Conflict => "conflict",
-        MissClass::Capacity => "capacity",
-    }
-}
 
 /// Everything the diff needs to know about one data type in one report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,101 +84,13 @@ pub struct ReportSummary {
     /// One row per type, in no particular order (the diff never depends on it).
     pub types: Vec<TypeSummary>,
     /// Aggregate request throughput (requests per simulated second) of the run the
-    /// report came from, or 0 when unknown (e.g. a summary built from a bare
-    /// profile).  When both sides of a diff carry it, the diff reports the realized
+    /// report came from, or 0 when unknown (e.g. a shard whose producer counted no
+    /// requests).  When both sides of a diff carry it, the diff reports the realized
     /// gain — the counterpart to the what-if engine's predicted gain.
     pub rps: f64,
 }
 
 impl ReportSummary {
-    /// Builds the summary straight from an in-process profile.
-    pub fn from_profile(profile: &DprofProfile) -> ReportSummary {
-        let mut types: Vec<TypeSummary> = profile
-            .data_profile
-            .iter()
-            .map(|row| {
-                let class = profile
-                    .miss_classification
-                    .iter()
-                    .find(|c| c.type_id == row.type_id);
-                let crossings = profile
-                    .data_flows
-                    .get(&row.type_id)
-                    .map(|g| g.cpu_crossing_edges().iter().map(|e| e.count).sum())
-                    .unwrap_or(0);
-                let ws = profile
-                    .working_set
-                    .for_type(row.type_id)
-                    .map(|t| t.avg_live_bytes)
-                    .unwrap_or(row.working_set_bytes);
-                let util = profile
-                    .utilization
-                    .rows
-                    .iter()
-                    .find(|u| u.type_id == row.type_id);
-                TypeSummary {
-                    name: row.name.clone(),
-                    pct_of_l1_misses: row.pct_of_l1_misses,
-                    miss_samples: class.map(|c| c.miss_samples).unwrap_or(0),
-                    bounce: row.bounce,
-                    working_set_bytes: ws,
-                    invalidation: class
-                        .map(|c| c.fraction(MissClass::Invalidation))
-                        .unwrap_or(0.0),
-                    conflict: class
-                        .map(|c| c.fraction(MissClass::Conflict))
-                        .unwrap_or(0.0),
-                    capacity: class
-                        .map(|c| c.fraction(MissClass::Capacity))
-                        .unwrap_or(0.0),
-                    dominant_miss: class.map(|c| miss_class_key(c.dominant).to_string()),
-                    core_crossings: crossings,
-                    utilization_pct: util.map(|u| u.utilization_pct).unwrap_or(0.0),
-                    wasted_bytes: util.map(|u| u.wasted_bytes).unwrap_or(0),
-                    wasted_bytes_per_sec: util.map(|u| u.wasted_bytes_per_sec).unwrap_or(0.0),
-                    refetch_ratio: util.map(|u| u.refetch_ratio).unwrap_or(0.0),
-                }
-            })
-            .collect();
-        // Types that only show up in the working-set view (footprint without samples)
-        // still matter for rank deltas.
-        for t in &profile.working_set.per_type {
-            if !types.iter().any(|row| row.name == t.name) {
-                let mut row = TypeSummary::absent(&t.name);
-                row.working_set_bytes = t.avg_live_bytes;
-                types.push(row);
-            }
-        }
-        // Types that only show up in the utilization view (fetched lines without a
-        // single miss *sample*) still matter for the utilization-delta verdict.
-        for u in &profile.utilization.rows {
-            if let Some(row) = types.iter_mut().find(|row| row.name == u.name) {
-                if row.wasted_bytes == 0 && row.utilization_pct == 0.0 {
-                    row.utilization_pct = u.utilization_pct;
-                    row.wasted_bytes = u.wasted_bytes;
-                    row.wasted_bytes_per_sec = u.wasted_bytes_per_sec;
-                    row.refetch_ratio = u.refetch_ratio;
-                }
-            } else {
-                let mut row = TypeSummary::absent(&u.name);
-                row.utilization_pct = u.utilization_pct;
-                row.wasted_bytes = u.wasted_bytes;
-                row.wasted_bytes_per_sec = u.wasted_bytes_per_sec;
-                row.refetch_ratio = u.refetch_ratio;
-                types.push(row);
-            }
-        }
-        ReportSummary { types, rps: 0.0 }
-    }
-
-    /// Sets the run's aggregate throughput (builder-style), enabling realized-gain
-    /// computation in [`diff`].
-    #[must_use]
-    pub fn with_rps(mut self, rps: f64) -> ReportSummary {
-        self.rps = rps;
-        self
-    }
-
     /// The summary row for a type name.
     pub fn get(&self, name: &str) -> Option<&TypeSummary> {
         self.types.iter().find(|t| t.name == name)
@@ -747,15 +649,14 @@ mod tests {
 
     #[test]
     fn realized_gain_needs_throughput_on_both_sides() {
-        let a = summary(&[ty("hot", 50.0, 500)]);
-        let b = summary(&[ty("hot", 50.0, 500)]);
+        let mut a = summary(&[ty("hot", 50.0, 500)]);
+        let mut b = summary(&[ty("hot", 50.0, 500)]);
         assert_eq!(diff(&a, &b, Some("hot")).realized_gain, None);
-        assert_eq!(
-            diff(&a.clone().with_rps(1000.0), &b.clone(), Some("hot")).realized_gain,
-            None
-        );
+        a.rps = 1000.0;
+        assert_eq!(diff(&a, &b, Some("hot")).realized_gain, None);
         // B serves each request in half the time: the fix removed 50 % of it.
-        let d = diff(&a.with_rps(1000.0), &b.with_rps(2000.0), Some("hot"));
+        b.rps = 2000.0;
+        let d = diff(&a, &b, Some("hot"));
         let gain = d.realized_gain.unwrap();
         assert!((gain - 0.5).abs() < 1e-12);
     }

@@ -1,5 +1,6 @@
-//! Small statistical helpers for the sampled views: binomial confidence intervals on
-//! miss shares and the rank-stability marking derived from them.
+//! Small statistical helpers for sampled estimates: binomial confidence intervals on
+//! miss shares and the rank-stability marking derived from them.  `merge` applies them
+//! to a report's pooled counts, `whatif` to its block vote.
 //!
 //! A data-profile row's miss share is an estimate of a binomial proportion (`k` of the
 //! phase's `n` L1-miss samples landed on the type).  The Wilson score interval is used
@@ -7,7 +8,7 @@
 //! small — exactly where the naive normal approximation collapses to zero width.
 
 /// z for a two-sided 95% interval.
-const Z95: f64 = 1.959963984540054;
+pub(crate) const Z95: f64 = 1.959963984540054;
 
 /// The 95% Wilson score interval for a binomial proportion, as `(low, high)` in
 /// `[0, 1]`.  Returns `(0, 1)` when there are no trials (nothing is known).

@@ -5,7 +5,6 @@
 
 use crate::path_trace::PathTrace;
 use crate::sample::AccessSample;
-use crate::stats::{mark_rank_stability, wilson95};
 use crate::views::working_set::WorkingSetView;
 use serde::{Deserialize, Serialize};
 use sim_cache::HitLevel;
@@ -33,17 +32,9 @@ pub struct DataProfileRow {
     /// Number of samples observed for this type.
     pub samples: u64,
     /// L1-miss samples observed for this type (the numerator of
-    /// [`Self::pct_of_l1_misses`]; carried so merged reports can re-derive exact
-    /// confidence intervals from pooled counts).
+    /// [`Self::pct_of_l1_misses`]; the merge derives the confidence interval and rank
+    /// mark from these counts, pooled).
     pub l1_miss_samples: u64,
-    /// Lower bound of the 95% (Wilson) confidence interval on the miss share,
-    /// percent.
-    pub ci95_low: f64,
-    /// Upper bound of the 95% confidence interval on the miss share, percent.
-    pub ci95_high: f64,
-    /// True when the row's rank is statistically firm: its share interval does not
-    /// overlap either ranked neighbour's, so sampling noise alone cannot swap them.
-    pub rank_stable: bool,
 }
 
 /// Builds the data profile from access samples, path traces (for the bounce flag) and
@@ -90,7 +81,6 @@ pub fn build_data_profile(
                 Some(traces) if !traces.is_empty() => traces.iter().any(|t| t.has_cpu_change()),
                 _ => a.remote_seen,
             };
-            let (ci_lo, ci_hi) = wilson95(a.l1_misses, total_l1_misses);
             DataProfileRow {
                 type_id: ty,
                 name: info.name.clone(),
@@ -112,9 +102,6 @@ pub fn build_data_profile(
                 bounce,
                 samples: a.samples,
                 l1_miss_samples: a.l1_misses,
-                ci95_low: 100.0 * ci_lo,
-                ci95_high: 100.0 * ci_hi,
-                rank_stable: false, // marked after ranking, below
             }
         })
         .collect();
@@ -127,10 +114,6 @@ pub fn build_data_profile(
             .unwrap()
             .then_with(|| a.name.cmp(&b.name))
     });
-    let intervals: Vec<(f64, f64)> = rows.iter().map(|r| (r.ci95_low, r.ci95_high)).collect();
-    for (row, stable) in rows.iter_mut().zip(mark_rank_stability(&intervals)) {
-        row.rank_stable = stable;
-    }
     rows
 }
 
@@ -220,47 +203,6 @@ mod tests {
         let reg = registry();
         let rows = build_data_profile(&[], &HashMap::new(), &empty_working_set(), &reg);
         assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn confidence_intervals_bracket_the_share_and_mark_stability() {
-        let reg = registry();
-        // Type 0: 30 of 31 misses; type 1: 1 of 31 — a separation wide enough that
-        // the intervals cannot overlap, so both ranks are stable.
-        let mut samples: Vec<AccessSample> =
-            (0..30).map(|_| sample(0, HitLevel::Dram, 250)).collect();
-        samples.push(sample(1, HitLevel::L2, 15));
-        let rows = build_data_profile(&samples, &HashMap::new(), &empty_working_set(), &reg);
-        for r in &rows {
-            assert!(
-                r.ci95_low <= r.pct_of_l1_misses + 1e-9 && r.pct_of_l1_misses <= r.ci95_high + 1e-9,
-                "{}: CI [{:.2}, {:.2}] must bracket the share {:.2}",
-                r.name,
-                r.ci95_low,
-                r.ci95_high,
-                r.pct_of_l1_misses
-            );
-            assert_eq!(
-                r.l1_miss_samples,
-                if r.type_id == TypeId(0) { 30 } else { 1 }
-            );
-        }
-        assert!(
-            rows.iter().all(|r| r.rank_stable),
-            "clear separation => stable ranks"
-        );
-
-        // A near-tie (2 vs 1 misses) has overlapping intervals: neither rank is firm.
-        let samples = vec![
-            sample(0, HitLevel::Dram, 250),
-            sample(0, HitLevel::Dram, 250),
-            sample(1, HitLevel::L2, 15),
-        ];
-        let rows = build_data_profile(&samples, &HashMap::new(), &empty_working_set(), &reg);
-        assert!(
-            rows.iter().all(|r| !r.rank_stable),
-            "near-tie => unstable ranks"
-        );
     }
 
     #[test]

@@ -9,48 +9,18 @@
 //! * **Conflict vs. capacity**: if only a few associativity sets are over-subscribed the
 //!   remaining misses are conflicts; if most sets are about equally loaded the problem
 //!   is capacity.  (Compulsory misses are assumed negligible, §4.3.)
+//!
+//! The view emits the shard's own rows ([`ShardMissRow`]): a miss count and the three
+//! class fractions.  The dominant class is [`ShardMissRow::dominant`], the one rule
+//! the per-thread view and the merged report share.
 
+use crate::merge::ShardMissRow;
 use crate::path_trace::PathTrace;
 use crate::sample::AccessSample;
 use crate::views::working_set::WorkingSetView;
-use serde::{Deserialize, Serialize};
 use sim_cache::HitLevel;
 use sim_kernel::{TypeId, TypeRegistry};
 use std::collections::HashMap;
-
-/// The kinds of cache misses DProf distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MissClass {
-    /// Misses caused by another core's write invalidating the line (true or false
-    /// sharing).
-    Invalidation,
-    /// Misses caused by too many active lines mapping to the same associativity set.
-    Conflict,
-    /// Misses caused by the working set exceeding the cache capacity.
-    Capacity,
-}
-
-/// Per-type miss classification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TypeMissClassification {
-    /// The type.
-    pub type_id: TypeId,
-    /// Type name.
-    pub name: String,
-    /// Number of miss samples the classification is based on.
-    pub miss_samples: u64,
-    /// Estimated fraction of misses in each class (sums to 1 when `miss_samples > 0`).
-    pub fractions: HashMap<MissClass, f64>,
-    /// The dominant class.
-    pub dominant: MissClass,
-}
-
-impl TypeMissClassification {
-    /// The fraction for one class (0 if absent).
-    pub fn fraction(&self, class: MissClass) -> f64 {
-        self.fractions.get(&class).copied().unwrap_or(0.0)
-    }
-}
 
 /// Estimates, from a type's path traces, the fraction of missing accesses that were
 /// preceded (in the same trace) by a write to the same cache line from a different CPU —
@@ -102,7 +72,7 @@ pub fn classify_misses(
     path_traces: &HashMap<TypeId, Vec<PathTrace>>,
     working_set: &WorkingSetView,
     registry: &TypeRegistry,
-) -> Vec<TypeMissClassification> {
+) -> Vec<ShardMissRow> {
     #[derive(Default)]
     struct Acc {
         misses: u64,
@@ -119,7 +89,7 @@ pub fn classify_misses(
         }
     }
 
-    let mut rows: Vec<TypeMissClassification> = acc
+    let mut rows: Vec<ShardMissRow> = acc
         .into_iter()
         .map(|(ty, a)| {
             // Invalidation fraction: prefer the path-trace backward search, fall back to
@@ -151,28 +121,12 @@ pub fn classify_misses(
                 (0.0, rest)
             };
 
-            // Pick the dominant class from a fixed-order list, not the HashMap: ties
-            // must resolve identically across processes for trace replay.
-            let ordered = [
-                (MissClass::Invalidation, invalidation),
-                (MissClass::Conflict, conflict),
-                (MissClass::Capacity, capacity),
-            ];
-            let dominant = ordered
-                .iter()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .map(|(k, _)| *k)
-                .unwrap();
-            let mut fractions = HashMap::new();
-            fractions.insert(MissClass::Invalidation, invalidation);
-            fractions.insert(MissClass::Conflict, conflict);
-            fractions.insert(MissClass::Capacity, capacity);
-            TypeMissClassification {
-                type_id: ty,
+            ShardMissRow {
                 name: registry.name(ty).to_string(),
                 miss_samples: a.misses,
-                fractions,
-                dominant,
+                invalidation,
+                conflict,
+                capacity,
             }
         })
         .collect();
@@ -226,8 +180,8 @@ mod tests {
         ];
         let view = ws(&[], CacheGeometry::l2_default());
         let rows = classify_misses(&samples, &HashMap::new(), &view, &registry());
-        assert_eq!(rows[0].dominant, MissClass::Invalidation);
-        assert!(rows[0].fraction(MissClass::Invalidation) >= 0.75);
+        assert_eq!(rows[0].dominant(), "invalidation");
+        assert!(rows[0].invalidation >= 0.75);
     }
 
     #[test]
@@ -243,7 +197,7 @@ mod tests {
         ];
         let view = ws(&records, geom);
         let rows = classify_misses(&samples, &HashMap::new(), &view, &registry());
-        assert_eq!(rows[0].dominant, MissClass::Capacity);
+        assert_eq!(rows[0].dominant(), "capacity");
     }
 
     #[test]
@@ -256,7 +210,7 @@ mod tests {
         let samples = vec![sample(0, HitLevel::Dram), sample(0, HitLevel::L3)];
         let view = ws(&records, geom);
         let rows = classify_misses(&samples, &HashMap::new(), &view, &registry());
-        assert_eq!(rows[0].dominant, MissClass::Conflict);
+        assert_eq!(rows[0].dominant(), "conflict");
     }
 
     #[test]
@@ -268,7 +222,18 @@ mod tests {
         ];
         let view = ws(&[], CacheGeometry::l2_default());
         let rows = classify_misses(&samples, &HashMap::new(), &view, &registry());
-        let total: f64 = rows[0].fractions.values().sum();
+        let total = rows[0].invalidation + rows[0].conflict + rows[0].capacity;
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_tie_goes_to_invalidation() {
+        // One remote miss of two: invalidation and capacity both 0.5.  The first
+        // maximum wins, as in the merged report.
+        let samples = vec![sample(0, HitLevel::RemoteCache), sample(0, HitLevel::Dram)];
+        let view = ws(&[], CacheGeometry::l2_default());
+        let rows = classify_misses(&samples, &HashMap::new(), &view, &registry());
+        assert_eq!((rows[0].invalidation, rows[0].capacity), (0.5, 0.5));
+        assert_eq!(rows[0].dominant(), "invalidation");
     }
 }

@@ -9,6 +9,12 @@
 //! * [`utilization`] — types ranked by the bandwidth wasted on fetched-but-untouched
 //!   bytes, with per-allocation-origin attribution (beyond the thesis; after
 //!   DINAMITE / cache-log-parser).
+//!
+//! The miss-classification and utilization views emit the rows a
+//! [`ProfileShard`](crate::merge::ProfileShard) carries
+//! ([`ShardMissRow`](crate::merge::ShardMissRow),
+//! [`ShardUtilization`](crate::merge::ShardUtilization)), so a profiled thread's view *is* its shard's.  No view computes
+//! a confidence interval or a rank mark: `merge` derives them once, from pooled counts.
 
 pub mod data_flow;
 pub mod data_profile;
@@ -18,9 +24,6 @@ pub mod working_set;
 
 pub use data_flow::{DataFlowEdge, DataFlowGraph, DataFlowNode};
 pub use data_profile::{build_data_profile, DataProfileRow};
-pub use miss_class::{classify_misses, MissClass, TypeMissClassification};
-pub use utilization::{
-    build_utilization, finish_utilization_row, rank_utilization_rows, UtilizationOrigin,
-    UtilizationProfile, UtilizationRow,
-};
+pub use miss_class::classify_misses;
+pub use utilization::build_utilization;
 pub use working_set::{build_working_set, AssocSetUsage, TypeWorkingSet, WorkingSetView};

@@ -19,167 +19,16 @@
 //! live-then-historical rule as every other view, and additionally to an *allocation
 //! origin* (the core whose slab the object came from), so a row can show which CPU's
 //! allocations produce the waste.
+//!
+//! The view emits the shard's own rows ([`ShardUtilizationRow`]): counts, plus the
+//! bytes/s rate that needs the window's length.  The ratios are the row's methods; the
+//! Wilson interval and the rank mark are derived once, from pooled counts, when
+//! `merge` ranks the folded rows.
 
-use crate::stats::{mark_rank_stability, wilson95};
-use serde::{Deserialize, Serialize};
+use crate::merge::{ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow};
 use sim_cache::UtilizationTally;
 use sim_kernel::{AllocRecord, SlabAllocator, TypeId, TypeRegistry};
 use std::collections::HashMap;
-
-/// Per-allocation-origin share of one utilization row (the allocator attribution
-/// axis: which core's slab the fetched objects were allocated from).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct UtilizationOrigin {
-    /// Origin label, `"cpu<k>"` for the allocating core's slab.
-    pub origin: String,
-    /// Granule-slots fetched for objects from this origin.
-    pub slots_fetched: u64,
-    /// Of those, slots touched before eviction.
-    pub slots_touched: u64,
-    /// Untouched bytes fetched for this origin (`8 * (fetched - touched)`).
-    pub wasted_bytes: u64,
-}
-
-/// One row of the utilization view.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct UtilizationRow {
-    /// The type.
-    pub type_id: TypeId,
-    /// Type name.
-    pub name: String,
-    /// Human-readable description.
-    pub description: String,
-    /// Granule-slots fetched: for every counted line fill, each 8-byte granule of the
-    /// line owned by this type counts as one fetched slot.
-    pub slots_fetched: u64,
-    /// Of the fetched slots, those touched at least once during their residency.
-    pub slots_touched: u64,
-    /// Fetched slots that rode a *re-fetch* — a fill of a line the core had already
-    /// fetched before (evicted-then-reused traffic).
-    pub refetch_slots: u64,
-    /// `100 * slots_touched / slots_fetched`.
-    pub utilization_pct: f64,
-    /// Bytes fetched for the type but never touched: `8 * (slots_fetched -
-    /// slots_touched)`.
-    pub wasted_bytes: u64,
-    /// Wasted bytes normalised to simulated wall-clock time (the bandwidth the type
-    /// burns on dead bytes).
-    pub wasted_bytes_per_sec: f64,
-    /// `refetch_slots / slots_fetched`.
-    pub refetch_ratio: f64,
-    /// Lower bound of the 95% (Wilson) confidence interval on the utilization
-    /// fraction, percent.
-    pub ci95_low: f64,
-    /// Upper bound of the 95% confidence interval on the utilization fraction,
-    /// percent.
-    pub ci95_high: f64,
-    /// True when the row's wasted-bytes rank is statistically firm (see
-    /// [`mark_rank_stability`]; intervals are wasted-byte ranges implied by the
-    /// utilization CI).
-    pub rank_stable: bool,
-    /// Per-allocation-origin breakdown, most-wasteful origin first.
-    pub origins: Vec<UtilizationOrigin>,
-}
-
-/// The utilization view of one profiling phase (sampled or exact, depending on the
-/// tally it was built from).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct UtilizationProfile {
-    /// Per-type rows, ranked by wasted bytes (descending; name breaks ties).
-    pub rows: Vec<UtilizationRow>,
-    /// Counted line fills in the underlying tally (resolvable or not).
-    pub total_fetches: u64,
-    /// Of the counted fills, re-fetches of previously fetched lines.
-    pub total_refetches: u64,
-    /// Granule-slots fetched that resolved to a type (the rows' denominator pool).
-    pub resolved_slots_fetched: u64,
-    /// Of the resolved slots, those touched before eviction.
-    pub resolved_slots_touched: u64,
-    /// Cycle length of the collection window (for the bytes/s normalisation).
-    pub window_cycles: u64,
-    /// Simulated clock frequency the normalisation used.
-    pub cycles_per_second: u64,
-}
-
-impl UtilizationProfile {
-    /// The row for a type name, if present.
-    pub fn row(&self, name: &str) -> Option<&UtilizationRow> {
-        self.rows.iter().find(|r| r.name == name)
-    }
-
-    /// The rank (0 = most wasted bytes) of a type name.
-    pub fn rank_of(&self, name: &str) -> Option<usize> {
-        self.rows.iter().position(|r| r.name == name)
-    }
-
-    /// Total wasted bytes across resolved rows.
-    pub fn wasted_bytes_total(&self) -> u64 {
-        8 * (self.resolved_slots_fetched - self.resolved_slots_touched)
-    }
-
-    /// Overall utilization percentage of the resolved slots.
-    pub fn overall_utilization_pct(&self) -> f64 {
-        if self.resolved_slots_fetched == 0 {
-            0.0
-        } else {
-            100.0 * self.resolved_slots_touched as f64 / self.resolved_slots_fetched as f64
-        }
-    }
-}
-
-/// Re-derives a row's ratio columns (utilization %, wasted bytes, bytes/s, re-fetch
-/// ratio, confidence interval) from its pooled slot counters.  Used both here and by
-/// the report merge after pooling counters across shards.
-pub fn finish_utilization_row(
-    row: &mut UtilizationRow,
-    window_cycles: u64,
-    cycles_per_second: u64,
-) {
-    row.utilization_pct = if row.slots_fetched == 0 {
-        0.0
-    } else {
-        100.0 * row.slots_touched as f64 / row.slots_fetched as f64
-    };
-    row.wasted_bytes = 8 * (row.slots_fetched - row.slots_touched);
-    row.wasted_bytes_per_sec = if window_cycles == 0 {
-        0.0
-    } else {
-        row.wasted_bytes as f64 * cycles_per_second as f64 / window_cycles as f64
-    };
-    row.refetch_ratio = if row.slots_fetched == 0 {
-        0.0
-    } else {
-        row.refetch_slots as f64 / row.slots_fetched as f64
-    };
-    let (lo, hi) = wilson95(row.slots_touched, row.slots_fetched);
-    row.ci95_low = 100.0 * lo;
-    row.ci95_high = 100.0 * hi;
-}
-
-/// Sorts rows by wasted bytes (name breaking ties, for cross-process determinism) and
-/// marks rank stability from the wasted-byte ranges implied by each row's utilization
-/// confidence interval.
-pub fn rank_utilization_rows(rows: &mut [UtilizationRow]) {
-    rows.sort_by(|a, b| {
-        b.wasted_bytes
-            .cmp(&a.wasted_bytes)
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    let intervals: Vec<(f64, f64)> = rows
-        .iter()
-        .map(|r| {
-            let bytes = 8.0 * r.slots_fetched as f64;
-            // High utilization => low waste: the interval ends swap.
-            (
-                bytes * (1.0 - r.ci95_high / 100.0),
-                bytes * (1.0 - r.ci95_low / 100.0),
-            )
-        })
-        .collect();
-    for (row, stable) in rows.iter_mut().zip(mark_rank_stability(&intervals)) {
-        row.rank_stable = stable;
-    }
-}
 
 /// Which `(type, origin core)` covers each 8-byte granule of the given lines: entry
 /// `i * (line_size / 8) + g` is granule `g` of `lines[i]`.  `lines` must be sorted.
@@ -215,6 +64,7 @@ fn resolve_granules(
 /// Builds the utilization view from a line tally, attributing each 8-byte granule of
 /// every fetched line to the type (and allocation origin) whose allocation most
 /// recently covered it — the identical live-then-historical rule the other views use.
+/// Rows are sorted by wasted bytes (descending; name breaks ties), origins likewise.
 pub fn build_utilization(
     tally: &UtilizationTally,
     allocator: &SlabAllocator,
@@ -222,7 +72,7 @@ pub fn build_utilization(
     line_size: u64,
     window_cycles: u64,
     cycles_per_second: u64,
-) -> UtilizationProfile {
+) -> ShardUtilization {
     let granules_per_line = (line_size / 8) as usize;
     let tallied = tally.snapshot(); // sorted by line
     let lines: Vec<u64> = tallied.iter().map(|&(line, _)| line).collect();
@@ -256,55 +106,53 @@ pub fn build_utilization(
         }
     }
 
-    let mut rows: Vec<UtilizationRow> = acc
+    let mut rows: Vec<ShardUtilizationRow> = acc
         .into_iter()
         .map(|(ty, a)| {
             let info = registry.info(ty);
-            let mut origins: Vec<UtilizationOrigin> = a
+            let mut origins: Vec<ShardUtilizationOrigin> = a
                 .origins
                 .into_iter()
-                .map(|(core, (fetched, touched))| UtilizationOrigin {
+                .map(|(core, (fetched, touched))| ShardUtilizationOrigin {
                     origin: AllocRecord::origin_label_for(core),
                     slots_fetched: fetched,
                     slots_touched: touched,
-                    wasted_bytes: 8 * (fetched - touched),
                 })
                 .collect();
             origins.sort_by(|x, y| {
-                y.wasted_bytes
-                    .cmp(&x.wasted_bytes)
+                y.wasted_bytes()
+                    .cmp(&x.wasted_bytes())
                     .then_with(|| x.origin.cmp(&y.origin))
             });
-            let mut row = UtilizationRow {
-                type_id: ty,
+            let mut row = ShardUtilizationRow {
                 name: info.name.clone(),
                 description: info.description.clone(),
                 slots_fetched: a.slots_fetched,
                 slots_touched: a.slots_touched,
                 refetch_slots: a.refetch_slots,
-                utilization_pct: 0.0,
-                wasted_bytes: 0,
                 wasted_bytes_per_sec: 0.0,
-                refetch_ratio: 0.0,
-                ci95_low: 0.0,
-                ci95_high: 0.0,
-                rank_stable: false,
                 origins,
             };
-            finish_utilization_row(&mut row, window_cycles, cycles_per_second);
+            if window_cycles > 0 {
+                row.wasted_bytes_per_sec =
+                    row.wasted_bytes() as f64 * cycles_per_second as f64 / window_cycles as f64;
+            }
             row
         })
         .collect();
-    rank_utilization_rows(&mut rows);
+    // Name tie-break for cross-process determinism (see build_data_profile).
+    rows.sort_by(|a, b| {
+        b.wasted_bytes()
+            .cmp(&a.wasted_bytes())
+            .then_with(|| a.name.cmp(&b.name))
+    });
 
-    UtilizationProfile {
+    ShardUtilization {
         rows,
         total_fetches: tally.total_fetches,
         total_refetches: tally.total_refetches,
         resolved_slots_fetched,
         resolved_slots_touched,
-        window_cycles,
-        cycles_per_second,
     }
 }
 
@@ -342,15 +190,14 @@ mod tests {
         assert_eq!(p.rows[0].name, "skbuff");
         assert_eq!(p.rows[0].slots_fetched, 16);
         assert_eq!(p.rows[0].slots_touched, 2);
-        assert_eq!(p.rows[0].wasted_bytes, 112);
-        assert!((p.rows[0].utilization_pct - 12.5).abs() < 1e-9);
+        assert_eq!(p.rows[0].wasted_bytes(), 112);
+        assert!((p.rows[0].utilization_pct() - 12.5).abs() < 1e-9);
         // bytes/s = 112 * 1e6 / 1e3
         assert!((p.rows[0].wasted_bytes_per_sec - 112_000.0).abs() < 1e-6);
-        let sock_row = p.row("udp-sock").unwrap();
-        assert_eq!(sock_row.wasted_bytes, 0);
-        assert!((sock_row.utilization_pct - 100.0).abs() < 1e-9);
-        assert_eq!(p.rank_of("skbuff"), Some(0));
-        assert_eq!(p.wasted_bytes_total(), 112);
+        let sock_row = &p.rows[1];
+        assert_eq!(sock_row.name, "udp-sock");
+        assert_eq!(sock_row.wasted_bytes(), 0);
+        assert!((sock_row.utilization_pct() - 100.0).abs() < 1e-9);
         // Origin attribution: skbuff was allocated from core 0's slab.
         assert_eq!(p.rows[0].origins.len(), 1);
         assert_eq!(p.rows[0].origins[0].origin, "cpu0");
@@ -366,9 +213,9 @@ mod tests {
         t.record_chunk(0, skb / 64, 0b1, true, true); // re-fetch
         t.finalize();
         let p = build_utilization(&t, &alloc, &reg, 64, 100, 100);
-        let row = p.row("skbuff").unwrap();
+        let row = &p.rows[0];
         assert_eq!(row.refetch_slots, 8);
-        assert!((row.refetch_ratio - 0.5).abs() < 1e-9);
+        assert!((row.refetch_ratio() - 0.5).abs() < 1e-9);
         assert_eq!(p.total_refetches, 1);
     }
 
@@ -458,7 +305,6 @@ mod tests {
         let (_m, reg, alloc, _kt) = setup();
         let t = UtilizationTally::new();
         let p = build_utilization(&t, &alloc, &reg, 64, 0, 100);
-        assert!(p.rows.is_empty());
-        assert_eq!(p.overall_utilization_pct(), 0.0);
+        assert_eq!(p, ShardUtilization::default());
     }
 }

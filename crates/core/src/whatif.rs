@@ -18,13 +18,10 @@
 //! and the per-block gain spread yields a gain interval used for rank-stability
 //! marking across candidates ([`crate::stats::mark_rank_stability`]).
 
-use crate::stats::{mark_rank_stability, wilson95};
+use crate::stats::{mark_rank_stability, wilson95, Z95};
 
 /// Maximum number of per-window blocks used for the vote statistics.
 pub const MAX_BLOCKS: usize = 16;
-
-/// z for a two-sided 95% interval (matches [`crate::stats`]).
-const Z95: f64 = 1.959963984540054;
 
 /// One block's worth of measured cycles under the baseline and the candidate fix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

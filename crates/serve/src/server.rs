@@ -176,7 +176,7 @@ fn serve_connection(stream: TcpStream, shared: Shared) {
         };
         let response = match Request::decode(kind, payload) {
             Ok(Request::Shutdown) => {
-                let (k, p) = Response::Ok(ack_json("shutdown", &[])).encode();
+                let (k, p) = Response::Ok(doc_json("shutdown", Vec::new())).encode();
                 let _ = write_frame(stream.get_mut(), k, &p);
                 shared.stop.store(true, Ordering::SeqCst);
                 let _ = TcpStream::connect(shared.addr);
@@ -219,9 +219,9 @@ fn dispatch(shared: &Shared, request: Request) -> Result<String, String> {
             };
             shard.ordinal = shard_id;
             let total = absorb(shared, &workload, &build, vec![shard])?;
-            Ok(ack_json(
+            Ok(doc_json(
                 "push",
-                &[
+                vec![
                     ("workload", Json::str(&workload)),
                     ("build", Json::str(&build)),
                     ("shards", Json::num(total as f64)),
@@ -238,9 +238,9 @@ fn dispatch(shared: &Shared, request: Request) -> Result<String, String> {
             let shards = replay_trace_upload(shared, shard_id, &bytes)?;
             let added = shards.len();
             let total = absorb(shared, &workload, &build, shards)?;
-            Ok(ack_json(
+            Ok(doc_json(
                 "push-trace",
-                &[
+                vec![
                     ("workload", Json::str(&workload)),
                     ("build", Json::str(&build)),
                     ("streams", Json::num(added as f64)),
@@ -418,10 +418,6 @@ fn doc_json(kind: &str, mut fields: Vec<(&str, Json)>) -> String {
     ];
     all.append(&mut fields);
     Json::obj(all).to_pretty_string()
-}
-
-fn ack_json(kind: &str, fields: &[(&str, Json)]) -> String {
-    doc_json(kind, fields.to_vec())
 }
 
 fn top_json(workload: &str, build: &str, report: &MergedReport, top: usize) -> String {

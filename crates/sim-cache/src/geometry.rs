@@ -87,11 +87,6 @@ impl CacheGeometry {
         (line as usize) & (self.sets - 1)
     }
 
-    /// Tag for a line address (the bits above the set index).
-    pub fn tag_of_line(&self, line: LineAddr) -> u64 {
-        line >> self.sets.trailing_zeros()
-    }
-
     /// Typical L1 data cache: 64 KiB, 8-way, 64-byte lines (128 sets).
     pub fn l1_default() -> Self {
         Self::from_capacity(64 * 1024, 64, 8)
@@ -135,16 +130,6 @@ mod tests {
         let stride = (g.line_size * g.sets) as Addr;
         assert_eq!(g.set_index(0x4000), g.set_index(0x4000 + stride));
         assert_ne!(g.set_index(0x4000), g.set_index(0x4000 + 64));
-    }
-
-    #[test]
-    fn tags_differ_for_same_set() {
-        let g = CacheGeometry::new(64, 8, 128);
-        let stride = (g.line_size * g.sets) as Addr;
-        let a = g.line_addr(0x4000);
-        let b = g.line_addr(0x4000 + stride);
-        assert_eq!(g.set_index_of_line(a), g.set_index_of_line(b));
-        assert_ne!(g.tag_of_line(a), g.tag_of_line(b));
     }
 
     #[test]

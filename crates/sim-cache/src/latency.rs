@@ -39,19 +39,6 @@ impl Default for LatencyModel {
 }
 
 impl LatencyModel {
-    /// A latency model where every access costs one cycle; useful in unit tests that
-    /// only care about hit/miss behaviour.
-    pub fn uniform() -> Self {
-        LatencyModel {
-            l1: 1,
-            l2: 1,
-            l3: 1,
-            remote_cache: 1,
-            dram: 1,
-            upgrade: 0,
-        }
-    }
-
     /// Latency for a given hit level.
     pub fn for_level(&self, level: crate::HitLevel) -> u64 {
         match level {

@@ -119,11 +119,6 @@ pub struct HierarchyStats {
 }
 
 impl HierarchyStats {
-    /// Number of accesses that missed both private levels.
-    pub fn private_misses(&self) -> u64 {
-        self.l3_hits + self.remote_hits + self.dram_fills
-    }
-
     /// Number of L1 misses (i.e. everything that had to go past the L1).
     pub fn l1_misses(&self) -> u64 {
         self.accesses - self.l1_hits
@@ -199,7 +194,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(h.l1_misses(), 5);
-        assert_eq!(h.private_misses(), 3);
         assert!((h.avg_latency() - 10.0).abs() < 1e-9);
     }
 }

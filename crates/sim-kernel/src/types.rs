@@ -134,11 +134,6 @@ impl TypeRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &TypeInfo> {
         self.types.iter()
     }
-
-    /// Rebuilds the name index (after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self.types.iter().map(|t| (t.name.clone(), t.id)).collect();
-    }
 }
 
 /// The well-known kernel types used by the memcached and Apache case studies, registered

@@ -83,16 +83,6 @@ impl SymbolTable {
             .enumerate()
             .map(|(i, n)| (FunctionId(i as u32), n.as_str()))
     }
-
-    /// Rebuilds the name→id index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), FunctionId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ fn main() {
         Dprof::new(dprof_config).run(&mut machine, &mut kernel, |m, k| workload.step(m, k));
 
     // 4. Print the views.
-    println!("{}", report::render_profile(&profile, &machine.symbols, 8));
+    println!("{}", report::render_profile(&profile, 8));
 
     // 5. The headline observation of the first case study: packet payload and skbuffs
     //    bounce between cores because replies are enqueued on remote transmit queues.

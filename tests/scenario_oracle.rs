@@ -10,7 +10,10 @@
 //! fails here, not in production.
 
 use dprof::core::report::diff::{diff, ReportSummary, Verdict};
-use dprof::core::{Dprof, DprofConfig, DprofProfile, HistoryConfig};
+use dprof::core::{
+    merge_shards, summary_from_merged, Dprof, DprofConfig, DprofProfile, HistoryConfig,
+    ProfileShard, ShardMeta,
+};
 use dprof::workloads::scenarios::{self, ExpectedView, ScenarioConfig, ScenarioSpec, Variant};
 
 const CORES: usize = 2;
@@ -41,6 +44,17 @@ fn quick_profile(spec: &ScenarioSpec, variant: Variant) -> DprofProfile {
     Dprof::new(dprof_config).run(&mut machine, &mut kernel, |m, k| workload.step(m, k))
 }
 
+/// The profile's digest as `dprof serve` computes it: one shard, merged.
+fn summary(profile: &DprofProfile) -> ReportSummary {
+    let type_names = profile
+        .data_profile
+        .iter()
+        .map(|row| (row.type_id, row.name.clone()))
+        .collect();
+    let shard = ProfileShard::from_profile(profile, &type_names, ShardMeta::default(), 0);
+    summary_from_merged(&merge_shards(&[&shard]))
+}
+
 /// 0-based rank of the planted type in the view the scenario declares, or `None` if
 /// the type does not appear there at all.
 fn rank_in_expected_view(profile: &DprofProfile, spec: &ScenarioSpec) -> Option<usize> {
@@ -64,7 +78,7 @@ fn rank_in_expected_view(profile: &DprofProfile, spec: &ScenarioSpec) -> Option<
                 .iter()
                 .position(|r| r.name == name)?;
             // A rank here is only meaningful with actual waste.
-            (profile.utilization.rows[pos].wasted_bytes > 0).then_some(pos)
+            (profile.utilization.rows[pos].wasted_bytes() > 0).then_some(pos)
         }
         ExpectedView::DataFlow => {
             // Rank history-profiled types by data-flow core crossings (most first).
@@ -143,12 +157,11 @@ fn every_scenario_plants_a_detectable_bottleneck_and_its_fix_eliminates_it() {
                 .iter()
                 .find(|r| r.name == planted)
                 .unwrap_or_else(|| panic!("{}: '{planted}' not classified", spec.name));
-            let dominant = dprof::core::report::diff::miss_class_key(row.dominant);
             assert_eq!(
-                dominant, expected,
-                "{}: expected dominant miss class {expected} for '{planted}', got \
-                 {dominant} (fractions {:?})",
-                spec.name, row.fractions
+                row.dominant(),
+                expected,
+                "{}: expected dominant miss class {expected} for '{planted}' ({row:?})",
+                spec.name
             );
         }
 
@@ -166,8 +179,8 @@ fn every_scenario_plants_a_detectable_bottleneck_and_its_fix_eliminates_it() {
 
         // (4) Differential confirmation: diff(buggy, fixed) says "eliminated".
         let fixed = quick_profile(spec, Variant::Fixed);
-        let summary_buggy = ReportSummary::from_profile(&buggy);
-        let summary_fixed = ReportSummary::from_profile(&fixed);
+        let summary_buggy = summary(&buggy);
+        let summary_fixed = summary(&fixed);
         let d = diff(&summary_buggy, &summary_fixed, Some(planted));
         assert_eq!(
             d.verdict,

@@ -10,11 +10,13 @@
 //! oracle's trace-recording settings the profiler accounts for 70–90% of all cycles,
 //! which would compress an 4x app-level speedup into a ~1.2x end-to-end one).
 
-use dprof::core::report::diff::{diff, ReportSummary};
+use dprof::core::report::diff::diff;
+use dprof::core::summary_from_merged;
 use dprof::machine::SamplingPolicy;
 use dprof::trace::{TraceFile, TraceKind};
 use dprof::workloads::scenarios::{self, Variant};
 use dprof_cli::driver::{self, RunOptions, WorkloadKind};
+use dprof_cli::merge::merge;
 use dprof_cli::whatif::{analyze_trace, WhatifAnalysis};
 
 const CORES: usize = 2;
@@ -75,8 +77,8 @@ fn record_buggy_trace(index: usize) -> TraceFile {
 fn realized_gain(index: usize, focus: &str) -> f64 {
     let buggy = driver::run_single(&measurement_options(index, Variant::Buggy), 0);
     let fixed = driver::run_single(&measurement_options(index, Variant::Fixed), 0);
-    let summary_buggy = ReportSummary::from_profile(&buggy.profile).with_rps(buggy.rps());
-    let summary_fixed = ReportSummary::from_profile(&fixed.profile).with_rps(fixed.rps());
+    let summary_buggy = summary_from_merged(&merge(&[buggy]));
+    let summary_fixed = summary_from_merged(&merge(&[fixed]));
     let d = diff(&summary_buggy, &summary_fixed, Some(focus));
     d.realized_gain
         .expect("both live runs completed requests, so the diff carries a realized gain")
