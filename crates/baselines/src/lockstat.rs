@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// class, e.g. a single "Qdisc lock" row covering all per-queue instances).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LockstatReport {
-    /// Rows sorted by total wait time, longest first.
+    /// Rows sorted by total wait time, longest first, equal waits by lock name.
     pub rows: Vec<LockReportRow>,
 }
 
@@ -43,7 +43,7 @@ impl LockstatReport {
             }
         }
         let mut rows: Vec<LockReportRow> = by_name.into_values().collect();
-        rows.sort_by(|a, b| b.wait_seconds.partial_cmp(&a.wait_seconds).unwrap());
+        rows.sort_by(sim_kernel::by_wait_then_name);
         LockstatReport { rows }
     }
 

@@ -54,7 +54,8 @@ impl OprofileReport {
                 l2_misses: c.l2_misses,
             })
             .collect();
-        rows.sort_by(|a, b| b.pct_clock.partial_cmp(&a.pct_clock).unwrap());
+        // The counters come from a `HashMap`: equal cycle counts are ordered by name.
+        rows.sort_by(|a, b| (b.cycles.cmp(&a.cycles)).then_with(|| a.function.cmp(&b.function)));
         OprofileReport { rows }
     }
 

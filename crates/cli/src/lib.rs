@@ -207,15 +207,20 @@ pub(crate) fn run_replay(options: &args::ReplayOptions) -> i32 {
     };
     for (run, trailing) in &replays {
         if *trailing > 0 {
-            eprintln!(
-                "warning: stream {} diverged from the recording ({trailing} trailing \
-                 event(s)); the trace was probably produced by a different build",
-                run.thread
-            );
+            warn_diverged(run.thread, *trailing);
         }
     }
     let runs: Vec<driver::ThreadRun> = replays.into_iter().map(|(run, _)| run).collect();
     emit(&render_replay(&reader, &runs, options), &options.output)
+}
+
+/// Says on stderr that stream `stream`'s profiled replay left `trailing` events of the
+/// recording unconsumed.
+pub(crate) fn warn_diverged(stream: usize, trailing: usize) {
+    eprintln!(
+        "warning: stream {stream} diverged from the recording ({trailing} trailing \
+         event(s)); the trace was probably produced by a different build"
+    );
 }
 
 /// Merges replayed streams (in stream order) and renders the report as the recorded

@@ -13,7 +13,8 @@
 //! family per type from the dominant miss class plus granule-sharing statistics —
 //! capacity/conflict misses suggest `shrink`, invalidation misses split into `pad`
 //! (single-owner granules: false sharing), `pin` (serial migration) and `localize`
-//! (concurrent sharing).
+//! (concurrent sharing).  The same re-profile yields the identity baseline, so
+//! `--auto` spends no pass of its own on it.
 
 use crate::args::{Format, WhatifOptions};
 use crate::merge::MergedReport;
@@ -22,7 +23,7 @@ use dprof::core::schema::Json;
 use dprof::core::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};
 use dprof::trace::{
     analyze_sharing, analyze_sharing_unless, available_workers, fan_out, for_each_stream,
-    measure_stream_streaming, replay_stream_streaming, session_streams, trace_type_names,
+    measure_stream_streaming, replay_and_measure_stream, session_streams, trace_type_names,
     validate_spec, FixSpec, SharingProfile, TraceReader, TraceSource, WhatifMeasure,
 };
 use std::fmt::Write as _;
@@ -71,7 +72,9 @@ pub struct WhatifAnalysis {
     pub streams: usize,
     /// Measured post-warmup rounds per stream.
     pub rounds: usize,
-    /// Identity-baseline makespan cycles, summed over streams.
+    /// Identity-baseline makespan cycles, summed over streams: read off the profiled
+    /// replays under `--auto`, measured by profiler-free identity passes without it
+    /// (the same numbers either way).
     pub baseline_cycles: u64,
     /// Identity-baseline simulated seconds (max over streams; they run in parallel).
     pub baseline_seconds: f64,
@@ -95,10 +98,9 @@ type Walked = (Vec<String>, Vec<SharingProfile>);
 
 /// One wave-1 job's result.
 enum Wave1 {
-    /// `--auto`'s re-profile of one stream, handed to the diagnosis.
-    Profiled,
-    /// The identity baseline of one stream.
-    Baseline(WhatifMeasure),
+    /// The identity baseline of one stream, and how many events its profiled replay
+    /// left unconsumed (always 0 without `--auto`, which replays no profile).
+    Baseline(WhatifMeasure, usize),
     /// `--auto`'s sharing walk: the types it walked and their profiles, or `None` when
     /// it was abandoned because the diagnosis needs none.
     Sharing(Option<Walked>),
@@ -113,13 +115,15 @@ type Diagnosis = (MergedReport, Vec<String>);
 /// and slotted by index, and everything computed from them runs on the calling thread
 /// in candidate order — so the analysis is the same for every `workers`.
 ///
-/// Wave 1 is the identity baseline of every stream and, under `--auto`, the profiled
-/// replay of every stream and, last, the sharing walk (`sharing_walk`).  The last
-/// profiled replay to finish merges them all, which names the types the walk must
-/// cover.  On two workers the walk starts once the shorter baseline is done, while
-/// the profile still runs, so it walks every type; on one it starts after the profile
-/// and walks only the types named.  The candidates are diagnosed on the calling
-/// thread; wave 2 measures them.
+/// Wave 1 is one replay of every stream that yields its identity baseline.  Under
+/// `--auto` that is the profiled replay, which the baseline is read off (the machine
+/// books the profiler's cycles apart: [`replay_and_measure_stream`]), and, last, the
+/// sharing walk (`sharing_walk`); without it, a profiler-free identity pass
+/// ([`measure_stream_streaming`]).  The last profiled replay to finish merges them
+/// all, which names the types the walk must cover.  On two workers the walk starts at
+/// once, beside the profile, so it walks every type; on one it starts after the
+/// profile and walks only the types named.  The candidates are diagnosed on the
+/// calling thread; wave 2 measures them.
 pub fn analyze_trace_on(
     workers: usize,
     source: &impl TraceSource,
@@ -134,44 +138,47 @@ pub fn analyze_trace_on(
     }
 
     let streams = session_streams(source)?;
-    let profiled_passes = usize::from(auto);
-    let replays = (profiled_passes + 1) * streams;
     let profiled: Mutex<Vec<Option<driver::ThreadRun>>> =
         Mutex::new((0..streams).map(|_| None).collect());
     let diagnosis: OnceLock<Diagnosis> = OnceLock::new();
-    let wave1 = fan_out(workers, replays + profiled_passes, |i| {
-        let thread = i % streams;
-        if i == replays {
-            sharing_walk(source, &diagnosis).map(Wave1::Sharing)
-        } else if i / streams < profiled_passes {
-            // The last profiled replay in merges them all and names the types the
-            // diagnosis will read the sharing profiles of.
-            let (run, _) = replay_stream_streaming(source, thread)?;
-            let mut runs = profiled.lock().expect("no job panics holding it");
-            runs[thread] = Some(run);
-            if runs.iter().all(Option::is_some) {
-                let runs: Vec<driver::ThreadRun> = runs.iter_mut().flat_map(Option::take).collect();
-                let report = merge::merge(&runs);
-                let invalidated = invalidated(&hot_types(&report));
-                let _ = diagnosis.set((report, invalidated));
-            }
-            Ok(Wave1::Profiled)
-        } else {
-            measure_stream_streaming(source, thread, &FixSpec::Identity).map(Wave1::Baseline)
+    let wave1 = fan_out(workers, streams + usize::from(auto), |thread| {
+        if thread == streams {
+            return sharing_walk(source, &diagnosis).map(Wave1::Sharing);
         }
+        if !auto {
+            let measure = measure_stream_streaming(source, thread, &FixSpec::Identity)?;
+            return Ok(Wave1::Baseline(measure, 0));
+        }
+        // The last profiled replay in merges them all and names the types the
+        // diagnosis will read the sharing profiles of.
+        let (run, trailing, measure) = replay_and_measure_stream(source, thread)?;
+        let mut runs = profiled.lock().expect("no job panics holding it");
+        runs[thread] = Some(run);
+        if runs.iter().all(Option::is_some) {
+            let runs: Vec<driver::ThreadRun> = runs.iter_mut().flat_map(Option::take).collect();
+            let report = merge::merge(&runs);
+            let invalidated = invalidated(&hot_types(&report));
+            let _ = diagnosis.set((report, invalidated));
+        }
+        Ok(Wave1::Baseline(measure, trailing))
     });
     let mut baseline: Vec<WhatifMeasure> = Vec::new();
     let mut walked: Option<Walked> = None;
     for (i, result) in wave1.into_iter().enumerate() {
         // The walk names the stream it failed on itself.
-        let result = if i < replays {
-            result.map_err(|e| format!("stream {}: {e}", i % streams))
+        let result = if i < streams {
+            result.map_err(|e| format!("stream {i}: {e}"))
         } else {
             result
         };
         match result? {
-            Wave1::Profiled => {}
-            Wave1::Baseline(measure) => baseline.push(measure),
+            Wave1::Baseline(measure, trailing) => {
+                // Said before the diagnosis, which a diverged profile may fail.
+                if trailing > 0 {
+                    crate::warn_diverged(i, trailing);
+                }
+                baseline.push(measure);
+            }
             Wave1::Sharing(profiles) => walked = profiles,
         }
     }
@@ -551,6 +558,7 @@ pub fn render_whatif_json(a: &WhatifAnalysis, options: &WhatifOptions) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dprof::trace::replay_stream_streaming;
 
     #[test]
     fn a_profiled_type_no_stream_registered_is_diagnosed_from_the_zero_profile() {

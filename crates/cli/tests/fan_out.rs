@@ -1,12 +1,15 @@
 //! The bounded fan-out, end to end: however many streams a trace records and however
 //! many replays an analysis makes, at most `workers` universes exist at once; a job
 //! that fails is that job's error and nobody else's; and nothing a report or a
-//! what-if document says depends on the worker count or on where the events came from.
+//! what-if document says depends on the worker count or on where the events came from
+//! — including the identity baseline `--auto` reads off its profiled replays, which is
+//! held to the profiler-free identity pass it stands in for.
 
 use dprof::machine::SessionEvent;
 use dprof::trace::{
-    for_each_stream, measure_all_streaming, replay_all_streaming, replay_stream_streaming, FixSpec,
-    ThreadStream, TraceFile, TraceKind, TraceReader,
+    for_each_stream, measure_all_streaming, measure_stream_streaming, replay_all_streaming,
+    replay_and_measure_stream, replay_stream_streaming, FixSpec, ThreadStream, TraceFile,
+    TraceKind, TraceReader, TraceSource,
 };
 use dprof_cli::args::{self, Parsed};
 use dprof_cli::whatif::{analyze_trace, analyze_trace_on, render_whatif_json};
@@ -185,16 +188,17 @@ fn an_inconsistent_stream_is_a_clean_error_naming_it_while_the_others_complete()
 fn scheduling_and_event_source_cannot_reach_the_whatif_document() {
     let fresh = tmp("two-streams.dtrace");
     record_memcached(2, 30, &fresh);
-    let golden = golden_trace("ring_false_sharing_quick");
-    // No hot type of this one is invalidation-dominated: a walk started before the
-    // diagnosis is abandoned, and one started after it walks nothing.
-    let no_walk = golden_trace("sparse_struct_waste_quick");
-    for (path, fixes) in [
-        (&golden, vec![]),
-        (&no_walk, vec![]),
-        (&fresh, vec!["pad:skbuff"]),
+    // The ring trace needs the sharing walk.  No hot type of the sparse one is
+    // invalidation-dominated: a walk started before the diagnosis is abandoned, and
+    // one started after it walks nothing.  Both goldens' documents are committed, under
+    // the trace path `dprof whatif` is given from the repository root.
+    let golden = |name: &str| (golden_trace(name), format!("tests/golden/{name}.dtrace"));
+    for ((path, input), fixes) in [
+        (golden("ring_false_sharing_quick"), vec![]),
+        (golden("sparse_struct_waste_quick"), vec![]),
+        ((fresh.clone(), fresh.clone()), vec!["pad:skbuff"]),
     ] {
-        let mut argv = vec!["whatif", path.as_str(), "--auto", "-f", "json"];
+        let mut argv = vec!["whatif", input.as_str(), "--auto", "-f", "json"];
         for fix in &fixes {
             argv.extend(["--fix", fix]);
         }
@@ -202,13 +206,18 @@ fn scheduling_and_event_source_cannot_reach_the_whatif_document() {
         let Ok(Parsed::Whatif(options)) = args::parse(&argv) else {
             panic!("whatif arguments parse");
         };
-        let reader = TraceReader::open(path).expect("trace opens");
+        let reader = TraceReader::open(&path).expect("trace opens");
         let file = in_memory(&reader);
         let render = |analysis| render_whatif_json(&analysis, &options).to_pretty_string();
 
         let reference = render(analyze_trace_on(1, &reader, &options.fixes, true).unwrap());
-        // At 3 workers the sharing walk runs on a worker of its own beside both
-        // wave-1 replays of a one-stream trace.
+        if path != fresh {
+            let committed = path.replace(".dtrace", ".whatif.json");
+            let committed = std::fs::read_to_string(&committed).expect("golden document");
+            assert!(reference == committed, "{path}: not the committed document");
+        }
+        // From 2 workers on the sharing walk runs on a worker of its own beside the
+        // profiled replay of a one-stream trace.
         for workers in [2, 3, 7] {
             let streamed = analyze_trace_on(workers, &reader, &options.fixes, true).unwrap();
             assert!(
@@ -230,7 +239,7 @@ fn scheduling_and_event_source_cannot_reach_the_whatif_document() {
 #[test]
 fn the_benchmark_shaped_session_ranks_the_same_on_one_worker_and_on_two() {
     // `whatif-memcached`'s session (benchmark/src/workloads.rs): 16 cores, one stream,
-    // nine replays of it; candidates of every fix family come out of `--auto`.
+    // eight replays of it; candidates of every fix family come out of `--auto`.
     let trace = tmp("benchmark-shaped.dtrace");
     let output = dprof()
         .args(["record", "-w", "memcached", "--tx-policy", "hash"])
@@ -282,4 +291,116 @@ fn a_pushed_trace_folds_to_the_report_the_cli_merges_from_its_replay() {
     }
     server.shutdown();
     let _ = std::fs::remove_file(fresh);
+}
+
+/// Holds the identity baseline read off every stream's profiled replay to the
+/// profiler-free identity pass, measure for measure, at one worker and two; returns
+/// the streams' trailing-event counts.
+fn derived_baselines_are_the_identity_pass(source: &impl TraceSource, label: &str) -> Vec<usize> {
+    let mut trailing = Vec::new();
+    for workers in [1, 2] {
+        let derived = for_each_stream(workers, source, 1, |_, thread| {
+            replay_and_measure_stream(source, thread)
+        })
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let identity = for_each_stream(workers, source, 1, |_, thread| {
+            measure_stream_streaming(source, thread, &FixSpec::Identity)
+        })
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(derived.len(), identity.len(), "{label}");
+        for ((_, _, derived), identity) in derived.iter().zip(&identity) {
+            assert!(
+                !identity.round_clocks.is_empty(),
+                "{label}: measured rounds"
+            );
+            assert_eq!(
+                derived, identity,
+                "{label}: stream {}, {workers} worker(s)",
+                identity.thread
+            );
+        }
+        trailing = derived.iter().map(|(_, trailing, _)| *trailing).collect();
+    }
+    trailing
+}
+
+/// A copy of the golden sparse-struct session (which collects no histories) whose
+/// header asks the profiler for two sample rounds fewer than were recorded: its replay
+/// stops early and leaves those rounds behind.
+fn diverged_session() -> TraceFile {
+    let reader =
+        TraceReader::open(&golden_trace("sparse_struct_waste_quick")).expect("trace opens");
+    let mut file = in_memory(&reader);
+    file.params.sample_rounds -= 2;
+    file
+}
+
+#[test]
+fn the_baseline_read_off_the_profiled_replay_is_the_identity_pass() {
+    let goldens = [
+        "memcached_quick",
+        "apache_quick",
+        "false_sharing_quick",
+        "ring_false_sharing_quick",
+        "sparse_struct_waste_quick",
+    ];
+    for name in goldens {
+        let reader = TraceReader::open(&golden_trace(name)).expect("trace opens");
+        let from_file = derived_baselines_are_the_identity_pass(&reader, name);
+        let from_memory = derived_baselines_are_the_identity_pass(&in_memory(&reader), name);
+        assert_eq!(from_file, vec![0], "{name}: a faithful replay");
+        assert_eq!(from_memory, from_file, "{name}");
+    }
+
+    let fresh = tmp("three-streams.dtrace");
+    record_memcached(3, 12, &fresh);
+    let reader = TraceReader::open(&fresh).expect("trace opens");
+    assert_eq!(reader.stream_count(), 3);
+    assert_eq!(
+        derived_baselines_are_the_identity_pass(&reader, "3 streams"),
+        [0; 3]
+    );
+    let from_memory = derived_baselines_are_the_identity_pass(&in_memory(&reader), "3 streams");
+    assert_eq!(from_memory, [0; 3]);
+    let _ = std::fs::remove_file(fresh);
+
+    // The profiler stops early; the rounds after its window are still measured.
+    let diverged = diverged_session();
+    let trailing = derived_baselines_are_the_identity_pass(&diverged, "diverged");
+    assert!(trailing[0] > 0, "the replay diverged: {trailing:?}");
+    let path = tmp("diverged.dtrace");
+    diverged.write(&path).expect("trace writes");
+    let reader = TraceReader::open(&path).expect("trace opens");
+    assert_eq!(
+        derived_baselines_are_the_identity_pass(&reader, "diverged file"),
+        trailing
+    );
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn whatif_auto_warns_of_a_diverged_profiled_replay_as_replay_does() {
+    let path = tmp("diverged-warning.dtrace");
+    diverged_session().write(&path).expect("trace writes");
+    let warnings = |args: &[&str]| -> Vec<String> {
+        let output = dprof().args(args).output().unwrap();
+        assert!(output.status.success(), "{args:?}");
+        (String::from_utf8_lossy(&output.stderr).lines())
+            .filter(|l| l.starts_with("warning:"))
+            .map(String::from)
+            .collect()
+    };
+    let replayed = warnings(&["replay", &path, "-f", "json", "-o", "/dev/null"]);
+    assert_eq!(replayed.len(), 1, "{replayed:?}");
+    assert!(
+        replayed[0].starts_with("warning: stream 0 diverged from the recording ("),
+        "{replayed:?}"
+    );
+    let whatif = warnings(&["whatif", &path, "--auto", "-f", "json", "-o", "/dev/null"]);
+    assert_eq!(whatif, replayed);
+    // Without `--auto` there is no profiled replay to diverge.
+    let fix = "shrink:sparse_record:64";
+    let fixed = warnings(&["whatif", &path, "--fix", fix, "-o", "/dev/null"]);
+    assert_eq!(fixed, Vec::<String>::new());
+    let _ = std::fs::remove_file(path);
 }

@@ -41,7 +41,7 @@ pub use allocator::{
     RemapTarget, ResolvedAddr, SlabAllocator,
 };
 pub use kernel::{KernelConfig, KernelState, KernelSymbols};
-pub use locks::{lock_report, KLock, LockReportRow, LockStats};
+pub use locks::{by_wait_then_name, lock_report, KLock, LockReportRow, LockStats};
 pub use netdev::{NetDevice, TxQueue, TxQueuePolicy};
 pub use skbuff::Skb;
 pub use sockets::{EventPoll, FutexQueue, TcpConnection, TcpListener, UdpSocket};

@@ -128,23 +128,29 @@ pub fn lock_report(machine: &Machine, locks: &[&KLock]) -> Vec<LockReportRow> {
         .map(|l| {
             let wait_seconds = l.stats.wait_cycles as f64 / freq;
             let overhead_percent = 100.0 * wait_seconds / (elapsed * cores);
-            let mut callers: Vec<_> = l.stats.callers.iter().collect();
-            callers.sort_by_key(|(_, &n)| std::cmp::Reverse(n));
+            // The callers live in a `HashMap`: equal counts are ordered by name.
+            let mut callers: Vec<(u64, &str)> = (l.stats.callers.iter())
+                .map(|(f, &n)| (n, machine.symbols.name(*f)))
+                .collect();
+            callers.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
             LockReportRow {
                 name: l.name.clone(),
                 wait_seconds,
                 overhead_percent,
-                functions: callers
-                    .into_iter()
-                    .map(|(f, _)| machine.symbols.name(*f).to_string())
-                    .collect(),
+                functions: callers.into_iter().map(|(_, f)| f.to_string()).collect(),
                 acquisitions: l.stats.acquisitions,
                 contentions: l.stats.contentions,
             }
         })
         .collect();
-    rows.sort_by(|a, b| b.wait_seconds.partial_cmp(&a.wait_seconds).unwrap());
+    rows.sort_by(by_wait_then_name);
     rows
+}
+
+/// Lock-stat's row order: longest total wait first, equal waits by lock name.  Total
+/// over `f64`, so a NaN wait sorts instead of panicking.
+pub fn by_wait_then_name(a: &LockReportRow, b: &LockReportRow) -> std::cmp::Ordering {
+    (b.wait_seconds.total_cmp(&a.wait_seconds)).then_with(|| a.name.cmp(&b.name))
 }
 
 #[cfg(test)]
@@ -219,6 +225,37 @@ mod tests {
         assert_eq!(rows[0].name, "busy");
         assert!(rows[0].wait_seconds >= rows[1].wait_seconds);
         assert!(rows[0].functions.contains(&"fn_a".to_string()));
+    }
+
+    #[test]
+    fn equal_waits_and_equal_caller_counts_are_ordered_by_name() {
+        let mut m = Machine::new(MachineConfig::small_test());
+        // Interned in reverse name order, so neither id order nor hash order helps.
+        let callers = ["zap", "mid", "add"].map(|f| m.fn_id(f));
+        let mut locks: Vec<KLock> = ["wait queue", "epoll lock", "futex lock"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| KLock::new(name, 0x9000 + 0x100 * i as u64))
+            .collect();
+        for lock in &mut locks {
+            for &f in &callers {
+                lock.acquire(&mut m, 0, f);
+                lock.release(&mut m, 0, f);
+            }
+        }
+        let rows = lock_report(&m, &locks.iter().collect::<Vec<_>>());
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["epoll lock", "futex lock", "wait queue"]);
+        for row in &rows {
+            assert_eq!(row.wait_seconds, 0.0);
+            assert_eq!(row.functions, ["add", "mid", "zap"]);
+        }
+
+        // A NaN wait sorts (first, as the largest) instead of panicking.
+        let mut rows = rows;
+        rows[2].wait_seconds = f64::NAN;
+        rows.sort_by(by_wait_then_name);
+        assert_eq!(rows[0].name, "wait queue");
     }
 
     #[test]

@@ -333,6 +333,17 @@ impl Machine {
         self.profiling_cycles.iter().sum()
     }
 
+    /// The makespan with the profiler's cycles taken out: the largest of each core's
+    /// clock less the cycles booked to profiling on it.  Profiling never touches the
+    /// caches, so this is the [`Self::max_clock`] the same operations reach on a
+    /// machine that profiles nothing; on such a machine the two are equal.
+    pub fn unprofiled_makespan(&self) -> u64 {
+        (self.clocks.iter().zip(&self.profiling_cycles))
+            .map(|(clock, profiling)| clock - profiling)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Advances a core's clock by `cycles` of non-memory work, attributing the cycles to
     /// `ip` in the per-function counters.
     pub fn compute(&mut self, core: CoreId, ip: FunctionId, cycles: u64) {

@@ -58,7 +58,7 @@ pub use format::{
 };
 pub use replay::{
     available_workers, fan_out, for_each_stream, profile_window, replay_all_streaming,
-    replay_stream_streaming, session_streams,
+    replay_and_measure_stream, replay_stream_streaming, session_streams,
 };
 pub use source::{StreamInfo, TraceSource};
 pub use stream::{EventReader, StreamHeader, TraceReader};

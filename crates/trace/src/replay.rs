@@ -15,6 +15,11 @@
 //! both call [`profile_window`] with [`crate::SessionParams::dprof_config`] and both
 //! produce a [`ThreadRun`].
 //!
+//! The profiled replay also records the makespan at every round end, without the
+//! cycles the machine booked to the profiler: the identity baseline `dprof whatif
+//! --auto` would otherwise spend a profiler-free pass on
+//! ([`replay_and_measure_stream`]).  A round end costs one max over the cores.
+//!
 //! There is one driver, generic over where the events come from ([`TraceSource`]): a
 //! [`crate::TraceReader`] decodes each stream incrementally from its own file handle,
 //! so peak memory is bounded by the simulation state, not the trace size; a
@@ -25,6 +30,7 @@
 
 use crate::format::ThreadRun;
 use crate::source::TraceSource;
+use crate::whatif::{RoundClocks, WhatifMeasure};
 use crate::TraceError;
 use dprof_core::{Dprof, DprofConfig};
 use sim_kernel::{KernelState, TypeId, TypeRegistry};
@@ -172,7 +178,8 @@ fn non_live_free(addr: u64) -> String {
     format!("free of non-live address {addr:#x}")
 }
 
-/// A cursor feeding recorded events into the machine/kernel, one round per call.
+/// A cursor feeding recorded events into the machine/kernel, one round per call, and
+/// recording the makespan at every round end it passes.
 struct EventCursor<I> {
     events: I,
     /// Events consumed so far.
@@ -183,6 +190,7 @@ struct EventCursor<I> {
     /// parked here: the profiler's `step` closure cannot fail, so the caller inspects
     /// it once the profiler pass finishes.
     error: Option<String>,
+    clocks: RoundClocks,
 }
 
 impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
@@ -193,6 +201,7 @@ impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
                 Ok(ev) => {
                     self.consumed += 1;
                     if matches!(ev, SessionEvent::RoundEnd) {
+                        self.clocks.round_end(machine);
                         return;
                     }
                     if let Err(e) = apply_event(ev, machine, kernel) {
@@ -208,6 +217,57 @@ impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
         }
         self.exhausted = true;
     }
+
+    /// The events of a stream of `event_count` the cursor has not consumed, plus one
+    /// if it ran dry: zero exactly when the profiler consumed the recording.
+    fn trailing(&self, event_count: usize) -> usize {
+        event_count - self.consumed + usize::from(self.exhausted)
+    }
+}
+
+/// A stream's profiled replay, stopped where the profiler stopped: the run, the
+/// universe it left and the cursor, which still holds the events of a diverged stream.
+struct Profiled<I> {
+    run: ThreadRun,
+    machine: Machine,
+    kernel: KernelState,
+    cursor: EventCursor<I>,
+}
+
+/// Runs the profiler over stream `thread` of `source`.
+fn profile_stream<S: TraceSource>(
+    source: &S,
+    thread: usize,
+) -> Result<Profiled<impl Iterator<Item = Result<SessionEvent, TraceError>> + '_>, String> {
+    let stream = source.stream(thread);
+    let (mut machine, mut kernel) = rebuild_universe(source, thread);
+    let mut cursor = EventCursor {
+        events: source.events(thread)?,
+        consumed: 0,
+        exhausted: false,
+        error: None,
+        clocks: RoundClocks::new(source, thread),
+    };
+    for _ in 0..cursor.clocks.warmup_boundary() {
+        cursor.run_round(&mut machine, &mut kernel);
+    }
+    let mut run = profile_window(
+        &mut machine,
+        &mut kernel,
+        thread,
+        source.params().dprof_config(stream.seed),
+        |m, k| cursor.run_round(m, k),
+    );
+    if let Some(e) = cursor.error.take() {
+        return Err(e);
+    }
+    run.requests = stream.requests;
+    Ok(Profiled {
+        run,
+        machine,
+        kernel,
+        cursor,
+    })
 }
 
 /// Replays one stream of a full-session trace through the profiler pipeline, returning
@@ -223,36 +283,38 @@ pub fn replay_stream_streaming(
     source: &impl TraceSource,
     thread: usize,
 ) -> Result<(ThreadRun, usize), String> {
-    let stream = source.stream(thread);
-    let params = source.params();
-    let (mut machine, mut kernel) = rebuild_universe(source, thread);
-    let mut cursor = EventCursor {
-        events: source.events(thread)?,
-        consumed: 0,
-        exhausted: false,
-        error: None,
-    };
+    let Profiled { run, cursor, .. } = profile_stream(source, thread)?;
+    Ok((run, cursor.trailing(source.stream(thread).event_count)))
+}
 
-    // Segment 0 is the kernel/workload set-up traffic (everything before the first
-    // marker); the warmup after it is phase-shifted per thread, as the live run's was.
-    for _ in 0..1 + params.warmup_rounds + thread {
+/// [`replay_stream_streaming`], plus the stream's identity baseline read off the same
+/// pass: the [`WhatifMeasure`] a profiler-free
+/// [`measure_stream_streaming`](crate::measure_stream_streaming) under
+/// [`FixSpec::Identity`](crate::FixSpec::Identity) returns, because the round clocks
+/// leave out the cycles the profiler booked.  The events a diverged profiler did not
+/// consume are applied after its window, without it, so the baseline still covers
+/// every recorded round; an error among them is an `Err`, as it is in that pass.
+///
+/// # Panics
+/// Panics if `thread` is out of range.
+pub fn replay_and_measure_stream(
+    source: &impl TraceSource,
+    thread: usize,
+) -> Result<(ThreadRun, usize, WhatifMeasure), String> {
+    let Profiled {
+        run,
+        mut machine,
+        mut kernel,
+        mut cursor,
+    } = profile_stream(source, thread)?;
+    let trailing = cursor.trailing(source.stream(thread).event_count);
+    while !cursor.exhausted {
         cursor.run_round(&mut machine, &mut kernel);
     }
-    let mut run = profile_window(
-        &mut machine,
-        &mut kernel,
-        thread,
-        params.dprof_config(stream.seed),
-        |m, k| cursor.run_round(m, k),
-    );
     if let Some(e) = cursor.error {
         return Err(e);
     }
-    run.requests = stream.requests;
-    Ok((
-        run,
-        stream.event_count - cursor.consumed + usize::from(cursor.exhausted),
-    ))
+    Ok((run, trailing, cursor.clocks.measure(source)))
 }
 
 /// Replays every stream of a full-session trace on the bounded fan-out, returning the

@@ -18,6 +18,10 @@
 //!   (max core clock) at every post-warmup round boundary.
 //!   Keeping the profiler out of the measurement loop matters: watchpoints armed at
 //!   recorded addresses would never fire on shadow addresses, biasing candidates.
+//!   The identity baseline is the exception that needs no pass of its own: the
+//!   machine books the profiler's cycles apart, so a profiled replay's round clocks
+//!   less them are this pass's under [`FixSpec::Identity`], and
+//!   [`crate::replay_and_measure_stream`] records them with the same recorder.
 //! * [`analyze_sharing`] — per-type granule/concurrency statistics, gathered for any
 //!   number of types in one walk, used by `dprof whatif --auto` to pick the fix family
 //!   that matches the sharing pattern.
@@ -25,15 +29,16 @@
 //! The throughput metric is deliberately the **makespan delta**, not summed per-core
 //! latency: `pin` serializes an object's accesses onto one core, which *reduces* summed
 //! latency even when it lengthens the critical path.  Makespan is the machine's notion
-//! of elapsed time ([`sim_machine::Machine::max_clock`]) and matches what `dprof`
-//! reports as throughput.
+//! of elapsed time ([`sim_machine::Machine::max_clock`]; without the profiler's
+//! cycles, [`sim_machine::Machine::unprofiled_makespan`], which is the same number in
+//! a profiler-free pass) and matches what `dprof` reports as throughput.
 
 use crate::format::TypeDump;
 use crate::replay::{apply_event, available_workers, for_each_stream, rebuild_universe};
 use crate::source::TraceSource;
 use sim_cache::line_table::BuildMixHasher;
 use sim_kernel::{AddrIndex, RemapTarget, TypeId};
-use sim_machine::SessionEvent;
+use sim_machine::{Machine, SessionEvent};
 
 /// The tables here are keyed by addresses, types and cores and probed on every access
 /// or allocation; nothing reads them in iteration order.
@@ -334,13 +339,14 @@ impl Transform {
 
 /// The outcome of one stream's measurement replay: the makespan trajectory of the
 /// measurement window, from which block-wise gain statistics are built.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WhatifMeasure {
     /// Stream index (the live run's thread index).
     pub thread: usize,
-    /// Makespan (max core clock) right after the setup + warmup segment.
+    /// Makespan without the profiler ([`sim_machine::Machine::unprofiled_makespan`])
+    /// right after the setup + warmup segment.
     pub warmup_clock: u64,
-    /// Makespan at each subsequent round boundary, in round order.
+    /// That makespan at each subsequent round boundary, in round order.
     pub round_clocks: Vec<u64>,
     /// Application requests completed in the recorded window (carried from the trace).
     pub requests: u64,
@@ -362,6 +368,63 @@ impl WhatifMeasure {
     }
 }
 
+/// The makespan at a stream's round ends, as every replay of it records them: rounds
+/// `1..=warmup_boundary` are set-up + (phase-shifted) warmup, whose last end is the
+/// warmup clock; every later end is a measured round, mirroring the live driver's
+/// counters.  The makespan read is the machine's without the profiler, so a profiled
+/// replay records what a profiler-free pass over the same events does.
+#[derive(Debug)]
+pub(crate) struct RoundClocks {
+    thread: usize,
+    warmup_boundary: usize,
+    round: usize,
+    warmup_clock: u64,
+    round_clocks: Vec<u64>,
+}
+
+impl RoundClocks {
+    /// The recorder of stream `thread` of `source`.
+    pub(crate) fn new(source: &impl TraceSource, thread: usize) -> RoundClocks {
+        RoundClocks {
+            thread,
+            // Segment 0 is the kernel/workload set-up traffic (everything before the
+            // first marker); the warmup after it is phase-shifted per thread, as the
+            // live run's was.
+            warmup_boundary: 1 + source.params().warmup_rounds + thread,
+            round: 0,
+            warmup_clock: 0,
+            round_clocks: Vec::new(),
+        }
+    }
+
+    /// How many round ends precede the measured window.
+    pub(crate) fn warmup_boundary(&self) -> usize {
+        self.warmup_boundary
+    }
+
+    /// Records one round end.
+    #[inline]
+    pub(crate) fn round_end(&mut self, machine: &Machine) {
+        self.round += 1;
+        if self.round == self.warmup_boundary {
+            self.warmup_clock = machine.unprofiled_makespan();
+        } else if self.round > self.warmup_boundary {
+            self.round_clocks.push(machine.unprofiled_makespan());
+        }
+    }
+
+    /// The measure of the rounds recorded.
+    pub(crate) fn measure(self, source: &impl TraceSource) -> WhatifMeasure {
+        WhatifMeasure {
+            thread: self.thread,
+            warmup_clock: self.warmup_clock,
+            round_clocks: self.round_clocks,
+            requests: source.stream(self.thread).requests,
+            cycles_per_second: source.machine().cycles_per_second,
+        }
+    }
+}
+
 /// Replays one stream under `spec` with **no profiler in the loop**, recording the
 /// makespan at every post-warmup round boundary.  Decode errors, and events that
 /// contradict their stream (`event 1234: free of non-live address 0x…`), surface as
@@ -374,30 +437,18 @@ pub fn measure_stream_streaming(
     thread: usize,
     spec: &FixSpec,
 ) -> Result<WhatifMeasure, String> {
-    let stream = source.stream(thread);
-    let machine_config = source.machine();
     let (mut machine, mut kernel) = rebuild_universe(source, thread);
     let target = spec
         .target()
-        .and_then(|name| stream_type_id(stream.types, name));
-    let mut transform = Transform::new(spec, target, machine_config.hierarchy.l1.line_size as u64);
-
-    // Rounds 1..=warmup_boundary are setup + (phase-shifted) warmup; everything after
-    // is the measured window, mirroring the live driver's counters.
-    let warmup_boundary = 1 + source.params().warmup_rounds + thread;
-    let mut round = 0usize;
-    let mut warmup_clock = 0u64;
-    let mut round_clocks = Vec::new();
+        .and_then(|name| stream_type_id(source.stream(thread).types, name));
+    let line_size = source.machine().hierarchy.l1.line_size as u64;
+    let mut transform = Transform::new(spec, target, line_size);
+    let mut clocks = RoundClocks::new(source, thread);
 
     for (i, ev) in source.events(thread)?.enumerate() {
         match ev? {
             SessionEvent::RoundEnd => {
-                round += 1;
-                if round == warmup_boundary {
-                    warmup_clock = machine.max_clock();
-                } else if round > warmup_boundary {
-                    round_clocks.push(machine.max_clock());
-                }
+                clocks.round_end(&machine);
                 Ok(())
             }
             ev @ SessionEvent::Access {
@@ -415,14 +466,7 @@ pub fn measure_stream_streaming(
         }
         .map_err(|e| format!("event {i}: {e}"))?;
     }
-
-    Ok(WhatifMeasure {
-        thread,
-        warmup_clock,
-        round_clocks,
-        requests: stream.requests,
-        cycles_per_second: machine_config.cycles_per_second,
-    })
+    Ok(clocks.measure(source))
 }
 
 /// Measures every stream of a full-session trace under `spec` on the bounded fan-out,
