@@ -54,8 +54,8 @@ fn main() {
         for &cores in &core_counts {
             let p = measure_point(which, cores, rounds_for(cores));
             println!(
-                "  {:<10} {:>3} cores: {:>12.0} accesses/s",
-                p.workload, p.cores, p.optimized_aps
+                "  {:<10} {:>3} cores: {:>12.0} accesses/s, directory of {} lines in {} bytes",
+                p.workload, p.cores, p.optimized_aps, p.directory_lines, p.directory_bytes
             );
             points.push(p);
         }

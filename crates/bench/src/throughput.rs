@@ -6,8 +6,10 @@
 //!    memory traffic of the paper's request paths, not a synthetic pattern.
 //! 2. Replay that stream against a fresh [`CacheHierarchy`], three times, and keep the
 //!    fastest run.
-//! 3. Report accesses/second per workload × core count, and emit
-//!    `BENCH_throughput.json` so throughput regressions are visible in review.
+//! 3. Report accesses/second per workload × core count, with the size of the line
+//!    directory the replay left (its lines and heap bytes, which grow with the core
+//!    count through the per-core notes), and emit `BENCH_throughput.json` so
+//!    throughput regressions are visible in review.
 //!
 //! Each replay starts from an empty hierarchy, so the numbers include cold-structure
 //! warm-up once per run.  That the hierarchy computes what the seed model computed
@@ -54,6 +56,10 @@ pub struct ThroughputPoint {
     pub trace_len: usize,
     /// Accesses/second through the hierarchy.
     pub optimized_aps: f64,
+    /// Distinct lines in the directory after a replay.
+    pub directory_lines: usize,
+    /// Heap bytes of that directory: the hierarchy's tables less its caches'.
+    pub directory_bytes: usize,
 }
 
 /// Captures the cache-line accesses of `rounds` workload rounds on a `cores`-core
@@ -104,9 +110,10 @@ fn lowered_rounds(
     trace
 }
 
-/// Replays a trace through a fresh hierarchy once and returns the elapsed seconds.
-/// The outcome latencies are summed so the work cannot be optimized away.
-fn replay(config: &HierarchyConfig, trace: &[TraceEvent]) -> f64 {
+/// Replays a trace through a fresh hierarchy once and returns the elapsed seconds and
+/// the hierarchy, which is sized after the clock stops.  The outcome latencies are
+/// summed so the work cannot be optimized away.
+fn replay(config: &HierarchyConfig, trace: &[TraceEvent]) -> (f64, CacheHierarchy) {
     let mut h = CacheHierarchy::new(*config);
     let start = Instant::now();
     let mut checksum = 0u64;
@@ -115,7 +122,7 @@ fn replay(config: &HierarchyConfig, trace: &[TraceEvent]) -> f64 {
         checksum = checksum.wrapping_add(outcome.latency);
     }
     std::hint::black_box(checksum);
-    start.elapsed().as_secs_f64()
+    (start.elapsed().as_secs_f64(), h)
 }
 
 /// Measures one throughput point: captures the workload trace and replays it three
@@ -123,14 +130,21 @@ fn replay(config: &HierarchyConfig, trace: &[TraceEvent]) -> f64 {
 pub fn measure_point(which: TraceWorkload, cores: usize, rounds: usize) -> ThroughputPoint {
     let trace = capture_trace(which, cores, rounds);
     let config = HierarchyConfig::with_cores(cores);
-    let best = (0..REPS)
-        .map(|_| replay(&config, &trace))
-        .fold(f64::INFINITY, f64::min);
+    let mut best = f64::INFINITY;
+    let mut directory = [0; 2];
+    for _ in 0..REPS {
+        let (seconds, h) = replay(&config, &trace);
+        best = best.min(seconds);
+        let caches: usize = h.cache_heap_bytes().iter().sum();
+        directory = [h.directory_lines(), h.heap_bytes() - caches];
+    }
     ThroughputPoint {
         workload: which.name().to_string(),
         cores,
         trace_len: trace.len(),
         optimized_aps: trace.len() as f64 / best.max(1e-12),
+        directory_lines: directory[0],
+        directory_bytes: directory[1],
     }
 }
 
@@ -145,11 +159,13 @@ pub fn render_json(scale_name: &str, points: &[ThroughputPoint]) -> String {
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"cores\": {}, \"trace_len\": {}, \
-             \"optimized_aps\": {:.0}}}{}\n",
+             \"optimized_aps\": {:.0}, \"directory_lines\": {}, \"directory_bytes\": {}}}{}\n",
             p.workload,
             p.cores,
             p.trace_len,
             p.optimized_aps,
+            p.directory_lines,
+            p.directory_bytes,
             if i + 1 == points.len() { "" } else { "," }
         ));
     }
@@ -161,13 +177,13 @@ pub fn render_json(scale_name: &str, points: &[ThroughputPoint]) -> String {
 pub fn render_table(points: &[ThroughputPoint]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} {:>5} {:>12} {:>16}\n",
-        "workload", "cores", "trace", "optimized a/s"
+        "{:<10} {:>5} {:>12} {:>16} {:>10} {:>12}\n",
+        "workload", "cores", "trace", "optimized a/s", "dir lines", "dir bytes"
     ));
     for p in points {
         out.push_str(&format!(
-            "{:<10} {:>5} {:>12} {:>16.0}\n",
-            p.workload, p.cores, p.trace_len, p.optimized_aps
+            "{:<10} {:>5} {:>12} {:>16.0} {:>10} {:>12}\n",
+            p.workload, p.cores, p.trace_len, p.optimized_aps, p.directory_lines, p.directory_bytes
         ));
     }
     out
@@ -260,6 +276,9 @@ mod tests {
         assert_eq!(p.workload, "memcached");
         assert!(p.trace_len > 0);
         assert!(p.optimized_aps > 0.0);
+        assert!(p.directory_lines > 0 && p.directory_lines <= p.trace_len);
+        // At least a 32-byte entry a line.
+        assert!(p.directory_bytes >= 32 * p.directory_lines);
     }
 
     #[test]
@@ -270,12 +289,16 @@ mod tests {
                 cores: 16,
                 trace_len: 1000,
                 optimized_aps: 4.0e7,
+                directory_lines: 300,
+                directory_bytes: 17_600,
             },
             ThroughputPoint {
                 workload: "apache".into(),
                 cores: 2,
                 trace_len: 500,
                 optimized_aps: 5.0e7,
+                directory_lines: 200,
+                directory_bytes: 14_656,
             },
         ];
         let doc = render_json("paper", &points);
@@ -295,6 +318,14 @@ mod tests {
             arr[1].get("optimized_aps").and_then(|s| s.as_f64()),
             Some(5.0e7)
         );
+        assert_eq!(
+            arr[0].get("directory_lines").and_then(|s| s.as_f64()),
+            Some(300.0)
+        );
+        assert_eq!(
+            arr[1].get("directory_bytes").and_then(|s| s.as_f64()),
+            Some(14_656.0)
+        );
     }
 
     #[test]
@@ -304,6 +335,8 @@ mod tests {
             cores,
             trace_len: 100,
             optimized_aps: opt,
+            directory_lines: 10,
+            directory_bytes: 8_512,
         };
         let points = vec![mk(2, 4.0e7), mk(64, 1.0e7)];
         let view = render_scaling(&points);

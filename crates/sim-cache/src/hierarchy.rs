@@ -1,11 +1,13 @@
 //! The multi-core cache hierarchy: per-core L1/L2, shared L3, directory-based MESI.
 //!
 //! The per-access hot path is deliberately flat: the private caches are
-//! struct-of-arrays [`SetAssocCache`]s, and all per-line coherence bookkeeping
-//! (sharer mask, modified owner, invalidation notes, touched bits) lives in a single
-//! dense [`LineTable`] instead of the seed's `HashMap`/`HashSet` trio.  In the steady
-//! state an access performs no heap allocation (verified by the `alloc_steady_state`
-//! integration test) and no SipHash computations.
+//! struct-of-arrays [`SetAssocCache`]s, and all per-line coherence bookkeeping lives in
+//! a single dense [`LineTable`] instead of the seed's `HashMap`/`HashSet` trio: a
+//! 32-byte entry a line for what every lookup reads (sharer mask, modified owner), and
+//! beside it the per-core touched bits and invalidation notes that only a private miss
+//! reads (to classify itself) or writes (its fill, and each copy an invalidation takes).
+//! In the steady state an access performs no heap allocation (verified by the
+//! `alloc_steady_state` integration test) and no SipHash computations.
 //!
 //! Three invariants keep the path short, and [`CacheHierarchy::check_coherence_invariants`]
 //! checks all of them.  *Inclusion*: a line resident in a core's L1 is resident in that
@@ -183,7 +185,7 @@ pub struct CacheHierarchy {
     l1: Vec<SetAssocCache<LineAddr>>,
     l2: Vec<SetAssocCache<Slot>>,
     l3: SetAssocCache<Slot>,
-    /// Per-line directory, departure and touched bookkeeping, one entry a line.
+    /// Per-line directory entries, and each core's touched bits and invalidation notes.
     table: LineTable,
     /// Aggregated statistics.
     pub stats: HierarchyStats,
@@ -206,7 +208,7 @@ impl CacheHierarchy {
                 .map(|_| SetAssocCache::new(config.l2))
                 .collect(),
             l3: SetAssocCache::new(config.l3),
-            table: LineTable::new(),
+            table: LineTable::new(config.cores),
             stats: HierarchyStats::default(),
             per_core: vec![HierarchyStats::default(); config.cores],
             config,
@@ -421,9 +423,8 @@ impl CacheHierarchy {
         }
         // A read leaves no owner: a remote one was downgraded and cleared above.
         debug_assert!(is_write || e.owner_core().is_none());
-        let miss_kind = e.miss_kind(core);
-        e.touched |= (1 as CoreMask) << core;
-        e.clear_departure(core);
+        let miss_kind = self.table.miss_kind(at.slot, core);
+        self.table.note_fill(at.slot, core);
 
         (level, 0, Some(miss_kind))
     }
@@ -466,20 +467,18 @@ impl CacheHierarchy {
     /// unconditionally.
     fn invalidate_remote_copies(&mut self, writer: CoreId, at: Filed, sharers: CoreMask) {
         let mut mask = sharers & !((1 as CoreMask) << writer);
-        let mut departed: CoreMask = 0;
         while mask != 0 {
             let c = mask.trailing_zeros() as CoreId;
             mask &= mask - 1;
             // L2 first: when it lacks the line, so does the L1 (inclusion).
             if self.l2[c].invalidate(at.l2_set, at.slot) {
                 self.l1[c].invalidate(at.l1_set, at.line);
-                departed |= (1 as CoreMask) << c;
+                self.table.note_invalidation(at.slot, c);
             }
         }
         // A remote write also invalidates the stale L3 copy.
         self.l3.invalidate(at.l3_set, at.slot);
         let e = self.table.entry_at_mut(at.slot);
-        e.invalidated |= departed;
         e.sharers &= 1 << writer;
         e.set_owner(Some(writer));
     }
@@ -511,7 +510,7 @@ impl CacheHierarchy {
     /// Records that the line at directory slot `slot` left `core`'s private caches by
     /// replacement.
     fn note_eviction(&mut self, core: CoreId, slot: Slot) {
-        // No note is kept: the core stays in `touched` (see `DirEntry::miss_kind`).
+        // No note is kept: the core has touched the line (see `LineTable::miss_kind`).
         let e = self.table.entry_at_mut(slot);
         e.sharers &= !((1 as CoreMask) << core);
         if e.owner_core() == Some(core) {
@@ -598,7 +597,8 @@ impl CacheHierarchy {
     /// * exact sharers: core `c`'s sharer bit is set exactly when `c`'s L2 holds the
     ///   line's slot, in the line's set;
     /// * inclusion: a line resident in a core's L1 is resident in that core's L2, in
-    ///   the same state.
+    ///   the same state;
+    /// * notes: a sharer has touched the line and carries no invalidation note.
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
         use std::collections::{HashMap, HashSet};
         let mut modified_lines: HashMap<LineAddr, CoreId> = HashMap::new();
@@ -702,6 +702,19 @@ impl CacheHierarchy {
                     ));
                 }
             }
+            let mut sharers = e.sharers;
+            while sharers != 0 {
+                let c = sharers.trailing_zeros() as CoreId;
+                sharers &= sharers - 1;
+                let note = match self.table.miss_kind(slot as Slot, c) {
+                    MissKind::Eviction => continue,
+                    MissKind::Cold => "no touched bit",
+                    MissKind::Invalidation => "an invalidation note",
+                };
+                return Err(format!(
+                    "line {line:#x} has core {c} as a sharer, but core {c} has {note} on it"
+                ));
+            }
         }
         Ok(())
     }
@@ -732,6 +745,14 @@ mod tests {
         fn l1_state(&self, core: CoreId, line: LineAddr) -> Option<MesiState> {
             let (set, tag) = self.l1_at(line);
             self.l1[core].peek(set, tag)
+        }
+
+        /// How each core's next miss on `line` would classify, from its notes.
+        fn notes(&self, line: LineAddr) -> Vec<MissKind> {
+            let slot = self.l2_at(line).1;
+            (0..self.cores())
+                .map(|c| self.table.miss_kind(slot, c))
+                .collect()
         }
     }
 
@@ -959,7 +980,7 @@ mod tests {
             (
                 (h.l1_state(0, line), h.l1[0].stats),
                 (h.l2_state(0, line), h.l2[0].stats),
-                h.table.get(line).copied(),
+                h.table.get(line).map(|e| (*e, h.notes(line))),
             )
         };
         // L1 has 16 sets of 2 ways, L2 32 sets of 4: these lines share L1 set 0; `t`,
@@ -977,7 +998,10 @@ mod tests {
         assert_eq!(l2.0, Some(MesiState::Modified));
         assert_eq!((l1.1.hits, l1.1.misses, l2.1.hits), (1, 1, 0));
         let dir = dir.unwrap();
-        assert_eq!((dir.owner_core(), dir.sharers), (Some(0), 1));
+        assert_eq!(
+            (dir.0.owner_core(), dir.0.sharers, &dir.1[..]),
+            (Some(0), 1, &[MissKind::Eviction, MissKind::Cold][..])
+        );
         // M -> M: one more L1 hit and nothing else moves.
         let out = both(&mut h, &mut r, 0, t, Write);
         assert_eq!((out.level, out.latency), (HitLevel::L1, lat.l1));
@@ -998,8 +1022,8 @@ mod tests {
         assert_eq!(h.l2[1].stats.invalidations, 1);
         let dir = *h.table.get(p).unwrap();
         assert_eq!(
-            (dir.owner_core(), dir.sharers, dir.invalidated),
-            (Some(0), 1, 2)
+            (dir.owner_core(), dir.sharers, h.notes(p)),
+            (Some(0), 1, vec![MissKind::Eviction, MissKind::Invalidation])
         );
         assert_eq!(h.l2_state(0, p), Some(MesiState::Modified));
         // The written lines are the L1 set's most recent: `t` (older) is the victim
@@ -1027,7 +1051,10 @@ mod tests {
         assert_eq!(l2.0, Some(MesiState::Modified));
         assert_eq!((l2.1.hits, l2.1.misses), (1, 4));
         let dir = dir.unwrap();
-        assert_eq!((dir.owner_core(), dir.sharers), (Some(0), 1));
+        assert_eq!(
+            (dir.0.owner_core(), dir.0.sharers, &dir.1[..]),
+            (Some(0), 1, &[MissKind::Eviction, MissKind::Cold][..])
+        );
         // M -> M: push `t` out of the L1 again, write it: an L2 hit, an L1 refill.
         both(&mut h, &mut r, 0, v, Read);
         both(&mut h, &mut r, 0, w, Read);
@@ -1061,8 +1088,8 @@ mod tests {
         assert_eq!(h.l2_state(0, p), Some(MesiState::Modified));
         let dir = *h.table.get(p).unwrap();
         assert_eq!(
-            (dir.owner_core(), dir.sharers, dir.invalidated),
-            (Some(0), 1, 2)
+            (dir.owner_core(), dir.sharers, h.notes(p)),
+            (Some(0), 1, vec![MissKind::Eviction, MissKind::Invalidation])
         );
         let out = both(&mut h, &mut r, 1, p, Write);
         assert_eq!(out.level, HitLevel::RemoteCache);
@@ -1135,6 +1162,22 @@ mod tests {
         assert!(err.contains("directory owner"), "unexpected error: {err}");
     }
 
+    #[test]
+    fn an_invalidation_note_on_a_sharer_is_flagged() {
+        let mut h = hierarchy();
+        h.access(0, 0x7000, AccessKind::Read);
+        h.access(1, 0x7000, AccessKind::Read);
+        h.check_coherence_invariants().unwrap();
+        // Corrupt the notes: core 1 holds the line, yet is told a write took it.
+        let slot = h.l2_at(h.line_addr(0x7000)).1;
+        h.table.note_invalidation(slot, 1);
+        let err = h.check_coherence_invariants().unwrap_err();
+        assert!(
+            err.contains("core 1 as a sharer") && err.contains("an invalidation note"),
+            "unexpected error: {err}"
+        );
+    }
+
     /// Writes a line on core 0, then pushes it out of core 0's private caches with
     /// conflicting writes.  Returns the hierarchy and the departed line.
     fn with_departed_line() -> (CacheHierarchy, LineAddr) {
@@ -1186,7 +1229,11 @@ mod tests {
         let cfg = HierarchyConfig::small_test();
         let mut h = CacheHierarchy::new(cfg);
         let mut r = crate::reference::RefCacheHierarchy::new(cfg);
-        let index_bytes = |h: &CacheHierarchy| h.table.heap_bytes() - 64 * h.table.len();
+        // The table less its 32-byte entries and its notes: 16 bytes a core a 64 slots.
+        let index_bytes = |h: &CacheHierarchy| {
+            let lines = h.table.len();
+            h.table.heap_bytes() - 32 * lines - lines.div_ceil(64) * 16 * h.cores()
+        };
         // Core 0 dirties `a`: slot 0, owner and sharer bit 0, filed in its L2 by slot.
         let a = 0x4_0000;
         both(&mut h, &mut r, 0, a, Write);
@@ -1209,7 +1256,10 @@ mod tests {
         assert_eq!(h.l2_state(0, a), None);
         assert_eq!(h.l1_state(0, a), None, "leaving the L2 is leaving the core");
         let e = h.table.get(a).unwrap();
-        assert_eq!((e.sharers, e.owner_core(), e.touched), (0, None, 1));
+        assert_eq!(
+            (e.sharers, e.owner_core(), h.notes(a)),
+            (0, None, vec![MissKind::Eviction, MissKind::Cold])
+        );
         // Nobody else's entry paid for it, and the dirty victim went to the L3.
         h.check_coherence_invariants().unwrap();
         let out = both(&mut h, &mut r, 0, a, Read);

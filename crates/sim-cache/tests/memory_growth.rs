@@ -18,12 +18,15 @@ fn streaming_workload_retains_no_distinct_line_tracking() {
 }
 
 /// The simulator's own tables are sized by what a session touched: after 100 000
-/// distinct lines on the paper's machine the directory holds at most 110 bytes a line
-/// (a 64-byte entry a line and 16-byte index positions at no less than 37.5 % load),
-/// an L1 ten bytes a slot (line-address tag, state, rank) and an L2 or the L3 six (the
-/// tag is the line's four-byte directory slot).  Before the directory went dense and
-/// the LRU stamps became ranks: 189 and 17; before slots were tags: 10 at every level,
-/// 2.79 MB for the empty machine.
+/// distinct lines on the paper's machine the directory holds at most 58 bytes a line (a
+/// 32-byte entry, 8-byte index positions at no less than 37.5 % load, and two bits of
+/// notes a core a line: 4 bytes at 16 cores), an L1 ten bytes a slot (line-address tag,
+/// state, rank) and an L2 or the L3 six (the tag is the line's four-byte directory
+/// slot).  At 128 cores, where the notes are widest (32 bytes a line), the directory
+/// holds at most 88 bytes a line.  Before the notes left the entry and the index kept
+/// hash fragments: about 106 at any core count (bounded at 110); before the directory
+/// went dense and the LRU stamps became ranks: 189 and 17; before slots were tags: 10
+/// at every level, 2.79 MB for the empty machine.
 #[test]
 fn table_bytes_per_line_and_per_slot_are_bounded() {
     let cfg = HierarchyConfig::paper_machine();
@@ -36,14 +39,11 @@ fn table_bytes_per_line_and_per_slot_are_bounded() {
         h.heap_bytes()
     );
     let lines = 100_000;
-    for i in 0..lines as u64 {
-        h.access((i % 16) as usize, i * 64, AccessKind::Read);
-    }
-    assert_eq!(h.directory_lines(), lines);
+    touch_lines(&mut h, lines);
     let caches = h.cache_heap_bytes();
     let directory = h.heap_bytes() - caches.iter().sum::<usize>();
     assert!(
-        directory <= 110 * lines,
+        directory <= 58 * lines,
         "directory: {directory} bytes for {lines} lines"
     );
     for (level, bound) in [(0, 10), (1, 6), (2, 6)] {
@@ -55,4 +55,20 @@ fn table_bytes_per_line_and_per_slot_are_bounded() {
             slots[level]
         );
     }
+
+    let mut h = CacheHierarchy::new(HierarchyConfig::with_cores(128));
+    touch_lines(&mut h, lines);
+    let directory = h.heap_bytes() - h.cache_heap_bytes().iter().sum::<usize>();
+    assert!(
+        directory <= 88 * lines,
+        "directory: {directory} bytes for {lines} lines at 128 cores"
+    );
+}
+
+/// Reads `lines` distinct lines, round-robin over the hierarchy's cores.
+fn touch_lines(h: &mut CacheHierarchy, lines: usize) {
+    for i in 0..lines as u64 {
+        h.access(i as usize % h.cores(), i * 64, AccessKind::Read);
+    }
+    assert_eq!(h.directory_lines(), lines);
 }
