@@ -5,51 +5,9 @@
 use crate::driver::{parse_workload_spec, ApacheLoad, RunOptions, TxPolicyChoice, WorkloadKind};
 use dprof::machine::SamplingPolicy;
 use dprof::trace::FixSpec;
-use std::fmt;
 
 /// The five DProf views, as selectable from the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum View {
-    /// Types ranked by their share of cache misses (§3.1 / Table 6.1).
-    DataProfile,
-    /// Per-type invalidation / conflict / capacity classification (§3.2).
-    MissClassification,
-    /// Per-type cache footprint and over-subscribed sets (§3.3).
-    WorkingSet,
-    /// Line utilization: wasted bandwidth on fetched-but-untouched bytes, with
-    /// allocator-origin attribution (beyond the thesis's four views).
-    Utilization,
-    /// Merged object paths with core-crossing edges (§3.4 / Figure 6-1).
-    DataFlow,
-}
-
-impl View {
-    /// Every view, in report order.
-    pub const ALL: [View; 5] = [
-        View::DataProfile,
-        View::MissClassification,
-        View::WorkingSet,
-        View::Utilization,
-        View::DataFlow,
-    ];
-
-    /// The CLI / JSON-section spelling of the view.
-    pub fn key(self) -> &'static str {
-        match self {
-            View::DataProfile => "data-profile",
-            View::MissClassification => "miss-classification",
-            View::WorkingSet => "working-set",
-            View::Utilization => "utilization",
-            View::DataFlow => "data-flow",
-        }
-    }
-}
-
-impl fmt::Display for View {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.key())
-    }
-}
+pub use dprof::core::report::View;
 
 /// Report output format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

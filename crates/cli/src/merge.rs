@@ -43,6 +43,19 @@ mod tests {
     }
 
     #[test]
+    fn a_profile_reports_the_rows_dprof_merges_for_its_run() {
+        let run = runs(1).pop().unwrap();
+        let merged = merge(std::slice::from_ref(&run));
+        let report = run.profile.report();
+        assert!(!report.data_profile.is_empty() && !report.data_flows.is_empty());
+        assert_eq!(report.data_profile, merged.data_profile);
+        assert_eq!(report.miss_classification, merged.miss_classification);
+        assert_eq!(report.utilization, merged.utilization);
+        assert_eq!(report.working_set, merged.working_set);
+        assert_eq!(report.data_flows, merged.data_flows);
+    }
+
+    #[test]
     fn merged_shares_stay_percentages() {
         let report = merge(&runs(2));
         assert!(!report.data_profile.is_empty());

@@ -1,8 +1,11 @@
 //! Report rendering: thesis-style text tables and the `dprof-report/v1` JSON document,
-//! both driven by the same [`MergedReport`].
+//! both driven by the same [`MergedReport`].  The tables are the library's
+//! ([`dprof::core::report::render_views`]), the one renderer of the views; this module
+//! adds their two header lines and builds the JSON document.
 
 use crate::args::{Format, Options, View};
 use crate::merge::MergedReport;
+use dprof::core::report::render_views;
 use dprof::core::schema::Json;
 use std::fmt::Write as _;
 
@@ -17,9 +20,7 @@ pub fn render(report: &MergedReport, options: &Options) -> String {
     }
 }
 
-use dprof::core::report::format_bytes;
-
-/// Renders the thesis-style text report.
+/// Renders the thesis-style text report: two header lines, then the view tables.
 pub fn render_text(report: &MergedReport, options: &Options) -> String {
     let mut out = String::new();
     let workload = options.run.workload.name();
@@ -37,178 +38,8 @@ pub fn render_text(report: &MergedReport, options: &Options) -> String {
         100.0 * report.totals.profiling_fraction
     )
     .unwrap();
-
-    for view in &options.views {
-        match view {
-            View::DataProfile => text_data_profile(&mut out, report, options.top),
-            View::MissClassification => text_miss_classification(&mut out, report, options.top),
-            View::WorkingSet => text_working_set(&mut out, report, options.top),
-            View::Utilization => text_utilization(&mut out, report, options.top),
-            View::DataFlow => text_data_flow(&mut out, report, options.top),
-        }
-    }
+    out.push_str(&render_views(report, &options.views, options.top));
     out
-}
-
-fn text_data_profile(out: &mut String, report: &MergedReport, top: usize) {
-    writeln!(out, "\n=== Data profile ===").unwrap();
-    writeln!(
-        out,
-        "{:<16} {:>12} {:>14} {:>17} {:>14} {:>8} {:>8} {:>7}",
-        "Type name",
-        "WS size",
-        "% L1 misses",
-        "95% CI",
-        "% miss cycles",
-        "Bounce",
-        "Threads",
-        "Rank"
-    )
-    .unwrap();
-    writeln!(out, "{}", "-".repeat(104)).unwrap();
-    for row in report.data_profile.iter().take(top) {
-        writeln!(
-            out,
-            "{:<16} {:>12} {:>13.2}% {:>17} {:>13.2}% {:>8} {:>8} {:>7}",
-            row.name,
-            format_bytes(row.working_set_bytes),
-            row.pct_of_l1_misses,
-            format!("[{:.2}, {:.2}]", row.ci95_low, row.ci95_high),
-            row.pct_of_miss_cycles,
-            if row.bounce { "yes" } else { "no" },
-            row.threads_seen,
-            if row.rank_stable { "firm" } else { "~" }
-        )
-        .unwrap();
-    }
-}
-
-fn text_miss_classification(out: &mut String, report: &MergedReport, top: usize) {
-    writeln!(out, "\n=== Miss classification ===").unwrap();
-    writeln!(
-        out,
-        "{:<16} {:>10} {:>14} {:>10} {:>10}  Dominant",
-        "Type name", "Misses", "Invalidation", "Conflict", "Capacity"
-    )
-    .unwrap();
-    writeln!(out, "{}", "-".repeat(78)).unwrap();
-    for row in report.miss_classification.iter().take(top) {
-        writeln!(
-            out,
-            "{:<16} {:>10} {:>13.1}% {:>9.1}% {:>9.1}%  {}",
-            row.name,
-            row.miss_samples,
-            100.0 * row.invalidation,
-            100.0 * row.conflict,
-            100.0 * row.capacity,
-            row.dominant()
-        )
-        .unwrap();
-    }
-}
-
-fn text_working_set(out: &mut String, report: &MergedReport, top: usize) {
-    let ws = &report.working_set;
-    writeln!(out, "\n=== Working set ===").unwrap();
-    writeln!(
-        out,
-        "{:<16} {:>14} {:>14} {:>14}",
-        "Type name", "Avg bytes", "Avg objects", "Peak bytes"
-    )
-    .unwrap();
-    writeln!(out, "{}", "-".repeat(62)).unwrap();
-    for row in ws.rows.iter().take(top) {
-        writeln!(
-            out,
-            "{:<16} {:>14} {:>14.1} {:>14}",
-            row.name,
-            format_bytes(row.avg_live_bytes),
-            row.avg_live_objects,
-            format_bytes(row.peak_live_bytes as f64)
-        )
-        .unwrap();
-    }
-    writeln!(out, "{}", "-".repeat(62)).unwrap();
-    writeln!(
-        out,
-        "avg working set {} vs cache capacity {}; {} of {} thread(s) over capacity; \
-         up to {} over-subscribed sets",
-        format_bytes(ws.total_avg_bytes),
-        format_bytes(ws.cache_capacity as f64),
-        ws.threads_exceeding_capacity,
-        report.threads.len(),
-        ws.conflict_sets
-    )
-    .unwrap();
-}
-
-fn text_utilization(out: &mut String, report: &MergedReport, top: usize) {
-    let util = &report.utilization;
-    writeln!(out, "\n=== Line utilization ===").unwrap();
-    writeln!(
-        out,
-        "{:<16} {:>8} {:>15} {:>12} {:>12} {:>9} {:>7}  Origin",
-        "Type name", "Util%", "95% CI", "Wasted", "Wasted/s", "Re-fetch", "Rank"
-    )
-    .unwrap();
-    writeln!(out, "{}", "-".repeat(100)).unwrap();
-    for row in util.rows.iter().take(top) {
-        let origin = row
-            .origins
-            .first()
-            .map(|o| o.origin.as_str())
-            .unwrap_or("-");
-        writeln!(
-            out,
-            "{:<16} {:>7.1}% [{:>5.1}, {:>5.1}] {:>12} {:>10}/s {:>8.1}% {:>7}  {}",
-            row.name,
-            row.utilization_pct(),
-            row.ci95_low,
-            row.ci95_high,
-            format_bytes(row.wasted_bytes() as f64),
-            format_bytes(row.wasted_bytes_per_sec),
-            100.0 * row.refetch_ratio(),
-            if row.rank_stable { "firm" } else { "~" },
-            origin
-        )
-        .unwrap();
-    }
-    writeln!(out, "{}", "-".repeat(100)).unwrap();
-    writeln!(
-        out,
-        "{} line fills tallied, {} re-fetches of evicted lines",
-        util.total_fetches, util.total_refetches
-    )
-    .unwrap();
-}
-
-fn text_data_flow(out: &mut String, report: &MergedReport, top: usize) {
-    writeln!(out, "\n=== Data flow (core crossings) ===").unwrap();
-    if report.data_flows.is_empty() {
-        writeln!(out, "no object access histories collected").unwrap();
-        return;
-    }
-    for flow in &report.data_flows {
-        let core_crossings = flow.core_crossings();
-        if core_crossings == 0 {
-            writeln!(out, "{}: no core transitions observed", flow.type_name).unwrap();
-            continue;
-        }
-        writeln!(
-            out,
-            "{}: {} core-crossing traversal(s)",
-            flow.type_name, core_crossings
-        )
-        .unwrap();
-        for edge in flow.edges.iter().filter(|e| e.cpu_change).take(top.min(3)) {
-            writeln!(
-                out,
-                "  {} -> {} crosses cores (x{})",
-                edge.from, edge.to, edge.count
-            )
-            .unwrap();
-        }
-    }
 }
 
 /// Builds the `dprof-report/v1` JSON document.
@@ -587,6 +418,18 @@ mod tests {
         assert_eq!(misses(&again), misses(&report));
         // No float is recombined on this path: counts pool, rates add to themselves.
         assert_eq!(again.utilization, report.utilization);
+    }
+
+    #[test]
+    fn a_folded_shard_counts_its_threads_in_the_working_set_summary() {
+        use crate::merge::merge_shards;
+        use dprof::core::merge::fold;
+        let runs = run_parallel(&small_options().run).unwrap();
+        let shards: Vec<_> = runs.iter().map(|r| r.shard(r.thread as u64)).collect();
+        let report = merge_shards(&[&fold(&shards.iter().collect::<Vec<_>>())]);
+        assert_eq!(report.threads.len(), 1);
+        let text = render_views(&report, &[View::WorkingSet], 8);
+        assert!(text.contains(" of 2 thread(s) over capacity"), "{text}");
     }
 
     #[test]

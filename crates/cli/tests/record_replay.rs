@@ -6,7 +6,8 @@
 //!    JSON reports.
 //! 2. The checked-in golden traces under `tests/golden/` must replay to byte-identical
 //!    copies of their committed golden reports — the same gate the CI determinism job
-//!    applies, enforced locally on every `cargo test`.
+//!    applies, enforced locally on every `cargo test`.  Two of them also pin the text
+//!    report (every view's table), the one output no JSON document covers.
 //! 3. Re-recording each golden session reproduces the committed trace *and* report
 //!    byte for byte: the write side's spine, so a change to the recorder, the encoder
 //!    or the container writer cannot move a byte unnoticed.
@@ -103,6 +104,27 @@ fn golden_traces_replay_to_their_committed_reports() {
             "{name}: replayed report is not byte-identical to the committed golden report; \
              if the profiler/simulator changed intentionally, regenerate tests/golden/ with \
              `dprof record` (see README)"
+        );
+        let _ = std::fs::remove_file(out);
+    }
+}
+
+#[test]
+fn golden_traces_replay_to_their_committed_text_reports() {
+    for name in ["memcached_quick", "apache_quick"] {
+        let trace = golden_dir().join(format!("{name}.dtrace"));
+        let golden = golden_dir().join(format!("{name}.report.txt"));
+        let out = tmp(&format!("{name}.txt"));
+        assert_eq!(
+            run(&["replay", trace.to_str().unwrap(), "-o", &out]),
+            0,
+            "replay of {name} must succeed"
+        );
+        let expected = std::fs::read(&golden).expect("golden text report exists");
+        let got = std::fs::read(&out).expect("replayed text report exists");
+        assert!(
+            expected == got,
+            "{name}: replayed text report is not byte-identical to tests/golden/{name}.report.txt"
         );
         let _ = std::fs::remove_file(out);
     }

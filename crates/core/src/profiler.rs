@@ -4,7 +4,9 @@
 
 use crate::ground_truth::{resolve_ground_truth, GroundTruthProfile};
 use crate::history::{collect_histories, CollectionStats, HistoryConfig, ObjectAccessHistory};
-use crate::merge::{ShardMissRow, ShardUtilization};
+use crate::merge::{
+    merge_shards, MergedReport, ProfileShard, ShardMeta, ShardMissRow, ShardUtilization,
+};
 use crate::path_trace::{build_path_traces, PathTrace};
 use crate::sample::{resolve_samples, AccessSample};
 use crate::views::{
@@ -95,16 +97,30 @@ impl DprofProfile {
         self.data_profile.iter().position(|r| r.name == name)
     }
 
-    /// The data-flow graph for a type name, if histories were collected for it.
-    pub fn data_flow(&self, name: &str) -> Option<&DataFlowGraph> {
-        self.data_flows
+    /// A name for every `TypeId` in the profile's maps: the data-profile row's name,
+    /// or `type#N` for a type with a data-flow graph but no row.
+    pub fn type_names(&self) -> HashMap<TypeId, String> {
+        let mut names: HashMap<TypeId, String> = self
+            .data_profile
             .iter()
-            .find(|(ty, _)| {
-                self.data_profile
-                    .iter()
-                    .any(|r| r.type_id == **ty && r.name == name)
-            })
-            .map(|(_, g)| g)
+            .map(|row| (row.type_id, row.name.clone()))
+            .collect();
+        for ty in self.data_flows.keys() {
+            names.entry(*ty).or_insert_with(|| format!("type#{}", ty.0));
+        }
+        names
+    }
+
+    /// The profile as a report: the merge of its one shard, as `dprof` merges one
+    /// thread's, so its rows are the ones `dprof` prints for the same run.  It carries
+    /// no throughput: a profile does not count requests.
+    pub fn report(&self) -> MergedReport {
+        let meta = ShardMeta {
+            samples: self.samples.len() as u64,
+            ..ShardMeta::default()
+        };
+        let shard = ProfileShard::from_profile(self, &self.type_names(), meta, 0);
+        merge_shards(&[&shard])
     }
 }
 

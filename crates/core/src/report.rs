@@ -1,14 +1,67 @@
 //! Textual rendering of DProf views in the style of the thesis' tables, plus the
 //! [`diff`] module comparing two reports (the paper's before/after-fix methodology).
+//!
+//! The view tables have one renderer, [`render_views`], and it reads a
+//! [`MergedReport`]: `dprof` prints the merge of its threads' shards, and a single
+//! profile prints as the merge of its one shard ([`DprofProfile::report`]).  Two
+//! tables keep their own layout over one run's rows: [`render_data_profile`] (the
+//! thesis' Tables 6.1 / 6.4 / 6.5, with Description and Total columns) and
+//! [`render_path_trace`] (Table 4.1).
+//!
+//! [`DprofProfile::report`]: crate::DprofProfile::report
 
 pub mod diff;
 
-use crate::merge::{ShardMissRow, ShardUtilizationRow};
+use crate::merge::MergedReport;
 use crate::path_trace::PathTrace;
-use crate::profiler::DprofProfile;
-use crate::views::{DataProfileRow, WorkingSetView};
+use crate::views::DataProfileRow;
 use sim_machine::SymbolTable;
+use std::fmt;
 use std::fmt::Write as _;
+
+/// The five DProf views, in the order a report prints them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum View {
+    /// Types ranked by their share of cache misses (§3.1 / Table 6.1).
+    DataProfile,
+    /// Per-type invalidation / conflict / capacity classification (§3.2).
+    MissClassification,
+    /// Per-type cache footprint and over-subscribed sets (§3.3).
+    WorkingSet,
+    /// Line utilization: wasted bandwidth on fetched-but-untouched bytes, with
+    /// allocator-origin attribution (beyond the thesis's four views).
+    Utilization,
+    /// Merged object paths with core-crossing edges (§3.4 / Figure 6-1).
+    DataFlow,
+}
+
+impl View {
+    /// Every view, in report order.
+    pub const ALL: [View; 5] = [
+        View::DataProfile,
+        View::MissClassification,
+        View::WorkingSet,
+        View::Utilization,
+        View::DataFlow,
+    ];
+
+    /// The CLI / JSON-section spelling of the view.
+    pub fn key(self) -> &'static str {
+        match self {
+            View::DataProfile => "data-profile",
+            View::MissClassification => "miss-classification",
+            View::WorkingSet => "working-set",
+            View::Utilization => "utilization",
+            View::DataFlow => "data-flow",
+        }
+    }
+}
+
+impl fmt::Display for View {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.key())
+    }
+}
 
 /// Formats a byte count the way the thesis tables do (e.g. "14.6MB", "128B").
 pub fn format_bytes(bytes: f64) -> String {
@@ -18,6 +71,183 @@ pub fn format_bytes(bytes: f64) -> String {
         format!("{:.1}KB", bytes / 1024.0)
     } else {
         format!("{:.0}B", bytes)
+    }
+}
+
+/// Renders `views` of a merged report as text tables, each under its `=== … ===`
+/// heading and at most `top` rows long: what `dprof` prints below its two header lines.
+pub fn render_views(report: &MergedReport, views: &[View], top: usize) -> String {
+    let mut out = String::new();
+    for view in views {
+        match view {
+            View::DataProfile => text_data_profile(&mut out, report, top),
+            View::MissClassification => text_miss_classification(&mut out, report, top),
+            View::WorkingSet => text_working_set(&mut out, report, top),
+            View::Utilization => text_utilization(&mut out, report, top),
+            View::DataFlow => text_data_flow(&mut out, report, top),
+        }
+    }
+    out
+}
+
+fn text_data_profile(out: &mut String, report: &MergedReport, top: usize) {
+    writeln!(out, "\n=== Data profile ===").unwrap();
+    writeln!(
+        out,
+        "{:<16} {:>12} {:>14} {:>17} {:>14} {:>8} {:>8} {:>7}",
+        "Type name",
+        "WS size",
+        "% L1 misses",
+        "95% CI",
+        "% miss cycles",
+        "Bounce",
+        "Threads",
+        "Rank"
+    )
+    .unwrap();
+    writeln!(out, "{}", "-".repeat(104)).unwrap();
+    for row in report.data_profile.iter().take(top) {
+        writeln!(
+            out,
+            "{:<16} {:>12} {:>13.2}% {:>17} {:>13.2}% {:>8} {:>8} {:>7}",
+            row.name,
+            format_bytes(row.working_set_bytes),
+            row.pct_of_l1_misses,
+            format!("[{:.2}, {:.2}]", row.ci95_low, row.ci95_high),
+            row.pct_of_miss_cycles,
+            if row.bounce { "yes" } else { "no" },
+            row.threads_seen,
+            if row.rank_stable { "firm" } else { "~" }
+        )
+        .unwrap();
+    }
+}
+
+fn text_miss_classification(out: &mut String, report: &MergedReport, top: usize) {
+    writeln!(out, "\n=== Miss classification ===").unwrap();
+    writeln!(
+        out,
+        "{:<16} {:>10} {:>14} {:>10} {:>10}  Dominant",
+        "Type name", "Misses", "Invalidation", "Conflict", "Capacity"
+    )
+    .unwrap();
+    writeln!(out, "{}", "-".repeat(78)).unwrap();
+    for row in report.miss_classification.iter().take(top) {
+        writeln!(
+            out,
+            "{:<16} {:>10} {:>13.1}% {:>9.1}% {:>9.1}%  {}",
+            row.name,
+            row.miss_samples,
+            100.0 * row.invalidation,
+            100.0 * row.conflict,
+            100.0 * row.capacity,
+            row.dominant()
+        )
+        .unwrap();
+    }
+}
+
+fn text_working_set(out: &mut String, report: &MergedReport, top: usize) {
+    let ws = &report.working_set;
+    writeln!(out, "\n=== Working set ===").unwrap();
+    writeln!(
+        out,
+        "{:<16} {:>14} {:>14} {:>14}",
+        "Type name", "Avg bytes", "Avg objects", "Peak bytes"
+    )
+    .unwrap();
+    writeln!(out, "{}", "-".repeat(62)).unwrap();
+    for row in ws.rows.iter().take(top) {
+        writeln!(
+            out,
+            "{:<16} {:>14} {:>14.1} {:>14}",
+            row.name,
+            format_bytes(row.avg_live_bytes),
+            row.avg_live_objects,
+            format_bytes(row.peak_live_bytes as f64)
+        )
+        .unwrap();
+    }
+    writeln!(out, "{}", "-".repeat(62)).unwrap();
+    writeln!(
+        out,
+        "avg working set {} vs cache capacity {}; {} of {} thread(s) over capacity; \
+         up to {} over-subscribed sets",
+        format_bytes(ws.total_avg_bytes),
+        format_bytes(ws.cache_capacity as f64),
+        ws.threads_exceeding_capacity,
+        ws.thread_count,
+        ws.conflict_sets
+    )
+    .unwrap();
+}
+
+fn text_utilization(out: &mut String, report: &MergedReport, top: usize) {
+    let util = &report.utilization;
+    writeln!(out, "\n=== Line utilization ===").unwrap();
+    writeln!(
+        out,
+        "{:<16} {:>8} {:>15} {:>12} {:>12} {:>9} {:>7}  Origin",
+        "Type name", "Util%", "95% CI", "Wasted", "Wasted/s", "Re-fetch", "Rank"
+    )
+    .unwrap();
+    writeln!(out, "{}", "-".repeat(100)).unwrap();
+    for row in util.rows.iter().take(top) {
+        let origin = row
+            .origins
+            .first()
+            .map(|o| o.origin.as_str())
+            .unwrap_or("-");
+        writeln!(
+            out,
+            "{:<16} {:>7.1}% [{:>5.1}, {:>5.1}] {:>12} {:>10}/s {:>8.1}% {:>7}  {}",
+            row.name,
+            row.utilization_pct(),
+            row.ci95_low,
+            row.ci95_high,
+            format_bytes(row.wasted_bytes() as f64),
+            format_bytes(row.wasted_bytes_per_sec),
+            100.0 * row.refetch_ratio(),
+            if row.rank_stable { "firm" } else { "~" },
+            origin
+        )
+        .unwrap();
+    }
+    writeln!(out, "{}", "-".repeat(100)).unwrap();
+    writeln!(
+        out,
+        "{} line fills tallied, {} re-fetches of evicted lines",
+        util.total_fetches, util.total_refetches
+    )
+    .unwrap();
+}
+
+fn text_data_flow(out: &mut String, report: &MergedReport, top: usize) {
+    writeln!(out, "\n=== Data flow (core crossings) ===").unwrap();
+    if report.data_flows.is_empty() {
+        writeln!(out, "no object access histories collected").unwrap();
+        return;
+    }
+    for flow in &report.data_flows {
+        let core_crossings = flow.core_crossings();
+        if core_crossings == 0 {
+            writeln!(out, "{}: no core transitions observed", flow.type_name).unwrap();
+            continue;
+        }
+        writeln!(
+            out,
+            "{}: {} core-crossing traversal(s)",
+            flow.type_name, core_crossings
+        )
+        .unwrap();
+        for edge in flow.edges.iter().filter(|e| e.cpu_change).take(top.min(3)) {
+            writeln!(
+                out,
+                "  {} -> {} crosses cores (x{})",
+                edge.from, edge.to, edge.count
+            )
+            .unwrap();
+        }
     }
 }
 
@@ -61,116 +291,6 @@ pub fn render_data_profile(rows: &[DataProfileRow], top: usize) -> String {
     out
 }
 
-/// Renders the working-set view: per-type footprint plus the conflict-set summary.
-pub fn render_working_set(view: &WorkingSetView, top: usize) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<16} {:>14} {:>14} {:>14}",
-        "Type name", "Avg bytes", "Avg objects", "Peak bytes"
-    )
-    .unwrap();
-    writeln!(out, "{}", "-".repeat(62)).unwrap();
-    for t in view.per_type.iter().take(top) {
-        writeln!(
-            out,
-            "{:<16} {:>14} {:>14.1} {:>14}",
-            t.name,
-            format_bytes(t.avg_live_bytes),
-            t.avg_live_objects,
-            format_bytes(t.peak_live_bytes as f64)
-        )
-        .unwrap();
-    }
-    writeln!(out, "{}", "-".repeat(62)).unwrap();
-    writeln!(
-        out,
-        "total working set {} vs cache capacity {} => {}",
-        format_bytes(view.total_avg_bytes()),
-        format_bytes(view.cache_capacity as f64),
-        if view.exceeds_capacity() {
-            "capacity pressure"
-        } else {
-            "fits"
-        }
-    )
-    .unwrap();
-    if view.conflict_sets.is_empty() {
-        writeln!(out, "no over-subscribed associativity sets").unwrap();
-    } else {
-        writeln!(
-            out,
-            "{} over-subscribed associativity sets (top 3):",
-            view.conflict_sets.len()
-        )
-        .unwrap();
-        for s in view.conflict_sets.iter().take(3) {
-            writeln!(
-                out,
-                "  set {:>4}: {} distinct lines",
-                s.set_index, s.distinct_lines
-            )
-            .unwrap();
-        }
-    }
-    out
-}
-
-/// Renders the miss-classification view.
-pub fn render_miss_classification(rows: &[ShardMissRow], top: usize) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<16} {:>10} {:>14} {:>10} {:>10}  Dominant",
-        "Type name", "Misses", "Invalidation", "Conflict", "Capacity"
-    )
-    .unwrap();
-    writeln!(out, "{}", "-".repeat(86)).unwrap();
-    for r in rows.iter().take(top) {
-        writeln!(
-            out,
-            "{:<16} {:>10} {:>13.1}% {:>9.1}% {:>9.1}%  {}",
-            r.name,
-            r.miss_samples,
-            100.0 * r.invalidation,
-            100.0 * r.conflict,
-            100.0 * r.capacity,
-            r.dominant()
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// Renders the line-utilization view: types ranked by the bandwidth wasted on
-/// fetched-but-untouched bytes.  A per-thread row carries counts only; the merged
-/// report's renderer adds the pooled interval and rank mark.
-pub fn render_utilization(rows: &[ShardUtilizationRow], top: usize) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<16} {:>8} {:>12} {:>12} {:>9}  Origin",
-        "Type name", "Util%", "Wasted", "Wasted/s", "Re-fetch"
-    )
-    .unwrap();
-    writeln!(out, "{}", "-".repeat(76)).unwrap();
-    for r in rows.iter().take(top) {
-        let origin = r.origins.first().map(|o| o.origin.as_str()).unwrap_or("-");
-        writeln!(
-            out,
-            "{:<16} {:>7.1}% {:>12} {:>10}/s {:>8.1}%  {}",
-            r.name,
-            r.utilization_pct(),
-            format_bytes(r.wasted_bytes() as f64),
-            format_bytes(r.wasted_bytes_per_sec),
-            100.0 * r.refetch_ratio(),
-            origin
-        )
-        .unwrap();
-    }
-    out
-}
-
 /// Renders a path trace in the style of Table 4.1.
 pub fn render_path_trace(trace: &PathTrace, symbols: &SymbolTable) -> String {
     let mut out = String::new();
@@ -210,54 +330,6 @@ pub fn render_path_trace(trace: &PathTrace, symbols: &SymbolTable) -> String {
             e.stats.avg_latency()
         )
         .unwrap();
-    }
-    out
-}
-
-/// Renders a complete profile: data profile, working set, miss classification, and the
-/// core-crossing summary of every collected data-flow graph, by type name.
-pub fn render_profile(profile: &DprofProfile, top: usize) -> String {
-    let mut out = String::new();
-    writeln!(out, "=== Data profile ===").unwrap();
-    out.push_str(&render_data_profile(&profile.data_profile, top));
-    writeln!(out, "\n=== Working set ===").unwrap();
-    out.push_str(&render_working_set(&profile.working_set, top));
-    writeln!(out, "\n=== Miss classification ===").unwrap();
-    out.push_str(&render_miss_classification(
-        &profile.miss_classification,
-        top,
-    ));
-    writeln!(out, "\n=== Line utilization ===").unwrap();
-    out.push_str(&render_utilization(&profile.utilization.rows, top));
-    writeln!(out, "\n=== Data flow (core crossings) ===").unwrap();
-    let mut flows: Vec<_> = profile
-        .data_flows
-        .iter()
-        .map(|(ty, graph)| {
-            let name = profile
-                .data_profile
-                .iter()
-                .find(|r| r.type_id == *ty)
-                .map(|r| r.name.clone())
-                .unwrap_or_else(|| format!("type#{}", ty.0));
-            (name, graph)
-        })
-        .collect();
-    flows.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, graph) in flows {
-        let crossings = graph.cpu_crossing_edges();
-        if crossings.is_empty() {
-            writeln!(out, "{name}: no core transitions observed").unwrap();
-        } else {
-            for e in crossings.iter().take(3) {
-                writeln!(
-                    out,
-                    "{name}: {} -> {} crosses cores (x{})",
-                    graph.nodes[e.from].name, graph.nodes[e.to].name, e.count
-                )
-                .unwrap();
-            }
-        }
     }
     out
 }

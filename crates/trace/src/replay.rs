@@ -35,7 +35,6 @@ use crate::TraceError;
 use dprof_core::{Dprof, DprofConfig};
 use sim_kernel::{KernelState, TypeId, TypeRegistry};
 use sim_machine::{Machine, SessionEvent};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -60,23 +59,13 @@ pub fn profile_window(
 
     let profile = Dprof::new(config).run(machine, kernel, step);
 
-    let mut type_names: HashMap<TypeId, String> = profile
-        .data_profile
-        .iter()
-        .map(|row| (row.type_id, row.name.clone()))
-        .collect();
-    for ty in profile.data_flows.keys() {
-        type_names
-            .entry(*ty)
-            .or_insert_with(|| format!("type#{}", ty.0));
-    }
     let total_cycles = all_cycles(machine) - cycles_before;
     let profiling = machine.total_profiling_cycles() - profiling_before;
     ThreadRun {
         thread,
         seed,
+        type_names: profile.type_names(),
         profile,
-        type_names,
         requests: 0,
         elapsed_seconds: machine.elapsed_seconds() - elapsed_before,
         total_cycles,

@@ -7,7 +7,7 @@
 //! cargo run --release --example apache_working_set
 //! ```
 
-use dprof::core::report;
+use dprof::core::report::{self, View};
 use dprof::prelude::*;
 
 fn profile_apache(config: ApacheConfig, label: &str) -> f64 {
@@ -31,7 +31,10 @@ fn profile_apache(config: ApacheConfig, label: &str) -> f64 {
         workload.avg_backlog(&kernel)
     );
     println!("{}", report::render_data_profile(&profile.data_profile, 6));
-    println!("{}", report::render_working_set(&profile.working_set, 6));
+    println!(
+        "{}",
+        report::render_views(&profile.report(), &[View::WorkingSet], 6)
+    );
 
     profile
         .profile_row("tcp-sock")

@@ -11,7 +11,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use dprof::core::report;
+use dprof::core::report::{self, View};
 use dprof::prelude::*;
 
 fn main() {
@@ -68,7 +68,7 @@ fn main() {
     println!("{}", report::render_data_profile(&profile.data_profile, 6));
     println!(
         "{}",
-        report::render_miss_classification(&profile.miss_classification, 6)
+        report::render_views(&profile.report(), &[View::MissClassification], 6)
     );
 
     if let Some(row) = profile.profile_row("pkt_stats") {

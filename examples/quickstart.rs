@@ -1,4 +1,4 @@
-//! Quickstart: profile the memcached workload with DProf and print the four views.
+//! Quickstart: profile the memcached workload with DProf and print its views.
 //!
 //! Run with:
 //!
@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dprof::core::report;
+use dprof::core::report::{self, View};
 use dprof::prelude::*;
 
 fn main() {
@@ -38,8 +38,8 @@ fn main() {
     let profile =
         Dprof::new(dprof_config).run(&mut machine, &mut kernel, |m, k| workload.step(m, k));
 
-    // 4. Print the views.
-    println!("{}", report::render_profile(&profile, 8));
+    // 4. Print the views, as `dprof` prints them: the profile is a report of one shard.
+    println!("{}", report::render_views(&profile.report(), &View::ALL, 8));
 
     // 5. The headline observation of the first case study: packet payload and skbuffs
     //    bounce between cores because replies are enqueued on remote transmit queues.

@@ -3,7 +3,7 @@
 //! the profile, what bounces, which direction the fixes move throughput) at a reduced
 //! scale.
 
-use dprof::core::report;
+use dprof::core::report::{render_views, View};
 use dprof::prelude::*;
 
 fn quick_dprof() -> DprofConfig {
@@ -46,8 +46,8 @@ fn memcached_dprof_finds_bouncing_packet_types() {
     assert!(profile.rank_of("size-1024").unwrap() < 4);
     let skbuff = profile.profile_row("skbuff").expect("skbuff in profile");
     assert!(skbuff.bounce);
-    // The full report renders without panicking and mentions the key types.
-    let text = report::render_profile(&profile, 8);
+    // The profile's report renders without panicking and mentions the key types.
+    let text = render_views(&profile.report(), &View::ALL, 8);
     assert!(text.contains("size-1024"));
     assert!(text.contains("Data profile"));
     // ... and does not depend on the data-flow map's iteration order: each re-collected
@@ -55,7 +55,7 @@ fn memcached_dprof_finds_bouncing_packet_types() {
     assert!(profile.data_flows.len() >= 2);
     for _ in 0..16 {
         profile.data_flows = profile.data_flows.drain().collect();
-        assert_eq!(report::render_profile(&profile, 8), text);
+        assert_eq!(render_views(&profile.report(), &View::ALL, 8), text);
     }
 }
 

@@ -9,11 +9,8 @@
 //! model, sampler or views that silently stops DProf from detecting a planted bug
 //! fails here, not in production.
 
-use dprof::core::report::diff::{diff, ReportSummary, Verdict};
-use dprof::core::{
-    merge_shards, summary_from_merged, Dprof, DprofConfig, DprofProfile, HistoryConfig,
-    ProfileShard, ShardMeta,
-};
+use dprof::core::report::diff::{diff, Verdict};
+use dprof::core::{summary_from_merged, Dprof, DprofConfig, DprofProfile, HistoryConfig};
 use dprof::workloads::scenarios::{self, ExpectedView, ScenarioConfig, ScenarioSpec, Variant};
 
 const CORES: usize = 2;
@@ -42,17 +39,6 @@ fn quick_profile(spec: &ScenarioSpec, variant: Variant) -> DprofProfile {
         ..Default::default()
     };
     Dprof::new(dprof_config).run(&mut machine, &mut kernel, |m, k| workload.step(m, k))
-}
-
-/// The profile's digest as `dprof serve` computes it: one shard, merged.
-fn summary(profile: &DprofProfile) -> ReportSummary {
-    let type_names = profile
-        .data_profile
-        .iter()
-        .map(|row| (row.type_id, row.name.clone()))
-        .collect();
-    let shard = ProfileShard::from_profile(profile, &type_names, ShardMeta::default(), 0);
-    summary_from_merged(&merge_shards(&[&shard]))
 }
 
 /// 0-based rank of the planted type in the view the scenario declares, or `None` if
@@ -179,8 +165,8 @@ fn every_scenario_plants_a_detectable_bottleneck_and_its_fix_eliminates_it() {
 
         // (4) Differential confirmation: diff(buggy, fixed) says "eliminated".
         let fixed = quick_profile(spec, Variant::Fixed);
-        let summary_buggy = summary(&buggy);
-        let summary_fixed = summary(&fixed);
+        let summary_buggy = summary_from_merged(&buggy.report());
+        let summary_fixed = summary_from_merged(&fixed.report());
         let d = diff(&summary_buggy, &summary_fixed, Some(planted));
         assert_eq!(
             d.verdict,
