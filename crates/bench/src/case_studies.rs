@@ -27,7 +27,6 @@ fn dprof_config(scale: &Scale) -> DprofConfig {
             history_sets: scale.history_sets,
             ..Default::default()
         },
-        hot_node_threshold: 100.0,
         collect_ground_truth: false,
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::args::{AccuracyOptions, Format};
 use crate::driver::{run_parallel, ThreadRun};
-use dprof::core::merge::ShardUtilizationRow;
+use crate::merge::merge;
 use dprof::core::schema::Json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -79,16 +79,18 @@ pub struct AccuracyReport {
     pub exact_l1_misses_total: u64,
 }
 
-/// Pools per-thread sampled and exact profiles by type name and compares them.
+/// Compares the pooled exact profiles with the sampled side of the merged report.
 ///
 /// Threads profile independent machines, so — exactly as [`crate::merge`] does for
 /// reports — everything is keyed by type name and counts are summed before shares
-/// are computed.
+/// are computed.  The sampled counts are read off [`crate::merge::merge`] of the
+/// runs, the report `dprof` prints.
 pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>) -> AccuracyReport {
     assert!(!runs.is_empty(), "accuracy requires at least one run");
 
     // Pool the exact profiles.
     let mut exact: HashMap<String, u64> = HashMap::new();
+    let mut exact_util: HashMap<String, (u64, u64)> = HashMap::new();
     let mut exact_total = 0u64;
     let mut exact_accesses = 0u64;
     let mut exact_l1_misses_total = 0u64;
@@ -104,17 +106,27 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
         for row in &gt.rows {
             *exact.entry(row.name.clone()).or_insert(0) += row.l1_misses;
         }
-    }
-
-    // Pool the sampled profiles.
-    let mut sampled: HashMap<String, u64> = HashMap::new();
-    let mut sampled_total = 0u64;
-    for run in runs {
-        for row in &run.profile.data_profile {
-            *sampled.entry(row.name.clone()).or_insert(0) += row.l1_miss_samples;
-            sampled_total += row.l1_miss_samples;
+        for row in &gt.utilization.rows {
+            let e = exact_util.entry(row.name.clone()).or_insert((0, 0));
+            e.0 += row.slots_fetched;
+            e.1 += row.slots_touched;
         }
     }
+
+    // The sampled side, pooled by the merge.
+    let merged = merge(runs);
+    let sampled: HashMap<String, u64> = merged
+        .data_profile
+        .iter()
+        .map(|row| (row.name.clone(), row.l1_miss_samples))
+        .collect();
+    let sampled_total: u64 = sampled.values().sum();
+    let sampled_util: HashMap<String, (u64, u64)> = merged
+        .utilization
+        .rows
+        .iter()
+        .map(|row| (row.name.clone(), (row.slots_fetched, row.slots_touched)))
+        .collect();
 
     let share = |count: u64, total: u64| {
         if total == 0 {
@@ -206,25 +218,9 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
         agreed as f64 / k as f64
     };
 
-    // Utilization fidelity: pool (fetched, touched) granule slots per type on each
-    // side — exact from the ground-truth tally, sampled from the profile's
-    // utilization view — and compare the wasted-byte rankings the same way.
-    let pool_utilization = |per_type: &mut HashMap<String, (u64, u64)>,
-                            rows: &[ShardUtilizationRow]| {
-        for row in rows {
-            let e = per_type.entry(row.name.clone()).or_insert((0, 0));
-            e.0 += row.slots_fetched;
-            e.1 += row.slots_touched;
-        }
-    };
-    let mut exact_util: HashMap<String, (u64, u64)> = HashMap::new();
-    let mut sampled_util: HashMap<String, (u64, u64)> = HashMap::new();
-    for run in runs {
-        if let Some(gt) = run.profile.ground_truth.as_ref() {
-            pool_utilization(&mut exact_util, &gt.utilization.rows);
-        }
-        pool_utilization(&mut sampled_util, &run.profile.utilization.rows);
-    }
+    // Utilization fidelity: (fetched, touched) granule slots per type on each side —
+    // exact from the ground-truth tally, sampled from the merged utilization view —
+    // compared by their wasted-byte rankings the same way.
     let ranked_by_waste = |counts: &HashMap<String, (u64, u64)>| -> Vec<String> {
         let mut v: Vec<(String, u64)> = counts
             .iter()
@@ -308,22 +304,7 @@ pub fn run_accuracy(options: &AccuracyOptions) -> i32 {
         Format::Text => render_text(&report, options),
         Format::Json => render_json(&report, options).to_pretty_string(),
     };
-    match &options.output {
-        None => {
-            print!("{rendered}");
-            0
-        }
-        Some(path) => match std::fs::write(path, rendered.as_bytes()) {
-            Ok(()) => {
-                eprintln!("accuracy report written to {path}");
-                0
-            }
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                1
-            }
-        },
-    }
+    crate::emit(&rendered, &options.output)
 }
 
 /// Renders the text form of the accuracy report.

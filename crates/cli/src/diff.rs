@@ -106,22 +106,7 @@ pub fn run_diff(options: &DiffOptions) -> i32 {
         Format::Text => render_diff_text(&result, options, prediction.as_ref()),
         Format::Json => render_diff_json(&result, options, prediction.as_ref()).to_pretty_string(),
     };
-    match &options.output {
-        None => {
-            print!("{rendered}");
-            0
-        }
-        Some(path) => match std::fs::write(path, rendered.as_bytes()) {
-            Ok(()) => {
-                eprintln!("diff written to {path}");
-                0
-            }
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                1
-            }
-        },
-    }
+    crate::emit(&rendered, &options.output)
 }
 
 fn fmt_rank(rank: Option<usize>) -> String {

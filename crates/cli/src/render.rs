@@ -266,6 +266,8 @@ fn utilization_section(report: &MergedReport, top: usize) -> Json {
     ])
 }
 
+/// Nodes keep `--top`; every edge is written, so a reader of the document re-derives
+/// the `core_crossings` written beside them.
 fn data_flow_section(report: &MergedReport, top: usize) -> Json {
     Json::obj(vec![(
         "types",
@@ -299,7 +301,6 @@ fn data_flow_section(report: &MergedReport, top: usize) -> Json {
                             Json::Arr(
                                 flow.edges
                                     .iter()
-                                    .take(top)
                                     .map(|e| {
                                         Json::obj(vec![
                                             ("from", Json::str(&e.from)),
@@ -418,6 +419,35 @@ mod tests {
         assert_eq!(misses(&again), misses(&report));
         // No float is recombined on this path: counts pool, rates add to themselves.
         assert_eq!(again.utilization, report.utilization);
+    }
+
+    #[test]
+    fn a_report_read_back_keeps_every_flows_core_crossings() {
+        use crate::merge::{merge_shards, summary_from_merged};
+        use dprof::core::schema::{report_summary_from_json, shard_from_report_json};
+        let mut options = small_options();
+        options.run.threads = 1;
+        options.top = 1;
+        let report = merge(&run_parallel(&options.run).unwrap());
+        assert!(
+            report.data_flows.iter().any(|f| f
+                .edges
+                .iter()
+                .skip(options.top)
+                .any(|e| e.cpu_change)),
+            "no crossing edge sorts past --top"
+        );
+        let doc = render_json(&report, &options);
+        let written = report_summary_from_json(&doc).unwrap();
+        let again =
+            summary_from_merged(&merge_shards(&[&shard_from_report_json(&doc, 0).unwrap()]));
+        let crossings = |s: &dprof::core::ReportSummary| -> Vec<(String, u64)> {
+            s.types
+                .iter()
+                .map(|t| (t.name.clone(), t.core_crossings))
+                .collect()
+        };
+        assert_eq!(crossings(&again), crossings(&written));
     }
 
     #[test]

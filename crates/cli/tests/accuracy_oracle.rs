@@ -7,8 +7,10 @@
 use dprof::core::schema::Json;
 use dprof::machine::SamplingPolicy;
 use dprof::workloads::scenarios::{self, ExpectedView};
-use dprof_cli::accuracy::compare;
+use dprof_cli::accuracy::{compare, render_json};
+use dprof_cli::args::{AccuracyOptions, Format};
 use dprof_cli::driver::{run_parallel, RunOptions, WorkloadKind};
+use std::path::PathBuf;
 
 const BUDGET: u64 = 2_500;
 const TOP_K: usize = 3;
@@ -168,4 +170,43 @@ fn accuracy_cli_emits_schema_v1_json() {
         Some(true)
     );
     let _ = std::fs::remove_file(out);
+}
+
+/// The `dprof accuracy -f json` documents of two scenarios are committed under
+/// `tests/golden` (`<scenario>_quick.accuracy.json`, written by `dprof accuracy -w
+/// <scenario>:buggy --cores 2 --threads <n> --warmup 6 --rounds 80 --sampling
+/// adaptive:2500 -f json`); the harness must reproduce them byte for byte.  CI's
+/// determinism job runs the same check through the binary.
+#[test]
+fn accuracy_documents_match_their_goldens() {
+    for (scenario, threads) in [("remote-hot-lock", 2), ("sparse-struct-waste", 1)] {
+        let index = scenarios::registry()
+            .iter()
+            .position(|spec| spec.name == scenario)
+            .expect("registered scenario");
+        let options = AccuracyOptions {
+            run: RunOptions {
+                threads,
+                ..accuracy_run(index)
+            },
+            top_k: TOP_K,
+            format: Format::Json,
+            output: None,
+        };
+        let runs = run_parallel(&options.run).expect("accuracy run");
+        let report = compare(&runs, TOP_K, Some(BUDGET));
+        let document = render_json(&report, &options).to_pretty_string();
+        let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden")
+            .join(format!(
+                "{}_quick.accuracy.json",
+                scenario.replace('-', "_")
+            ));
+        let expected = std::fs::read_to_string(&golden).expect("golden accuracy document");
+        assert!(
+            document == expected,
+            "{scenario}: the accuracy document differs from {}:\n{document}",
+            golden.display()
+        );
+    }
 }

@@ -76,9 +76,7 @@ pub use merge::{
 };
 pub use path_trace::{build_path_traces, count_unique_paths, PathTrace, PathTraceEntry};
 pub use profiler::{popular_offsets, Dprof, DprofConfig, DprofProfile, SamplePhase};
-pub use report::diff::{
-    diff, diff_with, DiffThresholds, ReportDiff, ReportSummary, TypeDelta, TypeSummary, Verdict,
-};
+pub use report::diff::{diff, ReportDiff, ReportSummary, TypeDelta, TypeSummary, Verdict};
 pub use sample::{aggregate_samples, resolve_samples, AccessSample, SampleKey, SampleStats};
 pub use stats::{mark_rank_stability, wilson95};
 pub use views::{

@@ -32,8 +32,6 @@ pub struct DprofConfig {
     pub history_types: usize,
     /// Object-access-history collection settings.
     pub history: HistoryConfig,
-    /// Average access latency (cycles) above which a data-flow node is drawn "hot".
-    pub hot_node_threshold: f64,
     /// Also tally *every* access of the sampling phase exactly (the accuracy
     /// harness's ground truth).  Off by default: it is the one collection mode real
     /// profiling hardware cannot offer, and it costs a hash update per access.
@@ -47,7 +45,6 @@ impl Default for DprofConfig {
             sample_rounds: 300,
             history_types: 4,
             history: HistoryConfig::default(),
-            hot_node_threshold: 100.0,
             collect_ground_truth: false,
         }
     }

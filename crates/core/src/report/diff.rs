@@ -136,51 +136,31 @@ impl ReportSummary {
     }
 }
 
-/// Thresholds steering the [`Verdict`] classification.
-///
-/// The verdict compares the focus type's **miss magnitude** across the two reports:
-/// its miss-sample count when both reports carry classification counts (the paper's
-/// before/after tables compare absolute misses at fixed load), falling back to its
-/// share of L1 misses when counts are unavailable.  Shares alone cannot express a
-/// fixed bottleneck whose removal shrinks the whole miss pool — the survivor's share
-/// of almost nothing approaches 100 %.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct DiffThresholds {
-    /// Relative drop in the focus type's miss magnitude needed to call the bottleneck
-    /// eliminated (0.6 = it fell by at least 60 %).
-    pub eliminated_drop: f64,
-    /// Relative change below which the bottleneck counts as unchanged.
-    pub unchanged_band: f64,
-    /// A *different* type whose miss-sample count reaches this fraction of the focus
-    /// type's old count **and** at least doubled its own count is a moved bottleneck.
-    pub moved_count_factor: f64,
-    /// Focus shares below this (percent points) are noise; the verdict is `Unchanged`.
-    pub min_share_points: f64,
-    /// Focus miss-sample counts below this are noise; the verdict is `Unchanged`.
-    pub min_focus_samples: u64,
-    /// When the focus type's miss magnitude is below its floor, the verdict falls
-    /// back to the utilization axis (wasted bytes) — layout bugs can be invisible to
-    /// miss counts.  Focus wasted-bytes magnitudes below this are noise.
-    #[serde(default = "default_min_focus_wasted_bytes")]
-    pub min_focus_wasted_bytes: u64,
-}
+// Thresholds steering the `Verdict` classification.
+//
+// The verdict compares the focus type's **miss magnitude** across the two reports:
+// its miss-sample count when both reports carry classification counts (the paper's
+// before/after tables compare absolute misses at fixed load), falling back to its
+// share of L1 misses when counts are unavailable.  Shares alone cannot express a
+// fixed bottleneck whose removal shrinks the whole miss pool — the survivor's share
+// of almost nothing approaches 100 %.
 
-fn default_min_focus_wasted_bytes() -> u64 {
-    512
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            eliminated_drop: 0.6,
-            unchanged_band: 0.15,
-            moved_count_factor: 0.6,
-            min_share_points: 1.0,
-            min_focus_samples: 10,
-            min_focus_wasted_bytes: default_min_focus_wasted_bytes(),
-        }
-    }
-}
+/// Relative drop in the focus type's miss magnitude needed to call the bottleneck
+/// eliminated (0.6 = it fell by at least 60 %).
+const ELIMINATED_DROP: f64 = 0.6;
+/// Relative change below which the bottleneck counts as unchanged.
+const UNCHANGED_BAND: f64 = 0.15;
+/// A *different* type whose miss-sample count reaches this fraction of the focus
+/// type's old count **and** at least doubled its own count is a moved bottleneck.
+const MOVED_COUNT_FACTOR: f64 = 0.6;
+/// Focus shares below this (percent points) are noise; the verdict is `Unchanged`.
+const MIN_SHARE_POINTS: f64 = 1.0;
+/// Focus miss-sample counts below this are noise; the verdict is `Unchanged`.
+const MIN_FOCUS_SAMPLES: u64 = 10;
+/// When the focus type's miss magnitude is below its floor, the verdict falls back
+/// to the utilization axis (wasted bytes) — layout bugs can be invisible to miss
+/// counts.  Focus wasted-bytes magnitudes below this are noise.
+const MIN_FOCUS_WASTED_BYTES: u64 = 512;
 
 /// The outcome of comparing the focus type across two reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -341,18 +321,8 @@ impl ReportDiff {
 /// Compares report `b` against baseline `a`.
 ///
 /// `focus` picks the type the verdict is about; `None` focuses the top miss type of
-/// `a`.  Uses [`DiffThresholds::default`]; see [`diff_with`] to tune them.
+/// `a`.
 pub fn diff(a: &ReportSummary, b: &ReportSummary, focus: Option<&str>) -> ReportDiff {
-    diff_with(a, b, focus, &DiffThresholds::default())
-}
-
-/// [`diff`] with explicit thresholds.
-pub fn diff_with(
-    a: &ReportSummary,
-    b: &ReportSummary,
-    focus: Option<&str>,
-    thresholds: &DiffThresholds,
-) -> ReportDiff {
     let focus_name = focus
         .map(|s| s.to_string())
         .or_else(|| a.top_type().map(|t| t.name.clone()))
@@ -423,7 +393,7 @@ pub fn diff_with(
         .get(&focus_name)
         .map(|t| t.pct_of_l1_misses)
         .unwrap_or(0.0);
-    let (verdict, moved_to) = classify(a, b, &focus_name, share_a, share_b, thresholds);
+    let (verdict, moved_to) = classify(a, b, &focus_name, share_a, share_b);
 
     ReportDiff {
         focus: focus_name.clone(),
@@ -444,7 +414,6 @@ fn classify(
     focus: &str,
     share_a: f64,
     share_b: f64,
-    th: &DiffThresholds,
 ) -> (Verdict, Option<String>) {
     // Prefer absolute miss-sample counts when both reports carry them; a report with
     // no classification counts anywhere (e.g. rendered without the
@@ -455,25 +424,25 @@ fn classify(
         (
             a.get(focus).map(|t| t.miss_samples).unwrap_or(0) as f64,
             b.get(focus).map(|t| t.miss_samples).unwrap_or(0) as f64,
-            th.min_focus_samples as f64,
+            MIN_FOCUS_SAMPLES as f64,
         )
     } else {
-        (share_a, share_b, th.min_share_points)
+        (share_a, share_b, MIN_SHARE_POINTS)
     };
     if magnitude_a < floor {
         // No miss-magnitude bottleneck on the focus type — fall back to the
         // utilization axis: a layout bug can waste bandwidth on every fetch while
         // staying invisible to miss counts.
-        return classify_utilization(a, b, focus, th);
+        return classify_utilization(a, b, focus);
     }
     let rel = (magnitude_b - magnitude_a) / magnitude_a;
-    if rel.abs() <= th.unchanged_band {
+    if rel.abs() <= UNCHANGED_BAND {
         return (Verdict::Unchanged, None);
     }
     if rel > 0.0 {
         return (Verdict::Worsened, None);
     }
-    if rel > -th.eliminated_drop {
+    if rel > -ELIMINATED_DROP {
         return (Verdict::Reduced, None);
     }
     // The focus collapsed; decide eliminated vs moved.  Shares always re-normalise to
@@ -486,7 +455,7 @@ fn classify(
         .filter(|t| t.name != focus && t.miss_samples > 0 && focus_misses_a > 0)
         .filter(|t| {
             let before = a.get(&t.name).map(|p| p.miss_samples).unwrap_or(0);
-            t.miss_samples as f64 >= th.moved_count_factor * focus_misses_a as f64
+            t.miss_samples as f64 >= MOVED_COUNT_FACTOR * focus_misses_a as f64
                 && t.miss_samples >= before.saturating_mul(2).max(before + 1)
         })
         .max_by(|x, y| {
@@ -507,21 +476,20 @@ fn classify_utilization(
     a: &ReportSummary,
     b: &ReportSummary,
     focus: &str,
-    th: &DiffThresholds,
 ) -> (Verdict, Option<String>) {
     let wasted_a = a.get(focus).map(|t| t.wasted_bytes).unwrap_or(0);
     let wasted_b = b.get(focus).map(|t| t.wasted_bytes).unwrap_or(0);
-    if wasted_a < th.min_focus_wasted_bytes {
+    if wasted_a < MIN_FOCUS_WASTED_BYTES {
         return (Verdict::Unchanged, None);
     }
     let rel = (wasted_b as f64 - wasted_a as f64) / wasted_a as f64;
-    if rel.abs() <= th.unchanged_band {
+    if rel.abs() <= UNCHANGED_BAND {
         return (Verdict::Unchanged, None);
     }
     if rel > 0.0 {
         return (Verdict::Worsened, None);
     }
-    if rel > -th.eliminated_drop {
+    if rel > -ELIMINATED_DROP {
         return (Verdict::Reduced, None);
     }
     // The waste collapsed; a *different* type whose wasted bytes grew to rival the
@@ -532,7 +500,7 @@ fn classify_utilization(
         .filter(|t| t.name != focus && t.wasted_bytes > 0)
         .filter(|t| {
             let before = a.get(&t.name).map(|p| p.wasted_bytes).unwrap_or(0);
-            t.wasted_bytes as f64 >= th.moved_count_factor * wasted_a as f64
+            t.wasted_bytes as f64 >= MOVED_COUNT_FACTOR * wasted_a as f64
                 && t.wasted_bytes >= before.saturating_mul(2).max(before + 1)
         })
         .max_by(|x, y| {

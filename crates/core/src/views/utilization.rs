@@ -32,11 +32,12 @@ use std::collections::HashMap;
 
 /// Which `(type, origin core)` covers each 8-byte granule of the given lines: entry
 /// `i * (line_size / 8) + g` is granule `g` of `lines[i]`.  `lines` must be sorted.
+/// Ground truth passes its tallied granules as one-granule lines (`line_size = 8`).
 ///
 /// One pass over the allocation log in record order, so later records overwrite
 /// earlier ones; each record binary-searches the first line it can reach and writes
 /// only the granules it covers.
-fn resolve_granules(
+pub(crate) fn resolve_granules(
     lines: &[u64],
     records: &[AllocRecord],
     line_size: u64,
@@ -289,14 +290,20 @@ mod tests {
                     AllocRecord::new(addr, type_id, size, next(4) as usize, i, None)
                 })
                 .collect();
-            let mut lines: Vec<u64> = (0..next(24)).map(|_| ARENA / 64 - 4 + next(80)).collect();
-            lines.sort_unstable();
-            lines.dedup();
-            assert_eq!(
-                resolve_granules(&lines, &records, 64),
-                resolve_granules_oracle(&lines, &records, 64),
-                "case {case}: lines {lines:x?}, records {records:x?}"
-            );
+            // Cache lines, and the one-granule lines ground truth resolves.
+            for line_size in [64, 8] {
+                let arena_lines = 64 * 64 / line_size;
+                let mut lines: Vec<u64> = (0..next(24 * 64 / line_size))
+                    .map(|_| ARENA / line_size - 4 + next(arena_lines + 16))
+                    .collect();
+                lines.sort_unstable();
+                lines.dedup();
+                assert_eq!(
+                    resolve_granules(&lines, &records, line_size),
+                    resolve_granules_oracle(&lines, &records, line_size),
+                    "case {case}, line size {line_size}: lines {lines:x?}, records {records:x?}"
+                );
+            }
         }
     }
 

@@ -1,19 +1,20 @@
-//! Exact ground-truth access/miss tallying.
+//! Exact ground-truth miss tallying.
 //!
 //! IBS-style sampling only ever sees a rate-limited subset of the access stream; the
 //! simulator, unlike real hardware, can afford to count *every* access.  When a
-//! [`GroundTruthTally`] is attached to a machine, each memory operation contributes one
-//! tally entry keyed by its 8-byte-aligned start address — the same address and the
-//! same worst-line outcome an IBS sample of that operation would have reported, so the
-//! sampled profile is statistically a subsample of exactly this population.
+//! [`GroundTruthTally`] is attached to a machine, each memory operation whose worst
+//! line missed the local L1 counts once for the 8-byte granule of its start address —
+//! the same address and the same outcome an IBS sample of that operation would have
+//! reported, so the sampled profile is statistically a subsample of exactly this
+//! population.
 //!
 //! The tally is address-granular on purpose: the cache simulator knows nothing about
-//! data types.  `dprof-core` resolves the granules through the kernel allocator's
-//! address set after the phase ends (the same live-then-historical resolution applied
-//! to IBS samples) to obtain exact per-type miss counts, which the accuracy harness
-//! (`dprof accuracy`) compares against the sampled profile.
+//! data types.  `dprof-core` attributes the granules through the kernel allocator's
+//! address set after the phase ends (the utilization view's granule rule) to obtain
+//! exact per-type miss counts, which the accuracy harness (`dprof accuracy`) compares
+//! against the sampled profile.
 
-use crate::hierarchy::{AccessKind, HitLevel};
+use crate::hierarchy::HitLevel;
 use crate::line_table::BuildMixHasher;
 use crate::{CoreId, CoreMask, LineAddr};
 use serde::{Deserialize, Serialize};
@@ -22,25 +23,11 @@ use serde::{Deserialize, Serialize};
 /// with [`crate::line_table::MixHasher`], not SipHash.
 type MixMap<K, V> = std::collections::HashMap<K, V, BuildMixHasher>;
 
-/// Exact counters for one 8-byte granule of the address space.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GranuleCounts {
-    /// Memory operations whose start address fell in the granule.
-    pub accesses: u64,
-    /// Of those, operations whose worst line missed the local L1.
-    pub l1_misses: u64,
-    /// Total worst-line latency cycles of the L1-missing operations.
-    pub miss_cycles: u64,
-    /// Operations satisfied by a foreign core's cache (the bounce signal).
-    pub remote_fetches: u64,
-    /// Write operations.
-    pub writes: u64,
-}
-
 /// An exact per-granule tally of every memory operation issued while attached.
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruthTally {
-    granules: MixMap<u64, GranuleCounts>,
+    /// L1-missing operations per 8-byte granule (keyed by the granule's address).
+    granules: MixMap<u64, u64>,
     /// Total operations tallied (hits included).
     pub total_accesses: u64,
     /// Total operations that missed the local L1.
@@ -282,38 +269,19 @@ impl GroundTruthTally {
     }
 
     /// Records one completed memory operation: `addr` is the operation's start
-    /// address, `level`/`latency` its worst-line outcome (what IBS would report).
+    /// address, `level` its worst-line outcome (what IBS would report).
     #[inline]
-    pub fn record(&mut self, addr: u64, kind: AccessKind, level: HitLevel, latency: u64) {
-        let g = self.granules.entry(addr & !7).or_default();
-        g.accesses += 1;
+    pub fn record(&mut self, addr: u64, level: HitLevel) {
         self.total_accesses += 1;
         if level != HitLevel::L1 {
-            g.l1_misses += 1;
-            g.miss_cycles += latency;
+            *self.granules.entry(addr & !7).or_default() += 1;
             self.total_l1_misses += 1;
         }
-        if level == HitLevel::RemoteCache {
-            g.remote_fetches += 1;
-        }
-        if kind.is_write() {
-            g.writes += 1;
-        }
     }
 
-    /// Number of distinct granules touched.
-    pub fn len(&self) -> usize {
-        self.granules.len()
-    }
-
-    /// True if nothing was tallied.
-    pub fn is_empty(&self) -> bool {
-        self.granules.is_empty()
-    }
-
-    /// Iterates over `(granule_start_addr, counts)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &GranuleCounts)> {
-        self.granules.iter().map(|(&a, c)| (a, c))
+    /// Iterates over `(granule_start_addr, l1_misses)` in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.granules.iter().map(|(&a, &n)| (a, n))
     }
 }
 
@@ -432,29 +400,23 @@ mod tests {
     }
 
     #[test]
-    fn tally_accumulates_per_granule() {
+    fn tally_counts_misses_per_granule() {
         let mut t = GroundTruthTally::new();
-        t.record(0x1000, AccessKind::Read, HitLevel::L1, 3);
-        t.record(0x1004, AccessKind::Write, HitLevel::Dram, 250); // same granule
-        t.record(0x1008, AccessKind::Read, HitLevel::RemoteCache, 200);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.total_accesses, 3);
+        t.record(0x1000, HitLevel::L1);
+        t.record(0x1004, HitLevel::Dram); // same granule
+        t.record(0x1008, HitLevel::RemoteCache);
+        t.record(0x1010, HitLevel::L1); // a hit alone leaves no granule
+        assert_eq!(t.total_accesses, 4);
         assert_eq!(t.total_l1_misses, 2);
-        let g0 = t.iter().find(|(a, _)| *a == 0x1000).unwrap().1;
-        assert_eq!(g0.accesses, 2);
-        assert_eq!(g0.l1_misses, 1);
-        assert_eq!(g0.miss_cycles, 250);
-        assert_eq!(g0.writes, 1);
-        assert_eq!(g0.remote_fetches, 0);
-        let g1 = t.iter().find(|(a, _)| *a == 0x1008).unwrap().1;
-        assert_eq!(g1.remote_fetches, 1);
+        let mut granules: Vec<_> = t.iter().collect();
+        granules.sort_unstable();
+        assert_eq!(granules, [(0x1000, 1), (0x1008, 1)]);
     }
 
     #[test]
     fn empty_tally_reports_empty() {
         let t = GroundTruthTally::new();
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
+        assert_eq!(t.iter().count(), 0);
         assert_eq!(t.total_accesses, 0);
         assert!(t.utilization.is_empty());
     }

@@ -50,8 +50,7 @@ pub mod stats;
 pub use cache::{SetAssocCache, Tag};
 pub use geometry::CacheGeometry;
 pub use ground_truth::{
-    granule_mask, GranuleCounts, GroundTruthTally, LineUtilCounts, UtilizationTally,
-    MAX_GRANULES_PER_LINE,
+    granule_mask, GroundTruthTally, LineUtilCounts, UtilizationTally, MAX_GRANULES_PER_LINE,
 };
 pub use hierarchy::{
     AccessKind, AccessOutcome, CacheHierarchy, HierarchyConfig, HitLevel, TraceEvent,

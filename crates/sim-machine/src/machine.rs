@@ -477,7 +477,7 @@ impl Machine {
         }
 
         if let Some(gt) = self.ground_truth.as_mut() {
-            gt.record(addr, kind, worst.level, worst.latency);
+            gt.record(addr, worst.level);
         }
 
         // Charge the core and the function counters.
