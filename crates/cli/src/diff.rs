@@ -4,7 +4,7 @@
 
 use crate::args::{DiffOptions, Format};
 use dprof::core::report::diff::{diff, ReportDiff, ReportSummary};
-use dprof::core::schema::{report_summary_from_json, Json, JsonRef};
+use dprof::core::schema::{report_summary_from_json, Json, JsonRef, JsonTape};
 use std::fmt::Write as _;
 
 /// JSON schema identifier of the diff document.
@@ -16,7 +16,7 @@ pub const DIFF_SCHEMA: &str = dprof::core::schema::DIFF_V1;
 pub fn load_summary(path: &str) -> Result<ReportSummary, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read report '{path}': {e}"))?;
-    let doc = JsonRef::parse(&text).map_err(|e| {
+    let doc = JsonTape::parse(&text).map_err(|e| {
         format!("'{path}' is not valid JSON ({e}); expected a dprof -f json report")
     })?;
     report_summary_from_json(&doc).map_err(|e| format!("'{path}': {e}"))
@@ -38,9 +38,10 @@ pub struct Prediction {
 pub fn load_prediction(path: &str) -> Result<Prediction, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read whatif file '{path}': {e}"))?;
-    let doc = JsonRef::parse(&text).map_err(|e| {
+    let tape = JsonTape::parse(&text).map_err(|e| {
         format!("'{path}' is not valid JSON ({e}); expected a dprof whatif -f json document")
     })?;
+    let doc = tape.root();
     match doc.get("schema").and_then(JsonRef::as_str) {
         Some(crate::whatif::WHATIF_SCHEMA) => {}
         other => {
@@ -54,7 +55,7 @@ pub fn load_prediction(path: &str) -> Result<Prediction, String> {
     let best = doc
         .get("candidates")
         .and_then(JsonRef::as_array)
-        .and_then(|c| c.first())
+        .and_then(|mut c| c.next())
         .ok_or_else(|| format!("'{path}': whatif document has no candidates"))?;
     Ok(Prediction {
         fix: best

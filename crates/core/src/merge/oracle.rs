@@ -3,7 +3,7 @@
 //! oracle of the running `Fold` and of what `StreamingMerge` reads from it.
 
 use super::*;
-use crate::schema::{self, JsonRef};
+use crate::schema::{self, JsonTape};
 use proptest::prelude::*;
 use std::sync::LazyLock;
 
@@ -387,7 +387,7 @@ static GOLDEN: LazyLock<Vec<ProfileShard>> = LazyLock::new(|| {
         include_str!("../../../../tests/golden/sparse_struct_waste_quick.report.json"),
     ]
     .iter()
-    .map(|text| schema::shard_from_report_json(&JsonRef::parse(text).unwrap(), 0).unwrap())
+    .map(|text| schema::shard_from_report_json(&JsonTape::parse(text).unwrap(), 0).unwrap())
     .collect()
 });
 

@@ -2,8 +2,9 @@
 //!
 //! The one implementation in the workspace of:
 //!
-//! * the dependency-free [`Json`] value model ([`JsonOf`] over what holds its strings),
-//!   emitter and parser (the workspace builds fully offline, so no `serde_json`),
+//! * the dependency-free JSON parser, [`JsonTape`], which reads a document into one
+//!   preorder vector of nodes where its text lies, and the [`Json`] tree documents are
+//!   built and emitted as (the workspace builds fully offline, so no `serde_json`),
 //! * the schema-id constants every document carries ([`REPORT_V1`], [`DIFF_V1`],
 //!   [`WHATIF_V1`], [`ACCURACY_V1`], [`SERVE_V1`], [`LOADGEN_V1`]),
 //! * the readers that turn documents back into typed values:
@@ -17,8 +18,9 @@
 //! Documents also arrive from outside (collector pushes, `dprof diff` arguments, store
 //! snapshots), so the readers bound what they accept where it enters: nesting at
 //! [`MAX_NESTING`] levels, a document at [`MAX_NODES`] values, a number at what an `f64`
-//! holds, and every count a fold will sum at 2^53 ([`count_at`]).  A reader that keeps
-//! the text as long as the tree parses it borrowed ([`JsonRef`]).
+//! holds, and every count a fold will sum at 2^53 ([`count_at`]).  The readers take a
+//! [`JsonRef`], one value of a tape or of a tree, so a pushed report is read straight
+//! off its tape.
 
 use crate::merge::{
     self, ProfileShard, ShardFlow, ShardFlowEdge, ShardFlowNode, ShardMeta, ShardMissRow,
@@ -26,9 +28,7 @@ use crate::merge::{
     ShardWorkingSet, ShardWorkingSetRow,
 };
 use crate::report::diff::ReportSummary;
-use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::marker::PhantomData;
 
 /// Schema id of merged profile reports (`dprof -f json`, `dprof replay -f json`).
 pub const REPORT_V1: &str = "dprof-report/v1";
@@ -43,9 +43,10 @@ pub const SERVE_V1: &str = "dprof-serve/v1";
 /// Schema id of `dprof loadgen -f json` documents.
 pub const LOADGEN_V1: &str = "dprof-loadgen/v1";
 
-/// A JSON value whose strings are held as `S`.
+/// A JSON value as documents are built and emitted, and as a caller that outlives the
+/// text it parsed keeps one.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonOf<S> {
+pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
@@ -53,20 +54,12 @@ pub enum JsonOf<S> {
     /// Any JSON number (stored as `f64`, emitted without a fraction when integral).
     Num(f64),
     /// A string.
-    Str(S),
+    Str(String),
     /// An array.
-    Arr(Vec<JsonOf<S>>),
+    Arr(Vec<Json>),
     /// An object; insertion order is preserved on emit.
-    Obj(Vec<(S, JsonOf<S>)>),
+    Obj(Vec<(String, Json)>),
 }
-
-/// The tree that owns its strings: what documents are built as, and what a caller
-/// that outlives the text it parsed keeps.
-pub type Json = JsonOf<String>;
-
-/// The tree read where its text lies: a key or string without an escape is a slice of
-/// the parsed text, so a document costs its containers and nothing per string.
-pub type JsonRef<'a> = JsonOf<Cow<'a, str>>;
 
 impl Json {
     /// Convenience constructor for object values.
@@ -89,56 +82,16 @@ impl Json {
         Json::Num(n.into())
     }
 
-    /// Parses a JSON document.  Returns a message with a byte offset on error.
-    /// Arrays and objects may nest [`MAX_NESTING`] deep and hold [`MAX_NODES`] values;
-    /// a number must be finite; `\uXXXX` takes four hex digits, an escaped surrogate
-    /// pair reads as its one scalar and a lone surrogate as U+FFFD.
+    /// Parses a JSON document into a tree: [`JsonTape::parse`], whose grammar, bounds
+    /// and errors it has, with the tape then copied out.
     pub fn parse(input: &str) -> Result<Json, String> {
-        parse(input, MAX_NODES)
-    }
-}
-
-impl<'a> JsonRef<'a> {
-    /// [`Json::parse`], borrowing from `input` every string that has no escape.
-    pub fn parse(input: &'a str) -> Result<JsonRef<'a>, String> {
-        parse(input, MAX_NODES)
+        JsonTape::parse(input).map(|tape| tape.root().to_json())
     }
 
-    /// [`JsonRef::parse`] of a local file's text, without the [`MAX_NODES`] budget: the
-    /// file's size is what bounds the tree.  A store snapshot holds a fold of any number
-    /// of pushes, and what the store wrote it must read back.
-    pub fn parse_local(input: &'a str) -> Result<JsonRef<'a>, String> {
-        parse(input, usize::MAX)
-    }
-}
-
-// The `parse`s above are concrete on purpose: a generic one would be instantiated
-// in the calling crate, and in the benchmark's that changes how its probe is compiled.
-fn parse<'a, S: From<&'a str> + From<String>>(
-    input: &'a str,
-    budget: usize,
-) -> Result<JsonOf<S>, String> {
-    let mut parser = Parser {
-        text: input,
-        pos: 0,
-        depth: 0,
-        budget,
-        storage: PhantomData,
-    };
-    parser.skip_ws();
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != input.len() {
-        return Err(format!("trailing data at byte {}", parser.pos));
-    }
-    Ok(value)
-}
-
-impl<S: AsRef<str>> JsonOf<S> {
-    /// Looks up a key in an object value.
-    pub fn get(&self, key: &str) -> Option<&Self> {
+    /// Looks up a key in an object value (the first, if the key repeats).
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            JsonOf::Obj(fields) => fields.iter().find(|f| f.0.as_ref() == key).map(|f| &f.1),
+            Json::Obj(fields) => fields.iter().find(|f| f.0 == key).map(|f| &f.1),
             _ => None,
         }
     }
@@ -146,7 +99,7 @@ impl<S: AsRef<str>> JsonOf<S> {
     /// The value as a finite number, if it is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonOf::Num(n) => Some(*n),
+            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -154,7 +107,7 @@ impl<S: AsRef<str>> JsonOf<S> {
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            JsonOf::Str(s) => Some(s.as_ref()),
+            Json::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -162,15 +115,15 @@ impl<S: AsRef<str>> JsonOf<S> {
     /// The value as a bool, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
-            JsonOf::Bool(b) => Some(*b),
+            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
 
     /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Self]> {
+    pub fn as_array(&self) -> Option<&[Json]> {
         match self {
-            JsonOf::Arr(items) => Some(items),
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -185,11 +138,11 @@ impl<S: AsRef<str>> JsonOf<S> {
 
     fn write_into(&self, out: &mut String, level: usize) {
         match self {
-            JsonOf::Null => out.push_str("null"),
-            JsonOf::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonOf::Num(n) => write_number(out, *n),
-            JsonOf::Str(s) => write_escaped(out, s.as_ref()),
-            JsonOf::Arr(items) => {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_number(out, *n),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
                     return;
@@ -207,7 +160,7 @@ impl<S: AsRef<str>> JsonOf<S> {
                 indent(out, level);
                 out.push(']');
             }
-            JsonOf::Obj(fields) => {
+            Json::Obj(fields) => {
                 if fields.is_empty() {
                     out.push_str("{}");
                     return;
@@ -219,7 +172,7 @@ impl<S: AsRef<str>> JsonOf<S> {
                     }
                     out.push('\n');
                     indent(out, level + 1);
-                    write_escaped(out, key.as_ref());
+                    write_escaped(out, key);
                     out.push_str(": ");
                     value.write_into(out, level + 1);
                 }
@@ -231,25 +184,321 @@ impl<S: AsRef<str>> JsonOf<S> {
     }
 }
 
-/// The deepest nesting of arrays and objects [`Json::parse`] accepts.  The parser
-/// recurses once per level and documents arrive from the network, so the bound is what
-/// keeps a push of `[[[[…` from overflowing a connection thread's stack; the deepest
-/// document this workspace writes is a store snapshot, 7 levels.
+/// A document read where its text lies: one vector of 24-byte nodes, the values in
+/// preorder with every object key a string node just before its value.  A container's
+/// node says how many nodes its subtree spans, so a reader steps over it at once, and
+/// a string without an escape is a slice of the text: a document costs the vector and
+/// one allocation per string with an escape, nothing per container, key or number.
+/// Read it through [`JsonTape::root`].
+#[derive(Debug, PartialEq)]
+pub struct JsonTape<'a> {
+    nodes: Vec<Node<'a>>,
+}
+
+/// One value of a [`JsonTape`], or one key: 24 bytes.
+#[derive(Debug, PartialEq)]
+enum Node<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// A string without an escape, as it lies in the text.
+    Str(&'a str),
+    /// A string with one, as its escapes spell it.
+    Unescaped(Box<str>),
+    /// An array of `len` values whose subtree, this node included, is `span` nodes.
+    Arr {
+        len: usize,
+        span: usize,
+    },
+    /// An object of `len` fields, each a key node and its value's subtree; the whole,
+    /// this node included, is `span` nodes.
+    Obj {
+        len: usize,
+        span: usize,
+    },
+}
+
+impl Node<'_> {
+    /// The nodes of the value this one begins.
+    fn span(&self) -> usize {
+        match self {
+            Node::Arr { span, .. } | Node::Obj { span, .. } => *span,
+            _ => 1,
+        }
+    }
+}
+
+impl<'a> JsonTape<'a> {
+    /// Parses a JSON document.  Returns a message with a byte offset on error.
+    /// Arrays and objects may nest [`MAX_NESTING`] deep and hold [`MAX_NODES`] values;
+    /// a number must be finite; `\uXXXX` takes four hex digits, an escaped surrogate
+    /// pair reads as its one scalar and a lone surrogate as U+FFFD.  Duplicate keys are
+    /// kept, and a lookup finds the first.
+    pub fn parse(input: &'a str) -> Result<JsonTape<'a>, String> {
+        parse(input, MAX_NODES)
+    }
+
+    /// [`JsonTape::parse`] of a local file's text, without the [`MAX_NODES`] budget:
+    /// the file's size is what bounds the tape.  A store snapshot holds a fold of any
+    /// number of pushes, and what the store wrote it must read back.
+    pub fn parse_local(input: &'a str) -> Result<JsonTape<'a>, String> {
+        parse(input, usize::MAX)
+    }
+
+    /// The document's value.
+    pub fn root(&self) -> JsonRef<'_> {
+        JsonRef(Backing::Tape(&self.nodes))
+    }
+}
+
+// The `parse`s above are concrete on purpose: a generic one would be instantiated
+// in the calling crate, and in the benchmark's that changes how its probe is compiled.
+fn parse(input: &str, budget: usize) -> Result<JsonTape<'_>, String> {
+    let mut parser = Parser {
+        text: input,
+        pos: 0,
+        depth: 0,
+        budget,
+        nodes: Vec::new(),
+    };
+    parser.skip_ws();
+    parser.value()?;
+    parser.skip_ws();
+    if parser.pos != input.len() {
+        return Err(format!("trailing data at byte {}", parser.pos));
+    }
+    Ok(JsonTape {
+        nodes: parser.nodes,
+    })
+}
+
+/// One value of a parsed document, a node of a [`JsonTape`] or of a [`Json`] tree,
+/// and all the readers ask of it.  A copy is a slice or a reference.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonRef<'a>(Backing<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Backing<'a> {
+    /// The value's subtree, its own node first.
+    Tape(&'a [Node<'a>]),
+    Tree(&'a Json),
+}
+
+impl<'a> From<&'a Json> for JsonRef<'a> {
+    fn from(json: &'a Json) -> Self {
+        JsonRef(Backing::Tree(json))
+    }
+}
+
+impl<'t, 'a: 't> From<&'t JsonTape<'a>> for JsonRef<'t> {
+    fn from(tape: &'t JsonTape<'a>) -> Self {
+        tape.root()
+    }
+}
+
+impl<'a> JsonRef<'a> {
+    /// What a value a document does not have reads as: `null`, so every lookup in it
+    /// misses, its fields read 0 or empty and its tables have no rows.
+    const ABSENT: JsonRef<'static> = JsonRef(Backing::Tree(&Json::Null));
+
+    /// Looks up a key in an object value (the first, if the key repeats).
+    pub fn get(self, key: &str) -> Option<JsonRef<'a>> {
+        match self.0 {
+            Backing::Tape([Node::Obj { .. }, fields @ ..]) => {
+                // The fields are key, value subtree, key, …: step over each value whole.
+                let mut rest = fields;
+                while let [name, value, ..] = rest {
+                    let span = value.span();
+                    let found = match name {
+                        Node::Str(name) => *name == key,
+                        Node::Unescaped(name) => **name == *key,
+                        _ => false,
+                    };
+                    if found {
+                        return Some(JsonRef(Backing::Tape(&rest[1..1 + span])));
+                    }
+                    rest = &rest[1 + span..];
+                }
+                None
+            }
+            Backing::Tree(json) => json.get(key).map(JsonRef::from),
+            Backing::Tape(_) => None,
+        }
+    }
+
+    /// The value as a finite number, if it is one.
+    pub fn as_f64(self) -> Option<f64> {
+        match self.0 {
+            Backing::Tape([Node::Num(n), ..]) | Backing::Tree(Json::Num(n)) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice, if it is a string.
+    pub fn as_str(self) -> Option<&'a str> {
+        match self.0 {
+            Backing::Tape([Node::Str(s), ..]) => Some(s),
+            Backing::Tape([Node::Unescaped(s), ..]) => Some(s),
+            Backing::Tree(Json::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a bool, if it is one.
+    pub fn as_bool(self) -> Option<bool> {
+        match self.0 {
+            Backing::Tape([Node::Bool(b), ..]) | Backing::Tree(Json::Bool(b)) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The elements of an array value, in order.
+    pub fn as_array(self) -> Option<Items<'a>> {
+        match self.0 {
+            Backing::Tape([Node::Arr { len, .. }, rest @ ..]) => {
+                Some(Items(Children::Tape { rest, left: *len }))
+            }
+            Backing::Tree(Json::Arr(items)) => Some(Items(Children::Tree(items.iter()))),
+            _ => None,
+        }
+    }
+
+    /// The fields of an object value, keys and values in order.
+    pub fn fields(self) -> Option<Fields<'a>> {
+        match self.0 {
+            Backing::Tape([Node::Obj { len, .. }, rest @ ..]) => {
+                Some(Fields(Children::Tape { rest, left: *len }))
+            }
+            Backing::Tree(Json::Obj(fields)) => Some(Fields(Children::Tree(fields.iter()))),
+            _ => None,
+        }
+    }
+
+    /// The value as a tree of its own.
+    pub fn to_json(self) -> Json {
+        match self.0 {
+            Backing::Tape([Node::Null, ..]) => Json::Null,
+            Backing::Tape([Node::Bool(b), ..]) => Json::Bool(*b),
+            Backing::Tape([Node::Num(n), ..]) => Json::Num(*n),
+            Backing::Tape([Node::Arr { .. }, ..]) => Json::Arr(
+                self.as_array()
+                    .unwrap_or_default()
+                    .map(Self::to_json)
+                    .collect(),
+            ),
+            Backing::Tape([Node::Obj { .. }, ..]) => Json::Obj(
+                self.fields()
+                    .unwrap_or_default()
+                    .map(|(key, value)| (key.to_string(), value.to_json()))
+                    .collect(),
+            ),
+            Backing::Tape(_) => Json::str(self.as_str().unwrap_or_default()),
+            Backing::Tree(json) => json.clone(),
+        }
+    }
+}
+
+/// The value at the front of `rest`, which then starts after it.
+fn take_value<'a>(rest: &mut &'a [Node<'a>]) -> JsonRef<'a> {
+    let (value, after) = rest.split_at(rest[0].span());
+    *rest = after;
+    JsonRef(Backing::Tape(value))
+}
+
+/// The elements of an array ([`JsonRef::as_array`]).
+#[derive(Debug, Clone, Default)]
+pub struct Items<'a>(Children<'a, std::slice::Iter<'a, Json>>);
+
+/// The fields of an object ([`JsonRef::fields`]).
+#[derive(Debug, Clone, Default)]
+pub struct Fields<'a>(Children<'a, std::slice::Iter<'a, (String, Json)>>);
+
+#[derive(Debug, Clone)]
+enum Children<'a, T> {
+    /// The nodes after the container's, and how many of its values or fields are left.
+    Tape {
+        rest: &'a [Node<'a>],
+        left: usize,
+    },
+    Tree(T),
+}
+
+impl<T: ExactSizeIterator> Children<'_, T> {
+    fn len(&self) -> usize {
+        match self {
+            Children::Tape { left, .. } => *left,
+            Children::Tree(tree) => tree.len(),
+        }
+    }
+}
+
+impl<T> Default for Children<'_, T> {
+    fn default() -> Self {
+        Children::Tape { rest: &[], left: 0 }
+    }
+}
+
+impl<'a> Iterator for Items<'a> {
+    type Item = JsonRef<'a>;
+
+    fn next(&mut self) -> Option<JsonRef<'a>> {
+        match &mut self.0 {
+            Children::Tape { left: 0, .. } => None,
+            Children::Tape { rest, left } => {
+                *left -= 1;
+                Some(take_value(rest))
+            }
+            Children::Tree(items) => items.next().map(JsonRef::from),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.0.len(), Some(self.0.len()))
+    }
+}
+
+impl ExactSizeIterator for Items<'_> {}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = (&'a str, JsonRef<'a>);
+
+    fn next(&mut self) -> Option<(&'a str, JsonRef<'a>)> {
+        match &mut self.0 {
+            Children::Tape { left: 0, .. } => None,
+            Children::Tape { rest, left } => {
+                *left -= 1;
+                // A key is a string node, so this is never the default.
+                let key = take_value(rest).as_str().unwrap_or_default();
+                Some((key, take_value(rest)))
+            }
+            Children::Tree(fields) => fields.next().map(|(k, v)| (k.as_str(), v.into())),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.0.len(), Some(self.0.len()))
+    }
+}
+
+impl ExactSizeIterator for Fields<'_> {}
+
+/// The deepest nesting of arrays and objects [`JsonTape::parse`] accepts.  The parser
+/// recurses once per level (a container's node is finished when the container closes)
+/// and documents arrive from the network, so the bound is what keeps a push of `[[[[…`
+/// from overflowing a connection thread's stack; the deepest document this workspace
+/// writes is a store snapshot, 7 levels.
 pub const MAX_NESTING: usize = 128;
 
-/// The most values, scalars and containers alike, [`Json::parse`] accepts.  A container
-/// costs its first eight slots whatever it holds — `[[1],[1],…` asks for 64 bytes
-/// of tree per byte of text — so this is what bounds the memory one pushed frame can
-/// claim: 28 MiB of tree at rest (every value a container of one), 40 MB at the peak
-/// (eleven 56-byte slots a value: a parent that doubles holds both generations while it
-/// moves).  64 × the largest report the workspace writes: 1 023 values, a 4-thread
-/// 16-core memcached report at `--top 1000 --history-types 40`.  A snapshot, the fold of
-/// any number of such reports, is read by [`JsonRef::parse_local`] instead.
+/// The most values, scalars and containers alike, [`JsonTape::parse`] accepts; an
+/// object's keys are not counted.  A value is one 24-byte node of the tape and, in an
+/// object, its key one more, and the tape is a vector that doubles from four nodes, so
+/// this is what bounds the memory one pushed frame can claim: a tape of at most
+/// 2 × 2^16 nodes, 3 MiB however the document is shaped, beside the strings with an
+/// escape, each no longer than its text.  64 × the largest report the workspace
+/// writes: 1 023 values, a 4-thread 16-core memcached report at `--top 1000
+/// --history-types 40`.  A snapshot, the fold of any number of such reports, is read
+/// by [`JsonTape::parse_local`] instead.
 pub const MAX_NODES: usize = 1 << 16;
-
-/// Room a non-empty array or object starts with: the rows of a report have five to
-/// nine fields, so most objects never grow and the rest grow once.
-const CONTAINER_CAPACITY: usize = 8;
 
 fn indent(out: &mut String, level: usize) {
     for _ in 0..level {
@@ -285,17 +534,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a, S> {
+struct Parser<'a> {
     text: &'a str,
     pos: usize,
     depth: usize,
     /// Values the document may still hold (`usize::MAX` is never spent: a value takes
     /// a byte of text).
     budget: usize,
-    storage: PhantomData<S>,
+    nodes: Vec<Node<'a>>,
 }
 
-impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
+impl<'a> Parser<'a> {
     fn bytes(&self) -> &'a [u8] {
         self.text.as_bytes()
     }
@@ -319,25 +568,27 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
         }
     }
 
-    fn eat_literal(&mut self, lit: &str, value: JsonOf<S>) -> Result<JsonOf<S>, String> {
+    fn eat_literal(&mut self, lit: &str, node: Node<'a>) -> Result<(), String> {
         if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(value)
+            self.nodes.push(node);
+            Ok(())
         } else {
             Err(format!("invalid literal at byte {}", self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<JsonOf<S>, String> {
+    /// Appends the value at `pos` to the tape.
+    fn value(&mut self) -> Result<(), String> {
         if self.budget == 0 {
             return Err(format!("more than {MAX_NODES} values at byte {}", self.pos));
         }
         self.budget -= 1;
         match self.peek() {
-            Some(b'n') => self.eat_literal("null", JsonOf::Null),
-            Some(b't') => self.eat_literal("true", JsonOf::Bool(true)),
-            Some(b'f') => self.eat_literal("false", JsonOf::Bool(false)),
-            Some(b'"') => Ok(JsonOf::Str(self.string()?)),
+            Some(b'n') => self.eat_literal("null", Node::Null),
+            Some(b't') => self.eat_literal("true", Node::Bool(true)),
+            Some(b'f') => self.eat_literal("false", Node::Bool(false)),
+            Some(b'"') => self.string(),
             Some(b'[') => self.nested(Self::array),
             Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
@@ -345,10 +596,7 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
         }
     }
 
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<JsonOf<S>, String>,
-    ) -> Result<JsonOf<S>, String> {
+    fn nested(&mut self, container: fn(&mut Self) -> Result<(), String>) -> Result<(), String> {
         if self.depth == MAX_NESTING {
             return Err(format!(
                 "nesting deeper than {MAX_NESTING} at byte {}",
@@ -361,7 +609,7 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
         value
     }
 
-    fn string(&mut self) -> Result<S, String> {
+    fn string(&mut self) -> Result<(), String> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
@@ -378,12 +626,15 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    // An escape-free string is its one run: a borrow, or one exact-size copy.
-                    if s.is_empty() {
-                        return Ok(S::from(run));
-                    }
-                    s.push_str(run);
-                    return Ok(S::from(s));
+                    // An escape-free string is its one run, borrowed.
+                    let node = if s.is_empty() {
+                        Node::Str(run)
+                    } else {
+                        s.push_str(run);
+                        Node::Unescaped(s.into_boxed_str())
+                    };
+                    self.nodes.push(node);
+                    return Ok(());
                 }
                 Some(_) => {
                     s.push_str(run);
@@ -433,7 +684,7 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
             .ok_or_else(|| format!("bad \\u escape at byte {start}"))
     }
 
-    fn number(&mut self) -> Result<JsonOf<S>, String> {
+    fn number(&mut self) -> Result<(), String> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -453,7 +704,9 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
             let magnitude = self.bytes()[digits..self.pos]
                 .iter()
                 .fold(0u64, |n, d| n * 10 + u64::from(d - b'0')) as f64;
-            return Ok(JsonOf::Num(if negative { -magnitude } else { magnitude }));
+            let n = if negative { -magnitude } else { magnitude };
+            self.nodes.push(Node::Num(n));
+            return Ok(());
         }
         while matches!(
             self.peek(),
@@ -463,57 +716,73 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
         }
         // `str::parse` rounds a token beyond `f64` to an infinity, and says nothing.
         match self.text[start..self.pos].parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(JsonOf::Num(n)),
+            Ok(n) if n.is_finite() => {
+                self.nodes.push(Node::Num(n));
+                Ok(())
+            }
             Ok(_) => Err(format!("number out of range at byte {start}")),
             Err(_) => Err(format!("invalid number at byte {start}")),
         }
     }
 
-    fn array(&mut self) -> Result<JsonOf<S>, String> {
+    /// Appends the array at `pos`: its node, its values, and then into its node how
+    /// many values it held and how many nodes they took.
+    fn array(&mut self) -> Result<(), String> {
         self.expect(b'[')?;
+        let at = self.nodes.len();
+        self.nodes.push(Node::Arr { len: 0, span: 1 });
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonOf::Arr(Vec::new()));
+            return Ok(());
         }
-        let mut items = Vec::with_capacity(CONTAINER_CAPACITY);
+        let mut len = 0;
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            self.value()?;
+            len += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonOf::Arr(items));
+                    let span = self.nodes.len() - at;
+                    self.nodes[at] = Node::Arr { len, span };
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
 
-    fn object(&mut self) -> Result<JsonOf<S>, String> {
+    /// Appends the object at `pos` as [`Parser::array`] does an array, each value
+    /// after its key.
+    fn object(&mut self) -> Result<(), String> {
         self.expect(b'{')?;
+        let at = self.nodes.len();
+        self.nodes.push(Node::Obj { len: 0, span: 1 });
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonOf::Obj(Vec::new()));
+            return Ok(());
         }
-        let mut fields = Vec::with_capacity(CONTAINER_CAPACITY);
+        let mut len = 0;
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            self.value()?;
+            len += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonOf::Obj(fields));
+                    let span = self.nodes.len() - at;
+                    self.nodes[at] = Node::Obj { len, span };
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
@@ -521,27 +790,25 @@ impl<'a, S: From<&'a str> + From<String>> Parser<'a, S> {
     }
 }
 
-/// The value at `doc.key`; `null` stands in for one a document does not have: every
-/// lookup in it misses, so its fields read 0 or empty and its tables have no rows.
-fn section<'a, S: AsRef<str>>(doc: &'a JsonOf<S>, key: &str) -> &'a JsonOf<S> {
-    doc.get(key).unwrap_or(&JsonOf::Null)
+/// The value at `doc.key`; `null` stands in for one a document does not have.
+fn section<'a>(doc: JsonRef<'a>, key: &str) -> JsonRef<'a> {
+    doc.get(key).unwrap_or(JsonRef::ABSENT)
 }
 
 /// The elements of the array at `section.key` (none when there is no such array).
-fn rows<'a, S: AsRef<str>>(section: &'a JsonOf<S>, key: &str) -> std::slice::Iter<'a, JsonOf<S>> {
+fn rows<'a>(section: JsonRef<'a>, key: &str) -> Items<'a> {
     section
         .get(key)
-        .and_then(JsonOf::as_array)
-        .unwrap_or(&[])
-        .iter()
+        .and_then(JsonRef::as_array)
+        .unwrap_or_default()
 }
 
 /// The array at `section.key` read through `row`, failing on the first row that does.
 /// (Sized up front: collecting `Result`s cannot see the length.)
-fn parsed_rows<S: AsRef<str>, T>(
-    section: &JsonOf<S>,
+fn parsed_rows<T>(
+    section: JsonRef,
     key: &str,
-    row: impl Fn(&JsonOf<S>) -> Result<T, String>,
+    row: impl Fn(JsonRef) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
     let items = rows(section, key);
     let mut parsed = Vec::with_capacity(items.len());
@@ -551,7 +818,7 @@ fn parsed_rows<S: AsRef<str>, T>(
     Ok(parsed)
 }
 
-fn f64_at<S: AsRef<str>>(v: &JsonOf<S>, key: &str) -> f64 {
+fn f64_at(v: JsonRef, key: &str) -> f64 {
     section(v, key).as_f64().unwrap_or(0.0)
 }
 
@@ -559,7 +826,7 @@ fn f64_at<S: AsRef<str>>(v: &JsonOf<S>, key: &str) -> f64 {
 /// or above 2^53 ([`merge::MAX_COUNT`], beyond which the `f64` it was read into no
 /// longer names one integer).  Sums of counts saturate there, here and in the fold,
 /// however many are added, so whatever is written from them reads back.
-pub fn count_at<S: AsRef<str>>(section: &JsonOf<S>, name: &str, key: &str) -> Result<u64, String> {
+pub fn count_at(section: JsonRef, name: &str, key: &str) -> Result<u64, String> {
     let v = f64_at(section, key);
     // The cast saturates and drops the fraction, so only a whole number in range
     // survives the round trip (NaN casts to 0 and equals nothing).
@@ -571,27 +838,27 @@ pub fn count_at<S: AsRef<str>>(section: &JsonOf<S>, name: &str, key: &str) -> Re
     }
 }
 
-fn usize_at<S: AsRef<str>>(section: &JsonOf<S>, name: &str, key: &str) -> Result<usize, String> {
+fn usize_at(section: JsonRef, name: &str, key: &str) -> Result<usize, String> {
     let count = count_at(section, name, key)?;
     usize::try_from(count).map_err(|_| format!("{name} '{key}': count {count} out of range"))
 }
 
 /// An identifier (ordinal, seed, thread): never summed, so a value beyond `u64`
 /// saturates instead of failing the document.
-fn id_at<S: AsRef<str>>(v: &JsonOf<S>, key: &str) -> u64 {
+fn id_at(v: JsonRef, key: &str) -> u64 {
     f64_at(v, key) as u64
 }
 
-fn bool_at<S: AsRef<str>>(v: &JsonOf<S>, key: &str) -> bool {
+fn bool_at(v: JsonRef, key: &str) -> bool {
     section(v, key).as_bool().unwrap_or(false)
 }
 
-fn str_at<S: AsRef<str>>(v: &JsonOf<S>, key: &str) -> String {
+fn str_at(v: JsonRef, key: &str) -> String {
     section(v, key).as_str().unwrap_or("").to_string()
 }
 
-fn expect_schema<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<(), String> {
-    match doc.get("schema").and_then(JsonOf::as_str) {
+fn expect_schema(doc: JsonRef) -> Result<(), String> {
+    match doc.get("schema").and_then(JsonRef::as_str) {
         Some(REPORT_V1) => Ok(()),
         Some(other) => Err(format!(
             "schema is '{other}', expected '{REPORT_V1}' (is this a dprof report?)"
@@ -606,11 +873,11 @@ fn expect_schema<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<(), String> {
 // (the report adds derived ones, which a shard recomputes), so both readers — and the
 // summary reader, for the columns it shares — go through these.
 
-fn profile_row<S: AsRef<str>>(row: &JsonOf<S>) -> Result<ShardProfileRow, String> {
+fn profile_row(row: JsonRef) -> Result<ShardProfileRow, String> {
     Ok(ShardProfileRow {
         name: row
             .get("type")
-            .and_then(JsonOf::as_str)
+            .and_then(JsonRef::as_str)
             .ok_or("data_profile row without a 'type' field")?
             .to_string(),
         description: str_at(row, "description"),
@@ -624,7 +891,7 @@ fn profile_row<S: AsRef<str>>(row: &JsonOf<S>) -> Result<ShardProfileRow, String
     })
 }
 
-fn miss_row<S: AsRef<str>>(row: &JsonOf<S>) -> Result<ShardMissRow, String> {
+fn miss_row(row: JsonRef) -> Result<ShardMissRow, String> {
     // A report nests the three fractions under `fractions`; a snapshot keeps them flat.
     let fractions = row.get("fractions").unwrap_or(row);
     Ok(ShardMissRow {
@@ -638,7 +905,7 @@ fn miss_row<S: AsRef<str>>(row: &JsonOf<S>) -> Result<ShardMissRow, String> {
 
 /// Parses one utilization row, rejecting counts no tally can produce: every fold
 /// computes wasted bytes as `8 * (fetched - touched)`, which must not underflow.
-fn utilization_row<S: AsRef<str>>(row: &JsonOf<S>) -> Result<ShardUtilizationRow, String> {
+fn utilization_row(row: JsonRef) -> Result<ShardUtilizationRow, String> {
     let parsed = ShardUtilizationRow {
         name: str_at(row, "type"),
         description: str_at(row, "description"),
@@ -673,7 +940,7 @@ fn utilization_row<S: AsRef<str>>(row: &JsonOf<S>) -> Result<ShardUtilizationRow
     Ok(parsed)
 }
 
-fn utilization<S: AsRef<str>>(section: &JsonOf<S>) -> Result<ShardUtilization, String> {
+fn utilization(section: JsonRef) -> Result<ShardUtilization, String> {
     Ok(ShardUtilization {
         rows: parsed_rows(section, "rows", utilization_row)?,
         total_fetches: count_at(section, "utilization", "total_fetches")?,
@@ -685,8 +952,8 @@ fn utilization<S: AsRef<str>>(section: &JsonOf<S>) -> Result<ShardUtilization, S
 
 /// The working-set section.  A report has no `thread_count` of its own (its `run`
 /// section knows) and calls the conflict-set count `max_conflict_sets`.
-fn working_set<S: AsRef<str>>(
-    section: &JsonOf<S>,
+fn working_set(
+    section: JsonRef,
     thread_count: usize,
     conflict_sets_key: &str,
 ) -> Result<ShardWorkingSet, String> {
@@ -710,7 +977,7 @@ fn working_set<S: AsRef<str>>(
     })
 }
 
-fn flow<S: AsRef<str>>(flow: &JsonOf<S>) -> Result<ShardFlow, String> {
+fn flow(flow: JsonRef) -> Result<ShardFlow, String> {
     Ok(ShardFlow {
         type_name: str_at(flow, "type"),
         nodes: parsed_rows(flow, "nodes", |n| {
@@ -733,10 +1000,16 @@ fn flow<S: AsRef<str>>(flow: &JsonOf<S>) -> Result<ShardFlow, String> {
 }
 
 /// Reduces a parsed [`REPORT_V1`] document to the diff engine's [`ReportSummary`].
-pub fn report_summary_from_json<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<ReportSummary, String> {
+pub fn report_summary_from_json<'a>(doc: impl Into<JsonRef<'a>>) -> Result<ReportSummary, String> {
+    read_report_summary(doc.into())
+}
+
+// The three readers are generic only in how they take their document; what they do
+// with it is compiled once, here.
+fn read_report_summary(doc: JsonRef) -> Result<ReportSummary, String> {
     expect_schema(doc)?;
     let profile = section(doc, "data_profile");
-    if profile.get("rows").and_then(JsonOf::as_array).is_none() {
+    if profile.get("rows").and_then(JsonRef::as_array).is_none() {
         return Err(
             "report has no data_profile section; re-run dprof with -v data-profile (or all views)"
                 .to_string(),
@@ -770,7 +1043,7 @@ pub fn report_summary_from_json<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<Report
         t.capacity = parsed.capacity;
         t.dominant_miss = row
             .get("dominant")
-            .and_then(JsonOf::as_str)
+            .and_then(JsonRef::as_str)
             .map(str::to_string);
     }
     // Types invisible to the miss views can still dominate by wasted bandwidth, so
@@ -786,7 +1059,7 @@ pub fn report_summary_from_json<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<Report
         let t = summary.entry(name);
         t.working_set_bytes = row
             .get("avg_live_bytes")
-            .and_then(JsonOf::as_f64)
+            .and_then(JsonRef::as_f64)
             .unwrap_or(t.working_set_bytes);
     }
     for (name, flow) in named("data_flow", "types") {
@@ -802,10 +1075,14 @@ pub fn report_summary_from_json<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<Report
 /// L1-miss sample count, so re-merging many pushed reports weights each by the
 /// evidence it carries.  `ordinal` fixes the shard's position in the canonical fold
 /// order (the server assigns monotonically increasing ordinals per store key).
-pub fn shard_from_report_json<S: AsRef<str>>(
-    doc: &JsonOf<S>,
+pub fn shard_from_report_json<'a>(
+    doc: impl Into<JsonRef<'a>>,
     ordinal: u64,
 ) -> Result<ProfileShard, String> {
+    read_report_shard(doc.into(), ordinal)
+}
+
+fn read_report_shard(doc: JsonRef, ordinal: u64) -> Result<ProfileShard, String> {
     expect_schema(doc)?;
     let run = section(doc, "run");
     let throughput = section(doc, "throughput");
@@ -1071,12 +1348,20 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
 }
 
 /// Deserializes a shard written by [`shard_to_json`].
-pub fn shard_from_json<S: AsRef<str>>(doc: &JsonOf<S>) -> Result<ProfileShard, String> {
+pub fn shard_from_json<'a>(doc: impl Into<JsonRef<'a>>) -> Result<ProfileShard, String> {
+    read_shard(doc.into())
+}
+
+fn read_shard(doc: JsonRef) -> Result<ProfileShard, String> {
     let meta = doc.get("meta").ok_or("shard without a 'meta' object")?;
     let ws = doc
         .get("working_set")
         .ok_or("shard without a 'working_set' object")?;
-    if doc.get("data_profile").and_then(JsonOf::as_array).is_none() {
+    if doc
+        .get("data_profile")
+        .and_then(JsonRef::as_array)
+        .is_none()
+    {
         return Err("shard without a 'data_profile' array".into());
     }
     Ok(ProfileShard {
@@ -1406,6 +1691,12 @@ mod tests {
                 1e30
             )
         );
+    }
+
+    #[test]
+    fn a_node_is_24_bytes() {
+        // What `MAX_NODES` and `json_alloc.rs` bound a document's tape by.
+        assert_eq!(std::mem::size_of::<Node>(), 24);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! What `schema::Json::parse` must keep doing however it scans — and `JsonRef::parse`
-//! with it, whatever holds the strings: the tree it builds, the value of every number,
-//! and the message and byte offset of every error.  Every parse in this file goes
-//! through [`parse`], which reads the text into both storages and holds them equal
-//! (and to `JsonRef::parse_local`, the same parser without the node budget).
+//! What `schema::Json::parse` must keep doing however it scans — and `JsonTape::parse`
+//! with it, the tape the tree is copied out of: the tree it builds, the value of every
+//! number, and the message and byte offset of every error.  Every parse in this file
+//! goes through [`parse`], which reads the text both ways and holds the tape's view
+//! (`JsonRef`) equal to the tree (and the tape to `JsonTape::parse_local`'s, the same
+//! parser without the node budget).
 //!
 //! 1. **Round trip** — a generated tree, whose strings mix ASCII, everything the
 //!    emitter escapes and 2-, 3- and 4-byte scalars, parses back from its own
@@ -12,45 +13,53 @@
 //! 3. **Errors** — a table of malformed inputs with the exact messages, and every
 //!    golden document cut short at every character.
 //!
-//! And what the readers make of a tree does not depend on its storage either: every
-//! golden document a reader accepts reads as the same shard or summary from both.
+//! And what the readers make of a document does not depend on whether they read it off
+//! the tape or off a tree: every golden document a reader accepts reads as the same
+//! shard or summary from both.
 
 use dprof_core::schema::{
-    report_summary_from_json, shard_from_json, shard_from_report_json, Json, JsonOf, JsonRef,
+    report_summary_from_json, shard_from_json, shard_from_report_json, Json, JsonRef, JsonTape,
     MAX_NODES,
 };
 use proptest::prelude::*;
 
-/// Structural equality that does not see what holds the strings; numbers by their bits.
-fn same<A: AsRef<str>, B: AsRef<str>>(a: &JsonOf<A>, b: &JsonOf<B>) -> bool {
-    match (a, b) {
-        (JsonOf::Null, JsonOf::Null) => true,
-        (JsonOf::Bool(a), JsonOf::Bool(b)) => a == b,
-        (JsonOf::Num(a), JsonOf::Num(b)) => a.to_bits() == b.to_bits(),
-        (JsonOf::Str(a), JsonOf::Str(b)) => a.as_ref() == b.as_ref(),
-        (JsonOf::Arr(a), JsonOf::Arr(b)) => {
-            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b))
-        }
-        (JsonOf::Obj(a), JsonOf::Obj(b)) => {
+/// Structural equality of a tree and a tape's view, read through the view's accessors;
+/// numbers by their bits.
+fn same(a: &Json, b: JsonRef) -> bool {
+    match a {
+        Json::Null => b.to_json() == Json::Null,
+        Json::Bool(a) => b.as_bool() == Some(*a),
+        Json::Num(a) => b.as_f64().is_some_and(|b| a.to_bits() == b.to_bits()),
+        Json::Str(a) => b.as_str() == Some(a.as_str()),
+        Json::Arr(a) => b
+            .as_array()
+            .is_some_and(|b| a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b))),
+        Json::Obj(a) => b.fields().is_some_and(|b| {
             a.len() == b.len()
                 && a.iter()
                     .zip(b)
-                    .all(|((ka, a), (kb, b))| ka.as_ref() == kb.as_ref() && same(a, b))
-        }
-        _ => false,
+                    .all(|((ka, a), (kb, b))| ka == kb && same(a, b))
+        }),
     }
 }
 
-/// `Json::parse`, having checked that `JsonRef::parse` says the same: an equal tree
-/// that prints alike, or the identical message.  And that `JsonRef::parse_local` says
-/// the same as both, but for a document over the budget, which it reads.
+/// `Json::parse`, having checked that `JsonTape::parse` says the same: a view equal to
+/// the tree that prints alike, or the identical message.  And that
+/// `JsonTape::parse_local` says the same as both, but for a document over the budget,
+/// which it reads.
 fn parse(text: &str) -> Result<Json, String> {
     let owned = Json::parse(text);
-    let borrowed = JsonRef::parse(text);
+    let borrowed = JsonTape::parse(text);
     match (&owned, &borrowed) {
         (Ok(owned), Ok(borrowed)) => {
-            assert!(same(owned, borrowed), "{text:?}: {owned:?} != {borrowed:?}");
-            assert_eq!(owned.to_pretty_string(), borrowed.to_pretty_string());
+            assert!(
+                same(owned, borrowed.root()),
+                "{text:?}: {owned:?} != {borrowed:?}"
+            );
+            assert_eq!(
+                owned.to_pretty_string(),
+                borrowed.root().to_json().to_pretty_string()
+            );
         }
         (owned, borrowed) => assert_eq!(
             owned.as_ref().err(),
@@ -58,7 +67,7 @@ fn parse(text: &str) -> Result<Json, String> {
             "input {text:?}"
         ),
     }
-    match (borrowed, JsonRef::parse_local(text)) {
+    match (borrowed, JsonTape::parse_local(text)) {
         (Err(over), local) if over.starts_with("more than ") => assert!(local.is_ok()),
         (borrowed, local) => assert_eq!(borrowed, local, "input {text:?}"),
     }
@@ -361,9 +370,9 @@ fn every_golden_document_parses_and_re_emits_byte_for_byte() {
 }
 
 /// A document cut anywhere before its closing bracket is an error, the same one from
-/// both storages ([`parse`] checks that); the borrowed tree slices the input at the
-/// offsets the scan stopped at, so this is also where a slice off a character
-/// boundary would panic.
+/// both parses ([`parse`] checks that); the tape slices the input at the offsets the
+/// scan stopped at, so this is also where a slice off a character boundary would
+/// panic.
 #[test]
 fn every_golden_document_cut_short_is_the_same_error_from_both_storages() {
     for (path, text) in goldens() {
@@ -380,7 +389,7 @@ fn readers_return_equal_values_from_either_storage() {
     let (mut reports, mut shards) = (0, 0);
     for (path, text) in goldens() {
         let owned = Json::parse(&text).unwrap();
-        let borrowed = JsonRef::parse(&text).unwrap();
+        let borrowed = JsonTape::parse(&text).unwrap();
         let from_report = shard_from_report_json(&owned, 7);
         assert_eq!(from_report, shard_from_report_json(&borrowed, 7), "{path}");
         let summary = report_summary_from_json(&owned);
@@ -388,7 +397,7 @@ fn readers_return_equal_values_from_either_storage() {
         assert_eq!(from_report.is_ok(), summary.is_ok(), "{path}");
         reports += usize::from(from_report.is_ok());
         // A store snapshot keeps its shard under `shard`.
-        let (owned, borrowed) = (owned.get("shard"), borrowed.get("shard"));
+        let (owned, borrowed) = (owned.get("shard"), borrowed.root().get("shard"));
         let from_shard = owned.map(shard_from_json);
         assert_eq!(from_shard, borrowed.map(shard_from_json), "{path}");
         shards += usize::from(from_shard.is_some_and(|shard| shard.is_ok()));

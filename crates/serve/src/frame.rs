@@ -13,6 +13,10 @@ use std::io::{Read, Write};
 /// length prefix cannot make the server allocate without bound.
 pub const MAX_FRAME_BYTES: u64 = 64 * 1024 * 1024;
 
+/// The most of a frame's declared body [`read_frame`] reserves before any of it has
+/// arrived; a longer body grows its buffer as its bytes do.
+const BODY_RESERVE: u64 = 64 * 1024;
+
 /// Writes one frame: varint length prefix, kind byte, payload.  The three go out in one
 /// `write_all`: the sockets run with `TCP_NODELAY`, where every write is a segment and
 /// a wake-up of the peer.
@@ -64,8 +68,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, String> {
         _ => format!("read frame body: {e}"),
     };
     r.read_exact(&mut byte).map_err(body_error)?;
-    let mut payload = vec![0u8; len as usize - 1];
-    r.read_exact(&mut payload).map_err(body_error)?;
+    // What a header declares is not yet what a peer sent: the buffer holds what arrived.
+    let body = len - 1;
+    let mut payload = Vec::with_capacity(body.min(BODY_RESERVE) as usize);
+    r.take(body).read_to_end(&mut payload).map_err(body_error)?;
+    if payload.len() as u64 != body {
+        return Err("truncated frame body".into());
+    }
     Ok(Some((byte[0], payload)))
 }
 

@@ -8,7 +8,7 @@
 
 use crate::client::Client;
 use dprof::core::merge::ProfileShard;
-use dprof::core::schema::{self, JsonRef};
+use dprof::core::schema::{self, JsonRef, JsonTape};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -133,13 +133,14 @@ pub fn run_loadgen(
     let builds: Vec<String> = templates.iter().map(|(build, _)| build.clone()).collect();
     for build in &builds {
         let top = client.query_top(&config.workload, build, config.top)?;
-        expect_rows(&parse(&top)?, "rows")?;
+        expect_rows(parse(&top)?.root(), "rows")?;
         queries_answered += 1;
     }
     let first = builds.first().expect("non-empty").clone();
     let last = builds.last().expect("non-empty").clone();
     let regressions = client.query_regressions(&config.workload, &first, &last, config.top)?;
     let verdict = parse(&regressions)?
+        .root()
         .get("verdict")
         .and_then(JsonRef::as_str)
         .unwrap_or("unknown")
@@ -147,15 +148,17 @@ pub fn run_loadgen(
     queries_answered += 1;
     let alerts = client.query_alerts(&config.workload, &first, &last)?;
     let alerts_fired = parse(&alerts)?
+        .root()
         .get("alert_count")
         .and_then(JsonRef::as_f64)
         .unwrap_or(0.0) as u64;
     queries_answered += 1;
     let keys = client.list_keys()?;
-    expect_rows(&parse(&keys)?, "keys")?;
+    expect_rows(parse(&keys)?.root(), "keys")?;
     queries_answered += 1;
     let stats = client.stats()?;
     let stats = parse(&stats)?;
+    let stats = stats.root();
     queries_answered += 1;
 
     Ok(LoadgenReport {
@@ -185,17 +188,21 @@ pub fn run_loadgen(
     })
 }
 
-fn parse(text: &str) -> Result<JsonRef<'_>, String> {
-    let doc = JsonRef::parse(text)?;
-    match doc.get("schema").and_then(JsonRef::as_str) {
+fn parse(text: &str) -> Result<JsonTape<'_>, String> {
+    let doc = JsonTape::parse(text)?;
+    match doc.root().get("schema").and_then(JsonRef::as_str) {
         Some(schema::SERVE_V1) => Ok(doc),
         other => Err(format!("unexpected response schema {other:?}")),
     }
 }
 
-fn expect_rows(doc: &JsonRef, key: &str) -> Result<(), String> {
-    match doc.get(key).and_then(JsonRef::as_array) {
-        Some(rows) if !rows.is_empty() => Ok(()),
+fn expect_rows(doc: JsonRef, key: &str) -> Result<(), String> {
+    match doc
+        .get(key)
+        .and_then(JsonRef::as_array)
+        .map(|rows| rows.len())
+    {
+        Some(1..) => Ok(()),
         _ => Err(format!("query response has no '{key}' rows")),
     }
 }

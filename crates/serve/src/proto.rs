@@ -6,6 +6,7 @@
 //! UTF-8 JSON document (`dprof-serve/v1`) on success or a bare error string.
 
 use dprof::trace::codec::{get_string, get_varint, put_string, put_varint};
+use dprof::trace::TraceError;
 
 /// Frame kind of a [`Request::PushShard`].
 pub const KIND_PUSH_SHARD: u8 = 0x01;
@@ -183,13 +184,32 @@ impl Request {
                 let workload = string(&mut pos)?;
                 let build = string(&mut pos)?;
                 let shard_id = varint(&payload, &mut pos)?;
-                let report_json = string(&mut pos)?;
-                Request::PushShard {
+                let len = varint(&payload, &mut pos)?;
+                let rest = (payload.len() - pos) as u64;
+                if rest < len {
+                    return Err(format!(
+                        "malformed request frame: {}",
+                        TraceError::UnexpectedEof
+                    ));
+                }
+                // The report is the rest of the frame: keep the buffer as its text, drop
+                // its head (and, once the text is known to be UTF-8, any tail).
+                let mut text = payload;
+                text.truncate(pos + len as usize);
+                text.drain(..pos);
+                let report_json = String::from_utf8(text).map_err(|_| {
+                    let e = TraceError::Corrupt("string is not valid UTF-8".into());
+                    format!("malformed request frame: {e}")
+                })?;
+                if rest > len {
+                    return Err(trailing((rest - len) as usize));
+                }
+                return Ok(Request::PushShard {
                     workload,
                     build,
                     shard_id,
                     report_json,
-                }
+                });
             }
             KIND_PUSH_TRACE => {
                 let workload = string(&mut pos)?;
@@ -321,6 +341,37 @@ mod tests {
             let (kind, payload) = request.encode();
             assert_eq!(Request::decode(kind, payload).unwrap(), request);
         }
+    }
+
+    #[test]
+    fn a_pushed_report_is_refused_as_the_string_reader_refuses_it() {
+        // The report is kept in the frame's buffer rather than read by `get_string`,
+        // with the same messages for a cut, a non-UTF-8 and an overlong one.
+        let (kind, payload) = Request::PushShard {
+            workload: "w".into(),
+            build: "b".into(),
+            shard_id: 1,
+            report_json: "{}".into(),
+        }
+        .encode();
+        let field = |bytes: &[u8]| {
+            let mut encoded = Vec::new();
+            put_varint(&mut encoded, 2);
+            encoded.extend_from_slice(bytes);
+            let e = get_string(&encoded, &mut 0).unwrap_err();
+            format!("malformed request frame: {e}")
+        };
+        let cut = Request::decode(kind, payload[..payload.len() - 1].to_vec());
+        assert_eq!(cut.unwrap_err(), field(b"{"));
+        let mut invalid = payload.clone();
+        *invalid.last_mut().unwrap() = 0xff;
+        assert_eq!(Request::decode(kind, invalid).unwrap_err(), field(b"{\xff"));
+        let mut long = payload;
+        long.push(b' ');
+        assert_eq!(
+            Request::decode(kind, long).unwrap_err(),
+            "malformed request frame: 1 trailing bytes"
+        );
     }
 
     #[test]

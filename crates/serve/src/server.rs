@@ -14,7 +14,7 @@ use crate::proto::{Request, Response};
 use crate::store::{valid_tag, ProfileStore};
 use dprof::core::merge::{MergedReport, ProfileShard};
 use dprof::core::report::diff::diff;
-use dprof::core::schema::{self, Json, JsonRef};
+use dprof::core::schema::{self, Json, JsonRef, JsonTape};
 use dprof::core::wilson95;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -208,14 +208,15 @@ fn dispatch(shared: &Shared, request: Request) -> Result<String, String> {
             report_json,
         } => {
             check_key(&workload, &build)?;
-            let doc = JsonRef::parse(&report_json).map_err(|e| format!("push: {e}"))?;
+            let tape = JsonTape::parse(&report_json).map_err(|e| format!("push: {e}"))?;
+            let doc = tape.root();
             // Accept either a full report document or a bare shard document;
             // the client's shard_id wins as the fold ordinal in both cases, so
             // the merged result does not depend on arrival order until compaction
             // groups shards, and from then on only in its means' rounding.
             let mut shard = match doc.get("schema").and_then(JsonRef::as_str) {
-                Some(schema::REPORT_V1) => schema::shard_from_report_json(&doc, shard_id)?,
-                _ => schema::shard_from_json(&doc)?,
+                Some(schema::REPORT_V1) => schema::shard_from_report_json(doc, shard_id)?,
+                _ => schema::shard_from_json(doc)?,
             };
             shard.ordinal = shard_id;
             let total = absorb(shared, &workload, &build, vec![shard])?;

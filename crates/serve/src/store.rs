@@ -12,7 +12,7 @@
 //! every few pushes), so a power cut may still cost the last snapshots.
 
 use dprof::core::merge::{self, MergeSink, MergedReport, ProfileShard, StreamingMerge};
-use dprof::core::schema::{self, Json, JsonRef};
+use dprof::core::schema::{self, Json, JsonRef, JsonTape};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -113,9 +113,9 @@ impl ProfileStore {
                 }
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("read snapshot {}: {e}", path.display()))?;
-                let doc = JsonRef::parse_local(&text)
+                let doc = JsonTape::parse_local(&text)
                     .map_err(|e| format!("parse snapshot {}: {e}", path.display()))?;
-                let (workload, build, absorbed, shard) = snapshot_from_json(&doc)
+                let (workload, build, absorbed, shard) = snapshot_from_json(doc.root())
                     .map_err(|e| format!("snapshot {}: {e}", path.display()))?;
                 let entry = self.entry(&workload, &build);
                 entry.sink.absorb(shard);
@@ -241,7 +241,7 @@ fn snapshot_to_json(workload: &str, build: &str, absorbed: u64, shard: &ProfileS
     ])
 }
 
-fn snapshot_from_json(doc: &JsonRef) -> Result<(String, String, u64, ProfileShard), String> {
+fn snapshot_from_json(doc: JsonRef) -> Result<(String, String, u64, ProfileShard), String> {
     match doc.get("schema").and_then(JsonRef::as_str) {
         Some(schema::SERVE_V1) => {}
         other => return Err(format!("unsupported snapshot schema {other:?}")),
@@ -390,7 +390,7 @@ mod tests {
             "\"aggregate_rps\": 1.5e308,",
         );
         assert_ne!(huge, golden);
-        let report = JsonRef::parse(&huge).unwrap();
+        let report = JsonTape::parse(&huge).unwrap();
         let dir = scratch("huge-rps");
         let mut store = ProfileStore::new(Some(dir.clone()), 2).unwrap();
         for ordinal in 1..=2 {
@@ -431,7 +431,7 @@ mod tests {
             wide
         };
         let pushed = schema::shard_to_json(&wide(1)).to_pretty_string();
-        assert!(JsonRef::parse(&pushed).is_ok());
+        assert!(JsonTape::parse(&pushed).is_ok());
 
         let dir = scratch("wide");
         let mut store = ProfileStore::new(Some(dir.clone()), 2).unwrap();
@@ -441,7 +441,7 @@ mod tests {
         assert_eq!(before.data_profile.len(), 4_200);
         assert_eq!(store.snapshot().unwrap(), 1);
         let text = std::fs::read_to_string(dir.join("wide/b.json")).unwrap();
-        let over = JsonRef::parse(&text).unwrap_err();
+        let over = JsonTape::parse(&text).unwrap_err();
         assert!(
             over.starts_with("more than 65536 values at byte "),
             "{over}"
