@@ -93,11 +93,11 @@ impl MemcachedStudy {
                 for e in graph.cpu_crossing_edges().iter().take(5) {
                     out.push_str(&format!(
                         "  {} -> {}  [CORE TRANSITION, x{}]\n",
-                        graph.nodes[e.from].name, graph.nodes[e.to].name, e.count
+                        e.from, e.to, e.count
                     ));
                 }
                 out.push('\n');
-                out.push_str(&graph.to_dot(100.0));
+                out.push_str(&report::render_dot(graph, 100.0));
                 out
             }
         }

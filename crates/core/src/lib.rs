@@ -80,7 +80,7 @@ pub use report::diff::{diff, ReportDiff, ReportSummary, TypeDelta, TypeSummary, 
 pub use sample::{aggregate_samples, resolve_samples, AccessSample, SampleKey, SampleStats};
 pub use stats::{mark_rank_stability, wilson95};
 pub use views::{
-    build_data_profile, build_utilization, build_working_set, classify_misses, DataFlowEdge,
-    DataFlowGraph, DataFlowNode, DataProfileRow, TypeWorkingSet, WorkingSetView,
+    build_data_flow, build_data_profile, build_utilization, build_working_set, classify_misses,
+    DataProfileRow, WorkingSetView,
 };
 pub use whatif::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};

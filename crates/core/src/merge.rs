@@ -40,7 +40,6 @@ use crate::profiler::DprofProfile;
 use crate::report::diff::ReportSummary;
 use crate::stats::{mark_rank_stability, wilson95};
 use sim_cache::line_table::BuildKeyedMixHasher;
-use sim_kernel::TypeId;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -287,6 +286,14 @@ impl ShardFlow {
             .filter(|e| e.cpu_change)
             .fold(0, |n, e| add_counts(n, e.count))
     }
+
+    /// The edges that cross cores, most frequent first (ties in edge order) — the
+    /// first place a programmer should look for true/false sharing.
+    pub fn cpu_crossing_edges(&self) -> Vec<&ShardFlowEdge> {
+        let mut edges: Vec<&ShardFlowEdge> = self.edges.iter().filter(|e| e.cpu_change).collect();
+        edges.sort_by_key(|e| std::cmp::Reverse(e.count));
+        edges
+    }
 }
 
 /// One producer's contribution to a merged report: a self-contained, name-keyed
@@ -319,49 +326,15 @@ pub struct ProfileShard {
 }
 
 impl ProfileShard {
-    /// Builds a shard from a freshly collected profile.
-    ///
-    /// `type_names` resolves the profile's machine-local `TypeId`s to names (the
-    /// only keys that are meaningful across producers); `meta` carries the
-    /// producer's throughput bookkeeping and `ordinal` its canonical fold position.
-    pub fn from_profile(
-        profile: &DprofProfile,
-        type_names: &HashMap<TypeId, String>,
-        meta: ShardMeta,
-        ordinal: u64,
-    ) -> ProfileShard {
+    /// Builds a shard from a freshly collected profile: `meta` carries the producer's
+    /// throughput bookkeeping and `ordinal` its canonical fold position.  Every view
+    /// but the data profile already holds the shard's rows; only data-profile rows,
+    /// which keep their machine-local `TypeId`, are converted.
+    pub fn from_profile(profile: &DprofProfile, meta: ShardMeta, ordinal: u64) -> ProfileShard {
         let weight = profile.samples.iter().filter(|s| s.is_l1_miss()).count() as f64;
-        let mut data_flows: Vec<ShardFlow> = profile
-            .data_flows
-            .iter()
-            .map(|(ty, graph)| ShardFlow {
-                type_name: type_names
-                    .get(ty)
-                    .cloned()
-                    .unwrap_or_else(|| format!("type#{}", ty.0)),
-                nodes: graph
-                    .nodes
-                    .iter()
-                    .map(|n| ShardFlowNode {
-                        function: n.name.clone(),
-                        samples: n.samples,
-                        weight: n.weight,
-                        avg_latency: n.avg_latency,
-                    })
-                    .collect(),
-                edges: graph
-                    .edges
-                    .iter()
-                    .map(|e| ShardFlowEdge {
-                        from: graph.nodes[e.from].name.clone(),
-                        to: graph.nodes[e.to].name.clone(),
-                        count: e.count,
-                        cpu_change: e.cpu_change,
-                    })
-                    .collect(),
-            })
-            .collect();
+        let mut data_flows: Vec<ShardFlow> = profile.data_flows.values().cloned().collect();
         data_flows.sort_by(|a, b| a.type_name.cmp(&b.type_name));
+        let ws = &profile.working_set;
 
         ProfileShard {
             ordinal,
@@ -385,25 +358,13 @@ impl ProfileShard {
             miss_classification: profile.miss_classification.clone(),
             utilization: profile.utilization.clone(),
             working_set: ShardWorkingSet {
-                rows: profile
-                    .working_set
-                    .per_type
-                    .iter()
-                    .map(|t| ShardWorkingSetRow {
-                        name: t.name.clone(),
-                        description: t.description.clone(),
-                        avg_live_bytes: t.avg_live_bytes,
-                        avg_live_objects: t.avg_live_objects,
-                        peak_live_bytes: t.peak_live_bytes,
-                        threads_seen: 1,
-                    })
-                    .collect(),
-                cache_capacity: profile.working_set.cache_capacity,
-                cache_ways: profile.working_set.cache_ways,
-                total_avg_bytes: profile.working_set.total_avg_bytes(),
+                rows: ws.per_type.clone(),
+                cache_capacity: ws.cache_capacity,
+                cache_ways: ws.cache_ways,
+                total_avg_bytes: ws.total_avg_bytes(),
                 thread_count: 1,
-                threads_exceeding_capacity: usize::from(profile.working_set.exceeds_capacity()),
-                conflict_sets: profile.working_set.conflict_sets.len(),
+                threads_exceeding_capacity: usize::from(ws.exceeds_capacity()),
+                conflict_sets: ws.conflict_sets.len(),
             },
             data_flows,
         }

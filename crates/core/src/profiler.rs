@@ -5,12 +5,12 @@
 use crate::ground_truth::{resolve_ground_truth, GroundTruthProfile};
 use crate::history::{collect_histories, CollectionStats, HistoryConfig, ObjectAccessHistory};
 use crate::merge::{
-    merge_shards, MergedReport, ProfileShard, ShardMeta, ShardMissRow, ShardUtilization,
+    merge_shards, MergedReport, ProfileShard, ShardFlow, ShardMeta, ShardMissRow, ShardUtilization,
 };
 use crate::path_trace::{build_path_traces, PathTrace};
 use crate::sample::{resolve_samples, AccessSample};
 use crate::views::{
-    build_data_profile, build_utilization, build_working_set, classify_misses, DataFlowGraph,
+    build_data_flow, build_data_profile, build_utilization, build_working_set, classify_misses,
     DataProfileRow, WorkingSetView,
 };
 use serde::{Deserialize, Serialize};
@@ -63,8 +63,10 @@ pub struct DprofProfile {
     pub miss_classification: Vec<ShardMissRow>,
     /// Path traces per profiled type.
     pub path_traces: HashMap<TypeId, Vec<PathTrace>>,
-    /// Data-flow graphs per profiled type.
-    pub data_flows: HashMap<TypeId, DataFlowGraph>,
+    /// Data-flow graphs per profiled type.  Keyed by the machine-local `TypeId`
+    /// because the benchmark harness reads the keys to name a run's types; each
+    /// graph names its type itself ([`ShardFlow::type_name`]).
+    pub data_flows: HashMap<TypeId, ShardFlow>,
     /// Raw object access histories per profiled type.
     pub histories: HashMap<TypeId, Vec<ObjectAccessHistory>>,
     /// History-collection statistics per profiled type (the material of Tables 6.7-6.10).
@@ -95,7 +97,9 @@ impl DprofProfile {
     }
 
     /// A name for every `TypeId` in the profile's maps: the data-profile row's name,
-    /// or `type#N` for a type with a data-flow graph but no row.
+    /// or `type#N` for a type with a data-flow graph but no row.  Nothing in the
+    /// profiler needs it (every view but the data profile names its types); it fills
+    /// `ThreadRun::type_names`, which the benchmark harness builds and reads.
     pub fn type_names(&self) -> HashMap<TypeId, String> {
         let mut names: HashMap<TypeId, String> = self
             .data_profile
@@ -116,7 +120,7 @@ impl DprofProfile {
             samples: self.samples.len() as u64,
             ..ShardMeta::default()
         };
-        let shard = ProfileShard::from_profile(self, &self.type_names(), meta, 0);
+        let shard = ProfileShard::from_profile(self, meta, 0);
         merge_shards(&[&shard])
     }
 }
@@ -268,10 +272,11 @@ impl Dprof {
             sample_window.1,
         );
         let mut path_traces: HashMap<TypeId, Vec<PathTrace>> = HashMap::new();
-        let mut data_flows: HashMap<TypeId, DataFlowGraph> = HashMap::new();
+        let mut data_flows: HashMap<TypeId, ShardFlow> = HashMap::new();
         for (&ty, hs) in &histories {
             let traces = build_path_traces(ty, hs, &samples);
-            data_flows.insert(ty, DataFlowGraph::build(ty, &traces, &machine.symbols));
+            let flow = build_data_flow(ty, &traces, &kernel.types, &machine.symbols);
+            data_flows.insert(ty, flow);
             path_traces.insert(ty, traces);
         }
         let data_profile = build_data_profile(&samples, &path_traces, &working_set, &kernel.types);

@@ -6,13 +6,14 @@
 //! profile prints as the merge of its one shard ([`DprofProfile::report`]).  Two
 //! tables keep their own layout over one run's rows: [`render_data_profile`] (the
 //! thesis' Tables 6.1 / 6.4 / 6.5, with Description and Total columns) and
-//! [`render_path_trace`] (Table 4.1).
+//! [`render_path_trace`] (Table 4.1).  [`render_dot`] draws one type's data flow as
+//! Figure 6-1 does.
 //!
 //! [`DprofProfile::report`]: crate::DprofProfile::report
 
 pub mod diff;
 
-use crate::merge::MergedReport;
+use crate::merge::{MergedReport, ShardFlow};
 use crate::path_trace::PathTrace;
 use crate::views::DataProfileRow;
 use sim_machine::SymbolTable;
@@ -291,6 +292,41 @@ pub fn render_data_profile(rows: &[DataProfileRow], top: usize) -> String {
     out
 }
 
+/// Renders a type's data flow in Graphviz DOT format: bold edges are core transitions,
+/// dark nodes have an average access latency of at least `hot_threshold_cycles` — the
+/// same visual vocabulary as Figure 6-1.  An edge whose endpoint is not among the
+/// flow's nodes is not drawn.
+pub fn render_dot(flow: &ShardFlow, hot_threshold_cycles: f64) -> String {
+    let mut out = String::from("digraph data_flow {\n  rankdir=TB;\n  node [shape=box];\n");
+    for (i, n) in flow.nodes.iter().enumerate() {
+        let style = if n.avg_latency >= hot_threshold_cycles && n.samples > 0 {
+            ", style=filled, fillcolor=gray55, fontcolor=white"
+        } else {
+            ""
+        };
+        writeln!(
+            out,
+            "  n{} [label=\"{}\\navg {:.0} cyc\"{}];",
+            i, n.function, n.avg_latency, style
+        )
+        .unwrap();
+    }
+    let node = |function: &str| flow.nodes.iter().position(|n| n.function == function);
+    for e in &flow.edges {
+        let (Some(from), Some(to)) = (node(&e.from), node(&e.to)) else {
+            continue; // a pushed report may name an endpoint it lists no node for
+        };
+        let style = if e.cpu_change {
+            ", penwidth=3, color=black"
+        } else {
+            ""
+        };
+        writeln!(out, "  n{from} -> n{to} [label=\"x{}\"{style}];", e.count).unwrap();
+    }
+    out.push_str("}\n");
+    out
+}
+
 /// Renders a path trace in the style of Table 4.1.
 pub fn render_path_trace(trace: &PathTrace, symbols: &SymbolTable) -> String {
     let mut out = String::new();
@@ -345,6 +381,7 @@ fn truncate(s: &str, n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::{ShardFlowEdge, ShardFlowNode};
     use sim_kernel::TypeId;
 
     #[test]
@@ -372,6 +409,31 @@ mod tests {
         assert!(t.contains("45.40%"));
         assert!(t.contains("yes"));
         assert!(t.contains("Total"));
+    }
+
+    #[test]
+    fn a_dot_skips_an_edge_to_a_node_the_flow_does_not_list() {
+        // A JSON report's flow lists every edge but only its top nodes.
+        let node = |function: &str| ShardFlowNode {
+            function: function.into(),
+            samples: 1,
+            weight: 1,
+            avg_latency: 3.0,
+        };
+        let edge = |to: &str| ShardFlowEdge {
+            from: "a".into(),
+            to: to.into(),
+            count: 2,
+            cpu_change: false,
+        };
+        let flow = ShardFlow {
+            type_name: "t".into(),
+            nodes: vec![node("a"), node("b")],
+            edges: vec![edge("b"), edge("unlisted")],
+        };
+        let dot = render_dot(&flow, 100.0);
+        assert!(dot.contains("  n0 -> n1 [label=\"x2\"];\n"));
+        assert_eq!(dot.matches("->").count(), 1, "{dot}");
     }
 
     #[test]

@@ -5,169 +5,68 @@
 //! In the memcached case study this view is what pinpoints the bug: skbuffs jump from
 //! one core to another between `pfifo_fast_enqueue` and `pfifo_fast_dequeue`.
 
+use crate::merge::{ShardFlow, ShardFlowEdge, ShardFlowNode};
 use crate::path_trace::PathTrace;
-use serde::{Deserialize, Serialize};
-use sim_kernel::TypeId;
+use sim_kernel::{TypeId, TypeRegistry};
 use sim_machine::{FunctionId, SymbolTable};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-/// A node of the data-flow graph: one function that accesses the type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DataFlowNode {
-    /// Instruction pointer (function).
-    pub ip: FunctionId,
-    /// Function name.
-    pub name: String,
-    /// Average access latency at this node, in cycles.
-    pub avg_latency: f64,
-    /// Number of samples behind the latency estimate.
-    pub samples: u64,
-    /// Total path frequency passing through this node.
-    pub weight: u64,
-}
+/// Builds a type's graph by merging all of its path traces: common program-counter
+/// steps become shared nodes (in order of first appearance), consecutive steps become
+/// edges (in source, then destination, node order).
+pub fn build_data_flow(
+    type_id: TypeId,
+    traces: &[PathTrace],
+    registry: &TypeRegistry,
+    symbols: &SymbolTable,
+) -> ShardFlow {
+    let mut node_index: HashMap<FunctionId, usize> = HashMap::new();
+    let mut nodes: Vec<ShardFlowNode> = Vec::new();
+    let mut latency_cycles: Vec<f64> = Vec::new(); // per node: sum of latency × samples
+    let mut edges: BTreeMap<(usize, usize), (u64, bool)> = BTreeMap::new();
 
-impl DataFlowNode {
-    /// A node is "hot" (drawn dark in Figure 6-1) if its average access latency exceeds
-    /// the given threshold.
-    pub fn is_hot(&self, threshold_cycles: f64) -> bool {
-        self.avg_latency >= threshold_cycles && self.samples > 0
-    }
-}
-
-/// An edge of the data-flow graph: a transition between two consecutive accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DataFlowEdge {
-    /// Index of the source node.
-    pub from: usize,
-    /// Index of the destination node.
-    pub to: usize,
-    /// How many object histories took this transition.
-    pub count: u64,
-    /// Whether the transition crosses cores (drawn bold in Figure 6-1).
-    pub cpu_change: bool,
-}
-
-/// The merged data-flow graph for one type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DataFlowGraph {
-    /// The type this graph describes.
-    pub type_id: TypeId,
-    /// Nodes (functions).
-    pub nodes: Vec<DataFlowNode>,
-    /// Edges (transitions), including their core-crossing flags.
-    pub edges: Vec<DataFlowEdge>,
-}
-
-impl DataFlowGraph {
-    /// Builds the graph by merging all of a type's path traces: common program-counter
-    /// steps become shared nodes, consecutive steps become edges.
-    pub fn build(type_id: TypeId, traces: &[PathTrace], symbols: &SymbolTable) -> Self {
-        let mut node_index: HashMap<FunctionId, usize> = HashMap::new();
-        let mut nodes: Vec<DataFlowNode> = Vec::new();
-        let mut edge_map: HashMap<(usize, usize), DataFlowEdge> = HashMap::new();
-
-        let mut node_latency: Vec<(f64, u64)> = Vec::new(); // (total latency-weight, samples)
-
-        for t in traces.iter().filter(|t| t.type_id == type_id) {
-            let mut prev: Option<usize> = None;
-            for e in &t.entries {
-                let idx = *node_index.entry(e.ip).or_insert_with(|| {
-                    nodes.push(DataFlowNode {
-                        ip: e.ip,
-                        name: symbols.name(e.ip).to_string(),
-                        avg_latency: 0.0,
-                        samples: 0,
-                        weight: 0,
-                    });
-                    node_latency.push((0.0, 0));
-                    nodes.len() - 1
+    for t in traces.iter().filter(|t| t.type_id == type_id) {
+        let mut prev: Option<usize> = None;
+        for e in &t.entries {
+            let idx = *node_index.entry(e.ip).or_insert_with(|| {
+                nodes.push(ShardFlowNode {
+                    function: symbols.name(e.ip).to_string(),
+                    samples: 0,
+                    weight: 0,
+                    avg_latency: 0.0,
                 });
-                nodes[idx].weight += t.frequency;
-                node_latency[idx].0 += e.stats.avg_latency() * e.stats.count as f64;
-                node_latency[idx].1 += e.stats.count;
-                if let Some(p) = prev {
-                    let edge = edge_map.entry((p, idx)).or_insert(DataFlowEdge {
-                        from: p,
-                        to: idx,
-                        count: 0,
-                        cpu_change: false,
-                    });
-                    edge.count += t.frequency;
-                    edge.cpu_change |= e.cpu_change;
-                }
-                prev = Some(idx);
+                latency_cycles.push(0.0);
+                nodes.len() - 1
+            });
+            nodes[idx].weight += t.frequency;
+            nodes[idx].samples += e.stats.count;
+            latency_cycles[idx] += e.stats.avg_latency() * e.stats.count as f64;
+            if let Some(p) = prev {
+                let (count, cpu_change) = edges.entry((p, idx)).or_default();
+                *count += t.frequency;
+                *cpu_change |= e.cpu_change;
             }
-        }
-        for (idx, node) in nodes.iter_mut().enumerate() {
-            let (total, count) = node_latency[idx];
-            node.samples = count;
-            node.avg_latency = if count == 0 {
-                0.0
-            } else {
-                total / count as f64
-            };
-        }
-        let mut edges: Vec<DataFlowEdge> = edge_map.into_values().collect();
-        edges.sort_by_key(|e| (e.from, e.to));
-        DataFlowGraph {
-            type_id,
-            nodes,
-            edges,
+            prev = Some(idx);
         }
     }
-
-    /// The edges that cross cores, most frequent first — the first place a programmer
-    /// should look for true/false sharing.
-    pub fn cpu_crossing_edges(&self) -> Vec<&DataFlowEdge> {
-        let mut v: Vec<&DataFlowEdge> = self.edges.iter().filter(|e| e.cpu_change).collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.count));
-        v
-    }
-
-    /// Finds the node index for a function name, if present.
-    pub fn node_by_name(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.name == name)
-    }
-
-    /// True if the graph contains a core-crossing transition between the two named
-    /// functions (in that order).
-    pub fn has_crossing_between(&self, from: &str, to: &str) -> bool {
-        let (Some(f), Some(t)) = (self.node_by_name(from), self.node_by_name(to)) else {
-            return false;
-        };
-        self.edges
-            .iter()
-            .any(|e| e.from == f && e.to == t && e.cpu_change)
-    }
-
-    /// Renders the graph in Graphviz DOT format: bold edges are core transitions, dark
-    /// nodes have high access latency — the same visual vocabulary as Figure 6-1.
-    pub fn to_dot(&self, hot_threshold_cycles: f64) -> String {
-        let mut out = String::from("digraph data_flow {\n  rankdir=TB;\n  node [shape=box];\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            let style = if n.is_hot(hot_threshold_cycles) {
-                ", style=filled, fillcolor=gray55, fontcolor=white"
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "  n{} [label=\"{}\\navg {:.0} cyc\"{}];\n",
-                i, n.name, n.avg_latency, style
-            ));
+    for (node, total) in nodes.iter_mut().zip(latency_cycles) {
+        if node.samples > 0 {
+            node.avg_latency = total / node.samples as f64;
         }
-        for e in &self.edges {
-            let style = if e.cpu_change {
-                ", penwidth=3, color=black"
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "  n{} -> n{} [label=\"x{}\"{}];\n",
-                e.from, e.to, e.count, style
-            ));
-        }
-        out.push_str("}\n");
-        out
+    }
+    let edges = edges
+        .into_iter()
+        .map(|((from, to), (count, cpu_change))| ShardFlowEdge {
+            from: nodes[from].function.clone(),
+            to: nodes[to].function.clone(),
+            count,
+            cpu_change,
+        })
+        .collect();
+    ShardFlow {
+        type_name: registry.name(type_id).to_string(),
+        nodes,
+        edges,
     }
 }
 
@@ -175,6 +74,7 @@ impl DataFlowGraph {
 mod tests {
     use super::*;
     use crate::path_trace::PathTraceEntry;
+    use crate::report::render_dot;
     use crate::sample::SampleStats;
 
     fn entry(ip: u32, cpu_change: bool, latency: u64, count: u64) -> PathTraceEntry {
@@ -202,6 +102,17 @@ mod tests {
         s
     }
 
+    fn registry() -> TypeRegistry {
+        let mut r = TypeRegistry::new();
+        r.register("size-1024", "packet payload", 1024); // TypeId(0)
+        r.register("skbuff", "packet bookkeeping structure", 256); // TypeId(1)
+        r
+    }
+
+    fn node<'a>(flow: &'a ShardFlow, function: &str) -> &'a ShardFlowNode {
+        flow.nodes.iter().find(|n| n.function == function).unwrap()
+    }
+
     #[test]
     fn merges_shared_prefixes_into_one_graph() {
         let traces = vec![
@@ -223,18 +134,23 @@ mod tests {
                 avg_lifetime: 50.0,
             },
         ];
-        let g = DataFlowGraph::build(TypeId(1), &traces, &symbols());
+        let g = build_data_flow(TypeId(1), &traces, &registry(), &symbols());
+        assert_eq!(g.type_name, "skbuff");
         assert_eq!(
             g.nodes.len(),
             4,
             "shared functions must be merged into single nodes"
         );
-        let alloc = g.node_by_name("__alloc_skb").unwrap();
-        assert_eq!(g.nodes[alloc].weight, 13);
+        assert_eq!(node(&g, "__alloc_skb").weight, 13);
         // The dequeue node was reached over a CPU change and has high latency.
-        assert!(g.has_crossing_between("pfifo_fast_enqueue", "pfifo_fast_dequeue"));
-        let deq = g.node_by_name("pfifo_fast_dequeue").unwrap();
-        assert!(g.nodes[deq].is_hot(100.0));
+        assert!(g.edges.iter().any(|e| e.from == "pfifo_fast_enqueue"
+            && e.to == "pfifo_fast_dequeue"
+            && e.cpu_change));
+        let deq = node(&g, "pfifo_fast_dequeue");
+        assert!(
+            deq.avg_latency >= 100.0 && deq.samples > 0,
+            "dequeue is hot"
+        );
         assert_eq!(g.cpu_crossing_edges().len(), 1);
     }
 
@@ -246,8 +162,8 @@ mod tests {
             frequency: 5,
             avg_lifetime: 10.0,
         }];
-        let g = DataFlowGraph::build(TypeId(1), &traces, &symbols());
-        let dot = g.to_dot(100.0);
+        let g = build_data_flow(TypeId(1), &traces, &registry(), &symbols());
+        let dot = render_dot(&g, 100.0);
         assert!(dot.contains("digraph"));
         assert!(dot.contains("penwidth=3"), "core transition must be bold");
         assert!(dot.contains("fillcolor=gray55"), "hot node must be dark");
@@ -256,9 +172,9 @@ mod tests {
 
     #[test]
     fn empty_traces_give_empty_graph() {
-        let g = DataFlowGraph::build(TypeId(1), &[], &symbols());
+        let g = build_data_flow(TypeId(1), &[], &registry(), &symbols());
         assert!(g.nodes.is_empty());
         assert!(g.edges.is_empty());
-        assert!(!g.has_crossing_between("a", "b"));
+        assert!(g.cpu_crossing_edges().is_empty());
     }
 }

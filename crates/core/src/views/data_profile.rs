@@ -11,10 +11,12 @@ use sim_cache::HitLevel;
 use sim_kernel::{TypeId, TypeRegistry};
 use std::collections::HashMap;
 
-/// One row of the data profile.
+/// One row of the data profile.  The one view row that is not yet its shard's
+/// ([`ShardProfileRow`](crate::merge::ShardProfileRow)): it keeps the machine-local
+/// [`TypeId`], which the benchmark harness reads to name a run's types.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DataProfileRow {
-    /// The type.
+    /// The type (machine-local; read by the benchmark harness).
     pub type_id: TypeId,
     /// Type name (e.g. `"size-1024"`).
     pub name: String,
@@ -86,7 +88,7 @@ pub fn build_data_profile(
                 name: info.name.clone(),
                 description: info.description.clone(),
                 working_set_bytes: working_set
-                    .for_type(ty)
+                    .for_type(&info.name)
                     .map(|w| w.avg_live_bytes)
                     .unwrap_or(0.0),
                 pct_of_l1_misses: if total_l1_misses == 0 {

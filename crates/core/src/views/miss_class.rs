@@ -107,17 +107,14 @@ pub fn classify_misses(
                 .clamp(0.0, 1.0);
 
             // The remainder is split between conflict and capacity using the
-            // associativity histogram: conflicts only if this type occupies one of the
-            // flagged over-subscribed sets, capacity only if the total working set
-            // exceeds the cache.
+            // associativity histogram: conflict if this type occupies one of the
+            // flagged over-subscribed sets, otherwise capacity — pressure on the L2
+            // when the total working set exceeds it, else on the smaller L1, which the
+            // L2-scale analysis cannot see.
             let rest = 1.0 - invalidation;
             let (conflict, capacity) = if working_set.type_in_conflict_set(ty) {
                 (rest, 0.0)
-            } else if working_set.exceeds_capacity() {
-                (0.0, rest)
             } else {
-                // Neither condition holds: attribute the remainder to capacity pressure
-                // in the smaller (L1) cache, which the L2-scale analysis cannot see.
                 (0.0, rest)
             };
 

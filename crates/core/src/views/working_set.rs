@@ -6,27 +6,11 @@
 //! allocation's lifetime, so the time-weighted average footprint of each type and the
 //! distribution of live objects over associativity sets follow directly.
 
+use crate::merge::ShardWorkingSetRow;
 use serde::{Deserialize, Serialize};
 use sim_cache::CacheGeometry;
 use sim_kernel::{AllocRecord, TypeId, TypeRegistry};
 use std::collections::{BinaryHeap, HashMap};
-
-/// Per-type working-set summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TypeWorkingSet {
-    /// The type.
-    pub type_id: TypeId,
-    /// Type name.
-    pub name: String,
-    /// Type description.
-    pub description: String,
-    /// Time-weighted average bytes of this type live during the window.
-    pub avg_live_bytes: f64,
-    /// Time-weighted average number of live objects.
-    pub avg_live_objects: f64,
-    /// Peak live bytes during the window.
-    pub peak_live_bytes: u64,
-}
 
 /// One crowded associativity set and the types occupying it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -42,8 +26,9 @@ pub struct AssocSetUsage {
 /// The working-set view.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkingSetView {
-    /// Per-type footprint, sorted by average live bytes (largest first).
-    pub per_type: Vec<TypeWorkingSet>,
+    /// Per-type footprint, the shard's rows (`threads_seen: 1`), sorted by average
+    /// live bytes (largest first).
+    pub per_type: Vec<ShardWorkingSetRow>,
     /// Distinct lines that mapped to each associativity set during the window.
     pub assoc_histogram: Vec<usize>,
     /// Sets holding far more distinct lines than the average (candidate conflict sets),
@@ -61,9 +46,9 @@ impl WorkingSetView {
         self.per_type.iter().map(|t| t.avg_live_bytes).sum()
     }
 
-    /// The working-set row for a given type, if present.
-    pub fn for_type(&self, type_id: TypeId) -> Option<&TypeWorkingSet> {
-        self.per_type.iter().find(|t| t.type_id == type_id)
+    /// The working-set row for a type name, if present.
+    pub fn for_type(&self, name: &str) -> Option<&ShardWorkingSetRow> {
+        self.per_type.iter().find(|t| t.name == name)
     }
 
     /// True if the total working set exceeds the cache capacity (the precondition for
@@ -140,17 +125,17 @@ pub fn build_working_set(
     }
     drop(events);
 
-    let mut per_type: Vec<TypeWorkingSet> = acc
+    let mut per_type: Vec<ShardWorkingSetRow> = acc
         .iter()
         .map(|(&ty, a)| {
             let info = registry.info(ty);
-            TypeWorkingSet {
-                type_id: ty,
+            ShardWorkingSetRow {
                 name: info.name.clone(),
                 description: info.description.clone(),
                 avg_live_bytes: a.byte_cycles / window,
                 avg_live_objects: a.object_cycles / window,
                 peak_live_bytes: a.peak_bytes,
+                threads_seen: 1,
             }
         })
         .collect();
@@ -331,17 +316,17 @@ mod tests {
                 a.current_bytes = a.current_bytes.saturating_sub(*size);
             }
         }
-        let mut per_type: Vec<TypeWorkingSet> = acc
+        let mut per_type: Vec<ShardWorkingSetRow> = acc
             .iter()
             .map(|(&ty, a)| {
                 let info = registry.info(ty);
-                TypeWorkingSet {
-                    type_id: ty,
+                ShardWorkingSetRow {
                     name: info.name.clone(),
                     description: info.description.clone(),
                     avg_live_bytes: a.byte_cycles / window,
                     avg_live_objects: a.object_cycles / window,
                     peak_live_bytes: a.peak_bytes,
+                    threads_seen: 1,
                 }
             })
             .collect();
@@ -472,12 +457,12 @@ mod tests {
             record(0x2000, 1, 256, 0, Some(500)),
         ];
         let ws = build_working_set(&recs, &reg, CacheGeometry::l2_default(), 0, 1000);
-        let a = ws.for_type(TypeId(0)).unwrap();
-        let b = ws.for_type(TypeId(1)).unwrap();
+        let a = ws.for_type("a").unwrap();
+        let b = ws.for_type("b").unwrap();
         assert!((a.avg_live_bytes - 1024.0).abs() < 1.0);
         assert!((b.avg_live_bytes - 128.0).abs() < 1.0);
         assert!((a.avg_live_objects - 1.0).abs() < 0.01);
-        assert_eq!(ws.per_type[0].type_id, TypeId(0), "largest type first");
+        assert_eq!(ws.per_type[0].name, "a", "largest type first");
     }
 
     #[test]
@@ -488,7 +473,7 @@ mod tests {
             record(0x2000, 1, 256, 100, Some(300)),
         ];
         let ws = build_working_set(&recs, &reg, CacheGeometry::l2_default(), 0, 1000);
-        assert_eq!(ws.for_type(TypeId(1)).unwrap().peak_live_bytes, 512);
+        assert_eq!(ws.for_type("b").unwrap().peak_live_bytes, 512);
     }
 
     #[test]
@@ -532,6 +517,6 @@ mod tests {
         let reg = registry();
         let recs = vec![record(0x1000, 0, 1024, 2000, Some(3000))];
         let ws = build_working_set(&recs, &reg, CacheGeometry::l2_default(), 0, 1000);
-        assert!(ws.for_type(TypeId(0)).is_none());
+        assert!(ws.for_type("a").is_none());
     }
 }

@@ -36,7 +36,10 @@ fn the_view_of_a_drop_off_backlog_costs_its_events_not_its_lines() {
         view.assoc_histogram.iter().sum::<usize>(),
         30_000 * 16 + 64 * 4
     );
-    assert_eq!(view.for_type(sock).unwrap().peak_live_bytes, 30_000 * 1024);
+    assert_eq!(
+        view.for_type("tcp-sock").unwrap().peak_live_bytes,
+        30_000 * 1024
+    );
     assert!(view.conflict_sets.is_empty());
 
     // The peak is the events, two a record, sorted in place, beside the per-type

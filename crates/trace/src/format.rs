@@ -257,7 +257,10 @@ pub struct ThreadRun {
     pub seed: u64,
     /// The full DProf profile.
     pub profile: DprofProfile,
-    /// Type names for every `TypeId` appearing in the profile's maps.
+    /// Type names for every `TypeId` appearing in the profile's maps.  The shard
+    /// does not need them (every view but the data profile names its types, and
+    /// data-profile rows carry their names); the benchmark harness builds and reads
+    /// them.
     pub type_names: HashMap<TypeId, String>,
     /// Application requests completed while the profiler was attached (a replay
     /// carries the recorded count).
@@ -286,7 +289,6 @@ impl ThreadRun {
     pub fn shard(&self, ordinal: u64) -> ProfileShard {
         ProfileShard::from_profile(
             &self.profile,
-            &self.type_names,
             ShardMeta {
                 thread: self.thread,
                 seed: self.seed,

@@ -53,7 +53,7 @@ fn main() {
         for e in graph.cpu_crossing_edges().iter().take(5) {
             println!(
                 "  {} -> {}   crosses cores (observed x{})",
-                graph.nodes[e.from].name, graph.nodes[e.to].name, e.count
+                e.from, e.to, e.count
             );
         }
         println!();

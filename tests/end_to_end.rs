@@ -81,8 +81,8 @@ fn memcached_data_flow_shows_transmit_path_core_crossing() {
     for graph in profile.data_flows.values() {
         for e in graph.cpu_crossing_edges() {
             found_crossing = true;
-            crossing_functions.push(graph.nodes[e.from].name.clone());
-            crossing_functions.push(graph.nodes[e.to].name.clone());
+            crossing_functions.push(e.from.clone());
+            crossing_functions.push(e.to.clone());
         }
     }
     assert!(

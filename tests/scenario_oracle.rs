@@ -68,22 +68,13 @@ fn rank_in_expected_view(profile: &DprofProfile, spec: &ScenarioSpec) -> Option<
         }
         ExpectedView::DataFlow => {
             // Rank history-profiled types by data-flow core crossings (most first).
-            let mut flows: Vec<(String, u64)> = profile
+            let mut flows: Vec<(&str, u64)> = profile
                 .data_flows
-                .iter()
-                .map(|(ty, graph)| {
-                    let type_name = profile
-                        .data_profile
-                        .iter()
-                        .find(|r| r.type_id == *ty)
-                        .map(|r| r.name.clone())
-                        .unwrap_or_default();
-                    let crossings: u64 = graph.cpu_crossing_edges().iter().map(|e| e.count).sum();
-                    (type_name, crossings)
-                })
+                .values()
+                .map(|flow| (flow.type_name.as_str(), flow.core_crossings()))
                 .collect();
-            flows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            let pos = flows.iter().position(|(n, _)| n == name)?;
+            flows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+            let pos = flows.iter().position(|&(n, _)| n == name)?;
             // A rank in this view is only meaningful with actual crossings.
             (flows[pos].1 > 0).then_some(pos)
         }
