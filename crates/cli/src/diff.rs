@@ -3,23 +3,35 @@
 //! table or a `dprof-diff/v1` JSON document.
 
 use crate::args::{DiffOptions, Format};
+use crate::merge::{merge_shards, summary_from_merged};
 use dprof::core::report::diff::{diff, ReportDiff, ReportSummary};
-use dprof::core::schema::{report_summary_from_json, Json, JsonRef, JsonTape};
+use dprof::core::schema::{shard_from_report_json, Json, JsonRef, JsonTape};
 use std::fmt::Write as _;
 
 /// JSON schema identifier of the diff document.
 pub const DIFF_SCHEMA: &str = dprof::core::schema::DIFF_V1;
 
-/// Loads a report file and reduces it to the diff engine's per-type summary.
+/// Loads a report file and reduces it to the diff engine's per-type summary, reading
+/// it the way the collector ingests a push: the document becomes one shard, and every
+/// derived column is recomputed from its merge.
 ///
 /// Errors are one-line and actionable: they name the file and what is wrong with it.
 pub fn load_summary(path: &str) -> Result<ReportSummary, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read report '{path}': {e}"))?;
-    let doc = JsonTape::parse(&text).map_err(|e| {
+    let tape = JsonTape::parse(&text).map_err(|e| {
         format!("'{path}' is not valid JSON ({e}); expected a dprof -f json report")
     })?;
-    report_summary_from_json(&doc).map_err(|e| format!("'{path}': {e}"))
+    let shard = shard_from_report_json(&tape, 0).map_err(|e| format!("'{path}': {e}"))?;
+    // The collector accepts a report without the view a diff ranks by; a diff does not.
+    let rows = tape.root().get("data_profile").and_then(|p| p.get("rows"));
+    if rows.and_then(JsonRef::as_array).is_none() {
+        return Err(format!(
+            "'{path}': report has no data_profile section; re-run dprof with -v data-profile \
+             (or all views)"
+        ));
+    }
+    Ok(summary_from_merged(&merge_shards(&[&shard])))
 }
 
 /// The top-ranked candidate of a `dprof-whatif/v1` document, attached to a diff via
@@ -318,12 +330,14 @@ mod tests {
                     "rows",
                     Json::Arr(
                         rows.iter()
-                            .map(|(name, pct, _)| {
+                            .map(|(name, pct, misses)| {
                                 Json::obj(vec![
                                     ("type", Json::str(*name)),
                                     ("pct_of_l1_misses", Json::num(*pct)),
                                     ("working_set_bytes", Json::num(*pct * 10.0)),
                                     ("bounce", Json::Bool(false)),
+                                    ("samples", Json::num(*misses as f64 * 2.0)),
+                                    ("l1_miss_samples", Json::num(*misses as f64)),
                                 ])
                             })
                             .collect(),
@@ -358,10 +372,22 @@ mod tests {
         ])
     }
 
+    /// [`load_summary`] of `doc` written to a file of its own.
+    fn load(name: &str, doc: &Json) -> Result<ReportSummary, String> {
+        let path = std::env::temp_dir().join(format!(
+            "dprof-diff-unit-{}-{name}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, doc.to_pretty_string()).unwrap();
+        let summary = load_summary(path.to_str().unwrap());
+        std::fs::remove_file(&path).ok();
+        summary
+    }
+
     #[test]
     fn summary_round_trips_from_report_json() {
         let doc = report_doc(&[("skbuff", 60.0, 600), ("payload", 40.0, 400)]);
-        let summary = report_summary_from_json(&doc).unwrap();
+        let summary = load("round-trip", &doc).unwrap();
         assert_eq!(summary.types.len(), 2);
         let skb = summary.get("skbuff").unwrap();
         assert_eq!(skb.pct_of_l1_misses, 60.0);
@@ -372,23 +398,21 @@ mod tests {
     #[test]
     fn schema_mismatch_and_missing_sections_are_rejected() {
         let bad = Json::obj(vec![("schema", Json::str("other/v9"))]);
-        assert!(report_summary_from_json(&bad)
-            .unwrap_err()
-            .contains("other/v9"));
+        assert!(load("bad", &bad).unwrap_err().contains("other/v9"));
         let none = Json::obj(vec![("hello", Json::num(1u32))]);
-        assert!(report_summary_from_json(&none)
+        assert!(load("none", &none)
             .unwrap_err()
             .contains("missing 'schema'"));
         let no_profile = Json::obj(vec![("schema", Json::str(crate::render::SCHEMA))]);
-        assert!(report_summary_from_json(&no_profile)
+        assert!(load("no-profile", &no_profile)
             .unwrap_err()
-            .contains("data_profile"));
+            .contains("no data_profile section"));
     }
 
     #[test]
     fn self_diff_renders_neutral_in_both_formats() {
         let doc = report_doc(&[("skbuff", 60.0, 600), ("payload", 40.0, 400)]);
-        let summary = report_summary_from_json(&doc).unwrap();
+        let summary = load("self-diff", &doc).unwrap();
         let d = dprof::core::report::diff::diff(&summary, &summary, None);
         assert!(d.is_neutral());
         let options = DiffOptions {

@@ -421,33 +421,55 @@ mod tests {
         assert_eq!(again.utilization, report.utilization);
     }
 
+    /// What `dprof diff` reads back from a rendered report is the summary of the
+    /// report it was rendered from, cut to the rows the document carries: `--top` rows
+    /// per table, every flow with every edge (so a crossing edge past `--top` counts).
     #[test]
-    fn a_report_read_back_keeps_every_flows_core_crossings() {
+    fn a_report_read_back_summarizes_as_the_report_it_was_rendered_from() {
         use crate::merge::{merge_shards, summary_from_merged};
-        use dprof::core::schema::{report_summary_from_json, shard_from_report_json};
-        let mut options = small_options();
-        options.run.threads = 1;
-        options.top = 1;
-        let report = merge(&run_parallel(&options.run).unwrap());
-        assert!(
-            report.data_flows.iter().any(|f| f
-                .edges
+        use dprof::core::{diff, schema::shard_from_report_json};
+        let mut crossing_past_top = false;
+        for (workload, threads) in [
+            ("memcached", 1),
+            ("memcached", 3),
+            ("sparse-struct-waste:buggy", 3),
+        ] {
+            let mut options = small_options();
+            options.run.workload = crate::driver::parse_workload_spec(workload).unwrap();
+            options.run.threads = threads;
+            let report = merge(&run_parallel(&options.run).unwrap());
+            let in_memory = summary_from_merged(&report);
+            let widest = [
+                report.data_profile.len(),
+                report.miss_classification.len(),
+                report.utilization.rows.len(),
+                report.working_set.rows.len(),
+            ];
+            crossing_past_top |= report
+                .data_flows
                 .iter()
-                .skip(options.top)
-                .any(|e| e.cpu_change)),
-            "no crossing edge sorts past --top"
-        );
-        let doc = render_json(&report, &options);
-        let written = report_summary_from_json(&doc).unwrap();
-        let again =
-            summary_from_merged(&merge_shards(&[&shard_from_report_json(&doc, 0).unwrap()]));
-        let crossings = |s: &dprof::core::ReportSummary| -> Vec<(String, u64)> {
-            s.types
-                .iter()
-                .map(|t| (t.name.clone(), t.core_crossings))
-                .collect()
-        };
-        assert_eq!(crossings(&again), crossings(&written));
+                .any(|f| f.edges.iter().skip(1).any(|e| e.cpu_change));
+            for top in [1, 8, 64] {
+                options.top = top;
+                let shard = shard_from_report_json(&render_json(&report, &options), 0).unwrap();
+                let read_back = summary_from_merged(&merge_shards(&[&shard]));
+                let case = format!("{workload} x{threads} --top {top}");
+                let covers_every_type = widest.iter().all(|&rows| rows <= top);
+                assert!(covers_every_type || top < 64, "{case}: {widest:?} rows");
+                if covers_every_type {
+                    assert_eq!(read_back, in_memory, "{case}");
+                    assert!(diff(&read_back, &in_memory, None).is_neutral(), "{case}");
+                } else {
+                    let mut carried = report.clone();
+                    carried.data_profile.truncate(top);
+                    carried.miss_classification.truncate(top);
+                    carried.utilization.rows.truncate(top);
+                    carried.working_set.rows.truncate(top);
+                    assert_eq!(read_back, summary_from_merged(&carried), "{case}");
+                }
+            }
+        }
+        assert!(crossing_past_top, "no crossing edge sorts past --top 1");
     }
 
     #[test]

@@ -278,20 +278,27 @@ fn diff_focus_on_a_utilization_only_type_uses_the_wasted_bytes_verdict() {
     // A type can be invisible to the miss views (no data_profile/miss rows) yet
     // dominate by wasted fetch bandwidth; focusing the diff on it must fall back to
     // the utilization axis instead of reporting "appears in neither report".
-    let report = |wasted: u64, pct: f64| {
+    // The derived columns are written as a report writes them, from the counts a
+    // reader recomputes them from: 8 wasted bytes per fetched slot never touched.
+    let report = |fetched: u64, touched: u64| {
+        let (wasted, pct) = (
+            8 * (fetched - touched),
+            100.0 * touched as f64 / fetched as f64,
+        );
         format!(
             r#"{{"schema": "dprof-report/v1",
-  "data_profile": {{"rows": [{{"type": "rx_ring", "pct_of_l1_misses": 100.0}}]}},
-  "utilization": {{"total_fetches": 4096, "total_refetches": 512, "rows": [
-    {{"type": "sparse_only", "slots_fetched": 4096, "slots_touched": 512,
-      "utilization_pct": {pct}, "wasted_bytes": {wasted},
-      "wasted_bytes_per_sec": 1000.0, "refetch_ratio": 0.125}}]}}}}"#
+  "data_profile": {{"rows": [{{"type": "rx_ring", "pct_of_l1_misses": 100.0,
+    "samples": 10, "l1_miss_samples": 10}}]}},
+  "utilization": {{"total_fetches": {fetched}, "total_refetches": 0, "rows": [
+    {{"type": "sparse_only", "slots_fetched": {fetched}, "slots_touched": {touched},
+      "utilization_pct": {pct}, "wasted_bytes": {wasted}}}]}}}}"#
         )
     };
     let before = tmp("util-only-before.json");
     let after = tmp("util-only-after.json");
-    std::fs::write(&before, report(100_000, 12.5)).unwrap();
-    std::fs::write(&after, report(400, 95.0)).unwrap();
+    // 100 000 wasted bytes before the fix, 400 after.
+    std::fs::write(&before, report(16_000, 3_500)).unwrap();
+    std::fs::write(&after, report(4_096, 4_046)).unwrap();
 
     let output = dprof()
         .arg("diff")
@@ -332,5 +339,68 @@ fn diff_focus_on_a_utilization_only_type_uses_the_wasted_bytes_verdict() {
 
     for p in [before, after] {
         std::fs::remove_file(p).ok();
+    }
+}
+
+/// The collector's `query regressions` and `dprof diff` reduce a report the same way
+/// (`summary_from_merged`), so over the pair CI pushes to the collector golden — each
+/// report three times, as builds `v1` and `v2` — they agree on the focus, the verdict
+/// and every type's miss shares; the collector's miss counts are three times the diff's.
+#[test]
+fn diff_agrees_with_the_collectors_regressions_over_the_golden_pair() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let output = dprof()
+        .arg("diff")
+        .arg(golden.join("memcached_quick.report.json"))
+        .arg(golden.join("false_sharing_quick.report.json"))
+        .args(["--top", "64", "-f", "json"])
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "diff failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let diff = Json::parse(&String::from_utf8_lossy(&output.stdout)).unwrap();
+    let regressions =
+        Json::parse(&std::fs::read_to_string(golden.join("serve/regressions.json")).unwrap())
+            .unwrap();
+    for key in ["focus", "verdict"] {
+        assert_eq!(diff.get(key), regressions.get(key), "{key}");
+    }
+    assert_eq!(
+        diff.get("focus").and_then(Json::as_str),
+        Some("size-1024"),
+        "the golden pair's focus"
+    );
+
+    let num = |row: &Json, key: &str| row.get(key).and_then(Json::as_f64).unwrap();
+    let types = diff.get("types").and_then(Json::as_array).unwrap();
+    let rows = regressions.get("rows").and_then(Json::as_array).unwrap();
+    assert_eq!(types.len(), rows.len(), "one collector row per diffed type");
+    for row in rows {
+        let name = row.get("type").and_then(Json::as_str).unwrap();
+        let t = types
+            .iter()
+            .find(|t| t.get("type").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name}: in the collector's rows, not the diff's"));
+        for (ours, theirs) in [
+            ("pct_of_l1_misses_a", "pct_from"),
+            ("pct_of_l1_misses_b", "pct_to"),
+            ("delta_pct", "delta_pct"),
+        ] {
+            assert!(
+                (num(t, ours) - num(row, theirs)).abs() < 1e-9,
+                "{name}: {ours} {} vs {theirs} {}",
+                num(t, ours),
+                num(row, theirs)
+            );
+        }
+        for (ours, theirs) in [
+            ("miss_samples_a", "misses_from"),
+            ("miss_samples_b", "misses_to"),
+        ] {
+            assert_eq!(3.0 * num(t, ours), num(row, theirs), "{name}: {theirs}");
+        }
     }
 }

@@ -1079,9 +1079,10 @@ impl Fold {
     }
 }
 
-/// Reduces a merged report to the diff engine's [`ReportSummary`] — the in-memory
-/// twin of `schema::report_summary_from_json`, used by the serve query path so
-/// regression verdicts match what `dprof diff` would say about the rendered files.
+/// Reduces a merged report to the diff engine's [`ReportSummary`].  It is the one
+/// builder of a summary: the serve query path reduces its fold with it, and `dprof
+/// diff` reduces each report read back as one shard, so regression verdicts match
+/// what `dprof diff` says about the rendered files.
 pub fn summary_from_merged(report: &MergedReport) -> ReportSummary {
     let mut summary = ReportSummary {
         types: Vec::new(),
@@ -1105,8 +1106,6 @@ pub fn summary_from_merged(report: &MergedReport) -> ReportSummary {
         let t = summary.entry(&row.name);
         t.utilization_pct = row.utilization_pct();
         t.wasted_bytes = row.wasted_bytes();
-        t.wasted_bytes_per_sec = row.wasted_bytes_per_sec;
-        t.refetch_ratio = row.refetch_ratio();
     }
     for row in &report.working_set.rows {
         summary.entry(&row.name).working_set_bytes = row.avg_live_bytes;

@@ -9,12 +9,13 @@
 //! threshold-based [`Verdict`] on the focus type ("bottleneck eliminated / moved /
 //! unchanged").
 //!
-//! [`ReportSummary`] is deliberately name-keyed and self-contained: it is built from a
-//! merged report ([`summary_from_merged`](crate::merge::summary_from_merged), what
-//! `dprof serve` and the oracle harnesses use) or parsed back out of a
-//! `dprof-report/v1` JSON document (`schema::report_summary_from_json`, what the
-//! `dprof diff` subcommand uses), so recorded reports from different machines remain
-//! comparable.
+//! [`ReportSummary`] is deliberately name-keyed and self-contained, so recorded reports
+//! from different machines remain comparable.  It has one builder,
+//! [`summary_from_merged`](crate::merge::summary_from_merged), over a merged report.
+//! `dprof serve` and the oracle harnesses merge shards in memory; the `dprof diff`
+//! subcommand reads each `dprof-report/v1` document as one shard
+//! (`schema::shard_from_report_json`, as the collector ingests a push) and merges
+//! that.
 
 use serde::{Deserialize, Serialize};
 
@@ -48,12 +49,6 @@ pub struct TypeSummary {
     /// Bytes fetched for the type but never touched before eviction.
     #[serde(default)]
     pub wasted_bytes: u64,
-    /// Wasted bytes normalised to simulated wall-clock time.
-    #[serde(default)]
-    pub wasted_bytes_per_sec: f64,
-    /// Share of the type's fetched slots that were re-fetches of evicted lines.
-    #[serde(default)]
-    pub refetch_ratio: f64,
 }
 
 impl TypeSummary {
@@ -72,8 +67,6 @@ impl TypeSummary {
             core_crossings: 0,
             utilization_pct: 0.0,
             wasted_bytes: 0,
-            wasted_bytes_per_sec: 0.0,
-            refetch_ratio: 0.0,
         }
     }
 }
@@ -97,7 +90,7 @@ impl ReportSummary {
     }
 
     /// The summary row for a type name, appended as [`TypeSummary::absent`] first if
-    /// the report has none yet (how the readers join a report's sections by name).
+    /// the report has none yet (how a report's sections are joined by name).
     pub fn entry(&mut self, name: &str) -> &mut TypeSummary {
         let i = match self.types.iter().position(|t| t.name == name) {
             Some(i) => i,
@@ -533,8 +526,6 @@ mod tests {
             core_crossings: 0,
             utilization_pct: 0.0,
             wasted_bytes: 0,
-            wasted_bytes_per_sec: 0.0,
-            refetch_ratio: 0.0,
         }
     }
 
@@ -542,7 +533,6 @@ mod tests {
         let mut t = TypeSummary::absent(name);
         t.utilization_pct = utilization_pct;
         t.wasted_bytes = wasted_bytes;
-        t.wasted_bytes_per_sec = wasted_bytes as f64 * 10.0;
         t
     }
 

@@ -8,8 +8,8 @@
 //! * the schema-id constants every document carries ([`REPORT_V1`], [`DIFF_V1`],
 //!   [`WHATIF_V1`], [`ACCURACY_V1`], [`SERVE_V1`], [`LOADGEN_V1`]),
 //! * the readers that turn documents back into typed values:
-//!   [`report_summary_from_json`] (report → diff-engine summary),
-//!   [`shard_from_report_json`] (report → mergeable [`ProfileShard`]) and the
+//!   [`shard_from_report_json`] (report → mergeable [`ProfileShard`], what the
+//!   collector ingests and `dprof diff` reads) and the
 //!   [`shard_to_json`]/[`shard_from_json`] pair used by the serve store's snapshots.
 //!
 //! Object key order is preserved on emit, so documents are byte-stable across runs
@@ -27,7 +27,6 @@ use crate::merge::{
     ShardProfileRow, ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow,
     ShardWorkingSet, ShardWorkingSetRow,
 };
-use crate::report::diff::ReportSummary;
 use std::fmt::Write as _;
 
 /// Schema id of merged profile reports (`dprof -f json`, `dprof replay -f json`).
@@ -870,8 +869,8 @@ fn expect_schema(doc: JsonRef) -> Result<(), String> {
 }
 
 // One parser per row type.  A report and a snapshot spell a row with the same keys
-// (the report adds derived ones, which a shard recomputes), so both readers — and the
-// summary reader, for the columns it shares — go through these.
+// (the report adds derived ones, which a shard recomputes), so both readers go
+// through these.
 
 fn profile_row(row: JsonRef) -> Result<ShardProfileRow, String> {
     Ok(ShardProfileRow {
@@ -999,88 +998,23 @@ fn flow(flow: JsonRef) -> Result<ShardFlow, String> {
     })
 }
 
-/// Reduces a parsed [`REPORT_V1`] document to the diff engine's [`ReportSummary`].
-pub fn report_summary_from_json<'a>(doc: impl Into<JsonRef<'a>>) -> Result<ReportSummary, String> {
-    read_report_summary(doc.into())
-}
-
-// The three readers are generic only in how they take their document; what they do
-// with it is compiled once, here.
-fn read_report_summary(doc: JsonRef) -> Result<ReportSummary, String> {
-    expect_schema(doc)?;
-    let profile = section(doc, "data_profile");
-    if profile.get("rows").and_then(JsonRef::as_array).is_none() {
-        return Err(
-            "report has no data_profile section; re-run dprof with -v data-profile (or all views)"
-                .to_string(),
-        );
-    }
-    let mut summary = ReportSummary {
-        types: Vec::new(),
-        // Carried so the diff can report the realized throughput gain (older reports
-        // without a throughput section diff fine; the gain line is simply omitted).
-        rps: f64_at(section(doc, "throughput"), "aggregate_rps"),
-    };
-    for row in rows(profile, "rows") {
-        let row = profile_row(row)?;
-        let t = summary.entry(&row.name);
-        t.pct_of_l1_misses = row.pct_of_l1_misses;
-        t.bounce = row.bounce;
-        t.working_set_bytes = row.working_set_bytes;
-    }
-    // The later sections read the report's derived columns as written: a report is
-    // diffable even when it does not carry the counts behind them.
-    let named = |section_key: &str, rows_key: &str| {
-        rows(section(doc, section_key), rows_key)
-            .filter_map(|row| Some((row.get("type")?.as_str()?, row)))
-    };
-    for (name, row) in named("miss_classification", "rows") {
-        let parsed = miss_row(row)?;
-        let t = summary.entry(name);
-        t.miss_samples = parsed.miss_samples;
-        t.invalidation = parsed.invalidation;
-        t.conflict = parsed.conflict;
-        t.capacity = parsed.capacity;
-        t.dominant_miss = row
-            .get("dominant")
-            .and_then(JsonRef::as_str)
-            .map(str::to_string);
-    }
-    // Types invisible to the miss views can still dominate by wasted bandwidth, so
-    // rows here may introduce new entries in the summary.
-    for (name, row) in named("utilization", "rows") {
-        let t = summary.entry(name);
-        t.utilization_pct = f64_at(row, "utilization_pct");
-        t.wasted_bytes = count_at(row, "utilization", "wasted_bytes")?;
-        t.wasted_bytes_per_sec = f64_at(row, "wasted_bytes_per_sec");
-        t.refetch_ratio = f64_at(row, "refetch_ratio");
-    }
-    for (name, row) in named("working_set", "rows") {
-        let t = summary.entry(name);
-        t.working_set_bytes = row
-            .get("avg_live_bytes")
-            .and_then(JsonRef::as_f64)
-            .unwrap_or(t.working_set_bytes);
-    }
-    for (name, flow) in named("data_flow", "types") {
-        summary.entry(name).core_crossings = count_at(flow, "data_flow", "core_crossings")?;
-    }
-    Ok(summary)
-}
-
 /// Converts a full [`REPORT_V1`] document into one mergeable [`ProfileShard`].
 ///
-/// This is how `dprof serve` ingests pushed report shards: the whole report (which may
-/// itself summarize several threads) becomes one shard whose weight is the pooled
-/// L1-miss sample count, so re-merging many pushed reports weights each by the
-/// evidence it carries.  `ordinal` fixes the shard's position in the canonical fold
-/// order (the server assigns monotonically increasing ordinals per store key).
+/// This is how `dprof serve` ingests pushed report shards, and how `dprof diff` reads
+/// its two reports: the whole report (which may itself summarize several threads)
+/// becomes one shard whose weight is the pooled L1-miss sample count, so re-merging
+/// many pushed reports weights each by the evidence it carries.  `ordinal` fixes the
+/// shard's position in the canonical fold order (the server assigns monotonically
+/// increasing ordinals per store key).
 pub fn shard_from_report_json<'a>(
     doc: impl Into<JsonRef<'a>>,
     ordinal: u64,
 ) -> Result<ProfileShard, String> {
     read_report_shard(doc.into(), ordinal)
 }
+
+// The two readers are generic only in how they take their document; what they do
+// with it is compiled once, here.
 
 fn read_report_shard(doc: JsonRef, ordinal: u64) -> Result<ProfileShard, String> {
     expect_schema(doc)?;

@@ -62,8 +62,6 @@ fn summary_strategy() -> impl Strategy<Value = ReportSummary> {
                 core_crossings: crossings,
                 utilization_pct: f64::from(100 - mix % 100),
                 wasted_bytes: u64::from(ws_bytes) * 8,
-                wasted_bytes_per_sec: f64::from(ws_bytes),
-                refetch_ratio: f64::from(mix % 10) / 10.0,
             });
         }
         ReportSummary { types, rps: 0.0 }

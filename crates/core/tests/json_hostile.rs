@@ -4,7 +4,7 @@
 //!
 //! Every mutated document must parse the same through `Json::parse` and
 //! `JsonTape::parse` (an equal tree or the identical message, and `parse_local` the
-//! same but for the node budget), must be read by the three readers off the tape as
+//! same but for the node budget), must be read by the two readers off the tape as
 //! off the tree (`Ok` or `Err`, the same either way, never a panic), and must cost the
 //! parser a heap bounded by a fixed multiple of its length.  A key that repeats reads
 //! as its first.  The mutations are drawn from a splitmix64 stream, and every failure
@@ -14,9 +14,7 @@
 //! (`tests/support/counting_alloc.rs`) is global to the test binary, and a
 //! concurrently-running test would pollute the measured window.
 
-use dprof_core::schema::{
-    report_summary_from_json, shard_from_json, shard_from_report_json, Json, JsonRef, JsonTape,
-};
+use dprof_core::schema::{shard_from_json, shard_from_report_json, Json, JsonRef, JsonTape};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -66,19 +64,14 @@ fn documents() -> Vec<(String, String)> {
         .collect()
 }
 
-/// What the three readers make of one document.
+/// What the two readers make of one document.
 type Read = (
     Result<dprof_core::merge::ProfileShard, String>,
     Result<dprof_core::merge::ProfileShard, String>,
-    Result<dprof_core::report::diff::ReportSummary, String>,
 );
 
 fn read<'a>(doc: impl Into<JsonRef<'a>> + Copy) -> Read {
-    (
-        shard_from_report_json(doc, 1),
-        shard_from_json(doc),
-        report_summary_from_json(doc),
-    )
+    (shard_from_report_json(doc, 1), shard_from_json(doc))
 }
 
 /// Parses and reads one mutated document, holding it to everything the file promises;
