@@ -390,6 +390,12 @@ pub fn run_parallel(options: &RunOptions) -> Result<Vec<ThreadRun>, String> {
 }
 
 #[cfg(test)]
+use dprof::{machine, trace};
+#[cfg(test)]
+#[path = "../../../tests/support/dtrace.rs"]
+mod dtrace;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -451,17 +457,23 @@ mod tests {
     #[test]
     fn recording_buffers_one_round_and_encodes_the_whole_session() {
         use dprof::machine::SessionEvent;
-        use dprof::trace::{codec::encode_events, EventReader};
+        use dprof::trace::{codec::encode_events, TraceFile, TraceKind};
         let options = RunOptions {
             record_session: true,
             ..tiny(WorkloadKind::Memcached)
         };
         let recorded = run_single(&options, 0).recorded.expect("session recorded");
-        let events: Vec<SessionEvent> = EventReader::over(&recorded.stream.events, options.cores)
-            .collect::<Result<_, _>>()
-            .expect("stream decodes");
-        assert_eq!(events.len(), recorded.stream.events.len());
-        assert_eq!(recorded.stream.events.bytes(), encode_events(&events));
+        let peak = recorded.peak_buffered_events;
+        let file = TraceFile {
+            kind: TraceKind::FullSession,
+            machine: recorded.machine,
+            params: options.session_params(),
+            streams: vec![recorded.stream],
+        };
+        let events = dtrace::decode(&file).remove(0);
+        let encoded = &file.streams[0].events;
+        assert_eq!(events.len(), encoded.len());
+        assert_eq!(encoded.bytes(), encode_events(&events));
 
         // A round is the events up to and including its mark (set-up is the first).
         let largest_round = events
@@ -469,7 +481,6 @@ mod tests {
             .map(<[SessionEvent]>::len)
             .max()
             .expect("rounds were marked");
-        let peak = recorded.peak_buffered_events;
         assert!(peak > 0, "the recorder was used");
         assert!(
             peak <= largest_round,

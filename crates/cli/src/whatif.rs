@@ -24,7 +24,7 @@ use dprof::core::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta
 use dprof::trace::{
     analyze_sharing, analyze_sharing_unless, available_workers, fan_out, for_each_stream,
     measure_stream_streaming, replay_and_measure_stream, session_streams, trace_type_names,
-    validate_spec, FixSpec, SharingProfile, TraceReader, TraceSource, WhatifMeasure,
+    validate_spec, FixSpec, SharingProfile, TraceReader, WhatifMeasure,
 };
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
@@ -86,11 +86,11 @@ pub struct WhatifAnalysis {
 /// fixes, measures the identity baseline and every candidate, and ranks the results.
 /// This is the same entry point the oracle harness drives in-process.
 pub fn analyze_trace(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     explicit: &[FixSpec],
     auto: bool,
 ) -> Result<WhatifAnalysis, String> {
-    analyze_trace_on(available_workers(), source, explicit, auto)
+    analyze_trace_on(available_workers(), reader, explicit, auto)
 }
 
 /// The types a sharing walk covered, and their profiles.
@@ -126,32 +126,32 @@ type Diagnosis = (MergedReport, Vec<String>);
 /// calling thread; wave 2 measures them.
 pub fn analyze_trace_on(
     workers: usize,
-    source: &impl TraceSource,
+    reader: &TraceReader,
     explicit: &[FixSpec],
     auto: bool,
 ) -> Result<WhatifAnalysis, String> {
     for spec in explicit {
-        validate_spec(source, spec)?;
+        validate_spec(reader, spec)?;
     }
     if explicit.is_empty() && !auto {
         return Err("no candidate fixes (pass --fix <spec> and/or --auto)".into());
     }
 
-    let streams = session_streams(source)?;
+    let streams = session_streams(reader)?;
     let profiled: Mutex<Vec<Option<driver::ThreadRun>>> =
         Mutex::new((0..streams).map(|_| None).collect());
     let diagnosis: OnceLock<Diagnosis> = OnceLock::new();
     let wave1 = fan_out(workers, streams + usize::from(auto), |thread| {
         if thread == streams {
-            return sharing_walk(source, &diagnosis).map(Wave1::Sharing);
+            return sharing_walk(reader, &diagnosis).map(Wave1::Sharing);
         }
         if !auto {
-            let measure = measure_stream_streaming(source, thread, &FixSpec::Identity)?;
+            let measure = measure_stream_streaming(reader, thread, &FixSpec::Identity)?;
             return Ok(Wave1::Baseline(measure, 0));
         }
         // The last profiled replay in merges them all and names the types the
         // diagnosis will read the sharing profiles of.
-        let (run, trailing, measure) = replay_and_measure_stream(source, thread)?;
+        let (run, trailing, measure) = replay_and_measure_stream(reader, thread)?;
         let mut runs = profiled.lock().expect("no job panics holding it");
         runs[thread] = Some(run);
         if runs.iter().all(Option::is_some) {
@@ -189,7 +189,7 @@ pub fn analyze_trace_on(
         .collect();
     if let Some(diagnosis) = diagnosis.get() {
         let walked = walked.as_ref().map(|(n, p)| (n.as_slice(), p.as_slice()));
-        for (spec, why) in auto_candidates(source, diagnosis, walked)? {
+        for (spec, why) in auto_candidates(reader, diagnosis, walked)? {
             if !specs.iter().any(|(s, _)| s == &spec) {
                 specs.push((spec, why));
             }
@@ -208,8 +208,8 @@ pub fn analyze_trace_on(
         .unwrap_or(0);
 
     // Wave 2: every candidate's measurement of every stream.
-    let fixed = for_each_stream(workers, source, specs.len(), |candidate, thread| {
-        measure_stream_streaming(source, thread, &specs[candidate].0)
+    let fixed = for_each_stream(workers, reader, specs.len(), |candidate, thread| {
+        measure_stream_streaming(reader, thread, &specs[candidate].0)
     })?;
     let measured: Vec<(FixSpec, String, GainEstimate)> = specs
         .into_iter()
@@ -260,12 +260,12 @@ pub fn analyze_trace_on(
 /// walked beside it) and gives up at the first round end after the diagnosis turns
 /// out to need none.
 fn sharing_walk(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     diagnosis: &OnceLock<Diagnosis>,
 ) -> Result<Option<Walked>, String> {
     let names = match diagnosis.get() {
         Some((_, invalidated)) => invalidated.clone(),
-        None => trace_type_names(source),
+        None => trace_type_names(reader),
     };
     let refs: Vec<&str> = names.iter().map(String::as_str).collect();
     let needless = || {
@@ -273,7 +273,7 @@ fn sharing_walk(
             .get()
             .is_some_and(|(_, invalidated)| invalidated.is_empty())
     };
-    Ok(analyze_sharing_unless(source, &refs, needless)?.map(|profiles| (names, profiles)))
+    Ok(analyze_sharing_unless(reader, &refs, needless)?.map(|profiles| (names, profiles)))
 }
 
 /// The top data-profile rows `--auto` diagnoses, each with its dominant miss class.
@@ -309,11 +309,11 @@ fn invalidated(hot: &[(&str, &str)]) -> Vec<String> {
 /// its sharing profile, read from `walked` (the types wave 1's walk covered, and their
 /// profiles) or, when the walk was abandoned, from one walk of just those types.
 fn auto_candidates(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     (report, invalidated): &Diagnosis,
     walked: Option<(&[String], &[SharingProfile])>,
 ) -> Result<Vec<(FixSpec, String)>, String> {
-    let line = source.machine().hierarchy.l1.line_size as u64;
+    let line = reader.machine.hierarchy.l1.line_size as u64;
 
     let hot = hot_types(report);
     let sharing = match walked {
@@ -328,7 +328,7 @@ fn auto_candidates(
             .collect(),
         None => {
             let names: Vec<&str> = invalidated.iter().map(String::as_str).collect();
-            analyze_sharing(source, &names)?
+            analyze_sharing(reader, &names)?
         }
     };
     let mut sharing = sharing.into_iter();

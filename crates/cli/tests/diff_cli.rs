@@ -245,6 +245,30 @@ fn diff_against_missing_or_malformed_files_fails_cleanly() {
     }
 }
 
+/// A report derives each share from its miss count; a document whose rows carry shares
+/// but no counts weighed 0 and printed every share as 0 %.  It is refused, naming the
+/// section and the row.
+#[test]
+fn a_share_without_its_miss_count_is_refused_not_read_as_zero() {
+    let shares_only = tmp("shares-only.json");
+    std::fs::write(
+        &shares_only,
+        r#"{"schema": "dprof-report/v1", "data_profile": {"rows": [
+            {"type": "skbuff", "pct_of_l1_misses": 60},
+            {"type": "payload", "pct_of_l1_misses": 40}]}}"#,
+    )
+    .unwrap();
+    let output = dprof()
+        .arg("diff")
+        .arg(&shares_only)
+        .arg(&shares_only)
+        .output()
+        .unwrap();
+    assert_error(&output, "data_profile row 'skbuff'");
+    assert!(output.stdout.is_empty(), "no diff is printed");
+    std::fs::remove_file(shares_only).ok();
+}
+
 #[test]
 fn diff_arity_conflicting_flags_and_bad_focus_are_rejected() {
     let golden = golden_report();

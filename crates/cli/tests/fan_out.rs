@@ -1,15 +1,14 @@
 //! The bounded fan-out, end to end: however many streams a trace records and however
 //! many replays an analysis makes, at most `workers` universes exist at once; a job
 //! that fails is that job's error and nobody else's; and nothing a report or a
-//! what-if document says depends on the worker count or on where the events came from
-//! — including the identity baseline `--auto` reads off its profiled replays, which is
-//! held to the profiler-free identity pass it stands in for.
+//! what-if document says depends on the worker count — including the identity baseline
+//! `--auto` reads off its profiled replays, which is held to the profiler-free identity
+//! pass it stands in for.
 
 use dprof::machine::SessionEvent;
 use dprof::trace::{
     for_each_stream, measure_all_streaming, measure_stream_streaming, replay_all_streaming,
-    replay_and_measure_stream, replay_stream_streaming, FixSpec, ThreadStream, TraceFile,
-    TraceKind, TraceReader, TraceSource,
+    replay_and_measure_stream, replay_stream_streaming, FixSpec, TraceFile, TraceReader,
 };
 use dprof_cli::args::{self, Parsed};
 use dprof_cli::whatif::{analyze_trace, analyze_trace_on, render_whatif_json};
@@ -18,6 +17,11 @@ use dprof_serve::Client;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use dprof::{machine, trace};
+#[path = "../../../tests/support/dtrace.rs"]
+mod dtrace;
+use dtrace::{on_disk, read_back};
 
 fn dprof() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dprof"))
@@ -63,26 +67,6 @@ fn record_memcached(threads: usize, rounds: usize, trace: &str) -> Vec<u8> {
     let live = std::fs::read(&report).expect("live report exists");
     let _ = std::fs::remove_file(report);
     live
-}
-
-/// The in-memory equivalent of an opened trace: every stream walked once.
-fn in_memory(reader: &TraceReader) -> TraceFile {
-    TraceFile {
-        kind: TraceKind::FullSession,
-        machine: reader.machine,
-        params: reader.params.clone(),
-        streams: (reader.headers().iter().enumerate())
-            .map(|(thread, h)| ThreadStream {
-                seed: h.seed,
-                requests: h.requests,
-                symbols: h.symbols.clone(),
-                types: h.types.clone(),
-                events: (reader.events(thread).expect("stream opens"))
-                    .collect::<Result<_, _>>()
-                    .expect("stream decodes"),
-            })
-            .collect(),
-    }
 }
 
 /// Asserts an error invocation: exit code 1 and a single `error:` line on stderr
@@ -145,7 +129,7 @@ fn an_inconsistent_stream_is_a_clean_error_naming_it_while_the_others_complete()
     let trace = tmp("bad-free.dtrace");
     record_memcached(2, 8, &trace);
     let reader = TraceReader::open(&trace).expect("trace opens");
-    let mut file = in_memory(&reader);
+    let mut file = read_back(&reader).expect("trace decodes");
     let bad_free = SessionEvent::Free {
         core: 0,
         addr: 0xdead_0000,
@@ -163,7 +147,7 @@ fn an_inconsistent_stream_is_a_clean_error_naming_it_while_the_others_complete()
     names_stream_1(measure_all_streaming(&reader, &FixSpec::Identity).unwrap_err());
     names_stream_1(analyze_trace(&reader, &[], true).unwrap_err());
     names_stream_1(
-        analyze_trace(&file, &[FixSpec::parse("pad:skbuff").unwrap()], false).unwrap_err(),
+        analyze_trace(&reader, &[FixSpec::parse("pad:skbuff").unwrap()], false).unwrap_err(),
     );
 
     // One worker, two passes: stream 0's second job runs on the very worker whose
@@ -185,7 +169,7 @@ fn an_inconsistent_stream_is_a_clean_error_naming_it_while_the_others_complete()
 }
 
 #[test]
-fn scheduling_and_event_source_cannot_reach_the_whatif_document() {
+fn scheduling_cannot_reach_the_whatif_document() {
     let fresh = tmp("two-streams.dtrace");
     record_memcached(2, 30, &fresh);
     // The ring trace needs the sharing walk.  No hot type of the sparse one is
@@ -207,7 +191,6 @@ fn scheduling_and_event_source_cannot_reach_the_whatif_document() {
             panic!("whatif arguments parse");
         };
         let reader = TraceReader::open(&path).expect("trace opens");
-        let file = in_memory(&reader);
         let render = |analysis| render_whatif_json(&analysis, &options).to_pretty_string();
 
         let reference = render(analyze_trace_on(1, &reader, &options.fixes, true).unwrap());
@@ -220,17 +203,7 @@ fn scheduling_and_event_source_cannot_reach_the_whatif_document() {
         // profiled replay of a one-stream trace.
         for workers in [2, 3, 7] {
             let streamed = analyze_trace_on(workers, &reader, &options.fixes, true).unwrap();
-            assert!(
-                render(streamed) == reference,
-                "{path}: {workers} workers, from the reader"
-            );
-        }
-        for workers in [1, 2, 3, 7] {
-            let resident = analyze_trace_on(workers, &file, &options.fixes, true).unwrap();
-            assert!(
-                render(resident) == reference,
-                "{path}: {workers} workers, from memory"
-            );
+            assert!(render(streamed) == reference, "{path}: {workers} workers");
         }
     }
     let _ = std::fs::remove_file(fresh);
@@ -296,15 +269,15 @@ fn a_pushed_trace_folds_to_the_report_the_cli_merges_from_its_replay() {
 /// Holds the identity baseline read off every stream's profiled replay to the
 /// profiler-free identity pass, measure for measure, at one worker and two; returns
 /// the streams' trailing-event counts.
-fn derived_baselines_are_the_identity_pass(source: &impl TraceSource, label: &str) -> Vec<usize> {
+fn derived_baselines_are_the_identity_pass(reader: &TraceReader, label: &str) -> Vec<usize> {
     let mut trailing = Vec::new();
     for workers in [1, 2] {
-        let derived = for_each_stream(workers, source, 1, |_, thread| {
-            replay_and_measure_stream(source, thread)
+        let derived = for_each_stream(workers, reader, 1, |_, thread| {
+            replay_and_measure_stream(reader, thread)
         })
         .unwrap_or_else(|e| panic!("{label}: {e}"));
-        let identity = for_each_stream(workers, source, 1, |_, thread| {
-            measure_stream_streaming(source, thread, &FixSpec::Identity)
+        let identity = for_each_stream(workers, reader, 1, |_, thread| {
+            measure_stream_streaming(reader, thread, &FixSpec::Identity)
         })
         .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert_eq!(derived.len(), identity.len(), "{label}");
@@ -330,7 +303,7 @@ fn derived_baselines_are_the_identity_pass(source: &impl TraceSource, label: &st
 fn diverged_session() -> TraceFile {
     let reader =
         TraceReader::open(&golden_trace("sparse_struct_waste_quick")).expect("trace opens");
-    let mut file = in_memory(&reader);
+    let mut file = read_back(&reader).expect("trace decodes");
     file.params.sample_rounds -= 2;
     file
 }
@@ -346,10 +319,8 @@ fn the_baseline_read_off_the_profiled_replay_is_the_identity_pass() {
     ];
     for name in goldens {
         let reader = TraceReader::open(&golden_trace(name)).expect("trace opens");
-        let from_file = derived_baselines_are_the_identity_pass(&reader, name);
-        let from_memory = derived_baselines_are_the_identity_pass(&in_memory(&reader), name);
-        assert_eq!(from_file, vec![0], "{name}: a faithful replay");
-        assert_eq!(from_memory, from_file, "{name}");
+        let trailing = derived_baselines_are_the_identity_pass(&reader, name);
+        assert_eq!(trailing, vec![0], "{name}: a faithful replay");
     }
 
     let fresh = tmp("three-streams.dtrace");
@@ -360,28 +331,18 @@ fn the_baseline_read_off_the_profiled_replay_is_the_identity_pass() {
         derived_baselines_are_the_identity_pass(&reader, "3 streams"),
         [0; 3]
     );
-    let from_memory = derived_baselines_are_the_identity_pass(&in_memory(&reader), "3 streams");
-    assert_eq!(from_memory, [0; 3]);
     let _ = std::fs::remove_file(fresh);
 
     // The profiler stops early; the rounds after its window are still measured.
-    let diverged = diverged_session();
+    let diverged = on_disk(&diverged_session());
     let trailing = derived_baselines_are_the_identity_pass(&diverged, "diverged");
     assert!(trailing[0] > 0, "the replay diverged: {trailing:?}");
-    let path = tmp("diverged.dtrace");
-    diverged.write(&path).expect("trace writes");
-    let reader = TraceReader::open(&path).expect("trace opens");
-    assert_eq!(
-        derived_baselines_are_the_identity_pass(&reader, "diverged file"),
-        trailing
-    );
-    let _ = std::fs::remove_file(path);
 }
 
 #[test]
 fn whatif_auto_warns_of_a_diverged_profiled_replay_as_replay_does() {
-    let path = tmp("diverged-warning.dtrace");
-    diverged_session().write(&path).expect("trace writes");
+    let diverged = on_disk(&diverged_session());
+    let path = diverged.path();
     let warnings = |args: &[&str]| -> Vec<String> {
         let output = dprof().args(args).output().unwrap();
         assert!(output.status.success(), "{args:?}");
@@ -390,17 +351,16 @@ fn whatif_auto_warns_of_a_diverged_profiled_replay_as_replay_does() {
             .map(String::from)
             .collect()
     };
-    let replayed = warnings(&["replay", &path, "-f", "json", "-o", "/dev/null"]);
+    let replayed = warnings(&["replay", path, "-f", "json", "-o", "/dev/null"]);
     assert_eq!(replayed.len(), 1, "{replayed:?}");
     assert!(
         replayed[0].starts_with("warning: stream 0 diverged from the recording ("),
         "{replayed:?}"
     );
-    let whatif = warnings(&["whatif", &path, "--auto", "-f", "json", "-o", "/dev/null"]);
+    let whatif = warnings(&["whatif", path, "--auto", "-f", "json", "-o", "/dev/null"]);
     assert_eq!(whatif, replayed);
     // Without `--auto` there is no profiled replay to diverge.
     let fix = "shrink:sparse_record:64";
-    let fixed = warnings(&["whatif", &path, "--fix", fix, "-o", "/dev/null"]);
+    let fixed = warnings(&["whatif", path, "--fix", fix, "-o", "/dev/null"]);
     assert_eq!(fixed, Vec::<String>::new());
-    let _ = std::fs::remove_file(path);
 }

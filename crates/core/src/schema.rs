@@ -1022,6 +1022,16 @@ fn read_report_shard(doc: JsonRef, ordinal: u64) -> Result<ProfileShard, String>
     let throughput = section(doc, "throughput");
 
     let data_profile = parsed_rows(section(doc, "data_profile"), "rows", profile_row)?;
+    // A report derives a row's share from its miss count, so a share without one is no
+    // report's: read as one, it would weigh the shard 0 and every share with it.
+    if let Some(row) =
+        (data_profile.iter()).find(|r| r.pct_of_l1_misses > 0.0 && r.l1_miss_samples == 0)
+    {
+        return Err(format!(
+            "data_profile row '{}': pct_of_l1_misses {} without l1_miss_samples",
+            row.name, row.pct_of_l1_misses
+        ));
+    }
     // The report's rows carry shares relative to the *total* miss-sample pool, which
     // may exceed the per-row sum when some misses went unattributed; reconstruct the
     // pool so this shard's weight matches the denominator its percentages assume.
@@ -1661,6 +1671,31 @@ mod tests {
             .join()
             .expect("the parser thread overflowed its stack");
         assert_eq!(parsed, Err("nesting deeper than 128 at byte 128".into()));
+    }
+
+    #[test]
+    fn a_report_row_with_a_share_but_no_miss_count_is_refused() {
+        let report = |row: &str| {
+            let text = format!(
+                r#"{{"schema": "dprof-report/v1", "data_profile": {{"rows": [
+                    {{"type": "payload", "pct_of_l1_misses": 0, "l1_miss_samples": 0}},
+                    {row}]}}}}"#
+            );
+            shard_from_report_json(&JsonTape::parse(&text).unwrap(), 0)
+        };
+        assert_eq!(
+            report(r#"{"type": "skbuff", "pct_of_l1_misses": 60}"#).unwrap_err(),
+            "data_profile row 'skbuff': pct_of_l1_misses 60 without l1_miss_samples"
+        );
+        assert!(
+            report(r#"{"type": "skbuff", "pct_of_l1_misses": 0.5, "l1_miss_samples": 0}"#)
+                .unwrap_err()
+                .contains("'skbuff'")
+        );
+        // With its count the same row weighs the shard, and no share is no count.
+        let shard = report(r#"{"type": "skbuff", "pct_of_l1_misses": 60, "l1_miss_samples": 3}"#);
+        assert_eq!(shard.unwrap().weight, 5.0);
+        assert!(report(r#"{"type": "skbuff"}"#).is_ok());
     }
 
     #[test]

@@ -557,6 +557,7 @@ impl TraceFile {
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
+    use crate::stream::TraceReader;
     use sim_cache::AccessKind;
     use sim_machine::{FunctionId, SessionEvent};
 
@@ -603,11 +604,14 @@ pub(crate) mod tests_support {
         }
     }
 
-    /// A stream's events back out of their wire form.
+    /// A stream's events back out of their wire form: the sample file holding them, on
+    /// a machine of every core a trace may name, decoded through [`spooled`].
     pub(crate) fn decoded(events: &EncodedEvents) -> Vec<SessionEvent> {
-        crate::stream::EventReader::over(events, sim_cache::MAX_CORES)
-            .collect::<Result<_, _>>()
-            .expect("encoded events decode")
+        let mut file = sample_file();
+        file.machine = MachineConfig::with_cores(sim_cache::MAX_CORES);
+        file.params.cores = sim_cache::MAX_CORES;
+        file.streams[0].events = events.clone();
+        spooled(&file.encode(), |r| r.events(0)?.collect()).expect("encoded events decode")
     }
 
     /// A complete single-stream full-session trace on the small test machine.
@@ -633,10 +637,12 @@ pub(crate) mod tests_support {
         }
     }
 
-    /// Decodes `bytes` the only way there is: spooled to a fresh temp file, opened
-    /// with [`TraceReader`], every stream walked once into memory.
-    pub(crate) fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
-        use crate::stream::TraceReader;
+    /// Hands `read` the [`TraceReader`] of `bytes`, which is the only way to decode
+    /// them: spooled to a fresh temp file and opened.
+    fn spooled<T>(
+        bytes: &[u8],
+        read: impl FnOnce(&TraceReader) -> Result<T, TraceError>,
+    ) -> Result<T, TraceError> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
@@ -645,7 +651,14 @@ pub(crate) mod tests_support {
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&path, bytes).unwrap();
-        let result = TraceReader::open(path.to_str().unwrap()).and_then(|r| {
+        let result = TraceReader::open(path.to_str().unwrap()).and_then(|r| read(&r));
+        let _ = std::fs::remove_file(&path);
+        result
+    }
+
+    /// Decodes `bytes` with every stream walked once into memory.
+    pub(crate) fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
+        spooled(bytes, |r| {
             let streams = (r.headers().iter().enumerate())
                 .map(|(thread, h)| {
                     Ok(ThreadStream {
@@ -663,9 +676,7 @@ pub(crate) mod tests_support {
                 params: r.params.clone(),
                 streams,
             })
-        });
-        let _ = std::fs::remove_file(&path);
-        result
+        })
     }
 
     /// The sample file's bytes with its stream's event region replaced: the header

@@ -24,11 +24,11 @@
 //!   [`ThreadRun`], one profiled thread, live or replayed.
 //! * [`stream`] — the one bytes→events decoder: [`TraceReader`] parses a file's
 //!   prologue and [`EventReader`] decodes and validates a stream's events
-//!   incrementally in bounded 64 KiB chunks.  It is the one way to read a file.
-//! * [`source`] — [`TraceSource`], the event-source abstraction both a [`TraceReader`]
-//!   (a file on disk) and a [`TraceFile`] (a session just recorded) provide.
+//!   incrementally in bounded 64 KiB chunks.  It is the one way to read a file, and
+//!   every replay, measurement and walk below reads its trace through it: a session
+//!   just recorded is replayed from the file it was written to.
 //! * [`replay`] — [`profile_window`], the one profiled window a live thread and a
-//!   replayed stream share, the one replay driver, generic over [`TraceSource`], and
+//!   replayed stream share, the one replay driver, over a [`TraceReader`], and
 //!   the one bounded fan-out independent replays run on: each job drives a fresh
 //!   machine + replay kernel through the profiler on one of at most
 //!   [`available_workers`] threads; results come back in job order as [`ThreadRun`]s,
@@ -47,7 +47,6 @@ pub mod codec;
 pub mod format;
 pub mod line;
 pub mod replay;
-pub mod source;
 pub mod stream;
 pub mod whatif;
 
@@ -60,7 +59,6 @@ pub use replay::{
     available_workers, fan_out, for_each_stream, profile_window, replay_all_streaming,
     replay_and_measure_stream, replay_stream_streaming, session_streams,
 };
-pub use source::{StreamInfo, TraceSource};
 pub use stream::{EventReader, StreamHeader, TraceReader};
 pub use whatif::{
     analyze_sharing, analyze_sharing_unless, measure_all_streaming, measure_stream_streaming,

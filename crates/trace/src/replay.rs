@@ -20,18 +20,16 @@
 //! --auto` would otherwise spend a profiler-free pass on
 //! ([`replay_and_measure_stream`]).  A round end costs one max over the cores.
 //!
-//! There is one driver, generic over where the events come from ([`TraceSource`]): a
-//! [`crate::TraceReader`] decodes each stream incrementally from its own file handle,
-//! so peak memory is bounded by the simulation state, not the trace size; a
-//! [`crate::TraceFile`] walks streams already in memory.  This module also owns the two
-//! pieces every other walk over a trace shares: `apply_event`, the one place a
-//! recorded event meets the machine and kernel, and `fan_out`, the one bounded pool of
-//! worker threads every set of independent replays runs on.
+//! There is one driver, and it reads a [`TraceReader`]: each stream is decoded
+//! incrementally from its own file handle, so peak memory is bounded by the simulation
+//! state, not the trace size.  This module also owns the two pieces every other walk
+//! over a trace shares: `apply_event`, the one place a recorded event meets the machine
+//! and kernel, and `fan_out`, the one bounded pool of worker threads every set of
+//! independent replays runs on.
 
 use crate::format::ThreadRun;
-use crate::source::TraceSource;
+use crate::stream::{EventReader, TraceReader};
 use crate::whatif::{RoundClocks, WhatifMeasure};
-use crate::TraceError;
 use dprof_core::{Dprof, DprofConfig};
 use sim_kernel::{KernelState, TypeId, TypeRegistry};
 use sim_machine::{Machine, SessionEvent};
@@ -87,20 +85,20 @@ pub fn profile_window(
 /// recorded id order (so every `TypeId` matches).  The kernel shell must be built
 /// *after* pre-interning: its own interning then maps onto existing ids instead of
 /// minting new ones.
-pub(crate) fn rebuild_universe(source: &impl TraceSource, thread: usize) -> (Machine, KernelState) {
-    let stream = source.stream(thread);
-    let mut machine = Machine::new(source.machine());
-    for name in stream.symbols {
+pub(crate) fn rebuild_universe(reader: &TraceReader, thread: usize) -> (Machine, KernelState) {
+    let stream = &reader.headers()[thread];
+    let mut machine = Machine::new(reader.machine);
+    for name in &stream.symbols {
         machine.fn_id(name);
     }
     let mut registry = TypeRegistry::new();
-    for t in stream.types {
+    for t in &stream.types {
         let id = registry.register(&t.name, &t.description, t.size);
         for f in &t.fields {
             registry.add_field(id, &f.name, f.offset, f.size);
         }
     }
-    let kernel = KernelState::for_replay(&mut machine, source.params().cores, registry);
+    let kernel = KernelState::for_replay(&mut machine, reader.params.cores, registry);
     (machine, kernel)
 }
 
@@ -111,9 +109,9 @@ pub(crate) fn rebuild_universe(source: &impl TraceSource, thread: usize) -> (Mac
 /// live object starts at.  The decoder cannot see that; the caller adds the event's
 /// ordinal.
 ///
-/// `#[inline]` because the replay loops are generic over the event source and so are
-/// instantiated in the calling crate: without it this is an out-of-line call per event
-/// (measured at ~20 ns an event, 15 % of a what-if measurement pass).
+/// `#[inline]`: the profiled replay's cursor and the what-if measurement pass, both in
+/// this crate, call it once an event, and as an out-of-line call it was measured at
+/// ~20 ns an event, 15 % of a what-if measurement pass.
 #[inline]
 pub(crate) fn apply_event(
     ev: SessionEvent,
@@ -169,8 +167,8 @@ fn non_live_free(addr: u64) -> String {
 
 /// A cursor feeding recorded events into the machine/kernel, one round per call, and
 /// recording the makespan at every round end it passes.
-struct EventCursor<I> {
-    events: I,
+struct EventCursor {
+    events: EventReader,
     /// Events consumed so far.
     consumed: usize,
     /// Set if the cursor ran dry mid-round — replay divergence, reported to the user.
@@ -182,7 +180,7 @@ struct EventCursor<I> {
     clocks: RoundClocks,
 }
 
-impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
+impl EventCursor {
     /// Applies events up to and including the next round marker.
     fn run_round(&mut self, machine: &mut Machine, kernel: &mut KernelState) {
         for ev in self.events.by_ref() {
@@ -216,26 +214,23 @@ impl<I: Iterator<Item = Result<SessionEvent, TraceError>>> EventCursor<I> {
 
 /// A stream's profiled replay, stopped where the profiler stopped: the run, the
 /// universe it left and the cursor, which still holds the events of a diverged stream.
-struct Profiled<I> {
+struct Profiled {
     run: ThreadRun,
     machine: Machine,
     kernel: KernelState,
-    cursor: EventCursor<I>,
+    cursor: EventCursor,
 }
 
-/// Runs the profiler over stream `thread` of `source`.
-fn profile_stream<S: TraceSource>(
-    source: &S,
-    thread: usize,
-) -> Result<Profiled<impl Iterator<Item = Result<SessionEvent, TraceError>> + '_>, String> {
-    let stream = source.stream(thread);
-    let (mut machine, mut kernel) = rebuild_universe(source, thread);
+/// Runs the profiler over stream `thread` of `reader`.
+fn profile_stream(reader: &TraceReader, thread: usize) -> Result<Profiled, String> {
+    let stream = &reader.headers()[thread];
+    let (mut machine, mut kernel) = rebuild_universe(reader, thread);
     let mut cursor = EventCursor {
-        events: source.events(thread)?,
+        events: reader.events(thread)?,
         consumed: 0,
         exhausted: false,
         error: None,
-        clocks: RoundClocks::new(source, thread),
+        clocks: RoundClocks::new(reader, thread),
     };
     for _ in 0..cursor.clocks.warmup_boundary() {
         cursor.run_round(&mut machine, &mut kernel);
@@ -244,7 +239,7 @@ fn profile_stream<S: TraceSource>(
         &mut machine,
         &mut kernel,
         thread,
-        source.params().dprof_config(stream.seed),
+        reader.params.dprof_config(stream.seed),
         |m, k| cursor.run_round(m, k),
     );
     if let Some(e) = cursor.error.take() {
@@ -269,11 +264,11 @@ fn profile_stream<S: TraceSource>(
 /// # Panics
 /// Panics if `thread` is out of range.
 pub fn replay_stream_streaming(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     thread: usize,
 ) -> Result<(ThreadRun, usize), String> {
-    let Profiled { run, cursor, .. } = profile_stream(source, thread)?;
-    Ok((run, cursor.trailing(source.stream(thread).event_count)))
+    let Profiled { run, cursor, .. } = profile_stream(reader, thread)?;
+    Ok((run, cursor.trailing(reader.headers()[thread].event_count)))
 }
 
 /// [`replay_stream_streaming`], plus the stream's identity baseline read off the same
@@ -287,7 +282,7 @@ pub fn replay_stream_streaming(
 /// # Panics
 /// Panics if `thread` is out of range.
 pub fn replay_and_measure_stream(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     thread: usize,
 ) -> Result<(ThreadRun, usize, WhatifMeasure), String> {
     let Profiled {
@@ -295,22 +290,22 @@ pub fn replay_and_measure_stream(
         mut machine,
         mut kernel,
         mut cursor,
-    } = profile_stream(source, thread)?;
-    let trailing = cursor.trailing(source.stream(thread).event_count);
+    } = profile_stream(reader, thread)?;
+    let trailing = cursor.trailing(reader.headers()[thread].event_count);
     while !cursor.exhausted {
         cursor.run_round(&mut machine, &mut kernel);
     }
     if let Some(e) = cursor.error {
         return Err(e);
     }
-    Ok((run, trailing, cursor.clocks.measure(source)))
+    Ok((run, trailing, cursor.clocks.measure(reader)))
 }
 
 /// Replays every stream of a full-session trace on the bounded fan-out, returning the
 /// runs (with their trailing-event counts) ordered by stream index.
-pub fn replay_all_streaming(source: &impl TraceSource) -> Result<Vec<(ThreadRun, usize)>, String> {
-    for_each_stream(available_workers(), source, 1, |_, thread| {
-        replay_stream_streaming(source, thread)
+pub fn replay_all_streaming(reader: &TraceReader) -> Result<Vec<(ThreadRun, usize)>, String> {
+    for_each_stream(available_workers(), reader, 1, |_, thread| {
+        replay_stream_streaming(reader, thread)
     })
 }
 
@@ -363,8 +358,8 @@ pub fn fan_out<T: Send>(
 }
 
 /// The number of streams of a trace, or why it cannot be replayed.
-pub fn session_streams(source: &impl TraceSource) -> Result<usize, String> {
-    match source.stream_count() {
+pub fn session_streams(reader: &TraceReader) -> Result<usize, String> {
+    match reader.stream_count() {
         0 => Err("trace contains no streams".into()),
         streams => Ok(streams),
     }
@@ -378,11 +373,11 @@ pub fn session_streams(source: &impl TraceSource) -> Result<usize, String> {
 /// the first in job order, after every job has run.
 pub fn for_each_stream<T: Send>(
     workers: usize,
-    source: &impl TraceSource,
+    reader: &TraceReader,
     passes: usize,
     f: impl Fn(usize, usize) -> Result<T, String> + Sync,
 ) -> Result<Vec<T>, String> {
-    let streams = session_streams(source)?;
+    let streams = session_streams(reader)?;
     fan_out(workers, passes * streams, |i| f(i / streams, i % streams))
         .into_iter()
         .enumerate()

@@ -27,14 +27,13 @@
 //! the damage is reached.  Each [`EventReader`] owns an independent file handle, so
 //! per-stream readers can run on parallel replay threads.
 //!
-//! The decoder is generic over where its bytes come from: a `File` for a trace on disk
-//! (the default, so `EventReader` alone names that one), a `&[u8]` for a session just
-//! recorded, which is held in wire form ([`EventReader::over`]).  Same chunks, same
-//! window, same checks.
+//! Every replay, measurement and walk reads its events from here, so the decode loop
+//! is compiled once, in this crate.  A session just recorded is replayed the way
+//! `dprof` replays it: written to a file and opened.
 
 use crate::codec::{
-    get_string, get_varint, unzigzag, varint, EncodedEvents, VarintError, MAX_EVENT_BYTES,
-    OP_ACCESS_RUN, OP_ALLOC, OP_COMPUTE, OP_FREE, OP_ROUND_END,
+    get_string, get_varint, unzigzag, varint, VarintError, MAX_EVENT_BYTES, OP_ACCESS_RUN,
+    OP_ALLOC, OP_COMPUTE, OP_FREE, OP_ROUND_END,
 };
 use crate::format::{get_machine, get_params, TraceKind, TypeDump, MAGIC, MAX_ACCESS_LEN, VERSION};
 use crate::TraceError;
@@ -50,8 +49,8 @@ pub const CHUNK_SIZE: usize = 64 * 1024;
 
 /// A chunked, forward-only reader: keeps at most a couple of chunks buffered, compacts
 /// consumed bytes away, and tracks the buffering high-water mark.
-struct ChunkedReader<R = File> {
-    file: R,
+struct ChunkedReader {
+    file: File,
     buf: Vec<u8>,
     /// Consumed prefix of `buf`.
     start: usize,
@@ -63,9 +62,15 @@ struct ChunkedReader<R = File> {
 
 impl ChunkedReader {
     fn open(path: &str) -> Result<Self, TraceError> {
-        File::open(path)
-            .map(ChunkedReader::new)
-            .map_err(|e| TraceError::Io(format!("cannot open {path}: {e}")))
+        let file =
+            File::open(path).map_err(|e| TraceError::Io(format!("cannot open {path}: {e}")))?;
+        Ok(ChunkedReader {
+            file,
+            buf: Vec::new(),
+            start: 0,
+            offset: 0,
+            peak: 0,
+        })
     }
 
     /// Skips ahead to absolute file offset `target` (at or past the current one),
@@ -81,18 +86,6 @@ impl ChunkedReader {
             self.offset = target;
         }
         Ok(())
-    }
-}
-
-impl<R: Read> ChunkedReader<R> {
-    fn new(file: R) -> Self {
-        ChunkedReader {
-            file,
-            buf: Vec::new(),
-            start: 0,
-            offset: 0,
-            peak: 0,
-        }
     }
 
     fn available(&self) -> usize {
@@ -322,20 +315,17 @@ fn read_stream_prologue(
     // lying count simply runs into end-of-file.
     let seed = r.read_varint()?;
     let requests = r.read_varint()?;
-    let symbol_count = r.read_varint()? as usize;
-    let mut symbols = Vec::with_capacity(symbol_count.min(1 << 16));
-    for _ in 0..symbol_count {
+    let mut symbols = Vec::new();
+    for _ in 0..r.read_varint()? {
         symbols.push(r.read_string()?);
     }
-    let type_count = r.read_varint()? as usize;
-    let mut types = Vec::with_capacity(type_count.min(1 << 16));
-    for _ in 0..type_count {
+    let mut types = Vec::new();
+    for _ in 0..r.read_varint()? {
         let name = r.read_string()?;
         let description = r.read_string()?;
         let size = r.read_varint()?;
-        let field_count = r.read_varint()? as usize;
-        let mut fields = Vec::with_capacity(field_count.min(1 << 16));
-        for _ in 0..field_count {
+        let mut fields = Vec::new();
+        for _ in 0..r.read_varint()? {
             fields.push(crate::format::FieldDump {
                 name: r.read_string()?,
                 offset: r.read_varint()?,
@@ -356,8 +346,8 @@ fn read_stream_prologue(
 /// [`SessionEvent`]s with bounded buffering.  Fused — after the first error, the
 /// iterator yields `None` forever.
 #[derive(Debug)]
-pub struct EventReader<R = File> {
-    reader: ChunkedReader<R>,
+pub struct EventReader {
+    reader: ChunkedReader,
     /// Absolute offset one past the event region.
     region_end: u64,
     /// Event count the stream header declared.
@@ -373,7 +363,7 @@ pub struct EventReader<R = File> {
     done: bool,
 }
 
-impl<R> std::fmt::Debug for ChunkedReader<R> {
+impl std::fmt::Debug for ChunkedReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkedReader")
             .field("offset", &self.offset)
@@ -383,23 +373,9 @@ impl<R> std::fmt::Debug for ChunkedReader<R> {
     }
 }
 
-impl<'a> EventReader<&'a [u8]> {
-    /// A decoder over a stream held in memory in wire form, validating against a
-    /// machine of `cores` cores: what [`TraceReader::events`] is to a stream on disk.
-    pub fn over(events: &'a EncodedEvents, cores: usize) -> Self {
-        let bytes = events.bytes();
-        EventReader::new(
-            ChunkedReader::new(bytes),
-            bytes.len() as u64,
-            events.len(),
-            cores,
-        )
-    }
-}
-
-impl<R: Read> EventReader<R> {
+impl EventReader {
     /// A decoder at the start of the `byte_len`-byte event region `reader` stands at.
-    fn new(reader: ChunkedReader<R>, byte_len: u64, expected: usize, cores: usize) -> Self {
+    fn new(reader: ChunkedReader, byte_len: u64, expected: usize, cores: usize) -> Self {
         EventReader {
             region_end: reader.offset + byte_len,
             reader,
@@ -633,36 +609,16 @@ fn fn_id(id: u64) -> Result<FunctionId, TraceError> {
         .map_err(|_| TraceError::Corrupt("function id overflows u32".into()))
 }
 
-impl<R: Read> EventReader<R> {
-    /// [`Iterator::next`] for either byte supplier.
-    #[inline]
-    fn next_fused(&mut self) -> Option<Result<SessionEvent, TraceError>> {
+impl Iterator for EventReader {
+    type Item = Result<SessionEvent, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
         if self.done {
             return None;
         }
         let item = self.next_inner().transpose();
         self.done = !matches!(item, Some(Ok(_)));
         item
-    }
-}
-
-// One `Iterator` impl per byte supplier rather than one generic over `Read`: a concrete
-// impl is compiled here, once, and called from the crates that replay, as the decode
-// loop was before it had a second supplier; a generic one would be instantiated again in
-// every crate that walks a stream.
-impl Iterator for EventReader<File> {
-    type Item = Result<SessionEvent, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_fused()
-    }
-}
-
-impl Iterator for EventReader<&[u8]> {
-    type Item = Result<SessionEvent, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_fused()
     }
 }
 

@@ -13,8 +13,8 @@
 //!   bump-allocated in whole cache lines, so two distinct allocations can never alias
 //!   onto one line and the mapping is deterministic (first-touch in event order).
 //! * [`measure_stream_streaming`] / [`measure_all_streaming`] — a profiler-free
-//!   measurement replay that feeds the (transformed) event stream of any
-//!   [`TraceSource`] through a rebuilt machine + kernel and snapshots the makespan
+//!   measurement replay that feeds the (transformed) event stream of a
+//!   [`TraceReader`] through a rebuilt machine + kernel and snapshots the makespan
 //!   (max core clock) at every post-warmup round boundary.
 //!   Keeping the profiler out of the measurement loop matters: watchpoints armed at
 //!   recorded addresses would never fire on shadow addresses, biasing candidates.
@@ -35,7 +35,7 @@
 
 use crate::format::TypeDump;
 use crate::replay::{apply_event, available_workers, for_each_stream, rebuild_universe};
-use crate::source::TraceSource;
+use crate::stream::TraceReader;
 use sim_cache::line_table::BuildMixHasher;
 use sim_kernel::{AddrIndex, RemapTarget, TypeId};
 use sim_machine::{Machine, SessionEvent};
@@ -172,10 +172,10 @@ pub fn stream_type_id(types: &[TypeDump], name: &str) -> Option<TypeId> {
 }
 
 /// Names of every type recorded in the trace (union over streams, first-seen order).
-pub fn trace_type_names(source: &impl TraceSource) -> Vec<String> {
+pub fn trace_type_names(reader: &TraceReader) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
-    for thread in 0..source.stream_count() {
-        for t in source.stream(thread).types {
+    for stream in reader.headers() {
+        for t in &stream.types {
             if !names.iter().any(|n| n == &t.name) {
                 names.push(t.name.clone());
             }
@@ -185,19 +185,17 @@ pub fn trace_type_names(source: &impl TraceSource) -> Vec<String> {
 }
 
 /// Checks that the spec's target type appears in the trace.
-pub fn validate_spec(source: &impl TraceSource, spec: &FixSpec) -> Result<(), String> {
+pub fn validate_spec(reader: &TraceReader, spec: &FixSpec) -> Result<(), String> {
     let Some(target) = spec.target() else {
         return Ok(());
     };
-    if (0..source.stream_count())
-        .any(|thread| stream_type_id(source.stream(thread).types, target).is_some())
-    {
+    if (reader.headers().iter()).any(|stream| stream_type_id(&stream.types, target).is_some()) {
         Ok(())
     } else {
         Err(format!(
             "fix '{spec}' targets type '{target}', which does not appear in the trace \
              (recorded types: {})",
-            trace_type_names(source).join(", ")
+            trace_type_names(reader).join(", ")
         ))
     }
 }
@@ -383,14 +381,14 @@ pub(crate) struct RoundClocks {
 }
 
 impl RoundClocks {
-    /// The recorder of stream `thread` of `source`.
-    pub(crate) fn new(source: &impl TraceSource, thread: usize) -> RoundClocks {
+    /// The recorder of stream `thread` of `reader`.
+    pub(crate) fn new(reader: &TraceReader, thread: usize) -> RoundClocks {
         RoundClocks {
             thread,
             // Segment 0 is the kernel/workload set-up traffic (everything before the
             // first marker); the warmup after it is phase-shifted per thread, as the
             // live run's was.
-            warmup_boundary: 1 + source.params().warmup_rounds + thread,
+            warmup_boundary: 1 + reader.params.warmup_rounds + thread,
             round: 0,
             warmup_clock: 0,
             round_clocks: Vec::new(),
@@ -414,13 +412,13 @@ impl RoundClocks {
     }
 
     /// The measure of the rounds recorded.
-    pub(crate) fn measure(self, source: &impl TraceSource) -> WhatifMeasure {
+    pub(crate) fn measure(self, reader: &TraceReader) -> WhatifMeasure {
         WhatifMeasure {
             thread: self.thread,
             warmup_clock: self.warmup_clock,
             round_clocks: self.round_clocks,
-            requests: source.stream(self.thread).requests,
-            cycles_per_second: source.machine().cycles_per_second,
+            requests: reader.headers()[self.thread].requests,
+            cycles_per_second: reader.machine.cycles_per_second,
         }
     }
 }
@@ -433,19 +431,19 @@ impl RoundClocks {
 /// # Panics
 /// Panics if `thread` is out of range.
 pub fn measure_stream_streaming(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     thread: usize,
     spec: &FixSpec,
 ) -> Result<WhatifMeasure, String> {
-    let (mut machine, mut kernel) = rebuild_universe(source, thread);
+    let (mut machine, mut kernel) = rebuild_universe(reader, thread);
     let target = spec
         .target()
-        .and_then(|name| stream_type_id(source.stream(thread).types, name));
-    let line_size = source.machine().hierarchy.l1.line_size as u64;
+        .and_then(|name| stream_type_id(&reader.headers()[thread].types, name));
+    let line_size = reader.machine.hierarchy.l1.line_size as u64;
     let mut transform = Transform::new(spec, target, line_size);
-    let mut clocks = RoundClocks::new(source, thread);
+    let mut clocks = RoundClocks::new(reader, thread);
 
-    for (i, ev) in source.events(thread)?.enumerate() {
+    for (i, ev) in reader.events(thread)?.enumerate() {
         match ev? {
             SessionEvent::RoundEnd => {
                 clocks.round_end(&machine);
@@ -466,17 +464,17 @@ pub fn measure_stream_streaming(
         }
         .map_err(|e| format!("event {i}: {e}"))?;
     }
-    Ok(clocks.measure(source))
+    Ok(clocks.measure(reader))
 }
 
 /// Measures every stream of a full-session trace under `spec` on the bounded fan-out,
 /// returning results ordered by stream index.
 pub fn measure_all_streaming(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     spec: &FixSpec,
 ) -> Result<Vec<WhatifMeasure>, String> {
-    for_each_stream(available_workers(), source, 1, |_, thread| {
-        measure_stream_streaming(source, thread, spec)
+    for_each_stream(available_workers(), reader, 1, |_, thread| {
+        measure_stream_streaming(reader, thread, spec)
     })
 }
 
@@ -588,10 +586,10 @@ impl GranuleCounts {
 /// are walked beside it.  A stream that registered none of the types is not decoded
 /// at all.  Decode errors surface as `Err`, naming the stream.
 pub fn analyze_sharing(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     type_names: &[&str],
 ) -> Result<Vec<SharingProfile>, String> {
-    let walked = analyze_sharing_unless(source, type_names, || false)?;
+    let walked = analyze_sharing_unless(reader, type_names, || false)?;
     Ok(walked.expect("a walk that is never abandoned"))
 }
 
@@ -599,7 +597,7 @@ pub fn analyze_sharing(
 /// `abandon()` is true: for a caller that starts the walk before it knows whether it
 /// will need the profiles.
 pub fn analyze_sharing_unless(
-    source: &impl TraceSource,
+    reader: &TraceReader,
     type_names: &[&str],
     abandon: impl Fn() -> bool,
 ) -> Result<Option<Vec<SharingProfile>>, String> {
@@ -612,9 +610,9 @@ pub fn analyze_sharing_unless(
     let mut touched: Vec<u32> = Vec::new();
     let mut granules = GranuleCounts::default();
     let mut live: AddrIndex<(u32, u32)> = AddrIndex::new();
-    for thread in 0..source.stream_count() {
+    for (thread, stream) in reader.headers().iter().enumerate() {
         // The walked slot of each of the stream's type ids: a name's first position.
-        let types = source.stream(thread).types;
+        let types = &stream.types;
         let mut slot_of: Vec<Option<u32>> = vec![None; types.len()];
         for (slot, name) in type_names.iter().enumerate() {
             if let Some(TypeId(id)) = stream_type_id(types, name) {
@@ -629,7 +627,7 @@ pub fn analyze_sharing_unless(
             continue;
         }
         let in_stream = |e: crate::TraceError| format!("stream {thread}: {e}");
-        for ev in source.events(thread).map_err(in_stream)? {
+        for ev in reader.events(thread).map_err(in_stream)? {
             match ev.map_err(in_stream)? {
                 SessionEvent::Alloc {
                     type_id,

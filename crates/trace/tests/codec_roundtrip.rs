@@ -3,47 +3,21 @@
 //! headers) must be rejected rather than misdecoded.
 
 use dprof_trace::codec::encode_events;
-use dprof_trace::{
-    EventEncoder, EventReader, SessionParams, ThreadStream, TraceError, TraceFile, TraceKind,
-    TraceReader,
-};
+use dprof_trace::{EventEncoder, SessionParams, ThreadStream, TraceError, TraceFile, TraceKind};
 use proptest::prelude::*;
 use sim_cache::AccessKind;
 use sim_machine::{FunctionId, MachineConfig, SessionEvent};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Decodes `bytes` through the streaming decoder: spooled to a fresh temp file per
-/// call (the test binary runs tests on parallel threads, so a fixed name would race),
-/// opened, and every stream walked once into memory.
+use dprof_trace as trace;
+use sim_machine as machine;
+#[path = "../../../tests/support/dtrace.rs"]
+mod dtrace;
+use dtrace::{decode, open, read_back};
+
+/// Decodes `bytes` through the streaming decoder: opened from a temp file of their own,
+/// and every stream walked once into memory.
 fn read_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let path = std::env::temp_dir().join(format!(
-        "dprof_codec_stream_{}_{n}.dtrace",
-        std::process::id()
-    ));
-    std::fs::write(&path, bytes).expect("temp trace writes");
-    let result = TraceReader::open(path.to_str().expect("temp path is utf-8")).and_then(|r| {
-        let streams = (r.headers().iter().enumerate())
-            .map(|(thread, h)| {
-                Ok(ThreadStream {
-                    seed: h.seed,
-                    requests: h.requests,
-                    symbols: h.symbols.clone(),
-                    types: h.types.clone(),
-                    events: r.events(thread)?.collect::<Result<_, _>>()?,
-                })
-            })
-            .collect::<Result<_, TraceError>>()?;
-        Ok(TraceFile {
-            kind: TraceKind::FullSession,
-            machine: r.machine,
-            params: r.params.clone(),
-            streams,
-        })
-    });
-    std::fs::remove_file(&path).ok();
-    result
+    read_back(&*open(bytes)?)
 }
 
 /// Strategy producing one arbitrary session event.
@@ -184,8 +158,9 @@ proptest! {
         let encoded = encoder.finish();
         prop_assert_eq!(encoded.len(), events.len());
         prop_assert_eq!(encoded.bytes(), &encode_events(&events)[..]);
-        let back: Result<Vec<_>, _> = EventReader::over(&encoded, 8).collect();
-        prop_assert_eq!(back.expect("decodes"), events);
+        let mut file = full_file(Vec::new());
+        file.streams[0].events = encoded;
+        prop_assert_eq!(&decode(&file)[0], &events);
     }
 
     /// No truncation of a valid file decodes successfully (every prefix is rejected,

@@ -6,10 +6,16 @@
 
 use dprof_trace::{
     profile_window, replay_stream_streaming, EventEncoder, RecordedStream, SessionParams,
-    ThreadRun, TraceFile, TraceKind, TraceReader,
+    ThreadRun, TraceFile, TraceKind,
 };
 use sim_machine::SamplingPolicy;
 use workloads::{Memcached, MemcachedConfig, Workload};
+
+use dprof_trace as trace;
+use sim_machine as machine;
+#[path = "../../../tests/support/dtrace.rs"]
+mod dtrace;
+use dtrace::{on_disk, open};
 
 const WARMUP: usize = 4;
 const SAMPLE_ROUNDS: usize = 25;
@@ -65,17 +71,6 @@ fn record_live_with(sampling: SamplingPolicy) -> (ThreadRun, TraceFile) {
     (live, file)
 }
 
-/// Writes `file` to a temp path unique to `name` and opens it for streaming.  The
-/// reader re-opens the path for every event walk, so the caller removes it when done.
-fn on_disk(file: &TraceFile, name: &str) -> (TraceReader, std::path::PathBuf) {
-    let path =
-        std::env::temp_dir().join(format!("dprof_replay_{}_{name}.dtrace", std::process::id()));
-    file.write(path.to_str().expect("temp path is utf-8"))
-        .expect("trace writes");
-    let reader = TraceReader::open(path.to_str().unwrap()).expect("trace opens");
-    (reader, path)
-}
-
 #[test]
 fn replayed_profile_is_identical_to_the_live_run() {
     let (run, file) = record_live();
@@ -83,13 +78,7 @@ fn replayed_profile_is_identical_to_the_live_run() {
 
     // Round-trip through the on-disk byte form first: the replay below therefore
     // also proves the codec preserves everything the profiler depends on.
-    let (reader, path) = on_disk(&file, "fixed");
-    let (replayed, trailing) = replay_stream_streaming(&reader, 0).expect("stream replays");
-    std::fs::remove_file(path).ok();
-    // Replaying the in-memory stream is the same driver over a different source.
-    let (in_memory, _) = replay_stream_streaming(&file, 0).expect("stream replays");
-    assert_eq!(in_memory.profile.samples, replayed.profile.samples);
-    assert_eq!(in_memory.profile.histories, replayed.profile.histories);
+    let (replayed, trailing) = replay_stream_streaming(&on_disk(&file), 0).expect("stream replays");
 
     assert_eq!(
         trailing, 0,
@@ -154,13 +143,12 @@ fn adaptive_sampled_session_replays_identically() {
     );
     assert!(live.samples_spent > 0, "adaptive run took no samples");
 
-    let (reader, path) = on_disk(&file, "adaptive");
+    let reader = on_disk(&file);
     assert_eq!(
         reader.params.sampling,
         SamplingPolicy::Adaptive { budget: 400 }
     );
     let (replayed, trailing) = replay_stream_streaming(&reader, 0).expect("stream replays");
-    std::fs::remove_file(path).ok();
     assert_eq!(trailing, 0);
     assert_eq!(replayed.requests, run.requests);
     assert_eq!(replayed.profile.samples, live.samples);
@@ -182,22 +170,15 @@ fn adaptive_sampled_session_replays_identically() {
 #[test]
 fn a_kind_byte_other_than_a_session_is_refused_at_open() {
     let (_, file) = record_live();
-    let (_, path) = on_disk(&file, "kind_byte");
-    let bytes = std::fs::read(&path).expect("trace reads back");
-    std::fs::remove_file(&path).ok();
+    let bytes = file.encode();
     let at = dprof_trace::format::MAGIC.len() + 2;
     assert_eq!(bytes[at], 1, "a recorded session's kind byte");
     for kind in [0u8, 2, 255] {
         let mut patched = bytes.clone();
         patched[at] = kind;
-        let path = std::env::temp_dir().join(format!(
-            "dprof_replay_{}_kind_{kind}.dtrace",
-            std::process::id()
-        ));
-        std::fs::write(&path, &patched).expect("patched trace writes");
-        let opened = TraceReader::open(path.to_str().unwrap());
-        std::fs::remove_file(&path).ok();
-        let error = opened.expect_err("a trace of an unknown kind opens");
+        let Err(error) = open(&patched) else {
+            panic!("a trace of kind {kind} opens");
+        };
         assert_eq!(
             error.to_string(),
             format!("corrupt trace: unknown trace kind {kind}")

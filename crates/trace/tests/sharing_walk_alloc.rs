@@ -13,6 +13,12 @@ use sim_machine::{AccessKind, FunctionId, MachineConfig, SamplingPolicy, Session
 mod counting_alloc;
 use counting_alloc::measured;
 
+use dprof_trace as trace;
+use sim_machine as machine;
+#[path = "../../../tests/support/dtrace.rs"]
+mod dtrace;
+use dtrace::on_disk;
+
 /// The walk's access log holds this many 8-byte keys before it is sorted away.
 const BATCH_BYTES: u64 = (1 << 16) * 8;
 
@@ -77,10 +83,10 @@ fn cycling_trace(types: usize, accesses: u64) -> TraceFile {
 fn the_sharing_walk_costs_its_distinct_keys_not_its_accesses_or_types() {
     const N: u64 = 100_000;
     let peak = |types: usize, accesses: u64| {
-        let file = cycling_trace(types, accesses);
+        let reader = on_disk(&cycling_trace(types, accesses));
         let names: Vec<String> = (0..types).map(|t| format!("t{t}")).collect();
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        let (profiles, asked) = measured(|| analyze_sharing(&file, &names).unwrap());
+        let (profiles, asked) = measured(|| analyze_sharing(&reader, &names).unwrap());
         let walked: u64 = profiles.iter().map(|p| p.accesses).sum();
         assert_eq!(walked, accesses, "every access resolves");
         asked.peak_bytes

@@ -16,13 +16,19 @@ use dprof_trace::whatif::{stream_type_id, SHADOW_BASE};
 use dprof_trace::{
     analyze_sharing, analyze_sharing_unless, measure_stream_streaming, profile_window,
     trace_type_names, EventEncoder, FixSpec, RecordedStream, SessionParams, SharingProfile,
-    ThreadStream, TraceFile, TraceKind, TraceReader, TraceSource, Transform, TypeDump,
+    ThreadStream, TraceFile, TraceKind, TraceReader, Transform, TypeDump,
 };
 use proptest::prelude::*;
 use sim_kernel::{RemapTarget, ResolvedAddr, TypeId};
 use sim_machine::{AccessKind, FunctionId, MachineConfig, SamplingPolicy, SessionEvent};
 use std::collections::{BTreeMap, HashMap};
 use workloads::{Memcached, MemcachedConfig, Workload};
+
+use dprof_trace as trace;
+use sim_machine as machine;
+#[path = "../../../tests/support/dtrace.rs"]
+mod dtrace;
+use dtrace::on_disk;
 
 const LINE: u64 = 64;
 
@@ -197,7 +203,8 @@ proptest! {
     ) {
         let file = record_session(seed, sample_rounds);
         prop_assert!(stream_type_id(&file.streams[0].types, "__no_such_type").is_none());
-        let measure = |spec: &FixSpec| measure_stream_streaming(&file, 0, spec).expect("measures");
+        let reader = on_disk(&file);
+        let measure = |spec: &FixSpec| measure_stream_streaming(&reader, 0, spec).expect("measures");
 
         let identity = FixSpec::Identity;
         let m1 = measure(&identity);
@@ -222,17 +229,17 @@ proptest! {
     }
 }
 
-/// Walks every recorded type of `source`, plus one no stream registered, in one fused
+/// Walks every recorded type of `reader`, plus one no stream registered, in one fused
 /// pass and one type at a time: each profile must be the same, bit for bit.  Returns
 /// how many types had any access, so a caller can tell the comparison was not vacuous.
-fn assert_fused_walk_equals_per_type(source: &impl TraceSource, label: &str) -> usize {
-    let mut names = trace_type_names(source);
+fn assert_fused_walk_equals_per_type(reader: &TraceReader, label: &str) -> usize {
+    let mut names = trace_type_names(reader);
     names.push("__no_such_type".to_string());
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
-    let fused = analyze_sharing(source, &names).expect("fused walk");
+    let fused = analyze_sharing(reader, &names).expect("fused walk");
     assert_eq!(fused.len(), names.len());
     for (name, fused) in names.iter().zip(&fused) {
-        let alone = analyze_sharing(source, &[name]).expect("single-type walk");
+        let alone = analyze_sharing(reader, &[name]).expect("single-type walk");
         assert_eq!(alone, [*fused], "{label}: type '{name}'");
     }
     assert_eq!(fused.last().unwrap().accesses, 0);
@@ -269,15 +276,16 @@ fn one_sharing_walk_equals_a_walk_per_type() {
     }
     assert!(stream_type_id(&file.streams[0].types, hot).is_some());
     assert!(stream_type_id(&file.streams[1].types, hot).is_none());
-    assert!(assert_fused_walk_equals_per_type(&file, "two streams") > 2);
-    let split = analyze_sharing(&file, &[hot, "size-1024-renamed"]).unwrap();
+    let reader = on_disk(&file);
+    assert!(assert_fused_walk_equals_per_type(&reader, "two streams") > 2);
+    let split = analyze_sharing(&reader, &[hot, "size-1024-renamed"]).unwrap();
     assert!(split[0].accesses > 0 && split[1].accesses > 0);
 }
 
 /// The sharing walk as it was before the address index: each type keeps a `BTreeMap`
 /// of its own live objects and a heap map of cores per touched granule, and every
 /// access is looked up once per type.
-fn sharing_walk_oracle(file: &TraceFile, type_names: &[&str]) -> Vec<SharingProfile> {
+fn sharing_walk_oracle(reader: &TraceReader, type_names: &[&str]) -> Vec<SharingProfile> {
     #[derive(Default)]
     struct State {
         target: Option<TypeId>,
@@ -289,13 +297,13 @@ fn sharing_walk_oracle(file: &TraceFile, type_names: &[&str]) -> Vec<SharingProf
         core_sum: u64,
     }
     let mut states: Vec<State> = type_names.iter().map(|_| State::default()).collect();
-    for stream in &file.streams {
+    for (thread, stream) in reader.headers().iter().enumerate() {
         for (state, name) in states.iter_mut().zip(type_names) {
             state.target = stream_type_id(&stream.types, name);
             state.live.clear();
             state.round_cores.clear();
         }
-        for ev in dprof_trace::EventReader::over(&stream.events, file.params.cores) {
+        for ev in reader.events(thread).expect("stream opens") {
             match ev.expect("generated streams decode") {
                 SessionEvent::Alloc {
                     type_id,
@@ -467,8 +475,9 @@ proptest! {
             streams: vec![sharing_stream(0, &first), sharing_stream(2, &second)],
         };
         let names = ["sock", "granule", "__no_such_type", "pages", "sock", "skb", "line"];
-        let walked = analyze_sharing(&file, &names).expect("generated streams decode");
-        let oracle = sharing_walk_oracle(&file, &names);
+        let reader = on_disk(&file);
+        let walked = analyze_sharing(&reader, &names).expect("generated streams decode");
+        let oracle = sharing_walk_oracle(&reader, &names);
         for ((name, walked), oracle) in names.iter().zip(&walked).zip(&oracle) {
             prop_assert_eq!(walked, oracle, "type '{}'", name);
         }
@@ -593,11 +602,11 @@ fn sharing_walk_equals_the_oracle_past_a_compaction_batch_and_at_the_edges() {
         }
     }
     events.push(SessionEvent::RoundEnd);
-    let file = one_stream_file(&types, events);
+    let reader = on_disk(&one_stream_file(&types, events));
 
     let names = ["small", "huge", "tiny", "huge"];
-    let walked = analyze_sharing(&file, &names).expect("the generated stream decodes");
-    assert_eq!(walked, sharing_walk_oracle(&file, &names));
+    let walked = analyze_sharing(&reader, &names).expect("the generated stream decodes");
+    assert_eq!(walked, sharing_walk_oracle(&reader, &names));
     assert!(walked[..3].iter().map(|p| p.accesses).sum::<u64>() > 3 * 65_536);
     assert!(walked
         .iter()
@@ -628,16 +637,17 @@ fn sharing_walk_keys_objects_by_base_across_streams() {
         ],
     );
     file.streams.extend(second.streams);
-    let walked = analyze_sharing(&file, &["t"]).unwrap()[0];
+    let reader = on_disk(&file);
+    let walked = analyze_sharing(&reader, &["t"]).unwrap()[0];
     assert_eq!(walked.accesses, 4);
     assert_eq!(walked.foreign_fraction, 0.25);
     assert_eq!(walked.concurrency, 1.0);
-    assert_eq!([walked], sharing_walk_oracle(&file, &["t"])[..]);
+    assert_eq!([walked], sharing_walk_oracle(&reader, &["t"])[..]);
 }
 
 #[test]
 fn sharing_walk_is_abandoned_at_the_first_round_end_that_asks() {
-    let file = one_stream_file(
+    let reader = on_disk(&one_stream_file(
         &[("t", 64)],
         vec![
             alloc(0, 64, 0x1000),
@@ -646,17 +656,17 @@ fn sharing_walk_is_abandoned_at_the_first_round_end_that_asks() {
             access(1, 0x1000),
             SessionEvent::RoundEnd,
         ],
-    );
+    ));
     let asked = std::cell::Cell::new(0);
     let second_round = || {
         asked.set(asked.get() + 1);
         asked.get() == 2
     };
     assert_eq!(
-        analyze_sharing_unless(&file, &["t"], second_round),
+        analyze_sharing_unless(&reader, &["t"], second_round),
         Ok(None)
     );
     assert_eq!(asked.get(), 2);
-    let kept = analyze_sharing_unless(&file, &["t"], || false).unwrap();
-    assert_eq!(kept, Some(analyze_sharing(&file, &["t"]).unwrap()));
+    let kept = analyze_sharing_unless(&reader, &["t"], || false).unwrap();
+    assert_eq!(kept, Some(analyze_sharing(&reader, &["t"]).unwrap()));
 }

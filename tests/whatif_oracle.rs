@@ -19,6 +19,11 @@ use dprof_cli::driver::{self, RunOptions, WorkloadKind};
 use dprof_cli::merge::merge;
 use dprof_cli::whatif::{analyze_trace, WhatifAnalysis};
 
+use dprof::{machine, trace};
+#[path = "support/dtrace.rs"]
+mod dtrace;
+use dtrace::on_disk;
+
 const CORES: usize = 2;
 const WARMUP_ROUNDS: usize = 6;
 const SAMPLE_ROUNDS: usize = 80;
@@ -112,8 +117,8 @@ fn auto_ranks_the_planted_fix_first_within_tolerance_on_every_scenario() {
         "registry size drifted; update docs/whatif.md and the CI whatif list"
     );
     for (index, spec) in scenarios::registry().iter().enumerate() {
-        let file = record_buggy_trace(index);
-        let analysis: WhatifAnalysis = analyze_trace(&file, &[], true)
+        let reader = on_disk(&record_buggy_trace(index));
+        let analysis: WhatifAnalysis = analyze_trace(&reader, &[], true)
             .unwrap_or_else(|e| panic!("{}: whatif --auto failed: {e}", spec.name));
         assert!(
             !analysis.candidates.is_empty(),
