@@ -95,7 +95,10 @@ impl<T: Tag> SetAssocCache<T> {
             geometry,
             tags: vec![T::INVALID; slot_count],
             states: vec![MesiState::Invalid; slot_count],
-            ranks: (0..slot_count).map(|i| (i % geometry.ways) as u8).collect(),
+            // Each set starts ranked in way order; `MAX_WAYS` keeps the cast exact.
+            ranks: (0..geometry.ways as u8)
+                .collect::<Vec<u8>>()
+                .repeat(geometry.sets),
             stats: CacheStats::default(),
         }
     }
@@ -658,5 +661,25 @@ mod tests {
     #[test]
     fn the_widest_set_keeps_strict_lru_and_one_way_more_is_refused() {
         under_both_tags(widest_set, widest_set, CacheGeometry::MAX_WAYS, 1);
+    }
+
+    #[test]
+    fn a_fresh_cache_ranks_every_set_in_way_order() {
+        for geometry in [
+            CacheGeometry::l1_default(),
+            CacheGeometry::l2_default(),
+            CacheGeometry::l3_default(),
+            CacheGeometry::new(64, 3, 8),
+            CacheGeometry::new(64, 5, 16),
+        ] {
+            let cache = SetAssocCache::<LineAddr>::new(geometry);
+            assert_eq!(cache.ranks.len(), geometry.sets * geometry.ways);
+            for (set, ranks) in cache.ranks.chunks(geometry.ways).enumerate() {
+                assert!(
+                    ranks.iter().copied().eq(0..geometry.ways as u8),
+                    "{geometry:?}: set {set} ranked {ranks:?}"
+                );
+            }
+        }
     }
 }

@@ -131,11 +131,16 @@ pub fn get_string(bytes: &[u8], pos: &mut usize) -> Result<String, TraceError> {
     if bytes.len() - *pos < len {
         return Err(TraceError::UnexpectedEof);
     }
-    let s = std::str::from_utf8(&bytes[*pos..*pos + len])
-        .map_err(|_| TraceError::Corrupt("string is not valid UTF-8".into()))?
-        .to_string();
+    let s = utf8(&bytes[*pos..*pos + len])?;
     *pos += len;
     Ok(s)
+}
+
+/// A string's bytes as a `String`, refused unless they are UTF-8.
+pub(crate) fn utf8(bytes: &[u8]) -> Result<String, TraceError> {
+    std::str::from_utf8(bytes)
+        .map(str::to_string)
+        .map_err(|_| TraceError::Corrupt("string is not valid UTF-8".into()))
 }
 
 /// A session's events in wire form: their count and their encoded bytes, which is how

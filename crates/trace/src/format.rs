@@ -27,7 +27,7 @@
 //! fixed-size header sections; reading a file back — prologue, streams and events — is
 //! [`crate::stream`]'s job.
 
-use crate::codec::{get_string, get_varint, put_string, put_varint, EncodedEvents, EventEncoder};
+use crate::codec::{get_varint, put_string, put_varint, EncodedEvents, EventEncoder};
 use crate::TraceError;
 use dprof_core::merge::{ProfileShard, ShardMeta};
 use dprof_core::{DprofConfig, DprofProfile, HistoryConfig};
@@ -468,9 +468,15 @@ fn put_params(out: &mut Vec<u8>, p: &SessionParams) {
     put_varint(out, p.base_seed);
 }
 
-pub(crate) fn get_params(bytes: &[u8], pos: &mut usize) -> Result<SessionParams, TraceError> {
+/// The session parameters after the workload's name, which the reader reads as a string
+/// of its own, so that its length is checked against the file before it is buffered.
+pub(crate) fn get_params(
+    workload: &str,
+    bytes: &[u8],
+    pos: &mut usize,
+) -> Result<SessionParams, TraceError> {
     Ok(SessionParams {
-        workload: get_string(bytes, pos)?,
+        workload: workload.to_string(),
         threads: get_varint(bytes, pos)? as usize,
         cores: get_varint(bytes, pos)? as usize,
         warmup_rounds: get_varint(bytes, pos)? as usize,

@@ -32,8 +32,8 @@
 //! `dprof` replays it: written to a file and opened.
 
 use crate::codec::{
-    get_string, get_varint, unzigzag, varint, VarintError, MAX_EVENT_BYTES, OP_ACCESS_RUN,
-    OP_ALLOC, OP_COMPUTE, OP_FREE, OP_ROUND_END,
+    get_varint, unzigzag, utf8, varint, VarintError, MAX_EVENT_BYTES, OP_ACCESS_RUN, OP_ALLOC,
+    OP_COMPUTE, OP_FREE, OP_ROUND_END,
 };
 use crate::format::{get_machine, get_params, TraceKind, TypeDump, MAGIC, MAX_ACCESS_LEN, VERSION};
 use crate::TraceError;
@@ -51,6 +51,9 @@ pub const CHUNK_SIZE: usize = 64 * 1024;
 /// consumed bytes away, and tracks the buffering high-water mark.
 struct ChunkedReader {
     file: File,
+    /// The file's length when it was opened: no item read from it can be longer than
+    /// what is left of it.
+    file_len: u64,
     buf: Vec<u8>,
     /// Consumed prefix of `buf`.
     start: usize,
@@ -64,8 +67,13 @@ impl ChunkedReader {
     fn open(path: &str) -> Result<Self, TraceError> {
         let file =
             File::open(path).map_err(|e| TraceError::Io(format!("cannot open {path}: {e}")))?;
+        let file_len = file
+            .metadata()
+            .map_err(|e| TraceError::Io(format!("cannot stat {path}: {e}")))?
+            .len();
         Ok(ChunkedReader {
             file,
+            file_len,
             buf: Vec::new(),
             start: 0,
             offset: 0,
@@ -154,8 +162,17 @@ impl ChunkedReader {
         self.read(get_varint)
     }
 
+    /// Reads a length-prefixed string.  A length longer than the rest of the file is
+    /// refused before any of it is buffered.
     fn read_string(&mut self) -> Result<String, TraceError> {
-        self.read(get_string)
+        let len = self.read_varint()?;
+        if len > self.file_len.saturating_sub(self.offset) {
+            return Err(TraceError::UnexpectedEof);
+        }
+        self.ensure(len as usize)?;
+        let s = utf8(&self.bytes()[..len as usize])?;
+        self.consume(len as usize);
+        Ok(s)
     }
 
     fn read_byte(&mut self) -> Result<u8, TraceError> {
@@ -204,11 +221,7 @@ impl TraceReader {
     /// type tables.
     pub fn open(path: &str) -> Result<Self, TraceError> {
         let mut r = ChunkedReader::open(path)?;
-        let file_len = r
-            .file
-            .metadata()
-            .map_err(|e| TraceError::Io(format!("cannot stat {path}: {e}")))?
-            .len();
+        let file_len = r.file_len;
         match r.ensure(MAGIC.len() + 2) {
             Ok(()) if r.bytes()[..MAGIC.len()] == MAGIC[..] => {}
             // Too short to hold magic + version: not a trace at all.
@@ -223,10 +236,11 @@ impl TraceReader {
         }
         TraceKind::from_byte(r.read_byte()?)?;
 
-        // The machine and params sections are a few dozen bytes; parse them from one
-        // buffered view rather than duplicating their field walks here.
-        let (machine, params) =
-            r.read(|bytes, pos| Ok((get_machine(bytes, pos)?, get_params(bytes, pos)?)))?;
+        // The machine and params sections are a few dozen bytes and a name; parse them
+        // from buffered views rather than duplicating their field walks here.
+        let machine = r.read(get_machine)?;
+        let workload = r.read_string()?;
+        let params = r.read(|bytes, pos| get_params(&workload, bytes, pos))?;
 
         let stream_count = r.read_varint()? as usize;
         let mut headers = Vec::new();

@@ -37,6 +37,7 @@ use crate::format::TypeDump;
 use crate::replay::{apply_event, available_workers, for_each_stream, rebuild_universe};
 use crate::stream::TraceReader;
 use sim_cache::line_table::BuildMixHasher;
+use sim_kernel::addr_index::PAGE_SIZE;
 use sim_kernel::{AddrIndex, RemapTarget, TypeId};
 use sim_machine::{Machine, SessionEvent};
 
@@ -220,6 +221,17 @@ enum Mode {
     },
 }
 
+/// Slots of a [`Transform`]'s page filter: 16 KiB of counts.
+const PAGE_SLOTS: usize = 1 << 12;
+
+/// The page filter's slot for page number `page`: the top bits of a multiplicative
+/// hash, as the utilization tally's guard hashes a line, so that the pages of one slab
+/// spread over the table.
+#[inline]
+fn page_slot(page: u64) -> usize {
+    (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - PAGE_SLOTS.ilog2())) as usize
+}
+
 /// The replay-time address-rewrite / core-remap layer.
 ///
 /// Accesses resolving to a live object of the target type are relocated into a shadow
@@ -227,12 +239,23 @@ enum Mode {
 /// regions are bump-allocated in whole cache lines and assigned at first touch, so the
 /// mapping is a pure function of the event stream: deterministic, and alias-free across
 /// distinct allocation bases by construction.
+///
+/// The transform also follows the stream's allocations ([`Transform::note_alloc`],
+/// [`Transform::note_free`]) to count, per hashed page, the live target objects that
+/// cover it.  A live object that holds an address covers that address's page, so an
+/// access whose count is zero ([`Transform::may_rewrite`]) cannot be rewritten and
+/// needs no address lookup.  That is most accesses of a candidate pass: only one type
+/// is the target.
 #[derive(Debug)]
 pub struct Transform {
     mode: Mode,
     target: Option<TypeId>,
     line: u64,
     cursor: u64,
+    /// The target type's live objects, `base -> size`.
+    live: MixMap<u64, u64>,
+    /// Per [`page_slot`], how many pages of live target objects hash there.
+    pages: Box<[u32; PAGE_SLOTS]>,
 }
 
 impl Transform {
@@ -264,12 +287,47 @@ impl Transform {
             target,
             line: line_size,
             cursor: SHADOW_BASE,
+            live: MixMap::default(),
+            pages: Box::new([0; PAGE_SLOTS]),
         }
     }
 
-    /// True when no access can ever be rewritten (fast path for plain replay).
-    pub fn is_identity(&self) -> bool {
-        self.target.is_none()
+    /// Follows a recorded `Alloc` of `type_id` at `base`.  Whatever target object was
+    /// live at `base` is retired, since an allocation displaces it in the replay
+    /// kernel too, and an object of the target type is counted on every page it covers.
+    pub fn note_alloc(&mut self, type_id: TypeId, base: u64, size: u64) {
+        self.note_free(base);
+        if self.target == Some(type_id) {
+            self.live.insert(base, size);
+            self.count_pages(base, size, false);
+        }
+    }
+
+    /// Follows a recorded `Free` at `base`: a target object live there is retired.
+    pub fn note_free(&mut self, base: u64) {
+        if let Some(size) = self.live.remove(&base) {
+            self.count_pages(base, size, true);
+        }
+    }
+
+    /// Counts (or, retiring, uncounts) an object on every page it covers.
+    fn count_pages(&mut self, base: u64, size: u64, retire: bool) {
+        for page in base / PAGE_SIZE..base.saturating_add(size).div_ceil(PAGE_SIZE) {
+            let count = &mut self.pages[page_slot(page)];
+            if retire {
+                *count -= 1;
+            } else {
+                *count += 1;
+            }
+        }
+    }
+
+    /// False only if no live object of the target type, as the noted allocations
+    /// leave them, can hold `addr`: then [`Transform::rewrite`] would pass the access
+    /// through whatever the address resolves to.  Always false for the identity.
+    #[inline]
+    pub fn may_rewrite(&self, addr: u64) -> bool {
+        self.pages[page_slot(addr / PAGE_SIZE)] != 0
     }
 
     /// Carves a line-aligned, line-granular shadow region of at least `len` bytes.
@@ -435,6 +493,18 @@ pub fn measure_stream_streaming(
     thread: usize,
     spec: &FixSpec,
 ) -> Result<WhatifMeasure, String> {
+    measure_stream_dispatching(reader, thread, spec, |_, _, _| {})
+}
+
+/// [`measure_stream_streaming`], handing `dispatched` each access's `(core, addr, len)`
+/// as the machine is given it.  An address is resolved against the replay kernel's
+/// live objects only when [`Transform::may_rewrite`] says it can matter.
+fn measure_stream_dispatching(
+    reader: &TraceReader,
+    thread: usize,
+    spec: &FixSpec,
+    mut dispatched: impl FnMut(u32, u64, u64),
+) -> Result<WhatifMeasure, String> {
     let (mut machine, mut kernel) = rebuild_universe(reader, thread);
     let target = spec
         .target()
@@ -444,25 +514,40 @@ pub fn measure_stream_streaming(
     let mut clocks = RoundClocks::new(reader, thread);
 
     for (i, ev) in reader.events(thread)?.enumerate() {
-        match ev? {
+        let ev = match ev? {
             SessionEvent::RoundEnd => {
                 clocks.round_end(&machine);
-                Ok(())
+                continue;
             }
             ev @ SessionEvent::Access {
                 core, addr, len, ..
-            } if !transform.is_identity() => {
+            } if transform.may_rewrite(addr) => {
                 let hit = kernel.allocator.resolve_remap(addr);
                 let (core, addr, len) = transform.rewrite(core, addr, len, hit);
-                apply_event(
-                    ev.with_access_target(core, addr, len),
-                    &mut machine,
-                    &mut kernel,
-                )
+                ev.with_access_target(core, addr, len)
             }
-            ev => apply_event(ev, &mut machine, &mut kernel),
+            ev @ SessionEvent::Alloc {
+                type_id,
+                size,
+                addr,
+                ..
+            } => {
+                transform.note_alloc(TypeId(type_id), addr, size);
+                ev
+            }
+            ev @ SessionEvent::Free { addr, .. } => {
+                transform.note_free(addr);
+                ev
+            }
+            ev => ev,
+        };
+        if let SessionEvent::Access {
+            core, addr, len, ..
+        } = ev
+        {
+            dispatched(core, addr, len);
         }
-        .map_err(|e| format!("event {i}: {e}"))?;
+        apply_event(ev, &mut machine, &mut kernel).map_err(|e| format!("event {i}: {e}"))?;
     }
     Ok(clocks.measure(reader))
 }
@@ -702,9 +787,19 @@ pub fn analyze_sharing_unless(
 }
 
 #[cfg(test)]
+use crate as trace;
+#[cfg(test)]
+use sim_machine as machine;
+#[cfg(test)]
+#[path = "../../../tests/support/dtrace.rs"]
+mod dtrace;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SessionParams, ThreadStream, TraceFile, TraceKind};
     use sim_kernel::ResolvedAddr;
+    use sim_machine::{AccessKind, FunctionId, MachineConfig, SamplingPolicy};
 
     fn hit(type_id: u32, base: u64, offset: u64, size: u64, alloc_core: usize) -> RemapTarget {
         RemapTarget {
@@ -805,10 +900,266 @@ mod tests {
         );
         let idspec = FixSpec::Identity;
         let mut id = Transform::new(&idspec, Some(TypeId(7)), 64);
-        assert!(id.is_identity());
+        id.note_alloc(TypeId(7), 0x1000, 64);
+        assert!(!id.may_rewrite(0x1000));
         assert_eq!(
             id.rewrite(2, 0x1000, 8, Some(hit(7, 0x1000, 0, 64, 0))),
             (2, 0x1000, 8)
         );
+    }
+
+    #[test]
+    fn the_page_filter_follows_the_target_objects_allocations() {
+        let spec = FixSpec::parse("pad:t").unwrap();
+        let mut tf = Transform::new(&spec, Some(TypeId(1)), 64);
+        // One target object over three pages, and nothing else counted.
+        let base = 0x10_0000 + PAGE_SIZE - 0x100;
+        let pages = [base, base + PAGE_SIZE, base + 2 * PAGE_SIZE];
+        assert!(pages.iter().all(|&a| !tf.may_rewrite(a)));
+        tf.note_alloc(TypeId(1), base, 2 * PAGE_SIZE + 64);
+        assert!(pages.iter().all(|&a| tf.may_rewrite(a)));
+        // An object of another type at the same base displaces it.
+        tf.note_alloc(TypeId(2), base, 64);
+        assert!(pages.iter().all(|&a| !tf.may_rewrite(a)));
+        tf.note_free(base);
+        tf.note_alloc(TypeId(1), base, 64);
+        assert!(tf.may_rewrite(base));
+        tf.note_free(base);
+        tf.note_free(base);
+        assert!(!tf.may_rewrite(base));
+    }
+
+    /// The measurement loop without the page filter: every access of a candidate pass
+    /// is resolved against the replay kernel's live objects.  Returns the measure and
+    /// each access's `(core, addr, len)` as the machine was given it, and how many of
+    /// them the transform changed.
+    fn measure_resolving_every_access(
+        reader: &TraceReader,
+        thread: usize,
+        spec: &FixSpec,
+    ) -> (WhatifMeasure, Vec<(u32, u64, u64)>, usize) {
+        let (mut machine, mut kernel) = rebuild_universe(reader, thread);
+        let target = spec
+            .target()
+            .and_then(|name| stream_type_id(&reader.headers()[thread].types, name));
+        let line_size = reader.machine.hierarchy.l1.line_size as u64;
+        let mut transform = Transform::new(spec, target, line_size);
+        let mut clocks = RoundClocks::new(reader, thread);
+        let (mut dispatched, mut rewritten) = (Vec::new(), 0);
+        for ev in reader.events(thread).unwrap() {
+            let ev = match ev.unwrap() {
+                SessionEvent::RoundEnd => {
+                    clocks.round_end(&machine);
+                    continue;
+                }
+                ev @ SessionEvent::Access {
+                    core, addr, len, ..
+                } => {
+                    let hit = kernel.allocator.resolve_remap(addr);
+                    let access = transform.rewrite(core, addr, len, hit);
+                    rewritten += usize::from(access != (core, addr, len));
+                    dispatched.push(access);
+                    ev.with_access_target(access.0, access.1, access.2)
+                }
+                ev => ev,
+            };
+            apply_event(ev, &mut machine, &mut kernel).unwrap();
+        }
+        (clocks.measure(reader), dispatched, rewritten)
+    }
+
+    /// Holds every stream's filtered pass under `spec` to the pass that resolves every
+    /// access, access for access and measure for measure.  Returns how many accesses
+    /// the fix rewrote.
+    fn assert_filtered_pass_matches(reader: &TraceReader, spec: &FixSpec, case: &str) -> usize {
+        let mut rewritten = 0;
+        for thread in 0..reader.stream_count() {
+            let mut dispatched = Vec::new();
+            let measure = measure_stream_dispatching(reader, thread, spec, |core, addr, len| {
+                dispatched.push((core, addr, len))
+            })
+            .unwrap();
+            let (expected, reference, changed) =
+                measure_resolving_every_access(reader, thread, spec);
+            if let Some(at) = (dispatched.iter().zip(&reference)).position(|(a, b)| a != b) {
+                panic!(
+                    "{case}, {spec}, stream {thread}: access {at} dispatched as {:?}, not {:?}",
+                    dispatched[at], reference[at]
+                );
+            }
+            assert_eq!(dispatched.len(), reference.len(), "{case}, {spec}");
+            assert_eq!(measure, expected, "{case}, {spec}, stream {thread}");
+            rewritten += changed;
+        }
+        rewritten
+    }
+
+    fn families(target: &str) -> [FixSpec; 4] {
+        [
+            format!("pad:{target}"),
+            format!("localize:{target}"),
+            format!("pin:{target}"),
+            format!("shrink:{target}:64"),
+        ]
+        .map(|spec| FixSpec::parse(&spec).unwrap())
+    }
+
+    #[test]
+    fn the_page_filter_changes_no_access_of_a_golden_trace() {
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        let mut paths: Vec<_> = std::fs::read_dir(&golden)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|e| e == "dtrace"))
+            .collect();
+        paths.sort();
+        assert_eq!(paths.len(), 5, "five golden traces: {paths:?}");
+        for path in paths {
+            let reader = TraceReader::open(path.to_str().unwrap()).unwrap();
+            let names = trace_type_names(&reader);
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let profiles = analyze_sharing(&reader, &names).unwrap();
+            let mut busiest: Vec<_> = names.iter().zip(&profiles).collect();
+            busiest.sort_by(|a, b| b.1.accesses.cmp(&a.1.accesses).then(a.0.cmp(b.0)));
+            for (name, profile) in busiest.into_iter().take(3) {
+                assert!(profile.accesses > 0, "{path:?}: {name} is never accessed");
+                let case = format!("{}, {name}", path.display());
+                for spec in families(name) {
+                    let rewritten = assert_filtered_pass_matches(&reader, &spec, &case);
+                    if spec.kind() == "pad" {
+                        assert!(rewritten > 0, "{case}: pad rewrote nothing");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A one-stream, four-core trace of `events`, with no warmup.  Type 0 is `target`
+    /// and type 1 `other`, both of 64 bytes; the kernel's own types follow.
+    fn synthetic(events: Vec<SessionEvent>) -> TraceFile {
+        let mut registry = sim_kernel::TypeRegistry::new();
+        registry.register("target", "", 64);
+        registry.register("other", "", 64);
+        sim_kernel::KernelTypes::register(&mut registry);
+        registry.register("slab", "", 256);
+        registry.register("array-cache", "", 128);
+        let cores = 4;
+        let rounds = events
+            .iter()
+            .filter(|e| matches!(e, SessionEvent::RoundEnd))
+            .count();
+        TraceFile {
+            kind: TraceKind::FullSession,
+            machine: MachineConfig::with_cores(cores),
+            params: SessionParams {
+                workload: "generated".into(),
+                threads: 1,
+                cores,
+                warmup_rounds: 0,
+                sample_rounds: rounds - 1,
+                sampling: SamplingPolicy::Fixed { interval_ops: 120 },
+                history_types: 1,
+                history_sets: 1,
+                base_seed: 1,
+            },
+            streams: vec![ThreadStream {
+                seed: 1,
+                requests: 0,
+                symbols: vec!["f".to_string()],
+                types: (registry.iter())
+                    .map(|t| crate::TypeDump {
+                        name: t.name.clone(),
+                        description: String::new(),
+                        size: t.size,
+                        fields: Vec::new(),
+                    })
+                    .collect(),
+                events: events.into(),
+            }],
+        }
+    }
+
+    fn alloc(core: u32, type_id: u32, size: u64, addr: u64) -> SessionEvent {
+        SessionEvent::Alloc {
+            core,
+            type_id,
+            size,
+            addr,
+            cycle: 0,
+            hookable: true,
+        }
+    }
+
+    fn free(addr: u64) -> SessionEvent {
+        SessionEvent::Free {
+            core: 0,
+            addr,
+            cycle: 0,
+        }
+    }
+
+    fn access(core: u32, addr: u64) -> SessionEvent {
+        SessionEvent::Access {
+            core,
+            ip: FunctionId(0),
+            addr,
+            len: 8,
+            kind: AccessKind::Write,
+        }
+    }
+
+    /// Every fix family on `events`: the filtered passes match the reference, and
+    /// `pad` rewrites `expected` accesses.
+    fn assert_synthetic(events: Vec<SessionEvent>, expected: usize) {
+        let file = synthetic(events);
+        let reader = dtrace::on_disk(&file);
+        for spec in families("target") {
+            let rewritten = assert_filtered_pass_matches(&reader, &spec, "synthetic");
+            if spec.kind() == "pad" {
+                assert_eq!(rewritten, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn the_page_filter_lets_a_displaced_target_object_go() {
+        const BASE: u64 = 0x1_0000_0040;
+        let touch = |events: &mut Vec<SessionEvent>| {
+            for core in 0..4 {
+                events.push(access(core, BASE + 8 * u64::from(core)));
+            }
+            events.push(SessionEvent::RoundEnd);
+        };
+        let mut events = vec![alloc(1, 0, 64, BASE)];
+        touch(&mut events);
+        // `other` at the target's base, with no `Free` between: the replay kernel
+        // now resolves the base to `other`, and nothing there may be rewritten.
+        events.push(alloc(2, 1, 64, BASE));
+        touch(&mut events);
+        events.extend([free(BASE), alloc(3, 0, 64, BASE)]);
+        touch(&mut events);
+        assert_synthetic(events, 8);
+    }
+
+    #[test]
+    fn the_page_filter_covers_every_page_of_a_target_object() {
+        // A target object over three pages, an `other` object beside it on its last
+        // page, and an access just past each.
+        const BASE: u64 = 0x1_0000_0F00;
+        const SIZE: u64 = 2 * PAGE_SIZE + 64;
+        const BESIDE: u64 = BASE + SIZE;
+        let mut events = vec![alloc(0, 0, SIZE, BASE), alloc(1, 1, 64, BESIDE)];
+        let targets = [BASE, BASE + PAGE_SIZE, BASE + 2 * PAGE_SIZE, BESIDE - 8];
+        for round in 0..3 {
+            for (core, &addr) in (0..).zip(&targets) {
+                events.push(access(core, addr));
+            }
+            events.extend([access(round, BESIDE), access(round, BASE - 8)]);
+            events.push(SessionEvent::RoundEnd);
+        }
+        events.push(free(BASE));
+        events.extend(targets.map(|addr| access(1, addr)));
+        events.push(SessionEvent::RoundEnd);
+        assert_synthetic(events, 3 * targets.len());
     }
 }

@@ -5,7 +5,7 @@
 //! Every mutated document is opened with `TraceReader::open` and every stream it
 //! declares is walked to its end.  That must give an `Err` or a clean end, never a
 //! panic, and never more events than the stream declares (so never a hang).  It must
-//! cost the heap at most `HEAP_PER_BYTE` bytes per byte of input plus `HEAP_FIXED`.  A
+//! cost the heap at most `HEAP_BOUND`, whatever the input's length.  A
 //! seeded handful of the bit-flipped documents per file that open are also replayed
 //! through `replay_all_streaming`, which may fail but not with a worker's panic.  The
 //! mutations are drawn from a splitmix64 stream, and every failure names the document,
@@ -29,16 +29,16 @@ use sim_machine as machine;
 mod dtrace;
 use dtrace::open;
 
-/// Heap bound of one open and walk: `HEAP_PER_BYTE` bytes per byte of input plus
-/// `HEAP_FIXED`.  The fixed part is three 64 KiB chunks: `open` reads one even from an
-/// empty file, and each stream's walk reads through one more (139 KB at most for a
-/// document under 2 KB in this corpus).  A string length inflated past the end makes
-/// `open` buffer the rest of the file, in a buffer that may double as it grows: the
-/// worst document in this corpus, a 320 219-byte trace, held 532 157 bytes, so 1.05
-/// bytes a byte above the fixed part.  (Before tables stopped reserving room for the
-/// count they declare, an inflated type count held 5.4 MB whatever the length.)
-const HEAP_PER_BYTE: u64 = 2;
-const HEAP_FIXED: u64 = 3 * 64 * 1024;
+/// Heap bound of one open and walk, whatever the document's length: two 64 KiB chunks,
+/// which `open` holds even for an 8-byte file (its one chunk, grown by a second read)
+/// and a stream's walk reads through, plus 16 KiB for the tables the reader keeps.
+/// The worst document in this corpus held 139 445 bytes.  Nothing is buffered in
+/// proportion to the input: a prologue string longer than the rest of the file is
+/// refused before any of it is read.  (Before that, a string length inflated past the
+/// end made `open` buffer the rest of the file, and the bound was 2 bytes a byte plus
+/// 192 KiB: a 320 219-byte trace held 532 157 bytes.  Before tables stopped reserving
+/// room for the count they declare, an inflated type count held 5.4 MB.)
+const HEAP_BOUND: u64 = (2 * 64 + 16) * 1024;
 
 /// Single-bit flips per document, and truncations inside its event region.
 const FLIPS: usize = 160;
@@ -225,10 +225,9 @@ fn walk(reader: &TraceReader) -> Result<(), TraceError> {
 fn check(case: &str, bytes: &[u8], replay: bool) -> bool {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let (walked, asked) = measured(|| open(bytes).map(|reader| walk(&reader)));
-        let allowed = HEAP_PER_BYTE * bytes.len() as u64 + HEAP_FIXED;
         assert!(
-            asked.peak_bytes <= allowed,
-            "open and walk held {} bytes of {allowed}",
+            asked.peak_bytes <= HEAP_BOUND,
+            "open and walk held {} bytes of {HEAP_BOUND}",
             asked.peak_bytes
         );
         let opened = walked.is_ok();
