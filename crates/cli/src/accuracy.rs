@@ -107,7 +107,7 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
             *exact.entry(row.name.clone()).or_insert(0) += row.l1_misses;
         }
         for row in &gt.utilization.rows {
-            let e = exact_util.entry(row.name.clone()).or_insert((0, 0));
+            let e = exact_util.entry(row.name.to_string()).or_insert((0, 0));
             e.0 += row.slots_fetched;
             e.1 += row.slots_touched;
         }
@@ -118,14 +118,14 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
     let sampled: HashMap<String, u64> = merged
         .data_profile
         .iter()
-        .map(|row| (row.name.clone(), row.l1_miss_samples))
+        .map(|row| (row.name.to_string(), row.l1_miss_samples))
         .collect();
     let sampled_total: u64 = sampled.values().sum();
     let sampled_util: HashMap<String, (u64, u64)> = merged
         .utilization
         .rows
         .iter()
-        .map(|row| (row.name.clone(), (row.slots_fetched, row.slots_touched)))
+        .map(|row| (row.name.to_string(), (row.slots_fetched, row.slots_touched)))
         .collect();
 
     let share = |count: u64, total: u64| {
@@ -485,7 +485,7 @@ pub fn render_json(report: &AccuracyReport, options: &AccuracyOptions) -> Json {
                     .iter()
                     .map(|r| {
                         Json::obj(vec![
-                            ("type", Json::str(&r.name)),
+                            ("type", Json::str(&*r.name)),
                             ("exact_l1_misses", Json::num(r.exact_l1_misses as f64)),
                             ("exact_share_pct", Json::num(r.exact_share)),
                             (

@@ -269,7 +269,7 @@ pub fn render_diff_json(
                     .iter()
                     .map(|t| {
                         Json::obj(vec![
-                            ("type", Json::str(&t.name)),
+                            ("type", Json::str(&*t.name)),
                             ("in_a", Json::Bool(t.in_a)),
                             ("in_b", Json::Bool(t.in_b)),
                             ("pct_of_l1_misses_a", Json::num(t.pct_a)),

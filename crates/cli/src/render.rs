@@ -121,8 +121,8 @@ fn data_profile_section(report: &MergedReport, top: usize) -> Json {
                 .take(top)
                 .map(|row| {
                     Json::obj(vec![
-                        ("type", Json::str(&row.name)),
-                        ("description", Json::str(&row.description)),
+                        ("type", Json::str(&*row.name)),
+                        ("description", Json::str(&*row.description)),
                         ("working_set_bytes", Json::num(row.working_set_bytes)),
                         ("pct_of_l1_misses", Json::num(row.pct_of_l1_misses)),
                         ("ci95_low", Json::num(row.ci95_low)),
@@ -150,7 +150,7 @@ fn miss_classification_section(report: &MergedReport, top: usize) -> Json {
                 .take(top)
                 .map(|row| {
                     Json::obj(vec![
-                        ("type", Json::str(&row.name)),
+                        ("type", Json::str(&*row.name)),
                         ("miss_samples", Json::num(row.miss_samples as f64)),
                         (
                             "fractions",
@@ -187,8 +187,8 @@ fn working_set_section(report: &MergedReport, top: usize) -> Json {
                     .take(top)
                     .map(|row| {
                         Json::obj(vec![
-                            ("type", Json::str(&row.name)),
-                            ("description", Json::str(&row.description)),
+                            ("type", Json::str(&*row.name)),
+                            ("description", Json::str(&*row.description)),
                             ("avg_live_bytes", Json::num(row.avg_live_bytes)),
                             ("avg_live_objects", Json::num(row.avg_live_objects)),
                             ("peak_live_bytes", Json::num(row.peak_live_bytes as f64)),
@@ -221,8 +221,8 @@ fn utilization_section(report: &MergedReport, top: usize) -> Json {
                     .take(top)
                     .map(|row| {
                         Json::obj(vec![
-                            ("type", Json::str(&row.name)),
-                            ("description", Json::str(&row.description)),
+                            ("type", Json::str(&*row.name)),
+                            ("description", Json::str(&*row.description)),
                             ("slots_fetched", Json::num(row.slots_fetched as f64)),
                             ("slots_touched", Json::num(row.slots_touched as f64)),
                             ("refetch_slots", Json::num(row.refetch_slots as f64)),
@@ -240,7 +240,7 @@ fn utilization_section(report: &MergedReport, top: usize) -> Json {
                                         .iter()
                                         .map(|o| {
                                             Json::obj(vec![
-                                                ("origin", Json::str(&o.origin)),
+                                                ("origin", Json::str(&*o.origin)),
                                                 (
                                                     "slots_fetched",
                                                     Json::num(o.slots_fetched as f64),
@@ -277,7 +277,7 @@ fn data_flow_section(report: &MergedReport, top: usize) -> Json {
                 .iter()
                 .map(|flow| {
                     Json::obj(vec![
-                        ("type", Json::str(&flow.type_name)),
+                        ("type", Json::str(&*flow.type_name)),
                         ("core_crossings", Json::num(flow.core_crossings() as f64)),
                         (
                             "nodes",
@@ -287,7 +287,7 @@ fn data_flow_section(report: &MergedReport, top: usize) -> Json {
                                     .take(top)
                                     .map(|n| {
                                         Json::obj(vec![
-                                            ("function", Json::str(&n.function)),
+                                            ("function", Json::str(&*n.function)),
                                             ("samples", Json::num(n.samples as f64)),
                                             ("weight", Json::num(n.weight as f64)),
                                             ("avg_latency", Json::num(n.avg_latency)),
@@ -303,8 +303,8 @@ fn data_flow_section(report: &MergedReport, top: usize) -> Json {
                                     .iter()
                                     .map(|e| {
                                         Json::obj(vec![
-                                            ("from", Json::str(&e.from)),
-                                            ("to", Json::str(&e.to)),
+                                            ("from", Json::str(&*e.from)),
+                                            ("to", Json::str(&*e.to)),
                                             ("count", Json::num(e.count as f64)),
                                             ("cpu_change", Json::Bool(e.cpu_change)),
                                         ])
@@ -414,7 +414,7 @@ mod tests {
         }
         let misses = |r: &MergedReport| -> Vec<(String, u64)> {
             let rows = r.miss_classification.iter();
-            rows.map(|m| (m.name.clone(), m.miss_samples)).collect()
+            rows.map(|m| (m.name.to_string(), m.miss_samples)).collect()
         };
         assert_eq!(misses(&again), misses(&report));
         // No float is recombined on this path: counts pool, rates add to themselves.

@@ -290,7 +290,7 @@ fn hot_types(report: &MergedReport) -> Vec<(&str, &str)> {
                 .find(|m| m.name == row.name)
                 .map(|m| m.dominant())
                 .unwrap_or("invalidation");
-            (row.name.as_str(), dominant)
+            (&*row.name, dominant)
         })
         .collect()
 }
@@ -359,7 +359,7 @@ fn auto_candidates(
         .take(AUTO_TOP_TYPES)
     {
         let spec = FixSpec::Shrink {
-            type_name: row.name.clone(),
+            type_name: row.name.to_string(),
             bytes: line,
         };
         if out.iter().any(|(s, _)| s == &spec) {
@@ -570,10 +570,15 @@ mod tests {
         let (mut run, _) = replay_stream_streaming(&reader, 0).unwrap();
         // The hot, invalidation-dominated row, under a name the trace does not record.
         let profile = &mut run.profile;
-        let rows = profile.data_profile.iter_mut().map(|r| &mut r.name);
-        let classes = profile.miss_classification.iter_mut().map(|m| &mut m.name);
-        for name in rows.chain(classes).filter(|n| *n == "ring_desc") {
-            *name = "__nosuch".to_string();
+        for row in profile
+            .data_profile
+            .iter_mut()
+            .filter(|r| r.name == "ring_desc")
+        {
+            row.name = "__nosuch".to_string();
+        }
+        for row in (profile.miss_classification.iter_mut()).filter(|m| &*m.name == "ring_desc") {
+            row.name = "__nosuch".into();
         }
         let report = merge::merge(&[run]);
         let invalidated = invalidated(&hot_types(&report));

@@ -521,3 +521,30 @@ fn hostile_prologues_are_one_error_line_naming_level_and_value() {
         let _ = std::fs::remove_file(trace);
     }
 }
+
+/// A type table is input too, and replay rebuilds the kernel's well-known types from
+/// it: a trace that lacks one is refused by name before any replay starts.  At the
+/// parent, `skbuff` renamed in the golden memcached trace panicked in the kernel's
+/// type lookup, and `replay` printed a backtrace and `stream 0: replay thread
+/// panicked`.
+#[test]
+fn a_trace_without_a_kernel_type_is_one_error_line_naming_it() {
+    let (mut file, _) = golden_session();
+    let skbuff = (file.streams[0].types.iter_mut())
+        .find(|t| t.name == "skbuff")
+        .expect("the golden trace records skbuff");
+    skbuff.name = "skbufg".into();
+    let trace = tmp("no-skbuff.dtrace");
+    file.write(&trace).expect("trace writes");
+    // `whatif --fix pad:skbuff` is refused earlier, for a target the trace lacks.
+    assert_one_error_line(&trace, "'skbuff'");
+    for args in [vec!["replay", &trace], vec!["whatif", &trace, "--auto"]] {
+        let stderr = String::from_utf8_lossy(&dprof_output(&args).stderr).into_owned();
+        assert!(
+            stderr
+                .contains("error: stream 0: the trace's type table lacks the kernel type 'skbuff'"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(trace);
+}

@@ -42,6 +42,7 @@ use crate::stats::{mark_rank_stability, wilson95};
 use sim_cache::line_table::BuildKeyedMixHasher;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The fold's name index (type, function, origin), hashed eight bytes a round instead
 /// of by SipHash.  Iteration order is nobody's business: every table is sorted on
@@ -73,9 +74,9 @@ pub struct ShardMeta {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardProfileRow {
     /// Type name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Human-readable description.
-    pub description: String,
+    pub description: Arc<str>,
     /// Mean working-set footprint over the `threads_seen` threads folded in, bytes.
     pub working_set_bytes: f64,
     /// Share of L1 miss samples, percent (relative to the shard's [`ProfileShard::weight`]).
@@ -97,7 +98,7 @@ pub struct ShardProfileRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardMissRow {
     /// Type name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Miss samples classified for the type.
     pub miss_samples: u64,
     /// Fraction of invalidation misses.
@@ -126,7 +127,7 @@ impl ShardMissRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardUtilizationOrigin {
     /// Origin label (`"cpu<k>"`).
-    pub origin: String,
+    pub origin: Arc<str>,
     /// Granule-slots fetched for objects from this origin.
     pub slots_fetched: u64,
     /// Of those, slots touched before eviction (never more than fetched: the
@@ -145,9 +146,9 @@ impl ShardUtilizationOrigin {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardUtilizationRow {
     /// Type name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Description.
-    pub description: String,
+    pub description: Arc<str>,
     /// Granule-slots fetched for the type (pooled exactly across shards).
     pub slots_fetched: u64,
     /// Of those, slots touched before eviction.
@@ -207,9 +208,9 @@ pub struct ShardUtilization<R = ShardUtilizationRow> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardWorkingSetRow {
     /// Type name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Description.
-    pub description: String,
+    pub description: Arc<str>,
     /// Mean live bytes over the `threads_seen` threads folded in.
     pub avg_live_bytes: f64,
     /// Mean live object count.
@@ -245,7 +246,7 @@ pub struct ShardWorkingSet {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardFlowNode {
     /// Kernel function name.
-    pub function: String,
+    pub function: Arc<str>,
     /// Access samples matched to the node.
     pub samples: u64,
     /// Path-trace weight through the node.
@@ -258,9 +259,9 @@ pub struct ShardFlowNode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardFlowEdge {
     /// Source function name.
-    pub from: String,
+    pub from: Arc<str>,
     /// Destination function name.
-    pub to: String,
+    pub to: Arc<str>,
     /// Traversals.
     pub count: u64,
     /// Whether the object changed cores on this edge.
@@ -271,7 +272,7 @@ pub struct ShardFlowEdge {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardFlow {
     /// Type name.
-    pub type_name: String,
+    pub type_name: Arc<str>,
     /// Nodes (any order; a fold sorts them by weight, descending, then name).
     pub nodes: Vec<ShardFlowNode>,
     /// Edges (any order; a fold sorts them by count, descending, then endpoints).
@@ -344,8 +345,8 @@ impl ProfileShard {
                 .data_profile
                 .iter()
                 .map(|row| ShardProfileRow {
-                    name: row.name.clone(),
-                    description: row.description.clone(),
+                    name: row.name.as_str().into(),
+                    description: row.description.as_str().into(),
                     working_set_bytes: row.working_set_bytes,
                     pct_of_l1_misses: row.pct_of_l1_misses,
                     pct_of_miss_cycles: row.pct_of_miss_cycles,
@@ -681,10 +682,10 @@ fn add_f64(a: f64, b: f64) -> f64 {
 }
 
 /// One of a fold's name-keyed tables: rows in the order their names were first
-/// absorbed, found through an index that owns a copy of each name.
+/// absorbed, found through an index that shares each name with its row.
 #[derive(Debug, Clone)]
 struct Table<R> {
-    index: NameMap<String, usize>,
+    index: NameMap<Arc<str>, usize>,
     rows: Vec<R>,
 }
 
@@ -699,11 +700,11 @@ impl<R> Default for Table<R> {
 
 impl<R> Table<R> {
     /// The row named `name`, made by `new` when the name is first seen.
-    fn row(&mut self, name: &str, new: impl FnOnce() -> R) -> &mut R {
-        let at = match self.index.get(name) {
+    fn row(&mut self, name: &Arc<str>, new: impl FnOnce() -> R) -> &mut R {
+        let at = match self.index.get(&**name) {
             Some(&at) => at,
             None => {
-                self.index.insert(name.to_owned(), self.rows.len());
+                self.index.insert(Arc::clone(name), self.rows.len());
                 self.rows.push(new());
                 self.rows.len() - 1
             }
@@ -715,7 +716,7 @@ impl<R> Table<R> {
 /// One type's data-flow graph while it is being folded.
 #[derive(Debug, Clone)]
 struct FlowAcc {
-    type_name: String,
+    type_name: Arc<str>,
     nodes: Table<ShardFlowNode>,
     /// By source, then destination; `[cpu_change == false, cpu_change == true]`.
     edges: Table<Table<[Option<ShardFlowEdge>; 2]>>,
@@ -1163,7 +1164,7 @@ mod tests {
                     refetch_slots: l1,
                     wasted_bytes_per_sec: 100.0 * l1 as f64,
                     origins: vec![ShardUtilizationOrigin {
-                        origin: format!("cpu{ordinal}"),
+                        origin: format!("cpu{ordinal}").into(),
                         slots_fetched: 8 * l1,
                         slots_touched: 2 * l1,
                     }],

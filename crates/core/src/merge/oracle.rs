@@ -188,7 +188,7 @@ fn fold_utilization(shards: &[&ProfileShard]) -> ShardUtilization {
             row.origins = origins
                 .into_iter()
                 .map(|(origin, (fetched, touched))| ShardUtilizationOrigin {
-                    origin: origin.to_string(),
+                    origin: origin.into(),
                     slots_fetched: fetched,
                     slots_touched: touched,
                 })
@@ -304,7 +304,7 @@ fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
                 acc.avg_latency = add_f64(acc.avg_latency, node.samples as f64 * node.avg_latency);
             }
             for edge in &graph.edges {
-                let key = (edge.from.as_str(), edge.to.as_str(), edge.cpu_change);
+                let key = (&*edge.from, &*edge.to, edge.cpu_change);
                 let count = flow.edges.entry(key).or_insert(0);
                 *count = add_counts(*count, edge.count);
             }
@@ -334,8 +334,8 @@ fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
                 .edges
                 .into_iter()
                 .map(|((from, to, cpu_change), count)| ShardFlowEdge {
-                    from: from.to_string(),
-                    to: to.to_string(),
+                    from: from.into(),
+                    to: to.into(),
                     count,
                     cpu_change,
                 })
@@ -352,7 +352,7 @@ fn fold_data_flows(shards: &[&ProfileShard]) -> Vec<ShardFlow> {
                     .then_with(|| a.cpu_change.cmp(&b.cpu_change))
             });
             ShardFlow {
-                type_name: type_name.to_string(),
+                type_name: type_name.into(),
                 nodes,
                 edges,
             }

@@ -194,11 +194,7 @@ fn text_utilization(out: &mut String, report: &MergedReport, top: usize) {
     .unwrap();
     writeln!(out, "{}", "-".repeat(100)).unwrap();
     for row in util.rows.iter().take(top) {
-        let origin = row
-            .origins
-            .first()
-            .map(|o| o.origin.as_str())
-            .unwrap_or("-");
+        let origin = row.origins.first().map(|o| &*o.origin).unwrap_or("-");
         writeln!(
             out,
             "{:<16} {:>7.1}% [{:>5.1}, {:>5.1}] {:>12} {:>10}/s {:>8.1}% {:>7}  {}",
@@ -311,7 +307,7 @@ pub fn render_dot(flow: &ShardFlow, hot_threshold_cycles: f64) -> String {
         )
         .unwrap();
     }
-    let node = |function: &str| flow.nodes.iter().position(|n| n.function == function);
+    let node = |function: &str| flow.nodes.iter().position(|n| &*n.function == function);
     for e in &flow.edges {
         let (Some(from), Some(to)) = (node(&e.from), node(&e.to)) else {
             continue; // a pushed report may name an endpoint it lists no node for

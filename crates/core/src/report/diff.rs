@@ -18,12 +18,13 @@
 //! that.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Everything the diff needs to know about one data type in one report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TypeSummary {
     /// Type name (the cross-report join key).
-    pub name: String,
+    pub name: Arc<str>,
     /// Share of L1-miss samples attributed to the type, in percent.
     pub pct_of_l1_misses: f64,
     /// Miss samples behind the classification (0 when unknown).
@@ -53,9 +54,9 @@ pub struct TypeSummary {
 
 impl TypeSummary {
     /// A neutral (all-zero) summary for a type that does not appear in a report.
-    pub fn absent(name: &str) -> TypeSummary {
+    pub fn absent(name: &Arc<str>) -> TypeSummary {
         TypeSummary {
-            name: name.to_string(),
+            name: Arc::clone(name),
             pct_of_l1_misses: 0.0,
             miss_samples: 0,
             bounce: false,
@@ -86,13 +87,13 @@ pub struct ReportSummary {
 impl ReportSummary {
     /// The summary row for a type name.
     pub fn get(&self, name: &str) -> Option<&TypeSummary> {
-        self.types.iter().find(|t| t.name == name)
+        self.types.iter().find(|t| &*t.name == name)
     }
 
     /// The summary row for a type name, appended as [`TypeSummary::absent`] first if
     /// the report has none yet (how a report's sections are joined by name).
-    pub fn entry(&mut self, name: &str) -> &mut TypeSummary {
-        let i = match self.types.iter().position(|t| t.name == name) {
+    pub fn entry(&mut self, name: &Arc<str>) -> &mut TypeSummary {
+        let i = match self.types.iter().position(|t| t.name == *name) {
             Some(i) => i,
             None => {
                 self.types.push(TypeSummary::absent(name));
@@ -120,7 +121,7 @@ impl ReportSummary {
         let mut rank = 0;
         for t in &self.types {
             let bigger = t.working_set_bytes > row.working_set_bytes
-                || (t.working_set_bytes == row.working_set_bytes && t.name.as_str() < name);
+                || (t.working_set_bytes == row.working_set_bytes && &*t.name < name);
             if bigger {
                 rank += 1;
             }
@@ -318,15 +319,15 @@ impl ReportDiff {
 pub fn diff(a: &ReportSummary, b: &ReportSummary, focus: Option<&str>) -> ReportDiff {
     let focus_name = focus
         .map(|s| s.to_string())
-        .or_else(|| a.top_type().map(|t| t.name.clone()))
+        .or_else(|| a.top_type().map(|t| t.name.to_string()))
         .unwrap_or_default();
 
     // Union of type names, deduplicated; ordering is fixed later from values only.
-    let mut names: Vec<&str> = a
+    let mut names: Vec<&Arc<str>> = a
         .types
         .iter()
         .chain(b.types.iter())
-        .map(|t| t.name.as_str())
+        .map(|t| &t.name)
         .collect();
     names.sort_unstable();
     names.dedup();
@@ -445,7 +446,7 @@ fn classify(
     let moved_to = b
         .types
         .iter()
-        .filter(|t| t.name != focus && t.miss_samples > 0 && focus_misses_a > 0)
+        .filter(|t| &*t.name != focus && t.miss_samples > 0 && focus_misses_a > 0)
         .filter(|t| {
             let before = a.get(&t.name).map(|p| p.miss_samples).unwrap_or(0);
             t.miss_samples as f64 >= MOVED_COUNT_FACTOR * focus_misses_a as f64
@@ -456,7 +457,7 @@ fn classify(
                 .cmp(&y.miss_samples)
                 .then_with(|| y.name.cmp(&x.name))
         })
-        .map(|t| t.name.clone());
+        .map(|t| t.name.to_string());
     match moved_to {
         Some(name) => (Verdict::Moved, Some(name)),
         None => (Verdict::Eliminated, None),
@@ -490,7 +491,7 @@ fn classify_utilization(
     let moved_to = b
         .types
         .iter()
-        .filter(|t| t.name != focus && t.wasted_bytes > 0)
+        .filter(|t| &*t.name != focus && t.wasted_bytes > 0)
         .filter(|t| {
             let before = a.get(&t.name).map(|p| p.wasted_bytes).unwrap_or(0);
             t.wasted_bytes as f64 >= MOVED_COUNT_FACTOR * wasted_a as f64
@@ -501,7 +502,7 @@ fn classify_utilization(
                 .cmp(&y.wasted_bytes)
                 .then_with(|| y.name.cmp(&x.name))
         })
-        .map(|t| t.name.clone());
+        .map(|t| t.name.to_string());
     match moved_to {
         Some(name) => (Verdict::Moved, Some(name)),
         None => (Verdict::Eliminated, None),
@@ -514,7 +515,7 @@ mod tests {
 
     fn ty(name: &str, pct: f64, misses: u64) -> TypeSummary {
         TypeSummary {
-            name: name.to_string(),
+            name: name.into(),
             pct_of_l1_misses: pct,
             miss_samples: misses,
             bounce: false,
@@ -530,7 +531,7 @@ mod tests {
     }
 
     fn ty_util(name: &str, utilization_pct: f64, wasted_bytes: u64) -> TypeSummary {
-        let mut t = TypeSummary::absent(name);
+        let mut t = TypeSummary::absent(&name.into());
         t.utilization_pct = utilization_pct;
         t.wasted_bytes = wasted_bytes;
         t

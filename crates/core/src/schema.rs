@@ -20,14 +20,19 @@
 //! [`MAX_NESTING`] levels, a document at [`MAX_NODES`] values, a number at what an `f64`
 //! holds, and every count a fold will sum at 2^53 ([`count_at`]).  The readers take a
 //! [`JsonRef`], one value of a tape or of a tree, so a pushed report is read straight
-//! off its tape.
+//! off its tape.  They read names through a [`NameTable`], so a name already read is
+//! shared, not copied: within a document, and across every document a collector's
+//! connection pushes.
 
 use crate::merge::{
     self, ProfileShard, ShardFlow, ShardFlowEdge, ShardFlowNode, ShardMeta, ShardMissRow,
     ShardProfileRow, ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow,
     ShardWorkingSet, ShardWorkingSetRow,
 };
+use sim_cache::line_table::BuildKeyedMixHasher;
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Schema id of merged profile reports (`dprof -f json`, `dprof replay -f json`).
 pub const REPORT_V1: &str = "dprof-report/v1";
@@ -807,7 +812,7 @@ fn rows<'a>(section: JsonRef<'a>, key: &str) -> Items<'a> {
 fn parsed_rows<T>(
     section: JsonRef,
     key: &str,
-    row: impl Fn(JsonRef) -> Result<T, String>,
+    mut row: impl FnMut(JsonRef) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
     let items = rows(section, key);
     let mut parsed = Vec::with_capacity(items.len());
@@ -852,8 +857,48 @@ fn bool_at(v: JsonRef, key: &str) -> bool {
     section(v, key).as_bool().unwrap_or(false)
 }
 
-fn str_at(v: JsonRef, key: &str) -> String {
-    section(v, key).as_str().unwrap_or("").to_string()
+/// The names the readers have handed out, so that a name read again is the one
+/// already held instead of a new copy.  A collector keeps one per connection, and a
+/// reader of one document a fresh one, which still shares the names a document
+/// repeats (each type's name is in every view).  Names arrive in documents, so the set
+/// is keyed per table, as the fold's maps are.
+#[derive(Debug, Default)]
+pub struct NameTable {
+    names: HashSet<Arc<str>, BuildKeyedMixHasher>,
+}
+
+impl NameTable {
+    /// The name spelled `text`: the one the table holds, or a new one it keeps.
+    pub fn name(&mut self, text: &str) -> Arc<str> {
+        if let Some(name) = self.names.get(text) {
+            return Arc::clone(name);
+        }
+        if self.names.len() == self.names.capacity() {
+            // Full: let go of the names nothing else holds any more (those of refused
+            // documents and dropped shards) before growing, and leave room for as many
+            // again as are kept, so that a sweep comes only after that many new names.
+            self.names.retain(|name| Arc::strong_count(name) > 1);
+            self.names.reserve(self.names.len());
+        }
+        let name: Arc<str> = text.into();
+        self.names.insert(Arc::clone(&name));
+        name
+    }
+
+    /// How many names the table holds.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whether the table holds no name.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+}
+
+/// The string at `v.key` as a name of `names` (empty when absent).
+fn name_at(v: JsonRef, key: &str, names: &mut NameTable) -> Arc<str> {
+    names.name(section(v, key).as_str().unwrap_or(""))
 }
 
 fn expect_schema(doc: JsonRef) -> Result<(), String> {
@@ -872,14 +917,14 @@ fn expect_schema(doc: JsonRef) -> Result<(), String> {
 // (the report adds derived ones, which a shard recomputes), so both readers go
 // through these.
 
-fn profile_row(row: JsonRef) -> Result<ShardProfileRow, String> {
+fn profile_row(row: JsonRef, names: &mut NameTable) -> Result<ShardProfileRow, String> {
     Ok(ShardProfileRow {
-        name: row
-            .get("type")
-            .and_then(JsonRef::as_str)
-            .ok_or("data_profile row without a 'type' field")?
-            .to_string(),
-        description: str_at(row, "description"),
+        name: names.name(
+            row.get("type")
+                .and_then(JsonRef::as_str)
+                .ok_or("data_profile row without a 'type' field")?,
+        ),
+        description: name_at(row, "description", names),
         working_set_bytes: f64_at(row, "working_set_bytes"),
         pct_of_l1_misses: f64_at(row, "pct_of_l1_misses"),
         pct_of_miss_cycles: f64_at(row, "pct_of_miss_cycles"),
@@ -890,11 +935,11 @@ fn profile_row(row: JsonRef) -> Result<ShardProfileRow, String> {
     })
 }
 
-fn miss_row(row: JsonRef) -> Result<ShardMissRow, String> {
+fn miss_row(row: JsonRef, names: &mut NameTable) -> Result<ShardMissRow, String> {
     // A report nests the three fractions under `fractions`; a snapshot keeps them flat.
     let fractions = row.get("fractions").unwrap_or(row);
     Ok(ShardMissRow {
-        name: str_at(row, "type"),
+        name: name_at(row, "type", names),
         miss_samples: count_at(row, "miss_classification", "miss_samples")?,
         invalidation: f64_at(fractions, "invalidation"),
         conflict: f64_at(fractions, "conflict"),
@@ -904,17 +949,17 @@ fn miss_row(row: JsonRef) -> Result<ShardMissRow, String> {
 
 /// Parses one utilization row, rejecting counts no tally can produce: every fold
 /// computes wasted bytes as `8 * (fetched - touched)`, which must not underflow.
-fn utilization_row(row: JsonRef) -> Result<ShardUtilizationRow, String> {
+fn utilization_row(row: JsonRef, names: &mut NameTable) -> Result<ShardUtilizationRow, String> {
     let parsed = ShardUtilizationRow {
-        name: str_at(row, "type"),
-        description: str_at(row, "description"),
+        name: name_at(row, "type", names),
+        description: name_at(row, "description", names),
         slots_fetched: count_at(row, "utilization", "slots_fetched")?,
         slots_touched: count_at(row, "utilization", "slots_touched")?,
         refetch_slots: count_at(row, "utilization", "refetch_slots")?,
         wasted_bytes_per_sec: f64_at(row, "wasted_bytes_per_sec"),
         origins: parsed_rows(row, "origins", |o| {
             Ok(ShardUtilizationOrigin {
-                origin: str_at(o, "origin"),
+                origin: name_at(o, "origin", names),
                 slots_fetched: count_at(o, "utilization origin", "slots_fetched")?,
                 slots_touched: count_at(o, "utilization origin", "slots_touched")?,
             })
@@ -939,9 +984,9 @@ fn utilization_row(row: JsonRef) -> Result<ShardUtilizationRow, String> {
     Ok(parsed)
 }
 
-fn utilization(section: JsonRef) -> Result<ShardUtilization, String> {
+fn utilization(section: JsonRef, names: &mut NameTable) -> Result<ShardUtilization, String> {
     Ok(ShardUtilization {
-        rows: parsed_rows(section, "rows", utilization_row)?,
+        rows: parsed_rows(section, "rows", |row| utilization_row(row, names))?,
         total_fetches: count_at(section, "utilization", "total_fetches")?,
         total_refetches: count_at(section, "utilization", "total_refetches")?,
         resolved_slots_fetched: count_at(section, "utilization", "resolved_slots_fetched")?,
@@ -955,12 +1000,13 @@ fn working_set(
     section: JsonRef,
     thread_count: usize,
     conflict_sets_key: &str,
+    names: &mut NameTable,
 ) -> Result<ShardWorkingSet, String> {
     Ok(ShardWorkingSet {
         rows: parsed_rows(section, "rows", |row| {
             Ok(ShardWorkingSetRow {
-                name: str_at(row, "type"),
-                description: str_at(row, "description"),
+                name: name_at(row, "type", names),
+                description: name_at(row, "description", names),
                 avg_live_bytes: f64_at(row, "avg_live_bytes"),
                 avg_live_objects: f64_at(row, "avg_live_objects"),
                 peak_live_bytes: count_at(row, "working_set", "peak_live_bytes")?,
@@ -976,12 +1022,12 @@ fn working_set(
     })
 }
 
-fn flow(flow: JsonRef) -> Result<ShardFlow, String> {
+fn flow(flow: JsonRef, names: &mut NameTable) -> Result<ShardFlow, String> {
     Ok(ShardFlow {
-        type_name: str_at(flow, "type"),
+        type_name: name_at(flow, "type", names),
         nodes: parsed_rows(flow, "nodes", |n| {
             Ok(ShardFlowNode {
-                function: str_at(n, "function"),
+                function: name_at(n, "function", names),
                 samples: count_at(n, "data_flow node", "samples")?,
                 weight: count_at(n, "data_flow node", "weight")?,
                 avg_latency: f64_at(n, "avg_latency"),
@@ -989,8 +1035,8 @@ fn flow(flow: JsonRef) -> Result<ShardFlow, String> {
         })?,
         edges: parsed_rows(flow, "edges", |e| {
             Ok(ShardFlowEdge {
-                from: str_at(e, "from"),
-                to: str_at(e, "to"),
+                from: name_at(e, "from", names),
+                to: name_at(e, "to", names),
                 count: count_at(e, "data_flow edge", "count")?,
                 cpu_change: bool_at(e, "cpu_change"),
             })
@@ -1005,23 +1051,40 @@ fn flow(flow: JsonRef) -> Result<ShardFlow, String> {
 /// becomes one shard whose weight is the pooled L1-miss sample count, so re-merging
 /// many pushed reports weights each by the evidence it carries.  `ordinal` fixes the
 /// shard's position in the canonical fold order (the server assigns monotonically
-/// increasing ordinals per store key).
+/// increasing ordinals per store key).  Its names are read through a fresh
+/// [`NameTable`]; [`shard_from_report_json_with`] reads them through one it is given.
 pub fn shard_from_report_json<'a>(
     doc: impl Into<JsonRef<'a>>,
     ordinal: u64,
 ) -> Result<ProfileShard, String> {
-    read_report_shard(doc.into(), ordinal)
+    read_report_shard(doc.into(), ordinal, &mut NameTable::default())
+}
+
+/// [`shard_from_report_json`], sharing every name `names` already holds: how a
+/// collector's connection reads its pushes.
+pub fn shard_from_report_json_with<'a>(
+    doc: impl Into<JsonRef<'a>>,
+    ordinal: u64,
+    names: &mut NameTable,
+) -> Result<ProfileShard, String> {
+    read_report_shard(doc.into(), ordinal, names)
 }
 
 // The two readers are generic only in how they take their document; what they do
 // with it is compiled once, here.
 
-fn read_report_shard(doc: JsonRef, ordinal: u64) -> Result<ProfileShard, String> {
+fn read_report_shard(
+    doc: JsonRef,
+    ordinal: u64,
+    names: &mut NameTable,
+) -> Result<ProfileShard, String> {
     expect_schema(doc)?;
     let run = section(doc, "run");
     let throughput = section(doc, "throughput");
 
-    let data_profile = parsed_rows(section(doc, "data_profile"), "rows", profile_row)?;
+    let data_profile = parsed_rows(section(doc, "data_profile"), "rows", |row| {
+        profile_row(row, names)
+    })?;
     // A report derives a row's share from its miss count, so a share without one is no
     // report's: read as one, it would weigh the shard 0 and every share with it.
     if let Some(row) =
@@ -1045,7 +1108,7 @@ fn read_report_shard(doc: JsonRef, ordinal: u64) -> Result<ProfileShard, String>
         sum_l1 as f64
     };
 
-    let mut data_flows = parsed_rows(section(doc, "data_flow"), "types", flow)?;
+    let mut data_flows = parsed_rows(section(doc, "data_flow"), "types", |f| flow(f, names))?;
     data_flows.sort_by(|a, b| a.type_name.cmp(&b.type_name));
 
     Ok(ProfileShard {
@@ -1063,12 +1126,15 @@ fn read_report_shard(doc: JsonRef, ordinal: u64) -> Result<ProfileShard, String>
             total_cycles: 0,
         },
         data_profile,
-        miss_classification: parsed_rows(section(doc, "miss_classification"), "rows", miss_row)?,
-        utilization: utilization(section(doc, "utilization"))?,
+        miss_classification: parsed_rows(section(doc, "miss_classification"), "rows", |row| {
+            miss_row(row, names)
+        })?,
+        utilization: utilization(section(doc, "utilization"), names)?,
         working_set: working_set(
             section(doc, "working_set"),
             usize_at(run, "run", "threads")?.max(1),
             "max_conflict_sets",
+            names,
         )?,
         data_flows,
     })
@@ -1102,8 +1168,8 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
                     .iter()
                     .map(|r| {
                         Json::obj(vec![
-                            ("type", Json::str(&r.name)),
-                            ("description", Json::str(&r.description)),
+                            ("type", Json::str(&*r.name)),
+                            ("description", Json::str(&*r.description)),
                             ("working_set_bytes", Json::num(r.working_set_bytes)),
                             ("pct_of_l1_misses", Json::num(r.pct_of_l1_misses)),
                             ("pct_of_miss_cycles", Json::num(r.pct_of_miss_cycles)),
@@ -1124,7 +1190,7 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
                     .iter()
                     .map(|r| {
                         Json::obj(vec![
-                            ("type", Json::str(&r.name)),
+                            ("type", Json::str(&*r.name)),
                             ("miss_samples", Json::num(r.miss_samples as f64)),
                             ("invalidation", Json::num(r.invalidation)),
                             ("conflict", Json::num(r.conflict)),
@@ -1146,8 +1212,8 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
                             .iter()
                             .map(|r| {
                                 Json::obj(vec![
-                                    ("type", Json::str(&r.name)),
-                                    ("description", Json::str(&r.description)),
+                                    ("type", Json::str(&*r.name)),
+                                    ("description", Json::str(&*r.description)),
                                     ("slots_fetched", Json::num(r.slots_fetched as f64)),
                                     ("slots_touched", Json::num(r.slots_touched as f64)),
                                     ("refetch_slots", Json::num(r.refetch_slots as f64)),
@@ -1159,7 +1225,7 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
                                                 .iter()
                                                 .map(|o| {
                                                     Json::obj(vec![
-                                                        ("origin", Json::str(&o.origin)),
+                                                        ("origin", Json::str(&*o.origin)),
                                                         (
                                                             "slots_fetched",
                                                             Json::num(o.slots_fetched as f64),
@@ -1208,8 +1274,8 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
                             .iter()
                             .map(|r| {
                                 Json::obj(vec![
-                                    ("type", Json::str(&r.name)),
-                                    ("description", Json::str(&r.description)),
+                                    ("type", Json::str(&*r.name)),
+                                    ("description", Json::str(&*r.description)),
                                     ("avg_live_bytes", Json::num(r.avg_live_bytes)),
                                     ("avg_live_objects", Json::num(r.avg_live_objects)),
                                     ("peak_live_bytes", Json::num(r.peak_live_bytes as f64)),
@@ -1250,7 +1316,7 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
                     .iter()
                     .map(|f| {
                         Json::obj(vec![
-                            ("type", Json::str(&f.type_name)),
+                            ("type", Json::str(&*f.type_name)),
                             (
                                 "nodes",
                                 Json::Arr(
@@ -1258,7 +1324,7 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
                                         .iter()
                                         .map(|n| {
                                             Json::obj(vec![
-                                                ("function", Json::str(&n.function)),
+                                                ("function", Json::str(&*n.function)),
                                                 ("samples", Json::num(n.samples as f64)),
                                                 ("weight", Json::num(n.weight as f64)),
                                                 ("avg_latency", Json::num(n.avg_latency)),
@@ -1274,8 +1340,8 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
                                         .iter()
                                         .map(|e| {
                                             Json::obj(vec![
-                                                ("from", Json::str(&e.from)),
-                                                ("to", Json::str(&e.to)),
+                                                ("from", Json::str(&*e.from)),
+                                                ("to", Json::str(&*e.to)),
                                                 ("count", Json::num(e.count as f64)),
                                                 ("cpu_change", Json::Bool(e.cpu_change)),
                                             ])
@@ -1291,12 +1357,21 @@ pub fn shard_to_json(shard: &ProfileShard) -> Json {
     ])
 }
 
-/// Deserializes a shard written by [`shard_to_json`].
+/// Deserializes a shard written by [`shard_to_json`], its names read through a fresh
+/// [`NameTable`].
 pub fn shard_from_json<'a>(doc: impl Into<JsonRef<'a>>) -> Result<ProfileShard, String> {
-    read_shard(doc.into())
+    read_shard(doc.into(), &mut NameTable::default())
 }
 
-fn read_shard(doc: JsonRef) -> Result<ProfileShard, String> {
+/// [`shard_from_json`], sharing every name `names` already holds.
+pub fn shard_from_json_with<'a>(
+    doc: impl Into<JsonRef<'a>>,
+    names: &mut NameTable,
+) -> Result<ProfileShard, String> {
+    read_shard(doc.into(), names)
+}
+
+fn read_shard(doc: JsonRef, names: &mut NameTable) -> Result<ProfileShard, String> {
     let meta = doc.get("meta").ok_or("shard without a 'meta' object")?;
     let ws = doc
         .get("working_set")
@@ -1320,15 +1395,16 @@ fn read_shard(doc: JsonRef) -> Result<ProfileShard, String> {
             samples: count_at(meta, "meta", "samples")?,
             total_cycles: count_at(meta, "meta", "total_cycles")?,
         },
-        data_profile: parsed_rows(doc, "data_profile", profile_row)?,
-        miss_classification: parsed_rows(doc, "miss_classification", miss_row)?,
-        utilization: utilization(section(doc, "utilization"))?,
+        data_profile: parsed_rows(doc, "data_profile", |row| profile_row(row, names))?,
+        miss_classification: parsed_rows(doc, "miss_classification", |row| miss_row(row, names))?,
+        utilization: utilization(section(doc, "utilization"), names)?,
         working_set: working_set(
             ws,
             usize_at(ws, "working_set", "thread_count")?.max(1),
             "conflict_sets",
+            names,
         )?,
-        data_flows: parsed_rows(doc, "data_flows", flow)?,
+        data_flows: parsed_rows(doc, "data_flows", |f| flow(f, names))?,
     })
 }
 
@@ -1708,5 +1784,29 @@ mod tests {
         assert!(shard_from_report_json(&none, 0)
             .unwrap_err()
             .contains("missing 'schema'"));
+    }
+
+    /// A connection's table lives as long as the connection, and a pusher may send
+    /// fresh names in documents that are refused: what only the table holds goes at the
+    /// next sweep, what a kept shard holds stays and is handed back.
+    #[test]
+    fn a_name_table_keeps_only_names_something_else_holds() {
+        let mut names = NameTable::default();
+        let kept = names.name("skbuff");
+        assert!(Arc::ptr_eq(&kept, &names.name("skbuff")));
+        for i in 0..10_000 {
+            drop(names.name(&format!("refused_{i}")));
+        }
+        assert!(names.len() < 16, "{} names held", names.len());
+        assert!(Arc::ptr_eq(&kept, &names.name("skbuff")));
+
+        // Held names are kept, however many: the table grows instead.
+        let held: Vec<Arc<str>> = (0..1_000)
+            .map(|i| names.name(&format!("type_{i}")))
+            .collect();
+        assert!(names.len() > held.len());
+        for name in &held {
+            assert!(Arc::ptr_eq(name, &names.name(name)));
+        }
     }
 }

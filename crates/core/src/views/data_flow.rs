@@ -30,7 +30,7 @@ pub fn build_data_flow(
         for e in &t.entries {
             let idx = *node_index.entry(e.ip).or_insert_with(|| {
                 nodes.push(ShardFlowNode {
-                    function: symbols.name(e.ip).to_string(),
+                    function: symbols.name(e.ip).into(),
                     samples: 0,
                     weight: 0,
                     avg_latency: 0.0,
@@ -64,7 +64,7 @@ pub fn build_data_flow(
         })
         .collect();
     ShardFlow {
-        type_name: registry.name(type_id).to_string(),
+        type_name: registry.name(type_id).into(),
         nodes,
         edges,
     }
@@ -110,7 +110,10 @@ mod tests {
     }
 
     fn node<'a>(flow: &'a ShardFlow, function: &str) -> &'a ShardFlowNode {
-        flow.nodes.iter().find(|n| n.function == function).unwrap()
+        flow.nodes
+            .iter()
+            .find(|n| &*n.function == function)
+            .unwrap()
     }
 
     #[test]
@@ -135,7 +138,7 @@ mod tests {
             },
         ];
         let g = build_data_flow(TypeId(1), &traces, &registry(), &symbols());
-        assert_eq!(g.type_name, "skbuff");
+        assert_eq!(&*g.type_name, "skbuff");
         assert_eq!(
             g.nodes.len(),
             4,
@@ -143,8 +146,8 @@ mod tests {
         );
         assert_eq!(node(&g, "__alloc_skb").weight, 13);
         // The dequeue node was reached over a CPU change and has high latency.
-        assert!(g.edges.iter().any(|e| e.from == "pfifo_fast_enqueue"
-            && e.to == "pfifo_fast_dequeue"
+        assert!(g.edges.iter().any(|e| &*e.from == "pfifo_fast_enqueue"
+            && &*e.to == "pfifo_fast_dequeue"
             && e.cpu_change));
         let deq = node(&g, "pfifo_fast_dequeue");
         assert!(

@@ -119,7 +119,7 @@ pub fn classify_misses(
             };
 
             ShardMissRow {
-                name: registry.name(ty).to_string(),
+                name: registry.name(ty).into(),
                 miss_samples: a.misses,
                 invalidation,
                 conflict,

@@ -115,7 +115,7 @@ pub fn build_utilization(
                 .origins
                 .into_iter()
                 .map(|(core, (fetched, touched))| ShardUtilizationOrigin {
-                    origin: AllocRecord::origin_label_for(core),
+                    origin: AllocRecord::origin_label_for(core).into(),
                     slots_fetched: fetched,
                     slots_touched: touched,
                 })
@@ -126,8 +126,8 @@ pub fn build_utilization(
                     .then_with(|| x.origin.cmp(&y.origin))
             });
             let mut row = ShardUtilizationRow {
-                name: info.name.clone(),
-                description: info.description.clone(),
+                name: info.name.as_str().into(),
+                description: info.description.as_str().into(),
                 slots_fetched: a.slots_fetched,
                 slots_touched: a.slots_touched,
                 refetch_slots: a.refetch_slots,
@@ -188,7 +188,7 @@ mod tests {
 
         let p = build_utilization(&t, &alloc, &reg, 64, 1_000, 1_000_000);
         assert_eq!(p.total_fetches, 3);
-        assert_eq!(p.rows[0].name, "skbuff");
+        assert_eq!(&*p.rows[0].name, "skbuff");
         assert_eq!(p.rows[0].slots_fetched, 16);
         assert_eq!(p.rows[0].slots_touched, 2);
         assert_eq!(p.rows[0].wasted_bytes(), 112);
@@ -196,13 +196,13 @@ mod tests {
         // bytes/s = 112 * 1e6 / 1e3
         assert!((p.rows[0].wasted_bytes_per_sec - 112_000.0).abs() < 1e-6);
         let sock_row = &p.rows[1];
-        assert_eq!(sock_row.name, "udp-sock");
+        assert_eq!(&*sock_row.name, "udp-sock");
         assert_eq!(sock_row.wasted_bytes(), 0);
         assert!((sock_row.utilization_pct() - 100.0).abs() < 1e-9);
         // Origin attribution: skbuff was allocated from core 0's slab.
         assert_eq!(p.rows[0].origins.len(), 1);
-        assert_eq!(p.rows[0].origins[0].origin, "cpu0");
-        assert_eq!(sock_row.origins[0].origin, "cpu1");
+        assert_eq!(&*p.rows[0].origins[0].origin, "cpu0");
+        assert_eq!(&*sock_row.origins[0].origin, "cpu1");
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl WorkingSetView {
 
     /// The working-set row for a type name, if present.
     pub fn for_type(&self, name: &str) -> Option<&ShardWorkingSetRow> {
-        self.per_type.iter().find(|t| t.name == name)
+        self.per_type.iter().find(|t| &*t.name == name)
     }
 
     /// True if the total working set exceeds the cache capacity (the precondition for
@@ -130,8 +130,8 @@ pub fn build_working_set(
         .map(|(&ty, a)| {
             let info = registry.info(ty);
             ShardWorkingSetRow {
-                name: info.name.clone(),
-                description: info.description.clone(),
+                name: info.name.as_str().into(),
+                description: info.description.as_str().into(),
                 avg_live_bytes: a.byte_cycles / window,
                 avg_live_objects: a.object_cycles / window,
                 peak_live_bytes: a.peak_bytes,
@@ -321,8 +321,8 @@ mod tests {
             .map(|(&ty, a)| {
                 let info = registry.info(ty);
                 ShardWorkingSetRow {
-                    name: info.name.clone(),
-                    description: info.description.clone(),
+                    name: info.name.as_str().into(),
+                    description: info.description.as_str().into(),
                     avg_live_bytes: a.byte_cycles / window,
                     avg_live_objects: a.object_cycles / window,
                     peak_live_bytes: a.peak_bytes,
@@ -462,7 +462,7 @@ mod tests {
         assert!((a.avg_live_bytes - 1024.0).abs() < 1.0);
         assert!((b.avg_live_bytes - 128.0).abs() < 1.0);
         assert!((a.avg_live_objects - 1.0).abs() < 0.01);
-        assert_eq!(ws.per_type[0].name, "a", "largest type first");
+        assert_eq!(&*ws.per_type[0].name, "a", "largest type first");
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn summary_strategy() -> impl Strategy<Value = ReportSummary> {
         let mut types: Vec<TypeSummary> = Vec::new();
         for ((name_idx, pct_centi, misses), (ws_bytes, crossings, dom_idx), (mix, bounce)) in rows {
             let name = NAMES[name_idx];
-            if types.iter().any(|t: &TypeSummary| t.name == name) {
+            if types.iter().any(|t: &TypeSummary| &*t.name == name) {
                 continue; // one row per type, like a real report
             }
             // Split `mix` into three fractions summing to <= 1.
@@ -50,7 +50,7 @@ fn summary_strategy() -> impl Strategy<Value = ReportSummary> {
             let conflict = f64::from((mix / 10) % 10) / 10.0 * (1.0 - invalidation);
             let capacity = (1.0 - invalidation - conflict).max(0.0);
             types.push(TypeSummary {
-                name: name.to_string(),
+                name: name.into(),
                 pct_of_l1_misses: f64::from(pct_centi) / 100.0,
                 miss_samples: misses,
                 bounce,

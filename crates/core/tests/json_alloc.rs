@@ -100,13 +100,15 @@ fn a_tape_is_one_vector_and_a_hostile_one_stays_inside_the_budget() {
     assert_eq!(owned_asked.allocations, 496);
     assert_eq!(owned_asked.growths, asked.growths);
 
-    // The reader copies the names a shard keeps and nothing else, so it costs the same
-    // off the tape as off the tree.
+    // The reader builds the shard's rows and nothing else, so it costs the same off the
+    // tape as off the tree.  Its fresh name table allocates each distinct string once,
+    // however often the document repeats it (every view names its types again): 52
+    // allocations, where a copy of every name took 91.
     let (from_tape, reader) = measured(|| shard_from_report_json(&tape, 1).unwrap());
     let (from_owned, reader_of_owned) = measured(|| shard_from_report_json(&owned, 1).unwrap());
     assert_eq!(from_tape, from_owned);
     assert_eq!(reader.allocations, reader_of_owned.allocations);
-    assert_eq!(reader.allocations, 91);
+    assert_eq!(reader.allocations, 52);
     drop((tape, owned, from_tape, from_owned));
 
     // A value is one node and, in an object, its key one more, so a document inside

@@ -23,8 +23,8 @@ fn shard_from(ordinal: u64, seed: u64, rows: Vec<(usize, u64, bool)>) -> Profile
     let profile: Vec<ShardProfileRow> = picked
         .iter()
         .map(|(name, misses, bounce)| ShardProfileRow {
-            name: name.clone(),
-            description: format!("{name} (generated)"),
+            name: name.as_str().into(),
+            description: format!("{name} (generated)").into(),
             working_set_bytes: 64.0 + *misses as f64,
             pct_of_l1_misses: 100.0 * *misses as f64 / total as f64,
             pct_of_miss_cycles: 100.0 * *misses as f64 / total as f64,
@@ -37,7 +37,7 @@ fn shard_from(ordinal: u64, seed: u64, rows: Vec<(usize, u64, bool)>) -> Profile
     let classification: Vec<ShardMissRow> = picked
         .iter()
         .map(|(name, misses, bounce)| ShardMissRow {
-            name: name.clone(),
+            name: name.as_str().into(),
             miss_samples: *misses,
             invalidation: if *bounce { 0.8 } else { 0.1 },
             conflict: 0.1,
@@ -50,14 +50,14 @@ fn shard_from(ordinal: u64, seed: u64, rows: Vec<(usize, u64, bool)>) -> Profile
             let fetched = misses * 8;
             let touched = misses * if *bounce { 2 } else { 5 };
             ShardUtilizationRow {
-                name: name.clone(),
-                description: format!("{name} (generated)"),
+                name: name.as_str().into(),
+                description: format!("{name} (generated)").into(),
                 slots_fetched: fetched,
                 slots_touched: touched,
                 refetch_slots: misses / 2,
                 wasted_bytes_per_sec: *misses as f64 * 3.0,
                 origins: vec![ShardUtilizationOrigin {
-                    origin: format!("cpu{}", seed % 4),
+                    origin: format!("cpu{}", seed % 4).into(),
                     slots_fetched: fetched,
                     slots_touched: touched,
                 }],
@@ -76,8 +76,8 @@ fn shard_from(ordinal: u64, seed: u64, rows: Vec<(usize, u64, bool)>) -> Profile
         .map(|(i, name)| {
             let live = 100 + (seed * 7 + i as u64 * 131) % 900;
             ShardWorkingSetRow {
-                name: name.to_string(),
-                description: format!("{name} (generated)"),
+                name: (*name).into(),
+                description: format!("{name} (generated)").into(),
                 avg_live_bytes: live as f64,
                 avg_live_objects: live as f64 / 64.0,
                 peak_live_bytes: 2 * live,

@@ -277,11 +277,12 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encodes the response as a `(frame kind, payload)` pair.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
+    /// Encodes the response as a `(frame kind, payload)` pair; the payload is the
+    /// response's own text, not a copy (the frame it goes out in is the one copy).
+    pub fn encode(self) -> (u8, Vec<u8>) {
         match self {
-            Response::Ok(json) => (KIND_OK, json.as_bytes().to_vec()),
-            Response::Err(message) => (KIND_ERR, message.as_bytes().to_vec()),
+            Response::Ok(json) => (KIND_OK, json.into_bytes()),
+            Response::Err(message) => (KIND_ERR, message.into_bytes()),
         }
     }
 

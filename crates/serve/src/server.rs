@@ -14,7 +14,7 @@ use crate::proto::{Request, Response};
 use crate::store::{valid_tag, ProfileStore};
 use dprof::core::merge::{MergedReport, ProfileShard};
 use dprof::core::report::diff::diff;
-use dprof::core::schema::{self, Json, JsonRef, JsonTape};
+use dprof::core::schema::{self, Json, JsonRef, JsonTape, NameTable};
 use dprof::core::wilson95;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -163,6 +163,9 @@ struct Shared {
 fn serve_connection(stream: TcpStream, shared: Shared) {
     // Requests are read through the buffer; responses go to the socket under it.
     let mut stream = BufReader::new(stream);
+    // The connection's pushes share their names: a name this producer sent before is
+    // the one already held, in the table and in the store's shards alike.
+    let mut names = NameTable::default();
     loop {
         let (kind, payload) = match read_frame(&mut stream) {
             Ok(Some(frame)) => frame,
@@ -182,7 +185,7 @@ fn serve_connection(stream: TcpStream, shared: Shared) {
                 let _ = TcpStream::connect(shared.addr);
                 return;
             }
-            Ok(request) => handle(&shared, request),
+            Ok(request) => handle(&shared, &mut names, request),
             Err(message) => Response::Err(message),
         };
         let (k, p) = response.encode();
@@ -192,14 +195,14 @@ fn serve_connection(stream: TcpStream, shared: Shared) {
     }
 }
 
-fn handle(shared: &Shared, request: Request) -> Response {
-    match dispatch(shared, request) {
+fn handle(shared: &Shared, names: &mut NameTable, request: Request) -> Response {
+    match dispatch(shared, names, request) {
         Ok(json) => Response::Ok(json),
         Err(message) => Response::Err(message),
     }
 }
 
-fn dispatch(shared: &Shared, request: Request) -> Result<String, String> {
+fn dispatch(shared: &Shared, names: &mut NameTable, request: Request) -> Result<String, String> {
     match request {
         Request::PushShard {
             workload,
@@ -215,11 +218,13 @@ fn dispatch(shared: &Shared, request: Request) -> Result<String, String> {
             // the merged result does not depend on arrival order until compaction
             // groups shards, and from then on only in its means' rounding.
             let mut shard = match doc.get("schema").and_then(JsonRef::as_str) {
-                Some(schema::REPORT_V1) => schema::shard_from_report_json(doc, shard_id)?,
-                _ => schema::shard_from_json(doc)?,
+                Some(schema::REPORT_V1) => {
+                    schema::shard_from_report_json_with(doc, shard_id, names)?
+                }
+                _ => schema::shard_from_json_with(doc, names)?,
             };
             shard.ordinal = shard_id;
-            let total = absorb(shared, &workload, &build, vec![shard])?;
+            let total = absorb(shared, &workload, &build, [shard])?;
             Ok(doc_json(
                 "push",
                 vec![
@@ -361,7 +366,7 @@ fn absorb(
     shared: &Shared,
     workload: &str,
     build: &str,
-    shards: Vec<ProfileShard>,
+    shards: impl IntoIterator<Item = ProfileShard>,
 ) -> Result<u64, String> {
     let mut store = lock(shared)?;
     let mut total = 0;
@@ -429,7 +434,7 @@ fn top_json(workload: &str, build: &str, report: &MergedReport, top: usize) -> S
         .take(top)
         .map(|row| {
             Json::obj(vec![
-                ("type", Json::str(&row.name)),
+                ("type", Json::str(&*row.name)),
                 ("pct_of_l1_misses", Json::num(row.pct_of_l1_misses)),
                 ("ci95_low", Json::num(row.ci95_low)),
                 ("ci95_high", Json::num(row.ci95_high)),
@@ -478,7 +483,7 @@ fn regressions_json(
         .take(top)
         .map(|d| {
             Json::obj(vec![
-                ("type", Json::str(&d.name)),
+                ("type", Json::str(&*d.name)),
                 ("pct_from", Json::num(d.pct_a)),
                 ("pct_to", Json::num(d.pct_b)),
                 ("delta_pct", Json::num(d.delta_pct)),
@@ -526,7 +531,7 @@ fn alerts_json(
         };
         if row.ci95_low > from_high && row.l1_miss_samples > from_misses {
             alerts.push(Json::obj(vec![
-                ("type", Json::str(&row.name)),
+                ("type", Json::str(&*row.name)),
                 ("pct_from", Json::num(from_pct)),
                 ("pct_to", Json::num(row.pct_of_l1_misses)),
                 ("ci95_high_from", Json::num(from_high)),

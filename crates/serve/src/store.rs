@@ -65,8 +65,18 @@ struct BuildEntry {
 pub struct ProfileStore {
     root: Option<PathBuf>,
     compact_threshold: usize,
-    entries: BTreeMap<(String, String), BuildEntry>,
+    /// By workload, then build: a key is found by its two tags as they are, without
+    /// building an owned pair to look it up by.
+    entries: BTreeMap<String, BTreeMap<String, BuildEntry>>,
     snapshots_written: u64,
+}
+
+/// The value at `key`, made by `new` (and `key` copied) only when there is none.
+fn slot<'m, V>(map: &'m mut BTreeMap<String, V>, key: &str, new: impl FnOnce() -> V) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), new());
+    }
+    map.get_mut(key).expect("the key was inserted above")
 }
 
 impl ProfileStore {
@@ -127,14 +137,22 @@ impl ProfileStore {
 
     fn entry(&mut self, workload: &str, build: &str) -> &mut BuildEntry {
         let threshold = self.compact_threshold;
-        self.entries
-            .entry((workload.to_string(), build.to_string()))
-            .or_insert_with(|| BuildEntry {
-                sink: StreamingMerge::with_compact_threshold(threshold),
-                absorbed: 0,
-                dirty: 0,
-                report: None,
-            })
+        let builds = slot(&mut self.entries, workload, BTreeMap::new);
+        slot(builds, build, || BuildEntry {
+            sink: StreamingMerge::with_compact_threshold(threshold),
+            absorbed: 0,
+            dirty: 0,
+            report: None,
+        })
+    }
+
+    /// The entries of every key, in key order.
+    fn all(&self) -> impl Iterator<Item = (&str, &str, &BuildEntry)> {
+        self.entries.iter().flat_map(|(workload, builds)| {
+            builds
+                .iter()
+                .map(move |(build, entry)| (workload.as_str(), build.as_str(), entry))
+        })
     }
 
     /// Absorbs one shard under `(workload, build)` and returns the key's new
@@ -152,9 +170,7 @@ impl ProfileStore {
     /// resident shards on the first call after a push; until the next push every call
     /// returns the same `Arc`.
     pub fn report(&mut self, workload: &str, build: &str) -> Option<Arc<MergedReport>> {
-        let entry = self
-            .entries
-            .get_mut(&(workload.to_string(), build.to_string()))?;
+        let entry = self.entries.get_mut(workload)?.get_mut(build)?;
         let sink = &entry.sink;
         Some(Arc::clone(
             entry.report.get_or_insert_with(|| Arc::new(sink.finish())),
@@ -163,28 +179,27 @@ impl ProfileStore {
 
     /// Every key with its total shard count, in key order.
     pub fn keys(&self) -> Vec<(String, String, u64)> {
-        self.entries
-            .iter()
-            .map(|((w, b), entry)| (w.clone(), b.clone(), entry.absorbed))
+        self.all()
+            .map(|(w, b, entry)| (w.to_string(), b.to_string(), entry.absorbed))
             .collect()
     }
 
     /// How many pushes key `(workload, build)` has seen since its last snapshot.
     pub fn dirty(&self, workload: &str, build: &str) -> u64 {
         self.entries
-            .get(&(workload.to_string(), build.to_string()))
-            .map(|entry| entry.dirty)
-            .unwrap_or(0)
+            .get(workload)
+            .and_then(|builds| builds.get(build))
+            .map_or(0, |entry| entry.dirty)
     }
 
     /// Store-wide counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            keys: self.entries.len(),
-            shards_absorbed: self.entries.values().map(|e| e.absorbed).sum(),
-            shards_resident: self.entries.values().map(|e| e.sink.shard_count()).sum(),
+            keys: self.all().count(),
+            shards_absorbed: self.all().map(|(_, _, e)| e.absorbed).sum(),
+            shards_resident: self.all().map(|(_, _, e)| e.sink.shard_count()).sum(),
             snapshots_written: self.snapshots_written,
-            fold_rebuilds: self.entries.values().map(|e| e.sink.fold_rebuilds()).sum(),
+            fold_rebuilds: self.all().map(|(_, _, e)| e.sink.fold_rebuilds()).sum(),
         }
     }
 
@@ -200,7 +215,12 @@ impl ProfileStore {
             return Ok(0);
         };
         let mut written = 0;
-        for ((workload, build), entry) in self.entries.iter_mut() {
+        let entries = self.entries.iter_mut().flat_map(|(workload, builds)| {
+            builds
+                .iter_mut()
+                .map(move |(build, entry)| (&*workload, build, entry))
+        });
+        for (workload, build, entry) in entries {
             if entry.dirty == 0 {
                 continue;
             }
@@ -418,7 +438,7 @@ mod tests {
                 wide.miss_classification.remove(0),
             );
             for i in 0..2_100 {
-                let name = format!("type_{ordinal}_{i}");
+                let name: Arc<str> = format!("type_{ordinal}_{i}").into();
                 wide.data_profile.push(ShardProfileRow {
                     name: name.clone(),
                     ..profile.clone()

@@ -19,7 +19,7 @@ fn shard(ordinal: u64, total: u64, hot_share: f64) -> ProfileShard {
     let cold = total - hot;
     let row = |name: &str, misses: u64| ShardProfileRow {
         name: name.into(),
-        description: format!("{name} (synthetic)"),
+        description: format!("{name} (synthetic)").into(),
         working_set_bytes: 64.0,
         pct_of_l1_misses: 100.0 * misses as f64 / total as f64,
         pct_of_miss_cycles: 100.0 * misses as f64 / total as f64,
@@ -269,7 +269,7 @@ fn malformed_input_errors_do_not_take_the_server_down() {
     // under the store lock.
     let utilization_row = |touched: u64, origin_touched: u64| ShardUtilizationRow {
         name: "ring_desc".into(),
-        description: String::new(),
+        description: "".into(),
         slots_fetched: 8,
         slots_touched: touched,
         refetch_slots: 0,

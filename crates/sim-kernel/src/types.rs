@@ -242,31 +242,51 @@ impl KernelTypes {
         }
     }
 
+    /// The names of the well-known types, in field order: what a registry must hold for
+    /// [`resolve`](KernelTypes::resolve) to succeed, and what replay holds a recorded
+    /// type table to.
+    pub const NAMES: [&'static str; 12] = [
+        "size-1024",
+        "skbuff",
+        "skbuff_fclone",
+        "slab",
+        "array-cache",
+        "net_device",
+        "udp-sock",
+        "tcp-sock",
+        "task-struct",
+        "qdisc",
+        "epitem",
+        "futex",
+    ];
+
     /// Resolves the well-known types against a registry that already contains them
     /// (e.g. one rebuilt from a recorded trace's type dump).
     ///
     /// # Panics
     /// Panics if any well-known type is missing — a live kernel always registers all of
     /// them before any dump can be taken, so a miss means the registry is not a kernel
-    /// registry.
+    /// registry.  (Replay refuses a trace whose type table lacks one of
+    /// [`NAMES`](KernelTypes::NAMES) before it rebuilds a registry from it.)
     pub fn resolve(reg: &TypeRegistry) -> Self {
-        let get = |name: &str| {
-            reg.lookup(name)
-                .unwrap_or_else(|| panic!("registry is missing well-known type '{name}'"))
-        };
+        let [size_1024, skbuff, skbuff_fclone, slab, array_cache, net_device, udp_sock, tcp_sock, task_struct, qdisc, epitem, futex] =
+            Self::NAMES.map(|name| {
+                reg.lookup(name)
+                    .unwrap_or_else(|| panic!("registry is missing well-known type '{name}'"))
+            });
         KernelTypes {
-            size_1024: get("size-1024"),
-            skbuff: get("skbuff"),
-            skbuff_fclone: get("skbuff_fclone"),
-            slab: get("slab"),
-            array_cache: get("array-cache"),
-            net_device: get("net_device"),
-            udp_sock: get("udp-sock"),
-            tcp_sock: get("tcp-sock"),
-            task_struct: get("task-struct"),
-            qdisc: get("qdisc"),
-            epitem: get("epitem"),
-            futex: get("futex"),
+            size_1024,
+            skbuff,
+            skbuff_fclone,
+            slab,
+            array_cache,
+            net_device,
+            udp_sock,
+            tcp_sock,
+            task_struct,
+            qdisc,
+            epitem,
+            futex,
         }
     }
 }

@@ -31,7 +31,7 @@ use crate::format::ThreadRun;
 use crate::stream::{EventReader, TraceReader};
 use crate::whatif::{RoundClocks, WhatifMeasure};
 use dprof_core::{Dprof, DprofConfig};
-use sim_kernel::{KernelState, TypeId, TypeRegistry};
+use sim_kernel::{KernelState, KernelTypes, TypeId, TypeRegistry};
 use sim_machine::{Machine, SessionEvent};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -357,8 +357,19 @@ pub fn fan_out<T: Send>(
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// The number of streams of a trace, or why it cannot be replayed.
+/// The number of streams of a trace, or why it cannot be replayed: it has none, or a
+/// stream's type table lacks one of the kernel's well-known types, which every replay
+/// of the stream rebuilds its kernel from.  Every set of replays asks this before its
+/// first thread starts.
 pub fn session_streams(reader: &TraceReader) -> Result<usize, String> {
+    for (thread, stream) in reader.headers().iter().enumerate() {
+        let recorded = |name: &&str| stream.types.iter().any(|t| t.name == **name);
+        if let Some(name) = KernelTypes::NAMES.iter().find(|name| !recorded(name)) {
+            return Err(format!(
+                "stream {thread}: the trace's type table lacks the kernel type '{name}'"
+            ));
+        }
+    }
     match reader.stream_count() {
         0 => Err("trace contains no streams".into()),
         streams => Ok(streams),

@@ -104,7 +104,8 @@ impl ChunkedReader {
         &self.buf[self.start..]
     }
 
-    /// Buffers at least `n` unconsumed bytes, reading more chunks as needed.
+    /// Buffers at least `n` unconsumed bytes, reading more chunks as needed, but never
+    /// room for more than what is left of the file.
     fn ensure(&mut self, n: usize) -> Result<(), TraceError> {
         while self.available() < n {
             if self.start > 0 {
@@ -114,7 +115,11 @@ impl ChunkedReader {
                 self.start = 0;
             }
             let old_len = self.buf.len();
-            let want = CHUNK_SIZE.max(n - old_len);
+            let unread = self.file_len.saturating_sub(self.offset + old_len as u64);
+            // Nothing unread reads 0 bytes into no room: the end of the file.
+            let want = CHUNK_SIZE
+                .max(n - old_len)
+                .min(usize::try_from(unread).unwrap_or(usize::MAX));
             self.buf.resize(old_len + want, 0);
             let read = self
                 .file
@@ -755,6 +760,22 @@ mod tests {
             events.peak_buffered_bytes(),
             file_len
         );
+    }
+
+    /// A read that runs into the end of the file buffers what the file has left, not a
+    /// chunk past it: an 8-byte file held two 64 KiB chunks, 131 110 bytes, before.
+    #[test]
+    fn a_short_file_is_buffered_to_its_end_and_no_further() {
+        let path = temp_path("eight-bytes.dtrace");
+        std::fs::write(&path, b"DPROFTRC").unwrap();
+        let mut r = ChunkedReader::open(&path).unwrap();
+        assert!(matches!(r.ensure(10), Err(TraceError::UnexpectedEof)));
+        assert_eq!((r.peak, r.buf.capacity()), (8, 8));
+        assert!(matches!(
+            TraceReader::open(&path),
+            Err(TraceError::BadMagic)
+        ));
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

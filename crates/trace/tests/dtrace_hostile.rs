@@ -30,9 +30,10 @@ mod dtrace;
 use dtrace::open;
 
 /// Heap bound of one open and walk, whatever the document's length: two 64 KiB chunks,
-/// which `open` holds even for an 8-byte file (its one chunk, grown by a second read)
-/// and a stream's walk reads through, plus 16 KiB for the tables the reader keeps.
-/// The worst document in this corpus held 139 445 bytes.  Nothing is buffered in
+/// which a stream's walk reads through, plus 16 KiB for the tables the reader keeps.
+/// The worst document in this corpus held 139 447 bytes, with or without the bound on
+/// reads below.  A read never buffers past the end of the file: an 8-byte file holds 8
+/// bytes, where it held two chunks (131 110 bytes).  Nothing is buffered in
 /// proportion to the input: a prologue string longer than the rest of the file is
 /// refused before any of it is read.  (Before that, a string length inflated past the
 /// end made `open` buffer the rest of the file, and the bound was 2 bytes a byte plus

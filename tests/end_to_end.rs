@@ -102,7 +102,7 @@ fn memcached_data_flow_shows_transmit_path_core_crossing() {
     assert!(
         crossing_functions
             .iter()
-            .any(|f| tx_related.contains(&f.as_str())),
+            .any(|f| tx_related.contains(&&**f)),
         "core crossings should involve the transmit path, got {crossing_functions:?}"
     );
 }
@@ -235,7 +235,7 @@ fn miss_classification_flags_sharing_under_hash_policy() {
     let class = profile
         .miss_classification
         .iter()
-        .find(|c| c.name == "size-1024")
+        .find(|c| &*c.name == "size-1024")
         .expect("size-1024 classified");
     assert!(
         class.invalidation > 0.1,

@@ -50,19 +50,19 @@ fn rank_in_expected_view(profile: &DprofProfile, spec: &ScenarioSpec) -> Option<
         ExpectedView::MissClassification => profile
             .miss_classification
             .iter()
-            .position(|r| r.name == name),
+            .position(|r| &*r.name == name),
         ExpectedView::WorkingSet => profile
             .working_set
             .per_type
             .iter()
-            .position(|r| r.name == name),
+            .position(|r| &*r.name == name),
         ExpectedView::Utilization => {
             // Rows are already ranked by wasted fetch bandwidth (descending).
             let pos = profile
                 .utilization
                 .rows
                 .iter()
-                .position(|r| r.name == name)?;
+                .position(|r| &*r.name == name)?;
             // A rank here is only meaningful with actual waste.
             (profile.utilization.rows[pos].wasted_bytes() > 0).then_some(pos)
         }
@@ -71,7 +71,7 @@ fn rank_in_expected_view(profile: &DprofProfile, spec: &ScenarioSpec) -> Option<
             let mut flows: Vec<(&str, u64)> = profile
                 .data_flows
                 .values()
-                .map(|flow| (flow.type_name.as_str(), flow.core_crossings()))
+                .map(|flow| (&*flow.type_name, flow.core_crossings()))
                 .collect();
             flows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
             let pos = flows.iter().position(|&(n, _)| n == name)?;
@@ -132,7 +132,7 @@ fn every_scenario_plants_a_detectable_bottleneck_and_its_fix_eliminates_it() {
             let row = buggy
                 .miss_classification
                 .iter()
-                .find(|r| r.name == planted)
+                .find(|r| &*r.name == planted)
                 .unwrap_or_else(|| panic!("{}: '{planted}' not classified", spec.name));
             assert_eq!(
                 row.dominant(),

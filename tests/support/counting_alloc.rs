@@ -1,8 +1,8 @@
 //! The counting global allocator of the workspace's allocation tests
 //! (`alloc_steady_state.rs` in `sim-cache`, `sim-kernel` and `sim-machine`,
 //! `json_alloc.rs`, `json_hostile.rs` and `working_set_alloc.rs` in `dprof-core`,
-//! `sharing_walk_alloc.rs` and `dtrace_hostile.rs` in `dprof-trace`, `frame_alloc.rs` in
-//! `dprof-serve`),
+//! `sharing_walk_alloc.rs` and `dtrace_hostile.rs` in `dprof-trace`, `frame_alloc.rs` and
+//! `push_alloc.rs` in `dprof-serve`),
 //! included into each by `#[path]`.
 //!
 //! A test binary that includes it keeps to a single test: the allocator is global to
