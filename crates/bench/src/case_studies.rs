@@ -27,7 +27,6 @@ fn dprof_config(scale: &Scale) -> DprofConfig {
             history_sets: scale.history_sets,
             ..Default::default()
         },
-        collect_ground_truth: false,
     }
 }
 

@@ -416,7 +416,6 @@ pub fn example_path_trace(scale: &Scale) -> String {
             history_sets: scale.history_sets,
             ..Default::default()
         },
-        collect_ground_truth: false,
     });
     let profile = dprof.run(&mut machine, &mut kernel, |m, k| workload.step(m, k));
     let skbuff = kernel.kt.skbuff;

@@ -1,21 +1,27 @@
-//! The `dprof accuracy` harness: one profiling run collects the sampled profile and
-//! the exact ground-truth profile *simultaneously* (same access stream, so every
-//! difference between them is sampling error and nothing else), then reports how
-//! faithful the sampled ranking is — per-type miss-share error, top-K rank agreement
-//! and the samples spent doing it.
+//! The `dprof accuracy` harness: one live profiling run records its session, and a
+//! replay of that recording under `fixed:1` samples every operation — a census.  The
+//! live run is the sampled side and the census the exact side (profiling never
+//! touches the caches, and a replay issues the recorded accesses whatever the clocks
+//! read, so every difference between them is sampling error and nothing else); the
+//! harness reports how faithful the sampled ranking is — per-type miss-share error,
+//! top-K rank agreement and the samples spent doing it.
 //!
 //! This is the measurement the paper cannot make: real IBS hardware never sees the
 //! full access stream, so DProf's evaluation argues fidelity indirectly.  The
-//! simulator counts every access, which turns "is the sampled profile right?" into a
-//! number CI can gate on (the `scenario-oracle` job runs this harness over the
-//! planted-bottleneck corpus on every PR).
+//! simulator can sample every access, which turns "is the sampled profile right?"
+//! into a number CI can gate on (the `scenario-oracle` job runs this harness over the
+//! planted-bottleneck corpus on every change).
 
 use crate::args::{AccuracyOptions, Format};
-use crate::driver::{run_parallel, ThreadRun};
+use crate::driver::{run_parallel, RunOptions, ThreadRun};
 use crate::merge::merge;
 use dprof::core::schema::Json;
+use dprof::machine::SamplingPolicy;
+use dprof::trace::{replay_all_streaming, TraceReader};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// JSON schema identifier of the accuracy report.
 pub const SCHEMA: &str = dprof::core::schema::ACCURACY_V1;
@@ -73,61 +79,91 @@ pub struct AccuracyReport {
     pub budget_per_thread: Option<u64>,
     /// True when no thread exceeded its budget (vacuously true for fixed policies).
     pub within_budget: bool,
-    /// Exact accesses tallied (all threads, hits included).
+    /// Every operation of the census (all threads, hits included).
     pub exact_accesses: u64,
-    /// Exact L1 misses tallied (all threads, unresolvable included).
+    /// Every L1 miss of the census (all threads, unresolvable included).
     pub exact_l1_misses_total: u64,
 }
 
-/// Compares the pooled exact profiles with the sampled side of the merged report.
-///
-/// Threads profile independent machines, so — exactly as [`crate::merge`] does for
-/// reports — everything is keyed by type name and counts are summed before shares
-/// are computed.  The sampled counts are read off [`crate::merge::merge`] of the
-/// runs, the report `dprof` prints.
-pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>) -> AccuracyReport {
-    assert!(!runs.is_empty(), "accuracy requires at least one run");
+/// One side of the comparison, read off the merge of its runs: L1-miss samples per
+/// type name, the types ranked by them, and the types ranked by wasted bytes.
+struct Side {
+    misses: HashMap<String, u64>,
+    ranked: Vec<(String, u64)>,
+    wasted: Vec<(String, u64)>,
+}
 
-    // Pool the exact profiles.
-    let mut exact: HashMap<String, u64> = HashMap::new();
-    let mut exact_util: HashMap<String, (u64, u64)> = HashMap::new();
-    let mut exact_total = 0u64;
-    let mut exact_accesses = 0u64;
-    let mut exact_l1_misses_total = 0u64;
-    for run in runs {
-        let gt = run
-            .profile
-            .ground_truth
-            .as_ref()
-            .expect("accuracy runs collect ground truth");
-        exact_accesses += gt.total_accesses;
-        exact_l1_misses_total += gt.total_l1_misses;
-        exact_total += gt.resolved_l1_misses;
-        for row in &gt.rows {
-            *exact.entry(row.name.clone()).or_insert(0) += row.l1_misses;
-        }
-        for row in &gt.utilization.rows {
-            let e = exact_util.entry(row.name.to_string()).or_insert((0, 0));
-            e.0 += row.slots_fetched;
-            e.1 += row.slots_touched;
+impl Side {
+    fn of(runs: &[ThreadRun]) -> Side {
+        let merged = merge(runs);
+        let misses: HashMap<String, u64> = (merged.data_profile.iter())
+            .map(|row| (row.name.to_string(), row.l1_miss_samples))
+            .collect();
+        Side {
+            ranked: ranked(misses.iter().map(|(n, &c)| (n.clone(), c))),
+            misses,
+            wasted: ranked(merged.utilization.rows.iter().map(|row| {
+                let wasted = 8 * row.slots_fetched.saturating_sub(row.slots_touched);
+                (row.name.to_string(), wasted)
+            })),
         }
     }
+}
 
-    // The sampled side, pooled by the merge.
-    let merged = merge(runs);
-    let sampled: HashMap<String, u64> = merged
-        .data_profile
-        .iter()
-        .map(|row| (row.name.to_string(), row.l1_miss_samples))
-        .collect();
-    let sampled_total: u64 = sampled.values().sum();
-    let sampled_util: HashMap<String, (u64, u64)> = merged
-        .utilization
-        .rows
-        .iter()
-        .map(|row| (row.name.to_string(), (row.slots_fetched, row.slots_touched)))
-        .collect();
+/// Names by score, highest first (name ascending breaks ties, as the views do), zero
+/// scores dropped.
+fn ranked(scores: impl Iterator<Item = (String, u64)>) -> Vec<(String, u64)> {
+    let mut v: Vec<(String, u64)> = scores.filter(|&(_, score)| score > 0).collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    v
+}
 
+/// The first `k` names of both rankings and the share of the exact ones among the
+/// sampled ones (1 for none).  Both sides use the same `k`, clamped to the exact
+/// ranking: a sampled side that kept the unclamped `k` would count a type ranked
+/// anywhere in it as agreeing whenever `--top-k` exceeds the exact row count.
+fn top_names(
+    exact: &[(String, u64)],
+    sampled: &[(String, u64)],
+    k: usize,
+) -> (Vec<String>, Vec<String>, f64) {
+    let k = k.min(exact.len());
+    let names = |ranked: &[(String, u64)]| -> Vec<String> {
+        ranked.iter().take(k).map(|(n, _)| n.clone()).collect()
+    };
+    let (exact, sampled) = (names(exact), names(sampled));
+    let agreed = exact.iter().filter(|n| sampled.contains(n)).count();
+    let agreement = if k == 0 {
+        1.0
+    } else {
+        agreed as f64 / k as f64
+    };
+    (exact, sampled, agreement)
+}
+
+/// Compares the census (`exact`, the `fixed:1` replays) with the sampled runs.
+///
+/// Threads profile independent machines, so both sides are read off
+/// [`crate::merge::merge`] of their runs, the report `dprof` prints: keyed by type
+/// name, counts summed before shares are computed.
+///
+/// `Err` names a type the sampled side saw miss L1 and the census did not: the
+/// sampled side is a subsample of the census, so that is a harness fault.
+pub fn compare(
+    sampled: &[ThreadRun],
+    exact: &[ThreadRun],
+    top_k: usize,
+    budget_per_thread: Option<u64>,
+) -> Result<AccuracyReport, String> {
+    let (sampled_side, exact_side) = (Side::of(sampled), Side::of(exact));
+    if let Some((name, count)) = (sampled_side.ranked.iter())
+        .find(|(name, _)| exact_side.misses.get(name).is_none_or(|&c| c == 0))
+    {
+        return Err(format!(
+            "type '{name}' has {count} sampled L1 misses and none in the census: the \
+             sampled run is not a subsample of its replay"
+        ));
+    }
     let share = |count: u64, total: u64| {
         if total == 0 {
             0.0
@@ -135,31 +171,17 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
             100.0 * count as f64 / total as f64
         }
     };
-
-    // Rank both profiles (count desc, name asc — the same tie-break the views use).
-    let ranked = |counts: &HashMap<String, u64>| -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = counts
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(n, &c)| (n.clone(), c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    };
-    let exact_ranked = ranked(&exact);
-    let sampled_ranked = ranked(&sampled);
-    let sampled_rank: HashMap<&str, usize> = sampled_ranked
-        .iter()
+    let sampled_total: u64 = sampled_side.misses.values().sum();
+    let exact_total: u64 = exact_side.misses.values().sum();
+    let sampled_rank: HashMap<&str, usize> = (sampled_side.ranked.iter())
         .enumerate()
         .map(|(i, (n, _))| (n.as_str(), i))
         .collect();
-
-    let mut rows: Vec<AccuracyRow> = exact_ranked
-        .iter()
+    let rows: Vec<AccuracyRow> = (exact_side.ranked.iter())
         .enumerate()
         .map(|(i, (name, count))| {
             let exact_share = share(*count, exact_total);
-            let sampled_misses = sampled.get(name).copied().unwrap_or(0);
+            let sampled_misses = sampled_side.misses.get(name).copied().unwrap_or(0);
             let sampled_share = share(sampled_misses, sampled_total);
             AccuracyRow {
                 name: name.clone(),
@@ -173,77 +195,11 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
             }
         })
         .collect();
-    // Types that were sampled but never actually missed in the exact tally (possible:
-    // a sample attributes the *worst line* of a multi-line access) still contribute
-    // share error.  Sorted before appending — HashMap iteration order is not stable
-    // across processes, and report output must be.
-    let mut sampled_only: Vec<(String, u64)> = sampled
-        .iter()
-        .filter(|(name, &count)| count > 0 && exact.get(name.as_str()).copied().unwrap_or(0) == 0)
-        .map(|(name, &count)| (name.clone(), count))
-        .collect();
-    sampled_only.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    for (name, count) in sampled_only {
-        let sampled_share = share(count, sampled_total);
-        rows.push(AccuracyRow {
-            sampled_rank: sampled_rank.get(name.as_str()).copied(),
-            name,
-            exact_l1_misses: 0,
-            exact_share: 0.0,
-            sampled_misses: count,
-            sampled_share,
-            abs_error: sampled_share,
-            exact_rank: usize::MAX,
-        });
-    }
 
-    // Both sides use the same clamped k: letting the sampled side keep the unclamped
-    // top_k would count a type ranked anywhere in the sampled profile as "agreeing"
-    // whenever --top-k exceeds the exact row count, making the metric vacuous.
-    let k = top_k.min(exact_ranked.len());
-    let exact_top: Vec<String> = exact_ranked
-        .iter()
-        .take(k)
-        .map(|(n, _)| n.clone())
-        .collect();
-    let sampled_top: Vec<String> = sampled_ranked
-        .iter()
-        .take(k)
-        .map(|(n, _)| n.clone())
-        .collect();
-    let agreed = exact_top.iter().filter(|n| sampled_top.contains(n)).count();
-    let topk_agreement = if k == 0 {
-        1.0
-    } else {
-        agreed as f64 / k as f64
-    };
-
-    // Utilization fidelity: (fetched, touched) granule slots per type on each side —
-    // exact from the ground-truth tally, sampled from the merged utilization view —
-    // compared by their wasted-byte rankings the same way.
-    let ranked_by_waste = |counts: &HashMap<String, (u64, u64)>| -> Vec<String> {
-        let mut v: Vec<(String, u64)> = counts
-            .iter()
-            .map(|(n, &(fetched, touched))| (n.clone(), 8 * fetched.saturating_sub(touched)))
-            .filter(|(_, wasted)| *wasted > 0)
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v.into_iter().map(|(n, _)| n).collect()
-    };
-    let exact_util_ranked = ranked_by_waste(&exact_util);
-    let sampled_util_ranked = ranked_by_waste(&sampled_util);
-    let uk = top_k.min(exact_util_ranked.len());
-    let utilization_exact_top: Vec<String> = exact_util_ranked.into_iter().take(uk).collect();
-    let utilization_sampled_top: Vec<String> = sampled_util_ranked.into_iter().take(uk).collect();
-    let util_agreed = utilization_exact_top
-        .iter()
-        .filter(|n| utilization_sampled_top.contains(n))
-        .count();
-    let utilization_topk_agreement = if uk == 0 {
-        1.0
-    } else {
-        util_agreed as f64 / uk as f64
-    };
+    let (exact_top, sampled_top, topk_agreement) =
+        top_names(&exact_side.ranked, &sampled_side.ranked, top_k);
+    let (utilization_exact_top, utilization_sampled_top, utilization_topk_agreement) =
+        top_names(&exact_side.wasted, &sampled_side.wasted, top_k);
 
     let mean_abs_error = if rows.is_empty() {
         0.0
@@ -258,13 +214,13 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
         .unwrap_or((0.0, None));
 
     let within_budget = match budget_per_thread {
-        Some(budget) => runs.iter().all(|r| r.profile.samples_spent <= budget),
+        Some(budget) => sampled.iter().all(|r| r.profile.samples_spent <= budget),
         None => true,
     };
 
-    AccuracyReport {
+    Ok(AccuracyReport {
         rows,
-        top_k: k,
+        top_k: exact_top.len(),
         exact_top,
         sampled_top,
         topk_agreement,
@@ -274,32 +230,87 @@ pub fn compare(runs: &[ThreadRun], top_k: usize, budget_per_thread: Option<u64>)
         mean_abs_error,
         max_abs_error,
         worst_type,
-        samples_spent: runs.iter().map(|r| r.profile.samples_spent).sum(),
+        samples_spent: sampled.iter().map(|r| r.profile.samples_spent).sum(),
         budget_per_thread,
         within_budget,
-        exact_accesses,
-        exact_l1_misses_total,
-    }
+        exact_accesses: exact.iter().map(|r| r.profile.samples_spent).sum(),
+        exact_l1_misses_total: exact.iter().map(|r| r.profile.l1_miss_samples_spent).sum(),
+    })
+}
+
+/// Runs `run` live with its session recorded and replays the recording under
+/// `fixed:1` with no history phase: the live runs (the sampled side) and the replays
+/// (the census), each in thread order.  The recording is spooled to a temporary
+/// `.dtrace`, which is removed on every path out.
+pub fn sampled_and_census(run: &RunOptions) -> Result<(Vec<ThreadRun>, Vec<ThreadRun>), String> {
+    static SPOOLED: AtomicUsize = AtomicUsize::new(0);
+    let run = RunOptions {
+        record_session: true,
+        ..run.clone()
+    };
+    let mut sampled = run_parallel(&run)?;
+    let trace = crate::session_trace(run.session_params(), &mut sampled)?;
+    let path = std::env::temp_dir().join(format!(
+        "dprof-accuracy-{}-{}.dtrace",
+        std::process::id(),
+        SPOOLED.fetch_add(1, Ordering::Relaxed)
+    ));
+    let census = (|| {
+        let mut file = std::fs::File::create(&path)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        trace
+            .write_to(&mut file)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        drop(trace);
+        replay_census(&path)
+    })();
+    let _ = std::fs::remove_file(&path);
+    Ok((sampled, census?))
+}
+
+/// Replays the trace at `path` under `fixed:1` with no history phase.  A replay that
+/// leaves recorded events unconsumed did not see every operation: `Err`.
+fn replay_census(path: &Path) -> Result<Vec<ThreadRun>, String> {
+    let mut reader = TraceReader::open(&path.display().to_string()).map_err(String::from)?;
+    reader.params.sampling = SamplingPolicy::fixed(1);
+    reader.params.history_types = 0;
+    replay_all_streaming(&reader)?
+        .into_iter()
+        .map(|(run, trailing)| match trailing {
+            0 => Ok(run),
+            _ => Err(format!(
+                "stream {}: the census left {trailing} recorded event(s) unreplayed",
+                run.thread
+            )),
+        })
+        .collect()
 }
 
 /// Runs the accuracy harness end to end and returns the process exit code.
 pub fn run_accuracy(options: &AccuracyOptions) -> i32 {
     eprintln!(
-        "accuracy: profiling {} on {} thread(s) x {} core(s) under {} with exact \
-         ground truth...",
+        "accuracy: profiling {} on {} thread(s) x {} core(s) under {}, then replaying \
+         the recording as a fixed:1 census...",
         options.run.workload.name(),
         options.run.threads,
         options.run.cores,
         options.run.sampling,
     );
-    let runs = match run_parallel(&options.run) {
-        Ok(runs) => runs,
+    let report = sampled_and_census(&options.run).and_then(|(sampled, census)| {
+        compare(
+            &sampled,
+            &census,
+            options.top_k,
+            options.run.sampling.budget(),
+        )
+    });
+    let report = match report {
+        Ok(report) => report,
         Err(message) => {
             eprintln!("error: {message}");
             return 1;
         }
     };
-    let report = compare(&runs, options.top_k, options.run.sampling.budget());
     let rendered = match options.format {
         Format::Text => render_text(&report, options),
         Format::Json => render_json(&report, options).to_pretty_string(),
@@ -494,14 +505,7 @@ pub fn render_json(report: &AccuracyReport, options: &AccuracyOptions) -> Json {
                             ),
                             ("sampled_share_pct", Json::num(r.sampled_share)),
                             ("abs_error_pct", Json::num(r.abs_error)),
-                            (
-                                "exact_rank",
-                                if r.exact_rank == usize::MAX {
-                                    Json::Null
-                                } else {
-                                    Json::num(r.exact_rank as f64)
-                                },
-                            ),
+                            ("exact_rank", Json::num(r.exact_rank as f64)),
                             (
                                 "sampled_rank",
                                 match r.sampled_rank {
@@ -533,7 +537,6 @@ mod tests {
                 sample_rounds: 60,
                 sampling,
                 history_types: 0,
-                collect_ground_truth: true,
                 ..Default::default()
             },
             top_k: 3,
@@ -548,8 +551,14 @@ mod tests {
             WorkloadKind::Custom,
             SamplingPolicy::Adaptive { budget: 1_500 },
         );
-        let runs = run_parallel(&options.run).expect("runs");
-        let report = compare(&runs, options.top_k, options.run.sampling.budget());
+        let (sampled, census) = sampled_and_census(&options.run).expect("runs");
+        let report = compare(
+            &sampled,
+            &census,
+            options.top_k,
+            options.run.sampling.budget(),
+        )
+        .expect("the sampled side is a subsample of the census");
         assert!(!report.rows.is_empty(), "no types compared");
         assert!(report.samples_spent > 0);
         assert_eq!(report.budget_per_thread, Some(1_500));
@@ -557,12 +566,7 @@ mod tests {
         assert!(report.samples_spent <= 1_500);
         assert!((0.0..=1.0).contains(&report.topk_agreement));
         // Exact shares over resolved misses must sum to ~100.
-        let exact_sum: f64 = report
-            .rows
-            .iter()
-            .filter(|r| r.exact_rank != usize::MAX)
-            .map(|r| r.exact_share)
-            .sum();
+        let exact_sum: f64 = report.rows.iter().map(|r| r.exact_share).sum();
         assert!(
             (exact_sum - 100.0).abs() < 1e-6,
             "exact shares sum to {exact_sum}"
@@ -590,10 +594,20 @@ mod tests {
             WorkloadKind::Memcached,
             SamplingPolicy::Fixed { interval_ops: 100 },
         );
-        let runs = run_parallel(&options.run).expect("runs");
-        let report = compare(&runs, options.top_k, options.run.sampling.budget());
+        let (sampled, census) = sampled_and_census(&options.run).expect("runs");
+        let report = compare(
+            &sampled,
+            &census,
+            options.top_k,
+            options.run.sampling.budget(),
+        )
+        .expect("the sampled side is a subsample of the census");
         assert_eq!(report.budget_per_thread, None);
         assert!(report.within_budget);
         assert!(report.exact_accesses > 0);
+        // The census as the sampled side is no subsample of the sampled run: a type
+        // the sampler never saw miss is named.
+        let swapped = compare(&census, &sampled, options.top_k, None).unwrap_err();
+        assert!(swapped.contains("none in the census"), "{swapped}");
     }
 }

@@ -89,10 +89,10 @@ pub struct WhatifOptions {
 /// Options of a `dprof accuracy` invocation.
 #[derive(Debug, Clone)]
 pub struct AccuracyOptions {
-    /// The profiling run to measure (ground truth is always collected; history
-    /// collection is skipped — accuracy compares rankings, not paths).
+    /// The profiling run to measure (the harness records its session for the exact
+    /// replay; history collection is skipped — accuracy compares rankings, not paths).
     pub run: RunOptions,
-    /// How many top ground-truth types the rank-agreement metric covers.
+    /// How many top exact types the rank-agreement metric covers.
     pub top_k: usize,
     /// Output format.
     pub format: Format,
@@ -226,7 +226,7 @@ pub enum Parsed {
     Replay(ReplayOptions),
     /// Compare two reports (`dprof diff`).
     Diff(DiffOptions),
-    /// Measure sampling fidelity against exact ground truth (`dprof accuracy`).
+    /// Measure sampling fidelity against a `fixed:1` census (`dprof accuracy`).
     Accuracy(AccuracyOptions),
     /// Predict fix impact by counterfactual replay (`dprof whatif`).
     Whatif(WhatifOptions),
@@ -266,7 +266,7 @@ DIFF:
     diff also accepts --format, --top and --output from REPORT below.
 
 ACCURACY:
-        --top-k <K>           ground-truth top-K for rank agreement  [default: 3]
+        --top-k <K>           exact top-K for rank agreement  [default: 3]
     accuracy also accepts the WORKLOAD and PROFILING options (history collection is
     skipped) plus --format and --output; see docs/sampling.md for the report schema.
 
@@ -871,7 +871,6 @@ fn parse_shared_run_flag(
 /// history collection and trace capture, plus `--top-k`.
 pub(crate) fn parse_accuracy(args: &[String]) -> Result<Parsed, String> {
     let mut run = RunOptions {
-        collect_ground_truth: true,
         // Accuracy compares sampled and exact *rankings*; the history-collection
         // phase contributes nothing to either and would dominate the runtime.
         history_types: 0,
@@ -1248,7 +1247,6 @@ mod tests {
         assert_eq!(a.top_k, 4);
         assert_eq!(a.format, Format::Json);
         assert_eq!(a.output.as_deref(), Some("acc.json"));
-        assert!(a.run.collect_ground_truth);
         assert_eq!(a.run.history_types, 0, "accuracy skips history collection");
         // Defaults.
         let Parsed::Accuracy(a) = parse(&args("accuracy")).unwrap() else {

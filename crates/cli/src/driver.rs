@@ -12,7 +12,6 @@
 //! sample streams — the same reason the paper profiles several runs of the real
 //! machine.
 
-use dprof::core::DprofConfig;
 use dprof::kernel::{KernelConfig, KernelState, TxQueuePolicy, TypeId};
 use dprof::machine::{AccessReq, Machine, MachineConfig, SamplingPolicy};
 pub use dprof::trace::ThreadRun;
@@ -123,10 +122,9 @@ pub struct RunOptions {
     pub apache_load: ApacheLoad,
     /// Base RNG seed; thread i uses `base_seed + i`.
     pub base_seed: u64,
-    /// Record the full session event stream of every thread (for `dprof record`).
+    /// Record the full session event stream of every thread (for `dprof record` and
+    /// `dprof accuracy`).
     pub record_session: bool,
-    /// Also tally every access of the sampling phase exactly (`dprof accuracy`).
-    pub collect_ground_truth: bool,
 }
 
 impl Default for RunOptions {
@@ -144,7 +142,6 @@ impl Default for RunOptions {
             apache_load: ApacheLoad::DropOff,
             base_seed: 3471,
             record_session: false,
-            collect_ground_truth: false,
         }
     }
 }
@@ -333,10 +330,7 @@ pub fn run_single(options: &RunOptions, thread: usize) -> ThreadRun {
         workload.step(&mut machine, &mut kernel);
         end_round(&mut machine);
     }
-    let config = DprofConfig {
-        collect_ground_truth: options.collect_ground_truth,
-        ..options.session_params().dprof_config(seed)
-    };
+    let config = options.session_params().dprof_config(seed);
     let requests_before = workload.requests_completed();
     let mut run = profile_window(&mut machine, &mut kernel, thread, config, |m, k| {
         workload.step(m, k);

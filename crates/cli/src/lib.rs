@@ -143,26 +143,34 @@ pub(crate) fn emit(rendered: &str, output: &Option<String>) -> i32 {
     }
 }
 
+/// The `.dtrace` file of a recorded multi-thread run.  The streams are taken by move —
+/// each holds its whole encoded session, and nothing after the trace write needs them.
+pub(crate) fn session_trace(
+    params: dprof::trace::SessionParams,
+    runs: &mut [driver::ThreadRun],
+) -> Result<dprof::trace::TraceFile, String> {
+    let recorded: Vec<_> = runs.iter_mut().filter_map(|r| r.recorded.take()).collect();
+    let machine = match recorded.first() {
+        Some(first) if recorded.len() == runs.len() => first.machine,
+        _ => return Err("recording produced no session streams".into()),
+    };
+    Ok(dprof::trace::TraceFile {
+        kind: dprof::trace::TraceKind::FullSession,
+        machine,
+        params,
+        streams: recorded.into_iter().map(|r| r.stream).collect(),
+    })
+}
+
 /// Assembles the `.dtrace` file from a recorded multi-thread run and writes it to
-/// `file` (created at `path`).  The streams are taken by move — each holds its whole
-/// encoded session, and nothing after the trace write needs them.
+/// `file` (created at `path`).
 fn write_trace(
     options: &args::Options,
     runs: &mut [driver::ThreadRun],
     path: &str,
     mut file: &std::fs::File,
 ) -> Result<(), String> {
-    let recorded: Vec<_> = runs.iter_mut().filter_map(|r| r.recorded.take()).collect();
-    let machine = match recorded.first() {
-        Some(first) if recorded.len() == runs.len() => first.machine,
-        _ => return Err("recording produced no session streams".into()),
-    };
-    let trace = dprof::trace::TraceFile {
-        kind: dprof::trace::TraceKind::FullSession,
-        machine,
-        params: options.run.session_params(),
-        streams: recorded.into_iter().map(|r| r.stream).collect(),
-    };
+    let trace = session_trace(options.run.session_params(), runs)?;
     trace
         .write_to(&mut file)
         .map_err(|e| format!("cannot write {path}: {e}"))?;

@@ -62,9 +62,9 @@ pub fn registry() -> &'static [Subcommand] {
             name: "accuracy",
             synopsis: "dprof accuracy [OPTIONS]",
             about: &[
-                "profile under sampling AND exact ground truth in",
-                "one run, and report sampling fidelity (per-type",
-                "share error, top-K rank agreement, samples spent)",
+                "profile under sampling, replay the recording as a",
+                "fixed:1 census, and report sampling fidelity (share",
+                "error, top-K rank agreement, samples spent)",
             ],
             parse: crate::args::parse_accuracy,
         },

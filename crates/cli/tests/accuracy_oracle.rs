@@ -1,15 +1,18 @@
 //! The accuracy oracle: for every planted-bottleneck scenario, an adaptive-sampled
-//! profile must agree with exact ground truth — the planted type tops both rankings,
-//! the top-3 sets mostly coincide, and the sample budget is respected.  This is the
+//! profile must agree with the `fixed:1` census of its own recording — the planted
+//! type tops both rankings, the top-3 sets mostly coincide, the sample budget is
+//! respected, and the sampled side is a subsample of the census.  This is the
 //! in-process twin of the CI `scenario-oracle` job's `dprof accuracy` loop, so the
 //! gate also holds on a plain `cargo test --workspace`.
 
 use dprof::core::schema::Json;
 use dprof::machine::SamplingPolicy;
 use dprof::workloads::scenarios::{self, ExpectedView};
-use dprof_cli::accuracy::{compare, render_json};
+use dprof_cli::accuracy::{compare, render_json, sampled_and_census};
 use dprof_cli::args::{AccuracyOptions, Format};
-use dprof_cli::driver::{run_parallel, RunOptions, WorkloadKind};
+use dprof_cli::driver::{RunOptions, ThreadRun, WorkloadKind};
+use dprof_cli::merge::merge;
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 const BUDGET: u64 = 2_500;
@@ -27,17 +30,55 @@ fn accuracy_run(index: usize) -> RunOptions {
         sample_rounds: 80,
         sampling: SamplingPolicy::Adaptive { budget: BUDGET },
         history_types: 0,
-        collect_ground_truth: true,
         ..Default::default()
     }
 }
 
+/// `(fetched, touched)` utilization slots per type name of the runs' merged report.
+fn utilization_slots(runs: &[ThreadRun]) -> HashMap<String, (u64, u64)> {
+    (merge(runs).utilization.rows.iter())
+        .map(|row| (row.name.to_string(), (row.slots_fetched, row.slots_touched)))
+        .collect()
+}
+
 #[test]
-fn adaptive_sampling_agrees_with_ground_truth_on_every_planted_scenario() {
+fn adaptive_sampling_agrees_with_the_census_on_every_planted_scenario() {
     for (index, spec) in scenarios::registry().iter().enumerate() {
         let planted = spec.planted.type_name;
-        let runs = run_parallel(&accuracy_run(index)).expect("accuracy run");
-        let report = compare(&runs, TOP_K, Some(BUDGET));
+        let (sampled, census) = sampled_and_census(&accuracy_run(index)).expect("accuracy run");
+        let report = compare(&sampled, &census, TOP_K, Some(BUDGET))
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+
+        // The sampled side is a subsample of the census: every operation it sampled
+        // is one the census counted, and so is every residency it followed.
+        assert!(
+            report.samples_spent <= report.exact_accesses,
+            "{}: {} samples spent over a census of {} operations",
+            spec.name,
+            report.samples_spent,
+            report.exact_accesses
+        );
+        for row in &report.rows {
+            assert!(
+                row.sampled_misses <= row.exact_l1_misses,
+                "{}: {} has {} sampled L1 misses, the census {}",
+                spec.name,
+                row.name,
+                row.sampled_misses,
+                row.exact_l1_misses
+            );
+        }
+        let census_slots = utilization_slots(&census);
+        for (name, (fetched, touched)) in utilization_slots(&sampled) {
+            let (census_fetched, census_touched) =
+                census_slots.get(&name).copied().unwrap_or_default();
+            assert!(
+                fetched <= census_fetched && touched <= census_touched,
+                "{}: {name} has sampled slots {fetched} fetched / {touched} touched, the \
+                 census {census_fetched} / {census_touched}",
+                spec.name
+            );
+        }
 
         assert!(
             report.within_budget && report.samples_spent <= BUDGET,
@@ -56,7 +97,7 @@ fn adaptive_sampling_agrees_with_ground_truth_on_every_planted_scenario() {
             assert_eq!(
                 report.utilization_exact_top.first().map(String::as_str),
                 Some(planted),
-                "{}: ground truth must rank the planted type first by wasted bytes \
+                "{}: the census must rank the planted type first by wasted bytes \
                  (got {:?})",
                 spec.name,
                 report.utilization_exact_top
@@ -86,7 +127,7 @@ fn adaptive_sampling_agrees_with_ground_truth_on_every_planted_scenario() {
             assert_eq!(
                 report.exact_top.first().map(String::as_str),
                 Some(planted),
-                "{}: ground truth must rank the planted type first (got {:?})",
+                "{}: the census must rank the planted type first (got {:?})",
                 spec.name,
                 report.exact_top
             );
@@ -193,8 +234,8 @@ fn accuracy_documents_match_their_goldens() {
             format: Format::Json,
             output: None,
         };
-        let runs = run_parallel(&options.run).expect("accuracy run");
-        let report = compare(&runs, TOP_K, Some(BUDGET));
+        let (sampled, census) = sampled_and_census(&options.run).expect("accuracy run");
+        let report = compare(&sampled, &census, TOP_K, Some(BUDGET)).expect("accuracy report");
         let document = render_json(&report, &options).to_pretty_string();
         let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/golden")

@@ -14,7 +14,7 @@
 //! 4. A trace whose events contradict each other, or ask for the impossible, is one
 //!    `error:` line from the real binary that names the event and the address.
 
-use dprof::machine::SessionEvent;
+use dprof::machine::{AccessKind, FunctionId, SessionEvent};
 use dprof::trace::{ThreadStream, TraceFile, TraceKind, TraceReader};
 use std::path::PathBuf;
 use std::process::Command;
@@ -547,4 +547,57 @@ fn a_trace_without_a_kernel_type_is_one_error_line_naming_it() {
         );
     }
     let _ = std::fs::remove_file(trace);
+}
+
+/// Every id an event carries is held to its stream's prologue tables as it is decoded.
+/// At the parent, a type id past the type table panicked in the kernel's type lookup,
+/// and a function id past the symbol table in the machine's per-function counters.
+#[test]
+fn ids_past_the_prologue_tables_are_one_error_line_naming_the_event() {
+    let (file, _) = golden_session();
+    let (symbols, types) = (file.streams[0].symbols.len(), file.streams[0].types.len());
+    let ip = FunctionId(symbols as u32);
+    let cases = [
+        (
+            "access-ip",
+            SessionEvent::Access {
+                core: 0,
+                ip,
+                addr: 0x1000,
+                len: 8,
+                kind: AccessKind::Read,
+            },
+            format!(
+                "event 900 runs in function {symbols} but the stream interns {symbols} symbols"
+            ),
+        ),
+        (
+            "compute-ip",
+            SessionEvent::Compute {
+                core: 1,
+                ip,
+                cycles: 10,
+            },
+            format!(
+                "event 900 runs in function {symbols} but the stream interns {symbols} symbols"
+            ),
+        ),
+        (
+            "alloc-type",
+            SessionEvent::Alloc {
+                core: 0,
+                type_id: types as u32,
+                size: 64,
+                addr: 0x1000,
+                cycle: 9,
+                hookable: true,
+            },
+            format!("event 900 allocates type {types} but the stream registers {types} types"),
+        ),
+    ];
+    for (name, hostile, message) in cases {
+        let trace = golden_with_event(900, hostile, &format!("{name}.dtrace"));
+        assert_one_error_line(&trace, &format!("stream 0: corrupt trace: {message}"));
+        let _ = std::fs::remove_file(trace);
+    }
 }

@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ground_truth;
 pub mod history;
 pub mod merge;
 pub mod path_trace;
@@ -65,7 +64,6 @@ pub mod stats;
 pub mod views;
 pub mod whatif;
 
-pub use ground_truth::{resolve_ground_truth, GroundTruthProfile, GroundTruthRow};
 pub use history::{
     collect_histories, CollectionMode, CollectionStats, HistoryConfig, HistoryElement,
     ObjectAccessHistory,

@@ -2,7 +2,6 @@
 //! IBS, object access histories via debug registers), resolves and aggregates the raw
 //! data, and builds the four views.
 
-use crate::ground_truth::{resolve_ground_truth, GroundTruthProfile};
 use crate::history::{collect_histories, CollectionStats, HistoryConfig, ObjectAccessHistory};
 use crate::merge::{
     merge_shards, MergedReport, ProfileShard, ShardFlow, ShardMeta, ShardMissRow, ShardUtilization,
@@ -14,6 +13,7 @@ use crate::views::{
     DataProfileRow, WorkingSetView,
 };
 use serde::{Deserialize, Serialize};
+use sim_cache::HitLevel;
 use sim_kernel::{KernelState, TypeId};
 use sim_machine::{IbsConfig, Machine, SamplingPolicy};
 use std::collections::HashMap;
@@ -32,10 +32,6 @@ pub struct DprofConfig {
     pub history_types: usize,
     /// Object-access-history collection settings.
     pub history: HistoryConfig,
-    /// Also tally *every* access of the sampling phase exactly (the accuracy
-    /// harness's ground truth).  Off by default: it is the one collection mode real
-    /// profiling hardware cannot offer, and it costs a hash update per access.
-    pub collect_ground_truth: bool,
 }
 
 impl Default for DprofConfig {
@@ -45,7 +41,6 @@ impl Default for DprofConfig {
             sample_rounds: 300,
             history_types: 4,
             history: HistoryConfig::default(),
-            collect_ground_truth: false,
         }
     }
 }
@@ -76,9 +71,9 @@ pub struct DprofProfile {
     /// Raw IBS samples spent during the sampling phase (before address resolution;
     /// what an adaptive budget is charged against).
     pub samples_spent: u64,
-    /// The exact per-type profile of the sampling phase, when
-    /// [`DprofConfig::collect_ground_truth`] was on.
-    pub ground_truth: Option<GroundTruthProfile>,
+    /// Of those, the samples that missed L1, unresolved ones included.  Under
+    /// `fixed:1` the two are every operation of the phase and every L1 miss.
+    pub l1_miss_samples_spent: u64,
     /// The sampled line-utilization view (always collected; residencies are followed
     /// when their fill coincided with an IBS sample).
     #[serde(default)]
@@ -154,9 +149,6 @@ impl Dprof {
     {
         machine.configure_ibs(IbsConfig::with_policy(self.config.sampling));
         machine.ibs.drain();
-        if self.config.collect_ground_truth {
-            machine.start_ground_truth();
-        }
         // The sampled utilization tally rides every phase: a residency is followed
         // whenever its fill coincided with an IBS sample, so the view costs nothing
         // extra in sample budget.
@@ -170,18 +162,6 @@ impl Dprof {
         machine.configure_ibs(IbsConfig::default()); // disable
         let line_size = machine.hierarchy.line_size() as u64;
         let cps = machine.config().cycles_per_second;
-        let ground_truth = machine.take_ground_truth().map(|tally| {
-            let mut gt = resolve_ground_truth(&tally, &kernel.allocator, &kernel.types);
-            gt.utilization = build_utilization(
-                &tally.utilization,
-                &kernel.allocator,
-                &kernel.types,
-                line_size,
-                end - start,
-                cps,
-            );
-            gt
-        });
         let utilization = machine
             .take_utilization()
             .map(|tally| {
@@ -200,7 +180,8 @@ impl Dprof {
             samples: resolve_samples(&records, &kernel.allocator),
             window: (start, end),
             samples_spent,
-            ground_truth,
+            l1_miss_samples_spent: records.iter().filter(|r| r.level != HitLevel::L1).count()
+                as u64,
             utilization,
         }
     }
@@ -216,12 +197,12 @@ impl Dprof {
     where
         F: FnMut(&mut Machine, &mut KernelState),
     {
-        // Phase 1: access samples (plus the exact tally when ground truth is on).
+        // Phase 1: access samples.
         let SamplePhase {
             samples,
             window: sample_window,
             samples_spent,
-            ground_truth,
+            l1_miss_samples_spent,
             utilization,
         } = self.collect_access_samples(machine, kernel, &mut step);
 
@@ -294,7 +275,7 @@ impl Dprof {
             history_stats,
             sample_window,
             samples_spent,
-            ground_truth,
+            l1_miss_samples_spent,
             utilization,
         }
     }
@@ -309,8 +290,8 @@ pub struct SamplePhase {
     pub window: (u64, u64),
     /// Raw IBS samples spent (pre-resolution; the adaptive budget accountant).
     pub samples_spent: u64,
-    /// The exact per-type profile, when ground truth was collected.
-    pub ground_truth: Option<GroundTruthProfile>,
+    /// Of those, the samples that missed L1 (pre-resolution).
+    pub l1_miss_samples_spent: u64,
     /// The sampled line-utilization view of the phase.
     pub utilization: ShardUtilization,
 }
@@ -329,7 +310,6 @@ pub fn popular_offsets(samples: &[AccessSample], type_id: TypeId, limit: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cache::HitLevel;
     use sim_machine::FunctionId;
 
     #[test]
@@ -355,6 +335,5 @@ mod tests {
         assert!(c.sampling.enabled());
         assert!(c.history_types > 0);
         assert!(c.sample_rounds > 0);
-        assert!(!c.collect_ground_truth);
     }
 }

@@ -32,7 +32,6 @@ use std::collections::HashMap;
 
 /// Which `(type, origin core)` covers each 8-byte granule of the given lines: entry
 /// `i * (line_size / 8) + g` is granule `g` of `lines[i]`.  `lines` must be sorted.
-/// Ground truth passes its tallied granules as one-granule lines (`line_size = 8`).
 ///
 /// One pass over the allocation log in record order, so later records overwrite
 /// earlier ones; each record binary-searches the first line it can reach and writes

@@ -13,8 +13,8 @@
 //!   ([`CacheHierarchy`]),
 //! * a latency model distinguishing local L1/L2/L3 hits, *foreign cache* (remote
 //!   dirty-line) fetches and DRAM fills ([`LatencyModel`]),
-//! * ground-truth miss classification (invalidation vs. eviction vs. cold) that the
-//!   DProf statistical classifier can be validated against ([`MissKind`]).
+//! * the raw reason of every private-cache miss (invalidation vs. eviction vs. cold,
+//!   [`MissKind`]), which DProf's own statistical classifier does not read.
 //!
 //! The hierarchy is deliberately deterministic: the same access stream always produces
 //! the same hits, misses and latencies, which keeps the higher-level experiments
@@ -38,7 +38,6 @@
 
 pub mod cache;
 pub mod geometry;
-pub mod ground_truth;
 pub mod hierarchy;
 pub mod latency;
 pub mod line;
@@ -46,18 +45,17 @@ pub mod line_table;
 #[doc(hidden)]
 pub mod reference;
 pub mod stats;
+pub mod utilization;
 
 pub use cache::{SetAssocCache, Tag};
 pub use geometry::CacheGeometry;
-pub use ground_truth::{
-    granule_mask, GroundTruthTally, LineUtilCounts, UtilizationTally, MAX_GRANULES_PER_LINE,
-};
 pub use hierarchy::{
     AccessKind, AccessOutcome, CacheHierarchy, HierarchyConfig, HitLevel, TraceEvent,
 };
 pub use latency::LatencyModel;
 pub use line::MesiState;
 pub use stats::{CacheStats, HierarchyStats, MissKind, MissKindCounts};
+pub use utilization::{granule_mask, LineUtilCounts, UtilizationTally, MAX_GRANULES_PER_LINE};
 
 /// Identifier of a simulated CPU core.
 pub type CoreId = usize;

@@ -1,41 +1,16 @@
-//! Exact ground-truth miss tallying.
-//!
-//! IBS-style sampling only ever sees a rate-limited subset of the access stream; the
-//! simulator, unlike real hardware, can afford to count *every* access.  When a
-//! [`GroundTruthTally`] is attached to a machine, each memory operation whose worst
-//! line missed the local L1 counts once for the 8-byte granule of its start address —
-//! the same address and the same outcome an IBS sample of that operation would have
-//! reported, so the sampled profile is statistically a subsample of exactly this
-//! population.
+//! Cache-line utilization tallying ([`UtilizationTally`]).
 //!
 //! The tally is address-granular on purpose: the cache simulator knows nothing about
-//! data types.  `dprof-core` attributes the granules through the kernel allocator's
-//! address set after the phase ends (the utilization view's granule rule) to obtain
-//! exact per-type miss counts, which the accuracy harness (`dprof accuracy`) compares
-//! against the sampled profile.
+//! data types.  `dprof-core` attributes the lines through the kernel allocator's
+//! address set when the phase ends (the utilization view).
 
-use crate::hierarchy::HitLevel;
 use crate::line_table::BuildMixHasher;
 use crate::{CoreId, CoreMask, LineAddr};
 use serde::{Deserialize, Serialize};
 
-/// The tallies are probed on every access while profiling is on, so their tables hash
+/// The tally is probed on every access while profiling is on, so its tables hash
 /// with [`crate::line_table::MixHasher`], not SipHash.
 type MixMap<K, V> = std::collections::HashMap<K, V, BuildMixHasher>;
-
-/// An exact per-granule tally of every memory operation issued while attached.
-#[derive(Debug, Clone, Default)]
-pub struct GroundTruthTally {
-    /// L1-missing operations per 8-byte granule (keyed by the granule's address).
-    granules: MixMap<u64, u64>,
-    /// Total operations tallied (hits included).
-    pub total_accesses: u64,
-    /// Total operations that missed the local L1.
-    pub total_l1_misses: u64,
-    /// Exact per-line utilization tally (every fetch counted), fed alongside the
-    /// granule counts by the machine's per-line-chunk hook.
-    pub utilization: UtilizationTally,
-}
 
 /// The maximum number of 8-byte granules per cache line the utilization tally can
 /// track (a `u8` bitmask per open residency; 64-byte lines have exactly 8).
@@ -104,11 +79,9 @@ pub fn granule_mask(addr: u64, len: u64, line_size: u64) -> u8 {
 /// the open residency; closing one commits its touch bitmask to the per-line
 /// [`LineUtilCounts`].
 ///
-/// The same structure serves two roles: the *exact* tally inside
-/// [`GroundTruthTally`] counts every fill, while the machine's standalone sampled
-/// tally opens residencies only for fills the IBS sampler observed (touches still
-/// accumulate exactly, so each counted residency is measured precisely — fill
-/// sampling, not touch sampling).
+/// The machine opens residencies only for fills the IBS sampler observed (touches
+/// still accumulate exactly, so each counted residency is measured precisely — fill
+/// sampling, not touch sampling); under `fixed:1` that is every fill.
 ///
 /// It is fed every line-chunk of every operation, so it costs what it follows: a hit
 /// reads one bit of a per-core guard and goes to the `open` table only when that core
@@ -262,29 +235,6 @@ impl UtilizationTally {
     }
 }
 
-impl GroundTruthTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one completed memory operation: `addr` is the operation's start
-    /// address, `level` its worst-line outcome (what IBS would report).
-    #[inline]
-    pub fn record(&mut self, addr: u64, level: HitLevel) {
-        self.total_accesses += 1;
-        if level != HitLevel::L1 {
-            *self.granules.entry(addr & !7).or_default() += 1;
-            self.total_l1_misses += 1;
-        }
-    }
-
-    /// Iterates over `(granule_start_addr, l1_misses)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.granules.iter().map(|(&a, &n)| (a, n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,28 +347,6 @@ mod tests {
             prop_assert_eq!(tally.total_fetches, fetches);
             prop_assert_eq!(tally.total_refetches, model.refetches);
         }
-    }
-
-    #[test]
-    fn tally_counts_misses_per_granule() {
-        let mut t = GroundTruthTally::new();
-        t.record(0x1000, HitLevel::L1);
-        t.record(0x1004, HitLevel::Dram); // same granule
-        t.record(0x1008, HitLevel::RemoteCache);
-        t.record(0x1010, HitLevel::L1); // a hit alone leaves no granule
-        assert_eq!(t.total_accesses, 4);
-        assert_eq!(t.total_l1_misses, 2);
-        let mut granules: Vec<_> = t.iter().collect();
-        granules.sort_unstable();
-        assert_eq!(granules, [(0x1000, 1), (0x1008, 1)]);
-    }
-
-    #[test]
-    fn empty_tally_reports_empty() {
-        let t = GroundTruthTally::new();
-        assert_eq!(t.iter().count(), 0);
-        assert_eq!(t.total_accesses, 0);
-        assert!(t.utilization.is_empty());
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::symbols::{FunctionId, SymbolTable};
 use crate::watchpoint::{WatchpointError, WatchpointId, WatchpointUnit};
 use serde::{Deserialize, Serialize};
 use sim_cache::{
-    granule_mask, AccessKind, AccessOutcome, CacheHierarchy, CoreId, GroundTruthTally,
-    HierarchyConfig, HitLevel, UtilizationTally,
+    granule_mask, AccessKind, AccessOutcome, CacheHierarchy, CoreId, HierarchyConfig, HitLevel,
+    UtilizationTally,
 };
 use std::collections::HashMap;
 
@@ -132,12 +132,9 @@ pub struct Machine {
     /// Session-event recorder for the trace record/replay subsystem.  `None` (the
     /// default) keeps the hot path to a single branch per access.
     session: Option<Box<SessionRecorder>>,
-    /// Exact per-granule access/miss tally (the accuracy harness's ground truth).
-    /// `None` (the default) keeps the hot path to a single branch per access.
-    ground_truth: Option<Box<GroundTruthTally>>,
     /// Sampled line-utilization tally: residencies are opened only for fills the IBS
-    /// unit sampled (what a real profiler could afford), while the exact tally inside
-    /// `ground_truth` counts every fill.  `None` by default.
+    /// unit sampled (what a real profiler could afford; under `fixed:1`, every fill).
+    /// `None` by default.
     utilization: Option<Box<UtilizationTally>>,
 }
 
@@ -156,29 +153,9 @@ impl Machine {
             run_outcomes: Vec::new(),
             profiling_cycles: vec![0; cores],
             session: None,
-            ground_truth: None,
             utilization: None,
             config,
         }
-    }
-
-    /// Turns on exact ground-truth tallying: from now on every memory operation is
-    /// counted (per 8-byte granule) with the same worst-line outcome IBS would report
-    /// for it.  Used by the accuracy harness; idempotent.
-    pub fn start_ground_truth(&mut self) {
-        if self.ground_truth.is_none() {
-            self.ground_truth = Some(Box::new(GroundTruthTally::new()));
-        }
-    }
-
-    /// Detaches and returns the ground-truth tally (`None` if tallying was never
-    /// enabled).  Tallying stops.  The embedded utilization tally is finalized (open
-    /// line residencies are flushed) so its counters are consistent.
-    pub fn take_ground_truth(&mut self) -> Option<GroundTruthTally> {
-        self.ground_truth.take().map(|mut b| {
-            b.utilization.finalize();
-            *b
-        })
     }
 
     /// Turns on the *sampled* line-utilization tally: from now on a line residency is
@@ -403,9 +380,9 @@ impl Machine {
     }
 
     /// One line-chunk of an operation: `len` bytes at `addr`, all within one line.  The
-    /// utilization tallies see the chunk as it executes; a chunk is a *fetch* when its
+    /// utilization tally sees the chunk as it executes; a chunk is a *fetch* when its
     /// own line missed the private caches (filled from L3, a foreign cache or DRAM).
-    /// The exact tally counts every fetch, the sampled one those of a `tagged` operation.
+    /// The tally counts the fetches of a `tagged` operation.
     #[inline(always)]
     fn access_chunk(
         &mut self,
@@ -416,17 +393,10 @@ impl Machine {
         tagged: bool,
     ) -> AccessOutcome {
         let outcome = self.hierarchy.access(core, addr, kind);
-        if self.ground_truth.is_some() || self.utilization.is_some() {
+        if let Some(ut) = self.utilization.as_mut() {
             let line_size = self.hierarchy.config().l1.line_size as u64;
             let mask = granule_mask(addr, len, line_size);
-            let is_fetch = outcome.level.is_miss();
-            if let Some(gt) = self.ground_truth.as_mut() {
-                gt.utilization
-                    .record_chunk(core, outcome.line, mask, is_fetch, true);
-            }
-            if let Some(ut) = self.utilization.as_mut() {
-                ut.record_chunk(core, outcome.line, mask, is_fetch, tagged);
-            }
+            ut.record_chunk(core, outcome.line, mask, outcome.level.is_miss(), tagged);
         }
         outcome
     }
@@ -474,10 +444,6 @@ impl Machine {
                 worst = outcome;
             }
             offset += chunk;
-        }
-
-        if let Some(gt) = self.ground_truth.as_mut() {
-            gt.record(addr, worst.level);
         }
 
         // Charge the core and the function counters.
@@ -724,20 +690,19 @@ mod tests {
         // Two identical machines with IBS sampling on and a watchpoint armed: a batch
         // must produce exactly the same outcomes, clocks, counters and profiling
         // charges as the per-access API.
-        let build = || {
+        let build = |interval| {
             let mut m = machine();
             m.configure_ibs(IbsConfig {
-                policy: crate::ibs::SamplingPolicy::fixed(3),
+                policy: crate::ibs::SamplingPolicy::fixed(interval),
                 interrupt_cost: 500,
                 seed: 11,
             });
             m.arm_watchpoint(0, 0x2000, 8).unwrap();
-            m.start_ground_truth();
             m.start_utilization();
             m
         };
-        let mut seq = build();
-        let mut bat = build();
+        let mut seq = build(3);
+        let mut bat = build(3);
         let ip_seq = seq.fn_id("hot");
         let ip_bat = bat.fn_id("hot");
 
@@ -766,22 +731,20 @@ mod tests {
         assert_eq!(seq.ibs.samples_taken, bat.ibs.samples_taken);
         assert!(bat.watchpoints.buffered() > 0, "watchpoint must have fired");
 
-        let gt_seq = seq.take_ground_truth().unwrap();
-        let gt_bat = bat.take_ground_truth().unwrap();
-        assert_eq!(gt_seq.total_accesses, gt_bat.total_accesses);
-        assert_eq!(
-            gt_seq.utilization.snapshot(),
-            gt_bat.utilization.snapshot(),
-            "exact utilization tallies must match between batched and sequential runs"
-        );
         let ut_seq = seq.take_utilization().unwrap();
         let ut_bat = bat.take_utilization().unwrap();
         assert_eq!(ut_seq.snapshot(), ut_bat.snapshot());
         assert_eq!(ut_seq.total_fetches, ut_bat.total_fetches);
 
+        // The same batch under `fixed:1`, which follows every fill.
+        let mut every = build(1);
+        let ip = every.fn_id("hot");
+        every.access_run(0, ip, &reqs);
+        let ut_every = every.take_utilization().unwrap();
+
         // What the tallies hold, pinned to what the SipHash-backed tables held for
         // this stream: three lines filled once each, every offset both read (8 bytes)
-        // and written (16 bytes); IBS sampled only the fill of the third.
+        // and written (16 bytes); at `fixed:3` IBS sampled only the fill of the third.
         let once = |touched| LineUtilCounts {
             fetches: 1,
             refetches: 0,
@@ -792,25 +755,35 @@ mod tests {
             (0x81, once([0, 1, 1, 0, 1, 1, 0, 1])),
             (0x82, once([1, 0, 1, 1, 0, 0, 0, 0])),
         ];
-        assert_eq!(gt_seq.utilization.snapshot(), exact);
-        assert_eq!(gt_seq.utilization.total_fetches, 3);
-        assert_eq!(gt_seq.utilization.total_refetches, 0);
+        assert_eq!(ut_every.snapshot(), exact);
+        assert_eq!(ut_every.total_fetches, 3);
+        assert_eq!(ut_every.total_refetches, 0);
         assert_eq!(ut_seq.snapshot(), exact[2..]);
         assert_eq!(ut_seq.total_fetches, 1);
     }
 
+    /// A machine whose utilization tally follows every fill: IBS at `fixed:1`.
+    fn every_fill_followed() -> Machine {
+        let mut m = machine();
+        m.configure_ibs(IbsConfig {
+            policy: crate::ibs::SamplingPolicy::fixed(1),
+            interrupt_cost: 0,
+            seed: 1,
+        });
+        m.start_utilization();
+        m
+    }
+
     #[test]
     fn exact_utilization_tracks_touched_granules() {
-        let mut m = machine();
+        let mut m = every_fill_followed();
         let ip = m.fn_id("f");
-        m.start_ground_truth();
         // Cold fill touching granule 0, two more touches at granules 1 and 7, then
         // evict-and-refetch is approximated by a second pass after thrashing the set.
         m.read(0, ip, 0x1000, 8);
         m.read(0, ip, 0x1008, 8);
         m.read(0, ip, 0x1038, 8);
-        let gt = m.take_ground_truth().unwrap();
-        let snap = gt.utilization.snapshot();
+        let snap = m.take_utilization().unwrap().snapshot();
         let (line, counts) = snap
             .iter()
             .find(|&&(l, _)| l == 0x1000 / 64)
@@ -827,9 +800,8 @@ mod tests {
 
     #[test]
     fn exact_utilization_counts_refetch_after_eviction() {
-        let mut m = machine();
+        let mut m = every_fill_followed();
         let ip = m.fn_id("f");
-        m.start_ground_truth();
         m.read(0, ip, 0x1000, 8);
         // small_test L1: 2KB 2-way 16 sets, L2: 8KB 4-way 32 sets.  Walk enough
         // same-set lines to evict 0x1000 from both private levels (32KB stride-free
@@ -838,9 +810,8 @@ mod tests {
             m.read(0, ip, 0x1000 + i * 64, 8);
         }
         m.read(0, ip, 0x1000, 8); // re-fetch of evicted-then-reused line
-        let gt = m.take_ground_truth().unwrap();
-        let counts = gt
-            .utilization
+        let ut = m.take_utilization().unwrap();
+        let counts = ut
             .snapshot()
             .iter()
             .find(|&&(l, _)| l == 0x40)
@@ -848,7 +819,7 @@ mod tests {
             .unwrap();
         assert_eq!(counts.fetches, 2);
         assert_eq!(counts.refetches, 1);
-        assert!(gt.utilization.total_refetches >= 1);
+        assert!(ut.total_refetches >= 1);
     }
 
     #[test]

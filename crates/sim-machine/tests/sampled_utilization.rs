@@ -3,7 +3,7 @@
 //! as the operation executes.  These tests pin what that decides: which fills the
 //! sampled tally follows, and that following all of them is the exact tally.
 
-use sim_cache::LineUtilCounts;
+use sim_cache::{granule_mask, CacheHierarchy, LineUtilCounts, UtilizationTally};
 use sim_machine::{AccessKind, IbsConfig, Machine, MachineConfig, SamplingPolicy};
 
 fn ibs(policy: SamplingPolicy) -> IbsConfig {
@@ -61,16 +61,19 @@ fn a_tagged_operation_follows_its_fetch_chunks_and_only_those() {
     assert_eq!((ut.total_fetches, ut.total_refetches), (2, 0));
 }
 
-/// Following every fill is the exact tally: with `fixed:1` the sampled tally and the
-/// one inside the ground truth, fed side by side, end up equal.  (CI runs this one in
-/// release mode too: the two are fed from one loop the optimiser is free to split.)
+/// Following every fill is the exact tally: with `fixed:1` the machine's tally equals
+/// one that a bare hierarchy, fed the same operations line-chunk by line-chunk, counts
+/// every fill into.  (CI runs this one in release mode too.)
 #[test]
 fn with_fixed_1_the_sampled_tally_equals_the_exact_one() {
-    let mut m = Machine::new(MachineConfig::small_test());
+    let config = MachineConfig::small_test();
+    let line_size = config.hierarchy.l1.line_size as u64;
+    let mut m = Machine::new(config);
     let ip = m.fn_id("f");
     m.configure_ibs(ibs(SamplingPolicy::fixed(1)));
-    m.start_ground_truth();
     m.start_utilization();
+    let mut bare = CacheHierarchy::new(config.hierarchy);
+    let mut exact = UtilizationTally::new();
     // 64 KiB from two cores through 8 KiB private caches: evictions, re-fetches,
     // invalidations, operations of 1 to 4 lines.
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -84,10 +87,19 @@ fn with_fixed_1_the_sampled_tally_equals_the_exact_one() {
         } else {
             AccessKind::Read
         };
-        m.access((i % 2) as usize, ip, addr, len, kind);
+        let core = (i % 2) as usize;
+        m.access(core, ip, addr, len, kind);
+        let mut at = addr;
+        while at < addr + len {
+            let chunk = (line_size - at % line_size).min(addr + len - at);
+            let outcome = bare.access(core, at, kind);
+            let mask = granule_mask(at, chunk, line_size);
+            exact.record_chunk(core, outcome.line, mask, outcome.level.is_miss(), true);
+            at += chunk;
+        }
     }
     assert_eq!(m.ibs.samples_taken, 20_000);
-    let exact = m.take_ground_truth().unwrap().utilization;
+    exact.finalize();
     let sampled = m.take_utilization().unwrap();
     assert_eq!(sampled.snapshot(), exact.snapshot());
     assert_eq!(sampled.total_fetches, exact.total_fetches);

@@ -109,7 +109,6 @@ impl SessionParams {
                 seed,
                 ..Default::default()
             },
-            ..Default::default()
         }
     }
 
@@ -594,7 +593,7 @@ pub(crate) mod tests_support {
                 },
                 SessionEvent::Alloc {
                     core: 0,
-                    type_id: 1,
+                    type_id: 0,
                     size: 256,
                     addr: 0x1_0000_2000,
                     cycle: 42,

@@ -21,7 +21,8 @@
 //!   test pins it.
 //!
 //! Every event is validated against the declared machine as it is decoded (core in
-//! range, sane access extents), and the total event count and byte length are verified
+//! range, sane access extents) and against its stream's prologue (every function id
+//! interned, every type id registered), and the total event count and byte length are verified
 //! against the stream header at end of iteration, so a corrupt or truncated trace is
 //! rejected with an error instead of panicking or hanging mid-replay — lazily, when
 //! the damage is reached.  Each [`EventReader`] owns an independent file handle, so
@@ -317,12 +318,7 @@ impl TraceReader {
             .seek(SeekFrom::Start(header.events_offset))
             .map_err(|e| TraceError::Io(format!("seek failed: {e}")))?;
         r.offset = header.events_offset;
-        Ok(EventReader::new(
-            r,
-            header.byte_len,
-            header.event_count,
-            self.machine.hierarchy.cores,
-        ))
+        Ok(EventReader::new(r, header, self.machine.hierarchy.cores))
     }
 }
 
@@ -372,8 +368,11 @@ pub struct EventReader {
     /// Event count the stream header declared.
     expected: usize,
     produced: usize,
-    /// Core count of the declared machine, for semantic validation.
+    /// Core count of the declared machine, and the sizes of the stream's symbol and
+    /// type tables, for semantic validation.
     cores: usize,
+    symbols: usize,
+    types: usize,
     /// The codec's per-core previous-address delta table (core ids are bounded as
     /// they are read, so it never grows).
     prev_addr: [u64; sim_cache::MAX_CORES],
@@ -393,14 +392,16 @@ impl std::fmt::Debug for ChunkedReader {
 }
 
 impl EventReader {
-    /// A decoder at the start of the `byte_len`-byte event region `reader` stands at.
-    fn new(reader: ChunkedReader, byte_len: u64, expected: usize, cores: usize) -> Self {
+    /// A decoder at the start of `header`'s event region, which `reader` stands at.
+    fn new(reader: ChunkedReader, header: &StreamHeader, cores: usize) -> Self {
         EventReader {
-            region_end: reader.offset + byte_len,
+            region_end: reader.offset + header.byte_len,
             reader,
-            expected,
+            expected: header.event_count,
             produced: 0,
             cores,
+            symbols: header.symbols.len(),
+            types: header.types.len(),
             prev_addr: [0; sim_cache::MAX_CORES],
             run: (0, FunctionId(0), 0),
             done: false,
@@ -475,6 +476,8 @@ impl EventReader {
                     let ip = fn_id(w.varint()?)?;
                     let count = w.varint()?;
                     self.reader.consume(w.pos);
+                    // Once a run, not once an item: every item runs in this `ip`.
+                    self.check_ip(ip)?;
                     // Each item is at least two bytes; reject counts the remaining
                     // region cannot possibly satisfy.
                     if count > self.remaining_region().div_ceil(2).max(1) {
@@ -487,11 +490,16 @@ impl EventReader {
                     // degenerate empty run, moves on to the next opcode).
                     continue;
                 }
-                OP_COMPUTE => SessionEvent::Compute {
-                    core: core_id(w.varint()?)?,
-                    ip: fn_id(w.varint()?)?,
-                    cycles: w.varint()?,
-                },
+                OP_COMPUTE => {
+                    let core = core_id(w.varint()?)?;
+                    let ip = fn_id(w.varint()?)?;
+                    self.check_ip(ip)?;
+                    SessionEvent::Compute {
+                        core,
+                        ip,
+                        cycles: w.varint()?,
+                    }
+                }
                 OP_ALLOC => {
                     let flags = w.byte()?;
                     SessionEvent::Alloc {
@@ -523,8 +531,9 @@ impl EventReader {
     }
 
     /// Counts the event and validates it against the declared machine — core in
-    /// range, sane access and allocation extents — so a decodable-but-invalid trace is
-    /// rejected here instead of panicking or hanging mid-replay.
+    /// range, sane access and allocation extents, a registered type — so a
+    /// decodable-but-invalid trace is rejected here instead of panicking or hanging
+    /// mid-replay.
     #[inline(always)]
     fn emit(&mut self, ev: SessionEvent) -> Result<Option<SessionEvent>, TraceError> {
         let i = self.produced;
@@ -540,8 +549,15 @@ impl EventReader {
                 core, addr, len, ..
             } => (core, Some((addr, len))),
             SessionEvent::Alloc {
-                core, addr, size, ..
+                core,
+                addr,
+                size,
+                type_id,
+                ..
             } => {
+                if type_id as usize >= self.types {
+                    return Err(unregistered_type(i, type_id, self.types));
+                }
                 // Nothing longer can be accessed in one event, and the address index
                 // looks back `size / 4096` pages for an object's base.
                 if size > MAX_ACCESS_LEN || addr.checked_add(size).is_none() {
@@ -575,6 +591,32 @@ impl EventReader {
         }
         Ok(Some(ev))
     }
+
+    /// Holds an `ip` to the stream's symbol table, which names every function the
+    /// replayed machine will be asked to count ([`FunctionId::UNKNOWN`] names none, and
+    /// the machine counts it apart).  The event is the next one produced.
+    #[inline]
+    fn check_ip(&self, ip: FunctionId) -> Result<(), TraceError> {
+        if ip.0 as usize >= self.symbols && ip != FunctionId::UNKNOWN {
+            return Err(uninterned_function(self.produced, ip, self.symbols));
+        }
+        Ok(())
+    }
+}
+
+#[cold]
+fn uninterned_function(event: usize, ip: FunctionId, symbols: usize) -> TraceError {
+    TraceError::Corrupt(format!(
+        "event {event} runs in function {} but the stream interns {symbols} symbols",
+        ip.0
+    ))
+}
+
+#[cold]
+fn unregistered_type(event: usize, type_id: u32, types: usize) -> TraceError {
+    TraceError::Corrupt(format!(
+        "event {event} allocates type {type_id} but the stream registers {types} types"
+    ))
 }
 
 /// The bytes one decode step reads from, with a local cursor: the step's bytes are
@@ -671,7 +713,7 @@ mod tests {
                     0 => E::RoundEnd,
                     1 => E::Compute {
                         core: (x % 2) as u32,
-                        ip: FunctionId((x % 7) as u32),
+                        ip: FunctionId((x % 2) as u32),
                         cycles: x % 1000,
                     },
                     2 => E::Alloc {
@@ -684,7 +726,7 @@ mod tests {
                     },
                     _ => E::Access {
                         core: (x % 2) as u32,
-                        ip: FunctionId((x % 7) as u32),
+                        ip: FunctionId((x % 2) as u32),
                         addr: 0x1000_0000 + (x % 100_000),
                         len: 1 + (x % 64),
                         kind: if x.is_multiple_of(3) {
@@ -819,7 +861,7 @@ mod tests {
     fn access(core: u32, addr: u64, len: u64, kind: AccessKind) -> SessionEvent {
         SessionEvent::Access {
             core,
-            ip: FunctionId(7),
+            ip: FunctionId(1),
             addr,
             len,
             kind,
@@ -835,7 +877,7 @@ mod tests {
             SessionEvent::RoundEnd,
             SessionEvent::Compute {
                 core: 1,
-                ip: FunctionId(7),
+                ip: FunctionId(1),
                 cycles: 1_500,
             },
         ];
@@ -846,7 +888,7 @@ mod tests {
     fn truncated_event_bytes_are_an_error() {
         let bytes = crate::codec::encode_events(&[SessionEvent::Alloc {
             core: 1,
-            type_id: 9,
+            type_id: 0,
             size: 256,
             addr: 0x0001_0000_4000,
             cycle: 12_345,
@@ -910,6 +952,61 @@ mod tests {
             read_bytes(&with_event_region(1, run.len() as u64, &run)),
             Err(TraceError::Corrupt(m)) if m.contains("exceeds")
         ));
+    }
+
+    /// A function id is held to the stream's symbol table (the sample stream interns
+    /// two) once per access run and once per compute event; `FunctionId::UNKNOWN`
+    /// names no symbol and always passes.
+    #[test]
+    fn function_ids_past_the_symbol_table_are_rejected() {
+        // `access-run core=0 ip=IP count=1 delta=0 len=8`, then `compute core=0 ip=IP
+        // cycles=1`.
+        let events = |ip: u64| {
+            let mut run = vec![OP_ACCESS_RUN, 0];
+            crate::codec::put_varint(&mut run, ip);
+            run.extend_from_slice(&[1, 0, 16]);
+            let mut compute = vec![OP_COMPUTE, 0];
+            crate::codec::put_varint(&mut compute, ip);
+            compute.push(1);
+            [run, compute]
+        };
+        for ip in [1, u64::from(FunctionId::UNKNOWN.0)] {
+            for bytes in events(ip) {
+                assert!(read_bytes(&with_event_region(1, bytes.len() as u64, &bytes)).is_ok());
+            }
+        }
+        for ip in [2, 1 << 20] {
+            for bytes in events(ip) {
+                assert!(matches!(
+                    read_bytes(&with_event_region(1, bytes.len() as u64, &bytes)),
+                    Err(TraceError::Corrupt(m))
+                        if m == format!("event 0 runs in function {ip} but the stream interns 2 symbols")
+                ));
+            }
+        }
+    }
+
+    /// A type id is held to the stream's type table (the sample stream registers one).
+    #[test]
+    fn type_ids_past_the_type_table_are_rejected() {
+        // `alloc hookable core=0 type=TYPE size=64 addr=0x1000 cycle=9`.
+        let alloc = |type_id: u64| {
+            let mut bytes = vec![OP_ALLOC, 1, 0];
+            for v in [type_id, 64, 0x1000, 9] {
+                crate::codec::put_varint(&mut bytes, v);
+            }
+            bytes
+        };
+        let ok = alloc(0);
+        assert!(read_bytes(&with_event_region(1, ok.len() as u64, &ok)).is_ok());
+        for type_id in [1, u64::from(u32::MAX)] {
+            let bytes = alloc(type_id);
+            assert!(matches!(
+                read_bytes(&with_event_region(1, bytes.len() as u64, &bytes)),
+                Err(TraceError::Corrupt(m))
+                    if m == format!("event 0 allocates type {type_id} but the stream registers 1 types")
+            ));
+        }
     }
 
     #[test]
@@ -999,7 +1096,7 @@ mod tests {
             access(0, 0x1000, 8, AccessKind::Read),
             SessionEvent::Compute {
                 core: 1,
-                ip: FunctionId(7),
+                ip: FunctionId(1),
                 cycles: 1_500,
             },
         ];
@@ -1039,15 +1136,16 @@ mod tests {
 
     #[test]
     fn events_starting_around_a_chunk_boundary_round_trip() {
-        // One-byte events pad the region so that the widest event starts at every
-        // offset from 64 bytes before the decoder's first refill to the refill itself.
+        // One-byte events pad the region so that the widest event a one-type stream
+        // holds starts at every offset from 64 bytes before the decoder's first refill
+        // to the refill itself.
         let path = temp_path("boundary.dtrace");
         for start in CHUNK_SIZE - 64..=CHUNK_SIZE {
             let mut events = vec![SessionEvent::RoundEnd; start];
             events.extend([
                 SessionEvent::Alloc {
                     core: 1,
-                    type_id: u32::MAX,
+                    type_id: 0,
                     size: MAX_ACCESS_LEN,
                     addr: u64::MAX - MAX_ACCESS_LEN,
                     cycle: u64::MAX,

@@ -3,7 +3,9 @@
 //! headers) must be rejected rather than misdecoded.
 
 use dprof_trace::codec::encode_events;
-use dprof_trace::{EventEncoder, SessionParams, ThreadStream, TraceError, TraceFile, TraceKind};
+use dprof_trace::{
+    EventEncoder, SessionParams, ThreadStream, TraceError, TraceFile, TraceKind, TypeDump,
+};
 use proptest::prelude::*;
 use sim_cache::AccessKind;
 use sim_machine::{FunctionId, MachineConfig, SessionEvent};
@@ -109,11 +111,20 @@ fn full_file(events: Vec<SessionEvent>) -> TraceFile {
             history_sets: 0,
             base_seed: 1,
         },
+        // Tables naming every function and type id the strategies draw (`0..200`):
+        // decoding holds each id to them.
         streams: vec![ThreadStream {
             seed: 1,
             requests: 7,
-            symbols: vec!["f".into(), "g".into()],
-            types: Vec::new(),
+            symbols: (0..200).map(|i| format!("f{i}")).collect(),
+            types: (0..200)
+                .map(|i| TypeDump {
+                    name: format!("t{i}"),
+                    description: String::new(),
+                    size: 64,
+                    fields: Vec::new(),
+                })
+                .collect(),
             events: events.into(),
         }],
     }

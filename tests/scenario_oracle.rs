@@ -36,7 +36,6 @@ fn quick_profile(spec: &ScenarioSpec, variant: Variant) -> DprofProfile {
             sampling_skip_max: 2,
             ..Default::default()
         },
-        ..Default::default()
     };
     Dprof::new(dprof_config).run(&mut machine, &mut kernel, |m, k| workload.step(m, k))
 }

@@ -6,7 +6,11 @@
 //! included into each by `#[path]`.
 //!
 //! A test binary that includes it keeps to a single test: the allocator is global to
-//! the binary, and a concurrently-running test would pollute the measured window.
+//! the binary, and a concurrently-running test would pollute the measured window.  So
+//! does libtest itself: its main thread allocates after spawning a test's thread, and
+//! on a busy host that lands inside the window.  `working_set_alloc.rs` and
+//! `push_alloc.rs`, which pin exact figures that were seen to move by it, run their
+//! check as `main` (`harness = false`).
 #![allow(dead_code)] // no one test reads every counter
 
 use std::alloc::{GlobalAlloc, Layout, System};
