@@ -192,8 +192,8 @@ pub fn render_diff_text(
             t.delta_pct,
             t.miss_samples_a,
             t.miss_samples_b,
-            t.dominant_a.as_deref().unwrap_or("-"),
-            t.dominant_b.as_deref().unwrap_or("-"),
+            t.dominant_a.unwrap_or("-"),
+            t.dominant_b.unwrap_or("-"),
             fmt_rank(t.ws_rank_a),
             fmt_rank(t.ws_rank_b),
             t.core_crossings_a,
@@ -283,17 +283,11 @@ pub fn render_diff_json(
                             ("delta_capacity", Json::num(t.delta_capacity)),
                             (
                                 "dominant_a",
-                                t.dominant_a
-                                    .as_ref()
-                                    .map(|s| Json::str(s.as_str()))
-                                    .unwrap_or(Json::Null),
+                                t.dominant_a.map(Json::str).unwrap_or(Json::Null),
                             ),
                             (
                                 "dominant_b",
-                                t.dominant_b
-                                    .as_ref()
-                                    .map(|s| Json::str(s.as_str()))
-                                    .unwrap_or(Json::Null),
+                                t.dominant_b.map(Json::str).unwrap_or(Json::Null),
                             ),
                             ("ws_rank_a", rank_json(t.ws_rank_a)),
                             ("ws_rank_b", rank_json(t.ws_rank_b)),
@@ -392,7 +386,7 @@ mod tests {
         let skb = summary.get("skbuff").unwrap();
         assert_eq!(skb.pct_of_l1_misses, 60.0);
         assert_eq!(skb.miss_samples, 600);
-        assert_eq!(skb.dominant_miss.as_deref(), Some("invalidation"));
+        assert_eq!(skb.dominant_miss, Some("invalidation"));
     }
 
     #[test]

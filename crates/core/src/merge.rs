@@ -1101,7 +1101,7 @@ pub fn summary_from_merged(report: &MergedReport) -> ReportSummary {
         t.invalidation = row.invalidation;
         t.conflict = row.conflict;
         t.capacity = row.capacity;
-        t.dominant_miss = Some(row.dominant().to_string());
+        t.dominant_miss = Some(row.dominant());
     }
     for row in &report.utilization.rows {
         let t = summary.entry(&row.name);
@@ -1384,7 +1384,7 @@ mod tests {
         let summary = summary_from_merged(&report);
         let a = summary.get("a").unwrap();
         assert_eq!(a.miss_samples, 100);
-        assert_eq!(a.dominant_miss.as_deref(), Some("invalidation"));
+        assert_eq!(a.dominant_miss, Some("invalidation"));
         assert_eq!(a.wasted_bytes, 8 * (8 * 100 - 2 * 100));
         assert!((a.utilization_pct - 25.0).abs() < 1e-9);
         assert_eq!(summary.rps, report.totals.rps);

@@ -176,12 +176,13 @@ impl Dprof {
             })
             .unwrap_or_default();
         let records = machine.ibs.drain();
+        let l1_miss_samples_spent =
+            records.iter().filter(|r| r.level != HitLevel::L1).count() as u64;
         SamplePhase {
-            samples: resolve_samples(&records, &kernel.allocator),
+            samples: resolve_samples(records, &kernel.allocator),
             window: (start, end),
             samples_spent,
-            l1_miss_samples_spent: records.iter().filter(|r| r.level != HitLevel::L1).count()
-                as u64,
+            l1_miss_samples_spent,
             utilization,
         }
     }

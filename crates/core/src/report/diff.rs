@@ -40,7 +40,7 @@ pub struct TypeSummary {
     /// Fraction of misses classified as capacity.
     pub capacity: f64,
     /// Dominant miss class, when a classification exists.
-    pub dominant_miss: Option<String>,
+    pub dominant_miss: Option<&'static str>,
     /// Core-crossing traversals in the type's data-flow graph.
     pub core_crossings: u64,
     /// Line-utilization percentage from the utilization view (0 when the type has no
@@ -195,8 +195,8 @@ impl std::fmt::Display for Verdict {
 /// convention is `delta = b - a`, so swapping the diff's arguments negates every delta.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TypeDelta {
-    /// Type name.
-    pub name: String,
+    /// Type name: the summaries' own.
+    pub name: Arc<str>,
     /// Whether the type appears in report A / report B at all.
     pub in_a: bool,
     /// See [`TypeDelta::in_a`].
@@ -220,9 +220,9 @@ pub struct TypeDelta {
     /// Capacity-fraction change.
     pub delta_capacity: f64,
     /// Dominant miss class in A.
-    pub dominant_a: Option<String>,
+    pub dominant_a: Option<&'static str>,
     /// Dominant miss class in B.
-    pub dominant_b: Option<String>,
+    pub dominant_b: Option<&'static str>,
     /// Working-set rank in A (0 = largest footprint).
     pub ws_rank_a: Option<usize>,
     /// Working-set rank in B.
@@ -308,7 +308,7 @@ impl ReportDiff {
 
     /// The delta row for a type name.
     pub fn for_type(&self, name: &str) -> Option<&TypeDelta> {
-        self.types.iter().find(|t| t.name == name)
+        self.types.iter().find(|t| &*t.name == name)
     }
 }
 
@@ -341,7 +341,7 @@ pub fn diff(a: &ReportSummary, b: &ReportSummary, focus: Option<&str>) -> Report
             let sa = ra.unwrap_or(&absent);
             let sb = rb.unwrap_or(&absent);
             TypeDelta {
-                name: name.to_string(),
+                name: Arc::clone(name),
                 in_a: ra.is_some(),
                 in_b: rb.is_some(),
                 pct_a: sa.pct_of_l1_misses,
@@ -353,8 +353,8 @@ pub fn diff(a: &ReportSummary, b: &ReportSummary, focus: Option<&str>) -> Report
                 delta_invalidation: sb.invalidation - sa.invalidation,
                 delta_conflict: sb.conflict - sa.conflict,
                 delta_capacity: sb.capacity - sa.capacity,
-                dominant_a: sa.dominant_miss.clone(),
-                dominant_b: sb.dominant_miss.clone(),
+                dominant_a: sa.dominant_miss,
+                dominant_b: sb.dominant_miss,
                 ws_rank_a: a.working_set_rank(name),
                 ws_rank_b: b.working_set_rank(name),
                 delta_working_set_bytes: sb.working_set_bytes - sa.working_set_bytes,
@@ -523,7 +523,7 @@ mod tests {
             invalidation: 0.5,
             conflict: 0.25,
             capacity: 0.25,
-            dominant_miss: Some("invalidation".to_string()),
+            dominant_miss: Some("invalidation"),
             core_crossings: 0,
             utilization_pct: 0.0,
             wasted_bytes: 0,

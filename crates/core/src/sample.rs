@@ -47,11 +47,23 @@ impl AccessSample {
 /// Records whose address cannot be attributed to any (live or historical) allocation are
 /// dropped, mirroring how DProf ignores samples it cannot type.  The freed part of the
 /// address set is indexed once, when the first record misses the live objects.
-pub fn resolve_samples(records: &[IbsRecord], allocator: &SlabAllocator) -> Vec<AccessSample> {
+///
+/// The records are consumed as their samples are made: resolved a block at a time from
+/// the back, each block released (the buffer shrinks where it lies) before the next,
+/// and the samples turned around at the end.  So the records and their samples are
+/// never held whole at once, and a phase that sampled every operation peaks at the
+/// larger of the two, not their sum.
+pub fn resolve_samples(
+    mut records: Vec<IbsRecord>,
+    allocator: &SlabAllocator,
+) -> Vec<AccessSample> {
+    /// Records resolved between two shrinks of their buffer.
+    const BLOCK: usize = 4096;
     let mut history = None;
-    records
-        .iter()
-        .filter_map(|r| {
+    let mut samples = Vec::with_capacity(records.len());
+    while !records.is_empty() {
+        let start = records.len().saturating_sub(BLOCK);
+        samples.extend(records[start..].iter().rev().filter_map(|r| {
             let resolved = allocator.resolve(r.addr).or_else(|| {
                 history
                     .get_or_insert_with(|| allocator.history())
@@ -66,8 +78,12 @@ pub fn resolve_samples(records: &[IbsRecord], allocator: &SlabAllocator) -> Vec<
                 latency: r.latency,
                 is_write: r.kind.is_write(),
             })
-        })
-        .collect()
+        }));
+        records.truncate(start);
+        records.shrink_to_fit();
+    }
+    samples.reverse();
+    samples
 }
 
 /// Per-(type, offset, ip) aggregate statistics computed from access samples; this is the
@@ -248,7 +264,7 @@ mod tests {
                 cycle: 101,
             },
         ];
-        let samples = resolve_samples(&records, &alloc);
+        let samples = resolve_samples(records, &alloc);
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].type_id, kt.skbuff);
         assert_eq!(samples[0].offset, 24);

@@ -5,6 +5,9 @@
 //! * the dependency-free JSON parser, [`JsonTape`], which reads a document into one
 //!   preorder vector of nodes where its text lies, and the [`Json`] tree documents are
 //!   built and emitted as (the workspace builds fully offline, so no `serde_json`),
+//! * the pretty-printer, [`JsonWriter`]: a tree is emitted through it, and a caller
+//!   that knows its document's shape (the collector's replies) writes through it
+//!   without building one,
 //! * the schema-id constants every document carries ([`REPORT_V1`], [`DIFF_V1`],
 //!   [`WHATIF_V1`], [`ACCURACY_V1`], [`SERVE_V1`], [`LOADGEN_V1`]),
 //! * the readers that turn documents back into typed values:
@@ -132,59 +135,168 @@ impl Json {
         }
     }
 
-    /// Emits the value as pretty-printed JSON (two-space indent, trailing newline).
+    /// Emits the value as pretty-printed JSON (two-space indent, trailing newline): the
+    /// tree walked through a [`JsonWriter`].
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        self.write_into(&mut out, 0);
-        out.push('\n');
-        out
+        let mut writer = JsonWriter::default();
+        writer.json(self);
+        writer.finish()
+    }
+}
+
+/// Writes one pretty-printed JSON document value by value, in the one layout every
+/// document of the workspace has: two-space indent, one value or field a line, `[]` and
+/// `{}` for an empty container, a trailing newline.  [`Json::to_pretty_string`] is this
+/// writer walking a tree; a caller that knows its document's shape writes it field by
+/// field instead, with no tree, no key copied and no object per row.
+///
+/// A value goes in after [`JsonWriter::key`] inside an object, after
+/// [`JsonWriter::item`] inside an array, or alone as the whole document:
+///
+/// ```
+/// use dprof_core::schema::JsonWriter;
+///
+/// let mut w = JsonWriter::default();
+/// w.open_obj().key("rows").open_arr();
+/// w.item().num(1.0).item().str("a");
+/// w.close_arr().key("empty").open_obj().close_obj();
+/// w.close_obj();
+/// assert_eq!(w.finish(), "{\n  \"rows\": [\n    1,\n    \"a\"\n  ],\n  \"empty\": {}\n}\n");
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Containers open.
+    depth: usize,
+    /// Nothing written in the innermost open container yet.  One flag is enough: a
+    /// container opens as its parent's key or item, which already ended the parent's
+    /// freshness.
+    fresh: bool,
+}
+
+impl JsonWriter {
+    /// A writer whose text starts with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            ..JsonWriter::default()
+        }
     }
 
-    fn write_into(&self, out: &mut String, level: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_number(out, *n),
-            Json::Str(s) => write_escaped(out, s),
+    /// Opens an object.
+    pub fn open_obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn close_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn open_arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn close_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Starts the next field of the innermost object; its value follows.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.next_line();
+        write_escaped(&mut self.out, key);
+        self.out.push_str(": ");
+        self
+    }
+
+    /// Starts the next item of the innermost array; its value follows.
+    pub fn item(&mut self) -> &mut Self {
+        self.next_line();
+        self
+    }
+
+    /// A number (`null` when not finite, without a fraction when integral).
+    pub fn num(&mut self, n: f64) -> &mut Self {
+        write_number(&mut self.out, n);
+        self
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        write_escaped(&mut self.out, s);
+        self
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.out.push_str("null");
+        self
+    }
+
+    /// A whole tree.
+    pub fn json(&mut self, value: &Json) -> &mut Self {
+        match value {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(n) => self.num(*n),
+            Json::Str(s) => self.str(s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                self.open_arr();
+                for item in items {
+                    self.item().json(item);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, level + 1);
-                    item.write_into(out, level + 1);
-                }
-                out.push('\n');
-                indent(out, level);
-                out.push(']');
+                self.close_arr()
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
+                self.open_obj();
+                for (key, value) in fields {
+                    self.key(key).json(value);
                 }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, level + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write_into(out, level + 1);
-                }
-                out.push('\n');
-                indent(out, level);
-                out.push('}');
+                self.close_obj()
             }
         }
+    }
+
+    /// The document's text, with its trailing newline.
+    pub fn finish(mut self) -> String {
+        debug_assert_eq!(self.depth, 0, "a container is still open");
+        self.out.push('\n');
+        self.out
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.fresh = true;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.depth -= 1;
+        if !self.fresh {
+            self.out.push('\n');
+            indent(&mut self.out, self.depth);
+        }
+        self.out.push(bracket);
+        self.fresh = false;
+        self
+    }
+
+    fn next_line(&mut self) {
+        if !self.fresh {
+            self.out.push(',');
+        }
+        self.fresh = false;
+        self.out.push('\n');
+        indent(&mut self.out, self.depth);
     }
 }
 
@@ -520,21 +632,29 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
+/// Writes `s` quoted, copying each run of characters that need no escape at once.  The
+/// characters that do are ASCII, so a run ends on a character boundary.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -1456,11 +1576,12 @@ mod tests {
 
     #[test]
     fn escapes_control_characters() {
-        let doc = Json::str("line1\nline2\ttab\u{1}");
+        let doc = Json::str("é\"line1\nline2\ttab\u{1}\\😀\r\u{1f}");
         let text = doc.to_pretty_string();
-        assert!(text.contains("\\n"));
-        assert!(text.contains("\\t"));
-        assert!(text.contains("\\u0001"));
+        assert_eq!(
+            text,
+            "\"é\\\"line1\\nline2\\ttab\\u0001\\\\😀\\r\\u001f\"\n"
+        );
         assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 

@@ -58,7 +58,7 @@ fn summary_strategy() -> impl Strategy<Value = ReportSummary> {
                 invalidation,
                 conflict,
                 capacity,
-                dominant_miss: DOMINANTS[dom_idx].map(|s| s.to_string()),
+                dominant_miss: DOMINANTS[dom_idx],
                 core_crossings: crossings,
                 utilization_pct: f64::from(100 - mix % 100),
                 wasted_bytes: u64::from(ws_bytes) * 8,

@@ -7,7 +7,9 @@
 //!
 //! 1. **Round trip** — a generated tree, whose strings mix ASCII, everything the
 //!    emitter escapes and 2-, 3- and 4-byte scalars, parses back from its own
-//!    pretty-printed form; so does every committed golden document, byte for byte.
+//!    pretty-printed form; so does every committed golden document, byte for byte,
+//!    both through the tree and written value by value off its tape by the
+//!    `JsonWriter` the tree is emitted through: there is one layout.
 //! 2. **Numbers** — a number token reads as exactly the `f64` `str::parse` gives,
 //!    on both sides of the 15-digit plain-integer boundary.
 //! 3. **Errors** — a table of malformed inputs with the exact messages, and every
@@ -18,7 +20,7 @@
 //! shard from both.
 
 use dprof_core::schema::{
-    shard_from_json, shard_from_report_json, Json, JsonRef, JsonTape, MAX_NODES,
+    shard_from_json, shard_from_report_json, Json, JsonRef, JsonTape, JsonWriter, MAX_NODES,
 };
 use proptest::prelude::*;
 
@@ -365,6 +367,62 @@ fn every_golden_document_parses_and_re_emits_byte_for_byte() {
     for (path, text) in goldens() {
         let doc = parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(doc.to_pretty_string(), text, "{path}");
+    }
+}
+
+/// Writes a value through the writer as a caller that knows no tree does, off a tape.
+fn write(w: &mut JsonWriter, value: JsonRef) {
+    if let Some(fields) = value.fields() {
+        w.open_obj();
+        for (key, value) in fields {
+            w.key(key);
+            write(w, value);
+        }
+        w.close_obj();
+    } else if let Some(items) = value.as_array() {
+        w.open_arr();
+        for item in items {
+            w.item();
+            write(w, item);
+        }
+        w.close_arr();
+    } else if let Some(n) = value.as_f64() {
+        w.num(n);
+    } else if let Some(s) = value.as_str() {
+        w.str(s);
+    } else if let Some(b) = value.as_bool() {
+        w.bool(b);
+    } else {
+        w.null();
+    }
+}
+
+/// The writer is the layout of every document the workspace commits: reports, diffs,
+/// what-if and accuracy documents, the collector's replies and its store snapshots,
+/// each written value by value off its tape with no tree in between.
+#[test]
+fn every_golden_document_is_the_writers_layout() {
+    let documents = goldens();
+    for kind in [
+        ".report.json",
+        ".diff.json",
+        ".whatif.json",
+        ".accuracy.json",
+        "serve/top.json",
+        "serve/regressions.json",
+        "serve/alerts.json",
+        "serve/store/golden/v1.json",
+    ] {
+        assert!(
+            documents.iter().any(|(path, _)| path.ends_with(kind)),
+            "no golden {kind}"
+        );
+    }
+    for (path, text) in documents {
+        let tape = JsonTape::parse_local(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let mut w = JsonWriter::default();
+        write(&mut w, tape.root());
+        assert_eq!(w.finish(), text, "{path}");
     }
 }
 

@@ -19,6 +19,8 @@
 //! * [`store`] — the merged-profile store: one [`dprof::core::StreamingMerge`]
 //!   sink per `(workload, build)` key, compaction for bounded memory, JSON
 //!   snapshots on disk.
+//! * [`reply`] — the `dprof-serve/v1` documents requests are answered with, written
+//!   field by field.
 //! * [`server`] — the TCP server: thread-per-connection accept loop around a
 //!   shared store.
 //! * [`client`] — a blocking client speaking the same protocol (used by the
@@ -38,6 +40,7 @@ pub mod client;
 pub mod frame;
 pub mod loadgen;
 pub mod proto;
+pub mod reply;
 pub mod server;
 pub mod store;
 

@@ -11,11 +11,10 @@
 
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{Request, Response};
+use crate::reply;
 use crate::store::{valid_tag, ProfileStore};
 use dprof::core::merge::{MergedReport, ProfileShard};
-use dprof::core::report::diff::diff;
-use dprof::core::schema::{self, Json, JsonRef, JsonTape, NameTable};
-use dprof::core::wilson95;
+use dprof::core::schema::{self, JsonRef, JsonTape, NameTable};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -179,7 +178,7 @@ fn serve_connection(stream: TcpStream, shared: Shared) {
         };
         let response = match Request::decode(kind, payload) {
             Ok(Request::Shutdown) => {
-                let (k, p) = Response::Ok(doc_json("shutdown", Vec::new())).encode();
+                let (k, p) = Response::Ok(reply::shutdown()).encode();
                 let _ = write_frame(stream.get_mut(), k, &p);
                 shared.stop.store(true, Ordering::SeqCst);
                 let _ = TcpStream::connect(shared.addr);
@@ -225,14 +224,7 @@ fn dispatch(shared: &Shared, names: &mut NameTable, request: Request) -> Result<
             };
             shard.ordinal = shard_id;
             let total = absorb(shared, &workload, &build, [shard])?;
-            Ok(doc_json(
-                "push",
-                vec![
-                    ("workload", Json::str(&workload)),
-                    ("build", Json::str(&build)),
-                    ("shards", Json::num(total as f64)),
-                ],
-            ))
+            Ok(reply::push(&workload, &build, total))
         }
         Request::PushTrace {
             workload,
@@ -244,15 +236,7 @@ fn dispatch(shared: &Shared, names: &mut NameTable, request: Request) -> Result<
             let shards = replay_trace_upload(shared, shard_id, &bytes)?;
             let added = shards.len();
             let total = absorb(shared, &workload, &build, shards)?;
-            Ok(doc_json(
-                "push-trace",
-                vec![
-                    ("workload", Json::str(&workload)),
-                    ("build", Json::str(&build)),
-                    ("streams", Json::num(added as f64)),
-                    ("shards", Json::num(total as f64)),
-                ],
-            ))
+            Ok(reply::push_trace(&workload, &build, added, total))
         }
         Request::QueryTop {
             workload,
@@ -260,7 +244,7 @@ fn dispatch(shared: &Shared, names: &mut NameTable, request: Request) -> Result<
             top,
         } => {
             let report = lookup(shared, &workload, &build)?;
-            Ok(top_json(&workload, &build, &report, top as usize))
+            Ok(reply::top(&workload, &build, &report, top as usize))
         }
         Request::QueryRegressions {
             workload,
@@ -270,7 +254,7 @@ fn dispatch(shared: &Shared, names: &mut NameTable, request: Request) -> Result<
         } => {
             let report_a = lookup(shared, &workload, &from)?;
             let report_b = lookup(shared, &workload, &to)?;
-            Ok(regressions_json(
+            Ok(reply::regressions(
                 &workload,
                 &from,
                 &to,
@@ -282,51 +266,19 @@ fn dispatch(shared: &Shared, names: &mut NameTable, request: Request) -> Result<
         Request::QueryAlerts { workload, from, to } => {
             let report_a = lookup(shared, &workload, &from)?;
             let report_b = lookup(shared, &workload, &to)?;
-            Ok(alerts_json(&workload, &from, &to, &report_a, &report_b))
+            Ok(reply::alerts(&workload, &from, &to, &report_a, &report_b))
         }
-        Request::ListKeys => {
-            let store = lock(shared)?;
-            let keys = store
-                .keys()
-                .into_iter()
-                .map(|(workload, build, shards)| {
-                    Json::obj(vec![
-                        ("workload", Json::str(workload)),
-                        ("build", Json::str(build)),
-                        ("shards", Json::num(shards as f64)),
-                    ])
-                })
-                .collect();
-            Ok(doc_json("keys", vec![("keys", Json::Arr(keys))]))
-        }
+        Request::ListKeys => Ok(reply::keys(&lock(shared)?.keys())),
         Request::Stats => {
             let store = lock(shared)?;
-            let stats = store.stats();
-            Ok(doc_json(
-                "stats",
-                vec![
-                    ("keys", Json::num(stats.keys as f64)),
-                    ("shards_absorbed", Json::num(stats.shards_absorbed as f64)),
-                    ("shards_resident", Json::num(stats.shards_resident as f64)),
-                    (
-                        "snapshots_written",
-                        Json::num(stats.snapshots_written as f64),
-                    ),
-                    ("fold_rebuilds", Json::num(stats.fold_rebuilds as f64)),
-                    ("persistent", Json::Bool(store.persistent())),
-                ],
-            ))
+            Ok(reply::stats(&store.stats(), store.persistent()))
         }
         Request::Snapshot => {
             let mut store = lock(shared)?;
             if !store.persistent() {
                 return Err("server has no --store directory to snapshot into".into());
             }
-            let written = store.snapshot()?;
-            Ok(doc_json(
-                "snapshot",
-                vec![("written", Json::num(written as f64))],
-            ))
+            Ok(reply::snapshot(store.snapshot()?))
         }
         Request::Shutdown => unreachable!("handled in the connection loop"),
     }
@@ -415,140 +367,4 @@ fn replay_trace_upload(
     })();
     let _ = std::fs::remove_file(&path);
     result
-}
-
-fn doc_json(kind: &str, mut fields: Vec<(&str, Json)>) -> String {
-    let mut all = vec![
-        ("schema", Json::str(schema::SERVE_V1)),
-        ("kind", Json::str(kind)),
-    ];
-    all.append(&mut fields);
-    Json::obj(all).to_pretty_string()
-}
-
-fn top_json(workload: &str, build: &str, report: &MergedReport, top: usize) -> String {
-    let top = if top == 0 { 8 } else { top };
-    let rows = report
-        .data_profile
-        .iter()
-        .take(top)
-        .map(|row| {
-            Json::obj(vec![
-                ("type", Json::str(&*row.name)),
-                ("pct_of_l1_misses", Json::num(row.pct_of_l1_misses)),
-                ("ci95_low", Json::num(row.ci95_low)),
-                ("ci95_high", Json::num(row.ci95_high)),
-                ("rank_stable", Json::Bool(row.rank_stable)),
-                ("l1_miss_samples", Json::num(row.l1_miss_samples as f64)),
-                ("bounce", Json::Bool(row.bounce)),
-                ("threads_seen", Json::num(row.threads_seen as f64)),
-            ])
-        })
-        .collect();
-    doc_json(
-        "top",
-        vec![
-            ("workload", Json::str(workload)),
-            ("build", Json::str(build)),
-            ("shards", Json::num(report.threads.len() as f64)),
-            ("pooled_misses", Json::num(report.pooled_weight)),
-            ("aggregate_rps", Json::num(report.totals.rps)),
-            ("rows", Json::Arr(rows)),
-        ],
-    )
-}
-
-fn regressions_json(
-    workload: &str,
-    from: &str,
-    to: &str,
-    report_a: &MergedReport,
-    report_b: &MergedReport,
-    top: usize,
-) -> String {
-    let top = if top == 0 { 8 } else { top };
-    let summary_a = dprof::core::summary_from_merged(report_a);
-    let summary_b = dprof::core::summary_from_merged(report_b);
-    let result = diff(&summary_a, &summary_b, None);
-    // Worst regressions first: sort by share growth, descending.
-    let mut deltas = result.types.clone();
-    deltas.sort_by(|a, b| {
-        b.delta_pct
-            .partial_cmp(&a.delta_pct)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    let rows = deltas
-        .iter()
-        .take(top)
-        .map(|d| {
-            Json::obj(vec![
-                ("type", Json::str(&*d.name)),
-                ("pct_from", Json::num(d.pct_a)),
-                ("pct_to", Json::num(d.pct_b)),
-                ("delta_pct", Json::num(d.delta_pct)),
-                ("misses_from", Json::num(d.miss_samples_a as f64)),
-                ("misses_to", Json::num(d.miss_samples_b as f64)),
-            ])
-        })
-        .collect();
-    doc_json(
-        "regressions",
-        vec![
-            ("workload", Json::str(workload)),
-            ("from", Json::str(from)),
-            ("to", Json::str(to)),
-            ("focus", Json::str(&result.focus)),
-            ("verdict", Json::str(result.verdict.key())),
-            ("rows", Json::Arr(rows)),
-        ],
-    )
-}
-
-fn alerts_json(
-    workload: &str,
-    from: &str,
-    to: &str,
-    report_a: &MergedReport,
-    report_b: &MergedReport,
-) -> String {
-    let pooled_a = report_a.pooled_weight.round().max(0.0) as u64;
-    let mut alerts = Vec::new();
-    for row in &report_b.data_profile {
-        let baseline = report_a
-            .data_profile
-            .iter()
-            .find(|candidate| candidate.name == row.name);
-        // The Wilson gate: alert only when the comparison share's lower
-        // confidence bound clears the baseline share's upper bound AND the raw
-        // miss count actually grew — interval separation alone can be an
-        // artifact of a shrinking denominator.
-        let (from_pct, from_high, from_misses) = match baseline {
-            Some(base) => (base.pct_of_l1_misses, base.ci95_high, base.l1_miss_samples),
-            // Absent from the baseline: its share there is zero with the Wilson
-            // upper bound a zero-success sample of the pooled size gets.
-            None => (0.0, 100.0 * wilson95(0, pooled_a).1, 0),
-        };
-        if row.ci95_low > from_high && row.l1_miss_samples > from_misses {
-            alerts.push(Json::obj(vec![
-                ("type", Json::str(&*row.name)),
-                ("pct_from", Json::num(from_pct)),
-                ("pct_to", Json::num(row.pct_of_l1_misses)),
-                ("ci95_high_from", Json::num(from_high)),
-                ("ci95_low_to", Json::num(row.ci95_low)),
-                ("misses_from", Json::num(from_misses as f64)),
-                ("misses_to", Json::num(row.l1_miss_samples as f64)),
-            ]));
-        }
-    }
-    doc_json(
-        "alerts",
-        vec![
-            ("workload", Json::str(workload)),
-            ("from", Json::str(from)),
-            ("to", Json::str(to)),
-            ("alert_count", Json::num(alerts.len() as f64)),
-            ("alerts", Json::Arr(alerts)),
-        ],
-    )
 }
