@@ -1,22 +1,29 @@
 //! Report rendering: thesis-style text tables and the `dprof-report/v1` JSON document,
-//! both driven by the same [`MergedReport`].  The tables are the library's
-//! ([`dprof::core::report::render_views`]), the one renderer of the views; this module
-//! adds their two header lines and builds the JSON document.
+//! both driven by the same [`MergedReport`].  Both are the library's: the tables
+//! ([`dprof::core::report::render_views`], the one renderer of the views) under two
+//! header lines this module adds, and the document ([`schema::write_report`], the one
+//! writer of a report) with the `run` section this module writes from the options.
 
-use crate::args::{Format, Options, View};
+use crate::args::{Format, Options};
 use crate::merge::MergedReport;
 use dprof::core::report::render_views;
-use dprof::core::schema::Json;
+use dprof::core::schema::{self, JsonWriter};
 use std::fmt::Write as _;
 
 /// JSON schema identifier emitted in every report.
-pub const SCHEMA: &str = dprof::core::schema::REPORT_V1;
+pub const SCHEMA: &str = schema::REPORT_V1;
 
 /// Renders the report in the requested format.
 pub fn render(report: &MergedReport, options: &Options) -> String {
     match options.format {
         Format::Text => render_text(report, options),
-        Format::Json => render_json(report, options).to_pretty_string(),
+        Format::Json => {
+            let mut w = JsonWriter::with_capacity(16 * 1024);
+            schema::write_report(&mut w, report, &options.views, options.top, |w| {
+                run_section(w, options)
+            });
+            w.finish()
+        }
     }
 }
 
@@ -42,281 +49,24 @@ pub fn render_text(report: &MergedReport, options: &Options) -> String {
     out
 }
 
-/// Builds the `dprof-report/v1` JSON document.
-pub fn render_json(report: &MergedReport, options: &Options) -> Json {
-    let mut root = vec![
-        ("schema".to_string(), Json::str(SCHEMA)),
-        ("run".to_string(), run_section(options)),
-        ("throughput".to_string(), throughput_section(report)),
-    ];
-    for view in &options.views {
-        let section = match view {
-            View::DataProfile => data_profile_section(report, options.top),
-            View::MissClassification => miss_classification_section(report, options.top),
-            View::WorkingSet => working_set_section(report, options.top),
-            View::Utilization => utilization_section(report, options.top),
-            View::DataFlow => data_flow_section(report, options.top),
-        };
-        root.push((view.key().replace('-', "_"), section));
-    }
-    Json::Obj(root)
-}
-
-fn run_section(options: &Options) -> Json {
+/// The run that produced the report, as its options say.
+fn run_section(w: &mut JsonWriter, options: &Options) {
     let run = &options.run;
-    Json::obj(vec![
-        ("workload", Json::str(run.workload.name())),
-        ("threads", Json::num(run.threads as u32)),
-        ("cores_per_machine", Json::num(run.cores as u32)),
-        ("warmup_rounds", Json::num(run.warmup_rounds as u32)),
-        ("sample_rounds", Json::num(run.sample_rounds as u32)),
-        ("sampling", Json::str(run.sampling.to_string())),
-        ("history_types", Json::num(run.history_types as u32)),
-        ("history_sets", Json::num(run.history_sets as u32)),
-        ("base_seed", Json::num(run.base_seed as f64)),
-        (
-            "views",
-            Json::Arr(options.views.iter().map(|v| Json::str(v.key())).collect()),
-        ),
-    ])
-}
-
-fn throughput_section(report: &MergedReport) -> Json {
-    Json::obj(vec![
-        ("total_requests", Json::num(report.totals.requests as f64)),
-        ("aggregate_rps", Json::num(report.totals.rps)),
-        (
-            "profiling_fraction",
-            Json::num(report.totals.profiling_fraction),
-        ),
-        (
-            "per_thread",
-            Json::Arr(
-                report
-                    .threads
-                    .iter()
-                    .map(|t| {
-                        Json::obj(vec![
-                            ("thread", Json::num(t.thread as u32)),
-                            ("seed", Json::num(t.seed as f64)),
-                            ("requests", Json::num(t.requests as f64)),
-                            ("rps", Json::num(t.rps)),
-                            ("profiling_fraction", Json::num(t.profiling_fraction)),
-                            ("samples", Json::num(t.samples as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn data_profile_section(report: &MergedReport, top: usize) -> Json {
-    Json::obj(vec![(
-        "rows",
-        Json::Arr(
-            report
-                .data_profile
-                .iter()
-                .take(top)
-                .map(|row| {
-                    Json::obj(vec![
-                        ("type", Json::str(&*row.name)),
-                        ("description", Json::str(&*row.description)),
-                        ("working_set_bytes", Json::num(row.working_set_bytes)),
-                        ("pct_of_l1_misses", Json::num(row.pct_of_l1_misses)),
-                        ("ci95_low", Json::num(row.ci95_low)),
-                        ("ci95_high", Json::num(row.ci95_high)),
-                        ("rank_stable", Json::Bool(row.rank_stable)),
-                        ("pct_of_miss_cycles", Json::num(row.pct_of_miss_cycles)),
-                        ("bounce", Json::Bool(row.bounce)),
-                        ("samples", Json::num(row.samples as f64)),
-                        ("l1_miss_samples", Json::num(row.l1_miss_samples as f64)),
-                        ("threads_seen", Json::num(row.threads_seen as u32)),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
-}
-
-fn miss_classification_section(report: &MergedReport, top: usize) -> Json {
-    Json::obj(vec![(
-        "rows",
-        Json::Arr(
-            report
-                .miss_classification
-                .iter()
-                .take(top)
-                .map(|row| {
-                    Json::obj(vec![
-                        ("type", Json::str(&*row.name)),
-                        ("miss_samples", Json::num(row.miss_samples as f64)),
-                        (
-                            "fractions",
-                            Json::obj(vec![
-                                ("invalidation", Json::num(row.invalidation)),
-                                ("conflict", Json::num(row.conflict)),
-                                ("capacity", Json::num(row.capacity)),
-                            ]),
-                        ),
-                        ("dominant", Json::str(row.dominant())),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
-}
-
-fn working_set_section(report: &MergedReport, top: usize) -> Json {
-    let ws = &report.working_set;
-    Json::obj(vec![
-        ("cache_capacity_bytes", Json::num(ws.cache_capacity as f64)),
-        ("cache_ways", Json::num(ws.cache_ways as u32)),
-        ("total_avg_bytes", Json::num(ws.total_avg_bytes)),
-        (
-            "threads_exceeding_capacity",
-            Json::num(ws.threads_exceeding_capacity as u32),
-        ),
-        ("max_conflict_sets", Json::num(ws.conflict_sets as u32)),
-        (
-            "rows",
-            Json::Arr(
-                ws.rows
-                    .iter()
-                    .take(top)
-                    .map(|row| {
-                        Json::obj(vec![
-                            ("type", Json::str(&*row.name)),
-                            ("description", Json::str(&*row.description)),
-                            ("avg_live_bytes", Json::num(row.avg_live_bytes)),
-                            ("avg_live_objects", Json::num(row.avg_live_objects)),
-                            ("peak_live_bytes", Json::num(row.peak_live_bytes as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn utilization_section(report: &MergedReport, top: usize) -> Json {
-    let util = &report.utilization;
-    Json::obj(vec![
-        ("total_fetches", Json::num(util.total_fetches as f64)),
-        ("total_refetches", Json::num(util.total_refetches as f64)),
-        (
-            "resolved_slots_fetched",
-            Json::num(util.resolved_slots_fetched as f64),
-        ),
-        (
-            "resolved_slots_touched",
-            Json::num(util.resolved_slots_touched as f64),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                util.rows
-                    .iter()
-                    .take(top)
-                    .map(|row| {
-                        Json::obj(vec![
-                            ("type", Json::str(&*row.name)),
-                            ("description", Json::str(&*row.description)),
-                            ("slots_fetched", Json::num(row.slots_fetched as f64)),
-                            ("slots_touched", Json::num(row.slots_touched as f64)),
-                            ("refetch_slots", Json::num(row.refetch_slots as f64)),
-                            ("utilization_pct", Json::num(row.utilization_pct())),
-                            ("ci95_low", Json::num(row.ci95_low)),
-                            ("ci95_high", Json::num(row.ci95_high)),
-                            ("rank_stable", Json::Bool(row.rank_stable)),
-                            ("wasted_bytes", Json::num(row.wasted_bytes() as f64)),
-                            ("wasted_bytes_per_sec", Json::num(row.wasted_bytes_per_sec)),
-                            ("refetch_ratio", Json::num(row.refetch_ratio())),
-                            (
-                                "origins",
-                                Json::Arr(
-                                    row.origins
-                                        .iter()
-                                        .map(|o| {
-                                            Json::obj(vec![
-                                                ("origin", Json::str(&*o.origin)),
-                                                (
-                                                    "slots_fetched",
-                                                    Json::num(o.slots_fetched as f64),
-                                                ),
-                                                (
-                                                    "slots_touched",
-                                                    Json::num(o.slots_touched as f64),
-                                                ),
-                                                (
-                                                    "wasted_bytes",
-                                                    Json::num(o.wasted_bytes() as f64),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Nodes keep `--top`; every edge is written, so a reader of the document re-derives
-/// the `core_crossings` written beside them.
-fn data_flow_section(report: &MergedReport, top: usize) -> Json {
-    Json::obj(vec![(
-        "types",
-        Json::Arr(
-            report
-                .data_flows
-                .iter()
-                .map(|flow| {
-                    Json::obj(vec![
-                        ("type", Json::str(&*flow.type_name)),
-                        ("core_crossings", Json::num(flow.core_crossings() as f64)),
-                        (
-                            "nodes",
-                            Json::Arr(
-                                flow.nodes
-                                    .iter()
-                                    .take(top)
-                                    .map(|n| {
-                                        Json::obj(vec![
-                                            ("function", Json::str(&*n.function)),
-                                            ("samples", Json::num(n.samples as f64)),
-                                            ("weight", Json::num(n.weight as f64)),
-                                            ("avg_latency", Json::num(n.avg_latency)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                        (
-                            "edges",
-                            Json::Arr(
-                                flow.edges
-                                    .iter()
-                                    .map(|e| {
-                                        Json::obj(vec![
-                                            ("from", Json::str(&*e.from)),
-                                            ("to", Json::str(&*e.to)),
-                                            ("count", Json::num(e.count as f64)),
-                                            ("cpu_change", Json::Bool(e.cpu_change)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
+    w.open_obj();
+    w.key("workload").str(run.workload.name());
+    w.key("threads").num(run.threads as f64);
+    w.key("cores_per_machine").num(run.cores as f64);
+    w.key("warmup_rounds").num(run.warmup_rounds as f64);
+    w.key("sample_rounds").num(run.sample_rounds as f64);
+    w.key("sampling").str(&run.sampling.to_string());
+    w.key("history_types").num(run.history_types as f64);
+    w.key("history_sets").num(run.history_sets as f64);
+    w.key("base_seed").num(run.base_seed as f64);
+    w.key("views").open_arr();
+    for view in &options.views {
+        w.item().str(view.key());
+    }
+    w.close_arr().close_obj();
 }
 
 #[cfg(test)]
@@ -324,7 +74,14 @@ mod tests {
     use super::*;
     use crate::args::{Format, Options, View};
     use crate::driver::{run_parallel, RunOptions, WorkloadKind};
-    use crate::merge::merge;
+    use crate::merge::{merge, ProfileShard};
+    use dprof::core::schema::{shard_from_report_json, Json, JsonTape};
+
+    /// The report rendered as a document and read back as one shard.
+    fn read_back(report: &MergedReport, options: &Options) -> ProfileShard {
+        let text = render(report, options);
+        shard_from_report_json(&JsonTape::parse(&text).unwrap(), 0).unwrap()
+    }
 
     fn small_options() -> Options {
         Options {
@@ -380,15 +137,12 @@ mod tests {
 
     #[test]
     fn a_rendered_report_reads_back_as_a_shard_with_the_same_counts() {
-        use crate::merge::{merge_shards, ProfileShard};
+        use crate::merge::merge_shards;
         let mut options = small_options();
         options.run.threads = 1;
         options.top = 64;
         let report = merge(&run_parallel(&options.run).unwrap());
-        let shard: ProfileShard =
-            dprof::core::schema::shard_from_report_json(&render_json(&report, &options), 0)
-                .unwrap();
-        let again = merge_shards(&[&shard]);
+        let again = merge_shards(&[&read_back(&report, &options)]);
 
         assert!(!report.data_profile.is_empty() && !report.utilization.rows.is_empty());
         assert_eq!(again.pooled_weight, report.pooled_weight);
@@ -427,7 +181,7 @@ mod tests {
     #[test]
     fn a_report_read_back_summarizes_as_the_report_it_was_rendered_from() {
         use crate::merge::{merge_shards, summary_from_merged};
-        use dprof::core::{diff, schema::shard_from_report_json};
+        use dprof::core::diff;
         let mut crossing_past_top = false;
         for (workload, threads) in [
             ("memcached", 1),
@@ -451,7 +205,7 @@ mod tests {
                 .any(|f| f.edges.iter().skip(1).any(|e| e.cpu_change));
             for top in [1, 8, 64] {
                 options.top = top;
-                let shard = shard_from_report_json(&render_json(&report, &options), 0).unwrap();
+                let shard = read_back(&report, &options);
                 let read_back = summary_from_merged(&merge_shards(&[&shard]));
                 let case = format!("{workload} x{threads} --top {top}");
                 let covers_every_type = widest.iter().all(|&rows| rows <= top);
@@ -482,6 +236,47 @@ mod tests {
         assert_eq!(report.threads.len(), 1);
         let text = render_views(&report, &[View::WorkingSet], 8);
         assert!(text.contains(" of 2 thread(s) over capacity"), "{text}");
+    }
+
+    /// A report of several threads reads back as one shard that still counts them: its
+    /// working-set rows were once written without `threads_seen` and read back as one
+    /// thread each, so a fold weighed a two-thread report's means as one thread's.
+    #[test]
+    fn reports_of_several_threads_fold_as_their_threads_do() {
+        use dprof::core::merge::fold;
+        let mut options = small_options();
+        options.top = usize::MAX;
+        let two = run_parallel(&options.run).unwrap();
+        options.run.threads = 1;
+        options.run.base_seed += 1;
+        let one = run_parallel(&options.run).unwrap();
+        let reports = [merge(&two), merge(&one)];
+        options.run.threads = 2;
+        let two_read = read_back(&reports[0], &options);
+        options.run.threads = 1;
+        let from_reports = fold(&[&two_read, &read_back(&reports[1], &options)]);
+        let runs = [&two[0], &two[1], &one[0]];
+        let shards: Vec<ProfileShard> = (0..).zip(runs).map(|(i, r)| r.shard(i)).collect();
+        let direct = fold(&shards.iter().collect::<Vec<_>>());
+
+        // Rows are matched by name: means that agree only to rounding may sort apart.
+        let (a, b) = (&from_reports.working_set, &direct.working_set);
+        assert_eq!(a.thread_count, 3);
+        assert_eq!(a.thread_count, b.thread_count);
+        assert_eq!(a.rows.len(), b.rows.len());
+        assert!(a.rows.iter().any(|row| row.threads_seen == 3));
+        for row in &a.rows {
+            let twin = b.rows.iter().find(|r| r.name == row.name).unwrap();
+            assert_eq!(row.threads_seen, twin.threads_seen, "{}", row.name);
+            let (x, y) = (row.avg_live_bytes, twin.avg_live_bytes);
+            assert!((x - y).abs() <= 1e-9 * y, "{}: {x} vs {y}", row.name);
+        }
+        let (a, b) = (&from_reports.data_profile, &direct.data_profile);
+        assert_eq!(a.len(), b.len());
+        for row in a {
+            let twin = b.iter().find(|r| r.name == row.name).unwrap();
+            assert_eq!(row.threads_seen, twin.threads_seen, "{}", row.name);
+        }
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub struct ShardMeta {
     pub profiling_fraction: f64,
     /// Access samples collected.
     pub samples: u64,
-    /// Total simulated cycles (weights the merged profiling-overhead mean; pushed
-    /// report shards carry 0, which simply drops them from that weighted mean).
+    /// Total simulated cycles (weights the merged profiling-overhead mean; a report
+    /// that does not carry them reads as 0, which drops it from that weighted mean).
     pub total_cycles: u64,
 }
 
@@ -464,6 +464,14 @@ pub struct MergedReport {
 }
 
 impl MergedReport {
+    /// The report of one shard as it is: ranked, not folded again (a fold of a folded
+    /// shard re-expands and divides its means once more, which moves their rounding).
+    /// What a collector snapshots and loadgen pushes: written whole
+    /// (`schema::write_whole_report`), it reads back as `shard`.
+    pub fn of_shard(shard: ProfileShard) -> MergedReport {
+        MergedReport::rank(vec![shard.meta.clone()], shard)
+    }
+
     fn rank(threads: Vec<ShardMeta>, folded: ProfileShard) -> MergedReport {
         // The miss-weighted mean of per-shard shares equals the pooled share
         // (sum of counts over sum of totals), so the pooled counts also give the
@@ -1194,6 +1202,13 @@ mod tests {
         }
     }
 
+    /// A fold as a snapshot keeps it, a report written whole, read back.
+    fn written_and_read(folded: &ProfileShard) -> Result<ProfileShard, String> {
+        let text = crate::schema::report_of_shard(folded.clone());
+        let doc = crate::schema::JsonTape::parse(&text).unwrap();
+        crate::schema::shard_from_report_json(&doc, folded.ordinal)
+    }
+
     #[test]
     fn finish_is_order_insensitive() {
         let shards = [
@@ -1284,9 +1299,7 @@ mod tests {
         // Two documents are enough, and what the fold holds a snapshot can carry.
         let folded = fold(&[&shards[0], &shards[1]]);
         assert_eq!(folded.meta.requests, MAX);
-        let text = crate::schema::shard_to_json(&folded).to_pretty_string();
-        let reread = crate::schema::Json::parse(&text).unwrap();
-        assert_eq!(crate::schema::shard_from_json(&reread), Ok(folded));
+        assert_eq!(written_and_read(&folded), Ok(folded));
     }
 
     #[test]
@@ -1336,9 +1349,7 @@ mod tests {
         assert!(means.iter().all(|m| m.is_finite() && *m > 0.0), "{means:?}");
         assert_eq!(folded.utilization.rows[0].wasted_bytes_per_sec, MAX);
         // What the fold holds a snapshot can carry.
-        let text = crate::schema::shard_to_json(&folded).to_pretty_string();
-        let reread = crate::schema::Json::parse(&text).unwrap();
-        assert_eq!(crate::schema::shard_from_json(&reread), Ok(folded));
+        assert_eq!(written_and_read(&folded), Ok(folded));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   without building one,
 //! * the schema-id constants every document carries ([`REPORT_V1`], [`DIFF_V1`],
 //!   [`WHATIF_V1`], [`ACCURACY_V1`], [`SERVE_V1`], [`LOADGEN_V1`]),
-//! * the readers that turn documents back into typed values:
+//! * the one shard document, the report, with its writer and its reader:
+//!   [`write_report`] (what `dprof -f json` prints; [`write_whole_report`], every view
+//!   and row, is what a collector snapshots and loadgen pushes) and
 //!   [`shard_from_report_json`] (report → mergeable [`ProfileShard`], what the
-//!   collector ingests and `dprof diff` reads) and the
-//!   [`shard_to_json`]/[`shard_from_json`] pair used by the serve store's snapshots.
+//!   collector ingests and reloads and `dprof diff` reads).
 //!
 //! Object key order is preserved on emit, so documents are byte-stable across runs
 //! with identical inputs — the CI determinism job depends on this.
@@ -28,10 +29,11 @@
 //! connection pushes.
 
 use crate::merge::{
-    self, ProfileShard, ShardFlow, ShardFlowEdge, ShardFlowNode, ShardMeta, ShardMissRow,
-    ShardProfileRow, ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow,
+    self, MergedReport, ProfileShard, Ranked, ShardFlow, ShardFlowEdge, ShardFlowNode, ShardMeta,
+    ShardMissRow, ShardProfileRow, ShardUtilization, ShardUtilizationOrigin, ShardUtilizationRow,
     ShardWorkingSet, ShardWorkingSetRow,
 };
+use crate::report::View;
 use sim_cache::line_table::BuildKeyedMixHasher;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -610,10 +612,10 @@ pub const MAX_NESTING: usize = 128;
 /// object, its key one more, and the tape is a vector that doubles from four nodes, so
 /// this is what bounds the memory one pushed frame can claim: a tape of at most
 /// 2 × 2^16 nodes, 3 MiB however the document is shaped, beside the strings with an
-/// escape, each no longer than its text.  64 × the largest report the workspace
-/// writes: 1 023 values, a 4-thread 16-core memcached report at `--top 1000
-/// --history-types 40`.  A snapshot, the fold of any number of such reports, is read
-/// by [`JsonTape::parse_local`] instead.
+/// escape, each no longer than its text.  About 60 × the largest report the workspace
+/// writes: 1 096 values, a 4-thread 16-core memcached report at `--top 1000
+/// --history-types 40` (1 023 when the bound was set).  A snapshot, the fold of any
+/// number of such reports, is read by [`JsonTape::parse_local`] instead.
 pub const MAX_NODES: usize = 1 << 16;
 
 fn indent(out: &mut String, level: usize) {
@@ -1033,9 +1035,8 @@ fn expect_schema(doc: JsonRef) -> Result<(), String> {
     }
 }
 
-// One parser per row type.  A report and a snapshot spell a row with the same keys
-// (the report adds derived ones, which a shard recomputes), so both readers go
-// through these.
+// One parser per row type.  A row carries derived keys beside its counts, which a
+// shard recomputes instead of reading.
 
 fn profile_row(row: JsonRef, names: &mut NameTable) -> Result<ShardProfileRow, String> {
     Ok(ShardProfileRow {
@@ -1056,8 +1057,7 @@ fn profile_row(row: JsonRef, names: &mut NameTable) -> Result<ShardProfileRow, S
 }
 
 fn miss_row(row: JsonRef, names: &mut NameTable) -> Result<ShardMissRow, String> {
-    // A report nests the three fractions under `fractions`; a snapshot keeps them flat.
-    let fractions = row.get("fractions").unwrap_or(row);
+    let fractions = section(row, "fractions");
     Ok(ShardMissRow {
         name: name_at(row, "type", names),
         miss_samples: count_at(row, "miss_classification", "miss_samples")?,
@@ -1114,12 +1114,11 @@ fn utilization(section: JsonRef, names: &mut NameTable) -> Result<ShardUtilizati
     })
 }
 
-/// The working-set section.  A report has no `thread_count` of its own (its `run`
-/// section knows) and calls the conflict-set count `max_conflict_sets`.
+/// The working-set section.  It has no `thread_count` of its own: the `run` section
+/// knows.
 fn working_set(
     section: JsonRef,
     thread_count: usize,
-    conflict_sets_key: &str,
     names: &mut NameTable,
 ) -> Result<ShardWorkingSet, String> {
     Ok(ShardWorkingSet {
@@ -1138,7 +1137,7 @@ fn working_set(
         total_avg_bytes: f64_at(section, "total_avg_bytes"),
         thread_count,
         threads_exceeding_capacity: usize_at(section, "working_set", "threads_exceeding_capacity")?,
-        conflict_sets: usize_at(section, "working_set", conflict_sets_key)?,
+        conflict_sets: usize_at(section, "working_set", "max_conflict_sets")?,
     })
 }
 
@@ -1166,13 +1165,15 @@ fn flow(flow: JsonRef, names: &mut NameTable) -> Result<ShardFlow, String> {
 
 /// Converts a full [`REPORT_V1`] document into one mergeable [`ProfileShard`].
 ///
-/// This is how `dprof serve` ingests pushed report shards, and how `dprof diff` reads
-/// its two reports: the whole report (which may itself summarize several threads)
-/// becomes one shard whose weight is the pooled L1-miss sample count, so re-merging
-/// many pushed reports weights each by the evidence it carries.  `ordinal` fixes the
-/// shard's position in the canonical fold order (the server assigns monotonically
-/// increasing ordinals per store key).  Its names are read through a fresh
-/// [`NameTable`]; [`shard_from_report_json_with`] reads them through one it is given.
+/// This is how `dprof serve` ingests pushed reports and reloads its snapshots, and how
+/// `dprof diff` reads its two reports: the whole report (which may itself summarize
+/// several threads) becomes one shard whose weight is the pooled L1-miss sample count,
+/// so re-merging many pushed reports weights each by the evidence it carries.
+/// `ordinal` fixes the shard's position in the canonical fold order (the server
+/// assigns monotonically increasing ordinals per store key).  A report written whole
+/// ([`write_whole_report`]) reads back as the shard it was ranked from.  Its names are
+/// read through a fresh [`NameTable`]; [`shard_from_report_json_with`] reads them
+/// through one it is given.
 pub fn shard_from_report_json<'a>(
     doc: impl Into<JsonRef<'a>>,
     ordinal: u64,
@@ -1201,10 +1202,9 @@ fn read_report_shard(
     expect_schema(doc)?;
     let run = section(doc, "run");
     let throughput = section(doc, "throughput");
+    let profile = section(doc, "data_profile");
 
-    let data_profile = parsed_rows(section(doc, "data_profile"), "rows", |row| {
-        profile_row(row, names)
-    })?;
+    let data_profile = parsed_rows(profile, "rows", |row| profile_row(row, names))?;
     // A report derives a row's share from its miss count, so a share without one is no
     // report's: read as one, it would weigh the shard 0 and every share with it.
     if let Some(row) =
@@ -1215,18 +1215,9 @@ fn read_report_shard(
             row.name, row.pct_of_l1_misses
         ));
     }
-    // The report's rows carry shares relative to the *total* miss-sample pool, which
-    // may exceed the per-row sum when some misses went unattributed; reconstruct the
-    // pool so this shard's weight matches the denominator its percentages assume.
-    let sum_l1 = data_profile
-        .iter()
-        .fold(0, |n, r| merge::add_counts(n, r.l1_miss_samples));
-    let sum_pct: f64 = data_profile.iter().map(|r| r.pct_of_l1_misses).sum();
-    let weight = if sum_pct > 1e-9 {
-        (sum_l1 as f64 * 100.0 / sum_pct).round()
-    } else {
-        sum_l1 as f64
-    };
+    // The shares are relative to the section's `weight`, the whole miss-sample pool.
+    let weight = (profile.get("weight").and_then(JsonRef::as_f64))
+        .unwrap_or_else(|| rebuilt_weight(&data_profile));
 
     let mut data_flows = parsed_rows(section(doc, "data_flow"), "types", |f| flow(f, names))?;
     data_flows.sort_by(|a, b| a.type_name.cmp(&b.type_name));
@@ -1243,7 +1234,7 @@ fn read_report_shard(
             samples: rows(throughput, "per_thread").try_fold(0u64, |n, t| {
                 count_at(t, "throughput per_thread", "samples").map(|c| merge::add_counts(n, c))
             })?,
-            total_cycles: 0,
+            total_cycles: count_at(throughput, "throughput", "total_cycles")?,
         },
         data_profile,
         miss_classification: parsed_rows(section(doc, "miss_classification"), "rows", |row| {
@@ -1253,279 +1244,237 @@ fn read_report_shard(
         working_set: working_set(
             section(doc, "working_set"),
             usize_at(run, "run", "threads")?.max(1),
-            "max_conflict_sets",
             names,
         )?,
         data_flows,
     })
 }
 
-/// Serializes a [`ProfileShard`] as the `shard` body of a [`SERVE_V1`] snapshot.
-pub fn shard_to_json(shard: &ProfileShard) -> Json {
-    Json::obj(vec![
-        ("ordinal", Json::num(shard.ordinal as f64)),
-        ("weight", Json::num(shard.weight)),
-        (
-            "meta",
-            Json::obj(vec![
-                ("thread", Json::num(shard.meta.thread as f64)),
-                ("seed", Json::num(shard.meta.seed as f64)),
-                ("requests", Json::num(shard.meta.requests as f64)),
-                ("rps", Json::num(shard.meta.rps)),
-                (
-                    "profiling_fraction",
-                    Json::num(shard.meta.profiling_fraction),
-                ),
-                ("samples", Json::num(shard.meta.samples as f64)),
-                ("total_cycles", Json::num(shard.meta.total_cycles as f64)),
-            ]),
-        ),
-        (
-            "data_profile",
-            Json::Arr(
-                shard
-                    .data_profile
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("type", Json::str(&*r.name)),
-                            ("description", Json::str(&*r.description)),
-                            ("working_set_bytes", Json::num(r.working_set_bytes)),
-                            ("pct_of_l1_misses", Json::num(r.pct_of_l1_misses)),
-                            ("pct_of_miss_cycles", Json::num(r.pct_of_miss_cycles)),
-                            ("bounce", Json::Bool(r.bounce)),
-                            ("samples", Json::num(r.samples as f64)),
-                            ("l1_miss_samples", Json::num(r.l1_miss_samples as f64)),
-                            ("threads_seen", Json::num(r.threads_seen as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "miss_classification",
-            Json::Arr(
-                shard
-                    .miss_classification
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("type", Json::str(&*r.name)),
-                            ("miss_samples", Json::num(r.miss_samples as f64)),
-                            ("invalidation", Json::num(r.invalidation)),
-                            ("conflict", Json::num(r.conflict)),
-                            ("capacity", Json::num(r.capacity)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "utilization",
-            Json::obj(vec![
-                (
-                    "rows",
-                    Json::Arr(
-                        shard
-                            .utilization
-                            .rows
-                            .iter()
-                            .map(|r| {
-                                Json::obj(vec![
-                                    ("type", Json::str(&*r.name)),
-                                    ("description", Json::str(&*r.description)),
-                                    ("slots_fetched", Json::num(r.slots_fetched as f64)),
-                                    ("slots_touched", Json::num(r.slots_touched as f64)),
-                                    ("refetch_slots", Json::num(r.refetch_slots as f64)),
-                                    ("wasted_bytes_per_sec", Json::num(r.wasted_bytes_per_sec)),
-                                    (
-                                        "origins",
-                                        Json::Arr(
-                                            r.origins
-                                                .iter()
-                                                .map(|o| {
-                                                    Json::obj(vec![
-                                                        ("origin", Json::str(&*o.origin)),
-                                                        (
-                                                            "slots_fetched",
-                                                            Json::num(o.slots_fetched as f64),
-                                                        ),
-                                                        (
-                                                            "slots_touched",
-                                                            Json::num(o.slots_touched as f64),
-                                                        ),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "total_fetches",
-                    Json::num(shard.utilization.total_fetches as f64),
-                ),
-                (
-                    "total_refetches",
-                    Json::num(shard.utilization.total_refetches as f64),
-                ),
-                (
-                    "resolved_slots_fetched",
-                    Json::num(shard.utilization.resolved_slots_fetched as f64),
-                ),
-                (
-                    "resolved_slots_touched",
-                    Json::num(shard.utilization.resolved_slots_touched as f64),
-                ),
-            ]),
-        ),
-        (
-            "working_set",
-            Json::obj(vec![
-                (
-                    "rows",
-                    Json::Arr(
-                        shard
-                            .working_set
-                            .rows
-                            .iter()
-                            .map(|r| {
-                                Json::obj(vec![
-                                    ("type", Json::str(&*r.name)),
-                                    ("description", Json::str(&*r.description)),
-                                    ("avg_live_bytes", Json::num(r.avg_live_bytes)),
-                                    ("avg_live_objects", Json::num(r.avg_live_objects)),
-                                    ("peak_live_bytes", Json::num(r.peak_live_bytes as f64)),
-                                    ("threads_seen", Json::num(r.threads_seen as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "cache_capacity_bytes",
-                    Json::num(shard.working_set.cache_capacity as f64),
-                ),
-                ("cache_ways", Json::num(shard.working_set.cache_ways as f64)),
-                (
-                    "total_avg_bytes",
-                    Json::num(shard.working_set.total_avg_bytes),
-                ),
-                (
-                    "thread_count",
-                    Json::num(shard.working_set.thread_count as f64),
-                ),
-                (
-                    "threads_exceeding_capacity",
-                    Json::num(shard.working_set.threads_exceeding_capacity as f64),
-                ),
-                (
-                    "conflict_sets",
-                    Json::num(shard.working_set.conflict_sets as f64),
-                ),
-            ]),
-        ),
-        (
-            "data_flows",
-            Json::Arr(
-                shard
-                    .data_flows
-                    .iter()
-                    .map(|f| {
-                        Json::obj(vec![
-                            ("type", Json::str(&*f.type_name)),
-                            (
-                                "nodes",
-                                Json::Arr(
-                                    f.nodes
-                                        .iter()
-                                        .map(|n| {
-                                            Json::obj(vec![
-                                                ("function", Json::str(&*n.function)),
-                                                ("samples", Json::num(n.samples as f64)),
-                                                ("weight", Json::num(n.weight as f64)),
-                                                ("avg_latency", Json::num(n.avg_latency)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "edges",
-                                Json::Arr(
-                                    f.edges
-                                        .iter()
-                                        .map(|e| {
-                                            Json::obj(vec![
-                                                ("from", Json::str(&*e.from)),
-                                                ("to", Json::str(&*e.to)),
-                                                ("count", Json::num(e.count as f64)),
-                                                ("cpu_change", Json::Bool(e.cpu_change)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Deserializes a shard written by [`shard_to_json`], its names read through a fresh
-/// [`NameTable`].
-pub fn shard_from_json<'a>(doc: impl Into<JsonRef<'a>>) -> Result<ProfileShard, String> {
-    read_shard(doc.into(), &mut NameTable::default())
-}
-
-/// [`shard_from_json`], sharing every name `names` already holds.
-pub fn shard_from_json_with<'a>(
-    doc: impl Into<JsonRef<'a>>,
-    names: &mut NameTable,
-) -> Result<ProfileShard, String> {
-    read_shard(doc.into(), names)
-}
-
-fn read_shard(doc: JsonRef, names: &mut NameTable) -> Result<ProfileShard, String> {
-    let meta = doc.get("meta").ok_or("shard without a 'meta' object")?;
-    let ws = doc
-        .get("working_set")
-        .ok_or("shard without a 'working_set' object")?;
-    if doc
-        .get("data_profile")
-        .and_then(JsonRef::as_array)
-        .is_none()
-    {
-        return Err("shard without a 'data_profile' array".into());
+/// The miss-sample pool of a report that does not carry its `weight`, rebuilt from its
+/// rows: the pool may exceed the per-row sum when some misses went unattributed, and
+/// the shares say by how much (but not when no row has a share).
+fn rebuilt_weight(rows: &[ShardProfileRow]) -> f64 {
+    let sum_l1 = rows
+        .iter()
+        .fold(0, |n, r| merge::add_counts(n, r.l1_miss_samples));
+    let sum_pct: f64 = rows.iter().map(|r| r.pct_of_l1_misses).sum();
+    if sum_pct > 1e-9 {
+        (sum_l1 as f64 * 100.0 / sum_pct).round()
+    } else {
+        sum_l1 as f64
     }
-    Ok(ProfileShard {
-        ordinal: id_at(doc, "ordinal"),
-        weight: f64_at(doc, "weight"),
-        meta: ShardMeta {
-            thread: id_at(meta, "thread") as usize,
-            seed: id_at(meta, "seed"),
-            requests: count_at(meta, "meta", "requests")?,
-            rps: f64_at(meta, "rps"),
-            profiling_fraction: f64_at(meta, "profiling_fraction"),
-            samples: count_at(meta, "meta", "samples")?,
-            total_cycles: count_at(meta, "meta", "total_cycles")?,
-        },
-        data_profile: parsed_rows(doc, "data_profile", |row| profile_row(row, names))?,
-        miss_classification: parsed_rows(doc, "miss_classification", |row| miss_row(row, names))?,
-        utilization: utilization(section(doc, "utilization"), names)?,
-        working_set: working_set(
-            ws,
-            usize_at(ws, "working_set", "thread_count")?.max(1),
-            "conflict_sets",
-            names,
-        )?,
-        data_flows: parsed_rows(doc, "data_flows", |f| flow(f, names))?,
-    })
+}
+
+// The writer of the report the reader above reads: what `dprof -f json` prints, and,
+// written whole, what a collector snapshots and loadgen pushes.
+
+/// Writes `report` as a [`REPORT_V1`] document, the whole document or the value after
+/// a key: `schema`, `run` (written by `run`: the one section only the caller knows),
+/// `throughput`, then each of `views` in the order given, every table cut to `top`
+/// rows (a data flow's nodes too; every flow and every edge is written, so the
+/// `core_crossings` beside them can be re-derived).  Beside the counts it writes what a
+/// reader of the document wants and [`shard_from_report_json`] recomputes instead of
+/// reading: the intervals, rank stability, utilization and waste, the dominant miss
+/// class and the crossings.
+pub fn write_report(
+    w: &mut JsonWriter,
+    report: &MergedReport,
+    views: &[View],
+    top: usize,
+    run: impl FnOnce(&mut JsonWriter),
+) {
+    w.open_obj();
+    w.key("schema").str(REPORT_V1);
+    w.key("run");
+    run(w);
+    let totals = &report.totals;
+    w.key("throughput").open_obj();
+    w.key("total_requests").num(totals.requests as f64);
+    w.key("aggregate_rps").num(totals.rps);
+    w.key("profiling_fraction").num(totals.profiling_fraction);
+    w.key("total_cycles").num(totals.total_cycles as f64);
+    w.key("per_thread").open_arr();
+    for t in &report.threads {
+        w.item().open_obj();
+        w.key("thread").num(t.thread as f64);
+        w.key("seed").num(t.seed as f64);
+        w.key("requests").num(t.requests as f64);
+        w.key("rps").num(t.rps);
+        w.key("profiling_fraction").num(t.profiling_fraction);
+        w.key("samples").num(t.samples as f64);
+        w.close_obj();
+    }
+    w.close_arr().close_obj();
+    for view in views {
+        match view {
+            View::DataProfile => write_data_profile(w, report, top),
+            View::MissClassification => write_miss_classification(w, report, top),
+            View::WorkingSet => write_working_set(w, &report.working_set, top),
+            View::Utilization => write_utilization(w, &report.utilization, top),
+            View::DataFlow => write_data_flow(w, &report.data_flows, top),
+        }
+    }
+    w.close_obj();
+}
+
+/// [`write_report`] of every view and every row, with a `run` section of only the two
+/// keys the reader reads (`threads`, `base_seed`).  Of
+/// [`MergedReport::of_shard`]`(shard)` it is a document [`shard_from_report_json`]
+/// reads back as `shard` (but its `meta.thread`, a producer index no report carries):
+/// what a collector's snapshot holds and what loadgen pushes.
+pub fn write_whole_report(w: &mut JsonWriter, report: &MergedReport) {
+    write_report(w, report, &View::ALL, usize::MAX, |w| {
+        w.open_obj();
+        w.key("threads").num(report.working_set.thread_count as f64);
+        w.key("base_seed").num(report.totals.seed as f64);
+        w.close_obj();
+    });
+}
+
+/// [`write_whole_report`] of `shard` ranked alone ([`MergedReport::of_shard`]), as a
+/// document of its own: what loadgen pushes.
+pub fn report_of_shard(shard: ProfileShard) -> String {
+    let mut w = JsonWriter::with_capacity(16 * 1024);
+    write_whole_report(&mut w, &MergedReport::of_shard(shard));
+    w.finish()
+}
+
+fn write_data_profile(w: &mut JsonWriter, report: &MergedReport, top: usize) {
+    w.key("data_profile").open_obj();
+    // The pool the shares are relative to.  The rows give it back only while their
+    // counts and shares agree: not once a count saturated at 2^53 (the pool, a float
+    // sum, goes on), nor when no row has a share.
+    w.key("weight").num(report.pooled_weight);
+    w.key("rows").open_arr();
+    for row in report.data_profile.iter().take(top) {
+        w.item().open_obj();
+        w.key("type").str(&row.name);
+        w.key("description").str(&row.description);
+        w.key("working_set_bytes").num(row.working_set_bytes);
+        w.key("pct_of_l1_misses").num(row.pct_of_l1_misses);
+        w.key("ci95_low").num(row.ci95_low);
+        w.key("ci95_high").num(row.ci95_high);
+        w.key("rank_stable").bool(row.rank_stable);
+        w.key("pct_of_miss_cycles").num(row.pct_of_miss_cycles);
+        w.key("bounce").bool(row.bounce);
+        w.key("samples").num(row.samples as f64);
+        w.key("l1_miss_samples").num(row.l1_miss_samples as f64);
+        w.key("threads_seen").num(row.threads_seen as f64);
+        w.close_obj();
+    }
+    w.close_arr().close_obj();
+}
+
+fn write_miss_classification(w: &mut JsonWriter, report: &MergedReport, top: usize) {
+    w.key("miss_classification").open_obj();
+    w.key("rows").open_arr();
+    for row in report.miss_classification.iter().take(top) {
+        w.item().open_obj();
+        w.key("type").str(&row.name);
+        w.key("miss_samples").num(row.miss_samples as f64);
+        w.key("fractions").open_obj();
+        w.key("invalidation").num(row.invalidation);
+        w.key("conflict").num(row.conflict);
+        w.key("capacity").num(row.capacity);
+        w.close_obj();
+        w.key("dominant").str(row.dominant());
+        w.close_obj();
+    }
+    w.close_arr().close_obj();
+}
+
+fn write_working_set(w: &mut JsonWriter, ws: &ShardWorkingSet, top: usize) {
+    w.key("working_set").open_obj();
+    w.key("cache_capacity_bytes").num(ws.cache_capacity as f64);
+    w.key("cache_ways").num(ws.cache_ways as f64);
+    w.key("total_avg_bytes").num(ws.total_avg_bytes);
+    w.key("threads_exceeding_capacity")
+        .num(ws.threads_exceeding_capacity as f64);
+    w.key("max_conflict_sets").num(ws.conflict_sets as f64);
+    w.key("rows").open_arr();
+    for row in ws.rows.iter().take(top) {
+        w.item().open_obj();
+        w.key("type").str(&row.name);
+        w.key("description").str(&row.description);
+        w.key("avg_live_bytes").num(row.avg_live_bytes);
+        w.key("avg_live_objects").num(row.avg_live_objects);
+        w.key("threads_seen").num(row.threads_seen as f64);
+        w.key("peak_live_bytes").num(row.peak_live_bytes as f64);
+        w.close_obj();
+    }
+    w.close_arr().close_obj();
+}
+
+fn write_utilization(
+    w: &mut JsonWriter,
+    util: &ShardUtilization<Ranked<ShardUtilizationRow>>,
+    top: usize,
+) {
+    w.key("utilization").open_obj();
+    w.key("total_fetches").num(util.total_fetches as f64);
+    w.key("total_refetches").num(util.total_refetches as f64);
+    w.key("resolved_slots_fetched")
+        .num(util.resolved_slots_fetched as f64);
+    w.key("resolved_slots_touched")
+        .num(util.resolved_slots_touched as f64);
+    w.key("rows").open_arr();
+    for row in util.rows.iter().take(top) {
+        w.item().open_obj();
+        w.key("type").str(&row.name);
+        w.key("description").str(&row.description);
+        w.key("slots_fetched").num(row.slots_fetched as f64);
+        w.key("slots_touched").num(row.slots_touched as f64);
+        w.key("refetch_slots").num(row.refetch_slots as f64);
+        w.key("utilization_pct").num(row.utilization_pct());
+        w.key("ci95_low").num(row.ci95_low);
+        w.key("ci95_high").num(row.ci95_high);
+        w.key("rank_stable").bool(row.rank_stable);
+        w.key("wasted_bytes").num(row.wasted_bytes() as f64);
+        w.key("wasted_bytes_per_sec").num(row.wasted_bytes_per_sec);
+        w.key("refetch_ratio").num(row.refetch_ratio());
+        w.key("origins").open_arr();
+        for o in &row.origins {
+            w.item().open_obj();
+            w.key("origin").str(&o.origin);
+            w.key("slots_fetched").num(o.slots_fetched as f64);
+            w.key("slots_touched").num(o.slots_touched as f64);
+            w.key("wasted_bytes").num(o.wasted_bytes() as f64);
+            w.close_obj();
+        }
+        w.close_arr().close_obj();
+    }
+    w.close_arr().close_obj();
+}
+
+fn write_data_flow(w: &mut JsonWriter, flows: &[ShardFlow], top: usize) {
+    w.key("data_flow").open_obj();
+    w.key("types").open_arr();
+    for flow in flows {
+        w.item().open_obj();
+        w.key("type").str(&flow.type_name);
+        w.key("core_crossings").num(flow.core_crossings() as f64);
+        w.key("nodes").open_arr();
+        for n in flow.nodes.iter().take(top) {
+            w.item().open_obj();
+            w.key("function").str(&n.function);
+            w.key("samples").num(n.samples as f64);
+            w.key("weight").num(n.weight as f64);
+            w.key("avg_latency").num(n.avg_latency);
+            w.close_obj();
+        }
+        w.close_arr();
+        w.key("edges").open_arr();
+        for e in &flow.edges {
+            w.item().open_obj();
+            w.key("from").str(&e.from);
+            w.key("to").str(&e.to);
+            w.key("count").num(e.count as f64);
+            w.key("cpu_change").bool(e.cpu_change);
+            w.close_obj();
+        }
+        w.close_arr().close_obj();
+    }
+    w.close_arr().close_obj();
 }
 
 #[cfg(test)]
@@ -1669,13 +1618,25 @@ mod tests {
         }
     }
 
+    /// The sample shard written whole, as a collector snapshots it, and the shard that
+    /// document carries: the same but for `meta.thread`, a producer index no report
+    /// writes.
+    fn sample_report() -> (Json, ProfileShard) {
+        let mut shard = sample_shard();
+        let mut w = JsonWriter::default();
+        write_whole_report(&mut w, &MergedReport::of_shard(shard.clone()));
+        shard.meta.thread = 0;
+        (Json::parse(&w.finish()).unwrap(), shard)
+    }
+
+    fn read(doc: &Json) -> Result<ProfileShard, String> {
+        shard_from_report_json(doc, 7)
+    }
+
     #[test]
-    fn shard_roundtrips_through_json() {
-        let shard = sample_shard();
-        let doc = shard_to_json(&shard);
-        let text = doc.to_pretty_string();
-        let back = shard_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, shard);
+    fn a_shard_written_whole_reads_back() {
+        let (doc, shard) = sample_report();
+        assert_eq!(read(&doc), Ok(shard));
     }
 
     /// Every leaf of `value`, as the path of object keys / array indices to it.
@@ -1699,7 +1660,7 @@ mod tests {
         }
     }
 
-    fn leaf_mut<'a>(value: &'a mut Json, path: &[String]) -> &'a mut Json {
+    fn leaf_mut<'a>(value: &'a mut Json, path: &[&str]) -> &'a mut Json {
         path.iter().fold(value, |at, step| match at {
             Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).unwrap().1,
             Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
@@ -1707,14 +1668,34 @@ mod tests {
         })
     }
 
+    /// What a report writes and the reader does not read: the values derived from the
+    /// counts beside them, which a shard recomputes, and the per-thread bookkeeping
+    /// whose totals the throughput section carries itself (but the samples, which it
+    /// does not).
+    fn not_read(path: &[&str]) -> bool {
+        const DERIVED: [&str; 8] = [
+            "ci95_low",
+            "ci95_high",
+            "rank_stable",
+            "utilization_pct",
+            "wasted_bytes",
+            "refetch_ratio",
+            "dominant",
+            "core_crossings",
+        ];
+        let key = path[path.len() - 1];
+        DERIVED.contains(&key) || (path.get(1) == Some(&"per_thread") && key != "samples")
+    }
+
     #[test]
-    fn every_leaf_of_a_shard_document_reaches_the_shard() {
-        let shard = sample_shard();
-        let doc = shard_to_json(&shard);
+    fn every_leaf_of_a_report_but_the_derived_ones_reaches_the_shard() {
+        let (doc, shard) = sample_report();
         let mut paths = Vec::new();
         leaf_paths(&doc, &mut Vec::new(), &mut paths);
-        assert!(paths.len() > 50, "the sample shard has a row of every type");
-        for path in paths {
+        assert!(paths.len() > 70, "the sample shard has a row of every type");
+        let mut ignored = 0;
+        for path in &paths {
+            let path: Vec<&str> = path.iter().map(String::as_str).collect();
             let mut perturbed = doc.clone();
             match leaf_mut(&mut perturbed, &path) {
                 Json::Num(n) => *n += 1.0,
@@ -1722,37 +1703,47 @@ mod tests {
                 Json::Str(s) => s.push('~'),
                 other => panic!("unexpected leaf {other:?} at {path:?}"),
             }
-            assert_ne!(
-                shard_from_json(&perturbed),
-                Ok(shard.clone()),
-                "{} is written but not read back",
-                path.join(".")
-            );
+            if not_read(&path) {
+                ignored += 1;
+                assert_eq!(read(&perturbed), Ok(shard.clone()), "{}", path.join("."));
+            } else {
+                assert_ne!(
+                    read(&perturbed),
+                    Ok(shard.clone()),
+                    "{} is written but not read back",
+                    path.join(".")
+                );
+            }
         }
+        assert_eq!(
+            ignored,
+            12 + 5,
+            "twelve derived values and five per-thread ones"
+        );
     }
 
     #[test]
     fn utilization_counts_are_validated_at_the_boundary() {
-        let mut shard = sample_shard();
-        shard.utilization.rows[0].slots_touched = 961;
-        let err = shard_from_json(&shard_to_json(&shard)).unwrap_err();
+        let (doc, _) = sample_report();
+        let mut touched = doc.clone();
+        *leaf_mut(&mut touched, &["utilization", "rows", "0", "slots_touched"]) = Json::num(961);
+        let err = read(&touched).unwrap_err();
         assert!(err.contains("slots_touched 961 exceeds slots_fetched 960"));
-        let mut shard = sample_shard();
-        shard.utilization.rows[0].origins[0].slots_fetched = 239;
-        let err = shard_from_json(&shard_to_json(&shard)).unwrap_err();
+        let mut origin = doc;
+        let at = ["utilization", "rows", "0", "origins", "0", "slots_fetched"];
+        *leaf_mut(&mut origin, &at) = Json::num(239);
+        let err = read(&origin).unwrap_err();
         assert!(err.contains("'skbuff' origin cpu2"), "{err}");
     }
 
     #[test]
     fn counts_are_bounded_where_they_enter() {
-        // Means, shares and identifiers: never summed as integers, so not bounded
-        // (`weight` is the shard's own; a flow node's is a count).
-        const NOT_COUNTS: [&str; 17] = [
-            "ordinal",
-            "weight",
-            "thread",
-            "seed",
-            "rps",
+        // Means, shares, rates and identifiers: never summed as integers, so not
+        // bounded (the data profile's `weight` is a pool of samples, but the fold sums
+        // it as a float; a flow node's is a count).
+        const NOT_COUNTS: [&str; 14] = [
+            "base_seed",
+            "aggregate_rps",
             "profiling_fraction",
             "working_set_bytes",
             "pct_of_l1_misses",
@@ -1766,20 +1757,20 @@ mod tests {
             "total_avg_bytes",
             "avg_latency",
         ];
-        let doc = shard_to_json(&sample_shard());
+        let (doc, _) = sample_report();
         let mut paths = Vec::new();
         leaf_paths(&doc, &mut Vec::new(), &mut paths);
         let mut counts = 0;
-        for path in paths {
+        for path in &paths {
+            let path: Vec<&str> = path.iter().map(String::as_str).collect();
             let mut huge = doc.clone();
             let Json::Num(n) = leaf_mut(&mut huge, &path) else {
                 continue;
             };
             *n = 1e30;
-            let key = path.last().unwrap();
-            let read = shard_from_json(&huge);
-            if NOT_COUNTS.contains(&key.as_str()) && path.join(".") != "data_flows.0.nodes.0.weight"
-            {
+            let key = path[path.len() - 1];
+            let read = read(&huge);
+            if not_read(&path) || NOT_COUNTS.contains(&key) || path == ["data_profile", "weight"] {
                 assert!(read.is_ok(), "{}: {read:?}", path.join("."));
             } else {
                 counts += 1;
@@ -1795,12 +1786,12 @@ mod tests {
 
         let text = doc.to_pretty_string();
         let with_requests = |field: &str| {
-            let text = text.replace("\"requests\": 1000,", field);
-            shard_from_json(&Json::parse(&text).unwrap()).map(|shard| shard.meta.requests)
+            let text = text.replace("\"total_requests\": 1000,", field);
+            read(&Json::parse(&text).unwrap()).map(|shard| shard.meta.requests)
         };
         assert_eq!(with_requests(""), Ok(0), "an absent count reads 0");
         assert_eq!(
-            with_requests("\"requests\": 9007199254740992,"),
+            with_requests("\"total_requests\": 9007199254740992,"),
             Ok(1 << 53)
         );
         for (refused, printed) in [
@@ -1809,17 +1800,21 @@ mod tests {
             ("0.5", "0.5"),
         ] {
             assert_eq!(
-                with_requests(&format!("\"requests\": {refused},")),
-                Err(format!("meta 'requests': count {printed} out of range"))
+                with_requests(&format!("\"total_requests\": {refused},")),
+                Err(format!(
+                    "throughput 'total_requests': count {printed} out of range"
+                ))
             );
         }
         // An infinity never gets this far: the parser refuses the token.
+        let infinite = text.replace("\"total_requests\": 1000,", "\"total_requests\": 1e999,");
+        let at = text.find("1000,").unwrap();
         assert_eq!(
-            Json::parse(&text.replace("\"requests\": 1000,", "\"requests\": 1e999,")),
-            Err("number out of range at byte 96".into())
+            Json::parse(&infinite),
+            Err(format!("number out of range at byte {at}"))
         );
 
-        // The report reader goes through the same row parsers.
+        // A document with nothing but one row is a report too.
         let report = Json::parse(
             r#"{"schema": "dprof-report/v1", "data_profile": {"rows": [
                 {"type": "skbuff", "l1_miss_samples": 1e30}]}}"#,

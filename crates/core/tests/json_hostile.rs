@@ -1,11 +1,11 @@
-//! The one JSON parser and the readers behind it against hostile input: every golden
-//! report and store snapshot, mutated the ways a torn, corrupted or malicious push
-//! would be.
+//! The one JSON parser and the report reader behind it against hostile input: every
+//! golden report and store snapshot, mutated the ways a torn, corrupted or malicious
+//! push would be.
 //!
 //! Every mutated document must parse the same through `Json::parse` and
 //! `JsonTape::parse` (an equal tree or the identical message, and `parse_local` the
-//! same but for the node budget), must be read by the two readers off the tape as
-//! off the tree (`Ok` or `Err`, the same either way, never a panic), and must cost the
+//! same but for the node budget), must be read as a report, and a snapshot's report
+//! under its `report` key, off the tape as off the tree (`Ok` or `Err`, the same either way, never a panic), and must cost the
 //! parser a heap bounded by a fixed multiple of its length.  A key that repeats reads
 //! as its first.  The mutations are drawn from a splitmix64 stream, and every failure
 //! names the document, the case and its seed.
@@ -14,7 +14,7 @@
 //! (`tests/support/counting_alloc.rs`) is global to the test binary, and a
 //! concurrently-running test would pollute the measured window.
 
-use dprof_core::schema::{shard_from_json, shard_from_report_json, Json, JsonRef, JsonTape};
+use dprof_core::schema::{shard_from_report_json, Json, JsonRef, JsonTape};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -64,14 +64,19 @@ fn documents() -> Vec<(String, String)> {
         .collect()
 }
 
-/// What the two readers make of one document.
+/// What the reader makes of one document: of a report, and of the report a snapshot
+/// keeps under `report`.
 type Read = (
     Result<dprof_core::merge::ProfileShard, String>,
-    Result<dprof_core::merge::ProfileShard, String>,
+    Option<Result<dprof_core::merge::ProfileShard, String>>,
 );
 
-fn read<'a>(doc: impl Into<JsonRef<'a>> + Copy) -> Read {
-    (shard_from_report_json(doc, 1), shard_from_json(doc))
+fn read<'a>(doc: impl Into<JsonRef<'a>>) -> Read {
+    let doc = doc.into();
+    let snapshot = doc
+        .get("report")
+        .map(|report| shard_from_report_json(report, 1));
+    (shard_from_report_json(doc, 1), snapshot)
 }
 
 /// Parses and reads one mutated document, holding it to everything the file promises;

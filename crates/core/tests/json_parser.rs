@@ -19,9 +19,7 @@
 //! the tape or off a tree: every golden document a reader accepts reads as the same
 //! shard from both.
 
-use dprof_core::schema::{
-    shard_from_json, shard_from_report_json, Json, JsonRef, JsonTape, JsonWriter, MAX_NODES,
-};
+use dprof_core::schema::{shard_from_report_json, Json, JsonRef, JsonTape, JsonWriter, MAX_NODES};
 use proptest::prelude::*;
 
 /// Structural equality of a tree and a tape's view, read through the view's accessors;
@@ -443,18 +441,19 @@ fn every_golden_document_cut_short_is_the_same_error_from_both_storages() {
 
 #[test]
 fn readers_return_equal_values_from_either_storage() {
-    let (mut reports, mut shards) = (0, 0);
+    let (mut reports, mut snapshots) = (0, 0);
     for (path, text) in goldens() {
         let owned = Json::parse(&text).unwrap();
         let borrowed = JsonTape::parse(&text).unwrap();
         let from_report = shard_from_report_json(&owned, 7);
         assert_eq!(from_report, shard_from_report_json(&borrowed, 7), "{path}");
         reports += usize::from(from_report.is_ok());
-        // A store snapshot keeps its shard under `shard`.
-        let (owned, borrowed) = (owned.get("shard"), borrowed.root().get("shard"));
-        let from_shard = owned.map(shard_from_json);
-        assert_eq!(from_shard, borrowed.map(shard_from_json), "{path}");
-        shards += usize::from(from_shard.is_some_and(|shard| shard.is_ok()));
+        // A store snapshot keeps its fold's report under `report`.
+        let (owned, borrowed) = (owned.get("report"), borrowed.root().get("report"));
+        let from_snapshot = owned.map(|report| shard_from_report_json(report, 7));
+        let borrowed = borrowed.map(|report| shard_from_report_json(report, 7));
+        assert_eq!(from_snapshot, borrowed, "{path}");
+        snapshots += usize::from(from_snapshot.is_some_and(|shard| shard.is_ok()));
     }
-    assert_eq!((reports, shards), (4, 2), "golden reports and snapshots");
+    assert_eq!((reports, snapshots), (4, 2), "golden reports and snapshots");
 }

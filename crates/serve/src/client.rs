@@ -40,7 +40,7 @@ impl Client {
         }
     }
 
-    /// Pushes one report/shard document under `(workload, build)`.
+    /// Pushes one `dprof-report/v1` document under `(workload, build)`.
     pub fn push_shard(
         &mut self,
         workload: &str,

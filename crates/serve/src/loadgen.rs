@@ -1,9 +1,9 @@
 //! A concurrent load generator for the serve ingest path.
 //!
 //! `run_loadgen` replays a fleet: `producers` threads share `shards` pushes
-//! round-robin over a set of template shards (one template set per build tag),
-//! each push carrying a unique shard id.  After the push phase it issues every
-//! query once and checks the answers are well-formed.  The sustained merge
+//! round-robin over a set of template shards (one template set per build tag), each
+//! written as its report and pushed with a unique shard id.  After the push phase it
+//! issues every query once and checks the answers are well-formed.  The sustained merge
 //! throughput it reports (shards per wall-clock second) is informational.
 
 use crate::client::Client;
@@ -89,7 +89,7 @@ pub fn run_loadgen(
             .map(|(build, shards)| {
                 let docs = shards
                     .iter()
-                    .map(|shard| schema::shard_to_json(shard).to_pretty_string())
+                    .map(|shard| schema::report_of_shard(shard.clone()))
                     .collect();
                 (build.clone(), docs)
             })

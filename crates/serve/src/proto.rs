@@ -34,11 +34,10 @@ pub const KIND_ERR: u8 = 0x81;
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Push one profile shard for `(workload, build)`.  `report_json` is either
-    /// a full `dprof-report/v1` document (what `dprof -f json` emits) or a
-    /// `dprof-serve/v1` shard document; the server sniffs the `schema` field.
-    /// `shard_id` must be unique per key per producer fleet — it becomes the
-    /// shard's canonical fold ordinal, so the merged report does not depend on
+    /// Push one profile shard for `(workload, build)`: `report_json` is a
+    /// `dprof-report/v1` document (what `dprof -f json` emits, or a shard written
+    /// whole), read as one shard.  `shard_id` must be unique per key per producer
+    /// fleet — it becomes the shard's canonical fold ordinal, so the merged report does not depend on
     /// arrival order, except at rounding level in the means of a key that compacted
     /// (see `MergeSink`).  A shard id below one its key's running fold already
     /// summed makes the key's next read fold its resident shards again.
@@ -49,7 +48,7 @@ pub enum Request {
         build: String,
         /// Producer-assigned unique shard id (the fold ordinal).
         shard_id: u64,
-        /// The report or shard document.
+        /// The report.
         report_json: String,
     },
     /// Upload a recorded `.dtrace` session; the server replays it and absorbs

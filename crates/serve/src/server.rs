@@ -14,7 +14,7 @@ use crate::proto::{Request, Response};
 use crate::reply;
 use crate::store::{valid_tag, ProfileStore};
 use dprof::core::merge::{MergedReport, ProfileShard};
-use dprof::core::schema::{self, JsonRef, JsonTape, NameTable};
+use dprof::core::schema::{self, JsonTape, NameTable};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -211,18 +211,10 @@ fn dispatch(shared: &Shared, names: &mut NameTable, request: Request) -> Result<
         } => {
             check_key(&workload, &build)?;
             let tape = JsonTape::parse(&report_json).map_err(|e| format!("push: {e}"))?;
-            let doc = tape.root();
-            // Accept either a full report document or a bare shard document;
-            // the client's shard_id wins as the fold ordinal in both cases, so
-            // the merged result does not depend on arrival order until compaction
-            // groups shards, and from then on only in its means' rounding.
-            let mut shard = match doc.get("schema").and_then(JsonRef::as_str) {
-                Some(schema::REPORT_V1) => {
-                    schema::shard_from_report_json_with(doc, shard_id, names)?
-                }
-                _ => schema::shard_from_json_with(doc, names)?,
-            };
-            shard.ordinal = shard_id;
+            // The client's shard_id is the fold ordinal, so the merged result does not
+            // depend on arrival order until compaction groups shards, and from then on
+            // only in its means' rounding.
+            let shard = schema::shard_from_report_json_with(tape.root(), shard_id, names)?;
             let total = absorb(shared, &workload, &build, [shard])?;
             Ok(reply::push(&workload, &build, total))
         }
@@ -351,8 +343,9 @@ fn replay_trace_upload(
         "dprof-upload-{}-{unique}.dtrace",
         std::process::id()
     ));
-    std::fs::write(&path, bytes).map_err(|e| format!("spool upload: {e}"))?;
+    // Whatever part of the spool a failed write left is removed with the rest below.
     let result = (|| {
+        std::fs::write(&path, bytes).map_err(|e| format!("spool upload: {e}"))?;
         let reader = dprof::trace::TraceReader::open(&path.display().to_string())
             .map_err(|e| format!("trace upload: {e}"))?;
         let runs = dprof::trace::replay_all_streaming(&reader)?;

@@ -2,17 +2,18 @@
 //!
 //! Memory is bounded per key by the sink's compaction threshold (shards fold
 //! into a single base shard once the threshold is reached), and the whole store
-//! survives restarts through JSON snapshots: each key serializes the fold of its
-//! resident shards as one base shard under `<root>/<workload>/<build>.json`, and
-//! [`ProfileStore::new`] reloads every snapshot it finds.  A reloaded key keeps
-//! absorbing new shards on top of its snapshot shard.  A snapshot is written beside
-//! its file as `<build>.json.tmp` and renamed over it, so a collector killed while
+//! survives restarts through JSON snapshots: each key writes the fold of its resident
+//! shards, as the `dprof-report/v1` report of that one shard, under
+//! `<root>/<workload>/<build>.json`, and [`ProfileStore::new`] reloads every snapshot
+//! it finds (a snapshot of the raw shard an older collector wrote is refused by name).
+//! A reloaded key keeps absorbing new shards on top of its snapshot shard.  A snapshot
+//! is written beside its file as `<build>.json.tmp` and renamed over it, so a collector killed while
 //! writing leaves the previous snapshot and a stray `.tmp`, which the next start
 //! removes; it is not `fsync`ed (that would be a disk flush under the store's lock
 //! every few pushes), so a power cut may still cost the last snapshots.
 
 use dprof::core::merge::{self, MergeSink, MergedReport, ProfileShard, StreamingMerge};
-use dprof::core::schema::{self, Json, JsonRef, JsonTape};
+use dprof::core::schema::{self, JsonRef, JsonTape, JsonWriter};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -226,12 +227,12 @@ impl ProfileStore {
             }
             // The fold sits at the smallest ordinal it folded, so a reloaded store
             // folds the snapshot at the same canonical position.
-            let doc = snapshot_to_json(workload, build, entry.absorbed, &entry.sink.folded());
+            let doc = snapshot_to_json(workload, build, entry.absorbed, entry.sink.folded());
             let dir = root.join(workload);
             std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
             let path = dir.join(format!("{build}.json"));
             let tmp = dir.join(format!("{build}.json.tmp"));
-            std::fs::write(&tmp, doc.to_pretty_string())
+            std::fs::write(&tmp, doc)
                 .and_then(|()| std::fs::rename(&tmp, &path))
                 .map_err(|e| {
                     // Whatever part got written is no snapshot; `path` is untouched.
@@ -250,16 +251,27 @@ impl ProfileStore {
     }
 }
 
-fn snapshot_to_json(workload: &str, build: &str, absorbed: u64, shard: &ProfileShard) -> Json {
-    Json::obj(vec![
-        ("schema", Json::str(schema::SERVE_V1)),
-        ("kind", Json::str("snapshot")),
-        ("workload", Json::str(workload)),
-        ("build", Json::str(build)),
-        ("absorbed", Json::num(absorbed as f64)),
-        ("shard", schema::shard_to_json(shard)),
-    ])
+/// A key's snapshot: its envelope (the key, the shards it represents and the fold's
+/// ordinal, which a report does not carry) around the report of its fold, written
+/// whole, which reads back as that fold.
+fn snapshot_to_json(workload: &str, build: &str, absorbed: u64, shard: ProfileShard) -> String {
+    let mut w = JsonWriter::with_capacity(64 * 1024);
+    w.open_obj();
+    w.key("schema").str(schema::SERVE_V1);
+    w.key("kind").str("snapshot");
+    w.key("workload").str(workload);
+    w.key("build").str(build);
+    w.key("absorbed").num(absorbed as f64);
+    w.key("ordinal").num(shard.ordinal as f64);
+    w.key("report");
+    schema::write_whole_report(&mut w, &MergedReport::of_shard(shard));
+    w.close_obj();
+    w.finish()
 }
+
+/// What a snapshot an older collector wrote, its fold as a raw `shard`, is refused with.
+const OLDER_SNAPSHOT: &str = "the snapshot format changed: this file holds a raw 'shard', \
+                              which only an older collector reads; a snapshot now holds a 'report'";
 
 fn snapshot_from_json(doc: JsonRef) -> Result<(String, String, u64, ProfileShard), String> {
     match doc.get("schema").and_then(JsonRef::as_str) {
@@ -278,10 +290,15 @@ fn snapshot_from_json(doc: JsonRef) -> Result<(String, String, u64, ProfileShard
         return Err(format!("invalid snapshot key {workload}/{build}"));
     }
     let absorbed = schema::count_at(doc, "snapshot", "absorbed")?;
-    let shard = schema::shard_from_json(
-        doc.get("shard")
-            .ok_or("snapshot without a 'shard' object")?,
-    )?;
+    if doc.get("shard").is_some() {
+        return Err(OLDER_SNAPSHOT.into());
+    }
+    let report = doc
+        .get("report")
+        .ok_or("snapshot without a 'report' object")?;
+    // An ordinal is an identifier, never summed: one past 2^64 saturates.
+    let ordinal = doc.get("ordinal").and_then(JsonRef::as_f64).unwrap_or(0.0) as u64;
+    let shard = schema::shard_from_report_json(report, ordinal)?;
     Ok((workload, build, absorbed, shard))
 }
 
@@ -450,7 +467,7 @@ mod tests {
             }
             wide
         };
-        let pushed = schema::shard_to_json(&wide(1)).to_pretty_string();
+        let pushed = schema::report_of_shard(wide(1));
         assert!(JsonTape::parse(&pushed).is_ok());
 
         let dir = scratch("wide");
@@ -470,6 +487,61 @@ mod tests {
         let mut reloaded = ProfileStore::new(Some(dir.clone()), 2).unwrap();
         assert_eq!(reloaded.keys(), vec![("wide".into(), "b".into(), 2)]);
         assert_eq!(reloaded.report("wide", "b").unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A pushed report carries its cycles, so its profiling overhead survives the fold
+    /// (weighted by cycles) and the snapshot; without them every pushed report weighed
+    /// 0 and the fold of pushes read an overhead of 0.
+    #[test]
+    fn pushed_reports_keep_their_profiling_overhead_through_a_snapshot() {
+        let golden = include_str!("../../../tests/golden/memcached_quick.report.json");
+        let report = JsonTape::parse(golden).unwrap();
+        let pushed = schema::shard_from_report_json(&report, 1).unwrap();
+        assert!(pushed.meta.profiling_fraction > 0.4 && pushed.meta.total_cycles > 0);
+        let dir = scratch("overhead");
+        let mut store = ProfileStore::new(Some(dir.clone()), 2).unwrap();
+        for ordinal in 1..=3 {
+            let shard = schema::shard_from_report_json(&report, ordinal).unwrap();
+            store.push_shard("golden", "v1", shard);
+        }
+        let close = |f: f64| (f - pushed.meta.profiling_fraction).abs() < 1e-12;
+        let before = store.report("golden", "v1").unwrap();
+        assert!(close(before.totals.profiling_fraction), "{before:?}");
+        assert_eq!(before.totals.total_cycles, 3 * pushed.meta.total_cycles);
+        assert_eq!(store.snapshot().unwrap(), 1);
+
+        let text = std::fs::read_to_string(dir.join("golden/v1.json")).unwrap();
+        let snapshot = JsonTape::parse(&text).unwrap();
+        let throughput = snapshot
+            .root()
+            .get("report")
+            .unwrap()
+            .get("throughput")
+            .unwrap();
+        let written = throughput
+            .get("profiling_fraction")
+            .unwrap()
+            .as_f64()
+            .unwrap();
+        assert!(close(written), "{written}");
+        let mut reloaded = ProfileStore::new(Some(dir.clone()), 2).unwrap();
+        assert_eq!(reloaded.report("golden", "v1").unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_snapshot_an_older_collector_wrote_is_refused_by_name() {
+        let dir = scratch("older");
+        std::fs::create_dir_all(dir.join("ring")).unwrap();
+        let older = r#"{"schema": "dprof-serve/v1", "kind": "snapshot", "workload": "ring",
+            "build": "v1", "absorbed": 1, "shard": {"ordinal": 1, "weight": 0}}"#;
+        std::fs::write(dir.join("ring/v1.json"), older).unwrap();
+        let Err(e) = ProfileStore::new(Some(dir.clone()), 8) else {
+            panic!("an older snapshot was loaded");
+        };
+        assert!(e.contains("ring/v1.json") && !e.contains('\n'), "{e}");
+        assert!(e.contains("the snapshot format changed"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -66,8 +66,9 @@ fn shard(ordinal: u64, total: u64, hot_share: f64) -> ProfileShard {
     }
 }
 
+/// The shard as a producer pushes it: its report, written whole.
 fn doc(shard: &ProfileShard) -> String {
-    schema::shard_to_json(shard).to_pretty_string()
+    schema::report_of_shard(shard.clone())
 }
 
 #[test]
@@ -256,6 +257,21 @@ fn malformed_input_errors_do_not_take_the_server_down() {
         .push_shard("ring", "v1", 3, "this is not json")
         .unwrap_err();
     assert!(err.contains("server:"), "{err}");
+    // A push is a report: a raw shard, or any other document, is none.
+    for (document, said) in [
+        (
+            r#"{"ordinal": 1, "weight": 0, "meta": {}}"#,
+            "missing 'schema' field",
+        ),
+        (
+            r#"{"schema": "dprof-serve/v1"}"#,
+            "schema is 'dprof-serve/v1'",
+        ),
+    ] {
+        let err = client.push_shard("ring", "v1", 3, document).unwrap_err();
+        assert!(err.starts_with(&format!("server: {said}")), "{err}");
+        assert!(err.ends_with("(is this a dprof report?)"), "{err}");
+    }
 
     // A truncated trace upload errors; the connection and server survive.
     let err = client
@@ -264,29 +280,30 @@ fn malformed_input_errors_do_not_take_the_server_down() {
     assert!(err.contains("server:"), "{err}");
 
     // Utilization counts no tally can produce (more slots touched than fetched,
-    // on a row or on one of its origins) are refused at the boundary, whichever
-    // document form carries them: folded, they would underflow `wasted_bytes`
-    // under the store lock.
-    let utilization_row = |touched: u64, origin_touched: u64| ShardUtilizationRow {
+    // on a row or on one of its origins) are refused at the boundary, wherever the
+    // report carries them: folded, they would underflow `wasted_bytes` under the
+    // store lock.
+    let mut with_row = shard(4, 100, 0.5);
+    with_row.utilization.rows.push(ShardUtilizationRow {
         name: "ring_desc".into(),
         description: "".into(),
         slots_fetched: 8,
-        slots_touched: touched,
+        slots_touched: 3,
         refetch_slots: 0,
         wasted_bytes_per_sec: 0.0,
         origins: vec![ShardUtilizationOrigin {
             origin: "cpu0".into(),
             slots_fetched: 8,
-            slots_touched: origin_touched,
+            slots_touched: 2,
         }],
-    };
-    let mut hostile_row = shard(4, 100, 0.5);
-    hostile_row.utilization.rows.push(utilization_row(9, 2));
-    let mut hostile_origin = shard(5, 100, 0.5);
-    hostile_origin.utilization.rows.push(utilization_row(2, 9));
+    });
+    let valid = doc(&with_row);
+    let hostile_row = valid.replace("\"slots_touched\": 3,", "\"slots_touched\": 9,");
+    let hostile_origin = valid.replace("\"slots_touched\": 2,", "\"slots_touched\": 9,");
+    assert!(hostile_row != valid && hostile_origin != valid);
     let hostile_report = r#"{"schema": "dprof-report/v1", "utilization": {"rows": [
         {"type": "ring_desc", "slots_fetched": 1, "slots_touched": 2}]}}"#;
-    for hostile in [&doc(&hostile_row), &doc(&hostile_origin), hostile_report] {
+    for hostile in [&hostile_row, &hostile_origin, hostile_report] {
         let err = client.push_shard("ring", "v1", 4, hostile).unwrap_err();
         assert!(err.contains("exceeds slots_fetched"), "{err}");
     }
@@ -337,7 +354,8 @@ fn out_of_range_counts_are_refused_by_the_first_push() {
     client
         .push_shard("ring", "v1", 1, &doc(&shard(1, 100, 0.5)))
         .unwrap();
-    let hostile = doc(&shard(2, 100, 0.5)).replace("\"requests\": 1000", "\"requests\": 1e30");
+    let hostile =
+        doc(&shard(2, 100, 0.5)).replace("\"total_requests\": 1000", "\"total_requests\": 1e30");
     assert!(hostile.contains("1e30"));
     for shard_id in [2, 3] {
         let err = client
@@ -345,7 +363,10 @@ fn out_of_range_counts_are_refused_by_the_first_push() {
             .unwrap_err();
         assert_eq!(
             err,
-            format!("server: meta 'requests': count {} out of range", 1e30)
+            format!(
+                "server: throughput 'total_requests': count {} out of range",
+                1e30
+            )
         );
     }
     let hostile_report = r#"{"schema": "dprof-report/v1", "data_profile": {"rows": [
@@ -429,6 +450,41 @@ fn a_trace_upload_with_an_out_of_range_shard_id_is_one_error_line() {
     server.shutdown();
 }
 
+/// An upload is spooled to a file the replay opens, and every exit removes the file: a
+/// write that fails part-way (here the next spool name is a link to `/dev/full`, a
+/// Linux device on which every write fails for want of space) used to return before
+/// the removal and leave it behind.
+#[test]
+fn an_upload_whose_spool_cannot_be_written_is_one_error_and_leaves_no_file() {
+    let root = std::env::temp_dir().join(format!("dprof-serve-spool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let mut server = Server::start(ServerConfig {
+        store_root: Some(root.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    // The collector runs in this process, and this is its first upload.
+    let spool = root.join(format!("dprof-upload-{}-0.dtrace", std::process::id()));
+    std::os::unix::fs::symlink("/dev/full", &spool).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let trace = std::fs::read(golden("memcached_quick.dtrace")).unwrap();
+    let err = client.push_trace("golden", "v1", 1, trace).unwrap_err();
+    assert!(err.starts_with("server: spool upload: "), "{err}");
+    assert!(!err.contains('\n'), "{err}");
+    assert!(
+        std::fs::symlink_metadata(&spool).is_err(),
+        "the spool is left behind"
+    );
+    let stats = Json::parse(&client.stats().unwrap()).unwrap();
+    assert_eq!(
+        stats.get("shards_absorbed").and_then(Json::as_f64),
+        Some(0.0)
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn loadgen_pushes_concurrently_with_bounded_memory() {
     let mut server = Server::start(ServerConfig {
@@ -479,14 +535,19 @@ fn read_golden(relative: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// `tests/golden/serve` was written by the binary of the commit *before* the fold
-/// learnt to return a shard (`dprof serve --compact-every 2 --snapshot-every 0`, the
-/// pushes below, then `dprof query top|regressions|alerts|snapshot`).  Every shard
-/// of a key carries the same rows, so the answers exercise compaction, ranking and
-/// the regression summary without depending on which threads saw which type.
+/// `tests/golden/serve` is what `dprof serve --compact-every 2 --snapshot-every 0`
+/// answers after the pushes below (`dprof query top|regressions|alerts`; the three
+/// answers were written by the binary of the commit *before* the fold learnt to return
+/// a shard) and the snapshots it then writes (`dprof query snapshot`, the report of each
+/// key's fold).  Every shard of a key carries the same rows, so the answers exercise
+/// compaction, ranking and the regression summary without depending on which threads
+/// saw which type.
 #[test]
 fn golden_pushes_answer_byte_for_byte_and_old_snapshots_load() {
+    let written = std::env::temp_dir().join(format!("dprof-serve-written-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&written);
     let mut server = Server::start(ServerConfig {
+        store_root: Some(written.clone()),
         compact_threshold: 2,
         snapshot_every: 0,
         ..ServerConfig::default()
@@ -512,7 +573,16 @@ fn golden_pushes_answer_byte_for_byte_and_old_snapshots_load() {
         client.query_alerts("golden", "v1", "v2").unwrap(),
         read_golden("serve/alerts.json")
     );
+    client.snapshot().unwrap();
+    for build in ["v1.json", "v2.json"] {
+        let snapshot = std::fs::read_to_string(written.join("golden").join(build)).unwrap();
+        assert_eq!(
+            snapshot,
+            read_golden(&format!("serve/store/golden/{build}"))
+        );
+    }
     server.shutdown();
+    std::fs::remove_dir_all(&written).ok();
 
     // A collector opened on (a copy of) the store that binary wrote.
     let root = std::env::temp_dir().join(format!("dprof-serve-golden-{}", std::process::id()));
@@ -543,25 +613,8 @@ fn golden_pushes_answer_byte_for_byte_and_old_snapshots_load() {
         .collect();
     assert_eq!(keys, [("v1", 3.0), ("v2", 3.0)]);
 
-    let counts = |top: &str| -> (Option<f64>, Vec<(String, Option<f64>)>) {
-        let top = Json::parse(top).unwrap();
-        let rows = top.get("rows").and_then(Json::as_array).unwrap();
-        (
-            top.get("pooled_misses").and_then(Json::as_f64),
-            rows.iter()
-                .map(|row| {
-                    (
-                        row.get("type").and_then(Json::as_str).unwrap().to_string(),
-                        row.get("l1_miss_samples").and_then(Json::as_f64),
-                    )
-                })
-                .collect(),
-        )
-    };
-    assert_eq!(
-        counts(&client.query_top("golden", "v1", 64).unwrap()),
-        counts(&expected_top)
-    );
+    // A snapshot reads back as the fold it was written from: the same answer.
+    assert_eq!(client.query_top("golden", "v1", 64).unwrap(), expected_top);
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
