@@ -5,7 +5,7 @@
 use crate::args::{DiffOptions, Format};
 use crate::merge::{merge_shards, summary_from_merged};
 use dprof::core::report::diff::{diff, ReportDiff, ReportSummary};
-use dprof::core::schema::{shard_from_report_json, Json, JsonRef, JsonTape};
+use dprof::core::schema::{shard_from_report_json, JsonRef, JsonTape, JsonWriter};
 use std::fmt::Write as _;
 
 /// JSON schema identifier of the diff document.
@@ -117,7 +117,7 @@ pub fn run_diff(options: &DiffOptions) -> i32 {
     let result = diff(&a, &b, options.focus.as_deref());
     let rendered = match options.format {
         Format::Text => render_diff_text(&result, options, prediction.as_ref()),
-        Format::Json => render_diff_json(&result, options, prediction.as_ref()).to_pretty_string(),
+        Format::Json => render_diff_json(&result, options, prediction.as_ref()),
     };
     crate::emit(&rendered, &options.output)
 }
@@ -137,13 +137,18 @@ pub fn render_diff_text(
 ) -> String {
     let mut out = String::new();
     writeln!(out, "dprof diff — {} vs {}", options.a, options.b).unwrap();
+    let (focus_a, focus_b) = (d.focus_a, d.focus_b);
     writeln!(
         out,
         "focus type {}: miss share {:.2}% -> {:.2}%, miss samples {} -> {}",
-        d.focus, d.focus_share_a, d.focus_share_b, d.focus_misses_a, d.focus_misses_b
+        d.focus,
+        focus_a.pct_of_l1_misses,
+        focus_b.pct_of_l1_misses,
+        focus_a.miss_samples,
+        focus_b.miss_samples
     )
     .unwrap();
-    match &d.moved_to {
+    match d.moved_to {
         Some(to) => writeln!(out, "verdict: bottleneck {} (to {to})", d.verdict).unwrap(),
         None => writeln!(out, "verdict: bottleneck {}", d.verdict).unwrap(),
     }
@@ -183,21 +188,22 @@ pub fn render_diff_text(
     .unwrap();
     writeln!(out, "{}", "-".repeat(112)).unwrap();
     for t in d.types.iter().take(options.top) {
+        let (a, b) = (t.a, t.b);
         writeln!(
             out,
             "{:<18} {:>7.2}%->{:>6.2}% {:>+8.2} {:>7}->{:<7} {:>10}->{:<10} {:>5}->{:<5} {:>6}->{:<6}",
-            t.name,
-            t.pct_a,
-            t.pct_b,
-            t.delta_pct,
-            t.miss_samples_a,
-            t.miss_samples_b,
-            t.dominant_a.unwrap_or("-"),
-            t.dominant_b.unwrap_or("-"),
-            fmt_rank(t.ws_rank_a),
-            fmt_rank(t.ws_rank_b),
-            t.core_crossings_a,
-            t.core_crossings_b,
+            t.name(),
+            a.pct_of_l1_misses,
+            b.pct_of_l1_misses,
+            t.delta_pct(),
+            a.miss_samples,
+            b.miss_samples,
+            a.dominant_miss.unwrap_or("-"),
+            b.dominant_miss.unwrap_or("-"),
+            fmt_rank(t.ws_rank_a()),
+            fmt_rank(t.ws_rank_b()),
+            a.core_crossings,
+            b.core_crossings,
         )
         .unwrap();
     }
@@ -210,110 +216,85 @@ pub fn render_diff_text(
     out
 }
 
-/// Builds the `dprof-diff/v1` JSON document.
+/// Writes the `dprof-diff/v1` JSON document.
 pub fn render_diff_json(
     d: &ReportDiff,
     options: &DiffOptions,
     prediction: Option<&Prediction>,
-) -> Json {
-    let rank_json = |rank: Option<usize>| match rank {
-        Some(r) => Json::num(r as u32),
-        None => Json::Null,
+) -> String {
+    let opt_num = |w: &mut JsonWriter, n: Option<f64>| {
+        match n {
+            Some(n) => w.num(n),
+            None => w.null(),
+        };
     };
-    Json::obj(vec![
-        ("schema", Json::str(DIFF_SCHEMA)),
-        ("a", Json::str(&options.a)),
-        ("b", Json::str(&options.b)),
-        ("focus", Json::str(&d.focus)),
-        ("verdict", Json::str(d.verdict.key())),
-        (
-            "moved_to",
-            d.moved_to
-                .as_ref()
-                .map(|s| Json::str(s.as_str()))
-                .unwrap_or(Json::Null),
-        ),
-        ("focus_share_a", Json::num(d.focus_share_a)),
-        ("focus_share_b", Json::num(d.focus_share_b)),
-        ("focus_misses_a", Json::num(d.focus_misses_a as f64)),
-        ("focus_misses_b", Json::num(d.focus_misses_b as f64)),
-        (
-            "realized_gain",
-            d.realized_gain.map(Json::num).unwrap_or(Json::Null),
-        ),
-        (
-            "predicted_fix",
-            prediction.map(|p| Json::str(&p.fix)).unwrap_or(Json::Null),
-        ),
-        (
-            "predicted_gain",
-            prediction.map(|p| Json::num(p.gain)).unwrap_or(Json::Null),
-        ),
-        (
-            "prediction_confident",
-            prediction
-                .map(|p| Json::Bool(p.confident))
-                .unwrap_or(Json::Null),
-        ),
-        (
-            "prediction_error",
-            prediction
-                .and_then(|p| d.realized_gain.map(|g| Json::num((p.gain - g).abs())))
-                .unwrap_or(Json::Null),
-        ),
-        ("neutral", Json::Bool(d.is_neutral())),
-        (
-            "types",
-            Json::Arr(
-                d.types
-                    .iter()
-                    .map(|t| {
-                        Json::obj(vec![
-                            ("type", Json::str(&*t.name)),
-                            ("in_a", Json::Bool(t.in_a)),
-                            ("in_b", Json::Bool(t.in_b)),
-                            ("pct_of_l1_misses_a", Json::num(t.pct_a)),
-                            ("pct_of_l1_misses_b", Json::num(t.pct_b)),
-                            ("delta_pct", Json::num(t.delta_pct)),
-                            ("miss_samples_a", Json::num(t.miss_samples_a as f64)),
-                            ("miss_samples_b", Json::num(t.miss_samples_b as f64)),
-                            ("delta_miss_samples", Json::num(t.delta_miss_samples as f64)),
-                            ("delta_invalidation", Json::num(t.delta_invalidation)),
-                            ("delta_conflict", Json::num(t.delta_conflict)),
-                            ("delta_capacity", Json::num(t.delta_capacity)),
-                            (
-                                "dominant_a",
-                                t.dominant_a.map(Json::str).unwrap_or(Json::Null),
-                            ),
-                            (
-                                "dominant_b",
-                                t.dominant_b.map(Json::str).unwrap_or(Json::Null),
-                            ),
-                            ("ws_rank_a", rank_json(t.ws_rank_a)),
-                            ("ws_rank_b", rank_json(t.ws_rank_b)),
-                            (
-                                "delta_working_set_bytes",
-                                Json::num(t.delta_working_set_bytes),
-                            ),
-                            ("core_crossings_a", Json::num(t.core_crossings_a as f64)),
-                            ("core_crossings_b", Json::num(t.core_crossings_b as f64)),
-                            (
-                                "delta_core_crossings",
-                                Json::num(t.delta_core_crossings as f64),
-                            ),
-                            ("bounce_a", Json::Bool(t.bounce_a)),
-                            ("bounce_b", Json::Bool(t.bounce_b)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let opt_str = |w: &mut JsonWriter, s: Option<&str>| {
+        match s {
+            Some(s) => w.str(s),
+            None => w.null(),
+        };
+    };
+    let count_delta = |a: u64, b: u64| (b as i64 - a as i64) as f64;
+    let mut w = JsonWriter::default();
+    w.open_obj();
+    w.key("schema").str(DIFF_SCHEMA);
+    w.key("a").str(&options.a).key("b").str(&options.b);
+    w.key("focus").str(d.focus);
+    w.key("verdict").str(d.verdict.key());
+    opt_str(w.key("moved_to"), d.moved_to);
+    w.key("focus_share_a").num(d.focus_a.pct_of_l1_misses);
+    w.key("focus_share_b").num(d.focus_b.pct_of_l1_misses);
+    w.key("focus_misses_a").num(d.focus_a.miss_samples as f64);
+    w.key("focus_misses_b").num(d.focus_b.miss_samples as f64);
+    opt_num(w.key("realized_gain"), d.realized_gain);
+    opt_str(w.key("predicted_fix"), prediction.map(|p| p.fix.as_str()));
+    opt_num(w.key("predicted_gain"), prediction.map(|p| p.gain));
+    match prediction {
+        Some(p) => w.key("prediction_confident").bool(p.confident),
+        None => w.key("prediction_confident").null(),
+    };
+    let error = prediction.and_then(|p| d.realized_gain.map(|g| (p.gain - g).abs()));
+    opt_num(w.key("prediction_error"), error);
+    w.key("neutral").bool(d.is_neutral());
+    w.key("types").open_arr();
+    for t in &d.types {
+        let (a, b) = (t.a, t.b);
+        w.item().open_obj();
+        w.key("type").str(t.name());
+        w.key("in_a").bool(t.in_a).key("in_b").bool(t.in_b);
+        w.key("pct_of_l1_misses_a").num(a.pct_of_l1_misses);
+        w.key("pct_of_l1_misses_b").num(b.pct_of_l1_misses);
+        w.key("delta_pct").num(t.delta_pct());
+        w.key("miss_samples_a").num(a.miss_samples as f64);
+        w.key("miss_samples_b").num(b.miss_samples as f64);
+        w.key("delta_miss_samples")
+            .num(count_delta(a.miss_samples, b.miss_samples));
+        w.key("delta_invalidation")
+            .num(b.invalidation - a.invalidation);
+        w.key("delta_conflict").num(b.conflict - a.conflict);
+        w.key("delta_capacity").num(b.capacity - a.capacity);
+        opt_str(w.key("dominant_a"), a.dominant_miss);
+        opt_str(w.key("dominant_b"), b.dominant_miss);
+        opt_num(w.key("ws_rank_a"), t.ws_rank_a().map(|r| r as f64));
+        opt_num(w.key("ws_rank_b"), t.ws_rank_b().map(|r| r as f64));
+        w.key("delta_working_set_bytes")
+            .num(b.working_set_bytes - a.working_set_bytes);
+        w.key("core_crossings_a").num(a.core_crossings as f64);
+        w.key("core_crossings_b").num(b.core_crossings as f64);
+        w.key("delta_core_crossings")
+            .num(count_delta(a.core_crossings, b.core_crossings));
+        w.key("bounce_a").bool(a.bounce);
+        w.key("bounce_b").bool(b.bounce);
+        w.close_obj();
+    }
+    w.close_arr().close_obj();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dprof::core::schema::Json;
 
     fn report_doc(rows: &[(&str, f64, u64)]) -> Json {
         Json::obj(vec![
@@ -382,7 +363,7 @@ mod tests {
     fn summary_round_trips_from_report_json() {
         let doc = report_doc(&[("skbuff", 60.0, 600), ("payload", 40.0, 400)]);
         let summary = load("round-trip", &doc).unwrap();
-        assert_eq!(summary.types.len(), 2);
+        assert_eq!(summary.types().len(), 2);
         let skb = summary.get("skbuff").unwrap();
         assert_eq!(skb.pct_of_l1_misses, 60.0);
         assert_eq!(skb.miss_samples, 600);
@@ -421,17 +402,14 @@ mod tests {
         let text = render_diff_text(&d, &options, None);
         assert!(text.contains("verdict: bottleneck unchanged"));
         assert!(text.contains("reports are identical"));
-        let json = render_diff_json(&d, &options, None);
+        // The document parses.
+        let json = Json::parse(&render_diff_json(&d, &options, None)).unwrap();
         assert_eq!(json.get("schema").and_then(Json::as_str), Some(DIFF_SCHEMA));
         assert_eq!(
             json.get("verdict").and_then(Json::as_str),
             Some("unchanged")
         );
         assert_eq!(json.get("neutral").and_then(Json::as_bool), Some(true));
-        // The document round-trips through the parser.
-        assert_eq!(
-            Json::parse(&json.to_pretty_string()).unwrap().get("focus"),
-            json.get("focus")
-        );
+        assert_eq!(json.get("focus").and_then(Json::as_str), Some("skbuff"));
     }
 }

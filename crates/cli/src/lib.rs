@@ -232,45 +232,17 @@ pub(crate) fn warn_diverged(stream: usize, trailing: usize) {
 }
 
 /// Merges replayed streams (in stream order) and renders the report as the recorded
-/// run rendered its own.
+/// run rendered its own: the header and `run` section say what the trace header says,
+/// with one thread a stream.
 pub fn render_replay(
     reader: &dprof::trace::TraceReader,
     runs: &[driver::ThreadRun],
     options: &args::ReplayOptions,
 ) -> String {
+    let run = dprof::trace::SessionParams {
+        threads: reader.stream_count(),
+        ..reader.params.clone()
+    };
     let report = merge::merge(runs);
-
-    // Rebuild the options the recorded run rendered with, so the `run` section of the
-    // report (and the text header) match the live output byte-for-byte.
-    let workload = match driver::parse_workload_spec(&reader.params.workload) {
-        Ok(kind) => kind,
-        Err(_) => {
-            eprintln!(
-                "warning: trace header names unknown workload '{}'; the report's run \
-                 section will say 'memcached'",
-                reader.params.workload
-            );
-            driver::WorkloadKind::Memcached
-        }
-    };
-    let render_options = args::Options {
-        run: driver::RunOptions {
-            workload,
-            threads: reader.stream_count(),
-            cores: reader.params.cores,
-            warmup_rounds: reader.params.warmup_rounds,
-            sample_rounds: reader.params.sample_rounds,
-            sampling: reader.params.sampling,
-            history_types: reader.params.history_types,
-            history_sets: reader.params.history_sets,
-            base_seed: reader.params.base_seed,
-            ..Default::default()
-        },
-        views: options.views.clone(),
-        format: options.format,
-        top: options.top,
-        output: options.output.clone(),
-        trace_out: None,
-    };
-    render::render(&report, &render_options)
+    render::render_session(&report, &run, &options.views, options.format, options.top)
 }

@@ -2,58 +2,66 @@
 //! both driven by the same [`MergedReport`].  Both are the library's: the tables
 //! ([`dprof::core::report::render_views`], the one renderer of the views) under two
 //! header lines this module adds, and the document ([`schema::write_report`], the one
-//! writer of a report) with the `run` section this module writes from the options.
+//! writer of a report) with the `run` section this module writes.  The header and the
+//! `run` section describe the session from its [`SessionParams`], which a live run
+//! derives from its options and a replay reads from the trace header.
 
-use crate::args::{Format, Options};
+use crate::args::{Format, Options, View};
 use crate::merge::MergedReport;
 use dprof::core::report::render_views;
 use dprof::core::schema::{self, JsonWriter};
+use dprof::trace::SessionParams;
 use std::fmt::Write as _;
 
 /// JSON schema identifier emitted in every report.
 pub const SCHEMA: &str = schema::REPORT_V1;
 
-/// Renders the report in the requested format.
+/// Renders the report of a live run in the requested format.
 pub fn render(report: &MergedReport, options: &Options) -> String {
-    match options.format {
-        Format::Text => render_text(report, options),
+    let run = options.run.session_params();
+    render_session(report, &run, &options.views, options.format, options.top)
+}
+
+/// Renders the report of the session `run` describes: `views`, `top` rows a table.
+pub(crate) fn render_session(
+    report: &MergedReport,
+    run: &SessionParams,
+    views: &[View],
+    format: Format,
+    top: usize,
+) -> String {
+    match format {
+        Format::Text => {
+            let mut out = String::new();
+            writeln!(
+                out,
+                "dprof report — workload {}, {} thread(s) x {} core(s)",
+                run.workload, run.threads, run.cores
+            )
+            .unwrap();
+            writeln!(
+                out,
+                "{} requests profiled, {:.0} req/s simulated, {:.2}% profiling overhead",
+                report.totals.requests,
+                report.totals.rps,
+                100.0 * report.totals.profiling_fraction
+            )
+            .unwrap();
+            out.push_str(&render_views(report, views, top));
+            out
+        }
         Format::Json => {
             let mut w = JsonWriter::with_capacity(16 * 1024);
-            schema::write_report(&mut w, report, &options.views, options.top, |w| {
-                run_section(w, options)
-            });
+            schema::write_report(&mut w, report, views, top, |w| run_section(w, run, views));
             w.finish()
         }
     }
 }
 
-/// Renders the thesis-style text report: two header lines, then the view tables.
-pub fn render_text(report: &MergedReport, options: &Options) -> String {
-    let mut out = String::new();
-    let workload = options.run.workload.name();
-    writeln!(
-        out,
-        "dprof report — workload {workload}, {} thread(s) x {} core(s)",
-        options.run.threads, options.run.cores
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{} requests profiled, {:.0} req/s simulated, {:.2}% profiling overhead",
-        report.totals.requests,
-        report.totals.rps,
-        100.0 * report.totals.profiling_fraction
-    )
-    .unwrap();
-    out.push_str(&render_views(report, &options.views, options.top));
-    out
-}
-
-/// The run that produced the report, as its options say.
-fn run_section(w: &mut JsonWriter, options: &Options) {
-    let run = &options.run;
+/// The session that produced the report.
+fn run_section(w: &mut JsonWriter, run: &SessionParams, views: &[View]) {
     w.open_obj();
-    w.key("workload").str(run.workload.name());
+    w.key("workload").str(&run.workload);
     w.key("threads").num(run.threads as f64);
     w.key("cores_per_machine").num(run.cores as f64);
     w.key("warmup_rounds").num(run.warmup_rounds as f64);
@@ -63,7 +71,7 @@ fn run_section(w: &mut JsonWriter, options: &Options) {
     w.key("history_sets").num(run.history_sets as f64);
     w.key("base_seed").num(run.base_seed as f64);
     w.key("views").open_arr();
-    for view in &options.views {
+    for view in views {
         w.item().str(view.key());
     }
     w.close_arr().close_obj();
@@ -72,7 +80,7 @@ fn run_section(w: &mut JsonWriter, options: &Options) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::{Format, Options, View};
+    use crate::args::{Format, Options};
     use crate::driver::{run_parallel, RunOptions, WorkloadKind};
     use crate::merge::{merge, ProfileShard};
     use dprof::core::schema::{shard_from_report_json, Json, JsonTape};

@@ -366,6 +366,48 @@ fn diff_focus_on_a_utilization_only_type_uses_the_wasted_bytes_verdict() {
     }
 }
 
+/// The three diff documents committed under `tests/golden`, byte for byte.  Each
+/// names its inputs, so the binary runs from the repository root with the relative
+/// paths they were written with.
+#[test]
+fn the_golden_pair_diffs_to_its_committed_documents() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let whatif = "tests/golden/memcached_quick.fixes.whatif.json";
+    for (args, golden) in [
+        (&[][..], "memcached_to_false_sharing_quick.diff.txt"),
+        (
+            &["-f", "json"][..],
+            "memcached_to_false_sharing_quick.diff.json",
+        ),
+        (
+            &["--whatif", whatif, "-f", "json"][..],
+            "memcached_to_false_sharing_quick.whatif.diff.json",
+        ),
+    ] {
+        let output = dprof()
+            .current_dir(&root)
+            .args(["diff", "tests/golden/memcached_quick.report.json"])
+            .args([
+                "tests/golden/false_sharing_quick.report.json",
+                "--top",
+                "64",
+            ])
+            .args(args)
+            .output()
+            .unwrap();
+        assert!(
+            output.status.success(),
+            "{golden}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let want = std::fs::read(root.join("tests/golden").join(golden)).unwrap();
+        assert!(
+            output.stdout == want,
+            "{golden}: the diff differs from the committed document"
+        );
+    }
+}
+
 /// The collector's `query regressions` and `dprof diff` reduce a report the same way
 /// (`summary_from_merged`), so over the pair CI pushes to the collector golden — each
 /// report three times, as builds `v1` and `v2` — they agree on the focus, the verdict

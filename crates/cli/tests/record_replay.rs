@@ -358,6 +358,43 @@ fn replay_rejects_garbage_and_missing_files() {
     let _ = std::fs::remove_file(bogus);
 }
 
+/// A replay describes the session its trace header names, even a workload this build
+/// does not know: the golden memcached trace with its header's workload renamed
+/// replays to the golden report and text under that name.
+#[test]
+fn a_replay_names_the_workload_its_trace_header_names() {
+    let mut bytes = std::fs::read(golden_dir().join("memcached_quick.dtrace")).unwrap();
+    let at = (bytes.windows(9))
+        .position(|w| w == b"memcached")
+        .expect("the header names its workload");
+    bytes[at..at + 9].copy_from_slice(b"unheardof");
+    let trace = tmp("unheardof.dtrace");
+    std::fs::write(&trace, &bytes).unwrap();
+    for (format, golden, from, to) in [
+        (
+            "json",
+            "memcached_quick.report.json",
+            "\"workload\": \"memcached\"",
+            "\"workload\": \"unheardof\"",
+        ),
+        (
+            "text",
+            "memcached_quick.report.txt",
+            "workload memcached,",
+            "workload unheardof,",
+        ),
+    ] {
+        let out = tmp(&format!("unheardof.{format}"));
+        assert_eq!(run(&["replay", &trace, "-f", format, "-o", &out]), 0);
+        let golden = std::fs::read_to_string(golden_dir().join(golden)).unwrap();
+        assert_eq!(golden.matches(from).count(), 1, "{format}");
+        let got = std::fs::read_to_string(&out).unwrap();
+        let _ = std::fs::remove_file(out);
+        assert_eq!(got, golden.replacen(from, to, 1), "{format}");
+    }
+    let _ = std::fs::remove_file(trace);
+}
+
 /// The golden memcached trace in memory, and its stream's events decoded.
 fn golden_session() -> (TraceFile, Vec<SessionEvent>) {
     let golden = golden_dir().join("memcached_quick.dtrace");

@@ -4,7 +4,8 @@
 //! `error:` message on stderr (same convention as `diff_cli.rs`).
 
 use dprof::core::schema::Json;
-use std::path::PathBuf;
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn dprof() -> Command {
@@ -20,10 +21,32 @@ fn golden_report() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/memcached_quick.report.json")
 }
 
-fn tmp(name: &str) -> PathBuf {
+/// A path under the temp directory whose file is removed when the guard drops, so on
+/// every exit path of the test that made it, a failed assertion included.
+struct TempFile(PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+impl AsRef<Path> for TempFile {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<OsStr> for TempFile {
+    fn as_ref(&self) -> &OsStr {
+        self.0.as_os_str()
+    }
+}
+
+fn tmp(name: &str) -> TempFile {
     let mut p = std::env::temp_dir();
     p.push(format!("dprof-whatif-test-{}-{name}", std::process::id()));
-    p
+    TempFile(p)
 }
 
 /// Asserts an error invocation: non-zero exit, a single-line `error:` diagnostic on

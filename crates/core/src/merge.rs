@@ -37,7 +37,7 @@
 //! its means exactly as a store reloaded from that base shard's snapshot does.
 
 use crate::profiler::DprofProfile;
-use crate::report::diff::ReportSummary;
+use crate::report::diff::{ReportSummary, TypeSummary};
 use crate::stats::{mark_rank_stability, wilson95};
 use sim_cache::line_table::BuildKeyedMixHasher;
 use std::cell::RefCell;
@@ -1091,20 +1091,25 @@ impl Fold {
 /// Reduces a merged report to the diff engine's [`ReportSummary`].  It is the one
 /// builder of a summary: the serve query path reduces its fold with it, and `dprof
 /// diff` reduces each report read back as one shard, so regression verdicts match
-/// what `dprof diff` says about the rendered files.
+/// what `dprof diff` says about the rendered files.  Each view is one pass over its
+/// rows, joined by name into a table kept ordered by name; the working-set view's
+/// `avg_live_bytes` overrides the data profile's `working_set_bytes`.
 pub fn summary_from_merged(report: &MergedReport) -> ReportSummary {
-    let mut summary = ReportSummary {
-        types: Vec::new(),
-        rps: report.totals.rps,
-    };
+    // Room for every row of every view, so the table never grows.
+    let rows = report.data_profile.len()
+        + report.miss_classification.len()
+        + report.utilization.rows.len()
+        + report.working_set.rows.len()
+        + report.data_flows.len();
+    let mut types = Vec::with_capacity(rows);
     for row in &report.data_profile {
-        let t = summary.entry(&row.name);
+        let t = type_row(&mut types, &row.name);
         t.pct_of_l1_misses = row.pct_of_l1_misses;
         t.bounce = row.bounce;
         t.working_set_bytes = row.working_set_bytes;
     }
     for row in &report.miss_classification {
-        let t = summary.entry(&row.name);
+        let t = type_row(&mut types, &row.name);
         t.miss_samples = row.miss_samples;
         t.invalidation = row.invalidation;
         t.conflict = row.conflict;
@@ -1112,17 +1117,31 @@ pub fn summary_from_merged(report: &MergedReport) -> ReportSummary {
         t.dominant_miss = Some(row.dominant());
     }
     for row in &report.utilization.rows {
-        let t = summary.entry(&row.name);
+        let t = type_row(&mut types, &row.name);
         t.utilization_pct = row.utilization_pct();
         t.wasted_bytes = row.wasted_bytes();
     }
     for row in &report.working_set.rows {
-        summary.entry(&row.name).working_set_bytes = row.avg_live_bytes;
+        type_row(&mut types, &row.name).working_set_bytes = row.avg_live_bytes;
     }
     for flow in &report.data_flows {
-        summary.entry(&flow.type_name).core_crossings = flow.core_crossings();
+        type_row(&mut types, &flow.type_name).core_crossings = flow.core_crossings();
     }
-    summary
+    ReportSummary::new(types, report.totals.rps)
+}
+
+/// The row of `name` in `types` (ordered by name), inserted as the zero summary where
+/// the type has none yet.
+fn type_row<'t>(types: &'t mut Vec<TypeSummary>, name: &Arc<str>) -> &'t mut TypeSummary {
+    let i = match types.binary_search_by(|t| t.name.cmp(name)) {
+        Ok(i) => i,
+        Err(i) => {
+            types.insert(i, TypeSummary::default());
+            types[i].name = Arc::clone(name);
+            i
+        }
+    };
+    &mut types[i]
 }
 
 #[cfg(test)]
@@ -1399,6 +1418,11 @@ mod tests {
         assert_eq!(a.wasted_bytes, 8 * (8 * 100 - 2 * 100));
         assert!((a.utilization_pct - 25.0).abs() < 1e-9);
         assert_eq!(summary.rps, report.totals.rps);
+        // The working-set view's mean overrides the data profile's bytes.
+        assert_eq!(report.data_profile[0].working_set_bytes, 512.0);
+        assert_eq!(a.working_set_bytes, 256.0);
+        let names: Vec<&str> = summary.types().iter().map(|t| &*t.name).collect();
+        assert_eq!(names, ["a", "b"]);
     }
 
     /// The interval is computed once, here, from counts pooled across shards: it

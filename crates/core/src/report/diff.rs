@@ -9,19 +9,28 @@
 //! threshold-based [`Verdict`] on the focus type ("bottleneck eliminated / moved /
 //! unchanged").
 //!
-//! [`ReportSummary`] is deliberately name-keyed and self-contained, so recorded reports
-//! from different machines remain comparable.  It has one builder,
-//! [`summary_from_merged`](crate::merge::summary_from_merged), over a merged report.
-//! `dprof serve` and the oracle harnesses merge shards in memory; the `dprof diff`
-//! subcommand reads each `dprof-report/v1` document as one shard
-//! (`schema::shard_from_report_json`, as the collector ingests a push) and merges
-//! that.
+//! A [`ReportSummary`] is one table per report: a row per type, ordered by type name,
+//! each row carrying its working-set rank, ranked once when the table is built
+//! ([`ReportSummary::new`]).  It is name-keyed and self-contained, so recorded reports
+//! from different machines remain comparable.  Its one builder from a report is
+//! [`summary_from_merged`](crate::merge::summary_from_merged).  `dprof serve` and the
+//! oracle harnesses merge shards in memory; the `dprof diff` subcommand reads each
+//! `dprof-report/v1` document as one shard (`schema::shard_from_report_json`, as the
+//! collector ingests a push) and merges that.
+//!
+//! [`diff`] walks both tables in name order once.  Each [`TypeDelta`] holds its two
+//! sides — a side the type is absent from reads as the zero summary — and a reader
+//! subtracts what it shows, `b - a`.  The verdict is one rule applied to one axis at a
+//! time: the focus type's miss magnitude first (counts when both reports carry them,
+//! otherwise shares) and, when that is below its floor, its wasted bytes.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::cmp::Ordering;
+use std::sync::{Arc, LazyLock};
 
-/// Everything the diff needs to know about one data type in one report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Everything the diff needs to know about one data type in one report.  The default
+/// is the zero summary, which a side the type is absent from reads as.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TypeSummary {
     /// Type name (the cross-report join key).
     pub name: Arc<str>,
@@ -50,33 +59,20 @@ pub struct TypeSummary {
     /// Bytes fetched for the type but never touched before eviction.
     #[serde(default)]
     pub wasted_bytes: u64,
+    /// 0-based rank by working-set footprint within its report (largest first, name
+    /// tie-break).  [`ReportSummary::new`] sets it; a row built by hand leaves it 0.
+    #[serde(default)]
+    pub ws_rank: usize,
 }
 
-impl TypeSummary {
-    /// A neutral (all-zero) summary for a type that does not appear in a report.
-    pub fn absent(name: &Arc<str>) -> TypeSummary {
-        TypeSummary {
-            name: Arc::clone(name),
-            pct_of_l1_misses: 0.0,
-            miss_samples: 0,
-            bounce: false,
-            working_set_bytes: 0.0,
-            invalidation: 0.0,
-            conflict: 0.0,
-            capacity: 0.0,
-            dominant_miss: None,
-            core_crossings: 0,
-            utilization_pct: 0.0,
-            wasted_bytes: 0,
-        }
-    }
-}
+/// The side a type absent from a report reads as.
+static ZERO: LazyLock<TypeSummary> = LazyLock::new(TypeSummary::default);
 
-/// The per-type digest of one report, the input to [`diff`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The per-type digest of one report, the input to [`diff`]: one row per type, ordered
+/// by type name.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportSummary {
-    /// One row per type, in no particular order (the diff never depends on it).
-    pub types: Vec<TypeSummary>,
+    types: Vec<TypeSummary>,
     /// Aggregate request throughput (requests per simulated second) of the run the
     /// report came from, or 0 when unknown (e.g. a shard whose producer counted no
     /// requests).  When both sides of a diff carry it, the diff reports the realized
@@ -85,22 +81,37 @@ pub struct ReportSummary {
 }
 
 impl ReportSummary {
-    /// The summary row for a type name.
-    pub fn get(&self, name: &str) -> Option<&TypeSummary> {
-        self.types.iter().find(|t| &*t.name == name)
+    /// The table of `types`, one row per type name in any order: each row ranked by
+    /// working-set bytes (largest first, name tie-break; `-0.0` and `0.0` tie), then
+    /// the rows ordered by name.
+    pub fn new(mut types: Vec<TypeSummary>, rps: f64) -> ReportSummary {
+        types.sort_unstable_by(|x, y| {
+            (y.working_set_bytes.partial_cmp(&x.working_set_bytes))
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| x.name.cmp(&y.name))
+        });
+        for (rank, t) in types.iter_mut().enumerate() {
+            t.ws_rank = rank;
+        }
+        types.sort_unstable_by(|x, y| x.name.cmp(&y.name));
+        debug_assert!(types.windows(2).all(|w| w[0].name < w[1].name));
+        ReportSummary { types, rps }
     }
 
-    /// The summary row for a type name, appended as [`TypeSummary::absent`] first if
-    /// the report has none yet (how a report's sections are joined by name).
-    pub fn entry(&mut self, name: &Arc<str>) -> &mut TypeSummary {
-        let i = match self.types.iter().position(|t| t.name == *name) {
-            Some(i) => i,
-            None => {
-                self.types.push(TypeSummary::absent(name));
-                self.types.len() - 1
-            }
-        };
-        &mut self.types[i]
+    /// Every row, ordered by type name.
+    pub fn types(&self) -> &[TypeSummary] {
+        &self.types
+    }
+
+    /// The summary row for a type name.
+    pub fn get(&self, name: &str) -> Option<&TypeSummary> {
+        let i = self.types.binary_search_by(|t| (*t.name).cmp(name)).ok()?;
+        Some(&self.types[i])
+    }
+
+    /// The row for a type name, or the zero summary when the report has none.
+    fn side(&self, name: &str) -> &TypeSummary {
+        self.get(name).unwrap_or(&ZERO)
     }
 
     /// The type with the largest miss share (ties break on name, so the answer does not
@@ -109,24 +120,9 @@ impl ReportSummary {
         self.types.iter().min_by(|a, b| {
             b.pct_of_l1_misses
                 .partial_cmp(&a.pct_of_l1_misses)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
                 .then_with(|| a.name.cmp(&b.name))
         })
-    }
-
-    /// 0-based rank of a type by working-set footprint (largest first, name
-    /// tie-break); `None` if the type is absent.
-    pub fn working_set_rank(&self, name: &str) -> Option<usize> {
-        let row = self.get(name)?;
-        let mut rank = 0;
-        for t in &self.types {
-            let bigger = t.working_set_bytes > row.working_set_bytes
-                || (t.working_set_bytes == row.working_set_bytes && &*t.name < name);
-            if bigger {
-                rank += 1;
-            }
-        }
-        Some(rank)
     }
 }
 
@@ -191,124 +187,99 @@ impl std::fmt::Display for Verdict {
     }
 }
 
-/// Per-type differences between the two reports.  For every numeric field the
-/// convention is `delta = b - a`, so swapping the diff's arguments negates every delta.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TypeDelta {
-    /// Type name: the summaries' own.
-    pub name: Arc<str>,
-    /// Whether the type appears in report A / report B at all.
+/// One type across the two reports: its two sides, each the report's own row or, where
+/// the type is absent, the zero summary.  A delta is `b - a`, taken where it is read,
+/// so swapping the diff's arguments negates every delta.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TypeDelta<'s> {
+    /// The type in report A.
+    pub a: &'s TypeSummary,
+    /// The type in report B.
+    pub b: &'s TypeSummary,
+    /// Whether the type appears in report A at all.
     pub in_a: bool,
-    /// See [`TypeDelta::in_a`].
+    /// Whether the type appears in report B at all.
     pub in_b: bool,
-    /// Miss share in A, percent.
-    pub pct_a: f64,
-    /// Miss share in B, percent.
-    pub pct_b: f64,
-    /// `pct_b - pct_a`.
-    pub delta_pct: f64,
-    /// Miss samples in A.
-    pub miss_samples_a: u64,
-    /// Miss samples in B.
-    pub miss_samples_b: u64,
-    /// `miss_samples_b - miss_samples_a`.
-    pub delta_miss_samples: i64,
-    /// Invalidation-fraction change.
-    pub delta_invalidation: f64,
-    /// Conflict-fraction change.
-    pub delta_conflict: f64,
-    /// Capacity-fraction change.
-    pub delta_capacity: f64,
-    /// Dominant miss class in A.
-    pub dominant_a: Option<&'static str>,
-    /// Dominant miss class in B.
-    pub dominant_b: Option<&'static str>,
-    /// Working-set rank in A (0 = largest footprint).
-    pub ws_rank_a: Option<usize>,
-    /// Working-set rank in B.
-    pub ws_rank_b: Option<usize>,
-    /// Working-set byte change.
-    pub delta_working_set_bytes: f64,
-    /// Data-flow core crossings in A.
-    pub core_crossings_a: u64,
-    /// Data-flow core crossings in B.
-    pub core_crossings_b: u64,
-    /// `core_crossings_b - core_crossings_a`.
-    pub delta_core_crossings: i64,
-    /// Bounce flag in A.
-    pub bounce_a: bool,
-    /// Bounce flag in B.
-    pub bounce_b: bool,
-    /// Line-utilization percentage in A.
-    #[serde(default)]
-    pub utilization_pct_a: f64,
-    /// Line-utilization percentage in B.
-    #[serde(default)]
-    pub utilization_pct_b: f64,
-    /// Wasted bytes in A.
-    #[serde(default)]
-    pub wasted_bytes_a: u64,
-    /// Wasted bytes in B.
-    #[serde(default)]
-    pub wasted_bytes_b: u64,
-    /// `wasted_bytes_b - wasted_bytes_a`.
-    #[serde(default)]
-    pub delta_wasted_bytes: i64,
+}
+
+impl<'s> TypeDelta<'s> {
+    /// The type name.
+    pub fn name(&self) -> &'s str {
+        if self.in_a {
+            &self.a.name
+        } else {
+            &self.b.name
+        }
+    }
+
+    /// Change in miss share, percent points.
+    pub fn delta_pct(&self) -> f64 {
+        self.b.pct_of_l1_misses - self.a.pct_of_l1_misses
+    }
+
+    /// Working-set rank in A (0 = largest footprint), if the type is there.
+    pub fn ws_rank_a(&self) -> Option<usize> {
+        self.in_a.then_some(self.a.ws_rank)
+    }
+
+    /// Working-set rank in B, if the type is there.
+    pub fn ws_rank_b(&self) -> Option<usize> {
+        self.in_b.then_some(self.b.ws_rank)
+    }
 }
 
 /// The structured comparison of two reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReportDiff {
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportDiff<'s> {
     /// The type the verdict is about.
-    pub focus: String,
+    pub focus: &'s str,
     /// The verdict on the focus type.
     pub verdict: Verdict,
-    /// Focus miss share in A, percent.
-    pub focus_share_a: f64,
-    /// Focus miss share in B, percent.
-    pub focus_share_b: f64,
-    /// Focus miss-sample count in A (0 when the report carries no counts).
-    pub focus_misses_a: u64,
-    /// Focus miss-sample count in B.
-    pub focus_misses_b: u64,
+    /// The focus type in A (the zero summary when A lacks it).
+    pub focus_a: &'s TypeSummary,
+    /// The focus type in B.
+    pub focus_b: &'s TypeSummary,
     /// When the verdict is [`Verdict::Moved`], the type the bottleneck moved to.
-    pub moved_to: Option<String>,
+    pub moved_to: Option<&'s str>,
     /// Realized fractional reduction in per-request time going from A to B
     /// (`1 - rps_a / rps_b`), when both summaries carry throughput.  Positive when B
     /// is faster; comparable to the what-if engine's predicted gain.
     pub realized_gain: Option<f64>,
-    /// Per-type deltas over the union of both reports' types, ordered by
-    /// `max(pct_a, pct_b)` descending (name tie-break) — stable under row reordering
-    /// of either input and symmetric under argument swap.
-    pub types: Vec<TypeDelta>,
+    /// One row per type of either report, ordered by `max(pct_a, pct_b)` descending
+    /// (name tie-break) — stable under row reordering of either input and symmetric
+    /// under argument swap.
+    pub types: Vec<TypeDelta<'s>>,
 }
 
-impl ReportDiff {
+impl<'s> ReportDiff<'s> {
     /// True when the diff carries no signal: every delta is (numerically) zero and
     /// nothing appeared or disappeared.  `diff(a, a)` is always neutral.
     pub fn is_neutral(&self) -> bool {
         const EPS: f64 = 1e-9;
+        let near = |x: f64, y: f64| (y - x).abs() < EPS;
         self.verdict == Verdict::Unchanged
             && self.types.iter().all(|t| {
+                let (a, b) = (t.a, t.b);
+                // In both reports or (impossibly) in neither: both ranks are real.
                 t.in_a == t.in_b
-                    && t.delta_pct.abs() < EPS
-                    && t.delta_miss_samples == 0
-                    && t.delta_invalidation.abs() < EPS
-                    && t.delta_conflict.abs() < EPS
-                    && t.delta_capacity.abs() < EPS
-                    && t.delta_working_set_bytes.abs() < EPS
-                    && t.delta_core_crossings == 0
-                    && t.delta_wasted_bytes == 0
-                    && (t.utilization_pct_b - t.utilization_pct_a).abs() < EPS
-                    && t.dominant_a == t.dominant_b
-                    && t.ws_rank_a == t.ws_rank_b
-                    && t.bounce_a == t.bounce_b
+                    && near(a.pct_of_l1_misses, b.pct_of_l1_misses)
+                    && a.miss_samples == b.miss_samples
+                    && near(a.invalidation, b.invalidation)
+                    && near(a.conflict, b.conflict)
+                    && near(a.capacity, b.capacity)
+                    && near(a.working_set_bytes, b.working_set_bytes)
+                    && a.core_crossings == b.core_crossings
+                    && a.wasted_bytes == b.wasted_bytes
+                    && near(a.utilization_pct, b.utilization_pct)
+                    && a.dominant_miss == b.dominant_miss
+                    && a.ws_rank == b.ws_rank
+                    && a.bounce == b.bounce
             })
     }
 
     /// The delta row for a type name.
-    pub fn for_type(&self, name: &str) -> Option<&TypeDelta> {
-        self.types.iter().find(|t| &*t.name == name)
+    pub fn for_type(&self, name: &str) -> Option<&TypeDelta<'s>> {
+        self.types.iter().find(|t| t.name() == name)
     }
 }
 
@@ -316,197 +287,144 @@ impl ReportDiff {
 ///
 /// `focus` picks the type the verdict is about; `None` focuses the top miss type of
 /// `a`.
-pub fn diff(a: &ReportSummary, b: &ReportSummary, focus: Option<&str>) -> ReportDiff {
-    let focus_name = focus
-        .map(|s| s.to_string())
-        .or_else(|| a.top_type().map(|t| t.name.to_string()))
+pub fn diff<'s>(
+    a: &'s ReportSummary,
+    b: &'s ReportSummary,
+    focus: Option<&'s str>,
+) -> ReportDiff<'s> {
+    let focus = focus
+        .or_else(|| a.top_type().map(|t| &*t.name))
         .unwrap_or_default();
 
-    // Union of type names, deduplicated; ordering is fixed later from values only.
-    let mut names: Vec<&Arc<str>> = a
-        .types
-        .iter()
-        .chain(b.types.iter())
-        .map(|t| &t.name)
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-
-    let mut types: Vec<TypeDelta> = names
-        .into_iter()
-        .map(|name| {
-            let ra = a.get(name);
-            let rb = b.get(name);
-            let absent = TypeSummary::absent(name);
-            let sa = ra.unwrap_or(&absent);
-            let sb = rb.unwrap_or(&absent);
-            TypeDelta {
-                name: Arc::clone(name),
-                in_a: ra.is_some(),
-                in_b: rb.is_some(),
-                pct_a: sa.pct_of_l1_misses,
-                pct_b: sb.pct_of_l1_misses,
-                delta_pct: sb.pct_of_l1_misses - sa.pct_of_l1_misses,
-                miss_samples_a: sa.miss_samples,
-                miss_samples_b: sb.miss_samples,
-                delta_miss_samples: sb.miss_samples as i64 - sa.miss_samples as i64,
-                delta_invalidation: sb.invalidation - sa.invalidation,
-                delta_conflict: sb.conflict - sa.conflict,
-                delta_capacity: sb.capacity - sa.capacity,
-                dominant_a: sa.dominant_miss,
-                dominant_b: sb.dominant_miss,
-                ws_rank_a: a.working_set_rank(name),
-                ws_rank_b: b.working_set_rank(name),
-                delta_working_set_bytes: sb.working_set_bytes - sa.working_set_bytes,
-                core_crossings_a: sa.core_crossings,
-                core_crossings_b: sb.core_crossings,
-                delta_core_crossings: sb.core_crossings as i64 - sa.core_crossings as i64,
-                bounce_a: sa.bounce,
-                bounce_b: sb.bounce,
-                utilization_pct_a: sa.utilization_pct,
-                utilization_pct_b: sb.utilization_pct,
-                wasted_bytes_a: sa.wasted_bytes,
-                wasted_bytes_b: sb.wasted_bytes,
-                delta_wasted_bytes: sb.wasted_bytes as i64 - sa.wasted_bytes as i64,
-            }
-        })
-        .collect();
-    types.sort_by(|x, y| {
-        let kx = x.pct_a.max(x.pct_b);
-        let ky = y.pct_a.max(y.pct_b);
+    // Both tables are ordered by name: one walk joins them.
+    let mut types = Vec::with_capacity(a.types.len() + b.types.len());
+    let (mut rows_a, mut rows_b) = (a.types.iter().peekable(), b.types.iter().peekable());
+    loop {
+        let order = match (rows_a.peek(), rows_b.peek()) {
+            (Some(x), Some(y)) => x.name.cmp(&y.name),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => break,
+        };
+        let side_a = if order.is_le() { rows_a.next() } else { None };
+        let side_b = if order.is_ge() { rows_b.next() } else { None };
+        types.push(TypeDelta {
+            a: side_a.unwrap_or(&ZERO),
+            b: side_b.unwrap_or(&ZERO),
+            in_a: side_a.is_some(),
+            in_b: side_b.is_some(),
+        });
+    }
+    // Names are unique, so the order is total and an unstable sort is exact.
+    types.sort_unstable_by(|x, y| {
+        let kx = x.a.pct_of_l1_misses.max(x.b.pct_of_l1_misses);
+        let ky = y.a.pct_of_l1_misses.max(y.b.pct_of_l1_misses);
         ky.partial_cmp(&kx)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| x.name.cmp(&y.name))
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| x.name().cmp(y.name()))
     });
 
-    let share_a = a
-        .get(&focus_name)
-        .map(|t| t.pct_of_l1_misses)
-        .unwrap_or(0.0);
-    let share_b = b
-        .get(&focus_name)
-        .map(|t| t.pct_of_l1_misses)
-        .unwrap_or(0.0);
-    let (verdict, moved_to) = classify(a, b, &focus_name, share_a, share_b);
-
+    let (verdict, moved_to) = classify(a, b, focus);
     ReportDiff {
-        focus: focus_name.clone(),
+        focus,
         verdict,
-        focus_share_a: share_a,
-        focus_share_b: share_b,
-        focus_misses_a: a.get(&focus_name).map(|t| t.miss_samples).unwrap_or(0),
-        focus_misses_b: b.get(&focus_name).map(|t| t.miss_samples).unwrap_or(0),
+        focus_a: a.side(focus),
+        focus_b: b.side(focus),
         moved_to,
         realized_gain: (a.rps > 0.0 && b.rps > 0.0).then(|| 1.0 - a.rps / b.rps),
         types,
     }
 }
 
-fn classify(
-    a: &ReportSummary,
-    b: &ReportSummary,
+/// One axis the verdict can be read on.
+struct Axis {
+    /// The size of a type's bottleneck on this axis.
+    magnitude: fn(&TypeSummary) -> f64,
+    /// Focus magnitudes below this are noise.
+    floor: f64,
+    /// The count a rival must grow to take the bottleneck over.
+    count: fn(&TypeSummary) -> u64,
+}
+
+/// The verdict on `focus`: read on the miss axis, or, when the focus has no
+/// miss-magnitude bottleneck, on the utilization axis — a layout bug can waste
+/// bandwidth on every fetch while staying invisible to miss counts.
+fn classify<'s>(
+    a: &'s ReportSummary,
+    b: &'s ReportSummary,
     focus: &str,
-    share_a: f64,
-    share_b: f64,
-) -> (Verdict, Option<String>) {
+) -> (Verdict, Option<&'s str>) {
     // Prefer absolute miss-sample counts when both reports carry them; a report with
     // no classification counts anywhere (e.g. rendered without the
     // miss-classification view) falls back to shares.
-    let counts_available =
-        a.types.iter().any(|t| t.miss_samples > 0) && b.types.iter().any(|t| t.miss_samples > 0);
-    let (magnitude_a, magnitude_b, floor) = if counts_available {
-        (
-            a.get(focus).map(|t| t.miss_samples).unwrap_or(0) as f64,
-            b.get(focus).map(|t| t.miss_samples).unwrap_or(0) as f64,
-            MIN_FOCUS_SAMPLES as f64,
-        )
+    let counts = |s: &ReportSummary| s.types.iter().any(|t| t.miss_samples > 0);
+    let misses = if counts(a) && counts(b) {
+        Axis {
+            magnitude: |t| t.miss_samples as f64,
+            floor: MIN_FOCUS_SAMPLES as f64,
+            count: |t| t.miss_samples,
+        }
     } else {
-        (share_a, share_b, MIN_SHARE_POINTS)
+        Axis {
+            magnitude: |t| t.pct_of_l1_misses,
+            floor: MIN_SHARE_POINTS,
+            count: |t| t.miss_samples,
+        }
     };
-    if magnitude_a < floor {
-        // No miss-magnitude bottleneck on the focus type — fall back to the
-        // utilization axis: a layout bug can waste bandwidth on every fetch while
-        // staying invisible to miss counts.
-        return classify_utilization(a, b, focus);
-    }
-    let rel = (magnitude_b - magnitude_a) / magnitude_a;
-    if rel.abs() <= UNCHANGED_BAND {
-        return (Verdict::Unchanged, None);
-    }
-    if rel > 0.0 {
-        return (Verdict::Worsened, None);
-    }
-    if rel > -ELIMINATED_DROP {
-        return (Verdict::Reduced, None);
-    }
-    // The focus collapsed; decide eliminated vs moved.  Shares always re-normalise to
-    // 100 %, so a *rising share* of a shrinking miss pool is not a new bottleneck —
-    // only a type whose absolute miss-sample count grew to rival the old focus counts.
-    let focus_misses_a = a.get(focus).map(|t| t.miss_samples).unwrap_or(0);
-    let moved_to = b
-        .types
+    let waste = Axis {
+        magnitude: |t| t.wasted_bytes as f64,
+        floor: MIN_FOCUS_WASTED_BYTES as f64,
+        count: |t| t.wasted_bytes,
+    };
+    [misses, waste]
         .iter()
-        .filter(|t| &*t.name != focus && t.miss_samples > 0 && focus_misses_a > 0)
-        .filter(|t| {
-            let before = a.get(&t.name).map(|p| p.miss_samples).unwrap_or(0);
-            t.miss_samples as f64 >= MOVED_COUNT_FACTOR * focus_misses_a as f64
-                && t.miss_samples >= before.saturating_mul(2).max(before + 1)
-        })
-        .max_by(|x, y| {
-            x.miss_samples
-                .cmp(&y.miss_samples)
-                .then_with(|| y.name.cmp(&x.name))
-        })
-        .map(|t| t.name.to_string());
-    match moved_to {
-        Some(name) => (Verdict::Moved, Some(name)),
-        None => (Verdict::Eliminated, None),
-    }
+        .find_map(|axis| judge(a, b, focus, axis))
+        .unwrap_or((Verdict::Unchanged, None))
 }
 
-/// The utilization-axis verdict: compares the focus type's wasted bytes across the
-/// two reports.  Used when the focus has no miss-magnitude bottleneck.
-fn classify_utilization(
-    a: &ReportSummary,
-    b: &ReportSummary,
+/// The verdict on `focus` read on one axis, or `None` when the focus is below the
+/// axis's floor in A.
+fn judge<'s>(
+    a: &'s ReportSummary,
+    b: &'s ReportSummary,
     focus: &str,
-) -> (Verdict, Option<String>) {
-    let wasted_a = a.get(focus).map(|t| t.wasted_bytes).unwrap_or(0);
-    let wasted_b = b.get(focus).map(|t| t.wasted_bytes).unwrap_or(0);
-    if wasted_a < MIN_FOCUS_WASTED_BYTES {
-        return (Verdict::Unchanged, None);
+    axis: &Axis,
+) -> Option<(Verdict, Option<&'s str>)> {
+    let (before, after) = (
+        (axis.magnitude)(a.side(focus)),
+        (axis.magnitude)(b.side(focus)),
+    );
+    if before < axis.floor {
+        return None;
     }
-    let rel = (wasted_b as f64 - wasted_a as f64) / wasted_a as f64;
-    if rel.abs() <= UNCHANGED_BAND {
-        return (Verdict::Unchanged, None);
-    }
-    if rel > 0.0 {
-        return (Verdict::Worsened, None);
-    }
-    if rel > -ELIMINATED_DROP {
-        return (Verdict::Reduced, None);
-    }
-    // The waste collapsed; a *different* type whose wasted bytes grew to rival the
-    // old focus is a moved bottleneck (same shape as the miss-count rule).
-    let moved_to = b
-        .types
-        .iter()
-        .filter(|t| &*t.name != focus && t.wasted_bytes > 0)
-        .filter(|t| {
-            let before = a.get(&t.name).map(|p| p.wasted_bytes).unwrap_or(0);
-            t.wasted_bytes as f64 >= MOVED_COUNT_FACTOR * wasted_a as f64
-                && t.wasted_bytes >= before.saturating_mul(2).max(before + 1)
-        })
-        .max_by(|x, y| {
-            x.wasted_bytes
-                .cmp(&y.wasted_bytes)
-                .then_with(|| y.name.cmp(&x.name))
-        })
-        .map(|t| t.name.to_string());
-    match moved_to {
-        Some(name) => (Verdict::Moved, Some(name)),
-        None => (Verdict::Eliminated, None),
-    }
+    let rel = (after - before) / before;
+    let verdict = if rel.abs() <= UNCHANGED_BAND {
+        Verdict::Unchanged
+    } else if rel > 0.0 {
+        Verdict::Worsened
+    } else if rel > -ELIMINATED_DROP {
+        Verdict::Reduced
+    } else {
+        // The focus collapsed; decide eliminated vs moved.  Shares always re-normalise
+        // to 100 %, so a *rising share* of a shrinking pool is not a new bottleneck —
+        // only a type whose own count grew to rival the focus's old count.
+        let old = (axis.count)(a.side(focus));
+        let moved_to = (b.types.iter())
+            .filter(|t| &*t.name != focus && (axis.count)(t) > 0 && old > 0)
+            .filter(|t| {
+                let (now, was) = ((axis.count)(t), (axis.count)(a.side(&t.name)));
+                now as f64 >= MOVED_COUNT_FACTOR * old as f64
+                    && now >= was.saturating_mul(2).max(was + 1)
+            })
+            .max_by(|x, y| {
+                ((axis.count)(x).cmp(&(axis.count)(y))).then_with(|| y.name.cmp(&x.name))
+            });
+        return Some(match moved_to {
+            Some(t) => (Verdict::Moved, Some(&*t.name)),
+            None => (Verdict::Eliminated, None),
+        });
+    };
+    Some((verdict, None))
 }
 
 #[cfg(test)]
@@ -518,30 +436,26 @@ mod tests {
             name: name.into(),
             pct_of_l1_misses: pct,
             miss_samples: misses,
-            bounce: false,
             working_set_bytes: pct * 100.0,
             invalidation: 0.5,
             conflict: 0.25,
             capacity: 0.25,
             dominant_miss: Some("invalidation"),
-            core_crossings: 0,
-            utilization_pct: 0.0,
-            wasted_bytes: 0,
+            ..TypeSummary::default()
         }
     }
 
     fn ty_util(name: &str, utilization_pct: f64, wasted_bytes: u64) -> TypeSummary {
-        let mut t = TypeSummary::absent(&name.into());
-        t.utilization_pct = utilization_pct;
-        t.wasted_bytes = wasted_bytes;
-        t
+        TypeSummary {
+            name: name.into(),
+            utilization_pct,
+            wasted_bytes,
+            ..TypeSummary::default()
+        }
     }
 
     fn summary(rows: &[TypeSummary]) -> ReportSummary {
-        ReportSummary {
-            types: rows.to_vec(),
-            rps: 0.0,
-        }
+        ReportSummary::new(rows.to_vec(), 0.0)
     }
 
     #[test]
@@ -570,7 +484,7 @@ mod tests {
         let b = summary(&[ty("hot", 5.0, 50), ty("other", 80.0, 800)]);
         let d = diff(&a, &b, Some("hot"));
         assert_eq!(d.verdict, Verdict::Moved);
-        assert_eq!(d.moved_to.as_deref(), Some("other"));
+        assert_eq!(d.moved_to, Some("other"));
     }
 
     #[test]
@@ -597,11 +511,11 @@ mod tests {
         let d = diff(&a, &b, Some("both"));
         assert_eq!(d.types.len(), 3);
         let both = d.for_type("both").unwrap();
-        assert!((both.delta_pct - 10.0).abs() < 1e-9);
-        assert_eq!(both.delta_miss_samples, 120);
+        assert!((both.delta_pct() - 10.0).abs() < 1e-9);
+        assert_eq!(both.b.miss_samples - both.a.miss_samples, 120);
         let only_a = d.for_type("only-a").unwrap();
         assert!(only_a.in_a && !only_a.in_b);
-        assert!((only_a.delta_pct + 10.0).abs() < 1e-9);
+        assert!((only_a.delta_pct() + 10.0).abs() < 1e-9);
         let only_b = d.for_type("only-b").unwrap();
         assert!(!only_b.in_a && only_b.in_b);
     }
@@ -634,8 +548,8 @@ mod tests {
         let d = diff(&a, &b, Some("sparse"));
         assert_eq!(d.verdict, Verdict::Eliminated);
         let row = d.for_type("sparse").unwrap();
-        assert_eq!(row.delta_wasted_bytes, -98_000);
-        assert!((row.utilization_pct_b - row.utilization_pct_a - 82.5).abs() < 1e-9);
+        assert_eq!(row.a.wasted_bytes - row.b.wasted_bytes, 98_000);
+        assert!((row.b.utilization_pct - row.a.utilization_pct - 82.5).abs() < 1e-9);
 
         // Unchanged waste stays unchanged; growth worsens.
         assert_eq!(diff(&a, &a, Some("sparse")).verdict, Verdict::Unchanged);
@@ -656,16 +570,17 @@ mod tests {
         let rival_b = summary(&[focus_b, ty_util("rival", 10.0, 90_000), noise]);
         let d = diff(&a, &rival_b, Some("sparse"));
         assert_eq!(d.verdict, Verdict::Moved);
-        assert_eq!(d.moved_to.as_deref(), Some("rival"));
+        assert_eq!(d.moved_to, Some("rival"));
     }
 
     #[test]
-    fn working_set_rank_is_order_independent() {
+    fn ws_rank_is_order_independent() {
         let a = summary(&[ty("small", 1.0, 10), ty("big", 50.0, 500)]);
         let reordered = summary(&[ty("big", 50.0, 500), ty("small", 1.0, 10)]);
-        assert_eq!(a.working_set_rank("big"), Some(0));
-        assert_eq!(a.working_set_rank("small"), Some(1));
-        assert_eq!(a.working_set_rank("big"), reordered.working_set_rank("big"));
-        assert_eq!(a.working_set_rank("missing"), None);
+        let rank = |s: &ReportSummary, name: &str| s.get(name).map(|t| t.ws_rank);
+        assert_eq!(rank(&a, "big"), Some(0));
+        assert_eq!(rank(&a, "small"), Some(1));
+        assert_eq!(a, reordered);
+        assert_eq!(rank(&a, "missing"), None);
     }
 }

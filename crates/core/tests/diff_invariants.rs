@@ -4,7 +4,10 @@
 //! 2. swapping the arguments negates every numeric delta and mirrors every
 //!    before/after pair,
 //! 3. the verdict and the delta rows are stable under arbitrary reordering of either
-//!    input's type rows (the diff is a function of report *contents*, not row order).
+//!    input's type rows (the diff is a function of report *contents*, not row order),
+//! 4. the join is exact: every type of either report is one delta row, and
+//! 5. a type's working-set rank is its position in its report's rows sorted by bytes
+//!    (largest first, name tie-break, `-0.0` tying `0.0`).
 
 use dprof_core::report::diff::{diff, ReportSummary, TypeSummary, Verdict};
 use proptest::prelude::*;
@@ -27,9 +30,9 @@ const DOMINANTS: [Option<&str>; 4] = [
     Some("capacity"),
 ];
 
-/// Generates one report summary from packed integer tuples (the vendored proptest
-/// supports ranges, tuples and `collection::vec`).
-fn summary_strategy() -> impl Strategy<Value = ReportSummary> {
+/// Generates one report's rows, one per type, from packed integer tuples (the vendored
+/// proptest supports ranges, tuples and `collection::vec`).
+fn rows_strategy() -> impl Strategy<Value = Vec<TypeSummary>> {
     proptest::collection::vec(
         (
             (0usize..NAMES.len(), 0u32..10_000, 0u64..100_000),
@@ -62,25 +65,31 @@ fn summary_strategy() -> impl Strategy<Value = ReportSummary> {
                 core_crossings: crossings,
                 utilization_pct: f64::from(100 - mix % 100),
                 wasted_bytes: u64::from(ws_bytes) * 8,
+                ws_rank: 0,
             });
         }
-        ReportSummary { types, rps: 0.0 }
+        types
     })
 }
 
-/// A deterministic shuffle driven by `key` (the vendored proptest has no
-/// `Just`/`prop_shuffle`, so reorderings are derived from an extra generated integer).
+/// One report summary: the table of generated rows.
+fn summary_strategy() -> impl Strategy<Value = ReportSummary> {
+    rows_strategy().prop_map(|rows| ReportSummary::new(rows, 0.0))
+}
+
+/// The table of `summary`'s rows, built again from them in an order driven by `key`
+/// (the vendored proptest has no `Just`/`prop_shuffle`, so reorderings are derived
+/// from an extra generated integer).
 fn reorder(summary: &ReportSummary, key: u64) -> ReportSummary {
-    let mut types = summary.types.clone();
-    if types.is_empty() {
-        return summary.clone();
+    let mut types = summary.types().to_vec();
+    if !types.is_empty() {
+        let rot = (key as usize) % types.len();
+        types.rotate_left(rot);
     }
-    let rot = (key as usize) % types.len();
-    types.rotate_left(rot);
     if key.is_multiple_of(2) {
         types.reverse();
     }
-    ReportSummary { types, rps: 0.0 }
+    ReportSummary::new(types, summary.rps)
 }
 
 proptest! {
@@ -92,7 +101,8 @@ proptest! {
         prop_assert_eq!(d.verdict, Verdict::Unchanged);
         prop_assert!(d.is_neutral(), "diff(a, a) must be neutral: {:?}", d);
         // Even against a reordered copy of itself: same contents, same (neutral) diff.
-        let d2 = diff(&a, &reorder(&a, key), None);
+        let reordered = reorder(&a, key);
+        let d2 = diff(&a, &reordered, None);
         prop_assert!(d2.is_neutral());
     }
 
@@ -105,29 +115,15 @@ proptest! {
         let ba = diff(&b, &a, None);
         prop_assert_eq!(ab.types.len(), ba.types.len());
         for t in &ab.types {
-            let r = ba.for_type(&t.name).expect("union is symmetric");
-            prop_assert!((t.delta_pct + r.delta_pct).abs() < 1e-9);
-            prop_assert_eq!(t.delta_miss_samples, -r.delta_miss_samples);
-            prop_assert!((t.delta_invalidation + r.delta_invalidation).abs() < 1e-9);
-            prop_assert!((t.delta_conflict + r.delta_conflict).abs() < 1e-9);
-            prop_assert!((t.delta_capacity + r.delta_capacity).abs() < 1e-9);
-            prop_assert!((t.delta_working_set_bytes + r.delta_working_set_bytes).abs() < 1e-9);
-            prop_assert_eq!(t.delta_core_crossings, -r.delta_core_crossings);
-            // Before/after pairs mirror.
+            let r = ba.for_type(t.name()).expect("union is symmetric");
+            // Before/after pairs mirror, so every delta `b - a` negates.
             prop_assert_eq!(t.in_a, r.in_b);
             prop_assert_eq!(t.in_b, r.in_a);
-            prop_assert!((t.pct_a - r.pct_b).abs() < 1e-12);
-            prop_assert!((t.pct_b - r.pct_a).abs() < 1e-12);
-            prop_assert_eq!(&t.dominant_a, &r.dominant_b);
-            prop_assert_eq!(&t.dominant_b, &r.dominant_a);
-            prop_assert_eq!(t.ws_rank_a, r.ws_rank_b);
-            prop_assert_eq!(t.ws_rank_b, r.ws_rank_a);
-            prop_assert_eq!(t.bounce_a, r.bounce_b);
-            prop_assert_eq!(t.bounce_b, r.bounce_a);
-            prop_assert_eq!(t.delta_wasted_bytes, -r.delta_wasted_bytes);
-            prop_assert!((t.utilization_pct_a - r.utilization_pct_b).abs() < 1e-12);
-            prop_assert!((t.utilization_pct_b - r.utilization_pct_a).abs() < 1e-12);
-            prop_assert_eq!(t.wasted_bytes_a, r.wasted_bytes_b);
+            prop_assert_eq!(t.a, r.b);
+            prop_assert_eq!(t.b, r.a);
+            prop_assert_eq!(t.ws_rank_a(), r.ws_rank_b());
+            prop_assert_eq!(t.ws_rank_b(), r.ws_rank_a());
+            prop_assert!((t.delta_pct() + r.delta_pct()).abs() < 1e-9);
         }
     }
 
@@ -139,11 +135,60 @@ proptest! {
         key_b in 0u64..1000,
     ) {
         let baseline = diff(&a, &b, None);
-        let shuffled = diff(&reorder(&a, key_a), &reorder(&b, key_b), None);
+        let (a2, b2) = (reorder(&a, key_a), reorder(&b, key_b));
+        // The table is the same whatever order its rows came in.
+        prop_assert_eq!(&a2, &a);
+        prop_assert_eq!(&b2, &b);
+        let shuffled = diff(&a2, &b2, None);
         prop_assert_eq!(baseline.verdict, shuffled.verdict);
         prop_assert_eq!(&baseline.focus, &shuffled.focus);
         prop_assert_eq!(&baseline.moved_to, &shuffled.moved_to);
         // The delta rows (including their order) are identical.
         prop_assert_eq!(&baseline.types, &shuffled.types);
+    }
+
+    #[test]
+    fn every_type_of_either_report_is_one_delta_row(
+        a in summary_strategy(),
+        b in summary_strategy(),
+    ) {
+        let d = diff(&a, &b, None);
+        let mut rows: Vec<&str> = d.types.iter().map(|t| t.name()).collect();
+        rows.sort_unstable();
+        let mut names: Vec<&str> = (a.types().iter().chain(b.types())).map(|t| &*t.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        prop_assert_eq!(rows, names);
+        for t in &d.types {
+            prop_assert_eq!(t.in_a, a.get(t.name()).is_some());
+            prop_assert_eq!(t.in_b, b.get(t.name()).is_some());
+        }
+    }
+
+    #[test]
+    fn working_set_ranks_are_positions_in_the_byte_order(
+        rows in rows_strategy(),
+        bytes in 0u64..1 << 16,
+        other in summary_strategy(),
+    ) {
+        // Few distinct byte counts, `-0.0` and `0.0` among them, so ranks tie often.
+        let rows: Vec<TypeSummary> = (rows.into_iter().enumerate())
+            .map(|(i, mut t)| {
+                t.working_set_bytes = [-0.0, 0.0, 64.0, 4096.0][(bytes >> (2 * i)) as usize & 3];
+                t
+            })
+            .collect();
+        let mut order: Vec<&TypeSummary> = rows.iter().collect();
+        order.sort_by(|x, y| {
+            (y.working_set_bytes.partial_cmp(&x.working_set_bytes))
+                .unwrap()
+                .then_with(|| x.name.cmp(&y.name))
+        });
+        let this = ReportSummary::new(rows.clone(), 0.0);
+        let (as_a, as_b) = (diff(&this, &other, None), diff(&other, &this, None));
+        for (position, t) in order.iter().enumerate() {
+            prop_assert_eq!(as_a.for_type(&t.name).unwrap().ws_rank_a(), Some(position));
+            prop_assert_eq!(as_b.for_type(&t.name).unwrap().ws_rank_b(), Some(position));
+        }
     }
 }

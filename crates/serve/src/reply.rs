@@ -87,32 +87,29 @@ pub fn regressions(
     top: usize,
 ) -> String {
     let top = if top == 0 { DEFAULT_ROWS } else { top };
-    let mut result = diff(
-        &summary_from_merged(report_a),
-        &summary_from_merged(report_b),
-        None,
-    );
-    let mut deltas = std::mem::take(&mut result.types);
-    deltas.sort_by(|a, b| {
-        b.delta_pct
-            .partial_cmp(&a.delta_pct)
+    let (summary_a, summary_b) = (summary_from_merged(report_a), summary_from_merged(report_b));
+    let mut result = diff(&summary_a, &summary_b, None);
+    // Names are unique, so the order is total and an unstable sort is exact.
+    result.types.sort_unstable_by(|a, b| {
+        b.delta_pct()
+            .partial_cmp(&a.delta_pct())
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.name.cmp(&b.name))
+            .then_with(|| a.name().cmp(b.name()))
     });
     let mut w = head("regressions");
     w.key("workload").str(workload);
     w.key("from").str(from).key("to").str(to);
-    w.key("focus").str(&result.focus);
+    w.key("focus").str(result.focus);
     w.key("verdict").str(result.verdict.key());
     w.key("rows").open_arr();
-    for d in deltas.iter().take(top) {
+    for d in result.types.iter().take(top) {
         w.item().open_obj();
-        w.key("type").str(&d.name);
-        w.key("pct_from").num(d.pct_a);
-        w.key("pct_to").num(d.pct_b);
-        w.key("delta_pct").num(d.delta_pct);
-        w.key("misses_from").num(d.miss_samples_a as f64);
-        w.key("misses_to").num(d.miss_samples_b as f64);
+        w.key("type").str(d.name());
+        w.key("pct_from").num(d.a.pct_of_l1_misses);
+        w.key("pct_to").num(d.b.pct_of_l1_misses);
+        w.key("delta_pct").num(d.delta_pct());
+        w.key("misses_from").num(d.a.miss_samples as f64);
+        w.key("misses_to").num(d.b.miss_samples as f64);
         w.close_obj();
     }
     w.close_arr();

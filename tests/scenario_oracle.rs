@@ -165,8 +165,8 @@ fn every_scenario_plants_a_detectable_bottleneck_and_its_fix_eliminates_it() {
              eliminated, got {} (share {:.2}% -> {:.2}%, moved_to {:?})",
             spec.name,
             d.verdict,
-            d.focus_share_a,
-            d.focus_share_b,
+            d.focus_a.pct_of_l1_misses,
+            d.focus_b.pct_of_l1_misses,
             d.moved_to
         );
 
