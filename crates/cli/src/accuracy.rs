@@ -14,11 +14,12 @@
 
 use crate::args::{AccuracyOptions, Format};
 use crate::driver::{run_parallel, RunOptions, ThreadRun};
-use crate::merge::merge;
-use dprof::core::schema::Json;
+use crate::merge::{merge, summary_from_merged};
+use dprof::core::report::diff::{join, ReportSummary, TypeDelta};
+use dprof::core::schema::JsonWriter;
 use dprof::machine::SamplingPolicy;
 use dprof::trace::{replay_all_streaming, TraceReader};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,67 +86,11 @@ pub struct AccuracyReport {
     pub exact_l1_misses_total: u64,
 }
 
-/// One side of the comparison, read off the merge of its runs: L1-miss samples per
-/// type name, the types ranked by them, and the types ranked by wasted bytes.
-struct Side {
-    misses: HashMap<String, u64>,
-    ranked: Vec<(String, u64)>,
-    wasted: Vec<(String, u64)>,
-}
-
-impl Side {
-    fn of(runs: &[ThreadRun]) -> Side {
-        let merged = merge(runs);
-        let misses: HashMap<String, u64> = (merged.data_profile.iter())
-            .map(|row| (row.name.to_string(), row.l1_miss_samples))
-            .collect();
-        Side {
-            ranked: ranked(misses.iter().map(|(n, &c)| (n.clone(), c))),
-            misses,
-            wasted: ranked(merged.utilization.rows.iter().map(|row| {
-                let wasted = 8 * row.slots_fetched.saturating_sub(row.slots_touched);
-                (row.name.to_string(), wasted)
-            })),
-        }
-    }
-}
-
-/// Names by score, highest first (name ascending breaks ties, as the views do), zero
-/// scores dropped.
-fn ranked(scores: impl Iterator<Item = (String, u64)>) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = scores.filter(|&(_, score)| score > 0).collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    v
-}
-
-/// The first `k` names of both rankings and the share of the exact ones among the
-/// sampled ones (1 for none).  Both sides use the same `k`, clamped to the exact
-/// ranking: a sampled side that kept the unclamped `k` would count a type ranked
-/// anywhere in it as agreeing whenever `--top-k` exceeds the exact row count.
-fn top_names(
-    exact: &[(String, u64)],
-    sampled: &[(String, u64)],
-    k: usize,
-) -> (Vec<String>, Vec<String>, f64) {
-    let k = k.min(exact.len());
-    let names = |ranked: &[(String, u64)]| -> Vec<String> {
-        ranked.iter().take(k).map(|(n, _)| n.clone()).collect()
-    };
-    let (exact, sampled) = (names(exact), names(sampled));
-    let agreed = exact.iter().filter(|n| sampled.contains(n)).count();
-    let agreement = if k == 0 {
-        1.0
-    } else {
-        agreed as f64 / k as f64
-    };
-    (exact, sampled, agreement)
-}
-
 /// Compares the census (`exact`, the `fixed:1` replays) with the sampled runs.
 ///
 /// Threads profile independent machines, so both sides are read off
-/// [`crate::merge::merge`] of their runs, the report `dprof` prints: keyed by type
-/// name, counts summed before shares are computed.
+/// [`crate::merge::merge`] of their runs, the report `dprof` prints, reduced to its
+/// [`summary_from_merged`] table (`compare_summaries`).
 ///
 /// `Err` names a type the sampled side saw miss L1 and the census did not: the
 /// sampled side is a subsample of the census, so that is a harness fault.
@@ -155,13 +100,46 @@ pub fn compare(
     top_k: usize,
     budget_per_thread: Option<u64>,
 ) -> Result<AccuracyReport, String> {
-    let (sampled_side, exact_side) = (Side::of(sampled), Side::of(exact));
-    if let Some((name, count)) = (sampled_side.ranked.iter())
-        .find(|(name, _)| exact_side.misses.get(name).is_none_or(|&c| c == 0))
+    let report = compare_summaries(
+        &summary_from_merged(&merge(exact)),
+        &summary_from_merged(&merge(sampled)),
+        top_k,
+    )?;
+    let spent = |runs: &[ThreadRun]| runs.iter().map(|r| r.profile.samples_spent).sum();
+    Ok(AccuracyReport {
+        samples_spent: spent(sampled),
+        budget_per_thread,
+        within_budget: budget_per_thread
+            .is_none_or(|budget| sampled.iter().all(|r| r.profile.samples_spent <= budget)),
+        exact_accesses: spent(exact),
+        exact_l1_misses_total: exact.iter().map(|r| r.profile.l1_miss_samples_spent).sum(),
+        ..report
+    })
+}
+
+/// The comparison of two summary tables: the census is side `a` and the sampled run
+/// side `b` of one [`join`], the walk `dprof diff` makes, and every ranking is a list
+/// of positions in it.  The run-level counts (samples spent, budget, census totals)
+/// are [`compare`]'s and read zero here.
+fn compare_summaries(
+    census: &ReportSummary,
+    sample: &ReportSummary,
+    top_k: usize,
+) -> Result<AccuracyReport, String> {
+    let types = join(census, sample);
+    let exact_misses = |t: &TypeDelta| t.a.l1_miss_samples;
+    let sampled_misses = |t: &TypeDelta| t.b.l1_miss_samples;
+    // The first of the highest sampled counts in name order: the sampled ranking's
+    // first offender.
+    if let Some(t) = (types.iter())
+        .filter(|t| sampled_misses(t) > 0 && exact_misses(t) == 0)
+        .min_by_key(|t| Reverse(sampled_misses(t)))
     {
         return Err(format!(
-            "type '{name}' has {count} sampled L1 misses and none in the census: the \
-             sampled run is not a subsample of its replay"
+            "type '{}' has {} sampled L1 misses and none in the census: the sampled run \
+             is not a subsample of its replay",
+            t.name(),
+            sampled_misses(t)
         ));
     }
     let share = |count: u64, total: u64| {
@@ -171,35 +149,39 @@ pub fn compare(
             100.0 * count as f64 / total as f64
         }
     };
-    let sampled_total: u64 = sampled_side.misses.values().sum();
-    let exact_total: u64 = exact_side.misses.values().sum();
-    let sampled_rank: HashMap<&str, usize> = (sampled_side.ranked.iter())
+    let exact_total: u64 = types.iter().map(exact_misses).sum();
+    let sampled_total: u64 = types.iter().map(sampled_misses).sum();
+    let (exact_ranked, sampled_ranked) = (
+        ranking(&types, exact_misses),
+        ranking(&types, sampled_misses),
+    );
+    let rows: Vec<AccuracyRow> = (exact_ranked.iter())
         .enumerate()
-        .map(|(i, (n, _))| (n.as_str(), i))
-        .collect();
-    let rows: Vec<AccuracyRow> = (exact_side.ranked.iter())
-        .enumerate()
-        .map(|(i, (name, count))| {
-            let exact_share = share(*count, exact_total);
-            let sampled_misses = sampled_side.misses.get(name).copied().unwrap_or(0);
-            let sampled_share = share(sampled_misses, sampled_total);
+        .map(|(rank, &i)| {
+            let t = &types[i];
+            let exact_share = share(exact_misses(t), exact_total);
+            let sampled_share = share(sampled_misses(t), sampled_total);
             AccuracyRow {
-                name: name.clone(),
-                exact_l1_misses: *count,
+                name: t.name().to_string(),
+                exact_l1_misses: exact_misses(t),
                 exact_share,
-                sampled_misses,
+                sampled_misses: sampled_misses(t),
                 sampled_share,
                 abs_error: (sampled_share - exact_share).abs(),
-                exact_rank: i,
-                sampled_rank: sampled_rank.get(name.as_str()).copied(),
+                exact_rank: rank,
+                sampled_rank: sampled_ranked.iter().position(|&j| j == i),
             }
         })
         .collect();
 
     let (exact_top, sampled_top, topk_agreement) =
-        top_names(&exact_side.ranked, &sampled_side.ranked, top_k);
-    let (utilization_exact_top, utilization_sampled_top, utilization_topk_agreement) =
-        top_names(&exact_side.wasted, &sampled_side.wasted, top_k);
+        top_names(&types, &exact_ranked, &sampled_ranked, top_k);
+    let (utilization_exact_top, utilization_sampled_top, utilization_topk_agreement) = top_names(
+        &types,
+        &ranking(&types, |t| t.a.wasted_bytes),
+        &ranking(&types, |t| t.b.wasted_bytes),
+        top_k,
+    );
 
     let mean_abs_error = if rows.is_empty() {
         0.0
@@ -213,11 +195,6 @@ pub fn compare(
         .map(|r| (r.abs_error, Some(r.name.clone())))
         .unwrap_or((0.0, None));
 
-    let within_budget = match budget_per_thread {
-        Some(budget) => sampled.iter().all(|r| r.profile.samples_spent <= budget),
-        None => true,
-    };
-
     Ok(AccuracyReport {
         rows,
         top_k: exact_top.len(),
@@ -230,12 +207,47 @@ pub fn compare(
         mean_abs_error,
         max_abs_error,
         worst_type,
-        samples_spent: sampled.iter().map(|r| r.profile.samples_spent).sum(),
-        budget_per_thread,
-        within_budget,
-        exact_accesses: exact.iter().map(|r| r.profile.samples_spent).sum(),
-        exact_l1_misses_total: exact.iter().map(|r| r.profile.l1_miss_samples_spent).sum(),
+        samples_spent: 0,
+        budget_per_thread: None,
+        within_budget: true,
+        exact_accesses: 0,
+        exact_l1_misses_total: 0,
     })
+}
+
+/// The positions in `types` of the rows `score` puts above zero, highest first.  The
+/// join is in name order and the sort stable, so name breaks ties, as in the views.
+fn ranking(types: &[TypeDelta], score: impl Fn(&TypeDelta) -> u64) -> Vec<usize> {
+    let mut ranked: Vec<usize> = (0..types.len()).filter(|&i| score(&types[i]) > 0).collect();
+    ranked.sort_by_key(|&i| Reverse(score(&types[i])));
+    ranked
+}
+
+/// The names of the first `k` of both rankings and the share of the exact ones among
+/// the sampled ones (1 for none).  Both sides use the same `k`, clamped to the exact
+/// ranking: a sampled side that kept the unclamped `k` would count a type ranked
+/// anywhere in it as agreeing whenever `--top-k` exceeds the exact row count.
+fn top_names(
+    types: &[TypeDelta],
+    exact: &[usize],
+    sampled: &[usize],
+    k: usize,
+) -> (Vec<String>, Vec<String>, f64) {
+    let k = k.min(exact.len());
+    let (exact, sampled) = (&exact[..k], &sampled[..k.min(sampled.len())]);
+    let agreed = exact.iter().filter(|i| sampled.contains(i)).count();
+    let names = |ranked: &[usize]| {
+        ranked
+            .iter()
+            .map(|&i| types[i].name().to_string())
+            .collect()
+    };
+    let agreement = if k == 0 {
+        1.0
+    } else {
+        agreed as f64 / k as f64
+    };
+    (names(exact), names(sampled), agreement)
 }
 
 /// Runs `run` live with its session recorded and replays the recording under
@@ -313,7 +325,7 @@ pub fn run_accuracy(options: &AccuracyOptions) -> i32 {
     };
     let rendered = match options.format {
         Format::Text => render_text(&report, options),
-        Format::Json => render_json(&report, options).to_pretty_string(),
+        Format::Json => render_json(&report, options),
     };
     crate::emit(&rendered, &options.output)
 }
@@ -401,131 +413,95 @@ pub fn render_text(report: &AccuracyReport, options: &AccuracyOptions) -> String
     out
 }
 
-/// Builds the `dprof-accuracy/v1` JSON document.
-pub fn render_json(report: &AccuracyReport, options: &AccuracyOptions) -> Json {
+/// Writes the `dprof-accuracy/v1` JSON document.
+pub fn render_json(report: &AccuracyReport, options: &AccuracyOptions) -> String {
     let run = &options.run;
-    Json::Obj(vec![
-        ("schema".into(), Json::str(SCHEMA)),
-        (
-            "run".into(),
-            Json::obj(vec![
-                ("workload", Json::str(run.workload.name())),
-                ("threads", Json::num(run.threads as u32)),
-                ("cores_per_machine", Json::num(run.cores as u32)),
-                ("warmup_rounds", Json::num(run.warmup_rounds as u32)),
-                ("sample_rounds", Json::num(run.sample_rounds as u32)),
-                ("sampling", Json::str(run.sampling.to_string())),
-                ("base_seed", Json::num(run.base_seed as f64)),
-                ("top_k", Json::num(options.top_k as u32)),
-            ]),
-        ),
-        (
-            "samples".into(),
-            Json::obj(vec![
-                ("spent", Json::num(report.samples_spent as f64)),
-                (
-                    "budget_per_thread",
-                    match report.budget_per_thread {
-                        Some(b) => Json::num(b as f64),
-                        None => Json::Null,
-                    },
-                ),
-                ("within_budget", Json::Bool(report.within_budget)),
-                ("exact_accesses", Json::num(report.exact_accesses as f64)),
-                (
-                    "exact_l1_misses",
-                    Json::num(report.exact_l1_misses_total as f64),
-                ),
-            ]),
-        ),
-        (
-            "top_k".into(),
-            Json::obj(vec![
-                ("k", Json::num(report.top_k as u32)),
-                ("agreement", Json::num(report.topk_agreement)),
-                (
-                    "exact",
-                    Json::Arr(report.exact_top.iter().map(Json::str).collect()),
-                ),
-                (
-                    "sampled",
-                    Json::Arr(report.sampled_top.iter().map(Json::str).collect()),
-                ),
-            ]),
-        ),
-        (
-            "utilization_top_k".into(),
-            Json::obj(vec![
-                ("k", Json::num(report.utilization_exact_top.len() as u32)),
-                ("agreement", Json::num(report.utilization_topk_agreement)),
-                (
-                    "exact",
-                    Json::Arr(report.utilization_exact_top.iter().map(Json::str).collect()),
-                ),
-                (
-                    "sampled",
-                    Json::Arr(
-                        report
-                            .utilization_sampled_top
-                            .iter()
-                            .map(Json::str)
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "share_error".into(),
-            Json::obj(vec![
-                ("mean_abs_pct", Json::num(report.mean_abs_error)),
-                ("max_abs_pct", Json::num(report.max_abs_error)),
-                (
-                    "worst_type",
-                    match &report.worst_type {
-                        Some(t) => Json::str(t),
-                        None => Json::Null,
-                    },
-                ),
-            ]),
-        ),
-        (
-            "rows".into(),
-            Json::Arr(
-                report
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("type", Json::str(&*r.name)),
-                            ("exact_l1_misses", Json::num(r.exact_l1_misses as f64)),
-                            ("exact_share_pct", Json::num(r.exact_share)),
-                            (
-                                "sampled_l1_miss_samples",
-                                Json::num(r.sampled_misses as f64),
-                            ),
-                            ("sampled_share_pct", Json::num(r.sampled_share)),
-                            ("abs_error_pct", Json::num(r.abs_error)),
-                            ("exact_rank", Json::num(r.exact_rank as f64)),
-                            (
-                                "sampled_rank",
-                                match r.sampled_rank {
-                                    Some(i) => Json::num(i as f64),
-                                    None => Json::Null,
-                                },
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let top_k = |w: &mut JsonWriter, key: &str, exact: &[String], sampled: &[String], agreement| {
+        w.key(key).open_obj();
+        w.key("k").num(exact.len() as f64);
+        w.key("agreement").num(agreement);
+        for (key, names) in [("exact", exact), ("sampled", sampled)] {
+            w.key(key).open_arr();
+            for name in names {
+                w.item().str(name);
+            }
+            w.close_arr();
+        }
+        w.close_obj();
+    };
+    let mut w = JsonWriter::default();
+    w.open_obj();
+    w.key("schema").str(SCHEMA);
+    w.key("run").open_obj();
+    w.key("workload").str(run.workload.name());
+    w.key("threads").num(run.threads as f64);
+    w.key("cores_per_machine").num(run.cores as f64);
+    w.key("warmup_rounds").num(run.warmup_rounds as f64);
+    w.key("sample_rounds").num(run.sample_rounds as f64);
+    w.key("sampling").str(&run.sampling.to_string());
+    w.key("base_seed").num(run.base_seed as f64);
+    w.key("top_k").num(options.top_k as f64);
+    w.close_obj();
+    w.key("samples").open_obj();
+    w.key("spent").num(report.samples_spent as f64);
+    match report.budget_per_thread {
+        Some(b) => w.key("budget_per_thread").num(b as f64),
+        None => w.key("budget_per_thread").null(),
+    };
+    w.key("within_budget").bool(report.within_budget);
+    w.key("exact_accesses").num(report.exact_accesses as f64);
+    w.key("exact_l1_misses")
+        .num(report.exact_l1_misses_total as f64);
+    w.close_obj();
+    top_k(
+        &mut w,
+        "top_k",
+        &report.exact_top,
+        &report.sampled_top,
+        report.topk_agreement,
+    );
+    top_k(
+        &mut w,
+        "utilization_top_k",
+        &report.utilization_exact_top,
+        &report.utilization_sampled_top,
+        report.utilization_topk_agreement,
+    );
+    w.key("share_error").open_obj();
+    w.key("mean_abs_pct").num(report.mean_abs_error);
+    w.key("max_abs_pct").num(report.max_abs_error);
+    match &report.worst_type {
+        Some(t) => w.key("worst_type").str(t),
+        None => w.key("worst_type").null(),
+    };
+    w.close_obj();
+    w.key("rows").open_arr();
+    for r in &report.rows {
+        w.item().open_obj();
+        w.key("type").str(&r.name);
+        w.key("exact_l1_misses").num(r.exact_l1_misses as f64);
+        w.key("exact_share_pct").num(r.exact_share);
+        w.key("sampled_l1_miss_samples")
+            .num(r.sampled_misses as f64);
+        w.key("sampled_share_pct").num(r.sampled_share);
+        w.key("abs_error_pct").num(r.abs_error);
+        w.key("exact_rank").num(r.exact_rank as f64);
+        match r.sampled_rank {
+            Some(i) => w.key("sampled_rank").num(i as f64),
+            None => w.key("sampled_rank").null(),
+        };
+        w.close_obj();
+    }
+    w.close_arr().close_obj();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::{RunOptions, WorkloadKind};
-    use dprof::machine::SamplingPolicy;
+    use dprof::core::report::diff::TypeSummary;
+    use dprof::core::schema::Json;
 
     fn accuracy_options(workload: WorkloadKind, sampling: SamplingPolicy) -> AccuracyOptions {
         AccuracyOptions {
@@ -575,7 +551,7 @@ mod tests {
         // the sampled profile.
         assert!(report.rows.iter().any(|r| r.name == "pkt_stats"));
         // JSON renders and parses.
-        let doc = Json::parse(&render_json(&report, &options).to_pretty_string()).unwrap();
+        let doc = Json::parse(&render_json(&report, &options)).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert!(doc.get("top_k").unwrap().get("agreement").is_some());
         assert!(doc
@@ -605,9 +581,86 @@ mod tests {
         assert_eq!(report.budget_per_thread, None);
         assert!(report.within_budget);
         assert!(report.exact_accesses > 0);
-        // The census as the sampled side is no subsample of the sampled run: a type
-        // the sampler never saw miss is named.
+        // The census as the sampled side is no subsample of the sampled run: of the
+        // types the sampler never saw miss, the one the census saw miss most is named,
+        // the first by name among equals.
         let swapped = compare(&census, &sampled, options.top_k, None).unwrap_err();
         assert!(swapped.contains("none in the census"), "{swapped}");
+        let misses = |runs: &[ThreadRun]| -> Vec<(String, u64)> {
+            (merge(runs).data_profile.iter())
+                .map(|row| (row.name.to_string(), row.l1_miss_samples))
+                .collect()
+        };
+        let seen = misses(&sampled);
+        let (name, count) = (misses(&census).into_iter())
+            .filter(|(name, count)| *count > 0 && !seen.iter().any(|(n, c)| n == name && *c > 0))
+            .min_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(&y.0)))
+            .expect("a type the sampler never saw miss");
+        let named = format!("type '{name}' has {count} sampled L1 misses and none in the census");
+        assert!(swapped.starts_with(&named), "{swapped}");
+    }
+
+    /// A summary table of `(name, l1_miss_samples, wasted_bytes)` rows.
+    fn summary(rows: &[(&str, u64, u64)]) -> ReportSummary {
+        let rows = rows
+            .iter()
+            .map(|&(name, l1_miss_samples, wasted_bytes)| TypeSummary {
+                name: name.into(),
+                l1_miss_samples,
+                wasted_bytes,
+                ..TypeSummary::default()
+            });
+        ReportSummary::new(rows.collect(), 0.0)
+    }
+
+    #[test]
+    fn rankings_clamp_k_to_the_census_and_leave_zero_counts_out() {
+        // `idle` has a row on both sides and nothing to rank it by.  Only `hot` wastes
+        // bytes in the census; the sampled run ranks `far` above it.
+        let census = summary(&[
+            ("hot", 90, 4096),
+            ("warm", 10, 0),
+            ("idle", 0, 0),
+            ("far", 5, 0),
+        ]);
+        let sample = summary(&[
+            ("hot", 0, 64),
+            ("warm", 3, 0),
+            ("idle", 0, 0),
+            ("far", 1, 512),
+        ]);
+        let report = compare_summaries(&census, &sample, 10).unwrap();
+        let names = |rows: &[AccuracyRow]| rows.iter().map(|r| r.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&report.rows), ["hot", "warm", "far"]);
+        let ranks: Vec<_> = (report.rows.iter())
+            .map(|r| (r.exact_rank, r.sampled_rank))
+            .collect();
+        assert_eq!(ranks, [(0, None), (1, Some(0)), (2, Some(1))]);
+        assert_eq!(report.rows[0].exact_share, 100.0 * 90.0 / 105.0);
+        assert_eq!(report.rows[1].sampled_share, 75.0);
+        assert_eq!((report.top_k, report.exact_top.len()), (3, 3));
+        assert_eq!(report.sampled_top, ["warm", "far"]);
+        assert_eq!(report.topk_agreement, 2.0 / 3.0);
+        // `--top-k 10` is clamped to the census's one wasting type on both sides: `far`,
+        // second in the sampled ranking, does not count as agreeing.
+        assert_eq!(report.utilization_exact_top, ["hot"]);
+        assert_eq!(report.utilization_sampled_top, ["far"]);
+        assert_eq!(report.utilization_topk_agreement, 0.0);
+        assert_eq!(report.worst_type.as_deref(), Some("hot"));
+
+        // Three types the census never saw miss tie on the highest sampled count (one
+        // with a census row, two without): the first by name is named.
+        let offenders = summary(&[
+            ("hot", 1, 0),
+            ("b_new", 7, 0),
+            ("idle", 7, 0),
+            ("a_new", 7, 0),
+            ("c_new", 3, 0),
+        ]);
+        let err = compare_summaries(&census, &offenders, 3).unwrap_err();
+        assert!(
+            err.starts_with("type 'a_new' has 7 sampled L1 misses"),
+            "{err}"
+        );
     }
 }

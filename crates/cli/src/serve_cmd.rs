@@ -12,7 +12,7 @@
 use crate::args::{Format, LoadgenOptions, QueryAction, QueryOptions, ServeOptions};
 use crate::driver::{self, RunOptions};
 use dprof::core::merge::ProfileShard;
-use dprof::core::schema::{self, Json};
+use dprof::core::schema::{self, JsonWriter};
 use dprof_serve::loadgen::{run_loadgen, LoadgenConfig};
 use dprof_serve::server::{Server, ServerConfig};
 use dprof_serve::Client;
@@ -160,29 +160,31 @@ pub fn run_loadgen_cmd(options: &LoadgenOptions) -> i32 {
     }
 
     let rendered = match options.format {
-        Format::Json => Json::obj(vec![
-            ("schema", Json::str(schema::LOADGEN_V1)),
-            ("scenario", Json::str(&options.scenario)),
-            ("workload", Json::str(&options.tag)),
-            (
-                "builds",
-                Json::Arr(report.builds.iter().map(Json::str).collect()),
-            ),
-            ("producers", Json::num(options.producers as f64)),
-            ("shards_pushed", Json::num(report.shards_pushed as f64)),
-            ("elapsed_seconds", Json::num(report.elapsed_seconds)),
-            ("shards_per_second", Json::num(report.shards_per_second)),
-            (
-                "queries_answered",
-                Json::num(report.queries_answered as f64),
-            ),
-            ("verdict", Json::str(&report.verdict)),
-            ("alerts_fired", Json::num(report.alerts_fired as f64)),
-            ("shards_absorbed", Json::num(report.shards_absorbed as f64)),
-            ("shards_resident", Json::num(report.shards_resident as f64)),
-            ("fold_rebuilds", Json::num(report.fold_rebuilds as f64)),
-        ])
-        .to_pretty_string(),
+        Format::Json => {
+            let mut w = JsonWriter::default();
+            w.open_obj();
+            w.key("schema").str(schema::LOADGEN_V1);
+            w.key("scenario").str(&options.scenario);
+            w.key("workload").str(&options.tag);
+            w.key("builds").open_arr();
+            for build in &report.builds {
+                w.item().str(build);
+            }
+            w.close_arr();
+            w.key("producers").num(options.producers as f64);
+            w.key("shards_pushed").num(report.shards_pushed as f64);
+            w.key("elapsed_seconds").num(report.elapsed_seconds);
+            w.key("shards_per_second").num(report.shards_per_second);
+            w.key("queries_answered")
+                .num(report.queries_answered as f64);
+            w.key("verdict").str(&report.verdict);
+            w.key("alerts_fired").num(report.alerts_fired as f64);
+            w.key("shards_absorbed").num(report.shards_absorbed as f64);
+            w.key("shards_resident").num(report.shards_resident as f64);
+            w.key("fold_rebuilds").num(report.fold_rebuilds as f64);
+            w.close_obj();
+            w.finish()
+        }
         Format::Text => format!(
             "loadgen: {} shards via {} producer(s) in {:.2}s — {:.1} shards/s\n\
              builds: {}; verdict: {}; alerts fired: {}\n\

@@ -19,7 +19,7 @@
 use crate::args::{Format, WhatifOptions};
 use crate::merge::MergedReport;
 use crate::{driver, merge};
-use dprof::core::schema::Json;
+use dprof::core::schema::JsonWriter;
 use dprof::core::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};
 use dprof::trace::{
     analyze_sharing, analyze_sharing_unless, available_workers, fan_out, for_each_stream,
@@ -446,7 +446,7 @@ pub fn run_whatif(options: &WhatifOptions) -> i32 {
     };
     let rendered = match options.format {
         Format::Text => render_whatif_text(&analysis, options),
-        Format::Json => render_whatif_json(&analysis, options).to_pretty_string(),
+        Format::Json => render_whatif_json(&analysis, options),
     };
     crate::emit(&rendered, &options.output)
 }
@@ -505,54 +505,51 @@ pub fn render_whatif_text(a: &WhatifAnalysis, options: &WhatifOptions) -> String
     out
 }
 
-/// Builds the `dprof-whatif/v1` JSON document.
-pub fn render_whatif_json(a: &WhatifAnalysis, options: &WhatifOptions) -> Json {
-    Json::obj(vec![
-        ("schema", Json::str(WHATIF_SCHEMA)),
-        ("trace", Json::str(&options.input)),
-        ("streams", Json::num(a.streams as u32)),
-        ("rounds", Json::num(a.rounds as u32)),
-        ("baseline_cycles", Json::num(a.baseline_cycles as f64)),
-        ("baseline_seconds", Json::num(a.baseline_seconds)),
-        (
-            "candidates",
-            Json::Arr(
-                a.candidates
-                    .iter()
-                    .enumerate()
-                    .map(|(rank, c)| {
-                        let e = &c.estimate;
-                        Json::obj(vec![
-                            ("rank", Json::num((rank + 1) as u32)),
-                            ("fix", Json::str(c.spec.to_string())),
-                            ("kind", Json::str(c.spec.kind())),
-                            (
-                                "target",
-                                c.spec.target().map(Json::str).unwrap_or(Json::Null),
-                            ),
-                            ("source", Json::str(&c.source)),
-                            ("predicted_gain", Json::num(e.gain)),
-                            ("speedup", Json::num(e.speedup)),
-                            ("base_cycles", Json::num(e.base_cycles as f64)),
-                            ("fix_cycles", Json::num(e.fix_cycles as f64)),
-                            ("blocks", Json::num(e.blocks as f64)),
-                            ("blocks_improved", Json::num(e.blocks_improved as f64)),
-                            (
-                                "win_ci",
-                                Json::Arr(vec![Json::num(e.win_ci.0), Json::num(e.win_ci.1)]),
-                            ),
-                            ("confident", Json::Bool(e.confident)),
-                            (
-                                "gain_ci",
-                                Json::Arr(vec![Json::num(e.gain_ci.0), Json::num(e.gain_ci.1)]),
-                            ),
-                            ("rank_stable", Json::Bool(c.rank_stable)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Writes the `dprof-whatif/v1` JSON document.
+pub fn render_whatif_json(a: &WhatifAnalysis, options: &WhatifOptions) -> String {
+    let pair = |w: &mut JsonWriter, key: &str, (low, high): (f64, f64)| {
+        w.key(key)
+            .open_arr()
+            .item()
+            .num(low)
+            .item()
+            .num(high)
+            .close_arr();
+    };
+    let mut w = JsonWriter::default();
+    w.open_obj();
+    w.key("schema").str(WHATIF_SCHEMA);
+    w.key("trace").str(&options.input);
+    w.key("streams").num(a.streams as f64);
+    w.key("rounds").num(a.rounds as f64);
+    w.key("baseline_cycles").num(a.baseline_cycles as f64);
+    w.key("baseline_seconds").num(a.baseline_seconds);
+    w.key("candidates").open_arr();
+    for (rank, c) in a.candidates.iter().enumerate() {
+        let e = &c.estimate;
+        w.item().open_obj();
+        w.key("rank").num((rank + 1) as f64);
+        w.key("fix").str(&c.spec.to_string());
+        w.key("kind").str(c.spec.kind());
+        match c.spec.target() {
+            Some(target) => w.key("target").str(target),
+            None => w.key("target").null(),
+        };
+        w.key("source").str(&c.source);
+        w.key("predicted_gain").num(e.gain);
+        w.key("speedup").num(e.speedup);
+        w.key("base_cycles").num(e.base_cycles as f64);
+        w.key("fix_cycles").num(e.fix_cycles as f64);
+        w.key("blocks").num(e.blocks as f64);
+        w.key("blocks_improved").num(e.blocks_improved as f64);
+        pair(&mut w, "win_ci", e.win_ci);
+        w.key("confident").bool(e.confident);
+        pair(&mut w, "gain_ci", e.gain_ci);
+        w.key("rank_stable").bool(c.rank_stable);
+        w.close_obj();
+    }
+    w.close_arr().close_obj();
+    w.finish()
 }
 
 #[cfg(test)]

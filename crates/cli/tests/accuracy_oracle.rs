@@ -5,13 +5,14 @@
 //! in-process twin of the CI `scenario-oracle` job's `dprof accuracy` loop, so the
 //! gate also holds on a plain `cargo test --workspace`.
 
-use dprof::core::schema::Json;
+use dprof::core::schema::{write_whole_report, Json, JsonWriter};
 use dprof::machine::SamplingPolicy;
 use dprof::workloads::scenarios::{self, ExpectedView};
-use dprof_cli::accuracy::{compare, render_json, sampled_and_census};
+use dprof_cli::accuracy::{compare, render_json, render_text, sampled_and_census};
 use dprof_cli::args::{AccuracyOptions, Format};
+use dprof_cli::diff::load_summary;
 use dprof_cli::driver::{RunOptions, ThreadRun, WorkloadKind};
-use dprof_cli::merge::merge;
+use dprof_cli::merge::{merge, summary_from_merged};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -236,7 +237,7 @@ fn accuracy_documents_match_their_goldens() {
         };
         let (sampled, census) = sampled_and_census(&options.run).expect("accuracy run");
         let report = compare(&sampled, &census, TOP_K, Some(BUDGET)).expect("accuracy report");
-        let document = render_json(&report, &options).to_pretty_string();
+        let document = render_json(&report, &options);
         let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/golden")
             .join(format!(
@@ -249,5 +250,72 @@ fn accuracy_documents_match_their_goldens() {
             "{scenario}: the accuracy document differs from {}:\n{document}",
             golden.display()
         );
+    }
+}
+
+/// `tests/golden/remote_hot_lock_quick.accuracy.txt` is the text form of the first
+/// golden run (the same command with `-f text`), the one pin on the text renderer.
+#[test]
+fn the_accuracy_text_matches_its_golden() {
+    let index = scenarios::registry()
+        .iter()
+        .position(|spec| spec.name == "remote-hot-lock")
+        .expect("registered scenario");
+    let options = AccuracyOptions {
+        run: RunOptions {
+            threads: 2,
+            ..accuracy_run(index)
+        },
+        top_k: TOP_K,
+        format: Format::Text,
+        output: None,
+    };
+    let (sampled, census) = sampled_and_census(&options.run).expect("accuracy run");
+    let report = compare(&sampled, &census, TOP_K, Some(BUDGET)).expect("accuracy report");
+    let text = render_text(&report, &options);
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/remote_hot_lock_quick.accuracy.txt");
+    let expected = std::fs::read_to_string(&golden).expect("golden accuracy text");
+    assert!(
+        text == expected,
+        "the accuracy text differs from {}:\n{text}",
+        golden.display()
+    );
+}
+
+/// The census is a report `dprof diff` reads unchanged: its merge, written whole and
+/// loaded back the way `dprof diff` loads a report (one shard, merged alone), has the
+/// summary of the merge it was written from, every column included.
+#[test]
+fn the_census_written_as_a_report_reads_back_as_its_summary() {
+    for (scenario, threads) in [("remote-hot-lock", 2), ("sparse-struct-waste", 1)] {
+        let index = scenarios::registry()
+            .iter()
+            .position(|spec| spec.name == scenario)
+            .expect("registered scenario");
+        let run = RunOptions {
+            threads,
+            ..accuracy_run(index)
+        };
+        let (_, census) = sampled_and_census(&run).expect("accuracy run");
+        let report = merge(&census);
+        let mut w = JsonWriter::default();
+        write_whole_report(&mut w, &report);
+        let path = std::env::temp_dir().join(format!(
+            "dprof-census-{}-{scenario}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, w.finish()).expect("census report written");
+        let read_back = load_summary(path.to_str().unwrap());
+        let _ = std::fs::remove_file(&path);
+        let (read_back, in_memory) = (
+            read_back.expect("dprof diff reads it"),
+            summary_from_merged(&report),
+        );
+        assert!(
+            in_memory.types().iter().any(|t| t.l1_miss_samples > 0),
+            "{scenario}: the census saw no L1 miss"
+        );
+        assert_eq!(read_back, in_memory, "{scenario}");
     }
 }

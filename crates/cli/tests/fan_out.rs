@@ -191,7 +191,7 @@ fn scheduling_cannot_reach_the_whatif_document() {
             panic!("whatif arguments parse");
         };
         let reader = TraceReader::open(&path).expect("trace opens");
-        let render = |analysis| render_whatif_json(&analysis, &options).to_pretty_string();
+        let render = |analysis| render_whatif_json(&analysis, &options);
 
         let reference = render(analyze_trace_on(1, &reader, &options.fixes, true).unwrap());
         if path != fresh {
@@ -230,7 +230,7 @@ fn the_benchmark_shaped_session_ranks_the_same_on_one_worker_and_on_two() {
     let render = |workers| {
         let analysis = analyze_trace_on(workers, &reader, &options.fixes, true).unwrap();
         assert!(analysis.candidates.len() >= 3, "one worker or two");
-        render_whatif_json(&analysis, &options).to_pretty_string()
+        render_whatif_json(&analysis, &options)
     };
     assert!(render(1) == render(2));
     let _ = std::fs::remove_file(trace);

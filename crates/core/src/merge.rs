@@ -1105,6 +1105,7 @@ pub fn summary_from_merged(report: &MergedReport) -> ReportSummary {
     for row in &report.data_profile {
         let t = type_row(&mut types, &row.name);
         t.pct_of_l1_misses = row.pct_of_l1_misses;
+        t.l1_miss_samples = row.l1_miss_samples;
         t.bounce = row.bounce;
         t.working_set_bytes = row.working_set_bytes;
     }
@@ -1414,6 +1415,8 @@ mod tests {
         let summary = summary_from_merged(&report);
         let a = summary.get("a").unwrap();
         assert_eq!(a.miss_samples, 100);
+        assert_eq!(a.l1_miss_samples, 100);
+        assert_eq!(summary.get("b").unwrap().l1_miss_samples, 50);
         assert_eq!(a.dominant_miss, Some("invalidation"));
         assert_eq!(a.wasted_bytes, 8 * (8 * 100 - 2 * 100));
         assert!((a.utilization_pct - 25.0).abs() < 1e-9);

@@ -18,11 +18,13 @@
 //! `dprof-report/v1` document as one shard (`schema::shard_from_report_json`, as the
 //! collector ingests a push) and merges that.
 //!
-//! [`diff`] walks both tables in name order once.  Each [`TypeDelta`] holds its two
-//! sides — a side the type is absent from reads as the zero summary — and a reader
-//! subtracts what it shows, `b - a`.  The verdict is one rule applied to one axis at a
-//! time: the focus type's miss magnitude first (counts when both reports carry them,
-//! otherwise shares) and, when that is below its floor, its wasted bytes.
+//! [`join`] walks both tables in name order once; [`diff`] orders its rows, and `dprof
+//! accuracy` reads the census against the sampled run off the same walk.  Each
+//! [`TypeDelta`] holds its two sides — a side the type is absent from reads as the zero
+//! summary — and a reader subtracts what it shows, `b - a`.  The verdict is one rule
+//! applied to one axis at a time: the focus type's miss magnitude first (counts when
+//! both reports carry them, otherwise shares) and, when that is below its floor, its
+//! wasted bytes.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -38,6 +40,11 @@ pub struct TypeSummary {
     pub pct_of_l1_misses: f64,
     /// Miss samples behind the classification (0 when unknown).
     pub miss_samples: u64,
+    /// L1-miss samples the data profile attributed to the type (0 when it has no
+    /// data-profile row).  Nothing holds it equal to `miss_samples`, which the
+    /// classification view counts.
+    #[serde(default)]
+    pub l1_miss_samples: u64,
     /// Whether the type was flagged as bouncing between cores.
     pub bounce: bool,
     /// Average live bytes (working-set footprint).
@@ -264,6 +271,7 @@ impl<'s> ReportDiff<'s> {
                 t.in_a == t.in_b
                     && near(a.pct_of_l1_misses, b.pct_of_l1_misses)
                     && a.miss_samples == b.miss_samples
+                    && a.l1_miss_samples == b.l1_miss_samples
                     && near(a.invalidation, b.invalidation)
                     && near(a.conflict, b.conflict)
                     && near(a.capacity, b.capacity)
@@ -283,20 +291,9 @@ impl<'s> ReportDiff<'s> {
     }
 }
 
-/// Compares report `b` against baseline `a`.
-///
-/// `focus` picks the type the verdict is about; `None` focuses the top miss type of
-/// `a`.
-pub fn diff<'s>(
-    a: &'s ReportSummary,
-    b: &'s ReportSummary,
-    focus: Option<&'s str>,
-) -> ReportDiff<'s> {
-    let focus = focus
-        .or_else(|| a.top_type().map(|t| &*t.name))
-        .unwrap_or_default();
-
-    // Both tables are ordered by name: one walk joins them.
+/// Every type of either table as one [`TypeDelta`], in name order.  Both tables are
+/// ordered by name, so one walk joins them.
+pub fn join<'s>(a: &'s ReportSummary, b: &'s ReportSummary) -> Vec<TypeDelta<'s>> {
     let mut types = Vec::with_capacity(a.types.len() + b.types.len());
     let (mut rows_a, mut rows_b) = (a.types.iter().peekable(), b.types.iter().peekable());
     loop {
@@ -315,6 +312,23 @@ pub fn diff<'s>(
             in_b: side_b.is_some(),
         });
     }
+    types
+}
+
+/// Compares report `b` against baseline `a`.
+///
+/// `focus` picks the type the verdict is about; `None` focuses the top miss type of
+/// `a`.
+pub fn diff<'s>(
+    a: &'s ReportSummary,
+    b: &'s ReportSummary,
+    focus: Option<&'s str>,
+) -> ReportDiff<'s> {
+    let focus = focus
+        .or_else(|| a.top_type().map(|t| &*t.name))
+        .unwrap_or_default();
+
+    let mut types = join(a, b);
     // Names are unique, so the order is total and an unstable sort is exact.
     types.sort_unstable_by(|x, y| {
         let kx = x.a.pct_of_l1_misses.max(x.b.pct_of_l1_misses);

@@ -56,6 +56,7 @@ fn rows_strategy() -> impl Strategy<Value = Vec<TypeSummary>> {
                 name: name.into(),
                 pct_of_l1_misses: f64::from(pct_centi) / 100.0,
                 miss_samples: misses,
+                l1_miss_samples: misses / 2,
                 bounce,
                 working_set_bytes: f64::from(ws_bytes),
                 invalidation,
