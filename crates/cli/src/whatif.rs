@@ -70,7 +70,7 @@ pub struct Candidate {
 pub struct WhatifAnalysis {
     /// Recorded streams measured (one simulated machine each).
     pub streams: usize,
-    /// Measured post-warmup rounds per stream.
+    /// Measured rounds per stream: the rounds the session sampled after warmup.
     pub rounds: usize,
     /// Identity-baseline makespan cycles, summed over streams: read off the profiled
     /// replays under `--auto`, measured by profiler-free identity passes without it

@@ -282,9 +282,10 @@ fn derived_baselines_are_the_identity_pass(reader: &TraceReader, label: &str) ->
         .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert_eq!(derived.len(), identity.len(), "{label}");
         for ((_, _, derived), identity) in derived.iter().zip(&identity) {
-            assert!(
-                !identity.round_clocks.is_empty(),
-                "{label}: measured rounds"
+            assert_eq!(
+                identity.round_clocks.len(),
+                reader.params.sample_rounds,
+                "{label}: the window is the sampled rounds"
             );
             assert_eq!(
                 derived, identity,
@@ -333,7 +334,7 @@ fn the_baseline_read_off_the_profiled_replay_is_the_identity_pass() {
     );
     let _ = std::fs::remove_file(fresh);
 
-    // The profiler stops early; the rounds after its window are still measured.
+    // The profiler stops early, and both passes end their window where it does.
     let diverged = on_disk(&diverged_session());
     let trailing = derived_baselines_are_the_identity_pass(&diverged, "diverged");
     assert!(trailing[0] > 0, "the replay diverged: {trailing:?}");

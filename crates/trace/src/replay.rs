@@ -15,10 +15,12 @@
 //! both call [`profile_window`] with [`crate::SessionParams::dprof_config`] and both
 //! produce a [`ThreadRun`].
 //!
-//! The profiled replay also records the makespan at every round end, without the
-//! cycles the machine booked to the profiler: the identity baseline `dprof whatif
-//! --auto` would otherwise spend a profiler-free pass on
-//! ([`replay_and_measure_stream`]).  A round end costs one max over the cores.
+//! The profiled replay also records the makespan at the end of every sampled round,
+//! without the cycles the machine booked to the profiler: the identity baseline `dprof
+//! whatif --auto` would otherwise spend a profiler-free pass on
+//! ([`replay_and_measure_stream`]).  The profiler steps every sampled round before its
+//! history phase, so the baseline is complete when the profile is.  A round end costs
+//! one max over the cores.
 //!
 //! There is one driver, and it reads a [`TraceReader`]: each stream is decoded
 //! incrementally from its own file handle, so peak memory is bounded by the simulation
@@ -166,7 +168,7 @@ fn non_live_free(addr: u64) -> String {
 }
 
 /// A cursor feeding recorded events into the machine/kernel, one round per call, and
-/// recording the makespan at every round end it passes.
+/// recording the makespan at every sampled round end it passes.
 struct EventCursor {
     events: EventReader,
     /// Events consumed so far.
@@ -212,17 +214,9 @@ impl EventCursor {
     }
 }
 
-/// A stream's profiled replay, stopped where the profiler stopped: the run, the
-/// universe it left and the cursor, which still holds the events of a diverged stream.
-struct Profiled {
-    run: ThreadRun,
-    machine: Machine,
-    kernel: KernelState,
-    cursor: EventCursor,
-}
-
-/// Runs the profiler over stream `thread` of `reader`.
-fn profile_stream(reader: &TraceReader, thread: usize) -> Result<Profiled, String> {
+/// Runs the profiler over stream `thread` of `reader`: the run, and the cursor where
+/// the profiler stopped, short of the stream's end if it diverged.
+fn profile_stream(reader: &TraceReader, thread: usize) -> Result<(ThreadRun, EventCursor), String> {
     let stream = &reader.headers()[thread];
     let (mut machine, mut kernel) = rebuild_universe(reader, thread);
     let mut cursor = EventCursor {
@@ -246,12 +240,7 @@ fn profile_stream(reader: &TraceReader, thread: usize) -> Result<Profiled, Strin
         return Err(e);
     }
     run.requests = stream.requests;
-    Ok(Profiled {
-        run,
-        machine,
-        kernel,
-        cursor,
-    })
+    Ok((run, cursor))
 }
 
 /// Replays one stream of a full-session trace through the profiler pipeline, returning
@@ -267,7 +256,7 @@ pub fn replay_stream_streaming(
     reader: &TraceReader,
     thread: usize,
 ) -> Result<(ThreadRun, usize), String> {
-    let Profiled { run, cursor, .. } = profile_stream(reader, thread)?;
+    let (run, cursor) = profile_stream(reader, thread)?;
     Ok((run, cursor.trailing(reader.headers()[thread].event_count)))
 }
 
@@ -275,9 +264,9 @@ pub fn replay_stream_streaming(
 /// pass: the [`WhatifMeasure`] a profiler-free
 /// [`measure_stream_streaming`](crate::measure_stream_streaming) under
 /// [`FixSpec::Identity`](crate::FixSpec::Identity) returns, because the round clocks
-/// leave out the cycles the profiler booked.  The events a diverged profiler did not
-/// consume are applied after its window, without it, so the baseline still covers
-/// every recorded round; an error among them is an `Err`, as it is in that pass.
+/// leave out the cycles the profiler booked.  Both cover the rounds the session
+/// sampled, which the profiler steps through before anything else, so the events a
+/// diverged profiler did not consume lie past the window and feed no clock.
 ///
 /// # Panics
 /// Panics if `thread` is out of range.
@@ -285,19 +274,8 @@ pub fn replay_and_measure_stream(
     reader: &TraceReader,
     thread: usize,
 ) -> Result<(ThreadRun, usize, WhatifMeasure), String> {
-    let Profiled {
-        run,
-        mut machine,
-        mut kernel,
-        mut cursor,
-    } = profile_stream(reader, thread)?;
+    let (run, cursor) = profile_stream(reader, thread)?;
     let trailing = cursor.trailing(reader.headers()[thread].event_count);
-    while !cursor.exhausted {
-        cursor.run_round(&mut machine, &mut kernel);
-    }
-    if let Some(e) = cursor.error {
-        return Err(e);
-    }
     Ok((run, trailing, cursor.clocks.measure(reader)))
 }
 

@@ -15,7 +15,9 @@
 //! * [`measure_stream_streaming`] / [`measure_all_streaming`] — a profiler-free
 //!   measurement replay that feeds the (transformed) event stream of a
 //!   [`TraceReader`] through a rebuilt machine + kernel and snapshots the makespan
-//!   (max core clock) at every post-warmup round boundary.
+//!   (max core clock) at every round boundary of the window the session sampled: the
+//!   `sample_rounds` rounds after warmup.  The history phase recorded after them is
+//!   neither decoded nor measured.
 //!   Keeping the profiler out of the measurement loop matters: watchpoints armed at
 //!   recorded addresses would never fire on shadow addresses, biasing candidates.
 //!   The identity baseline is the exception that needs no pass of its own: the
@@ -402,10 +404,8 @@ pub struct WhatifMeasure {
     /// Makespan without the profiler ([`sim_machine::Machine::unprofiled_makespan`])
     /// right after the setup + warmup segment.
     pub warmup_clock: u64,
-    /// That makespan at each subsequent round boundary, in round order.
+    /// That makespan at each sampled round's end, in round order.
     pub round_clocks: Vec<u64>,
-    /// Application requests completed in the recorded window (carried from the trace).
-    pub requests: u64,
     /// Clock frequency, for converting cycle deltas to seconds.
     pub cycles_per_second: u64,
 }
@@ -426,13 +426,17 @@ impl WhatifMeasure {
 
 /// The makespan at a stream's round ends, as every replay of it records them: rounds
 /// `1..=warmup_boundary` are set-up + (phase-shifted) warmup, whose last end is the
-/// warmup clock; every later end is a measured round, mirroring the live driver's
-/// counters.  The makespan read is the machine's without the profiler, so a profiled
-/// replay records what a profiler-free pass over the same events does.
+/// warmup clock; the `sample_rounds` ends after it are the measured rounds, the window
+/// the session sampled, mirroring the live driver's counters.  The history phase's
+/// round ends after them record nothing.  The makespan read is the machine's without
+/// the profiler, so a profiled replay records what a profiler-free pass over the same
+/// events does.
 #[derive(Debug)]
 pub(crate) struct RoundClocks {
     thread: usize,
     warmup_boundary: usize,
+    /// The round end that closes the measured window: the sample phase's last.
+    last_round: usize,
     round: usize,
     warmup_clock: u64,
     round_clocks: Vec<u64>,
@@ -441,12 +445,14 @@ pub(crate) struct RoundClocks {
 impl RoundClocks {
     /// The recorder of stream `thread` of `reader`.
     pub(crate) fn new(reader: &TraceReader, thread: usize) -> RoundClocks {
+        // Segment 0 is the kernel/workload set-up traffic (everything before the
+        // first marker); the warmup after it is phase-shifted per thread, as the live
+        // run's was.
+        let warmup_boundary = 1 + reader.params.warmup_rounds + thread;
         RoundClocks {
             thread,
-            // Segment 0 is the kernel/workload set-up traffic (everything before the
-            // first marker); the warmup after it is phase-shifted per thread, as the
-            // live run's was.
-            warmup_boundary: 1 + reader.params.warmup_rounds + thread,
+            warmup_boundary,
+            last_round: warmup_boundary + reader.params.sample_rounds,
             round: 0,
             warmup_clock: 0,
             round_clocks: Vec::new(),
@@ -464,9 +470,15 @@ impl RoundClocks {
         self.round += 1;
         if self.round == self.warmup_boundary {
             self.warmup_clock = machine.unprofiled_makespan();
-        } else if self.round > self.warmup_boundary {
+        } else if self.round > self.warmup_boundary && self.round <= self.last_round {
             self.round_clocks.push(machine.unprofiled_makespan());
         }
+    }
+
+    /// Whether the measured window's last round has ended.
+    #[inline]
+    pub(crate) fn complete(&self) -> bool {
+        self.round >= self.last_round
     }
 
     /// The measure of the rounds recorded.
@@ -475,16 +487,15 @@ impl RoundClocks {
             thread: self.thread,
             warmup_clock: self.warmup_clock,
             round_clocks: self.round_clocks,
-            requests: reader.headers()[self.thread].requests,
             cycles_per_second: reader.machine.cycles_per_second,
         }
     }
 }
 
 /// Replays one stream under `spec` with **no profiler in the loop**, recording the
-/// makespan at every post-warmup round boundary.  Decode errors, and events that
-/// contradict their stream (`event 1234: free of non-live address 0x…`), surface as
-/// `Err`.
+/// makespan at the end of every round the session sampled, and stops decoding at the
+/// last.  Decode errors, and events that contradict their stream (`event 1234: free of
+/// non-live address 0x…`), surface as `Err` if they come before it.
 ///
 /// # Panics
 /// Panics if `thread` is out of range.
@@ -517,6 +528,9 @@ fn measure_stream_dispatching(
         let ev = match ev? {
             SessionEvent::RoundEnd => {
                 clocks.round_end(&machine);
+                if clocks.complete() {
+                    break;
+                }
                 continue;
             }
             ev @ SessionEvent::Access {
@@ -950,6 +964,9 @@ mod tests {
             let ev = match ev.unwrap() {
                 SessionEvent::RoundEnd => {
                     clocks.round_end(&machine);
+                    if clocks.complete() {
+                        break;
+                    }
                     continue;
                 }
                 ev @ SessionEvent::Access {
@@ -1004,9 +1021,13 @@ mod tests {
         .map(|spec| FixSpec::parse(&spec).unwrap())
     }
 
+    fn golden_dir() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
+    }
+
     #[test]
     fn the_page_filter_changes_no_access_of_a_golden_trace() {
-        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        let golden = golden_dir();
         let mut paths: Vec<_> = std::fs::read_dir(&golden)
             .unwrap()
             .map(|entry| entry.unwrap().path())
@@ -1119,6 +1140,62 @@ mod tests {
                 assert_eq!(rewritten, expected);
             }
         }
+    }
+
+    /// Four rounds after set-up, each touching one `target` object from every core; the
+    /// last frees an address nothing allocated, if `bad_free`.
+    fn four_rounds(bad_free: bool) -> Vec<SessionEvent> {
+        const BASE: u64 = 0x1_0000_0040;
+        let mut events = vec![alloc(0, 0, 64, BASE), SessionEvent::RoundEnd];
+        for round in 0..4 {
+            events.extend((0..4).map(|core| access(core, BASE + 8 * u64::from(core))));
+            if bad_free && round == 3 {
+                events.push(free(0xdead_0000));
+            }
+            events.push(SessionEvent::RoundEnd);
+        }
+        events
+    }
+
+    #[test]
+    fn a_pass_stops_decoding_at_the_last_sampled_round() {
+        let whole = dtrace::on_disk(&synthetic(four_rounds(false)));
+        let mut file = synthetic(four_rounds(true));
+        assert_eq!(file.params.sample_rounds, 4, "every round after set-up");
+        // Measured over every round, the bad free is reached and refused.
+        let error = measure_stream_streaming(&dtrace::on_disk(&file), 0, &FixSpec::Identity);
+        assert!(error
+            .unwrap_err()
+            .contains("free of non-live address 0xdead0000"));
+
+        file.params.sample_rounds = 3;
+        let refused = dtrace::on_disk(&file);
+        for spec in std::iter::once(FixSpec::Identity).chain(families("target")) {
+            let measure = measure_stream_streaming(&refused, 0, &spec)
+                .unwrap_or_else(|e| panic!("{spec}: the pass decoded past its window: {e}"));
+            assert_eq!(measure.round_clocks.len(), 3, "{spec}");
+            let mut prefix = measure_stream_streaming(&whole, 0, &spec).unwrap();
+            prefix.round_clocks.truncate(3);
+            assert_eq!(measure, prefix, "{spec}: the window is the sampled rounds");
+        }
+    }
+
+    #[test]
+    fn the_identity_pass_is_the_profiled_replays_baseline_over_the_sampled_rounds() {
+        let path = golden_dir().join("memcached_quick.dtrace");
+        let reader = TraceReader::open(path.to_str().unwrap()).unwrap();
+        let sample_rounds = reader.params.sample_rounds;
+        let window = 1 + reader.params.warmup_rounds + sample_rounds;
+        let round_ends = (reader.events(0).unwrap())
+            .filter(|ev| matches!(ev, Ok(SessionEvent::RoundEnd)))
+            .count();
+        assert!(round_ends > window, "the recording has a history phase");
+
+        let (_, trailing, baseline) = crate::replay_and_measure_stream(&reader, 0).unwrap();
+        assert_eq!(trailing, 0, "a faithful replay");
+        assert_eq!(baseline.round_clocks.len(), sample_rounds);
+        let identity = measure_stream_streaming(&reader, 0, &FixSpec::Identity).unwrap();
+        assert_eq!(identity, baseline);
     }
 
     #[test]

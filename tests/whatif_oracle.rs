@@ -120,6 +120,13 @@ fn auto_ranks_the_planted_fix_first_within_tolerance_on_every_scenario() {
         let reader = on_disk(&record_buggy_trace(index));
         let analysis: WhatifAnalysis = analyze_trace(&reader, &[], true)
             .unwrap_or_else(|e| panic!("{}: whatif --auto failed: {e}", spec.name));
+        // The window is the rounds the session sampled, which is also the window the
+        // realized gain is measured over; the history phase is not measured.
+        assert_eq!(
+            analysis.rounds, SAMPLE_ROUNDS,
+            "{}: what-if measured a window other than the sampled rounds",
+            spec.name
+        );
         assert!(
             !analysis.candidates.is_empty(),
             "{}: --auto enumerated no candidates",
