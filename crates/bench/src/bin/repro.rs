@@ -18,6 +18,10 @@ use dprof_bench::{
 use dprof_core::CollectionMode;
 use workloads::ApacheConfig;
 
+/// Every experiment, in the order `all` runs them.
+const ALL: &str = "table4.1 table6.1 fig6.1 table6.2 table6.3 fix6.1 table6.4 table6.5 table6.6 \
+                   fix6.2 fig6.2 table6.7 table6.8 table6.9 table6.10 fig6.3";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -32,27 +36,7 @@ fn main() {
         .cloned()
         .collect();
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "table4.1",
-            "table6.1",
-            "fig6.1",
-            "table6.2",
-            "table6.3",
-            "fix6.1",
-            "table6.4",
-            "table6.5",
-            "table6.6",
-            "fix6.2",
-            "fig6.2",
-            "table6.7",
-            "table6.8",
-            "table6.9",
-            "table6.10",
-            "fig6.3",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        wanted = ALL.split_whitespace().map(String::from).collect();
     }
 
     println!(

@@ -5,69 +5,72 @@
 //!   fix.
 //! * §6.2 Apache / working set — Tables 6.4 and 6.5 (peak vs drop-off data profiles),
 //!   Table 6.6 (lock-stat), and the 16 % admission-control fix.
+//!
+//! Each profiled study is a `dprof` session ([`Scale::session`]): it sets its workload
+//! up with the session's seed, warms up, and profiles the window `dprof` profiles
+//! ([`profile_window`] with [`SessionParams::dprof_config`]), so its DProf tables are
+//! the ones `dprof` prints for that command, and a recording of it replays to them.
+//! They render from the merged report (`DprofProfile::report`), as `dprof` does; the
+//! machine is kept in hand only for the baselines, which read it after the session.
 
+use crate::overheads::{setup_workload, WhichWorkload};
 use crate::scale::Scale;
 use baselines::{LockstatReport, OprofileReport};
-use dprof_core::{report, Dprof, DprofConfig, DprofProfile, HistoryConfig};
-use serde::{Deserialize, Serialize};
+use dprof_core::merge::{MergedReport, Ranked, ShardFlow, ShardProfileRow};
+use dprof_core::{report, DprofProfile, HistoryConfig};
+use dprof_trace::{profile_window, SessionParams};
 use sim_kernel::{KernelState, TxQueuePolicy};
 use sim_machine::Machine;
 use workloads::{
-    measure_throughput, throughput_change_percent, Apache, ApacheConfig, Memcached,
-    MemcachedConfig, ThroughputResult, Workload,
+    throughput_change_percent, Apache, ApacheConfig, Memcached, MemcachedConfig, ThroughputResult,
+    Workload,
 };
 
-/// Builds the DProf configuration used by the case studies.
-fn dprof_config(scale: &Scale) -> DprofConfig {
-    DprofConfig {
-        sampling: sim_machine::SamplingPolicy::fixed(scale.ibs_interval_ops),
-        sample_rounds: scale.sample_rounds,
-        history_types: scale.history_types,
-        history: HistoryConfig {
-            history_sets: scale.history_sets,
-            ..Default::default()
-        },
+/// Runs `params`' session on a machine set up with its seed: `warmup_rounds` rounds,
+/// then the profiled window of `dprof`'s thread 0.
+pub(crate) fn run_session(
+    params: &SessionParams,
+    machine: &mut Machine,
+    kernel: &mut KernelState,
+    workload: &mut dyn Workload,
+) -> DprofProfile {
+    for _ in 0..params.warmup_rounds {
+        workload.step(machine, kernel);
     }
+    let config = params.dprof_config(params.base_seed);
+    profile_window(machine, kernel, 0, config, |m, k| workload.step(m, k)).profile
+}
+
+/// The data-profile row of the type named `name`.
+fn row<'a>(report: &'a MergedReport, name: &str) -> Option<&'a Ranked<ShardProfileRow>> {
+    report.data_profile.iter().find(|r| &*r.name == name)
 }
 
 /// Everything produced by profiling one memcached run.
 pub struct MemcachedStudy {
-    /// The DProf profile (data profile, working set, miss classes, data flows).
-    pub profile: DprofProfile,
+    /// The `dprof` session the study ran.
+    pub session: SessionParams,
+    /// DProf's merged report of it (data profile, working set, miss classes, data flows).
+    pub report: MergedReport,
     /// The OProfile baseline report over the same run.
     pub oprofile: OprofileReport,
     /// The lock-stat baseline report over the same run.
     pub lockstat: LockstatReport,
-    /// The machine, kept for symbol resolution when rendering.
-    pub machine: Machine,
-    /// The kernel, kept for type information.
-    pub kernel: KernelState,
 }
 
 /// Profiles the memcached workload (with the buggy hash queue selection) using DProf and
 /// both baselines.  This single run backs Table 6.1, Figure 6-1, Table 6.2 and
-/// Table 6.3.
+/// Table 6.3.  The session is seeded with memcached's default seed, so the workload's
+/// request stream is its default one.
 pub fn profile_memcached(scale: &Scale) -> MemcachedStudy {
-    let cfg = MemcachedConfig {
-        cores: scale.cores,
-        tx_policy: TxQueuePolicy::HashTxQueue,
-        ..Default::default()
-    };
-    let (mut machine, mut kernel, mut workload) = Memcached::setup(cfg);
-    // Warm up to steady state.
-    for _ in 0..scale.warmup_rounds {
-        workload.step(&mut machine, &mut kernel);
-    }
-    let profile =
-        Dprof::new(dprof_config(scale)).run(&mut machine, &mut kernel, |m, k| workload.step(m, k));
-    let oprofile = OprofileReport::collect(&machine);
-    let lockstat = LockstatReport::collect(&machine, &kernel);
+    let session = scale.session("memcached", MemcachedConfig::default().seed);
+    let (mut machine, mut kernel, mut workload) = setup_workload(WhichWorkload::Memcached, scale);
+    let profile = run_session(&session, &mut machine, &mut kernel, workload.as_mut());
     MemcachedStudy {
-        profile,
-        oprofile,
-        lockstat,
-        machine,
-        kernel,
+        session,
+        report: profile.report(),
+        oprofile: OprofileReport::collect(&machine),
+        lockstat: LockstatReport::collect(&machine, &kernel),
     }
 }
 
@@ -76,32 +79,35 @@ impl MemcachedStudy {
     pub fn render_table_6_1(&self) -> String {
         format!(
             "Table 6.1: working set and data profile views for the top data types in memcached\n\n{}",
-            report::render_data_profile(&self.profile.data_profile, 8)
+            report::render_data_profile(&self.report.data_profile, 8)
         )
+    }
+
+    /// The merged data flow of `skbuff` objects, Figure 6-1's graph.
+    pub fn skbuff_flow(&self) -> Option<&ShardFlow> {
+        self.report
+            .data_flows
+            .iter()
+            .find(|f| &*f.type_name == "skbuff")
     }
 
     /// Renders Figure 6-1: the skbuff data-flow view (core-crossing summary + DOT).
     pub fn render_figure_6_1(&self) -> String {
-        let skbuff = self.kernel.kt.skbuff;
-        match self.profile.data_flows.get(&skbuff) {
-            None => "Figure 6-1: no skbuff data flow collected".to_string(),
-            Some(graph) => {
-                let mut out = String::from(
-                    "Figure 6-1: partial data flow view for skbuff objects in memcached\n",
-                );
-                for e in graph.cpu_crossing_edges().iter().take(5) {
-                    out.push_str(&format!(
-                        "  {} -> {}  [CORE TRANSITION, x{}]\n",
-                        e.from, e.to, e.count
-                    ));
-                }
-                out.push('\n');
-                out.push_str(&report::render_dot(graph, 100.0));
-                out
-            }
+        let Some(flow) = self.skbuff_flow() else {
+            return "Figure 6-1: no skbuff data flow collected".to_string();
+        };
+        let mut out =
+            String::from("Figure 6-1: partial data flow view for skbuff objects in memcached\n");
+        for e in flow.cpu_crossing_edges().iter().take(5) {
+            out.push_str(&format!(
+                "  {} -> {}  [CORE TRANSITION, x{}]\n",
+                e.from, e.to, e.count
+            ));
         }
+        out.push('\n');
+        out.push_str(&report::render_dot(flow, 100.0));
+        out
     }
-
     /// Renders Table 6.2: lock-stat for the memcached run.
     pub fn render_table_6_2(&self) -> String {
         format!(
@@ -120,7 +126,7 @@ impl MemcachedStudy {
 }
 
 /// The before/after throughput comparison for a fix.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FixResult {
     /// Throughput with the bug in place.
     pub baseline: ThroughputResult,
@@ -162,13 +168,7 @@ pub fn memcached_queue_fix(scale: &Scale) -> FixResult {
             ..Default::default()
         };
         let (mut m, mut k, mut w) = Memcached::setup(cfg);
-        measure_throughput(
-            &mut m,
-            &mut k,
-            &mut w,
-            scale.warmup_rounds,
-            scale.measured_rounds,
-        )
+        scale.measure_throughput(&mut m, &mut k, &mut w)
     };
     FixResult::new(
         run(TxQueuePolicy::HashTxQueue),
@@ -178,37 +178,35 @@ pub fn memcached_queue_fix(scale: &Scale) -> FixResult {
 
 /// Everything produced by profiling one Apache run.
 pub struct ApacheStudy {
-    /// The DProf profile.
-    pub profile: DprofProfile,
+    /// The `dprof` session the study ran.
+    pub session: SessionParams,
+    /// DProf's merged report of it.
+    pub report: MergedReport,
     /// The lock-stat baseline report.
     pub lockstat: LockstatReport,
     /// Average accept-queue depth at the end of the run.
     pub avg_backlog: f64,
     /// Average memory latency over the measured window, in cycles.
     pub avg_latency: f64,
-    /// The kernel (for type lookups).
-    pub kernel: KernelState,
 }
 
 /// Profiles an Apache configuration with DProf and lock-stat (Tables 6.4 / 6.5 / 6.6).
+/// Apache takes no seed, so the session is seeded with the history collector's default
+/// seed.
 pub fn profile_apache(scale: &Scale, config: ApacheConfig) -> ApacheStudy {
-    let mut config = config;
-    config.cores = scale.cores;
+    let config = ApacheConfig {
+        cores: scale.cores,
+        ..config
+    };
+    let session = scale.session("apache", HistoryConfig::default().seed);
     let (mut machine, mut kernel, mut workload) = Apache::setup(config);
-    for _ in 0..scale.warmup_rounds {
-        workload.step(&mut machine, &mut kernel);
-    }
-    let profile =
-        Dprof::new(dprof_config(scale)).run(&mut machine, &mut kernel, |m, k| workload.step(m, k));
-    let lockstat = LockstatReport::collect(&machine, &kernel);
-    let avg_backlog = workload.avg_backlog(&kernel);
-    let avg_latency = machine.hierarchy.stats.avg_latency();
+    let profile = run_session(&session, &mut machine, &mut kernel, &mut workload);
     ApacheStudy {
-        profile,
-        lockstat,
-        avg_backlog,
-        avg_latency,
-        kernel,
+        session,
+        report: profile.report(),
+        lockstat: LockstatReport::collect(&machine, &kernel),
+        avg_backlog: workload.avg_backlog(&kernel),
+        avg_latency: machine.hierarchy.stats.avg_latency(),
     }
 }
 
@@ -219,7 +217,7 @@ impl ApacheStudy {
             "{table}: working set and data profile views for the top data types in Apache at {situation}\n(avg accept backlog {:.1} connections, avg memory latency {:.1} cycles)\n\n{}",
             self.avg_backlog,
             self.avg_latency,
-            report::render_data_profile(&self.profile.data_profile, 8)
+            report::render_data_profile(&self.report.data_profile, 8)
         )
     }
 
@@ -234,10 +232,7 @@ impl ApacheStudy {
     /// The working-set bytes DProf attributes to `tcp-sock` — the quantity that explodes
     /// between Table 6.4 and Table 6.5.
     pub fn tcp_sock_working_set(&self) -> f64 {
-        self.profile
-            .profile_row("tcp-sock")
-            .map(|r| r.working_set_bytes)
-            .unwrap_or(0.0)
+        row(&self.report, "tcp-sock").map_or(0.0, |r| r.working_set_bytes)
     }
 }
 
@@ -248,13 +243,7 @@ pub fn apache_admission_fix(scale: &Scale) -> FixResult {
         let mut config = config;
         config.cores = scale.cores;
         let (mut m, mut k, mut w) = Apache::setup(config);
-        measure_throughput(
-            &mut m,
-            &mut k,
-            &mut w,
-            scale.warmup_rounds,
-            scale.measured_rounds,
-        )
+        scale.measure_throughput(&mut m, &mut k, &mut w)
     };
     FixResult::new(
         run(ApacheConfig::drop_off()),
@@ -269,32 +258,30 @@ mod tests {
     #[test]
     fn memcached_study_reproduces_the_papers_shape() {
         let study = profile_memcached(&Scale::quick());
-        let profile = &study.profile;
+        let report = &study.report;
         // The top of the data profile must be packet payload / packet bookkeeping /
         // slab machinery, and they must bounce (Table 6.1's qualitative content).
-        assert!(!profile.data_profile.is_empty());
-        let payload = profile
-            .profile_row("size-1024")
-            .expect("size-1024 profiled");
+        let payload = row(report, "size-1024").expect("size-1024 profiled");
         assert!(
             payload.bounce,
             "packet payload must bounce under the hash policy"
         );
+        let rank = report
+            .data_profile
+            .iter()
+            .position(|r| &*r.name == "size-1024");
         assert!(
-            profile.rank_of("size-1024").unwrap() < 3,
+            rank.unwrap() < 3,
             "size-1024 should be near the top of the data profile"
         );
-        let skbuff = profile.profile_row("skbuff").expect("skbuff profiled");
-        assert!(skbuff.bounce);
+        assert!(row(report, "skbuff").expect("skbuff profiled").bounce);
         // Figure 6-1: the skbuff data flow must show a core transition on the transmit
         // path (enqueue on one core, dequeue/transmit on another).
-        let skb_ty = study.kernel.kt.skbuff;
-        if let Some(graph) = profile.data_flows.get(&skb_ty) {
-            assert!(
-                !graph.cpu_crossing_edges().is_empty(),
-                "skbuff data flow must contain a core-crossing edge"
-            );
-        }
+        let flow = study.skbuff_flow().expect("skbuff data flow collected");
+        assert!(
+            !flow.cpu_crossing_edges().is_empty(),
+            "skbuff data flow must contain a core-crossing edge"
+        );
         // Table 6.2: the Qdisc lock is among the contended locks.
         assert!(study.lockstat.row("Qdisc lock").is_some());
         // Table 6.3: OProfile sees many warm functions rather than one culprit.

@@ -4,13 +4,16 @@
 //! (Chapter 6 of the thesis), and the simulated-access throughput grid.
 //!
 //! * [`case_studies`] — the memcached (§6.1) and Apache (§6.2) case studies: Tables
-//!   6.1–6.6, Figure 6-1, and the two fixes (57 % and 16 %).
+//!   6.1–6.6, Figure 6-1, and the two fixes (57 % and 16 %).  Each profiled study is a
+//!   `dprof` session ([`Scale::session`]) whose DProf tables render from its merged
+//!   report, so `dprof` prints the same rows and a recording of it replays to them.
 //! * [`overheads`] — Figure 6-2 (IBS sampling overhead), Tables 6.7–6.10 (object access
 //!   history collection costs), Figure 6-3 (unique-path coverage), Table 4.1 (example
 //!   path trace).
 //! * [`throughput`] — cache-hierarchy accesses per second over captured workload
 //!   traces, per workload × simulated core count.
-//! * [`scale`] — paper-scale vs quick-scale experiment settings.
+//! * [`scale`] — paper-scale vs quick-scale experiment settings, and the `dprof`
+//!   session an experiment at that scale profiles.
 //!
 //! The `repro` binary (`cargo run -p dprof-bench --bin repro -- all`) prints the
 //! paper-style tables; the `dprof-bench` binary measures the core-count grid.

@@ -7,18 +7,18 @@
 //! * Figure 6-3 — percent of unique execution paths captured vs. history sets collected.
 //! * Table 4.1 — an example path trace for a packet on the transmit path.
 
+use crate::case_studies::run_session;
 use crate::scale::Scale;
 use dprof_core::{
-    collect_histories, count_unique_paths, report, CollectionMode, CollectionStats, Dprof,
-    DprofConfig, HistoryConfig,
+    collect_histories, count_unique_paths, report, CollectionMode, CollectionStats, HistoryConfig,
 };
-use serde::{Deserialize, Serialize};
+use dprof_trace::SessionParams;
 use sim_kernel::{KernelState, TxQueuePolicy, TypeId};
 use sim_machine::{IbsConfig, Machine};
-use workloads::{measure_throughput, Apache, ApacheConfig, Memcached, MemcachedConfig, Workload};
+use workloads::{Apache, ApacheConfig, Memcached, MemcachedConfig, Workload};
 
 /// One point of Figure 6-2.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OverheadPoint {
     /// IBS samples per second per core (the figure's x axis).
     pub samples_per_second_per_core: f64,
@@ -27,7 +27,7 @@ pub struct OverheadPoint {
 }
 
 /// The Figure 6-2 sweep for one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverheadSweep {
     /// Workload name.
     pub workload: String,
@@ -59,7 +59,7 @@ impl OverheadSweep {
 }
 
 /// Workload selector for the overhead experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WhichWorkload {
     /// The memcached UDP workload.
     Memcached,
@@ -67,7 +67,9 @@ pub enum WhichWorkload {
     Apache,
 }
 
-fn setup_workload(
+/// A set-up machine running `which` at `scale`: memcached with the hash transmit-queue
+/// policy, Apache at peak load.
+pub(crate) fn setup_workload(
     which: WhichWorkload,
     scale: &Scale,
 ) -> (Machine, KernelState, Box<dyn Workload>) {
@@ -101,13 +103,7 @@ pub fn ibs_overhead_sweep(
 ) -> OverheadSweep {
     // Baseline: no sampling.
     let (mut m0, mut k0, mut w0) = setup_workload(which, scale);
-    let baseline = measure_throughput(
-        &mut m0,
-        &mut k0,
-        w0.as_mut(),
-        scale.warmup_rounds,
-        scale.measured_rounds,
-    );
+    let baseline = scale.measure_throughput(&mut m0, &mut k0, w0.as_mut());
 
     // To convert a samples/s/core target into an IBS interval we need the workload's
     // memory-operation rate, which the baseline run gives us.
@@ -123,13 +119,7 @@ pub fn ibs_overhead_sweep(
             let interval = (ops_per_second_per_core / rate).max(1.0) as u64;
             let (mut m, mut k, mut w) = setup_workload(which, scale);
             m.configure_ibs(IbsConfig::with_interval(interval));
-            let r = measure_throughput(
-                &mut m,
-                &mut k,
-                w.as_mut(),
-                scale.warmup_rounds,
-                scale.measured_rounds,
-            );
+            let r = scale.measure_throughput(&mut m, &mut k, w.as_mut());
             100.0 * (baseline.throughput_rps - r.throughput_rps) / baseline.throughput_rps
         };
         points.push(OverheadPoint {
@@ -148,7 +138,7 @@ pub fn ibs_overhead_sweep(
 
 /// One row of Tables 6.7–6.10: history collection cost for one data type of one
 /// workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HistoryOverheadRow {
     /// Workload name.
     pub workload: String,
@@ -321,7 +311,7 @@ pub fn history_overhead_rows(
 
 /// One series of Figure 6-3: percent of unique paths captured as a function of history
 /// sets collected, for one (workload, type) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PathCoverageSeries {
     /// Workload name.
     pub workload: String,
@@ -397,32 +387,23 @@ pub fn path_coverage(
     }
 }
 
-/// Table 4.1: an example path trace for a packet payload on the memcached transmit path.
+/// Table 4.1: an example path trace for a packet payload on the memcached transmit path:
+/// the memcached study's session, with histories for its top two types.
 pub fn example_path_trace(scale: &Scale) -> String {
-    let cfg = MemcachedConfig {
-        cores: scale.cores,
-        tx_policy: TxQueuePolicy::HashTxQueue,
-        ..Default::default()
-    };
-    let (mut machine, mut kernel, mut workload) = Memcached::setup(cfg);
-    for _ in 0..scale.warmup_rounds {
-        workload.step(&mut machine, &mut kernel);
-    }
-    let dprof = Dprof::new(DprofConfig {
-        sampling: sim_machine::SamplingPolicy::fixed(scale.ibs_interval_ops),
-        sample_rounds: scale.sample_rounds,
+    let session = SessionParams {
         history_types: 2,
-        history: HistoryConfig {
-            history_sets: scale.history_sets,
-            ..Default::default()
-        },
-    });
-    let profile = dprof.run(&mut machine, &mut kernel, |m, k| workload.step(m, k));
-    let skbuff = kernel.kt.skbuff;
+        ..scale.session("memcached", MemcachedConfig::default().seed)
+    };
+    let (mut machine, mut kernel, mut workload) = setup_workload(WhichWorkload::Memcached, scale);
+    let profile = run_session(&session, &mut machine, &mut kernel, workload.as_mut());
     let mut out = String::from(
         "Table 4.1: sample path trace for a packet structure on the transmit path\n\n",
     );
-    match profile.path_traces.get(&skbuff).and_then(|t| t.first()) {
+    match profile
+        .path_traces
+        .get(&kernel.kt.skbuff)
+        .and_then(|t| t.first())
+    {
         Some(trace) => out.push_str(&report::render_path_trace(trace, &machine.symbols)),
         None => out.push_str("(no skbuff path trace collected at this scale)\n"),
     }

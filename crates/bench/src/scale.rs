@@ -1,10 +1,14 @@
 //! Experiment scaling: every experiment can run at paper scale (16 cores, long runs) or
-//! at a reduced "quick" scale for CI and unit tests.
+//! at a reduced "quick" scale for CI and unit tests.  A profiled experiment runs the
+//! `dprof` session [`Scale::session`] describes.
 
-use serde::{Deserialize, Serialize};
+use dprof_trace::SessionParams;
+use sim_kernel::KernelState;
+use sim_machine::{Machine, SamplingPolicy};
+use workloads::{ThroughputResult, Workload};
 
 /// Knobs shared by all experiments.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Number of simulated cores (the paper machine has 16).
     pub cores: usize,
@@ -47,6 +51,35 @@ impl Scale {
             history_sets: 4,
             history_types: 3,
         }
+    }
+
+    /// The one-thread `dprof` session of `workload` at this scale, seeded `seed` (the
+    /// workload's and the history collector's seed alike): what `dprof --workload
+    /// <workload> --threads 1 --cores C --warmup W --rounds R --ibs-interval I
+    /// --history-types T --history-sets S --seed <seed>` runs.
+    pub fn session(&self, workload: &str, seed: u64) -> SessionParams {
+        SessionParams {
+            workload: workload.to_string(),
+            threads: 1,
+            cores: self.cores,
+            warmup_rounds: self.warmup_rounds,
+            sample_rounds: self.sample_rounds,
+            sampling: SamplingPolicy::fixed(self.ibs_interval_ops),
+            history_types: self.history_types,
+            history_sets: self.history_sets,
+            base_seed: seed,
+        }
+    }
+
+    /// The throughput of a set-up workload over this scale's warm-up and measured rounds.
+    pub fn measure_throughput(
+        &self,
+        machine: &mut Machine,
+        kernel: &mut KernelState,
+        workload: &mut dyn Workload,
+    ) -> ThroughputResult {
+        let (warmup, measured) = (self.warmup_rounds, self.measured_rounds);
+        workloads::measure_throughput(machine, kernel, workload, warmup, measured)
     }
 }
 

@@ -16,7 +16,6 @@
 //! on these streams is a unit test below, not part of the measurement.
 
 use dprof_trace::line::push_line_events;
-use serde::{Deserialize, Serialize};
 use sim_cache::{CacheHierarchy, HierarchyConfig, TraceEvent};
 use sim_kernel::KernelState;
 use sim_machine::Machine;
@@ -27,7 +26,7 @@ use workloads::{Apache, ApacheConfig, Memcached, MemcachedConfig, Workload};
 const REPS: usize = 3;
 
 /// Which workload generated a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceWorkload {
     /// The §6.1 memcached UDP workload.
     Memcached,
@@ -46,7 +45,7 @@ impl TraceWorkload {
 }
 
 /// One measured point of the throughput trajectory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputPoint {
     /// Workload whose access trace was replayed.
     pub workload: String,

@@ -145,7 +145,7 @@ pub(crate) fn emit(rendered: &str, output: &Option<String>) -> i32 {
 
 /// The `.dtrace` file of a recorded multi-thread run.  The streams are taken by move —
 /// each holds its whole encoded session, and nothing after the trace write needs them.
-pub(crate) fn session_trace(
+pub fn session_trace(
     params: dprof::trace::SessionParams,
     runs: &mut [driver::ThreadRun],
 ) -> Result<dprof::trace::TraceFile, String> {

@@ -3,19 +3,18 @@
 //!
 //! The view tables have one renderer, [`render_views`], and it reads a
 //! [`MergedReport`]: `dprof` prints the merge of its threads' shards, and a single
-//! profile prints as the merge of its one shard ([`DprofProfile::report`]).  Two
-//! tables keep their own layout over one run's rows: [`render_data_profile`] (the
-//! thesis' Tables 6.1 / 6.4 / 6.5, with Description and Total columns) and
-//! [`render_path_trace`] (Table 4.1).  [`render_dot`] draws one type's data flow as
-//! Figure 6-1 does.
+//! profile prints as the merge of its one shard ([`DprofProfile::report`]).
+//! [`render_data_profile`] lays the same merged data-profile rows out as the thesis'
+//! Tables 6.1 / 6.4 / 6.5 (with Description and Total columns), and [`render_dot`]
+//! draws one merged data flow as Figure 6-1 does.  Only [`render_path_trace`]
+//! (Table 4.1) reads one run's raw profile: path traces are not a report view.
 //!
 //! [`DprofProfile::report`]: crate::DprofProfile::report
 
 pub mod diff;
 
-use crate::merge::{MergedReport, ShardFlow};
+use crate::merge::{MergedReport, Ranked, ShardFlow, ShardProfileRow};
 use crate::path_trace::PathTrace;
-use crate::views::DataProfileRow;
 use sim_machine::SymbolTable;
 use std::fmt;
 use std::fmt::Write as _;
@@ -248,8 +247,9 @@ fn text_data_flow(out: &mut String, report: &MergedReport, top: usize) {
     }
 }
 
-/// Renders the combined working-set + data-profile table (Tables 6.1 / 6.4 / 6.5).
-pub fn render_data_profile(rows: &[DataProfileRow], top: usize) -> String {
+/// Renders merged data-profile rows as the combined working-set + data-profile table
+/// (Tables 6.1 / 6.4 / 6.5).
+pub fn render_data_profile(rows: &[Ranked<ShardProfileRow>], top: usize) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -366,11 +366,13 @@ pub fn render_path_trace(trace: &PathTrace, symbols: &SymbolTable) -> String {
     out
 }
 
+/// `s` cut to at most `n` characters, the last of them `…` where it was cut.
 fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
+    if s.chars().count() <= n {
         s.to_string()
     } else {
-        format!("{}…", &s[..n.saturating_sub(1)])
+        let head: String = s.chars().take(n.saturating_sub(1)).collect();
+        format!("{head}…")
     }
 }
 
@@ -378,7 +380,6 @@ fn truncate(s: &str, n: usize) -> String {
 mod tests {
     use super::*;
     use crate::merge::{ShardFlowEdge, ShardFlowNode};
-    use sim_kernel::TypeId;
 
     #[test]
     fn byte_formatting() {
@@ -389,16 +390,21 @@ mod tests {
 
     #[test]
     fn data_profile_table_contains_rows_and_total() {
-        let rows = vec![DataProfileRow {
-            type_id: TypeId(0),
-            name: "size-1024".into(),
-            description: "packet payload".into(),
-            working_set_bytes: 14.6 * 1024.0 * 1024.0,
-            pct_of_l1_misses: 45.4,
-            pct_of_miss_cycles: 50.0,
-            bounce: true,
-            samples: 1000,
-            l1_miss_samples: 454,
+        let rows = vec![Ranked {
+            row: ShardProfileRow {
+                name: "size-1024".into(),
+                description: "packet payload".into(),
+                working_set_bytes: 14.6 * 1024.0 * 1024.0,
+                pct_of_l1_misses: 45.4,
+                pct_of_miss_cycles: 50.0,
+                bounce: true,
+                samples: 1000,
+                l1_miss_samples: 454,
+                threads_seen: 1,
+            },
+            ci95_low: 42.3,
+            ci95_high: 48.5,
+            rank_stable: true,
         }];
         let t = render_data_profile(&rows, 10);
         assert!(t.contains("size-1024"));
@@ -438,5 +444,8 @@ mod tests {
         let t = truncate("a very long description indeed", 10);
         assert!(t.chars().count() <= 10);
         assert!(t.ends_with('…'));
+        // A multi-byte character across the cut.
+        let t = truncate(&("a".repeat(34) + "é" + "bb"), 36);
+        assert_eq!(t, "a".repeat(34) + "é…");
     }
 }

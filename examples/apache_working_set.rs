@@ -30,7 +30,10 @@ fn profile_apache(config: ApacheConfig, label: &str) -> f64 {
         "average accept backlog: {:.1} connections",
         workload.avg_backlog(&kernel)
     );
-    println!("{}", report::render_data_profile(&profile.data_profile, 6));
+    println!(
+        "{}",
+        report::render_data_profile(&profile.report().data_profile, 6)
+    );
     println!(
         "{}",
         report::render_views(&profile.report(), &[View::WorkingSet], 6)

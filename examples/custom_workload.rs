@@ -65,7 +65,10 @@ fn main() {
     };
     let profile = Dprof::new(config).run(&mut machine, &mut kernel, step);
 
-    println!("{}", report::render_data_profile(&profile.data_profile, 6));
+    println!(
+        "{}",
+        report::render_data_profile(&profile.report().data_profile, 6)
+    );
     println!(
         "{}",
         report::render_views(&profile.report(), &[View::MissClassification], 6)

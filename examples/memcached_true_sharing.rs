@@ -44,7 +44,10 @@ fn main() {
     let profile = Dprof::new(dconf).run(&mut machine, &mut kernel, |m, k| workload.step(m, k));
 
     println!("--- DProf data profile (cf. Table 6.1) ---");
-    println!("{}", report::render_data_profile(&profile.data_profile, 6));
+    println!(
+        "{}",
+        report::render_data_profile(&profile.report().data_profile, 6)
+    );
 
     // Step 2: the data-flow view for skbuff shows where packets change cores.
     let skbuff = kernel.kt.skbuff;

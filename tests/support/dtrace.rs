@@ -3,7 +3,8 @@
 //! `dprof record` and `dprof replay` do.  Included by `#[path]` into
 //! `replay_end_to_end.rs`, `codec_roundtrip.rs`, `whatif_proptests.rs`,
 //! `sharing_walk_alloc.rs` and `dtrace_hostile.rs` in `dprof-trace`, `fan_out.rs` and
-//! the driver's unit tests in `dprof-cli`, and `whatif_oracle.rs` in the root package.
+//! the driver's unit tests in `dprof-cli`, `case_study_session.rs` in `dprof-bench`, and
+//! `whatif_oracle.rs` in the root package.
 //!
 //! The includer names the trace and machine crates `trace` and `machine`, as the `dprof`
 //! facade does (`use dprof::{machine, trace};`, or `use dprof_trace as trace;` and `use
