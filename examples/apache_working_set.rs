@@ -30,14 +30,9 @@ fn profile_apache(config: ApacheConfig, label: &str) -> f64 {
         "average accept backlog: {:.1} connections",
         workload.avg_backlog(&kernel)
     );
-    println!(
-        "{}",
-        report::render_data_profile(&profile.report().data_profile, 6)
-    );
-    println!(
-        "{}",
-        report::render_views(&profile.report(), &[View::WorkingSet], 6)
-    );
+    let merged = profile.report();
+    println!("{}", report::render_data_profile(&merged.data_profile, 6));
+    println!("{}", report::render_views(&merged, &[View::WorkingSet], 6));
 
     profile
         .profile_row("tcp-sock")

@@ -65,13 +65,11 @@ fn main() {
     };
     let profile = Dprof::new(config).run(&mut machine, &mut kernel, step);
 
+    let merged = profile.report();
+    println!("{}", report::render_data_profile(&merged.data_profile, 6));
     println!(
         "{}",
-        report::render_data_profile(&profile.report().data_profile, 6)
-    );
-    println!(
-        "{}",
-        report::render_views(&profile.report(), &[View::MissClassification], 6)
+        report::render_views(&merged, &[View::MissClassification], 6)
     );
 
     if let Some(row) = profile.profile_row("pkt_stats") {
