@@ -23,8 +23,8 @@ use dprof::core::schema::JsonWriter;
 use dprof::core::{blocks_from_rounds, estimate_gain, rank_candidates, BlockDelta, GainEstimate};
 use dprof::trace::{
     analyze_sharing, analyze_sharing_unless, available_workers, fan_out, for_each_stream,
-    measure_stream_streaming, replay_and_measure_stream, session_streams, trace_type_names,
-    validate_spec, FixSpec, SharingProfile, TraceReader, WhatifMeasure,
+    measure_window, replay_and_measure_stream, session_streams, trace_type_names, validate_spec,
+    FixSpec, PackedWindow, SharingProfile, TraceReader, WhatifMeasure,
 };
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
@@ -98,9 +98,10 @@ type Walked = (Vec<String>, Vec<SharingProfile>);
 
 /// One wave-1 job's result.
 enum Wave1 {
-    /// The identity baseline of one stream, and how many events its profiled replay
-    /// left unconsumed (always 0 without `--auto`, which replays no profile).
-    Baseline(WhatifMeasure, usize),
+    /// The identity baseline of one stream, how many events its profiled replay left
+    /// unconsumed (always 0 without `--auto`, which replays no profile), and the
+    /// stream's sampled window, which wave 2 replays.
+    Baseline(WhatifMeasure, usize, PackedWindow),
     /// `--auto`'s sharing walk: the types it walked and their profiles, or `None` when
     /// it was abandoned because the diagnosis needs none.
     Sharing(Option<Walked>),
@@ -115,15 +116,17 @@ type Diagnosis = (MergedReport, Vec<String>);
 /// and slotted by index, and everything computed from them runs on the calling thread
 /// in candidate order — so the analysis is the same for every `workers`.
 ///
-/// Wave 1 is one replay of every stream that yields its identity baseline.  Under
-/// `--auto` that is the profiled replay, which the baseline is read off (the machine
-/// books the profiler's cycles apart: [`replay_and_measure_stream`]), and, last, the
-/// sharing walk (`sharing_walk`); without it, a profiler-free identity pass
-/// ([`measure_stream_streaming`]).  The last profiled replay to finish merges them
-/// all, which names the types the walk must cover.  On two workers the walk starts at
-/// once, beside the profile, so it walks every type; on one it starts after the
-/// profile and walks only the types named.  The candidates are diagnosed on the
-/// calling thread; wave 2 measures them.
+/// Wave 1 is one replay of every stream that yields its identity baseline and packs
+/// its sampled window.  Under `--auto` that is the profiled replay, which the baseline
+/// is read off (the machine books the profiler's cycles apart:
+/// [`replay_and_measure_stream`]), and, last, the sharing walk (`sharing_walk`);
+/// without it, a profiler-free identity pass over the window
+/// ([`PackedWindow::read`], [`measure_window`]).  The last profiled replay to finish
+/// merges them all, which names the types the walk must cover.  On two workers the
+/// walk starts at once, beside the profile, so it walks every type; on one it starts
+/// after the profile and walks only the types named.  The candidates are diagnosed on
+/// the calling thread; wave 2 measures them over the windows, so no stream is decoded
+/// twice, and drops the windows when it is done.
 pub fn analyze_trace_on(
     workers: usize,
     reader: &TraceReader,
@@ -146,12 +149,13 @@ pub fn analyze_trace_on(
             return sharing_walk(reader, &diagnosis).map(Wave1::Sharing);
         }
         if !auto {
-            let measure = measure_stream_streaming(reader, thread, &FixSpec::Identity)?;
-            return Ok(Wave1::Baseline(measure, 0));
+            let window = PackedWindow::read(reader, thread);
+            let measure = measure_window(reader, &window, &FixSpec::Identity)?;
+            return Ok(Wave1::Baseline(measure, 0, window));
         }
         // The last profiled replay in merges them all and names the types the
         // diagnosis will read the sharing profiles of.
-        let (run, trailing, measure) = replay_and_measure_stream(reader, thread)?;
+        let (run, trailing, measure, window) = replay_and_measure_stream(reader, thread)?;
         let mut runs = profiled.lock().expect("no job panics holding it");
         runs[thread] = Some(run);
         if runs.iter().all(Option::is_some) {
@@ -160,9 +164,10 @@ pub fn analyze_trace_on(
             let invalidated = invalidated(&hot_types(&report));
             let _ = diagnosis.set((report, invalidated));
         }
-        Ok(Wave1::Baseline(measure, trailing))
+        Ok(Wave1::Baseline(measure, trailing, window))
     });
     let mut baseline: Vec<WhatifMeasure> = Vec::new();
+    let mut windows: Vec<PackedWindow> = Vec::new();
     let mut walked: Option<Walked> = None;
     for (i, result) in wave1.into_iter().enumerate() {
         // The walk names the stream it failed on itself.
@@ -172,12 +177,13 @@ pub fn analyze_trace_on(
             result
         };
         match result? {
-            Wave1::Baseline(measure, trailing) => {
+            Wave1::Baseline(measure, trailing, window) => {
                 // Said before the diagnosis, which a diverged profile may fail.
                 if trailing > 0 {
                     crate::warn_diverged(i, trailing);
                 }
                 baseline.push(measure);
+                windows.push(window);
             }
             Wave1::Sharing(profiles) => walked = profiles,
         }
@@ -207,10 +213,11 @@ pub fn analyze_trace_on(
         .max()
         .unwrap_or(0);
 
-    // Wave 2: every candidate's measurement of every stream.
+    // Wave 2: every candidate's measurement of every stream's window.
     let fixed = for_each_stream(workers, reader, specs.len(), |candidate, thread| {
-        measure_stream_streaming(reader, thread, &specs[candidate].0)
+        measure_window(reader, &windows[thread], &specs[candidate].0)
     })?;
+    drop(windows);
     let measured: Vec<(FixSpec, String, GainEstimate)> = specs
         .into_iter()
         .zip(fixed.chunks(baseline.len()))

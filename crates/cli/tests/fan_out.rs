@@ -7,8 +7,9 @@
 
 use dprof::machine::SessionEvent;
 use dprof::trace::{
-    for_each_stream, measure_all_streaming, measure_stream_streaming, replay_all_streaming,
-    replay_and_measure_stream, replay_stream_streaming, FixSpec, TraceFile, TraceReader,
+    for_each_stream, measure_all_streaming, measure_stream_streaming, measure_window,
+    replay_all_streaming, replay_and_measure_stream, replay_stream_streaming, FixSpec,
+    PackedWindow, TraceFile, TraceReader,
 };
 use dprof_cli::args::{self, Parsed};
 use dprof_cli::whatif::{analyze_trace, analyze_trace_on, render_whatif_json};
@@ -22,6 +23,9 @@ use dprof::{machine, trace};
 #[path = "../../../tests/support/dtrace.rs"]
 mod dtrace;
 use dtrace::{on_disk, read_back};
+#[path = "../../../tests/support/whatif_reference.rs"]
+mod whatif_reference;
+use whatif_reference::measure_resolving_every_access;
 
 fn dprof() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dprof"))
@@ -281,7 +285,7 @@ fn derived_baselines_are_the_identity_pass(reader: &TraceReader, label: &str) ->
         })
         .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert_eq!(derived.len(), identity.len(), "{label}");
-        for ((_, _, derived), identity) in derived.iter().zip(&identity) {
+        for ((_, _, derived, _), identity) in derived.iter().zip(&identity) {
             assert_eq!(
                 identity.round_clocks.len(),
                 reader.params.sample_rounds,
@@ -293,7 +297,10 @@ fn derived_baselines_are_the_identity_pass(reader: &TraceReader, label: &str) ->
                 identity.thread
             );
         }
-        trailing = derived.iter().map(|(_, trailing, _)| *trailing).collect();
+        trailing = derived
+            .iter()
+            .map(|(_, trailing, _, _)| *trailing)
+            .collect();
     }
     trailing
 }
@@ -338,6 +345,38 @@ fn the_baseline_read_off_the_profiled_replay_is_the_identity_pass() {
     let diverged = on_disk(&diverged_session());
     let trailing = derived_baselines_are_the_identity_pass(&diverged, "diverged");
     assert!(trailing[0] > 0, "the replay diverged: {trailing:?}");
+}
+
+#[test]
+fn a_pass_over_the_window_is_the_pass_over_the_file() {
+    // The window `--auto` packs off each stream's profiled replay is the one the
+    // identity pass reads off the file, and a pass over it under the identity and each
+    // fix family measures what the reference pass over the file does.
+    let fresh = tmp("three-stream-window.dtrace");
+    record_memcached(3, 12, &fresh);
+    let reader = TraceReader::open(&fresh).expect("trace opens");
+    assert_eq!(reader.stream_count(), 3);
+    let specs = ["identity", "pad:skbuff", "localize:skbuff", "pin:skbuff"]
+        .into_iter()
+        .chain(["shrink:skbuff:64"])
+        .map(|spec| FixSpec::parse(spec).unwrap());
+    let mut padded = 0;
+    for thread in 0..3 {
+        let (_, _, _, window) = replay_and_measure_stream(&reader, thread).unwrap();
+        assert_eq!(
+            window,
+            PackedWindow::read(&reader, thread),
+            "stream {thread}"
+        );
+        for spec in specs.clone() {
+            let (expected, _, rewritten) = measure_resolving_every_access(&reader, thread, &spec);
+            let measured = measure_window(&reader, &window, &spec).unwrap();
+            assert_eq!(measured, expected, "stream {thread}, {spec}");
+            padded += if spec.kind() == "pad" { rewritten } else { 0 };
+        }
+    }
+    assert!(padded > 0, "pad rewrote nothing");
+    let _ = std::fs::remove_file(fresh);
 }
 
 #[test]

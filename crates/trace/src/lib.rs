@@ -39,6 +39,9 @@
 //! * [`mod@whatif`] — counterfactual transforms: replay a recorded stream against a
 //!   hypothetical memory layout (`pad`/`localize`/`pin`/`shrink` fixes) and measure
 //!   the makespan delta, the engine behind `dprof whatif`.
+//! * [`mod@window`] — [`PackedWindow`]: a stream's events up to its last sampled round
+//!   end, packed in memory at 16 bytes an event by the first pass over the stream and
+//!   replayed by every what-if pass after it, so `dprof whatif` decodes a stream once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,6 +52,7 @@ pub mod line;
 pub mod replay;
 pub mod stream;
 pub mod whatif;
+pub mod window;
 
 pub use codec::{EncodedEvents, EventEncoder};
 pub use format::{
@@ -62,8 +66,10 @@ pub use replay::{
 pub use stream::{EventReader, StreamHeader, TraceReader};
 pub use whatif::{
     analyze_sharing, analyze_sharing_unless, measure_all_streaming, measure_stream_streaming,
-    trace_type_names, validate_spec, FixSpec, SharingProfile, Transform, WhatifMeasure,
+    measure_window, trace_type_names, validate_spec, FixSpec, SharingProfile, Transform,
+    WhatifMeasure,
 };
+pub use window::PackedWindow;
 
 /// Errors produced while decoding a `.dtrace` file.
 #[derive(Debug, Clone, PartialEq, Eq)]

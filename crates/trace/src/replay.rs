@@ -20,18 +20,23 @@
 //! whatif --auto` would otherwise spend a profiler-free pass on
 //! ([`replay_and_measure_stream`]).  The profiler steps every sampled round before its
 //! history phase, so the baseline is complete when the profile is.  A round end costs
-//! one max over the cores.
+//! one max over the cores.  That replay also packs every event it applies up to the
+//! last sampled round end into a [`PackedWindow`], which the candidate passes after it
+//! replay instead of decoding the stream again; [`replay_stream_streaming`], what
+//! `dprof replay` runs, packs nothing.
 //!
 //! There is one driver, and it reads a [`TraceReader`]: each stream is decoded
 //! incrementally from its own file handle, so peak memory is bounded by the simulation
-//! state, not the trace size.  This module also owns the two pieces every other walk
-//! over a trace shares: `apply_event`, the one place a recorded event meets the machine
-//! and kernel, and `fan_out`, the one bounded pool of worker threads every set of
-//! independent replays runs on.
+//! state (and, for what-if, the sampled window), not the trace size.  This module also
+//! owns the pieces every other walk over a trace shares: [`rebuild_universe`], the
+//! machine and kernel a stream was recorded in, [`apply_event`], the one place a
+//! recorded event meets them, and [`fan_out`], the one bounded pool of worker threads
+//! every set of independent replays runs on.
 
 use crate::format::ThreadRun;
 use crate::stream::{EventReader, TraceReader};
 use crate::whatif::{RoundClocks, WhatifMeasure};
+use crate::window::PackedWindow;
 use dprof_core::{Dprof, DprofConfig};
 use sim_kernel::{KernelState, KernelTypes, TypeId, TypeRegistry};
 use sim_machine::{Machine, SessionEvent};
@@ -87,7 +92,7 @@ pub fn profile_window(
 /// recorded id order (so every `TypeId` matches).  The kernel shell must be built
 /// *after* pre-interning: its own interning then maps onto existing ids instead of
 /// minting new ones.
-pub(crate) fn rebuild_universe(reader: &TraceReader, thread: usize) -> (Machine, KernelState) {
+pub fn rebuild_universe(reader: &TraceReader, thread: usize) -> (Machine, KernelState) {
     let stream = &reader.headers()[thread];
     let mut machine = Machine::new(reader.machine);
     for name in &stream.symbols {
@@ -115,7 +120,7 @@ pub(crate) fn rebuild_universe(reader: &TraceReader, thread: usize) -> (Machine,
 /// this crate, call it once an event, and as an out-of-line call it was measured at
 /// ~20 ns an event, 15 % of a what-if measurement pass.
 #[inline]
-pub(crate) fn apply_event(
+pub fn apply_event(
     ev: SessionEvent,
     machine: &mut Machine,
     kernel: &mut KernelState,
@@ -167,8 +172,9 @@ fn non_live_free(addr: u64) -> String {
     format!("free of non-live address {addr:#x}")
 }
 
-/// A cursor feeding recorded events into the machine/kernel, one round per call, and
-/// recording the makespan at every sampled round end it passes.
+/// A cursor feeding recorded events into the machine/kernel, one round per call,
+/// recording the makespan at every sampled round end it passes and, if it was given a
+/// window, packing every event it applies up to the last.
 struct EventCursor {
     events: EventReader,
     /// Events consumed so far.
@@ -180,15 +186,22 @@ struct EventCursor {
     /// it once the profiler pass finishes.
     error: Option<String>,
     clocks: RoundClocks,
+    /// The sampled window, for the what-if passes after this one; `None` for a replay.
+    window: Option<PackedWindow>,
 }
 
 impl EventCursor {
     /// Applies events up to and including the next round marker.
     fn run_round(&mut self, machine: &mut Machine, kernel: &mut KernelState) {
+        // A round is packed whole, end marker included, if it starts inside the window.
+        let mut window = (self.window.as_mut()).filter(|_| !self.clocks.complete());
         for ev in self.events.by_ref() {
             match ev {
                 Ok(ev) => {
                     self.consumed += 1;
+                    if let Some(window) = window.as_deref_mut() {
+                        window.push(ev);
+                    }
                     if matches!(ev, SessionEvent::RoundEnd) {
                         self.clocks.round_end(machine);
                         return;
@@ -215,8 +228,13 @@ impl EventCursor {
 }
 
 /// Runs the profiler over stream `thread` of `reader`: the run, and the cursor where
-/// the profiler stopped, short of the stream's end if it diverged.
-fn profile_stream(reader: &TraceReader, thread: usize) -> Result<(ThreadRun, EventCursor), String> {
+/// the profiler stopped, short of the stream's end if it diverged.  The cursor packs
+/// the sampled window into `window` if there is one.
+fn profile_stream(
+    reader: &TraceReader,
+    thread: usize,
+    window: Option<PackedWindow>,
+) -> Result<(ThreadRun, EventCursor), String> {
     let stream = &reader.headers()[thread];
     let (mut machine, mut kernel) = rebuild_universe(reader, thread);
     let mut cursor = EventCursor {
@@ -225,6 +243,7 @@ fn profile_stream(reader: &TraceReader, thread: usize) -> Result<(ThreadRun, Eve
         exhausted: false,
         error: None,
         clocks: RoundClocks::new(reader, thread),
+        window,
     };
     for _ in 0..cursor.clocks.warmup_boundary() {
         cursor.run_round(&mut machine, &mut kernel);
@@ -256,15 +275,16 @@ pub fn replay_stream_streaming(
     reader: &TraceReader,
     thread: usize,
 ) -> Result<(ThreadRun, usize), String> {
-    let (run, cursor) = profile_stream(reader, thread)?;
+    let (run, cursor) = profile_stream(reader, thread, None)?;
     Ok((run, cursor.trailing(reader.headers()[thread].event_count)))
 }
 
 /// [`replay_stream_streaming`], plus the stream's identity baseline read off the same
-/// pass: the [`WhatifMeasure`] a profiler-free
+/// pass, and the window it covers: the [`WhatifMeasure`] a profiler-free
 /// [`measure_stream_streaming`](crate::measure_stream_streaming) under
 /// [`FixSpec::Identity`](crate::FixSpec::Identity) returns, because the round clocks
-/// leave out the cycles the profiler booked.  Both cover the rounds the session
+/// leave out the cycles the profiler booked, and the [`PackedWindow`] that pass would
+/// read, packed as the events were applied.  Both cover the rounds the session
 /// sampled, which the profiler steps through before anything else, so the events a
 /// diverged profiler did not consume lie past the window and feed no clock.
 ///
@@ -273,10 +293,11 @@ pub fn replay_stream_streaming(
 pub fn replay_and_measure_stream(
     reader: &TraceReader,
     thread: usize,
-) -> Result<(ThreadRun, usize, WhatifMeasure), String> {
-    let (run, cursor) = profile_stream(reader, thread)?;
+) -> Result<(ThreadRun, usize, WhatifMeasure, PackedWindow), String> {
+    let (run, mut cursor) = profile_stream(reader, thread, Some(PackedWindow::new(thread)))?;
     let trailing = cursor.trailing(reader.headers()[thread].event_count);
-    Ok((run, trailing, cursor.clocks.measure(reader)))
+    let window = cursor.window.take().expect("the cursor was given a window");
+    Ok((run, trailing, cursor.clocks.measure(reader), window))
 }
 
 /// Replays every stream of a full-session trace on the bounded fan-out, returning the

@@ -12,12 +12,13 @@
 //!   decode and machine dispatch.  Rewritten objects live in a *shadow* address range
 //!   bump-allocated in whole cache lines, so two distinct allocations can never alias
 //!   onto one line and the mapping is deterministic (first-touch in event order).
-//! * [`measure_stream_streaming`] / [`measure_all_streaming`] — a profiler-free
-//!   measurement replay that feeds the (transformed) event stream of a
-//!   [`TraceReader`] through a rebuilt machine + kernel and snapshots the makespan
-//!   (max core clock) at every round boundary of the window the session sampled: the
-//!   `sample_rounds` rounds after warmup.  The history phase recorded after them is
-//!   neither decoded nor measured.
+//! * [`measure_window`] — a profiler-free measurement replay that feeds the
+//!   (transformed) events of a stream's [`PackedWindow`] through a rebuilt machine +
+//!   kernel and snapshots the makespan (max core clock) at every round boundary of the
+//!   window the session sampled: the `sample_rounds` rounds after warmup.  The history
+//!   phase recorded after them is neither decoded nor measured.  A window is decoded
+//!   once and replayed by every pass over its stream; [`measure_stream_streaming`] /
+//!   [`measure_all_streaming`] pack one from the file and measure it.
 //!   Keeping the profiler out of the measurement loop matters: watchpoints armed at
 //!   recorded addresses would never fire on shadow addresses, biasing candidates.
 //!   The identity baseline is the exception that needs no pass of its own: the
@@ -38,6 +39,7 @@
 use crate::format::TypeDump;
 use crate::replay::{apply_event, available_workers, for_each_stream, rebuild_universe};
 use crate::stream::TraceReader;
+use crate::window::PackedWindow;
 use sim_cache::line_table::BuildMixHasher;
 use sim_kernel::addr_index::PAGE_SIZE;
 use sim_kernel::{AddrIndex, RemapTarget, TypeId};
@@ -432,7 +434,7 @@ impl WhatifMeasure {
 /// the profiler, so a profiled replay records what a profiler-free pass over the same
 /// events does.
 #[derive(Debug)]
-pub(crate) struct RoundClocks {
+pub struct RoundClocks {
     thread: usize,
     warmup_boundary: usize,
     /// The round end that closes the measured window: the sample phase's last.
@@ -444,7 +446,7 @@ pub(crate) struct RoundClocks {
 
 impl RoundClocks {
     /// The recorder of stream `thread` of `reader`.
-    pub(crate) fn new(reader: &TraceReader, thread: usize) -> RoundClocks {
+    pub fn new(reader: &TraceReader, thread: usize) -> RoundClocks {
         // Segment 0 is the kernel/workload set-up traffic (everything before the
         // first marker); the warmup after it is phase-shifted per thread, as the live
         // run's was.
@@ -464,9 +466,15 @@ impl RoundClocks {
         self.warmup_boundary
     }
 
+    /// How many round ends the measured window's last is, counted from the stream's
+    /// start: where a pass over the stream stops.
+    pub(crate) fn last_round(&self) -> usize {
+        self.last_round
+    }
+
     /// Records one round end.
     #[inline]
-    pub(crate) fn round_end(&mut self, machine: &Machine) {
+    pub fn round_end(&mut self, machine: &Machine) {
         self.round += 1;
         if self.round == self.warmup_boundary {
             self.warmup_clock = machine.unprofiled_makespan();
@@ -477,12 +485,12 @@ impl RoundClocks {
 
     /// Whether the measured window's last round has ended.
     #[inline]
-    pub(crate) fn complete(&self) -> bool {
+    pub fn complete(&self) -> bool {
         self.round >= self.last_round
     }
 
     /// The measure of the rounds recorded.
-    pub(crate) fn measure(self, reader: &TraceReader) -> WhatifMeasure {
+    pub fn measure(self, reader: &TraceReader) -> WhatifMeasure {
         WhatifMeasure {
             thread: self.thread,
             warmup_clock: self.warmup_clock,
@@ -493,9 +501,11 @@ impl RoundClocks {
 }
 
 /// Replays one stream under `spec` with **no profiler in the loop**, recording the
-/// makespan at the end of every round the session sampled, and stops decoding at the
-/// last.  Decode errors, and events that contradict their stream (`event 1234: free of
-/// non-live address 0x…`), surface as `Err` if they come before it.
+/// makespan at the end of every round the session sampled: packs the stream's window
+/// ([`PackedWindow::read`]), which stops decoding at the last, and measures it
+/// ([`measure_window`]).  Decode errors, and events that contradict their stream
+/// (`event 1234: free of non-live address 0x…`), surface as `Err` if they come before
+/// it.
 ///
 /// # Panics
 /// Panics if `thread` is out of range.
@@ -504,18 +514,31 @@ pub fn measure_stream_streaming(
     thread: usize,
     spec: &FixSpec,
 ) -> Result<WhatifMeasure, String> {
-    measure_stream_dispatching(reader, thread, spec, |_, _, _| {})
+    measure_window(reader, &PackedWindow::read(reader, thread), spec)
 }
 
-/// [`measure_stream_streaming`], handing `dispatched` each access's `(core, addr, len)`
-/// as the machine is given it.  An address is resolved against the replay kernel's
-/// live objects only when [`Transform::may_rewrite`] says it can matter.
-fn measure_stream_dispatching(
+/// The measurement pass: replays `window`, a stream of `reader`, under `spec` with no
+/// profiler in the loop, and records the makespan at the end of every round the
+/// session sampled.  An event that contradicts its stream is `Err` naming its ordinal;
+/// past the events, so is the error that cut the window short, if one did.
+pub fn measure_window(
     reader: &TraceReader,
-    thread: usize,
+    window: &PackedWindow,
+    spec: &FixSpec,
+) -> Result<WhatifMeasure, String> {
+    measure_window_dispatching(reader, window, spec, |_, _, _| {})
+}
+
+/// [`measure_window`], handing `dispatched` each access's `(core, addr, len)` as the
+/// machine is given it.  An address is resolved against the replay kernel's live
+/// objects only when [`Transform::may_rewrite`] says it can matter.
+fn measure_window_dispatching(
+    reader: &TraceReader,
+    window: &PackedWindow,
     spec: &FixSpec,
     mut dispatched: impl FnMut(u32, u64, u64),
 ) -> Result<WhatifMeasure, String> {
+    let thread = window.thread();
     let (mut machine, mut kernel) = rebuild_universe(reader, thread);
     let target = spec
         .target()
@@ -524,8 +547,8 @@ fn measure_stream_dispatching(
     let mut transform = Transform::new(spec, target, line_size);
     let mut clocks = RoundClocks::new(reader, thread);
 
-    for (i, ev) in reader.events(thread)?.enumerate() {
-        let ev = match ev? {
+    for (i, ev) in window.events().enumerate() {
+        let ev = match ev {
             SessionEvent::RoundEnd => {
                 clocks.round_end(&machine);
                 if clocks.complete() {
@@ -562,6 +585,9 @@ fn measure_stream_dispatching(
             dispatched(core, addr, len);
         }
         apply_event(ev, &mut machine, &mut kernel).map_err(|e| format!("event {i}: {e}"))?;
+    }
+    if let Some(e) = window.error() {
+        return Err(e.to_string());
     }
     Ok(clocks.measure(reader))
 }
@@ -678,11 +704,12 @@ impl GranuleCounts {
 /// single pass over every stream's events.  The live objects of those types are
 /// tracked from their `Alloc`/`Free` events in one [`AddrIndex`], so an access is
 /// looked up once, not once per type.  An object is numbered when it is allocated,
-/// by `(type, base)`; its accesses go to one granule table shared by every type, and
-/// its cores this round to a dense mask that the round's end reads for the objects
-/// touched in it.  Objects are keyed by base across streams: two streams' objects at
-/// one base are one object.  A type's profile does not depend on which other types
-/// are walked beside it.  A stream that registered none of the types is not decoded
+/// by `(type, base)` within its stream; its accesses go to one granule table shared by
+/// every type, and its cores this round to a dense mask that the round's end reads for
+/// the objects touched in it.  Each stream is a machine of its own, so two streams'
+/// objects at one base are two objects, and core *c* of one stream is never a foreign
+/// accessor of a granule core *c* of another owns.  A type's profile does not depend
+/// on which other types are walked beside it.  A stream that registered none of the types is not decoded
 /// at all.  Decode errors surface as `Err`, naming the stream.
 pub fn analyze_sharing(
     reader: &TraceReader,
@@ -701,7 +728,7 @@ pub fn analyze_sharing_unless(
     abandon: impl Fn() -> bool,
 ) -> Result<Option<Vec<SharingProfile>>, String> {
     let mut totals = vec![SlotTotals::default(); type_names.len()];
-    // `(type slot, base) -> object`, read only on `Alloc`.
+    // `(type slot, base) -> object` of the stream walked, read only on `Alloc`.
     let mut objects: MixMap<(u32, u64), u32> = MixMap::default();
     let mut object_slot: Vec<u32> = Vec::new();
     // Cores that touched each object this round, and the objects touched.
@@ -721,6 +748,7 @@ pub fn analyze_sharing_unless(
         for object in touched.drain(..) {
             round_cores[object as usize] = 0;
         }
+        objects.clear();
         live.clear();
         if slot_of.iter().all(Option::is_none) {
             continue;
@@ -807,9 +835,13 @@ use sim_machine as machine;
 #[cfg(test)]
 #[path = "../../../tests/support/dtrace.rs"]
 mod dtrace;
+#[cfg(test)]
+#[path = "../../../tests/support/whatif_reference.rs"]
+mod whatif_reference;
 
 #[cfg(test)]
 mod tests {
+    use super::whatif_reference::measure_resolving_every_access;
     use super::*;
     use crate::{SessionParams, ThreadStream, TraceFile, TraceKind};
     use sim_kernel::ResolvedAddr;
@@ -943,56 +975,15 @@ mod tests {
         assert!(!tf.may_rewrite(base));
     }
 
-    /// The measurement loop without the page filter: every access of a candidate pass
-    /// is resolved against the replay kernel's live objects.  Returns the measure and
-    /// each access's `(core, addr, len)` as the machine was given it, and how many of
-    /// them the transform changed.
-    fn measure_resolving_every_access(
-        reader: &TraceReader,
-        thread: usize,
-        spec: &FixSpec,
-    ) -> (WhatifMeasure, Vec<(u32, u64, u64)>, usize) {
-        let (mut machine, mut kernel) = rebuild_universe(reader, thread);
-        let target = spec
-            .target()
-            .and_then(|name| stream_type_id(&reader.headers()[thread].types, name));
-        let line_size = reader.machine.hierarchy.l1.line_size as u64;
-        let mut transform = Transform::new(spec, target, line_size);
-        let mut clocks = RoundClocks::new(reader, thread);
-        let (mut dispatched, mut rewritten) = (Vec::new(), 0);
-        for ev in reader.events(thread).unwrap() {
-            let ev = match ev.unwrap() {
-                SessionEvent::RoundEnd => {
-                    clocks.round_end(&machine);
-                    if clocks.complete() {
-                        break;
-                    }
-                    continue;
-                }
-                ev @ SessionEvent::Access {
-                    core, addr, len, ..
-                } => {
-                    let hit = kernel.allocator.resolve_remap(addr);
-                    let access = transform.rewrite(core, addr, len, hit);
-                    rewritten += usize::from(access != (core, addr, len));
-                    dispatched.push(access);
-                    ev.with_access_target(access.0, access.1, access.2)
-                }
-                ev => ev,
-            };
-            apply_event(ev, &mut machine, &mut kernel).unwrap();
-        }
-        (clocks.measure(reader), dispatched, rewritten)
-    }
-
-    /// Holds every stream's filtered pass under `spec` to the pass that resolves every
-    /// access, access for access and measure for measure.  Returns how many accesses
-    /// the fix rewrote.
+    /// Holds every stream's pass under `spec` over its packed window, page filter and
+    /// all, to the reference pass that reads the file and resolves every access, access
+    /// for access and measure for measure.  Returns how many accesses the fix rewrote.
     fn assert_filtered_pass_matches(reader: &TraceReader, spec: &FixSpec, case: &str) -> usize {
         let mut rewritten = 0;
         for thread in 0..reader.stream_count() {
             let mut dispatched = Vec::new();
-            let measure = measure_stream_dispatching(reader, thread, spec, |core, addr, len| {
+            let window = PackedWindow::read(reader, thread);
+            let measure = measure_window_dispatching(reader, &window, spec, |core, addr, len| {
                 dispatched.push((core, addr, len))
             })
             .unwrap();
@@ -1025,6 +1016,8 @@ mod tests {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
     }
 
+    /// Every golden trace, under the identity and under each fix family on each of its
+    /// three busiest types: the pass over the window is the pass over the file.
     #[test]
     fn the_page_filter_changes_no_access_of_a_golden_trace() {
         let golden = golden_dir();
@@ -1037,6 +1030,11 @@ mod tests {
         assert_eq!(paths.len(), 5, "five golden traces: {paths:?}");
         for path in paths {
             let reader = TraceReader::open(path.to_str().unwrap()).unwrap();
+            let case = path.display().to_string();
+            assert_eq!(
+                assert_filtered_pass_matches(&reader, &FixSpec::Identity, &case),
+                0
+            );
             let names = trace_type_names(&reader);
             let names: Vec<&str> = names.iter().map(String::as_str).collect();
             let profiles = analyze_sharing(&reader, &names).unwrap();
@@ -1181,6 +1179,34 @@ mod tests {
     }
 
     #[test]
+    fn a_window_cut_by_a_decode_error_applies_the_events_before_it() {
+        // The last event's opcode byte (the file's last) clobbered: the stream stops
+        // decoding there, before its last sampled round ends.
+        let cut = |bad_free: bool| {
+            let mut bytes = synthetic(four_rounds(bad_free)).encode();
+            *bytes.last_mut().unwrap() = 0xff;
+            dtrace::open(&bytes).unwrap()
+        };
+        let reader = cut(false);
+        let window = PackedWindow::read(&reader, 0);
+        let error = window
+            .error()
+            .expect("the window ends at the error")
+            .to_string();
+        assert!(error.contains("unknown event opcode 0xff"), "{error}");
+        assert_eq!(
+            measure_window(&reader, &window, &FixSpec::Identity),
+            Err(error)
+        );
+        // The bad free comes first, and is the error a pass reports.
+        let reader = cut(true);
+        let measured = measure_stream_streaming(&reader, 0, &FixSpec::Identity);
+        assert!(measured
+            .unwrap_err()
+            .ends_with("free of non-live address 0xdead0000"));
+    }
+
+    #[test]
     fn the_identity_pass_is_the_profiled_replays_baseline_over_the_sampled_rounds() {
         let path = golden_dir().join("memcached_quick.dtrace");
         let reader = TraceReader::open(path.to_str().unwrap()).unwrap();
@@ -1191,7 +1217,7 @@ mod tests {
             .count();
         assert!(round_ends > window, "the recording has a history phase");
 
-        let (_, trailing, baseline) = crate::replay_and_measure_stream(&reader, 0).unwrap();
+        let (_, trailing, baseline, _) = crate::replay_and_measure_stream(&reader, 0).unwrap();
         assert_eq!(trailing, 0, "a faithful replay");
         assert_eq!(baseline.round_clocks.len(), sample_rounds);
         let identity = measure_stream_streaming(&reader, 0, &FixSpec::Identity).unwrap();

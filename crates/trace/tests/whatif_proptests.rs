@@ -283,13 +283,14 @@ fn one_sharing_walk_equals_a_walk_per_type() {
 
 /// The sharing walk as it was before the address index: each type keeps a `BTreeMap`
 /// of its own live objects and a heap map of cores per touched granule, and every
-/// access is looked up once per type.
+/// access is looked up once per type.  A granule is keyed by its stream too: each
+/// stream is a machine of its own.
 fn sharing_walk_oracle(reader: &TraceReader, type_names: &[&str]) -> Vec<SharingProfile> {
     #[derive(Default)]
     struct State {
         target: Option<TypeId>,
         live: BTreeMap<u64, u64>,
-        granules: HashMap<(u64, u64), HashMap<u32, u64>>,
+        granules: HashMap<(usize, u64, u64), HashMap<u32, u64>>,
         round_cores: HashMap<u64, u128>,
         accesses: u64,
         object_rounds: u64,
@@ -330,7 +331,8 @@ fn sharing_walk_oracle(reader: &TraceReader, type_names: &[&str]) -> Vec<Sharing
                             continue;
                         }
                         s.accesses += 1;
-                        let by_core = s.granules.entry((base, (addr - base) / 8)).or_default();
+                        let granule = (thread, base, (addr - base) / 8);
+                        let by_core = s.granules.entry(granule).or_default();
                         *by_core.entry(core).or_insert(0) += 1;
                         *s.round_cores.entry(base).or_insert(0) |= 1u128 << core.min(127);
                     }
@@ -613,10 +615,10 @@ fn sharing_walk_equals_the_oracle_past_a_compaction_batch_and_at_the_edges() {
 }
 
 #[test]
-fn sharing_walk_keys_objects_by_base_across_streams() {
+fn sharing_walk_keeps_streams_apart() {
     // One `t` at one base in each of two streams (two simulated machines): core 0
-    // touches its granule 0 three times in stream 0, core 1 once in stream 1.  The walk
-    // counts one object, so core 1's access is foreign to the granule's owner.
+    // touches its granule 0 three times in stream 0, core 1 once in stream 1.  They
+    // are two objects, each granule with one owner, so no access is foreign.
     let mut file = one_stream_file(
         &[("t", 64)],
         vec![
@@ -639,7 +641,7 @@ fn sharing_walk_keys_objects_by_base_across_streams() {
     let reader = on_disk(&file);
     let walked = analyze_sharing(&reader, &["t"]).unwrap()[0];
     assert_eq!(walked.accesses, 4);
-    assert_eq!(walked.foreign_fraction, 0.25);
+    assert_eq!(walked.foreign_fraction, 0.0);
     assert_eq!(walked.concurrency, 1.0);
     assert_eq!([walked], sharing_walk_oracle(&reader, &["t"])[..]);
 }

@@ -1,16 +1,16 @@
 //! The counting global allocator of the workspace's allocation tests
 //! (`alloc_steady_state.rs` in `sim-cache`, `sim-kernel` and `sim-machine`,
 //! `json_alloc.rs`, `json_hostile.rs` and `working_set_alloc.rs` in `dprof-core`,
-//! `sharing_walk_alloc.rs` and `dtrace_hostile.rs` in `dprof-trace`, `frame_alloc.rs` and
-//! `push_alloc.rs` in `dprof-serve`),
-//! included into each by `#[path]`.
+//! `sharing_walk_alloc.rs`, `window_alloc.rs` and `dtrace_hostile.rs` in `dprof-trace`,
+//! `frame_alloc.rs` and `push_alloc.rs` in `dprof-serve`), included into each by
+//! `#[path]`.
 //!
 //! A test binary that includes it keeps to a single test: the allocator is global to
 //! the binary, and a concurrently-running test would pollute the measured window.  So
 //! does libtest itself: its main thread allocates after spawning a test's thread, and
-//! on a busy host that lands inside the window.  `working_set_alloc.rs` and
-//! `push_alloc.rs`, which pin exact figures that were seen to move by it, run their
-//! check as `main` (`harness = false`).
+//! on a busy host that lands inside the window.  `working_set_alloc.rs`,
+//! `window_alloc.rs` and `push_alloc.rs`, which pin exact figures that were seen to
+//! move by it (or would be), run their check as `main` (`harness = false`).
 #![allow(dead_code)] // no one test reads every counter
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,6 +60,8 @@ pub struct Asked {
     pub growths: u64,
     /// The most bytes held above what was live when the work began.
     pub peak_bytes: u64,
+    /// The bytes held above that when the work ended: what its result keeps.
+    pub held_bytes: u64,
 }
 
 impl Asked {
@@ -79,6 +81,7 @@ pub fn measured<T>(work: impl FnOnce() -> T) -> (T, Asked) {
         allocations: ALLOCATIONS.load(Relaxed) - allocations,
         growths: GROWTHS.load(Relaxed) - growths,
         peak_bytes: PEAK_BYTES.load(Relaxed) - base,
+        held_bytes: LIVE_BYTES.load(Relaxed).saturating_sub(base),
     };
     (value, asked)
 }
