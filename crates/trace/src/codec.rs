@@ -22,6 +22,13 @@
 //! `prev_addr[core]` starts at 0 and is updated to each access's address; the decoder
 //! ([`crate::stream::EventReader`], the only one) mirrors the encoder's state, so the
 //! mapping is bijective.
+//!
+//! Both directions work a batch at a time.  [`EventEncoder::extend`] encodes a piece
+//! of the session in one loop: a look-ahead through the piece gives an access run its
+//! count, so a run that ends in the piece is written header first, straight from the
+//! events, and the bytes are staged in a fixed array on the stack and copied out a few
+//! KiB at a time.  Only a run still open at the end of the piece waits in a scratch
+//! buffer.  The decoder fills a batch of events in one loop of decode steps.
 
 use crate::TraceError;
 use sim_machine::{FunctionId, SessionEvent};
@@ -182,19 +189,25 @@ impl FromIterator<SessionEvent> for EncodedEvents {
 
 impl From<Vec<SessionEvent>> for EncodedEvents {
     fn from(events: Vec<SessionEvent>) -> Self {
-        events.into_iter().collect()
+        let mut encoder = EventEncoder::new();
+        encoder.extend(&events);
+        encoder.finish()
     }
 }
+
+/// Bytes [`EventEncoder::extend`] stages on its stack before it copies them out.
+const STAGE_BYTES: usize = 4096;
 
 /// The incremental event encoder — the only encoder: events are pushed as the session
 /// produces them, in pieces of any size, and the bytes are the same as for the whole
 /// session pushed at once.  It carries what [`crate::stream::EventReader`] carries on
 /// the way back: the per-core delta bases and the current access run.
 ///
-/// A run header holds the run's item count, which is known only when the run closes,
-/// so the open run's items wait in a scratch buffer; the header and the items go out
-/// when an event that cannot join the run arrives, or at [`EventEncoder::finish`].
-/// The end of a pushed piece closes nothing.
+/// A run header holds the run's item count, so [`EventEncoder::extend`] looks ahead
+/// through the piece for the run's end: a run that ends inside the piece is written
+/// header first, straight from the events.  Only a run still open at the end of the
+/// piece waits in a scratch buffer, until an event that cannot join it arrives or
+/// [`EventEncoder::finish`]: the end of a piece closes nothing.
 #[derive(Debug, Clone)]
 pub struct EventEncoder {
     out: Vec<u8>,
@@ -226,87 +239,105 @@ impl EventEncoder {
         }
     }
 
-    /// Encodes the next events of the stream.
-    pub fn extend(&mut self, events: &[SessionEvent]) {
-        for &ev in events {
-            self.push(ev);
-        }
-    }
-
-    /// Encodes the next event of the stream.  Consecutive accesses with the same
-    /// `(core, ip)` coalesce into one access run.
+    /// Encodes the next events of the stream, in one loop: consecutive accesses with
+    /// the same `(core, ip)` coalesce into one access run, and the bytes are staged on
+    /// the stack and copied to the output a few KiB at a time.
     ///
     /// # Panics
     ///
     /// On an access whose core no machine can have (`>= sim_cache::MAX_CORES`): the
     /// recorder only ever sees a real machine's cores, and the format keeps a delta
     /// base per core.
-    #[inline]
-    pub fn push(&mut self, ev: SessionEvent) {
-        self.count += 1;
-        match ev {
-            SessionEvent::Access {
-                core,
-                ip,
-                addr,
-                len,
-                kind,
-            } => {
-                // A closed run leaves its `(core, ip)` behind with no items: an access
-                // that matches it starts the next run under the same header.
-                if (core, ip) != (self.run.0, self.run.1) {
-                    self.close_run();
-                    assert!(
-                        (core as usize) < sim_cache::MAX_CORES,
-                        "access on core {core}: a machine has at most {} cores",
-                        sim_cache::MAX_CORES
-                    );
-                    self.run = (core, ip, 0);
+    pub fn extend(&mut self, events: &[SessionEvent]) {
+        self.count += events.len();
+        let mut stage = [0u8; STAGE_BYTES];
+        let mut len = 0;
+        let mut i = 0;
+        while let Some(&ev) = events.get(i) {
+            if len > STAGE_BYTES - MAX_EVENT_BYTES {
+                self.out.extend_from_slice(&stage[..len]);
+                len = 0;
+            }
+            let SessionEvent::Access { core, ip, .. } = ev else {
+                len = self.close_run_behind(&stage[..len]);
+                len = put_event(&mut stage, len, ev);
+                i += 1;
+                continue;
+            };
+            // The accesses from `i` that join this run: the look-ahead gives its count.
+            let joins = |ev: &SessionEvent| match *ev {
+                SessionEvent::Access { core: c, ip: p, .. } => (c, p) == (core, ip),
+                _ => false,
+            };
+            let end = (events[i + 1..].iter().position(|ev| !joins(ev)))
+                .map_or(events.len(), |k| i + 1 + k);
+            let accesses = &events[i..end];
+            i = end;
+            // A closed run leaves its `(core, ip)` behind with no items: an access that
+            // matches it starts the next run under the same header.
+            if (core, ip) != (self.run.0, self.run.1) {
+                len = self.close_run_behind(&stage[..len]);
+                assert!(
+                    (core as usize) < sim_cache::MAX_CORES,
+                    "access on core {core}: a machine has at most {} cores",
+                    sim_cache::MAX_CORES
+                );
+                self.run = (core, ip, 0);
+            }
+            let prev = &mut self.prev_addr[core as usize];
+            if self.run.2 > 0 || end == events.len() {
+                // The run began in an earlier piece, or goes on past this one: its
+                // items wait for its count.
+                self.run.2 += accesses.len() as u64;
+                for ev in accesses {
+                    let mut item = [0; 2 * MAX_VARINT_BYTES];
+                    let n = put_item(&mut item, 0, prev, ev);
+                    self.items.extend_from_slice(&item[..n]);
                 }
-                self.run.2 += 1;
-                let prev = &mut self.prev_addr[core as usize];
-                put_varint(&mut self.items, zigzag(addr.wrapping_sub(*prev) as i64));
-                *prev = addr;
-                put_varint(&mut self.items, (len << 1) | u64::from(kind.is_write()));
+                if end < events.len() {
+                    len = self.close_run_behind(&stage[..len]);
+                }
+                continue;
             }
-            SessionEvent::Compute { core, ip, cycles } => {
-                let out = self.close_run();
-                out.push(OP_COMPUTE);
-                put_varint(out, u64::from(core));
-                put_varint(out, u64::from(ip.0));
-                put_varint(out, cycles);
+            // The whole run is in the piece: header, then items, straight to the stage.
+            len = put_byte(&mut stage, len, OP_ACCESS_RUN);
+            len = put_varint_at(&mut stage, len, u64::from(core));
+            len = put_varint_at(&mut stage, len, u64::from(ip.0));
+            len = put_varint_at(&mut stage, len, accesses.len() as u64);
+            for ev in accesses {
+                if len > STAGE_BYTES - 2 * MAX_VARINT_BYTES {
+                    self.out.extend_from_slice(&stage[..len]);
+                    len = 0;
+                }
+                len = put_item(&mut stage, len, prev, ev);
             }
-            SessionEvent::Alloc {
-                core,
-                type_id,
-                size,
-                addr,
-                cycle,
-                hookable,
-            } => {
-                let out = self.close_run();
-                out.push(OP_ALLOC);
-                out.push(u8::from(hookable));
-                put_varint(out, u64::from(core));
-                put_varint(out, u64::from(type_id));
-                put_varint(out, size);
-                put_varint(out, addr);
-                put_varint(out, cycle);
-            }
-            SessionEvent::Free { core, addr, cycle } => {
-                let out = self.close_run();
-                out.push(OP_FREE);
-                put_varint(out, u64::from(core));
-                put_varint(out, addr);
-                put_varint(out, cycle);
-            }
-            SessionEvent::RoundEnd => self.close_run().push(OP_ROUND_END),
         }
+        self.out.extend_from_slice(&stage[..len]);
+    }
+
+    /// Encodes the next event of the stream: [`EventEncoder::extend`] of one event.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventEncoder::extend`].
+    pub fn push(&mut self, ev: SessionEvent) {
+        self.extend(&[ev]);
+    }
+
+    /// [`EventEncoder::close_run`] behind the `staged` bytes, which go out first if
+    /// there is a run to close: the bytes left staged.
+    fn close_run_behind(&mut self, staged: &[u8]) -> usize {
+        if self.run.2 == 0 {
+            return staged.len();
+        }
+        self.out.extend_from_slice(staged);
+        self.close_run();
+        0
     }
 
     /// Writes the open run, if any — its header, now that the count is known, then its
-    /// items — and returns the output, where the next event goes.
-    fn close_run(&mut self) -> &mut Vec<u8> {
+    /// items — to the output.
+    fn close_run(&mut self) {
         let (core, ip, count) = self.run;
         if count > 0 {
             self.out.push(OP_ACCESS_RUN);
@@ -317,7 +348,6 @@ impl EventEncoder {
             self.items.clear();
             self.run.2 = 0;
         }
-        &mut self.out
     }
 
     /// Closes the stream and returns its encoded form.
@@ -327,6 +357,74 @@ impl EventEncoder {
             count: self.count,
             bytes: self.out,
         }
+    }
+}
+
+#[inline(always)]
+fn put_byte(stage: &mut [u8], at: usize, b: u8) -> usize {
+    stage[at] = b;
+    at + 1
+}
+
+/// Writes a LEB128 varint at `stage[at]` and returns where it ends.
+#[inline(always)]
+fn put_varint_at(stage: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        at = put_byte(stage, at, v as u8 | 0x80);
+        v >>= 7;
+    }
+    put_byte(stage, at, v as u8)
+}
+
+/// One access-run item at `stage[at]`: the address against the core's previous one,
+/// then the length and the kind.
+#[inline(always)]
+fn put_item(stage: &mut [u8], at: usize, prev: &mut u64, ev: &SessionEvent) -> usize {
+    let SessionEvent::Access {
+        addr, len, kind, ..
+    } = *ev
+    else {
+        unreachable!("a run holds accesses only")
+    };
+    let at = put_varint_at(stage, at, zigzag(addr.wrapping_sub(*prev) as i64));
+    *prev = addr;
+    put_varint_at(stage, at, (len << 1) | u64::from(kind.is_write()))
+}
+
+/// Every event but an access, which is a run item, at `stage[at]`.
+#[inline(always)]
+fn put_event(stage: &mut [u8], at: usize, ev: SessionEvent) -> usize {
+    match ev {
+        SessionEvent::Access { .. } => unreachable!("an access is a run item"),
+        SessionEvent::Compute { core, ip, cycles } => {
+            let at = put_byte(stage, at, OP_COMPUTE);
+            let at = put_varint_at(stage, at, u64::from(core));
+            let at = put_varint_at(stage, at, u64::from(ip.0));
+            put_varint_at(stage, at, cycles)
+        }
+        SessionEvent::Alloc {
+            core,
+            type_id,
+            size,
+            addr,
+            cycle,
+            hookable,
+        } => {
+            let at = put_byte(stage, at, OP_ALLOC);
+            let at = put_byte(stage, at, u8::from(hookable));
+            let at = put_varint_at(stage, at, u64::from(core));
+            let at = put_varint_at(stage, at, u64::from(type_id));
+            let at = put_varint_at(stage, at, size);
+            let at = put_varint_at(stage, at, addr);
+            put_varint_at(stage, at, cycle)
+        }
+        SessionEvent::Free { core, addr, cycle } => {
+            let at = put_byte(stage, at, OP_FREE);
+            let at = put_varint_at(stage, at, u64::from(core));
+            let at = put_varint_at(stage, at, addr);
+            put_varint_at(stage, at, cycle)
+        }
+        SessionEvent::RoundEnd => put_byte(stage, at, OP_ROUND_END),
     }
 }
 

@@ -191,29 +191,34 @@ struct EventCursor {
 }
 
 impl EventCursor {
-    /// Applies events up to and including the next round marker.
+    /// Applies events up to and including the next round marker, a batch at a time: a
+    /// batch ends at a round end, so the round's last batch is consumed whole.
     fn run_round(&mut self, machine: &mut Machine, kernel: &mut KernelState) {
         // A round is packed whole, end marker included, if it starts inside the window.
         let mut window = (self.window.as_mut()).filter(|_| !self.clocks.complete());
-        for ev in self.events.by_ref() {
-            match ev {
-                Ok(ev) => {
-                    self.consumed += 1;
-                    if let Some(window) = window.as_deref_mut() {
-                        window.push(ev);
-                    }
-                    if matches!(ev, SessionEvent::RoundEnd) {
-                        self.clocks.round_end(machine);
-                        return;
-                    }
-                    if let Err(e) = apply_event(ev, machine, kernel) {
-                        self.error = Some(format!("event {}: {e}", self.consumed - 1));
-                        break;
-                    }
-                }
+        'stream: loop {
+            let batch = match self.events.next_batch() {
+                Ok([]) => break,
+                Ok(batch) => batch,
                 Err(e) => {
                     self.error = Some(e.into());
                     break;
+                }
+            };
+            let first = self.consumed;
+            self.consumed += batch.len();
+            for (i, &ev) in (first..).zip(batch) {
+                if let Some(window) = window.as_deref_mut() {
+                    window.push(ev);
+                }
+                if matches!(ev, SessionEvent::RoundEnd) {
+                    self.clocks.round_end(machine);
+                    return;
+                }
+                if let Err(e) = apply_event(ev, machine, kernel) {
+                    self.consumed = i + 1;
+                    self.error = Some(format!("event {i}: {e}"));
+                    break 'stream;
                 }
             }
         }

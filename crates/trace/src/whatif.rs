@@ -754,51 +754,63 @@ pub fn analyze_sharing_unless(
             continue;
         }
         let in_stream = |e: crate::TraceError| format!("stream {thread}: {e}");
-        for ev in reader.events(thread).map_err(in_stream)? {
-            match ev.map_err(in_stream)? {
-                SessionEvent::Alloc {
-                    type_id,
-                    size,
-                    addr,
-                    ..
-                } => {
-                    if let Some(Some(slot)) = slot_of.get(type_id as usize).copied() {
-                        let next = u32::try_from(object_slot.len()).expect("under 2^32 objects");
-                        let object = *objects.entry((slot, addr)).or_insert(next);
-                        if object == next {
-                            object_slot.push(slot);
-                            round_cores.push(0);
+        let mut events = reader.events(thread).map_err(in_stream)?;
+        loop {
+            let batch = events.next_batch().map_err(in_stream)?;
+            if batch.is_empty() {
+                break;
+            }
+            for &ev in batch {
+                match ev {
+                    SessionEvent::Alloc {
+                        type_id,
+                        size,
+                        addr,
+                        ..
+                    } => {
+                        if let Some(Some(slot)) = slot_of.get(type_id as usize).copied() {
+                            let next =
+                                u32::try_from(object_slot.len()).expect("under 2^32 objects");
+                            let object = *objects.entry((slot, addr)).or_insert(next);
+                            if object == next {
+                                object_slot.push(slot);
+                                round_cores.push(0);
+                            }
+                            live.insert(addr, size, (slot, object));
                         }
-                        live.insert(addr, size, (slot, object));
                     }
-                }
-                SessionEvent::Free { addr, .. } => {
-                    live.remove(addr);
-                }
-                SessionEvent::Access { core, addr, .. } => {
-                    if let Some(obj) = live.find(addr) {
-                        let (slot, object) = obj.payload;
-                        totals[slot as usize].accesses += 1;
-                        granules.record(GranuleCounts::key(object, (addr - obj.base) / 8, core));
-                        let mask = &mut round_cores[object as usize];
-                        if *mask == 0 {
-                            touched.push(object);
+                    SessionEvent::Free { addr, .. } => {
+                        live.remove(addr);
+                    }
+                    SessionEvent::Access { core, addr, .. } => {
+                        if let Some(obj) = live.find(addr) {
+                            let (slot, object) = obj.payload;
+                            totals[slot as usize].accesses += 1;
+                            granules.record(GranuleCounts::key(
+                                object,
+                                (addr - obj.base) / 8,
+                                core,
+                            ));
+                            let mask = &mut round_cores[object as usize];
+                            if *mask == 0 {
+                                touched.push(object);
+                            }
+                            *mask |= 1u128 << core;
                         }
-                        *mask |= 1u128 << core;
                     }
+                    SessionEvent::RoundEnd => {
+                        if abandon() {
+                            return Ok(None);
+                        }
+                        for object in touched.drain(..) {
+                            let t = &mut totals[object_slot[object as usize] as usize];
+                            t.object_rounds += 1;
+                            t.core_sum += round_cores[object as usize].count_ones() as u64;
+                            round_cores[object as usize] = 0;
+                        }
+                    }
+                    SessionEvent::Compute { .. } => {}
                 }
-                SessionEvent::RoundEnd => {
-                    if abandon() {
-                        return Ok(None);
-                    }
-                    for object in touched.drain(..) {
-                        let t = &mut totals[object_slot[object as usize] as usize];
-                        t.object_rounds += 1;
-                        t.core_sum += round_cores[object as usize].count_ones() as u64;
-                        round_cores[object as usize] = 0;
-                    }
-                }
-                SessionEvent::Compute { .. } => {}
             }
         }
     }
@@ -1204,6 +1216,47 @@ mod tests {
         assert!(measured
             .unwrap_err()
             .ends_with("free of non-live address 0xdead0000"));
+
+        // Rounds of one and a half batches, and an access on a core the machine lacks
+        // at the first event of a batch, of a round, in the middle of a batch and just
+        // before a round end.  The set-up round is a batch of its own, so round `r`
+        // starts at event `2 + r * (ROUND + 1)` and its second batch `BATCH_EVENTS`
+        // later.
+        const BASE: u64 = 0x1_0000_0040;
+        const ROUND: usize = 3 * crate::stream::BATCH_EVENTS / 2;
+        let mut events = vec![alloc(0, 0, 64, BASE), SessionEvent::RoundEnd];
+        for _ in 0..3 {
+            events.extend((0..ROUND).map(|i| access((i % 4) as u32, BASE + 8 * (i as u64 % 8))));
+            events.push(SessionEvent::RoundEnd);
+        }
+        let batch = crate::stream::BATCH_EVENTS;
+        for bad in [2 + batch, 2 + ROUND + 1, 2 + batch / 2, 2 + ROUND - 1] {
+            let mut wrong = events.clone();
+            wrong[bad] = access(9, BASE);
+            let reader = dtrace::on_disk(&synthetic(wrong));
+            let error =
+                format!("corrupt trace: event {bad} targets core 9 but the machine has 4 cores");
+            // The window holds exactly the events before the error, and a pass over it
+            // applies every one of them before it reports the error.
+            let window = PackedWindow::read(&reader, 0);
+            assert_eq!(window.error(), Some(error.as_str()));
+            assert!(window.events().eq(events[..bad].iter().copied()), "{bad}");
+            let mut applied = 0;
+            let measured =
+                measure_window_dispatching(&reader, &window, &FixSpec::Identity, |_, _, _| {
+                    applied += 1
+                });
+            assert_eq!(measured, Err(error.clone()));
+            let accesses = (events[..bad].iter())
+                .filter(|ev| matches!(ev, SessionEvent::Access { .. }))
+                .count();
+            assert_eq!(applied, accesses, "{bad}");
+            // The profiled replay that packs the window meets the same error.
+            assert_eq!(
+                crate::replay_and_measure_stream(&reader, 0).unwrap_err(),
+                error
+            );
+        }
     }
 
     #[test]

@@ -96,31 +96,33 @@ impl PackedWindow {
     pub fn read(reader: &TraceReader, thread: usize) -> PackedWindow {
         let mut window = PackedWindow::new(thread);
         let mut round_ends = RoundClocks::new(reader, thread).last_round();
-        let events = match reader.events(thread) {
+        let mut events = match reader.events(thread) {
             Ok(events) => events,
             Err(e) => {
                 window.cut = Some(e.into());
                 return window;
             }
         };
-        for ev in events {
-            match ev {
-                Ok(ev) => {
-                    window.push(ev);
-                    if matches!(ev, SessionEvent::RoundEnd) {
-                        round_ends -= 1;
-                        if round_ends == 0 {
-                            break;
+        loop {
+            match events.next_batch() {
+                Ok([]) => return window,
+                Ok(batch) => {
+                    for &ev in batch {
+                        window.push(ev);
+                        if matches!(ev, SessionEvent::RoundEnd) {
+                            round_ends -= 1;
+                            if round_ends == 0 {
+                                return window;
+                            }
                         }
                     }
                 }
                 Err(e) => {
                     window.cut = Some(e.into());
-                    break;
+                    return window;
                 }
             }
         }
-        window
     }
 
     /// Appends one decoded event: its core below 128, and an access no longer than

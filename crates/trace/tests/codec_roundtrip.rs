@@ -2,7 +2,7 @@
 //! identity over arbitrary event streams, and damaged inputs (truncation, corrupt
 //! headers) must be rejected rather than misdecoded.
 
-use dprof_trace::codec::encode_events;
+use dprof_trace::codec::{encode_events, put_varint, zigzag};
 use dprof_trace::{
     EventEncoder, SessionParams, ThreadStream, TraceError, TraceFile, TraceKind, TypeDump,
 };
@@ -130,6 +130,75 @@ fn full_file(events: Vec<SessionEvent>) -> TraceFile {
     }
 }
 
+/// The wire grammar of `dprof_trace::codec`, written out an event at a time with no
+/// pieces, look-ahead or staging: the bytes every way of encoding a session must give.
+fn reference_encoding(events: &[SessionEvent]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut prev_addr = [0u64; sim_cache::MAX_CORES];
+    let mut i = 0;
+    while let Some(&ev) = events.get(i) {
+        i += 1;
+        match ev {
+            SessionEvent::Access { core, ip, .. } => {
+                // An access run: every access after it on the same `(core, ip)`.
+                let mut items = Vec::new();
+                let mut count = 0;
+                for next in &events[i - 1..] {
+                    match *next {
+                        SessionEvent::Access {
+                            core: c,
+                            ip: p,
+                            addr,
+                            len,
+                            kind,
+                        } if (c, p) == (core, ip) => {
+                            let prev = &mut prev_addr[core as usize];
+                            put_varint(&mut items, zigzag(addr.wrapping_sub(*prev) as i64));
+                            *prev = addr;
+                            put_varint(&mut items, len << 1 | u64::from(kind.is_write()));
+                            count += 1;
+                        }
+                        _ => break,
+                    }
+                }
+                i += count - 1;
+                out.push(0x00);
+                put_varint(&mut out, u64::from(core));
+                put_varint(&mut out, u64::from(ip.0));
+                put_varint(&mut out, count as u64);
+                out.extend_from_slice(&items);
+            }
+            SessionEvent::Compute { core, ip, cycles } => {
+                out.push(0x01);
+                for v in [u64::from(core), u64::from(ip.0), cycles] {
+                    put_varint(&mut out, v);
+                }
+            }
+            SessionEvent::Alloc {
+                core,
+                type_id,
+                size,
+                addr,
+                cycle,
+                hookable,
+            } => {
+                out.extend([0x02, u8::from(hookable)]);
+                for v in [u64::from(core), u64::from(type_id), size, addr, cycle] {
+                    put_varint(&mut out, v);
+                }
+            }
+            SessionEvent::Free { core, addr, cycle } => {
+                out.push(0x03);
+                for v in [u64::from(core), addr, cycle] {
+                    put_varint(&mut out, v);
+                }
+            }
+            SessionEvent::RoundEnd => out.push(0x04),
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -144,17 +213,20 @@ proptest! {
         prop_assert_eq!(back.kind, file.kind);
     }
 
-    /// However a session is cut into pieces — in the middle of a run, between runs,
-    /// into empty pieces — pushing the pieces encodes to the bytes of the whole session
-    /// encoded at once, and those decode back to the session: the end of a piece closes
-    /// nothing, so a run that straddles many drains still gets one header.
+    /// However a session is cut into pieces — at random, in the middle of a run or
+    /// between runs, into empty pieces, one event at a time, at every run end, or a
+    /// round a piece as the recorder drains it — encoding the pieces gives the bytes
+    /// of the whole session, and those decode back to the session: the end of a piece
+    /// closes nothing, so a run that straddles many pieces still gets one header.
     #[test]
     fn encoding_is_invariant_under_chunking(
         stretches in proptest::collection::vec(stretch_strategy(), 0..24),
         cuts in proptest::collection::vec(0usize..48, 1..64),
     ) {
         let events: Vec<SessionEvent> = stretches.concat();
-        let mut encoder = EventEncoder::new();
+        let whole = reference_encoding(&events);
+        prop_assert_eq!(&encode_events(&events), &whole);
+        let mut random = Vec::new();
         let mut rest = &events[..];
         for len in cuts.iter().cycle() {
             if rest.is_empty() {
@@ -162,15 +234,36 @@ proptest! {
             }
             // A zero-length cut is an empty piece: a round in which nothing happened.
             let (piece, tail) = rest.split_at((*len).min(rest.len()));
-            encoder.extend(piece);
-            encoder.extend(&[]);
+            random.extend([piece, &[]]);
             rest = tail;
         }
-        let encoded = encoder.finish();
-        prop_assert_eq!(encoded.len(), events.len());
-        prop_assert_eq!(encoded.bytes(), &encode_events(&events)[..]);
+        let runs_end = |a: &SessionEvent, b: &SessionEvent| match (a, b) {
+            (
+                SessionEvent::Access { core, ip, .. },
+                SessionEvent::Access { core: c, ip: p, .. },
+            ) => (core, ip) == (c, p),
+            _ => false,
+        };
+        let splits: [Vec<&[SessionEvent]>; 4] = [
+            random,
+            events.chunks(1).collect(),
+            events.chunk_by(runs_end).collect(),
+            events.split_inclusive(|ev| *ev == SessionEvent::RoundEnd).collect(),
+        ];
+        for (split, pieces) in ["random", "one event", "run ends", "rounds"].iter().zip(&splits) {
+            let mut encoder = EventEncoder::new();
+            for piece in pieces {
+                match piece {
+                    [ev] if *split == "one event" => encoder.push(*ev),
+                    _ => encoder.extend(piece),
+                }
+            }
+            let encoded = encoder.finish();
+            prop_assert_eq!(encoded.len(), events.len());
+            prop_assert_eq!(encoded.bytes(), &whole[..], "split at {}", split);
+        }
         let mut file = full_file(Vec::new());
-        file.streams[0].events = encoded;
+        file.streams[0].events = events.iter().copied().collect();
         prop_assert_eq!(&decode(&file)[0], &events);
     }
 
@@ -235,4 +328,40 @@ fn a_run_pushed_an_access_at_a_time_gets_one_header() {
     assert_eq!(encoded.bytes(), &encode_events(&run)[..]);
     let headers = encoded.bytes().iter().filter(|&&b| b == 0x00).count();
     assert_eq!(headers, 1, "no item byte of this run is zero");
+}
+
+/// Every golden trace, decoded and encoded again — whole, a round a piece as the
+/// recorder drains it, and by the reference — is the file it was read from, byte for
+/// byte: the encoder writes what the encoder that recorded them wrote.
+#[test]
+fn every_golden_trace_re_encodes_to_its_bytes() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let mut paths: Vec<_> = std::fs::read_dir(&golden)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|e| e == "dtrace"))
+        .collect();
+    paths.sort();
+    assert_eq!(paths.len(), 5, "five golden traces: {paths:?}");
+    for path in paths {
+        let bytes = std::fs::read(&path).unwrap();
+        let reader = trace::TraceReader::open(path.to_str().unwrap()).unwrap();
+        let mut file = read_back(&reader).unwrap();
+        assert!(file.encode() == bytes, "{path:?}, encoded whole");
+        for (thread, stream) in file.streams.iter_mut().enumerate() {
+            let events: Vec<SessionEvent> = (reader.events(thread).unwrap())
+                .map(|ev| ev.unwrap())
+                .collect();
+            let mut encoder = EventEncoder::new();
+            for round in events.split_inclusive(|ev| *ev == SessionEvent::RoundEnd) {
+                encoder.extend(round);
+            }
+            stream.events = encoder.finish();
+            assert!(
+                stream.events.bytes() == reference_encoding(&events),
+                "{path:?}, stream {thread}: the reference"
+            );
+        }
+        assert!(file.encode() == bytes, "{path:?}, encoded a round a piece");
+    }
 }

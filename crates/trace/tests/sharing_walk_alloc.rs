@@ -1,11 +1,14 @@
 //! What the what-if sharing walk costs the heap: its distinct `(object, granule, core)`
-//! keys plus one batch of logged accesses, whatever the trace's length and however
+//! keys plus one batch of logged accesses and the decoder's read buffer and event
+//! batch, each allocated once for the pass, whatever the trace's length and however
 //! many types the objects are spread over.
 //!
 //! This file intentionally contains a single test: the counting allocator
 //! (`tests/support/counting_alloc.rs`) is global to the test binary, and a
 //! concurrently-running test would pollute the measured window.
 
+use dprof_trace::codec::MAX_EVENT_BYTES;
+use dprof_trace::stream::{BATCH_EVENTS, CHUNK_SIZE};
 use dprof_trace::{analyze_sharing, SessionParams, ThreadStream, TraceFile, TraceKind, TypeDump};
 use sim_machine::{AccessKind, FunctionId, MachineConfig, SamplingPolicy, SessionEvent};
 
@@ -21,6 +24,11 @@ use dtrace::on_disk;
 
 /// The walk's access log holds this many 8-byte keys before it is sorted away.
 const BATCH_BYTES: u64 = (1 << 16) * 8;
+
+/// Bytes the stream's decoder holds: its read buffer, a chunk and the longest event,
+/// and its batch of events.
+const DECODER_BYTES: u64 =
+    (CHUNK_SIZE + MAX_EVENT_BYTES + BATCH_EVENTS * std::mem::size_of::<SessionEvent>()) as u64;
 
 /// A one-stream trace over `types` types: 16 objects of 64 bytes, filed round-robin
 /// under the types, then `accesses` accesses cycling over the same 16 × 8 granules ×
@@ -104,10 +112,10 @@ fn the_sharing_walk_costs_its_distinct_keys_not_its_accesses_or_types() {
         spread.abs_diff(short) <= BATCH_BYTES,
         "{short} → {spread} bytes"
     );
-    // One batch, the decoder's window of at most two 64 KiB chunks, and 64 bytes a key
-    // for the table and the one a compaction merges it into, the objects and the index.
+    // One batch of keys, the decoder, and 64 bytes a key for the table and the one a
+    // compaction merges it into, the objects and the index.
     assert!(
-        short <= BATCH_BYTES + 2 * 65_536 + 64 * 1024,
+        short <= BATCH_BYTES + DECODER_BYTES + 64 * 1024,
         "{short} bytes"
     );
 }
