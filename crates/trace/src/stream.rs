@@ -477,11 +477,6 @@ impl EventReader {
         self.reader.peak
     }
 
-    /// Number of events handed out so far.
-    pub fn produced(&self) -> usize {
-        self.codec.produced - (self.len - self.taken)
-    }
-
     /// The next events of the stream, in order: at most [`BATCH_EVENTS`], ending after
     /// a [`SessionEvent::RoundEnd`] if they reach one, and empty at the stream's end.
     /// An error found after some events of a batch is returned by the next call, so
