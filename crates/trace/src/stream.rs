@@ -1266,7 +1266,7 @@ mod tests {
         // opcode, so the clobber below is guaranteed to hit an opcode position.
         let mut events = decoded(&file.streams[0].events);
         events.push(SessionEvent::RoundEnd);
-        file.streams[0].events = events.into();
+        file.streams[0].events = events.clone().into();
         let path = temp_path("corrupt.dtrace");
         let mut bytes = file.encode();
         let len = bytes.len();
@@ -1275,6 +1275,10 @@ mod tests {
         let reader = TraceReader::open(&path).unwrap();
         let result: Result<Vec<_>, _> = reader.events(0).unwrap().collect();
         assert!(result.is_err(), "corrupt event bytes must surface an error");
+        // Every event before the clobbered one is handed out first, in batches.
+        let error = format!("unknown event opcode 0xff at byte {}", len - 1);
+        let before = events[..events.len() - 1].to_vec();
+        assert_eq!(batches(&reader), (before, Some(TraceError::Corrupt(error))));
     }
 
     /// One stream of the sample file holding exactly `events`, through the decoder.
